@@ -21,23 +21,34 @@ Two subtleties the paper glosses over, handled here:
   encodings, never inversion — parties that hold the plaintext candidate
   set re-encode to match.  A reversible integer encoder is also provided
   for numeric payloads that must be recovered (secure union).
-* **Key hygiene.**  Exponents are sampled coprime to ``p - 1`` and, for
-  safe primes, odd exponents are chosen so they are automatically coprime
-  to the factor 2.
+* **Key hygiene.**  Exponents are sampled odd and coprime to ``p - 1``.
+  When ``p`` is a verified safe prime ``p = 2q + 1`` of more than 257
+  bits, the encryption exponent ``e`` is a random odd 256-bit integer
+  (top bit set): the hashed plaintexts live in the prime-order subgroup
+  of quadratic residues, where recovering a 256-bit exponent costs
+  2^128 group operations (Pollard lambda) — at or above the strength of
+  the group itself for every ``p`` up to 3072 bits — and ``pow`` is
+  linear in exponent bits.  ``d = e^-1 mod (p - 1)`` comes out full
+  length, so the cipher is the same bijection of ``Z_p^*``.  Any other
+  modulus keeps a full-range ``e``: short exponents in a group whose
+  order has small factors leak exponent bits (van Oorschot-Wiener).
+  See ``docs/threat-model.md``, "Short exponents".
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
 from repro.crypto import primes
 from repro.crypto.modmath import int_to_bytes, modinv
-from repro.crypto.rng import system_rng
+from repro.crypto.rng import DeterministicRng, system_rng
 from repro.errors import ParameterError
 from repro.perf.engine import resolve_engine
 
 __all__ = [
+    "SHORT_EXPONENT_BITS",
     "CommutativeKey",
     "PohligHellmanCipher",
     "MessageEncoder",
@@ -45,9 +56,27 @@ __all__ = [
 ]
 
 
+#: Length of the encryption exponent over a large safe prime: twice the
+#: 128-bit strength a square-root discrete-log attack has to overcome.
+SHORT_EXPONENT_BITS = 256
+_SHORT_EXPONENT_TOP_BIT = 1 << (SHORT_EXPONENT_BITS - 1)
+
+
 def shared_prime(bits: int = 256, rng=None, fresh: bool = False) -> int:
     """Return a safe prime suitable as the cluster-wide cipher modulus."""
     return primes.safe_prime(bits, rng=rng, fresh=fresh)
+
+
+@functools.lru_cache(maxsize=128)
+def _half_is_prime(p: int) -> bool:
+    """Whether ``(p - 1) / 2`` is prime: about fifty modexps, so memoised.
+
+    Uses its own fixed witness stream — the protocol RNG is never touched,
+    so a key stream does not depend on who asked first.
+    """
+    return primes.is_probable_prime(
+        (p - 1) // 2, rng=DeterministicRng(b"safe-prime-check")
+    )
 
 
 @dataclass(frozen=True)
@@ -94,11 +123,22 @@ class PohligHellmanCipher:
 
     @classmethod
     def generate(cls, p: int, rng=None) -> "PohligHellmanCipher":
-        """Generate a fresh key pair for prime modulus ``p``."""
+        """Generate a fresh key pair for prime modulus ``p``.
+
+        ``e`` is odd (coprime to the factor 2 of ``p - 1``): 256 bits
+        with the top bit set over a large safe prime, full-range over
+        any other modulus (see "Key hygiene" in the module docstring).
+        """
         rng = rng or system_rng()
         order = p - 1
+        # A short e needs (p-1)/2 to be a prime longer than e: then every
+        # odd 256-bit e is coprime to p-1 and the squares have prime order.
+        short = p.bit_length() > SHORT_EXPONENT_BITS + 1 and _half_is_prime(p)
         while True:
-            e = rng.randrange(3, order) | 1  # odd => coprime to the factor 2
+            if short:
+                e = rng.getrandbits(SHORT_EXPONENT_BITS) | _SHORT_EXPONENT_TOP_BIT | 1
+            else:
+                e = rng.randrange(3, order) | 1
             try:
                 d = modinv(e, order)
             except ParameterError:
@@ -144,8 +184,9 @@ class MessageEncoder:
 
     Two encodings:
 
-    * :meth:`encode_hashed` — SHA-256 the canonical byte form of the value,
-      reduce into ``Z_p^*`` and square (for a safe prime the squares form
+    * :meth:`encode_hashed` — SHA-256 (counter mode, ``|p| + 64`` bits or
+      more) the canonical byte form of the value, reduce into ``Z_p^*``
+      and square (for a safe prime the squares form
       the prime-order subgroup of quadratic residues).  One-way; collision
       probability is negligible for |p| >= 64 bits relative to set sizes
       here.  This is what the secure set intersection uses: equality of
@@ -167,6 +208,7 @@ class MessageEncoder:
             raise ParameterError("modulus too small to encode messages")
         self.p = p
         self._cache = cache
+        self._hash_blocks = -(-(p.bit_length() + 64) // 256)  # SHA-256 digests
 
     def _canonical_bytes(self, value) -> bytes:
         if isinstance(value, bytes):
@@ -181,15 +223,25 @@ class MessageEncoder:
         raise ParameterError(f"cannot canonically encode {type(value)!r}")
 
     def _hash_to_unit(self, value) -> int:
-        """Hash a value into ``Z_p^* \\ {1, p-1}`` (pre-squaring)."""
-        digest = self._canonical_bytes(value)
+        """Hash a value into ``Z_p^* \\ {1, p-1}`` (pre-squaring).
+
+        SHA-256 in counter mode, stretched to at least 64 bits more than
+        ``p`` before reducing, so the result is within 2^-64 of uniform
+        on ``Z_p`` whatever the size of ``p`` — one digest alone would
+        make every 512+-bit "group element" the integer square of a
+        256-bit number.
+        """
+        data = self._canonical_bytes(value)
         counter = 0
         while True:
-            h = hashlib.sha256(digest + counter.to_bytes(4, "big")).digest()
-            x = int.from_bytes(h, "big") % self.p
+            stream = b"".join(
+                hashlib.sha256(data + (counter + i).to_bytes(4, "big")).digest()
+                for i in range(self._hash_blocks)
+            )
+            x = int.from_bytes(stream, "big") % self.p
             if x not in (0, 1, self.p - 1):
                 return x
-            counter += 1
+            counter += self._hash_blocks
 
     def encode_hashed(self, value) -> int:
         """One-way encoding of an arbitrary value into the QR subgroup."""

@@ -25,15 +25,36 @@ _SMALL_PRIMES = [
     307, 311, 313, 317, 331, 337, 347, 349,
 ]
 
-# Pre-verified safe primes (p = 2q+1, q prime), generated once with this very
-# module under fresh=True and checked with 64 Miller-Rabin rounds.  Keyed by
-# bit size.  These keep test suites fast without weakening the protocol logic
-# (the protocols are parametric in p).
+# Pre-verified safe primes (p = 2q+1, q prime), keyed by bit size.  Up to 512
+# bits they were generated once with this very module under fresh=True and
+# checked with 64 Miller-Rabin rounds; generating one of 1024+ bits takes
+# minutes in pure Python, so those sizes are the standard MODP groups
+# (2^n - 2^(n-64) - 1 + 2^64 * (floor(2^(n-130) * pi) + c)): RFC 2409 group 2
+# and RFC 3526 group 14.  These keep test suites fast without weakening the
+# protocol logic (the protocols are parametric in p).
 _SAFE_PRIME_TABLE: dict[int, int] = {
     64: 14917292485657413179,
     128: 174158679509058713126999275137367365743,
     256: 111525767535012832528318988189880857310531517458634634927005609833870723312359,
     512: 7154908883566627705230758123451846792822839908235768415186991324913652223313848360422320280595170582502174993361480976845905031041058248705371177460279607,
+    1024: int(
+        "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+        "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+        "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+        "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
+        16,
+    ),
+    2048: int(
+        "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+        "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+        "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+        "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
+        "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
+        "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
+        "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
+        "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+        16,
+    ),
 }
 
 
@@ -97,7 +118,8 @@ def safe_prime(bits: int, rng=None, fresh: bool = False) -> int:
 
     By default returns a pre-verified table entry when one exists for the
     requested size (fast, constant).  ``fresh=True`` generates a brand-new
-    random safe prime, which may take seconds at 512+ bits in pure Python.
+    random safe prime, which may take seconds at 512 bits and minutes
+    above that in pure Python.
     """
     if bits < 5:
         raise ParameterError("safe primes need at least 5 bits")

@@ -156,3 +156,48 @@ class TestTamperedCluster:
         reports = service.check_integrity()
         assert any(not r.ok for r in reports)
         assert not node.verify_receipt(receipt)
+
+
+class TestCountsAt512Bits:
+    """Short exponents make each modexp cheaper; they must not change how
+    many there are, what is answered, or what is leaked."""
+
+    def test_cross_node_query_counts_follow_from_set_sizes(self):
+        from repro.crypto.pohlig_hellman import PohligHellmanCipher
+
+        schema = paper_table1_schema()
+        service = ConfidentialAuditingService(
+            schema, paper_fragment_plan(schema), prime_bits=512,
+            rng=DeterministicRng(b"short-exponents"),
+        )
+        key = PohligHellmanCipher.generate(service.ctx.prime, DeterministicRng(0)).key
+        assert key.e.bit_length() == 256
+        ticket = service.register_user("u", {Operation.READ, Operation.WRITE})
+        rows = [
+            {"C1": 10 + i, "C5": 15, "C3": "L" if i % 3 == 0 else "M"}
+            for i in range(12)
+        ]
+        glsns = [service.log_event(row, ticket).glsn for row in rows]
+        greater = [g for g, r in zip(glsns, rows) if r["C1"] > r["C5"]]
+        labelled = [g for g, r in zip(glsns, rows) if r["C3"] == "L"]
+        leaked_before = service.ctx.leakage.count()
+
+        result = service.query("C1 > C5 and C3 = 'L'")
+
+        assert sorted(result.glsns) == sorted(set(greater) & set(labelled))
+        # Every ring encrypts each party's set once per party: n * sum |S_i|.
+        # C1 > C5 intersects the two owners' glsn sets (C1@P3, C5@P1) before
+        # the blinded comparison; the conjunction then intersects the two
+        # clause sets held at P3 and P2.
+        presence = 2 * (len(rows) + len(rows))
+        conjunction = 2 * (len(greater) + len(labelled))
+        cost = service.last_query_cost
+        assert cost.modexp == presence + conjunction == 68
+        assert cost.offline_modexp == 0
+        assert cost.messages == 18
+        events = service.ctx.leakage.events[leaked_before:]
+        assert len(events) == 9
+        assert {event.category for event in events} == {
+            "order_statistics", "position_linkage", "result_cardinality", "set_size",
+        }
+        service.close()

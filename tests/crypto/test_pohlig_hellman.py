@@ -1,8 +1,12 @@
 """Tests for the Pohlig-Hellman commutative cipher (paper §3 eq. 6-7)."""
 
+import math
+
 import pytest
 
+from repro.crypto import pohlig_hellman, primes
 from repro.crypto.pohlig_hellman import (
+    SHORT_EXPONENT_BITS,
     CommutativeKey,
     MessageEncoder,
     PohligHellmanCipher,
@@ -35,6 +39,79 @@ class TestKeyPairs:
     def test_zero_rejected(self, ciphers):
         with pytest.raises(ParameterError):
             ciphers[0].encrypt(0)
+
+
+@pytest.fixture(scope="module")
+def unsafe_prime300():
+    """A 300-bit prime whose (p-1)/2 is composite."""
+    rng = DeterministicRng(b"unsafe-prime")
+    while True:
+        p = primes.random_prime(300, rng)
+        if not primes.is_probable_prime((p - 1) // 2, rng=rng):
+            return p
+
+
+def _legacy_exponent(p, seed):
+    """The full-range draw every key used before short exponents."""
+    rng = DeterministicRng(seed)
+    while True:
+        e = rng.randrange(3, p - 1) | 1
+        if math.gcd(e, p - 1) == 1:
+            return e
+
+
+class TestShortExponents:
+    """256-bit ``e`` over large safe primes, full-range ``e`` elsewhere."""
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    def test_large_safe_prime_gets_a_256_bit_exponent(self, bits):
+        p = shared_prime(bits)
+        rng = DeterministicRng(b"short")
+        for _ in range(8):
+            key = PohligHellmanCipher.generate(p, rng).key
+            assert key.e % 2 == 1
+            assert key.e.bit_length() == SHORT_EXPONENT_BITS
+            assert (key.e * key.d) % (p - 1) == 1
+        # d is whatever the inverse comes out as: the same bijection of Z_p^*.
+        assert key.d.bit_length() > bits - 64
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_small_prime_keeps_the_full_range_exponent(self, bits):
+        p = shared_prime(bits)
+        key = PohligHellmanCipher.generate(p, DeterministicRng(b"small")).key
+        assert key.e == _legacy_exponent(p, b"small")
+
+    def test_non_safe_prime_keeps_the_full_range_exponent(self, unsafe_prime300):
+        key = PohligHellmanCipher.generate(
+            unsafe_prime300, DeterministicRng(b"unsafe")
+        ).key
+        assert key.e == _legacy_exponent(unsafe_prime300, b"unsafe")
+        assert (key.e * key.d) % (unsafe_prime300 - 1) == 1
+
+    def test_safe_prime_check_runs_once_per_modulus(
+        self, monkeypatch, prime64, unsafe_prime300
+    ):
+        calls = []
+        real = primes.is_probable_prime
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(primes, "is_probable_prime", counting)
+        pohlig_hellman._half_is_prime.cache_clear()
+        p512 = shared_prime(512)
+        rng = DeterministicRng(b"count")
+        for p in (p512, unsafe_prime300, prime64, p512, unsafe_prime300, p512):
+            PohligHellmanCipher.generate(p, rng)
+        assert calls == [(p512 - 1) // 2, (unsafe_prime300 - 1) // 2]
+
+    def test_safe_prime_check_leaves_the_key_stream_alone(self):
+        p = shared_prime(512)
+        warm = PohligHellmanCipher.generate(p, DeterministicRng(b"stream")).key
+        pohlig_hellman._half_is_prime.cache_clear()
+        cold = PohligHellmanCipher.generate(p, DeterministicRng(b"stream")).key
+        assert cold == warm
 
 
 class TestCommutativity:
@@ -107,6 +184,22 @@ class TestMessageEncoder:
         enc = MessageEncoder(prime64)
         encodings = {enc.encode_hashed(f"item-{i}") for i in range(2000)}
         assert len(encodings) == 2000
+
+    def test_hashed_spreads_over_the_whole_group_at_1024_bits(self):
+        """One SHA-256 digest squared never exceeds 2^512; the counter-mode
+        expansion must reach the top of a 1024-bit group."""
+        from repro.cache import LruCache
+
+        p = shared_prime(1024)
+        values = [f"item-{i}" for i in range(1000)]
+        encodings = [MessageEncoder(p).encode_hashed(v) for v in values]
+        assert len(set(encodings)) == 1000
+        assert all(e > 1 << 900 for e in encodings)
+        cached = MessageEncoder(p, cache=LruCache("test.hashed", max_entries=2000))
+        assert MessageEncoder(p).encode_hashed_many(values, engine="serial") == encodings
+        assert cached.encode_hashed_many(values[:600], engine="serial") == encodings[:600]
+        assert cached.encode_hashed_many(values, engine="serial") == encodings
+        assert [cached.encode_hashed(v) for v in values[::50]] == encodings[::50]
 
     def test_unsupported_type(self, prime64):
         with pytest.raises(ParameterError):

@@ -60,6 +60,15 @@ class TestGeneration:
         assert safe_prime(128) == safe_prime(128)
         _verify_table()
 
+    @pytest.mark.parametrize("bits", [1024, 2048])
+    def test_safe_prime_table_holds_the_modp_groups(self, bits):
+        """RFC 2409 group 2 / RFC 3526 group 14 (``_verify_table`` checks
+        primality): 64 one bits at either end, digits of pi between."""
+        p = safe_prime(bits)
+        assert p.bit_length() == bits
+        assert p >> (bits - 64) == p % 2**64 == 2**64 - 1
+        assert hex(p)[18:26] == "c90fdaa2"
+
     def test_sophie_germain_pair(self):
         p, q = sophie_germain_pair(64)
         assert p == 2 * q + 1

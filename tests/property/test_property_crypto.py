@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the cryptographic substrate."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.accumulator import AccumulatorParams, OneWayAccumulator
@@ -73,6 +74,58 @@ class TestPohligHellmanProperties:
         encoder = MessageEncoder(PRIME64)
         same = encoder.encode_hashed(left) == encoder.encode_hashed(right)
         assert same == (left == right)
+
+
+# Large safe primes: every cipher below has a 256-bit encryption exponent and
+# a full-length decryption exponent.
+SHORT = {
+    bits: (
+        MessageEncoder(shared_prime(bits)),
+        [PohligHellmanCipher.generate(shared_prime(bits), _rng) for _ in range(4)],
+    )
+    for bits in (512, 1024)
+}
+_values = st.one_of(st.text(max_size=30), st.integers(), st.binary(max_size=30))
+
+
+@pytest.mark.parametrize("bits", sorted(SHORT))
+class TestShortExponentProperties:
+    """Eq. 6-7 hold unchanged when ``e`` is short: same bijection of Z_p^*."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(value=_values, small=st.integers(0, 2**64), data=st.data())
+    def test_any_order_in_any_order_out(self, bits, value, small, data):
+        encoder, ciphers = SHORT[bits]
+        encrypt_order = data.draw(st.permutations(ciphers))
+        other_order = data.draw(st.permutations(ciphers))
+        decrypt_order = data.draw(st.permutations(ciphers))
+        for element in (encoder.encode_hashed(value), encoder.encode_int(small)):
+            wrapped = element
+            for cipher in encrypt_order:
+                wrapped = cipher.encrypt(wrapped)
+            again = element
+            for cipher in other_order:
+                again = cipher.encrypt(again)
+            assert again == wrapped
+            for cipher in decrypt_order:
+                wrapped = cipher.decrypt(wrapped)
+            assert wrapped == element
+        assert encoder.decode_int(wrapped) == small
+
+    @settings(max_examples=15, deadline=None)
+    @given(left=_values, right=_values, m1=st.integers(0, 2**64), m2=st.integers(0, 2**64))
+    def test_distinct_plaintexts_stay_distinct(self, bits, left, right, m1, m2):
+        encoder, ciphers = SHORT[bits]
+
+        def wrap(element):
+            for cipher in ciphers:
+                element = cipher.encrypt(element)
+            return element
+
+        same = wrap(encoder.encode_hashed(left)) == wrap(encoder.encode_hashed(right))
+        assert same == (left == right)
+        same = wrap(encoder.encode_int(m1)) == wrap(encoder.encode_int(m2))
+        assert same == (m1 == m2)
 
 
 class TestShamirProperties:
