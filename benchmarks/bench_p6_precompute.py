@@ -14,9 +14,6 @@ their machinery costs when they cannot help:
 * **Cold-path overhead.**  End-to-end wall-clock of the *empty* run
   must stay within 5% of the *disabled* run: a dry pool may only cost a
   dictionary probe per draw.
-* **Witness bases.**  A service-level integrity round after
-  ``warm_pools()`` vs the kill switch: the initiator's ring folds hit
-  the precomputed accumulator bases.
 
 Correctness is asserted inline: every protocol's result values must be
 identical across the three modes (the split may re-label work, never
@@ -27,7 +24,6 @@ Writes ``BENCH_p6.json`` at the repo root.
 Environment knobs (for CI smoke runs on tiny machines):
 
 - ``REPRO_BENCH_REPEATS``       protocol-mix repetitions     (default 24)
-- ``REPRO_BENCH_ROWS``          service log size             (default 24)
 - ``REPRO_BENCH_MIN_SPEEDUP``   online-phase bar asserted    (default 2.0)
 - ``REPRO_BENCH_MAX_OVERHEAD``  empty-pool ceiling           (default 0.05)
 - ``REPRO_BENCH_TRIALS``        best-of-N wall-clock trials  (default 3)
@@ -52,11 +48,9 @@ if __name__ == "__main__":  # direct execution: make repo-root imports work
 
 from benchmarks.conftest import print_rows
 from repro.cluster.authority import CredentialAuthority
-from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng, shared_prime
 from repro.crypto.schnorr import SchnorrGroup
 from repro.crypto.shamir import ShamirScheme
-from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.precompute import (
     PrecomputeConfig,
     PrecomputeManager,
@@ -71,10 +65,8 @@ from repro.smc import (
     secure_set_union,
     secure_sum,
 )
-from repro.workloads import paper_table1_rows
 
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "24"))
-ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "24"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_MAX_OVERHEAD", "0.05"))
 TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "3"))
@@ -162,37 +154,11 @@ def _mode(name: str, repeats: int, trials: int = 1):
     return best
 
 
-def _integrity_mode(warm: bool) -> tuple[float, dict, list]:
-    """Service-level integrity round: witness-base pools warm vs off."""
-    if not warm:
-        set_precompute_enabled(False)
-    try:
-        schema = paper_table1_schema()
-        service = ConfidentialAuditingService(
-            schema, paper_fragment_plan(schema), prime_bits=PRIME_BITS,
-            rng=DeterministicRng(b"p6-svc"),
-        )
-        ticket = service.register_user("p6-bench")
-        rows = (paper_table1_rows() * (ROWS // 6 + 1))[:ROWS]
-        for i, row in enumerate(rows):
-            service.log_event({**row, "Tid": f"T{i}"}, ticket)
-        if warm:
-            service.warm_pools()
-        start = time.perf_counter()
-        reports = [(r.glsn, r.ok) for r in service.check_integrity()]
-        wall = time.perf_counter() - start
-        return wall, service.precompute.online_stats(), reports
-    finally:
-        if not warm:
-            set_precompute_enabled(None)
-
-
 class TestOfflineOnlineSplit:
     def test_online_phase_cut_and_cold_path_overhead(self):
         results: dict = {
             "experiment": "P6",
             "repeats": REPEATS,
-            "rows": ROWS,
             "prime_bits": PRIME_BITS,
             "min_speedup_asserted": MIN_SPEEDUP,
             "max_overhead_asserted": MAX_OVERHEAD,
@@ -280,20 +246,6 @@ class TestOfflineOnlineSplit:
             f"ceiling is {MAX_OVERHEAD:.0%}"
         )
 
-        # -- witness bases in a service integrity round --------------------
-        warm_integ_s, warm_integ_stats, warm_reports = _integrity_mode(True)
-        plain_integ_s, _, plain_reports = _integrity_mode(False)
-        assert warm_reports == plain_reports
-        witness = warm_integ_stats.get("witness", {"calls": 0, "pooled": 0})
-        results["integrity_round"] = {
-            "rows": ROWS,
-            "warm_s": round(warm_integ_s, 3),
-            "disabled_s": round(plain_integ_s, 3),
-            "witness_calls": witness["calls"],
-            "witness_hits": witness["pooled"],
-        }
-        assert witness["pooled"] > 0, "warmed witness bases never hit"
-
         # -- bookkeeping ----------------------------------------------------
         results["pools"] = warm_mgr.pool_snapshot()
         results["offline_ops"] = warm_mgr.offline_ops.snapshot()
@@ -309,7 +261,6 @@ def main(argv: list[str]) -> int:
 
     if "--smoke" in argv:
         os.environ.setdefault("REPRO_BENCH_REPEATS", "8")
-        os.environ.setdefault("REPRO_BENCH_ROWS", "12")
         os.environ.setdefault("REPRO_BENCH_MIN_SPEEDUP", "1.5")
         os.environ.setdefault("REPRO_BENCH_MAX_OVERHEAD", "0.25")
     return pytest.main([__file__, "-q", "-s"])

@@ -301,9 +301,10 @@ class ConfidentialAuditingService:
         Warms the Pohlig-Hellman keypair, affine- and monotone-blinding
         pools for this deployment's SMC prime and node ids, the three
         blind-signature nonce pools of the credential authority's group,
-        and (``include_witnesses``) the accumulator witness bases for every
-        fragment currently stored.  Shamir coefficient pools are warmed
-        lazily per scheme — the field prime is data-dependent.
+        and (``include_witnesses``) the accumulator's fixed-base table for
+        ``x0``, which every integrity fold from the base reads.  Shamir
+        coefficient pools are warmed lazily per scheme — the field prime
+        is data-dependent.
 
         Idempotent and safe to call while queries run; returns
         :meth:`~repro.precompute.PrecomputeManager.pool_snapshot`.
@@ -315,18 +316,7 @@ class ConfidentialAuditingService:
         self.precompute.warm_blind(group.p, group.q, group.g, "client-alpha")
         self.precompute.warm_blind(group.p, group.q, authority_y, "client-beta")
         if include_witnesses:
-            from repro.crypto.accumulator import digest_to_exponent
-
-            params = self.store.accumulator.params
-            for node_store in self.store.stores.values():
-                exponents = [
-                    digest_to_exponent(
-                        node_store.local_fragment(glsn).canonical_bytes()
-                    )
-                    for glsn in node_store.glsns
-                ]
-                if exponents:
-                    self.precompute.warm_witness(params.n, params.x0, exponents)
+            self.precompute.warm_witness(self.store.accumulator)
         return self.precompute.pool_snapshot()
 
     # -- application-node lifecycle ------------------------------------------------
@@ -813,11 +803,11 @@ class ConfidentialAuditingService:
             if batched:
                 return run_batched_integrity_round(
                     self.store, net=self._fresh_net(), deadline=deadline,
-                    precompute=self.precompute, crypto=self.integrity_ops,
+                    crypto=self.integrity_ops,
                 )
             return run_integrity_round(
                 self.store, net=self._fresh_net(), deadline=deadline,
-                precompute=self.precompute, crypto=self.integrity_ops,
+                crypto=self.integrity_ops,
             )
         return IntegrityChecker(self.store, metrics=self.metrics).check_all()
 

@@ -16,11 +16,21 @@ Accumulated values must be odd integers > 1 (even exponents interact with
 the group structure; we map arbitrary byte strings through SHA-256 and force
 the low bit).  The modulus generator (the credential authority in the DLA
 architecture) must discard the factorization.
+
+Every fold that starts at the public base — the write path's per-record
+anchor, the integrity ring's first hop, the in-process checker — is
+``x0^e mod n`` for one fixed ``x0``, so the accumulator keeps a
+*fixed-base window table* for it (:meth:`OneWayAccumulator.base_power`):
+row ``j`` holds ``x0^(d·2^(6j))`` for every 6-bit digit ``d``, and the
+power is one table lookup and one modular multiplication per digit of the
+exponent, with no squarings.  See ``docs/perf.md`` "Fixed-base
+accumulator" for the shape and the memory bound.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 
 from repro.crypto import primes
@@ -30,6 +40,13 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.perf.engine import resolve_engine
 
 __all__ = ["AccumulatorParams", "OneWayAccumulator", "digest_to_exponent"]
+
+# Fixed-base table shape: radix-2^6 digits, at most 86 rows — 516 bits,
+# the product of four 128-bit digest exponents.  86 rows x 64 entries of a
+# 256-bit modulus are about 0.4 MB; a longer exponent falls back to ``pow``.
+_WINDOW_BITS = 6
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+_MAX_TABLE_ROWS = 86
 
 
 def digest_to_exponent(data: bytes, bits: int = 128) -> int:
@@ -88,6 +105,51 @@ class OneWayAccumulator:
     def __init__(self, params: AccumulatorParams, tracer=None) -> None:
         self.params = params
         self.tracer = tracer or NOOP_TRACER
+        # Fixed-base table for x0, grown a row at a time under the lock;
+        # readers walk the rows that exist without taking it.
+        self._table: list[list[int]] = []
+        self._next_row_base = params.x0  # x0^(2^(6·len(_table)))
+        self._table_lock = threading.Lock()
+
+    def base_power(self, exponent: int) -> int:
+        """``pow(x0, exponent, n)`` from the fixed-base window table.
+
+        One lookup and one modular multiplication per 6-bit digit of
+        ``exponent`` — bitwise equal to ``pow``, several times cheaper for
+        the 128- to 512-bit exponents the folds from ``x0`` use.  Rows are
+        built the first time an exponent needs them; an exponent beyond the
+        row cap (or a negative one) is handed to ``pow``.
+        """
+        rows_needed = -(-exponent.bit_length() // _WINDOW_BITS)
+        if exponent < 0 or rows_needed > _MAX_TABLE_ROWS:
+            return pow(self.params.x0, exponent, self.params.n)
+        if rows_needed > len(self._table):
+            self.build_base_table(rows_needed)
+        n = self.params.n
+        value = 1
+        for row in self._table:
+            value = value * row[exponent & _WINDOW_MASK] % n
+            exponent >>= _WINDOW_BITS
+            if not exponent:
+                break
+        return value
+
+    def build_base_table(self, rows: int = _MAX_TABLE_ROWS) -> int:
+        """Grow the table to ``rows`` rows (the cap by default); returns
+        how many rows this call built."""
+        n = self.params.n
+        with self._table_lock:
+            missing = max(0, min(rows, _MAX_TABLE_ROWS) - len(self._table))
+            for _ in range(missing):
+                base = self._next_row_base
+                row = [1]
+                for _ in range(_WINDOW_MASK):
+                    row.append(row[-1] * base % n)
+                self._next_row_base = row[-1] * base % n
+                # Appended only when complete: a concurrent reader never
+                # sees a partial row.
+                self._table.append(row)
+            return missing
 
     def step(self, current: int, item: bytes | int) -> int:
         """One application of eq. 8: ``A(current, y) = current^y mod n``."""
@@ -97,9 +159,15 @@ class OneWayAccumulator:
         return pow(current, exponent, self.params.n)
 
     def accumulate_all(self, items: list[bytes | int], start: int | None = None) -> int:
-        """Fold every item into the base (or ``start``), any order-equivalent."""
+        """Fold every item into the base (or ``start``), any order-equivalent.
+
+        From the base this is one :meth:`base_power` of the pre-multiplied
+        exponents, value-identical to the :meth:`step` chain (eq. 9).
+        """
         with self.tracer.span("acc.accumulate", {"items": len(items)}):
-            acc = self.params.x0 if start is None else start
+            if start is None:
+                return self.base_power(self.exponent_product(items))
+            acc = start
             for item in items:
                 acc = self.step(acc, item)
             return acc
@@ -112,17 +180,15 @@ class OneWayAccumulator:
         """Membership witness for ``items[index]``: the accumulator of all
         *other* items.  ``step(witness, items[index]) == accumulate_all(items)``.
 
-        Costs one ``pow``: the chain ``(((x0^e_a)^e_b)...)`` equals
+        Costs one exponentiation: the chain ``(((x0^e_a)^e_b)...)`` equals
         ``x0`` raised to the pre-multiplied exponent product (eq. 9), so
-        the per-item chain collapses into a single exponentiation.
+        the per-item chain collapses into a single :meth:`base_power`.
         """
         if not 0 <= index < len(items):
             raise ParameterError(f"index {index} out of range")
-        product = 1
-        for i, item in enumerate(items):
-            if i != index:
-                product *= self._exponent_for(item)
-        return pow(self.params.x0, product, self.params.n)
+        return self.base_power(
+            self.exponent_product(items[:index] + items[index + 1:])
+        )
 
     def _exponent_for(self, item: bytes | int) -> int:
         exponent = item if isinstance(item, int) else digest_to_exponent(item)

@@ -16,8 +16,9 @@ examples regenerate those tables verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.crypto.accumulator import digest_to_exponent
 from repro.errors import FragmentationError, UnknownAttributeError
 from repro.logstore.records import LogRecord
 from repro.logstore.schema import GlobalSchema
@@ -32,11 +33,28 @@ class Fragment:
     glsn: int
     node_id: str
     values: dict
+    # Memo of digest_exponent(); 0 = not yet computed (a digest exponent
+    # has its top bit set).  A declared field, so every instance keeps
+    # the same attribute layout.
+    _digest_exponent: int = field(default=0, init=False, repr=False, compare=False)
 
     def canonical_bytes(self) -> bytes:
         """Stable serialization — the integrity accumulator's input."""
         record = LogRecord(glsn=self.glsn, values=self.values)
         return self.node_id.encode("utf-8") + b"|" + record.canonical_bytes()
+
+    def digest_exponent(self) -> int:
+        """The accumulator exponent of :meth:`canonical_bytes`, computed once.
+
+        A stored fragment is never edited in place — a tamper, a WAL replay,
+        a snapshot restore each construct a new ``Fragment`` — so the memo
+        cannot outlive the values it was derived from.
+        """
+        exponent = self._digest_exponent
+        if not exponent:
+            exponent = digest_to_exponent(self.canonical_bytes())
+            object.__setattr__(self, "_digest_exponent", exponent)
+        return exponent
 
 
 class FragmentPlan:

@@ -39,7 +39,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.cache import LruCache
-from repro.crypto.accumulator import OneWayAccumulator, digest_to_exponent
+from repro.crypto.accumulator import OneWayAccumulator
 from repro.errors import IntegrityError, ProtocolAbortError, RingFailoverError
 from repro.logstore.store import DistributedLogStore, FragmentStore
 from repro.net.message import Message
@@ -127,12 +127,11 @@ class IntegrityChecker:
         return report
 
     def _check_glsn_uncached(self, glsn: int) -> IntegrityReport:
-        observed = self.accumulator.params.x0
+        product = 1
         expected = None
         for node_id in sorted(self.store.stores):
             node = self.store.stores[node_id]
-            fragment = node.local_fragment(glsn)
-            observed = self.accumulator.step(observed, fragment.canonical_bytes())
+            product *= node.local_fragment(glsn).digest_exponent()
             anchor = node.expected_accumulator(glsn)
             if expected is None:
                 expected = anchor
@@ -143,6 +142,8 @@ class IntegrityChecker:
                     s.expected_accumulator(glsn) for s in self.store.stores.values()
                 ]
                 expected = max(set(anchors), key=anchors.count)
+        # One fixed-base power of the pre-multiplied exponents (eq. 9).
+        observed = self.accumulator.base_power(product)
         return IntegrityReport(
             glsn=glsn, ok=observed == expected, expected=expected, observed=observed
         )
@@ -172,14 +173,12 @@ class IntegrityNode:
     Each instance wraps one node's :class:`FragmentStore`.  The initiator
     calls :meth:`start_check`; the token visits every node once and returns.
 
-    ``precompute`` (a :class:`~repro.precompute.PrecomputeManager`) serves
-    the *initiator's* folds from precomputed witness bases: the first hop
-    of every token is ``pow(x0, e, n)`` for the node's own fragment digest
-    ``e`` — pure per (fragment, epoch), so it can be produced while the
-    cluster is idle.  Later hops fold an in-flight token value and always
-    stay online.  ``crypto`` (a shared
-    :class:`~repro.net.stats.CryptoOpCounter`) attributes every fold to
-    the offline or online phase; the two sum to the pre-split total.
+    The first hop of every token is ``x0^e mod n`` for the initiator's own
+    fragment digest ``e`` and comes from the accumulator's fixed-base table
+    (:meth:`~repro.crypto.accumulator.OneWayAccumulator.base_power`); later
+    hops fold an in-flight token value with ``pow``.  Either way a hop is
+    one fold per glsn in ``crypto`` (a shared
+    :class:`~repro.net.stats.CryptoOpCounter`).
     """
 
     def __init__(
@@ -188,7 +187,6 @@ class IntegrityNode:
         store: FragmentStore,
         accumulator: OneWayAccumulator,
         ring: list[str],
-        precompute=None,
         crypto=None,
         telemetry=None,
     ) -> None:
@@ -198,7 +196,6 @@ class IntegrityNode:
         # Order is honoured (quasi-commutativity makes any order valid),
         # so a failover supervisor can hand in a ring that avoids bad links.
         self.ring = list(ring)
-        self.precompute = precompute
         self.crypto = crypto
         # Cross-node tracing (repro.obs.flight.TelemetryHub): fold counts
         # attribute to this node's open flight-recorder span, and the
@@ -211,34 +208,21 @@ class IntegrityNode:
             return nullcontext(None)
         return self.telemetry.node_span(self.node_id, name, {"node": self.node_id})
 
-    def _count_folds(self, count: int, offline: int = 0) -> None:
+    def _count_folds(self, count: int) -> None:
         if self.crypto is None or count == 0:
             return
         self.crypto.add(f"{self.node_id}.modexp", count)
         self.crypto.add("total.modexp", count)
-        if offline:
-            self.crypto.add("offline.modexp", offline)
         if self.telemetry is not None:
             self.telemetry.add_cost(self.node_id, "modexp", count)
-
-    def _initial_fold(self, exponent: int) -> int:
-        """``pow(x0, exponent, n)`` — from the witness pool when possible."""
-        params = self.accumulator.params
-        if self.precompute is not None:
-            value, pooled = self.precompute.witness_base(
-                params.n, params.x0, exponent
-            )
-            self._count_folds(1, offline=int(pooled))
-            return value
-        self._count_folds(1)
-        return pow(params.x0, exponent, params.n)
 
     def start_check(self, transport, glsn: int) -> None:
         """Initiate a circulation for one glsn (we fold our fragment first)."""
         with self._node_span("node.integ.start"):
-            value = self._initial_fold(
-                digest_to_exponent(self.store.local_fragment(glsn).canonical_bytes())
+            value = self.accumulator.base_power(
+                self.store.local_fragment(glsn).digest_exponent()
             )
+            self._count_folds(1)
             remaining = [n for n in self.ring if n != self.node_id]
             self._forward(transport, glsn, value, remaining)
 
@@ -265,7 +249,7 @@ class IntegrityNode:
             glsn = msg.payload["glsn"]
             value = self.accumulator.step(
                 msg.payload["value"],
-                self.store.local_fragment(glsn).canonical_bytes(),
+                self.store.local_fragment(glsn).digest_exponent(),
             )
             self._count_folds(1)
             remaining = msg.payload["remaining"]
@@ -314,23 +298,15 @@ class IntegrityNode:
 
     # -- batched (multi-glsn token) mode ------------------------------------
 
-    def _fragment_bytes(self, glsns: list[int]) -> list[bytes]:
-        return [self.store.local_fragment(g).canonical_bytes() for g in glsns]
+    def _exponents(self, glsns: list[int]) -> list[int]:
+        return [self.store.local_fragment(g).digest_exponent() for g in glsns]
 
     def start_batch_check(self, transport, glsns: list[int]) -> None:
         """One token carrying every glsn's running value (we fold first)."""
         with self._node_span("node.integ.start"):
-            if self.precompute is not None:
-                values = [
-                    self._initial_fold(digest_to_exponent(fragment))
-                    for fragment in self._fragment_bytes(glsns)
-                ]
-            else:
-                x0 = self.accumulator.params.x0
-                values = self.accumulator.step_many(
-                    [x0] * len(glsns), self._fragment_bytes(glsns)
-                )
-                self._count_folds(len(glsns))
+            base_power = self.accumulator.base_power
+            values = [base_power(e) for e in self._exponents(glsns)]
+            self._count_folds(len(glsns))
             remaining = [n for n in self.ring if n != self.node_id]
             self._forward_batch(transport, glsns, values, remaining)
 
@@ -357,7 +333,7 @@ class IntegrityNode:
     def _on_multi_pass(self, msg: Message, transport) -> None:
         glsns = msg.payload["glsns"]
         values = self.accumulator.step_many(
-            msg.payload["values"], self._fragment_bytes(glsns)
+            msg.payload["values"], self._exponents(glsns)
         )
         self._count_folds(len(glsns))
         remaining = msg.payload["remaining"]
@@ -395,15 +371,8 @@ class IntegrityNode:
     def start_combined_check(self, transport, glsns: list[int]) -> None:
         """One token, one value: each hop folds ALL its fragments at once."""
         with self._node_span("node.integ.start"):
-            if self.precompute is not None:
-                value = self._initial_fold(
-                    self.accumulator.exponent_product(self._fragment_bytes(glsns))
-                )
-            else:
-                value = self.accumulator.fold_product(
-                    self.accumulator.params.x0, self._fragment_bytes(glsns)
-                )
-                self._count_folds(1)
+            value = self.accumulator.accumulate_all(self._exponents(glsns))
+            self._count_folds(1)
             remaining = [n for n in self.ring if n != self.node_id]
             self._forward_combined(transport, glsns, value, remaining)
 
@@ -430,7 +399,7 @@ class IntegrityNode:
     def _on_combined_pass(self, msg: Message, transport) -> None:
         glsns = msg.payload["glsns"]
         value = self.accumulator.fold_product(
-            msg.payload["value"], self._fragment_bytes(glsns)
+            msg.payload["value"], self._exponents(glsns)
         )
         self._count_folds(1)
         remaining = msg.payload["remaining"]
@@ -475,7 +444,6 @@ def _ring_setup(
     glsns: list[int] | None,
     initiator: str | None,
     net: SimNetwork | None,
-    precompute=None,
     crypto=None,
 ) -> tuple[SimNetwork, dict[str, IntegrityNode], str, list[int]]:
     """Common bootstrap: build and register one IntegrityNode per store."""
@@ -488,7 +456,7 @@ def _ring_setup(
     nodes = {
         node_id: IntegrityNode(
             node_id, store.stores[node_id], store.accumulator, ring,
-            precompute=precompute, crypto=crypto, telemetry=telemetry,
+            crypto=crypto, telemetry=telemetry,
         )
         for node_id in ring
     }
@@ -517,7 +485,6 @@ def _supervised_round(
     net: SimNetwork,
     deadline: Deadline | None,
     mode: str,
-    precompute=None,
     crypto=None,
 ):
     """Failover-supervised §4.1 ring (any of the three token modes).
@@ -544,7 +511,7 @@ def _supervised_round(
             {
                 nid: IntegrityNode(
                     nid, store.stores[nid], store.accumulator, order,
-                    precompute=precompute, crypto=crypto,
+                    crypto=crypto,
                     telemetry=getattr(net, "telemetry", None),
                 )
                 for nid in alive
@@ -593,7 +560,6 @@ def run_integrity_round(
     initiator: str | None = None,
     net: SimNetwork | None = None,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
 ) -> list[IntegrityReport]:
     """Run the ring protocol for each glsn on a simulated network.
@@ -602,17 +568,16 @@ def run_integrity_round(
     Circulates one token per glsn — O(nodes × glsns) messages; see
     :func:`run_batched_integrity_round` for the O(nodes) form.  On a
     resilient network the ring is failover-supervised (see
-    :func:`_supervised_round`).  ``precompute``/``crypto`` are forwarded
-    to every :class:`IntegrityNode` (witness-base pools, phase-attributed
-    fold counts).
+    :func:`_supervised_round`).  ``crypto`` is forwarded to every
+    :class:`IntegrityNode` (per-node and total fold counts).
     """
     net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, precompute=precompute, crypto=crypto
+        store, glsns, initiator, net, crypto=crypto
     )
     if net.reliable:
         outcome = _supervised_round(
             store, targets, initiator, net, deadline, "per-glsn",
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         reports = outcome.values["reports"]
         return _degrade(reports, outcome.skipped) if outcome.degraded else reports
@@ -628,7 +593,6 @@ def run_batched_integrity_round(
     initiator: str | None = None,
     net: SimNetwork | None = None,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
 ) -> list[IntegrityReport]:
     """Batched §4.1 ring: one multi-glsn token, one message per hop.
@@ -641,14 +605,14 @@ def run_batched_integrity_round(
     reports — only the transcript's message count changes.
     """
     net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, precompute=precompute, crypto=crypto
+        store, glsns, initiator, net, crypto=crypto
     )
     if not targets:
         return []
     if net.reliable:
         outcome = _supervised_round(
             store, targets, initiator, net, deadline, "batched",
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         reports = outcome.values["reports"]
         return _degrade(reports, outcome.skipped) if outcome.degraded else reports
@@ -664,7 +628,6 @@ def run_combined_integrity_round(
     net: SimNetwork | None = None,
     localize: bool = True,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
 ) -> BatchIntegrityReport:
     """Single-pow-per-hop ring over the write path's chain anchor.
@@ -692,7 +655,7 @@ def run_combined_integrity_round(
     if anchor is None or not targets:
         reports = run_batched_integrity_round(
             store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         skipped = tuple(
             sorted({n for r in reports for n in getattr(r, "skipped_nodes", ())})
@@ -707,12 +670,12 @@ def run_combined_integrity_round(
         )
     net = net or SimNetwork()
     _, nodes, first, targets = _ring_setup(
-        store, targets, initiator, net, precompute=precompute, crypto=crypto
+        store, targets, initiator, net, crypto=crypto
     )
     if net.reliable:
         outcome = _supervised_round(
             store, targets, first, net, deadline, "combined",
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         verdict = outcome.values["combined"]
         if outcome.degraded:
@@ -731,7 +694,7 @@ def run_combined_integrity_round(
         return verdict
     reports = run_batched_integrity_round(
         store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-        precompute=precompute, crypto=crypto,
+        crypto=crypto,
     )
     return BatchIntegrityReport(
         glsns=verdict.glsns,
@@ -763,7 +726,6 @@ async def _supervised_round_async(
     net,
     deadline: Deadline | None,
     mode: str,
-    precompute=None,
     crypto=None,
 ):
     """Coroutine twin of :func:`_supervised_round` (same launch closure)."""
@@ -783,7 +745,7 @@ async def _supervised_round_async(
             {
                 nid: IntegrityNode(
                     nid, store.stores[nid], store.accumulator, order,
-                    precompute=precompute, crypto=crypto,
+                    crypto=crypto,
                     telemetry=getattr(net, "telemetry", None),
                 )
                 for nid in alive
@@ -824,18 +786,17 @@ async def run_integrity_round_async(
     initiator: str | None = None,
     net=None,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
 ) -> list[IntegrityReport]:
     """Coroutine twin of :func:`run_integrity_round`."""
     net = net or _async_net()
     net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, precompute=precompute, crypto=crypto
+        store, glsns, initiator, net, crypto=crypto
     )
     if net.reliable:
         outcome = await _supervised_round_async(
             store, targets, initiator, net, deadline, "per-glsn",
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         reports = outcome.values["reports"]
         return _degrade(reports, outcome.skipped) if outcome.degraded else reports
@@ -851,20 +812,19 @@ async def run_batched_integrity_round_async(
     initiator: str | None = None,
     net=None,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
 ) -> list[IntegrityReport]:
     """Coroutine twin of :func:`run_batched_integrity_round`."""
     net = net or _async_net()
     net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, precompute=precompute, crypto=crypto
+        store, glsns, initiator, net, crypto=crypto
     )
     if not targets:
         return []
     if net.reliable:
         outcome = await _supervised_round_async(
             store, targets, initiator, net, deadline, "batched",
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         reports = outcome.values["reports"]
         return _degrade(reports, outcome.skipped) if outcome.degraded else reports
@@ -880,7 +840,6 @@ async def run_combined_integrity_round_async(
     net=None,
     localize: bool = True,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
 ) -> BatchIntegrityReport:
     """Coroutine twin of :func:`run_combined_integrity_round`."""
@@ -895,7 +854,7 @@ async def run_combined_integrity_round_async(
     if anchor is None or not targets:
         reports = await run_batched_integrity_round_async(
             store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         skipped = tuple(
             sorted({n for r in reports for n in getattr(r, "skipped_nodes", ())})
@@ -910,12 +869,12 @@ async def run_combined_integrity_round_async(
         )
     net = net or _async_net()
     _, nodes, first, targets = _ring_setup(
-        store, targets, initiator, net, precompute=precompute, crypto=crypto
+        store, targets, initiator, net, crypto=crypto
     )
     if net.reliable:
         outcome = await _supervised_round_async(
             store, targets, first, net, deadline, "combined",
-            precompute=precompute, crypto=crypto,
+            crypto=crypto,
         )
         verdict = outcome.values["combined"]
         if outcome.degraded:
@@ -932,7 +891,7 @@ async def run_combined_integrity_round_async(
         return verdict
     reports = await run_batched_integrity_round_async(
         store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-        precompute=precompute, crypto=crypto,
+        crypto=crypto,
     )
     return BatchIntegrityReport(
         glsns=verdict.glsns,
@@ -949,7 +908,6 @@ async def run_integrity_rounds_pipelined(
     glsns: list[int] | None = None,
     initiator: str | None = None,
     deadline: Deadline | None = None,
-    precompute=None,
     crypto=None,
     net_factory=None,
 ) -> list[IntegrityReport]:
@@ -973,7 +931,7 @@ async def run_integrity_rounds_pipelined(
     async def one(glsn: int) -> IntegrityReport:
         reports = await run_integrity_round_async(
             store, glsns=[glsn], initiator=initiator, net=factory(glsn),
-            deadline=deadline, precompute=precompute, crypto=crypto,
+            deadline=deadline, crypto=crypto,
         )
         return reports[0]
 

@@ -253,11 +253,11 @@ class DistributedLogStore:
         glsn = self.allocator.allocate()
         record = LogRecord(glsn=glsn, values=values)
         fragments = self.plan.fragment(record)
-        fragment_bytes = [frag.canonical_bytes() for frag in fragments.values()]
-        digest = self.accumulator.accumulate_all(fragment_bytes)
+        exponents = [frag.digest_exponent() for frag in fragments.values()]
+        digest = self.accumulator.accumulate_all(exponents)
         if self._chain_value is not None:
             self._chain_value = self.accumulator.fold_product(
-                self._chain_value, fragment_bytes
+                self._chain_value, exponents
             )
         for node_id, fragment in fragments.items():
             self.stores[node_id].put(

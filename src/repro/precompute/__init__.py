@@ -1,10 +1,9 @@
 """Offline/online phase split: correlated-randomness pools (SPDZ-style).
 
 Query-independent crypto material — Pohlig-Hellman exponent pairs,
-blinding factors, Shamir polynomial tails, Schnorr nonce commitments,
-accumulator witness bases — is produced while the cluster is idle and
-drawn at query time, cutting the online phase to the data-dependent
-work.  ``REPRO_PRECOMPUTE=off`` restores the exact inline computation.
+blinding factors, Shamir polynomial tails, Schnorr nonce commitments —
+is produced while the cluster is idle and drawn at query time, cutting
+the online phase to the data-dependent work.  ``REPRO_PRECOMPUTE=off`` restores the exact inline computation.
 """
 
 from repro.precompute.config import (
@@ -18,7 +17,7 @@ from repro.precompute.config import (
     set_precompute_enabled,
 )
 from repro.precompute.manager import PrecomputeManager
-from repro.precompute.pool import Pool, WitnessBaseStore
+from repro.precompute.pool import Pool
 
 __all__ = [
     "PRECOMPUTE_ENV_VAR",
@@ -29,7 +28,6 @@ __all__ = [
     "PrecomputeConfig",
     "PrecomputeManager",
     "Pool",
-    "WitnessBaseStore",
     "precompute_enabled",
     "set_precompute_enabled",
 ]

@@ -3,11 +3,10 @@
 The classic SPDZ/Beaver observation applied to the DLA: most of the
 crypto a query pays for — Pohlig-Hellman exponent pairs (with their
 modular-inverse rejection loop), blinding factors for the randomized-map
-rings, Shamir polynomial tails, Schnorr nonce commitments ``(k, g^k)``,
-and accumulator witness bases — depends only on *public parameters*
-(prime group, scheme shape, fragment digests), never on the query.  One
-:class:`PrecomputeManager` per node produces that material while the
-cluster is idle and hands it out at query time.
+rings, Shamir polynomial tails, Schnorr nonce commitments ``(k, g^k)`` —
+depends only on *public parameters* (prime group, scheme shape), never
+on the query.  One :class:`PrecomputeManager` per node produces that
+material while the cluster is idle and hands it out at query time.
 
 Every ``draw``-style method is total: it serves from the pool when the
 kill switch is on and the pool has stock, and otherwise computes inline
@@ -35,7 +34,7 @@ from repro.crypto.shamir import Share
 from repro.net.stats import CryptoOpCounter
 from repro.perf import engine as perf_engine
 from repro.precompute.config import PrecomputeConfig, precompute_enabled
-from repro.precompute.pool import Pool, WitnessBaseStore
+from repro.precompute.pool import Pool
 
 __all__ = ["PrecomputeManager"]
 
@@ -92,7 +91,6 @@ class PrecomputeManager:
         self.metrics = metrics
         self._engine_spec = engine
         self._pools: dict[tuple, Pool] = {}
-        self._witness: dict[tuple[int, int], WitnessBaseStore] = {}
         self._registry_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         # kind -> [seconds, calls, pooled_calls]: the online-phase ledger
@@ -125,16 +123,6 @@ class PrecomputeManager:
                 )
                 self._pools[full_key] = pool
             return pool
-
-    def _witness_store(self, n: int, x0: int) -> WitnessBaseStore:
-        with self._registry_lock:
-            store = self._witness.get((n, x0))
-            if store is None:
-                store = WitnessBaseStore(
-                    f"witness:{n.bit_length()}", n, x0, metrics=self.metrics
-                )
-                self._witness[(n, x0)] = store
-            return store
 
     def _draw(self, kind: str, key: tuple, name: str, produce_batch):
         if not precompute_enabled():
@@ -315,25 +303,6 @@ class PrecomputeManager:
         self._record("blind", time.perf_counter() - t0, pooled)
         return entry
 
-    def witness_base(self, n: int, x0: int, exponent: int) -> tuple[int, bool]:
-        """``pow(x0, exponent, n)`` with memoized bases; returns
-        ``(value, served_from_pool)`` so integrity rounds can attribute
-        the exponentiation to the right phase."""
-        t0 = time.perf_counter()
-        pooled = False
-        if precompute_enabled():
-            store = self._witness_store(n, x0)
-            value = store.get(exponent)
-            if value is not None:
-                pooled = True
-            else:
-                value = pow(x0, exponent, n)
-                store.put(exponent, value)
-        else:
-            value = pow(x0, exponent, n)
-        self._record("witness", time.perf_counter() - t0, pooled)
-        return value, pooled
-
     # -- warming ---------------------------------------------------------------
 
     def warm_smc(self, prime: int, party_ids, schemes=()) -> int:
@@ -375,13 +344,11 @@ class PrecomputeManager:
             self._produce_exp_pair(p, q, base),
         ).fill(engine=self._engine())
 
-    def warm_witness(self, n: int, x0: int, exponents) -> int:
-        store = self._witness_store(n, x0)
-        produced = store.warm(list(exponents), self._engine())
-        if produced:
-            self.offline_ops.add("offline.modexp", produced)
-            self.offline_ops.add("offline.witness", produced)
-        return produced
+    def warm_witness(self, accumulator) -> int:
+        """Pre-build ``accumulator``'s fixed-base table for ``x0`` — the
+        one piece of integrity-fold material that is input-independent;
+        returns the rows built (0 once it is complete)."""
+        return accumulator.build_base_table()
 
     # -- background refill -----------------------------------------------------
 
@@ -442,7 +409,7 @@ class PrecomputeManager:
         ``trace-report`` and tests; Prometheus export goes through the
         attached :class:`~repro.obs.metrics.MetricsRegistry`)."""
         with self._registry_lock:
-            pools = list(self._pools.values()) + list(self._witness.values())
+            pools = list(self._pools.values())
         return {pool.name: pool.snapshot() for pool in pools}
 
     def online_stats(self) -> dict[str, dict[str, float]]:

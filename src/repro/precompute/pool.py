@@ -1,17 +1,9 @@
 """Thread-safe pools of precomputed correlated randomness.
 
-Two shapes of precomputation live here:
-
-* :class:`Pool` — a FIFO of *consumable* entries (Pohlig-Hellman key
-  pairs, blinding factors, Shamir polynomial tails, Schnorr nonce
-  commitments).  Each entry is used by exactly one protocol session and
-  never reused — the correlated-randomness contract.
-* :class:`WitnessBaseStore` — a bounded memo of *reusable* accumulator
-  bases ``pow(x0, e, n)``.  A witness base is pure in the fragment's
-  digest exponent, so it is keyed by that exponent: an epoch roll or a
-  tampered fragment changes the digest, lands on a different key, and
-  the stale base simply ages out (the same key-carries-the-version trick
-  :mod:`repro.cache` uses).
+:class:`Pool` is a FIFO of *consumable* entries (Pohlig-Hellman key
+pairs, blinding factors, Shamir polynomial tails, Schnorr nonce
+commitments).  Each entry is used by exactly one protocol session and
+never reused — the correlated-randomness contract.
 
 Entry production happens under a dedicated fill lock (serializing the
 pool's deterministic RNG stream) while draws only take the entry lock —
@@ -21,12 +13,12 @@ so concurrent queries from :mod:`repro.sched` never wait on a refill.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Callable
 
 from repro.precompute.config import precompute_enabled
 
-__all__ = ["Pool", "WitnessBaseStore"]
+__all__ = ["Pool"]
 
 # Matches repro.obs.metrics.BATCH_BUCKETS but kept literal so the pool
 # module stays importable without the registry.
@@ -155,88 +147,3 @@ class Pool:
                 "offline_modexp": self.offline_modexp,
             }
 
-
-class WitnessBaseStore:
-    """Bounded memo of accumulator bases ``pow(x0, exponent, n)``.
-
-    Unlike :class:`Pool` entries these are not consumed: the same
-    fragment is re-verified every integrity round until its epoch rolls.
-    Eviction is LRU so a long-lived cluster with many epochs keeps only
-    the live generation warm.
-    """
-
-    def __init__(self, name: str, n: int, x0: int, *, max_entries: int = 4096,
-                 metrics=None) -> None:
-        self.name = name
-        self.n = n
-        self.x0 = x0
-        self.max_entries = max_entries
-        self._bases: OrderedDict[int, int] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.produced = 0
-        self.refills = 0
-        self.offline_modexp = 0
-        self._metrics = _PoolMetrics(metrics, name) if metrics is not None else None
-
-    @property
-    def depth(self) -> int:
-        with self._lock:
-            return len(self._bases)
-
-    def get(self, exponent: int) -> int | None:
-        with self._lock:
-            value = self._bases.get(exponent)
-            if value is not None:
-                self._bases.move_to_end(exponent)
-                self.hits += 1
-            else:
-                self.misses += 1
-        if self._metrics is not None:
-            (self._metrics.hits if value is not None else self._metrics.misses).inc()
-        return value
-
-    def put(self, exponent: int, value: int) -> None:
-        """Insert one base computed online (a miss the next round will hit)."""
-        with self._lock:
-            self._bases[exponent] = value
-            self._bases.move_to_end(exponent)
-            while len(self._bases) > self.max_entries:
-                self._bases.popitem(last=False)
-            depth = len(self._bases)
-        if self._metrics is not None:
-            self._metrics.depth.set(depth)
-
-    def warm(self, exponents: list[int], engine) -> int:
-        """Precompute any missing bases in one batched engine call."""
-        with self._lock:
-            todo = [e for e in dict.fromkeys(exponents) if e not in self._bases]
-        if not todo:
-            return 0
-        values = engine.pow_many([self.x0] * len(todo), todo, self.n)
-        with self._lock:
-            for exponent, value in zip(todo, values):
-                self._bases[exponent] = value
-                self._bases.move_to_end(exponent)
-            while len(self._bases) > self.max_entries:
-                self._bases.popitem(last=False)
-            self.produced += len(todo)
-            self.refills += 1
-            self.offline_modexp += len(todo)
-            depth = len(self._bases)
-        if self._metrics is not None:
-            self._metrics.refill_batch.observe(len(todo))
-            self._metrics.depth.set(depth)
-        return len(todo)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "depth": len(self._bases),
-                "hits": self.hits,
-                "misses": self.misses,
-                "produced": self.produced,
-                "refills": self.refills,
-                "offline_modexp": self.offline_modexp,
-            }

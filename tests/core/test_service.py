@@ -158,6 +158,33 @@ class TestTamperedCluster:
         assert not node.verify_receipt(receipt)
 
 
+class TestLargeIntegritySweep:
+    def test_sweep_past_4096_rows_keeps_no_per_fragment_state(self):
+        """The old witness-base memo held 4 096 entries and thrashed one
+        row later; the fixed-base table has no per-fragment entry to evict."""
+        schema = paper_table1_schema()
+        service = ConfidentialAuditingService(
+            schema, paper_fragment_plan(schema), prime_bits=64,
+            rng=DeterministicRng(b"past-the-cliff"),
+        )
+        ticket = service.register_user("u", {Operation.READ, Operation.WRITE})
+        rows = 4097
+        for i in range(rows):
+            service.log_event({"Tid": f"T{i}", "C1": i, "C2": i % 97}, ticket)
+        pools, stats = service.precompute.pool_snapshot(), service.precompute.online_stats()
+        for _ in range(2):
+            reports = service.check_integrity()
+            assert len(reports) == rows and all(r.ok for r in reports)
+        assert service.precompute.pool_snapshot() == pools
+        assert service.precompute.online_stats() == stats
+        assert service.precompute.offline_ops.snapshot() == {}
+        # One fold per node per glsn per sweep, all of them online.
+        expected = {f"{node}.modexp": 2 * rows for node in service.plan.node_ids}
+        assert service.integrity_ops.snapshot() == dict(
+            expected, **{"total.modexp": 2 * rows * len(service.plan.node_ids)}
+        )
+
+
 class TestCountsAt512Bits:
     """Short exponents make each modexp cheaper; they must not change how
     many there are, what is answered, or what is leaked."""

@@ -1,9 +1,12 @@
 """Tests for the one-way accumulator (paper §4.1 eq. 8-9)."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 
+from repro.crypto import accumulator as accumulator_module
 from repro.crypto.accumulator import (
     AccumulatorParams,
     OneWayAccumulator,
@@ -176,3 +179,105 @@ class TestProductFolds:
     def test_fold_product_rejects_bad_exponent(self, acc):
         with pytest.raises(ParameterError):
             acc.fold_product(acc.params.x0, [1])
+
+
+class TestFixedBaseTable:
+    """``base_power`` is ``pow(x0, e, n)`` from the window table."""
+
+    WINDOW = accumulator_module._WINDOW_BITS
+    CAP_BITS = accumulator_module._MAX_TABLE_ROWS * accumulator_module._WINDOW_BITS
+
+    @staticmethod
+    def fresh(bits=256, seed=b"fixed-base"):
+        return OneWayAccumulator(
+            AccumulatorParams.generate(bits, DeterministicRng(seed))
+        )
+
+    def test_boundary_exponents_equal_pow(self):
+        acc = self.fresh()
+        x0, n = acc.params.x0, acc.params.n
+        lengths = {1, self.WINDOW - 1, self.WINDOW, self.WINDOW + 1,
+                   127, 128, 129, 511, 512, 513,
+                   self.CAP_BITS - 1, self.CAP_BITS, self.CAP_BITS + 1, 2000}
+        exponents = [0, 1]
+        for bits in lengths:
+            exponents += [1 << (bits - 1), (1 << bits) - 1, (1 << bits) - 1 - (1 << bits // 2)]
+        for e in exponents:
+            assert acc.base_power(e) == pow(x0, e, n), e.bit_length()
+
+    def test_over_the_cap_grows_no_rows(self):
+        acc = self.fresh()
+        e = 1 << self.CAP_BITS
+        assert acc.base_power(e) == pow(acc.params.x0, e, acc.params.n)
+        assert acc._table == []
+
+    def test_rows_grow_on_demand_and_stop_at_the_cap(self):
+        acc = self.fresh()
+        acc.base_power((1 << 128) - 1)
+        rows_for_128_bits = -(-128 // self.WINDOW)
+        assert len(acc._table) == rows_for_128_bits
+        cap = accumulator_module._MAX_TABLE_ROWS
+        assert acc.build_base_table() == cap - rows_for_128_bits
+        assert len(acc._table) == cap
+        assert acc.build_base_table() == 0
+        assert acc.build_base_table(10**6) == 0
+
+    def test_accumulate_all_is_the_step_chain_and_the_recorded_vector(self):
+        # Recorded on the commit before the table existed (4 pow calls).
+        acc = OneWayAccumulator(AccumulatorParams(
+            n=0xA6481B3087B76A677230B1A225DDA0FABD9A08C883FEDBBDD5E780E34B1F59E3,
+            x0=0x1F295A9D480713BE9B76C7E6376AE3179D5D8840189877271E6806F943B49B46,
+        ))
+        items = [b"frag-P0", b"frag-P1", b"frag-P2", b"frag-P3"]
+        chained = acc.params.x0
+        for item in items:
+            chained = acc.step(chained, item)
+        assert acc.accumulate_all(items) == chained == (
+            0x6D154B20CC32C5B08C4AA1682667CD790A4EF0E4627D211A52A5BE7C0132F610
+        )
+        # Five 128-bit items are over the row cap: still the same chain.
+        assert acc.accumulate_all(items + [b"frag-P4"]) == acc.step(chained, b"frag-P4")
+        assert acc.accumulate_all([]) == acc.params.x0
+
+    def test_threads_racing_the_first_use(self):
+        exponents = [digest_to_exponent(b"race-%d" % i) ** (1 + i % 4) for i in range(64)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(5):
+                acc = self.fresh(seed=b"race-%d" % attempt)
+                expected = [pow(acc.params.x0, e, acc.params.n) for e in exponents]
+                barrier = threading.Barrier(8)
+                results = [None] * 8
+
+                def work(slot):
+                    barrier.wait(timeout=10)
+                    results[slot] = [acc.base_power(e) for e in exponents]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(result == expected for result in results)
+                # No row appended twice: row j is x0^(d * 2^(6j)).
+                longest = max(e.bit_length() for e in exponents)
+                assert len(acc._table) == -(-longest // self.WINDOW)
+                for j, row in enumerate(acc._table):
+                    assert len(row) == 1 << self.WINDOW
+                    assert row[1] == pow(
+                        acc.params.x0, 1 << (self.WINDOW * j), acc.params.n
+                    )
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_table_size_within_documented_bound(self):
+        # docs/perf.md: at most 0.5 MB at the shipped 256-bit modulus.
+        acc = self.fresh()
+        acc.build_base_table()
+        size = sum(
+            sys.getsizeof(row) + sum(sys.getsizeof(value) for value in row)
+            for row in acc._table
+        ) + sys.getsizeof(acc._table)
+        assert size <= 512 * 1024

@@ -126,7 +126,10 @@ class TestServiceLevelDeterminism:
             service = self.build(warm)
             result = service.query(self.CRITERION)
             cost = service.last_query_cost
-            integrity = [(r.glsn, r.ok) for r in service.check_integrity()]
+            integrity = [
+                (r.glsn, r.ok, r.expected, r.observed)
+                for r in service.check_integrity()
+            ]
             ledger = sorted(
                 (e.protocol, e.observer, e.category)
                 for e in service.ctx.leakage.events
@@ -141,19 +144,20 @@ class TestServiceLevelDeterminism:
         svc_p, res_p, cost_p, integ_p, ledger_p = self.collect(warm=False)
         assert sorted(res_w.glsns) == sorted(res_p.glsns)
         assert ledger_w == ledger_p
-        assert integ_w == integ_p and all(ok for _, ok in integ_w)
+        assert integ_w == integ_p and all(row[1] for row in integ_w)
         # The split must partition, not change, the query's op total.
         assert cost_w.modexp == cost_p.modexp
         assert cost_w.offline_modexp + cost_w.online_modexp == cost_w.modexp
         assert cost_p.offline_modexp == 0
-        # Warmed integrity folds are attributed offline and still sum.
-        ops = svc_w.integrity_ops
-        snap = ops.snapshot()
-        assert snap.get("offline.modexp", 0) > 0
+        # Integrity folds are all online — the first hop reads the
+        # accumulator's fixed-base table, which is no pool — and the same
+        # with the switch on or off: one fold per node per glsn.
+        snap_w = svc_w.integrity_ops.snapshot()
+        assert snap_w == svc_p.integrity_ops.snapshot()
+        assert "offline.modexp" not in snap_w
         per_node = sum(
-            v for k, v in snap.items()
-            if k.endswith(".modexp") and not k.startswith(("total", "offline"))
+            v for k, v in snap_w.items()
+            if k.endswith(".modexp") and not k.startswith("total")
         )
-        assert per_node == snap["total.modexp"]
-        assert snap["offline.modexp"] <= snap["total.modexp"]
+        assert per_node == snap_w["total.modexp"] == 4 * len(integ_w)
         assert svc_w.precompute.hit_rate() > 0.0

@@ -48,7 +48,8 @@ class TestPoolMetricsExport:
             assert family in text, f"{family} missing from Prometheus dump"
         # Per-pool labels: one series per pool name.
         assert 'repro_precompute_pool_depth{pool="affine:64"}' in text
-        assert 'repro_precompute_pool_depth{pool="witness:256"}' in text
+        # The accumulator's fixed-base table is not a pool: no witness series.
+        assert 'pool="witness' not in text
 
     def test_registry_depth_matches_snapshot(self):
         metrics = MetricsRegistry()

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.crypto.accumulator import AccumulatorParams, OneWayAccumulator
 from repro.crypto.pohlig_hellman import PohligHellmanCipher, shared_prime
 from repro.crypto.rng import DeterministicRng
 from repro.crypto.schnorr import SchnorrGroup
@@ -94,10 +95,13 @@ class TestKillSwitchFallback:
         assert (k, r) == (expected_k, pow(g.g, expected_k, g.p))
 
     def test_witness_base_uncached(self, disabled):
+        # The witness base x0^e is the accumulator's own fixed-base table:
+        # the kill switch does not apply to it and the manager keeps nothing.
         mgr = PrecomputeManager(rng=DeterministicRng(b"mgr"))
-        value, pooled = mgr.witness_base(3233, 5, 17)
-        assert value == pow(5, 17, 3233) and not pooled
-        assert mgr.pool_snapshot() == {}
+        acc = OneWayAccumulator(AccumulatorParams(n=3233, x0=5))
+        assert mgr.warm_witness(acc) > 0
+        assert acc.base_power(17) == pow(5, 17, 3233)
+        assert mgr.pool_snapshot() == {} and mgr.online_stats() == {}
 
 
 class TestPooledDraws:
@@ -127,11 +131,14 @@ class TestPooledDraws:
         k, r = manager.exp_pair(g.p, g.q, g.g, "signer", None)
         assert 1 <= k < g.q and r == pow(g.g, k, g.p)
 
-    def test_witness_base_caches_online_miss(self, manager):
-        v1, pooled1 = manager.witness_base(3233, 5, 99)
-        v2, pooled2 = manager.witness_base(3233, 5, 99)
-        assert (v1, pooled1) == (pow(5, 99, 3233), False)
-        assert (v2, pooled2) == (v1, True)
+    def test_warm_witness_builds_the_table_once(self, manager):
+        acc = OneWayAccumulator(AccumulatorParams(n=3233, x0=5))
+        first = manager.warm_witness(acc)
+        assert first > 0 and manager.warm_witness(acc) == 0
+        assert acc.base_power(99) == pow(5, 99, 3233)
+        # Building a table is no pool draw and no exponentiation.
+        assert manager.pool_snapshot() == {}
+        assert manager.offline_ops.snapshot() == {}
 
     def test_empty_pool_falls_back_to_caller_rng(self, prime, manager):
         # No warm: the draw misses and must consume the caller's stream

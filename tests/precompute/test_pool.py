@@ -7,7 +7,7 @@ import threading
 from repro.crypto.rng import DeterministicRng
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.engine import SerialEngine
-from repro.precompute.pool import Pool, WitnessBaseStore
+from repro.precompute.pool import Pool
 
 
 def counting_producer(counter=None):
@@ -108,41 +108,3 @@ class TestPool:
         assert 'repro_precompute_hits_total{pool="test-pool"} 1' in text
         assert "repro_precompute_refill_batch_size" in text
 
-
-class TestWitnessBaseStore:
-    def make(self, metrics=None, max_entries=4096):
-        # Tiny RSA-style modulus is fine: we only exercise bookkeeping.
-        return WitnessBaseStore(
-            "witness:test", 3233, 5, metrics=metrics, max_entries=max_entries
-        )
-
-    def test_get_miss_then_put_then_hit(self):
-        store = self.make()
-        assert store.get(17) is None
-        store.put(17, pow(5, 17, 3233))
-        assert store.get(17) == pow(5, 17, 3233)
-        snap = store.snapshot()
-        assert snap["hits"] == 1 and snap["misses"] == 1
-
-    def test_warm_batches_and_dedupes(self):
-        store = self.make()
-        produced = store.warm([3, 7, 3, 11], engine=SerialEngine())
-        assert produced == 3
-        assert store.get(7) == pow(5, 7, 3233)
-        # Warming again with known exponents produces nothing new.
-        assert store.warm([3, 7], engine=SerialEngine()) == 0
-
-    def test_lru_bound(self):
-        store = self.make(max_entries=2)
-        store.warm([1, 2], engine=SerialEngine())
-        assert store.get(1) is not None  # refreshes 1
-        store.put(3, pow(5, 3, 3233))  # evicts 2
-        assert store.get(2) is None
-        assert store.get(1) is not None and store.get(3) is not None
-
-    def test_distinct_exponents_are_distinct_keys(self):
-        # Key-carries-the-version: a tampered/rolled fragment changes its
-        # digest exponent and can never alias a stale cached base.
-        store = self.make()
-        store.warm([100], engine=SerialEngine())
-        assert store.get(101) is None

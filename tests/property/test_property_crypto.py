@@ -157,6 +157,32 @@ class TestShamirProperties:
 
 
 class TestAccumulatorProperties:
+    @settings(max_examples=200)
+    @given(
+        bits=st.sampled_from(
+            [1, 5, 6, 7, 12, 13, 127, 128, 129, 511, 512, 513, 515, 516, 517, 700]
+        ),
+        data=st.data(),
+    )
+    def test_base_power_equals_pow(self, bits, data):
+        """The fixed-base table walk is ``pow(x0, e, n)`` at every length:
+        window boundaries, digest sizes, the row cap and beyond it."""
+        exponent = data.draw(
+            st.one_of(
+                st.sampled_from([0, 1, 1 << (bits - 1), (1 << bits) - 1]),
+                st.integers(0, (1 << bits) - 1),
+            )
+        )
+        assert ACC.base_power(exponent) == pow(ACC.params.x0, exponent, ACC.params.n)
+
+    @settings(max_examples=30)
+    @given(items=st.lists(st.binary(min_size=1, max_size=20), max_size=6))
+    def test_accumulate_all_equals_step_chain(self, items):
+        chained = ACC.params.x0
+        for item in items:
+            chained = ACC.step(chained, item)
+        assert ACC.accumulate_all(items) == chained
+
     @settings(max_examples=30)
     @given(
         items=st.lists(st.binary(min_size=1, max_size=20), min_size=1, max_size=6),
