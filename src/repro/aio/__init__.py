@@ -15,9 +15,12 @@ pipelines best.  This package supplies that loop:
   transport on asyncio streams (one pooled connection per peer,
   writer-drain backpressure, the CRC framing of :mod:`repro.net.codec`
   unchanged on the wire);
-* :class:`AsyncSmcContext` — an :class:`~repro.smc.base.SmcContext`
-  whose protocol entry points are coroutines (the ``secure_*_async``
-  drivers in :mod:`repro.smc`);
+* the protocol drivers themselves live where they always did: every
+  ``secure_*_async`` / ``run_*_integrity_round_async`` /
+  ``QueryExecutor.execute_async`` coroutine is the *one* body of its
+  protocol (the sync name is :func:`repro.twin.sync_twin` of it), and it
+  interleaves with its neighbours exactly when it is handed one of the
+  transports above;
 * :class:`AsyncQueryScheduler` — per-query ``asyncio.Task`` s with
   semaphore-bounded execution (``REPRO_AIO_MAX_INFLIGHT``) behind the
   same sync ``submit``/``gather`` facade as
@@ -34,10 +37,8 @@ from repro.aio.config import (
     AioConfig,
     MAX_INFLIGHT_ENV_VAR,
     SCHEDULER_ENV_VAR,
-    YIELD_EVERY_ENV_VAR,
     aio_scheduler_enabled,
 )
-from repro.aio.context import AsyncSmcContext
 from repro.aio.coalesce import AsyncSingleFlight
 from repro.aio.loop import LoopThread
 from repro.aio.scheduler import AsyncQueryScheduler
@@ -51,12 +52,10 @@ __all__ = [
     "AsyncQueryScheduler",
     "AsyncSimNetwork",
     "AsyncSingleFlight",
-    "AsyncSmcContext",
     "AsyncTcpCluster",
     "AsyncTcpNode",
     "LoopThread",
     "MAX_INFLIGHT_ENV_VAR",
     "SCHEDULER_ENV_VAR",
-    "YIELD_EVERY_ENV_VAR",
     "aio_scheduler_enabled",
 ]

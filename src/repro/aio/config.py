@@ -16,7 +16,6 @@ __all__ = [
     "AioConfig",
     "MAX_INFLIGHT_ENV_VAR",
     "SCHEDULER_ENV_VAR",
-    "YIELD_EVERY_ENV_VAR",
     "aio_scheduler_enabled",
 ]
 
@@ -27,9 +26,6 @@ MAX_INFLIGHT_ENV_VAR = "REPRO_AIO_MAX_INFLIGHT"
 #: Whether ``ConfidentialAuditingService.scheduler`` hands out the async
 #: scheduler (default) or the legacy thread pool (``off``).
 SCHEDULER_ENV_VAR = "REPRO_AIO_SCHEDULER"
-#: A drain loop yields to the event loop every this many network steps,
-#: so concurrent drains interleave at bounded granularity.
-YIELD_EVERY_ENV_VAR = "REPRO_AIO_YIELD_EVERY"
 
 _OFF_VALUES = {"off", "0", "false", "no", "disabled"}
 
@@ -58,11 +54,7 @@ class AioConfig:
     """Async-core knobs; :meth:`from_env` reads the ``REPRO_AIO_*`` set."""
 
     max_inflight: int = 256
-    yield_every: int = 32
 
     @classmethod
     def from_env(cls) -> "AioConfig":
-        return cls(
-            max_inflight=_env_int(MAX_INFLIGHT_ENV_VAR, cls.max_inflight),
-            yield_every=_env_int(YIELD_EVERY_ENV_VAR, cls.yield_every),
-        )
+        return cls(max_inflight=_env_int(MAX_INFLIGHT_ENV_VAR, cls.max_inflight))

@@ -34,6 +34,7 @@ callers cannot tell which scheduler served them except by throughput.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 
@@ -44,11 +45,7 @@ from repro.aio.simnet import AsyncChannelMux, AsyncSimNetwork
 from repro.audit.executor import QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    SchedulerShutdownError,
-)
+from repro.errors import ConfigurationError, SchedulerShutdownError
 from repro.net.stats import CostReport
 from repro.resilience.policy import Deadline
 from repro.sched.coalesce import SingleFlightCache
@@ -83,7 +80,6 @@ class AsyncQueryScheduler:
             max_inflight=(
                 max_inflight if max_inflight is not None else env.max_inflight
             ),
-            yield_every=env.yield_every,
         )
         if self.config.max_inflight < 1:
             raise ConfigurationError("scheduler needs max_inflight >= 1")
@@ -167,13 +163,23 @@ class AsyncQueryScheduler:
             handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
             future = self.loop_thread.submit(self._process(handle))
             self._futures.add(future)
-        future.add_done_callback(self._discard_future)
+        future.add_done_callback(functools.partial(self._task_done, handle))
         self._submitted.inc()
         return handle
 
-    def _discard_future(self, future) -> None:
+    def _task_done(self, handle: QueryHandle, future) -> None:
         with self._state_lock:
             self._futures.discard(future)
+        if not handle.done:
+            # Only a task cancelled by shutdown(wait=False) — mid-query, or
+            # before its first step ever ran — ends without settling its
+            # handle; result()/gather() must not wait on it forever.
+            handle._fail(
+                SchedulerShutdownError(
+                    f"query #{handle.seq} cancelled: scheduler shut down"
+                )
+            )
+            self._failed.inc()
 
     def gather(self, handles: list[QueryHandle]) -> list[QueryResult]:
         """Results of ``handles`` in submission order (first failure raises)."""
@@ -188,6 +194,15 @@ class AsyncQueryScheduler:
         self.service.tracer.detach_context()
         if self._sem is None:
             self._sem = asyncio.Semaphore(self.config.max_inflight)
+        try:
+            handle._resolve(await self._admit_and_run(handle))
+            self._completed.inc()
+        except Exception as exc:  # typed repro errors and genuine bugs alike
+            handle._fail(exc)
+            self._failed.inc()
+
+    async def _admit_and_run(self, handle: QueryHandle) -> QueryResult:
+        """Wait for an execution slot, then plan and run (or join) the query."""
         self._waiting += 1
         self._depth_gauge.set(self._waiting)
         try:
@@ -212,29 +227,17 @@ class AsyncQueryScheduler:
                 )
             )
             if self._query_flight is None:
-                result = await self._execute(handle, qplan)
-            else:
-                ran = False
+                return await self._execute(handle, qplan)
+            ran = False
 
-                async def compute() -> QueryResult:
-                    nonlocal ran
-                    ran = True
-                    return await self._execute(handle, qplan)
+            async def compute() -> QueryResult:
+                nonlocal ran
+                ran = True
+                return await self._execute(handle, qplan)
 
-                key = (qplan.fingerprint(), self._epoch_vector())
-                value = await self._query_flight.get_or_compute(key, compute)
-                if ran:
-                    result = value
-                else:
-                    result = self._fan_out(handle, qplan, value)
-            handle._resolve(result)
-            self._completed.inc()
-        except DeadlineExceededError as exc:
-            handle._fail(exc)
-            self._failed.inc()
-        except Exception as exc:  # typed repro errors and genuine bugs alike
-            handle._fail(exc)
-            self._failed.inc()
+            key = (qplan.fingerprint(), self._epoch_vector())
+            value = await self._query_flight.get_or_compute(key, compute)
+            return value if ran else self._fan_out(handle, qplan, value)
         finally:
             self._inflight_gauge.dec()
             self._sem.release()

@@ -7,7 +7,7 @@ so the async classes here replace blocking runs with cooperative
 coroutine drains:
 
 * :meth:`AsyncSimNetwork.drain` steps the global queue, yielding to the
-  event loop every ``REPRO_AIO_YIELD_EVERY`` steps so concurrent drains
+  event loop every :data:`YIELD_EVERY` steps so concurrent drains
   interleave — a ring round for glsn *k+1* departs while *k*'s reply is
   still in flight, because the coroutine that sent *k* is suspended at a
   yield point, not blocking a thread.
@@ -27,13 +27,16 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.aio.config import AioConfig
 from repro.errors import ConfigurationError
 from repro.net.simnet import SimNetwork
 from repro.resilience.policy import Deadline
 from repro.sched.channel import Channel, ChannelMux
 
 __all__ = ["AsyncChannel", "AsyncChannelMux", "AsyncSimNetwork"]
+
+#: A drain loop yields to the event loop every this many delivery steps,
+#: so concurrent drains interleave at bounded granularity.
+YIELD_EVERY = 32
 
 
 class AsyncSimNetwork(SimNetwork):
@@ -47,16 +50,10 @@ class AsyncSimNetwork(SimNetwork):
     rounds on one loop pipeline.
     """
 
-    def __init__(self, *args, yield_every: int | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.yield_every = (
-            yield_every if yield_every is not None else AioConfig.from_env().yield_every
-        )
-
     async def drain(
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
-        """Coroutine twin of :meth:`SimNetwork.run`: drain the queue."""
+        """Drain the queue like :meth:`SimNetwork.run`, yielding to the loop."""
         steps = 0
         check_deadline = deadline is not None and deadline.is_finite
         while self.step():
@@ -72,7 +69,7 @@ class AsyncSimNetwork(SimNetwork):
                         help="runs abandoned because their deadline expired",
                     ).inc()
                 deadline.check("simnet.drain")
-            if steps % self.yield_every == 0:
+            if steps % YIELD_EVERY == 0:
                 await asyncio.sleep(0)
         return steps
 
@@ -98,7 +95,6 @@ class AsyncChannel(Channel):
         """
         steps = 0
         check_deadline = deadline is not None and deadline.is_finite
-        yield_every = getattr(self.mux.net, "yield_every", 32)
         while True:
             with self.mux.lock:
                 if self.mux.net.channel_backlog(self.tag) <= 0:
@@ -128,7 +124,7 @@ class AsyncChannel(Channel):
                         help="runs abandoned because their deadline expired",
                     ).inc()
                 deadline.check(f"channel[{self.tag}].drain")
-            if steps % yield_every == 0:
+            if steps % YIELD_EVERY == 0:
                 await asyncio.sleep(0)
 
 

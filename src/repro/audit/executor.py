@@ -35,18 +35,19 @@ from repro.resilience import Deadline
 from repro.smc.base import SmcContext, protocol_span
 from repro.smc.comparison import (
     evaluate_operator,
-    secure_compare,
     secure_compare_async,
-    secure_compare_batch,
     secure_compare_batch_async,
 )
 from repro.smc.intersection import (
-    secure_set_intersection,
+    # the sync alias stays importable from here: benchmarks/e2e/test_harness.py
+    # checks that the tracer rebinds and restores it on this module
+    secure_set_intersection,  # noqa: F401
     secure_set_intersection_async,
 )
 from repro.smc.ranking import secure_ranking
 from repro.smc.sum_ import secure_sum
 from repro.smc.union_ import secure_set_union, secure_set_union_async
+from repro.twin import sync_twin
 
 __all__ = ["QueryResult", "AggregateResult", "QueryExecutor"]
 
@@ -158,12 +159,14 @@ class QueryExecutor:
             else LruCache("query.scan", metrics=ctx.metrics)
         )
         # Subplan coalescing is scheduler-only: serial executors keep it
-        # off (None) so single-query behaviour is byte-identical.
+        # off (None) so single-query behaviour is byte-identical.  Its
+        # computes run SMC rounds, so this one is awaited:
+        # ``await get_or_compute(key, coroutine_function)``.
         self._subplan_cache = subplan_cache
 
     # -- public API -----------------------------------------------------------
 
-    def execute(
+    async def execute_async(
         self,
         criterion: str | QueryPlan,
         net: SimNetwork | None = None,
@@ -175,6 +178,13 @@ class QueryExecutor:
         each protocol launch (and, on a resilient net, each failover)
         checks the remaining budget and raises a typed
         :class:`~repro.errors.DeadlineExceededError` once spent.
+
+        :meth:`execute` is :func:`~repro.twin.sync_twin` of this coroutine.
+        Awaited on an event loop, concurrent queries interleave their ring
+        hops over shared transports; the injected subplan cache's
+        ``get_or_compute`` is awaited, so on a loop it must park joiners on
+        an ``asyncio.Event`` (:class:`~repro.aio.coalesce.AsyncSingleFlight`),
+        never on a thread-blocking wait.
         """
         tracer = self.ctx.tracer
         net = net or SimNetwork(tracer=tracer)
@@ -206,11 +216,11 @@ class QueryExecutor:
             for sq in ordered_subqueries:
                 per_node: dict[str, set[int]] = {}
                 for cp in sq.predicates:
-                    node, glsns = self._evaluate_predicate(
+                    node, glsns = await self._evaluate_predicate(
                         cp.predicate, qplan, net, deadline
                     )
                     per_node.setdefault(node, set()).update(glsns)
-                clause_glsns = self._merge_union(per_node, net, deadline)
+                clause_glsns = await self._merge_union(per_node, net, deadline)
                 anchor = min(per_node) if per_node else min(sq.nodes)
                 subquery_glsns[sq.label] = sorted(clause_glsns)
                 if anchor in clause_sets:
@@ -229,7 +239,7 @@ class QueryExecutor:
                         bytes=net.stats.bytes - start_bytes,
                     )
 
-            final = self._merge_intersection(clause_sets, net, deadline)
+            final = await self._merge_intersection(clause_sets, net, deadline)
             span.set_attribute("matches", len(final))
             return QueryResult(
                 plan=qplan,
@@ -239,82 +249,7 @@ class QueryExecutor:
                 bytes=net.stats.bytes - start_bytes,
             )
 
-    async def execute_async(
-        self,
-        criterion: str | QueryPlan,
-        net=None,
-        deadline: Deadline | None = None,
-    ) -> QueryResult:
-        """Coroutine twin of :meth:`execute`.
-
-        Same plan, spans, leakage and result; every SMC round runs through
-        the ``secure_*_async`` drivers, so concurrent queries awaited on
-        one event loop interleave their ring hops over shared transports.
-        When a subplan cache is injected it must be an
-        :class:`~repro.aio.coalesce.AsyncSingleFlight` (its joins park on
-        ``asyncio.Event``, not a thread-blocking wait).
-        """
-        tracer = self.ctx.tracer
-        if net is None:
-            from repro.aio.simnet import AsyncSimNetwork
-
-            net = AsyncSimNetwork(tracer=tracer)
-        with protocol_span(self.ctx, net, "query.execute") as span:
-            qplan = (
-                criterion
-                if isinstance(criterion, QueryPlan)
-                else plan_query(criterion, self.schema, self.plan, tracer=tracer)
-            )
-            if tracer.enabled:
-                span.set_attributes(
-                    {
-                        "criterion": qplan.criterion_text,
-                        "q": qplan.q,
-                        "s": qplan.s,
-                        "t": qplan.t,
-                    }
-                )
-            start_msgs, start_bytes = net.stats.messages, net.stats.bytes
-
-            ordered_subqueries = list(qplan.subqueries)
-            if self.early_exit:
-                ordered_subqueries.sort(key=lambda sq: sq.is_cross)
-
-            clause_sets: dict[str, set[int]] = {}
-            subquery_glsns: dict[str, list[int]] = {}
-            for sq in ordered_subqueries:
-                per_node: dict[str, set[int]] = {}
-                for cp in sq.predicates:
-                    node, glsns = await self._evaluate_predicate_async(
-                        cp.predicate, qplan, net, deadline
-                    )
-                    per_node.setdefault(node, set()).update(glsns)
-                clause_glsns = await self._merge_union_async(per_node, net, deadline)
-                anchor = min(per_node) if per_node else min(sq.nodes)
-                subquery_glsns[sq.label] = sorted(clause_glsns)
-                if anchor in clause_sets:
-                    clause_sets[anchor] &= clause_glsns
-                else:
-                    clause_sets[anchor] = set(clause_glsns)
-                if self.early_exit and not clause_glsns:
-                    span.set_attribute("matches", 0)
-                    return QueryResult(
-                        plan=qplan,
-                        glsns=[],
-                        subquery_glsns=subquery_glsns,
-                        messages=net.stats.messages - start_msgs,
-                        bytes=net.stats.bytes - start_bytes,
-                    )
-
-            final = await self._merge_intersection_async(clause_sets, net, deadline)
-            span.set_attribute("matches", len(final))
-            return QueryResult(
-                plan=qplan,
-                glsns=sorted(final),
-                subquery_glsns=subquery_glsns,
-                messages=net.stats.messages - start_msgs,
-                bytes=net.stats.bytes - start_bytes,
-            )
+    execute = sync_twin(execute_async)
 
     def aggregate(
         self,
@@ -511,7 +446,7 @@ class QueryExecutor:
 
     # -- predicate evaluation ---------------------------------------------------
 
-    def _evaluate_predicate(
+    async def _evaluate_predicate(
         self,
         pred: Predicate,
         qplan: QueryPlan,
@@ -531,7 +466,7 @@ class QueryExecutor:
         """
         strategy = qplan.strategies[str(pred)]
         if self._subplan_cache is None or strategy.primitive not in ("ssi", "scmp"):
-            return self._evaluate_predicate_uncached(pred, qplan, net, deadline)
+            return await self._evaluate_predicate_uncached(pred, qplan, net, deadline)
         key = (
             str(pred),
             strategy.primitive,
@@ -542,13 +477,15 @@ class QueryExecutor:
         )
         ran = False
 
-        def compute() -> tuple[str, frozenset[int]]:
+        async def compute() -> tuple[str, frozenset[int]]:
             nonlocal ran
             ran = True
-            node, glsns = self._evaluate_predicate_uncached(pred, qplan, net, deadline)
+            node, glsns = await self._evaluate_predicate_uncached(
+                pred, qplan, net, deadline
+            )
             return node, frozenset(glsns)
 
-        node, glsns = self._subplan_cache.get_or_compute(key, compute)
+        node, glsns = await self._subplan_cache.get_or_compute(key, compute)
         if not ran:
             self.ctx.leakage.record(
                 "scheduler",
@@ -559,7 +496,7 @@ class QueryExecutor:
             )
         return node, set(glsns)
 
-    def _evaluate_predicate_uncached(
+    async def _evaluate_predicate_uncached(
         self,
         pred: Predicate,
         qplan: QueryPlan,
@@ -581,86 +518,9 @@ class QueryExecutor:
                 node = strategy.nodes[0]
                 result = node, self._local_scan(node, pred)
             elif strategy.primitive == "ssi":
-                result = self._cross_equality(pred, strategy.nodes, net, deadline)
+                result = await self._cross_equality(pred, strategy.nodes, net, deadline)
             elif strategy.primitive == "scmp":
-                result = self._cross_order(pred, strategy.nodes, net, deadline)
-            else:
-                raise PlanningError(f"unknown strategy {strategy.primitive!r}")
-            span.set_attribute("matches", len(result[1]))
-            return result
-
-    async def _evaluate_predicate_async(
-        self,
-        pred: Predicate,
-        qplan: QueryPlan,
-        net,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
-        """Coroutine twin of :meth:`_evaluate_predicate` (same cache key,
-        same ``coalesced_result`` ledger record on a shared subplan)."""
-        strategy = qplan.strategies[str(pred)]
-        if self._subplan_cache is None or strategy.primitive not in ("ssi", "scmp"):
-            return await self._evaluate_predicate_uncached_async(
-                pred, qplan, net, deadline
-            )
-        key = (
-            str(pred),
-            strategy.primitive,
-            tuple(
-                (node, self.store.node_store(node).epoch)
-                for node in strategy.nodes
-            ),
-        )
-        ran = False
-
-        async def compute() -> tuple[str, frozenset[int]]:
-            nonlocal ran
-            ran = True
-            node, glsns = await self._evaluate_predicate_uncached_async(
-                pred, qplan, net, deadline
-            )
-            return node, frozenset(glsns)
-
-        node, glsns = await self._subplan_cache.get_or_compute(key, compute)
-        if not ran:
-            self.ctx.leakage.record(
-                "scheduler",
-                node,
-                "coalesced_result",
-                f"subplan {pred} served from a concurrent query's SMC run "
-                f"at equal store epochs",
-            )
-        return node, set(glsns)
-
-    async def _evaluate_predicate_uncached_async(
-        self,
-        pred: Predicate,
-        qplan: QueryPlan,
-        net,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
-        strategy = qplan.strategies[str(pred)]
-        with protocol_span(
-            self.ctx,
-            net,
-            "query.predicate",
-            {
-                "predicate": str(pred),
-                "primitive": strategy.primitive,
-                "nodes": list(strategy.nodes),
-            },
-        ) as span:
-            if strategy.primitive == "scan":
-                node = strategy.nodes[0]
-                result = node, self._local_scan(node, pred)
-            elif strategy.primitive == "ssi":
-                result = await self._cross_equality_async(
-                    pred, strategy.nodes, net, deadline
-                )
-            elif strategy.primitive == "scmp":
-                result = await self._cross_order_async(
-                    pred, strategy.nodes, net, deadline
-                )
+                result = await self._cross_order(pred, strategy.nodes, net, deadline)
             else:
                 raise PlanningError(f"unknown strategy {strategy.primitive!r}")
             span.set_attribute("matches", len(result[1]))
@@ -718,43 +578,11 @@ class QueryExecutor:
             out &= matching
         return out
 
-    def _cross_equality(
+    async def _cross_equality(
         self,
         pred: Predicate,
         nodes: tuple[str, ...],
         net: SimNetwork,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
-        left_node, right_node = nodes[0], nodes[1]
-        right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        left_pairs = self._composite_set(left_node, pred.left.name)
-        right_pairs = self._composite_set(right_node, right_attr.name)
-        result = secure_set_intersection(
-            self.ctx,
-            {left_node: sorted(left_pairs), right_node: sorted(right_pairs)},
-            net=net,
-            deadline=deadline,
-        )
-        eq_glsns = {int(composite.split("|", 1)[0]) for composite in result.any_value}
-        if pred.op == "=":
-            return left_node, eq_glsns
-        # "!=": common presence minus equality matches.
-        presence = secure_set_intersection(
-            self.ctx,
-            {
-                left_node: sorted(self._present_glsns(left_node, pred.left.name)),
-                right_node: sorted(self._present_glsns(right_node, right_attr.name)),
-            },
-            net=net,
-            deadline=deadline,
-        )
-        return left_node, set(presence.any_value) - eq_glsns
-
-    async def _cross_equality_async(
-        self,
-        pred: Predicate,
-        nodes: tuple[str, ...],
-        net,
         deadline: Deadline | None = None,
     ) -> tuple[str, set[int]]:
         left_node, right_node = nodes[0], nodes[1]
@@ -770,6 +598,7 @@ class QueryExecutor:
         eq_glsns = {int(composite.split("|", 1)[0]) for composite in result.any_value}
         if pred.op == "=":
             return left_node, eq_glsns
+        # "!=": common presence minus equality matches.
         presence = await secure_set_intersection_async(
             self.ctx,
             {
@@ -788,71 +617,11 @@ class QueryExecutor:
             for glsn, value in self._projection(node_id, attribute)
         }
 
-    def _cross_order(
+    async def _cross_order(
         self,
         pred: Predicate,
         nodes: tuple[str, ...],
         net: SimNetwork,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
-        left_node, right_node = nodes[0], nodes[1]
-        right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        common = secure_set_intersection(
-            self.ctx,
-            {
-                left_node: sorted(self._present_glsns(left_node, pred.left.name)),
-                right_node: sorted(self._present_glsns(right_node, right_attr.name)),
-            },
-            net=net,
-            deadline=deadline,
-        ).any_value
-        left_store = self.store.node_store(left_node)
-        right_store = self.store.node_store(right_node)
-        ordered = sorted(common)
-        left_values = [
-            _scaled_int(left_store.local_fragment(g).values[pred.left.name])
-            for g in ordered
-        ]
-        right_values = [
-            _scaled_int(right_store.local_fragment(g).values[right_attr.name])
-            for g in ordered
-        ]
-        out: set[int] = set()
-        if self.batch_compare:
-            self._session += 1
-            verdicts = secure_compare_batch(
-                self.ctx,
-                (left_node, left_values),
-                (right_node, right_values),
-                value_bound=self.value_bound,
-                net=net,
-                session=f"qb-{self._session}",
-                deadline=deadline,
-            ).any_value
-            for glsn, verdict in zip(ordered, verdicts):
-                if evaluate_operator(pred.op, verdict):
-                    out.add(glsn)
-            return left_node, out
-        for glsn, left_value, right_value in zip(ordered, left_values, right_values):
-            self._session += 1
-            verdict = secure_compare(
-                self.ctx,
-                (left_node, left_value),
-                (right_node, right_value),
-                value_bound=self.value_bound,
-                net=net,
-                session=f"q-{self._session}-{glsn}",
-                deadline=deadline,
-            ).any_value
-            if evaluate_operator(pred.op, verdict):
-                out.add(glsn)
-        return left_node, out
-
-    async def _cross_order_async(
-        self,
-        pred: Predicate,
-        nodes: tuple[str, ...],
-        net,
         deadline: Deadline | None = None,
     ) -> tuple[str, set[int]]:
         left_node, right_node = nodes[0], nodes[1]
@@ -918,60 +687,13 @@ class QueryExecutor:
 
     # -- set merging ---------------------------------------------------------
 
-    def _merge_union(
+    async def _merge_union(
         self,
         per_node: dict[str, set[int]],
         net: SimNetwork,
         deadline: Deadline | None = None,
     ) -> set[int]:
         """Disjunction inside a clause: secure union across holder nodes."""
-        if not per_node:
-            return set()
-        if len(per_node) == 1:
-            return set(next(iter(per_node.values())))
-        with protocol_span(
-            self.ctx, net, "query.merge_union", {"nodes": sorted(per_node)}
-        ):
-            result = secure_set_union(
-                self.ctx,
-                {node: sorted(glsns) for node, glsns in per_node.items()},
-                net=net,
-                deadline=deadline,
-            )
-        return set(result.any_value)
-
-    def _merge_intersection(
-        self,
-        clause_sets: dict[str, set[int]],
-        net: SimNetwork,
-        deadline: Deadline | None = None,
-    ) -> set[int]:
-        """Final conjunction: secure set intersection keyed by glsn."""
-        if not clause_sets:
-            return set()
-        if len(clause_sets) == 1:
-            return set(next(iter(clause_sets.values())))
-        if any(not glsns for glsns in clause_sets.values()):
-            # An empty clause forces an empty conjunction; running the ring
-            # with an empty set would only leak the other sets' sizes.
-            return set()
-        with protocol_span(
-            self.ctx, net, "query.merge_intersection", {"nodes": sorted(clause_sets)}
-        ):
-            result = secure_set_intersection(
-                self.ctx,
-                {node: sorted(glsns) for node, glsns in clause_sets.items()},
-                net=net,
-                deadline=deadline,
-            )
-        return set(result.any_value)
-
-    async def _merge_union_async(
-        self,
-        per_node: dict[str, set[int]],
-        net,
-        deadline: Deadline | None = None,
-    ) -> set[int]:
         if not per_node:
             return set()
         if len(per_node) == 1:
@@ -987,17 +709,20 @@ class QueryExecutor:
             )
         return set(result.any_value)
 
-    async def _merge_intersection_async(
+    async def _merge_intersection(
         self,
         clause_sets: dict[str, set[int]],
-        net,
+        net: SimNetwork,
         deadline: Deadline | None = None,
     ) -> set[int]:
+        """Final conjunction: secure set intersection keyed by glsn."""
         if not clause_sets:
             return set()
         if len(clause_sets) == 1:
             return set(next(iter(clause_sets.values())))
         if any(not glsns for glsns in clause_sets.values()):
+            # An empty clause forces an empty conjunction; running the ring
+            # with an empty set would only leak the other sets' sizes.
             return set()
         with protocol_span(
             self.ctx, net, "query.merge_intersection", {"nodes": sorted(clause_sets)}

@@ -44,7 +44,8 @@ from repro.errors import IntegrityError, ProtocolAbortError, RingFailoverError
 from repro.logstore.store import DistributedLogStore, FragmentStore
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, ring_avoiding, supervise_ring, supervise_ring_async
+from repro.resilience import Deadline, ring_avoiding, supervise_ring_async
+from repro.twin import sync_twin
 
 __all__ = [
     "IntegrityChecker",
@@ -478,7 +479,7 @@ def _collect_reports(
     return reports
 
 
-def _supervised_round(
+async def _supervised_round(
     store: DistributedLogStore,
     targets: list[int],
     initiator: str,
@@ -540,7 +541,7 @@ def _supervised_round(
 
         return collect
 
-    return supervise_ring(
+    return await supervise_ring_async(
         net, "integrity_ring", ring_all, launch,
         essential=[initiator], min_parties=1, deadline=deadline,
     )
@@ -554,7 +555,7 @@ def _degrade(reports: list[IntegrityReport], skipped: tuple[str, ...]):
     ]
 
 
-def run_integrity_round(
+async def run_integrity_round_async(
     store: DistributedLogStore,
     glsns: list[int] | None = None,
     initiator: str | None = None,
@@ -570,12 +571,15 @@ def run_integrity_round(
     resilient network the ring is failover-supervised (see
     :func:`_supervised_round`).  ``crypto`` is forwarded to every
     :class:`IntegrityNode` (per-node and total fold counts).
+
+    ``run_integrity_round`` is :func:`~repro.twin.sync_twin` of this
+    coroutine (one body, two runners: ``docs/async.md``).
     """
     net, nodes, initiator, targets = _ring_setup(
         store, glsns, initiator, net, crypto=crypto
     )
     if net.reliable:
-        outcome = _supervised_round(
+        outcome = await _supervised_round(
             store, targets, initiator, net, deadline, "per-glsn",
             crypto=crypto,
         )
@@ -583,11 +587,11 @@ def run_integrity_round(
         return _degrade(reports, outcome.skipped) if outcome.degraded else reports
     for glsn in targets:
         nodes[initiator].start_check(net, glsn)
-    net.run(deadline=deadline)
+    await net.drain(deadline=deadline)
     return _collect_reports(nodes[initiator], targets)
 
 
-def run_batched_integrity_round(
+async def run_batched_integrity_round_async(
     store: DistributedLogStore,
     glsns: list[int] | None = None,
     initiator: str | None = None,
@@ -603,6 +607,9 @@ def run_batched_integrity_round(
     ``nodes × N``.  The per-glsn folds are value-identical to
     :func:`run_integrity_round` — same observed accumulators, same
     reports — only the transcript's message count changes.
+
+    ``run_batched_integrity_round`` is :func:`~repro.twin.sync_twin` of this
+    coroutine (one body, two runners: ``docs/async.md``).
     """
     net, nodes, initiator, targets = _ring_setup(
         store, glsns, initiator, net, crypto=crypto
@@ -610,18 +617,18 @@ def run_batched_integrity_round(
     if not targets:
         return []
     if net.reliable:
-        outcome = _supervised_round(
+        outcome = await _supervised_round(
             store, targets, initiator, net, deadline, "batched",
             crypto=crypto,
         )
         reports = outcome.values["reports"]
         return _degrade(reports, outcome.skipped) if outcome.degraded else reports
     nodes[initiator].start_batch_check(net, targets)
-    net.run(deadline=deadline)
+    await net.drain(deadline=deadline)
     return _collect_reports(nodes[initiator], targets)
 
 
-def run_combined_integrity_round(
+async def run_combined_integrity_round_async(
     store: DistributedLogStore,
     glsns: list[int] | None = None,
     initiator: str | None = None,
@@ -643,206 +650,10 @@ def run_combined_integrity_round(
     anchor covers the request (e.g. after a delete), and — with
     ``localize=True`` — also after a combined mismatch, to name the
     tampered glsn(s) in ``reports``.
+
+    ``run_combined_integrity_round`` is :func:`~repro.twin.sync_twin` of
+    this coroutine (one body, two runners: ``docs/async.md``).
     """
-    targets = list(glsns) if glsns is not None else store.glsns
-    ring = sorted(store.stores)
-    first = initiator or (ring[0] if ring else None)
-    anchor = (
-        store.stores[first].chain_anchor_for(targets)
-        if first in store.stores
-        else None
-    )
-    if anchor is None or not targets:
-        reports = run_batched_integrity_round(
-            store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-            crypto=crypto,
-        )
-        skipped = tuple(
-            sorted({n for r in reports for n in getattr(r, "skipped_nodes", ())})
-        )
-        return BatchIntegrityReport(
-            glsns=tuple(targets),
-            ok=all(r.ok for r in reports),
-            mode="per-glsn",
-            reports=tuple(reports),
-            verified=not skipped,
-            skipped_nodes=skipped,
-        )
-    net = net or SimNetwork()
-    _, nodes, first, targets = _ring_setup(
-        store, targets, initiator, net, crypto=crypto
-    )
-    if net.reliable:
-        outcome = _supervised_round(
-            store, targets, first, net, deadline, "combined",
-            crypto=crypto,
-        )
-        verdict = outcome.values["combined"]
-        if outcome.degraded:
-            # The fold skipped a node, so neither the combined verdict nor
-            # a localizing re-run can be trusted — report unverified.
-            return replace(
-                verdict, ok=False, verified=False, skipped_nodes=outcome.skipped
-            )
-    else:
-        nodes[first].start_combined_check(net, targets)
-        net.run(deadline=deadline)
-        verdict = nodes[first].state.combined
-    if verdict is None:
-        raise ProtocolAbortError("combined integrity round produced no verdict")
-    if verdict.ok or not localize:
-        return verdict
-    reports = run_batched_integrity_round(
-        store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-        crypto=crypto,
-    )
-    return BatchIntegrityReport(
-        glsns=verdict.glsns,
-        ok=verdict.ok,
-        mode=verdict.mode,
-        expected=verdict.expected,
-        observed=verdict.observed,
-        reports=tuple(reports),
-    )
-
-
-# -- coroutine twins ---------------------------------------------------------
-#
-# Same nodes, token modes, fold counts and reports as the sync drivers; the
-# rounds are driven by ``await net.drain(...)`` so independent checks over
-# disjoint glsns overlap on one event loop (see run_integrity_rounds_pipelined).
-
-
-def _async_net():
-    from repro.aio.simnet import AsyncSimNetwork
-
-    return AsyncSimNetwork()
-
-
-async def _supervised_round_async(
-    store: DistributedLogStore,
-    targets: list[int],
-    initiator: str,
-    net,
-    deadline: Deadline | None,
-    mode: str,
-    crypto=None,
-):
-    """Coroutine twin of :func:`_supervised_round` (same launch closure)."""
-    ring_all = sorted(store.stores)
-    nodes_box: dict[str, IntegrityNode] = {}
-
-    def launch(alive: list[str], avoid: frozenset):
-        if initiator not in alive:
-            raise RingFailoverError(
-                f"integrity_ring: initiator {initiator!r} is unreachable"
-            )
-        order = ring_avoiding(alive, avoid)
-        pivot = order.index(initiator)
-        order = order[pivot:] + order[:pivot]
-        nodes_box.clear()
-        nodes_box.update(
-            {
-                nid: IntegrityNode(
-                    nid, store.stores[nid], store.accumulator, order,
-                    crypto=crypto,
-                    telemetry=getattr(net, "telemetry", None),
-                )
-                for nid in alive
-            }
-        )
-        for nid, node in nodes_box.items():
-            net.register(nid, node.handle)
-        init = nodes_box[initiator]
-        if mode == "per-glsn":
-            for glsn in targets:
-                init.start_check(net, glsn)
-        elif mode == "batched":
-            init.start_batch_check(net, targets)
-        else:
-            init.start_combined_check(net, targets)
-
-        def collect():
-            node = nodes_box[initiator]
-            if mode == "combined":
-                if node.state.combined is None:
-                    return None
-                return {"combined": node.state.combined}
-            if any(glsn not in node.state.reports for glsn in targets):
-                return None
-            return {"reports": [node.state.reports[glsn] for glsn in targets]}
-
-        return collect
-
-    return await supervise_ring_async(
-        net, "integrity_ring", ring_all, launch,
-        essential=[initiator], min_parties=1, deadline=deadline,
-    )
-
-
-async def run_integrity_round_async(
-    store: DistributedLogStore,
-    glsns: list[int] | None = None,
-    initiator: str | None = None,
-    net=None,
-    deadline: Deadline | None = None,
-    crypto=None,
-) -> list[IntegrityReport]:
-    """Coroutine twin of :func:`run_integrity_round`."""
-    net = net or _async_net()
-    net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, crypto=crypto
-    )
-    if net.reliable:
-        outcome = await _supervised_round_async(
-            store, targets, initiator, net, deadline, "per-glsn",
-            crypto=crypto,
-        )
-        reports = outcome.values["reports"]
-        return _degrade(reports, outcome.skipped) if outcome.degraded else reports
-    for glsn in targets:
-        nodes[initiator].start_check(net, glsn)
-    await net.drain(deadline=deadline)
-    return _collect_reports(nodes[initiator], targets)
-
-
-async def run_batched_integrity_round_async(
-    store: DistributedLogStore,
-    glsns: list[int] | None = None,
-    initiator: str | None = None,
-    net=None,
-    deadline: Deadline | None = None,
-    crypto=None,
-) -> list[IntegrityReport]:
-    """Coroutine twin of :func:`run_batched_integrity_round`."""
-    net = net or _async_net()
-    net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, crypto=crypto
-    )
-    if not targets:
-        return []
-    if net.reliable:
-        outcome = await _supervised_round_async(
-            store, targets, initiator, net, deadline, "batched",
-            crypto=crypto,
-        )
-        reports = outcome.values["reports"]
-        return _degrade(reports, outcome.skipped) if outcome.degraded else reports
-    nodes[initiator].start_batch_check(net, targets)
-    await net.drain(deadline=deadline)
-    return _collect_reports(nodes[initiator], targets)
-
-
-async def run_combined_integrity_round_async(
-    store: DistributedLogStore,
-    glsns: list[int] | None = None,
-    initiator: str | None = None,
-    net=None,
-    localize: bool = True,
-    deadline: Deadline | None = None,
-    crypto=None,
-) -> BatchIntegrityReport:
-    """Coroutine twin of :func:`run_combined_integrity_round`."""
     targets = list(glsns) if glsns is not None else store.glsns
     ring = sorted(store.stores)
     first = initiator or (ring[0] if ring else None)
@@ -867,17 +678,19 @@ async def run_combined_integrity_round_async(
             verified=not skipped,
             skipped_nodes=skipped,
         )
-    net = net or _async_net()
+    net = net or SimNetwork()
     _, nodes, first, targets = _ring_setup(
         store, targets, initiator, net, crypto=crypto
     )
     if net.reliable:
-        outcome = await _supervised_round_async(
+        outcome = await _supervised_round(
             store, targets, first, net, deadline, "combined",
             crypto=crypto,
         )
         verdict = outcome.values["combined"]
         if outcome.degraded:
+            # The fold skipped a node, so neither the combined verdict nor
+            # a localizing re-run can be trusted — report unverified.
             return replace(
                 verdict, ok=False, verified=False, skipped_nodes=outcome.skipped
             )
@@ -903,6 +716,11 @@ async def run_combined_integrity_round_async(
     )
 
 
+run_integrity_round = sync_twin(run_integrity_round_async)
+run_batched_integrity_round = sync_twin(run_batched_integrity_round_async)
+run_combined_integrity_round = sync_twin(run_combined_integrity_round_async)
+
+
 async def run_integrity_rounds_pipelined(
     store: DistributedLogStore,
     glsns: list[int] | None = None,
@@ -923,10 +741,12 @@ async def run_integrity_rounds_pipelined(
     """
     import asyncio
 
+    from repro.aio.simnet import AsyncSimNetwork
+
     targets = list(glsns) if glsns is not None else store.glsns
     if not targets:
         return []
-    factory = net_factory or (lambda glsn: _async_net())
+    factory = net_factory or (lambda glsn: AsyncSimNetwork())
 
     async def one(glsn: int) -> IntegrityReport:
         reports = await run_integrity_round_async(

@@ -537,6 +537,16 @@ class SimNetwork:
                 deadline.check("simnet.run")
         return steps
 
+    async def drain(
+        self, max_steps: int = 1_000_000, deadline: Deadline | None = None
+    ) -> int:
+        """:meth:`run` under the name the protocol drivers await.
+
+        Never suspends, which is what lets :func:`repro.twin.run_sync`
+        finish a driver over this network in one step.
+        """
+        return self.run(max_steps, deadline)
+
     @property
     def pending(self) -> int:
         return len(self._queue)

@@ -34,6 +34,7 @@ from typing import Callable, Iterable
 
 from repro.errors import RingFailoverError
 from repro.resilience.policy import Deadline
+from repro.twin import sync_twin
 
 __all__ = [
     "FailoverOutcome",
@@ -156,7 +157,7 @@ def _diagnose_dead(
     return {candidates[0]} if candidates else set()
 
 
-def supervise_ring(
+async def supervise_ring_async(
     net,
     protocol: str,
     parties: list[str],
@@ -174,6 +175,9 @@ def supervise_ring(
     :class:`RingFailoverError` (typed, attributed) when recovery is
     impossible, and :class:`~repro.errors.DeadlineExceededError` when the
     propagated deadline expires first.
+
+    ``supervise_ring`` is :func:`~repro.twin.sync_twin` of this coroutine
+    (one body, two runners: ``docs/async.md``).
     """
     if not net.reliable:
         raise RingFailoverError(
@@ -192,7 +196,7 @@ def supervise_ring(
         deadline.check(f"{protocol}.launch")
         net.reset_failures()
         collect = launch(list(alive), frozenset(avoid))
-        net.run(deadline=deadline)
+        await net.drain(deadline=deadline)
         values = collect()
         if values is not None:
             if skipped and ledger is not None:
@@ -265,107 +269,7 @@ def supervise_ring(
             )
 
 
-async def supervise_ring_async(
-    net,
-    protocol: str,
-    parties: list[str],
-    launch: Launch,
-    *,
-    essential: Iterable[str] = (),
-    min_parties: int = 1,
-    deadline: Deadline | None = None,
-    max_failovers: int | None = None,
-    ledger=None,
-) -> FailoverOutcome:
-    """Coroutine twin of :func:`supervise_ring` for drain-capable nets.
-
-    Identical recovery ladder, identical diagnosis, identical typed
-    failures — the only difference is that each round is driven by
-    ``await net.drain(...)`` (an :class:`repro.aio.AsyncChannel` or
-    :class:`repro.aio.AsyncSimNetwork`) instead of the blocking
-    ``net.run(...)``, so independent supervised rounds on one event loop
-    pipeline instead of serializing.
-    """
-    if not net.reliable:
-        raise RingFailoverError(
-            f"{protocol}: failover supervision requires a resilient transport "
-            "(SimNetwork(resilience=RetryPolicy(...)))"
-        )
-    essential = set(essential)
-    alive = list(parties)
-    skipped: list[str] = []
-    avoid: set[tuple[str, str]] = set()
-    failovers = 0
-    budget = max_failovers if max_failovers is not None else len(parties) + 3
-    deadline = deadline or Deadline.never()
-
-    while True:
-        deadline.check(f"{protocol}.launch")
-        net.reset_failures()
-        collect = launch(list(alive), frozenset(avoid))
-        await net.drain(deadline=deadline)
-        values = collect()
-        if values is not None:
-            if skipped and ledger is not None:
-                ledger.record(
-                    protocol,
-                    "*",
-                    "degraded_result",
-                    f"result computed without {sorted(skipped)} "
-                    f"after {failovers} failover(s)",
-                )
-            return FailoverOutcome(
-                values=values,
-                degraded=bool(skipped),
-                skipped=tuple(sorted(skipped)),
-                failovers=failovers,
-            )
-
-        failed = set(net.failed_links)
-        if not failed:
-            raise RingFailoverError(
-                f"{protocol}: round incomplete with no diagnosable link failure "
-                f"(skipped={sorted(skipped)})",
-                skipped=tuple(skipped),
-            )
-        if failovers >= budget:
-            raise RingFailoverError(
-                f"{protocol}: failover budget ({budget}) exhausted; "
-                f"last failed links {sorted(failed)}",
-                skipped=tuple(skipped),
-                failed_links=tuple(sorted(failed)),
-            )
-        failovers += 1
-        net._count(
-            "failovers",
-            "resilience.failover",
-            {"protocol": protocol, "failed_links": sorted(map(list, failed))},
-        )
-
-        excludable = set(alive) - essential
-        retried = failed & avoid
-        fresh = failed - avoid
-        history = failed | avoid
-        avoid |= failed
-        if not retried and fresh and not _must_exclude(history, excludable):
-            continue
-        exclude = _diagnose_dead(history, retried, excludable)
-        if not exclude:
-            raise RingFailoverError(
-                f"{protocol}: only essential node(s) remain on failed links "
-                f"{sorted(failed)}",
-                skipped=tuple(skipped),
-                failed_links=tuple(sorted(failed)),
-            )
-        alive = [p for p in alive if p not in exclude]
-        skipped.extend(sorted(exclude))
-        avoid = {link for link in avoid if not (set(link) & exclude)}
-        if len(alive) < min_parties:
-            raise RingFailoverError(
-                f"{protocol}: fewer than {min_parties} parties remain after "
-                f"excluding {sorted(skipped)}",
-                skipped=tuple(skipped),
-            )
+supervise_ring = sync_twin(supervise_ring_async)
 
 
 def _must_exclude(failed: set[tuple[str, str]], excludable: set[str]) -> bool:

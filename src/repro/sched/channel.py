@@ -208,6 +208,13 @@ class Channel:
                     ).inc()
                 deadline.check(f"channel[{self.tag}].run")
 
+    async def drain(
+        self, max_steps: int = 1_000_000, deadline: Deadline | None = None
+    ) -> int:
+        """:meth:`run` under the name the protocol drivers await (blocks
+        the calling pool thread, never suspends)."""
+        return self.run(max_steps, deadline)
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:

@@ -61,6 +61,7 @@ from repro.sched.channel import ChannelMux
 from repro.sched.coalesce import SingleFlightCache
 from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
+from repro.twin import run_sync
 
 __all__ = [
     "SchedulerConfig",
@@ -181,6 +182,22 @@ class QueryHandle:
         self._event.set()
 
 
+class _BlockingSubplanJoin:
+    """The awaitable sub-plan join the executor expects, over a thread
+    :class:`SingleFlightCache`.
+
+    On a pool thread nothing suspends: the holder runs its coroutine
+    ``compute`` to completion and joiners block on the holder's
+    ``threading.Event``, exactly as with a sync ``compute``.
+    """
+
+    def __init__(self, flight: SingleFlightCache) -> None:
+        self.flight = flight
+
+    async def get_or_compute(self, key, compute):
+        return self.flight.get_or_compute(key, lambda: run_sync(compute()))
+
+
 class _Shutdown:
     pass
 
@@ -248,6 +265,7 @@ class QueryScheduler:
             self._subplan_flight = SingleFlightCache(
                 LruCache("sched.subplan", metrics=m), metrics=m, metric_label="subplan"
             )
+            self._subplan_join = _BlockingSubplanJoin(self._subplan_flight)
             self._query_flight = SingleFlightCache(
                 LruCache("sched.query", metrics=m), metrics=m, metric_label="query"
             )
@@ -255,6 +273,7 @@ class QueryScheduler:
             self._scan_flight = None
             self._projection_flight = None
             self._subplan_flight = None
+            self._subplan_join = None
             self._query_flight = None
         # Metric instances resolved once; emission is then a locked add.
         self._depth_gauge = self.metrics.gauge(
@@ -410,7 +429,7 @@ class QueryScheduler:
             batch_compare=service.executor.batch_compare,
             projection_cache=self._projection_flight,
             scan_cache=self._scan_flight,
-            subplan_cache=self._subplan_flight,
+            subplan_cache=self._subplan_join,
         )
         vt_start = self.net.now
         span_attrs = {"criterion": qplan.criterion_text, "channel": tag}

@@ -15,9 +15,13 @@ a blind TTP may coordinate, and *secondary* information may be disclosed —
 every such disclosure is recorded in the run's
 :class:`~repro.smc.leakage.LeakageLedger`.
 
-Every driver also has a ``secure_*_async`` coroutine twin (driven by
-``await net.drain(...)`` on an event loop, see :mod:`repro.aio`) with
-bitwise-identical results, spans, costs and leakage.
+Every driver is written once, as the ``secure_*_async`` coroutine whose
+only suspension point is ``await net.drain(...)``.  Awaited on an event
+loop over a :mod:`repro.aio` transport, independent runs interleave; the
+plain ``secure_*`` name is :func:`repro.twin.sync_twin` of the same body,
+run to completion over a blocking transport (``SimNetwork``, a scheduler
+``Channel``).  One body means results, spans, costs and leakage cannot
+differ between the two names.
 """
 
 from repro.smc.base import SmcContext, SmcResult

@@ -16,9 +16,10 @@ from __future__ import annotations
 from repro.errors import ConfigurationError, ProtocolAbortError, SmcError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, standby_id, supervise_ring, supervise_ring_async
+from repro.resilience import Deadline, standby_id, supervise_ring_async
 from repro.smc.base import SmcContext, SmcResult, protocol_span
 from repro.smc.ranking import MonotoneBlinding
+from repro.twin import sync_twin
 
 __all__ = [
     "secure_compare",
@@ -120,7 +121,7 @@ class _CompareParty:
         self.verdict = msg.payload["verdict"]
 
 
-def _supervise_ttp_pair(
+async def _supervise_ttp_pair(
     ctx: SmcContext,
     net: SimNetwork,
     lid: str,
@@ -154,39 +155,6 @@ def _supervise_ttp_pair(
 
         return collect
 
-    return supervise_ring(
-        net, PROTOCOL, [lid, rid], launch,
-        essential=[lid, rid], min_parties=2,
-        deadline=deadline, ledger=ctx.leakage,
-    )
-
-
-async def _supervise_ttp_pair_async(
-    ctx: SmcContext,
-    net,
-    lid: str,
-    rid: str,
-    ttp_id: str,
-    build,
-    result_of,
-    deadline: Deadline | None,
-):
-    """Coroutine twin of :func:`_supervise_ttp_pair` (same launch closure)."""
-    box: dict = {}
-
-    def launch(alive: list[str], avoid: frozenset):
-        box.clear()
-        box.update(build(standby_id(ttp_id, avoid)))
-        for party in box.values():
-            party.start(net)
-
-        def collect():
-            if any(result_of(p) is None for p in box.values()):
-                return None
-            return {pid: result_of(p) for pid, p in box.items()}
-
-        return collect
-
     return await supervise_ring_async(
         net, PROTOCOL, [lid, rid], launch,
         essential=[lid, rid], min_parties=2,
@@ -194,7 +162,7 @@ async def _supervise_ttp_pair_async(
     )
 
 
-def secure_compare(
+async def secure_compare_async(
     ctx: SmcContext,
     left: tuple[str, int],
     right: tuple[str, int],
@@ -211,6 +179,9 @@ def secure_compare(
     network an unreachable TTP fails over to a standby id; the two input
     parties are essential (a dead one raises
     :class:`~repro.errors.RingFailoverError`).
+
+    ``secure_compare`` is :func:`~repro.twin.sync_twin` of this coroutine
+    (one body, two runners: ``docs/async.md``).
     """
     (lid, lval), (rid, rval) = left, right
     if lid == rid:
@@ -237,74 +208,7 @@ def secure_compare(
             return parties
 
         if net.reliable:
-            outcome = _supervise_ttp_pair(
-                ctx, net, lid, rid, ttp_id, build,
-                lambda party: party.verdict, deadline,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset([lid, rid]),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        parties = build(ttp_id)
-        for party in parties.values():
-            party.start(net)
-        net.run(deadline=deadline)
-
-    values = {}
-    for pid, party in parties.items():
-        if party.verdict is None:
-            raise ProtocolAbortError(f"party {pid} never received the verdict")
-        values[pid] = party.verdict
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
-    )
-
-
-async def secure_compare_async(
-    ctx: SmcContext,
-    left: tuple[str, int],
-    right: tuple[str, int],
-    value_bound: int | None = None,
-    ttp_id: str = "ttp",
-    net=None,
-    session: str = "cmp-0",
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_compare` (same blinding and spans)."""
-    (lid, lval), (rid, rval) = left, right
-    if lid == rid:
-        raise ConfigurationError("comparison requires two distinct parties")
-    if lval < 0 or rval < 0:
-        raise ConfigurationError("comparison takes non-negative integers")
-    bound = value_bound if value_bound is not None else max(lval, rval)
-    blinding = MonotoneBlinding.agree(
-        ctx, f"{min(lid, rid)}|{max(lid, rid)}|{session}", bound
-    )
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
-    with protocol_span(
-        ctx, net, "smc.compare", {"session": session, "batch": 1}
-    ):
-        def build(ttp_node_id: str) -> dict[str, _CompareParty]:
-            ttp = _CompareTtp(ttp_node_id, ctx)
-            net.register(ttp_node_id, ttp.handle)
-            parties = {
-                lid: _CompareParty(lid, lval, ctx, blinding, ttp_node_id, session, lid),
-                rid: _CompareParty(rid, rval, ctx, blinding, ttp_node_id, session, lid),
-            }
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
-
-        if net.reliable:
-            outcome = await _supervise_ttp_pair_async(
+            outcome = await _supervise_ttp_pair(
                 ctx, net, lid, rid, ttp_id, build,
                 lambda party: party.verdict, deadline,
             )
@@ -330,6 +234,9 @@ async def secure_compare_async(
     return SmcResult(
         protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
     )
+
+
+secure_compare = sync_twin(secure_compare_async)
 
 
 class _BatchCompareTtp:
@@ -421,7 +328,7 @@ class _BatchCompareParty:
         self.verdicts = list(msg.payload["verdicts"])
 
 
-def secure_compare_batch(
+async def secure_compare_batch_async(
     ctx: SmcContext,
     left: tuple[str, list[int]],
     right: tuple[str, list[int]],
@@ -439,6 +346,9 @@ def secure_compare_batch(
     per party (2 submissions + 2 verdict deliveries total), at identical
     leakage per comparison.  Returns a verdict list aligned with the
     inputs.
+
+    ``secure_compare_batch`` is :func:`~repro.twin.sync_twin` of this
+    coroutine (one body, two runners: ``docs/async.md``).
     """
     (lid, lvals), (rid, rvals) = left, right
     if lid == rid:
@@ -476,85 +386,7 @@ def secure_compare_batch(
             return parties
 
         if net.reliable:
-            outcome = _supervise_ttp_pair(
-                ctx, net, lid, rid, ttp_id, build,
-                lambda party: party.verdicts, deadline,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset([lid, rid]),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        parties = build(ttp_id)
-        for party in parties.values():
-            party.start(net)
-        net.run(deadline=deadline)
-
-    values = {}
-    for pid, party in parties.items():
-        if party.verdicts is None:
-            raise ProtocolAbortError(f"party {pid} never received verdicts")
-        values[pid] = party.verdicts
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
-    )
-
-
-async def secure_compare_batch_async(
-    ctx: SmcContext,
-    left: tuple[str, list[int]],
-    right: tuple[str, list[int]],
-    value_bound: int | None = None,
-    ttp_id: str = "ttp",
-    net=None,
-    session: str = "cmpb-0",
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_compare_batch`."""
-    (lid, lvals), (rid, rvals) = left, right
-    if lid == rid:
-        raise ConfigurationError("comparison requires two distinct parties")
-    if len(lvals) != len(rvals):
-        raise ConfigurationError("batch comparison needs aligned vectors")
-    if any(v < 0 for v in lvals) or any(v < 0 for v in rvals):
-        raise ConfigurationError("comparison takes non-negative integers")
-    if not lvals:
-        return SmcResult(
-            protocol=PROTOCOL, observers=frozenset([lid, rid]),
-            values={lid: [], rid: []}, rounds=0,
-        )
-    bound = value_bound if value_bound is not None else max(max(lvals), max(rvals))
-    blinding = MonotoneBlinding.agree(
-        ctx, f"{min(lid, rid)}|{max(lid, rid)}|{session}", bound
-    )
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
-    with protocol_span(
-        ctx, net, "smc.compare", {"session": session, "batch": len(lvals)}
-    ):
-        def build(ttp_node_id: str) -> dict[str, _BatchCompareParty]:
-            ttp = _BatchCompareTtp(ttp_node_id, ctx)
-            net.register(ttp_node_id, ttp.handle)
-            parties = {
-                lid: _BatchCompareParty(
-                    lid, lvals, ctx, blinding, ttp_node_id, session, lid
-                ),
-                rid: _BatchCompareParty(
-                    rid, rvals, ctx, blinding, ttp_node_id, session, lid
-                ),
-            }
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
-
-        if net.reliable:
-            outcome = await _supervise_ttp_pair_async(
+            outcome = await _supervise_ttp_pair(
                 ctx, net, lid, rid, ttp_id, build,
                 lambda party: party.verdicts, deadline,
             )
@@ -580,6 +412,9 @@ async def secure_compare_batch_async(
     return SmcResult(
         protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
     )
+
+
+secure_compare_batch = sync_twin(secure_compare_batch_async)
 
 
 def evaluate_operator(op: str, verdict: str) -> bool:

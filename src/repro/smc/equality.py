@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, standby_id, supervise_ring, supervise_ring_async
+from repro.resilience import Deadline, standby_id, supervise_ring_async
 from repro.smc.base import SmcContext, SmcResult, protocol_span
-from repro.smc.intersection import (
-    secure_set_intersection,
-    secure_set_intersection_async,
-)
+from repro.smc.intersection import secure_set_intersection_async
+from repro.twin import sync_twin
 
 __all__ = [
     "AffineBlinding",
@@ -172,7 +170,7 @@ class EqualityParty:
         self.verdict = bool(msg.payload["equal"])
 
 
-def secure_equality(
+async def secure_equality_async(
     ctx: SmcContext,
     left: tuple[str, object],
     right: tuple[str, object],
@@ -188,100 +186,14 @@ def secure_equality(
     (``"ttp~1"``, ...); the two input parties are essential, so a dead
     party aborts with a typed :class:`~repro.errors.RingFailoverError`
     rather than a silent partial answer.
+
+    ``secure_equality`` is :func:`~repro.twin.sync_twin` of this coroutine
+    (one body, two runners: ``docs/async.md``).
     """
     (lid, lval), (rid, rval) = left, right
     if lid == rid:
         raise ConfigurationError("equality requires two distinct parties")
     net = net or SimNetwork(tracer=ctx.tracer)
-    with protocol_span(
-        ctx,
-        net,
-        "smc.equality",
-        {"route": "blind_ttp", "session": session},
-    ):
-        blinding = AffineBlinding.agree(
-            ctx, f"{min(lid, rid)}|{max(lid, rid)}|{session}"
-        )
-        reply_to = [lid, rid]
-
-        def build(ttp_node_id: str) -> dict[str, EqualityParty]:
-            ttp = BlindTtp(ttp_node_id, ctx)
-            parties = {
-                lid: EqualityParty(
-                    lid, lval, ctx, blinding, ttp_node_id, session, reply_to
-                ),
-                rid: EqualityParty(
-                    rid, rval, ctx, blinding, ttp_node_id, session, reply_to
-                ),
-            }
-            net.register(ttp_node_id, ttp.handle)
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
-
-        if net.reliable:
-            box: dict[str, EqualityParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                box.clear()
-                box.update(build(standby_id(ttp_id, avoid)))
-                for party in box.values():
-                    party.start(net)
-
-                def collect():
-                    if any(p.verdict is None for p in box.values()):
-                        return None
-                    return {pid: p.verdict for pid, p in box.items()}
-
-                return collect
-
-            outcome = supervise_ring(
-                net, PROTOCOL, [lid, rid], launch,
-                essential=[lid, rid], min_parties=2,
-                deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset([lid, rid]),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-
-        parties = build(ttp_id)
-        for party in parties.values():
-            party.start(net)
-        net.run(deadline=deadline)
-
-    values = {}
-    for pid, party in parties.items():
-        if party.verdict is None:
-            raise ProtocolAbortError(f"party {pid} never received the verdict")
-        values[pid] = party.verdict
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
-    )
-
-
-async def secure_equality_async(
-    ctx: SmcContext,
-    left: tuple[str, object],
-    right: tuple[str, object],
-    ttp_id: str = "ttp",
-    net=None,
-    session: str = "eq-0",
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_equality` (same blinding and spans)."""
-    (lid, lval), (rid, rval) = left, right
-    if lid == rid:
-        raise ConfigurationError("equality requires two distinct parties")
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
     with protocol_span(
         ctx,
         net,
@@ -354,7 +266,10 @@ async def secure_equality_async(
     )
 
 
-def secure_equality_commutative(
+secure_equality = sync_twin(secure_equality_async)
+
+
+async def secure_equality_commutative_async(
     ctx: SmcContext,
     left: tuple[str, object],
     right: tuple[str, object],
@@ -366,29 +281,10 @@ def secure_equality_commutative(
     "When the set size of S_i = 1, the secure set intersection could be
     used for secure equality comparison."  ``coalesce`` selects the
     intersection's convoy relay mode (fewer frames, serialized hops).
+
+    ``secure_equality_commutative`` is :func:`~repro.twin.sync_twin` of this
+    coroutine (one body, two runners: ``docs/async.md``).
     """
-    (lid, lval), (rid, rval) = left, right
-    with ctx.tracer.span("smc.equality", {"route": "commutative"}):
-        result = secure_set_intersection(
-            ctx, {lid: [lval], rid: [rval]}, net=net, shuffle=False, coalesce=coalesce
-        )
-    equal = len(result.any_value) == 1
-    return SmcResult(
-        protocol=PROTOCOL,
-        observers=result.observers,
-        values={obs: equal for obs in result.observers},
-        rounds=result.rounds,
-    )
-
-
-async def secure_equality_commutative_async(
-    ctx: SmcContext,
-    left: tuple[str, object],
-    right: tuple[str, object],
-    net=None,
-    coalesce: bool = False,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_equality_commutative`."""
     (lid, lval), (rid, rval) = left, right
     with ctx.tracer.span("smc.equality", {"route": "commutative"}):
         result = await secure_set_intersection_async(
@@ -401,3 +297,6 @@ async def secure_equality_commutative_async(
         values={obs: equal for obs in result.observers},
         rounds=result.rounds,
     )
+
+
+secure_equality_commutative = sync_twin(secure_equality_commutative_async)

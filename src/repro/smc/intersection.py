@@ -49,10 +49,10 @@ from repro.resilience import (
     Deadline,
     pick_coordinator,
     ring_avoiding,
-    supervise_ring,
     supervise_ring_async,
 )
 from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.twin import sync_twin
 
 __all__ = [
     "IntersectionParty",
@@ -404,7 +404,7 @@ class IntersectionParty:
             transport.send_many(outgoing)
 
 
-def secure_set_intersection(
+async def secure_set_intersection_async(
     ctx: SmcContext,
     sets: dict[str, list],
     observers: list[str] | None = None,
@@ -417,6 +417,12 @@ def secure_set_intersection(
 ) -> SmcResult:
     """Run the full protocol on a simulated network and return the result.
 
+    This coroutine is the protocol's only body.  Awaited on an event loop
+    over an ``AsyncSimNetwork`` / ``AsyncChannel`` its rounds interleave
+    with other tasks'; ``secure_set_intersection`` is
+    :func:`~repro.twin.sync_twin` of it — the same body run to completion
+    over a blocking transport (see ``docs/async.md``).
+
     Parameters
     ----------
     ctx:
@@ -426,8 +432,10 @@ def secure_set_intersection(
     observers:
         Party ids authorized to learn the intersection; defaults to all.
     net:
-        An existing :class:`SimNetwork` to run on (stats accumulate there);
-        a fresh one is created if omitted.
+        An existing transport to run on (stats accumulate there): a
+        :class:`SimNetwork` or scheduler ``Channel`` under either name, an
+        event-loop transport under the awaited name only.  A fresh private
+        :class:`SimNetwork` is created if omitted.
     shuffle:
         Enable relay shuffling (see module docstring).
     collector:
@@ -477,158 +485,7 @@ def secure_set_intersection(
         },
     ):
         if net.reliable:
-            outcome = _run_supervised(
-                ctx, net, sets, parties, observers, collector,
-                shuffle=shuffle, ring=ring, coalesce=coalesce, deadline=deadline,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=len(parties),
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        nodes = {
-            pid: IntersectionParty(
-                pid, sets[pid], ctx, parties, observers, collector,
-                shuffle=shuffle, ring=ring,
-            )
-            for pid in parties
-        }
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        if coalesce:
-            nodes[collector].start_convoy(net)
-        else:
-            for node in nodes.values():
-                node.start(net)
-        net.run(deadline=deadline)
-
-    values = {}
-    for obs in observers:
-        result = nodes[obs].state.result
-        if result is None:
-            raise ProtocolAbortError(f"observer {obs} never received the result")
-        values[obs] = result
-    return SmcResult(
-        protocol=PROTOCOL,
-        observers=frozenset(observers),
-        values=values,
-        rounds=len(parties),
-    )
-
-
-def _run_supervised(
-    ctx: SmcContext,
-    net: SimNetwork,
-    sets: dict[str, list],
-    parties: list[str],
-    observers: list[str],
-    collector: str,
-    *,
-    shuffle: bool,
-    ring: list[str] | None,
-    coalesce: bool,
-    deadline: Deadline | None,
-):
-    """Failover-supervised intersection: re-route or exclude dead hops."""
-    nodes: dict[str, IntersectionParty] = {}
-
-    def launch(alive: list[str], avoid: frozenset):
-        obs_alive = [o for o in observers if o in alive]
-        if not obs_alive:
-            raise RingFailoverError(
-                f"{PROTOCOL}: every authorized observer is unreachable"
-            )
-        candidates = sorted(set(obs_alive) | ({collector} & set(alive)))
-        coll = pick_coordinator(candidates, avoid, default=collector)
-        prefer = [p for p in (ring or sorted(alive)) if p in alive]
-        ring_order = ring_avoiding(alive, avoid, prefer=prefer)
-        nodes.clear()
-        nodes.update(
-            {
-                pid: IntersectionParty(
-                    pid, sets[pid], ctx, alive, obs_alive, coll,
-                    shuffle=shuffle, ring=ring_order,
-                )
-                for pid in alive
-            }
-        )
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        if coalesce:
-            nodes[coll].start_convoy(net)
-        else:
-            for node in nodes.values():
-                node.start(net)
-
-        def collect():
-            values = {}
-            for obs in obs_alive:
-                result = nodes[obs].state.result
-                if result is None:
-                    return None
-                values[obs] = result
-            return values
-
-        return collect
-
-    return supervise_ring(
-        net, PROTOCOL, parties, launch,
-        min_parties=1, deadline=deadline, ledger=ctx.leakage,
-    )
-
-
-async def secure_set_intersection_async(
-    ctx: SmcContext,
-    sets: dict[str, list],
-    observers: list[str] | None = None,
-    net=None,
-    shuffle: bool = False,
-    collector: str | None = None,
-    ring: list[str] | None = None,
-    coalesce: bool = False,
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_set_intersection`.
-
-    Identical validation, party construction, spans and leakage; the only
-    difference is that rounds are driven by ``await net.drain(...)`` on an
-    event loop instead of the blocking ``net.run(...)``, so several runs
-    over one shared network pipeline their ring hops.  Results are
-    bitwise-identical to the sync driver.
-    """
-    if len(sets) < 1:
-        raise ConfigurationError("intersection needs at least one party")
-    parties = sorted(sets)
-    observers = sorted(observers) if observers else list(parties)
-    unknown = [o for o in observers if o not in parties]
-    if unknown:
-        raise ConfigurationError(f"observers {unknown} are not parties")
-    collector = collector or observers[0]
-    if collector not in parties:
-        raise ConfigurationError(f"collector {collector!r} is not a party")
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
-
-    with protocol_span(
-        ctx,
-        net,
-        "smc.intersection",
-        {
-            "parties": len(parties),
-            "set_sizes": {pid: len(sets[pid]) for pid in parties},
-            "engine": ctx.engine.name,
-            "shuffle": shuffle,
-            "coalesce": coalesce,
-        },
-    ):
-        if net.reliable:
-            outcome = await _run_supervised_async(
+            outcome = await _run_supervised(
                 ctx, net, sets, parties, observers, collector,
                 shuffle=shuffle, ring=ring, coalesce=coalesce, deadline=deadline,
             )
@@ -671,9 +528,12 @@ async def secure_set_intersection_async(
     )
 
 
-async def _run_supervised_async(
+secure_set_intersection = sync_twin(secure_set_intersection_async)
+
+
+async def _run_supervised(
     ctx: SmcContext,
-    net,
+    net: SimNetwork,
     sets: dict[str, list],
     parties: list[str],
     observers: list[str],
@@ -684,7 +544,7 @@ async def _run_supervised_async(
     coalesce: bool,
     deadline: Deadline | None,
 ):
-    """Coroutine twin of :func:`_run_supervised` (same launch closure)."""
+    """Failover-supervised intersection: re-route or exclude dead hops."""
     nodes: dict[str, IntersectionParty] = {}
 
     def launch(alive: list[str], avoid: frozenset):

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, standby_id, supervise_ring, supervise_ring_async
+from repro.resilience import Deadline, standby_id, supervise_ring_async
 from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.twin import sync_twin
 
 __all__ = [
     "MonotoneBlinding",
@@ -176,7 +177,7 @@ class RankingParty:
         self.verdict = dict(msg.payload)
 
 
-def secure_ranking(
+async def secure_ranking_async(
     ctx: SmcContext,
     values: dict[str, int],
     value_bound: int | None = None,
@@ -199,6 +200,9 @@ def secure_ranking(
     and an unreachable party is excluded: survivors learn ranks over the
     reduced group, the result is ``degraded=True`` and names the skipped
     party — never a silent ranking that pretends everyone participated.
+
+    ``secure_ranking`` is :func:`~repro.twin.sync_twin` of this coroutine
+    (one body, two runners: ``docs/async.md``).
     """
     if len(values) < 2:
         raise ConfigurationError("ranking needs at least two parties")
@@ -207,91 +211,6 @@ def secure_ranking(
     bound = value_bound if value_bound is not None else max(values.values())
     blinding = MonotoneBlinding.agree(ctx, group_label, bound)
     net = net or SimNetwork(tracer=ctx.tracer)
-
-    with protocol_span(
-        ctx,
-        net,
-        "smc.ranking",
-        {"parties": len(values), "rank_only_noise": rank_only_noise},
-    ):
-        def build(alive: list[str], ttp_node_id: str) -> dict[str, RankingParty]:
-            ttp = RankingTtp(ttp_node_id, ctx, expected=len(alive))
-            net.register(ttp_node_id, ttp.handle)
-            parties = {
-                pid: RankingParty(
-                    pid, values[pid], ctx, blinding, ttp_node_id, rank_only_noise
-                )
-                for pid in alive
-            }
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
-
-        if net.reliable:
-            box: dict[str, RankingParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                box.clear()
-                box.update(build(alive, standby_id(ttp_id, avoid)))
-                for party in box.values():
-                    party.start(net)
-
-                def collect():
-                    if any(p.verdict is None for p in box.values()):
-                        return None
-                    return {pid: p.verdict for pid, p in box.items()}
-
-                return collect
-
-            outcome = supervise_ring(
-                net, PROTOCOL, sorted(values), launch,
-                min_parties=2, deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        parties = build(sorted(values), ttp_id)
-        for party in parties.values():
-            party.start(net)
-        net.run(deadline=deadline)
-
-    out = {}
-    for pid, party in parties.items():
-        if party.verdict is None:
-            raise ProtocolAbortError(f"party {pid} never received its rank")
-        out[pid] = party.verdict
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset(values), values=out, rounds=2
-    )
-
-
-async def secure_ranking_async(
-    ctx: SmcContext,
-    values: dict[str, int],
-    value_bound: int | None = None,
-    ttp_id: str = "ttp",
-    net=None,
-    rank_only_noise: bool = False,
-    group_label: str = "rank-0",
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_ranking` (same blinding and spans)."""
-    if len(values) < 2:
-        raise ConfigurationError("ranking needs at least two parties")
-    if any(v < 0 for v in values.values()):
-        raise ConfigurationError("ranking takes non-negative integers")
-    bound = value_bound if value_bound is not None else max(values.values())
-    blinding = MonotoneBlinding.agree(ctx, group_label, bound)
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
 
     with protocol_span(
         ctx,
@@ -354,3 +273,6 @@ async def secure_ranking_async(
     return SmcResult(
         protocol=PROTOCOL, observers=frozenset(values), values=out, rounds=2
     )
+
+
+secure_ranking = sync_twin(secure_ranking_async)

@@ -27,8 +27,9 @@ from repro.crypto.shamir import ShamirScheme
 from repro.errors import ConfigurationError, ProtocolAbortError, RingFailoverError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, supervise_ring, supervise_ring_async
+from repro.resilience import Deadline, supervise_ring_async
 from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.twin import sync_twin
 
 __all__ = [
     "SumParty",
@@ -152,7 +153,7 @@ class SumParty:
             self.state.result = self.scheme.reconstruct(shares)
 
 
-def _run_sum(
+async def _run_sum(
     ctx: SmcContext,
     values: dict[str, int],
     weights: dict[str, int] | None,
@@ -236,124 +237,6 @@ def _run_sum(
 
                 return collect
 
-            outcome = supervise_ring(
-                net, PROTOCOL, parties, launch,
-                min_parties=1, deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        nodes = build(parties)
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        for node in nodes.values():
-            node.start(net)
-        net.run(deadline=deadline)
-
-    out = {}
-    for obs in observers:
-        result = nodes[obs].state.result
-        if result is None:
-            raise ProtocolAbortError(f"observer {obs} could not reconstruct the sum")
-        out[obs] = result
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset(observers), values=out, rounds=2
-    )
-
-
-async def _run_sum_async(
-    ctx: SmcContext,
-    values: dict[str, int],
-    weights: dict[str, int] | None,
-    observers: list[str] | None,
-    k: int | None,
-    net,
-    field_prime: int | None,
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`_run_sum` (same scheme, spans and leakage)."""
-    if not values:
-        raise ConfigurationError("secure sum needs at least one party")
-    parties = sorted(values)
-    observers = sorted(observers) if observers else list(parties)
-    unknown = [o for o in observers if o not in parties]
-    if unknown:
-        raise ConfigurationError(f"observers {unknown} are not parties")
-    n = len(parties)
-    k = k if k is not None else n
-    weights = weights or {p: 1 for p in parties}
-    if set(weights) != set(parties):
-        raise ConfigurationError("weights must be given for exactly the parties")
-
-    if field_prime is None:
-        from repro.crypto.primes import prime_above
-
-        bound = sum(abs(weights[p]) * values[p] for p in parties) + n + 1
-        field_prime = prime_above(max(bound, 2 * n + 3))
-
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
-
-    def build(alive: list[str]) -> dict[str, SumParty]:
-        scheme = ShamirScheme(
-            k=min(k, len(alive)), n=len(alive), p=field_prime
-        )
-        obs_alive = [o for o in observers if o in alive]
-        weight_list = [weights[p] % field_prime for p in alive]
-        nodes = {}
-        for pid in alive:
-            node = SumParty(
-                pid, values[pid], weights[pid], ctx, alive, obs_alive, scheme
-            )
-            node._all_weights = weight_list
-            nodes[pid] = node
-        return nodes
-
-    with protocol_span(
-        ctx,
-        net,
-        "smc.sum",
-        {"parties": n, "k": k, "weighted": any(w != 1 for w in weights.values())},
-    ):
-        ctx.leakage.record(
-            PROTOCOL, "*", "value_bound",
-            f"field modulus {field_prime} bounds the (weighted) sum a priori",
-        )
-        if net.reliable:
-            nodes_box: dict[str, SumParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                obs_alive = [o for o in observers if o in alive]
-                if not obs_alive:
-                    raise RingFailoverError(
-                        f"{PROTOCOL}: every authorized observer is unreachable"
-                    )
-                nodes_box.clear()
-                nodes_box.update(build(alive))
-                for pid, node in nodes_box.items():
-                    net.register(pid, node.handle)
-                for node in nodes_box.values():
-                    node.start(net)
-
-                def collect():
-                    out = {}
-                    for obs in obs_alive:
-                        result = nodes_box[obs].state.result
-                        if result is None:
-                            return None
-                        out[obs] = result
-                    return out
-
-                return collect
-
             outcome = await supervise_ring_async(
                 net, PROTOCOL, parties, launch,
                 min_parties=1, deadline=deadline, ledger=ctx.leakage,
@@ -385,7 +268,7 @@ async def _run_sum_async(
     )
 
 
-def secure_sum(
+async def secure_sum_async(
     ctx: SmcContext,
     values: dict[str, int],
     observers: list[str] | None = None,
@@ -401,11 +284,14 @@ def secure_sum(
     maximum possible sum.  On a resilient network the run is supervised:
     unreachable parties are excluded and the (partial) sum comes back with
     ``degraded=True`` and the skipped ids listed.
+
+    ``secure_sum`` is :func:`~repro.twin.sync_twin` of this coroutine (one
+    body, two runners: ``docs/async.md``).
     """
-    return _run_sum(ctx, values, None, observers, k, net, field_prime, deadline)
+    return await _run_sum(ctx, values, None, observers, k, net, field_prime, deadline)
 
 
-def secure_weighted_sum(
+async def secure_weighted_sum_async(
     ctx: SmcContext,
     values: dict[str, int],
     weights: dict[str, int],
@@ -415,36 +301,15 @@ def secure_weighted_sum(
     field_prime: int | None = None,
     deadline: Deadline | None = None,
 ) -> SmcResult:
-    """Compute ``Σ weights[p] · values[p]`` for public weights."""
-    return _run_sum(ctx, values, weights, observers, k, net, field_prime, deadline)
+    """Compute ``Σ weights[p] · values[p]`` for public weights.
 
-
-async def secure_sum_async(
-    ctx: SmcContext,
-    values: dict[str, int],
-    observers: list[str] | None = None,
-    k: int | None = None,
-    net=None,
-    field_prime: int | None = None,
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_sum`."""
-    return await _run_sum_async(
-        ctx, values, None, observers, k, net, field_prime, deadline
-    )
-
-
-async def secure_weighted_sum_async(
-    ctx: SmcContext,
-    values: dict[str, int],
-    weights: dict[str, int],
-    observers: list[str] | None = None,
-    k: int | None = None,
-    net=None,
-    field_prime: int | None = None,
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_weighted_sum`."""
-    return await _run_sum_async(
+    ``secure_weighted_sum`` is :func:`~repro.twin.sync_twin` of this
+    coroutine (one body, two runners: ``docs/async.md``).
+    """
+    return await _run_sum(
         ctx, values, weights, observers, k, net, field_prime, deadline
     )
+
+
+secure_sum = sync_twin(secure_sum_async)
+secure_weighted_sum = sync_twin(secure_weighted_sum_async)

@@ -30,10 +30,10 @@ from repro.resilience import (
     Deadline,
     pick_coordinator,
     ring_avoiding,
-    supervise_ring,
     supervise_ring_async,
 )
 from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.twin import sync_twin
 
 __all__ = ["UnionParty", "secure_set_union", "secure_set_union_async"]
 
@@ -197,7 +197,7 @@ class UnionParty:
                 )
 
 
-def secure_set_union(
+async def secure_set_union_async(
     ctx: SmcContext,
     sets: dict[str, list[int]],
     observers: list[str] | None = None,
@@ -212,6 +212,9 @@ def secure_set_union(
     :func:`repro.smc.intersection.secure_set_intersection`, including
     failover supervision on a resilient network (re-route or exclude, with
     ``degraded``/``skipped`` set on the result).
+
+    ``secure_set_union`` is :func:`~repro.twin.sync_twin` of this coroutine
+    (one body, two runners: ``docs/async.md``).
     """
     if not sets:
         raise ConfigurationError("union needs at least one party")
@@ -222,121 +225,6 @@ def secure_set_union(
         raise ConfigurationError(f"observers {unknown} are not parties")
     collector = collector or observers[0]
     net = net or SimNetwork(tracer=ctx.tracer)
-
-    with protocol_span(
-        ctx,
-        net,
-        "smc.union",
-        {
-            "parties": len(parties),
-            "set_sizes": {pid: len(sets[pid]) for pid in parties},
-            "engine": ctx.engine.name,
-        },
-    ):
-        if net.reliable:
-            nodes_box: dict[str, UnionParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                obs_alive = [o for o in observers if o in alive]
-                if not obs_alive:
-                    raise RingFailoverError(
-                        f"{PROTOCOL}: every authorized observer is unreachable"
-                    )
-                candidates = sorted(set(obs_alive) | ({collector} & set(alive)))
-                coll = pick_coordinator(candidates, avoid, default=collector)
-                prefer = [p for p in (ring or sorted(alive)) if p in alive]
-                ring_order = ring_avoiding(alive, avoid, prefer=prefer)
-                nodes_box.clear()
-                nodes_box.update(
-                    {
-                        pid: UnionParty(
-                            pid, sets[pid], ctx, alive, obs_alive, coll,
-                            ring=ring_order,
-                        )
-                        for pid in alive
-                    }
-                )
-                for pid, node in nodes_box.items():
-                    net.register(pid, node.handle)
-                for node in nodes_box.values():
-                    node.start(net)
-
-                def collect():
-                    out = {}
-                    for obs in obs_alive:
-                        result = nodes_box[obs].state.result
-                        if result is None:
-                            return None
-                        out[obs] = result
-                    return out
-
-                return collect
-
-            outcome = supervise_ring(
-                net, PROTOCOL, parties, launch,
-                min_parties=1, deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=len(parties),
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        nodes = {
-            pid: UnionParty(pid, sets[pid], ctx, parties, observers, collector,
-                            ring=ring)
-            for pid in parties
-        }
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        for node in nodes.values():
-            node.start(net)
-        net.run(deadline=deadline)
-
-    values = {}
-    for obs in observers:
-        result = nodes[obs].state.result
-        if result is None:
-            raise ProtocolAbortError(f"observer {obs} never received the union")
-        values[obs] = result
-    return SmcResult(
-        protocol=PROTOCOL,
-        observers=frozenset(observers),
-        values=values,
-        rounds=len(parties),
-    )
-
-
-async def secure_set_union_async(
-    ctx: SmcContext,
-    sets: dict[str, list[int]],
-    observers: list[str] | None = None,
-    net=None,
-    collector: str | None = None,
-    ring: list[str] | None = None,
-    deadline: Deadline | None = None,
-) -> SmcResult:
-    """Coroutine twin of :func:`secure_set_union`.
-
-    Same parties, spans, leakage and results; rounds are driven by
-    ``await net.drain(...)`` so concurrent unions over one shared network
-    pipeline their ring hops.
-    """
-    if not sets:
-        raise ConfigurationError("union needs at least one party")
-    parties = sorted(sets)
-    observers = sorted(observers) if observers else list(parties)
-    unknown = [o for o in observers if o not in parties]
-    if unknown:
-        raise ConfigurationError(f"observers {unknown} are not parties")
-    collector = collector or observers[0]
-    if net is None:
-        from repro.aio.simnet import AsyncSimNetwork
-
-        net = AsyncSimNetwork(tracer=ctx.tracer)
 
     with protocol_span(
         ctx,
@@ -423,3 +311,6 @@ async def secure_set_union_async(
         values=values,
         rounds=len(parties),
     )
+
+
+secure_set_union = sync_twin(secure_set_union_async)

@@ -1,0 +1,58 @@
+"""One body, two runners: the sync names of the coroutine protocol drivers.
+
+Every protocol driver (``secure_*``, the §4.1 integrity rounds,
+``supervise_ring``, ``QueryExecutor.execute``) is written once, as the
+``async def X_async`` coroutine whose only suspension points are
+``await net.drain(...)`` and, under a scheduler, the sub-plan join.  On
+an event loop those awaits interleave independent rounds.  The blocking
+transports (:class:`~repro.net.simnet.SimNetwork`,
+:class:`~repro.sched.Channel`) answer ``drain`` without ever suspending,
+so over them the same coroutine runs start to finish inside one
+``send`` — that is all :func:`run_sync` does, and ``X = sync_twin(X_async)``
+is the sync name.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from repro.errors import ConfigurationError
+
+__all__ = ["run_sync", "sync_twin"]
+
+
+def run_sync(coro):
+    """Run a coroutine that never suspends to completion; return its value.
+
+    Exceptions raised by the body propagate unchanged.  A coroutine that
+    does suspend was handed something only an event loop can resume (an
+    :class:`~repro.aio.AsyncSimNetwork` or :class:`~repro.aio.AsyncChannel`
+    drain, an ``asyncio`` primitive): it is closed — its ``finally``
+    blocks and span exits run — and :class:`ConfigurationError` is raised.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise ConfigurationError(
+        f"{coro.__qualname__} suspended under a sync name: it was given an "
+        "event-loop transport; await the _async name on a loop instead"
+    )
+
+
+def sync_twin(body):
+    """The sync name of the coroutine function ``body`` (``X_async`` -> ``X``).
+
+    The runner holds ``body`` in its closure, not through a module or
+    class attribute, so wrapping either public name (the e2e tracer does)
+    never nests one inside the other; ``__wrapped__`` is the body.
+    """
+
+    @functools.wraps(body)
+    def runner(*args, **kwargs):
+        return run_sync(body(*args, **kwargs))
+
+    runner.__name__ = body.__name__.removesuffix("_async")
+    runner.__qualname__ = body.__qualname__.removesuffix("_async")
+    return runner

@@ -1,12 +1,13 @@
-"""Property suite: async drivers are bitwise-identical to their sync twins.
+"""Property suite: loop-driven interleaving equals run-to-completion.
 
-Every ``secure_*_async`` coroutine and async integrity round must produce
-*exactly* what the sync driver produces — same observer values, same
-round counts, same leakage ledger (event for event, in order), same
-crypto-op counter, same network cost, same virtual time — including
-under randomized drop/latency fault plans with retransmission.  Any
-divergence means the async path changed protocol semantics, not just the
-driver, and is a bug.
+Each protocol has one coroutine body with two runners.  The sync name
+runs it to completion over a blocking ``SimNetwork``; the ``_async``
+name, awaited on an event loop over an ``AsyncSimNetwork``, suspends at
+every drain yield point.  Both must produce *exactly* the same observer
+values, round counts, leakage ledger (event for event, in order),
+crypto-op counter, network cost and virtual time — including under
+randomized drop/latency fault plans with retransmission.  Any divergence
+means a yield point changed protocol semantics, and is a bug.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import asyncio
 
 import pytest
 
-from repro.aio import AsyncSimNetwork, AsyncSmcContext
+from repro.aio import AsyncSimNetwork
 from repro.crypto import DeterministicRng, shared_prime
 from repro.net.faults import FaultPlan
 from repro.net.simnet import SimNetwork
@@ -23,25 +24,40 @@ from repro.resilience import RetryPolicy
 from repro.smc import (
     SmcContext,
     secure_compare,
+    secure_compare_async,
     secure_compare_batch,
+    secure_compare_batch_async,
     secure_equality,
+    secure_equality_async,
     secure_equality_commutative,
     secure_equality_commutative_async,
     secure_ranking,
+    secure_ranking_async,
     secure_set_intersection,
+    secure_set_intersection_async,
     secure_set_union,
+    secure_set_union_async,
     secure_sum,
+    secure_sum_async,
     secure_weighted_sum,
+    secure_weighted_sum_async,
 )
 
 PRIME = shared_prime(64)
 
 
+@pytest.fixture(autouse=True)
+def yield_at_every_step(monkeypatch):
+    """Suspend the loop-driven runs after *every* delivery, not every 32nd:
+    these small protocols would otherwise finish before the first yield."""
+    monkeypatch.setattr("repro.aio.simnet.YIELD_EVERY", 1)
+
+
 def make_pair(seed: bytes):
-    """Identically-seeded sync and async contexts."""
+    """Two identically-seeded contexts, one per runner."""
     return (
         SmcContext(PRIME, DeterministicRng(seed)),
-        AsyncSmcContext(PRIME, DeterministicRng(seed)),
+        SmcContext(PRIME, DeterministicRng(seed)),
     )
 
 
@@ -107,7 +123,7 @@ class TestProtocolTwins:
     def test_intersection(self):
         result = assert_twin_runs(
             lambda ctx, net: secure_set_intersection(ctx, self.SETS, net=net),
-            lambda ctx, net: ctx.set_intersection(self.SETS, net=net),
+            lambda ctx, net: secure_set_intersection_async(ctx, self.SETS, net=net),
         )
         assert result.any_value == ["e"]
 
@@ -115,7 +131,7 @@ class TestProtocolTwins:
         sets = {"A": [1, 2, 3], "B": [3, 4, 5], "C": [5, 6]}
         result = assert_twin_runs(
             lambda ctx, net: secure_set_union(ctx, sets, net=net),
-            lambda ctx, net: ctx.set_union(sets, net=net),
+            lambda ctx, net: secure_set_union_async(ctx, sets, net=net),
         )
         assert result.any_value == [1, 2, 3, 4, 5, 6]
 
@@ -124,7 +140,7 @@ class TestProtocolTwins:
         left, right = ("A", values[0]), ("B", values[1])
         result = assert_twin_runs(
             lambda ctx, net: secure_equality(ctx, left, right, net=net),
-            lambda ctx, net: ctx.equality(left, right, net=net),
+            lambda ctx, net: secure_equality_async(ctx, left, right, net=net),
         )
         assert result.any_value is expected
 
@@ -138,7 +154,7 @@ class TestProtocolTwins:
     def test_compare(self):
         result = assert_twin_runs(
             lambda ctx, net: secure_compare(ctx, ("A", 3), ("B", 9), net=net),
-            lambda ctx, net: ctx.compare(("A", 3), ("B", 9), net=net),
+            lambda ctx, net: secure_compare_async(ctx, ("A", 3), ("B", 9), net=net),
         )
         assert result.any_value == "lt"
 
@@ -147,7 +163,7 @@ class TestProtocolTwins:
         expected = ["lt" if a < b else ("gt" if a > b else "eq") for a, b in zip(lvals, rvals)]
         result = assert_twin_runs(
             lambda ctx, net: secure_compare_batch(ctx, ("A", lvals), ("B", rvals), net=net),
-            lambda ctx, net: ctx.compare_batch(("A", lvals), ("B", rvals), net=net),
+            lambda ctx, net: secure_compare_batch_async(ctx, ("A", lvals), ("B", rvals), net=net),
         )
         assert result.value_for("A") == expected
 
@@ -155,7 +171,7 @@ class TestProtocolTwins:
         values = {"A": 31, "B": 17, "C": 99}
         result = assert_twin_runs(
             lambda ctx, net: secure_ranking(ctx, values, net=net),
-            lambda ctx, net: ctx.ranking(values, net=net),
+            lambda ctx, net: secure_ranking_async(ctx, values, net=net),
         )
         assert result.value_for("C")["rank"] == len(values)
 
@@ -163,7 +179,7 @@ class TestProtocolTwins:
         values = {"A": 10, "B": 20, "C": 12}
         result = assert_twin_runs(
             lambda ctx, net: secure_sum(ctx, values, ["A"], net=net),
-            lambda ctx, net: ctx.sum(values, ["A"], net=net),
+            lambda ctx, net: secure_sum_async(ctx, values, ["A"], net=net),
         )
         assert result.value_for("A") == 42
 
@@ -172,7 +188,7 @@ class TestProtocolTwins:
         weights = {"A": 3, "B": 2}
         result = assert_twin_runs(
             lambda ctx, net: secure_weighted_sum(ctx, values, weights, ["B"], net=net),
-            lambda ctx, net: ctx.weighted_sum(values, weights, ["B"], net=net),
+            lambda ctx, net: secure_weighted_sum_async(ctx, values, weights, ["B"], net=net),
         )
         assert result.value_for("B") == 70
 
@@ -196,7 +212,7 @@ class TestRandomizedFaults:
         expected = sorted(set(sets["P1"]) & set(sets["P2"]) & set(sets["P3"]))
         result = assert_twin_runs(
             lambda ctx, net: secure_set_intersection(ctx, sets, net=net),
-            lambda ctx, net: ctx.set_intersection(sets, net=net),
+            lambda ctx, net: secure_set_intersection_async(ctx, sets, net=net),
             seed=seed,
             drop_rate=0.1,
             reorder_rate=0.2,
@@ -209,7 +225,7 @@ class TestRandomizedFaults:
         values = {pid: rng.randrange(100) for pid in ("A", "B", "C", "D")}
         result = assert_twin_runs(
             lambda ctx, net: secure_sum(ctx, values, ["A"], net=net),
-            lambda ctx, net: ctx.sum(values, ["A"], net=net),
+            lambda ctx, net: secure_sum_async(ctx, values, ["A"], net=net),
             seed=seed,
             drop_rate=0.1,
             reorder_rate=0.2,
@@ -223,7 +239,7 @@ class TestRandomizedFaults:
         rvals = [rng.randrange(50) for _ in range(8)]
         result = assert_twin_runs(
             lambda ctx, net: secure_compare_batch(ctx, ("A", lvals), ("B", rvals), net=net),
-            lambda ctx, net: ctx.compare_batch(("A", lvals), ("B", rvals), net=net),
+            lambda ctx, net: secure_compare_batch_async(ctx, ("A", lvals), ("B", rvals), net=net),
             seed=seed,
             drop_rate=0.1,
             reorder_rate=0.2,
@@ -309,8 +325,8 @@ class TestPipelining:
 
         async def both():
             return await asyncio.gather(
-                actx1.set_intersection(sets_a, net=AsyncSimNetwork()),
-                actx2.sum(values, ["A"], net=AsyncSimNetwork()),
+                secure_set_intersection_async(actx1, sets_a, net=AsyncSimNetwork()),
+                secure_sum_async(actx2, values, ["A"], net=AsyncSimNetwork()),
             )
 
         got_inter, got_sum = asyncio.run(both())

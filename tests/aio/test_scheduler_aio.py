@@ -9,6 +9,8 @@ while sustaining hundreds of in-flight queries that a thread pool cannot.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.aio import AsyncQueryScheduler, aio_scheduler_enabled
@@ -140,6 +142,24 @@ class TestLifecycle:
         with pytest.raises(SchedulerShutdownError):
             sched.submit("C3 = 'bank'")
         sched.shutdown()  # idempotent
+        service.close()
+
+    def test_shutdown_without_wait_settles_every_handle(self):
+        """``shutdown(wait=False)`` cancels the queries still on the loop;
+        each must fail with the typed error, never stay pending forever."""
+        service = build_service(rows=12)
+        sched = AsyncQueryScheduler(service, max_inflight=2, coalesce=False)
+        handles = [sched.submit("C1 > 30 and C3 = 'bank'") for _ in range(40)]
+        sched.shutdown(wait=False)
+        deadline = time.monotonic() + 30.0
+        while not all(h.done for h in handles) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [h.seq for h in handles if not h.done] == []
+        failed = [h for h in handles if h.exception() is not None]
+        assert failed, "a 40-query burst cannot finish before the loop stops"
+        for handle in failed:
+            with pytest.raises(SchedulerShutdownError):
+                handle.result(timeout=0)
         service.close()
 
     def test_deadline_expires_in_admission(self):

@@ -13,10 +13,16 @@ from pathlib import Path
 LAYERS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "layers.py"
 
 
-def test_every_entry_point_is_a_plain_function():
+def load_layers():
+    """``benchmarks/e2e/layers.py`` as a module (it is not on the test path)."""
     spec = importlib.util.spec_from_file_location("e2e_layers_under_test", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_entry_point_is_a_plain_function():
+    layers = load_layers()
     assert layers.ENTRY_POINTS
     broken = []
     for _name, path, _units in layers.ENTRY_POINTS:

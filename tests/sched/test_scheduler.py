@@ -128,6 +128,40 @@ class TestCoalescing:
         finally:
             service.shutdown_scheduler()
 
+    def test_concurrent_queries_share_one_subplan_run(self, monkeypatch):
+        """Thread scheduler, one executor body: two queries racing on the
+        same cross predicate run its SMC rounds once; the other joins (or
+        hits) through the blocking single-flight and says so on its ledger."""
+        monkeypatch.setenv("REPRO_AIO_SCHEDULER", "off")
+        service = build_service()
+        try:
+            assert type(service.scheduler).__name__ == "QueryScheduler"
+            pair = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 400"]
+            handles = [service.submit(c) for c in pair]
+            results = service.gather(handles)
+            twin = build_service()
+            for criterion, result in zip(pair, results):
+                assert twin.query(criterion).glsns == result.glsns
+            subplan = service.scheduler.coalesce_stats()["sched.subplan"]
+            assert subplan["hits"] >= 1  # a joiner re-reads the holder's value
+            # Exactly one query ran the comparison rounds; the other's ledger
+            # carries the explicit reuse record instead.
+            ran = [
+                h for h in handles
+                if any(e.protocol == "secure_compare" for e in h.leakage)
+            ]
+            shared = [
+                e
+                for h in handles
+                if h not in ran
+                for e in h.leakage
+                if e.category == "coalesced_result"
+            ]
+            assert len(ran) == 1
+            assert len(shared) == 1 and "subplan C1 > C5" in shared[0].detail
+        finally:
+            service.shutdown_scheduler()
+
     def test_coalesce_stats_expose_all_levels(self, service):
         sched = service.scheduler
         sched.gather([sched.submit(c) for c in CRITERIA])
