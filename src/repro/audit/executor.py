@@ -7,13 +7,24 @@ Evaluation strategy per plan element:
 * **cross equality** ``A = B`` — the two owner nodes build composite
   elements ``glsn|value`` and run the commutative-cipher secure set
   intersection; the surviving glsns satisfy the join.  ``A != B`` is the
-  presence-intersection minus the equality matches;
+  common glsns minus the equality matches;
 * **cross order** ``A < B`` etc. — per common glsn, one blind-TTP secure
-  comparison (§3.3's two-party case);
+  comparison (§3.3's two-party case), each owner having checked first that
+  its own column is numeric;
+* **common glsns** of two attributes (:meth:`QueryExecutor._common_glsns`)
+  — a secure intersection of the two presence sets or, when the owners'
+  glsn indexes agree and the attributes are mostly present, the index
+  minus a secure union of the two *absent* sets: the same set and the same
+  view for every party, at a cost that grows with sparsity, not with the
+  log;
 * **clause disjunction** — per-clause glsn sets are merged with the secure
   set union when they live on different nodes;
 * **final conjunction** — the paper's rule: "the conjunction of SQ_i is
-  processed by a secure set intersection with glsn as the set element".
+  processed by a secure set intersection with glsn as the set element",
+  between the distinct nodes the plan anchored the clauses at
+  (:meth:`QueryPlan._anchors <repro.audit.planner.QueryPlan._anchors>`:
+  both parties of a cross predicate hold its result, so a clause that
+  shares a node with another is conjoined there and no ring is run for it).
 
 All SMC runs share one :class:`~repro.smc.base.SmcContext`, so cost and
 leakage accounting cover the entire query.
@@ -26,6 +37,7 @@ from dataclasses import dataclass, field
 from repro.audit.ast_nodes import AttributeRef, Constant, Predicate
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
+from repro.crypto.pohlig_hellman import SHORT_EXPONENT_BITS
 from repro.errors import AuditError, PlanningError
 from repro.logstore.fragmentation import FragmentPlan
 from repro.logstore.schema import GlobalSchema
@@ -211,6 +223,7 @@ class QueryExecutor:
                 # short-circuits before any cross-predicate SMC runs.
                 ordered_subqueries.sort(key=lambda sq: sq.is_cross)
 
+            anchors = qplan._anchors()  # where each clause is conjoined
             clause_sets: dict[str, set[int]] = {}  # anchor node -> glsns
             subquery_glsns: dict[str, list[int]] = {}
             for sq in ordered_subqueries:
@@ -221,7 +234,7 @@ class QueryExecutor:
                     )
                     per_node.setdefault(node, set()).update(glsns)
                 clause_glsns = await self._merge_union(per_node, net, deadline)
-                anchor = min(per_node) if per_node else min(sq.nodes)
+                anchor = anchors[sq.index]
                 subquery_glsns[sq.label] = sorted(clause_glsns)
                 if anchor in clause_sets:
                     # Same anchor already holds another clause: conjoin locally.
@@ -239,7 +252,7 @@ class QueryExecutor:
                         bytes=net.stats.bytes - start_bytes,
                     )
 
-            final = await self._merge_intersection(clause_sets, net, deadline)
+            final = await self._merge_intersection(clause_sets, net, deadline, span)
             span.set_attribute("matches", len(final))
             return QueryResult(
                 plan=qplan,
@@ -455,6 +468,11 @@ class QueryExecutor:
     ) -> tuple[str, set[int]]:
         """Returns ``(holder_node, satisfying glsns)``.
 
+        The holder is the strategy's first node.  A cross predicate's other
+        party holds the same result (the two-party ``∩ₛ`` and the blind-TTP
+        comparison deliver to both), which is what lets the plan anchor the
+        clause at either: :meth:`QueryPlan.describe`.
+
         With a scheduler-injected subplan cache, whole cross-predicate SMC
         subplans (the expensive primitives: ``ssi``/``scmp``) are shared
         across concurrent queries — keyed on the predicate and the
@@ -515,16 +533,19 @@ class QueryExecutor:
             },
         ) as span:
             if strategy.primitive == "scan":
-                node = strategy.nodes[0]
-                result = node, self._local_scan(node, pred)
+                glsns = self._local_scan(strategy.nodes[0], pred)
             elif strategy.primitive == "ssi":
-                result = await self._cross_equality(pred, strategy.nodes, net, deadline)
+                glsns = await self._cross_equality(
+                    pred, strategy.nodes, net, deadline, span
+                )
             elif strategy.primitive == "scmp":
-                result = await self._cross_order(pred, strategy.nodes, net, deadline)
+                glsns = await self._cross_order(
+                    pred, strategy.nodes, net, deadline, span
+                )
             else:
                 raise PlanningError(f"unknown strategy {strategy.primitive!r}")
-            span.set_attribute("matches", len(result[1]))
-            return result
+            span.set_attribute("matches", len(glsns))
+            return strategy.nodes[0], glsns
 
     def _projection(self, node_id: str, attribute: str) -> tuple[tuple[int, object], ...]:
         """(glsn, value) pairs of one attribute on its owner node.
@@ -583,8 +604,9 @@ class QueryExecutor:
         pred: Predicate,
         nodes: tuple[str, ...],
         net: SimNetwork,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
+        deadline: Deadline | None,
+        span,
+    ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
         left_pairs = self._composite_set(left_node, pred.left.name)
@@ -597,18 +619,13 @@ class QueryExecutor:
         )
         eq_glsns = {int(composite.split("|", 1)[0]) for composite in result.any_value}
         if pred.op == "=":
-            return left_node, eq_glsns
+            return eq_glsns
         # "!=": common presence minus equality matches.
-        presence = await secure_set_intersection_async(
-            self.ctx,
-            {
-                left_node: sorted(self._present_glsns(left_node, pred.left.name)),
-                right_node: sorted(self._present_glsns(right_node, right_attr.name)),
-            },
-            net=net,
-            deadline=deadline,
+        common = await self._common_glsns(
+            left_node, pred.left.name, right_node, right_attr.name,
+            net, deadline, span,
         )
-        return left_node, set(presence.any_value) - eq_glsns
+        return common - eq_glsns
 
     def _composite_set(self, node_id: str, attribute: str) -> set[str]:
         """``glsn|value`` composites — the secure equality-join elements."""
@@ -617,39 +634,124 @@ class QueryExecutor:
             for glsn, value in self._projection(node_id, attribute)
         }
 
+    async def _common_glsns(
+        self,
+        left_node: str,
+        left_attr: str,
+        right_node: str,
+        right_attr: str,
+        net: SimNetwork,
+        deadline: Deadline | None = None,
+        span=None,
+    ) -> set[int]:
+        """The glsns carrying ``left_attr`` at its owner and ``right_attr`` at its.
+
+        Two representations of the same set.  The presence sets can be
+        intersected (``∩ₛ``), or — when both owners index the same glsns —
+        the *absent* sets (index minus presence) united and the union taken
+        from the index: ``P_L ∩ P_R = I − (A_L ∪ A_R)``.  Either way each
+        owner learns, for every glsn it holds a value for, whether the other
+        does too, plus the other's set size and the overlap's, and nothing
+        about glsns it lacks (``docs/threat-model.md`` "Alignment by
+        complement"); the union's cost grows with sparsity, not with the
+        log, and is zero modexps for two dense attributes.
+
+        The choice uses only what the parties exchange anyway: whether
+        their index digests match (in this one-process form, whether the two
+        ``FragmentStore.glsns`` lists are equal) and the four set sizes.
+        The union runs when its worst case is no dearer than the
+        intersection's ``n·Σ|P_i|`` encryptions: disjoint absent sets cost
+        ``n·Σ|A_i|`` encryptions and as many decryptions, and a decryption
+        exponent is as long as the modulus where an encryption exponent has
+        :data:`~repro.crypto.pohlig_hellman.SHORT_EXPONENT_BITS`.
+        """
+        present = {
+            left_node: self._present_glsns(left_node, left_attr),
+            right_node: self._present_glsns(right_node, right_attr),
+        }
+        indexes = {node: self.store.node_store(node).glsns for node in present}
+        index_agree = indexes[left_node] == indexes[right_node]
+        absent = {node: set(indexes[node]) - present[node] for node in present}
+        decrypt_weight = max(1, self.ctx.prime.bit_length() // SHORT_EXPONENT_BITS)
+        by_complement = index_agree and (1 + decrypt_weight) * sum(
+            map(len, absent.values())
+        ) <= sum(map(len, present.values()))
+        if span is not None:
+            span.set_attributes(
+                {
+                    "alignment": (
+                        "absent-union" if by_complement else "present-intersection"
+                    ),
+                    "index_agree": index_agree,
+                    "absent_sizes": {node: len(a) for node, a in absent.items()},
+                }
+            )
+        if not index_agree:
+            for node in present:
+                self.ctx.leakage.record(
+                    "query_alignment",
+                    node,
+                    "index_divergence",
+                    f"the glsn indexes of {left_node} and {right_node} differ",
+                )
+        if by_complement:
+            # Run even over two empty sets: the sizes are still exchanged.
+            union = await secure_set_union_async(
+                self.ctx,
+                {node: sorted(glsns) for node, glsns in absent.items()},
+                net=net,
+                deadline=deadline,
+            )
+            return set(indexes[left_node]) - set(union.any_value)
+        result = await secure_set_intersection_async(
+            self.ctx,
+            {node: sorted(glsns) for node, glsns in present.items()},
+            net=net,
+            deadline=deadline,
+        )
+        return set(result.any_value)
+
+    def _scaled_column(
+        self, node_id: str, attribute: str, pred: Predicate
+    ) -> dict[int, int]:
+        """``glsn -> fixed-point value`` of one owner's attribute.
+
+        Each owner checks its own column before any round is run, so a
+        value the blind TTP could not order fails the query while nothing
+        has been sent or disclosed yet.
+        """
+        scaled = {}
+        for glsn, value in self._projection(node_id, attribute):
+            try:
+                scaled[glsn] = _scaled_int(value)
+            except (TypeError, ValueError) as exc:
+                raise AuditError(
+                    f"ordered cross predicate {pred} needs numeric values, but "
+                    f"attribute {attribute!r} on {node_id} holds a non-numeric "
+                    f"one (glsn {glsn:#x})"
+                ) from exc
+        return scaled
+
     async def _cross_order(
         self,
         pred: Predicate,
         nodes: tuple[str, ...],
         net: SimNetwork,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
+        deadline: Deadline | None,
+        span,
+    ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        common = (
-            await secure_set_intersection_async(
-                self.ctx,
-                {
-                    left_node: sorted(self._present_glsns(left_node, pred.left.name)),
-                    right_node: sorted(
-                        self._present_glsns(right_node, right_attr.name)
-                    ),
-                },
-                net=net,
-                deadline=deadline,
+        left_scaled = self._scaled_column(left_node, pred.left.name, pred)
+        right_scaled = self._scaled_column(right_node, right_attr.name, pred)
+        ordered = sorted(
+            await self._common_glsns(
+                left_node, pred.left.name, right_node, right_attr.name,
+                net, deadline, span,
             )
-        ).any_value
-        left_store = self.store.node_store(left_node)
-        right_store = self.store.node_store(right_node)
-        ordered = sorted(common)
-        left_values = [
-            _scaled_int(left_store.local_fragment(g).values[pred.left.name])
-            for g in ordered
-        ]
-        right_values = [
-            _scaled_int(right_store.local_fragment(g).values[right_attr.name])
-            for g in ordered
-        ]
+        )
+        left_values = [left_scaled[g] for g in ordered]
+        right_values = [right_scaled[g] for g in ordered]
         out: set[int] = set()
         if self.batch_compare:
             self._session += 1
@@ -667,7 +769,7 @@ class QueryExecutor:
             for glsn, verdict in zip(ordered, verdicts):
                 if evaluate_operator(pred.op, verdict):
                     out.add(glsn)
-            return left_node, out
+            return out
         for glsn, left_value, right_value in zip(ordered, left_values, right_values):
             self._session += 1
             verdict = (
@@ -683,7 +785,7 @@ class QueryExecutor:
             ).any_value
             if evaluate_operator(pred.op, verdict):
                 out.add(glsn)
-        return left_node, out
+        return out
 
     # -- set merging ---------------------------------------------------------
 
@@ -713,17 +815,26 @@ class QueryExecutor:
         self,
         clause_sets: dict[str, set[int]],
         net: SimNetwork,
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
+        span,
     ) -> set[int]:
-        """Final conjunction: secure set intersection keyed by glsn."""
+        """Final conjunction: secure set intersection keyed by glsn.
+
+        ``clause_sets`` is already conjoined per anchor node, so the ring
+        runs only between distinct anchors; ``span`` (``query.execute``)
+        is told which it was.
+        """
         if not clause_sets:
             return set()
         if len(clause_sets) == 1:
-            return set(next(iter(clause_sets.values())))
+            ((anchor, glsns),) = clause_sets.items()
+            span.set_attribute("conjunction", f"local@{anchor}")
+            return set(glsns)
         if any(not glsns for glsns in clause_sets.values()):
             # An empty clause forces an empty conjunction; running the ring
             # with an empty set would only leak the other sets' sizes.
             return set()
+        span.set_attribute("conjunction", "ssi")
         with protocol_span(
             self.ctx, net, "query.merge_intersection", {"nodes": sorted(clause_sets)}
         ):

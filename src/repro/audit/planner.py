@@ -9,8 +9,10 @@ The paper's processing recipe:
    with glsn as the set element, and the final glsn-keyed result goes back
    to the initiating user.
 
-The planner performs steps 1-2 and records the strategy each predicate will
-use; the :mod:`executor <repro.audit.executor>` performs the evaluation.
+The planner performs steps 1-2, records the strategy each predicate will
+use, and decides which node each clause's glsn set is conjoined at (clauses
+that share a node are conjoined there and stay out of step 3's ring); the
+:mod:`executor <repro.audit.executor>` performs the evaluation.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class PredicateStrategy:
 
     description: str            # "local-scan", "cross-eq-intersection", ...
     primitive: str              # "scan" | "ssi" | "scmp" | ...
+    # The evaluating parties.  Each of them ends up holding the result: the
+    # two-party ∩ₛ and the blind-TTP comparison deliver to both parties.
     nodes: tuple[str, ...]
 
 
@@ -67,7 +71,8 @@ class QueryPlan:
 
     @property
     def needs_final_intersection(self) -> bool:
-        return self.q > 1
+        """Whether the clauses end up on more than one node (step 3's ring)."""
+        return len(set(self._anchors().values())) > 1
 
     def fingerprint(self) -> str:
         """Canonical identity of *what this plan computes*.
@@ -85,6 +90,35 @@ class QueryPlan:
         )
         return " & ".join(clauses)
 
+    def _holders(self, sq: ClassifiedSubquery) -> tuple[str, ...]:
+        """The nodes that hold clause ``sq``'s glsn set once it is evaluated.
+
+        A single predicate's result is held by every party of its strategy.
+        A disjunction's secure union is delivered to one node, the smallest
+        of its predicates' home nodes.
+        """
+        if len(sq.predicates) == 1:
+            return self.strategies[str(sq.predicates[0].predicate)].nodes
+        return (min(cp.home for cp in sq.predicates),)
+
+    def _anchors(self) -> dict[int, str]:
+        """``subquery index -> node`` its glsn set is conjoined at.
+
+        A clause one node holds is anchored there.  A clause two nodes hold
+        goes to whichever of them already anchors another clause, so that
+        the conjunction is a local set operation on that node and needs no
+        ring; failing that, to the left party.  One-holder clauses are
+        placed first, which makes the outcome independent of clause order.
+        """
+        holders = {sq.index: self._holders(sq) for sq in self.subqueries}
+        anchors: dict[int, str] = {}
+        for index in sorted(holders, key=lambda index: len(holders[index])):
+            taken = set(anchors.values())
+            anchors[index] = next(
+                (node for node in holders[index] if node in taken), holders[index][0]
+            )
+        return anchors
+
     def describe(self) -> str:
         """Figure-3-style rendering of the decomposition."""
         lines = [f"Q: {self.criterion_text}", f"Q_N: {self.form}"]
@@ -92,10 +126,21 @@ class QueryPlan:
             kind = "cross" if sq.is_cross else "local"
             nodes = ",".join(sq.nodes)
             preds = " or ".join(str(p.predicate) for p in sq.predicates)
-            lines.append(f"  {sq.label} [{kind} @ {nodes}]: {preds}")
-        if self.needs_final_intersection:
-            labels = " ∩ ".join(sq.label for sq in self.subqueries)
-            lines.append(f"  final: secure set intersection on glsn: {labels}")
+            held = ""
+            if sq.is_cross:
+                held = f" -> held by {' or '.join(self._holders(sq))}"
+            lines.append(f"  {sq.label} [{kind} @ {nodes}]: {preds}{held}")
+        if self.q > 1:
+            anchors = self._anchors()
+            by_anchor: dict[str, list[str]] = {}
+            for sq in self.subqueries:
+                by_anchor.setdefault(anchors[sq.index], []).append(sq.label)
+            groups = [
+                f"({' & '.join(labels)})@{node}" if len(labels) > 1 else labels[0]
+                for node, labels in by_anchor.items()
+            ]
+            how = "secure set intersection" if len(groups) > 1 else "local conjunction"
+            lines.append(f"  final: {how} on glsn: {' ∩ '.join(groups)}")
         return "\n".join(lines)
 
 

@@ -72,6 +72,40 @@ class TestPlanShape:
         plan = plan_query("C1 > 1 and Tid = 'T'", table1_schema, table1_plan)
         assert "secure set intersection" in plan.describe()
 
+    def test_describe_names_holders_and_where_clauses_are_conjoined(
+        self, table1_schema, table1_plan
+    ):
+        # C1@P3, C5@P1, C2@P1, C3@P2: the cut shares P1 with the cross
+        # clause, the label does not.
+        shared = plan_query("C1 > C5 and C2 < 4", table1_schema, table1_plan)
+        assert "C1 > C5 -> held by P3 or P1" in shared.describe()
+        assert "final: local conjunction on glsn: (SQ13 & SQ1)@P1" in shared.describe()
+        assert "secure set intersection" not in shared.describe()
+        assert not shared.needs_final_intersection
+        apart = plan_query("C3 = 'x' and C1 > C5", table1_schema, table1_plan)
+        assert "final: secure set intersection on glsn: SQ0 ∩ SQ13" in apart.describe()
+        assert apart.needs_final_intersection
+        three = plan_query(
+            "C2 < 4 and C5 > 1 and C3 = 'x'", table1_schema, table1_plan
+        )
+        assert (
+            "final: secure set intersection on glsn: (SQ0 & SQ1)@P1 ∩ SQ2"
+            in three.describe()
+        )
+
+    def test_anchors_do_not_depend_on_clause_order(self, table1_schema, table1_plan):
+        for text in ("C1 > C5 and C2 < 4", "C2 < 4 and C1 > C5"):
+            plan = plan_query(text, table1_schema, table1_plan)
+            assert set(plan._anchors().values()) == {"P1"}
+        # Nobody else to join: the left party, as before.
+        alone = plan_query("C1 > C5 and C3 = 'x'", table1_schema, table1_plan)
+        assert sorted(alone._anchors().values()) == ["P2", "P3"]
+        # A disjunction's union is delivered to one node only.
+        union = plan_query(
+            "(C1 > C5 or C3 = 'x') and C2 < 4", table1_schema, table1_plan
+        )
+        assert sorted(union._anchors().values()) == ["P1", "P2"]
+
     def test_single_clause_no_final(self, table1_schema, table1_plan):
         plan = plan_query("C1 > 1", table1_schema, table1_plan)
         assert not plan.needs_final_intersection
@@ -93,6 +127,40 @@ class TestExecutionAgainstOracle:
         # go through the secure set intersection (real traffic).
         result = executor.execute("C1 > 30 and Tid = 'T1100265'")
         assert result.messages > 0 and result.bytes > 0
+
+    def test_spans_say_how_the_query_was_aligned_and_conjoined(
+        self, populated_store, table1_schema, prime64
+    ):
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        store, _, receipts = populated_store
+        ctx = SmcContext(prime64, DeterministicRng(b"spans"), tracer=tracer)
+        traced = QueryExecutor(store, ctx, table1_schema)
+
+        def spans(name):
+            return [s for s in tracer.finished_spans() if s.name == name]
+
+        # C1@P3 against C2@P1, both in every Table 1 row; id lives on P1 too.
+        traced.execute("C1 < C2 and id = 'U1'")
+        (cross,) = [s for s in spans("query.predicate") if s.attributes["primitive"] == "scmp"]
+        assert cross.attributes["alignment"] == "absent-union"
+        assert cross.attributes["index_agree"] is True
+        assert cross.attributes["absent_sizes"] == {"P3": 0, "P1": 0}
+        assert cross.attributes["modexp"] == 0
+        assert spans("query.execute")[-1].attributes["conjunction"] == "local@P1"
+
+        # Tid lives on P2: a ring between the two anchors.
+        traced.execute("C1 < C2 and Tid != 'none'")
+        assert spans("query.execute")[-1].attributes["conjunction"] == "ssi"
+
+        # A node that lost a fragment no longer shares the index.
+        store.node_store("P1").evict(receipts[0].glsn)
+        traced.execute("C1 < C2")
+        cross = [s for s in spans("query.predicate") if s.attributes["primitive"] == "scmp"][-1]
+        assert cross.attributes["alignment"] == "present-intersection"
+        assert cross.attributes["index_agree"] is False
+        assert cross.attributes["modexp"] > 0
 
     def test_local_only_query_no_messages(self, executor):
         result = executor.execute("C1 > 30")

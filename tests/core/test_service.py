@@ -187,9 +187,12 @@ class TestLargeIntegritySweep:
 
 class TestCountsAt512Bits:
     """Short exponents make each modexp cheaper; they must not change how
-    many there are, what is answered, or what is leaked."""
+    many there are, what is answered, or what is leaked.  The counts follow
+    from set sizes alone: ``n·Σ|S_i|`` per intersection ring, and
+    ``n·Σ|A_i| + n·|∪A_i|`` for a cross predicate's alignment over the
+    *absent* sets ``A_i`` (docs/protocols.md, "Query execution")."""
 
-    def test_cross_node_query_counts_follow_from_set_sizes(self):
+    def _service(self, rows):
         from repro.crypto.pohlig_hellman import PohligHellmanCipher
 
         schema = paper_table1_schema()
@@ -200,11 +203,15 @@ class TestCountsAt512Bits:
         key = PohligHellmanCipher.generate(service.ctx.prime, DeterministicRng(0)).key
         assert key.e.bit_length() == 256
         ticket = service.register_user("u", {Operation.READ, Operation.WRITE})
+        glsns = [service.log_event(row, ticket).glsn for row in rows]
+        return service, glsns
+
+    def test_cross_node_query_counts_follow_from_set_sizes(self):
         rows = [
             {"C1": 10 + i, "C5": 15, "C3": "L" if i % 3 == 0 else "M"}
             for i in range(12)
         ]
-        glsns = [service.log_event(row, ticket).glsn for row in rows]
+        service, glsns = self._service(rows)
         greater = [g for g, r in zip(glsns, rows) if r["C1"] > r["C5"]]
         labelled = [g for g, r in zip(glsns, rows) if r["C3"] == "L"]
         leaked_before = service.ctx.leakage.count()
@@ -212,19 +219,60 @@ class TestCountsAt512Bits:
         result = service.query("C1 > C5 and C3 = 'L'")
 
         assert sorted(result.glsns) == sorted(set(greater) & set(labelled))
-        # Every ring encrypts each party's set once per party: n * sum |S_i|.
-        # C1 > C5 intersects the two owners' glsn sets (C1@P3, C5@P1) before
-        # the blinded comparison; the conjunction then intersects the two
-        # clause sets held at P3 and P2.
-        presence = 2 * (len(rows) + len(rows))
+        # C1 > C5 aligns the two owners (C1@P3, C5@P1) over their absent
+        # sets — both empty here, so the union ring moves no element — and
+        # the conjunction intersects the clause sets held at P3 and P2.
         conjunction = 2 * (len(greater) + len(labelled))
         cost = service.last_query_cost
-        assert cost.modexp == presence + conjunction == 68
+        assert cost.modexp == conjunction == 20
         assert cost.offline_modexp == 0
-        assert cost.messages == 18
+        assert cost.messages == 17
         events = service.ctx.leakage.events[leaked_before:]
-        assert len(events) == 9
+        assert len(events) == 8
         assert {event.category for event in events} == {
             "order_statistics", "position_linkage", "result_cardinality", "set_size",
         }
+        service.close()
+
+    def test_sparse_attribute_pays_for_its_absent_glsns_only(self):
+        rows = [
+            {"C1": 10 + i, "C5": 15, "C3": "L" if i % 3 == 0 else "M"}
+            for i in range(12)
+        ]
+        del rows[2]["C5"], rows[7]["C5"]
+        service, glsns = self._service(rows)
+        greater = [
+            g for g, r in zip(glsns, rows) if "C5" in r and r["C1"] > r["C5"]
+        ]
+        labelled = [g for g, r in zip(glsns, rows) if r["C3"] == "L"]
+
+        result = service.query("C1 > C5 and C3 = 'L'")
+
+        assert sorted(result.glsns) == sorted(set(greater) & set(labelled))
+        # Two glsns lack C5: each is encrypted by both owners, and the
+        # two-element union is decrypted by both.
+        alignment = 2 * (0 + 2) + 2 * 2
+        conjunction = 2 * (len(greater) + len(labelled))
+        assert service.last_query_cost.modexp == alignment + conjunction == 26
+        service.close()
+
+    def test_clause_on_a_party_of_the_cross_predicate_needs_no_final_ring(self):
+        rows = [{"C1": 10 + i, "C5": 15, "C2": float(i)} for i in range(12)]
+        service, glsns = self._service(rows)
+        want = [g for g, r in zip(glsns, rows) if r["C1"] > r["C5"] and r["C2"] < 9]
+        leaked_before = service.ctx.leakage.count()
+
+        result = service.query("C1 > C5 and C2 < 9")
+
+        # C2 lives on P1, a party of C1 > C5, which therefore holds both
+        # clause sets: nothing is encrypted, and only the alignment (6
+        # messages) and the blinded comparison (4) use the network.
+        assert sorted(result.glsns) == sorted(want) and want
+        cost = service.last_query_cost
+        assert cost.modexp == 0
+        assert cost.messages == 10
+        events = service.ctx.leakage.events[leaked_before:]
+        assert sorted(event.category for event in events) == [
+            "order_statistics", "result_cardinality", "set_size", "set_size",
+        ]
         service.close()

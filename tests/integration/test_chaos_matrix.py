@@ -16,7 +16,8 @@ from repro.crypto import (
     Operation,
     TicketAuthority,
 )
-from repro.errors import ReproError
+from repro.core import ConfidentialAuditingService
+from repro.errors import ReproError, RingFailoverError
 from repro.logstore import (
     DistributedLogStore,
     paper_fragment_plan,
@@ -241,3 +242,39 @@ class TestIntegrityRingChaos:
         reports = run_batched_integrity_round(store, net=net)
         assert all(r.ok and r.verified for r in reports)
         assert net.resilience_stats.get("failovers", 0) >= 1
+
+
+class TestCrossPredicateOwnerCrashed:
+    """An owner of a cross predicate is down when its alignment round
+    starts.  The outcomes are those recorded at commit d2703a4, where the
+    alignment was always a presence intersection: losing either owner of
+    an ordered predicate is a typed failure (the survivor cannot be
+    compared against nobody), and ``!=`` with its right owner down
+    degrades to an explicitly-flagged empty answer."""
+
+    def _query(self, victim: str, criterion: str):
+        schema = paper_table1_schema()
+        faults = FaultPlan(rng=DeterministicRng(b"chaos-align"))
+        service = ConfidentialAuditingService(
+            schema, paper_fragment_plan(schema), prime_bits=64,
+            rng=DeterministicRng(b"chaos-align"),
+            resilience=RetryPolicy(), faults=faults,
+        )
+        ticket = service.register_user("u")
+        for i in range(8):
+            service.log_event({"C1": i, "C5": 4, "C2": i}, ticket)
+        faults.crash(victim)
+        try:
+            return service.query(criterion, timeout=60), service.ctx.leakage
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("victim", ["P1", "P3"])
+    def test_ordered_predicate_fails_typed(self, victim):
+        with pytest.raises(RingFailoverError):
+            self._query(victim, "C1 > C5 and C2 < 7")
+
+    def test_inequality_degrades_and_says_so(self):
+        result, ledger = self._query("P1", "C1 != C5")
+        assert result.glsns == []
+        assert ledger.count("degraded_result") >= 1
