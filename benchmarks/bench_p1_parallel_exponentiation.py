@@ -5,9 +5,8 @@ every element is encrypted once per party).  CPython holds the GIL during
 big-int ``pow``, so the only way to use more than one core is a process
 pool — this experiment measures the crossover and the speedup of
 :class:`~repro.perf.engine.ProcessPoolEngine` over
-:class:`~repro.perf.engine.SerialEngine` on ``encrypt_set``, verifies the
-results are byte-identical, and compares convoy (coalesced) vs pipelined
-frame counts for the ring protocol.
+:class:`~repro.perf.engine.SerialEngine` on ``encrypt_set`` and verifies the
+results are byte-identical.
 
 Writes ``BENCH_p1.json`` at the repo root with the measured rows.
 
@@ -132,17 +131,6 @@ class TestParallelExponentiation:
             ],
         )
 
-        convoy = self._frame_comparison()
-        results["frames"] = convoy
-        print_rows(
-            "P1: ring frames, pipelined vs convoy (n=4)",
-            ["mode", "messages", "bytes"],
-            [
-                ("pipelined", convoy["pipelined_messages"], convoy["pipelined_bytes"]),
-                ("convoy", convoy["convoy_messages"], convoy["convoy_bytes"]),
-            ],
-        )
-
         RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {RESULT_PATH}")
 
@@ -235,21 +223,3 @@ class TestParallelExponentiation:
             "overhead_pct": round(overhead * 100, 3),
             "runs_per_sample": inner,
         }
-
-    @staticmethod
-    def _frame_comparison() -> dict:
-        """Convoy coalescing must cut ring frame count without changing results."""
-        prime = shared_prime(64)
-        n = 4
-        sets = {f"P{i}": [f"x{j}" for j in range(i, i + 8)] for i in range(n)}
-        out = {}
-        for label, coalesce in (("pipelined", False), ("convoy", True)):
-            ctx = SmcContext(prime, DeterministicRng(b"p1-frames"))
-            net = SimNetwork()
-            result = secure_set_intersection(ctx, sets, net=net, coalesce=coalesce)
-            out[f"{label}_messages"] = net.stats.messages
-            out[f"{label}_bytes"] = net.stats.bytes
-            out[f"{label}_result"] = sorted(result.any_value)
-        assert out["convoy_result"] == out["pipelined_result"]
-        assert out["convoy_messages"] < out["pipelined_messages"]
-        return out

@@ -793,8 +793,8 @@ class ConfidentialAuditingService:
         ``batched=True`` (the default) circulates one multi-glsn ring
         token — O(nodes) messages for the whole log; ``batched=False``
         replays the legacy one-token-per-glsn ring.  Reports are
-        identical either way.  With :attr:`resilience` set, the ring is
-        failover-supervised: unreachable nodes are routed around or
+        identical either way.  The ring is failover-supervised: with
+        :attr:`resilience` set, unreachable nodes are routed around or
         excluded, and reports over an incomplete fold come back
         explicitly unverified (``verified=False``, ``skipped_nodes``).
         """

@@ -168,11 +168,22 @@ class _RingState:
     combined: BatchIntegrityReport | None = None
 
 
+#: token kind -> (payload field of the running value(s), kind of the frame
+#: that returns them to the origin).  ``integ.mpass`` carries one value per
+#: glsn (folded with ``step_many``), ``integ.cpass`` a single value (folded
+#: with ``fold_product``).
+_TOKEN_FORMS = {
+    "integ.mpass": ("values", "integ.mdone"),
+    "integ.cpass": ("value", "integ.cdone"),
+}
+
+
 class IntegrityNode:
     """Message-driven participant in the §4.1 accumulator ring.
 
     Each instance wraps one node's :class:`FragmentStore`.  The initiator
-    calls :meth:`start_check`; the token visits every node once and returns.
+    calls :meth:`start_batch_check` (or :meth:`start_combined_check`); the
+    token visits every node once and returns.
 
     The first hop of every token is ``x0^e mod n`` for the initiator's own
     fragment digest ``e`` and comes from the accumulator's fixed-base table
@@ -217,88 +228,6 @@ class IntegrityNode:
         if self.telemetry is not None:
             self.telemetry.add_cost(self.node_id, "modexp", count)
 
-    def start_check(self, transport, glsn: int) -> None:
-        """Initiate a circulation for one glsn (we fold our fragment first)."""
-        with self._node_span("node.integ.start"):
-            value = self.accumulator.base_power(
-                self.store.local_fragment(glsn).digest_exponent()
-            )
-            self._count_folds(1)
-            remaining = [n for n in self.ring if n != self.node_id]
-            self._forward(transport, glsn, value, remaining)
-
-    def _forward(self, transport, glsn: int, value: int, remaining: list[str]) -> None:
-        if remaining:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=remaining[0],
-                    kind="integ.pass",
-                    payload={
-                        "glsn": glsn,
-                        "value": value,
-                        "remaining": remaining[1:],
-                        "origin": self.node_id,
-                    },
-                )
-            )
-        else:
-            self._finish(glsn, value)
-
-    def handle(self, msg: Message, transport) -> None:
-        if msg.kind == "integ.pass":
-            glsn = msg.payload["glsn"]
-            value = self.accumulator.step(
-                msg.payload["value"],
-                self.store.local_fragment(glsn).digest_exponent(),
-            )
-            self._count_folds(1)
-            remaining = msg.payload["remaining"]
-            origin = msg.payload["origin"]
-            if remaining:
-                transport.send(
-                    Message(
-                        src=self.node_id,
-                        dst=remaining[0],
-                        kind="integ.pass",
-                        payload={
-                            "glsn": glsn,
-                            "value": value,
-                            "remaining": remaining[1:],
-                            "origin": origin,
-                        },
-                    )
-                )
-            else:
-                transport.send(
-                    Message(
-                        src=self.node_id,
-                        dst=origin,
-                        kind="integ.done",
-                        payload={"glsn": glsn, "value": value},
-                    )
-                )
-        elif msg.kind == "integ.done":
-            self._finish(msg.payload["glsn"], msg.payload["value"])
-        elif msg.kind == "integ.mpass":
-            self._on_multi_pass(msg, transport)
-        elif msg.kind == "integ.mdone":
-            self._finish_batch(msg.payload["glsns"], msg.payload["values"])
-        elif msg.kind == "integ.cpass":
-            self._on_combined_pass(msg, transport)
-        elif msg.kind == "integ.cdone":
-            self._finish_combined(msg.payload["glsns"], msg.payload["value"])
-        else:
-            raise ProtocolAbortError(f"unexpected message kind {msg.kind!r}")
-
-    def _finish(self, glsn: int, observed: int) -> None:
-        expected = self.store.expected_accumulator(glsn)
-        self.state.reports[glsn] = IntegrityReport(
-            glsn=glsn, ok=observed == expected, expected=expected, observed=observed
-        )
-
-    # -- batched (multi-glsn token) mode ------------------------------------
-
     def _exponents(self, glsns: list[int]) -> list[int]:
         return [self.store.local_fragment(g).digest_exponent() for g in glsns]
 
@@ -308,125 +237,89 @@ class IntegrityNode:
             base_power = self.accumulator.base_power
             values = [base_power(e) for e in self._exponents(glsns)]
             self._count_folds(len(glsns))
-            remaining = [n for n in self.ring if n != self.node_id]
-            self._forward_batch(transport, glsns, values, remaining)
-
-    def _forward_batch(
-        self, transport, glsns: list[int], values: list[int], remaining: list[str]
-    ) -> None:
-        if remaining:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=remaining[0],
-                    kind="integ.mpass",
-                    payload={
-                        "glsns": glsns,
-                        "values": values,
-                        "remaining": remaining[1:],
-                        "origin": self.node_id,
-                    },
-                )
-            )
-        else:
-            self._finish_batch(glsns, values)
-
-    def _on_multi_pass(self, msg: Message, transport) -> None:
-        glsns = msg.payload["glsns"]
-        values = self.accumulator.step_many(
-            msg.payload["values"], self._exponents(glsns)
-        )
-        self._count_folds(len(glsns))
-        remaining = msg.payload["remaining"]
-        origin = msg.payload["origin"]
-        if remaining:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=remaining[0],
-                    kind="integ.mpass",
-                    payload={
-                        "glsns": glsns,
-                        "values": values,
-                        "remaining": remaining[1:],
-                        "origin": origin,
-                    },
-                )
-            )
-        else:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=origin,
-                    kind="integ.mdone",
-                    payload={"glsns": glsns, "values": values},
-                )
-            )
-
-    def _finish_batch(self, glsns: list[int], values: list[int]) -> None:
-        for glsn, observed in zip(glsns, values):
-            self._finish(glsn, observed)
-
-    # -- combined (single-pow-per-hop) mode ---------------------------------
+            self._relay(transport, "integ.mpass", glsns, values, self._others())
 
     def start_combined_check(self, transport, glsns: list[int]) -> None:
         """One token, one value: each hop folds ALL its fragments at once."""
         with self._node_span("node.integ.start"):
             value = self.accumulator.accumulate_all(self._exponents(glsns))
             self._count_folds(1)
-            remaining = [n for n in self.ring if n != self.node_id]
-            self._forward_combined(transport, glsns, value, remaining)
+            self._relay(transport, "integ.cpass", glsns, value, self._others())
 
-    def _forward_combined(
-        self, transport, glsns: list[int], value: int, remaining: list[str]
+    def _others(self) -> list[str]:
+        return [n for n in self.ring if n != self.node_id]
+
+    def _relay(
+        self,
+        transport,
+        kind: str,
+        glsns: list[int],
+        folded,
+        remaining: list[str],
+        origin: str | None = None,
     ) -> None:
-        if remaining:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=remaining[0],
-                    kind="integ.cpass",
-                    payload={
-                        "glsns": glsns,
-                        "value": value,
-                        "remaining": remaining[1:],
-                        "origin": self.node_id,
-                    },
-                )
-            )
-        else:
-            self._finish_combined(glsns, value)
+        """Move a folded token on: to the next hop, else home to its origin.
 
-    def _on_combined_pass(self, msg: Message, transport) -> None:
-        glsns = msg.payload["glsns"]
-        value = self.accumulator.fold_product(
-            msg.payload["value"], self._exponents(glsns)
-        )
-        self._count_folds(1)
-        remaining = msg.payload["remaining"]
-        origin = msg.payload["origin"]
+        Both token forms travel the same way and differ only in the
+        payload field that carries the running value(s) and in the kind
+        of the frame that returns them (:data:`_TOKEN_FORMS`).
+        """
+        field, done = _TOKEN_FORMS[kind]
+        origin = origin or self.node_id
         if remaining:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=remaining[0],
-                    kind="integ.cpass",
-                    payload={
-                        "glsns": glsns,
-                        "value": value,
-                        "remaining": remaining[1:],
-                        "origin": origin,
-                    },
-                )
+            msg = Message(
+                src=self.node_id,
+                dst=remaining[0],
+                kind=kind,
+                payload={
+                    "glsns": glsns,
+                    field: folded,
+                    "remaining": remaining[1:],
+                    "origin": origin,
+                },
             )
         else:
-            transport.send(
-                Message(
-                    src=self.node_id,
-                    dst=origin,
-                    kind="integ.cdone",
-                    payload={"glsns": glsns, "value": value},
-                )
+            msg = Message(
+                src=self.node_id,
+                dst=origin,
+                kind=done,
+                payload={"glsns": glsns, field: folded},
+            )
+        if msg.dst == self.node_id:  # a one-node ring: the token is already home
+            self.handle(msg, transport)
+        else:
+            transport.send(msg)
+
+    def handle(self, msg: Message, transport) -> None:
+        payload = msg.payload
+        if msg.kind == "integ.mpass":
+            glsns = payload["glsns"]
+            folded = self.accumulator.step_many(
+                payload["values"], self._exponents(glsns)
+            )
+            self._count_folds(len(glsns))
+        elif msg.kind == "integ.cpass":
+            glsns = payload["glsns"]
+            folded = self.accumulator.fold_product(
+                payload["value"], self._exponents(glsns)
+            )
+            self._count_folds(1)
+        elif msg.kind == "integ.mdone":
+            return self._finish_batch(payload["glsns"], payload["values"])
+        elif msg.kind == "integ.cdone":
+            return self._finish_combined(payload["glsns"], payload["value"])
+        else:
+            raise ProtocolAbortError(f"unexpected message kind {msg.kind!r}")
+        self._relay(
+            transport, msg.kind, glsns, folded, payload["remaining"], payload["origin"]
+        )
+
+    def _finish_batch(self, glsns: list[int], values: list[int]) -> None:
+        for glsn, observed in zip(glsns, values):
+            expected = self.store.expected_accumulator(glsn)
+            self.state.reports[glsn] = IntegrityReport(
+                glsn=glsn, ok=observed == expected, expected=expected,
+                observed=observed,
             )
 
     def _finish_combined(self, glsns: list[int], observed: int) -> None:
@@ -440,64 +333,63 @@ class IntegrityNode:
         )
 
 
-def _ring_setup(
-    store: DistributedLogStore,
-    glsns: list[int] | None,
-    initiator: str | None,
-    net: SimNetwork | None,
-    crypto=None,
-) -> tuple[SimNetwork, dict[str, IntegrityNode], str, list[int]]:
-    """Common bootstrap: build and register one IntegrityNode per store."""
-    net = net or SimNetwork()
-    ring = sorted(store.stores)
-    initiator = initiator or ring[0]
-    if initiator not in ring:
-        raise ProtocolAbortError(f"initiator {initiator!r} is not a DLA node")
-    telemetry = getattr(net, "telemetry", None)
-    nodes = {
-        node_id: IntegrityNode(
-            node_id, store.stores[node_id], store.accumulator, ring,
-            crypto=crypto, telemetry=telemetry,
-        )
-        for node_id in ring
-    }
-    for node_id, node in nodes.items():
-        net.register(node_id, node.handle)
-    targets = list(glsns) if glsns is not None else store.glsns
-    return net, nodes, initiator, targets
+def _start_per_glsn(node: IntegrityNode, transport, glsns: list[int]) -> None:
+    """One single-glsn token per glsn: the O(nodes × glsns) legacy schedule."""
+    for glsn in glsns:
+        node.start_batch_check(transport, [glsn])
 
 
-def _collect_reports(
-    node: IntegrityNode, targets: list[int]
-) -> list[IntegrityReport]:
-    reports = []
-    for glsn in targets:
-        report = node.state.reports.get(glsn)
-        if report is None:
-            raise ProtocolAbortError(f"no integrity verdict for glsn {glsn:#x}")
-        reports.append(report)
-    return reports
+def _reports_of(node: IntegrityNode, glsns: list[int]):
+    """The per-glsn verdicts in request order; ``None`` while any is missing."""
+    reports = node.state.reports
+    if any(glsn not in reports for glsn in glsns):
+        return None
+    return [reports[glsn] for glsn in glsns]
+
+
+def _combined_of(node: IntegrityNode, glsns: list[int]):
+    return None if node.state.combined is None else [node.state.combined]
+
+
+def _skipped_in(reports) -> tuple[str, ...]:
+    return tuple(sorted({n for r in reports for n in r.skipped_nodes}))
 
 
 async def _supervised_round(
     store: DistributedLogStore,
-    targets: list[int],
-    initiator: str,
-    net: SimNetwork,
+    glsns: list[int] | None,
+    initiator: str | None,
+    net: SimNetwork | None,
     deadline: Deadline | None,
-    mode: str,
-    crypto=None,
-):
-    """Failover-supervised §4.1 ring (any of the three token modes).
+    crypto,
+    start,
+    verdicts_of,
+) -> list:
+    """Failover-supervised §4.1 ring: the one way a token round runs.
+
+    ``start(initiator_node, net, glsns)`` puts the token(s) on the ring and
+    ``verdicts_of(initiator_node, glsns)`` reads the finished reports off
+    the initiator (``None`` while the round is incomplete) — the three
+    public rounds differ in nothing else.
 
     A bad link is routed around (any ring order is valid by eq. 9
     quasi-commutativity); a dead node is excluded, in which case the
     resulting reports are *unverified* — the fold is missing that node's
     fragments, so neither "intact" nor "tampered" can be claimed.  The
     initiator is essential: it holds the anchor the token is compared to.
+    On a transport without the reliability layer nothing can be diagnosed,
+    so a stranded round is a typed :class:`~repro.errors.RingFailoverError`
+    after its single launch.
     """
+    net = net or SimNetwork()
     ring_all = sorted(store.stores)
-    nodes_box: dict[str, IntegrityNode] = {}
+    initiator = initiator or ring_all[0]
+    if initiator not in ring_all:
+        raise ProtocolAbortError(f"initiator {initiator!r} is not a DLA node")
+    targets = list(glsns) if glsns is not None else store.glsns
+    if not targets:
+        return []
+    telemetry = getattr(net, "telemetry", None)
 
     def launch(alive: list[str], avoid: frozenset):
         if initiator not in alive:
@@ -507,52 +399,35 @@ async def _supervised_round(
         order = ring_avoiding(alive, avoid)
         pivot = order.index(initiator)
         order = order[pivot:] + order[:pivot]
-        nodes_box.clear()
-        nodes_box.update(
-            {
-                nid: IntegrityNode(
-                    nid, store.stores[nid], store.accumulator, order,
-                    crypto=crypto,
-                    telemetry=getattr(net, "telemetry", None),
-                )
-                for nid in alive
-            }
-        )
-        for nid, node in nodes_box.items():
+        nodes = {
+            nid: IntegrityNode(
+                nid, store.stores[nid], store.accumulator, order,
+                crypto=crypto, telemetry=telemetry,
+            )
+            for nid in alive
+        }
+        for nid, node in nodes.items():
             net.register(nid, node.handle)
-        init = nodes_box[initiator]
-        if mode == "per-glsn":
-            for glsn in targets:
-                init.start_check(net, glsn)
-        elif mode == "batched":
-            init.start_batch_check(net, targets)
-        else:
-            init.start_combined_check(net, targets)
+        start(nodes[initiator], net, targets)
 
         def collect():
-            node = nodes_box[initiator]
-            if mode == "combined":
-                if node.state.combined is None:
-                    return None
-                return {"combined": node.state.combined}
-            if any(glsn not in node.state.reports for glsn in targets):
-                return None
-            return {"reports": [node.state.reports[glsn] for glsn in targets]}
+            verdicts = verdicts_of(nodes[initiator], targets)
+            return None if verdicts is None else {initiator: verdicts}
 
         return collect
 
-    return await supervise_ring_async(
+    outcome = await supervise_ring_async(
         net, "integrity_ring", ring_all, launch,
         essential=[initiator], min_parties=1, deadline=deadline,
     )
-
-
-def _degrade(reports: list[IntegrityReport], skipped: tuple[str, ...]):
-    """Mark reports from an incomplete fold as explicitly unverified."""
-    return [
-        replace(r, ok=False, verified=False, skipped_nodes=skipped)
-        for r in reports
-    ]
+    verdicts = outcome.values[initiator]
+    if outcome.degraded:
+        # Reports from an incomplete fold are explicitly unverified.
+        verdicts = [
+            replace(v, ok=False, verified=False, skipped_nodes=outcome.skipped)
+            for v in verdicts
+        ]
+    return verdicts
 
 
 async def run_integrity_round_async(
@@ -566,29 +441,19 @@ async def run_integrity_round_async(
     """Run the ring protocol for each glsn on a simulated network.
 
     Returns one report per glsn as observed by the initiating node.
-    Circulates one token per glsn — O(nodes × glsns) messages; see
-    :func:`run_batched_integrity_round` for the O(nodes) form.  On a
-    resilient network the ring is failover-supervised (see
+    Circulates one single-glsn token per glsn — O(nodes × glsns)
+    messages; see :func:`run_batched_integrity_round` for the O(nodes)
+    form.  The ring is failover-supervised (see
     :func:`_supervised_round`).  ``crypto`` is forwarded to every
     :class:`IntegrityNode` (per-node and total fold counts).
 
     ``run_integrity_round`` is :func:`~repro.twin.sync_twin` of this
     coroutine (one body, two runners: ``docs/async.md``).
     """
-    net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, crypto=crypto
+    return await _supervised_round(
+        store, glsns, initiator, net, deadline, crypto,
+        _start_per_glsn, _reports_of,
     )
-    if net.reliable:
-        outcome = await _supervised_round(
-            store, targets, initiator, net, deadline, "per-glsn",
-            crypto=crypto,
-        )
-        reports = outcome.values["reports"]
-        return _degrade(reports, outcome.skipped) if outcome.degraded else reports
-    for glsn in targets:
-        nodes[initiator].start_check(net, glsn)
-    await net.drain(deadline=deadline)
-    return _collect_reports(nodes[initiator], targets)
 
 
 async def run_batched_integrity_round_async(
@@ -611,21 +476,10 @@ async def run_batched_integrity_round_async(
     ``run_batched_integrity_round`` is :func:`~repro.twin.sync_twin` of this
     coroutine (one body, two runners: ``docs/async.md``).
     """
-    net, nodes, initiator, targets = _ring_setup(
-        store, glsns, initiator, net, crypto=crypto
+    return await _supervised_round(
+        store, glsns, initiator, net, deadline, crypto,
+        IntegrityNode.start_batch_check, _reports_of,
     )
-    if not targets:
-        return []
-    if net.reliable:
-        outcome = await _supervised_round(
-            store, targets, initiator, net, deadline, "batched",
-            crypto=crypto,
-        )
-        reports = outcome.values["reports"]
-        return _degrade(reports, outcome.skipped) if outcome.degraded else reports
-    nodes[initiator].start_batch_check(net, targets)
-    await net.drain(deadline=deadline)
-    return _collect_reports(nodes[initiator], targets)
 
 
 async def run_combined_integrity_round_async(
@@ -649,7 +503,9 @@ async def run_combined_integrity_round_async(
     Falls back to :func:`run_batched_integrity_round` when no chain
     anchor covers the request (e.g. after a delete), and — with
     ``localize=True`` — also after a combined mismatch, to name the
-    tampered glsn(s) in ``reports``.
+    tampered glsn(s) in ``reports``.  Either way the batched reports'
+    ``verified``/``skipped_nodes`` carry over: a node excluded from the
+    localising round leaves the per-glsn verdicts unverified.
 
     ``run_combined_integrity_round`` is :func:`~repro.twin.sync_twin` of
     this coroutine (one body, two runners: ``docs/async.md``).
@@ -662,57 +518,28 @@ async def run_combined_integrity_round_async(
         if first in store.stores
         else None
     )
-    if anchor is None or not targets:
-        reports = await run_batched_integrity_round_async(
-            store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-            crypto=crypto,
-        )
-        skipped = tuple(
-            sorted({n for r in reports for n in getattr(r, "skipped_nodes", ())})
-        )
-        return BatchIntegrityReport(
-            glsns=tuple(targets),
-            ok=all(r.ok for r in reports),
-            mode="per-glsn",
-            reports=tuple(reports),
-            verified=not skipped,
-            skipped_nodes=skipped,
-        )
     net = net or SimNetwork()
-    _, nodes, first, targets = _ring_setup(
-        store, targets, initiator, net, crypto=crypto
-    )
-    if net.reliable:
-        outcome = await _supervised_round(
-            store, targets, first, net, deadline, "combined",
-            crypto=crypto,
+    verdict = None
+    if anchor is not None and targets:
+        [verdict] = await _supervised_round(
+            store, targets, initiator, net, deadline, crypto,
+            IntegrityNode.start_combined_check, _combined_of,
         )
-        verdict = outcome.values["combined"]
-        if outcome.degraded:
-            # The fold skipped a node, so neither the combined verdict nor
-            # a localizing re-run can be trusted — report unverified.
-            return replace(
-                verdict, ok=False, verified=False, skipped_nodes=outcome.skipped
-            )
-    else:
-        nodes[first].start_combined_check(net, targets)
-        await net.drain(deadline=deadline)
-        verdict = nodes[first].state.combined
-    if verdict is None:
-        raise ProtocolAbortError("combined integrity round produced no verdict")
-    if verdict.ok or not localize:
-        return verdict
+        # An unverified fold skipped a node: neither the combined verdict
+        # nor a localizing re-run can be trusted.
+        if verdict.ok or not localize or not verdict.verified:
+            return verdict
     reports = await run_batched_integrity_round_async(
         store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
         crypto=crypto,
     )
-    return BatchIntegrityReport(
-        glsns=verdict.glsns,
-        ok=verdict.ok,
-        mode=verdict.mode,
-        expected=verdict.expected,
-        observed=verdict.observed,
-        reports=tuple(reports),
+    skipped = _skipped_in(reports)
+    if verdict is None:
+        verdict = BatchIntegrityReport(
+            glsns=tuple(targets), ok=all(r.ok for r in reports), mode="per-glsn"
+        )
+    return replace(
+        verdict, reports=tuple(reports), verified=not skipped, skipped_nodes=skipped
     )
 
 

@@ -8,7 +8,8 @@ repaired by retransmission — what remains are *persistent* failures
 (partitions, crashed nodes), which surface as exhausted links in
 ``net.failed_links``.
 
-:func:`supervise_ring` turns those diagnostics into recovery.  Each
+:func:`supervise_ring` is the one loop every driver launches through,
+on any transport, and turns those diagnostics into recovery.  Each
 protocol driver hands it a ``launch(alive, avoid)`` callback that
 (re)builds the party objects and starts the round; the supervisor then:
 
@@ -25,6 +26,10 @@ protocol driver hands it a ``launch(alive, avoid)`` callback that
 5. gives up with a typed, attributed :class:`RingFailoverError` when no
    excludable node remains, the party floor is reached, or the failover
    budget is spent.  Never a hang, never a silent wrong answer.
+
+A transport without the reliability layer never records a failed link,
+so there a stranded round has nothing to diagnose: step 5 is reached
+after exactly one launch, with the same typed error and no relaunch.
 """
 
 from __future__ import annotations
@@ -169,7 +174,7 @@ async def supervise_ring_async(
     max_failovers: int | None = None,
     ledger=None,
 ) -> FailoverOutcome:
-    """Run ``launch`` under failover supervision on a reliable ``net``.
+    """Run ``launch`` under failover supervision on ``net``.
 
     See the module docstring for the recovery ladder.  Raises
     :class:`RingFailoverError` (typed, attributed) when recovery is
@@ -179,11 +184,6 @@ async def supervise_ring_async(
     ``supervise_ring`` is :func:`~repro.twin.sync_twin` of this coroutine
     (one body, two runners: ``docs/async.md``).
     """
-    if not net.reliable:
-        raise RingFailoverError(
-            f"{protocol}: failover supervision requires a resilient transport "
-            "(SimNetwork(resilience=RetryPolicy(...)))"
-        )
     essential = set(essential)
     alive = list(parties)
     skipped: list[str] = []

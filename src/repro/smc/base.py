@@ -14,19 +14,24 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.cache import LruCache
 from repro.crypto.pohlig_hellman import MessageEncoder
 from repro.crypto.rng import DeterministicRng, system_rng
-from repro.errors import ConfigurationError, UnauthorizedObserverError
+from repro.errors import (
+    ConfigurationError,
+    RingFailoverError,
+    UnauthorizedObserverError,
+)
 from repro.net.stats import CryptoOpCounter
 from repro.obs.metrics import BATCH_BUCKETS
 from repro.obs.tracer import NOOP_TRACER
 from repro.perf.engine import resolve_engine
+from repro.resilience import Deadline, supervise_ring_async
 from repro.smc.leakage import LeakageLedger
 
-__all__ = ["SmcContext", "SmcResult", "protocol_span"]
+__all__ = ["SmcContext", "SmcResult", "protocol_span", "run_supervised"]
 
 
 @contextmanager
@@ -57,6 +62,67 @@ def protocol_span(ctx: "SmcContext", net, name: str, attributes: dict | None = N
                     "modexp": ctx.crypto_ops.modexp - start_modexp,
                 }
             )
+
+
+async def run_supervised(
+    ctx: "SmcContext",
+    net,
+    protocol: str,
+    parties: list[str],
+    build: Callable[[list[str], frozenset], dict],
+    result_of: Callable[[Any], Any],
+    *,
+    rounds: int,
+    observers: list[str] | None = None,
+    essential: tuple[str, ...] = (),
+    min_parties: int = 1,
+    deadline: Deadline | None = None,
+) -> "SmcResult":
+    """Launch one protocol round through the failover supervisor.
+
+    The only way an SMC driver runs, on any transport.
+    ``build(alive, avoid)`` constructs the party objects for one launch
+    (steering ring order, collector or TTP id around the ``avoid`` links);
+    each is registered under its id and started.  Once the transport
+    drains, ``result_of(party)`` is read at every observer still alive
+    (every party when ``observers`` is ``None``); ``None`` anywhere means
+    the round is incomplete and :func:`~repro.resilience.supervise_ring`
+    decides between re-route, exclusion and a typed
+    :class:`~repro.errors.RingFailoverError`.
+    """
+
+    def launch(alive: list[str], avoid: frozenset):
+        watched = alive if observers is None else [o for o in observers if o in alive]
+        if not watched:
+            raise RingFailoverError(
+                f"{protocol}: every authorized observer is unreachable"
+            )
+        nodes = build(alive, avoid)
+        for pid, node in nodes.items():
+            net.register(pid, node.handle)
+        for node in nodes.values():
+            node.start(net)
+
+        def collect():
+            values = {pid: result_of(nodes[pid]) for pid in watched}
+            return None if None in values.values() else values
+
+        return collect
+
+    outcome = await supervise_ring_async(
+        net, protocol, parties, launch,
+        essential=essential, min_parties=min_parties,
+        deadline=deadline, ledger=ctx.leakage,
+    )
+    return SmcResult(
+        protocol=protocol,
+        observers=frozenset(outcome.values),
+        values=outcome.values,
+        rounds=rounds,
+        degraded=outcome.degraded,
+        skipped=outcome.skipped,
+        failovers=outcome.failovers,
+    )
 
 
 class SmcContext:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from repro.errors import ConfigurationError, ProtocolAbortError, SmcError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, standby_id, supervise_ring_async
-from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.resilience import Deadline, standby_id
+from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.smc.ranking import MonotoneBlinding
 from repro.twin import sync_twin
 
@@ -121,47 +121,6 @@ class _CompareParty:
         self.verdict = msg.payload["verdict"]
 
 
-async def _supervise_ttp_pair(
-    ctx: SmcContext,
-    net: SimNetwork,
-    lid: str,
-    rid: str,
-    ttp_id: str,
-    build,
-    result_of,
-    deadline: Deadline | None,
-):
-    """Failover supervision for a two-party blind-TTP exchange.
-
-    ``build(ttp_node_id)`` registers the TTP + both parties and returns
-    the party map; ``result_of(party)`` extracts a party's verdict (or
-    ``None`` while missing).  An unreachable TTP fails over to a standby
-    id (:func:`~repro.resilience.standby_id`); the two input parties are
-    essential, so a dead one raises a typed
-    :class:`~repro.errors.RingFailoverError`.
-    """
-    box: dict = {}
-
-    def launch(alive: list[str], avoid: frozenset):
-        box.clear()
-        box.update(build(standby_id(ttp_id, avoid)))
-        for party in box.values():
-            party.start(net)
-
-        def collect():
-            if any(result_of(p) is None for p in box.values()):
-                return None
-            return {pid: result_of(p) for pid, p in box.items()}
-
-        return collect
-
-    return await supervise_ring_async(
-        net, PROTOCOL, [lid, rid], launch,
-        essential=[lid, rid], min_parties=2,
-        deadline=deadline, ledger=ctx.leakage,
-    )
-
-
 async def secure_compare_async(
     ctx: SmcContext,
     left: tuple[str, int],
@@ -175,8 +134,9 @@ async def secure_compare_async(
     """Blind-TTP trichotomy comparison of two private non-negative ints.
 
     Returns an :class:`SmcResult` whose per-observer value is one of
-    ``"lt" | "eq" | "gt"`` describing ``left ? right``.  On a resilient
-    network an unreachable TTP fails over to a standby id; the two input
+    ``"lt" | "eq" | "gt"`` describing ``left ? right``.  The run is
+    supervised: on a resilient network an unreachable TTP fails over to a
+    standby id (:func:`~repro.resilience.standby_id`); the two input
     parties are essential (a dead one raises
     :class:`~repro.errors.RingFailoverError`).
 
@@ -196,44 +156,20 @@ async def secure_compare_async(
     with protocol_span(
         ctx, net, "smc.compare", {"session": session, "batch": 1}
     ):
-        def build(ttp_node_id: str) -> dict[str, _CompareParty]:
-            ttp = _CompareTtp(ttp_node_id, ctx)
-            net.register(ttp_node_id, ttp.handle)
-            parties = {
-                lid: _CompareParty(lid, lval, ctx, blinding, ttp_node_id, session, lid),
-                rid: _CompareParty(rid, rval, ctx, blinding, ttp_node_id, session, lid),
+        def build(alive: list[str], avoid: frozenset) -> dict[str, _CompareParty]:
+            ttp_node_id = standby_id(ttp_id, avoid)
+            net.register(ttp_node_id, _CompareTtp(ttp_node_id, ctx).handle)
+            return {
+                pid: _CompareParty(
+                    pid, value, ctx, blinding, ttp_node_id, session, lid
+                )
+                for pid, value in (left, right)
             }
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
 
-        if net.reliable:
-            outcome = await _supervise_ttp_pair(
-                ctx, net, lid, rid, ttp_id, build,
-                lambda party: party.verdict, deadline,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset([lid, rid]),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        parties = build(ttp_id)
-        for party in parties.values():
-            party.start(net)
-        await net.drain(deadline=deadline)
-
-    values = {}
-    for pid, party in parties.items():
-        if party.verdict is None:
-            raise ProtocolAbortError(f"party {pid} never received the verdict")
-        values[pid] = party.verdict
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, [lid, rid], build, lambda party: party.verdict,
+            rounds=2, essential=(lid, rid), min_parties=2, deadline=deadline,
+        )
 
 
 secure_compare = sync_twin(secure_compare_async)
@@ -370,48 +306,22 @@ async def secure_compare_batch_async(
     with protocol_span(
         ctx, net, "smc.compare", {"session": session, "batch": len(lvals)}
     ):
-        def build(ttp_node_id: str) -> dict[str, _BatchCompareParty]:
-            ttp = _BatchCompareTtp(ttp_node_id, ctx)
-            net.register(ttp_node_id, ttp.handle)
-            parties = {
-                lid: _BatchCompareParty(
-                    lid, lvals, ctx, blinding, ttp_node_id, session, lid
-                ),
-                rid: _BatchCompareParty(
-                    rid, rvals, ctx, blinding, ttp_node_id, session, lid
-                ),
+        def build(
+            alive: list[str], avoid: frozenset
+        ) -> dict[str, _BatchCompareParty]:
+            ttp_node_id = standby_id(ttp_id, avoid)
+            net.register(ttp_node_id, _BatchCompareTtp(ttp_node_id, ctx).handle)
+            return {
+                pid: _BatchCompareParty(
+                    pid, values, ctx, blinding, ttp_node_id, session, lid
+                )
+                for pid, values in (left, right)
             }
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
 
-        if net.reliable:
-            outcome = await _supervise_ttp_pair(
-                ctx, net, lid, rid, ttp_id, build,
-                lambda party: party.verdicts, deadline,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset([lid, rid]),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        parties = build(ttp_id)
-        for party in parties.values():
-            party.start(net)
-        await net.drain(deadline=deadline)
-
-    values = {}
-    for pid, party in parties.items():
-        if party.verdicts is None:
-            raise ProtocolAbortError(f"party {pid} never received verdicts")
-        values[pid] = party.verdicts
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, [lid, rid], build, lambda party: party.verdicts,
+            rounds=2, essential=(lid, rid), min_parties=2, deadline=deadline,
+        )
 
 
 secure_compare_batch = sync_twin(secure_compare_batch_async)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, standby_id, supervise_ring_async
-from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.resilience import Deadline, standby_id
+from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.smc.intersection import secure_set_intersection_async
 from repro.twin import sync_twin
 
@@ -181,16 +181,17 @@ async def secure_equality_async(
 ) -> SmcResult:
     """Randomized-mapping equality between two (party, value) pairs.
 
-    Both parties learn the verdict; the TTP learns only the verdict.  On a
-    resilient network an unreachable TTP fails over to a standby id
-    (``"ttp~1"``, ...); the two input parties are essential, so a dead
-    party aborts with a typed :class:`~repro.errors.RingFailoverError`
-    rather than a silent partial answer.
+    Both parties learn the verdict; the TTP learns only the verdict.  The
+    run is supervised: on a resilient network an unreachable TTP fails over
+    to a standby id (``"ttp~1"``, ...); the two input parties are
+    essential, so a dead party aborts with a typed
+    :class:`~repro.errors.RingFailoverError` rather than a silent partial
+    answer.
 
     ``secure_equality`` is :func:`~repro.twin.sync_twin` of this coroutine
     (one body, two runners: ``docs/async.md``).
     """
-    (lid, lval), (rid, rval) = left, right
+    lid, rid = left[0], right[0]
     if lid == rid:
         raise ConfigurationError("equality requires two distinct parties")
     net = net or SimNetwork(tracer=ctx.tracer)
@@ -205,65 +206,20 @@ async def secure_equality_async(
         )
         reply_to = [lid, rid]
 
-        def build(ttp_node_id: str) -> dict[str, EqualityParty]:
-            ttp = BlindTtp(ttp_node_id, ctx)
-            parties = {
-                lid: EqualityParty(
-                    lid, lval, ctx, blinding, ttp_node_id, session, reply_to
-                ),
-                rid: EqualityParty(
-                    rid, rval, ctx, blinding, ttp_node_id, session, reply_to
-                ),
+        def build(alive: list[str], avoid: frozenset) -> dict[str, EqualityParty]:
+            ttp_node_id = standby_id(ttp_id, avoid)
+            net.register(ttp_node_id, BlindTtp(ttp_node_id, ctx).handle)
+            return {
+                pid: EqualityParty(
+                    pid, value, ctx, blinding, ttp_node_id, session, reply_to
+                )
+                for pid, value in (left, right)
             }
-            net.register(ttp_node_id, ttp.handle)
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
 
-        if net.reliable:
-            box: dict[str, EqualityParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                box.clear()
-                box.update(build(standby_id(ttp_id, avoid)))
-                for party in box.values():
-                    party.start(net)
-
-                def collect():
-                    if any(p.verdict is None for p in box.values()):
-                        return None
-                    return {pid: p.verdict for pid, p in box.items()}
-
-                return collect
-
-            outcome = await supervise_ring_async(
-                net, PROTOCOL, [lid, rid], launch,
-                essential=[lid, rid], min_parties=2,
-                deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset([lid, rid]),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-
-        parties = build(ttp_id)
-        for party in parties.values():
-            party.start(net)
-        await net.drain(deadline=deadline)
-
-    values = {}
-    for pid, party in parties.items():
-        if party.verdict is None:
-            raise ProtocolAbortError(f"party {pid} never received the verdict")
-        values[pid] = party.verdict
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset([lid, rid]), values=values, rounds=2
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, reply_to, build, lambda party: party.verdict,
+            rounds=2, essential=(lid, rid), min_parties=2, deadline=deadline,
+        )
 
 
 secure_equality = sync_twin(secure_equality_async)
@@ -274,13 +230,11 @@ async def secure_equality_commutative_async(
     left: tuple[str, object],
     right: tuple[str, object],
     net: SimNetwork | None = None,
-    coalesce: bool = False,
 ) -> SmcResult:
     """Equality via singleton secure set intersection (no TTP).
 
     "When the set size of S_i = 1, the secure set intersection could be
-    used for secure equality comparison."  ``coalesce`` selects the
-    intersection's convoy relay mode (fewer frames, serialized hops).
+    used for secure equality comparison."
 
     ``secure_equality_commutative`` is :func:`~repro.twin.sync_twin` of this
     coroutine (one body, two runners: ``docs/async.md``).
@@ -288,7 +242,7 @@ async def secure_equality_commutative_async(
     (lid, lval), (rid, rval) = left, right
     with ctx.tracer.span("smc.equality", {"route": "commutative"}):
         result = await secure_set_intersection_async(
-            ctx, {lid: [lval], rid: [rval]}, net=net, shuffle=False, coalesce=coalesce
+            ctx, {lid: [lval], rid: [rval]}, net=net, shuffle=False
         )
     equal = len(result.any_value) == 1
     return SmcResult(

@@ -21,20 +21,6 @@ Two result-recovery modes:
 
 Both modes leak set sizes and the intersection cardinality — *secondary*
 information permitted by Definition 1 and recorded in the leakage ledger.
-
-Relay scheduling has two modes:
-
-* **Pipelined** (``coalesce=False``, the paper's Figure 4 flow): all n
-  sets circulate simultaneously, one frame per set per hop — n·(n-1)
-  relay frames plus n collector deliveries.  Minimal wall-clock rounds
-  (n), maximal frame count.
-* **Convoy** (``coalesce=True``): one bundle travels the ring; each hop
-  re-encrypts every in-flight set, adds its own, and drops fully-
-  encrypted sets off toward the collector — one frame per *hop* instead
-  of one frame per *set*, ~2n+1 frames total.  Identical results, modexp
-  counts and leakage; the trade is serialized hops (≈2n link latencies)
-  against an O(n²)→O(n) frame-count reduction, which wins whenever
-  per-frame overhead dominates (small sets, many parties, chatty links).
 """
 
 from __future__ import annotations
@@ -42,16 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.pohlig_hellman import PohligHellmanCipher
-from repro.errors import ConfigurationError, ProtocolAbortError, RingFailoverError
+from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import (
-    Deadline,
-    pick_coordinator,
-    ring_avoiding,
-    supervise_ring_async,
-)
-from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.resilience import Deadline, pick_coordinator, ring_avoiding
+from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.twin import sync_twin
 
 __all__ = [
@@ -140,7 +121,7 @@ class IntersectionParty:
         return encrypted
 
     def start(self, transport) -> None:
-        """Round 0 (pipelined mode): encrypt own set and push it onto the ring."""
+        """Round 0: encrypt own set and push it onto the ring."""
         with self.ctx.node_span(
             self.party_id, "node.ssi.encrypt", {"node": self.party_id}
         ):
@@ -172,12 +153,8 @@ class IntersectionParty:
         """Dispatch one protocol message."""
         if msg.kind == "ssi.relay":
             self._on_relay(msg, transport)
-        elif msg.kind == "ssi.convoy":
-            self._on_convoy(msg, transport)
         elif msg.kind == "ssi.full":
             self._on_full(msg, transport)
-        elif msg.kind == "ssi.deliver":
-            self._on_deliver(msg, transport)
         elif msg.kind == "ssi.positions":
             self._on_positions(msg, transport)
         elif msg.kind == "ssi.decrypt":
@@ -188,8 +165,10 @@ class IntersectionParty:
         else:
             raise ProtocolAbortError(f"unexpected message kind {msg.kind!r}")
 
-    def _reencrypt_block(self, transport, origin: str, elements: list[int]) -> list[int]:
+    def _on_relay(self, msg: Message, transport) -> None:
         """One hop's work on one in-flight set: re-encrypt (and maybe shuffle)."""
+        origin = msg.payload["origin"]
+        elements = msg.payload["elements"]
         with self.ctx.tracer.span(
             "ssi.hop",
             {
@@ -210,100 +189,14 @@ class IntersectionParty:
         )
         if self.shuffle:
             self._rng.shuffle(elements)
-        return elements
-
-    def _on_relay(self, msg: Message, transport) -> None:
-        origin = msg.payload["origin"]
-        elements = self._reencrypt_block(transport, origin, msg.payload["elements"])
         self._advance(transport, origin, msg.payload["hops"] + 1, elements)
-
-    # -- convoy (coalesced) relay mode --------------------------------------
-
-    def start_convoy(self, transport) -> None:
-        """Coalesced mode bootstrap: only the collector calls this."""
-        with self.ctx.node_span(
-            self.party_id, "node.ssi.encrypt", {"node": self.party_id}
-        ):
-            self._process_convoy(transport, entries=[], joined=[])
-
-    def _on_convoy(self, msg: Message, transport) -> None:
-        self._process_convoy(
-            transport,
-            entries=msg.payload["entries"],
-            joined=list(msg.payload["joined"]),
-        )
-
-    def _process_convoy(self, transport, entries: list, joined: list[str]) -> None:
-        n = len(self.parties)
-        carried = []
-        for entry in entries:
-            if entry["hops"] < n:
-                elements = self._reencrypt_block(
-                    transport, entry["origin"], entry["elements"]
-                )
-                entry = {
-                    "origin": entry["origin"],
-                    "hops": entry["hops"] + 1,
-                    "elements": elements,
-                }
-            carried.append(entry)
-        if self.party_id not in joined:
-            carried.append(
-                {
-                    "origin": self.party_id,
-                    "hops": 1,
-                    "elements": self._encrypt_own(transport),
-                }
-            )
-            joined.append(self.party_id)
-        complete = [e for e in carried if e["hops"] >= n]
-        pending = [e for e in carried if e["hops"] < n]
-        if complete:
-            if self.party_id == self.collector:
-                for entry in complete:
-                    self._absorb_full(transport, entry["origin"], entry["elements"])
-            else:
-                # One frame delivers every set completed at this hop.
-                transport.send(
-                    Message(
-                        src=self.party_id,
-                        dst=self.collector,
-                        kind="ssi.deliver",
-                        payload={
-                            "sets": {e["origin"]: e["elements"] for e in complete}
-                        },
-                    )
-                )
-        if pending:
-            successor = self.ring[
-                (self.ring.index(self.party_id) + 1) % len(self.ring)
-            ]
-            transport.send(
-                Message(
-                    src=self.party_id,
-                    dst=successor,
-                    kind="ssi.convoy",
-                    payload={"entries": pending, "joined": joined},
-                )
-            )
 
     # -- collector role ------------------------------------------------------
 
     def _on_full(self, msg: Message, transport) -> None:
         if self.party_id != self.collector:
             raise ProtocolAbortError(f"{self.party_id} received ssi.full but is not collector")
-        self._absorb_full(transport, msg.payload["origin"], msg.payload["elements"])
-
-    def _on_deliver(self, msg: Message, transport) -> None:
-        if self.party_id != self.collector:
-            raise ProtocolAbortError(
-                f"{self.party_id} received ssi.deliver but is not collector"
-            )
-        for origin, elements in msg.payload["sets"].items():
-            self._absorb_full(transport, origin, elements)
-
-    def _absorb_full(self, transport, origin: str, elements: list[int]) -> None:
-        self.state.full_sets[origin] = elements
+        self.state.full_sets[msg.payload["origin"]] = msg.payload["elements"]
         if len(self.state.full_sets) < len(self.parties):
             return
         common = set.intersection(
@@ -412,7 +305,6 @@ async def secure_set_intersection_async(
     shuffle: bool = False,
     collector: str | None = None,
     ring: list[str] | None = None,
-    coalesce: bool = False,
     deadline: Deadline | None = None,
 ) -> SmcResult:
     """Run the full protocol on a simulated network and return the result.
@@ -446,19 +338,16 @@ async def secure_set_intersection_async(
         defaults to sorted party ids.  Latency-aware orders (see
         :func:`repro.net.topology.latency_ring`) cut wall-clock time on
         heterogeneous links without changing the protocol.
-    coalesce:
-        Use the convoy relay mode (one frame per ring hop carrying every
-        in-flight set) instead of the pipelined per-set relays.  Same
-        results, modexp counts and leakage at ~2n+1 frames instead of n².
-        See the module docstring for the latency trade-off.
     deadline:
         Optional wall-clock :class:`~repro.resilience.Deadline` bounding
         the run (propagated from the audit service).
 
-    On a resilient network (``SimNetwork(resilience=RetryPolicy(...))``)
-    the run is supervised: a dead or partitioned hop is re-routed around
-    (new ring order / new collector), or the node is excluded and the
-    result returned with ``degraded=True`` and its id in ``skipped``.
+    The run is supervised (:func:`~repro.smc.base.run_supervised`): on a
+    resilient network (``SimNetwork(resilience=RetryPolicy(...))``) a dead
+    or partitioned hop is re-routed around (new ring order / new
+    collector), or the node is excluded and the result returned with
+    ``degraded=True`` and its id in ``skipped``; on a plain network a
+    stranded round is a typed :class:`~repro.errors.RingFailoverError`.
     """
     if len(sets) < 1:
         raise ConfigurationError("intersection needs at least one party")
@@ -470,7 +359,23 @@ async def secure_set_intersection_async(
     collector = collector or observers[0]
     if collector not in parties:
         raise ConfigurationError(f"collector {collector!r} is not a party")
+    if ring is not None and sorted(ring) != parties:
+        raise ConfigurationError("ring must be a permutation of the parties")
     net = net or SimNetwork(tracer=ctx.tracer)
+
+    def build(alive: list[str], avoid: frozenset) -> dict[str, IntersectionParty]:
+        obs_alive = [o for o in observers if o in alive]
+        candidates = sorted(set(obs_alive) | ({collector} & set(alive)))
+        coll = pick_coordinator(candidates, avoid, default=collector)
+        prefer = [p for p in (ring or alive) if p in alive]
+        ring_order = ring_avoiding(alive, avoid, prefer=prefer)
+        return {
+            pid: IntersectionParty(
+                pid, sets[pid], ctx, alive, obs_alive, coll,
+                shuffle=shuffle, ring=ring_order,
+            )
+            for pid in alive
+        }
 
     with protocol_span(
         ctx,
@@ -481,115 +386,15 @@ async def secure_set_intersection_async(
             "set_sizes": {pid: len(sets[pid]) for pid in parties},
             "engine": ctx.engine.name,
             "shuffle": shuffle,
-            "coalesce": coalesce,
         },
     ):
-        if net.reliable:
-            outcome = await _run_supervised(
-                ctx, net, sets, parties, observers, collector,
-                shuffle=shuffle, ring=ring, coalesce=coalesce, deadline=deadline,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=len(parties),
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        nodes = {
-            pid: IntersectionParty(
-                pid, sets[pid], ctx, parties, observers, collector,
-                shuffle=shuffle, ring=ring,
-            )
-            for pid in parties
-        }
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        if coalesce:
-            nodes[collector].start_convoy(net)
-        else:
-            for node in nodes.values():
-                node.start(net)
-        await net.drain(deadline=deadline)
-
-    values = {}
-    for obs in observers:
-        result = nodes[obs].state.result
-        if result is None:
-            raise ProtocolAbortError(f"observer {obs} never received the result")
-        values[obs] = result
-    return SmcResult(
-        protocol=PROTOCOL,
-        observers=frozenset(observers),
-        values=values,
-        rounds=len(parties),
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, parties, build, lambda party: party.state.result,
+            rounds=len(parties), observers=observers, deadline=deadline,
+        )
 
 
 secure_set_intersection = sync_twin(secure_set_intersection_async)
-
-
-async def _run_supervised(
-    ctx: SmcContext,
-    net: SimNetwork,
-    sets: dict[str, list],
-    parties: list[str],
-    observers: list[str],
-    collector: str,
-    *,
-    shuffle: bool,
-    ring: list[str] | None,
-    coalesce: bool,
-    deadline: Deadline | None,
-):
-    """Failover-supervised intersection: re-route or exclude dead hops."""
-    nodes: dict[str, IntersectionParty] = {}
-
-    def launch(alive: list[str], avoid: frozenset):
-        obs_alive = [o for o in observers if o in alive]
-        if not obs_alive:
-            raise RingFailoverError(
-                f"{PROTOCOL}: every authorized observer is unreachable"
-            )
-        candidates = sorted(set(obs_alive) | ({collector} & set(alive)))
-        coll = pick_coordinator(candidates, avoid, default=collector)
-        prefer = [p for p in (ring or sorted(alive)) if p in alive]
-        ring_order = ring_avoiding(alive, avoid, prefer=prefer)
-        nodes.clear()
-        nodes.update(
-            {
-                pid: IntersectionParty(
-                    pid, sets[pid], ctx, alive, obs_alive, coll,
-                    shuffle=shuffle, ring=ring_order,
-                )
-                for pid in alive
-            }
-        )
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        if coalesce:
-            nodes[coll].start_convoy(net)
-        else:
-            for node in nodes.values():
-                node.start(net)
-
-        def collect():
-            values = {}
-            for obs in obs_alive:
-                result = nodes[obs].state.result
-                if result is None:
-                    return None
-                values[obs] = result
-            return values
-
-        return collect
-
-    return await supervise_ring_async(
-        net, PROTOCOL, parties, launch,
-        min_parties=1, deadline=deadline, ledger=ctx.leakage,
-    )
 
 
 def fig4_walkthrough(ctx: SmcContext | None = None) -> dict:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, standby_id, supervise_ring_async
-from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.resilience import Deadline, standby_id
+from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.twin import sync_twin
 
 __all__ = [
@@ -196,10 +196,11 @@ async def secure_ranking_async(
     leakage is perturbed; ordering of *distinct* values is unaffected, but
     equal values may order arbitrarily (they already tie-break by id).
 
-    On a resilient network an unreachable TTP fails over to a standby id,
-    and an unreachable party is excluded: survivors learn ranks over the
-    reduced group, the result is ``degraded=True`` and names the skipped
-    party — never a silent ranking that pretends everyone participated.
+    The run is supervised: on a resilient network an unreachable TTP fails
+    over to a standby id, and an unreachable party is excluded: survivors
+    learn ranks over the reduced group, the result is ``degraded=True`` and
+    names the skipped party — never a silent ranking that pretends everyone
+    participated.
 
     ``secure_ranking`` is :func:`~repro.twin.sync_twin` of this coroutine
     (one body, two runners: ``docs/async.md``).
@@ -218,61 +219,21 @@ async def secure_ranking_async(
         "smc.ranking",
         {"parties": len(values), "rank_only_noise": rank_only_noise},
     ):
-        def build(alive: list[str], ttp_node_id: str) -> dict[str, RankingParty]:
+        def build(alive: list[str], avoid: frozenset) -> dict[str, RankingParty]:
+            ttp_node_id = standby_id(ttp_id, avoid)
             ttp = RankingTtp(ttp_node_id, ctx, expected=len(alive))
             net.register(ttp_node_id, ttp.handle)
-            parties = {
+            return {
                 pid: RankingParty(
                     pid, values[pid], ctx, blinding, ttp_node_id, rank_only_noise
                 )
                 for pid in alive
             }
-            for pid, party in parties.items():
-                net.register(pid, party.handle)
-            return parties
 
-        if net.reliable:
-            box: dict[str, RankingParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                box.clear()
-                box.update(build(alive, standby_id(ttp_id, avoid)))
-                for party in box.values():
-                    party.start(net)
-
-                def collect():
-                    if any(p.verdict is None for p in box.values()):
-                        return None
-                    return {pid: p.verdict for pid, p in box.items()}
-
-                return collect
-
-            outcome = await supervise_ring_async(
-                net, PROTOCOL, sorted(values), launch,
-                min_parties=2, deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        parties = build(sorted(values), ttp_id)
-        for party in parties.values():
-            party.start(net)
-        await net.drain(deadline=deadline)
-
-    out = {}
-    for pid, party in parties.items():
-        if party.verdict is None:
-            raise ProtocolAbortError(f"party {pid} never received its rank")
-        out[pid] = party.verdict
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset(values), values=out, rounds=2
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, sorted(values), build, lambda party: party.verdict,
+            rounds=2, min_parties=2, deadline=deadline,
+        )
 
 
 secure_ranking = sync_twin(secure_ranking_async)

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.shamir import ShamirScheme
-from repro.errors import ConfigurationError, ProtocolAbortError, RingFailoverError
+from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, supervise_ring_async
-from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.resilience import Deadline
+from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.twin import sync_twin
 
 __all__ = [
@@ -184,7 +184,7 @@ async def _run_sum(
 
     net = net or SimNetwork(tracer=ctx.tracer)
 
-    def build(alive: list[str]) -> dict[str, SumParty]:
+    def build(alive: list[str], avoid: frozenset) -> dict[str, SumParty]:
         """Construct the party objects over the (possibly reduced) cluster."""
         scheme = ShamirScheme(
             k=min(k, len(alive)), n=len(alive), p=field_prime
@@ -210,62 +210,10 @@ async def _run_sum(
             PROTOCOL, "*", "value_bound",
             f"field modulus {field_prime} bounds the (weighted) sum a priori",
         )
-        if net.reliable:
-            nodes_box: dict[str, SumParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                obs_alive = [o for o in observers if o in alive]
-                if not obs_alive:
-                    raise RingFailoverError(
-                        f"{PROTOCOL}: every authorized observer is unreachable"
-                    )
-                nodes_box.clear()
-                nodes_box.update(build(alive))
-                for pid, node in nodes_box.items():
-                    net.register(pid, node.handle)
-                for node in nodes_box.values():
-                    node.start(net)
-
-                def collect():
-                    out = {}
-                    for obs in obs_alive:
-                        result = nodes_box[obs].state.result
-                        if result is None:
-                            return None
-                        out[obs] = result
-                    return out
-
-                return collect
-
-            outcome = await supervise_ring_async(
-                net, PROTOCOL, parties, launch,
-                min_parties=1, deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=2,
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        nodes = build(parties)
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        for node in nodes.values():
-            node.start(net)
-        await net.drain(deadline=deadline)
-
-    out = {}
-    for obs in observers:
-        result = nodes[obs].state.result
-        if result is None:
-            raise ProtocolAbortError(f"observer {obs} could not reconstruct the sum")
-        out[obs] = result
-    return SmcResult(
-        protocol=PROTOCOL, observers=frozenset(observers), values=out, rounds=2
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, parties, build, lambda party: party.state.result,
+            rounds=2, observers=observers, deadline=deadline,
+        )
 
 
 async def secure_sum_async(
@@ -281,7 +229,7 @@ async def secure_sum_async(
 
     ``k`` is the reconstruction threshold (defaults to n — every node's
     F-share needed).  ``field_prime`` defaults to a prime safely above the
-    maximum possible sum.  On a resilient network the run is supervised:
+    maximum possible sum.  The run is supervised: on a resilient network
     unreachable parties are excluded and the (partial) sum comes back with
     ``degraded=True`` and the skipped ids listed.
 

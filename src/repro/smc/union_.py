@@ -22,17 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.pohlig_hellman import PohligHellmanCipher
-from repro.errors import ConfigurationError, ProtocolAbortError, RingFailoverError
+from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
 from repro.net.topology import next_on_ring
-from repro.resilience import (
-    Deadline,
-    pick_coordinator,
-    ring_avoiding,
-    supervise_ring_async,
-)
-from repro.smc.base import SmcContext, SmcResult, protocol_span
+from repro.resilience import Deadline, pick_coordinator, ring_avoiding
+from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.twin import sync_twin
 
 __all__ = ["UnionParty", "secure_set_union", "secure_set_union_async"]
@@ -42,8 +37,11 @@ PROTOCOL = "secure_set_union"
 
 @dataclass
 class _UnionState:
-    full_blocks: int = 0
-    pool: list[int] = field(default_factory=list)
+    # Fully-encrypted blocks keyed by the hop that delivered them: each
+    # block finishes its circuit at a different ring member, so a frame
+    # the transport duplicated replaces its twin instead of standing in
+    # for a block that never arrived.
+    blocks: dict[str, list[int]] = field(default_factory=dict)
     result: list[int] | None = None
 
 
@@ -151,11 +149,10 @@ class UnionParty:
     def _on_full(self, msg: Message, transport) -> None:
         if self.party_id != self.collector:
             raise ProtocolAbortError(f"{self.party_id} is not the union collector")
-        self.state.pool.extend(msg.payload["elements"])
-        self.state.full_blocks += 1
-        if self.state.full_blocks < len(self.parties):
+        self.state.blocks[msg.src] = msg.payload["elements"]
+        if len(self.state.blocks) < len(self.parties):
             return
-        unique = sorted(set(self.state.pool))
+        unique = sorted(set().union(*self.state.blocks.values()))
         self.ctx.leakage.record(
             PROTOCOL, self.party_id, "result_cardinality",
             f"collector learns |∪ S_i| = {len(unique)}",
@@ -210,7 +207,7 @@ async def secure_set_union_async(
 
     See module docstring; interface mirrors
     :func:`repro.smc.intersection.secure_set_intersection`, including
-    failover supervision on a resilient network (re-route or exclude, with
+    failover supervision (re-route or exclude on a resilient network, with
     ``degraded``/``skipped`` set on the result).
 
     ``secure_set_union`` is :func:`~repro.twin.sync_twin` of this coroutine
@@ -224,7 +221,24 @@ async def secure_set_union_async(
     if unknown:
         raise ConfigurationError(f"observers {unknown} are not parties")
     collector = collector or observers[0]
+    if collector not in parties:
+        raise ConfigurationError(f"collector {collector!r} is not a party")
+    if ring is not None and sorted(ring) != parties:
+        raise ConfigurationError("ring must be a permutation of the parties")
     net = net or SimNetwork(tracer=ctx.tracer)
+
+    def build(alive: list[str], avoid: frozenset) -> dict[str, UnionParty]:
+        obs_alive = [o for o in observers if o in alive]
+        candidates = sorted(set(obs_alive) | ({collector} & set(alive)))
+        coll = pick_coordinator(candidates, avoid, default=collector)
+        prefer = [p for p in (ring or alive) if p in alive]
+        ring_order = ring_avoiding(alive, avoid, prefer=prefer)
+        return {
+            pid: UnionParty(
+                pid, sets[pid], ctx, alive, obs_alive, coll, ring=ring_order
+            )
+            for pid in alive
+        }
 
     with protocol_span(
         ctx,
@@ -236,81 +250,10 @@ async def secure_set_union_async(
             "engine": ctx.engine.name,
         },
     ):
-        if net.reliable:
-            nodes_box: dict[str, UnionParty] = {}
-
-            def launch(alive: list[str], avoid: frozenset):
-                obs_alive = [o for o in observers if o in alive]
-                if not obs_alive:
-                    raise RingFailoverError(
-                        f"{PROTOCOL}: every authorized observer is unreachable"
-                    )
-                candidates = sorted(set(obs_alive) | ({collector} & set(alive)))
-                coll = pick_coordinator(candidates, avoid, default=collector)
-                prefer = [p for p in (ring or sorted(alive)) if p in alive]
-                ring_order = ring_avoiding(alive, avoid, prefer=prefer)
-                nodes_box.clear()
-                nodes_box.update(
-                    {
-                        pid: UnionParty(
-                            pid, sets[pid], ctx, alive, obs_alive, coll,
-                            ring=ring_order,
-                        )
-                        for pid in alive
-                    }
-                )
-                for pid, node in nodes_box.items():
-                    net.register(pid, node.handle)
-                for node in nodes_box.values():
-                    node.start(net)
-
-                def collect():
-                    out = {}
-                    for obs in obs_alive:
-                        result = nodes_box[obs].state.result
-                        if result is None:
-                            return None
-                        out[obs] = result
-                    return out
-
-                return collect
-
-            outcome = await supervise_ring_async(
-                net, PROTOCOL, parties, launch,
-                min_parties=1, deadline=deadline, ledger=ctx.leakage,
-            )
-            return SmcResult(
-                protocol=PROTOCOL,
-                observers=frozenset(outcome.values),
-                values=outcome.values,
-                rounds=len(parties),
-                degraded=outcome.degraded,
-                skipped=outcome.skipped,
-                failovers=outcome.failovers,
-            )
-        nodes = {
-            pid: UnionParty(pid, sets[pid], ctx, parties, observers, collector,
-                            ring=ring)
-            for pid in parties
-        }
-        for pid, node in nodes.items():
-            net.register(pid, node.handle)
-        for node in nodes.values():
-            node.start(net)
-        await net.drain(deadline=deadline)
-
-    values = {}
-    for obs in observers:
-        result = nodes[obs].state.result
-        if result is None:
-            raise ProtocolAbortError(f"observer {obs} never received the union")
-        values[obs] = result
-    return SmcResult(
-        protocol=PROTOCOL,
-        observers=frozenset(observers),
-        values=values,
-        rounds=len(parties),
-    )
+        return await run_supervised(
+            ctx, net, PROTOCOL, parties, build, lambda party: party.state.result,
+            rounds=len(parties), observers=observers, deadline=deadline,
+        )
 
 
 secure_set_union = sync_twin(secure_set_union_async)

@@ -6,23 +6,19 @@ every run either returns a **correct** result (possibly explicitly
 ``degraded`` with the skipped nodes named) or raises a **typed,
 attributed** failure — never a hang (the simulator's ``max_steps`` guard
 turns a hang into an error) and never a silent wrong answer.
+
+:class:`TestPlainNetColumn` runs the same grid with ``resilience=None``:
+the drivers launch through the same supervisor there, which cannot
+repair anything without the reliability layer's diagnosis, so the
+contract narrows to "the correct answer or a typed abort".
 """
 
 import pytest
 
-from repro.crypto import (
-    AccumulatorParams,
-    DeterministicRng,
-    Operation,
-    TicketAuthority,
-)
+from repro.crypto import DeterministicRng
 from repro.core import ConfidentialAuditingService
-from repro.errors import ReproError, RingFailoverError
-from repro.logstore import (
-    DistributedLogStore,
-    paper_fragment_plan,
-    paper_table1_schema,
-)
+from repro.errors import ProtocolAbortError, ReproError, RingFailoverError
+from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.logstore.integrity import run_batched_integrity_round
 from repro.net.faults import FaultPlan
 from repro.net.simnet import SimNetwork
@@ -34,11 +30,14 @@ from repro.smc.intersection import secure_set_intersection
 from repro.smc.ranking import secure_ranking
 from repro.smc.sum_ import secure_sum
 from repro.smc.union_ import secure_set_union
-
-SETS = {"P0": ["a", "b"], "P1": ["b", "c"], "P2": ["b", "d"], "P3": ["b", "e"]}
-# Union's reversible encoding requires small non-negative integers.
-INT_SETS = {"P0": [1, 2], "P1": [2, 3], "P2": [2, 4], "P3": [2, 5]}
-VALUES = {"P0": 11, "P1": 7, "P2": 25, "P3": 3}
+from tests.driver_cases import (
+    DRIVER_CASES,
+    DRIVER_NODES,
+    INT_SETS,
+    SETS,
+    VALUES,
+    small_store,
+)
 
 FAULT_GRID = [
     {"drop_rate": 0.05},
@@ -49,9 +48,9 @@ FAULT_GRID = [
 ]
 
 
-def faulty_net(spec: dict, seed: str) -> SimNetwork:
+def faulty_net(spec: dict, seed: str, reliable: bool = True) -> SimNetwork:
     faults = FaultPlan(rng=DeterministicRng(seed.encode()), **spec)
-    return SimNetwork(resilience=RetryPolicy(), faults=faults)
+    return SimNetwork(resilience=RetryPolicy() if reliable else None, faults=faults)
 
 
 def fresh_ctx(prime, tag: str) -> SmcContext:
@@ -199,19 +198,38 @@ class TestSinglePartitionedNode:
         assert result.failovers >= 1
 
 
+class TestPlainNetColumn:
+    """``resilience=None`` over the same grid, every driver including the
+    three integrity rounds: the correct answer or a typed
+    :class:`ProtocolAbortError` — never a hang, never a wrong or partial
+    answer (an integrity case's answer names every requested glsn)."""
+
+    @pytest.mark.parametrize("spec", FAULT_GRID, ids=str)
+    @pytest.mark.parametrize("driver", sorted(DRIVER_CASES))
+    def test_correct_or_typed_abort(self, prime64, driver, spec):
+        for seed in range(3):
+            net = faulty_net(spec, f"plain-{driver}-{seed}", reliable=False)
+            try:
+                answer, expected = DRIVER_CASES[driver](prime64, net)
+            except ProtocolAbortError:
+                continue
+            assert answer == expected
+
+    @pytest.mark.parametrize(
+        "driver,victim",
+        [(d, v) for d in sorted(DRIVER_CASES) for v in DRIVER_NODES[d]],
+    )
+    def test_crashed_node_is_a_typed_abort(self, prime64, driver, victim):
+        """Nothing can be re-routed or excluded without a diagnosis: one
+        launch, then the typed failure naming the protocol."""
+        faults = FaultPlan()
+        faults.crash(victim)
+        with pytest.raises(RingFailoverError, match="no diagnosable link failure"):
+            DRIVER_CASES[driver](prime64, SimNetwork(faults=faults))
+
+
 class TestIntegrityRingChaos:
-    def _store(self, tag: str) -> DistributedLogStore:
-        schema = paper_table1_schema()
-        auth = TicketAuthority(b"chaos-matrix-master-secret-01234")
-        store = DistributedLogStore(
-            paper_fragment_plan(schema),
-            auth,
-            AccumulatorParams.generate(128, DeterministicRng(tag.encode())),
-        )
-        ticket = auth.issue("U1", {Operation.READ, Operation.WRITE})
-        for i in range(4):
-            store.append({"C1": 10 + i, "C2": f"{i}.00"}, ticket)
-        return store
+    _store = staticmethod(small_store)
 
     @pytest.mark.parametrize("spec", FAULT_GRID, ids=str)
     def test_batched_ring_under_faults(self, spec):

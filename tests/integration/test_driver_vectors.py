@@ -1,0 +1,260 @@
+"""Recorded cost vectors of every ring driver on a plain ``SimNetwork``.
+
+One launch path serves the default deployment and the fault tests alike,
+so "same answers, same bill" has to be pinned somewhere that does not
+compare the path with itself: ``RECORDED`` was captured on the commit
+before the drivers were routed through the failover supervisor
+(5cb3963), with the seeds and the 64-bit prime below.  Each vector is
+the run's message count, wire bytes, per-kind frame counts,
+``total.modexp`` and the leakage ledger as a ``(protocol, party,
+category)`` sequence.
+
+Only ``integrity_per_glsn`` differs from that commit, and only in its
+kinds and bytes: a per-glsn token now travels as a single-glsn
+``integ.mpass``/``integ.mdone`` frame, 7 bytes longer than the scalar
+``integ.pass``/``integ.done`` form it replaces (5 glsns x 4 frames:
+3 270 -> 3 410 bytes).  Message count, folds and reports are unchanged.
+"""
+
+import itertools
+
+import pytest
+
+from repro.crypto import (
+    AccumulatorParams,
+    DeterministicRng,
+    Operation,
+    TicketAuthority,
+)
+from repro.logstore import (
+    DistributedLogStore,
+    paper_fragment_plan,
+    paper_table1_schema,
+)
+from repro.logstore.integrity import (
+    run_batched_integrity_round,
+    run_combined_integrity_round,
+    run_integrity_round,
+)
+from repro.net import message
+from repro.net.simnet import SimNetwork
+from repro.net.stats import CryptoOpCounter
+from repro.smc.base import SmcContext
+from repro.smc.comparison import secure_compare, secure_compare_batch
+from repro.smc.equality import secure_equality
+from repro.smc.intersection import secure_set_intersection
+from repro.smc.ranking import secure_ranking
+from repro.smc.sum_ import secure_weighted_sum
+from repro.smc.union_ import secure_set_union
+
+SETS = {"P0": ["a", "b", "c"], "P1": ["b", "c", "d"], "P2": ["c", "b", "e"]}
+INT_SETS = {"P0": [1, 2], "P1": [2, 3], "P2": [2, 4]}
+VALUES = {"P0": 11, "P1": 7, "P2": 25, "P3": 3}
+
+
+def _store() -> DistributedLogStore:
+    schema = paper_table1_schema()
+    auth = TicketAuthority(b"driver-vectors-master-secret-012")
+    store = DistributedLogStore(
+        paper_fragment_plan(schema),
+        auth,
+        AccumulatorParams.generate(128, DeterministicRng(b"driver-vectors")),
+    )
+    ticket = auth.issue("U1", {Operation.READ, Operation.WRITE})
+    for i in range(5):
+        store.append({"C1": 10 + i, "C2": f"{i}.00", "C3": f"v{i}"}, ticket)
+    return store
+
+
+def _smc(driver, *args, **kwargs):
+    def run(prime):
+        ctx = SmcContext(prime, DeterministicRng(b"driver-vectors"))
+        net = SimNetwork()
+        result = driver(ctx, *args, net=net, **kwargs)
+        return result.values, net, ctx.crypto_ops.ops["total.modexp"], [
+            (e.protocol, e.observer, e.category) for e in ctx.leakage.events
+        ]
+
+    return run
+
+
+def _integrity(driver, tamper: bool = False, **kwargs):
+    def run(prime):
+        store = _store()
+        if tamper:
+            store.node_store("P1").tamper(store.glsns[2], "C2", "999.99")
+        net, crypto = SimNetwork(), CryptoOpCounter()
+        reports = driver(store, net=net, crypto=crypto, **kwargs)
+        batch = reports if isinstance(reports, list) else reports.reports
+        answer = [r.ok for r in batch]
+        if not isinstance(reports, list):
+            answer = {"ok": reports.ok, "mode": reports.mode, "reports": answer}
+        return answer, net, crypto.ops["total.modexp"], []
+
+    return run
+
+
+SCENARIOS = {
+    "intersection": _smc(secure_set_intersection, SETS),
+    "intersection_shuffled": _smc(
+        secure_set_intersection, SETS, shuffle=True, observers=["P1", "P2"],
+        collector="P2", ring=["P2", "P0", "P1"],
+    ),
+    "union": _smc(secure_set_union, INT_SETS),
+    "weighted_sum": _smc(
+        secure_weighted_sum, VALUES, {"P0": 1, "P1": 2, "P2": 3, "P3": 4}, k=3
+    ),
+    "equality": _smc(secure_equality, ("A", "tcp"), ("B", "tcp")),
+    "compare": _smc(secure_compare, ("A", 9), ("B", 30), value_bound=100),
+    "compare_batch": _smc(
+        secure_compare_batch, ("A", [1, 50, 30]), ("B", [2, 50, 7]), value_bound=100
+    ),
+    "ranking": _smc(secure_ranking, VALUES),
+    "integrity_per_glsn": _integrity(run_integrity_round, initiator="P2"),
+    "integrity_batched": _integrity(run_batched_integrity_round),
+    "integrity_combined": _integrity(run_combined_integrity_round),
+    "integrity_combined_localised": _integrity(
+        run_combined_integrity_round, tamper=True
+    ),
+}
+
+
+def measure(name: str, prime: int) -> dict:
+    """Run one scenario with ``Message.seq`` restarted at 1: the sequence
+    number is process-global and goes over the wire, so without this the
+    byte count would depend on how many messages earlier tests created."""
+    message._sequence = itertools.count(1)
+    answer, net, modexp, ledger = SCENARIOS[name](prime)
+    return {
+        "answer": answer,
+        "messages": net.stats.messages,
+        "bytes": net.stats.bytes,
+        "by_kind": dict(sorted(net.stats.by_kind.items())),
+        "modexp": modexp,
+        "ledger": ledger,
+    }
+
+
+RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
+             'messages': 4,
+             'bytes': 418,
+             'by_kind': {'scmp.blinded': 2, 'scmp.verdict': 2},
+             'modexp': 0,
+             'ledger': [('secure_compare', 'ttp', 'order_statistics')]},
+ 'compare_batch': {'answer': {'A': ['lt', 'eq', 'gt'], 'B': ['lt', 'eq', 'gt']},
+                   'messages': 4,
+                   'bytes': 510,
+                   'by_kind': {'scmpb.blinded': 2, 'scmpb.verdict': 2},
+                   'modexp': 0,
+                   'ledger': [('secure_compare', 'ttp', 'order_statistics')]},
+ 'equality': {'answer': {'A': True, 'B': True},
+              'messages': 4,
+              'bytes': 468,
+              'by_kind': {'seq.blinded': 2, 'seq.verdict': 2},
+              'modexp': 0,
+              'ledger': [('secure_equality', 'ttp', 'equality_verdict')]},
+ 'integrity_batched': {'answer': [True, True, True, True, True],
+                       'messages': 4,
+                       'bytes': 1403,
+                       'by_kind': {'integ.mdone': 1, 'integ.mpass': 3},
+                       'modexp': 20,
+                       'ledger': []},
+ 'integrity_combined': {'answer': {'ok': True, 'mode': 'combined', 'reports': []},
+                        'messages': 4,
+                        'bytes': 826,
+                        'by_kind': {'integ.cdone': 1, 'integ.cpass': 3},
+                        'modexp': 4,
+                        'ledger': []},
+ 'integrity_combined_localised': {'answer': {'ok': False,
+                                             'mode': 'combined',
+                                             'reports': [True, True, False, True, True]},
+                                  'messages': 8,
+                                  'bytes': 2231,
+                                  'by_kind': {'integ.cdone': 1,
+                                              'integ.cpass': 3,
+                                              'integ.mdone': 1,
+                                              'integ.mpass': 3},
+                                  'modexp': 24,
+                                  'ledger': []},
+ 'integrity_per_glsn': {'answer': [True, True, True, True, True],
+                        'messages': 20,
+                        'bytes': 3410,
+                        'by_kind': {'integ.mdone': 5, 'integ.mpass': 15},
+                        'modexp': 20,
+                        'ledger': []},
+ 'intersection': {'answer': {'P0': ['b', 'c'], 'P1': ['b', 'c'], 'P2': ['b', 'c']},
+                  'messages': 14,
+                  'bytes': 1926,
+                  'by_kind': {'ssi.full': 3,
+                              'ssi.positions': 3,
+                              'ssi.relay': 6,
+                              'ssi.result': 2},
+                  'modexp': 27,
+                  'ledger': [('secure_set_intersection', 'P1', 'set_size'),
+                             ('secure_set_intersection', 'P2', 'set_size'),
+                             ('secure_set_intersection', 'P0', 'set_size'),
+                             ('secure_set_intersection', 'P2', 'set_size'),
+                             ('secure_set_intersection', 'P0', 'set_size'),
+                             ('secure_set_intersection', 'P1', 'set_size'),
+                             ('secure_set_intersection', 'P0', 'result_cardinality'),
+                             ('secure_set_intersection', 'P0', 'position_linkage')]},
+ 'intersection_shuffled': {'answer': {'P1': ['b', 'c'], 'P2': ['b', 'c']},
+                           'messages': 12,
+                           'bytes': 1887,
+                           'by_kind': {'ssi.decrypt': 2,
+                                       'ssi.full': 3,
+                                       'ssi.relay': 6,
+                                       'ssi.result': 1},
+                           'modexp': 33,
+                           'ledger': [('secure_set_intersection', 'P1', 'set_size'),
+                                      ('secure_set_intersection', 'P2', 'set_size'),
+                                      ('secure_set_intersection', 'P0', 'set_size'),
+                                      ('secure_set_intersection', 'P2', 'set_size'),
+                                      ('secure_set_intersection', 'P0', 'set_size'),
+                                      ('secure_set_intersection', 'P1', 'set_size'),
+                                      ('secure_set_intersection', 'P2', 'result_cardinality')]},
+ 'ranking': {'answer': {'P0': {'rank': 3, 'argmax': 'P2', 'argmin': 'P3', 'n': 4},
+                        'P1': {'rank': 2, 'argmax': 'P2', 'argmin': 'P3', 'n': 4},
+                        'P2': {'rank': 4, 'argmax': 'P2', 'argmin': 'P3', 'n': 4},
+                        'P3': {'rank': 1, 'argmax': 'P2', 'argmin': 'P3', 'n': 4}},
+             'messages': 8,
+             'bytes': 764,
+             'by_kind': {'rank.blinded': 4, 'rank.verdict': 4},
+             'modexp': 0,
+             'ledger': [('secure_ranking', 'ttp', 'order_statistics'),
+                        ('secure_ranking', 'ttp', 'scaled_gap')]},
+ 'union': {'answer': {'P0': [1, 2, 3, 4], 'P1': [1, 2, 3, 4], 'P2': [1, 2, 3, 4]},
+           'messages': 13,
+           'bytes': 1748,
+           'by_kind': {'ssu.decrypt': 2, 'ssu.full': 3, 'ssu.relay': 6, 'ssu.result': 2},
+           'modexp': 30,
+           'ledger': [('secure_set_union', 'P1', 'set_size'),
+                      ('secure_set_union', 'P2', 'set_size'),
+                      ('secure_set_union', 'P0', 'set_size'),
+                      ('secure_set_union', 'P2', 'set_size'),
+                      ('secure_set_union', 'P0', 'set_size'),
+                      ('secure_set_union', 'P1', 'set_size'),
+                      ('secure_set_union', 'P0', 'result_cardinality')]},
+ 'weighted_sum': {'answer': {'P0': 112, 'P1': 112, 'P2': 112, 'P3': 112},
+                  'messages': 24,
+                  'bytes': 1924,
+                  'by_kind': {'ssum.fshare': 12, 'ssum.share': 12},
+                  'modexp': 0,
+                  'ledger': [('secure_sum', '*', 'value_bound')]}}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_driver_matches_the_recorded_parent_vector(name, prime64, monkeypatch):
+    monkeypatch.setattr(message, "_sequence", message._sequence)  # restored on exit
+    assert measure(name, prime64) == RECORDED[name]
+
+
+if __name__ == "__main__":  # regenerate: PYTHONPATH=src python <this file>
+    import pprint
+
+    from repro.crypto import shared_prime
+
+    pprint.pprint(
+        {name: measure(name, shared_prime(64)) for name in sorted(SCENARIOS)},
+        width=96, sort_dicts=False,
+    )

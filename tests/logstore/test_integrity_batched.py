@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.logstore import integrity
 from repro.logstore.integrity import (
     IntegrityChecker,
     run_batched_integrity_round,
     run_combined_integrity_round,
     run_integrity_round,
 )
+from repro.net.faults import FaultPlan
 from repro.net.simnet import SimNetwork
+from repro.resilience import RetryPolicy
 
 
 class TestBatchedRing:
@@ -93,6 +96,49 @@ class TestCombinedRing:
         scattered = [receipts[1].glsn, receipts[4].glsn]
         verdict = run_combined_integrity_round(store, glsns=scattered)
         assert verdict.mode == "per-glsn" and verdict.ok
+
+
+    @pytest.mark.parametrize("resilience", [None, RetryPolicy()], ids=["plain", "resilient"])
+    def test_one_node_set_per_launch(self, populated_store, monkeypatch, resilience):
+        """A clean combined round is one launch: one IntegrityNode per store."""
+        store, _, _ = populated_store
+        built = []
+
+        class CountingNode(integrity.IntegrityNode):
+            def __init__(self, node_id, *args, **kwargs):
+                built.append(node_id)
+                super().__init__(node_id, *args, **kwargs)
+
+        monkeypatch.setattr(integrity, "IntegrityNode", CountingNode)
+        verdict = run_combined_integrity_round(
+            store, net=SimNetwork(resilience=resilience)
+        )
+        assert verdict.ok and verdict.mode == "combined"
+        assert sorted(built) == sorted(store.stores)
+
+    def test_node_lost_before_localising_round_is_unverified(self, populated_store):
+        """The combined mismatch stands (its fold was complete), but a
+        localising round that had to exclude a node cannot name glsns."""
+        store, _, receipts = populated_store
+        store.node_store("P1").tamper(receipts[2].glsn, "C2", "999999.99")
+
+        class CrashAfterCombinedVerdict(FaultPlan):
+            def decide(self, msg):
+                decision = super().decide(msg)
+                if msg.kind == "integ.cdone":
+                    self.crash("P2")
+                return decision
+
+        net = SimNetwork(resilience=RetryPolicy(), faults=CrashAfterCombinedVerdict())
+        verdict = run_combined_integrity_round(store, net=net)
+        assert not verdict.ok and verdict.mode == "combined"
+        assert verdict.observed != verdict.expected
+        assert not verdict.verified and verdict.skipped_nodes == ("P2",)
+        assert len(verdict.reports) == len(receipts)
+        assert all(
+            not r.ok and not r.verified and r.skipped_nodes == ("P2",)
+            for r in verdict.reports
+        )
 
 
 class TestCheckerMemoization:

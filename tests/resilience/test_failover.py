@@ -73,11 +73,26 @@ class TestCoordinatorChoice:
 
 
 class TestSupervisor:
-    def test_requires_a_reliable_net(self):
-        with pytest.raises(RingFailoverError):
-            supervise_ring(
-                SimNetwork(), "p", ["A"], lambda alive, avoid: (lambda: {})
-            )
+    def test_plain_net_incomplete_round_is_one_launch_then_typed(self):
+        """No reliability layer, so no failed link to diagnose: a stranded
+        round ends in the typed error after its single launch."""
+        launches = []
+
+        def launch(alive, avoid):
+            launches.append((alive, avoid))
+            return lambda: None
+
+        with pytest.raises(RingFailoverError, match="stranded_proto") as excinfo:
+            supervise_ring(SimNetwork(), "stranded_proto", ["A", "B"], launch)
+        assert launches == [(["A", "B"], frozenset())]
+        assert excinfo.value.skipped == () and excinfo.value.failed_links == ()
+
+    def test_plain_net_complete_round_returns_undegraded(self):
+        outcome = supervise_ring(
+            SimNetwork(), "p", ["A"], lambda alive, avoid: (lambda: {"A": 1})
+        )
+        assert outcome.values == {"A": 1}
+        assert not outcome.degraded and outcome.failovers == 0
 
     def test_budget_exhaustion_is_typed(self):
         """A launch that never completes and always reports the same

@@ -4,6 +4,10 @@ The protocols are single-shot (no retransmission layer — the paper assumes
 reliable routing "handled by the lower network layer").  Under message
 loss or partitions they must therefore fail *detectably*: the driver
 raises ProtocolAbortError instead of returning partial or wrong results.
+Every driver launches through the failover supervisor, which on these
+plain networks has no failed-link diagnosis to act on: one launch, then
+the typed error.  :class:`TestEveryDriver` holds all ten drivers, the
+three integrity rounds included, to that contract.
 """
 
 import pytest
@@ -17,6 +21,7 @@ from repro.smc.equality import secure_equality
 from repro.smc.intersection import secure_set_intersection
 from repro.smc.ranking import secure_ranking
 from repro.smc.sum_ import secure_sum
+from tests.driver_cases import DRIVER_CASES
 
 SETS = {"P0": ["a", "b"], "P1": ["b", "c"], "P2": ["b", "d"]}
 
@@ -116,3 +121,24 @@ class TestDuplication:
             except (ProtocolAbortError, Exception):
                 continue
             assert result.any_value == ["b"]
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVER_CASES))
+class TestEveryDriver:
+    def test_total_loss_aborts(self, prime64, driver):
+        with pytest.raises(ProtocolAbortError):
+            DRIVER_CASES[driver](prime64, lossy_net(1.0))
+
+    @pytest.mark.parametrize(
+        "spec", [{"drop_rate": 0.3}, {"duplicate_rate": 0.5}], ids=str
+    )
+    def test_never_a_wrong_or_partial_answer(self, prime64, driver, spec):
+        for seed in range(8):
+            faults = FaultPlan(rng=DeterministicRng(f"ed-{seed}".encode()), **spec)
+            try:
+                answer, expected = DRIVER_CASES[driver](
+                    prime64, SimNetwork(faults=faults)
+                )
+            except ProtocolAbortError:
+                continue
+            assert answer == expected

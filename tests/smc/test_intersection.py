@@ -106,6 +106,12 @@ class TestCostAndLeakage:
         # last hop lands at collector as ssi.full when collector is next
         assert fulls == n
 
+    def test_stage_timings_recorded(self, ctx):
+        net = SimNetwork()
+        secure_set_intersection(ctx, FIG4_SETS, net=net, shuffle=True)
+        assert net.stats.timings.get("ssi.encrypt", 0) > 0
+        assert net.stats.timings.get("ssi.decrypt", 0) > 0  # shuffled path
+
     def test_modexp_scales_with_set_size(self, prime64):
         from repro.crypto.rng import DeterministicRng
         from repro.smc.base import SmcContext
@@ -141,14 +147,12 @@ class TestEngineIndependence:
     """The protocol result must not depend on which pow engine runs it."""
 
     @staticmethod
-    def _run(prime64, engine, shuffle, coalesce=False):
+    def _run(prime64, engine, shuffle):
         from repro.crypto.rng import DeterministicRng
         from repro.smc.base import SmcContext
 
         ctx = SmcContext(prime64, DeterministicRng(b"eq"), engine=engine)
-        result = secure_set_intersection(
-            ctx, FIG4_SETS, shuffle=shuffle, coalesce=coalesce
-        )
+        result = secure_set_intersection(ctx, FIG4_SETS, shuffle=shuffle)
         return {observer: result.value_for(observer) for observer in FIG4_SETS}
 
     @pytest.mark.parametrize("shuffle", [False, True])
@@ -166,92 +170,3 @@ class TestEngineIndependence:
         assert self._run(prime64, "auto", shuffle) == self._run(
             prime64, "serial", shuffle
         )
-
-
-class TestConvoyMode:
-    """coalesce=True: one bundled frame per ring hop instead of n² frames."""
-
-    @pytest.mark.parametrize("shuffle", [False, True])
-    def test_same_result_as_pipelined(self, prime64, shuffle):
-        runs = {}
-        for coalesce in (False, True):
-            runs[coalesce] = TestEngineIndependence._run(
-                prime64, "serial", shuffle, coalesce=coalesce
-            )
-        assert runs[True] == runs[False]
-        assert all(v == ["e"] for v in runs[True].values())
-
-    def test_fewer_frames_than_pipelined(self, ctx, prime64):
-        from repro.crypto.rng import DeterministicRng
-        from repro.smc.base import SmcContext
-
-        n = 4
-        sets = {f"P{i}": ["common", f"own-{i}"] for i in range(n)}
-
-        pipelined_net = SimNetwork()
-        secure_set_intersection(ctx, sets, net=pipelined_net)
-
-        convoy_ctx = SmcContext(prime64, DeterministicRng(b"convoy"))
-        convoy_net = SimNetwork()
-        secure_set_intersection(convoy_ctx, sets, net=convoy_net, coalesce=True)
-
-        assert convoy_net.stats.messages < pipelined_net.stats.messages
-        # Ring traffic collapses to ~2n+1 bundles: n convoy hops around the
-        # ring plus n again while stragglers finish, vs n*(n-1) point frames.
-        ring_kinds = ("ssi.convoy", "ssi.deliver")
-        ring_frames = sum(convoy_net.stats.by_kind.get(k, 0) for k in ring_kinds)
-        assert ring_frames <= 2 * n + 1
-
-    def test_modexp_identical_to_pipelined(self, prime64):
-        from repro.crypto.rng import DeterministicRng
-        from repro.smc.base import SmcContext
-
-        counts = {}
-        for coalesce in (False, True):
-            run_ctx = SmcContext(prime64, DeterministicRng(b"ops"))
-            secure_set_intersection(run_ctx, FIG4_SETS, coalesce=coalesce)
-            counts[coalesce] = run_ctx.crypto_ops.modexp
-        assert counts[True] == counts[False]
-
-    def test_explicit_ring_and_collector(self, ctx):
-        result = secure_set_intersection(
-            ctx,
-            FIG4_SETS,
-            coalesce=True,
-            collector="P2",
-            ring=["P2", "P3", "P1"],
-        )
-        assert result.any_value == ["e"]
-
-    def test_restricted_observers(self, ctx):
-        result = secure_set_intersection(
-            ctx, FIG4_SETS, coalesce=True, observers=["P3"]
-        )
-        assert result.value_for("P3") == ["e"]
-        with pytest.raises(UnauthorizedObserverError):
-            result.value_for("P1")
-
-    def test_two_parties(self, ctx):
-        result = secure_set_intersection(
-            ctx, {"A": [1, 2, 3], "B": [2, 3, 4]}, coalesce=True
-        )
-        assert sorted(result.any_value) == [2, 3]
-
-    def test_leakage_matches_pipelined(self, prime64):
-        from repro.crypto.rng import DeterministicRng
-        from repro.smc.base import SmcContext
-
-        cats = {}
-        for coalesce in (False, True):
-            run_ctx = SmcContext(prime64, DeterministicRng(b"leak"))
-            secure_set_intersection(run_ctx, FIG4_SETS, coalesce=coalesce)
-            cats[coalesce] = run_ctx.leakage.categories()
-        assert cats[True] == cats[False]
-
-    def test_stage_timings_recorded(self, ctx):
-        net = SimNetwork()
-        secure_set_intersection(
-            ctx, FIG4_SETS, net=net, coalesce=True, shuffle=True
-        )
-        assert net.stats.timings.get("ssi.encrypt", 0) > 0
-        assert net.stats.timings.get("ssi.decrypt", 0) > 0  # shuffled path

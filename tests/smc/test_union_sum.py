@@ -42,6 +42,15 @@ class TestUnion:
         with pytest.raises(ConfigurationError):
             secure_set_union(ctx, {})
 
+    def test_collector_must_be_party(self, ctx):
+        """Rejected up front: nothing encrypted, sent or put on the ledger."""
+        net = SimNetwork()
+        with pytest.raises(ConfigurationError, match="collector"):
+            secure_set_union(ctx, {"A": [1], "B": [2]}, collector="nobody", net=net)
+        assert ctx.crypto_ops.snapshot() == {}
+        assert ctx.leakage.events == []
+        assert net.stats.messages == 0 and net.node_ids == []
+
     def test_large_values_rejected_by_encoding(self, ctx):
         """Reversible encoding caps values at p//4."""
         with pytest.raises(ParameterError):
