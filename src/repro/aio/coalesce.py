@@ -9,8 +9,8 @@ is the coroutine-shaped equivalent: the holder computes under an
 nothing so exactly one retrying joiner becomes the new holder (identical
 no-poisoning semantics).
 
-Sharing levels whose computes are *pure sync* (predicate scans,
-projections) keep using the thread-based cache even inside coroutines —
+The sharing level whose compute is *pure sync* (attribute columns)
+keeps using the thread-based cache even inside coroutines —
 a sync compute can never suspend, so the holder always finishes before
 anyone could join on the same loop.  Only levels whose computes contain
 ``await`` (SMC subplans, whole queries) need this class.

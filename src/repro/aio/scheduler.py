@@ -17,9 +17,9 @@ runs as one :class:`asyncio.Task` on an owned event loop
 * **Pipelining** — drains are cooperative coroutines: query B's ring
   round departs while query A's reply is still in flight, because A is
   suspended at a yield point rather than blocking a worker thread.
-* **Coalescing** — same four sharing levels and epoch-stamped keys.
-  Scans and projections keep the thread-based single-flight caches
-  (their computes are pure sync, so they cannot suspend mid-hold);
+* **Coalescing** — same three sharing levels and epoch-stamped keys.
+  Attribute columns keep the thread-based single-flight cache (its
+  compute is pure sync, so it cannot suspend mid-hold);
   subplans and whole queries — whose computes ``await`` — use
   :class:`~repro.aio.coalesce.AsyncSingleFlight`.
 
@@ -106,9 +106,6 @@ class AsyncQueryScheduler:
         self._futures: set = set()
         if self.coalesce:
             m = self.metrics
-            self._scan_flight = SingleFlightCache(
-                LruCache("sched.scan", metrics=m), metrics=m, metric_label="scan"
-            )
             self._projection_flight = SingleFlightCache(
                 LruCache("sched.projection", metrics=m),
                 metrics=m,
@@ -121,7 +118,6 @@ class AsyncQueryScheduler:
                 LruCache("sched.query", metrics=m), metrics=m, metric_label="query"
             )
         else:
-            self._scan_flight = None
             self._projection_flight = None
             self._subplan_flight = None
             self._query_flight = None
@@ -276,7 +272,6 @@ class AsyncQueryScheduler:
             value_bound=service.executor.value_bound,
             batch_compare=service.executor.batch_compare,
             projection_cache=self._projection_flight,
-            scan_cache=self._scan_flight,
             subplan_cache=self._subplan_flight,
         )
         vt_start = self.net.now
@@ -336,7 +331,6 @@ class AsyncQueryScheduler:
         """Hit/miss/join counts per sharing level (empty when disabled)."""
         out: dict = {}
         for flight in (
-            self._scan_flight,
             self._projection_flight,
             self._subplan_flight,
             self._query_flight,

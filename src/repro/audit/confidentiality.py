@@ -28,6 +28,7 @@ The paper quantifies how little each DLA node can learn:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from statistics import mean
 
@@ -60,10 +61,12 @@ class StoreConfidentiality:
 
 
 def store_confidentiality(
-    record: LogRecord, schema: GlobalSchema, plan: FragmentPlan
+    record: LogRecord | Iterable[str], schema: GlobalSchema, plan: FragmentPlan
 ) -> StoreConfidentiality:
-    """Compute ``C_store`` (eq. 10) for one record under one plan."""
-    used = [name for name in record.values if name in schema]
+    """Compute ``C_store`` (eq. 10) for one record under one plan — or for the
+    attribute names it uses, which is all of a record the score reads."""
+    names = record.values if isinstance(record, LogRecord) else record
+    used = [name for name in names if name in schema]
     if not used:
         raise AuditError("record uses no schema attributes")
     w = len(used)

@@ -32,7 +32,9 @@ leakage accounting cover the entire query.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from repro.audit.ast_nodes import AttributeRef, Constant, Predicate
 from repro.audit.planner import QueryPlan, plan_query
@@ -66,25 +68,84 @@ __all__ = ["QueryResult", "AggregateResult", "QueryExecutor"]
 _NUMERIC_SCALE = 100  # fixed-point scale for decimal attribute comparison
 
 
-def _comparable_pair(left, right):
-    """Coerce a value pair for comparison; numbers numerically, else str."""
-    try:
-        return float(left), float(right)
-    except (TypeError, ValueError):
-        return str(left), str(right)
+_COMPARE = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
 
 def _apply_op(op: str, left, right) -> bool:
-    l, r = _comparable_pair(left, right)
-    table = {
-        "<": l < r,
-        ">": l > r,
-        "=": l == r,
-        "!=": l != r,
-        "<=": l <= r,
-        ">=": l >= r,
-    }
-    return table[op]
+    """Compare one value pair: numbers numerically, else as ``str``."""
+    try:
+        pair = float(left), float(right)
+    except (TypeError, ValueError):
+        pair = str(left), str(right)
+    return _COMPARE[op](*pair)
+
+
+class _Column:
+    """One attribute on one node at one store epoch, typed once for scanning.
+
+    ``raw`` maps glsn to the value as stored, in glsn order (iterating the
+    column gives those pairs).  ``nums`` holds the rows ``float()`` accepts
+    as floats and ``texts`` the rows it refuses with ``TypeError`` /
+    ``ValueError`` as ``str`` — the two coercions :func:`_apply_op`
+    would otherwise repeat for every row of every query.  A row ``float()``
+    fails on any other way (an integer beyond the float range) is in
+    neither but in ``rest``: :func:`_apply_op` judges it, or raises on it,
+    as a row scan would.
+    """
+
+    def __init__(self, fragments, attribute: str) -> None:
+        self.raw = {
+            frag.glsn: frag.values[attribute]
+            for frag in fragments
+            if attribute in frag.values
+        }
+        self.nums: dict[int, float] = {}
+        self.texts: dict[int, str] = {}
+        self.rest: list[int] = []
+        for glsn, value in self.raw.items():
+            try:
+                self.nums[glsn] = float(value)
+            except (TypeError, ValueError):
+                self.texts[glsn] = str(value)
+            except ArithmeticError:
+                self.rest.append(glsn)
+
+    def __iter__(self):
+        return iter(self.raw.items())
+
+    def match_constant(self, op: str, constant) -> set[int]:
+        """Glsns whose value satisfies ``value ⊙ constant``."""
+        compare = _COMPARE[op]
+        text = str(constant)
+        out = {glsn for glsn, value in self.texts.items() if compare(value, text)}
+        try:
+            number = float(constant)
+        except (TypeError, ValueError, ArithmeticError):
+            # No float to hold the numeric rows against: they go by the row rule.
+            untyped = [*self.nums, *self.rest]
+        else:
+            out |= {g for g, value in self.nums.items() if compare(value, number)}
+            untyped = self.rest
+        out.update(g for g in untyped if _apply_op(op, self.raw[g], constant))
+        return out
+
+    def match_column(self, op: str, other: "_Column") -> set[int]:
+        """Glsns carrying both attributes with ``self ⊙ other`` true."""
+        compare = _COMPARE[op]
+        both = self.raw.keys() & other.raw.keys()
+        numeric = both & self.nums.keys() & other.nums.keys()
+        out = {g for g in numeric if compare(self.nums[g], other.nums[g])}
+        out.update(
+            g for g in both - numeric if _apply_op(op, self.raw[g], other.raw[g])
+        )
+        return out
 
 
 def _scaled_int(value) -> int:
@@ -96,6 +157,13 @@ def _scaled_int(value) -> int:
             f"ordered cross comparison requires non-negative values, got {value}"
         )
     return scaled
+
+
+def _unscaled(scaled: int, samples) -> object:
+    """A fixed-point aggregate in the samples' terms: ``int`` if all of them are."""
+    if all(map(isinstance, samples, repeat(int))):
+        return scaled // _NUMERIC_SCALE
+    return scaled / _NUMERIC_SCALE
 
 
 @dataclass
@@ -135,7 +203,6 @@ class QueryExecutor:
         value_bound: int = 2**40,
         batch_compare: bool = True,
         projection_cache=None,
-        scan_cache=None,
         subplan_cache=None,
     ) -> None:
         self.store = store
@@ -152,23 +219,14 @@ class QueryExecutor:
         # empty and the remaining cross-predicate SMC runs are skipped.
         self.early_exit = True
         self._session = 0
-        # Epoch-keyed memoization (repro.cache): repeated queries over a
-        # slowly-growing log re-derive the same per-node projections and
-        # predicate scans.  Keys embed the owning store's epoch, so an
-        # append/delete/tamper on one node invalidates exactly that
-        # node's entries; REPRO_CACHE=off bypasses both caches entirely.
-        # The query scheduler injects shared single-flight caches here so
-        # concurrent queries coalesce identical work; any object with
-        # ``get_or_compute(key, compute)`` qualifies.
+        # Home of the typed columns (:meth:`_projection`); REPRO_CACHE=off
+        # rebuilds them per use.  The query scheduler injects a shared
+        # single-flight cache here so concurrent queries build a column
+        # once; any object with ``get_or_compute(key, compute)`` qualifies.
         self._projection_cache = (
             projection_cache
             if projection_cache is not None
             else LruCache("query.projection", metrics=ctx.metrics)
-        )
-        self._scan_cache = (
-            scan_cache
-            if scan_cache is not None
-            else LruCache("query.scan", metrics=ctx.metrics)
         )
         # Subplan coalescing is scheduler-only: serial executors keep it
         # off (None) so single-query behaviour is byte-identical.  Its
@@ -333,7 +391,7 @@ class QueryExecutor:
 
         if op == "sum":
             scaled = {
-                owner: sum(_scaled_int(v) for v in vals)
+                owner: sum(map(_scaled_int, vals))
                 for owner, vals in partials.items()
             }
             if len(scaled) == 1:
@@ -342,9 +400,7 @@ class QueryExecutor:
                 total_scaled = secure_sum(
                     self.ctx, scaled, net=net, deadline=deadline
                 ).any_value
-            value: object = total_scaled / _NUMERIC_SCALE
-            if all(isinstance(v, int) for vals in partials.values() for v in vals):
-                value = total_scaled // _NUMERIC_SCALE
+            value = _unscaled(total_scaled, chain.from_iterable(partials.values()))
             return AggregateResult(op=op, attribute=attribute, value=value, matched=matched)
 
         # max / min: find the holder via secure ranking, then only the
@@ -353,7 +409,7 @@ class QueryExecutor:
         for owner, vals in partials.items():
             if vals:
                 fn = max if op == "max" else min
-                extremes[owner] = fn(_scaled_int(v) for v in vals)
+                extremes[owner] = fn(map(_scaled_int, vals))
         if not extremes:
             return AggregateResult(op=op, attribute=attribute, value=None, matched=0)
         if len(extremes) == 1:
@@ -371,9 +427,7 @@ class QueryExecutor:
             key = "argmax" if op == "max" else "argmin"
             holder = ranking.any_value[key]
             scaled_value = extremes[holder]
-        raw = scaled_value / _NUMERIC_SCALE
-        if all(isinstance(v, int) for vals in partials.values() for v in vals):
-            raw = scaled_value // _NUMERIC_SCALE
+        raw = _unscaled(scaled_value, chain.from_iterable(partials.values()))
         return AggregateResult(
             op=op, attribute=attribute, value=raw, matched=matched, holder=holder
         )
@@ -437,21 +491,9 @@ class QueryExecutor:
                 result: object = len(samples)
             elif not samples:
                 result = None
-            elif op == "sum":
-                scaled = sum(_scaled_int(v) for v in samples)
-                result = (
-                    scaled // _NUMERIC_SCALE
-                    if all(isinstance(v, int) for v in samples)
-                    else scaled / _NUMERIC_SCALE
-                )
             else:
-                fn = max if op == "max" else min
-                scaled = fn(_scaled_int(v) for v in samples)
-                result = (
-                    scaled // _NUMERIC_SCALE
-                    if all(isinstance(v, int) for v in samples)
-                    else scaled / _NUMERIC_SCALE
-                )
+                fold = {"sum": sum, "max": max, "min": min}[op]
+                result = _unscaled(fold(map(_scaled_int, samples)), samples)
             out[value] = AggregateResult(
                 op=op, attribute=measure, value=result, matched=len(samples)
             )
@@ -547,54 +589,30 @@ class QueryExecutor:
             span.set_attribute("matches", len(glsns))
             return strategy.nodes[0], glsns
 
-    def _projection(self, node_id: str, attribute: str) -> tuple[tuple[int, object], ...]:
-        """(glsn, value) pairs of one attribute on its owner node.
+    def _projection(self, node_id: str, attribute: str) -> _Column:
+        """One attribute's column on its owner node.
 
         Memoized per (node, attribute, store epoch): any mutation of the
         owning store bumps its epoch and the next query re-scans; stores
-        untouched since the last query serve the cached projection and
-        skip the fragment scan entirely.
+        untouched since the last query serve the cached column and skip
+        the fragment scan entirely.
         """
         store = self.store.node_store(node_id)
-        key = (node_id, attribute, store.epoch)
-
-        def compute() -> tuple[tuple[int, object], ...]:
-            return tuple(
-                (frag.glsn, frag.values[attribute])
-                for frag in store.scan()
-                if attribute in frag.values
-            )
-
-        return self._projection_cache.get_or_compute(key, compute)
+        return self._projection_cache.get_or_compute(
+            (node_id, attribute, store.epoch),
+            lambda: _Column(store.scan(), attribute),
+        )
 
     def _local_scan(self, node_id: str, pred: Predicate) -> set[int]:
-        store = self.store.node_store(node_id)
-        key = (node_id, str(pred), store.epoch)
-
-        def compute() -> frozenset[int]:
-            left = pred.left.name
-            out: set[int] = set()
-            for frag in store.scan():
-                if left not in frag.values:
-                    continue
-                left_value = frag.values[left]
-                if isinstance(pred.right, Constant):
-                    right_value = pred.right.value
-                else:
-                    right_name = pred.right.name
-                    if right_name not in frag.values:
-                        continue
-                    right_value = frag.values[right_name]
-                if _apply_op(pred.op, left_value, right_value):
-                    out.add(frag.glsn)
-            return frozenset(out)
-
-        return set(self._scan_cache.get_or_compute(key, compute))
+        column = self._projection(node_id, pred.left.name)
+        if isinstance(pred.right, Constant):
+            return column.match_constant(pred.op, pred.right.value)
+        return column.match_column(pred.op, self._projection(node_id, pred.right.name))
 
     def _present_glsns(
         self, node_id: str, attribute: str, matching: set[int] | None = None
     ) -> set[int]:
-        out = {glsn for glsn, _ in self._projection(node_id, attribute)}
+        out = set(self._projection(node_id, attribute).raw)
         if matching is not None:
             out &= matching
         return out

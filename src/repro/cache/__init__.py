@@ -2,8 +2,8 @@
 
 One primitive (:class:`LruCache`) behind three hot paths:
 
-* the query executor's per-(node, attribute) projection and per-predicate
-  scan caches, keyed by the owning store's epoch;
+* the query executor's per-(node, attribute) column cache, keyed by the
+  owning store's epoch;
 * the :class:`~repro.crypto.pohlig_hellman.MessageEncoder` hashed-encoding
   memo (pure function of value and prime);
 * the in-process :class:`~repro.logstore.integrity.IntegrityChecker`'s

@@ -265,7 +265,7 @@ class LruCache:
 def cache_stats_snapshot() -> dict[str, dict]:
     """Stats of every live cache, keyed by cache name (JSON-safe).
 
-    Same-named caches (e.g. per-executor scan caches) are summed.
+    Same-named caches (e.g. per-executor column caches) are summed.
     """
     out: dict[str, dict] = {}
     for cache in list(_live_caches):

@@ -519,20 +519,23 @@ class ConfidentialAuditingService:
             self.obs_server.stop()
             self.obs_server = None
 
-    def _reconstruct_record(self, glsn: int) -> LogRecord:
-        """Merge every node's fragment back into the full record (eq. 10)."""
-        values: dict = {}
-        for node_store in self.store.stores.values():
-            values.update(node_store.local_fragment(glsn).values)
-        return LogRecord(glsn=glsn, values=values)
+    def _record_attributes(self, glsns: list[int]) -> list[frozenset]:
+        """Per glsn, the attribute names its fragments carry — all eq. 10 reads."""
+        per_node = [
+            [node_store.local_fragment(glsn).values for glsn in glsns]
+            for node_store in self.store.stores.values()
+        ]
+        return list(map(frozenset().union, *per_node))
 
     def observe_query_result(
         self, result: QueryResult, leakage_events: int, tenant: str = "default"
     ) -> QueryObservation:
         """Feed one executed query through the confidentiality observatory."""
-        records = [self._reconstruct_record(glsn) for glsn in result.glsns]
         return self.observatory.observe_query(
-            result.plan, records, leakage_events, tenant=tenant
+            result.plan,
+            self._record_attributes(result.glsns),
+            leakage_events,
+            tenant=tenant,
         )
 
     def _collect_trace(self, net, trace_id: str | None) -> list[Span] | None:

@@ -6,9 +6,9 @@ only evaluates them statically.  The observatory closes the loop: every
 query the service executes is observed with
 
 * its ``C_auditing`` (from the plan's s/t/q decomposition),
-* the mean ``C_store`` over the records it matched (eq. 10 needs a
-  record; a query with no matches contributes ``C_auditing`` alone,
-  i.e. ``C_store = 1`` — nothing about stored values was exposed),
+* the mean ``C_store`` over the records it matched, scored once per
+  distinct attribute set (eq. 10 reads nothing else of a record; no
+  matches means ``C_store = 1`` — nothing about stored values was exposed),
 * the :class:`~repro.smc.leakage.LeakageLedger` delta it produced, and
 * the running ``C_DLA`` — the mean ``C_query`` per session *and* per
   tenant, so multi-tenant deployments can watch budgets separately.
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from statistics import mean
 
 __all__ = [
@@ -116,7 +117,7 @@ class ConfidentialityObservatory:
 
         ``qplan`` is the executed :class:`~repro.audit.planner.QueryPlan`
         (its s/t/q decomposition gives eq. 11); ``records`` the matched
-        :class:`~repro.logstore.records.LogRecord` objects (eq. 10);
+        records, each as the attribute names it uses or a ``LogRecord`` (eq. 10);
         ``leakage_events`` the ledger delta this query produced.
         """
         # Deferred: repro.audit transitively imports repro.obs submodules,
@@ -127,13 +128,14 @@ class ConfidentialityObservatory:
         )
 
         c_aud = auditing_confidentiality(qplan, self.schema, self.plan)
-        if records:
-            c_store = mean(
-                store_confidentiality(r, self.schema, self.plan).value
-                for r in records
-            )
-        else:
-            c_store = 1.0
+        signatures = Counter(frozenset(getattr(r, "values", r)) for r in records)
+        # One score per signature; the exact mean statistics.mean would give
+        # over the records (no records: nothing stored was exposed).
+        weighted = sum(
+            Fraction(store_confidentiality(names, self.schema, self.plan).value) * count
+            for names, count in signatures.items()
+        )
+        c_store = float(weighted / len(records)) if records else 1.0
         c_query = c_aud * c_store
         over = bool(self.budget) and leakage_events > self.budget
         obs = QueryObservation(

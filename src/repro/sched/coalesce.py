@@ -1,8 +1,8 @@
 """Single-flight coalescing: identical work computed once, fanned out.
 
 Concurrent audit queries repeat each other's work at three levels —
-node-local predicate scans, per-attribute projections, and whole cross-
-predicate SMC subplans.  All three are *pure given the fragment stores'
+per-attribute columns, whole cross-predicate SMC subplans, and whole
+queries.  All three are *pure given the fragment stores'
 epochs* (PR 3 keys every cache entry on the owning store's epoch, so a
 write anywhere bumps the epoch and naturally misses).  That purity is
 what makes sharing across in-flight queries safe: two queries asking for

@@ -23,9 +23,9 @@ service:
   helps deliver).
 * **Coalescing** (``REPRO_SCHED_COALESCE``) — identical work in flight
   is computed once and fanned out, keyed on the fragment stores' epochs
-  so sharing is invalidation-safe: local predicate scans and projections
-  (shared single-flight caches), cross-predicate SMC subplans, and whole
-  queries with equal plan fingerprints at equal epochs.  A fanned-out
+  so sharing is invalidation-safe: attribute columns (a shared
+  single-flight cache), cross-predicate SMC subplans, and whole queries
+  with equal plan fingerprints at equal epochs.  A fanned-out
   query's ledger records the ``coalesced_result`` disclosure explicitly.
 * **Deadlines** — ``submit(criterion, timeout=...)`` starts the
   :class:`~repro.resilience.Deadline` at *admission*, so time spent
@@ -254,9 +254,6 @@ class QueryScheduler:
         self._closed = False
         if self.config.coalesce:
             m = self.metrics
-            self._scan_flight = SingleFlightCache(
-                LruCache("sched.scan", metrics=m), metrics=m, metric_label="scan"
-            )
             self._projection_flight = SingleFlightCache(
                 LruCache("sched.projection", metrics=m),
                 metrics=m,
@@ -270,7 +267,6 @@ class QueryScheduler:
                 LruCache("sched.query", metrics=m), metrics=m, metric_label="query"
             )
         else:
-            self._scan_flight = None
             self._projection_flight = None
             self._subplan_flight = None
             self._subplan_join = None
@@ -428,7 +424,6 @@ class QueryScheduler:
             value_bound=service.executor.value_bound,
             batch_compare=service.executor.batch_compare,
             projection_cache=self._projection_flight,
-            scan_cache=self._scan_flight,
             subplan_cache=self._subplan_join,
         )
         vt_start = self.net.now
@@ -488,7 +483,6 @@ class QueryScheduler:
         """Hit/miss/join counts per sharing level (empty when disabled)."""
         out: dict = {}
         for flight in (
-            self._scan_flight,
             self._projection_flight,
             self._subplan_flight,
             self._query_flight,

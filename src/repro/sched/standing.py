@@ -190,14 +190,9 @@ class StandingQueryRegistry:
                     # Live C_DLA: the observatory sees the *delta* records
                     # only — what this epoch actually disclosed on top of
                     # the standing query's history.
-                    changed = [
-                        service._reconstruct_record(glsn)
-                        for glsn in delta.added
-                        if glsn in current
-                    ]
                     service.observatory.observe_query(
                         query.qplan,
-                        changed,
+                        service._record_attributes(list(delta.added)),
                         1,
                         tenant=query.tenant,
                         criterion=f"standing:{query.criterion}",

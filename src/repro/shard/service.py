@@ -398,7 +398,11 @@ class ShardedAuditingService:
         )
         obs = self.observatory.observe_query(
             qplan,
-            [self.reconstruct_record(glsn) for glsn in merged],
+            [
+                # the map names the ring that holds the record's fragments
+                self.shards[self.map.shard_for(glsn)]._record_attributes([glsn])[0]
+                for glsn in merged
+            ],
             len(result.leakage),
             tenant=tenant or "default",
         )
@@ -463,10 +467,6 @@ class ShardedAuditingService:
             per_shard = {sid: h.result() for sid, h in handles.items()}
             results.append(self._merge(qplan, handles, per_shard, timeout, tenant))
         return results
-
-    def reconstruct_record(self, glsn: int):
-        """Reassemble one record from its owning ring (map names it)."""
-        return self.shards[self.map.shard_for(glsn)]._reconstruct_record(glsn)
 
     # -- rebalancing -------------------------------------------------------
 

@@ -13,9 +13,11 @@ are implemented:
   inputs; affine blinding with secret ``(a, b)`` makes a single blinded
   value information-theoretically uniform.
 
-The randomized-mapping route is the one the DLA query executor uses for
-cross-node equality predicates: it costs O(1) messages via the coordinator
-instead of a ring circuit.
+:func:`secure_equality` (the randomized-mapping route) is the stand-alone
+§3.2 primitive: one value pair, O(1) messages through the blind TTP.  The
+DLA query executor does not call it: a cross-node ``A = B`` predicate is a
+join over whole columns, planned as one ``ssi`` over ``glsn|value``
+composites (:meth:`~repro.audit.executor.QueryExecutor._cross_equality`).
 """
 
 from __future__ import annotations

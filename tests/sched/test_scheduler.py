@@ -167,7 +167,6 @@ class TestCoalescing:
         sched.gather([sched.submit(c) for c in CRITERIA])
         stats = sched.coalesce_stats()
         assert set(stats) == {
-            "sched.scan",
             "sched.projection",
             "sched.subplan",
             "sched.query",

@@ -68,13 +68,6 @@ HEADLINES = [
         lambda d: d["propagation"]["overhead_pct"],
     ),
     (
-        "BENCH_p3.json",
-        "P3 incremental recomputation",
-        "warm-cache query speedup",
-        "x",
-        lambda d: d["query"]["speedup"],
-    ),
-    (
         "BENCH_p4.json",
         "P4 fault-tolerant protocols",
         "reliable-delivery overhead",
