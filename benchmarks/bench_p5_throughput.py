@@ -11,12 +11,13 @@ queries and what its machinery costs when concurrency is 1:
   repeats one criterion and shares an expensive ``C1 > C5`` cross-anchor
   predicate between two *distinct* criteria, so the speedup decomposes
   into whole-query fan-out plus subplan-level single-flight sharing —
-  the big-int SMC rounds hold the GIL, so threads alone buy ~nothing.
+  the big-int SMC rounds hold the GIL, so overlap alone buys ~nothing.
 * **Latency under load.**  p50/p95 per-query latency from the handles'
   submit-to-resolve clocks during the concurrent run.
 * **Scheduler overhead.**  Distinct queries pushed one at a time through
-  a 1-worker, coalescing-off scheduler vs plain ``service.query`` — the
-  queue/handle/channel machinery must cost < 5% wall-clock.
+  a ``max_inflight=1``, coalescing-off scheduler vs plain
+  ``service.query`` — the task/handle/channel machinery must cost < 5%
+  wall-clock.
 
 Writes ``BENCH_p5.json`` at the repo root.
 
@@ -25,7 +26,7 @@ Environment knobs (for CI smoke runs on tiny machines):
 - ``REPRO_BENCH_ROWS``          log size                     (default 120)
 - ``REPRO_BENCH_MIN_SPEEDUP``   throughput bar asserted      (default 3.0)
 - ``REPRO_BENCH_MAX_OVERHEAD``  concurrency-1 ceiling        (default 0.05)
-- ``REPRO_BENCH_CONCURRENCY``   worker count for the mix     (default 8)
+- ``REPRO_BENCH_CONCURRENCY``   in-flight bound for the mix  (default 8)
 
 Run directly with ``python benchmarks/bench_p5_throughput.py [--smoke]``;
 ``--smoke`` applies tiny-machine knobs (fewer rows, relaxed bars).
@@ -132,7 +133,7 @@ class TestSchedulerThroughput:
 
         conc_svc = _build(ROWS)
         start = time.perf_counter()
-        with QueryScheduler(conc_svc, max_workers=CONCURRENCY) as sched:
+        with QueryScheduler(conc_svc, max_inflight=CONCURRENCY) as sched:
             handles = [sched.submit(c) for c in MIX]
             concurrent = sched.gather(handles)
         t_conc = time.perf_counter() - start
@@ -179,7 +180,7 @@ class TestSchedulerThroughput:
 
         # -- overhead at concurrency 1 -------------------------------------
         # Coalescing off: every query recomputes, so the comparison times
-        # the queue/handle/channel machinery itself, not cache hits.
+        # the task/handle/channel machinery itself, not cache hits.
         base_svc = _build(ROWS)
 
         def run_serial():
@@ -187,7 +188,7 @@ class TestSchedulerThroughput:
                 base_svc.query(criterion)
 
         sched_svc = _build(ROWS)
-        one = QueryScheduler(sched_svc, max_workers=1, coalesce=False)
+        one = QueryScheduler(sched_svc, max_inflight=1, coalesce=False)
         try:
 
             def run_scheduled():

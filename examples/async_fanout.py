@@ -1,9 +1,9 @@
 """Async fan-out: 256 concurrent audit queries over one shared deployment.
 
-The event-loop scheduler (`repro.aio.AsyncQueryScheduler`, the default
-behind `service.submit`) admits the whole burst at once — no worker
-pool to size, no queue depth to tune — and every answer is verified
-against a serial `service.query` ground truth.
+The scheduler behind `service.submit` (`repro.sched.QueryScheduler`)
+runs each query as a task on one event loop, so it admits the whole
+burst at once, and every answer is verified against a serial
+`service.query` ground truth.
 
 Run:  python examples/async_fanout.py
 """

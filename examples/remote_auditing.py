@@ -13,7 +13,7 @@ from repro import ApplicationNode, ConfidentialAuditingService
 from repro.core.remote import DlaQueryFrontdoor, RemoteAuditorClient
 from repro.crypto import DeterministicRng
 from repro.logstore import paper_fragment_plan, paper_table1_schema
-from repro.net.transport_tcp import TcpCluster
+from repro.aio import AsyncTcpCluster
 from repro.workloads import paper_table1_rows
 
 
@@ -41,7 +41,7 @@ def main() -> None:
     frontdoor = DlaQueryFrontdoor("dla-frontdoor", service)
     client = RemoteAuditorClient("remote-auditor", "dla-frontdoor", service)
 
-    with TcpCluster(["dla-frontdoor", "remote-auditor"]) as cluster:
+    with AsyncTcpCluster(["dla-frontdoor", "remote-auditor"]) as cluster:
         cluster["dla-frontdoor"].set_handler(frontdoor.handle)
         cluster["remote-auditor"].set_handler(client.handle)
         transport = cluster["remote-auditor"]

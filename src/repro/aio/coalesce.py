@@ -1,19 +1,29 @@
-"""Coroutine-safe single-flight coalescing.
+"""Single-flight coalescing: identical work computed once, fanned out.
 
-The thread-based :class:`~repro.sched.coalesce.SingleFlightCache` parks
-joiners on a :class:`threading.Event` — on a single-threaded event loop
-that is a deadlock, because the joiner's blocking wait prevents the
-suspended holder coroutine from ever resuming.  :class:`AsyncSingleFlight`
-is the coroutine-shaped equivalent: the holder computes under an
-:class:`asyncio.Event`, joiners ``await`` it, and a failed holder stores
-nothing so exactly one retrying joiner becomes the new holder (identical
-no-poisoning semantics).
+Concurrent audit queries repeat each other's work — whole cross-predicate
+SMC subplans and whole queries — and both are *pure given the fragment
+stores' epochs* (every key carries the owning stores' epochs, so a write
+anywhere naturally misses).  That purity is what makes sharing across
+in-flight queries safe: two queries asking for the same epoch-keyed
+computation must receive the same value, so only one should compute it.
 
-The sharing level whose compute is *pure sync* (attribute columns)
-keeps using the thread-based cache even inside coroutines —
-a sync compute can never suspend, so the holder always finishes before
-anyone could join on the same loop.  Only levels whose computes contain
-``await`` (SMC subplans, whole queries) need this class.
+:class:`AsyncSingleFlight` wraps an :class:`~repro.cache.LruCache` and
+adds exactly that: the first task to miss a key becomes its *holder* and
+computes under an :class:`asyncio.Event`; tasks that ask for the same key
+while the computation is in flight *join* — they ``await`` the event,
+then read the cached value.  Failure never poisons joiners: a failed
+holder (its deadline expired, its ring failed over and died) stores
+nothing, its exception propagates to the holder only, and exactly one
+retrying joiner becomes the new holder.  A slow or dying query can
+therefore never corrupt a neighbor's result, only cost it one
+recomputation.
+
+Attribute columns need none of this: their build is pure sync, so on the
+one loop thread it always finishes before anyone could join — the
+scheduler hands the executor a plain :class:`~repro.cache.LruCache` for
+them.  With the global cache kill switch off (``REPRO_CACHE=off``),
+coalescing disables itself along with the caches: every caller computes
+privately, exactly like the serial path.
 """
 
 from __future__ import annotations
@@ -36,10 +46,10 @@ _MISS = _MISSING()
 class AsyncSingleFlight:
     """An :class:`LruCache` with in-flight deduplication of coroutine computes.
 
-    Same observable surface as the thread-based wrapper: ``name``,
-    ``stats``, ``joins``, and joins counted into ``sched.coalesce_hits``
-    labelled with the sharing level.  All state is touched only between
-    awaits on one event loop, so no lock is needed.
+    Exposes the wrapped cache's ``name`` and ``stats`` plus ``joins``,
+    which is also counted into ``sched.coalesce_hits`` labelled with the
+    sharing level.  All state is touched only between awaits on one event
+    loop, so no lock is needed.
     """
 
     def __init__(

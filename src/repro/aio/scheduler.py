@@ -1,372 +1,8 @@
-"""Coroutine audit-query scheduler (semaphore admission, pipelined drains).
+"""The scheduler's second dotted name, kept for the benchmark's tracer."""
 
-The drop-in async twin of :class:`~repro.sched.QueryScheduler`: the same
-admission/isolation/coalescing/deadline contract, but each admitted query
-runs as one :class:`asyncio.Task` on an owned event loop
-(:class:`~repro.aio.loop.LoopThread`) instead of occupying a pool thread.
+from repro.sched.scheduler import QueryScheduler
 
-* **Admission** — unbounded: every :meth:`submit` immediately becomes a
-  parked task, a few KB each instead of an OS thread each, so thousands
-  of queries can be in flight.  An :class:`asyncio.Semaphore`
-  (``REPRO_AIO_MAX_INFLIGHT``) bounds how many *execute* concurrently;
-  the rest await it, with the wait charged to the query's deadline
-  exactly like the sync scheduler's admission queue.
-* **Isolation** — unchanged: a private :class:`~repro.smc.base.SmcContext`
-  and one :class:`~repro.aio.simnet.AsyncChannel` per query over a shared
-  :class:`~repro.aio.simnet.AsyncSimNetwork`, ledgers merged per query.
-* **Pipelining** — drains are cooperative coroutines: query B's ring
-  round departs while query A's reply is still in flight, because A is
-  suspended at a yield point rather than blocking a worker thread.
-* **Coalescing** — same three sharing levels and epoch-stamped keys.
-  Attribute columns keep the thread-based single-flight cache (its
-  compute is pure sync, so it cannot suspend mid-hold);
-  subplans and whole queries — whose computes ``await`` — use
-  :class:`~repro.aio.coalesce.AsyncSingleFlight`.
-
-The sync facade is total: :meth:`submit`, :meth:`gather`,
-:meth:`coalesce_stats`, and :meth:`shutdown` are plain methods bridging
-onto the owned loop, the returned handles are the same
-:class:`~repro.sched.QueryHandle` objects, and every metric, span,
-leakage event, and error message matches the thread scheduler verbatim —
-callers cannot tell which scheduler served them except by throughput.
-"""
-
-from __future__ import annotations
-
-import asyncio
-import functools
-import threading
-import time
-
-from repro.aio.config import AioConfig
-from repro.aio.coalesce import AsyncSingleFlight
-from repro.aio.loop import LoopThread
-from repro.aio.simnet import AsyncChannelMux, AsyncSimNetwork
-from repro.audit.executor import QueryExecutor, QueryResult
-from repro.audit.planner import QueryPlan, plan_query
-from repro.cache import LruCache
-from repro.errors import ConfigurationError, SchedulerShutdownError
-from repro.net.stats import CostReport
-from repro.resilience.policy import Deadline
-from repro.sched.coalesce import SingleFlightCache
-from repro.sched.scheduler import QueryHandle, SchedulerConfig
-from repro.smc.base import SmcContext
-from repro.smc.leakage import LeakageEvent
-
-__all__ = ["AsyncQueryScheduler"]
-
-
-class AsyncQueryScheduler:
-    """Admits, pipelines, and coalesces concurrent queries on one event loop.
-
-    Built over one service deployment, like the thread scheduler; the
-    constructor arguments override the environment defaults
-    (``REPRO_AIO_MAX_INFLIGHT``, ``REPRO_SCHED_COALESCE``).  Passing a
-    ``loop_thread`` shares an existing loop (the scheduler then never
-    closes it); by default the scheduler owns its loop and tears it down
-    on :meth:`shutdown`.
-    """
-
-    def __init__(
-        self,
-        service,
-        max_inflight: int | None = None,
-        coalesce: bool | None = None,
-        metrics=None,
-        loop_thread: LoopThread | None = None,
-    ) -> None:
-        env = AioConfig.from_env()
-        self.config = AioConfig(
-            max_inflight=(
-                max_inflight if max_inflight is not None else env.max_inflight
-            ),
-        )
-        if self.config.max_inflight < 1:
-            raise ConfigurationError("scheduler needs max_inflight >= 1")
-        sched_env = SchedulerConfig.from_env()
-        self.coalesce = coalesce if coalesce is not None else sched_env.coalesce
-        self.service = service
-        self.metrics = metrics if metrics is not None else service.metrics
-        if self.metrics is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            self.metrics = MetricsRegistry()
-        self.loop_thread = loop_thread if loop_thread is not None else LoopThread(
-            name="repro-aio-sched"
-        )
-        self._owns_loop = loop_thread is None
-        self.net: AsyncSimNetwork = service._fresh_net(net_class=AsyncSimNetwork)
-        self.mux = AsyncChannelMux(self.net)
-        self._seq = 0
-        self._state_lock = threading.Lock()
-        self._closed = False
-        #: Created lazily inside the first task so it binds the owned loop.
-        self._sem: asyncio.Semaphore | None = None
-        self._waiting = 0
-        self._futures: set = set()
-        if self.coalesce:
-            m = self.metrics
-            self._projection_flight = SingleFlightCache(
-                LruCache("sched.projection", metrics=m),
-                metrics=m,
-                metric_label="projection",
-            )
-            self._subplan_flight = AsyncSingleFlight(
-                LruCache("sched.subplan", metrics=m), metrics=m, metric_label="subplan"
-            )
-            self._query_flight = AsyncSingleFlight(
-                LruCache("sched.query", metrics=m), metrics=m, metric_label="query"
-            )
-        else:
-            self._projection_flight = None
-            self._subplan_flight = None
-            self._query_flight = None
-        self._depth_gauge = self.metrics.gauge(
-            "sched.queue_depth", help="queries waiting for a worker"
-        )
-        self._inflight_gauge = self.metrics.gauge(
-            "sched.in_flight", help="queries currently executing"
-        )
-        self._admission_hist = self.metrics.histogram(
-            "sched.admission_wait_seconds",
-            help="seconds between submit and worker pickup",
-        )
-        self._submitted = self.metrics.counter(
-            "sched.submitted", help="queries admitted"
-        )
-        self._completed = self.metrics.counter(
-            "sched.completed", help="queries finished successfully"
-        )
-        self._failed = self.metrics.counter(
-            "sched.failed", help="queries finished with an error"
-        )
-
-    # -- admission ---------------------------------------------------------
-
-    def submit(self, criterion, timeout: float | None = None) -> QueryHandle:
-        """Admit one query; returns immediately with its handle.
-
-        ``criterion`` is a criterion string or a pre-built
-        :class:`~repro.audit.planner.QueryPlan`.  ``timeout`` starts the
-        query's deadline *now* — time parked behind the in-flight
-        semaphore spends it.  Admission itself never blocks: the query
-        becomes an event-loop task straight away.
-        """
-        with self._state_lock:
-            if self._closed:
-                raise SchedulerShutdownError("scheduler is shut down")
-            self._seq += 1
-            handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
-            future = self.loop_thread.submit(self._process(handle))
-            self._futures.add(future)
-        future.add_done_callback(functools.partial(self._task_done, handle))
-        self._submitted.inc()
-        return handle
-
-    def _task_done(self, handle: QueryHandle, future) -> None:
-        with self._state_lock:
-            self._futures.discard(future)
-        if not handle.done:
-            # Only a task cancelled by shutdown(wait=False) — mid-query, or
-            # before its first step ever ran — ends without settling its
-            # handle; result()/gather() must not wait on it forever.
-            handle._fail(
-                SchedulerShutdownError(
-                    f"query #{handle.seq} cancelled: scheduler shut down"
-                )
-            )
-            self._failed.inc()
-
-    def gather(self, handles: list[QueryHandle]) -> list[QueryResult]:
-        """Results of ``handles`` in submission order (first failure raises)."""
-        return [handle.result() for handle in handles]
-
-    # -- per-query task ----------------------------------------------------
-
-    async def _process(self, handle: QueryHandle) -> None:
-        # run_coroutine_threadsafe copies the *submitting* thread's
-        # context, which may carry an open span stack; each query task
-        # must start from a clean slate or spans would mis-parent.
-        self.service.tracer.detach_context()
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.config.max_inflight)
-        try:
-            handle._resolve(await self._admit_and_run(handle))
-            self._completed.inc()
-        except Exception as exc:  # typed repro errors and genuine bugs alike
-            handle._fail(exc)
-            self._failed.inc()
-
-    async def _admit_and_run(self, handle: QueryHandle) -> QueryResult:
-        """Wait for an execution slot, then plan and run (or join) the query."""
-        self._waiting += 1
-        self._depth_gauge.set(self._waiting)
-        try:
-            await self._sem.acquire()
-        finally:
-            self._waiting -= 1
-            self._depth_gauge.set(self._waiting)
-        self._inflight_gauge.inc()
-        try:
-            wait = time.perf_counter() - handle.submitted_at
-            self._admission_hist.observe(wait)
-            handle.started_at = time.perf_counter()
-            handle.deadline.check(f"sched.admission[q{handle.seq}]")
-            qplan = (
-                handle.criterion
-                if isinstance(handle.criterion, QueryPlan)
-                else plan_query(
-                    handle.criterion,
-                    self.service.schema,
-                    self.service.store.plan,
-                    tracer=self.service.tracer,
-                )
-            )
-            if self._query_flight is None:
-                return await self._execute(handle, qplan)
-            ran = False
-
-            async def compute() -> QueryResult:
-                nonlocal ran
-                ran = True
-                return await self._execute(handle, qplan)
-
-            key = (qplan.fingerprint(), self._epoch_vector())
-            value = await self._query_flight.get_or_compute(key, compute)
-            return value if ran else self._fan_out(handle, qplan, value)
-        finally:
-            self._inflight_gauge.dec()
-            self._sem.release()
-
-    # -- execution ---------------------------------------------------------
-
-    def _epoch_vector(self) -> tuple:
-        """Every node store's epoch — the coalescing validity stamp."""
-        store = self.service.store
-        return tuple(
-            (node_id, store.node_store(node_id).epoch)
-            for node_id in store.plan.node_ids
-        )
-
-    async def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
-        service = self.service
-        # One ring of a sharded cluster prefixes its channel tags with the
-        # shard label, so multiplexed traffic stays attributable per shard.
-        shard = getattr(service, "shard_label", None)
-        tag = f"{shard}.q{handle.seq}" if shard else f"q{handle.seq}"
-        channel = self.mux.channel(tag)
-        qctx = SmcContext(
-            service.ctx.prime,
-            service.rng.spawn(f"sched:{handle.seq}"),
-            engine=service.ctx.engine,
-            tracer=service.tracer,
-            metrics=service.metrics,
-            encoder=service.ctx.encoder,
-            precompute=service.precompute,
-            telemetry=service.telemetry,
-        )
-        executor = QueryExecutor(
-            service.store,
-            qctx,
-            service.schema,
-            value_bound=service.executor.value_bound,
-            batch_compare=service.executor.batch_compare,
-            projection_cache=self._projection_flight,
-            subplan_cache=self._subplan_flight,
-        )
-        vt_start = self.net.now
-        span_attrs = {"criterion": qplan.criterion_text, "channel": tag}
-        if shard:
-            span_attrs["shard"] = shard
-        try:
-            with service.tracer.span("sched.query", span_attrs) as span:
-                result = await executor.execute_async(
-                    qplan, net=channel, deadline=handle.deadline
-                )
-                if service.tracer.enabled:
-                    span.set_attribute("matches", len(result.glsns))
-            # Concurrent queries feed the confidentiality observatory too
-            # (it is thread-safe); leakage is this query's private ledger.
-            service.observe_query_result(result, len(qctx.leakage.events))
-            return result
-        finally:
-            # Cost and leakage are attributed even on failure: the query
-            # spent the traffic and disclosed the entries regardless.
-            handle.cost = CostReport.collect(
-                channel.stats, qctx.crypto_ops, virtual_time=self.net.now - vt_start
-            )
-            handle.leakage = qctx.leakage.events
-            service.ctx.leakage.extend(handle.leakage)
-            service.ctx.crypto_ops.merge(qctx.crypto_ops)
-            channel.close()
-
-    def _fan_out(
-        self, handle: QueryHandle, qplan: QueryPlan, value: QueryResult
-    ) -> QueryResult:
-        """Hand a coalesced query its private copy of the shared result."""
-        handle.coalesced = True
-        handle.cost = CostReport(messages=0, bytes=0, crypto_ops={})
-        events = [
-            LeakageEvent(
-                "scheduler",
-                "*",
-                "coalesced_result",
-                f"query #{handle.seq} fanned out from a concurrent identical "
-                f"query (equal plan fingerprint at equal store epochs)",
-            )
-        ]
-        handle.leakage = events
-        self.service.ctx.leakage.extend(events)
-        return QueryResult(
-            plan=qplan,
-            glsns=list(value.glsns),
-            subquery_glsns={k: list(v) for k, v in value.subquery_glsns.items()},
-            messages=value.messages,
-            bytes=value.bytes,
-        )
-
-    # -- introspection -----------------------------------------------------
-
-    def coalesce_stats(self) -> dict:
-        """Hit/miss/join counts per sharing level (empty when disabled)."""
-        out: dict = {}
-        for flight in (
-            self._projection_flight,
-            self._subplan_flight,
-            self._query_flight,
-        ):
-            if flight is None:
-                continue
-            s = flight.stats
-            out[flight.name] = {
-                "hits": s.hits,
-                "misses": s.misses,
-                "joins": flight.joins,
-            }
-        return out
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop admitting, drain every in-flight query, stop the loop."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-            futures = list(self._futures)
-        if wait:
-            for future in futures:
-                try:
-                    future.result()
-                except Exception:
-                    # The failure is already recorded on its handle; the
-                    # task future is only awaited here for quiescence.
-                    pass
-        if self._owns_loop:
-            self.loop_thread.close()
-
-    def __enter__(self) -> "AsyncQueryScheduler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+# benchmarks/e2e/layers.py:134-135 traces
+# ``repro.aio.scheduler:AsyncQueryScheduler.submit/.gather``; this module
+# goes when ROADMAP item 1(b) lets the benchmark drop those two rows.
+AsyncQueryScheduler = QueryScheduler

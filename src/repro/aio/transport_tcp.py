@@ -1,9 +1,12 @@
-"""Real-socket transport on asyncio streams.
+"""Real-socket transport: the message interface over localhost TCP.
 
-The wire format is *identical* to :class:`~repro.net.transport_tcp.TcpNode`
-— the CRC-framed codec of :mod:`repro.net.codec`, unchanged byte for
-byte — so async and sync nodes interoperate freely on one mesh.  What
-changes is the concurrency model:
+The paper's repro path is "simple sockets"; this module provides it.  Each
+:class:`AsyncTcpNode` binds a listening socket and hands decoded
+:class:`~repro.net.message.Message` objects to the same
+``handler(msg, transport)`` signature the simulator uses — so any protocol
+written for :class:`~repro.net.simnet.SimNetwork` runs unmodified over TCP
+(the integration tests do exactly that).  Frames are the CRC-framed codec
+of :mod:`repro.net.codec`.  Everything runs on one event loop:
 
 * **one pooled connection per peer** — the first send to a peer opens an
   asyncio stream and a dedicated *writer task*; subsequent sends (from
@@ -11,15 +14,27 @@ changes is the concurrency model:
   queue, preserving per-peer order;
 * **writer-drain backpressure** — the writer task awaits
   ``StreamWriter.drain()`` after every write, so a slow peer suspends
-  the one coroutine feeding it instead of blocking a thread or growing
-  an unbounded kernel buffer;
+  the one coroutine feeding it instead of growing an unbounded kernel
+  buffer;
 * **reconnects** — a broken pipe closes the pooled stream and reopens
-  it once (mirroring the sync pool's single retry), feeding the same
-  per-peer ``repro_net_connections_open`` /
-  ``repro_net_reconnects_total`` pool-health ledger.
+  it once, feeding the per-peer ``repro_net_connections_open`` /
+  ``repro_net_reconnects_total`` pool-health ledger; a peer that cannot
+  be reached (refused, or no answer within :data:`CONNECT_TIMEOUT`)
+  loses its queued frames, counted in ``stats.dropped``, and the next
+  send to it starts over with a fresh connection.
 
-Handlers keep the sync ``handler(msg, transport)`` signature the whole
-protocol suite is written against; they run on the owning event loop.
+Resilience hooks (see ``docs/resilience.md``): a blocking
+:meth:`AsyncTcpNode.receive` is bounded (:data:`RECV_TIMEOUT` by
+default), can be clamped by a propagated
+:class:`~repro.resilience.Deadline`, and raises the typed
+:class:`~repro.errors.TransportTimeout`; a corrupted frame is counted and
+dropped instead of killing the connection; messages stamped with a
+``msg_id`` (retransmissions from a reliability layer) are deduplicated
+per incoming link before dispatch.
+
+Handlers run on the owning event loop.  An :class:`AsyncTcpCluster`
+convenience spins up N nodes on ephemeral ports, sharing one loop and one
+address book.
 """
 
 from __future__ import annotations
@@ -35,12 +50,18 @@ from repro.net.message import Message, NodeId
 from repro.net.stats import NetworkStats
 from repro.obs.tracer import NOOP_TRACER
 from repro.resilience.delivery import DedupWindow
+from repro.resilience.policy import Deadline
 
 __all__ = ["AsyncTcpNode", "AsyncTcpCluster"]
 
 Handler = Callable[[Message, "AsyncTcpNode"], None]
 
 _READ_CHUNK = 65536
+
+#: Seconds a connect, and a :meth:`AsyncTcpNode.receive` given no
+#: timeout, may take before raising :class:`TransportTimeout`.
+CONNECT_TIMEOUT = 10.0
+RECV_TIMEOUT = 10.0
 
 
 class AsyncTcpNode:
@@ -81,6 +102,8 @@ class AsyncTcpNode:
         self._writer_tasks: dict[NodeId, asyncio.Task] = {}
         self._writers: dict[NodeId, asyncio.StreamWriter] = {}
         self._ever_connected: set[NodeId] = set()
+        # Inbound connections being served, so close() can end them.
+        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._inbox: asyncio.Queue = self._loop_thread.run(self._make_inbox())
         self._server: asyncio.base_events.Server = self._loop_thread.run(
             self._start_server()
@@ -154,75 +177,115 @@ class AsyncTcpNode:
                 },
             )
 
-    def _enqueue(self, dst: NodeId, payload: bytes) -> None:
-        """Hand ``payload`` to ``dst``'s writer task.  Runs on the loop."""
-        queue = self._queues.get(dst)
-        if queue is None:
-            queue = self._queues[dst] = asyncio.Queue()
-            self._writer_tasks[dst] = self.loop.create_task(self._writer_loop(dst))
-        queue.put_nowait(payload)
+    def _enqueue(self, dst: NodeId, payload: bytes, frames: int) -> None:
+        """Queue ``payload`` (``frames`` messages) for ``dst``'s writer task,
+        from the loop or from any thread."""
 
-    def send(self, msg: Message) -> None:
-        """Send one framed message; callable from the loop or any thread."""
-        if self._closed.is_set():
-            raise TransportClosedError(f"{self.node_id} is closed")
-        frame = self._frame(msg)
+        def enqueue() -> None:
+            queue = self._queues.get(dst)
+            if queue is None:
+                queue = self._queues[dst] = asyncio.Queue()
+                self._writer_tasks[dst] = self.loop.create_task(
+                    self._writer_loop(dst)
+                )
+            queue.put_nowait((payload, frames))
+
         try:
             running = asyncio.get_running_loop()
         except RuntimeError:
             running = None
         if running is self.loop:
-            self._enqueue(msg.dst, frame)
+            enqueue()
         else:
-            self.loop.call_soon_threadsafe(self._enqueue, msg.dst, frame)
+            self.loop.call_soon_threadsafe(enqueue)
+
+    def send(self, msg: Message) -> None:
+        """Send one framed message; callable from the loop or any thread."""
+        if self._closed.is_set():
+            raise TransportClosedError(f"{self.node_id} is closed")
+        self._enqueue(msg.dst, self._frame(msg), 1)
         self._record_send(msg)
 
     def send_many(self, msgs: list[Message]) -> None:
         """Ship several messages, one queue item (one write) per peer."""
         if self._closed.is_set():
             raise TransportClosedError(f"{self.node_id} is closed")
-        batches: dict[NodeId, bytearray] = {}
+        batches: dict[NodeId, list[bytes]] = {}
         for msg in msgs:
-            batches.setdefault(msg.dst, bytearray()).extend(self._frame(msg))
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        for dst, payload in batches.items():
-            if running is self.loop:
-                self._enqueue(dst, bytes(payload))
-            else:
-                self.loop.call_soon_threadsafe(self._enqueue, dst, bytes(payload))
+            batches.setdefault(msg.dst, []).append(self._frame(msg))
+        for dst, frames in batches.items():
+            self._enqueue(dst, b"".join(frames), len(frames))
         for msg in msgs:
             self._record_send(msg)
 
     async def _connect(self, dst: NodeId) -> asyncio.StreamWriter:
-        _reader, writer = await asyncio.open_connection(*self._address_book[dst])
+        try:
+            _reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(*self._address_book[dst]), CONNECT_TIMEOUT
+            )
+        except asyncio.TimeoutError as exc:
+            raise TransportTimeout(
+                f"{self.node_id}: connect to {dst!r} exceeded {CONNECT_TIMEOUT}s"
+            ) from exc
         self._writers[dst] = writer
         self.stats.record_connect(dst, reconnect=dst in self._ever_connected)
         self._ever_connected.add(dst)
         return writer
 
+    async def _write(self, dst: NodeId, payload: bytes) -> None:
+        writer = self._writers.get(dst) or await self._connect(dst)
+        writer.write(payload)
+        await writer.drain()
+
+    def _drop_connection(self, dst: NodeId) -> None:
+        writer = self._writers.pop(dst, None)
+        if writer is not None:
+            writer.close()
+            self.stats.record_disconnect(dst)
+
     async def _writer_loop(self, dst: NodeId) -> None:
         """Drain ``dst``'s frame queue through one pooled connection."""
         queue = self._queues[dst]
         while not self._closed.is_set():
-            payload = await queue.get()
-            writer = self._writers.get(dst)
+            payload, frames = await queue.get()
             try:
-                if writer is None:
-                    writer = await self._connect(dst)
-                writer.write(payload)
-                await writer.drain()
-            except (OSError, ConnectionError):
-                # One reconnect attempt: the peer may have restarted.
-                if self._writers.pop(dst, None) is not None:
-                    self.stats.record_disconnect(dst)
-                if self._closed.is_set():
-                    return
-                writer = await self._connect(dst)
-                writer.write(payload)
-                await writer.drain()
+                try:
+                    await self._write(dst, payload)
+                except OSError:
+                    # One reconnect attempt: the peer may have restarted.
+                    self._drop_connection(dst)
+                    if self._closed.is_set():
+                        return
+                    await self._write(dst, payload)
+            except (OSError, TransportTimeout) as exc:
+                self._abandon_peer(dst, frames, exc)
+                return
+
+    def _abandon_peer(self, dst: NodeId, frames: int, exc: Exception) -> None:
+        """``dst`` cannot be reached: forget its queue, task and stream.
+
+        Nobody awaits a writer task, so the failure is settled here: the
+        frames in hand and in the queue are counted as dropped, and the
+        next send finds no queue and starts a fresh writer (the peer may
+        be back, possibly re-listed at a new address).
+        """
+        self._drop_connection(dst)
+        queue = self._queues.pop(dst)
+        del self._writer_tasks[dst]
+        while not queue.empty():
+            frames += queue.get_nowait()[1]
+        for _ in range(frames):
+            self.stats.record_drop()
+        if self.tracer.enabled:
+            self.tracer.add_event(
+                "net.drop",
+                {
+                    "src": self.node_id,
+                    "dst": dst,
+                    "frames": frames,
+                    "error": f"{type(exc).__name__}: {exc}",
+                },
+            )
 
     # -- receiving --------------------------------------------------------
 
@@ -236,6 +299,8 @@ class AsyncTcpNode:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._inbound[task] = writer
         buffer = bytearray()
         try:
             while not self._closed.is_set():
@@ -246,6 +311,7 @@ class AsyncTcpNode:
                 for msg in decode_frames(buffer, on_corrupt=self._on_corrupt):
                     self._dispatch(msg)
         finally:
+            del self._inbound[task]
             writer.close()
 
     def _dispatch(self, msg: Message) -> None:
@@ -297,22 +363,30 @@ class AsyncTcpNode:
         else:
             self._inbox.put_nowait(msg)
 
-    async def receive_async(self, timeout: float | None = None) -> Message:
+    async def receive_async(self, timeout: float = RECV_TIMEOUT) -> Message:
         """Await the next inbox message (handler-less pull-style usage)."""
         try:
-            if timeout is None:
-                return await self._inbox.get()
             return await asyncio.wait_for(self._inbox.get(), timeout)
         except asyncio.TimeoutError as exc:
             raise TransportTimeout(
                 f"{self.node_id}: no message within {timeout}s"
             ) from exc
 
-    def receive(self, timeout: float | None = None) -> Message:
-        """Blocking sync facade over :meth:`receive_async`."""
-        return self._loop_thread.run(
-            self.receive_async(timeout), timeout=None if timeout is None else timeout + 5
-        )
+    def receive(
+        self, timeout: float | None = None, deadline: Deadline | None = None
+    ) -> Message:
+        """Blocking receive for handler-less (pull-style) usage.
+
+        Waits up to ``timeout`` (default :data:`RECV_TIMEOUT`), clamped by
+        ``deadline`` when one is propagated from above.  Raises
+        :class:`TransportTimeout` when the budget expires — a typed,
+        retryable condition, distinct from :class:`TransportClosedError`.
+        """
+        budget = RECV_TIMEOUT if timeout is None else timeout
+        if deadline is not None:
+            deadline.check(f"tcp.receive[{self.node_id}]")
+            budget = deadline.clamp(budget)
+        return self._loop_thread.run(self.receive_async(budget), timeout=budget + 5)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -320,13 +394,15 @@ class AsyncTcpNode:
         self._server.close()
         for task in self._writer_tasks.values():
             task.cancel()
-        for dst, writer in list(self._writers.items()):
-            try:
-                writer.close()
-            except OSError:
-                pass
-            self.stats.record_disconnect(dst)
-        self._writers.clear()
+        for dst in list(self._writers):
+            self._drop_connection(dst)
+        # Closing an inbound stream reads as EOF in its serving task, which
+        # then returns; a task still pending when the loop stops would be
+        # cancelled instead, which asyncio's stream protocol logs as an error.
+        for writer in self._inbound.values():
+            writer.close()
+        if self._inbound:
+            await asyncio.wait(list(self._inbound))
 
     def close(self) -> None:
         if self._closed.is_set():

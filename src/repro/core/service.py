@@ -445,7 +445,7 @@ class ConfidentialAuditingService:
     def _fresh_net(self, net_class=SimNetwork) -> SimNetwork:
         """A per-query simulated network wired into the tracer/metrics.
 
-        ``net_class`` lets the async scheduler request an
+        ``net_class`` lets the scheduler request an
         :class:`~repro.aio.AsyncSimNetwork` with identical wiring.
         """
         return net_class(
@@ -607,24 +607,17 @@ class ConfidentialAuditingService:
 
         Built on first access and reused for every subsequent
         :meth:`submit` / :meth:`query_many` call, so admitted queries
-        share its coalescing caches and channel mux.  By default this is
-        the event-loop :class:`~repro.aio.AsyncQueryScheduler`
-        (``REPRO_AIO_*`` knobs); setting ``REPRO_AIO_SCHEDULER=off``
-        restores the thread-pool :class:`~repro.sched.QueryScheduler`
-        (``REPRO_SCHED_*`` knobs).  Both expose the same submit/gather/
-        coalesce_stats/shutdown surface and resolve handles to identical
-        results.  :meth:`shutdown_scheduler` tears it down.
+        share its coalescing caches and channel mux: a
+        :class:`~repro.sched.QueryScheduler` running each query as a task
+        on its own event loop (``REPRO_AIO_MAX_INFLIGHT``,
+        ``REPRO_SCHED_COALESCE``).  :meth:`shutdown_scheduler` tears it
+        down.
         """
         with self._sched_lock:
             if self._scheduler is None:
-                from repro.aio import AsyncQueryScheduler, aio_scheduler_enabled
+                from repro.sched import QueryScheduler
 
-                if aio_scheduler_enabled():
-                    self._scheduler = AsyncQueryScheduler(self)
-                else:
-                    from repro.sched import QueryScheduler
-
-                    self._scheduler = QueryScheduler(self)
+                self._scheduler = QueryScheduler(self)
             return self._scheduler
 
     def submit(self, criterion: str, timeout: float | None = None):
@@ -655,9 +648,9 @@ class ConfidentialAuditingService:
         * ``0`` — strict serial fallback: a plain :meth:`query` call per
           criterion, bit-for-bit identical to running them yourself;
         * ``None`` (default) — the service's persistent :attr:`scheduler`
-          (worker count from ``REPRO_SCHED_WORKERS``);
-        * ``N`` — a dedicated scheduler with ``N`` workers, torn down
-          before returning.
+          (at most ``REPRO_AIO_MAX_INFLIGHT`` queries executing at once);
+        * ``N`` — a dedicated scheduler of the same class with
+          ``max_inflight=N``, torn down before returning.
 
         ``timeout`` applies per query, not to the batch.
         """
@@ -670,7 +663,7 @@ class ConfidentialAuditingService:
             return sched.gather(handles)
         from repro.sched import QueryScheduler
 
-        with QueryScheduler(self, max_workers=max_concurrency) as sched:
+        with QueryScheduler(self, max_inflight=max_concurrency) as sched:
             handles = [sched.submit(c, timeout=timeout) for c in criteria]
             return sched.gather(handles)
 

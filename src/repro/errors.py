@@ -196,15 +196,6 @@ class SchedulerError(AuditError):
     """Base class for concurrent query-scheduler failures."""
 
 
-class SchedulerSaturatedError(SchedulerError):
-    """Admission queue full: backpressure rejected the query.
-
-    Raised by :meth:`~repro.sched.QueryScheduler.submit` when the bounded
-    admission queue stays full past the admission timeout.  Callers can
-    retry later or widen ``REPRO_SCHED_QUEUE_DEPTH``.
-    """
-
-
 class SchedulerShutdownError(SchedulerError):
     """The scheduler is shut down and no longer admits queries."""
 

@@ -35,7 +35,6 @@ from repro.logstore.integrity import (
     IntegrityReport,
     run_integrity_round,
     run_integrity_round_async,
-    run_integrity_rounds_pipelined,
 )
 from repro.logstore.persistence import (
     dump_store,
@@ -83,7 +82,6 @@ __all__ = [
     "IntegrityReport",
     "run_integrity_round",
     "run_integrity_round_async",
-    "run_integrity_rounds_pipelined",
     "snapshot_store",
     "restore_store",
     "dump_store",

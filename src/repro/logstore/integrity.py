@@ -58,7 +58,6 @@ __all__ = [
     "run_batched_integrity_round_async",
     "run_combined_integrity_round",
     "run_combined_integrity_round_async",
-    "run_integrity_rounds_pipelined",
 ]
 
 
@@ -547,39 +546,3 @@ run_integrity_round = sync_twin(run_integrity_round_async)
 run_batched_integrity_round = sync_twin(run_batched_integrity_round_async)
 run_combined_integrity_round = sync_twin(run_combined_integrity_round_async)
 
-
-async def run_integrity_rounds_pipelined(
-    store: DistributedLogStore,
-    glsns: list[int] | None = None,
-    initiator: str | None = None,
-    deadline: Deadline | None = None,
-    crypto=None,
-    net_factory=None,
-) -> list[IntegrityReport]:
-    """Overlap per-glsn §4.1 rings as concurrent tasks on one event loop.
-
-    Each glsn's token circulates on its own network (``net_factory``
-    defaults to a fresh :class:`~repro.aio.simnet.AsyncSimNetwork` per
-    glsn), so the folds for disjoint glsns interleave instead of running
-    lockstep: in virtual time the makespan is the *slowest* ring rather
-    than the sum of all rings.  Reports come back in request order and
-    are value-identical to :func:`run_integrity_round` — only scheduling
-    changes, never the folds.
-    """
-    import asyncio
-
-    from repro.aio.simnet import AsyncSimNetwork
-
-    targets = list(glsns) if glsns is not None else store.glsns
-    if not targets:
-        return []
-    factory = net_factory or (lambda glsn: AsyncSimNetwork())
-
-    async def one(glsn: int) -> IntegrityReport:
-        reports = await run_integrity_round_async(
-            store, glsns=[glsn], initiator=initiator, net=factory(glsn),
-            deadline=deadline, crypto=crypto,
-        )
-        return reports[0]
-
-    return list(await asyncio.gather(*(one(glsn) for glsn in targets)))

@@ -1,15 +1,15 @@
-"""Network substrate: simulated event-driven fabric and real TCP transport.
+"""Network substrate: the simulated event-driven fabric, codec and counters.
 
 Protocols in :mod:`repro.smc`, :mod:`repro.logstore` and :mod:`repro.cluster`
-are written against the minimal contract shared by both transports:
+are written against the minimal contract shared by every transport:
 
 * ``transport.send(Message(...))`` delivers asynchronously;
 * each node owns a handler ``(Message, transport) -> None``;
 * ``transport.stats`` counts messages and bytes.
 
 :class:`~repro.net.simnet.SimNetwork` adds a deterministic virtual clock and
-fault injection; :class:`~repro.net.transport_tcp.TcpNode` runs the same
-byte-identical frames over localhost sockets.
+fault injection; :class:`~repro.aio.transport_tcp.AsyncTcpNode` runs the
+same byte-identical frames over localhost sockets.
 """
 
 from repro.net.codec import (
@@ -30,15 +30,12 @@ from repro.net.topology import (
     ring_order,
     star_center,
 )
-from repro.net.transport_tcp import TcpCluster, TcpNode
 
 __all__ = [
     "Message",
     "NodeId",
     "SimNetwork",
     "LinkModel",
-    "TcpNode",
-    "TcpCluster",
     "NetworkStats",
     "CryptoOpCounter",
     "CostReport",

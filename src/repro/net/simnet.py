@@ -337,7 +337,7 @@ class SimNetwork:
             )
 
     def send_many(self, msgs: list[Message]) -> None:
-        """Enqueue several messages (interface parity with ``TcpNode``).
+        """Enqueue several messages (interface parity with ``AsyncTcpNode``).
 
         The simulator has no per-syscall cost to coalesce away, so this is
         a plain loop; protocols written against ``send_many`` get the real

@@ -3,29 +3,25 @@
 The serial service runs one query at a time over a private network.
 This package multiplexes many in-flight queries over one deployment:
 
-* :class:`QueryScheduler` — bounded admission queue + worker pool,
-  per-query isolation (context, ledger, cost), cross-query coalescing
-  of identical epoch-keyed work, deadline-aware admission;
+* :class:`QueryScheduler` — one event-loop task per query with
+  semaphore-bounded execution, per-query isolation (context, ledger,
+  cost), cross-query coalescing of identical epoch-keyed work,
+  deadline-aware admission;
 * :class:`QueryHandle` — a submitted query's future (result, cost
   report, private leakage group, latency);
 * :class:`Channel` / :class:`ChannelMux` — tagged logical channels over
   one shared network, so interleaved SMC rounds never cross-talk;
-* :class:`SingleFlightCache` — in-flight deduplication of pure
-  computations (compute once, fan out);
 * :class:`StandingQueryRegistry` — register a criterion once, receive
   per-ingest-epoch deltas (continuous auditing; see docs/storage.md).
 
-Configured by the ``REPRO_SCHED_*`` environment knobs (see
-:class:`SchedulerConfig` and docs/perf.md).
+Configured by ``REPRO_AIO_MAX_INFLIGHT`` and ``REPRO_SCHED_COALESCE``
+(see :class:`SchedulerConfig` and docs/async.md).
 """
 
 from repro.sched.channel import Channel, ChannelMux
-from repro.sched.coalesce import SingleFlightCache
 from repro.sched.scheduler import (
-    ADMISSION_TIMEOUT_ENV_VAR,
     COALESCE_ENV_VAR,
-    QUEUE_DEPTH_ENV_VAR,
-    WORKERS_ENV_VAR,
+    MAX_INFLIGHT_ENV_VAR,
     QueryHandle,
     QueryScheduler,
     SchedulerConfig,
@@ -38,12 +34,9 @@ __all__ = [
     "StandingQueryRegistry",
     "Channel",
     "ChannelMux",
-    "SingleFlightCache",
     "QueryHandle",
     "QueryScheduler",
     "SchedulerConfig",
-    "WORKERS_ENV_VAR",
-    "QUEUE_DEPTH_ENV_VAR",
+    "MAX_INFLIGHT_ENV_VAR",
     "COALESCE_ENV_VAR",
-    "ADMISSION_TIMEOUT_ENV_VAR",
 ]

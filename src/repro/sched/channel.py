@@ -51,7 +51,7 @@ class Channel:
 
     Implements the transport interface the SMC protocols and the ring
     failover supervisor are written against (``register`` / ``send`` /
-    ``send_many`` / ``run`` / ``stats`` / ``reliable`` / ``failed_links``
+    ``send_many`` / ``run`` / ``stats`` / ``failed_links``
     / ``reset_failures`` / ``_count`` / ...), so protocol code runs
     unmodified over a multiplexed network.
     """
@@ -78,10 +78,6 @@ class Channel:
     @property
     def resilience(self):
         return self.mux.net.resilience
-
-    @property
-    def reliable(self) -> bool:
-        return self.mux.net.reliable
 
     @property
     def now(self) -> float:
@@ -176,7 +172,7 @@ class Channel:
         delivery this channel was waiting for has been dispatched.
 
         An empty queue with outstanding channel backlog (work another
-        thread is about to enqueue — e.g. the async scheduler's loop
+        thread is about to enqueue — e.g. the scheduler's loop
         thread) is not treated as quiescence: the runner parks on the
         mux's condition variable instead of spinning, and wakes when the
         next send/schedule lands.  An idle mux therefore costs ~0 steps
@@ -212,7 +208,7 @@ class Channel:
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
         """:meth:`run` under the name the protocol drivers await (blocks
-        the calling pool thread, never suspends)."""
+        the calling thread, never suspends)."""
         return self.run(max_steps, deadline)
 
     # -- lifecycle ---------------------------------------------------------

@@ -1,36 +1,43 @@
-"""Concurrent audit-query scheduler (bounded admission, shared subplans).
+"""Concurrent audit-query scheduler (one event loop, shared subplans).
 
 The paper's DLA service fields queries from many independent auditors
 (§2, §4.2); the serial :class:`~repro.core.service.ConfidentialAuditingService`
 entry points run one query at a time, each occupying the whole cluster.
 :class:`QueryScheduler` turns the same deployment into a multi-query
-service:
+service: each admitted query runs as one :class:`asyncio.Task` on an
+owned event loop (:class:`~repro.aio.loop.LoopThread`).
 
-* **Admission** — a bounded queue (``REPRO_SCHED_QUEUE_DEPTH``) feeds a
-  fixed worker pool (``REPRO_SCHED_WORKERS``).  A full queue exerts
-  backpressure: :meth:`submit` blocks up to
-  ``REPRO_SCHED_ADMISSION_TIMEOUT`` seconds, then raises the typed
-  :class:`~repro.errors.SchedulerSaturatedError`.
+* **Admission** — unbounded: every :meth:`submit` immediately becomes a
+  parked task, a few KB each, so thousands of queries can be in flight.
+  An :class:`asyncio.Semaphore` (``REPRO_AIO_MAX_INFLIGHT``) bounds how
+  many *execute* concurrently; the rest await it.
 * **Isolation** — every admitted query gets its own
   :class:`~repro.smc.base.SmcContext` (private RNG stream, crypto
-  counter, leakage ledger) and its own :class:`~repro.sched.Channel`
-  over one shared :class:`~repro.net.simnet.SimNetwork`, so interleaved
-  SMC rounds never cross-talk and per-query cost reports stay exact.
-  Ledgers merge into the service-wide ones *grouped per query*.
-* **Pipelining** — workers progress independently: query B's node-local
-  predicate scans run while query A's network-bound SMC rounds drain
-  (the channel event loop is cooperative — whichever worker waits next
-  helps deliver).
+  counter, leakage ledger) and its own
+  :class:`~repro.aio.simnet.AsyncChannel` over one shared
+  :class:`~repro.aio.simnet.AsyncSimNetwork`, so interleaved SMC rounds
+  never cross-talk and per-query cost reports stay exact.  Ledgers merge
+  into the service-wide ones *grouped per query*.
+* **Pipelining** — drains are cooperative coroutines: query B's ring
+  round departs while query A's reply is still in flight, because A is
+  suspended at a yield point.
 * **Coalescing** (``REPRO_SCHED_COALESCE``) — identical work in flight
   is computed once and fanned out, keyed on the fragment stores' epochs
-  so sharing is invalidation-safe: attribute columns (a shared
-  single-flight cache), cross-predicate SMC subplans, and whole queries
-  with equal plan fingerprints at equal epochs.  A fanned-out
-  query's ledger records the ``coalesced_result`` disclosure explicitly.
+  so sharing is invalidation-safe: attribute columns (one shared
+  :class:`~repro.cache.LruCache` — a column build never suspends, so it
+  is finished before another task could ask for it), cross-predicate SMC
+  subplans and whole queries with equal plan fingerprints at equal
+  epochs (:class:`~repro.aio.coalesce.AsyncSingleFlight`, whose computes
+  ``await``).  A fanned-out query's ledger records the
+  ``coalesced_result`` disclosure explicitly.
 * **Deadlines** — ``submit(criterion, timeout=...)`` starts the
   :class:`~repro.resilience.Deadline` at *admission*, so time spent
-  queued counts; a query that expires before a worker picks it up fails
-  with the typed error without consuming cluster work.
+  parked behind the semaphore counts; a query that expires before it
+  gets a slot fails with the typed error without consuming cluster work.
+
+:meth:`submit`, :meth:`gather`, :meth:`coalesce_stats` and
+:meth:`shutdown` are plain methods bridging onto the owned loop, callable
+from any thread.
 
 Observability: per-query ``sched.query`` spans plus ``sched.*`` metrics
 (queue depth and in-flight gauges, admission-wait histogram,
@@ -39,90 +46,66 @@ submitted/completed/failed counters, per-level coalesce hits).
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass
 
+from repro.aio.coalesce import AsyncSingleFlight
+from repro.aio.loop import LoopThread
 from repro.audit.executor import QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    SchedulerError,
-    SchedulerSaturatedError,
-    SchedulerShutdownError,
-)
+from repro.errors import ConfigurationError, SchedulerError, SchedulerShutdownError
 from repro.net.stats import CostReport
 from repro.resilience.policy import Deadline
-from repro.sched.channel import ChannelMux
-from repro.sched.coalesce import SingleFlightCache
 from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
-from repro.twin import run_sync
 
 __all__ = [
     "SchedulerConfig",
     "QueryHandle",
     "QueryScheduler",
-    "WORKERS_ENV_VAR",
-    "QUEUE_DEPTH_ENV_VAR",
+    "MAX_INFLIGHT_ENV_VAR",
     "COALESCE_ENV_VAR",
-    "ADMISSION_TIMEOUT_ENV_VAR",
 ]
 
-WORKERS_ENV_VAR = "REPRO_SCHED_WORKERS"
-QUEUE_DEPTH_ENV_VAR = "REPRO_SCHED_QUEUE_DEPTH"
+#: Bound on concurrently *executing* query tasks (admission is unbounded:
+#: excess queries are parked asyncio.Tasks awaiting the semaphore).
+MAX_INFLIGHT_ENV_VAR = "REPRO_AIO_MAX_INFLIGHT"
 COALESCE_ENV_VAR = "REPRO_SCHED_COALESCE"
-ADMISSION_TIMEOUT_ENV_VAR = "REPRO_SCHED_ADMISSION_TIMEOUT"
 
 _OFF_VALUES = {"off", "0", "false", "no", "disabled"}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name}={raw!r} is not an integer") from None
-    if value < 1:
-        raise ConfigurationError(f"{name} must be positive")
-    return value
-
-
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Scheduler knobs; :meth:`from_env` reads the ``REPRO_SCHED_*`` set."""
+    """The scheduler's two settings; :meth:`from_env` reads their knobs."""
 
-    workers: int = 4
-    queue_depth: int = 64
+    max_inflight: int = 256
     coalesce: bool = True
-    #: Seconds :meth:`QueryScheduler.submit` may block on a full queue
-    #: before raising; ``None`` blocks until space frees (backpressure).
-    admission_timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_inflight < 1:
+            raise ConfigurationError(
+                f"scheduler needs max_inflight >= 1 ({MAX_INFLIGHT_ENV_VAR})"
+            )
 
     @classmethod
     def from_env(cls) -> "SchedulerConfig":
-        raw_timeout = os.environ.get(ADMISSION_TIMEOUT_ENV_VAR)
-        timeout: float | None = None
-        if raw_timeout:
+        max_inflight = cls.max_inflight
+        raw = os.environ.get(MAX_INFLIGHT_ENV_VAR)
+        if raw:
             try:
-                timeout = float(raw_timeout)
+                max_inflight = int(raw)
             except ValueError:
                 raise ConfigurationError(
-                    f"{ADMISSION_TIMEOUT_ENV_VAR}={raw_timeout!r} is not a number"
+                    f"{MAX_INFLIGHT_ENV_VAR}={raw!r} is not an integer"
                 ) from None
         coalesce_raw = os.environ.get(COALESCE_ENV_VAR, "on").strip().lower()
-        return cls(
-            workers=_env_int(WORKERS_ENV_VAR, cls.workers),
-            queue_depth=_env_int(QUEUE_DEPTH_ENV_VAR, cls.queue_depth),
-            coalesce=coalesce_raw not in _OFF_VALUES,
-            admission_timeout=timeout,
-        )
+        return cls(max_inflight=max_inflight, coalesce=coalesce_raw not in _OFF_VALUES)
 
 
 class QueryHandle:
@@ -182,105 +165,78 @@ class QueryHandle:
         self._event.set()
 
 
-class _BlockingSubplanJoin:
-    """The awaitable sub-plan join the executor expects, over a thread
-    :class:`SingleFlightCache`.
-
-    On a pool thread nothing suspends: the holder runs its coroutine
-    ``compute`` to completion and joiners block on the holder's
-    ``threading.Event``, exactly as with a sync ``compute``.
-    """
-
-    def __init__(self, flight: SingleFlightCache) -> None:
-        self.flight = flight
-
-    async def get_or_compute(self, key, compute):
-        return self.flight.get_or_compute(key, lambda: run_sync(compute()))
-
-
-class _Shutdown:
-    pass
-
-
-_SHUTDOWN = _Shutdown()
-
-
 class QueryScheduler:
-    """Admits, pipelines, and coalesces concurrent audit queries.
+    """Admits, pipelines, and coalesces concurrent queries on one event loop.
 
     Built over one service deployment: the scheduler shares the service's
     stores, schema, prime, engine, and hashed-encoder memo, but runs each
     query in an isolated context over a private channel of one shared
-    network.  Constructor arguments override the ``REPRO_SCHED_*``
-    environment defaults.
+    network.  Constructor arguments override the environment defaults
+    (``REPRO_AIO_MAX_INFLIGHT``, ``REPRO_SCHED_COALESCE``).  Passing a
+    ``loop_thread`` shares an existing loop (the scheduler then never
+    closes it); by default the scheduler owns its loop and tears it down
+    on :meth:`shutdown`.
     """
 
     def __init__(
         self,
         service,
-        max_workers: int | None = None,
-        queue_depth: int | None = None,
+        max_inflight: int | None = None,
         coalesce: bool | None = None,
-        admission_timeout: float | None = None,
         metrics=None,
+        loop_thread: LoopThread | None = None,
     ) -> None:
+        # ``repro.aio.simnet`` subclasses ``repro.sched.channel``, so it
+        # cannot be imported while this package is still loading.
+        from repro.aio.simnet import AsyncChannelMux, AsyncSimNetwork
+
         env = SchedulerConfig.from_env()
         self.config = SchedulerConfig(
-            workers=max_workers if max_workers is not None else env.workers,
-            queue_depth=queue_depth if queue_depth is not None else env.queue_depth,
+            max_inflight=max_inflight if max_inflight is not None else env.max_inflight,
             coalesce=coalesce if coalesce is not None else env.coalesce,
-            admission_timeout=(
-                admission_timeout
-                if admission_timeout is not None
-                else env.admission_timeout
-            ),
         )
-        if self.config.workers < 1:
-            raise ConfigurationError("scheduler needs at least one worker")
-        if self.config.queue_depth < 1:
-            raise ConfigurationError("admission queue depth must be positive")
         self.service = service
         self.metrics = metrics if metrics is not None else service.metrics
         if self.metrics is None:
             from repro.obs.metrics import MetricsRegistry
 
             self.metrics = MetricsRegistry()
-        self.net = service._fresh_net()
-        self.mux = ChannelMux(self.net)
-        self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_depth)
-        self._workers: list[threading.Thread] = []
+        self.loop_thread = loop_thread if loop_thread is not None else LoopThread(
+            name="repro-aio-sched"
+        )
+        self._owns_loop = loop_thread is None
+        self.net: AsyncSimNetwork = service._fresh_net(net_class=AsyncSimNetwork)
+        self.mux = AsyncChannelMux(self.net)
         self._seq = 0
         self._state_lock = threading.Lock()
         self._closed = False
+        #: Created lazily inside the first task so it binds the owned loop.
+        self._sem: asyncio.Semaphore | None = None
+        self._waiting = 0
+        self._futures: set = set()
         if self.config.coalesce:
             m = self.metrics
-            self._projection_flight = SingleFlightCache(
-                LruCache("sched.projection", metrics=m),
-                metrics=m,
-                metric_label="projection",
-            )
-            self._subplan_flight = SingleFlightCache(
+            self._column_cache = LruCache("sched.projection", metrics=m)
+            self._subplan_flight = AsyncSingleFlight(
                 LruCache("sched.subplan", metrics=m), metrics=m, metric_label="subplan"
             )
-            self._subplan_join = _BlockingSubplanJoin(self._subplan_flight)
-            self._query_flight = SingleFlightCache(
+            self._query_flight = AsyncSingleFlight(
                 LruCache("sched.query", metrics=m), metrics=m, metric_label="query"
             )
         else:
-            self._projection_flight = None
+            self._column_cache = None
             self._subplan_flight = None
-            self._subplan_join = None
             self._query_flight = None
         # Metric instances resolved once; emission is then a locked add.
         self._depth_gauge = self.metrics.gauge(
-            "sched.queue_depth", help="queries waiting for a worker"
+            "sched.queue_depth", help="queries waiting for an execution slot"
         )
         self._inflight_gauge = self.metrics.gauge(
             "sched.in_flight", help="queries currently executing"
         )
         self._admission_hist = self.metrics.histogram(
             "sched.admission_wait_seconds",
-            help="seconds between submit and worker pickup",
+            help="seconds between submit and the start of execution",
         )
         self._submitted = self.metrics.counter(
             "sched.submitted", help="queries admitted"
@@ -299,54 +255,64 @@ class QueryScheduler:
 
         ``criterion`` is a criterion string or a pre-built
         :class:`~repro.audit.planner.QueryPlan`.  ``timeout`` starts the
-        query's deadline *now* — admission-queue wait spends it.
+        query's deadline *now* — time parked behind the in-flight
+        semaphore spends it.  Admission itself never blocks: the query
+        becomes an event-loop task straight away.
         """
         with self._state_lock:
             if self._closed:
                 raise SchedulerShutdownError("scheduler is shut down")
-            self._ensure_workers()
             self._seq += 1
             handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
-        try:
-            if self.config.admission_timeout is not None:
-                self._queue.put(handle, timeout=self.config.admission_timeout)
-            else:
-                self._queue.put(handle)
-        except queue.Full:
-            raise SchedulerSaturatedError(
-                f"admission queue full ({self.config.queue_depth} deep) for "
-                f"{self.config.admission_timeout}s"
-            ) from None
+            future = self.loop_thread.submit(self._process(handle))
+            self._futures.add(future)
+        future.add_done_callback(functools.partial(self._task_done, handle))
         self._submitted.inc()
-        self._depth_gauge.set(self._queue.qsize())
         return handle
+
+    def _task_done(self, handle: QueryHandle, future) -> None:
+        with self._state_lock:
+            self._futures.discard(future)
+        if not handle.done:
+            # Only a task cancelled by shutdown(wait=False) — mid-query, or
+            # before its first step ever ran — ends without settling its
+            # handle; result()/gather() must not wait on it forever.
+            handle._fail(
+                SchedulerShutdownError(
+                    f"query #{handle.seq} cancelled: scheduler shut down"
+                )
+            )
+            self._failed.inc()
 
     def gather(self, handles: list[QueryHandle]) -> list[QueryResult]:
         """Results of ``handles`` in submission order (first failure raises)."""
         return [handle.result() for handle in handles]
 
-    # -- worker pool -------------------------------------------------------
+    # -- per-query task ----------------------------------------------------
 
-    def _ensure_workers(self) -> None:
-        """Spawn the pool on first submit (state lock held)."""
-        if self._workers:
-            return
-        for i in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"sched-worker-{i}", daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
+    async def _process(self, handle: QueryHandle) -> None:
+        # run_coroutine_threadsafe copies the *submitting* thread's
+        # context, which may carry an open span stack; each query task
+        # must start from a clean slate or spans would mis-parent.
+        self.service.tracer.detach_context()
+        if self._sem is None:
+            self._sem = asyncio.Semaphore(self.config.max_inflight)
+        try:
+            handle._resolve(await self._admit_and_run(handle))
+            self._completed.inc()
+        except Exception as exc:  # typed repro errors and genuine bugs alike
+            handle._fail(exc)
+            self._failed.inc()
 
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            self._depth_gauge.set(self._queue.qsize())
-            if item is _SHUTDOWN:
-                return
-            self._process(item)
-
-    def _process(self, handle: QueryHandle) -> None:
+    async def _admit_and_run(self, handle: QueryHandle) -> QueryResult:
+        """Wait for an execution slot, then plan and run (or join) the query."""
+        self._waiting += 1
+        self._depth_gauge.set(self._waiting)
+        try:
+            await self._sem.acquire()
+        finally:
+            self._waiting -= 1
+            self._depth_gauge.set(self._waiting)
         self._inflight_gauge.inc()
         try:
             wait = time.perf_counter() - handle.submitted_at
@@ -364,31 +330,20 @@ class QueryScheduler:
                 )
             )
             if self._query_flight is None:
-                result = self._execute(handle, qplan)
-            else:
-                ran = False
+                return await self._execute(handle, qplan)
+            ran = False
 
-                def compute() -> QueryResult:
-                    nonlocal ran
-                    ran = True
-                    return self._execute(handle, qplan)
+            async def compute() -> QueryResult:
+                nonlocal ran
+                ran = True
+                return await self._execute(handle, qplan)
 
-                key = (qplan.fingerprint(), self._epoch_vector())
-                value = self._query_flight.get_or_compute(key, compute)
-                if ran:
-                    result = value
-                else:
-                    result = self._fan_out(handle, qplan, value)
-            handle._resolve(result)
-            self._completed.inc()
-        except DeadlineExceededError as exc:
-            handle._fail(exc)
-            self._failed.inc()
-        except Exception as exc:  # typed repro errors and genuine bugs alike
-            handle._fail(exc)
-            self._failed.inc()
+            key = (qplan.fingerprint(), self._epoch_vector())
+            value = await self._query_flight.get_or_compute(key, compute)
+            return value if ran else self._fan_out(handle, qplan, value)
         finally:
             self._inflight_gauge.dec()
+            self._sem.release()
 
     # -- execution ---------------------------------------------------------
 
@@ -400,7 +355,7 @@ class QueryScheduler:
             for node_id in store.plan.node_ids
         )
 
-    def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
+    async def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
         service = self.service
         # One ring of a sharded cluster prefixes its channel tags with the
         # shard label, so multiplexed traffic stays attributable per shard.
@@ -423,8 +378,8 @@ class QueryScheduler:
             service.schema,
             value_bound=service.executor.value_bound,
             batch_compare=service.executor.batch_compare,
-            projection_cache=self._projection_flight,
-            subplan_cache=self._subplan_join,
+            projection_cache=self._column_cache,
+            subplan_cache=self._subplan_flight,
         )
         vt_start = self.net.now
         span_attrs = {"criterion": qplan.criterion_text, "channel": tag}
@@ -432,7 +387,7 @@ class QueryScheduler:
             span_attrs["shard"] = shard
         try:
             with service.tracer.span("sched.query", span_attrs) as span:
-                result = executor.execute(
+                result = await executor.execute_async(
                     qplan, net=channel, deadline=handle.deadline
                 )
                 if service.tracer.enabled:
@@ -481,36 +436,37 @@ class QueryScheduler:
 
     def coalesce_stats(self) -> dict:
         """Hit/miss/join counts per sharing level (empty when disabled)."""
+        if not self.config.coalesce:
+            return {}
         out: dict = {}
-        for flight in (
-            self._projection_flight,
-            self._subplan_flight,
-            self._query_flight,
+        for level, joins in (
+            (self._column_cache, 0),  # nothing can join a build that never suspends
+            (self._subplan_flight, self._subplan_flight.joins),
+            (self._query_flight, self._query_flight.joins),
         ):
-            if flight is None:
-                continue
-            s = flight.stats
-            out[flight.name] = {
-                "hits": s.hits,
-                "misses": s.misses,
-                "joins": flight.joins,
-            }
+            s = level.stats
+            out[level.name] = {"hits": s.hits, "misses": s.misses, "joins": joins}
         return out
 
     # -- lifecycle ---------------------------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop admitting, drain the queue, and stop every worker."""
+        """Stop admitting, drain every in-flight query, stop the loop."""
         with self._state_lock:
             if self._closed:
                 return
             self._closed = True
-            workers = list(self._workers)
-        for _ in workers:
-            self._queue.put(_SHUTDOWN)
+            futures = list(self._futures)
         if wait:
-            for worker in workers:
-                worker.join()
+            for future in futures:
+                try:
+                    future.result()
+                except Exception:
+                    # The failure is already recorded on its handle; the
+                    # task future is only awaited here for quiescence.
+                    pass
+        if self._owns_loop:
+            self.loop_thread.close()
 
     def __enter__(self) -> "QueryScheduler":
         return self

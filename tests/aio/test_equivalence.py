@@ -294,21 +294,6 @@ class TestIntegrityTwins:
         )
         assert async_reports == sync_reports
 
-    def test_pipelined_rounds_match_serial(self, populated_store):
-        from repro.logstore.integrity import (
-            run_integrity_round,
-            run_integrity_rounds_pipelined,
-        )
-
-        store, _ticket, receipts = populated_store
-        glsns = [r.glsn for r in receipts[:4]]
-        serial = []
-        for glsn in glsns:
-            serial.extend(run_integrity_round(store, glsns=[glsn], net=SimNetwork()))
-        pipelined = asyncio.run(run_integrity_rounds_pipelined(store, glsns=glsns))
-        assert pipelined == serial
-        assert all(r.verified for r in pipelined)
-
 
 class TestPipelining:
     def test_concurrent_protocol_runs_interleave(self):

@@ -1,10 +1,10 @@
-"""The event-loop scheduler: same answers, same ledgers, more in flight.
+"""What running on an event loop adds to the scheduler's contract.
 
-:class:`~repro.aio.AsyncQueryScheduler` must be observationally identical
-to the thread scheduler — every handle resolves to what a serial
-:meth:`query` on a twin deployment returns, per-query cost and leakage
-merge into the service ledgers exactly, traces reconcile span-by-span —
-while sustaining hundreds of in-flight queries that a thread pool cannot.
+``tests/sched/test_scheduler.py`` holds the behaviour suite of
+:class:`~repro.sched.QueryScheduler`; the cases here are the ones that
+exist because every query is a task on one loop: exact ledger and trace
+reconciliation when rounds interleave, hundreds of parked queries,
+cancellation by ``shutdown(wait=False)``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from repro.aio import AsyncQueryScheduler, aio_scheduler_enabled
+from repro.aio import aio_scheduler_enabled
 from repro.errors import DeadlineExceededError, SchedulerShutdownError
+from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
 
 
@@ -22,7 +23,7 @@ class TestEquivalenceToSerial:
     def test_matches_serial_twin(self):
         serial, concurrent = build_service(), build_service()
         expected = [serial.query(c) for c in CRITERIA]
-        with AsyncQueryScheduler(concurrent) as sched:
+        with QueryScheduler(concurrent) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         for got, want in zip(results, expected):
@@ -34,7 +35,7 @@ class TestEquivalenceToSerial:
     def test_ledger_reconciliation_is_exact(self):
         service = build_service()
         leakage_before = service.ctx.leakage.count()
-        with AsyncQueryScheduler(service, coalesce=False) as sched:
+        with QueryScheduler(service, coalesce=False) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             sched.gather(handles)
         # Every handle owns its private cost and leakage...
@@ -46,7 +47,7 @@ class TestEquivalenceToSerial:
 
     def test_coalesced_queries_fan_out_with_ledger_entry(self):
         service = build_service()
-        with AsyncQueryScheduler(service) as sched:
+        with QueryScheduler(service) as sched:
             handles = [sched.submit(CRITERIA[0]) for _ in range(4)]
             results = sched.gather(handles)
             stats = sched.coalesce_stats()
@@ -71,7 +72,7 @@ class TestTraceReconciliation:
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
         service.warm_pools(include_witnesses=False)
-        with AsyncQueryScheduler(service, coalesce=False) as sched:
+        with QueryScheduler(service, coalesce=False) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)
@@ -109,10 +110,10 @@ class TestTraceReconciliation:
 
 class TestInflightScale:
     def test_sustains_hundreds_in_flight(self):
-        """300 queries admitted at once — far beyond any thread pool —
+        """300 queries admitted at once, each a parked task —
         all resolve, in submission order, to one consistent answer."""
         service = build_service(rows=12)
-        with AsyncQueryScheduler(service, coalesce=False) as sched:
+        with QueryScheduler(service, coalesce=False) as sched:
             handles = [sched.submit("C3 = 'bank'") for _ in range(300)]
             assert len(handles) == 300  # admission never blocked
             results = sched.gather(handles)
@@ -123,7 +124,7 @@ class TestInflightScale:
     def test_max_inflight_bounds_concurrent_execution(self):
         service = build_service(rows=12)
         gauge_high = 0
-        with AsyncQueryScheduler(service, max_inflight=2, coalesce=False) as sched:
+        with QueryScheduler(service, max_inflight=2, coalesce=False) as sched:
             handles = [sched.submit("C3 = 'bank'") for _ in range(12)]
             sched.gather(handles)
             gauge_high = max(
@@ -136,7 +137,7 @@ class TestInflightScale:
 class TestLifecycle:
     def test_submit_after_shutdown_raises(self):
         service = build_service(rows=8)
-        sched = AsyncQueryScheduler(service)
+        sched = QueryScheduler(service)
         sched.submit("C3 = 'bank'").result()
         sched.shutdown()
         with pytest.raises(SchedulerShutdownError):
@@ -148,7 +149,7 @@ class TestLifecycle:
         """``shutdown(wait=False)`` cancels the queries still on the loop;
         each must fail with the typed error, never stay pending forever."""
         service = build_service(rows=12)
-        sched = AsyncQueryScheduler(service, max_inflight=2, coalesce=False)
+        sched = QueryScheduler(service, max_inflight=2, coalesce=False)
         handles = [sched.submit("C1 > 30 and C3 = 'bank'") for _ in range(40)]
         sched.shutdown(wait=False)
         deadline = time.monotonic() + 30.0
@@ -164,7 +165,7 @@ class TestLifecycle:
 
     def test_deadline_expires_in_admission(self):
         service = build_service(rows=8)
-        with AsyncQueryScheduler(service) as sched:
+        with QueryScheduler(service) as sched:
             handle = sched.submit("C1 > 30 and C3 = 'bank'", timeout=0.0)
             with pytest.raises(DeadlineExceededError):
                 handle.result(timeout=10.0)
@@ -173,19 +174,13 @@ class TestLifecycle:
 
 class TestServiceRouting:
     def test_service_scheduler_is_async_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AIO_SCHEDULER", raising=False)
+        """Nothing selects the scheduler: the retired switch is not read."""
+        monkeypatch.setenv("REPRO_AIO_SCHEDULER", "off")
         assert aio_scheduler_enabled()
         service = build_service(rows=8)
-        assert type(service.scheduler).__name__ == "AsyncQueryScheduler"
+        assert type(service.scheduler) is QueryScheduler
+        assert service.scheduler.loop_thread.running is False  # lazy until a submit
         result = service.submit("C3 = 'bank'").result()
         assert result is not None
-        service.close()
-
-    def test_env_off_restores_thread_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AIO_SCHEDULER", "off")
-        assert not aio_scheduler_enabled()
-        service = build_service(rows=8)
-        assert type(service.scheduler).__name__ == "QueryScheduler"
-        result = service.submit("C3 = 'bank'").result()
-        assert result is not None
+        assert service.scheduler.loop_thread.running
         service.close()

@@ -1,21 +1,37 @@
-"""Integration tests for the asyncio-stream transport.
+"""The socket transport on its loop: wire format, bounds, dead peers.
 
-:class:`~repro.aio.AsyncTcpNode` speaks the exact CRC-framed wire format
-of the sync :class:`~repro.net.transport_tcp.TcpNode` — the interop test
-pins that down by meshing one of each — while pooling one connection per
-peer behind a writer task and feeding the same pool-health ledger.
+``tests/net/test_transport_tcp.py`` is the message-interface suite; beside
+a few interface cases of its own this file pins what is particular to the
+stream implementation — the frame on the wire, the bounded waits, and what
+the writer tasks do when a peer stalls, dies or comes back.
 """
 
 from __future__ import annotations
 
+import asyncio
+import socket
 import threading
+import time
 
 import pytest
 
-from repro.aio import AsyncTcpCluster, AsyncTcpNode
-from repro.errors import NodeUnreachableError, TransportClosedError, TransportTimeout
+from repro.aio import AsyncTcpCluster, AsyncTcpNode, transport_tcp
+from repro.errors import (
+    DeadlineExceededError,
+    NodeUnreachableError,
+    TransportClosedError,
+    TransportTimeout,
+)
+from repro.net.codec import encode_frame
 from repro.net.message import Message
-from repro.net.transport_tcp import TcpNode
+from repro.resilience import Deadline
+
+
+def wait_until(condition, seconds: float = 10.0) -> bool:
+    limit = time.monotonic() + seconds
+    while not condition() and time.monotonic() < limit:
+        time.sleep(0.01)
+    return condition()
 
 
 class TestAsyncTcpNode:
@@ -86,22 +102,28 @@ class TestAsyncTcpNode:
         with pytest.raises(TransportClosedError):
             node.send(Message(src="solo", dst="solo", kind="k"))
 
-    def test_interop_with_sync_tcp_node(self):
-        """Async and sync nodes mesh on one address book: identical framing."""
-        sync_node = TcpNode("S")
-        anode = AsyncTcpNode("A")
-        try:
-            book = {"S": sync_node.address, "A": anode.address}
-            sync_node.learn_peers(book)
-            anode.learn_peers(book)
-            anode.send(Message(src="A", dst="S", kind="ping", payload=41))
-            ping = sync_node.receive(timeout=5.0)
-            assert ping.payload == 41
-            sync_node.send(ping.reply("pong", ping.payload + 1))
-            assert anode.receive(timeout=5.0).payload == 42
-        finally:
-            anode.close()
-            sync_node.close()
+
+    def test_wire_is_the_codec_frame_in_both_directions(self):
+        """What crosses the socket is exactly ``encode_frame``: a raw socket
+        can feed a node, and a raw listener reads what a node writes."""
+        with AsyncTcpNode("A") as node, socket.create_server(("127.0.0.1", 0)) as raw:
+            inbound = Message(src="raw", dst="A", kind="ping", payload=41)
+            with socket.create_connection(node.address) as feeder:
+                feeder.sendall(encode_frame(inbound))
+                assert node.receive(timeout=5.0).payload == 41
+
+            node.learn_peers({"raw": raw.getsockname()})
+            outbound = Message(src="A", dst="raw", kind="pong", payload=2**70)
+            node.send(outbound)
+            raw.settimeout(5.0)
+            conn, _addr = raw.accept()
+            with conn:
+                conn.settimeout(5.0)
+                expected = encode_frame(outbound)
+                got = b""
+                while len(got) < len(expected):
+                    got += conn.recv(65536)
+            assert got == expected
 
 
 class TestAsyncPoolHealth:
@@ -137,3 +159,64 @@ class TestAsyncPoolHealth:
         finally:
             cluster.close()
         assert dict(stats.connections_open) == {}
+
+
+class TestBounds:
+    """The three time bounds carried over from the thread node."""
+
+    def test_stalled_connect_ends_in_transport_timeout(self, monkeypatch):
+        async def never_connects(*_address):
+            await asyncio.sleep(3600)
+
+        monkeypatch.setattr(asyncio, "open_connection", never_connects)
+        monkeypatch.setattr(transport_tcp, "CONNECT_TIMEOUT", 0.2)
+        with AsyncTcpCluster(["A", "B"]) as cluster:
+            node = cluster["A"]
+            started = time.monotonic()
+            with pytest.raises(TransportTimeout, match="connect to 'B'"):
+                node._loop_thread.run(node._connect("B"), timeout=5.0)
+            assert time.monotonic() - started < 2.0
+            # Through send() nobody can be raised to: the frame is counted lost.
+            node.send(Message(src="A", dst="B", kind="k", payload=1))
+            assert wait_until(lambda: node.stats.dropped == 1, 5.0)
+            assert node._queues == {} and node._writer_tasks == {}
+
+    def test_receive_without_a_timeout_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(transport_tcp, "RECV_TIMEOUT", 0.2)
+        with AsyncTcpCluster(["A"]) as cluster:
+            started = time.monotonic()
+            with pytest.raises(TransportTimeout):
+                cluster["A"].receive()
+            assert time.monotonic() - started < 2.0
+
+    def test_deadline_clamps_receive(self):
+        with AsyncTcpCluster(["A"]) as cluster:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceededError):  # expired: fails before waiting
+                cluster["A"].receive(timeout=30.0, deadline=Deadline.after(0.0))
+            with pytest.raises(TransportTimeout):  # live: bounds the wait
+                cluster["A"].receive(timeout=30.0, deadline=Deadline.after(0.2))
+            assert time.monotonic() - started < 2.0
+
+
+class TestDeadPeer:
+    def test_sends_to_a_dead_peer_are_counted_and_the_peer_can_come_back(self):
+        """A failed connect must not leave an orphaned queue that swallows
+        every later send: the frames are counted as dropped, the peer's
+        state is forgotten, and a send after the peer is re-listed arrives."""
+        with AsyncTcpCluster(["A", "B"]) as cluster:
+            node = cluster["A"]
+            cluster["B"].close()
+            for i in range(3):  # none of these raises on the caller
+                node.send(Message(src="A", dst="B", kind="k", payload=i))
+            assert wait_until(lambda: node.stats.dropped == 3)
+            assert node.stats.messages == 3
+            assert node._queues == {} and node._writer_tasks == {}
+            assert dict(node.stats.connections_open) == {}
+
+            with AsyncTcpNode("B", loop_thread=cluster.loop_thread) as reborn:
+                node.learn_peers({"B": reborn.address})
+                node.send(Message(src="A", dst="B", kind="k", payload="back"))
+                assert reborn.receive(timeout=5.0).payload == "back"
+                assert dict(node.stats.connections_open) == {"B": 1}
+            assert node.stats.dropped == 3

@@ -64,6 +64,6 @@ def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_siz
         scheduler.gather([scheduler.submit(c) for c in CRITERIA])
         assert _sizes(service) == before
         # ... and not because nothing is cached: C2, C5, protocl and C1, in both homes
-        assert before["_projection_cache"] == before["_projection_flight"] == 4
+        assert before["_projection_cache"] == before["_column_cache"] == 4
     finally:
         service.shutdown_scheduler()

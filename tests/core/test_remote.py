@@ -95,11 +95,11 @@ class TestRemoteOverTcp:
     def test_tcp_roundtrip(self, world):
         import time
 
-        from repro.net.transport_tcp import TcpCluster
+        from repro.aio import AsyncTcpCluster
 
         frontdoor = DlaQueryFrontdoor("fd", world)
         client = RemoteAuditorClient("aud", "fd", world)
-        with TcpCluster(["fd", "aud"]) as cluster:
+        with AsyncTcpCluster(["fd", "aud"]) as cluster:
             cluster["fd"].set_handler(frontdoor.handle)
             cluster["aud"].set_handler(client.handle)
             request_id = client.send_query(cluster["aud"], "C1 > 30")

@@ -162,12 +162,14 @@ class TestDocsReferenceRealKnobs:
         )
 
     def test_every_aio_knob_documented(self):
-        """Reverse sweep for the async core: every ``REPRO_AIO_*`` knob
-        the event-loop stack reads (scheduler routing, in-flight bound,
-        drain yield cadence) must appear in the docs."""
-        aio_source = "\n".join(read(p) for p in (SRC / "aio").rglob("*.py"))
-        defined = set(re.findall(r"\bREPRO_AIO_[A-Z_]*[A-Z]\b", aio_source))
-        assert defined, "expected REPRO_AIO_* knobs in repro.aio"
+        """Reverse sweep for the event-loop stack: every ``REPRO_AIO_*``
+        knob the scheduler or the loop substrate reads (the in-flight
+        bound) must appear in the docs."""
+        loop_source = "\n".join(
+            read(p) for pkg in ("aio", "sched") for p in (SRC / pkg).rglob("*.py")
+        )
+        defined = set(re.findall(r"\bREPRO_AIO_[A-Z_]*[A-Z]\b", loop_source))
+        assert defined, "expected REPRO_AIO_* knobs in repro.sched / repro.aio"
         docs = all_docs()
         undocumented = sorted(v for v in defined if v not in docs)
         assert not undocumented, (

@@ -9,7 +9,7 @@ from repro.crypto.pohlig_hellman import shared_prime
 from repro.crypto.primes import prime_above
 from repro.crypto.shamir import ShamirScheme
 from repro.mining.size_protocol import SizeParty
-from repro.net.transport_tcp import TcpCluster
+from repro.aio import AsyncTcpCluster
 from repro.smc.base import SmcContext
 from repro.smc.ranking import MonotoneBlinding, RankingParty, RankingTtp
 from repro.smc.sum_ import SumParty
@@ -35,7 +35,7 @@ class TestSumOverTcp:
             node = SumParty(pid, values[pid], 1, ctx, parties, parties, scheme)
             node._all_weights = [1, 1, 1]
             nodes[pid] = node
-        with TcpCluster(parties) as cluster:
+        with AsyncTcpCluster(parties) as cluster:
             for pid, node in nodes.items():
                 cluster[pid].set_handler(node.handle)
             for pid, node in nodes.items():
@@ -56,7 +56,7 @@ class TestRankingOverTcp:
             pid: RankingParty(pid, val, ctx, blinding, "ttp")
             for pid, val in values.items()
         }
-        with TcpCluster(["ttp"] + sorted(values)) as cluster:
+        with AsyncTcpCluster(["ttp"] + sorted(values)) as cluster:
             cluster["ttp"].set_handler(ttp.handle)
             for pid, party in parties.items():
                 cluster[pid].set_handler(party.handle)
@@ -74,7 +74,7 @@ class TestSizeOverTcp:
         ctx = SmcContext(shared_prime(64), DeterministicRng(b"tcp-size"))
         left = SizeParty("A", [1, 2, 3, 4, 5], ctx, "B")
         right = SizeParty("B", [4, 5, 6], ctx, "A")
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].set_handler(left.handle)
             cluster["B"].set_handler(right.handle)
             left.start(cluster["A"])

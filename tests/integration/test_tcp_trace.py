@@ -13,7 +13,7 @@ import time
 from repro.crypto import DeterministicRng
 from repro.crypto.pohlig_hellman import shared_prime
 from repro.net.message import Message
-from repro.net.transport_tcp import TcpCluster
+from repro.aio import AsyncTcpCluster
 from repro.obs import Tracer
 from repro.obs.assemble import assemble_forest, assemble_trace, trace_ids
 from repro.obs.flight import COLLECT_KIND, SPANS_KIND, TelemetryHub
@@ -71,7 +71,7 @@ class TestCrossNodeTraceOverTcp:
         def on_spans(msg, _transport):
             collected[msg.src] = [span_from_dict(d) for d in msg.payload["spans"]]
 
-        with TcpCluster(parties + [COLLECTOR], telemetry=hub) as cluster:
+        with AsyncTcpCluster(parties + [COLLECTOR], telemetry=hub) as cluster:
             for pid, party in nodes.items():
                 cluster[pid].set_handler(_telemetry_handler(party, pid, hub))
             cluster[COLLECTOR].set_handler(on_spans)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 
 from repro.net.message import Message
-from repro.net.transport_tcp import TcpCluster
+from repro.aio import AsyncTcpCluster
 
 
 def _tagged(src: str, dst: str, kind: str, payload, tag: str | None) -> Message:
@@ -21,7 +21,7 @@ def _tagged(src: str, dst: str, kind: str, payload, tag: str | None) -> Message:
 
 class TestTcpChannelDispatch:
     def test_channels_dispatch_to_their_own_handlers(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             seen_qa: list = []
             seen_qb: list = []
             done = threading.Event()
@@ -44,7 +44,7 @@ class TestTcpChannelDispatch:
             assert seen_qb == [("qb", {"i": 0}), ("qb", {"i": 1})]
 
     def test_untagged_traffic_still_reaches_default_handler(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             default_seen: list = []
             channel_seen: list = []
             done = threading.Event()
@@ -65,14 +65,14 @@ class TestTcpChannelDispatch:
     def test_unknown_channel_falls_back_to_inbox(self):
         """A tag with no registered handler degrades to pull-style
         delivery instead of being lost."""
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(_tagged("A", "B", "x.k", {"v": 1}, "q-unknown"))
             msg = cluster["B"].receive(timeout=5.0)
             assert msg.channel == "q-unknown"
             assert msg.payload == {"v": 1}
 
     def test_unregister_channel_stops_dispatch(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             seen: list = []
             first = threading.Event()
 
@@ -90,7 +90,7 @@ class TestTcpChannelDispatch:
             assert seen == [1]
 
     def test_reply_keeps_the_channel_on_the_wire(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             answers: list = []
             done = threading.Event()
 

@@ -6,18 +6,18 @@ import pytest
 
 from repro.errors import NodeUnreachableError, TransportClosedError, TransportTimeout
 from repro.net.message import Message
-from repro.net.transport_tcp import TcpCluster, TcpNode
+from repro.aio import AsyncTcpCluster, AsyncTcpNode
 
 
 class TestTcpNode:
     def test_send_receive_pull_style(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload={"v": 1}))
             msg = cluster["B"].receive(timeout=5.0)
             assert msg.payload == {"v": 1} and msg.src == "A"
 
     def test_handler_dispatch(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             got = threading.Event()
             seen = []
 
@@ -31,7 +31,7 @@ class TestTcpNode:
             assert seen == [2**200]
 
     def test_bidirectional(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             done = threading.Event()
             answers = []
 
@@ -49,7 +49,7 @@ class TestTcpNode:
             assert answers == [42]
 
     def test_many_messages_ordered_per_link(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             seen = []
             done = threading.Event()
 
@@ -62,27 +62,27 @@ class TestTcpNode:
             for i in range(50):
                 cluster["A"].send(Message(src="A", dst="B", kind="k", payload=i))
             assert done.wait(10.0)
-            assert seen == list(range(50))  # single TCP stream preserves order
+            assert seen == list(range(50))  # one writer task, one stream: in order
 
     def test_unknown_peer(self):
-        with TcpCluster(["A"]) as cluster:
+        with AsyncTcpCluster(["A"]) as cluster:
             with pytest.raises(NodeUnreachableError):
                 cluster["A"].send(Message(src="A", dst="nowhere", kind="k"))
 
     def test_closed_transport_rejects_send(self):
-        node = TcpNode("solo")
+        node = AsyncTcpNode("solo")
         node.learn_peers({"solo": node.address})
         node.close()
         with pytest.raises(TransportClosedError):
             node.send(Message(src="solo", dst="solo", kind="k"))
 
     def test_receive_timeout(self):
-        with TcpCluster(["A"]) as cluster:
+        with AsyncTcpCluster(["A"]) as cluster:
             with pytest.raises(TransportTimeout):
                 cluster["A"].receive(timeout=0.2)
 
     def test_stats_counted(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(Message(src="A", dst="B", kind="data", payload="x"))
             cluster["B"].receive(timeout=5.0)
             assert cluster["A"].stats.messages == 1
@@ -90,7 +90,7 @@ class TestTcpNode:
 
     def test_three_node_relay(self):
         """A -> B -> C relay chain over real sockets."""
-        with TcpCluster(["A", "B", "C"]) as cluster:
+        with AsyncTcpCluster(["A", "B", "C"]) as cluster:
             done = threading.Event()
             result = []
 
@@ -112,9 +112,10 @@ class TestNoDelay:
     def test_outbound_socket_has_nodelay(self):
         import socket
 
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
-            sock = cluster["A"]._outbound["B"]
+            cluster["B"].receive(timeout=5.0)
+            sock = cluster["A"]._writers["B"].get_extra_info("socket")
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_ping_pong_latency(self):
@@ -127,7 +128,7 @@ class TestNoDelay:
         """
         import time
 
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             done = threading.Event()
             rounds = 100
 
@@ -151,7 +152,7 @@ class TestNoDelay:
 
 class TestSendMany:
     def test_fan_out_to_multiple_peers(self):
-        with TcpCluster(["A", "B", "C"]) as cluster:
+        with AsyncTcpCluster(["A", "B", "C"]) as cluster:
             cluster["A"].send_many(
                 [
                     Message(src="A", dst="B", kind="k", payload="to-b"),
@@ -165,7 +166,7 @@ class TestSendMany:
             assert cluster["A"].stats.messages == 3
 
     def test_order_preserved_within_batch(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             seen = []
             done = threading.Event()
 
@@ -182,7 +183,7 @@ class TestSendMany:
             assert seen == list(range(20))
 
     def test_unknown_peer_rejected_before_any_write(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             with pytest.raises(NodeUnreachableError):
                 cluster["A"].send_many(
                     [
@@ -193,51 +194,53 @@ class TestSendMany:
             assert cluster["A"].stats.messages == 0
 
     def test_closed_transport_rejects(self):
-        node = TcpNode("solo")
+        node = AsyncTcpNode("solo")
         node.close()
         with pytest.raises(TransportClosedError):
             node.send_many([Message(src="solo", dst="solo", kind="k")])
 
     def test_empty_batch_is_noop(self):
-        with TcpCluster(["A"]) as cluster:
+        with AsyncTcpCluster(["A"]) as cluster:
             cluster["A"].send_many([])
             assert cluster["A"].stats.messages == 0
 
 
 class TestConnectionPoolHealth:
     def test_first_send_opens_one_pooled_connection(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload=2))
             cluster["B"].receive(timeout=5.0)
             cluster["B"].receive(timeout=5.0)
-            # Two sends, one pooled socket — and no reconnect recorded.
+            # Two sends, one pooled stream — and no reconnect recorded.
             assert dict(cluster["A"].stats.connections_open) == {"B": 1}
             assert dict(cluster["A"].stats.reconnects) == {}
 
     def test_stats_reset_keeps_pool_gauge(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
             cluster["B"].receive(timeout=5.0)
             cluster["A"].stats.reset()
-            # Traffic counters clear; the gauge keeps mirroring the live socket.
+            # Traffic counters clear; the gauge keeps mirroring the live stream.
             assert cluster["A"].stats.messages == 0
             assert dict(cluster["A"].stats.connections_open) == {"B": 1}
 
     def test_broken_socket_counts_a_reconnect(self):
-        with TcpCluster(["A", "B"]) as cluster:
+        with AsyncTcpCluster(["A", "B"]) as cluster:
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
             cluster["B"].receive(timeout=5.0)
-            # Kill the pooled socket from under the sender; the next send
-            # hits OSError and takes the single-retry reconnect path.
-            cluster["A"]._outbound["B"].close()
-            cluster["A"].send(Message(src="A", dst="B", kind="k", payload=2))
+            # Kill the pooled stream from under the writer task (on its
+            # loop, so the close lands before the next enqueued frame); the
+            # next write fails and takes the single-retry reconnect path.
+            node = cluster["A"]
+            node.loop.call_soon_threadsafe(node._writers["B"].close)
+            node.send(Message(src="A", dst="B", kind="k", payload=2))
             assert cluster["B"].receive(timeout=5.0).payload == 2
             assert dict(cluster["A"].stats.connections_open) == {"B": 1}
             assert dict(cluster["A"].stats.reconnects) == {"B": 1}
 
     def test_close_drains_the_gauge(self):
-        cluster = TcpCluster(["A", "B"])
+        cluster = AsyncTcpCluster(["A", "B"])
         try:
             cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
             cluster["B"].receive(timeout=5.0)

@@ -1,13 +1,13 @@
-"""SingleFlightCache: compute-once semantics and failure isolation."""
+"""AsyncSingleFlight: compute-once semantics and failure isolation."""
 
 from __future__ import annotations
 
-import threading
+import asyncio
 
 import pytest
 
+from repro.aio import AsyncSingleFlight
 from repro.cache import LruCache, set_caching_enabled
-from repro.sched import SingleFlightCache
 
 
 @pytest.fixture(autouse=True)
@@ -17,122 +17,124 @@ def _caching_on():
     set_caching_enabled(None)
 
 
+def constant(value, calls: list):
+    async def compute():
+        calls.append(1)
+        return value
+
+    return compute
+
+
 def test_serves_cached_value_without_recompute():
-    flight = SingleFlightCache(LruCache("sf.basic"))
-    calls = []
-    assert flight.get_or_compute("k", lambda: calls.append(1) or 42) == 42
-    assert flight.get_or_compute("k", lambda: calls.append(1) or 99) == 42
-    assert len(calls) == 1
+    async def scenario():
+        flight = AsyncSingleFlight(LruCache("sf.basic"))
+        calls: list = []
+        assert await flight.get_or_compute("k", constant(42, calls)) == 42
+        assert await flight.get_or_compute("k", constant(99, calls)) == 42
+        assert len(calls) == 1
+
+    asyncio.run(scenario())
 
 
-def test_concurrent_threads_compute_once():
-    flight = SingleFlightCache(LruCache("sf.once"))
-    entered = threading.Event()
-    release = threading.Event()
-    compute_count = [0]
+def test_concurrent_tasks_compute_once():
+    async def scenario():
+        flight = AsyncSingleFlight(LruCache("sf.once"))
+        entered, release = asyncio.Event(), asyncio.Event()
+        compute_count = [0]
 
-    def compute():
-        compute_count[0] += 1
-        entered.set()
-        release.wait(timeout=30)
-        return "value"
+        async def compute():
+            compute_count[0] += 1
+            entered.set()
+            await release.wait()
+            return "value"
 
-    results: list[str] = []
+        holder = asyncio.create_task(flight.get_or_compute("k", compute))
+        await asyncio.wait_for(entered.wait(), 30)  # the holder is mid-compute
+        joiners = [
+            asyncio.create_task(flight.get_or_compute("k", compute)) for _ in range(4)
+        ]
+        await asyncio.sleep(0)  # every joiner reaches the holder's event
+        assert flight.joins == 4
+        release.set()
+        results = await asyncio.wait_for(asyncio.gather(holder, *joiners), 30)
+        assert results == ["value"] * 5
+        assert compute_count[0] == 1
 
-    def worker():
-        results.append(flight.get_or_compute("k", compute))
-
-    holder = threading.Thread(target=worker)
-    holder.start()
-    assert entered.wait(timeout=30)  # the holder is mid-compute
-    joiners = [threading.Thread(target=worker) for _ in range(4)]
-    for t in joiners:
-        t.start()
-    release.set()
-    for t in [holder, *joiners]:
-        t.join(timeout=30)
-    assert results == ["value"] * 5
-    assert compute_count[0] == 1
-    assert flight.joins >= 1
+    asyncio.run(scenario())
 
 
 def test_failed_holder_does_not_poison_joiners():
     """The holder's exception stays its own; a joiner retries and wins."""
-    flight = SingleFlightCache(LruCache("sf.fail"))
-    first_entered = threading.Event()
-    fail_first = threading.Event()
-    fail_first.set()
-    outcomes: list[object] = []
 
-    def compute():
-        if fail_first.is_set():
-            fail_first.clear()
-            first_entered.set()
-            raise RuntimeError("holder dies")
-        return "recovered"
+    async def scenario():
+        flight = AsyncSingleFlight(LruCache("sf.fail"))
+        entered, release = asyncio.Event(), asyncio.Event()
+        attempts = [0]
 
-    def holder_worker():
-        try:
-            flight.get_or_compute("k", compute)
-        except RuntimeError as exc:
-            outcomes.append(exc)
+        async def compute():
+            attempts[0] += 1
+            if attempts[0] == 1:
+                entered.set()
+                await release.wait()
+                raise RuntimeError("holder dies")
+            return "recovered"
 
-    def joiner_worker():
-        outcomes.append(flight.get_or_compute("k", compute))
+        holder = asyncio.create_task(flight.get_or_compute("k", compute))
+        await asyncio.wait_for(entered.wait(), 30)
+        joiners = [
+            asyncio.create_task(flight.get_or_compute("k", compute)) for _ in range(2)
+        ]
+        await asyncio.sleep(0)
+        release.set()
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(holder, *joiners, return_exceptions=True), 30
+        )
+        assert isinstance(outcomes[0], RuntimeError)  # exactly the holder
+        assert outcomes[1:] == ["recovered", "recovered"]
+        assert attempts[0] == 2  # one joiner became the new holder, one joined it
+        # The in-flight table is clean: a later caller hits the cache.
+        assert await flight.get_or_compute("k", constant("later", [])) == "recovered"
 
-    holder = threading.Thread(target=holder_worker)
-    holder.start()
-    assert first_entered.wait(timeout=30)
-    joiner = threading.Thread(target=joiner_worker)
-    joiner.start()
-    holder.join(timeout=30)
-    joiner.join(timeout=30)
-    errors = [o for o in outcomes if isinstance(o, Exception)]
-    values = [o for o in outcomes if not isinstance(o, Exception)]
-    assert len(errors) == 1  # exactly the holder
-    assert values == ["recovered"]
-    # The in-flight table is clean: a later caller computes or hits cache.
-    assert flight.get_or_compute("k", lambda: "later") == "recovered"
+    asyncio.run(scenario())
 
 
 def test_kill_switch_bypasses_sharing():
-    flight = SingleFlightCache(LruCache("sf.off"))
-    set_caching_enabled(False)
-    calls = []
-    assert flight.get_or_compute("k", lambda: calls.append(1) or "a") == "a"
-    assert flight.get_or_compute("k", lambda: calls.append(1) or "b") == "b"
-    assert len(calls) == 2
+    async def scenario():
+        flight = AsyncSingleFlight(LruCache("sf.off"))
+        set_caching_enabled(False)
+        calls: list = []
+        assert await flight.get_or_compute("k", constant("a", calls)) == "a"
+        assert await flight.get_or_compute("k", constant("b", calls)) == "b"
+        assert len(calls) == 2
+
+    asyncio.run(scenario())
 
 
 def test_join_metric_counts_per_level():
     from repro.obs.metrics import MetricsRegistry
 
-    registry = MetricsRegistry()
-    flight = SingleFlightCache(
-        LruCache("sf.metric"), metrics=registry, metric_label="unit"
-    )
-    entered = threading.Event()
-    release = threading.Event()
+    async def scenario():
+        registry = MetricsRegistry()
+        flight = AsyncSingleFlight(
+            LruCache("sf.metric"), metrics=registry, metric_label="unit"
+        )
+        entered, release = asyncio.Event(), asyncio.Event()
 
-    def compute():
-        entered.set()
-        release.wait(timeout=30)
-        return 1
+        async def compute():
+            entered.set()
+            await release.wait()
+            return 1
 
-    holder = threading.Thread(target=lambda: flight.get_or_compute("k", compute))
-    holder.start()
-    assert entered.wait(timeout=30)
-    joiner = threading.Thread(target=lambda: flight.get_or_compute("k", compute))
-    joiner.start()
-    import time
+        holder = asyncio.create_task(flight.get_or_compute("k", compute))
+        await asyncio.wait_for(entered.wait(), 30)
+        joiner = asyncio.create_task(flight.get_or_compute("k", compute))
+        await asyncio.sleep(0)
+        release.set()
+        await asyncio.wait_for(asyncio.gather(holder, joiner), 30)
+        assert (
+            registry.value("sched.coalesce_hits", labels={"level": "unit"})
+            == flight.joins
+            == 1
+        )
 
-    while flight.joins == 0 and joiner.is_alive():
-        time.sleep(0.001)  # joiner registers before blocking on the holder
-    release.set()
-    holder.join(timeout=30)
-    joiner.join(timeout=30)
-    assert (
-        registry.value("sched.coalesce_hits", labels={"level": "unit"})
-        == flight.joins
-        >= 1
-    )
+    asyncio.run(scenario())

@@ -1,7 +1,8 @@
-"""QueryScheduler: correctness vs serial, coalescing, backpressure, deadlines."""
+"""QueryScheduler: correctness vs serial, coalescing, admission, deadlines."""
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -10,7 +11,6 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
-    SchedulerSaturatedError,
     SchedulerShutdownError,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -46,7 +46,7 @@ class TestEquivalenceWithSerial:
     def test_coalescing_off_still_matches_serial(self, twin_services):
         serial_svc, conc_svc = twin_services
         expected = [serial_svc.query(c) for c in CRITERIA]
-        with QueryScheduler(conc_svc, max_workers=4, coalesce=False) as sched:
+        with QueryScheduler(conc_svc, max_inflight=4, coalesce=False) as sched:
             got = sched.gather([sched.submit(c) for c in CRITERIA])
         for s, c in zip(expected, got):
             assert_same_result(s, c)
@@ -118,7 +118,7 @@ class TestCoalescing:
         try:
             # Distinct criteria sharing one expensive scmp cross predicate.
             pair = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 400"]
-            with QueryScheduler(service, max_workers=1) as sched:
+            with QueryScheduler(service, max_inflight=1) as sched:
                 results = sched.gather([sched.submit(c) for c in pair])
             twin = build_service()
             for criterion, result in zip(pair, results):
@@ -128,14 +128,12 @@ class TestCoalescing:
         finally:
             service.shutdown_scheduler()
 
-    def test_concurrent_queries_share_one_subplan_run(self, monkeypatch):
-        """Thread scheduler, one executor body: two queries racing on the
-        same cross predicate run its SMC rounds once; the other joins (or
-        hits) through the blocking single-flight and says so on its ledger."""
-        monkeypatch.setenv("REPRO_AIO_SCHEDULER", "off")
+    def test_concurrent_queries_share_one_subplan_run(self):
+        """Two queries racing on the same cross predicate run its SMC
+        rounds once; the other joins (or hits) through the single-flight
+        and says so on its ledger."""
         service = build_service()
         try:
-            assert type(service.scheduler).__name__ == "QueryScheduler"
             pair = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 400"]
             handles = [service.submit(c) for c in pair]
             results = service.gather(handles)
@@ -214,34 +212,15 @@ class TestAdmissionControl:
         sched = QueryScheduler(service, **kwargs)
         original = sched._execute
 
-        def slow_execute(handle, qplan):
-            time.sleep(delay)
-            return original(handle, qplan)
+        async def slow_execute(handle, qplan):
+            await asyncio.sleep(delay)
+            return await original(handle, qplan)
 
         sched._execute = slow_execute
         return sched
 
-    def test_backpressure_raises_saturated(self, service):
-        sched = self._slow_scheduler(
-            service,
-            delay=0.4,
-            max_workers=1,
-            queue_depth=1,
-            admission_timeout=0.05,
-        )
-        try:
-            first = sched.submit(CRITERIA[0])  # occupies the only worker
-            time.sleep(0.05)  # let the worker pick it up
-            second = sched.submit(CRITERIA[1])  # fills the queue
-            with pytest.raises(SchedulerSaturatedError):
-                sched.submit(CRITERIA[2])
-            assert first.result(timeout=60) is not None
-            assert second.result(timeout=60) is not None
-        finally:
-            sched.shutdown()
-
     def test_deadline_expires_in_admission_queue(self, service):
-        sched = self._slow_scheduler(service, delay=0.3, max_workers=1)
+        sched = self._slow_scheduler(service, delay=0.3, max_inflight=1)
         try:
             slow = sched.submit(CRITERIA[0])
             time.sleep(0.05)
@@ -267,38 +246,22 @@ class TestAdmissionControl:
 
 class TestConfig:
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_WORKERS", "7")
-        monkeypatch.setenv("REPRO_SCHED_QUEUE_DEPTH", "9")
+        monkeypatch.setenv("REPRO_AIO_MAX_INFLIGHT", "7")
         monkeypatch.setenv("REPRO_SCHED_COALESCE", "off")
-        monkeypatch.setenv("REPRO_SCHED_ADMISSION_TIMEOUT", "1.5")
-        config = SchedulerConfig.from_env()
-        assert config.workers == 7
-        assert config.queue_depth == 9
-        assert config.coalesce is False
-        assert config.admission_timeout == 1.5
+        assert SchedulerConfig.from_env() == SchedulerConfig(
+            max_inflight=7, coalesce=False
+        )
 
     def test_env_defaults(self, monkeypatch):
-        for var in (
-            "REPRO_SCHED_WORKERS",
-            "REPRO_SCHED_QUEUE_DEPTH",
-            "REPRO_SCHED_COALESCE",
-            "REPRO_SCHED_ADMISSION_TIMEOUT",
-        ):
+        for var in ("REPRO_AIO_MAX_INFLIGHT", "REPRO_SCHED_COALESCE"):
             monkeypatch.delenv(var, raising=False)
-        config = SchedulerConfig.from_env()
-        assert config.workers == 4
-        assert config.queue_depth == 64
-        assert config.coalesce is True
-        assert config.admission_timeout is None
+        assert SchedulerConfig.from_env() == SchedulerConfig(
+            max_inflight=256, coalesce=True
+        )
 
     @pytest.mark.parametrize(
         "var,value",
-        [
-            ("REPRO_SCHED_WORKERS", "zero"),
-            ("REPRO_SCHED_WORKERS", "0"),
-            ("REPRO_SCHED_QUEUE_DEPTH", "-3"),
-            ("REPRO_SCHED_ADMISSION_TIMEOUT", "soon"),
-        ],
+        [("REPRO_AIO_MAX_INFLIGHT", "zero"), ("REPRO_AIO_MAX_INFLIGHT", "0")],
     )
     def test_invalid_env_raises(self, monkeypatch, var, value):
         monkeypatch.setenv(var, value)

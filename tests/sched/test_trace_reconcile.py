@@ -2,8 +2,8 @@
 
 With the scheduler at concurrency >= 4, every query gets its own channel
 and its own trace — yet all node spans land in ONE shared telemetry hub,
-interleaved across worker threads ("helping" means a worker may deliver
-another query's messages).  The tentpole invariant must survive that
+interleaved across query tasks ("helping" means one task's drain may
+deliver another query's messages).  The tentpole invariant must survive that
 interleaving: for EVERY assembled cross-node trace, the per-node span
 attributions sum exactly to that query's private CostReport, and the
 offline/online modexp split stays an exact relabeling.
@@ -31,7 +31,7 @@ class TestConcurrentTraceReconciliation:
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
         service.warm_pools(include_witnesses=False)
-        with QueryScheduler(service, max_workers=4, coalesce=False) as sched:
+        with QueryScheduler(service, max_inflight=4, coalesce=False) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)

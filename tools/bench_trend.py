@@ -109,20 +109,6 @@ HEADLINES = [
         "s",
         lambda d: d["recovery"]["seconds"],
     ),
-    (
-        "BENCH_p9.json",
-        "P9 async fan-out",
-        "async/thread speedup at max rung",
-        "x",
-        lambda d: d["ladder_runs"][-1]["speedup"],
-    ),
-    (
-        "BENCH_p9.json",
-        "P9 pipelined rings",
-        "virtual-time makespan gain",
-        "x",
-        lambda d: d["pipelined_rings"]["gain"],
-    ),
 ]
 
 HIGHER_IS_BETTER = {"x", "rows/s"}
