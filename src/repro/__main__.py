@@ -38,10 +38,6 @@ def run_demo(prime_bits: int, seed: str, trace_out: str | None = None) -> int:
     print(service.describe())
     print(f"membership: {service.membership_summary()}")
 
-    # Offline phase: fill the correlated-randomness pools while "idle"
-    # (REPRO_PRECOMPUTE=off falls back to inline computation).
-    service.warm_pools(include_witnesses=False)
-
     writer = ApplicationNode.register("U1", service)
     receipts = [service.log_event(row, writer.ticket) for row in paper_table1_rows()]
     records = [LogRecord(r.glsn, row) for r, row in zip(receipts, paper_table1_rows())]
@@ -64,12 +60,6 @@ def run_demo(prime_bits: int, seed: str, trace_out: str | None = None) -> int:
         rate = row["hits"] / total if total else 0.0
         print(f"  {name:18s} hits={row['hits']:<4d} misses={row['misses']:<4d} "
               f"hit_rate={rate:.0%}")
-
-    print("\n== precompute pools (offline/online split; REPRO_PRECOMPUTE=off disables) ==")
-    print(f"  pool hit rate: {service.precompute.hit_rate():.0%}")
-    for name, row in sorted(service.precompute.pool_snapshot().items()):
-        print(f"  {name:20s} depth={row['depth']:<4d} hits={row['hits']:<4d} "
-              f"misses={row['misses']:<4d} refills={row['refills']}")
 
     report = auditor.audited_query("Tid = 'T1100265'")
     print(f"\n== signed report ==\nrecords {len(report.glsns)}, "

@@ -15,13 +15,15 @@ of :mod:`repro.net.codec`.  Everything runs on one event loop:
 * **writer-drain backpressure** — the writer task awaits
   ``StreamWriter.drain()`` after every write, so a slow peer suspends
   the one coroutine feeding it instead of growing an unbounded kernel
-  buffer;
+  buffer — for at most :data:`WRITE_TIMEOUT`, after which the peer is
+  treated as unreachable;
 * **reconnects** — a broken pipe closes the pooled stream and reopens
   it once, feeding the per-peer ``repro_net_connections_open`` /
   ``repro_net_reconnects_total`` pool-health ledger; a peer that cannot
-  be reached (refused, or no answer within :data:`CONNECT_TIMEOUT`)
-  loses its queued frames, counted in ``stats.dropped``, and the next
-  send to it starts over with a fresh connection.
+  be reached (refused, no answer within :data:`CONNECT_TIMEOUT`, or
+  accepting and never reading) loses its queued frames, counted in
+  ``stats.dropped``, and the next send to it starts over with a fresh
+  connection.
 
 Resilience hooks (see ``docs/resilience.md``): a blocking
 :meth:`AsyncTcpNode.receive` is bounded (:data:`RECV_TIMEOUT` by
@@ -58,9 +60,10 @@ Handler = Callable[[Message, "AsyncTcpNode"], None]
 
 _READ_CHUNK = 65536
 
-#: Seconds a connect, and a :meth:`AsyncTcpNode.receive` given no
-#: timeout, may take before raising :class:`TransportTimeout`.
+#: Seconds a connect, a write's drain, and a :meth:`AsyncTcpNode.receive`
+#: given no timeout, may take before raising :class:`TransportTimeout`.
 CONNECT_TIMEOUT = 10.0
+WRITE_TIMEOUT = 10.0
 RECV_TIMEOUT = 10.0
 
 
@@ -235,7 +238,15 @@ class AsyncTcpNode:
     async def _write(self, dst: NodeId, payload: bytes) -> None:
         writer = self._writers.get(dst) or await self._connect(dst)
         writer.write(payload)
-        await writer.drain()
+        try:
+            await asyncio.wait_for(writer.drain(), WRITE_TIMEOUT)
+        except asyncio.TimeoutError as exc:
+            # The peer accepted and stopped reading: what is buffered for it
+            # will never flush, so the stream is aborted, not closed.
+            writer.transport.abort()
+            raise TransportTimeout(
+                f"{self.node_id}: write to {dst!r} not drained within {WRITE_TIMEOUT}s"
+            ) from exc
 
     def _drop_connection(self, dst: NodeId) -> None:
         writer = self._writers.pop(dst, None)

@@ -80,7 +80,7 @@ class CredentialAuthority:
     """Mints anonymous audit tokens and arbitrates identity escrow."""
 
     def __init__(self, group: SchnorrGroup | None = None, rng=None,
-                 precompute=None, telemetry=None) -> None:
+                 telemetry=None) -> None:
         self._rng = rng or system_rng()
         # Cross-node tracing: enrolment work records a span at the
         # authority's node.  The span carries no identities — linking an
@@ -91,10 +91,7 @@ class CredentialAuthority:
         self.key = SchnorrKeyPair.generate(self.group, self._rng)
         self.pedersen = PedersenParams.generate(256, self._rng.spawn("pedersen"))
         self._signer = SchnorrSigner(self.group, self._rng)
-        self._precompute = precompute
-        self._blind = BlindSigner(
-            self.group, self.key, self._rng.spawn("blind"), precompute=precompute
-        )
+        self._blind = BlindSigner(self.group, self.key, self._rng.spawn("blind"))
         self.enrolled: set[str] = set()
 
     @property
@@ -125,8 +122,7 @@ class CredentialAuthority:
 
             # Blind issuance: the authority signs without seeing the pseudonym.
             client = BlindingClient(
-                self.group, self.key.y, rng=rng.spawn("blinding"),
-                precompute=self._precompute,
+                self.group, self.key.y, rng=rng.spawn("blinding")
             )
             session, commitment_r = self._blind.start()
             token_message = b"dla-token:" + _int_bytes(pseudonym_key.y)

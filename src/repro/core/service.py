@@ -51,7 +51,7 @@ from repro.obs.confidentiality import ConfidentialityObservatory, QueryObservati
 from repro.obs.flight import TelemetryHub, run_collection_round
 from repro.obs.server import ObsServer, start_from_env
 from repro.obs.tracer import NOOP_TRACER, Span
-from repro.precompute import PrecomputeManager
+from repro.precompute.manager import PrecomputeManager
 from repro.smc.base import SmcContext
 from repro.store import StoreConfig, open_durable_store
 
@@ -187,11 +187,7 @@ class ConfidentialAuditingService:
         self.last_node_spans: list[Span] = []
         self._node_health: dict[str, dict] = {}
         self._health_lock = threading.Lock()
-        #: Correlated-randomness pools shared by every protocol this
-        #: service drives (offline/online split; ``REPRO_PRECOMPUTE_*``).
-        self.precompute = PrecomputeManager(
-            rng=self.rng.spawn("precompute"), metrics=self.metrics
-        )
+        self.precompute = PrecomputeManager()  # benchmark readout only
         #: Modexp ledger for distributed integrity rounds (kept separate
         #: from the query ledger so per-query CostReport deltas are pure).
         self.integrity_ops = CryptoOpCounter()
@@ -251,7 +247,6 @@ class ConfidentialAuditingService:
             self.rng.spawn("smc"),
             tracer=self.tracer,
             metrics=self.metrics,
-            precompute=self.precompute,
             telemetry=self.telemetry,
         )
         self.executor = QueryExecutor(self.store, self.ctx, schema)
@@ -259,8 +254,7 @@ class ConfidentialAuditingService:
         # DLA-side identity: credential authority, membership, signatures.
         group = SchnorrGroup.generate(256, self.rng.spawn("group"))
         self.credential_authority = CredentialAuthority(
-            group, self.rng.spawn("ca"), precompute=self.precompute,
-            telemetry=self.telemetry,
+            group, self.rng.spawn("ca"), telemetry=self.telemetry
         )
         self.node_credentials: dict[str, NodeCredentials] = {}
         self.realm = realm
@@ -292,32 +286,6 @@ class ConfidentialAuditingService:
         self.obs_server: ObsServer | None = (
             start_from_env(self) if obs_from_env else None
         )
-
-    # -- offline phase (repro.precompute) ------------------------------------------
-
-    def warm_pools(self, include_witnesses: bool = True) -> dict:
-        """Run the offline phase: fill every input-independent pool.
-
-        Warms the Pohlig-Hellman keypair, affine- and monotone-blinding
-        pools for this deployment's SMC prime and node ids, the three
-        blind-signature nonce pools of the credential authority's group,
-        and (``include_witnesses``) the accumulator's fixed-base table for
-        ``x0``, which every integrity fold from the base reads.  Shamir
-        coefficient pools are warmed lazily per scheme — the field prime
-        is data-dependent.
-
-        Idempotent and safe to call while queries run; returns
-        :meth:`~repro.precompute.PrecomputeManager.pool_snapshot`.
-        """
-        self.precompute.warm_smc(self.ctx.prime, list(self.plan.node_ids))
-        group = self.credential_authority.group
-        authority_y = self.credential_authority.public_key
-        self.precompute.warm_blind(group.p, group.q, group.g, "signer")
-        self.precompute.warm_blind(group.p, group.q, group.g, "client-alpha")
-        self.precompute.warm_blind(group.p, group.q, authority_y, "client-beta")
-        if include_witnesses:
-            self.precompute.warm_witness(self.store.accumulator)
-        return self.precompute.pool_snapshot()
 
     # -- application-node lifecycle ------------------------------------------------
 
@@ -724,8 +692,6 @@ class ConfidentialAuditingService:
                     "messages": cost.messages,
                     "bytes": cost.bytes,
                     "modexp": cost.modexp,
-                    "modexp_offline": cost.offline_modexp,
-                    "modexp_online": cost.online_modexp,
                     "dropped": cost.dropped,
                     # §5 reconciliation: the observatory's live view of this
                     # query, recorded in the same root span as its costs.
@@ -816,10 +782,6 @@ class ConfidentialAuditingService:
             "integrity_ops": self.integrity_ops.snapshot(),
             "leakage_events": len(self.ctx.leakage.events),
             "leakage_categories": sorted(self.ctx.leakage.categories()),
-            "precompute": {
-                "hit_rate": self.precompute.hit_rate(),
-                "offline_ops": self.precompute.offline_ops.snapshot(),
-            },
         }
 
     def membership_summary(self) -> dict:

@@ -39,20 +39,12 @@ class BlindSession:
 
 
 class BlindSigner:
-    """The credential authority's side of blind issuance.
+    """The credential authority's side of blind issuance."""
 
-    ``precompute`` (a :class:`~repro.precompute.PrecomputeManager`) lets
-    the signer draw its nonce commitment ``(k, g^k)`` from a pool filled
-    while the authority is idle — issuance then costs no exponentiation
-    online.  Without a manager the nonce is computed inline, unchanged.
-    """
-
-    def __init__(self, group: SchnorrGroup, key: SchnorrKeyPair, rng=None,
-                 precompute=None) -> None:
+    def __init__(self, group: SchnorrGroup, key: SchnorrKeyPair, rng=None) -> None:
         self.group = group
         self.key = key
         self._rng = rng or system_rng()
-        self._precompute = precompute
 
     @property
     def public_y(self) -> int:
@@ -61,11 +53,8 @@ class BlindSigner:
     def start(self) -> tuple[BlindSession, int]:
         """Phase 1: commit to a nonce; send ``R = g^k`` to the user."""
         g = self.group
-        if self._precompute is not None:
-            k, r = self._precompute.exp_pair(g.p, g.q, g.g, "signer", self._rng)
-        else:
-            k = g.random_scalar(self._rng)
-            r = pow(g.g, k, g.p)
+        k = g.random_scalar(self._rng)
+        r = pow(g.g, k, g.p)
         return BlindSession(k=k, r=r), r
 
     def respond(self, session: BlindSession, blinded_challenge: int) -> int:
@@ -79,12 +68,10 @@ class BlindSigner:
 class BlindingClient:
     """The joining node's side: blind, receive, unblind, verify."""
 
-    def __init__(self, group: SchnorrGroup, signer_public_y: int, rng=None,
-                 precompute=None) -> None:
+    def __init__(self, group: SchnorrGroup, signer_public_y: int, rng=None) -> None:
         self.group = group
         self.signer_public_y = signer_public_y
         self._rng = rng or system_rng()
-        self._precompute = precompute
         self._alpha: int | None = None
         self._beta: int | None = None
         self._c_prime: int | None = None
@@ -92,21 +79,10 @@ class BlindingClient:
     def challenge(self, signer_r: int, message: bytes) -> int:
         """Phase 2: blind the signer's nonce commitment and derive the challenge."""
         g = self.group
-        if self._precompute is not None:
-            # Both blinding pairs are message-independent: (α, g^α) and
-            # (β, y^β) come from per-base pools, leaving only two
-            # multiplications online.
-            self._alpha, g_alpha = self._precompute.exp_pair(
-                g.p, g.q, g.g, "client-alpha", self._rng
-            )
-            self._beta, y_beta = self._precompute.exp_pair(
-                g.p, g.q, self.signer_public_y, "client-beta", self._rng
-            )
-        else:
-            self._alpha = g.random_scalar(self._rng)
-            self._beta = g.random_scalar(self._rng)
-            g_alpha = pow(g.g, self._alpha, g.p)
-            y_beta = pow(self.signer_public_y, self._beta, g.p)
+        self._alpha = g.random_scalar(self._rng)
+        self._beta = g.random_scalar(self._rng)
+        g_alpha = pow(g.g, self._alpha, g.p)
+        y_beta = pow(self.signer_public_y, self._beta, g.p)
         r_prime = (signer_r * g_alpha * y_beta) % g.p
         self._c_prime = g.hash_to_scalar(r_prime, self.signer_public_y, message)
         # Sign convention here is s = k - c·x with verification

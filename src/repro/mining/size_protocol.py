@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.crypto.pohlig_hellman import PohligHellmanCipher
 from repro.errors import ConfigurationError, ProtocolAbortError
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
@@ -57,7 +58,7 @@ class SizeParty:
         self.peer_id = peer_id
         self.ctx = ctx
         self._rng = ctx.party_rng(party_id)
-        self.cipher = ctx.make_cipher(party_id, self._rng)
+        self.cipher = PohligHellmanCipher.generate(ctx.prime, self._rng)
         encoded = sorted(
             set(ctx.encoder.encode_hashed_many(private_set, engine=ctx.engine))
         )

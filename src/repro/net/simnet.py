@@ -187,11 +187,6 @@ class SimNetwork:
     def link_for(self, src: NodeId, dst: NodeId) -> LinkModel:
         return self._links.get((src, dst), self.default_link)
 
-    @property
-    def reliable(self) -> bool:
-        """Whether the at-least-once delivery layer is active."""
-        return self.resilience is not None
-
     def _count(self, name: str, tracer_event: str | None = None, attrs=None) -> None:
         self.resilience_stats[name] = self.resilience_stats.get(name, 0) + 1
         if self.metrics is not None:

@@ -288,18 +288,3 @@ class CostReport:
         if "total.modexp" in self.crypto_ops:
             return self.crypto_ops["total.modexp"]
         return sum(v for k, v in self.crypto_ops.items() if k.endswith("modexp"))
-
-    @property
-    def offline_modexp(self) -> int:
-        """Exponentiations served from precomputed pools (offline phase).
-
-        The offline/online split re-labels work, never invents it:
-        ``offline_modexp + online_modexp == modexp`` always, and with
-        pools disabled the offline share is zero.
-        """
-        return self.crypto_ops.get("offline.modexp", 0)
-
-    @property
-    def online_modexp(self) -> int:
-        """Exponentiations actually computed inside the query's span."""
-        return self.modexp - self.offline_modexp

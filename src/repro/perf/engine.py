@@ -221,9 +221,8 @@ def shutdown_shared_pool() -> None:
 
 
 # Callables other perf consumers register to be torn down *before* the
-# worker pool: the precompute refill worker is a non-daemon thread whose
-# fills may be mid-flight inside the pool, so it must stop/join first or
-# pytest and the demo CLI hang at interpreter exit.
+# worker pool: a durable store's ``close`` stops its compaction worker
+# and flushes every WAL while the interpreter is still whole.
 _shutdown_hooks: list = []
 _shutdown_hooks_lock = threading.Lock()
 
@@ -271,10 +270,9 @@ def ensure_shutdown_at_exit() -> None:
 
     Without this, a process that used the shared pool but never called
     ``shutdown_shared_pool`` explicitly could hang at interpreter exit
-    waiting on worker processes (seen with short-lived benchmark runs) —
-    or, since the offline/online split, on a live background refill
-    thread.  Registration is idempotent; the hook itself is too, so
-    explicit shutdowns before exit are fine.
+    waiting on worker processes (seen with short-lived benchmark runs).
+    Registration is idempotent; the hook itself is too, so explicit
+    shutdowns before exit are fine.
     """
     global _atexit_registered
     with _atexit_lock:

@@ -369,7 +369,6 @@ class QueryScheduler:
             tracer=service.tracer,
             metrics=service.metrics,
             encoder=service.ctx.encoder,
-            precompute=service.precompute,
             telemetry=service.telemetry,
         )
         executor = QueryExecutor(

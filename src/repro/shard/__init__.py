@@ -5,7 +5,7 @@ every record.  This package scales it *horizontally*: the log stream is
 partitioned by glsn range (and, optionally, by tenant) into shards, each
 a complete, independent :class:`~repro.core.ConfidentialAuditingService`
 ring with its own fragment stores, epoch/version space, integrity rings,
-credential realm, and precompute pools.
+and credential realm.
 
 * :class:`ShardMap` / :class:`ShardRange` — versioned placement metadata
   (block striping + explicit overrides; every change bumps the version);

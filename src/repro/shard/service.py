@@ -3,8 +3,8 @@
 :class:`ShardedAuditingService` horizontally partitions the log stream
 across ``shards`` complete :class:`~repro.core.ConfidentialAuditingService`
 deployments — each its own TTP ring with private fragment stores,
-epoch/version space, integrity rings, credential authority (realm
-``shard<k>``), and precompute pools.  On top it runs:
+epoch/version space, integrity rings, and credential authority (realm
+``shard<k>``).  On top it runs:
 
 * **routing** — a :class:`~repro.shard.ShardRouter` with one global glsn
   allocator and a versioned :class:`~repro.shard.ShardMap`; appends land
@@ -266,13 +266,6 @@ class ShardedAuditingService:
             return self.shards[self.map.check_shard(shard_id)]
         except IndexError as exc:  # pragma: no cover - check_shard guards
             raise UnknownShardError(f"shard {shard_id}") from exc
-
-    def warm_pools(self, include_witnesses: bool = True) -> dict:
-        """Offline phase on every ring; returns per-shard pool snapshots."""
-        return {
-            i: svc.warm_pools(include_witnesses=include_witnesses)
-            for i, svc in enumerate(self.shards)
-        }
 
     def shutdown(self) -> None:
         for svc in self.shards:

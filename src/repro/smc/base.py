@@ -158,14 +158,6 @@ class SmcContext:
         counter, and leakage ledger) but passes the service's encoder
         through, so the hashed-encoding memo — pure in (value, prime) —
         is warmed once for all in-flight queries.
-    precompute:
-        Optional :class:`~repro.precompute.PrecomputeManager`.  When set,
-        the protocols draw their query-independent crypto material (key
-        pairs, blindings, share polynomials) from its pools instead of
-        computing inline; draws are thread-safe, so concurrent scheduler
-        contexts share one manager the same way they share the encoder.
-        ``None`` — and likewise ``REPRO_PRECOMPUTE=off`` — keeps the
-        original inline computation, bit for bit.
     telemetry:
         Optional :class:`~repro.obs.flight.TelemetryHub` for cross-node
         tracing: modexp counts are then also attributed to the open
@@ -182,7 +174,6 @@ class SmcContext:
         tracer=None,
         metrics=None,
         encoder: MessageEncoder | None = None,
-        precompute=None,
         telemetry=None,
     ) -> None:
         if prime < 17:
@@ -204,7 +195,6 @@ class SmcContext:
         if metrics is not None:
             self.crypto_ops.attach_metrics(metrics)
         self.leakage = LeakageLedger(tracer=self.tracer)
-        self.precompute = precompute
         # Cross-node tracing (repro.obs.flight.TelemetryHub): when set, a
         # party's modexps are additionally attributed to whichever of its
         # flight-recorder spans is open, and bootstrap (round-0) work can
@@ -215,18 +205,10 @@ class SmcContext:
         """Independent randomness stream for one party."""
         return self.rng.spawn(f"party:{party_id}")
 
-    def count_modexp(self, party_id: str, count: int = 1, phase: str = "online") -> None:
-        """Record ``count`` modular exponentiations performed by a party.
-
-        ``phase`` attributes the work to the offline/online split: pool
-        draws record the drawn material's production cost as
-        ``offline.modexp``, so a warm query's offline + online counts sum
-        to exactly what the pool-disabled run pays online.
-        """
+    def count_modexp(self, party_id: str, count: int = 1) -> None:
+        """Record ``count`` modular exponentiations performed by a party."""
         self.crypto_ops.add(f"{party_id}.modexp", count)
         self.crypto_ops.add("total.modexp", count)
-        if phase == "offline":
-            self.crypto_ops.add("offline.modexp", count)
         if self.telemetry is not None:
             self.telemetry.add_cost(party_id, "modexp", count)
         if self.metrics is not None:
@@ -247,32 +229,6 @@ class SmcContext:
         if self.telemetry is None:
             return nullcontext(None)
         return self.telemetry.node_span(party_id, name, attributes)
-
-    # -- precompute draws (total: pool hit, else the legacy inline path) -------
-
-    def make_cipher(self, party_id: str, rng: DeterministicRng):
-        """A commutative cipher for one party — pooled when possible.
-
-        The fallback generates from ``rng`` exactly as the parties did
-        before the offline/online split, so with no manager (or with
-        ``REPRO_PRECOMPUTE=off``) the key material is bitwise-identical.
-        """
-        from repro.crypto.pohlig_hellman import PohligHellmanCipher
-
-        if self.precompute is not None:
-            return self.precompute.ph_cipher(
-                self.prime, party_id, rng, ops=self.crypto_ops
-            )
-        return PohligHellmanCipher.generate(self.prime, rng)
-
-    def shamir_share(self, scheme, party_id: str, secret: int, rng) -> list:
-        """Deal Shamir shares for one party, drawing pooled polynomial
-        tails when a manager is attached."""
-        if self.precompute is not None:
-            return self.precompute.shamir_share(
-                scheme, party_id, secret, rng, ops=self.crypto_ops
-            )
-        return scheme.share(secret, rng=rng)
 
 
 @dataclass

@@ -67,17 +67,9 @@ class AffineBlinding:
         """Deterministically derive a pair-secret blinding from the context.
 
         Models the out-of-band agreement; both parties call with the same
-        label (e.g. ``"P1|P2|query-17"``) and obtain the same map.  With a
-        precompute manager attached, the pair comes from the shared
-        blinding pool (the "agreement" is the draw itself); the fallback
-        derivation is unchanged.
+        label (e.g. ``"P1|P2|query-17"``) and obtain the same map.
         """
         p = ctx.prime
-        if ctx.precompute is not None:
-            a, b = ctx.precompute.affine_pair(
-                p, ctx.rng, pair_label, ops=ctx.crypto_ops
-            )
-            return cls(a=a, b=b, p=p)
         rng = ctx.rng.spawn(f"blinding:{pair_label}")
         return cls(a=rng.randrange(1, p), b=rng.randbelow(p), p=p)
 

@@ -86,9 +86,7 @@ class IntersectionParty:
         self.collector = collector
         self.shuffle = shuffle
         self._rng = ctx.party_rng(party_id)
-        # Key material is query-independent: draw it from the node's
-        # precompute pool when one is attached (offline/online split).
-        self.cipher = ctx.make_cipher(party_id, self._rng)
+        self.cipher = PohligHellmanCipher.generate(ctx.prime, self._rng)
         self.state = _PartyState()
         # Deduplicate while preserving order; duplicate elements would leak
         # multiplicity and add no information to an intersection.

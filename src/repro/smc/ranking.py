@@ -63,17 +63,7 @@ class MonotoneBlinding:
     def agree(
         cls, ctx: SmcContext, group_label: str, value_bound: int
     ) -> "MonotoneBlinding":
-        """Derive a shared map from the group's out-of-band secret.
-
-        The slope is value-independent and comes from the precompute pool
-        when a manager is attached; the offset depends on the data-derived
-        bound and always stays online.
-        """
-        if ctx.precompute is not None:
-            a, b = ctx.precompute.monotone_pair(
-                ctx.rng, group_label, value_bound, ops=ctx.crypto_ops
-            )
-            return cls(a=a, b=b, value_bound=value_bound)
+        """Derive a shared map from the group's out-of-band secret."""
         rng = ctx.rng.spawn(f"monotone:{group_label}")
         a = rng.randrange(2**16, 2**32)
         b = rng.randrange(0, a * max(value_bound, 1))

@@ -85,14 +85,10 @@ class SumParty:
 
     def start(self, transport) -> None:
         """Deal one share of our secret to every party (including ourselves)."""
-        # The polynomial tail is secret-independent; a warmed precompute
-        # pool supplies its evaluations so only `secret + t(x_j)` is online.
         with self.ctx.node_span(
             self.party_id, "node.ssum.deal", {"node": self.party_id}
         ):
-            shares = self.ctx.shamir_share(
-                self.scheme, self.party_id, self.value, self._rng
-            )
+            shares = self.scheme.share(self.value, rng=self._rng)
             for peer, share in zip(self.parties, shares):
                 payload = {"y": share.y, "from": self.party_id}
                 if peer == self.party_id:

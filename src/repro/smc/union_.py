@@ -67,7 +67,7 @@ class UnionParty:
         self.observers = sorted(observers)
         self.collector = collector
         self._rng = ctx.party_rng(party_id)
-        self.cipher = ctx.make_cipher(party_id, self._rng)
+        self.cipher = PohligHellmanCipher.generate(ctx.prime, self._rng)
         self.encoded = sorted({ctx.encoder.encode_int(v) for v in private_set})
         self.state = _UnionState()
 

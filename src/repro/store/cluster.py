@@ -18,8 +18,7 @@ into a fresh snapshot and truncates them; *compaction* is exactly a
 checkpoint triggered in the background once any node accumulates
 ``REPRO_STORE_COMPACT_SEGMENTS`` sealed segments.  The compaction worker
 registers with the perf engine's shutdown hooks so interpreter exit
-stops it before the shared process pool, like the precompute refill
-worker.
+stops it before the shared process pool.
 """
 
 from __future__ import annotations

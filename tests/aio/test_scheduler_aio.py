@@ -71,7 +71,6 @@ class TestTraceReconciliation:
 
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        service.warm_pools(include_witnesses=False)
         with QueryScheduler(service, coalesce=False) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
@@ -95,7 +94,6 @@ class TestTraceReconciliation:
             assert sum(s.attributes.get("messages", 0) for s in mine) == cost.messages
             assert sum(s.attributes.get("bytes", 0) for s in mine) == cost.bytes
             assert sum(s.attributes.get("modexp", 0) for s in mine) == cost.modexp
-            assert cost.offline_modexp + cost.online_modexp == cost.modexp
             if cost.messages:
                 checked_network_traces += 1
                 assembled = assemble_trace(coord_spans + mine, root.trace_id)

@@ -162,7 +162,7 @@ class TestAsyncPoolHealth:
 
 
 class TestBounds:
-    """The three time bounds carried over from the thread node."""
+    """The time bounds: connect, write drain, receive."""
 
     def test_stalled_connect_ends_in_transport_timeout(self, monkeypatch):
         async def never_connects(*_address):
@@ -180,6 +180,36 @@ class TestBounds:
             node.send(Message(src="A", dst="B", kind="k", payload=1))
             assert wait_until(lambda: node.stats.dropped == 1, 5.0)
             assert node._queues == {} and node._writer_tasks == {}
+
+    def test_peer_that_never_reads_is_abandoned(self, monkeypatch):
+        """A peer that accepts and never reads must not park its writer
+        task (and grow its queue) forever: the drain is bounded, the
+        frames are counted lost, and the next send dials afresh."""
+        monkeypatch.setattr(transport_tcp, "WRITE_TIMEOUT", 0.3, raising=False)
+        listener = socket.socket()
+        # Small receive buffer (inherited by the accepted socket), so a few
+        # megabytes fill both kernel buffers and the drain really blocks.
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        with listener, AsyncTcpNode("A") as node:
+            node.learn_peers({"B": listener.getsockname()})
+            blob = "x" * (1 << 20)
+            for _ in range(16):
+                node.send(Message(src="A", dst="B", kind="k", payload=blob))
+            accepted, _ = listener.accept()  # ... and never recv()
+            with accepted:
+                assert wait_until(lambda: node.stats.dropped > 0, 10.0)
+                assert node._queues == {} and node._writer_tasks == {}
+                assert dict(node.stats.connections_open) == {}
+                assert node.stats.dropped <= 16
+                # The next send starts over with a new connection.
+                listener.settimeout(5.0)
+                node.send(Message(src="A", dst="B", kind="k", payload="again"))
+                again, _ = listener.accept()
+                with again:
+                    again.settimeout(5.0)
+                    assert b"again" in again.recv(4096)
 
     def test_receive_without_a_timeout_is_bounded(self, monkeypatch):
         monkeypatch.setattr(transport_tcp, "RECV_TIMEOUT", 0.2)

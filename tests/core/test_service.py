@@ -1,5 +1,7 @@
 """Tests for the end-to-end ConfidentialAuditingService."""
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -142,6 +144,26 @@ class TestAuditingPath:
         assert snapshot["crypto_ops"].get("total.modexp", 0) > 0
         assert "set_size" in snapshot["leakage_categories"]
 
+    def test_every_modexp_is_some_party_s_and_nothing_runs_beside_the_query(
+        self, service, seeded
+    ):
+        """What outlives the pool subsystem: one ledger, no offline share,
+        no background thread."""
+        service.query("C1 < C2 and Tid = 'T7000'")  # a cross predicate
+        service.check_integrity()
+        snapshot = service.cost_snapshot()
+        assert set(snapshot) == {
+            "crypto_ops", "integrity_ops", "leakage_events", "leakage_categories",
+        }
+        for ledger in (snapshot["crypto_ops"], snapshot["integrity_ops"]):
+            assert not [key for key in ledger if key.startswith("offline.")]
+            parties = {k: v for k, v in ledger.items() if k != "total.modexp"}
+            assert all(key.endswith(".modexp") for key in parties)
+            assert ledger["total.modexp"] == sum(parties.values()) > 0
+        assert "repro-precompute-refill" not in {
+            thread.name for thread in threading.enumerate()
+        }
+
 
 class TestTamperedCluster:
     def test_integrity_detects_compromised_node(self):
@@ -171,14 +193,10 @@ class TestLargeIntegritySweep:
         rows = 4097
         for i in range(rows):
             service.log_event({"Tid": f"T{i}", "C1": i, "C2": i % 97}, ticket)
-        pools, stats = service.precompute.pool_snapshot(), service.precompute.online_stats()
         for _ in range(2):
             reports = service.check_integrity()
             assert len(reports) == rows and all(r.ok for r in reports)
-        assert service.precompute.pool_snapshot() == pools
-        assert service.precompute.online_stats() == stats
-        assert service.precompute.offline_ops.snapshot() == {}
-        # One fold per node per glsn per sweep, all of them online.
+        # One fold per node per glsn per sweep.
         expected = {f"{node}.modexp": 2 * rows for node in service.plan.node_ids}
         assert service.integrity_ops.snapshot() == dict(
             expected, **{"total.modexp": 2 * rows * len(service.plan.node_ids)}
@@ -225,7 +243,6 @@ class TestCountsAt512Bits:
         conjunction = 2 * (len(greater) + len(labelled))
         cost = service.last_query_cost
         assert cost.modexp == conjunction == 20
-        assert cost.offline_modexp == 0
         assert cost.messages == 17
         events = service.ctx.leakage.events[leaked_before:]
         assert len(events) == 8

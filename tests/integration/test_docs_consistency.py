@@ -176,24 +176,6 @@ class TestDocsReferenceRealKnobs:
             f"REPRO_AIO_* knobs missing from the docs: {undocumented}"
         )
 
-    def test_every_precompute_knob_documented(self):
-        """Same reverse sweep for the offline/online split: every
-        ``REPRO_PRECOMPUTE*`` knob read by ``repro.precompute`` must be
-        documented in docs/perf.md or the README."""
-        precompute_source = "\n".join(
-            read(p) for p in (SRC / "precompute").rglob("*.py")
-        )
-        defined = set(
-            re.findall(r"\bREPRO_PRECOMPUTE[A-Z_]*\b", precompute_source)
-        )
-        assert defined, "expected REPRO_PRECOMPUTE* knobs in repro.precompute"
-        covered = read(REPO / "docs" / "perf.md") + read(REPO / "README.md")
-        undocumented = sorted(v for v in defined if v not in covered)
-        assert not undocumented, (
-            f"REPRO_PRECOMPUTE* knobs missing from docs/perf.md and the "
-            f"README: {undocumented}"
-        )
-
 
 class TestDocsIndexIsComplete:
     def test_every_subpackage_mapped(self):

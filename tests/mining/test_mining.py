@@ -49,19 +49,6 @@ class TestIntersectionSize:
         secure_intersection_size(ctx, ("A", [1, 2]), ("B", [2]))
         assert ctx.leakage.categories() == {"set_size", "result_cardinality"}
 
-    def test_keys_come_from_the_pool(self, prime64):
-        """Keygen goes through ``ctx.make_cipher`` like intersection and
-        union, so a warm pool serves it and the draw is attributed offline."""
-        from repro.precompute import PrecomputeManager
-
-        manager = PrecomputeManager(rng=DeterministicRng(b"mgr"))
-        manager.warm_smc(prime64, ["A", "B"])
-        ctx = SmcContext(prime64, DeterministicRng(b"ctx"), precompute=manager)
-        result = secure_intersection_size(ctx, ("A", [1, 2, 3]), ("B", [2, 3, 4]))
-        assert result.any_value == 2
-        assert ctx.crypto_ops.snapshot()["offline.keygen"] == 2
-        assert manager.online_stats()["ph"]["pooled"] == 2
-
     def test_loss_aborts(self, ctx):
         from repro.net.faults import FaultPlan
 

@@ -171,7 +171,6 @@ class TestLegacyModeUntouched:
         net.register("B", collector(inbox))
         net.send(Message(src="A", dst="B", kind="n", payload={}))
         net.run()
-        assert not net.reliable
         assert inbox[0].msg_id is None
         assert all(m.kind != ACK_KIND for m in inbox)
         assert net.resilience_stats["acks"] == 0

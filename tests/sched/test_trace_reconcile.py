@@ -5,8 +5,7 @@ and its own trace — yet all node spans land in ONE shared telemetry hub,
 interleaved across query tasks ("helping" means one task's drain may
 deliver another query's messages).  The tentpole invariant must survive that
 interleaving: for EVERY assembled cross-node trace, the per-node span
-attributions sum exactly to that query's private CostReport, and the
-offline/online modexp split stays an exact relabeling.
+attributions sum exactly to that query's private CostReport.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class TestConcurrentTraceReconciliation:
     def test_every_trace_sums_to_its_cost_report(self):
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        service.warm_pools(include_witnesses=False)
         with QueryScheduler(service, max_inflight=4, coalesce=False) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
@@ -61,9 +59,6 @@ class TestConcurrentTraceReconciliation:
             assert sum(s.attributes.get("messages", 0) for s in mine) == cost.messages
             assert sum(s.attributes.get("bytes", 0) for s in mine) == cost.bytes
             assert sum(s.attributes.get("modexp", 0) for s in mine) == cost.modexp
-            # The offline/online split relabels work, never invents it.
-            assert cost.offline_modexp + cost.online_modexp == cost.modexp
-            assert cost.offline_modexp >= 0 and cost.online_modexp >= 0
 
             if cost.messages:
                 checked_network_traces += 1

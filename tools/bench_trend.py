@@ -82,13 +82,6 @@ HEADLINES = [
         lambda d: d["throughput"]["speedup"],
     ),
     (
-        "BENCH_p6.json",
-        "P6 offline/online split",
-        "online-phase speedup",
-        "x",
-        lambda d: d["online_phase"]["speedup"],
-    ),
-    (
         "BENCH_p7.json",
         "P7 horizontal sharding",
         "4-shard aggregate speedup",
