@@ -6,11 +6,6 @@ holds the loop and what runs on it:
 
 * :class:`LoopThread` — one owned event loop on a daemon thread, with
   the sync bridge every facade method uses;
-* :class:`AsyncSimNetwork` / :class:`AsyncChannel` /
-  :class:`AsyncChannelMux` — the simulated network and the per-query
-  channel multiplexer with a cooperative ``await drain()`` in place of
-  the blocking stepped run loop, so independent protocol rounds on one
-  loop overlap instead of serializing;
 * :class:`AsyncTcpNode` / :class:`AsyncTcpCluster` — the real-socket
   transport, on asyncio streams (one pooled connection per peer,
   writer-drain backpressure, the CRC framing of :mod:`repro.net.codec`
@@ -21,8 +16,10 @@ holds the loop and what runs on it:
   ``secure_*_async`` / ``run_*_integrity_round_async`` /
   ``QueryExecutor.execute_async`` coroutine is the *one* body of its
   protocol (the sync name is :func:`repro.twin.sync_twin` of it), and it
-  interleaves with its neighbours exactly when it is handed one of the
-  transports above.
+  interleaves with its neighbours exactly when it is handed a
+  :class:`~repro.sched.ChannelMux` channel, whose ``drain`` yields to the
+  loop every :data:`~repro.sched.channel.YIELD_EVERY` deliveries (a
+  private :class:`~repro.net.simnet.SimNetwork` never suspends).
 
 Every sync entry point (``ConfidentialAuditingService.query``, the
 scheduler facade, the shard front door) keeps working unmodified; the
@@ -32,13 +29,9 @@ cost reports, and leakage ledgers.
 
 from repro.aio.coalesce import AsyncSingleFlight
 from repro.aio.loop import LoopThread
-from repro.aio.simnet import AsyncChannel, AsyncChannelMux, AsyncSimNetwork
 from repro.aio.transport_tcp import AsyncTcpCluster, AsyncTcpNode
 
 __all__ = [
-    "AsyncChannel",
-    "AsyncChannelMux",
-    "AsyncSimNetwork",
     "AsyncSingleFlight",
     "AsyncTcpCluster",
     "AsyncTcpNode",

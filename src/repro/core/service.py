@@ -410,13 +410,11 @@ class ConfidentialAuditingService:
         """Plan (Figure 3 decomposition) without executing."""
         return plan_query(criterion, self.schema, self.store.plan, tracer=self.tracer)
 
-    def _fresh_net(self, net_class=SimNetwork) -> SimNetwork:
-        """A per-query simulated network wired into the tracer/metrics.
-
-        ``net_class`` lets the scheduler request an
-        :class:`~repro.aio.AsyncSimNetwork` with identical wiring.
-        """
-        return net_class(
+    def _fresh_net(self) -> SimNetwork:
+        """A simulated network wired into the tracer/metrics: private to
+        one sync call, or the scheduler's shared one under its
+        :class:`~repro.sched.ChannelMux`."""
+        return SimNetwork(
             tracer=self.tracer,
             metrics=self.metrics,
             resilience=self.resilience,

@@ -140,7 +140,6 @@ def encode_message(msg: Message) -> bytes:
             "src": msg.src,
             "dst": msg.dst,
             "kind": msg.kind,
-            "seq": msg.seq,
             "payload": _pack(msg.payload),
         }
         if msg.msg_id is not None:
@@ -166,7 +165,6 @@ def decode_message(data: bytes) -> Message:
             kind=body["kind"],
             payload=_unpack(body.get("payload")),
         )
-        msg.seq = body.get("seq", msg.seq)
         msg.msg_id = body.get("mid")
         msg.channel = body.get("ch")
         msg.trace_id = body.get("tid")

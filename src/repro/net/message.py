@@ -4,21 +4,18 @@ Every protocol in the library — ring-routed commutative encryption, share
 distribution, accumulator circulation, join handshakes — exchanges
 :class:`Message` objects.  A message is addressed node-to-node, carries a
 ``kind`` tag that receivers dispatch on, an arbitrary JSON-serializable
-``payload``, and bookkeeping fields filled in by the transport (sequence
-number, virtual send/deliver times, size in bytes).
+``payload``, and bookkeeping fields filled in by the transport (virtual
+send/deliver times, size in bytes).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Message", "NodeId"]
 
 NodeId = str
-
-_sequence = itertools.count(1)
 
 
 @dataclass
@@ -33,8 +30,6 @@ class Message:
         Protocol-level tag, e.g. ``"ssi.relay"``, ``"sum.share"``.
     payload:
         JSON-serializable body.  Conventionally a dict.
-    seq:
-        Globally unique message sequence number (assigned at creation).
     sent_at, delivered_at:
         Virtual-clock timestamps stamped by the simulated network; remain
         ``None`` on transports without a virtual clock.
@@ -64,7 +59,6 @@ class Message:
     dst: NodeId
     kind: str
     payload: Any = None
-    seq: int = field(default_factory=lambda: next(_sequence))
     sent_at: float | None = None
     delivered_at: float | None = None
     size_bytes: int = 0

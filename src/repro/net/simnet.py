@@ -9,7 +9,7 @@ The paper assumes "message routing is handled by the lower network layer";
 ``SimNetwork`` *is* that layer.  Substitution note (DESIGN.md): the paper
 deployed on dedicated appliance nodes; every protocol here is written
 against the abstract ``send/handler`` interface, so the identical protocol
-code also runs over real sockets (:mod:`repro.net.transport_tcp`).
+code also runs over real sockets (:mod:`repro.aio.transport_tcp`).
 
 Usage::
 
@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import ConfigurationError, NodeUnreachableError
 from repro.net.codec import encoded_size
@@ -149,9 +150,9 @@ class SimNetwork:
         #: Per-channel count of outstanding work (queued deliveries,
         #: unacknowledged reliable sends, channel-tagged timers).  A
         #: channel with backlog 0 is quiescent *for that channel* even
-        #: while neighbors still have traffic in flight — the signal the
-        #: async drain loop (:mod:`repro.aio`) waits on instead of global
-        #: queue exhaustion.
+        #: while neighbors still have traffic in flight — the signal a
+        #: channel's drain (:mod:`repro.sched.channel`) stops on instead of
+        #: global queue exhaustion.
         self._channel_backlog: dict[str, int] = {}
         #: Optional callback invoked with every dropped message (fault
         #: drops, corrupt frames, crash-unregistered destinations) so a
@@ -507,17 +508,40 @@ class SimNetwork:
             handler(msg, self)
         return True
 
-    def run(self, max_steps: int = 1_000_000, deadline: Deadline | None = None) -> int:
-        """Drain the queue; returns the number of events processed.
+    def _deliver_until(
+        self,
+        quiescent: Callable[[], bool],
+        where: str,
+        max_steps: int = 1_000_000,
+        deadline: Deadline | None = None,
+        lock=nullcontext(),
+    ) -> Iterator[int]:
+        """The one stepping loop behind ``run`` and ``drain``, here and on
+        :class:`~repro.sched.Channel`.
+
+        Delivers the earliest queued event until ``quiescent()`` holds —
+        "queue empty" for this network, "backlog 0" for a channel — and
+        yields the running delivery count after each one, so a caller that
+        may suspend does so between deliveries.  ``lock`` is held across
+        each check-and-step.  An empty queue before quiescence is a
+        backlog accounting bug and raises rather than spins.
 
         ``max_steps`` guards against protocol bugs that generate traffic
         forever.  ``deadline`` (wall-clock, see
-        :class:`~repro.resilience.Deadline`) bounds how long the drain may
-        run; expiry raises :class:`~repro.errors.DeadlineExceededError`.
+        :class:`~repro.resilience.Deadline`) bounds the loop; expiry raises
+        :class:`~repro.errors.DeadlineExceededError` naming ``where``.
         """
         steps = 0
         check_deadline = deadline is not None and deadline.is_finite
-        while self.step():
+        while True:
+            with lock:
+                if quiescent():
+                    return
+                if not self.step():
+                    raise ConfigurationError(
+                        f"{where}: event queue empty before quiescence "
+                        "(backlog accounting bug)"
+                    )
             steps += 1
             if steps >= max_steps:
                 raise ConfigurationError(
@@ -529,22 +553,30 @@ class SimNetwork:
                         "resilience.deadline_exceeded",
                         help="runs abandoned because their deadline expired",
                     ).inc()
-                deadline.check("simnet.run")
-        return steps
+                deadline.check(where)
+            yield steps
+
+    def _idle(self) -> bool:
+        return not self._queue
+
+    def run(self, max_steps: int = 1_000_000, deadline: Deadline | None = None) -> int:
+        """Drain the queue; returns the number of events processed."""
+        return sum(
+            1 for _ in self._deliver_until(self._idle, "simnet.run", max_steps, deadline)
+        )
 
     async def drain(
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
         """:meth:`run` under the name the protocol drivers await.
 
-        Never suspends, which is what lets :func:`repro.twin.run_sync`
-        finish a driver over this network in one step.
+        A network of its own never suspends: nothing else shares it, so
+        there is nothing to interleave with, and :func:`repro.twin.run_sync`
+        finishes a driver over it in one step.  Concurrent rounds share
+        one network through :class:`~repro.sched.ChannelMux` channels,
+        whose ``drain`` does suspend.
         """
         return self.run(max_steps, deadline)
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
 
     @property
     def delivery_log(self) -> list[Message]:

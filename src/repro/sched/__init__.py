@@ -10,7 +10,9 @@ This package multiplexes many in-flight queries over one deployment:
 * :class:`QueryHandle` — a submitted query's future (result, cost
   report, private leakage group, latency);
 * :class:`Channel` / :class:`ChannelMux` — tagged logical channels over
-  one shared network, so interleaved SMC rounds never cross-talk;
+  one shared network, so interleaved SMC rounds never cross-talk; a
+  channel's ``drain`` yields to the event loop, a private network's
+  never does;
 * :class:`StandingQueryRegistry` — register a criterion once, receive
   per-ingest-epoch deltas (continuous auditing; see docs/storage.md).
 

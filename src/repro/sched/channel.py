@@ -19,29 +19,38 @@ links.  :class:`ChannelMux` provides that sharing without cross-talk:
   query's ring-failover supervisor diagnose its dead hops without seeing
   — or wiping — a neighbor's.
 
-Threading model: one re-entrant lock serializes *all* operations on the
-shared network (register, send, event-loop steps).  :meth:`Channel.run`
-drains the **global** event queue under that lock, releasing it between
-steps — a worker thread waiting for its own query's rounds therefore
-*helps* deliver whichever message is next, including other channels'.
-Handler state is only ever mutated under the mux lock, so interleaved
-SMC rounds stay race-free; and because each channel's events are
-enqueued in causal order, within-channel delivery order is deterministic
-regardless of which thread happens to pump the loop.
+Stepping: a channel's :meth:`Channel.drain` steps the **global** event
+queue — whoever runs next helps deliver everyone's traffic, including
+other channels' — but stops at **channel quiescence**, the channel's
+backlog reaching 0 (:meth:`~repro.net.simnet.SimNetwork.channel_backlog`),
+so one query's drain returns as soon as its own rounds are done.  It
+gives control back to the event loop every :data:`YIELD_EVERY`
+deliveries, which is what lets concurrent queries under
+:class:`~repro.sched.QueryScheduler` interleave; :meth:`Channel.run` is
+the same loop without the yields.  A private
+:class:`~repro.net.simnet.SimNetwork` never suspends.  One re-entrant
+lock serializes every operation on the shared network (register, send,
+each check-and-step), so which coroutine or thread happens to pump the
+loop never changes what is delivered when: the queue is ordered by
+virtual time and tiebreak.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from typing import Callable
 
-from repro.errors import ConfigurationError
 from repro.net.message import Message, NodeId
 from repro.net.simnet import SimNetwork
 from repro.net.stats import NetworkStats
 from repro.resilience.policy import Deadline
 
 __all__ = ["Channel", "ChannelMux"]
+
+#: A channel's drain yields to the event loop every this many delivery
+#: steps, so concurrent drains interleave at bounded granularity.
+YIELD_EVERY = 32
 
 Handler = Callable[[Message, "Channel"], None]
 
@@ -125,14 +134,12 @@ class Channel:
         msg.channel = self.tag
         with self.mux.lock:
             self.mux.net.send(msg)
-            self.mux.wakeup.notify_all()
 
     def send_many(self, msgs: list[Message]) -> None:
         for msg in msgs:
             msg.channel = self.tag
         with self.mux.lock:
             self.mux.net.send_many(msgs)
-            self.mux.wakeup.notify_all()
 
     def broadcast(
         self, src: NodeId, kind: str, payload, exclude: set[NodeId] | None = None
@@ -147,13 +154,6 @@ class Channel:
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         with self.mux.lock:
             self.mux.net.schedule(delay, fn, channel=self.tag)
-            self.mux.wakeup.notify_all()
-
-    @property
-    def backlog(self) -> int:
-        """Outstanding deliveries/acks/timers tagged with this channel."""
-        with self.mux.lock:
-            return self.mux.net.channel_backlog(self.tag)
 
     def reset_failures(self) -> None:
         """Clear only this channel's failure bucket (failover relaunch)."""
@@ -163,53 +163,37 @@ class Channel:
     # -- event loop --------------------------------------------------------
 
     def run(self, max_steps: int = 1_000_000, deadline: Deadline | None = None) -> int:
-        """Drain the shared event queue until it is quiescent.
-
-        Steps the *global* loop: a thread waiting on its own channel may
-        execute deliveries belonging to other channels ("helping").  The
-        lock is released between steps so concurrent channel runners
-        interleave fairly.  Quiescence of the global queue implies every
-        delivery this channel was waiting for has been dispatched.
-
-        An empty queue with outstanding channel backlog (work another
-        thread is about to enqueue — e.g. the scheduler's loop
-        thread) is not treated as quiescence: the runner parks on the
-        mux's condition variable instead of spinning, and wakes when the
-        next send/schedule lands.  An idle mux therefore costs ~0 steps
-        and ~0 CPU.
-        """
-        steps = 0
-        check_deadline = deadline is not None and deadline.is_finite
-        while True:
-            with self.mux.lock:
-                if not self.mux.net.step():
-                    if self.mux.net.channel_backlog(self.tag) <= 0:
-                        return steps
-                    # Queue momentarily empty but this channel still owes
-                    # work: wait for the producer's wakeup, never busy-poll.
-                    self.mux.wakeup.wait(timeout=0.05)
-                    if check_deadline and deadline.expired:
-                        deadline.check(f"channel[{self.tag}].run")
-                    continue
-            steps += 1
-            if steps >= max_steps:
-                raise ConfigurationError(
-                    f"network did not quiesce within {max_steps} deliveries"
-                )
-            if check_deadline and deadline.expired:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "resilience.deadline_exceeded",
-                        help="runs abandoned because their deadline expired",
-                    ).inc()
-                deadline.check(f"channel[{self.tag}].run")
+        """:meth:`drain` without the yields: blocks until this channel is
+        quiescent and returns the number of deliveries it stepped."""
+        return sum(1 for _ in self._deliveries("run", max_steps, deadline))
 
     async def drain(
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
-        """:meth:`run` under the name the protocol drivers await (blocks
-        the calling thread, never suspends)."""
-        return self.run(max_steps, deadline)
+        """Step the shared queue until *this channel* is quiescent.
+
+        Any step may deliver another channel's message ("helping"), but
+        the loop returns the moment this channel's backlog is 0, while
+        neighbours' traffic keeps flowing under whichever drain runs next.
+        Suspends every :data:`YIELD_EVERY` deliveries, so a sync name
+        (:func:`repro.twin.run_sync`) refuses a channel once a round
+        passes that many.
+        """
+        steps = 0
+        for steps in self._deliveries("drain", max_steps, deadline):
+            if steps % YIELD_EVERY == 0:
+                await asyncio.sleep(0)
+        return steps
+
+    def _deliveries(self, verb: str, max_steps: int, deadline: Deadline | None):
+        net = self.mux.net
+        return net._deliver_until(
+            lambda: net.channel_backlog(self.tag) <= 0,
+            f"channel[{self.tag}].{verb}",
+            max_steps,
+            deadline,
+            self.mux.lock,
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -229,17 +213,9 @@ class Channel:
 class ChannelMux:
     """Routes one :class:`SimNetwork`'s deliveries to per-channel handlers."""
 
-    #: Class of the channels :meth:`channel` constructs.  The async mux
-    #: (:class:`repro.aio.AsyncChannelMux`) overrides this to hand out
-    #: drain-capable channels without re-implementing the routing.
-    channel_class = Channel
-
     def __init__(self, net: SimNetwork) -> None:
         self.net = net
         self.lock = threading.RLock()
-        #: Notified whenever a channel enqueues work (send / schedule), so
-        #: helpers parked in :meth:`Channel.run` wake without polling.
-        self.wakeup = threading.Condition(self.lock)
         self._channels: dict[str, Channel] = {}
         self._handlers: dict[tuple[str, NodeId], Handler] = {}
         # node -> channels currently registered on it (physical dispatcher
@@ -252,7 +228,7 @@ class ChannelMux:
         with self.lock:
             ch = self._channels.get(tag)
             if ch is None:
-                ch = self._channels[tag] = self.channel_class(self, tag)
+                ch = self._channels[tag] = Channel(self, tag)
             return ch
 
     # -- internal wiring (mux lock held by the calling Channel) ------------

@@ -14,8 +14,9 @@ owned event loop (:class:`~repro.aio.loop.LoopThread`).
 * **Isolation** — every admitted query gets its own
   :class:`~repro.smc.base.SmcContext` (private RNG stream, crypto
   counter, leakage ledger) and its own
-  :class:`~repro.aio.simnet.AsyncChannel` over one shared
-  :class:`~repro.aio.simnet.AsyncSimNetwork`, so interleaved SMC rounds
+  :class:`~repro.sched.channel.Channel` of one
+  :class:`~repro.sched.channel.ChannelMux` over one shared
+  :class:`~repro.net.simnet.SimNetwork`, so interleaved SMC rounds
   never cross-talk and per-query cost reports stay exact.  Ledgers merge
   into the service-wide ones *grouped per query*.
 * **Pipelining** — drains are cooperative coroutines: query B's ring
@@ -59,8 +60,11 @@ from repro.audit.executor import QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
 from repro.errors import ConfigurationError, SchedulerError, SchedulerShutdownError
+from repro.net.simnet import SimNetwork
 from repro.net.stats import CostReport
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.policy import Deadline
+from repro.sched.channel import ChannelMux
 from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
 
@@ -186,10 +190,6 @@ class QueryScheduler:
         metrics=None,
         loop_thread: LoopThread | None = None,
     ) -> None:
-        # ``repro.aio.simnet`` subclasses ``repro.sched.channel``, so it
-        # cannot be imported while this package is still loading.
-        from repro.aio.simnet import AsyncChannelMux, AsyncSimNetwork
-
         env = SchedulerConfig.from_env()
         self.config = SchedulerConfig(
             max_inflight=max_inflight if max_inflight is not None else env.max_inflight,
@@ -198,15 +198,13 @@ class QueryScheduler:
         self.service = service
         self.metrics = metrics if metrics is not None else service.metrics
         if self.metrics is None:
-            from repro.obs.metrics import MetricsRegistry
-
             self.metrics = MetricsRegistry()
         self.loop_thread = loop_thread if loop_thread is not None else LoopThread(
             name="repro-aio-sched"
         )
         self._owns_loop = loop_thread is None
-        self.net: AsyncSimNetwork = service._fresh_net(net_class=AsyncSimNetwork)
-        self.mux = AsyncChannelMux(self.net)
+        self.net: SimNetwork = service._fresh_net()
+        self.mux = ChannelMux(self.net)
         self._seq = 0
         self._state_lock = threading.Lock()
         self._closed = False

@@ -17,11 +17,11 @@ every such disclosure is recorded in the run's
 
 Every driver is written once, as the ``secure_*_async`` coroutine whose
 only suspension point is ``await net.drain(...)``.  Awaited on an event
-loop over a :mod:`repro.aio` transport, independent runs interleave; the
-plain ``secure_*`` name is :func:`repro.twin.sync_twin` of the same body,
-run to completion over a blocking transport (``SimNetwork``, a scheduler
-``Channel``).  One body means results, spans, costs and leakage cannot
-differ between the two names.
+loop over channels of one :class:`~repro.sched.ChannelMux`, independent
+runs interleave; the plain ``secure_*`` name is
+:func:`repro.twin.sync_twin` of the same body, run to completion over a
+private ``SimNetwork``, whose drain never suspends.  One body means
+results, spans, costs and leakage cannot differ between the two names.
 """
 
 from repro.smc.base import SmcContext, SmcResult

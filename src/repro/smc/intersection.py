@@ -308,10 +308,10 @@ async def secure_set_intersection_async(
     """Run the full protocol on a simulated network and return the result.
 
     This coroutine is the protocol's only body.  Awaited on an event loop
-    over an ``AsyncSimNetwork`` / ``AsyncChannel`` its rounds interleave
+    over a :class:`~repro.sched.Channel` its rounds interleave
     with other tasks'; ``secure_set_intersection`` is
     :func:`~repro.twin.sync_twin` of it — the same body run to completion
-    over a blocking transport (see ``docs/async.md``).
+    over a private :class:`SimNetwork` (see ``docs/async.md``).
 
     Parameters
     ----------
@@ -323,8 +323,8 @@ async def secure_set_intersection_async(
         Party ids authorized to learn the intersection; defaults to all.
     net:
         An existing transport to run on (stats accumulate there): a
-        :class:`SimNetwork` or scheduler ``Channel`` under either name, an
-        event-loop transport under the awaited name only.  A fresh private
+        :class:`SimNetwork` under either name, a scheduler ``Channel``
+        under the awaited name only.  A fresh private
         :class:`SimNetwork` is created if omitted.
     shuffle:
         Enable relay shuffling (see module docstring).

@@ -4,12 +4,13 @@ Every protocol driver (``secure_*``, the §4.1 integrity rounds,
 ``supervise_ring``, ``QueryExecutor.execute``) is written once, as the
 ``async def X_async`` coroutine whose only suspension points are
 ``await net.drain(...)`` and, under a scheduler, the sub-plan join.  On
-an event loop those awaits interleave independent rounds.  The blocking
-transports (:class:`~repro.net.simnet.SimNetwork`,
-:class:`~repro.sched.Channel`) answer ``drain`` without ever suspending,
-so over them the same coroutine runs start to finish inside one
-``send`` — that is all :func:`run_sync` does, and ``X = sync_twin(X_async)``
-is the sync name.
+an event loop those awaits interleave independent rounds: a
+:class:`~repro.sched.Channel` of the shared mux suspends every
+:data:`~repro.sched.channel.YIELD_EVERY` deliveries.  A private
+:class:`~repro.net.simnet.SimNetwork` answers ``drain`` without ever
+suspending, so over it the same coroutine runs start to finish inside
+one ``send`` — that is all :func:`run_sync` does, and
+``X = sync_twin(X_async)`` is the sync name.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ def run_sync(coro):
     """Run a coroutine that never suspends to completion; return its value.
 
     Exceptions raised by the body propagate unchanged.  A coroutine that
-    does suspend was handed something only an event loop can resume (an
-    :class:`~repro.aio.AsyncSimNetwork` or :class:`~repro.aio.AsyncChannel`
-    drain, an ``asyncio`` primitive): it is closed — its ``finally``
+    does suspend was handed something only an event loop can resume (a
+    :class:`~repro.sched.Channel` drain past
+    :data:`~repro.sched.channel.YIELD_EVERY` deliveries, an ``asyncio``
+    primitive): it is closed — its ``finally``
     blocks and span exits run — and :class:`ConfigurationError` is raised.
     """
     try:

@@ -1,13 +1,17 @@
 """Property suite: loop-driven interleaving equals run-to-completion.
 
 Each protocol has one coroutine body with two runners.  The sync name
-runs it to completion over a blocking ``SimNetwork``; the ``_async``
-name, awaited on an event loop over an ``AsyncSimNetwork``, suspends at
-every drain yield point.  Both must produce *exactly* the same observer
-values, round counts, leakage ledger (event for event, in order),
-crypto-op counter, network cost and virtual time — including under
-randomized drop/latency fault plans with retransmission.  Any divergence
-means a yield point changed protocol semantics, and is a bug.
+runs it to completion over a private ``SimNetwork``, whose drain never
+suspends; the ``_async`` name, awaited on an event loop over a channel of
+a shared ``ChannelMux`` — the scheduler's transport — suspends every
+``YIELD_EVERY`` deliveries.  Two loop runs on the same channel tag, one
+yielding after *every* delivery and one never, must be byte-identical:
+observer values, leakage ledger (event for event, in order), crypto-op
+counter, network cost and virtual time.  Against the sync name the
+values, ledger and crypto ops must be equal and the frames the same,
+each channel-tagged frame longer only by its ``"ch"`` key — including
+under randomized drop/latency fault plans with retransmission.  Any
+divergence means a yield point changed protocol semantics, and is a bug.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import asyncio
 
 import pytest
 
-from repro.aio import AsyncSimNetwork
 from repro.crypto import DeterministicRng, shared_prime
 from repro.net.faults import FaultPlan
-from repro.net.simnet import SimNetwork
+from repro.net.simnet import ACK_KIND, SimNetwork
 from repro.resilience import RetryPolicy
+from repro.sched import ChannelMux
 from repro.smc import (
     SmcContext,
     secure_compare,
@@ -44,54 +48,27 @@ from repro.smc import (
 )
 
 PRIME = shared_prime(64)
+TAG = "q1"
+NEVER = 1 << 62  # a YIELD_EVERY no round reaches
 
 
-@pytest.fixture(autouse=True)
-def yield_at_every_step(monkeypatch):
-    """Suspend the loop-driven runs after *every* delivery, not every 32nd:
-    these small protocols would otherwise finish before the first yield."""
-    monkeypatch.setattr("repro.aio.simnet.YIELD_EVERY", 1)
-
-
-def make_pair(seed: bytes):
-    """Two identically-seeded contexts, one per runner."""
-    return (
-        SmcContext(PRIME, DeterministicRng(seed)),
-        SmcContext(PRIME, DeterministicRng(seed)),
+def make_net(seed: bytes | None = None, drop_rate: float = 0.0, reorder_rate: float = 0.0):
+    """A network, optionally faulty; equal arguments give equal dice."""
+    if seed is None:
+        return SimNetwork()
+    faults = FaultPlan(
+        drop_rate=drop_rate, reorder_rate=reorder_rate, rng=DeterministicRng(seed)
     )
+    return SimNetwork(resilience=RetryPolicy(), faults=faults)
 
 
-def make_nets(seed: bytes | None = None, drop_rate: float = 0.0, reorder_rate: float = 0.0):
-    """Identically-seeded sync and async networks (optionally faulty)."""
-
-    def build(net_class):
-        faults = None
-        resilience = None
-        if seed is not None:
-            faults = FaultPlan(
-                drop_rate=drop_rate,
-                reorder_rate=reorder_rate,
-                rng=DeterministicRng(seed),
-            )
-            resilience = RetryPolicy()
-        return net_class(resilience=resilience, faults=faults)
-
-    return build(SimNetwork), build(AsyncSimNetwork)
-
-
-def _reset_message_seq():
-    """Rewind the process-global message sequence counter.
-
-    ``Message.seq`` is globally unique and *encoded on the wire*, so a
-    run started later in the process emits longer sequence digits and
-    slightly bigger frames.  Byte-exact twin comparison needs both runs
-    to start from the same counter.
-    """
-    import itertools
-
-    import repro.net.message as message_mod
-
-    message_mod._sequence = itertools.count(1)
+def on_channel(body, yield_every: int, **net_kwargs):
+    """Await ``body(channel)`` on a fresh loop over one mux channel."""
+    net = make_net(**net_kwargs)
+    channel = ChannelMux(net).channel(TAG)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.sched.channel.YIELD_EVERY", yield_every)
+        return asyncio.run(body(channel)), net
 
 
 def _comparable(stats) -> dict:
@@ -102,18 +79,27 @@ def _comparable(stats) -> dict:
 
 
 def assert_twin_runs(sync_fn, async_fn, seed: bytes = b"eq", **net_kwargs):
-    """Run both drivers on twin contexts/nets and assert full equality."""
-    sctx, actx = make_pair(seed)
-    snet, anet = make_nets(**net_kwargs)
-    _reset_message_seq()
+    """Run the sync name on a private net and the async name twice on a
+    channel (yielding at every delivery, and never); assert equality."""
+    sctx, yctx, nctx = (SmcContext(PRIME, DeterministicRng(seed)) for _ in range(3))
+    snet = make_net(**net_kwargs)
     sync_result = sync_fn(sctx, snet)
-    _reset_message_seq()
-    async_result = asyncio.run(async_fn(actx, anet))
-    assert async_result == sync_result
-    assert actx.leakage.events == sctx.leakage.events
-    assert actx.crypto_ops.snapshot() == sctx.crypto_ops.snapshot()
-    assert _comparable(anet.stats) == _comparable(snet.stats)
-    assert anet.now == snet.now
+    yielded, ynet = on_channel(lambda ch: async_fn(yctx, ch), 1, **net_kwargs)
+    straight, nnet = on_channel(lambda ch: async_fn(nctx, ch), NEVER, **net_kwargs)
+
+    assert yielded == straight
+    assert yctx.leakage.events == nctx.leakage.events
+    assert yctx.crypto_ops.snapshot() == nctx.crypto_ops.snapshot()
+    assert _comparable(ynet.stats) == _comparable(nnet.stats)
+    assert ynet.now == nnet.now
+
+    assert yielded == sync_result
+    assert yctx.leakage.events == sctx.leakage.events
+    assert yctx.crypto_ops.snapshot() == sctx.crypto_ops.snapshot()
+    s, y = snet.stats, ynet.stats
+    assert (y.messages, y.by_kind) == (s.messages, s.by_kind)
+    tagged = y.messages - y.by_kind.get(ACK_KIND, 0)
+    assert y.bytes - s.bytes == tagged * len(f',"ch":"{TAG}"')
     return sync_result
 
 
@@ -253,10 +239,10 @@ class TestIntegrityTwins:
     def _reports(self, populated_store, runner, async_runner, **kwargs):
         store, _ticket, _receipts = populated_store
         sync_reports = runner(store, net=SimNetwork(), **kwargs)
-        async_reports = asyncio.run(
-            async_runner(store, net=AsyncSimNetwork(), **kwargs)
-        )
-        return sync_reports, async_reports
+        yielded, _ = on_channel(lambda ch: async_runner(store, net=ch, **kwargs), 1)
+        straight, _ = on_channel(lambda ch: async_runner(store, net=ch, **kwargs), NEVER)
+        assert yielded == straight
+        return sync_reports, yielded
 
     def test_batched_round(self, populated_store):
         from repro.logstore.integrity import (
@@ -296,24 +282,38 @@ class TestIntegrityTwins:
 
 
 class TestPipelining:
-    def test_concurrent_protocol_runs_interleave(self):
-        """Two gathered runs on separate async nets both complete and
+    def test_concurrent_protocol_runs_interleave(self, monkeypatch):
+        """Two gathered runs on two channels of one mux both complete and
         match their sequential twins — the pipelined interleaving changes
         wall-clock shape, never results."""
         sets_a = {"P1": ["x", "y"], "P2": ["y", "z"]}
         values = {"A": 5, "B": 6, "C": 7}
 
-        sctx1, actx1 = make_pair(b"pipe1")
-        sctx2, actx2 = make_pair(b"pipe2")
-        sync_inter = secure_set_intersection(sctx1, sets_a, net=SimNetwork())
-        sync_sum = secure_sum(sctx2, values, ["A"], net=SimNetwork())
+        def ctx(seed):
+            return SmcContext(PRIME, DeterministicRng(seed))
+
+        sync_inter = secure_set_intersection(ctx(b"pipe1"), sets_a, net=SimNetwork())
+        sync_sum = secure_sum(ctx(b"pipe2"), values, ["A"], net=SimNetwork())
+
+        monkeypatch.setattr("repro.sched.channel.YIELD_EVERY", 1)
+        mux = ChannelMux(SimNetwork())
+        order = []
+
+        async def tracked(tag, body):
+            order.append(tag)
+            result = await body
+            order.append(tag)
+            return result
 
         async def both():
             return await asyncio.gather(
-                secure_set_intersection_async(actx1, sets_a, net=AsyncSimNetwork()),
-                secure_sum_async(actx2, values, ["A"], net=AsyncSimNetwork()),
+                tracked("a", secure_set_intersection_async(
+                    ctx(b"pipe1"), sets_a, net=mux.channel("qa"))),
+                tracked("b", secure_sum_async(
+                    ctx(b"pipe2"), values, ["A"], net=mux.channel("qb"))),
             )
 
         got_inter, got_sum = asyncio.run(both())
         assert got_inter == sync_inter
         assert got_sum == sync_sum
+        assert order[:2] == ["a", "b"]  # a suspended before it finished

@@ -12,10 +12,13 @@ pin the load-bearing cross-references:
 * every environment variable and CLI subcommand the docs mention exists
   in the source (no stale knob references);
 * ``docs/index.md`` maps the whole package and the whole doc set;
+* every ``:mod:`` / ``:class:`` / ``:func:`` / ``:meth:`` / ``:data:``
+  reference to ``repro.*`` in the source resolves;
 * no markdown link in the doc set is broken (``tools/check_doc_links.py``,
   which CI also runs standalone).
 """
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -205,6 +208,42 @@ class TestNoBrokenLinks:
             sys.path.pop(0)
         broken = check_doc_links.main([])
         assert broken == 0, f"{broken} broken markdown links (see stderr)"
+
+
+class TestDocstringReferencesResolve:
+    """Every Sphinx cross-reference to ``repro.*`` in the source names
+    something that exists (catches docstrings outliving a deletion)."""
+
+    ROLE = re.compile(r":(?:mod|class|func|meth|data):`~?(repro(?:\.\w+)+)`")
+
+    @staticmethod
+    def resolves(dotted: str) -> bool:
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            for attr in parts[cut:]:
+                if not hasattr(target, attr):
+                    return False
+                target = getattr(target, attr)
+            return True
+        return False
+
+    def test_every_reference_resolves(self):
+        refs = [
+            (path, match.group(1))
+            for path in sorted(SRC.rglob("*.py"))
+            for match in self.ROLE.finditer(read(path))
+        ]
+        assert len(refs) > 100, "expected cross-references in the source"
+        broken = sorted(
+            f"{path.relative_to(SRC)}: {dotted}"
+            for path, dotted in refs
+            if not self.resolves(dotted)
+        )
+        assert not broken, f"unresolvable docstring references: {broken}"
 
 
 class TestProtocolSpecCoversWireKinds:

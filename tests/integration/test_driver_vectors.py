@@ -9,14 +9,15 @@ the run's message count, wire bytes, per-kind frame counts,
 ``total.modexp`` and the leakage ledger as a ``(protocol, party,
 category)`` sequence.
 
-Only ``integrity_per_glsn`` differs from that commit, and only in its
-kinds and bytes: a per-glsn token now travels as a single-glsn
-``integ.mpass``/``integ.mdone`` frame, 7 bytes longer than the scalar
-``integ.pass``/``integ.done`` form it replaces (5 glsns x 4 frames:
-3 270 -> 3 410 bytes).  Message count, folds and reports are unchanged.
+Only ``integrity_per_glsn`` differs from that commit in its kinds: a
+per-glsn token now travels as a single-glsn ``integ.mpass``/``integ.mdone``
+frame, 7 bytes longer than the scalar ``integ.pass``/``integ.done`` form
+it replaces (5 glsns x 4 frames: 3 270 -> 3 410 bytes).  Since then every
+scenario's bytes shrank once more, by the deleted ``"seq":N,`` key of each
+frame (``SEQ_ERA_BYTES`` keeps the figures from before, and
+:func:`test_recorded_bytes_shrank_by_exactly_the_seq_keys` pins the
+difference).  Message counts, folds, ledgers and reports are unchanged.
 """
-
-import itertools
 
 import pytest
 
@@ -36,7 +37,6 @@ from repro.logstore.integrity import (
     run_combined_integrity_round,
     run_integrity_round,
 )
-from repro.net import message
 from repro.net.simnet import SimNetwork
 from repro.net.stats import CryptoOpCounter
 from repro.smc.base import SmcContext
@@ -120,10 +120,7 @@ SCENARIOS = {
 
 
 def measure(name: str, prime: int) -> dict:
-    """Run one scenario with ``Message.seq`` restarted at 1: the sequence
-    number is process-global and goes over the wire, so without this the
-    byte count would depend on how many messages earlier tests created."""
-    message._sequence = itertools.count(1)
+    """Run one scenario; a run is a function of the seed and the prime."""
     answer, net, modexp, ledger = SCENARIOS[name](prime)
     return {
         "answer": answer,
@@ -137,31 +134,31 @@ def measure(name: str, prime: int) -> dict:
 
 RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
              'messages': 4,
-             'bytes': 418,
+             'bytes': 386,
              'by_kind': {'scmp.blinded': 2, 'scmp.verdict': 2},
              'modexp': 0,
              'ledger': [('secure_compare', 'ttp', 'order_statistics')]},
  'compare_batch': {'answer': {'A': ['lt', 'eq', 'gt'], 'B': ['lt', 'eq', 'gt']},
                    'messages': 4,
-                   'bytes': 510,
+                   'bytes': 478,
                    'by_kind': {'scmpb.blinded': 2, 'scmpb.verdict': 2},
                    'modexp': 0,
                    'ledger': [('secure_compare', 'ttp', 'order_statistics')]},
  'equality': {'answer': {'A': True, 'B': True},
               'messages': 4,
-              'bytes': 468,
+              'bytes': 436,
               'by_kind': {'seq.blinded': 2, 'seq.verdict': 2},
               'modexp': 0,
               'ledger': [('secure_equality', 'ttp', 'equality_verdict')]},
  'integrity_batched': {'answer': [True, True, True, True, True],
                        'messages': 4,
-                       'bytes': 1403,
+                       'bytes': 1371,
                        'by_kind': {'integ.mdone': 1, 'integ.mpass': 3},
                        'modexp': 20,
                        'ledger': []},
  'integrity_combined': {'answer': {'ok': True, 'mode': 'combined', 'reports': []},
                         'messages': 4,
-                        'bytes': 826,
+                        'bytes': 794,
                         'by_kind': {'integ.cdone': 1, 'integ.cpass': 3},
                         'modexp': 4,
                         'ledger': []},
@@ -169,7 +166,7 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                                              'mode': 'combined',
                                              'reports': [True, True, False, True, True]},
                                   'messages': 8,
-                                  'bytes': 2231,
+                                  'bytes': 2167,
                                   'by_kind': {'integ.cdone': 1,
                                               'integ.cpass': 3,
                                               'integ.mdone': 1,
@@ -178,13 +175,13 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                                   'ledger': []},
  'integrity_per_glsn': {'answer': [True, True, True, True, True],
                         'messages': 20,
-                        'bytes': 3410,
+                        'bytes': 3239,
                         'by_kind': {'integ.mdone': 5, 'integ.mpass': 15},
                         'modexp': 20,
                         'ledger': []},
  'intersection': {'answer': {'P0': ['b', 'c'], 'P1': ['b', 'c'], 'P2': ['b', 'c']},
                   'messages': 14,
-                  'bytes': 1926,
+                  'bytes': 1809,
                   'by_kind': {'ssi.full': 3,
                               'ssi.positions': 3,
                               'ssi.relay': 6,
@@ -200,7 +197,7 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                              ('secure_set_intersection', 'P0', 'position_linkage')]},
  'intersection_shuffled': {'answer': {'P1': ['b', 'c'], 'P2': ['b', 'c']},
                            'messages': 12,
-                           'bytes': 1887,
+                           'bytes': 1788,
                            'by_kind': {'ssi.decrypt': 2,
                                        'ssi.full': 3,
                                        'ssi.relay': 6,
@@ -218,14 +215,14 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                         'P2': {'rank': 4, 'argmax': 'P2', 'argmin': 'P3', 'n': 4},
                         'P3': {'rank': 1, 'argmax': 'P2', 'argmin': 'P3', 'n': 4}},
              'messages': 8,
-             'bytes': 764,
+             'bytes': 700,
              'by_kind': {'rank.blinded': 4, 'rank.verdict': 4},
              'modexp': 0,
              'ledger': [('secure_ranking', 'ttp', 'order_statistics'),
                         ('secure_ranking', 'ttp', 'scaled_gap')]},
  'union': {'answer': {'P0': [1, 2, 3, 4], 'P1': [1, 2, 3, 4], 'P2': [1, 2, 3, 4]},
            'messages': 13,
-           'bytes': 1748,
+           'bytes': 1640,
            'by_kind': {'ssu.decrypt': 2, 'ssu.full': 3, 'ssu.relay': 6, 'ssu.result': 2},
            'modexp': 30,
            'ledger': [('secure_set_union', 'P1', 'set_size'),
@@ -237,16 +234,40 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                       ('secure_set_union', 'P0', 'result_cardinality')]},
  'weighted_sum': {'answer': {'P0': 112, 'P1': 112, 'P2': 112, 'P3': 112},
                   'messages': 24,
-                  'bytes': 1924,
+                  'bytes': 1717,
                   'by_kind': {'ssum.fshare': 12, 'ssum.share': 12},
                   'modexp': 0,
                   'ledger': [('secure_sum', '*', 'value_bound')]}}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_driver_matches_the_recorded_parent_vector(name, prime64, monkeypatch):
-    monkeypatch.setattr(message, "_sequence", message._sequence)  # restored on exit
+def test_driver_matches_the_recorded_parent_vector(name, prime64):
     assert measure(name, prime64) == RECORDED[name]
+
+
+#: ``bytes`` of each scenario while every frame still carried ``"seq":N,``
+#: (the counter restarted at 1 per scenario, so frame *i* carried *i*).
+SEQ_ERA_BYTES = {
+    "compare": 418,
+    "compare_batch": 510,
+    "equality": 468,
+    "integrity_batched": 1403,
+    "integrity_combined": 826,
+    "integrity_combined_localised": 2231,
+    "integrity_per_glsn": 3410,
+    "intersection": 1926,
+    "intersection_shuffled": 1887,
+    "ranking": 764,
+    "union": 1748,
+    "weighted_sum": 1924,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_recorded_bytes_shrank_by_exactly_the_seq_keys(name):
+    frames = RECORDED[name]["messages"]
+    seq_keys = sum(len(f'"seq":{n},') for n in range(1, frames + 1))
+    assert SEQ_ERA_BYTES[name] - RECORDED[name]["bytes"] == seq_keys
 
 
 if __name__ == "__main__":  # regenerate: PYTHONPATH=src python <this file>

@@ -15,9 +15,10 @@ import warnings
 
 import pytest
 
-from repro.aio import AsyncSimNetwork
 from repro.crypto import DeterministicRng, shared_prime
 from repro.errors import ConfigurationError
+from repro.net.simnet import SimNetwork
+from repro.sched import ChannelMux
 from repro.smc import SmcContext, secure_set_intersection
 from repro.twin import run_sync, sync_twin
 from tests.integration.test_e2e_entry_points import load_layers
@@ -61,11 +62,18 @@ class TestRunSync:
         assert cleaned_up == [True]
 
     def test_sync_name_refuses_an_event_loop_transport(self, monkeypatch):
-        monkeypatch.setattr("repro.aio.simnet.YIELD_EVERY", 1)
-        ctx = SmcContext(shared_prime(64), DeterministicRng(b"twin"))
+        """A mux channel suspends every ``YIELD_EVERY`` deliveries, so a sync
+        name refuses it; a private network never suspends."""
+        monkeypatch.setattr("repro.sched.channel.YIELD_EVERY", 1)
         sets = {"P1": ["a", "b"], "P2": ["b", "c"]}
+
+        def ctx():
+            return SmcContext(shared_prime(64), DeterministicRng(b"twin"))
+
+        channel = ChannelMux(SimNetwork()).channel("q1")
         with pytest.raises(ConfigurationError, match="secure_set_intersection_async"):
-            secure_set_intersection(ctx, sets, net=AsyncSimNetwork())
+            secure_set_intersection(ctx(), sets, net=channel)
+        assert secure_set_intersection(ctx(), sets, net=SimNetwork()).any_value == ["b"]
 
     def test_twin_is_a_plain_function_named_after_the_sync_name(self):
         async def probe_async(a, b=2):

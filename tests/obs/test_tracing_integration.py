@@ -142,15 +142,7 @@ class TestAuditedQueryTrace:
 
 class TestNoopIdentity:
     def test_traced_and_untraced_runs_have_identical_costs(self):
-        import itertools
-
-        import repro.net.message as message_mod
-
         def run(tracer):
-            # Message.seq is process-global and appears on the wire, so the
-            # second run would otherwise see larger (longer) sequence
-            # numbers.  Pin it to make byte counts comparable.
-            message_mod._sequence = itertools.count(1)
             ctx = SmcContext(
                 shared_prime(64), DeterministicRng(b"noop-id"), tracer=tracer
             )

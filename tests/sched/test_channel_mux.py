@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto import DeterministicRng
+from repro.errors import ConfigurationError
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
@@ -34,6 +35,7 @@ class TestDispatchIsolation:
         b.send(Message(src="P0", dst="P1", kind="x.ping", payload={"q": "b"}))
         b.send(Message(src="P1", dst="P0", kind="x.pong", payload={"q": "b"}))
         a.run()
+        b.run()
         assert seen_a == [("P0", "P1", "x.ping", {"q": "a"})]
         assert sorted(m[2] for m in seen_b) == ["x.ping", "x.pong"]
         assert all(m[3]["q"] == "b" for m in seen_b)
@@ -49,6 +51,7 @@ class TestDispatchIsolation:
             a.send(Message(src="P0", dst="P1", kind="x.data", payload={}))
         b.send(Message(src="P0", dst="P1", kind="x.data", payload={}))
         a.run()
+        b.run()
         assert a.stats.messages == 3
         assert b.stats.messages == 1
         assert a.stats.bytes > 0
@@ -61,7 +64,8 @@ class TestDispatchIsolation:
         a.register("P0", collector(seen))
         a.register("P1", collector(seen))
         net.send(Message(src="P0", dst="P1", kind="x.stray", payload={}))
-        a.run()
+        assert a.run() == 0  # untagged traffic is no channel's backlog
+        net.run()
         assert seen == []
         assert net.stats.dropped == 1
 
@@ -75,7 +79,7 @@ class TestDispatchIsolation:
         b.register("P1", collector(seen_b))
         a.send(Message(src="P0", dst="P1", kind="x.late", payload={}))
         a.close()
-        b.run()
+        net.run()
         assert seen_b == []
 
     def test_channel_tag_roundtrips_the_codec(self):
@@ -133,6 +137,7 @@ class TestPerChannelFailureDiagnosis:
         # Crash B1 too so both channels hold a diagnosis.
         net.faults.crash("B1")
         a.run()
+        b.run()
         assert a.failed_links and b.failed_links
         a.reset_failures()
         assert a.failed_links == set()
@@ -154,8 +159,10 @@ class TestPerChannelFailureDiagnosis:
 
 class TestRunLoop:
     def test_run_is_reentrant_across_channels(self):
-        """A handler on one channel sending on its own channel while
-        another channel pumps the loop ("helping") stays ordered."""
+        """A channel's run helps deliver whatever is queued ahead of its
+        own traffic — here channel A's first message, whose handler sends
+        again on A — and stops at *its own* quiescence, leaving A's reply
+        to A's run."""
         net = SimNetwork()
         mux = ChannelMux(net)
         a, b = mux.channel("qa"), mux.channel("qb")
@@ -171,8 +178,13 @@ class TestRunLoop:
         a.register("P0", relay)
         a.register("P1", relay)
         b.register("P0", collector([]))
+        b.register("P1", collector([]))
         a.send(Message(src="P0", dst="P1", kind="x.first", payload={}))
-        b.run()  # channel B's runner drains channel A's deliveries
+        b.send(Message(src="P1", dst="P0", kind="x.other", payload={}))
+        assert b.run() == 2  # A's first message, then B's own
+        assert seen_a == ["x.first"]
+        assert net.channel_backlog("qa") == 1
+        assert a.run() == 1
         assert seen_a == ["x.first", "x.second"]
 
     def test_idle_channel_returns_zero_steps(self):
@@ -182,53 +194,41 @@ class TestRunLoop:
         a.register("P0", collector([]))
         assert a.run() == 0
 
-    def test_parked_runner_waits_on_condition_not_spin(self):
-        """A runner whose channel still owes work parks on the mux's
-        condition variable (probing at its timeout), never busy-polls,
-        and wakes promptly when a producer enqueues the work."""
-        import threading
-        import time
-
+    def test_backlog_with_an_empty_queue_raises_instead_of_parking(self):
+        """Every backlog unit is a live queue entry, so an empty queue with
+        backlog left is an accounting bug: run fails loudly, never waits."""
         net = SimNetwork()
-        mux = ChannelMux(net)
-        a = mux.channel("qa")
-        seen: list = []
-        a.register("P0", collector(seen))
-        a.register("P1", collector(seen))
-        # Simulate a producer on another thread that owes this channel a
-        # send (the async scheduler's loop thread does exactly this): the
-        # backlog debt keeps run() from returning early.
-        with mux.lock:
-            net._backlog_add("qa")
-        step_calls = 0
-        original_step = net.step
+        a = ChannelMux(net).channel("qa")
+        net._backlog_add("qa")
+        with pytest.raises(ConfigurationError, match="backlog accounting bug"):
+            a.run()
 
-        def counting_step():
-            nonlocal step_calls
-            step_calls += 1
-            return original_step()
+    def test_channel_drain_suspends_every_yield_every_deliveries(self, monkeypatch):
+        """The channel's drain hands control back every ``YIELD_EVERY``
+        deliveries; a private network's drain never suspends."""
+        monkeypatch.setattr("repro.sched.channel.YIELD_EVERY", 3)
 
-        net.step = counting_step
-        result: dict = {}
-        runner = threading.Thread(target=lambda: result.update(steps=a.run()))
-        runner.start()
-        time.sleep(0.25)
-        assert runner.is_alive()
-        # ~0 steps while idle: only the initial probe plus one per 0.05s
-        # condition-wait timeout — a spin loop would rack up thousands.
-        assert step_calls <= 20
-        # The producer arrives; send() notifies the condition variable.
-        with mux.lock:
-            net._backlog_sub("qa")
-        a.send(Message(src="P0", dst="P1", kind="x.late", payload={}))
-        runner.join(timeout=2.0)
-        assert not runner.is_alive()
-        assert result["steps"] == 1
-        assert seen == [("P0", "P1", "x.late", {})]
+        def loaded(transport):
+            transport.register("P0", collector([]))
+            transport.register("P1", collector([]))
+            for _ in range(10):
+                transport.send(Message(src="P0", dst="P1", kind="x.d", payload={}))
+            return transport
+
+        def suspensions(coro):
+            count = 0
+            while True:
+                try:
+                    coro.send(None)
+                except StopIteration as done:
+                    return count, done.value
+                count += 1
+
+        channel = loaded(ChannelMux(SimNetwork()).channel("qa"))
+        assert suspensions(channel.drain()) == (3, 10)
+        assert suspensions(loaded(SimNetwork()).drain()) == (0, 10)
 
     def test_max_steps_guard(self):
-        from repro.errors import ConfigurationError
-
         net = SimNetwork()
         mux = ChannelMux(net)
         a = mux.channel("qa")
