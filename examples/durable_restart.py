@@ -6,8 +6,7 @@ into a durable service, kills it without a clean shutdown — including
 tearing the tail off one node's WAL, as a real power cut would — then
 reopens the same directory.  Recovery replays the journals, rolls the
 torn append back on *every* node (vertical fragmentation means a record
-is only real if all nodes hold their fragment), resumes the hash chain,
-and re-verifies the §4.1 integrity anchors before serving reads.
+is only real if all nodes hold their fragment), and re-verifies the §4.1 integrity anchors before serving reads.
 
 Run:  python examples/durable_restart.py
 """
@@ -78,7 +77,6 @@ def main() -> None:
         print(f"  torn nodes: {sorted(report.torn_nodes)}")
         print(f"  rolled back (incomplete on some node): "
               f"{[format(g, 'x') for g in report.rolled_back]}")
-        print(f"  hash chain resumed: {report.chain_resumed}")
         print(f"  integrity audit clean: {report.audit_ok}")
         print(f"  recovered in {report.duration_seconds * 1000:.1f} ms")
         assert report.audit_ok

@@ -320,12 +320,11 @@ class ConfidentialAuditingService:
 
         Rows are consumed lazily (any iterable works) and appended in
         batches of ``batch_size``; each batch is one *ingest epoch*: the
-        per-record accumulators and the running chain anchor fold
-        incrementally exactly as single appends would, and on a durable
-        store the batch shares one WAL sync — the whole epoch is either
-        durable or rolled back as a torn tail on recovery.  After every
-        epoch the registered standing queries are evaluated and their
-        deltas pushed (``evaluate_standing=False`` defers that to an
+        per-record accumulators are computed exactly as single appends
+        would compute them, and on a durable store the batch shares one
+        WAL sync — the whole epoch is either durable or rolled back as a
+        torn tail on recovery.  After every epoch the registered standing
+        queries are evaluated and their deltas pushed (``evaluate_standing=False`` defers that to an
         explicit :meth:`poll_standing`).
         """
         if batch_size < 1:
@@ -753,10 +752,12 @@ class ConfidentialAuditingService:
         ``batched=True`` (the default) circulates one multi-glsn ring
         token — O(nodes) messages for the whole log; ``batched=False``
         replays the legacy one-token-per-glsn ring.  Reports are
-        identical either way.  The ring is failover-supervised: with
-        :attr:`resilience` set, unreachable nodes are routed around or
-        excluded, and reports over an incomplete fold come back
-        explicitly unverified (``verified=False``, ``skipped_nodes``).
+        identical either way.  Each node re-folds only the glsns whose
+        incoming token value or fragment changed since its last fold;
+        :attr:`integrity_ops` counts the rest as ``fold_reused``.  The
+        ring is failover-supervised: with :attr:`resilience` set,
+        unreachable nodes are routed around or excluded, and reports over
+        an incomplete fold come back explicitly unverified (``verified=False``, ``skipped_nodes``).
         """
         if distributed:
             deadline = Deadline.after(timeout)

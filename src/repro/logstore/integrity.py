@@ -12,25 +12,19 @@ accumulator values travel.
 Both an in-process checker (:class:`IntegrityChecker`) and a message-driven
 ring protocol (:func:`run_integrity_round`) are provided; the ring form is
 what the networked service uses and what the integrity benchmarks measure.
+:func:`run_batched_integrity_round` sends one *multi-glsn token* round the
+ring instead of one token per glsn: identical per-glsn reports at
+O(nodes) messages instead of O(nodes × glsns).
 
-Because the log is append-only, the per-glsn ring's O(nodes × glsns) cost
-is almost entirely redundant, so two batched forms ride the same ring:
+A sweep pays for what changed: each node remembers its last fold per glsn
+(:meth:`~repro.logstore.store.FragmentStore.fold`) and recomputes only the
+glsns whose incoming token value or stored digest exponent differ.  A
+tamper changes the exponent at one node and therefore the incoming value
+at every later hop, so detection is exactly that of a memo-free sweep.
 
-* :func:`run_batched_integrity_round` — one *multi-glsn token* visits each
-  node once, folding that node's fragment for every requested glsn
-  (engine-routed, one ``pow`` per glsn per hop).  Identical per-glsn
-  reports at O(nodes) messages instead of O(nodes × glsns).
-* :func:`run_combined_integrity_round` — when the write path's running
-  *chain anchor* covers the requested glsns (no deletes), each hop
-  collapses its k fragment folds into a **single** ``pow`` with the
-  product of the k digest exponents (valid by eq. 9 quasi-commutativity:
-  ``(x^a)^b = x^(ab)``), giving one modexp and one message per node for
-  the whole log.  A mismatch is localized by falling back to the
-  per-glsn batched round.
-
-The in-process checker additionally memoizes per-glsn reports keyed by
-each node's fragment version (``repro.cache``), so ``check_all`` after an
-append folds only the new glsn.
+The in-process checker memoizes per-glsn reports keyed by each node's
+fragment version (``repro.cache``), so ``check_all`` after an append folds
+only the new glsn.
 """
 
 from __future__ import annotations
@@ -56,8 +50,6 @@ __all__ = [
     "run_integrity_round_async",
     "run_batched_integrity_round",
     "run_batched_integrity_round_async",
-    "run_combined_integrity_round",
-    "run_combined_integrity_round_async",
 ]
 
 
@@ -83,14 +75,12 @@ class IntegrityReport:
 
 @dataclass(frozen=True)
 class BatchIntegrityReport:
-    """Outcome of one batched/combined check over a glsn set."""
+    """The per-glsn reports of one batched round as a single verdict."""
 
     glsns: tuple[int, ...]
     ok: bool
-    mode: str  # "combined" | "per-glsn"
-    expected: int | None = None  # combined-mode anchor (None in per-glsn mode)
-    observed: int | None = None
-    reports: tuple[IntegrityReport, ...] = ()  # per-glsn verdicts, when computed
+    mode: str  # always "per-glsn"
+    reports: tuple[IntegrityReport, ...] = ()
     verified: bool = True  # False when failover skipped nodes (see IntegrityReport)
     skipped_nodes: tuple[str, ...] = ()
 
@@ -164,32 +154,23 @@ class IntegrityChecker:
 @dataclass
 class _RingState:
     reports: dict[int, IntegrityReport] = field(default_factory=dict)
-    combined: BatchIntegrityReport | None = None
-
-
-#: token kind -> (payload field of the running value(s), kind of the frame
-#: that returns them to the origin).  ``integ.mpass`` carries one value per
-#: glsn (folded with ``step_many``), ``integ.cpass`` a single value (folded
-#: with ``fold_product``).
-_TOKEN_FORMS = {
-    "integ.mpass": ("values", "integ.mdone"),
-    "integ.cpass": ("value", "integ.cdone"),
-}
 
 
 class IntegrityNode:
     """Message-driven participant in the §4.1 accumulator ring.
 
     Each instance wraps one node's :class:`FragmentStore`.  The initiator
-    calls :meth:`start_batch_check` (or :meth:`start_combined_check`); the
-    token visits every node once and returns.
+    calls :meth:`start_batch_check`; the token visits every node once and
+    returns.
 
     The first hop of every token is ``x0^e mod n`` for the initiator's own
     fragment digest ``e`` and comes from the accumulator's fixed-base table
     (:meth:`~repro.crypto.accumulator.OneWayAccumulator.base_power`); later
-    hops fold an in-flight token value with ``pow``.  Either way a hop is
-    one fold per glsn in ``crypto`` (a shared
-    :class:`~repro.net.stats.CryptoOpCounter`).
+    hops fold an in-flight token value with ``pow``.  Either way a hop
+    folds through the node's memo (:meth:`FragmentStore.fold`), and
+    ``crypto`` (a shared :class:`~repro.net.stats.CryptoOpCounter`) counts
+    each glsn as ``<node>.modexp`` when folded or ``<node>.fold_reused``
+    when the memo answered.
     """
 
     def __init__(
@@ -219,31 +200,28 @@ class IntegrityNode:
             return nullcontext(None)
         return self.telemetry.node_span(self.node_id, name, {"node": self.node_id})
 
-    def _count_folds(self, count: int) -> None:
-        if self.crypto is None or count == 0:
-            return
-        self.crypto.add(f"{self.node_id}.modexp", count)
-        self.crypto.add("total.modexp", count)
-        if self.telemetry is not None:
-            self.telemetry.add_cost(self.node_id, "modexp", count)
-
-    def _exponents(self, glsns: list[int]) -> list[int]:
-        return [self.store.local_fragment(g).digest_exponent() for g in glsns]
+    def _fold(self, glsns: list[int], incoming: list[int], compute) -> list[int]:
+        """Fold through the store's memo; count real pows and reuses."""
+        folded, computed = self.store.fold(glsns, incoming, compute)
+        if self.crypto is not None:
+            reused = len(glsns) - computed
+            for kind, count in (("modexp", computed), ("fold_reused", reused)):
+                if count:
+                    self.crypto.add(f"{self.node_id}.{kind}", count)
+                    self.crypto.add(f"total.{kind}", count)
+            if computed and self.telemetry is not None:
+                self.telemetry.add_cost(self.node_id, "modexp", computed)
+        return folded
 
     def start_batch_check(self, transport, glsns: list[int]) -> None:
         """One token carrying every glsn's running value (we fold first)."""
         with self._node_span("node.integ.start"):
             base_power = self.accumulator.base_power
-            values = [base_power(e) for e in self._exponents(glsns)]
-            self._count_folds(len(glsns))
-            self._relay(transport, "integ.mpass", glsns, values, self._others())
-
-    def start_combined_check(self, transport, glsns: list[int]) -> None:
-        """One token, one value: each hop folds ALL its fragments at once."""
-        with self._node_span("node.integ.start"):
-            value = self.accumulator.accumulate_all(self._exponents(glsns))
-            self._count_folds(1)
-            self._relay(transport, "integ.cpass", glsns, value, self._others())
+            values = self._fold(
+                glsns, [self.accumulator.params.x0] * len(glsns),
+                lambda _bases, exponents: [base_power(e) for e in exponents],
+            )
+            self._relay(transport, glsns, values, self._others())
 
     def _others(self) -> list[str]:
         return [n for n in self.ring if n != self.node_id]
@@ -251,28 +229,21 @@ class IntegrityNode:
     def _relay(
         self,
         transport,
-        kind: str,
         glsns: list[int],
-        folded,
+        folded: list[int],
         remaining: list[str],
         origin: str | None = None,
     ) -> None:
-        """Move a folded token on: to the next hop, else home to its origin.
-
-        Both token forms travel the same way and differ only in the
-        payload field that carries the running value(s) and in the kind
-        of the frame that returns them (:data:`_TOKEN_FORMS`).
-        """
-        field, done = _TOKEN_FORMS[kind]
+        """Move a folded token on: to the next hop, else home to its origin."""
         origin = origin or self.node_id
         if remaining:
             msg = Message(
                 src=self.node_id,
                 dst=remaining[0],
-                kind=kind,
+                kind="integ.mpass",
                 payload={
                     "glsns": glsns,
-                    field: folded,
+                    "values": folded,
                     "remaining": remaining[1:],
                     "origin": origin,
                 },
@@ -281,8 +252,8 @@ class IntegrityNode:
             msg = Message(
                 src=self.node_id,
                 dst=origin,
-                kind=done,
-                payload={"glsns": glsns, field: folded},
+                kind="integ.mdone",
+                payload={"glsns": glsns, "values": folded},
             )
         if msg.dst == self.node_id:  # a one-node ring: the token is already home
             self.handle(msg, transport)
@@ -291,27 +262,13 @@ class IntegrityNode:
 
     def handle(self, msg: Message, transport) -> None:
         payload = msg.payload
-        if msg.kind == "integ.mpass":
-            glsns = payload["glsns"]
-            folded = self.accumulator.step_many(
-                payload["values"], self._exponents(glsns)
-            )
-            self._count_folds(len(glsns))
-        elif msg.kind == "integ.cpass":
-            glsns = payload["glsns"]
-            folded = self.accumulator.fold_product(
-                payload["value"], self._exponents(glsns)
-            )
-            self._count_folds(1)
-        elif msg.kind == "integ.mdone":
+        if msg.kind == "integ.mdone":
             return self._finish_batch(payload["glsns"], payload["values"])
-        elif msg.kind == "integ.cdone":
-            return self._finish_combined(payload["glsns"], payload["value"])
-        else:
+        if msg.kind != "integ.mpass":
             raise ProtocolAbortError(f"unexpected message kind {msg.kind!r}")
-        self._relay(
-            transport, msg.kind, glsns, folded, payload["remaining"], payload["origin"]
-        )
+        glsns = payload["glsns"]
+        folded = self._fold(glsns, payload["values"], self.accumulator.step_many)
+        self._relay(transport, glsns, folded, payload["remaining"], payload["origin"])
 
     def _finish_batch(self, glsns: list[int], values: list[int]) -> None:
         for glsn, observed in zip(glsns, values):
@@ -320,16 +277,6 @@ class IntegrityNode:
                 glsn=glsn, ok=observed == expected, expected=expected,
                 observed=observed,
             )
-
-    def _finish_combined(self, glsns: list[int], observed: int) -> None:
-        expected = self.store.chain_anchor_for(glsns)
-        self.state.combined = BatchIntegrityReport(
-            glsns=tuple(glsns),
-            ok=expected is not None and observed == expected,
-            mode="combined",
-            expected=expected,
-            observed=observed,
-        )
 
 
 def _start_per_glsn(node: IntegrityNode, transport, glsns: list[int]) -> None:
@@ -346,14 +293,6 @@ def _reports_of(node: IntegrityNode, glsns: list[int]):
     return [reports[glsn] for glsn in glsns]
 
 
-def _combined_of(node: IntegrityNode, glsns: list[int]):
-    return None if node.state.combined is None else [node.state.combined]
-
-
-def _skipped_in(reports) -> tuple[str, ...]:
-    return tuple(sorted({n for r in reports for n in r.skipped_nodes}))
-
-
 async def _supervised_round(
     store: DistributedLogStore,
     glsns: list[int] | None,
@@ -368,8 +307,8 @@ async def _supervised_round(
 
     ``start(initiator_node, net, glsns)`` puts the token(s) on the ring and
     ``verdicts_of(initiator_node, glsns)`` reads the finished reports off
-    the initiator (``None`` while the round is incomplete) — the three
-    public rounds differ in nothing else.
+    the initiator (``None`` while the round is incomplete) — the public
+    rounds differ in nothing else.
 
     A bad link is routed around (any ring order is valid by eq. 9
     quasi-commutativity); a dead node is excluded, in which case the
@@ -481,68 +420,21 @@ async def run_batched_integrity_round_async(
     )
 
 
-async def run_combined_integrity_round_async(
-    store: DistributedLogStore,
-    glsns: list[int] | None = None,
-    initiator: str | None = None,
-    net: SimNetwork | None = None,
-    localize: bool = True,
-    deadline: Deadline | None = None,
-    crypto=None,
-) -> BatchIntegrityReport:
-    """Single-pow-per-hop ring over the write path's chain anchor.
-
-    Applies when the requested glsns are a prefix of the append-only
-    chain (the whole log, absent deletes): each hop performs ONE
-    exponentiation with the product of its fragments' digest exponents
-    (eq. 9), and the final token must equal the running chain anchor the
-    write path handed every node.  Costs ``nodes`` messages and
-    ``nodes`` modexps for the entire log.
-
-    Falls back to :func:`run_batched_integrity_round` when no chain
-    anchor covers the request (e.g. after a delete), and — with
-    ``localize=True`` — also after a combined mismatch, to name the
-    tampered glsn(s) in ``reports``.  Either way the batched reports'
-    ``verified``/``skipped_nodes`` carry over: a node excluded from the
-    localising round leaves the per-glsn verdicts unverified.
-
-    ``run_combined_integrity_round`` is :func:`~repro.twin.sync_twin` of
-    this coroutine (one body, two runners: ``docs/async.md``).
-    """
-    targets = list(glsns) if glsns is not None else store.glsns
-    ring = sorted(store.stores)
-    first = initiator or (ring[0] if ring else None)
-    anchor = (
-        store.stores[first].chain_anchor_for(targets)
-        if first in store.stores
-        else None
-    )
-    net = net or SimNetwork()
-    verdict = None
-    if anchor is not None and targets:
-        [verdict] = await _supervised_round(
-            store, targets, initiator, net, deadline, crypto,
-            IntegrityNode.start_combined_check, _combined_of,
-        )
-        # An unverified fold skipped a node: neither the combined verdict
-        # nor a localizing re-run can be trusted.
-        if verdict.ok or not localize or not verdict.verified:
-            return verdict
-    reports = await run_batched_integrity_round_async(
-        store, glsns=targets, initiator=initiator, net=net, deadline=deadline,
-        crypto=crypto,
-    )
-    skipped = _skipped_in(reports)
-    if verdict is None:
-        verdict = BatchIntegrityReport(
-            glsns=tuple(targets), ok=all(r.ok for r in reports), mode="per-glsn"
-        )
-    return replace(
-        verdict, reports=tuple(reports), verified=not skipped, skipped_nodes=skipped
-    )
-
-
 run_integrity_round = sync_twin(run_integrity_round_async)
 run_batched_integrity_round = sync_twin(run_batched_integrity_round_async)
+
+
+# The combined product-fold ring is gone; the e2e tracer still pins these
+# two names, so they remain as the batched round under one verdict.
+async def run_combined_integrity_round_async(store, **kwargs) -> BatchIntegrityReport:
+    reports = await run_batched_integrity_round_async(store, **kwargs)
+    skipped = tuple(sorted({n for r in reports for n in r.skipped_nodes}))
+    return BatchIntegrityReport(
+        glsns=tuple(r.glsn for r in reports), ok=all(r.ok for r in reports),
+        mode="per-glsn", reports=tuple(reports), verified=not skipped,
+        skipped_nodes=skipped,
+    )
+
+
 run_combined_integrity_round = sync_twin(run_combined_integrity_round_async)
 

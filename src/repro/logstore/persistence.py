@@ -13,16 +13,11 @@ audit (tested).
 
 Format history:
 
-* **v1** recorded fragments, anchors, and ACLs only.  The combined
-  integrity ring's state — each node's append-only chain of
-  ``(glsn, anchor)`` pairs and the cluster's running chain value — was
-  silently dropped, so a restored store permanently fell back to the
-  per-glsn ring and, worse, restarted its chain fold from ``x0``.
-* **v2** (current) additionally persists each node's chain prefix and
-  the cluster chain value (including its explicit ``None`` after a
-  delete or a ``move_shard`` eviction suspended it), so a restore is
-  state-identical: batched combined integrity rounds keep their one-
-  exponentiation-per-hop fast path.
+* **v1** recorded fragments, anchors, and ACLs only.
+* **v2** (current) added the combined integrity ring's chain state: a
+  ``"chain"`` list per node and a cluster ``"chain_value"``.  That ring
+  is retired; snapshots are written without the chain fields, and
+  loading ignores them, so both versions read the same way.
 
 Whole-store snapshots complement (not replace) the write-ahead log of
 :mod:`repro.store`: a snapshot is a point-in-time O(store) copy, the WAL
@@ -108,14 +103,7 @@ def snapshot_store(store: DistributedLogStore) -> dict:
                     "glsns": sorted(entry.glsns),
                 }
             )
-        nodes[node_id] = {
-            "fragments": fragments,
-            "acl": acl_entries,
-            # The combined-ring chain prefix this node still vouches for
-            # (pruned by deletes/evictions): [glsn, anchor-hex] pairs.
-            "chain": [[g, format(a, "x")] for g, a in node._chain],
-        }
-    chain_value = store._chain_value
+        nodes[node_id] = {"fragments": fragments, "acl": acl_entries}
     return {
         "format": _FORMAT_VERSION,
         "schema": schema,
@@ -124,14 +112,12 @@ def snapshot_store(store: DistributedLogStore) -> dict:
         "accumulator": {"n": format(store.accumulator.params.n, "x"),
                         "x0": format(store.accumulator.params.x0, "x")},
         "next_glsn": _next_glsn(store),
-        "chain_value": format(chain_value, "x") if chain_value is not None else None,
         "nodes": nodes,
     }
 
 
 def _populate(store: DistributedLogStore, snapshot: dict) -> None:
     """Install snapshot state into ``store`` (bypassing ticketed writes)."""
-    version = snapshot.get("format")
     for node_id, body in snapshot["nodes"].items():
         node = store.node_store(node_id)
         for item in body["fragments"]:
@@ -155,18 +141,6 @@ def _populate(store: DistributedLogStore, snapshot: dict) -> None:
             node.acl._entries[entry["ticket_id"]] = restored
             for glsn in restored.glsns:
                 node.acl._glsn_owner[glsn] = entry["ticket_id"]
-        node._chain = [
-            (pair[0], int(pair[1], 16)) for pair in body.get("chain", [])
-        ]
-    if version >= 2:
-        raw = snapshot.get("chain_value")
-        store._chain_value = int(raw, 16) if raw is not None else None
-    elif store.glsns:
-        # A v1 snapshot never recorded the running fold; resuming from x0
-        # over a non-empty store would deposit anchors that fold none of
-        # the existing fragments.  Suspend the chain (per-glsn fallback)
-        # rather than resume it wrong.
-        store._chain_value = None
 
 
 def restore_store(

@@ -10,6 +10,7 @@ fragments the record, obtains a glsn, and ships fragment ``Log_i`` to node
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -37,9 +38,14 @@ class FragmentStore:
         # key on these, so stale entries are simply never looked up again.
         self._epoch = 0
         self._versions: dict[int, int] = {}
-        # Append-only chain anchors for the combined integrity ring:
-        # (glsn, A(x0, every fragment of every record up to this glsn)).
-        self._chain: list[tuple[int, int]] = []
+        # This node's last integrity fold per glsn: (incoming value, digest
+        # exponent, folded value).  ``pow`` is pure, so a sweep that meets
+        # the same two inputs reuses the output; an entry leaves with its
+        # glsn (:meth:`_forget`), so there is at most one per fragment.
+        self._folds: dict[int, tuple[int, int, int]] = {}
+        # Orders a fold's write-back against _forget: a sweep racing a
+        # delete must not re-add the forgotten glsn's entry.
+        self._folds_lock = threading.Lock()
 
     @property
     def epoch(self) -> int:
@@ -60,19 +66,9 @@ class FragmentStore:
     # -- writes ---------------------------------------------------------------
 
     def put(
-        self,
-        fragment: Fragment,
-        ticket: Ticket,
-        expected_accumulator: int,
-        chain_anchor: int | None = None,
+        self, fragment: Fragment, ticket: Ticket, expected_accumulator: int
     ) -> None:
-        """Store a fragment under an authenticated WRITE ticket.
-
-        ``chain_anchor``, when given by the write path, is the running
-        accumulator over *all* fragments of *all* records appended so far
-        (this glsn included) — the anchor the combined integrity ring
-        checks against in one exponentiation per hop.
-        """
+        """Store a fragment under an authenticated WRITE ticket."""
         if fragment.node_id != self.node_id:
             raise LogStoreError(
                 f"fragment addressed to {fragment.node_id}, this is {self.node_id}"
@@ -80,8 +76,6 @@ class FragmentStore:
         self.acl.grant(ticket, fragment.glsn)
         self._fragments[fragment.glsn] = fragment
         self._accumulators[fragment.glsn] = expected_accumulator
-        if chain_anchor is not None:
-            self._chain.append((fragment.glsn, chain_anchor))
         self._bump(fragment.glsn, present=True)
 
     def delete(self, glsn: int, ticket: Ticket) -> None:
@@ -89,11 +83,15 @@ class FragmentStore:
         if glsn not in self._fragments:
             raise UnknownGlsnError(f"{self.node_id} holds no fragment for {glsn:#x}")
         self.acl.revoke_glsn(ticket, glsn)
-        del self._fragments[glsn]
+        self._forget(glsn)
+
+    def _forget(self, glsn: int) -> None:
+        """Drop what this node keeps for a held ``glsn``: its fragment,
+        anchor and fold memo entry (ACL bookkeeping is the caller's)."""
+        with self._folds_lock:
+            del self._fragments[glsn]
+            self._folds.pop(glsn, None)
         self._accumulators.pop(glsn, None)
-        # Chain anchors at or after the deleted glsn fold its fragments
-        # and can never match again; the prefix before it stays valid.
-        self._chain = [entry for entry in self._chain if entry[0] < glsn]
         self._bump(glsn, present=False)
 
     # -- reads ----------------------------------------------------------------
@@ -124,19 +122,40 @@ class FragmentStore:
                 f"{self.node_id} has no accumulator for glsn {glsn:#x}"
             ) from exc
 
-    def chain_anchor_for(self, glsns: list[int]) -> int | None:
-        """Combined anchor covering exactly ``glsns``, or None.
+    def fold(
+        self,
+        glsns: list[int],
+        incoming: list[int],
+        compute: Callable[[list[int], list[int]], list[int]],
+    ) -> tuple[list[int], int]:
+        """This node's §4.1 fold of ``incoming[i]`` by glsn ``i``'s fragment.
 
-        Available only when ``glsns`` equals a prefix of this store's
-        append-only chain (the common case: every current glsn, in
-        order, on a store that has seen no deletes).
+        ``compute(values, exponents)`` performs the folds; it is handed
+        only the glsns whose (incoming value, digest exponent) differ from
+        the last fold here — the rest reuse that fold's output.  A tamper
+        installs a new fragment, so its exponent, and hence every later
+        hop's incoming value, misses.  Returns the folded values in order
+        and how many were computed.
         """
-        if not glsns or len(glsns) > len(self._chain):
-            return None
-        prefix = self._chain[: len(glsns)]
-        if [g for g, _ in prefix] != list(glsns):
-            return None
-        return prefix[-1][1]
+        folds = self._folds
+        out: list[int] = []
+        misses: list[tuple[int, int, int, int]] = []
+        for at, (glsn, value) in enumerate(zip(glsns, incoming)):
+            exponent = self._read(glsn).digest_exponent()
+            last = folds.get(glsn)
+            if last is not None and last[0] == value and last[1] == exponent:
+                out.append(last[2])
+            else:
+                out.append(0)
+                misses.append((at, glsn, value, exponent))
+        if misses:
+            results = compute([m[2] for m in misses], [m[3] for m in misses])
+            with self._folds_lock:
+                for (at, glsn, value, exponent), result in zip(misses, results):
+                    out[at] = result
+                    if glsn in self._fragments:  # not forgotten mid-sweep
+                        folds[glsn] = (value, exponent, result)
+        return out, len(misses)
 
     @property
     def glsns(self) -> list[int]:
@@ -168,12 +187,7 @@ class FragmentStore:
         Returns the evicted fragment.
         """
         frag = self._read(glsn)
-        del self._fragments[glsn]
-        self._accumulators.pop(glsn, None)
-        # Same chain pruning as delete: anchors at/after the evicted glsn
-        # fold a fragment this store no longer holds.
-        self._chain = [entry for entry in self._chain if entry[0] < glsn]
-        self._bump(glsn, present=False)
+        self._forget(glsn)
         return frag
 
     # -- fault injection (tests/benches) ---------------------------------------
@@ -192,7 +206,9 @@ class FragmentStore:
             glsn=frag.glsn, node_id=frag.node_id, values=values
         )
         # Even a malicious rewrite moves the epoch: the compromised node's
-        # own caches see its mutation (anchors, of course, do not).
+        # own caches see its mutation (anchors, of course, do not).  The
+        # fold memo needs no entry dropped: the new fragment's exponent
+        # differs, so the next fold misses.
         self._bump(glsn, present=True)
 
 
@@ -234,20 +250,13 @@ class DistributedLogStore:
         self.stores: dict[str, FragmentStore] = {
             node_id: factory(node_id) for node_id in plan.node_ids
         }
-        # Running accumulator over every fragment of every record appended
-        # so far — the combined integrity ring's anchor.  Broken (None)
-        # once a record is deleted: the folded-in exponents cannot be
-        # divided back out without the modulus factorization.
-        self._chain_value: int | None = acc_params.x0
 
     def append(self, values: dict, ticket: Ticket) -> WriteReceipt:
         """Log one event: allocate a glsn, fragment, store everywhere.
 
-        Computes the order-independent accumulator over all fragments and
-        hands it to every node — the anchor for §4.1 integrity checks —
-        plus the running *chain* anchor over the whole append-only log,
-        which lets the batched integrity ring verify every glsn with one
-        exponentiation per hop.
+        Computes the order-independent accumulator over all fragments (one
+        fixed-base power) and hands it to every node — the anchor for §4.1
+        integrity checks.
         """
         self.authority.verify(ticket, Operation.WRITE)
         glsn = self.allocator.allocate()
@@ -255,14 +264,8 @@ class DistributedLogStore:
         fragments = self.plan.fragment(record)
         exponents = [frag.digest_exponent() for frag in fragments.values()]
         digest = self.accumulator.accumulate_all(exponents)
-        if self._chain_value is not None:
-            self._chain_value = self.accumulator.fold_product(
-                self._chain_value, exponents
-            )
         for node_id, fragment in fragments.items():
-            self.stores[node_id].put(
-                fragment, ticket, digest, chain_anchor=self._chain_value
-            )
+            self.stores[node_id].put(fragment, ticket, digest)
         return WriteReceipt(
             glsn=glsn, accumulator=digest, nodes=tuple(sorted(fragments))
         )
@@ -293,18 +296,6 @@ class DistributedLogStore:
                 # A node that never held values still participates; treat a
                 # missing fragment on one node as already-deleted there.
                 continue
-        self._chain_value = None  # combined anchors after this glsn are void
-
-    def suspend_chain(self) -> None:
-        """Invalidate the combined-ring chain anchor after a migration.
-
-        Fragments evicted by ``move_shard`` stay folded into the running
-        chain value; new appends anchored on it would fail verification
-        against the store's *present* fragments.  Dropping the chain makes
-        the batched integrity ring fall back to its per-glsn mode — slower
-        but correct — exactly as a user-path delete does.
-        """
-        self._chain_value = None
 
     def node_store(self, node_id: str) -> FragmentStore:
         try:

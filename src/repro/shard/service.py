@@ -486,8 +486,6 @@ class ShardedAuditingService:
         destination ring adopts each fragment through the ordinary
         ticketed write path (accumulator digests preserved, so §4.1
         integrity checks keep passing), the source ring evicts its copy.
-        Combined-ring chain anchors break on both sides — the batched
-        integrity ring falls back to per-glsn mode, slower but exact.
         """
         with self._append_lock:
             src = self.router.move_range(lo, hi, dst)
@@ -504,14 +502,9 @@ class ShardedAuditingService:
                 for node_id, node_store in src_store.stores.items():
                     fragment = node_store.local_fragment(glsn)
                     digest = node_store.expected_accumulator(glsn)
-                    dst_store.stores[node_id].put(
-                        fragment, ticket, digest, chain_anchor=None
-                    )
+                    dst_store.stores[node_id].put(fragment, ticket, digest)
                 for node_store in src_store.stores.values():
                     node_store.evict(glsn)
-            if moved:
-                src_store.suspend_chain()
-                dst_store.suspend_chain()
         return MoveReport(
             lo=lo, hi=hi, src=src, dst=dst, glsns=tuple(moved),
             shard_map_version=self.map.version,

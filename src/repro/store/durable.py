@@ -44,13 +44,9 @@ class DurableFragmentStore(FragmentStore):
     # -- logged mutations ----------------------------------------------------
 
     def put(
-        self,
-        fragment: Fragment,
-        ticket: Ticket,
-        expected_accumulator: int,
-        chain_anchor: int | None = None,
+        self, fragment: Fragment, ticket: Ticket, expected_accumulator: int
     ) -> None:
-        super().put(fragment, ticket, expected_accumulator, chain_anchor)
+        super().put(fragment, ticket, expected_accumulator)
         if not self._replaying:
             self.wal.append(
                 {
@@ -58,7 +54,6 @@ class DurableFragmentStore(FragmentStore):
                     "glsn": fragment.glsn,
                     "values": dict(fragment.values),
                     "anchor": expected_accumulator,
-                    "chain": chain_anchor,
                     "ticket_id": ticket.ticket_id,
                     "rights": sorted(op.value for op in ticket.operations),
                 }
@@ -89,7 +84,11 @@ class DurableFragmentStore(FragmentStore):
     # -- replay --------------------------------------------------------------
 
     def apply_wal_record(self, record: dict) -> None:
-        """Re-apply one logged mutation without ticket checks (idempotent)."""
+        """Re-apply one logged mutation without ticket checks (idempotent).
+
+        A ``"chain"`` field on a ``put`` record (written by stores that
+        kept a combined-ring anchor per append) is ignored.
+        """
         op = record.get("op")
         glsn = record.get("glsn")
         if op == "put":
@@ -98,11 +97,6 @@ class DurableFragmentStore(FragmentStore):
             )
             self._fragments[glsn] = fragment
             self._accumulators[glsn] = record["anchor"]
-            chain_anchor = record.get("chain")
-            if chain_anchor is not None and (
-                not self._chain or self._chain[-1][0] < glsn
-            ):
-                self._chain.append((glsn, chain_anchor))
             entry = self.acl._entries.setdefault(
                 record["ticket_id"],
                 AccessEntry(
@@ -118,22 +112,14 @@ class DurableFragmentStore(FragmentStore):
         elif op == "delete":
             if glsn not in self._fragments:
                 return  # idempotent overlap with the checkpoint
-            del self._fragments[glsn]
-            self._accumulators.pop(glsn, None)
-            self._chain = [entry for entry in self._chain if entry[0] < glsn]
-            ticket_id = record.get("ticket_id")
-            entry = self.acl._entries.get(ticket_id)
+            self._forget(glsn)
+            entry = self.acl._entries.get(record.get("ticket_id"))
             if entry is not None:
                 entry.glsns.discard(glsn)
             self.acl._glsn_owner.pop(glsn, None)
-            self._bump(glsn, present=False)
         elif op == "evict":
-            if glsn not in self._fragments:
-                return
-            del self._fragments[glsn]
-            self._accumulators.pop(glsn, None)
-            self._chain = [entry for entry in self._chain if entry[0] < glsn]
-            self._bump(glsn, present=False)
+            if glsn in self._fragments:
+                self._forget(glsn)
         elif op == "tamper":
             try:
                 fragment = self._read(glsn)
@@ -152,12 +138,7 @@ class DurableFragmentStore(FragmentStore):
         """Drop a half-written append during recovery (never logged)."""
         if glsn not in self._fragments:
             return
-        del self._fragments[glsn]
-        self._accumulators.pop(glsn, None)
-        self._chain = [entry for entry in self._chain if entry[0] < glsn]
-        ticket_id = self.acl._glsn_owner.pop(glsn, None)
-        if ticket_id is not None:
-            entry = self.acl._entries.get(ticket_id)
-            if entry is not None:
-                entry.glsns.discard(glsn)
-        self._bump(glsn, present=False)
+        self._forget(glsn)
+        entry = self.acl._entries.get(self.acl._glsn_owner.pop(glsn, None))
+        if entry is not None:
+            entry.glsns.discard(glsn)

@@ -16,11 +16,7 @@ one is recovered:
    half-written append (vertical fragmentation puts every glsn on every
    node); such glsns are always a suffix of the log and are rolled back
    cluster-wide, restoring all-or-nothing append semantics.
-4. **Chain resume** — the cluster's running combined-ring anchor is
-   re-derived from the checkpoint value and the logged per-append chain
-   anchors, staying ``None`` (per-glsn fallback) whenever a delete or
-   eviction broke it before the crash.
-5. **Audit** — the recovered store immediately runs the §4.1 integrity
+4. **Audit** — the recovered store immediately runs the §4.1 integrity
    sweep (:func:`repro.resilience.recovery_audit`); recovery that cannot
    prove integrity is reported, not hidden.
 
@@ -61,8 +57,6 @@ class RecoveryReport:
     torn_nodes: list[str] = field(default_factory=list)
     #: Half-written appends rolled back cluster-wide.
     rolled_back: list[int] = field(default_factory=list)
-    #: True when the combined-ring chain anchor survived recovery.
-    chain_resumed: bool = False
     #: glsns present after recovery.
     glsns: int = 0
     duration_seconds: float = 0.0
@@ -188,11 +182,8 @@ def recover_store(
         restore_store(snapshot, authority, store=store)
 
         # -- WAL replay, idempotent, tolerating per-node torn tails -------
-        replays = {}
         for node_id, node in store.stores.items():
-            wal = store.wals[node_id]
-            replay = wal.replay()
-            replays[node_id] = replay
+            replay = store.wals[node_id].replay()
             node._replaying = True
             try:
                 for record in replay.entries:
@@ -215,26 +206,6 @@ def recover_store(
             for node in store.stores.values():
                 node.rollback_glsn(glsn)
         report.rolled_back = incomplete
-
-        # -- chain resume: walk the reference node's logged appends from
-        # the checkpointed running anchor; deletes/evictions break it the
-        # same way they did pre-crash. ------------------------------------
-        reference = plan.node_ids[0]
-        chain_value = store._chain_value
-        for record in replays[reference].entries:
-            op = record.get("op")
-            if op == "put":
-                if record["glsn"] in complete:
-                    chain_value = record.get("chain")
-            elif op in ("delete", "evict"):
-                chain_value = None
-        # Guard: a resumed anchor must cover exactly the surviving log.
-        if chain_value is not None and store.glsns:
-            anchored = store.stores[reference].chain_anchor_for(store.glsns)
-            if anchored != chain_value:
-                chain_value = None
-        store._chain_value = chain_value
-        report.chain_resumed = chain_value is not None
         report.glsns = len(store.glsns)
 
         # -- allocator fast-forward (only when we own the allocator) ------

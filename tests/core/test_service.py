@@ -157,8 +157,12 @@ class TestAuditingPath:
         }
         for ledger in (snapshot["crypto_ops"], snapshot["integrity_ops"]):
             assert not [key for key in ledger if key.startswith("offline.")]
-            parties = {k: v for k, v in ledger.items() if k != "total.modexp"}
-            assert all(key.endswith(".modexp") for key in parties)
+            # Besides modexps, the integrity ledger counts memo-reused folds.
+            assert all(k.endswith((".modexp", ".fold_reused")) for k in ledger)
+            parties = {
+                k: v for k, v in ledger.items()
+                if k.endswith(".modexp") and k != "total.modexp"
+            }
             assert ledger["total.modexp"] == sum(parties.values()) > 0
         assert "repro-precompute-refill" not in {
             thread.name for thread in threading.enumerate()
@@ -181,26 +185,51 @@ class TestTamperedCluster:
 
 
 class TestLargeIntegritySweep:
-    def test_sweep_past_4096_rows_keeps_no_per_fragment_state(self):
-        """The old witness-base memo held 4 096 entries and thrashed one
-        row later; the fixed-base table has no per-fragment entry to evict."""
+    def test_sweeps_fold_only_what_changed(self):
+        """Each node re-folds only the glsns whose inputs changed since its
+        last fold, and its memo holds exactly its live glsns — past the
+        4 096 rows where the deleted witness-base LRU thrashed."""
         schema = paper_table1_schema()
         service = ConfidentialAuditingService(
             schema, paper_fragment_plan(schema), prime_bits=64,
             rng=DeterministicRng(b"past-the-cliff"),
         )
-        ticket = service.register_user("u", {Operation.READ, Operation.WRITE})
-        rows = 4097
-        for i in range(rows):
-            service.log_event({"Tid": f"T{i}", "C1": i, "C2": i % 97}, ticket)
-        for _ in range(2):
-            reports = service.check_integrity()
-            assert len(reports) == rows and all(r.ok for r in reports)
-        # One fold per node per glsn per sweep.
-        expected = {f"{node}.modexp": 2 * rows for node in service.plan.node_ids}
-        assert service.integrity_ops.snapshot() == dict(
-            expected, **{"total.modexp": 2 * rows * len(service.plan.node_ids)}
+        nodes = service.plan.node_ids
+        ticket = service.register_user(
+            "u", {Operation.READ, Operation.WRITE, Operation.DELETE}
         )
+        rows = 4097
+
+        def log(start, count):
+            for i in range(start, start + count):
+                service.log_event({"Tid": f"T{i}", "C1": i, "C2": i % 97}, ticket)
+
+        def sweep() -> dict[str, int]:
+            before = service.integrity_ops.snapshot()
+            reports = service.check_integrity()
+            glsns = service.store.glsns
+            assert [r.glsn for r in reports] == glsns and all(r.ok for r in reports)
+            ops = service.integrity_ops.snapshot()
+            delta = {k: ops.get(k, 0) - before.get(k, 0) for k in ops}
+            # Every glsn is either folded or reused, at every node.
+            for node in nodes:
+                assert delta.get(f"{node}.modexp", 0) + delta.get(
+                    f"{node}.fold_reused", 0
+                ) == len(glsns)
+            assert delta.get("total.modexp", 0) + delta.get(
+                "total.fold_reused", 0
+            ) == len(nodes) * len(glsns)
+            return {node: delta.get(f"{node}.modexp", 0) for node in nodes}
+
+        log(0, rows)
+        assert sweep() == dict.fromkeys(nodes, rows)
+        assert sweep() == dict.fromkeys(nodes, 0)
+        log(rows, 5)
+        assert sweep() == dict.fromkeys(nodes, 5)
+        service.store.delete_record(service.store.glsns[7], ticket)
+        for node in nodes:
+            store = service.store.node_store(node)
+            assert len(store._folds) == len(store) == rows + 4
 
 
 class TestCountsAt512Bits:

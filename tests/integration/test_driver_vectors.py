@@ -17,6 +17,7 @@ scenario's bytes shrank once more, by the deleted ``"seq":N,`` key of each
 frame (``SEQ_ERA_BYTES`` keeps the figures from before, and
 :func:`test_recorded_bytes_shrank_by_exactly_the_seq_keys` pins the
 difference).  Message counts, folds, ledgers and reports are unchanged.
+The combined product-fold ring's two scenarios went with that ring.
 """
 
 import pytest
@@ -34,7 +35,6 @@ from repro.logstore import (
 )
 from repro.logstore.integrity import (
     run_batched_integrity_round,
-    run_combined_integrity_round,
     run_integrity_round,
 )
 from repro.net.simnet import SimNetwork
@@ -78,18 +78,12 @@ def _smc(driver, *args, **kwargs):
     return run
 
 
-def _integrity(driver, tamper: bool = False, **kwargs):
+def _integrity(driver, **kwargs):
     def run(prime):
         store = _store()
-        if tamper:
-            store.node_store("P1").tamper(store.glsns[2], "C2", "999.99")
         net, crypto = SimNetwork(), CryptoOpCounter()
         reports = driver(store, net=net, crypto=crypto, **kwargs)
-        batch = reports if isinstance(reports, list) else reports.reports
-        answer = [r.ok for r in batch]
-        if not isinstance(reports, list):
-            answer = {"ok": reports.ok, "mode": reports.mode, "reports": answer}
-        return answer, net, crypto.ops["total.modexp"], []
+        return [r.ok for r in reports], net, crypto.ops["total.modexp"], []
 
     return run
 
@@ -112,10 +106,6 @@ SCENARIOS = {
     "ranking": _smc(secure_ranking, VALUES),
     "integrity_per_glsn": _integrity(run_integrity_round, initiator="P2"),
     "integrity_batched": _integrity(run_batched_integrity_round),
-    "integrity_combined": _integrity(run_combined_integrity_round),
-    "integrity_combined_localised": _integrity(
-        run_combined_integrity_round, tamper=True
-    ),
 }
 
 
@@ -156,23 +146,6 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                        'by_kind': {'integ.mdone': 1, 'integ.mpass': 3},
                        'modexp': 20,
                        'ledger': []},
- 'integrity_combined': {'answer': {'ok': True, 'mode': 'combined', 'reports': []},
-                        'messages': 4,
-                        'bytes': 794,
-                        'by_kind': {'integ.cdone': 1, 'integ.cpass': 3},
-                        'modexp': 4,
-                        'ledger': []},
- 'integrity_combined_localised': {'answer': {'ok': False,
-                                             'mode': 'combined',
-                                             'reports': [True, True, False, True, True]},
-                                  'messages': 8,
-                                  'bytes': 2167,
-                                  'by_kind': {'integ.cdone': 1,
-                                              'integ.cpass': 3,
-                                              'integ.mdone': 1,
-                                              'integ.mpass': 3},
-                                  'modexp': 24,
-                                  'ledger': []},
  'integrity_per_glsn': {'answer': [True, True, True, True, True],
                         'messages': 20,
                         'bytes': 3239,
@@ -252,8 +225,6 @@ SEQ_ERA_BYTES = {
     "compare_batch": 510,
     "equality": 468,
     "integrity_batched": 1403,
-    "integrity_combined": 826,
-    "integrity_combined_localised": 2231,
     "integrity_per_glsn": 3410,
     "intersection": 1926,
     "intersection_shuffled": 1887,

@@ -1,26 +1,50 @@
-"""The per-``Fragment`` digest memo never outlives a rewrite.
+"""The integrity memos never outlive a rewrite.
 
 Every integrity path reads ``Fragment.digest_exponent()``, computed once
-per object.  Each way a stored fragment can change — a tamper, its
-restore, a delete and re-append, a replayed WAL tamper record, a snapshot
-reload — installs a *new* ``Fragment``, so a check that ran (and filled
-the memos) before the rewrite must still flag exactly the rewritten glsn
-afterwards, and be clean again once the value is put back.
+per object, and each ring node reuses its last fold of a glsn when the
+incoming token value and that exponent are unchanged
+(``FragmentStore.fold``).  Each way a stored fragment can change — a
+tamper, its restore, a delete and re-append, a replayed WAL tamper
+record, a snapshot reload — installs a *new* ``Fragment``, so a check that
+ran (and filled the memos) before the rewrite must still flag exactly the
+rewritten glsn afterwards, and be clean again once the value is put back.
+:class:`FoldMemoMachine` checks the ring's fold memo against a memo-free
+reference fold over random histories.
 """
 
+import shutil
+import sys
+import tempfile
+import threading
+
 import pytest
+from hypothesis import HealthCheck, Phase, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.rng import DeterministicRng
 from repro.crypto.tickets import Operation
+from repro.crypto.tickets import TicketAuthority
+from repro.errors import ReproError
+from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.logstore.integrity import (
     IntegrityChecker,
+    IntegrityNode,
     run_batched_integrity_round,
     run_combined_integrity_round,
     run_integrity_round,
 )
 from repro.logstore.persistence import restore_store, snapshot_store
-from repro.resilience import recovery_audit
+from repro.logstore.store import FragmentStore
+from repro.net.simnet import SimNetwork
+from repro.resilience import recovery_audit, ring_avoiding
 from repro.store import StoreConfig, open_durable_store
 from repro.workloads import paper_table1_rows
 
@@ -123,3 +147,228 @@ def test_memo_is_not_part_of_a_fragments_identity(populated_store):
     assert read == unread and repr(read) == repr(unread)
     with pytest.raises(TypeError):
         Fragment(**fields, _digest_exponent=3)
+
+
+# -- the ring's fold memo against a memo-free reference ------------------------
+
+_PARAMS = AccumulatorParams.generate(128, DeterministicRng(b"fold-memo"))
+_NODES = ("P0", "P1", "P2", "P3")
+
+
+def reference_reports(store, initiator: str, order: list[str]) -> list[tuple]:
+    """(glsn, ok, expected, observed) from a plain ``pow`` chain per glsn."""
+    n = store.accumulator.params.n
+    out = []
+    for glsn in store.glsns:
+        value = store.accumulator.params.x0
+        for node_id in order:
+            exponent = store.stores[node_id].local_fragment(glsn).digest_exponent()
+            value = pow(value, exponent, n)
+        expected = store.stores[initiator].expected_accumulator(glsn)
+        out.append((glsn, value == expected, expected, value))
+    return out
+
+
+def ring_sweep(store, order: list[str]) -> list[tuple]:
+    """One batched token round the ring in ``order`` (initiator first), as
+    the failover supervisor launches it after routing around a link."""
+    net = SimNetwork()
+    nodes = {
+        node_id: IntegrityNode(node_id, store.stores[node_id], store.accumulator, order)
+        for node_id in order
+    }
+    for node_id, node in nodes.items():
+        net.register(node_id, node.handle)
+    glsns = store.glsns
+    nodes[order[0]].start_batch_check(net, glsns)
+    net.run()
+    reports = nodes[order[0]].state.reports
+    return [(g, reports[g].ok, reports[g].expected, reports[g].observed) for g in glsns]
+
+
+class FoldMemoMachine(RuleBasedStateMachine):
+    """Random appends, tampers at any node, restores, deletes, replayed WAL
+    tamper records and sweeps over reordered rings; after every sweep each
+    per-glsn report equals the memo-free reference fold, and a glsn fails
+    exactly while one of its fragments differs from what was written."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="fold-memo-")
+        authority = TicketAuthority(b"fold-memo-master-secret-0123456789")
+        self.store, _ = open_durable_store(
+            paper_fragment_plan(paper_table1_schema()), authority, _PARAMS,
+            self.directory, config=StoreConfig(fsync="off", compact=False),
+        )
+        self.ticket = authority.issue(
+            "U1", {Operation.READ, Operation.WRITE, Operation.DELETE}
+        )
+        self.rows = paper_table1_rows()
+        self.written: dict[tuple[str, int], dict] = {}  # (node, glsn) -> values
+
+    def teardown(self) -> None:
+        self.store.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _fragment(self, data, tampered: bool | None = None):
+        """A (node, glsn, attribute) of a stored fragment with values."""
+        pairs = sorted(
+            (node_id, glsn)
+            for (node_id, glsn), values in self.written.items()
+            if values and (tampered is None or tampered == self._tampered(node_id, glsn))
+        )
+        if not pairs:
+            return None
+        node_id, glsn = data.draw(st.sampled_from(pairs))
+        attribute = data.draw(st.sampled_from(sorted(self.written[node_id, glsn])))
+        return node_id, glsn, attribute
+
+    def _tampered(self, node_id: str, glsn: int) -> bool:
+        stored = self.store.node_store(node_id).local_fragment(glsn).values
+        return dict(stored) != self.written[node_id, glsn]
+
+    @rule(row=st.integers(0, 4))
+    def append(self, row: int) -> None:
+        glsn = self.store.append(self.rows[row], self.ticket).glsn
+        for node_id in _NODES:
+            fragment = self.store.node_store(node_id).local_fragment(glsn)
+            self.written[node_id, glsn] = dict(fragment.values)
+
+    @precondition(lambda self: self.written)
+    @rule(data=st.data(), replayed=st.booleans(), value=st.integers(10**6, 10**6 + 3))
+    def tamper(self, data, replayed: bool, value: int) -> None:
+        picked = self._fragment(data)
+        if picked is None:
+            return
+        node_id, glsn, attribute = picked
+        node = self.store.node_store(node_id)
+        if replayed:
+            node.apply_wal_record(
+                {"op": "tamper", "glsn": glsn, "attribute": attribute, "value": value}
+            )
+        else:
+            node.tamper(glsn, attribute, value)
+
+    @precondition(lambda self: self.written)
+    @rule(data=st.data())
+    def restore(self, data) -> None:
+        picked = self._fragment(data, tampered=True)
+        if picked is None:
+            return
+        node_id, glsn, _ = picked
+        for attribute, value in self.written[node_id, glsn].items():
+            self.store.node_store(node_id).tamper(glsn, attribute, value)
+
+    @precondition(lambda self: self.written)
+    @rule(data=st.data())
+    def delete(self, data) -> None:
+        glsn = data.draw(st.sampled_from(self.store.glsns))
+        self.store.delete_record(glsn, self.ticket)
+        for node_id in _NODES:
+            del self.written[node_id, glsn]
+
+    @rule(
+        initiator=st.sampled_from(_NODES[:2]),
+        avoid=st.one_of(
+            st.just(set()),
+            st.sets(st.permutations(_NODES).map(lambda p: tuple(p[:2])), max_size=2),
+        ),
+        supervised=st.booleans(),
+    )
+    def sweep(self, initiator: str, avoid: set, supervised: bool) -> None:
+        # The supervised round (the service's path) runs the default ring.
+        order = ring_avoiding(_NODES, frozenset() if supervised else frozenset(avoid))
+        pivot = order.index(initiator)
+        order = order[pivot:] + order[:pivot]
+        if supervised:
+            reports = [
+                (r.glsn, r.ok, r.expected, r.observed)
+                for r in run_batched_integrity_round(self.store, initiator=initiator)
+            ]
+        else:
+            reports = ring_sweep(self.store, order)
+        assert reports == reference_reports(self.store, initiator, order)
+        failing = [glsn for glsn, ok, _, _ in reports if not ok]
+        assert failing == sorted(
+            {glsn for node_id, glsn in self.written if self._tampered(node_id, glsn)}
+        )
+
+    @invariant()
+    def memo_holds_only_live_glsns(self) -> None:
+        for node_id in _NODES:
+            node = self.store.node_store(node_id)
+            assert set(node._folds) <= set(node._fragments)
+
+
+FoldMemoMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestFoldMemoTwins = FoldMemoMachine.TestCase
+
+
+def test_a_memo_keyed_on_glsn_alone_is_caught(monkeypatch):
+    """Mutation check: a memo that ignores its inputs misses a tamper."""
+
+    def glsn_only_fold(self, glsns, incoming, compute):
+        misses = [(g, x) for g, x in zip(glsns, incoming) if g not in self._folds]
+        exponents = [self.local_fragment(g).digest_exponent() for g, _ in misses]
+        results = compute([x for _, x in misses], exponents)
+        for (glsn, value), exponent, result in zip(misses, exponents, results):
+            self._folds[glsn] = (value, exponent, result)
+        return [self._folds[g][2] for g in glsns], len(misses)
+
+    monkeypatch.setattr(FragmentStore, "fold", glsn_only_fold)
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(
+            FoldMemoMachine,
+            settings=settings(
+                max_examples=200, stateful_step_count=25, deadline=None,
+                derandomize=True, phases=[Phase.generate],
+                suppress_health_check=[HealthCheck.too_slow],
+            ),
+        )
+
+
+def test_concurrent_sweeps_and_deletes_keep_the_memo_within_the_log(populated_store):
+    """Three sweeping threads race a deleting one: a fold's write-back must
+    never re-add a glsn that a delete forgot meanwhile."""
+    store, ticket, _ = populated_store
+    for i in range(150):
+        store.append({"Tid": f"S{i}", "C1": i}, ticket)
+    stop = threading.Event()
+    completed = []
+
+    def sweeper():
+        while not stop.is_set():
+            try:
+                reports = run_batched_integrity_round(store)
+            except ReproError:  # a glsn deleted under the token
+                continue
+            completed.append(all(r.ok for r in reports))
+
+    def deleter():
+        for glsn in store.glsns[:-10]:
+            store.delete_record(glsn, ticket)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweepers = [threading.Thread(target=sweeper) for _ in range(3)]
+        for thread in sweepers:
+            thread.start()
+        deleting = threading.Thread(target=deleter)
+        deleting.start()
+        deleting.join(timeout=60)
+        stop.set()
+        for thread in sweepers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not deleting.is_alive() and not any(t.is_alive() for t in sweepers)
+    assert all(completed)  # sweeps that finished mid-race were exact
+    for node in store.stores.values():
+        assert set(node._folds) <= set(node._fragments)
+    assert all(r.ok for r in run_batched_integrity_round(store))
+    for node in store.stores.values():
+        assert set(node._folds) == set(node._fragments)

@@ -89,3 +89,29 @@ class TestRingProtocol:
         ring = {r.glsn: r.ok for r in run_integrity_round(store)}
         local = {r.glsn: r.ok for r in IntegrityChecker(store).check_all()}
         assert ring == local
+
+
+class TestWritePath:
+    def test_append_is_one_fixed_base_power(self, populated_store, monkeypatch):
+        """The anchor is the write path's only accumulator work: no pow, no
+        per-append fold of a running log-wide value."""
+        from repro.crypto import accumulator as acc_module
+
+        store, ticket, _ = populated_store
+        acc = store.accumulator
+        folds = ("fold_product", "step", "step_many")
+        calls = dict.fromkeys(("base_power", "pow") + folds, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("base_power",) + folds:
+            monkeypatch.setattr(acc, name, counting(name, getattr(acc, name)))
+        monkeypatch.setattr(acc_module, "pow", counting("pow", pow), raising=False)
+        receipt = store.append({"id": "U9", "C1": 7, "C2": 3.5}, ticket)
+        assert calls == dict.fromkeys(calls, 0) | {"base_power": 1}
+        assert IntegrityChecker(store).check_glsn(receipt.glsn).ok

@@ -1,4 +1,4 @@
-"""Tests for the batched / combined §4.1 integrity rings."""
+"""Tests for the batched §4.1 integrity ring and its pinned combined names."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.logstore.integrity import (
     run_combined_integrity_round,
     run_integrity_round,
 )
-from repro.net.faults import FaultPlan
 from repro.net.simnet import SimNetwork
 from repro.resilience import RetryPolicy
 
@@ -53,54 +52,35 @@ class TestBatchedRing:
 
 
 class TestCombinedRing:
-    def test_clean_log_single_pow_per_hop(self, populated_store):
-        store, _, _ = populated_store
-        net = SimNetwork()
-        verdict = run_combined_integrity_round(store, net=net)
-        assert verdict.ok and verdict.mode == "combined"
-        assert verdict.observed == verdict.expected
-        assert net.stats.messages == len(store.stores)
+    """The combined product-fold ring is retired; its two pinned names run
+    the batched round and return its reports as one per-glsn verdict."""
 
     def test_tamper_detected_and_localized(self, populated_store):
         store, _, receipts = populated_store
         store.node_store("P1").tamper(receipts[2].glsn, "C2", "999999.99")
         verdict = run_combined_integrity_round(store)
-        assert not verdict.ok and verdict.mode == "combined"
-        assert verdict.observed != verdict.expected
+        assert not verdict.ok and verdict.mode == "per-glsn"
         bad = [r.glsn for r in verdict.reports if not r.ok]
         assert bad == [receipts[2].glsn]
-
-    def test_localize_false_skips_fallback(self, populated_store):
-        store, _, receipts = populated_store
-        store.node_store("P1").tamper(receipts[0].glsn, "C2", "0.00")
-        verdict = run_combined_integrity_round(store, localize=False)
-        assert not verdict.ok and verdict.reports == ()
+        assert list(verdict.reports) == run_batched_integrity_round(store)
 
     def test_delete_falls_back_to_per_glsn(self, populated_store):
-        """No chain anchor covers a log with a hole; per-glsn still works."""
         store, ticket, receipts = populated_store
         store.delete_record(receipts[2].glsn, ticket)
         verdict = run_combined_integrity_round(store)
         assert verdict.mode == "per-glsn"
         assert verdict.ok and len(verdict.reports) == 4
-        assert verdict.expected is None
-
-    def test_subset_request_uses_prefix_anchor(self, populated_store):
-        store, _, receipts = populated_store
-        prefix = [r.glsn for r in receipts[:3]]
-        verdict = run_combined_integrity_round(store, glsns=prefix)
-        assert verdict.ok and verdict.mode == "combined"
 
     def test_non_prefix_request_falls_back(self, populated_store):
         store, _, receipts = populated_store
         scattered = [receipts[1].glsn, receipts[4].glsn]
         verdict = run_combined_integrity_round(store, glsns=scattered)
         assert verdict.mode == "per-glsn" and verdict.ok
-
+        assert verdict.glsns == tuple(scattered)
 
     @pytest.mark.parametrize("resilience", [None, RetryPolicy()], ids=["plain", "resilient"])
     def test_one_node_set_per_launch(self, populated_store, monkeypatch, resilience):
-        """A clean combined round is one launch: one IntegrityNode per store."""
+        """A clean round is one launch: one IntegrityNode per store."""
         store, _, _ = populated_store
         built = []
 
@@ -113,32 +93,8 @@ class TestCombinedRing:
         verdict = run_combined_integrity_round(
             store, net=SimNetwork(resilience=resilience)
         )
-        assert verdict.ok and verdict.mode == "combined"
+        assert verdict.ok and verdict.verified
         assert sorted(built) == sorted(store.stores)
-
-    def test_node_lost_before_localising_round_is_unverified(self, populated_store):
-        """The combined mismatch stands (its fold was complete), but a
-        localising round that had to exclude a node cannot name glsns."""
-        store, _, receipts = populated_store
-        store.node_store("P1").tamper(receipts[2].glsn, "C2", "999999.99")
-
-        class CrashAfterCombinedVerdict(FaultPlan):
-            def decide(self, msg):
-                decision = super().decide(msg)
-                if msg.kind == "integ.cdone":
-                    self.crash("P2")
-                return decision
-
-        net = SimNetwork(resilience=RetryPolicy(), faults=CrashAfterCombinedVerdict())
-        verdict = run_combined_integrity_round(store, net=net)
-        assert not verdict.ok and verdict.mode == "combined"
-        assert verdict.observed != verdict.expected
-        assert not verdict.verified and verdict.skipped_nodes == ("P2",)
-        assert len(verdict.reports) == len(receipts)
-        assert all(
-            not r.ok and not r.verified and r.skipped_nodes == ("P2",)
-            for r in verdict.reports
-        )
 
 
 class TestCheckerMemoization:

@@ -81,68 +81,34 @@ class TestSnapshotRestore:
         restored = restore_store(snapshot_store(store), ticket_authority)
         assert restored.read_record(receipt.glsn, ticket).values["C3"] == b"\x00\xffraw"
 
-
-class TestChainStateRoundTrip:
-    """Format-v2 regression suite: the combined ring's chain state must
-    survive a snapshot round-trip — including after ``move_shard``
-    evictions, which the v1 format silently corrupted."""
-
-    def test_chain_value_and_anchors_survive(self, populated_store, ticket_authority):
-        store, _, receipts = populated_store
-        restored = restore_store(snapshot_store(store), ticket_authority)
-        assert restored._chain_value == store._chain_value
-        glsns = [r.glsn for r in receipts]
-        for node_id in store.plan.node_ids:
-            original = store.node_store(node_id)
-            node = restored.node_store(node_id)
-            assert node._chain == original._chain
-            assert node.chain_anchor_for(glsns) == original.chain_anchor_for(glsns)
-            assert node.chain_anchor_for(glsns) is not None
-
-    def test_suspended_chain_stays_suspended(self, populated_store, ticket_authority):
-        store, ticket, receipts = populated_store
-        store.delete_record(receipts[0].glsn, ticket)
-        assert store._chain_value is None
-        restored = restore_store(snapshot_store(store), ticket_authority)
-        assert restored._chain_value is None
-
     def test_eviction_round_trip_preserves_state(
         self, populated_store, ticket_authority
     ):
-        # Simulate what move_shard does to the source ring: evict one
-        # glsn on every node, then suspend the cluster chain.
-        store, ticket, receipts = populated_store
+        # What move_shard does to the source ring: evict one glsn on
+        # every node.
+        store, _, receipts = populated_store
         evicted = receipts[1].glsn
         for node_id in store.plan.node_ids:
             store.node_store(node_id).evict(evicted)
-        store.suspend_chain()
-
         restored = restore_store(snapshot_store(store), ticket_authority)
         assert restored.glsns == store.glsns
         assert evicted not in restored.glsns
-        assert restored._chain_value is None
-        for node_id in store.plan.node_ids:
-            original = store.node_store(node_id)
-            node = restored.node_store(node_id)
-            # v1 dropped the chain entirely (len 0); v2 keeps the pruned
-            # prefix that still vouches for pre-eviction glsns.
-            assert node._chain == original._chain
-        # The restored store still verifies cleanly.
         reports = IntegrityChecker(restored).check_all()
         assert reports and all(r.ok for r in reports)
 
-    def test_v1_snapshot_restores_with_chain_suspended(
+    def test_legacy_chain_fields_are_ignored(
         self, populated_store, ticket_authority
     ):
+        """v1 documents and v2 documents that still carry the retired
+        combined ring's chain fields load to the same store."""
         store, _, _ = populated_store
-        snapshot = snapshot_store(store)
-        # Rewrite as a v1 document: no chain state anywhere.
-        snapshot["format"] = 1
-        snapshot.pop("chain_value")
-        for body in snapshot["nodes"].values():
-            body.pop("chain")
-        restored = restore_store(snapshot, ticket_authority)
-        assert restored.glsns == store.glsns
-        # Resuming the fold from x0 would deposit wrong anchors; a v1
-        # restore of a non-empty store must suspend instead.
-        assert restored._chain_value is None
+        current = snapshot_store(store)
+        assert "chain_value" not in current
+        legacy = dict(current, chain_value="abc")
+        legacy["nodes"] = {
+            node_id: dict(body, chain=[[0, "abc"]])
+            for node_id, body in current["nodes"].items()
+        }
+        for document in (dict(current, format=1), legacy):
+            restored = restore_store(document, ticket_authority)
+            assert snapshot_store(restored) == current

@@ -48,15 +48,12 @@ class TestCleanRestart:
             table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config
         )
         expected = snapshot_store(store)
-        chain_value = store._chain_value
         store.close()
         recovered, report = reopen(
             table1_plan, ticket_authority, acc_params, tmp_path, fast_config
         )
         assert report.audit_ok and not report.rolled_back
         assert snapshot_store(recovered) == expected
-        assert recovered._chain_value == chain_value
-        assert report.chain_resumed
         for receipt, row in zip(receipts, rows):
             assert recovered.read_record(receipt.glsn, ticket).values == row
         recovered.close()
@@ -96,7 +93,7 @@ class TestCleanRestart:
         assert new.glsn > max(r.glsn for r in receipts)
         recovered.close()
 
-    def test_delete_keeps_chain_suspended_across_recovery(
+    def test_delete_survives_recovery(
         self, table1_plan, ticket_authority, acc_params, fast_config, tmp_path
     ):
         store, ticket, receipts = build(
@@ -104,12 +101,10 @@ class TestCleanRestart:
             paper_table1_rows(), fast_config,
         )
         store.delete_record(receipts[1].glsn, ticket)
-        assert store._chain_value is None
         crash(store)
         recovered, report = reopen(
             table1_plan, ticket_authority, acc_params, tmp_path, fast_config
         )
-        assert recovered._chain_value is None and not report.chain_resumed
         assert receipts[1].glsn not in recovered.glsns
         assert report.audit_ok
         recovered.close()

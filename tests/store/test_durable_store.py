@@ -33,6 +33,19 @@ class TestWritePath:
             ops = [e["op"] for e in wal.replay().entries]
             assert ops == ["put", "put", "delete"]
 
+    def test_put_records_carry_no_chain_and_old_ones_replay(self, durable_store):
+        """The per-append chain anchor is gone from the WAL; a ``put``
+        written by an older store with a ``"chain"`` field still replays."""
+        store, ticket, _ = durable_store
+        receipt = store.append(paper_table1_rows()[0], ticket)
+        node = store.node_store("P1")
+        [record] = store.wals["P1"].replay().entries
+        assert "chain" not in record
+        node.delete(receipt.glsn, ticket)
+        node.apply_wal_record(dict(record, chain=12345))
+        assert node.glsns == [receipt.glsn]
+        assert all(r.ok for r in IntegrityChecker(store).check_all())
+
     def test_append_batch_one_sync_per_batch(self, durable_store):
         store, ticket, _ = durable_store
         receipts = store.append_batch(paper_table1_rows(), ticket)
