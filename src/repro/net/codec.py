@@ -1,27 +1,33 @@
-"""Wire codec: length-prefixed JSON framing with big-int support.
+"""Wire codec: a JSON envelope followed by fixed-width binary element blocks.
 
-The real-socket transport and the simulated network share one encoding so
-byte counts are comparable.  JSON is the body format; Python's arbitrary-
-precision ints (ciphertexts, shares, commitments routinely exceed 2^64) are
-encoded losslessly as ``{"__bigint__": "<hex>"}`` wrappers, and ``bytes`` as
-``{"__bytes__": "<hex>"}``.  Frames are ``4-byte big-endian length ||
-4-byte CRC-32 of the body || body``; the checksum lets stream transports
-*detect* payload corruption (a tampered or bit-flipped frame) instead of
-dispatching garbage — the resilience layer then treats a corrupt frame as
-a loss and repairs it by retransmission.
+The socket transport, the simulated network and the write-ahead log share
+one encoding, so byte counts are comparable.  A body is ``envelope length
+(4B BE) || envelope (UTF-8 JSON) || blocks``.  The envelope is the value as
+JSON with each *block* replaced by a placeholder naming its shape; blocks
+follow in placeholder order (depth-first), each a run of big-endian
+elements of one width:
 
-Batched fast path: an all-int list containing at least one big int — the
-shape of every ciphertext vector the SMC ring protocols ship — encodes as
-one flat ``{"__bigints__": ["<hex>", ...]}`` wrapper instead of a
-per-element dict, cutting per-element framing overhead roughly 4×.
-Decoding accepts both forms, so new readers remain wire-compatible with
-frames produced by the legacy per-element encoder.
+- an all-int list of ≥ 2 elements (bools excluded): ``{"__ints__": [count, width]}``;
+- a lone int outside ±2^53 (JSON readers lose precision): ``{"__int__": width}``;
+- ``bytes``: ``{"__bytes__": length}``, the raw bytes.
+
+The width is ``⌈bit_length(max |v|)/8⌉`` (≥ 1); a block holding a negative
+value is two's complement, one bit wider, and records its width negated.
+So a body is ``4 + len(envelope) + Σ count × |width|`` bytes, which
+:func:`encoded_size` computes from the layout it shares with
+:func:`encode_message`, converting no element to bytes.
+
+Frames are ``4-byte length || 4-byte CRC-32 of the body || body`` (both
+big-endian); the checksum lets stream transports *detect* a corrupted
+frame, a loss the resilience layer repairs by retransmission.  Every
+malformed body raises :class:`CodecError`.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from itertools import repeat
 from typing import Any, Callable
 
 from repro.errors import CodecError
@@ -40,139 +46,131 @@ __all__ = [
 
 _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB guard against corrupted length prefixes
 _JSON_SAFE_INT = 1 << 53       # beyond this, ints round-trip unreliably via JSON readers
+_INT, _INTS, _BYTES = "__int__", "__ints__", "__bytes__"
+_RESERVED_KEYS = (_INT, _INTS, _BYTES)
+_DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
-_RESERVED_KEYS = ("__bigint__", "__bigints__", "__bytes__")
+def _width(lo: int, hi: int) -> int:
+    """Element width of a block spanning ``[lo, hi]``; negative = signed."""
+    if lo >= 0:
+        return (hi.bit_length() + 7) // 8 or 1
+    return -((max(hi, ~lo).bit_length() + 8) // 8)
 
 
-def _int_to_hex(value: int) -> str:
-    sign = "-" if value < 0 else ""
-    return sign + format(abs(value), "x")
-
-
-def _hex_to_int(text: str) -> int:
-    negative = text.startswith("-")
-    return -int(text[1:], 16) if negative else int(text, 16)
-
-
-def _batchable(value) -> bool:
-    """All-int list (bools excluded) with at least one JSON-unsafe element."""
-    if len(value) < 2:
-        return False
-    big = False
-    for v in value:
-        if type(v) is not int:
-            return False
-        if not big and not -_JSON_SAFE_INT < v < _JSON_SAFE_INT:
-            big = True
-    return big
-
-
-def _pack(value: Any) -> Any:
-    """Recursively wrap big ints and bytes into JSON-safe structures."""
-    if isinstance(value, bool):
+def _layout(value: Any, blocks: list) -> Any:
+    """Envelope form of ``value``; appends ``(data, count, width)`` per block."""
+    if value is None or isinstance(value, (bool, str, float)):
         return value
     if isinstance(value, int):
         if -_JSON_SAFE_INT < value < _JSON_SAFE_INT:
             return value
-        return {"__bigint__": _int_to_hex(value)}
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
+        blocks.append((int(value), 1, _width(value, value)))
+        return {_INT: blocks[-1][2]}
     if isinstance(value, (list, tuple)):
-        if _batchable(value):
-            return {"__bigints__": [_int_to_hex(v) for v in value]}
-        return [_pack(v) for v in value]
+        if len(value) > 1 and type(value[0]) is int and set(map(type, value)) == {int}:
+            blocks.append((value, len(value), _width(min(value), max(value))))
+            return {_INTS: [len(value), blocks[-1][2]]}
+        return [_layout(v, blocks) for v in value]
     if isinstance(value, dict):
-        packed = {}
-        for key, val in value.items():
-            if not isinstance(key, str):
-                raise CodecError(f"message dict keys must be str, got {key!r}")
-            if key in _RESERVED_KEYS:
-                raise CodecError(f"reserved key {key!r} in payload")
-            packed[key] = _pack(val)
-        return packed
-    if value is None or isinstance(value, (str, float)):
-        return value
+        for key in value:
+            if not isinstance(key, str) or key in _RESERVED_KEYS:
+                raise CodecError(f"payload dict key {key!r} is not a str or is reserved")
+        return {key: _layout(val, blocks) for key, val in value.items()}
+    if isinstance(value, bytes):
+        blocks.append((value, len(value), 1))
+        return {_BYTES: len(value)}
     raise CodecError(f"cannot encode value of type {type(value)!r}")
 
 
-def _unpack(value: Any) -> Any:
-    """Inverse of :func:`_pack` (accepts batched and legacy big-int forms)."""
-    if isinstance(value, list):
-        return [_unpack(v) for v in value]
-    if isinstance(value, dict):
-        if set(value) == {"__bigint__"}:
-            return _hex_to_int(value["__bigint__"])
-        if set(value) == {"__bigints__"}:
-            return [_hex_to_int(text) for text in value["__bigints__"]]
-        if set(value) == {"__bytes__"}:
-            return bytes.fromhex(value["__bytes__"])
-        return {k: _unpack(v) for k, v in value.items()}
-    return value
+def _message_layout(msg: Message) -> tuple[bytes, list]:
+    blocks: list = []
+    envelope = {"src": msg.src, "dst": msg.dst, "kind": msg.kind,
+                "payload": _layout(msg.payload, blocks)}
+    extra = {"mid": msg.msg_id, "ch": msg.channel, "tid": msg.trace_id, "psp": msg.parent_span_id}
+    envelope.update((key, value) for key, value in extra.items() if value is not None)
+    return _dumps(envelope), blocks
+
+
+def _dumps(envelope: Any) -> bytes:
+    try:
+        return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"failed to encode envelope: {exc}") from exc
+
+
+def _body(head: bytes, blocks: list) -> bytes:
+    parts = [len(head).to_bytes(4, "big"), head]
+    for data, _, width in blocks:
+        signed, width = width < 0, abs(width)
+        if isinstance(data, bytes):
+            parts.append(data)
+        elif isinstance(data, int):
+            parts.append(data.to_bytes(width, "big", signed=signed))
+        elif signed:
+            parts.extend(v.to_bytes(width, "big", signed=True) for v in data)
+        else:
+            parts.extend(map(int.to_bytes, data, repeat(width), repeat("big")))
+    return b"".join(parts)
 
 
 def encode_payload(value: Any) -> bytes:
-    """Serialize one bare payload value (no message envelope).
-
-    The same big-int/bytes wrapping as :func:`encode_message` — including
-    the batched ``__bigints__`` fast path — so non-wire consumers (the
-    durable store's write-ahead log) share the wire codec instead of
-    inventing a second losslessly-big-int format.
-    """
-    try:
-        return json.dumps(_pack(value), separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"failed to encode payload: {exc}") from exc
+    """Serialize a bare value (the write-ahead log's record body) in the same layout."""
+    blocks: list = []
+    return _body(_dumps(_layout(value, blocks)), blocks)
 
 
 def decode_payload(data: bytes) -> Any:
-    """Inverse of :func:`encode_payload`."""
+    """Inverse of :func:`encode_payload`: each placeholder takes the next
+    block as the JSON parser closes it, which is placeholder (= block) order."""
+    data = bytes(data)
+    offset = 4 + int.from_bytes(data[:4], "big")
+    if len(data) < 4 or offset > len(data):
+        raise CodecError(f"truncated envelope in a {len(data)}-byte body")
+
+    def take(obj: dict) -> Any:
+        nonlocal offset
+        key = next(iter(obj), None)
+        if len(obj) != 1 or key not in _RESERVED_KEYS:
+            return obj
+        shape = obj[key]
+        count, width = shape if key == _INTS else (1, shape) if key == _INT else (shape, 1)
+        if type(count) is not int or type(width) is not int or count < 0 or not width:
+            raise CodecError(f"malformed block shape {obj!r}")
+        signed, width, start = width < 0, abs(width), offset
+        offset += count * width
+        if offset > len(data):
+            raise CodecError(f"truncated block: {offset - len(data)} bytes short")
+        if key == _BYTES:
+            return data[start:offset]
+        if key == _INT:
+            return int.from_bytes(data[start:offset], "big", signed=signed)
+        return [int.from_bytes(data[i : i + width], "big", signed=signed)
+                for i in range(start, offset, width)]
+
     try:
-        return _unpack(json.loads(data.decode("utf-8")))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"failed to decode payload: {exc}") from exc
+        value = json.loads(data[4:offset].decode("utf-8"), object_hook=take)
+    except _DECODE_ERRORS as exc:
+        raise CodecError(f"failed to decode body: {exc!r}") from exc
+    if offset != len(data):
+        raise CodecError(f"{len(data) - offset} trailing bytes after blocks")
+    return value
 
 
 def encode_message(msg: Message) -> bytes:
     """Serialize a message body (without frame header)."""
-    try:
-        body = {
-            "src": msg.src,
-            "dst": msg.dst,
-            "kind": msg.kind,
-            "payload": _pack(msg.payload),
-        }
-        if msg.msg_id is not None:
-            body["mid"] = msg.msg_id
-        if msg.channel is not None:
-            body["ch"] = msg.channel
-        if msg.trace_id is not None:
-            body["tid"] = msg.trace_id
-        if msg.parent_span_id is not None:
-            body["psp"] = msg.parent_span_id
-        return json.dumps(body, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"failed to encode message {msg.kind!r}: {exc}") from exc
+    return _body(*_message_layout(msg))
 
 
 def decode_message(data: bytes) -> Message:
     """Deserialize a message body produced by :func:`encode_message`."""
-    try:
-        body = json.loads(data.decode("utf-8"))
-        msg = Message(
-            src=body["src"],
-            dst=body["dst"],
-            kind=body["kind"],
-            payload=_unpack(body.get("payload")),
-        )
-        msg.msg_id = body.get("mid")
-        msg.channel = body.get("ch")
-        msg.trace_id = body.get("tid")
-        msg.parent_span_id = body.get("psp")
-        msg.size_bytes = len(data)
-        return msg
-    except (KeyError, ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"failed to decode message: {exc}") from exc
+    body = decode_payload(data)
+    get = body.get if type(body) is dict else {}.get
+    if not type(get("src")) is type(get("dst")) is type(get("kind")) is str:
+        raise CodecError(f"a {type(body).__name__} body is not a message envelope")
+    return Message(get("src"), get("dst"), get("kind"), get("payload"), size_bytes=len(data),
+                   msg_id=get("mid"), channel=get("ch"), trace_id=get("tid"),
+                   parent_span_id=get("psp"))
 
 
 #: Bytes of frame header: 4-byte length + 4-byte CRC-32 of the body.
@@ -194,12 +192,10 @@ def decode_frames(
 ) -> list[Message]:
     """Pull every complete frame out of ``buffer`` (consumed in place).
 
-    A frame whose CRC-32 does not match its body raises
-    :class:`CodecError` — unless ``on_corrupt`` is given, in which case
-    the bad frame is skipped (already consumed), the callback is invoked,
-    and decoding continues with the next frame.  Transports pass a
-    callback so one corrupted frame costs one message, not the
-    connection.
+    A frame whose CRC-32 does not match its body, or whose body does not
+    decode, raises :class:`CodecError` — unless ``on_corrupt`` is given:
+    then the bad frame is skipped, the callback invoked, and decoding goes
+    on, so one bad frame costs a transport one message, not the connection.
     """
     messages = []
     while len(buffer) >= 4:
@@ -212,19 +208,19 @@ def decode_frames(
         body = bytes(buffer[FRAME_HEADER_BYTES : FRAME_HEADER_BYTES + length])
         del buffer[: FRAME_HEADER_BYTES + length]
         actual_crc = zlib.crc32(body) & 0xFFFFFFFF
-        if actual_crc != expected_crc:
-            error = CodecError(
-                f"frame checksum mismatch: expected {expected_crc:#010x}, "
-                f"got {actual_crc:#010x}"
-            )
+        try:
+            if actual_crc != expected_crc:
+                raise CodecError(f"frame checksum mismatch: expected "
+                                 f"{expected_crc:#010x}, got {actual_crc:#010x}")
+            messages.append(decode_message(body))
+        except CodecError as error:
             if on_corrupt is None:
-                raise error
+                raise
             on_corrupt(error)
-            continue
-        messages.append(decode_message(body))
     return messages
 
 
 def encoded_size(msg: Message) -> int:
-    """Byte size of the message on the wire (body only, no frame header)."""
-    return len(encode_message(msg))
+    """``len(encode_message(msg))`` from the layout alone (no block bytes)."""
+    head, blocks = _message_layout(msg)
+    return 4 + len(head) + sum(count * abs(width) for _, count, width in blocks)

@@ -293,7 +293,7 @@ class SimNetwork:
 
     def _transmit(self, msg: Message) -> None:
         """One physical transmission attempt: fault dice + enqueue."""
-        size = encoded_size(msg)
+        size = encoded_size(msg)  # from the codec's layout; nothing is serialised
         msg.size_bytes = size
         msg.sent_at = self.now
 

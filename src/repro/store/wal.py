@@ -3,10 +3,10 @@
 One :class:`WriteAheadLog` per DLA node, under that node's directory.
 Records are framed exactly like the wire codec's stream frames — 4-byte
 big-endian length, 4-byte CRC-32 of the body, then the body — and the
-body is :func:`repro.net.codec.encode_payload` JSON, so accumulator
-anchors (arbitrary-precision ints) ride the same ``__bigint__`` /
-``__bigints__`` wrappers as on the wire instead of a second ad-hoc
-format.
+body is the codec's binary body (:func:`repro.net.codec.encode_payload`:
+a JSON envelope followed by fixed-width big-endian element blocks), so
+accumulator anchors (arbitrary-precision ints) are stored as on the wire
+instead of in a second ad-hoc format.
 
 Segments rotate at ``REPRO_STORE_SEGMENT_BYTES``; the *active* segment
 takes appends, *sealed* segments are immutable and are what background

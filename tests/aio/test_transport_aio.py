@@ -12,6 +12,7 @@ import asyncio
 import socket
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -124,6 +125,18 @@ class TestAsyncTcpNode:
                 while len(got) < len(expected):
                     got += conn.recv(65536)
             assert got == expected
+
+    def test_bad_body_frame_costs_one_message_not_the_connection(self):
+        """A frame whose CRC matches but whose body does not decode is
+        counted and skipped; the next frame on the same stream arrives."""
+        body = (2).to_bytes(4, "big") + b"[]"
+        bad = len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
+        good = Message(src="raw", dst="A", kind="ping", payload=[2**300, 7])
+        with AsyncTcpNode("A") as node:
+            with socket.create_connection(node.address) as feeder:
+                feeder.sendall(bad + encode_frame(good))
+                assert node.receive(timeout=5.0).payload == good.payload
+            assert node.corrupt_frames == 1
 
 
 class TestAsyncPoolHealth:

@@ -9,6 +9,7 @@ populated services) are session-scoped.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.crypto import (
     AccumulatorParams,
@@ -25,6 +26,10 @@ from repro.logstore import (
 )
 from repro.smc import SmcContext
 from repro.workloads import paper_table1_rows
+
+# ``--hypothesis-profile=ci``: the codec fuzz module again, with ten times the
+# default examples and no per-example deadline (shared runners stall).
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture()

@@ -12,13 +12,16 @@ category)`` sequence.
 Only ``integrity_per_glsn`` differs from that commit in its kinds: a
 per-glsn token now travels as a single-glsn ``integ.mpass``/``integ.mdone``
 frame, 7 bytes longer than the scalar ``integ.pass``/``integ.done`` form
-it replaces (5 glsns x 4 frames: 3 270 -> 3 410 bytes).  Since then every
-scenario's bytes shrank once more, by the deleted ``"seq":N,`` key of each
-frame (``SEQ_ERA_BYTES`` keeps the figures from before, and
-:func:`test_recorded_bytes_shrank_by_exactly_the_seq_keys` pins the
-difference).  Message counts, folds, ledgers and reports are unchanged.
-The combined product-fold ring's two scenarios went with that ring.
+it replaces (5 glsns x 4 frames: 3 270 -> 3 410 bytes).  Since then the
+bytes moved twice more: every frame lost its ``"seq":N,`` key, and the
+codec went from hex-in-JSON to a length-prefixed JSON envelope plus
+fixed-width binary element blocks.  So ``bytes`` is re-recorded, and
+:func:`test_bytes_are_envelopes_plus_blocks` pins what it is made of.
+Message counts, folds, ledgers and reports are unchanged.  The combined
+product-fold ring's two scenarios went with that ring.
 """
+
+import json
 
 import pytest
 
@@ -37,6 +40,7 @@ from repro.logstore.integrity import (
     run_batched_integrity_round,
     run_integrity_round,
 )
+from repro.net.codec import encode_message
 from repro.net.simnet import SimNetwork
 from repro.net.stats import CryptoOpCounter
 from repro.smc.base import SmcContext
@@ -66,10 +70,16 @@ def _store() -> DistributedLogStore:
     return store
 
 
+def _logged_net() -> SimNetwork:
+    net = SimNetwork()
+    net.keep_delivery_log = True
+    return net
+
+
 def _smc(driver, *args, **kwargs):
     def run(prime):
         ctx = SmcContext(prime, DeterministicRng(b"driver-vectors"))
-        net = SimNetwork()
+        net = _logged_net()
         result = driver(ctx, *args, net=net, **kwargs)
         return result.values, net, ctx.crypto_ops.ops["total.modexp"], [
             (e.protocol, e.observer, e.category) for e in ctx.leakage.events
@@ -81,7 +91,7 @@ def _smc(driver, *args, **kwargs):
 def _integrity(driver, **kwargs):
     def run(prime):
         store = _store()
-        net, crypto = SimNetwork(), CryptoOpCounter()
+        net, crypto = _logged_net(), CryptoOpCounter()
         reports = driver(store, net=net, crypto=crypto, **kwargs)
         return [r.ok for r in reports], net, crypto.ops["total.modexp"], []
 
@@ -124,37 +134,37 @@ def measure(name: str, prime: int) -> dict:
 
 RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
              'messages': 4,
-             'bytes': 386,
+             'bytes': 402,
              'by_kind': {'scmp.blinded': 2, 'scmp.verdict': 2},
              'modexp': 0,
              'ledger': [('secure_compare', 'ttp', 'order_statistics')]},
  'compare_batch': {'answer': {'A': ['lt', 'eq', 'gt'], 'B': ['lt', 'eq', 'gt']},
                    'messages': 4,
-                   'bytes': 478,
+                   'bytes': 480,
                    'by_kind': {'scmpb.blinded': 2, 'scmpb.verdict': 2},
                    'modexp': 0,
                    'ledger': [('secure_compare', 'ttp', 'order_statistics')]},
  'equality': {'answer': {'A': True, 'B': True},
               'messages': 4,
-              'bytes': 436,
+              'bytes': 428,
               'by_kind': {'seq.blinded': 2, 'seq.verdict': 2},
               'modexp': 0,
               'ledger': [('secure_equality', 'ttp', 'equality_verdict')]},
  'integrity_batched': {'answer': [True, True, True, True, True],
                        'messages': 4,
-                       'bytes': 1371,
+                       'bytes': 964,
                        'by_kind': {'integ.mdone': 1, 'integ.mpass': 3},
                        'modexp': 20,
                        'ledger': []},
  'integrity_per_glsn': {'answer': [True, True, True, True, True],
                         'messages': 20,
-                        'bytes': 3239,
+                        'bytes': 2940,
                         'by_kind': {'integ.mdone': 5, 'integ.mpass': 15},
                         'modexp': 20,
                         'ledger': []},
  'intersection': {'answer': {'P0': ['b', 'c'], 'P1': ['b', 'c'], 'P2': ['b', 'c']},
                   'messages': 14,
-                  'bytes': 1809,
+                  'bytes': 1624,
                   'by_kind': {'ssi.full': 3,
                               'ssi.positions': 3,
                               'ssi.relay': 6,
@@ -170,7 +180,7 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                              ('secure_set_intersection', 'P0', 'position_linkage')]},
  'intersection_shuffled': {'answer': {'P1': ['b', 'c'], 'P2': ['b', 'c']},
                            'messages': 12,
-                           'bytes': 1788,
+                           'bytes': 1508,
                            'by_kind': {'ssi.decrypt': 2,
                                        'ssi.full': 3,
                                        'ssi.relay': 6,
@@ -188,14 +198,14 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                         'P2': {'rank': 4, 'argmax': 'P2', 'argmin': 'P3', 'n': 4},
                         'P3': {'rank': 1, 'argmax': 'P2', 'argmin': 'P3', 'n': 4}},
              'messages': 8,
-             'bytes': 700,
+             'bytes': 732,
              'by_kind': {'rank.blinded': 4, 'rank.verdict': 4},
              'modexp': 0,
              'ledger': [('secure_ranking', 'ttp', 'order_statistics'),
                         ('secure_ranking', 'ttp', 'scaled_gap')]},
  'union': {'answer': {'P0': [1, 2, 3, 4], 'P1': [1, 2, 3, 4], 'P2': [1, 2, 3, 4]},
            'messages': 13,
-           'bytes': 1640,
+           'bytes': 1445,
            'by_kind': {'ssu.decrypt': 2, 'ssu.full': 3, 'ssu.relay': 6, 'ssu.result': 2},
            'modexp': 30,
            'ledger': [('secure_set_union', 'P1', 'set_size'),
@@ -207,7 +217,7 @@ RECORDED = {'compare': {'answer': {'A': 'lt', 'B': 'lt'},
                       ('secure_set_union', 'P0', 'result_cardinality')]},
  'weighted_sum': {'answer': {'P0': 112, 'P1': 112, 'P2': 112, 'P3': 112},
                   'messages': 24,
-                  'bytes': 1717,
+                  'bytes': 1813,
                   'by_kind': {'ssum.fshare': 12, 'ssum.share': 12},
                   'modexp': 0,
                   'ledger': [('secure_sum', '*', 'value_bound')]}}
@@ -218,27 +228,38 @@ def test_driver_matches_the_recorded_parent_vector(name, prime64):
     assert measure(name, prime64) == RECORDED[name]
 
 
-#: ``bytes`` of each scenario while every frame still carried ``"seq":N,``
-#: (the counter restarted at 1 per scenario, so frame *i* carried *i*).
-SEQ_ERA_BYTES = {
-    "compare": 418,
-    "compare_batch": 510,
-    "equality": 468,
-    "integrity_batched": 1403,
-    "integrity_per_glsn": 3410,
-    "intersection": 1926,
-    "intersection_shuffled": 1887,
-    "ranking": 764,
-    "union": 1748,
-    "weighted_sum": 1924,
-}
+def _block_shapes(value):
+    """``(count, width)`` of every block placeholder in a parsed envelope."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _block_shapes(item)
+    elif isinstance(value, dict):
+        if len(value) == 1 and "__ints__" in value:
+            yield tuple(value["__ints__"])
+        elif len(value) == 1 and "__int__" in value:
+            yield 1, value["__int__"]
+        elif len(value) == 1 and "__bytes__" in value:
+            yield value["__bytes__"], 1
+        else:
+            for item in value.values():
+                yield from _block_shapes(item)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_recorded_bytes_shrank_by_exactly_the_seq_keys(name):
-    frames = RECORDED[name]["messages"]
-    seq_keys = sum(len(f'"seq":{n},') for n in range(1, frames + 1))
-    assert SEQ_ERA_BYTES[name] - RECORDED[name]["bytes"] == seq_keys
+def test_bytes_are_envelopes_plus_blocks(name, prime64):
+    """A scenario's bytes are, frame by frame, the 4-byte envelope length,
+    the JSON envelope, and ``count x |width|`` bytes per element block."""
+    _answer, net, _modexp, _ledger = SCENARIOS[name](prime64)
+    frames = net.delivery_log
+    assert len(frames) == RECORDED[name]["messages"]
+    total = 0
+    for msg in frames:
+        body = encode_message(msg)
+        end = 4 + int.from_bytes(body[:4], "big")
+        blocks = sum(c * abs(w) for c, w in _block_shapes(json.loads(body[4:end])))
+        assert len(body) == msg.size_bytes == end + blocks
+        total += end + blocks
+    assert total == RECORDED[name]["bytes"]
 
 
 if __name__ == "__main__":  # regenerate: PYTHONPATH=src python <this file>

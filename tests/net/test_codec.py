@@ -1,11 +1,15 @@
 """Tests for the wire codec (framing, big ints, bytes)."""
 
+import json
+import zlib
+
 import pytest
 
 from repro.errors import CodecError
 from repro.net.codec import (
     decode_frames,
     decode_message,
+    decode_payload,
     encode_frame,
     encode_message,
     encoded_size,
@@ -16,6 +20,21 @@ from repro.net.message import Message
 def roundtrip(payload):
     msg = Message(src="A", dst="B", kind="k", payload=payload)
     return decode_message(encode_message(msg)).payload
+
+
+def split_body(body: bytes) -> tuple[dict, bytes]:
+    """A body's parsed JSON envelope and the block bytes after it."""
+    end = 4 + int.from_bytes(body[:4], "big")
+    return json.loads(body[4:end]), body[end:]
+
+
+def make_body(envelope: bytes, blocks: bytes = b"") -> bytes:
+    return len(envelope).to_bytes(4, "big") + envelope + blocks
+
+
+def make_frame(body: bytes) -> bytes:
+    """A frame whose CRC matches ``body``, whatever the body holds."""
+    return len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
 
 
 class TestPayloadRoundtrip:
@@ -51,7 +70,7 @@ class TestPayloadRoundtrip:
 
     def test_reserved_key_rejected(self):
         with pytest.raises(CodecError):
-            roundtrip({"__bigint__": "ff"})
+            roundtrip({"__int__": 32})
 
     def test_non_string_keys_rejected(self):
         with pytest.raises(CodecError):
@@ -144,6 +163,61 @@ class TestFraming:
         with pytest.raises(CodecError):
             decode_frames(buffer)
 
+    def test_bad_body_costs_one_frame_not_the_stream(self):
+        """A frame whose CRC matches but whose body does not decode is
+        skipped like a CRC mismatch: one callback, the next frame arrives."""
+        good = Message(src="a", dst="b", kind="k", payload=[2**300, 1])
+        stream = make_frame(make_body(b"[]")) + encode_frame(good)
+        errors = []
+        buffer = bytearray(stream)
+        out = decode_frames(buffer, on_corrupt=errors.append)
+        assert [m.payload for m in out] == [good.payload]
+        assert len(errors) == 1 and isinstance(errors[0], CodecError)
+        assert not buffer
+        with pytest.raises(CodecError):
+            decode_frames(bytearray(stream))
+
+
+class TestMalformedBodies:
+    """Every wrong-shaped or truncated body raises CodecError, nothing else."""
+
+    @pytest.mark.parametrize("raw", [b"[]", b'"x"', b'{"payload": {"__bigint__": 5}}'])
+    def test_bare_json_bodies(self, raw):
+        for decode in (decode_message, decode_payload):
+            with pytest.raises(CodecError):
+                decode(raw)
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            b"[]",
+            b'"x"',
+            b'{"src": "a", "dst": "b"}',
+            b'{"src": 1, "dst": "b", "kind": "k"}',
+            b'{"src": "a", "dst": "b", "kind": "k", "payload": {"__int__": "ff"}}',
+            b'{"src": "a", "dst": "b", "kind": "k", "payload": {"__ints__": 5}}',
+            b'{"src": "a", "dst": "b", "kind": "k", "payload": {"__ints__": [-1, 1]}}',
+            b'{"src": "a", "dst": "b", "kind": "k", "payload": {"__bytes__": [0]}}',
+            b"{\xff}",
+        ],
+    )
+    def test_wrong_shaped_envelopes(self, envelope):
+        with pytest.raises(CodecError):
+            decode_message(make_body(envelope))
+
+    def test_truncated_block(self):
+        body = encode_message(Message(src="a", dst="b", kind="k", payload=[2**255, 1]))
+        for cut in (1, 32, 63):
+            with pytest.raises(CodecError, match="truncated block"):
+                decode_message(body[:-cut])
+        with pytest.raises(CodecError, match="truncated envelope"):
+            decode_message(body[:10])
+
+    def test_trailing_bytes(self):
+        body = encode_message(Message(src="a", dst="b", kind="k", payload=[2**255, 1]))
+        with pytest.raises(CodecError, match="trailing"):
+            decode_message(body + b"\x00")
+
 
 class TestMessageHelpers:
     def test_reply_addresses_sender(self):
@@ -163,7 +237,7 @@ class TestMessageHelpers:
 
 
 class TestBatchedBigInts:
-    """Homogeneous big-int lists ride a flat hex-array fast path."""
+    """All-int lists ride one fixed-width binary block."""
 
     BIG_LIST = [2**256 + i for i in range(5)]
 
@@ -171,23 +245,27 @@ class TestBatchedBigInts:
         assert roundtrip(self.BIG_LIST) == self.BIG_LIST
 
     def test_wire_form_is_batched(self):
-        import json
-
         msg = Message(src="a", dst="b", kind="k", payload=self.BIG_LIST)
-        wire = json.loads(encode_message(msg))
-        assert "__bigints__" in wire["payload"]
-        assert wire["payload"]["__bigints__"] == [format(v, "x") for v in self.BIG_LIST]
+        envelope, blocks = split_body(encode_message(msg))
+        assert envelope["payload"] == {"__ints__": [5, 33]}  # 257 bits -> 33 bytes
+        assert blocks == b"".join(v.to_bytes(33, "big") for v in self.BIG_LIST)
 
     def test_mixed_magnitudes_and_signs(self):
         payload = [0, -1, 2**53, -(2**300), 7, 2**53 - 1]
         assert roundtrip(payload) == payload
 
-    def test_small_only_lists_stay_plain(self):
-        import json
+    def test_small_int_lists_are_blocks_too(self):
+        msg = Message(src="a", dst="b", kind="k", payload=[1, 2, 300])
+        envelope, blocks = split_body(encode_message(msg))
+        assert envelope["payload"] == {"__ints__": [3, 2]}
+        assert blocks == b"\x00\x01\x00\x02\x01\x2c"
 
-        msg = Message(src="a", dst="b", kind="k", payload=[1, 2, 3])
-        wire = json.loads(encode_message(msg))
-        assert wire["payload"] == [1, 2, 3]
+    def test_negative_blocks_are_twos_complement_with_negated_width(self):
+        msg = Message(src="a", dst="b", kind="k", payload=[-128, 127])
+        envelope, blocks = split_body(encode_message(msg))
+        assert envelope["payload"] == {"__ints__": [2, -1]}
+        assert blocks == b"\x80\x7f"
+        assert roundtrip([-129, 0]) == [-129, 0]  # needs a second byte
 
     def test_bools_disable_batching(self):
         payload = [True, 2**200]
@@ -196,25 +274,24 @@ class TestBatchedBigInts:
         assert out[0] is True  # not coerced to 1
 
     def test_single_element_uses_legacy_form(self):
-        import json
-
+        """A one-element list is not a list block: its big int keeps the
+        per-element form, a lone-int block."""
         msg = Message(src="a", dst="b", kind="k", payload=[2**200])
-        wire = json.loads(encode_message(msg))
-        assert wire["payload"] == [{"__bigint__": format(2**200, "x")}]
+        envelope, blocks = split_body(encode_message(msg))
+        assert envelope["payload"] == [{"__int__": 26}]
+        assert blocks == (2**200).to_bytes(26, "big")
 
-    def test_decodes_legacy_per_element_frames(self):
-        """Old peers send one {"__bigint__"} wrapper per element."""
-        import json
-
+    def test_legacy_per_element_frames_rejected(self):
+        """The pre-binary JSON body (one hex wrapper per element) no longer
+        decodes: no deployed peer sends it."""
         legacy = {
             "src": "a",
             "dst": "b",
             "kind": "k",
-            "seq": 1,
             "payload": [{"__bigint__": format(v, "x")} for v in self.BIG_LIST],
         }
-        out = decode_message(json.dumps(legacy).encode("utf-8"))
-        assert out.payload == self.BIG_LIST
+        with pytest.raises(CodecError):
+            decode_message(json.dumps(legacy).encode("utf-8"))
 
     def test_batched_smaller_than_legacy(self):
         values = [2**512 + i for i in range(64)]
@@ -226,7 +303,7 @@ class TestBatchedBigInts:
 
     def test_batched_reserved_key_rejected(self):
         with pytest.raises(CodecError):
-            roundtrip({"__bigints__": ["ff"]})
+            roundtrip({"__ints__": [1, 32]})
 
     def test_nested_lists_batch_independently(self):
         payload = {"sets": [[2**100, 2**101], [5, 2**99]]}
