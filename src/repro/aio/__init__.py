@@ -22,7 +22,7 @@ holds the loop and what runs on it:
   private :class:`~repro.net.simnet.SimNetwork` never suspends).
 
 Every sync entry point (``ConfidentialAuditingService.query``, the
-scheduler facade, the shard front door) keeps working unmodified; the
+scheduler facade) keeps working unmodified; the
 coroutine paths preserve the exact-reconciliation invariants for spans,
 cost reports, and leakage ledgers.
 """

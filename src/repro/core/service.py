@@ -38,7 +38,6 @@ from repro.logstore.integrity import (
     IntegrityChecker,
     IntegrityReport,
     run_batched_integrity_round,
-    run_integrity_round,
 )
 from repro.resilience import Deadline, RetryPolicy
 from repro.logstore.records import LogRecord
@@ -108,25 +107,9 @@ class ConfidentialAuditingService:
         per-query network — the chaos-testing hook.
     prime:
         Explicit shared SMC prime, overriding the ``prime_bits`` table
-        lookup.  A sharded deployment with tenant pinning passes a fresh
-        per-shard prime here so pinned tenants never share a cipher
-        modulus (see docs/sharding.md).
-    allocator:
-        Optional glsn allocator for the store.  A shard ring receives a
-        :class:`~repro.logstore.glsn.RoutedGlsnAllocator` so every append
-        lands at the glsn the :class:`~repro.shard.ShardRouter` assigned.
-    realm:
-        Identity prefix for DLA-node enrollment (default ``"real"``).
-        Shards use ``shard<k>`` so the per-shard credential authorities
-        issue distinguishable identities even for equal node ids.
-    shard_label:
-        Short label (``"s0"``...) stamped on this service's scheduler
-        spans and channel tags when it runs as one shard of a
-        :class:`~repro.shard.ShardedAuditingService`.
+        lookup.
     obs_from_env:
-        When ``False``, skip the ``REPRO_OBS_HTTP_PORT`` auto-start (a
-        sharded deployment serves one merged endpoint at the coordinator
-        instead of N clashing per-shard binds).
+        When ``False``, skip the ``REPRO_OBS_HTTP_PORT`` auto-start.
     store_dir:
         Directory for the durable storage backend (``repro.store``).
         When given — or when ``REPRO_STORE_DIR`` is set — the service's
@@ -154,9 +137,6 @@ class ConfidentialAuditingService:
         resilience: RetryPolicy | None = None,
         faults=None,
         prime: int | None = None,
-        allocator=None,
-        realm: str = "real",
-        shard_label: str | None = None,
         obs_from_env: bool = True,
         store_dir: str | None = None,
         store_config: StoreConfig | None = None,
@@ -168,9 +148,6 @@ class ConfidentialAuditingService:
         self.plan = plan
         self.tracer = tracer or NOOP_TRACER
         self.metrics = metrics
-        #: Set when this service is one ring of a sharded cluster; the
-        #: scheduler stamps it on spans/channels, trace-report shows it.
-        self.shard_label = shard_label
         #: Cross-node tracing: one bounded flight recorder per participant
         #: node, wired through every per-query network and SMC context so
         #: trace context propagates on the wire (inert with a noop tracer).
@@ -225,7 +202,6 @@ class ConfidentialAuditingService:
                 acc_params,
                 durable_dir,
                 config=store_cfg,
-                allocator=allocator,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
@@ -234,7 +210,6 @@ class ConfidentialAuditingService:
                 plan,
                 self.ticket_authority,
                 acc_params,
-                allocator=allocator,
                 tracer=self.tracer,
             )
         #: Standing-query registry, built lazily on first registration.
@@ -257,13 +232,12 @@ class ConfidentialAuditingService:
             group, self.rng.spawn("ca"), telemetry=self.telemetry
         )
         self.node_credentials: dict[str, NodeCredentials] = {}
-        self.realm = realm
         founder_id = plan.node_ids[0]
-        founder = self.credential_authority.enroll(f"{realm}:{founder_id}")
+        founder = self.credential_authority.enroll(f"real:{founder_id}")
         self.node_credentials[founder_id] = founder
         self.membership = DlaMembership(self.credential_authority, founder)
         for previous, node_id in zip(plan.node_ids, plan.node_ids[1:]):
-            creds = self.credential_authority.enroll(f"{realm}:{node_id}")
+            creds = self.credential_authority.enroll(f"real:{node_id}")
             self.node_credentials[node_id] = creds
             self.membership.admit_direct(
                 self.node_credentials[previous],
@@ -744,30 +718,22 @@ class ConfidentialAuditingService:
     # -- integrity ------------------------------------------------------------------
 
     def check_integrity(
-        self, distributed: bool = True, batched: bool = True,
-        timeout: float | None = None,
+        self, distributed: bool = True, timeout: float | None = None,
     ) -> list[IntegrityReport]:
         """§4.1 integrity cross-check of every stored record.
 
-        ``batched=True`` (the default) circulates one multi-glsn ring
-        token — O(nodes) messages for the whole log; ``batched=False``
-        replays the legacy one-token-per-glsn ring.  Reports are
-        identical either way.  Each node re-folds only the glsns whose
+        Circulates one multi-glsn ring token — O(nodes) messages for the
+        whole log.  Each node re-folds only the glsns whose
         incoming token value or fragment changed since its last fold;
         :attr:`integrity_ops` counts the rest as ``fold_reused``.  The
         ring is failover-supervised: with :attr:`resilience` set,
         unreachable nodes are routed around or excluded, and reports over
         an incomplete fold come back explicitly unverified (``verified=False``, ``skipped_nodes``).
+        ``distributed=False`` checks in process instead.
         """
         if distributed:
-            deadline = Deadline.after(timeout)
-            if batched:
-                return run_batched_integrity_round(
-                    self.store, net=self._fresh_net(), deadline=deadline,
-                    crypto=self.integrity_ops,
-                )
-            return run_integrity_round(
-                self.store, net=self._fresh_net(), deadline=deadline,
+            return run_batched_integrity_round(
+                self.store, net=self._fresh_net(), deadline=Deadline.after(timeout),
                 crypto=self.integrity_ops,
             )
         return IntegrityChecker(self.store, metrics=self.metrics).check_all()

@@ -148,34 +148,6 @@ class UnknownGlsnError(LogStoreError):
     """A glsn was referenced that the store has never assigned."""
 
 
-class ShardError(ReproError):
-    """Base class for horizontal-sharding failures (``repro.shard``)."""
-
-
-class ShardMapError(ShardError):
-    """A shard-map operation was invalid (bad range bounds, overlap...)."""
-
-
-class UnknownShardError(ShardError):
-    """A shard id outside the cluster's shard set was referenced."""
-
-
-class StaleShardMapError(ShardError):
-    """A request was routed with an out-of-date shard-map version.
-
-    Placement moved underneath the client (a ``split_range`` /
-    ``move_shard`` / tenant-pinning change bumped the map); honoring the
-    stale route would silently mis-shard the append.  ``expected`` is the
-    router's current version, ``presented`` the client's cached one —
-    re-fetch the map and retry.
-    """
-
-    def __init__(self, message: str, expected: int = 0, presented: int = 0) -> None:
-        super().__init__(message)
-        self.expected = expected
-        self.presented = presented
-
-
 class AuditError(ReproError):
     """Base class for audit-query failures."""
 

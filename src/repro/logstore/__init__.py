@@ -17,13 +17,7 @@ from repro.logstore.fragmentation import (
     paper_fragment_plan,
     round_robin_plan,
 )
-from repro.logstore.glsn import (
-    PAPER_GLSN_START,
-    BlockGlsnAllocator,
-    GlsnAllocator,
-    GlsnBlock,
-    RoutedGlsnAllocator,
-)
+from repro.logstore.glsn import PAPER_GLSN_START, GlsnAllocator, GlsnBlock
 from repro.logstore.glsn_service import (
     GlsnClient,
     GlsnCoordinator,
@@ -64,9 +58,7 @@ __all__ = [
     "paper_fragment_plan",
     "round_robin_plan",
     "GlsnAllocator",
-    "BlockGlsnAllocator",
     "GlsnBlock",
-    "RoutedGlsnAllocator",
     "GlsnCoordinator",
     "GlsnClient",
     "audit_grants",

@@ -3,15 +3,11 @@
 "glsn is a monotonically increasing integer that uniquely defines a log
 record" and "the glsn is uniquely assigned by [the] DLA cluster".
 
-Two allocators:
-
 * :class:`GlsnAllocator` — a single authority handing out consecutive
   values, the simple case for one coordinator node.
-* :class:`BlockGlsnAllocator` — cluster mode: each DLA node leases disjoint
-  blocks from a shared counter and allocates locally within its lease, so
-  concurrent nodes never collide and the global order is still monotone
-  per-node with bounded interleaving.  This mirrors how distributed
-  databases allocate sequence numbers without a per-write round trip.
+* :class:`GlsnBlock` — a leased range of glsns; the networked cluster
+  allocator (:mod:`repro.logstore.glsn_service`) hands these out so each
+  DLA node allocates locally within its lease.
 """
 
 from __future__ import annotations
@@ -20,12 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, LogStoreError
 
-__all__ = [
-    "GlsnAllocator",
-    "BlockGlsnAllocator",
-    "GlsnBlock",
-    "RoutedGlsnAllocator",
-]
+__all__ = ["GlsnAllocator", "GlsnBlock"]
 
 # The paper's Table 1 starts its example glsns at 0x139aef78; using the same
 # origin makes the regenerated tables byte-identical.
@@ -81,75 +72,3 @@ class GlsnBlock:
         value = self.cursor
         self.cursor += 1
         return value
-
-
-class BlockGlsnAllocator:
-    """Cluster-mode allocation: nodes lease blocks, allocate locally.
-
-    The shared counter lives with the cluster coordinator; each
-    :meth:`lease` costs one round trip and yields ``block_size`` local
-    allocations.  Uniqueness holds because leased ranges are disjoint.
-    """
-
-    def __init__(self, start: int = PAPER_GLSN_START, block_size: int = 64) -> None:
-        if block_size < 1:
-            raise ConfigurationError("block size must be positive")
-        self._shared = GlsnAllocator(start)
-        self.block_size = block_size
-        self._blocks: dict[str, GlsnBlock] = {}
-        self.leases_granted = 0
-
-    def lease(self, node_id: str) -> GlsnBlock:
-        """Grant a fresh block to ``node_id`` (replacing any exhausted one)."""
-        start = self._shared.next_value
-        self._shared.allocate_many(self.block_size)
-        block = GlsnBlock(start=start, end=start + self.block_size)
-        self._blocks[node_id] = block
-        self.leases_granted += 1
-        return block
-
-    def allocate(self, node_id: str) -> int:
-        """Allocate one glsn on behalf of ``node_id``, leasing as needed."""
-        block = self._blocks.get(node_id)
-        if block is None or block.remaining == 0:
-            block = self.lease(node_id)
-        return block.take()
-
-
-class RoutedGlsnAllocator(GlsnAllocator):
-    """Allocator for one shard of a sharded cluster: values are *pinned*.
-
-    In a multi-ring deployment the glsn space is owned by the
-    :class:`~repro.shard.ShardRouter`'s single global allocator — per-shard
-    stores must append at exactly the glsn the router assigned, never
-    invent their own.  The router pins the routed value immediately before
-    the shard's ``append``; allocating without a pinned value is a wiring
-    bug and raises.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(start=0)
-        self._pinned: list[int] = []
-
-    def pin(self, glsn: int) -> None:
-        """Queue the next routed glsn (FIFO when appends are batched)."""
-        if glsn < 0:
-            raise ConfigurationError("glsn must be non-negative")
-        self._pinned.append(glsn)
-
-    def allocate(self) -> int:
-        if not self._pinned:
-            raise LogStoreError(
-                "routed allocator has no pinned glsn — appends to a shard "
-                "store must go through the shard router"
-            )
-        return self._pinned.pop(0)
-
-    def allocate_many(self, count: int) -> list[int]:
-        return [self.allocate() for _ in range(count)]
-
-    @property
-    def next_value(self) -> int:
-        if not self._pinned:
-            raise LogStoreError("routed allocator has no pinned glsn")
-        return self._pinned[0]

@@ -58,20 +58,6 @@ def _value_from_json(value: Any) -> Any:
     return value
 
 
-def _next_glsn(store: DistributedLogStore) -> int:
-    """Allocator cursor, tolerating routed allocators with nothing pinned.
-
-    A shard ring's :class:`~repro.logstore.glsn.RoutedGlsnAllocator` only
-    knows its next value while an append is in flight; between appends
-    the best restorable cursor is one past the highest stored glsn.
-    """
-    try:
-        return store.allocator.next_value
-    except LogStoreError:
-        glsns = store.glsns
-        return (glsns[-1] + 1) if glsns else 0
-
-
 def snapshot_store(store: DistributedLogStore) -> dict:
     """Serialize the full cluster storage state to a JSON-safe dict."""
     plan = store.plan
@@ -111,7 +97,7 @@ def snapshot_store(store: DistributedLogStore) -> dict:
         "allow_overlap": plan.allow_overlap,
         "accumulator": {"n": format(store.accumulator.params.n, "x"),
                         "x0": format(store.accumulator.params.x0, "x")},
-        "next_glsn": _next_glsn(store),
+        "next_glsn": store.allocator.next_value,
         "nodes": nodes,
     }
 

@@ -173,24 +173,21 @@ class FragmentStore:
             if predicate is None or predicate(frag):
                 yield frag
 
-    # -- shard migration --------------------------------------------------------
+    # -- fault injection (tests/benches) ---------------------------------------
 
     def evict(self, glsn: int) -> Fragment:
-        """Node-internal removal used by shard rebalancing (no ticket).
+        """Drop a held fragment without a ticket: a node that lost it.
 
-        ``move_shard`` relocates fragments between rings: the destination
-        adopts them through the ordinary ticketed :meth:`put`, the source
-        drops its copy here.  Unlike :meth:`delete` this is not the user
-        delete path — the record still exists, on another shard — so no
-        DELETE right is involved; ACL grants referencing the glsn become
-        inert (reads raise :class:`UnknownGlsnError` on this node).
-        Returns the evicted fragment.
+        Emulates a node whose storage lost one fragment (the executor's
+        ``index_divergence`` fallback is tested this way).  Unlike
+        :meth:`delete` this is not the user delete path, so no DELETE
+        right is involved; ACL grants referencing the glsn become inert
+        (reads raise :class:`UnknownGlsnError` on this node).  Returns
+        the evicted fragment.
         """
         frag = self._read(glsn)
         self._forget(glsn)
         return frag
-
-    # -- fault injection (tests/benches) ---------------------------------------
 
     def tamper(self, glsn: int, attribute: str, new_value) -> None:
         """Maliciously alter a stored fragment, bypassing every check.

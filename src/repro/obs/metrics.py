@@ -31,7 +31,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabeledMetricsView",
     "MetricsRegistry",
     "SIZE_BUCKETS_BYTES",
     "LATENCY_BUCKETS_SECONDS",
@@ -196,16 +195,6 @@ class MetricsRegistry:
                 metric = family.instances[key] = Histogram(family.buckets)
         return metric  # type: ignore[return-value]
 
-    def labeled(self, **labels) -> "LabeledMetricsView":
-        """A view that stamps ``labels`` onto every metric it touches.
-
-        The view shares this registry's families — a multi-shard
-        deployment hands each shard ``root.labeled(shard="s0")`` and one
-        ``/metrics`` scrape of the root sees every shard's series side by
-        side, distinguished only by the label.
-        """
-        return LabeledMetricsView(self, labels)
-
     # -- export ------------------------------------------------------------
 
     def value(self, name: str, labels: dict | None = None):
@@ -273,54 +262,3 @@ class MetricsRegistry:
                     lines.append(f"{name}{suffix} {metric.value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-class LabeledMetricsView:
-    """A :class:`MetricsRegistry` facade that merges fixed labels in.
-
-    Every ``counter``/``gauge``/``histogram``/``value`` call goes to the
-    underlying registry with the view's labels folded into the call-site
-    labels (call-site keys win on collision, so a query-level ``tenant``
-    can still vary under a fixed ``shard``).  Everything else —
-    ``snapshot``, ``render_prometheus``, further ``labeled`` chaining —
-    delegates, so the view is drop-in wherever a registry is expected.
-    """
-
-    def __init__(self, registry, labels: dict) -> None:
-        self._registry = registry
-        self._labels = {str(k): str(v) for k, v in (labels or {}).items()}
-
-    @property
-    def base_labels(self) -> dict:
-        return dict(self._labels)
-
-    def _merge(self, labels: dict | None) -> dict:
-        merged = dict(self._labels)
-        if labels:
-            merged.update(labels)
-        return merged
-
-    def counter(self, name: str, help: str = "", labels: dict | None = None) -> Counter:
-        return self._registry.counter(name, help, self._merge(labels))
-
-    def gauge(self, name: str, help: str = "", labels: dict | None = None) -> Gauge:
-        return self._registry.gauge(name, help, self._merge(labels))
-
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] | None = None,
-        help: str = "",
-        labels: dict | None = None,
-    ) -> Histogram:
-        return self._registry.histogram(name, buckets, help, self._merge(labels))
-
-    def value(self, name: str, labels: dict | None = None):
-        return self._registry.value(name, self._merge(labels))
-
-    def labeled(self, **labels) -> "LabeledMetricsView":
-        return LabeledMetricsView(self._registry, self._merge(labels))
-
-    def __getattr__(self, name: str):
-        # Reads (snapshot, render_prometheus, families...) fall through to
-        # the shared root registry.
-        return getattr(self._registry, name)

@@ -57,25 +57,18 @@ def attribution_rows(spans: list[Span]) -> list[dict]:
     """Flatten the span forest into table rows (depth-first, run order).
 
     Each row carries ``depth``, ``name``, the cost vector, the share of
-    the parent's wall-clock (``of_parent``), the span's event count, and
-    the owning ``shard`` — a span's own ``shard`` attribute (the sharded
-    scatter-gather stamps it on coordinator and per-ring spans), else
-    inherited down the tree, else ``"—"`` for unsharded deployments.
+    the parent's wall-clock (``of_parent``) and the span's event count.
     """
     children = _children_index(spans)
     memo: dict[int, dict] = {}
     rows: list[dict] = []
 
-    def walk(
-        span: Span, depth: int, parent_cost: dict | None, shard: str
-    ) -> None:
+    def walk(span: Span, depth: int, parent_cost: dict | None) -> None:
         cost = span_cost(span, children, memo)
-        shard = str(span.attributes.get("shard", shard))
         rows.append(
             {
                 "depth": depth,
                 "name": span.name,
-                "shard": shard,
                 "time": cost["time"],
                 "messages": cost["messages"],
                 "bytes": cost["bytes"],
@@ -87,10 +80,10 @@ def attribution_rows(spans: list[Span]) -> list[dict]:
             }
         )
         for child in children.get(span.span_id, []):
-            walk(child, depth + 1, cost, shard)
+            walk(child, depth + 1, cost)
 
     for root in children.get(None, []):
-        walk(root, 0, None, "—")
+        walk(root, 0, None)
     return rows
 
 
@@ -102,7 +95,6 @@ def render_attribution(spans: list[Span]) -> str:
     rendered = [
         (
             "  " * row["depth"] + row["name"],
-            row["shard"],
             f"{row['time'] * 1e3:.3f}",
             row["of_parent"],
             str(row["messages"]),
@@ -112,9 +104,7 @@ def render_attribution(spans: list[Span]) -> str:
         )
         for row in rows
     ]
-    headers = (
-        "span", "shard", "time ms", "% parent", "msgs", "bytes", "modexp", "events",
-    )
+    headers = ("span", "time ms", "% parent", "msgs", "bytes", "modexp", "events")
     widths = [
         max(len(headers[i]), *(len(r[i]) for r in rendered))
         for i in range(len(headers))

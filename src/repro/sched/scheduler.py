@@ -355,10 +355,7 @@ class QueryScheduler:
 
     async def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
         service = self.service
-        # One ring of a sharded cluster prefixes its channel tags with the
-        # shard label, so multiplexed traffic stays attributable per shard.
-        shard = getattr(service, "shard_label", None)
-        tag = f"{shard}.q{handle.seq}" if shard else f"q{handle.seq}"
+        tag = f"q{handle.seq}"
         channel = self.mux.channel(tag)
         qctx = SmcContext(
             service.ctx.prime,
@@ -380,8 +377,6 @@ class QueryScheduler:
         )
         vt_start = self.net.now
         span_attrs = {"criterion": qplan.criterion_text, "channel": tag}
-        if shard:
-            span_attrs["shard"] = shard
         try:
             with service.tracer.span("sched.query", span_attrs) as span:
                 result = await executor.execute_async(

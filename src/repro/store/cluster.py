@@ -32,7 +32,6 @@ from pathlib import Path
 from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.tickets import Ticket, TicketAuthority
 from repro.logstore.fragmentation import FragmentPlan
-from repro.logstore.glsn import GlsnAllocator
 from repro.logstore.persistence import snapshot_store
 from repro.logstore.store import DistributedLogStore, WriteReceipt
 from repro.obs.tracer import NOOP_TRACER
@@ -90,7 +89,6 @@ class DurableDistributedLogStore(DistributedLogStore):
         acc_params: AccumulatorParams,
         directory: str | os.PathLike,
         config: StoreConfig | None = None,
-        allocator: GlsnAllocator | None = None,
         tracer=None,
         metrics=None,
         initial_checkpoint: bool = True,
@@ -115,7 +113,6 @@ class DurableDistributedLogStore(DistributedLogStore):
             plan,
             authority,
             acc_params,
-            allocator=allocator,
             tracer=tracer,
             store_factory=factory,
         )

@@ -3,7 +3,7 @@
 * ``REPRO_STORE_DIR`` — root directory for durable state.  Setting it
   makes :class:`~repro.core.service.ConfidentialAuditingService` build a
   :class:`~repro.store.DurableDistributedLogStore` instead of the
-  in-memory store; a sharded deployment appends ``ring<k>/`` per shard.
+  in-memory store.
 * ``REPRO_STORE_SEGMENT_BYTES`` — WAL segment size before rotation
   (default 1 MiB).  Smaller segments mean finer-grained compaction,
   larger ones fewer file handles.

@@ -98,7 +98,6 @@ def open_durable_store(
     default_params: AccumulatorParams,
     directory: str | os.PathLike,
     config: StoreConfig | None = None,
-    allocator: GlsnAllocator | None = None,
     tracer=None,
     metrics=None,
     integrity_audit: bool = True,
@@ -120,7 +119,6 @@ def open_durable_store(
             default_params,
             directory,
             config=config,
-            allocator=allocator,
             tracer=tracer,
             metrics=metrics,
         )
@@ -129,7 +127,6 @@ def open_durable_store(
         authority,
         directory,
         config=config,
-        allocator=allocator,
         tracer=tracer,
         metrics=metrics,
         integrity_audit=integrity_audit,
@@ -141,7 +138,6 @@ def recover_store(
     authority: TicketAuthority,
     directory: str | os.PathLike,
     config: StoreConfig | None = None,
-    allocator: GlsnAllocator | None = None,
     tracer=None,
     metrics=None,
     integrity_audit: bool = True,
@@ -174,7 +170,6 @@ def recover_store(
             params,
             directory,
             config=config,
-            allocator=allocator,
             tracer=tracer,
             metrics=metrics,
             initial_checkpoint=False,
@@ -208,13 +203,12 @@ def recover_store(
         report.rolled_back = incomplete
         report.glsns = len(store.glsns)
 
-        # -- allocator fast-forward (only when we own the allocator) ------
-        if allocator is None:
-            glsns = store.glsns
-            floor = (glsns[-1] + 1) if glsns else 0
-            store.allocator = GlsnAllocator(
-                start=max(int(snapshot.get("next_glsn", 0)), floor)
-            )
+        # -- allocator fast-forward past every surviving glsn --------------
+        glsns = store.glsns
+        floor = (glsns[-1] + 1) if glsns else 0
+        store.allocator = GlsnAllocator(
+            start=max(int(snapshot.get("next_glsn", 0)), floor)
+        )
 
         # -- fold the replayed delta into a fresh checkpoint so the next
         # crash recovers from here, not from two generations back. --------

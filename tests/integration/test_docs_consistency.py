@@ -136,19 +136,6 @@ class TestDocsReferenceRealKnobs:
             f"REPRO_OBS_* knobs missing from the docs: {undocumented}"
         )
 
-    def test_every_shard_knob_documented(self):
-        """Reverse sweep for the sharded cluster: every ``REPRO_SHARD_*``
-        knob the shard layer defines (ring count, stripe width, tenant
-        pinning) must appear in the docs."""
-        shard_source = "\n".join(read(p) for p in (SRC / "shard").rglob("*.py"))
-        defined = set(re.findall(r"\bREPRO_SHARD_[A-Z_]*[A-Z]\b", shard_source))
-        assert defined, "expected REPRO_SHARD_* knobs in repro.shard"
-        docs = all_docs()
-        undocumented = sorted(v for v in defined if v not in docs)
-        assert not undocumented, (
-            f"REPRO_SHARD_* knobs missing from the docs: {undocumented}"
-        )
-
     def test_every_store_knob_documented(self):
         """Reverse sweep for the durable backend: every ``REPRO_STORE_*``
         knob ``repro.store`` reads (directory, segment size, fsync

@@ -13,12 +13,7 @@ from repro.logstore.fragmentation import (
     paper_fragment_plan,
     round_robin_plan,
 )
-from repro.logstore.glsn import (
-    PAPER_GLSN_START,
-    BlockGlsnAllocator,
-    GlsnAllocator,
-    GlsnBlock,
-)
+from repro.logstore.glsn import PAPER_GLSN_START, GlsnAllocator, GlsnBlock
 from repro.logstore.records import LogRecord
 from repro.logstore.schema import Attribute, AttributeKind, GlobalSchema
 
@@ -44,25 +39,6 @@ class TestGlsnAllocator:
 
 
 class TestBlockAllocator:
-    def test_disjoint_blocks(self):
-        alloc = BlockGlsnAllocator(start=0, block_size=4)
-        a = [alloc.allocate("P0") for _ in range(4)]
-        b = [alloc.allocate("P1") for _ in range(4)]
-        assert not set(a) & set(b)
-
-    def test_automatic_release(self):
-        alloc = BlockGlsnAllocator(start=0, block_size=2)
-        values = [alloc.allocate("P0") for _ in range(5)]
-        assert len(set(values)) == 5
-        assert alloc.leases_granted == 3
-
-    def test_interleaved_nodes_never_collide(self):
-        alloc = BlockGlsnAllocator(start=0, block_size=3)
-        values = []
-        for i in range(30):
-            values.append(alloc.allocate(f"P{i % 4}"))
-        assert len(set(values)) == 30
-
     def test_block_exhaustion_guard(self):
         block = GlsnBlock(start=0, end=1)
         block.take()

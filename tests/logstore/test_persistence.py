@@ -84,8 +84,7 @@ class TestSnapshotRestore:
     def test_eviction_round_trip_preserves_state(
         self, populated_store, ticket_authority
     ):
-        # What move_shard does to the source ring: evict one glsn on
-        # every node.
+        # Every node loses the same record (the ``evict`` fault hook).
         store, _, receipts = populated_store
         evicted = receipts[1].glsn
         for node_id in store.plan.node_ids:

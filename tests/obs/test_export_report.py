@@ -107,25 +107,22 @@ class TestAttribution:
         out = render_attribution(_sample_trace().finished_spans())
         lines = out.splitlines()
         assert lines[0].split() == [
-            "span", "shard", "time", "ms", "%", "parent",
-            "msgs", "bytes", "modexp", "events",
+            "span", "time", "ms", "%", "parent", "msgs", "bytes", "modexp", "events",
         ]
         assert "run" in out and "stage-a" in out
 
-    def test_shard_column_inherits_down_tree(self):
+    def test_rows_follow_the_tree_depth_first(self):
         tracer = Tracer()
-        with tracer.span("shard.query", {"shard": "coord"}):
-            with tracer.span("sched.query", {"shard": "s1"}):
-                with tracer.span("smc.union"):  # no shard attr: inherits s1
+        with tracer.span("audit.query"):
+            with tracer.span("sched.query"):
+                with tracer.span("smc.union"):
                     pass
-        rows = {r["name"]: r for r in attribution_rows(tracer.finished_spans())}
-        assert rows["shard.query"]["shard"] == "coord"
-        assert rows["sched.query"]["shard"] == "s1"
-        assert rows["smc.union"]["shard"] == "s1"
-
-    def test_unsharded_rows_show_dash(self):
-        rows = attribution_rows(_sample_trace().finished_spans())
-        assert {r["shard"] for r in rows} == {"—"}
+            with tracer.span("obs.collect"):
+                pass
+        rows = attribution_rows(tracer.finished_spans())
+        assert [(r["name"], r["depth"]) for r in rows] == [
+            ("audit.query", 0), ("sched.query", 1), ("smc.union", 2), ("obs.collect", 1),
+        ]
 
     def test_empty_trace(self):
         assert render_attribution([]) == "(empty trace)"

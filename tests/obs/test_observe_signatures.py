@@ -23,7 +23,6 @@ from repro.crypto import DeterministicRng
 from repro.logstore import LogRecord, paper_fragment_plan, paper_table1_schema
 from repro.logstore.fragmentation import FragmentPlan
 from repro.obs.confidentiality import ConfidentialityObservatory
-from repro.shard import ShardedAuditingService
 
 SCHEMA = paper_table1_schema()
 PLAN = paper_fragment_plan(SCHEMA)
@@ -144,23 +143,17 @@ def test_one_score_per_signature_and_no_record_rebuilt(monkeypatch):
     assert records_built == []
 
 
-def test_sharded_merge_after_a_fragment_was_evicted_is_bit_equal():
-    """A moved block's records score from the ring the map now names."""
+def test_query_after_records_were_evicted_is_bit_equal():
+    """Records every node lost score as absent: the survivors' mean."""
     rows = _rows(48)
-    cluster = ShardedAuditingService(
-        SCHEMA, PLAN, shards=2, prime_bits=64, block_size=4,
-        rng=DeterministicRng(b"observe-signatures"),
+    service = _service(rows)
+    glsns = service.store.glsns
+    lost = set(glsns[::5])
+    for glsn in lost:
+        for node_id in PLAN.node_ids:
+            service.store.node_store(node_id).evict(glsn)
+    kept = [(glsn, row) for glsn, row in zip(glsns, rows) if glsn not in lost]
+    assert service.query(EVERYTHING).glsns == [glsn for glsn, _ in kept]
+    assert service.observatory.c_dla("default") == _per_record_c_query(
+        EVERYTHING, [row for _, row in kept]
     )
-    try:
-        ticket = cluster.register_user("writer")
-        glsns = [cluster.log_event(row, ticket).glsn for row in rows]
-        block = cluster.map.range_for(cluster.shards[0].store.glsns[0])
-        moved = cluster.move_shard(block.lo, block.hi, 1)
-        assert moved.glsns and all(
-            g not in cluster.shards[0].store.glsns for g in moved.glsns
-        )
-        result = cluster.query(EVERYTHING)
-        assert sorted(result.glsns) == sorted(glsns)
-        assert result.c_query == _per_record_c_query(EVERYTHING, rows)
-    finally:
-        cluster.shutdown()

@@ -1,10 +1,10 @@
 """One concurrency model: every scheduler is one class on an event loop.
 
-``service.scheduler``, the dedicated scheduler of
-``query_many(max_concurrency=N)`` and each ring of a sharded cluster build
-the same :class:`~repro.sched.QueryScheduler`; nothing runs on a worker
-pool or a per-connection reader thread, and closing a service or a TCP
-cluster leaves no loop thread behind.
+``service.scheduler`` and the dedicated scheduler of
+``query_many(max_concurrency=N)`` build the same
+:class:`~repro.sched.QueryScheduler`; nothing runs on a worker pool or a
+per-connection reader thread, and closing a service or a TCP cluster
+leaves no loop thread behind.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.net.message import Message
 from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
-from tests.shard.conftest import build_sharded
 
 #: Every thread this repo's schedulers and socket transports ever named.
 LOOP_THREADS = ("repro-aio-sched", "aio-tcp-")
@@ -62,16 +61,12 @@ def high_water(monkeypatch, gauge: Gauge) -> list[int]:
 def test_every_construction_site_builds_the_same_class(monkeypatch):
     built = record_schedulers(monkeypatch)
     service = build_service(rows=12)
-    cluster, _ticket = build_sharded(rows=12, shards=2)
     try:
         persistent = service.scheduler
         service.query_many(CRITERIA[:2], max_concurrency=3)
-        cluster.query(CRITERIA[0])
-        rings = [ring.scheduler for ring in cluster.shards]
-        assert len(built) == 4 and persistent in built and set(rings) < set(built)
+        assert len(built) == 2 and built[0] is persistent
         assert {type(s) for s in built} == {QueryScheduler}
-        dedicated = next(s for s in built if s is not persistent and s not in rings)
-        assert dedicated.config.max_inflight == 3
+        assert built[1].config.max_inflight == 3
         # One module defines a scheduler; the benchmark's alias is that class.
         from repro.aio.scheduler import AsyncQueryScheduler
 
@@ -79,7 +74,6 @@ def test_every_construction_site_builds_the_same_class(monkeypatch):
         assert QueryScheduler.__module__ == "repro.sched.scheduler"
     finally:
         service.close()
-        cluster.shutdown()
 
 
 def test_max_concurrency_bounds_in_flight_and_equals_serial(monkeypatch):

@@ -82,13 +82,6 @@ HEADLINES = [
         lambda d: d["throughput"]["speedup"],
     ),
     (
-        "BENCH_p7.json",
-        "P7 horizontal sharding",
-        "4-shard aggregate speedup",
-        "x",
-        lambda d: d["speedup_at_4"],
-    ),
-    (
         "BENCH_p8.json",
         "P8 durable storage",
         "sustained ingest throughput",
