@@ -30,12 +30,6 @@ from repro.logstore.integrity import (
     run_integrity_round,
     run_integrity_round_async,
 )
-from repro.logstore.persistence import (
-    dump_store,
-    load_store,
-    restore_store,
-    snapshot_store,
-)
 from repro.logstore.records import LogRecord, format_glsn, render_table
 from repro.logstore.schema import (
     Attribute,
@@ -74,8 +68,4 @@ __all__ = [
     "IntegrityReport",
     "run_integrity_round",
     "run_integrity_round_async",
-    "snapshot_store",
-    "restore_store",
-    "dump_store",
-    "load_store",
 ]

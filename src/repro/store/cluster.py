@@ -7,14 +7,16 @@ journaling to ``<dir>/<node_id>/wal-*.seg``.  Layout of one store
 directory::
 
     <dir>/
-      checkpoint.json        # epoch snapshot (persistence format v2)
+      checkpoint.seg         # epoch checkpoint: a header + one record per node
       P0/wal-00000000.seg    # per-node append-only journals
       P1/wal-00000000.seg
       ...
 
-Recovery = load ``checkpoint.json`` + replay each node's WAL
-(:mod:`repro.store.recovery`).  A :meth:`checkpoint` folds the journals
-into a fresh snapshot and truncates them; *compaction* is exactly a
+The checkpoint is framed WAL records: a ``"header"`` (plan, accumulator
+parameters, next glsn), then one ``"node"`` record per node (fragments,
+anchors, ACL replica).  Recovery = read ``checkpoint.seg`` + replay each
+node's WAL, both through ``apply_wal_record`` (:mod:`repro.store.recovery`).  A :meth:`checkpoint` folds the journals
+into a fresh checkpoint and truncates them; *compaction* is exactly a
 checkpoint triggered in the background once any node accumulates
 ``REPRO_STORE_COMPACT_SEGMENTS`` sealed segments.  The compaction worker
 registers with the perf engine's shutdown hooks so interpreter exit
@@ -23,16 +25,16 @@ stops it before the shared process pool.
 
 from __future__ import annotations
 
-import json
+import logging
 import os
 import threading
 import time
 from pathlib import Path
+from typing import Iterator
 
 from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.tickets import Ticket, TicketAuthority
 from repro.logstore.fragmentation import FragmentPlan
-from repro.logstore.persistence import snapshot_store
 from repro.logstore.store import DistributedLogStore, WriteReceipt
 from repro.obs.tracer import NOOP_TRACER
 from repro.perf.engine import register_shutdown_hook, unregister_shutdown_hook
@@ -42,7 +44,9 @@ from repro.store.wal import WriteAheadLog
 
 __all__ = ["DurableDistributedLogStore", "CHECKPOINT_FILE"]
 
-CHECKPOINT_FILE = "checkpoint.json"
+CHECKPOINT_FILE = "checkpoint.seg"
+
+_log = logging.getLogger("repro.store")
 
 
 class _Compactor:
@@ -53,6 +57,8 @@ class _Compactor:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self.runs = 0
+        #: The exception of the latest failed background checkpoint.
+        self.last_error: Exception | None = None
         self._thread = threading.Thread(
             target=self._loop, name="store-compactor", daemon=True
         )
@@ -75,8 +81,14 @@ class _Compactor:
             try:
                 self._store.checkpoint()
                 self.runs += 1
-            except Exception:  # pragma: no cover - best-effort background work
-                pass
+            except Exception as error:  # the worker must outlive a failed run
+                _log.exception("background checkpoint of %s failed", self._store.directory)
+                if self._store.metrics is not None:
+                    self._store.metrics.counter(
+                        "repro_store_compaction_failures_total",
+                        help="background checkpoints that raised",
+                    ).inc()
+                self.last_error = error
 
 
 class DurableDistributedLogStore(DistributedLogStore):
@@ -177,39 +189,73 @@ class DurableDistributedLogStore(DistributedLogStore):
     # -- checkpoint / compaction ---------------------------------------------
 
     def checkpoint(self) -> Path:
-        """Write an epoch snapshot atomically, then truncate the WALs.
+        """Write an epoch checkpoint atomically, then truncate the WALs.
 
         Crash windows are safe in both directions: before the rename the
-        old checkpoint + full WALs still reconstruct everything; after
-        the rename but before truncation the WAL records overlap the
-        snapshot, and replay is idempotent.
+        old checkpoint + full WALs still reconstruct everything.  The
+        store directory is fsynced after the rename, so the rename is on
+        disk before any segment is unlinked; WAL records that outlive it
+        only overlap the checkpoint, and replay is idempotent.
         """
         started = time.monotonic()
         with self._mutation_lock:
             with self.store_tracer.span(
                 "store.checkpoint", {"dir": str(self.directory)}
             ):
-                snapshot = snapshot_store(self)
-                tmp = self.checkpoint_path.with_suffix(".json.tmp")
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    json.dump(snapshot, handle, separators=(",", ":"))
+                tmp = self.checkpoint_path.with_suffix(".seg.tmp")
+                with open(tmp, "wb") as handle:
+                    for record in self._checkpoint_records():
+                        handle.write(WriteAheadLog.encode_record(record))
                     handle.flush()
                     if self.config.fsync != "off":
                         os.fsync(handle.fileno())
                 os.replace(tmp, self.checkpoint_path)
+                if self.config.fsync != "off":
+                    directory = os.open(self.directory, os.O_RDONLY)
+                    try:
+                        os.fsync(directory)
+                    finally:
+                        os.close(directory)
                 for wal in self.wals.values():
                     wal.reset()
         self.checkpoints_written += 1
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_store_checkpoints_total",
-                help="epoch snapshots written (incl. background compaction)",
+                help="epoch checkpoints written (incl. background compaction)",
             ).inc()
             self.metrics.histogram(
                 "repro_store_checkpoint_seconds",
-                help="wall time of one checkpoint (snapshot + WAL truncation)",
+                help="wall time of one checkpoint (write + WAL truncation)",
             ).observe(time.monotonic() - started)
         return self.checkpoint_path
+
+    def _checkpoint_records(self) -> Iterator[dict]:
+        """The header, then one record per node, each built as it is written."""
+        params = self.accumulator.params
+        yield {
+            "op": "header",
+            "schema": [[a.name, a.kind.value] for a in self.plan.schema],
+            "assignment": self.plan.assignment,
+            "allow_overlap": self.plan.allow_overlap,
+            "n": params.n,
+            "x0": params.x0,
+            "next_glsn": self.allocator.next_value,
+        }
+        for node_id, node in self.stores.items():
+            glsns = node.glsns
+            yield {
+                "op": "node",
+                "node": node_id,
+                "glsns": glsns,
+                "anchors": [node.expected_accumulator(g) for g in glsns],
+                "values": [node.local_fragment(g).values for g in glsns],
+                "acl": [
+                    [entry.ticket_id, sorted(op.value for op in entry.operations),
+                     sorted(entry.glsns)]
+                    for entry in node.acl._entries.values()
+                ],
+            }
 
     def _maybe_compact(self) -> None:
         if self.compactor is None:

@@ -8,10 +8,11 @@ validates.  A record is durable once its WAL entry is flushed — the
 fsync policy decides when the OS page cache is forced out.
 
 Recovery applies the same records back through
-:meth:`DurableFragmentStore.apply_wal_record`, which bypasses ticket
-verification (like snapshot restore, it re-installs previously
-authorized state verbatim) and is idempotent, so a checkpoint that
-raced a crash can safely overlap the WAL it did not get to truncate.
+:meth:`DurableFragmentStore.apply_wal_record` — and installs each node's
+checkpoint record through it too — which bypasses ticket verification
+(it re-installs previously authorized state verbatim) and is
+idempotent, so a checkpoint that raced a crash can safely overlap the
+WAL it did not get to truncate.
 """
 
 from __future__ import annotations
@@ -86,12 +87,34 @@ class DurableFragmentStore(FragmentStore):
     def apply_wal_record(self, record: dict) -> None:
         """Re-apply one logged mutation without ticket checks (idempotent).
 
-        A ``"chain"`` field on a ``put`` record (written by stores that
-        kept a combined-ring anchor per append) is ignored.
+        A ``"node"`` record is a checkpoint's image of this node: every
+        fragment with its anchor, then the ACL replica (grants of evicted
+        glsns and entries emptied by deletes included).  A ``"chain"``
+        field on a ``put`` record (written by stores that kept a
+        combined-ring anchor per append) is ignored.
         """
         op = record.get("op")
         glsn = record.get("glsn")
-        if op == "put":
+        if op == "node":
+            for glsn, anchor, values in zip(
+                record["glsns"], record["anchors"], record["values"]
+            ):
+                self._fragments[glsn] = Fragment(
+                    glsn=glsn, node_id=self.node_id, values=values
+                )
+                self._accumulators[glsn] = anchor
+                self._bump(glsn, present=True)
+            for ticket_id, rights, glsns in record["acl"]:
+                entry = self.acl._entries.setdefault(
+                    ticket_id,
+                    AccessEntry(
+                        ticket_id=ticket_id,
+                        operations=frozenset(map(Operation, rights)),
+                    ),
+                )
+                entry.glsns.update(glsns)
+                self.acl._glsn_owner.update(dict.fromkeys(glsns, ticket_id))
+        elif op == "put":
             fragment = Fragment(
                 glsn=glsn, node_id=self.node_id, values=dict(record["values"])
             )

@@ -5,8 +5,10 @@ directory.  A fresh directory just builds a new
 :class:`~repro.store.cluster.DurableDistributedLogStore`; an existing
 one is recovered:
 
-1. **Checkpoint** — ``checkpoint.json`` (persistence format v2) is
-   restored into WAL-attached node stores.
+1. **Checkpoint** — ``checkpoint.seg``'s header rebuilds the plan and
+   accumulator parameters; each node record goes through
+   ``apply_wal_record``, as WAL records do.  A damaged checkpoint raises
+   :class:`~repro.errors.LogStoreError` naming the file and byte offset.
 2. **Replay** — each node's WAL is decoded in append order and applied
    idempotently (safe even when a crash left the WAL overlapping the
    checkpoint it was about to truncate).  A *torn tail* — the truncated
@@ -27,7 +29,6 @@ worth of answers to every query.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -35,13 +36,14 @@ from pathlib import Path
 
 from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.tickets import TicketAuthority
+from repro.errors import LogStoreError
 from repro.logstore.fragmentation import FragmentPlan
 from repro.logstore.glsn import GlsnAllocator
-from repro.logstore.persistence import restore_store
 from repro.logstore.schema import Attribute, AttributeKind, GlobalSchema
 from repro.obs.tracer import NOOP_TRACER
 from repro.store.cluster import CHECKPOINT_FILE, DurableDistributedLogStore
 from repro.store.config import StoreConfig
+from repro.store.wal import read_records
 
 __all__ = ["open_durable_store", "recover_store", "RecoveryReport"]
 
@@ -71,25 +73,6 @@ def _has_state(directory: Path) -> bool:
     if (directory / CHECKPOINT_FILE).exists():
         return True
     return any(directory.glob("*/wal-*.seg"))
-
-
-def _plan_from_snapshot(snapshot: dict) -> FragmentPlan:
-    schema = GlobalSchema(
-        [
-            Attribute(item["name"], AttributeKind(item["kind"]))
-            for item in snapshot["schema"]
-        ]
-    )
-    return FragmentPlan(
-        schema, snapshot["assignment"], allow_overlap=snapshot["allow_overlap"]
-    )
-
-
-def _params_from_snapshot(snapshot: dict) -> AccumulatorParams:
-    return AccumulatorParams(
-        n=int(snapshot["accumulator"]["n"], 16),
-        x0=int(snapshot["accumulator"]["x0"], 16),
-    )
 
 
 def open_durable_store(
@@ -151,30 +134,44 @@ def recover_store(
 
     with span_tracer.span("store.recover", {"dir": str(directory)}):
         checkpoint_path = directory / CHECKPOINT_FILE
-        snapshot = None
-        if checkpoint_path.exists():
-            with open(checkpoint_path, encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-            report.checkpoint_loaded = True
-        if snapshot is None:
+        if not checkpoint_path.exists():
             raise FileNotFoundError(
                 f"{directory}: WAL segments present but no {CHECKPOINT_FILE}; "
                 "the initial checkpoint carries the fragment plan and "
                 "accumulator parameters and cannot be reconstructed"
             )
-        plan = _plan_from_snapshot(snapshot)
-        params = _params_from_snapshot(snapshot)
+        data = checkpoint_path.read_bytes()
+        records = read_records(data, str(checkpoint_path))
+        header = next(records, None)
+        if not isinstance(header, dict) or header.get("op") != "header":
+            raise LogStoreError(f"{checkpoint_path}: no header record at offset 0")
+        report.checkpoint_loaded = True
+        schema = GlobalSchema(
+            [Attribute(name, AttributeKind(kind)) for name, kind in header["schema"]]
+        )
         store = DurableDistributedLogStore(
-            plan,
+            FragmentPlan(schema, header["assignment"], allow_overlap=header["allow_overlap"]),
             authority,
-            params,
+            AccumulatorParams(n=header["n"], x0=header["x0"]),
             directory,
             config=config,
             tracer=tracer,
             metrics=metrics,
             initial_checkpoint=False,
         )
-        restore_store(snapshot, authority, store=store)
+        try:
+            loaded = set()
+            for record in records:
+                store.node_store(record["node"]).apply_wal_record(record)
+                loaded.add(record["node"])
+            if loaded != set(store.stores):
+                raise LogStoreError(
+                    f"{checkpoint_path}: ends at offset {len(data)} with no record "
+                    f"of node(s) {sorted(set(store.stores) - loaded)}"
+                )
+        except BaseException:
+            store.close()
+            raise
 
         # -- WAL replay, idempotent, tolerating per-node torn tails -------
         for node_id, node in store.stores.items():
@@ -206,9 +203,7 @@ def recover_store(
         # -- allocator fast-forward past every surviving glsn --------------
         glsns = store.glsns
         floor = (glsns[-1] + 1) if glsns else 0
-        store.allocator = GlsnAllocator(
-            start=max(int(snapshot.get("next_glsn", 0)), floor)
-        )
+        store.allocator = GlsnAllocator(start=max(header["next_glsn"], floor))
 
         # -- fold the replayed delta into a fresh checkpoint so the next
         # crash recovers from here, not from two generations back. --------

@@ -6,7 +6,9 @@ big-endian length, 4-byte CRC-32 of the body, then the body — and the
 body is the codec's binary body (:func:`repro.net.codec.encode_payload`:
 a JSON envelope followed by fixed-width big-endian element blocks), so
 accumulator anchors (arbitrary-precision ints) are stored as on the wire
-instead of in a second ad-hoc format.
+instead of in a second ad-hoc format.  The store's checkpoint file is a
+run of the same records (:mod:`repro.store.cluster`), and
+:func:`read_records` is the one reader of both.
 
 Segments rotate at ``REPRO_STORE_SEGMENT_BYTES``; the *active* segment
 takes appends, *sealed* segments are immutable and are what background
@@ -17,7 +19,9 @@ write-batching window (see :mod:`repro.store.config`).
 Replay tolerates a *torn tail*: a crash mid-write leaves the final
 record truncated or CRC-broken, and :meth:`WriteAheadLog.replay` stops
 cleanly at the last intact record instead of raising — the recovery
-layer then rolls the half-written append back across the cluster.
+layer then rolls the half-written append back across the cluster.  A
+checkpoint is renamed into place only once whole, so the same damage
+there is an error.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from repro.errors import LogStoreError
 from repro.net.codec import decode_payload, encode_payload
 from repro.store.config import StoreConfig
 
-__all__ = ["WriteAheadLog", "WalReplayReport", "RECORD_HEADER_BYTES"]
+__all__ = ["WriteAheadLog", "WalReplayReport", "RECORD_HEADER_BYTES", "read_records"]
 
 #: 4-byte length prefix + 4-byte CRC-32, same shape as a wire frame.
 RECORD_HEADER_BYTES = 8
@@ -43,6 +48,28 @@ _SEGMENT_GLOB = "wal-*.seg"
 
 def _segment_index(path: Path) -> int:
     return int(path.stem.split("-", 1)[1])
+
+
+def read_records(data: bytes, name: str) -> Iterator[dict]:
+    """Decode the framed records of one file's ``data``, in order; a frame
+    cut short or failing its CRC raises :class:`LogStoreError` naming
+    ``name`` and the frame's offset, after the intact records before it."""
+    offset = 0
+    while offset < len(data):
+        if offset + RECORD_HEADER_BYTES > len(data):
+            raise LogStoreError(
+                f"{name}: {len(data) - offset} trailing bytes (torn header) "
+                f"at offset {offset}"
+            )
+        length = int.from_bytes(data[offset : offset + 4], "big")
+        end = offset + RECORD_HEADER_BYTES + length
+        if end > len(data):
+            raise LogStoreError(f"{name}: truncated record at offset {offset}")
+        body = data[offset + RECORD_HEADER_BYTES : end]
+        if zlib.crc32(body) != int.from_bytes(data[offset + 4 : offset + 8], "big"):
+            raise LogStoreError(f"{name}: CRC mismatch at offset {offset}")
+        yield decode_payload(body)
+        offset = end
 
 
 @dataclass
@@ -224,41 +251,18 @@ class WriteAheadLog:
     def replay(self) -> WalReplayReport:
         """Decode every intact record currently on disk, in append order."""
         report = WalReplayReport()
-        paths = self._segment_paths()
-        for ordinal, path in enumerate(paths):
+        for path in self._segment_paths():
             report.segments += 1
             data = path.read_bytes()
             report.bytes_read += len(data)
-            offset = 0
-            while offset + RECORD_HEADER_BYTES <= len(data):
-                length = int.from_bytes(data[offset : offset + 4], "big")
-                expected_crc = int.from_bytes(data[offset + 4 : offset + 8], "big")
-                end = offset + RECORD_HEADER_BYTES + length
-                if end > len(data):
-                    report.torn_tail = True
-                    report.detail = (
-                        f"{path.name}: truncated record at offset {offset}"
-                    )
-                    return report
-                body = data[offset + RECORD_HEADER_BYTES : end]
-                if (zlib.crc32(body) & 0xFFFFFFFF) != expected_crc:
-                    report.torn_tail = True
-                    report.detail = (
-                        f"{path.name}: CRC mismatch at offset {offset}"
-                    )
-                    return report
-                report.entries.append(decode_payload(body))
-                report.records += 1
-                offset = end
-            if offset < len(data):
-                # Trailing bytes shorter than a header: torn mid-header.
+            try:
+                for record in read_records(data, path.name):
+                    report.entries.append(record)
+                    report.records += 1
+            except LogStoreError as torn:
                 report.torn_tail = True
-                report.detail = (
-                    f"{path.name}: {len(data) - offset} trailing bytes "
-                    f"(torn header)"
-                )
+                report.detail = str(torn)
                 return report
-            del ordinal
         return report
 
     def reset(self) -> None:

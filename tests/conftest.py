@@ -27,8 +27,8 @@ from repro.logstore import (
 from repro.smc import SmcContext
 from repro.workloads import paper_table1_rows
 
-# ``--hypothesis-profile=ci``: the codec fuzz module again, with ten times the
-# default examples and no per-example deadline (shared runners stall).
+# ``--hypothesis-profile=ci``: the codec and checkpoint fuzz modules again, with
+# ten times the default examples and no per-example deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

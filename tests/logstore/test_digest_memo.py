@@ -5,7 +5,7 @@ per object, and each ring node reuses its last fold of a glsn when the
 incoming token value and that exponent are unchanged
 (``FragmentStore.fold``).  Each way a stored fragment can change — a
 tamper, its restore, a delete and re-append, a replayed WAL tamper
-record, a snapshot reload — installs a *new* ``Fragment``, so a check that
+record, a checkpoint reload — installs a *new* ``Fragment``, so a check that
 ran (and filled the memos) before the rewrite must still flag exactly the
 rewritten glsn afterwards, and be clean again once the value is put back.
 :class:`FoldMemoMachine` checks the ring's fold memo against a memo-free
@@ -41,11 +41,10 @@ from repro.logstore.integrity import (
     run_combined_integrity_round,
     run_integrity_round,
 )
-from repro.logstore.persistence import restore_store, snapshot_store
 from repro.logstore.store import FragmentStore
 from repro.net.simnet import SimNetwork
 from repro.resilience import recovery_audit, ring_avoiding
-from repro.store import StoreConfig, open_durable_store
+from repro.store import StoreConfig, open_durable_store, recover_store
 from repro.workloads import paper_table1_rows
 
 
@@ -98,17 +97,31 @@ class TestMemoAcrossRewrites:
         node.tamper(again, "C3", original)
         assert_flags(store, checker, [])
 
-    def test_snapshot_reload(self, populated_store, ticket_authority):
-        store, _, receipts = populated_store
+    def test_snapshot_reload(self, table1_plan, ticket_authority, tmp_path):
+        config = StoreConfig(fsync="off", compact=False)
+        store, _ = open_durable_store(
+            table1_plan,
+            ticket_authority,
+            AccumulatorParams.generate(128, DeterministicRng(b"memo-acc")),
+            tmp_path,
+            config=config,
+        )
+        ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
+        receipts = store.append_record(paper_table1_rows(), ticket)
         assert_flags(store, IntegrityChecker(store), [])
         glsn = receipts[3].glsn
         original = store.node_store("P1").local_fragment(glsn).values["C2"]
         store.node_store("P1").tamper(glsn, "C2", 10**6)
-        reloaded = restore_store(snapshot_store(store), ticket_authority)
-        checker = IntegrityChecker(reloaded)
-        assert_flags(reloaded, checker, [glsn])
-        reloaded.node_store("P1").tamper(glsn, "C2", original)
-        assert_flags(reloaded, checker, [])
+        store.checkpoint()
+        store.close()
+        reloaded, _ = recover_store(ticket_authority, tmp_path, config=config)
+        try:
+            checker = IntegrityChecker(reloaded)
+            assert_flags(reloaded, checker, [glsn])
+            reloaded.node_store("P1").tamper(glsn, "C2", original)
+            assert_flags(reloaded, checker, [])
+        finally:
+            reloaded.close()
 
     def test_replayed_wal_tamper_record(
         self, table1_plan, ticket_authority, tmp_path

@@ -12,11 +12,10 @@ import random
 import pytest
 
 from repro.crypto.tickets import Operation
-from repro.logstore.persistence import snapshot_store
 from repro.store import StoreConfig, open_durable_store
 from repro.workloads import paper_table1_rows
 
-from tests.store.conftest import reopen
+from tests.store.conftest import reopen, store_state
 
 
 def build(plan, authority, params, directory, rows, config):
@@ -47,13 +46,13 @@ class TestCleanRestart:
         store, ticket, receipts = build(
             table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config
         )
-        expected = snapshot_store(store)
+        expected = store_state(store)
         store.close()
         recovered, report = reopen(
             table1_plan, ticket_authority, acc_params, tmp_path, fast_config
         )
         assert report.audit_ok and not report.rolled_back
-        assert snapshot_store(recovered) == expected
+        assert store_state(recovered) == expected
         for receipt, row in zip(receipts, rows):
             assert recovered.read_record(receipt.glsn, ticket).values == row
         recovered.close()

@@ -103,6 +103,34 @@ class TestCheckpoint:
         assert store.checkpoints_written > baseline
         store.close()
 
+    def test_failed_background_checkpoint_is_kept_counted_and_logged(
+        self, table1_plan, ticket_authority, acc_params, tmp_path, caplog
+    ):
+        import logging
+        import time
+
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        store, _ = open_durable_store(
+            table1_plan, ticket_authority, acc_params, tmp_path,
+            config=StoreConfig(fsync="off", compact=True), metrics=metrics,
+        )
+
+        def full_disk():
+            raise OSError("no space left on device")
+
+        store.checkpoint = full_disk
+        with caplog.at_level(logging.ERROR, logger="repro.store"):
+            store.compactor.trigger()
+            deadline = time.monotonic() + 5.0
+            while store.compactor.last_error is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+        store.close()
+        assert isinstance(store.compactor.last_error, OSError)
+        assert metrics.value("repro_store_compaction_failures_total") == 1
+        assert "no space left on device" in caplog.text
+
 
 class TestConfig:
     def test_from_env_reads_every_knob(self, monkeypatch, tmp_path):
