@@ -1,13 +1,11 @@
 """repro.cache — epoch-keyed memoization for the DLA hot paths.
 
-One primitive (:class:`LruCache`) behind three hot paths:
+One primitive (:class:`LruCache`) behind two hot paths:
 
 * the query executor's per-(node, attribute) column cache, keyed by the
   owning store's epoch;
 * the :class:`~repro.crypto.pohlig_hellman.MessageEncoder` hashed-encoding
-  memo (pure function of value and prime);
-* the in-process :class:`~repro.logstore.integrity.IntegrityChecker`'s
-  per-glsn report cache, keyed by the fragment version vector.
+  memo (pure function of value and prime).
 
 ``REPRO_CACHE=off`` disables everything at once;
 ``REPRO_CACHE_MAX_ENTRIES`` bounds each cache.  See ``docs/perf.md``.

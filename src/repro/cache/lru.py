@@ -9,8 +9,8 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
   ``REPRO_CACHE_MAX_ENTRIES``, 4096); the least-recently-used entry is
   evicted first, so a long-running service cannot grow without limit.
 * **Epoch-keyed.** Callers put the data-version (a
-  :class:`~repro.logstore.store.FragmentStore` epoch, a fragment
-  version vector, the cipher prime) *into the key*.  Stale entries are
+  :class:`~repro.logstore.store.FragmentStore` epoch, the cipher
+  prime) *into the key*.  Stale entries are
   never served — they simply stop being looked up and age out of the
   LRU.  There is no invalidation bookkeeping to get wrong.
 * **Observable.** Hit / miss / eviction counters and an entry gauge,

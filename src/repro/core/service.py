@@ -736,7 +736,7 @@ class ConfidentialAuditingService:
                 self.store, net=self._fresh_net(), deadline=Deadline.after(timeout),
                 crypto=self.integrity_ops,
             )
-        return IntegrityChecker(self.store, metrics=self.metrics).check_all()
+        return IntegrityChecker(self.store).check_all()
 
     # -- introspection ----------------------------------------------------------------
 

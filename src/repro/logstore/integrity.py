@@ -17,14 +17,14 @@ ring instead of one token per glsn: identical per-glsn reports at
 O(nodes) messages instead of O(nodes × glsns).
 
 A sweep pays for what changed: each node remembers its last fold per glsn
-(:meth:`~repro.logstore.store.FragmentStore.fold`) and recomputes only the
-glsns whose incoming token value or stored digest exponent differ.  A
-tamper changes the exponent at one node and therefore the incoming value
-at every later hop, so detection is exactly that of a memo-free sweep.
-
-The in-process checker memoizes per-glsn reports keyed by each node's
-fragment version (``repro.cache``), so ``check_all`` after an append folds
-only the new glsn.
+(:meth:`~repro.logstore.store.FragmentStore.fold`), keyed on the stored
+fragment object and the incoming token value, and recomputes only the
+glsns where either differs.  A tamper installs a new fragment at one node
+and therefore changes the incoming value at every later hop, so detection
+is exactly that of a memo-free sweep.  The initiator likewise keeps its
+last report per glsn (:meth:`~repro.logstore.store.FragmentStore.verdicts`)
+and builds a new one only where the observed value or its anchor changed.
+A glsn some node lost folds to 0 there and is reported ``ok=False``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,13 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
-from repro.cache import LruCache
 from repro.crypto.accumulator import OneWayAccumulator
-from repro.errors import IntegrityError, ProtocolAbortError, RingFailoverError
+from repro.errors import (
+    IntegrityError,
+    ProtocolAbortError,
+    RingFailoverError,
+    UnknownGlsnError,
+)
 from repro.logstore.store import DistributedLogStore, FragmentStore
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
@@ -88,52 +92,33 @@ class BatchIntegrityReport:
 class IntegrityChecker:
     """In-process integrity verification over a :class:`DistributedLogStore`.
 
-    Per-glsn reports are memoized keyed by every node's fragment version
-    for that glsn: a glsn whose fragments no node has touched since the
-    last check is served from cache, so ``check_all`` after an append
-    re-folds only the newly appended glsn.  ``REPRO_CACHE=off`` restores
-    the always-recompute behaviour.
+    Folds every node's stored fragment per glsn with one fixed-base power;
+    a glsn some node no longer holds is reported ``ok=False`` with
+    ``observed=0``.
     """
 
-    def __init__(self, store: DistributedLogStore, metrics=None) -> None:
+    def __init__(self, store: DistributedLogStore) -> None:
         self.store = store
         self.accumulator: OneWayAccumulator = store.accumulator
-        self._report_cache = LruCache("integrity.report", metrics=metrics)
-
-    def _cache_key(self, glsn: int) -> tuple:
-        return (glsn,) + tuple(
-            (node_id, self.store.stores[node_id].fragment_version(glsn))
-            for node_id in sorted(self.store.stores)
-        )
 
     def check_glsn(self, glsn: int) -> IntegrityReport:
         """Fold every node's stored fragment; compare with the anchor."""
-        key = self._cache_key(glsn)
-        cached = self._report_cache.get(key)
-        if cached is not None:
-            return cached
-        report = self._check_glsn_uncached(glsn)
-        self._report_cache.put(key, report)
-        return report
-
-    def _check_glsn_uncached(self, glsn: int) -> IntegrityReport:
         product = 1
-        expected = None
+        anchors = []
         for node_id in sorted(self.store.stores):
             node = self.store.stores[node_id]
-            product *= node.local_fragment(glsn).digest_exponent()
-            anchor = node.expected_accumulator(glsn)
-            if expected is None:
-                expected = anchor
-            elif expected != anchor:
-                # Nodes disagree about the anchor itself: a compromised node
-                # rewrote its copy.  Report against the majority value.
-                anchors = [
-                    s.expected_accumulator(glsn) for s in self.store.stores.values()
-                ]
-                expected = max(set(anchors), key=anchors.count)
+            try:
+                product *= node.local_fragment(glsn).digest_exponent()
+                anchors.append(node.expected_accumulator(glsn))
+            except UnknownGlsnError:
+                product = 0  # a node lost its fragment: nothing to fold
+        if not anchors:
+            raise UnknownGlsnError(f"no node holds glsn {glsn:#x}")
+        # Nodes that disagree about the anchor itself mean a compromised
+        # node rewrote its copy: report against the majority value.
+        expected = max(set(anchors), key=anchors.count)
         # One fixed-base power of the pre-multiplied exponents (eq. 9).
-        observed = self.accumulator.base_power(product)
+        observed = self.accumulator.base_power(product) if product else 0
         return IntegrityReport(
             glsn=glsn, ok=observed == expected, expected=expected, observed=observed
         )
@@ -170,7 +155,7 @@ class IntegrityNode:
     folds through the node's memo (:meth:`FragmentStore.fold`), and
     ``crypto`` (a shared :class:`~repro.net.stats.CryptoOpCounter`) counts
     each glsn as ``<node>.modexp`` when folded or ``<node>.fold_reused``
-    when the memo answered.
+    when the memo answered (a glsn the node lost counts as neither).
     """
 
     def __init__(
@@ -202,9 +187,8 @@ class IntegrityNode:
 
     def _fold(self, glsns: list[int], incoming: list[int], compute) -> list[int]:
         """Fold through the store's memo; count real pows and reuses."""
-        folded, computed = self.store.fold(glsns, incoming, compute)
+        folded, computed, reused = self.store.fold(glsns, incoming, compute)
         if self.crypto is not None:
-            reused = len(glsns) - computed
             for kind, count in (("modexp", computed), ("fold_reused", reused)):
                 if count:
                     self.crypto.add(f"{self.node_id}.{kind}", count)
@@ -271,12 +255,17 @@ class IntegrityNode:
         self._relay(transport, glsns, folded, payload["remaining"], payload["origin"])
 
     def _finish_batch(self, glsns: list[int], values: list[int]) -> None:
-        for glsn, observed in zip(glsns, values):
-            expected = self.store.expected_accumulator(glsn)
-            self.state.reports[glsn] = IntegrityReport(
-                glsn=glsn, ok=observed == expected, expected=expected,
-                observed=observed,
-            )
+        self.state.reports.update(
+            zip(glsns, self.store.verdicts(glsns, values, _report))
+        )
+
+
+def _report(glsn: int, observed: int, expected: int) -> IntegrityReport:
+    # No anchor (expected 0) means this node lost the glsn: never intact.
+    return IntegrityReport(
+        glsn=glsn, ok=observed == expected != 0, expected=expected,
+        observed=observed,
+    )
 
 
 def _start_per_glsn(node: IntegrityNode, transport, glsns: list[int]) -> None:
@@ -288,9 +277,9 @@ def _start_per_glsn(node: IntegrityNode, transport, glsns: list[int]) -> None:
 def _reports_of(node: IntegrityNode, glsns: list[int]):
     """The per-glsn verdicts in request order; ``None`` while any is missing."""
     reports = node.state.reports
-    if any(glsn not in reports for glsn in glsns):
+    if not all(map(reports.__contains__, glsns)):
         return None
-    return [reports[glsn] for glsn in glsns]
+    return list(map(reports.__getitem__, glsns))
 
 
 async def _supervised_round(

@@ -18,6 +18,10 @@ from repro.logstore.schema import GlobalSchema
 
 __all__ = ["LogRecord", "format_glsn", "render_table"]
 
+# One encoder for every canonical serialization: ``json.dumps`` with
+# these options would build a new one per call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def format_glsn(glsn: int) -> str:
     """Render a glsn the way the paper prints them (lowercase hex)."""
@@ -54,7 +58,7 @@ class LogRecord:
     def canonical_bytes(self) -> bytes:
         """Stable byte serialization (input to integrity accumulators)."""
         body = {"glsn": self.glsn, "values": _stringify(self.values)}
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        return _CANONICAL_JSON.encode(body).encode()
 
     def validate_against(self, schema: GlobalSchema) -> None:
         schema.validate_values(self.values)

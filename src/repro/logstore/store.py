@@ -11,7 +11,9 @@ fragments the record, obtains a glsn, and ships fragment ``Log_i`` to node
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not, itemgetter, ne, or_
 from typing import Callable, Iterable
 
 from repro.crypto.accumulator import AccumulatorParams, OneWayAccumulator
@@ -24,6 +26,11 @@ from repro.logstore.records import LogRecord
 
 __all__ = ["FragmentStore", "DistributedLogStore", "WriteReceipt"]
 
+# The memo slot of a glsn never folded (or judged) here: a token value is
+# never None, so it always misses.
+_NO_MEMO = (None, None, None)
+_first, _second, _third = map(itemgetter, range(3))
+
 
 class FragmentStore:
     """One DLA node's local storage: fragments, ACL replica, digests."""
@@ -33,35 +40,29 @@ class FragmentStore:
         self.acl = AccessControlTable(authority)
         self._fragments: dict[int, Fragment] = {}
         self._accumulators: dict[int, int] = {}  # glsn -> expected A(x0, frags)
-        # Cache coherence: a monotonic store-wide epoch plus per-glsn
-        # versions, bumped on every mutation (put/delete/tamper).  Caches
-        # key on these, so stale entries are simply never looked up again.
+        # Cache coherence: a monotonic store-wide epoch bumped on every
+        # mutation (put/delete/tamper); caches key on it, so stale entries
+        # are simply never looked up again.
         self._epoch = 0
-        self._versions: dict[int, int] = {}
-        # This node's last integrity fold per glsn: (incoming value, digest
-        # exponent, folded value).  ``pow`` is pure, so a sweep that meets
-        # the same two inputs reuses the output; an entry leaves with its
-        # glsn (:meth:`_forget`), so there is at most one per fragment.
-        self._folds: dict[int, tuple[int, int, int]] = {}
-        # Orders a fold's write-back against _forget: a sweep racing a
+        # This node's last integrity fold per glsn: (the stored Fragment it
+        # folded, incoming value, folded value).  ``pow`` is pure and a
+        # stored fragment is never edited in place, so a sweep that meets
+        # the same fragment *object* and incoming value reuses the output.
+        self._folds: dict[int, tuple[Fragment, int, int]] = {}
+        # The last verdict this node built per glsn as a ring's initiator:
+        # (observed, expected, verdict), reused while both are unchanged.
+        self._verdicts: dict[int, tuple[int, int, object]] = {}
+        # Orders a memo write-back against _forget: a sweep racing a
         # delete must not re-add the forgotten glsn's entry.
-        self._folds_lock = threading.Lock()
+        self._memo_lock = threading.Lock()
 
     @property
     def epoch(self) -> int:
         """Monotonic mutation counter — cache keys include it."""
         return self._epoch
 
-    def fragment_version(self, glsn: int) -> int | None:
-        """Version of one fragment (bumped by put/tamper), None if absent."""
-        return self._versions.get(glsn)
-
-    def _bump(self, glsn: int, present: bool) -> None:
+    def _bump(self) -> None:
         self._epoch += 1
-        if present:
-            self._versions[glsn] = self._epoch
-        else:
-            self._versions.pop(glsn, None)
 
     # -- writes ---------------------------------------------------------------
 
@@ -76,7 +77,7 @@ class FragmentStore:
         self.acl.grant(ticket, fragment.glsn)
         self._fragments[fragment.glsn] = fragment
         self._accumulators[fragment.glsn] = expected_accumulator
-        self._bump(fragment.glsn, present=True)
+        self._bump()
 
     def delete(self, glsn: int, ticket: Ticket) -> None:
         """Delete a fragment under an authenticated DELETE ticket."""
@@ -87,12 +88,13 @@ class FragmentStore:
 
     def _forget(self, glsn: int) -> None:
         """Drop what this node keeps for a held ``glsn``: its fragment,
-        anchor and fold memo entry (ACL bookkeeping is the caller's)."""
-        with self._folds_lock:
+        anchor and integrity memo entries (ACL bookkeeping is the caller's)."""
+        with self._memo_lock:
             del self._fragments[glsn]
             self._folds.pop(glsn, None)
+            self._verdicts.pop(glsn, None)
         self._accumulators.pop(glsn, None)
-        self._bump(glsn, present=False)
+        self._bump()
 
     # -- reads ----------------------------------------------------------------
 
@@ -127,35 +129,79 @@ class FragmentStore:
         glsns: list[int],
         incoming: list[int],
         compute: Callable[[list[int], list[int]], list[int]],
-    ) -> tuple[list[int], int]:
+    ) -> tuple[list[int], int, int]:
         """This node's §4.1 fold of ``incoming[i]`` by glsn ``i``'s fragment.
 
         ``compute(values, exponents)`` performs the folds; it is handed
-        only the glsns whose (incoming value, digest exponent) differ from
-        the last fold here — the rest reuse that fold's output.  A tamper
-        installs a new fragment, so its exponent, and hence every later
-        hop's incoming value, misses.  Returns the folded values in order
-        and how many were computed.
+        only the glsns whose stored ``Fragment`` object or incoming value
+        differ from the last fold here — the rest reuse that fold's output,
+        found by passes over the aligned lists that never enter Python
+        code per glsn.  A tamper, put, replay or rollback installs a new
+        fragment object, so its glsn misses here and, its output having
+        changed, at every later hop.  A glsn this node no longer holds
+        folds to 0, which no later fold turns into an anchor.  Returns the
+        folded values in order, how many were computed and how many reused.
         """
-        folds = self._folds
-        out: list[int] = []
-        misses: list[tuple[int, int, int, int]] = []
-        for at, (glsn, value) in enumerate(zip(glsns, incoming)):
-            exponent = self._read(glsn).digest_exponent()
-            last = folds.get(glsn)
-            if last is not None and last[0] == value and last[1] == exponent:
-                out.append(last[2])
-            else:
-                out.append(0)
-                misses.append((at, glsn, value, exponent))
-        if misses:
-            results = compute([m[2] for m in misses], [m[3] for m in misses])
-            with self._folds_lock:
-                for (at, glsn, value, exponent), result in zip(misses, results):
-                    out[at] = result
-                    if glsn in self._fragments:  # not forgotten mid-sweep
-                        folds[glsn] = (value, exponent, result)
-        return out, len(misses)
+        held = self._fragments
+        lasts = list(map(self._folds.get, glsns, repeat(_NO_MEMO)))
+        misses = list(compress(range(len(glsns)), map(
+            or_,
+            map(is_not, map(held.get, glsns), map(_first, lasts)),
+            map(ne, incoming, map(_second, lasts)),
+        )))
+        out = list(map(_third, lasts))
+        reused = len(glsns) - len(misses)
+        if not misses:
+            return out, 0, reused
+        todo = []
+        for at in misses:
+            fragment = held.get(glsns[at])
+            out[at] = 0
+            if fragment is not None:
+                todo.append((at, fragment))
+        results = compute(
+            [incoming[at] for at, _ in todo],
+            [fragment.digest_exponent() for _, fragment in todo],
+        )
+        with self._memo_lock:
+            for (at, fragment), result in zip(todo, results):
+                out[at] = result
+                glsn = glsns[at]
+                if held.get(glsn) is fragment:  # not replaced or forgotten mid-sweep
+                    self._folds[glsn] = (fragment, incoming[at], result)
+        return out, len(todo), reused
+
+    def verdicts(
+        self,
+        glsns: list[int],
+        observed: list[int],
+        build: Callable[[int, int, int], object],
+    ) -> list:
+        """The verdict per glsn on a token that came home to this node.
+
+        ``build(glsn, observed, expected)`` makes one from the folded value
+        and this node's anchor (0 for a glsn it no longer holds); it is
+        called only where that pair differs from the last verdict kept
+        here, and every other glsn gets that same verdict object back.
+        """
+        expected = list(map(self._accumulators.get, glsns, repeat(0)))
+        lasts = list(map(self._verdicts.get, glsns, repeat(_NO_MEMO)))
+        changed = list(compress(range(len(glsns)), map(
+            or_,
+            map(ne, observed, map(_first, lasts)),
+            map(ne, expected, map(_second, lasts)),
+        )))
+        out = list(map(_third, lasts))
+        if not changed:
+            return out
+        with self._memo_lock:
+            held = self._fragments
+            for at in changed:
+                glsn = glsns[at]
+                out[at] = verdict = build(glsn, observed[at], expected[at])
+                if glsn in held:
+                    self._verdicts[glsn] = (observed[at], expected[at], verdict)
+        return out
 
     @property
     def glsns(self) -> list[int]:
@@ -204,9 +250,9 @@ class FragmentStore:
         )
         # Even a malicious rewrite moves the epoch: the compromised node's
         # own caches see its mutation (anchors, of course, do not).  The
-        # fold memo needs no entry dropped: the new fragment's exponent
-        # differs, so the next fold misses.
-        self._bump(glsn, present=True)
+        # fold memo needs no entry dropped: it is keyed on the replaced
+        # Fragment object, so the next fold misses.
+        self._bump()
 
 
 @dataclass(frozen=True)
@@ -305,5 +351,5 @@ class DistributedLogStore:
         """All glsns present on (any of) the cluster nodes."""
         everything: set[int] = set()
         for store in self.stores.values():
-            everything.update(store.glsns)
+            everything.update(store._fragments)
         return sorted(everything)

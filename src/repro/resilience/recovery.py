@@ -26,7 +26,7 @@ class RecoveryAuditReport:
     failures: tuple[int, ...] = field(default_factory=tuple)
 
 
-def recovery_audit(store, metrics=None) -> RecoveryAuditReport:
+def recovery_audit(store) -> RecoveryAuditReport:
     """Local §4.1 sweep of every glsn on every node of ``store``.
 
     Uses the in-process :class:`~repro.logstore.integrity.IntegrityChecker`
@@ -37,7 +37,7 @@ def recovery_audit(store, metrics=None) -> RecoveryAuditReport:
     """
     from repro.logstore.integrity import IntegrityChecker
 
-    reports = IntegrityChecker(store, metrics=metrics).check_all()
+    reports = IntegrityChecker(store).check_all()
     failures = tuple(r.glsn for r in reports if not r.ok)
     return RecoveryAuditReport(
         clean=not failures, checked=len(reports), failures=failures

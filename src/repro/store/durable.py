@@ -103,7 +103,7 @@ class DurableFragmentStore(FragmentStore):
                     glsn=glsn, node_id=self.node_id, values=values
                 )
                 self._accumulators[glsn] = anchor
-                self._bump(glsn, present=True)
+            self._bump()
             for ticket_id, rights, glsns in record["acl"]:
                 entry = self.acl._entries.setdefault(
                     ticket_id,
@@ -131,7 +131,7 @@ class DurableFragmentStore(FragmentStore):
             )
             entry.glsns.add(glsn)
             self.acl._glsn_owner[glsn] = record["ticket_id"]
-            self._bump(glsn, present=True)
+            self._bump()
         elif op == "delete":
             if glsn not in self._fragments:
                 return  # idempotent overlap with the checkpoint
@@ -153,7 +153,7 @@ class DurableFragmentStore(FragmentStore):
             self._fragments[glsn] = Fragment(
                 glsn=glsn, node_id=self.node_id, values=values
             )
-            self._bump(glsn, present=True)
+            self._bump()
         else:
             raise LogStoreError(f"unknown WAL record op {op!r}")
 

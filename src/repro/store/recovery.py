@@ -212,7 +212,7 @@ def recover_store(
         if integrity_audit:
             from repro.resilience.recovery import recovery_audit
 
-            audit = recovery_audit(store, metrics=metrics)
+            audit = recovery_audit(store)
             report.audit_ok = audit.clean
             report.audit_failures = list(audit.failures)
 

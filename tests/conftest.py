@@ -27,8 +27,9 @@ from repro.logstore import (
 from repro.smc import SmcContext
 from repro.workloads import paper_table1_rows
 
-# ``--hypothesis-profile=ci``: the codec and checkpoint fuzz modules again, with
-# ten times the default examples and no per-example deadline (shared runners stall).
+# ``--hypothesis-profile=ci``: the codec, checkpoint and integrity-memo fuzz
+# modules again, with ten times the default examples (where a test does not
+# set its own) and no per-example deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -184,6 +184,30 @@ class TestTamperedCluster:
         assert not node.verify_receipt(receipt)
 
 
+class TestLostFragment:
+    @pytest.mark.parametrize("distributed", [True, False], ids=["ring", "in_process"])
+    @pytest.mark.parametrize("loser", ["P0", "P2"])  # P0 initiates the ring
+    def test_only_the_lost_glsn_fails(self, loser, distributed):
+        """A node whose storage lost one fragment fails that glsn alone;
+        the sweep still returns every other verdict."""
+        schema = paper_table1_schema()
+        service = ConfidentialAuditingService(
+            schema, paper_fragment_plan(schema), prime_bits=64,
+            rng=DeterministicRng(b"lost-fragment"),
+        )
+        ticket = service.register_user("u", {Operation.READ, Operation.WRITE})
+        for i in range(10):
+            service.log_event({"Tid": f"T{i}", "C1": i, "C2": i % 7}, ticket)
+        glsns = service.store.glsns
+        service.check_integrity(distributed=distributed)  # fills the memos
+        service.store.node_store(loser).evict(glsns[4])
+        for _ in range(2):  # a cold and a memoised sweep agree
+            reports = service.check_integrity(distributed=distributed)
+            assert [r.glsn for r in reports] == glsns
+            assert [r.glsn for r in reports if not r.ok] == [glsns[4]]
+            assert reports[4].observed == 0
+
+
 class TestLargeIntegritySweep:
     def test_sweeps_fold_only_what_changed(self):
         """Each node re-folds only the glsns whose inputs changed since its
@@ -227,9 +251,12 @@ class TestLargeIntegritySweep:
         log(rows, 5)
         assert sweep() == dict.fromkeys(nodes, 5)
         service.store.delete_record(service.store.glsns[7], ticket)
+        assert sweep() == dict.fromkeys(nodes, 0)  # no other glsn's inputs moved
         for node in nodes:
             store = service.store.node_store(node)
+            # One memo entry per held glsn, keyed on the fragment held now.
             assert len(store._folds) == len(store) == rows + 4
+            assert all(store._fragments[g] is f for g, (f, _, _) in store._folds.items())
 
 
 class TestCountsAt512Bits:

@@ -1,15 +1,17 @@
 """The integrity memos never outlive a rewrite.
 
 Every integrity path reads ``Fragment.digest_exponent()``, computed once
-per object, and each ring node reuses its last fold of a glsn when the
-incoming token value and that exponent are unchanged
-(``FragmentStore.fold``).  Each way a stored fragment can change — a
-tamper, its restore, a delete and re-append, a replayed WAL tamper
-record, a checkpoint reload — installs a *new* ``Fragment``, so a check that
-ran (and filled the memos) before the rewrite must still flag exactly the
-rewritten glsn afterwards, and be clean again once the value is put back.
-:class:`FoldMemoMachine` checks the ring's fold memo against a memo-free
-reference fold over random histories.
+per object; each ring node reuses its last fold of a glsn while the stored
+``Fragment`` object and the incoming token value are unchanged
+(``FragmentStore.fold``), and the initiator its last report while the
+observed value and anchor are (``FragmentStore.verdicts``).  Each way a
+stored fragment can change — a tamper, its restore, a delete and
+re-append, a replayed WAL tamper record, a checkpoint reload — installs a
+*new* ``Fragment``, so a check that ran (and filled the memos) before the
+rewrite must still flag exactly the rewritten glsn afterwards, and be
+clean again once the value is put back.  :class:`FoldMemoMachine` checks
+the ring's memos against a memo-free reference fold over random
+histories, lost fragments included.
 """
 
 import shutil
@@ -48,9 +50,9 @@ from repro.store import StoreConfig, open_durable_store, recover_store
 from repro.workloads import paper_table1_rows
 
 
-def failing(store, checker) -> dict[str, list[int]]:
-    """The glsns each integrity path flags; ``checker`` is long-lived so
-    its report cache is in play."""
+def failing(store) -> dict[str, list[int]]:
+    """The glsns each integrity path flags; the rings' memos live in the
+    store, so every call after the first is a warm sweep."""
     combined = run_combined_integrity_round(store)
     localized = [r.glsn for r in combined.reports if not r.ok]
     assert combined.ok == (not localized)
@@ -58,44 +60,42 @@ def failing(store, checker) -> dict[str, list[int]]:
         "per_glsn": [r.glsn for r in run_integrity_round(store) if not r.ok],
         "batched": [r.glsn for r in run_batched_integrity_round(store) if not r.ok],
         "combined": localized,
-        "checker": [r.glsn for r in checker.check_all() if not r.ok],
+        "checker": [r.glsn for r in IntegrityChecker(store).check_all() if not r.ok],
         "recovery_audit": list(recovery_audit(store).failures),
     }
 
 
-def assert_flags(store, checker, expected: list[int]) -> None:
-    got = failing(store, checker)
+def assert_flags(store, expected: list[int]) -> None:
+    got = failing(store)
     assert got == dict.fromkeys(got, expected)
 
 
 class TestMemoAcrossRewrites:
     def test_tamper_then_restore(self, populated_store):
         store, _, receipts = populated_store
-        checker = IntegrityChecker(store)
-        assert_flags(store, checker, [])  # fills every memo
+        assert_flags(store, [])  # fills every memo
         glsn = receipts[2].glsn
         node = store.node_store("P1")
         original = node.local_fragment(glsn).values["C2"]
         node.tamper(glsn, "C2", 10**6)
-        assert_flags(store, checker, [glsn])
+        assert_flags(store, [glsn])
         node.tamper(glsn, "C2", original)
-        assert_flags(store, checker, [])
+        assert_flags(store, [])
 
     def test_delete_then_reappend(self, populated_store):
         store, ticket, receipts = populated_store
-        checker = IntegrityChecker(store)
-        assert_flags(store, checker, [])
+        assert_flags(store, [])
         gone = receipts[1].glsn
         store.delete_record(gone, ticket)
         again = store.append(paper_table1_rows()[1], ticket).glsn
         assert gone not in store.glsns and again in store.glsns
-        assert_flags(store, checker, [])
+        assert_flags(store, [])
         node = store.node_store("P2")
         original = node.local_fragment(again).values["C3"]
         node.tamper(again, "C3", "forged")
-        assert_flags(store, checker, [again])
+        assert_flags(store, [again])
         node.tamper(again, "C3", original)
-        assert_flags(store, checker, [])
+        assert_flags(store, [])
 
     def test_snapshot_reload(self, table1_plan, ticket_authority, tmp_path):
         config = StoreConfig(fsync="off", compact=False)
@@ -108,7 +108,7 @@ class TestMemoAcrossRewrites:
         )
         ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
         receipts = store.append_record(paper_table1_rows(), ticket)
-        assert_flags(store, IntegrityChecker(store), [])
+        assert_flags(store, [])
         glsn = receipts[3].glsn
         original = store.node_store("P1").local_fragment(glsn).values["C2"]
         store.node_store("P1").tamper(glsn, "C2", 10**6)
@@ -116,10 +116,9 @@ class TestMemoAcrossRewrites:
         store.close()
         reloaded, _ = recover_store(ticket_authority, tmp_path, config=config)
         try:
-            checker = IntegrityChecker(reloaded)
-            assert_flags(reloaded, checker, [glsn])
+            assert_flags(reloaded, [glsn])
             reloaded.node_store("P1").tamper(glsn, "C2", original)
-            assert_flags(reloaded, checker, [])
+            assert_flags(reloaded, [])
         finally:
             reloaded.close()
 
@@ -136,16 +135,15 @@ class TestMemoAcrossRewrites:
         try:
             ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
             receipts = store.append_record(paper_table1_rows(), ticket)
-            checker = IntegrityChecker(store)
-            assert_flags(store, checker, [])
+            assert_flags(store, [])
             glsn = receipts[0].glsn
             node = store.node_store("P1")
             original = node.local_fragment(glsn).values["C2"]
             record = {"op": "tamper", "glsn": glsn, "attribute": "C2", "value": 10**6}
             node.apply_wal_record(record)
-            assert_flags(store, checker, [glsn])
+            assert_flags(store, [glsn])
             node.apply_wal_record(dict(record, value=original))
-            assert_flags(store, checker, [])
+            assert_flags(store, [])
         finally:
             store.close()
 
@@ -169,16 +167,18 @@ _NODES = ("P0", "P1", "P2", "P3")
 
 
 def reference_reports(store, initiator: str, order: list[str]) -> list[tuple]:
-    """(glsn, ok, expected, observed) from a plain ``pow`` chain per glsn."""
+    """(glsn, ok, expected, observed) from a plain ``pow`` chain per glsn; a
+    node without the fragment contributes 0, an initiator without it has
+    no anchor (0), and either way the glsn fails."""
     n = store.accumulator.params.n
     out = []
     for glsn in store.glsns:
         value = store.accumulator.params.x0
         for node_id in order:
-            exponent = store.stores[node_id].local_fragment(glsn).digest_exponent()
-            value = pow(value, exponent, n)
-        expected = store.stores[initiator].expected_accumulator(glsn)
-        out.append((glsn, value == expected, expected, value))
+            fragment = store.stores[node_id]._fragments.get(glsn)
+            value = 0 if fragment is None else pow(value, fragment.digest_exponent(), n)
+        expected = store.stores[initiator]._accumulators.get(glsn, 0)
+        out.append((glsn, value == expected != 0, expected, value))
     return out
 
 
@@ -200,10 +200,12 @@ def ring_sweep(store, order: list[str]) -> list[tuple]:
 
 
 class FoldMemoMachine(RuleBasedStateMachine):
-    """Random appends, tampers at any node, restores, deletes, replayed WAL
-    tamper records and sweeps over reordered rings; after every sweep each
-    per-glsn report equals the memo-free reference fold, and a glsn fails
-    exactly while one of its fragments differs from what was written."""
+    """Random appends, tampers at any node, restores, deletes, evictions,
+    replayed WAL tamper records and sweeps over reordered rings; after
+    every sweep each per-glsn report equals the memo-free reference fold
+    (the in-process checker agrees on every verdict), and a glsn fails
+    exactly while one of its fragments differs from what was written or
+    is lost."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -218,6 +220,7 @@ class FoldMemoMachine(RuleBasedStateMachine):
         )
         self.rows = paper_table1_rows()
         self.written: dict[tuple[str, int], dict] = {}  # (node, glsn) -> values
+        self.evicted: set[tuple[str, int]] = set()
 
     def teardown(self) -> None:
         self.store.close()
@@ -228,7 +231,8 @@ class FoldMemoMachine(RuleBasedStateMachine):
         pairs = sorted(
             (node_id, glsn)
             for (node_id, glsn), values in self.written.items()
-            if values and (tampered is None or tampered == self._tampered(node_id, glsn))
+            if values and (node_id, glsn) not in self.evicted
+            and (tampered is None or tampered == self._tampered(node_id, glsn))
         )
         if not pairs:
             return None
@@ -275,10 +279,22 @@ class FoldMemoMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.written)
     @rule(data=st.data())
     def delete(self, data) -> None:
+        if not self.store.glsns:  # every fragment evicted
+            return
         glsn = data.draw(st.sampled_from(self.store.glsns))
         self.store.delete_record(glsn, self.ticket)
         for node_id in _NODES:
             del self.written[node_id, glsn]
+            self.evicted.discard((node_id, glsn))
+
+    @precondition(lambda self: self.written)
+    @rule(data=st.data())
+    def evict(self, data) -> None:
+        held = sorted(set(self.written) - self.evicted)
+        if held:
+            node_id, glsn = data.draw(st.sampled_from(held))
+            self.store.node_store(node_id).evict(glsn)
+            self.evicted.add((node_id, glsn))
 
     @rule(
         initiator=st.sampled_from(_NODES[:2]),
@@ -301,9 +317,14 @@ class FoldMemoMachine(RuleBasedStateMachine):
         else:
             reports = ring_sweep(self.store, order)
         assert reports == reference_reports(self.store, initiator, order)
+        checked = IntegrityChecker(self.store).check_all()
+        assert [(r.glsn, r.ok) for r in checked] == [r[:2] for r in reports]
         failing = [glsn for glsn, ok, _, _ in reports if not ok]
         assert failing == sorted(
-            {glsn for node_id, glsn in self.written if self._tampered(node_id, glsn)}
+            {
+                glsn for node_id, glsn in self.written
+                if (node_id, glsn) in self.evicted or self._tampered(node_id, glsn)
+            }.intersection(self.store.glsns)
         )
 
     @invariant()
@@ -311,6 +332,7 @@ class FoldMemoMachine(RuleBasedStateMachine):
         for node_id in _NODES:
             node = self.store.node_store(node_id)
             assert set(node._folds) <= set(node._fragments)
+            assert set(node._verdicts) <= set(node._fragments)
 
 
 FoldMemoMachine.TestCase.settings = settings(
@@ -324,12 +346,17 @@ def test_a_memo_keyed_on_glsn_alone_is_caught(monkeypatch):
     """Mutation check: a memo that ignores its inputs misses a tamper."""
 
     def glsn_only_fold(self, glsns, incoming, compute):
-        misses = [(g, x) for g, x in zip(glsns, incoming) if g not in self._folds]
-        exponents = [self.local_fragment(g).digest_exponent() for g, _ in misses]
+        held = self._fragments
+        misses = [
+            (g, x) for g, x in zip(glsns, incoming) if g in held and g not in self._folds
+        ]
+        fragments = [held[g] for g, _ in misses]
+        exponents = [fragment.digest_exponent() for fragment in fragments]
         results = compute([x for _, x in misses], exponents)
-        for (glsn, value), exponent, result in zip(misses, exponents, results):
-            self._folds[glsn] = (value, exponent, result)
-        return [self._folds[g][2] for g in glsns], len(misses)
+        for (glsn, value), fragment, result in zip(misses, fragments, results):
+            self._folds[glsn] = (fragment, value, result)
+        folded = [self._folds[g][2] if g in held else 0 for g in glsns]
+        return folded, len(misses), len(glsns) - len(misses)
 
     monkeypatch.setattr(FragmentStore, "fold", glsn_only_fold)
     with pytest.raises(AssertionError):
@@ -344,21 +371,25 @@ def test_a_memo_keyed_on_glsn_alone_is_caught(monkeypatch):
 
 
 def test_concurrent_sweeps_and_deletes_keep_the_memo_within_the_log(populated_store):
-    """Three sweeping threads race a deleting one: a fold's write-back must
-    never re-add a glsn that a delete forgot meanwhile."""
+    """Three sweeping threads race a deleting one: a sweep never raises,
+    fails only glsns a delete reached, and a memo write-back never re-adds
+    a glsn that a delete forgot meanwhile."""
     store, ticket, _ = populated_store
     for i in range(150):
         store.append({"Tid": f"S{i}", "C1": i}, ticket)
     stop = threading.Event()
-    completed = []
+    completed, errors = [], []
 
     def sweeper():
         while not stop.is_set():
             try:
                 reports = run_batched_integrity_round(store)
-            except ReproError:  # a glsn deleted under the token
-                continue
-            completed.append(all(r.ok for r in reports))
+            except ReproError as exc:
+                errors.append(exc)
+                return
+            # Held by every node now, so held throughout the sweep.
+            whole = set.intersection(*(set(n.glsns) for n in store.stores.values()))
+            completed.append(all(r.ok for r in reports if r.glsn in whole))
 
     def deleter():
         for glsn in store.glsns[:-10]:
@@ -379,9 +410,13 @@ def test_concurrent_sweeps_and_deletes_keep_the_memo_within_the_log(populated_st
     finally:
         sys.setswitchinterval(interval)
     assert not deleting.is_alive() and not any(t.is_alive() for t in sweepers)
-    assert all(completed)  # sweeps that finished mid-race were exact
+    assert completed and all(completed) and not errors
     for node in store.stores.values():
         assert set(node._folds) <= set(node._fragments)
+        assert set(node._verdicts) <= set(node._fragments)
     assert all(r.ok for r in run_batched_integrity_round(store))
     for node in store.stores.values():
+        # One memo entry per held glsn, keyed on the fragment stored now.
         assert set(node._folds) == set(node._fragments)
+        assert all(node._fragments[g] is f for g, (f, _, _) in node._folds.items())
+    assert set(store.node_store("P0")._verdicts) == set(store.glsns)

@@ -97,36 +97,34 @@ class TestCombinedRing:
         assert sorted(built) == sorted(store.stores)
 
 
-class TestCheckerMemoization:
-    def test_second_check_served_from_cache(self, populated_store):
+class TestReportReuse:
+    """The initiator keeps its last report per glsn and builds a new one
+    only where the observed value or its anchor changed."""
+
+    def test_second_sweep_returns_the_same_reports(self, populated_store):
         store, _, _ = populated_store
-        checker = IntegrityChecker(store)
-        first = checker.check_all()
-        hits_before = checker._report_cache.stats.hits
-        second = checker.check_all()
-        assert second == first
-        assert checker._report_cache.stats.hits == hits_before + len(first)
+        first = run_batched_integrity_round(store)
+        second = run_batched_integrity_round(store)
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert IntegrityChecker(store).check_all() == second
 
-    def test_append_refolds_only_new_glsn(self, populated_store):
+    def test_append_builds_only_the_new_glsns_report(self, populated_store):
         store, ticket, _ = populated_store
-        checker = IntegrityChecker(store)
-        checker.check_all()
-        misses_before = checker._report_cache.stats.misses
-        store.append({"id": "U9", "C1": 7}, ticket)
-        reports = checker.check_all()
+        first = run_batched_integrity_round(store)
+        glsn = store.append({"id": "U9", "C1": 7}, ticket).glsn
+        reports = run_batched_integrity_round(store)
         assert all(r.ok for r in reports) and len(reports) == 6
-        # 5 old glsns hit; exactly the new one folded fresh.
-        assert checker._report_cache.stats.misses == misses_before + 1
+        assert all(a is b for a, b in zip(first, reports[:-1], strict=True))
+        assert reports[-1].glsn == glsn
 
-    def test_tamper_invalidates_only_touched_glsn(self, populated_store):
+    def test_tamper_replaces_only_its_glsns_report(self, populated_store):
         store, _, receipts = populated_store
-        checker = IntegrityChecker(store)
-        assert all(r.ok for r in checker.check_all())
-        store.node_store("P0").tamper(receipts[1].glsn, "Time", "never")
-        misses_before = checker._report_cache.stats.misses
-        bad = [r.glsn for r in checker.check_all() if not r.ok]
-        assert bad == [receipts[1].glsn]
-        assert checker._report_cache.stats.misses == misses_before + 1
+        clean = run_batched_integrity_round(store)
+        victim = receipts[1].glsn
+        store.node_store("P0").tamper(victim, "Time", "never")
+        tampered = run_batched_integrity_round(store)
+        assert [r.glsn for r in tampered if not r.ok] == [victim]
+        assert [r.glsn for a, r in zip(clean, tampered) if a is not r] == [victim]
 
 
 class TestServiceWiring:

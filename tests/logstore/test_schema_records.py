@@ -1,6 +1,10 @@
 """Tests for the global schema and log records."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError, UnknownAttributeError
 from repro.logstore.records import LogRecord, format_glsn, render_table
@@ -100,6 +104,27 @@ class TestLogRecord:
     def test_canonical_bytes_with_bytes_values(self):
         record = LogRecord(1, {"blob": b"\x00\xff"})
         assert b"00ff" in record.canonical_bytes()
+
+    @given(
+        glsn=st.integers(0, 2**64),
+        values=st.dictionaries(
+            st.sampled_from(paper_table1_schema().names),
+            st.one_of(
+                st.text(), st.integers(), st.floats(), st.none(), st.binary()
+            ),
+        ),
+    )
+    def test_canonical_bytes_match_json_dumps(self, glsn, values):
+        """The shared encoder is byte-identical to a ``json.dumps`` per call."""
+        body = {
+            "glsn": glsn,
+            "values": {
+                k: {"__bytes__": v.hex()} if isinstance(v, bytes) else v
+                for k, v in values.items()
+            },
+        }
+        reference = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert LogRecord(glsn, values).canonical_bytes() == reference.encode()
 
     def test_format_glsn_matches_paper(self):
         assert format_glsn(0x139AEF78) == "139aef78"
