@@ -223,7 +223,6 @@ class TestDurability:
                 rng=DeterministicRng(b"p8-stream"),
                 store_dir=tmp,
                 store_config=StoreConfig(fsync="off", compact=False),
-                obs_from_env=False,
             )
             try:
                 ticket = service.register_user("p8-stream")

@@ -43,7 +43,7 @@ def main() -> None:
 
     # 3. The burst: 256 queries submitted at once onto the event loop.
     #    Admission never blocks; execution is semaphore-bounded
-    #    (REPRO_AIO_MAX_INFLIGHT, default 256).
+    #    (QueryScheduler's max_inflight, default 256).
     batch = (QUERIES * (BURST // len(QUERIES)))[:BURST]
     handles = [service.submit(criterion) for criterion in batch]
     print(f"submitted {len(handles)} queries "

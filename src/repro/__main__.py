@@ -54,7 +54,7 @@ def run_demo(prime_bits: int, seed: str, trace_out: str | None = None) -> int:
     # The same criterion again: epoch-keyed caches serve the projections.
     rerun = auditor.query(criterion)
     assert rerun.glsns == result.glsns
-    print("\n== caches (after repeating the query; REPRO_CACHE=off disables) ==")
+    print("\n== caches (after repeating the query) ==")
     for name, row in cache_stats_snapshot().items():
         total = row["hits"] + row["misses"]
         rate = row["hits"] / total if total else 0.0

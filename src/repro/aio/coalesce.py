@@ -21,8 +21,8 @@ recomputation.
 Attribute columns need none of this: their build is pure sync, so on the
 one loop thread it always finishes before anyone could join — the
 scheduler hands the executor a plain :class:`~repro.cache.LruCache` for
-them.  With the global cache kill switch off (``REPRO_CACHE=off``),
-coalescing disables itself along with the caches: every caller computes
+them.  With the global cache kill switch off
+(:func:`~repro.cache.set_caching_enabled`), coalescing disables itself along with the caches: every caller computes
 privately, exactly like the serial path.
 """
 

@@ -21,7 +21,7 @@ from enum import Enum
 
 from repro.audit.ast_nodes import AttributeRef, Predicate
 from repro.audit.normalize import ConjunctiveForm
-from repro.errors import PlanningError
+from repro.errors import PlanningError, ReproError
 from repro.logstore.fragmentation import FragmentPlan
 
 __all__ = ["PredicateScope", "ClassifiedPredicate", "ClassifiedSubquery", "classify"]
@@ -114,7 +114,7 @@ def classify(
         for predicate in clause:
             try:
                 cp = classify_predicate(predicate, plan)
-            except Exception as exc:  # UnknownAttributeError and kin
+            except ReproError as exc:  # UnknownAttributeError and kin
                 raise PlanningError(
                     f"cannot place predicate {predicate}: {exc}"
                 ) from exc

@@ -219,8 +219,8 @@ class QueryExecutor:
         # empty and the remaining cross-predicate SMC runs are skipped.
         self.early_exit = True
         self._session = 0
-        # Home of the typed columns (:meth:`_projection`); REPRO_CACHE=off
-        # rebuilds them per use.  The query scheduler injects a shared
+        # Home of the typed columns (:meth:`_projection`); with the cache
+        # kill switch off they are rebuilt per use.  The query scheduler injects a shared
         # single-flight cache here so concurrent queries build a column
         # once; any object with ``get_or_compute(key, compute)`` qualifies.
         self._projection_cache = (

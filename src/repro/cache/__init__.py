@@ -7,13 +7,12 @@ One primitive (:class:`LruCache`) behind two hot paths:
 * the :class:`~repro.crypto.pohlig_hellman.MessageEncoder` hashed-encoding
   memo (pure function of value and prime).
 
-``REPRO_CACHE=off`` disables everything at once;
-``REPRO_CACHE_MAX_ENTRIES`` bounds each cache.  See ``docs/perf.md``.
+:func:`set_caching_enabled` ``(False)`` disables everything at once;
+each cache holds at most ``DEFAULT_MAX_ENTRIES`` entries unless built
+with ``max_entries=``.  See ``docs/perf.md``.
 """
 
 from repro.cache.lru import (
-    CACHE_ENV_VAR,
-    MAX_ENTRIES_ENV_VAR,
     CacheStats,
     LruCache,
     cache_stats_snapshot,
@@ -24,8 +23,6 @@ from repro.cache.lru import (
 )
 
 __all__ = [
-    "CACHE_ENV_VAR",
-    "MAX_ENTRIES_ENV_VAR",
     "CacheStats",
     "LruCache",
     "cache_stats_snapshot",

@@ -5,8 +5,8 @@ repeated audit queries re-scan the same fragment stores and re-hash the
 same attribute sets into ``Z_p^*`` even though the log barely changed.
 :class:`LruCache` is the one memoization primitive every hot path shares:
 
-* **Bounded.** At most ``max_entries`` live entries (default from
-  ``REPRO_CACHE_MAX_ENTRIES``, 4096); the least-recently-used entry is
+* **Bounded.** At most ``max_entries`` live entries (default
+  :data:`DEFAULT_MAX_ENTRIES`, 4096); the least-recently-used entry is
   evicted first, so a long-running service cannot grow without limit.
 * **Epoch-keyed.** Callers put the data-version (a
   :class:`~repro.logstore.store.FragmentStore` epoch, the cipher
@@ -16,17 +16,16 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
 * **Observable.** Hit / miss / eviction counters and an entry gauge,
   mirrored into a :class:`~repro.obs.metrics.MetricsRegistry` when one
   is attached (``repro_cache_hits_total{cache=...}`` etc.).
-* **Killable.** ``REPRO_CACHE=off`` (or :func:`set_caching_enabled`)
-  turns every cache into a pass-through: :meth:`LruCache.get_or_compute`
-  recomputes unconditionally and stores nothing, so any suspected
-  cache-coherence bug can be ruled out with one environment variable.
+* **Killable.** :func:`set_caching_enabled` ``(False)`` turns every
+  cache into a pass-through: :meth:`LruCache.get_or_compute` recomputes
+  unconditionally and stores nothing, so any suspected cache-coherence
+  bug can be ruled out with one call.
   Cached and uncached paths are value-identical by construction — the
   equivalence test suite asserts it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -43,61 +42,32 @@ __all__ = [
     "default_max_entries",
     "cache_stats_snapshot",
     "clear_all_caches",
-    "CACHE_ENV_VAR",
-    "MAX_ENTRIES_ENV_VAR",
 ]
-
-CACHE_ENV_VAR = "REPRO_CACHE"
-MAX_ENTRIES_ENV_VAR = "REPRO_CACHE_MAX_ENTRIES"
 
 DEFAULT_MAX_ENTRIES = 4096
 
-_OFF_VALUES = {"off", "0", "false", "no", "disabled"}
-_ON_VALUES = {"on", "1", "true", "yes", "enabled", ""}
-
-# None -> follow the environment; True/False -> runtime override.
-_enabled_override: bool | None = None
-_override_lock = threading.Lock()
+# The kill switch (:func:`set_caching_enabled`); caches serve by default.
+_enabled = True
 
 # Every live cache, so snapshots/kill-switch sweeps can reach them all.
 _live_caches: "weakref.WeakSet[LruCache]" = weakref.WeakSet()
 
 
 def caching_enabled() -> bool:
-    """Whether caches serve entries (the ``REPRO_CACHE`` kill switch)."""
-    if _enabled_override is not None:
-        return _enabled_override
-    raw = os.environ.get(CACHE_ENV_VAR, "on").strip().lower()
-    if raw in _OFF_VALUES:
-        return False
-    if raw in _ON_VALUES:
-        return True
-    raise ConfigurationError(
-        f"{CACHE_ENV_VAR}={raw!r} is neither on nor off"
-    )
+    """Whether caches serve entries (the :func:`set_caching_enabled` switch)."""
+    return _enabled
 
 
 def set_caching_enabled(flag: bool | None) -> None:
-    """Override the kill switch at runtime; ``None`` re-reads the env."""
-    global _enabled_override
-    with _override_lock:
-        _enabled_override = flag
+    """Turn every cache off (``False``) or on; ``None`` restores the
+    default, on."""
+    global _enabled
+    _enabled = True if flag is None else bool(flag)
 
 
 def default_max_entries() -> int:
-    """Per-cache entry bound (``REPRO_CACHE_MAX_ENTRIES``, default 4096)."""
-    raw = os.environ.get(MAX_ENTRIES_ENV_VAR)
-    if not raw:
-        return DEFAULT_MAX_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{MAX_ENTRIES_ENV_VAR}={raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(f"{MAX_ENTRIES_ENV_VAR} must be positive")
-    return value
+    """Per-cache entry bound (:data:`DEFAULT_MAX_ENTRIES`)."""
+    return DEFAULT_MAX_ENTRIES
 
 
 @dataclass(frozen=True)

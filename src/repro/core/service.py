@@ -108,8 +108,6 @@ class ConfidentialAuditingService:
     prime:
         Explicit shared SMC prime, overriding the ``prime_bits`` table
         lookup.
-    obs_from_env:
-        When ``False``, skip the ``REPRO_OBS_HTTP_PORT`` auto-start.
     store_dir:
         Directory for the durable storage backend (``repro.store``).
         When given — or when ``REPRO_STORE_DIR`` is set — the service's
@@ -121,8 +119,10 @@ class ConfidentialAuditingService:
         ``docs/storage.md``).  ``None`` with the env var unset keeps the
         in-memory store.
     store_config:
-        Optional :class:`~repro.store.StoreConfig` overriding the
-        ``REPRO_STORE_*`` environment knobs for the durable backend.
+        Optional :class:`~repro.store.StoreConfig` for the durable
+        backend, in place of :meth:`StoreConfig.from_env
+        <repro.store.StoreConfig.from_env>` (``REPRO_STORE_DIR``,
+        ``REPRO_STORE_FSYNC``).
     """
 
     def __init__(
@@ -137,7 +137,6 @@ class ConfidentialAuditingService:
         resilience: RetryPolicy | None = None,
         faults=None,
         prime: int | None = None,
-        obs_from_env: bool = True,
         store_dir: str | None = None,
         store_config: StoreConfig | None = None,
     ) -> None:
@@ -257,9 +256,7 @@ class ConfidentialAuditingService:
 
         #: Live telemetry endpoint, opt-in via ``REPRO_OBS_HTTP_PORT``
         #: (``None`` when the variable is unset).
-        self.obs_server: ObsServer | None = (
-            start_from_env(self) if obs_from_env else None
-        )
+        self.obs_server: ObsServer | None = start_from_env(self)
 
     # -- application-node lifecycle ------------------------------------------------
 
@@ -548,9 +545,7 @@ class ConfidentialAuditingService:
         :meth:`submit` / :meth:`query_many` call, so admitted queries
         share its coalescing caches and channel mux: a
         :class:`~repro.sched.QueryScheduler` running each query as a task
-        on its own event loop (``REPRO_AIO_MAX_INFLIGHT``,
-        ``REPRO_SCHED_COALESCE``).  :meth:`shutdown_scheduler` tears it
-        down.
+        on its own event loop.  :meth:`shutdown_scheduler` tears it down.
         """
         with self._sched_lock:
             if self._scheduler is None:
@@ -587,7 +582,8 @@ class ConfidentialAuditingService:
         * ``0`` — strict serial fallback: a plain :meth:`query` call per
           criterion, bit-for-bit identical to running them yourself;
         * ``None`` (default) — the service's persistent :attr:`scheduler`
-          (at most ``REPRO_AIO_MAX_INFLIGHT`` queries executing at once);
+          (at most :data:`~repro.sched.DEFAULT_MAX_INFLIGHT` queries
+          executing at once);
         * ``N`` — a dedicated scheduler of the same class with
           ``max_inflight=N``, torn down before returning.
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import mean
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "QueryObservation",
     "ConfidentialityObservatory",
@@ -40,6 +42,22 @@ LEAKAGE_BUDGET_ENV_VAR = "REPRO_OBS_LEAKAGE_BUDGET"
 
 DEFAULT_TENANT = "default"
 _HISTORY = 256
+
+
+def _budget_from_env() -> int:
+    """``REPRO_OBS_LEAKAGE_BUDGET``: a non-negative integer, 0/unset off."""
+    raw = os.environ.get(LEAKAGE_BUDGET_ENV_VAR, "").strip()
+    try:
+        budget = int(raw or "0")
+    except ValueError:
+        raise ConfigurationError(
+            f"{LEAKAGE_BUDGET_ENV_VAR}={raw!r} is not an integer"
+        ) from None
+    if budget < 0:
+        raise ConfigurationError(
+            f"{LEAKAGE_BUDGET_ENV_VAR}={raw!r} is negative (0 disables the budget)"
+        )
+    return budget
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,10 @@ class ConfidentialityObservatory:
         self.plan = plan
         self.metrics = metrics
         if budget is None:
-            budget = int(os.environ.get(LEAKAGE_BUDGET_ENV_VAR, "0"))
-        self.budget = max(0, budget)
+            budget = _budget_from_env()
+        if budget < 0:
+            raise ConfigurationError(f"leakage budget {budget} is negative")
+        self.budget = budget
         self._lock = threading.Lock()
         self._tenants: dict[str, _TenantLedger] = {}
         self._recent: deque[QueryObservation] = deque(maxlen=_HISTORY)

@@ -7,10 +7,10 @@ bounded, always-on while tracing is enabled, and read out after the
 fact.
 
 * :class:`FlightRecorder` — a :class:`~repro.obs.tracer.Tracer` whose
-  finished-span store is a bounded ring buffer (capacity
-  ``REPRO_OBS_FLIGHT_SPANS``, default 2048).  Old spans fall off the
-  front and are counted in ``dropped_spans``, so a long-lived node never
-  grows without bound.
+  finished-span store is a bounded ring buffer (``capacity=``, default
+  :data:`DEFAULT_FLIGHT_SPANS` = 2048).  Old spans fall off the front
+  and are counted in ``dropped_spans``, so a long-lived node never grows
+  without bound.
 * :class:`TelemetryHub` — owns one recorder per node id, hands the
   transports the propagation context for outgoing messages
   (:meth:`sender_context`), opens per-node handler spans under a
@@ -29,7 +29,6 @@ coordinator's tracer is disabled, preserving the zero-overhead default.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -42,13 +41,11 @@ __all__ = [
     "FlightRecorder",
     "TelemetryHub",
     "run_collection_round",
-    "FLIGHT_SPANS_ENV_VAR",
     "DEFAULT_FLIGHT_SPANS",
     "COLLECT_KIND",
     "SPANS_KIND",
 ]
 
-FLIGHT_SPANS_ENV_VAR = "REPRO_OBS_FLIGHT_SPANS"
 DEFAULT_FLIGHT_SPANS = 2048
 
 COLLECT_KIND = "obs.collect"
@@ -72,13 +69,9 @@ class FlightRecorder(Tracer):
     def __init__(
         self,
         node: str,
-        capacity: int | None = None,
+        capacity: int = DEFAULT_FLIGHT_SPANS,
         clock=time.perf_counter,
     ) -> None:
-        if capacity is None:
-            capacity = int(
-                os.environ.get(FLIGHT_SPANS_ENV_VAR, str(DEFAULT_FLIGHT_SPANS))
-            )
         super().__init__(clock=clock, node=node)
         self.capacity = max(1, capacity)
         self._ring: deque[Span] = deque(maxlen=self.capacity)
@@ -119,7 +112,9 @@ class TelemetryHub:
     outside any message handler.
     """
 
-    def __init__(self, tracer=None, metrics=None, capacity=None, clock=None) -> None:
+    def __init__(
+        self, tracer=None, metrics=None, capacity=DEFAULT_FLIGHT_SPANS, clock=None
+    ) -> None:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.metrics = metrics
         self.capacity = capacity

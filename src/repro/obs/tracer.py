@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import os
 import threading
 import time
 from collections import deque
@@ -58,11 +57,9 @@ __all__ = [
     "Tracer",
     "NoopTracer",
     "NOOP_TRACER",
-    "ORPHAN_BUFFER_ENV_VAR",
     "DEFAULT_ORPHAN_BUFFER",
 ]
 
-ORPHAN_BUFFER_ENV_VAR = "REPRO_OBS_ORPHAN_EVENTS"
 DEFAULT_ORPHAN_BUFFER = 256
 
 
@@ -137,7 +134,7 @@ class Tracer:
         the coordinator process).  Per-node flight recorders set it.
     orphan_capacity:
         Bound on the orphan-event ring buffer (events fired with no open
-        span).  Defaults to ``REPRO_OBS_ORPHAN_EVENTS`` (256).
+        span).  Defaults to :data:`DEFAULT_ORPHAN_BUFFER` (256).
     """
 
     enabled = True
@@ -146,7 +143,7 @@ class Tracer:
         self,
         clock=time.perf_counter,
         node: str | None = None,
-        orphan_capacity: int | None = None,
+        orphan_capacity: int = DEFAULT_ORPHAN_BUFFER,
     ) -> None:
         self._clock = clock
         self.node = node
@@ -162,10 +159,6 @@ class Tracer:
         self._stack_var: contextvars.ContextVar[tuple[Span, ...]] = (
             contextvars.ContextVar("repro_span_stack", default=())
         )
-        if orphan_capacity is None:
-            orphan_capacity = int(
-                os.environ.get(ORPHAN_BUFFER_ENV_VAR, str(DEFAULT_ORPHAN_BUFFER))
-            )
         self._orphans: deque[SpanEvent] = deque(maxlen=max(1, orphan_capacity))
         self.orphan_events_total = 0
         self._orphan_counter = None

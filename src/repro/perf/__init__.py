@@ -1,8 +1,8 @@
 """Performance subsystem: pluggable engines for the bulk-crypto hot path.
 
 See :mod:`repro.perf.engine` for the engine interface and the
-``REPRO_PERF_ENGINE`` / ``REPRO_PERF_WORKERS`` / ``REPRO_PERF_THRESHOLD``
-environment knobs.  ``docs/api.md`` has the tuning guide.
+``REPRO_PERF_ENGINE`` environment knob.  ``docs/perf.md`` has the tuning
+guide.
 """
 
 from repro.perf.engine import (

@@ -18,8 +18,9 @@ tiny engine interface that every bulk crypto API accepts:
 
 Selection: pass an engine (or spec string) explicitly, set the
 ``REPRO_PERF_ENGINE`` environment variable (``serial`` / ``process`` /
-``auto``), or take the default (``auto``).  ``REPRO_PERF_WORKERS`` and
-``REPRO_PERF_THRESHOLD`` tune the pool width and the auto crossover.
+``auto``), or take the default (``auto``).  The pool is ``os.cpu_count()``
+wide and the auto crossover is :data:`DEFAULT_THRESHOLD_WORK`; the
+``workers=`` and ``threshold_work=`` constructor arguments override them.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
 ]
 
 ENGINE_ENV_VAR = "REPRO_PERF_ENGINE"
-WORKERS_ENV_VAR = "REPRO_PERF_WORKERS"
-THRESHOLD_ENV_VAR = "REPRO_PERF_THRESHOLD"
 
 # Auto crossover, in abstract work units (elements × mod_bits² × exp_bits).
 # Calibrated so 512 elements at 512-bit prime (~0.3 s serial) parallelise
@@ -65,18 +64,6 @@ def _pow_chunk(bases: list[int], exponent: int, modulus: int) -> list[int]:
 def _pow_chunk_pairs(pairs: list[tuple[int, int]], modulus: int) -> list[int]:
     """Worker task: per-element (base, exponent) pairs."""
     return [pow(b, e, modulus) for b, e in pairs]
-
-
-def _env_int(var: str, default: int) -> int:
-    raw = os.environ.get(var)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{var}={raw!r} is not an integer"
-        ) from None
 
 
 def _check_lengths(bases, exponent) -> None:
@@ -133,7 +120,7 @@ class ProcessPoolEngine(ExponentiationEngine):
 
     def __init__(self, workers: int | None = None, chunks_per_worker: int = 4) -> None:
         if workers is None:
-            workers = _env_int(WORKERS_ENV_VAR, os.cpu_count() or 1)
+            workers = os.cpu_count() or 1
         if workers < 1:
             raise ConfigurationError("process engine needs at least one worker")
         if chunks_per_worker < 1:
@@ -297,11 +284,9 @@ class AutoEngine(ExponentiationEngine):
 
     def __init__(
         self,
-        threshold_work: int | None = None,
+        threshold_work: int = DEFAULT_THRESHOLD_WORK,
         pool: ProcessPoolEngine | None = None,
     ) -> None:
-        if threshold_work is None:
-            threshold_work = _env_int(THRESHOLD_ENV_VAR, DEFAULT_THRESHOLD_WORK)
         if threshold_work < 0:
             raise ConfigurationError("threshold_work must be non-negative")
         self.threshold_work = threshold_work

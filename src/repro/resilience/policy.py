@@ -9,20 +9,10 @@ through the planner and executor into every SMC round.
 Both knobs are deterministic: backoff jitter is drawn from a
 :class:`~repro.crypto.rng.DeterministicRng`, so a seeded chaos run
 retries at exactly the same (virtual) times every time.
-
-Environment overrides (read by :meth:`RetryPolicy.from_env`):
-
-``REPRO_RETRY_ATTEMPTS``
-    Total delivery attempts per message (default 4).
-``REPRO_RETRY_BASE_DELAY`` / ``REPRO_RETRY_MAX_DELAY``
-    First-retry backoff and its cap, in (virtual) seconds.
-``REPRO_RETRY_ACK_TIMEOUT``
-    How long a sender waits for an acknowledgement before retrying.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -94,26 +84,6 @@ class Deadline:
         return f"Deadline(remaining={self.remaining():.3f}s)"
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{name} must be a number, got {raw!r}") from exc
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with deterministic jitter.
@@ -148,17 +118,6 @@ class RetryPolicy:
             raise ConfigurationError("jitter must be in [0, 1)")
         if self.multiplier < 1.0:
             raise ConfigurationError("multiplier must be >= 1")
-
-    @classmethod
-    def from_env(cls, rng: DeterministicRng | None = None) -> "RetryPolicy":
-        """Build a policy from ``REPRO_RETRY_*`` environment variables."""
-        return cls(
-            max_attempts=_env_int("REPRO_RETRY_ATTEMPTS", 4),
-            base_delay=_env_float("REPRO_RETRY_BASE_DELAY", 0.05),
-            max_delay=_env_float("REPRO_RETRY_MAX_DELAY", 2.0),
-            ack_timeout=_env_float("REPRO_RETRY_ACK_TIMEOUT", 0.25),
-            rng=rng or DeterministicRng(b"retry-policy"),
-        )
 
     def backoff(self, attempt: int) -> float:
         """Delay before the retry that follows failed attempt ``attempt``."""

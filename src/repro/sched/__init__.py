@@ -16,17 +16,16 @@ This package multiplexes many in-flight queries over one deployment:
 * :class:`StandingQueryRegistry` — register a criterion once, receive
   per-ingest-epoch deltas (continuous auditing; see docs/storage.md).
 
-Configured by ``REPRO_AIO_MAX_INFLIGHT`` and ``REPRO_SCHED_COALESCE``
-(see :class:`SchedulerConfig` and docs/async.md).
+Coalescing follows ``REPRO_SCHED_COALESCE`` unless the constructor says
+otherwise (see docs/async.md).
 """
 
 from repro.sched.channel import Channel, ChannelMux
 from repro.sched.scheduler import (
     COALESCE_ENV_VAR,
-    MAX_INFLIGHT_ENV_VAR,
+    DEFAULT_MAX_INFLIGHT,
     QueryHandle,
     QueryScheduler,
-    SchedulerConfig,
 )
 from repro.sched.standing import StandingDelta, StandingQuery, StandingQueryRegistry
 
@@ -38,7 +37,6 @@ __all__ = [
     "ChannelMux",
     "QueryHandle",
     "QueryScheduler",
-    "SchedulerConfig",
-    "MAX_INFLIGHT_ENV_VAR",
     "COALESCE_ENV_VAR",
+    "DEFAULT_MAX_INFLIGHT",
 ]

@@ -9,8 +9,9 @@ owned event loop (:class:`~repro.aio.loop.LoopThread`).
 
 * **Admission** — unbounded: every :meth:`submit` immediately becomes a
   parked task, a few KB each, so thousands of queries can be in flight.
-  An :class:`asyncio.Semaphore` (``REPRO_AIO_MAX_INFLIGHT``) bounds how
-  many *execute* concurrently; the rest await it.
+  An :class:`asyncio.Semaphore` (``max_inflight``, default
+  :data:`DEFAULT_MAX_INFLIGHT`) bounds how many *execute* concurrently;
+  the rest await it.
 * **Isolation** — every admitted query gets its own
   :class:`~repro.smc.base.SmcContext` (private RNG stream, crypto
   counter, leakage ledger) and its own
@@ -52,7 +53,6 @@ import functools
 import os
 import threading
 import time
-from dataclasses import dataclass
 
 from repro.aio.coalesce import AsyncSingleFlight
 from repro.aio.loop import LoopThread
@@ -69,47 +69,30 @@ from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
 
 __all__ = [
-    "SchedulerConfig",
     "QueryHandle",
     "QueryScheduler",
-    "MAX_INFLIGHT_ENV_VAR",
     "COALESCE_ENV_VAR",
+    "DEFAULT_MAX_INFLIGHT",
 ]
 
 #: Bound on concurrently *executing* query tasks (admission is unbounded:
 #: excess queries are parked asyncio.Tasks awaiting the semaphore).
-MAX_INFLIGHT_ENV_VAR = "REPRO_AIO_MAX_INFLIGHT"
+DEFAULT_MAX_INFLIGHT = 256
 COALESCE_ENV_VAR = "REPRO_SCHED_COALESCE"
 
 _OFF_VALUES = {"off", "0", "false", "no", "disabled"}
+_ON_VALUES = {"on", "1", "true", "yes", "enabled", ""}
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """The scheduler's two settings; :meth:`from_env` reads their knobs."""
-
-    max_inflight: int = 256
-    coalesce: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ConfigurationError(
-                f"scheduler needs max_inflight >= 1 ({MAX_INFLIGHT_ENV_VAR})"
-            )
-
-    @classmethod
-    def from_env(cls) -> "SchedulerConfig":
-        max_inflight = cls.max_inflight
-        raw = os.environ.get(MAX_INFLIGHT_ENV_VAR)
-        if raw:
-            try:
-                max_inflight = int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{MAX_INFLIGHT_ENV_VAR}={raw!r} is not an integer"
-                ) from None
-        coalesce_raw = os.environ.get(COALESCE_ENV_VAR, "on").strip().lower()
-        return cls(max_inflight=max_inflight, coalesce=coalesce_raw not in _OFF_VALUES)
+def _coalesce_from_env() -> bool:
+    """``REPRO_SCHED_COALESCE`` (default on); a value that is neither an
+    on nor an off spelling is an error, never a silent "on"."""
+    raw = os.environ.get(COALESCE_ENV_VAR, "on").strip().lower()
+    if raw in _OFF_VALUES:
+        return False
+    if raw in _ON_VALUES:
+        return True
+    raise ConfigurationError(f"{COALESCE_ENV_VAR}={raw!r} is neither on nor off")
 
 
 class QueryHandle:
@@ -175,8 +158,8 @@ class QueryScheduler:
     Built over one service deployment: the scheduler shares the service's
     stores, schema, prime, engine, and hashed-encoder memo, but runs each
     query in an isolated context over a private channel of one shared
-    network.  Constructor arguments override the environment defaults
-    (``REPRO_AIO_MAX_INFLIGHT``, ``REPRO_SCHED_COALESCE``).  Passing a
+    network.  ``max_inflight`` defaults to :data:`DEFAULT_MAX_INFLIGHT`;
+    ``coalesce`` defaults to ``REPRO_SCHED_COALESCE``.  Passing a
     ``loop_thread`` shares an existing loop (the scheduler then never
     closes it); by default the scheduler owns its loop and tears it down
     on :meth:`shutdown`.
@@ -185,16 +168,15 @@ class QueryScheduler:
     def __init__(
         self,
         service,
-        max_inflight: int | None = None,
+        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         coalesce: bool | None = None,
         metrics=None,
         loop_thread: LoopThread | None = None,
     ) -> None:
-        env = SchedulerConfig.from_env()
-        self.config = SchedulerConfig(
-            max_inflight=max_inflight if max_inflight is not None else env.max_inflight,
-            coalesce=coalesce if coalesce is not None else env.coalesce,
-        )
+        if max_inflight < 1:
+            raise ConfigurationError("scheduler needs max_inflight >= 1")
+        self.max_inflight = max_inflight
+        self.coalesce = _coalesce_from_env() if coalesce is None else coalesce
         self.service = service
         self.metrics = metrics if metrics is not None else service.metrics
         if self.metrics is None:
@@ -212,7 +194,7 @@ class QueryScheduler:
         self._sem: asyncio.Semaphore | None = None
         self._waiting = 0
         self._futures: set = set()
-        if self.config.coalesce:
+        if self.coalesce:
             m = self.metrics
             self._column_cache = LruCache("sched.projection", metrics=m)
             self._subplan_flight = AsyncSingleFlight(
@@ -294,7 +276,7 @@ class QueryScheduler:
         # must start from a clean slate or spans would mis-parent.
         self.service.tracer.detach_context()
         if self._sem is None:
-            self._sem = asyncio.Semaphore(self.config.max_inflight)
+            self._sem = asyncio.Semaphore(self.max_inflight)
         try:
             handle._resolve(await self._admit_and_run(handle))
             self._completed.inc()
@@ -428,7 +410,7 @@ class QueryScheduler:
 
     def coalesce_stats(self) -> dict:
         """Hit/miss/join counts per sharing level (empty when disabled)."""
-        if not self.config.coalesce:
+        if not self.coalesce:
             return {}
         out: dict = {}
         for level, joins in (

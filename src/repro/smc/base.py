@@ -182,7 +182,7 @@ class SmcContext:
         self.rng = rng or system_rng()
         # Hashed encodings are pure in (value, prime): memoize them so
         # repeated protocol runs over the same elements skip the SHA-256
-        # rejection sampling and squaring (REPRO_CACHE=off disables).
+        # rejection sampling and squaring (the cache kill switch disables).
         if encoder is not None and encoder.p != prime:
             raise ConfigurationError("shared encoder prime does not match context")
         self.encoder = encoder or MessageEncoder(

@@ -3,10 +3,11 @@
 ``repro.logstore`` is the in-memory storage engine; this package makes
 it durable without changing its read path.  The pieces:
 
-* :class:`~repro.store.config.StoreConfig` — knobs, each with a
-  ``REPRO_STORE_*`` environment variable (see ``docs/storage.md``);
+* :class:`~repro.store.config.StoreConfig` — settings; the directory
+  and the fsync policy also come from the environment (see
+  ``docs/storage.md``);
 * :class:`~repro.store.wal.WriteAheadLog` — per-node append-only
-  segment files with write batching and torn-tail-tolerant replay;
+  segment files with rotation and torn-tail-tolerant replay;
 * :class:`~repro.store.durable.DurableFragmentStore` — the
   :class:`~repro.logstore.store.FragmentStore` interface, journaled;
 * :class:`~repro.store.cluster.DurableDistributedLogStore` — the

@@ -18,7 +18,7 @@ anchors, ACL replica).  Recovery = read ``checkpoint.seg`` + replay each
 node's WAL, both through ``apply_wal_record`` (:mod:`repro.store.recovery`).  A :meth:`checkpoint` folds the journals
 into a fresh checkpoint and truncates them; *compaction* is exactly a
 checkpoint triggered in the background once any node accumulates
-``REPRO_STORE_COMPACT_SEGMENTS`` sealed segments.  The compaction worker
+``StoreConfig.compact_segments`` sealed segments.  The compaction worker
 registers with the perf engine's shutdown hooks so interpreter exit
 stops it before the shared process pool.
 """
@@ -176,13 +176,8 @@ class DurableDistributedLogStore(DistributedLogStore):
             super().delete_record(glsn, ticket)
             self.sync_wals()
 
-    def flush_wals(self) -> None:
-        """Drain every node's WAL buffer to its segment file."""
-        for wal in self.wals.values():
-            wal.flush()
-
     def sync_wals(self) -> None:
-        """Flush and (policy permitting) fsync every node's WAL."""
+        """Fsync every node's WAL (unless the policy is ``off``)."""
         for wal in self.wals.values():
             wal.sync()
 

@@ -10,11 +10,11 @@ instead of in a second ad-hoc format.  The store's checkpoint file is a
 run of the same records (:mod:`repro.store.cluster`), and
 :func:`read_records` is the one reader of both.
 
-Segments rotate at ``REPRO_STORE_SEGMENT_BYTES``; the *active* segment
+Segments rotate at ``StoreConfig.segment_bytes``; the *active* segment
 takes appends, *sealed* segments are immutable and are what background
-compaction folds into the next checkpoint.  Durability is governed by
-the ``REPRO_STORE_FSYNC`` policy and the ``REPRO_STORE_BATCH_WINDOW``
-write-batching window (see :mod:`repro.store.config`).
+compaction folds into the next checkpoint.  Every append writes its
+frame straight to the active segment; when it reaches the disk is the
+``REPRO_STORE_FSYNC`` policy (see :mod:`repro.store.config`).
 
 Replay tolerates a *torn tail*: a crash mid-write leaves the final
 record truncated or CRC-broken, and :meth:`WriteAheadLog.replay` stops
@@ -88,9 +88,9 @@ class WalReplayReport:
 
 
 class WriteAheadLog:
-    """Per-node append-only log with batching, rotation, and replay.
+    """Per-node append-only log with rotation and replay.
 
-    Thread-safe: appends, flushes, and resets serialize on one lock (the
+    Thread-safe: appends, syncs, and resets serialize on one lock (the
     distributed write path already serializes appends, but compaction
     runs from a background thread).
     """
@@ -108,9 +108,6 @@ class WriteAheadLog:
         self._handle = None
         self._active_index = 0
         self._active_bytes = 0
-        self._buffer: list[bytes] = []
-        self._buffer_bytes = 0
-        self._buffer_opened_at: float | None = None
         self._closed = False
         self._records_total = 0
         if metrics is not None:
@@ -118,13 +115,9 @@ class WriteAheadLog:
                 "repro_store_wal_records_total",
                 help="records appended to the write-ahead log",
             )
-            self._flushes_metric = metrics.counter(
-                "repro_store_wal_flushes_total",
-                help="write-ahead-log flushes (buffered records -> segment file)",
-            )
             self._flush_hist = metrics.histogram(
                 "repro_store_wal_flush_seconds",
-                help="wall time of one WAL flush (write + fsync policy)",
+                help="wall time of one WAL append (write + fsync policy)",
             )
             self._segments_gauge = metrics.gauge(
                 "repro_store_wal_segments",
@@ -132,7 +125,6 @@ class WriteAheadLog:
             )
         else:
             self._records_metric = None
-            self._flushes_metric = None
             self._flush_hist = None
             self._segments_gauge = None
         existing = self._segment_paths()
@@ -168,42 +160,30 @@ class WriteAheadLog:
         return len(body).to_bytes(4, "big") + checksum.to_bytes(4, "big") + body
 
     def append(self, record: dict) -> None:
-        """Buffer one record; flushed per the batch-window policy.
-
-        With ``batch_window == 0`` (the default) every append flushes
-        immediately.  A positive window holds records in memory until the
-        oldest buffered one is ``batch_window`` seconds old, amortizing
-        write syscalls across a burst — an explicit :meth:`flush` (the
-        ingest API issues one per batch) always drains the buffer.
-        """
+        """Write one record's frame to the active segment (fsynced under
+        the ``always`` policy), rotating once the segment is full."""
         encoded = self.encode_record(record)
         with self._lock:
             if self._closed:
                 raise LogStoreError(f"WAL {self.directory} is closed")
-            if self._buffer_opened_at is None:
-                self._buffer_opened_at = time.monotonic()
-            self._buffer.append(encoded)
-            self._buffer_bytes += len(encoded)
+            started = time.monotonic()
+            handle = self._ensure_handle()
+            handle.write(encoded)
+            handle.flush()
+            if self.config.fsync == "always":
+                os.fsync(handle.fileno())
+            self._active_bytes += len(encoded)
             self._records_total += 1
             if self._records_metric is not None:
                 self._records_metric.inc()
-            window = self.config.batch_window
-            if window <= 0 or (
-                time.monotonic() - self._buffer_opened_at >= window
-            ):
-                self._flush_locked()
-
-    def flush(self) -> None:
-        """Drain the buffer to the active segment (policy-dependent fsync)."""
-        with self._lock:
-            self._flush_locked()
+                self._flush_hist.observe(time.monotonic() - started)
+            if self._active_bytes >= self.config.segment_bytes:
+                self._rotate_locked()
 
     def sync(self) -> None:
         """Force the active segment to disk (``batch`` policy's sync point)."""
         with self._lock:
-            self._flush_locked()
             if self._handle is not None and self.config.fsync != "off":
-                self._handle.flush()
                 os.fsync(self._handle.fileno())
 
     def _ensure_handle(self):
@@ -212,31 +192,9 @@ class WriteAheadLog:
             self._active_bytes = self._handle.tell()
         return self._handle
 
-    def _flush_locked(self) -> None:
-        if not self._buffer:
-            return
-        started = time.monotonic()
-        handle = self._ensure_handle()
-        payload = b"".join(self._buffer)
-        handle.write(payload)
-        handle.flush()
-        if self.config.fsync == "always":
-            os.fsync(handle.fileno())
-        self._active_bytes += len(payload)
-        self._buffer.clear()
-        self._buffer_bytes = 0
-        self._buffer_opened_at = None
-        if self._flushes_metric is not None:
-            self._flushes_metric.inc()
-        if self._flush_hist is not None:
-            self._flush_hist.observe(time.monotonic() - started)
-        if self._active_bytes >= self.config.segment_bytes:
-            self._rotate_locked()
-
     def _rotate_locked(self) -> None:
         """Seal the active segment and open the next one."""
         if self._handle is not None:
-            self._handle.flush()
             if self.config.fsync != "off":
                 os.fsync(self._handle.fileno())
             self._handle.close()
@@ -273,7 +231,6 @@ class WriteAheadLog:
         store directory.
         """
         with self._lock:
-            self._flush_locked()
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
@@ -285,13 +242,11 @@ class WriteAheadLog:
                 self._segments_gauge.set(0)
 
     def close(self) -> None:
-        """Flush, fsync (unless ``off``), and release the file handle."""
+        """Fsync (unless ``off``) and release the file handle."""
         with self._lock:
             if self._closed:
                 return
-            self._flush_locked()
             if self._handle is not None:
-                self._handle.flush()
                 if self.config.fsync != "off":
                     os.fsync(self._handle.fileno())
                 self._handle.close()

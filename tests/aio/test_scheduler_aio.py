@@ -171,9 +171,8 @@ class TestLifecycle:
 
 
 class TestServiceRouting:
-    def test_service_scheduler_is_async_by_default(self, monkeypatch):
-        """Nothing selects the scheduler: the retired switch is not read."""
-        monkeypatch.setenv("REPRO_AIO_SCHEDULER", "off")
+    def test_service_scheduler_is_async_by_default(self):
+        """Nothing selects the scheduler: it is always the event loop."""
         assert aio_scheduler_enabled()
         service = build_service(rows=8)
         assert type(service.scheduler) is QueryScheduler

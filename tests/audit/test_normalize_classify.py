@@ -173,3 +173,15 @@ class TestClassification:
         form = to_conjunctive_form(parse_criterion("ghost = 1"))
         with pytest.raises(PlanningError):
             classify(form, table1_plan)
+
+    def test_non_repro_error_propagates_unchanged(self):
+        """A genuine bug in the plan surfaces as itself, not as a
+        ``PlanningError`` that blames the criterion."""
+
+        class BrokenPlan:
+            def home_of(self, attribute):
+                raise TypeError("home_of is broken")
+
+        form = to_conjunctive_form(parse_criterion("C1 > 30"))
+        with pytest.raises(TypeError, match="home_of is broken"):
+            classify(form, BrokenPlan())

@@ -2,8 +2,8 @@
 
 The whole point of ``repro.cache`` is that memoization is *invisible*:
 query results, integrity reports and witnesses must come out byte-for-byte
-the same whether the caches are cold, hot, or disabled via the
-``REPRO_CACHE`` kill switch — and a mutation on any one node must be
+the same whether the caches are cold, hot, or disabled via the kill
+switch (``set_caching_enabled(False)``) — and a mutation on any one node must be
 reflected immediately (epoch-keyed lookups never serve stale entries).
 """
 

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.cache import (
-    CACHE_ENV_VAR,
-    MAX_ENTRIES_ENV_VAR,
     LruCache,
     cache_stats_snapshot,
     caching_enabled,
@@ -82,46 +80,17 @@ class TestKillSwitch:
         assert cache.get("k", "miss") == "miss"
         set_caching_enabled(None)
 
-    def test_env_var_off(self, monkeypatch):
-        for raw in ("off", "0", "false", "no", "disabled", "OFF"):
-            monkeypatch.setenv(CACHE_ENV_VAR, raw)
-            assert not caching_enabled()
-
-    def test_env_var_on_and_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    def test_on_by_default_and_none_restores_it(self):
         assert caching_enabled()
-        for raw in ("on", "1", "true", "yes"):
-            monkeypatch.setenv(CACHE_ENV_VAR, raw)
-            assert caching_enabled()
-
-    def test_env_var_junk_rejected(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "maybe")
-        with pytest.raises(ConfigurationError, match="REPRO_CACHE"):
-            caching_enabled()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "off")
-        set_caching_enabled(True)
+        set_caching_enabled(False)
+        set_caching_enabled(None)
         assert caching_enabled()
 
 
 class TestMaxEntriesEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(MAX_ENTRIES_ENV_VAR, raising=False)
+    def test_default(self):
         assert default_max_entries() == 4096
-
-    def test_env_parse(self, monkeypatch):
-        monkeypatch.setenv(MAX_ENTRIES_ENV_VAR, "16")
-        assert default_max_entries() == 16
-        assert LruCache("t").max_entries == 16
-
-    def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(MAX_ENTRIES_ENV_VAR, "many")
-        with pytest.raises(ConfigurationError):
-            default_max_entries()
-        monkeypatch.setenv(MAX_ENTRIES_ENV_VAR, "0")
-        with pytest.raises(ConfigurationError):
-            default_max_entries()
+        assert LruCache("t").max_entries == 4096
 
 
 class TestMetrics:

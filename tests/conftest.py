@@ -8,6 +8,8 @@ populated services) are session-scoped.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -31,6 +33,18 @@ from repro.workloads import paper_table1_rows
 # modules again, with ten times the default examples (where a test does not
 # set its own) and no per-example deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _shipped_defaults():
+    """Every test starts from the shipped defaults: no ``REPRO_*`` knob
+    from the caller's shell leaks in, not even into session- or
+    module-scoped fixtures.  A test that needs one sets it with
+    ``monkeypatch``, which restores this scrubbed state afterwards."""
+    with pytest.MonkeyPatch.context() as scrub:
+        for name in [n for n in os.environ if n.startswith("REPRO_")]:
+            scrub.delenv(name)
+        yield
 
 
 @pytest.fixture()

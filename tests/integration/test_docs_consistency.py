@@ -125,8 +125,8 @@ class TestDocsReferenceRealKnobs:
 
     def test_every_obs_knob_documented(self):
         """Reverse sweep for observability: every ``REPRO_OBS_*`` knob the
-        obs layer reads (flight-recorder sizing, orphan buffer, leakage
-        budget, HTTP endpoint) must appear in the docs."""
+        obs layer reads (leakage budget, HTTP endpoint) must appear in the
+        docs."""
         obs_source = "\n".join(read(p) for p in (SRC / "obs").rglob("*.py"))
         defined = set(re.findall(r"\bREPRO_OBS_[A-Z_]*[A-Z]\b", obs_source))
         assert defined, "expected REPRO_OBS_* knobs in repro.obs"
@@ -136,12 +136,22 @@ class TestDocsReferenceRealKnobs:
             f"REPRO_OBS_* knobs missing from the docs: {undocumented}"
         )
 
+    def test_knobs_match_config_table(self):
+        """The reverse sweep for every package: the ``REPRO_*`` names
+        under ``src/`` are exactly the rows of docs/api.md's Configuration
+        table (an undocumented knob might as well not exist; a row for a
+        deleted one is a lie)."""
+        api = read(REPO / "docs" / "api.md")
+        section = api.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.MULTILINE))
+        source = set(re.findall(r"\bREPRO_[A-Z][A-Z_0-9]*\b", all_source()))
+        assert source == table
+
     def test_every_store_knob_documented(self):
         """Reverse sweep for the durable backend: every ``REPRO_STORE_*``
-        knob ``repro.store`` reads (directory, segment size, fsync
-        policy, batch window, compaction) must be documented in
-        docs/storage.md's knob table — an undocumented durability knob
-        is a silent data-loss footgun."""
+        knob ``repro.store`` reads (directory, fsync policy) must be
+        documented in docs/storage.md's settings table — an undocumented
+        durability knob is a silent data-loss footgun."""
         store_source = "\n".join(read(p) for p in (SRC / "store").rglob("*.py"))
         defined = set(re.findall(r"\bREPRO_STORE_[A-Z_]*[A-Z]\b", store_source))
         assert defined, "expected REPRO_STORE_* knobs in repro.store"
@@ -149,21 +159,6 @@ class TestDocsReferenceRealKnobs:
         undocumented = sorted(v for v in defined if v not in storage_doc)
         assert not undocumented, (
             f"REPRO_STORE_* knobs missing from docs/storage.md: {undocumented}"
-        )
-
-    def test_every_aio_knob_documented(self):
-        """Reverse sweep for the event-loop stack: every ``REPRO_AIO_*``
-        knob the scheduler or the loop substrate reads (the in-flight
-        bound) must appear in the docs."""
-        loop_source = "\n".join(
-            read(p) for pkg in ("aio", "sched") for p in (SRC / pkg).rglob("*.py")
-        )
-        defined = set(re.findall(r"\bREPRO_AIO_[A-Z_]*[A-Z]\b", loop_source))
-        assert defined, "expected REPRO_AIO_* knobs in repro.sched / repro.aio"
-        docs = all_docs()
-        undocumented = sorted(v for v in defined if v not in docs)
-        assert not undocumented, (
-            f"REPRO_AIO_* knobs missing from the docs: {undocumented}"
         )
 
 

@@ -9,6 +9,7 @@ from repro.audit.confidentiality import (
     store_confidentiality,
 )
 from repro.audit.planner import plan_query
+from repro.errors import ConfigurationError
 from repro.logstore import LogRecord
 from repro.obs import MetricsRegistry
 from repro.obs.confidentiality import ConfidentialityObservatory
@@ -94,6 +95,18 @@ class TestLeakageBudget:
         monkeypatch.setenv("REPRO_OBS_LEAKAGE_BUDGET", "4")
         observatory = ConfidentialityObservatory(table1_schema, table1_plan)
         assert observatory.budget == 4
+
+    @pytest.mark.parametrize("raw", ["four", "4.5", "-3"])
+    def test_bad_budget_env_var_names_it(
+        self, table1_schema, table1_plan, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_OBS_LEAKAGE_BUDGET", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_OBS_LEAKAGE_BUDGET"):
+            ConfidentialityObservatory(table1_schema, table1_plan)
+
+    def test_negative_budget_argument_rejected(self, table1_schema, table1_plan):
+        with pytest.raises(ConfigurationError):
+            ConfidentialityObservatory(table1_schema, table1_plan, budget=-1)
 
     def test_zero_budget_never_warns(self, observatory, table1_schema, table1_plan):
         qplan = plan_query(CROSS, table1_schema, table1_plan)

@@ -11,11 +11,13 @@ from repro.net.simnet import SimNetwork
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.flight import (
     COLLECT_KIND,
+    DEFAULT_FLIGHT_SPANS,
     SPANS_KIND,
     FlightRecorder,
     TelemetryHub,
     run_collection_round,
 )
+from repro.obs.tracer import DEFAULT_ORPHAN_BUFFER
 
 
 class TestFlightRecorder:
@@ -44,9 +46,9 @@ class TestFlightRecorder:
             assert span.node == "P7"
             assert span.ref == f"P7:{span.span_id}"
 
-    def test_capacity_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_FLIGHT_SPANS", "5")
-        assert FlightRecorder("P1").capacity == 5
+    def test_capacity_default(self):
+        assert FlightRecorder("P1").capacity == DEFAULT_FLIGHT_SPANS == 2048
+        assert TelemetryHub().recorder("P1").capacity == DEFAULT_FLIGHT_SPANS
 
 
 class TestTelemetryHub:
@@ -226,9 +228,9 @@ class TestOrphanEvents:
         values = snap["repro_obs_orphan_events_total"]["values"]
         assert sum(values.values()) == 1
 
-    def test_orphan_capacity_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_ORPHAN_EVENTS", "1")
-        tracer = Tracer()
+    def test_orphan_capacity_bounds_the_buffer(self):
+        assert Tracer()._orphans.maxlen == DEFAULT_ORPHAN_BUFFER == 256
+        tracer = Tracer(orphan_capacity=1)
         tracer.add_event("a")
         tracer.add_event("b")
         assert [e.name for e in tracer.orphan_events()] == ["b"]

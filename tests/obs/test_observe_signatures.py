@@ -107,7 +107,6 @@ def test_standing_query_epochs_score_their_delta_rows_bit_equal():
     rows = _rows(60)
     service = ConfidentialAuditingService(
         SCHEMA, PLAN, prime_bits=64, rng=DeterministicRng(b"observe-signatures"),
-        obs_from_env=False,
     )
     try:
         deltas = []

@@ -181,14 +181,3 @@ class TestResolution:
         engine = SerialEngine()
         assert set_default_engine(engine) is engine
         assert get_default_engine() is engine
-
-    def test_non_integer_worker_env_rejected(self, monkeypatch):
-        from repro.perf.engine import THRESHOLD_ENV_VAR, WORKERS_ENV_VAR
-
-        monkeypatch.setenv(WORKERS_ENV_VAR, "banana")
-        with pytest.raises(ConfigurationError, match="REPRO_PERF_WORKERS"):
-            ProcessPoolEngine()
-        monkeypatch.delenv(WORKERS_ENV_VAR)
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "many")
-        with pytest.raises(ConfigurationError, match="REPRO_PERF_THRESHOLD"):
-            AutoEngine()

@@ -48,22 +48,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy().backoff(0)
 
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "7")
-        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.5")
-        monkeypatch.setenv("REPRO_RETRY_MAX_DELAY", "9")
-        monkeypatch.setenv("REPRO_RETRY_ACK_TIMEOUT", "1.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 7
-        assert policy.base_delay == 0.5
-        assert policy.max_delay == 9.0
-        assert policy.ack_timeout == 1.5
-
-    def test_from_env_bad_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "many")
-        with pytest.raises(ConfigurationError):
-            RetryPolicy.from_env()
-
 
 class TestDeadline:
     def test_never_passes_all_checks(self):

@@ -66,7 +66,7 @@ def test_every_construction_site_builds_the_same_class(monkeypatch):
         service.query_many(CRITERIA[:2], max_concurrency=3)
         assert len(built) == 2 and built[0] is persistent
         assert {type(s) for s in built} == {QueryScheduler}
-        assert built[1].config.max_inflight == 3
+        assert built[1].max_inflight == 3
         # One module defines a scheduler; the benchmark's alias is that class.
         from repro.aio.scheduler import AsyncQueryScheduler
 

@@ -14,7 +14,7 @@ from repro.errors import (
     SchedulerShutdownError,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sched import QueryScheduler, SchedulerConfig
+from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
 
 
@@ -244,29 +244,35 @@ class TestAdmissionControl:
         assert service.query_many([CRITERIA[0]])[0].glsns is not None
 
 
+@pytest.fixture(scope="module")
+def config_service():
+    return build_service(rows=2)
+
+
 class TestConfig:
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AIO_MAX_INFLIGHT", "7")
+    def test_env_knobs(self, monkeypatch, config_service):
         monkeypatch.setenv("REPRO_SCHED_COALESCE", "off")
-        assert SchedulerConfig.from_env() == SchedulerConfig(
-            max_inflight=7, coalesce=False
-        )
+        with QueryScheduler(config_service) as sched:
+            assert sched.coalesce is False
+        # An explicit argument beats the variable.
+        with QueryScheduler(config_service, coalesce=True) as sched:
+            assert sched.coalesce is True
 
-    def test_env_defaults(self, monkeypatch):
-        for var in ("REPRO_AIO_MAX_INFLIGHT", "REPRO_SCHED_COALESCE"):
-            monkeypatch.delenv(var, raising=False)
-        assert SchedulerConfig.from_env() == SchedulerConfig(
-            max_inflight=256, coalesce=True
-        )
+    def test_env_defaults(self, config_service):
+        with QueryScheduler(config_service) as sched:
+            assert (sched.max_inflight, sched.coalesce) == (256, True)
 
-    @pytest.mark.parametrize(
-        "var,value",
-        [("REPRO_AIO_MAX_INFLIGHT", "zero"), ("REPRO_AIO_MAX_INFLIGHT", "0")],
-    )
-    def test_invalid_env_raises(self, monkeypatch, var, value):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig.from_env()
+    @pytest.mark.parametrize("value", ["of", "maybe", "offf"])
+    def test_invalid_coalesce_env_raises(self, monkeypatch, config_service, value):
+        """A mistyped privacy switch must fail loudly, not keep coalescing."""
+        monkeypatch.setenv("REPRO_SCHED_COALESCE", value)
+        with pytest.raises(ConfigurationError, match="REPRO_SCHED_COALESCE"):
+            QueryScheduler(config_service)
+
+    @pytest.mark.parametrize("max_inflight", [0, -1])
+    def test_invalid_max_inflight_raises(self, config_service, max_inflight):
+        with pytest.raises(ConfigurationError, match="max_inflight"):
+            QueryScheduler(config_service, max_inflight=max_inflight)
 
     def test_sched_metrics_emitted(self):
         registry = MetricsRegistry()

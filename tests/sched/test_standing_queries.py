@@ -16,7 +16,6 @@ def service():
         paper_fragment_plan(schema),
         prime_bits=64,
         rng=DeterministicRng(b"standing"),
-        obs_from_env=False,
     )
     yield svc
     svc.close()

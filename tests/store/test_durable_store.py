@@ -135,33 +135,23 @@ class TestCheckpoint:
 class TestConfig:
     def test_from_env_reads_every_knob(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_STORE_SEGMENT_BYTES", "4096")
         monkeypatch.setenv("REPRO_STORE_FSYNC", "always")
-        monkeypatch.setenv("REPRO_STORE_BATCH_WINDOW", "0.5")
-        monkeypatch.setenv("REPRO_STORE_COMPACT_SEGMENTS", "9")
-        monkeypatch.setenv("REPRO_STORE_COMPACT", "off")
-        config = StoreConfig.from_env()
-        assert config.directory == str(tmp_path)
-        assert config.segment_bytes == 4096
-        assert config.fsync == "always"
-        assert config.batch_window == 0.5
-        assert config.compact_segments == 9
-        assert config.compact is False
+        assert StoreConfig.from_env() == StoreConfig(
+            directory=str(tmp_path), fsync="always"
+        )
 
     def test_bad_values_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_FSYNC", "sometimes")
-        with pytest.raises(ConfigurationError):
-            StoreConfig.from_env()
-        monkeypatch.delenv("REPRO_STORE_FSYNC")
-        monkeypatch.setenv("REPRO_STORE_SEGMENT_BYTES", "zero")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="REPRO_STORE_FSYNC"):
             StoreConfig.from_env()
 
     def test_explicit_config_validates(self):
         with pytest.raises(ConfigurationError):
             StoreConfig(fsync="nope")
         with pytest.raises(ConfigurationError):
-            StoreConfig(batch_window=-1.0)
+            StoreConfig(segment_bytes=0)
+        with pytest.raises(ConfigurationError):
+            StoreConfig(compact_segments=0)
 
 
 class TestLifecycle:

@@ -76,22 +76,6 @@ class TestBatching:
         assert make_wal(tmp_path).replay().records == 1
         wal.close()
 
-    def test_positive_window_buffers_until_flush(self, tmp_path):
-        wal = make_wal(tmp_path, batch_window=3600.0)
-        wal.append({"op": "put", "glsn": 1})
-        # Still buffered in memory: nothing on disk yet.
-        assert make_wal(tmp_path / "probe").replay().records == 0
-        assert sum(p.stat().st_size for p in tmp_path.glob("wal-*.seg")) == 0
-        wal.flush()
-        assert wal.replay().records == 1
-        wal.close()
-
-    def test_close_drains_buffer(self, tmp_path):
-        wal = make_wal(tmp_path, batch_window=3600.0)
-        wal.append({"op": "put", "glsn": 5})
-        wal.close()
-        assert make_wal(tmp_path).replay().records == 1
-
     def test_closed_wal_refuses_appends(self, tmp_path):
         wal = make_wal(tmp_path)
         wal.close()
