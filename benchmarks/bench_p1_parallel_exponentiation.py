@@ -27,7 +27,7 @@ from benchmarks.conftest import print_rows
 from repro.crypto import DeterministicRng, shared_prime
 from repro.crypto.pohlig_hellman import PohligHellmanCipher
 from repro.net.simnet import SimNetwork
-from repro.obs import NOOP_TRACER, TelemetryHub, Tracer
+from repro.obs import NOOP_TRACER, Tracer
 from repro.perf.engine import AutoEngine, ProcessPoolEngine, SerialEngine
 from repro.smc.base import SmcContext
 from repro.smc.intersection import secure_set_intersection
@@ -178,37 +178,35 @@ class TestParallelExponentiation:
 
     @staticmethod
     def _propagation_overhead() -> dict:
-        """Guard: full cross-node propagation — trace ids stamped into
-        every frame, every delivery wrapped in a flight-recorder span,
-        modexp attributed per node (collection round off) — must cost
-        < 5% on complete ring-protocol runs vs the untraced path.
+        """Guard: a traced ``SimNetwork`` — trace ids stamped into every
+        frame, every delivery wrapped in a handler span, modexp
+        attributed per party, all into one tracer — must cost < 5% on
+        complete ring-protocol runs vs the untraced path.
 
         This is the guard for the always-on deployment mode: the
-        per-message work (two codec fields + one bounded-ring span per
-        delivery) has to stay in the noise next to the protocol's modexp.
+        per-message work (two codec fields + one span per delivery) has
+        to stay in the noise next to the protocol's modexp.
         """
         prime = shared_prime(max(BITS, 128))
         sets = {f"P{i}": [f"x{j}" for j in range(i, i + 48)] for i in range(4)}
         inner = 3
 
-        def run(telemetry):
+        def run(tracer):
             result = None
             for _ in range(inner):
-                ctx = SmcContext(
-                    prime, DeterministicRng(b"p1-prop"), telemetry=telemetry
-                )
-                net = SimNetwork(telemetry=telemetry)
+                ctx = SmcContext(prime, DeterministicRng(b"p1-prop"), tracer=tracer)
+                net = SimNetwork(tracer=tracer)
                 result = secure_set_intersection(ctx, sets, net=net)
             return sorted(result.any_value)
 
         t_noop, out_noop = _timed(lambda: run(None), repeat=5)
 
         def traced():
-            # Fresh hub per sample: the spans accumulate in bounded
-            # per-node rings exactly as a live deployment would.
-            hub = TelemetryHub(tracer=Tracer())
-            with hub.tracer.span("bench.query"):
-                return run(hub)
+            # Fresh tracer per sample: the spans accumulate in it exactly
+            # as a live deployment's would.
+            tracer = Tracer()
+            with tracer.span("bench.query"):
+                return run(tracer)
 
         t_traced, out_traced = _timed(traced, repeat=5)
         assert out_traced == out_noop  # propagation never perturbs results

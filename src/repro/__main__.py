@@ -82,9 +82,7 @@ def run_demo(prime_bits: int, seed: str, trace_out: str | None = None) -> int:
     if tracer is not None:
         from repro.obs import write_jsonl
 
-        # Coordinator spans plus the node spans the collection rounds
-        # shipped back — trace-report assembles them into one id space.
-        spans = tracer.finished_spans() + list(service.last_node_spans)
+        spans = tracer.finished_spans()
         write_jsonl(spans, trace_out)
         print(f"\n== trace == {len(spans)} spans written to {trace_out}")
     return 0
@@ -95,17 +93,13 @@ def run_trace_report(
 ) -> int:
     """Render the cost-attribution table (or span tree) of a JSONL trace."""
     from repro.obs import (
-        assemble_forest,
         load_jsonl,
         render_attribution,
         render_critical_path,
         render_tree,
     )
 
-    # Traces may mix coordinator and per-node flight-recorder spans with
-    # colliding per-tracer ids; assembly renumbers them into one id space
-    # (a pure renumbering no-op for single-tracer traces).
-    spans = assemble_forest(load_jsonl(path))
+    spans = load_jsonl(path)
     if critical_path:
         print(render_critical_path(spans))
     elif tree:

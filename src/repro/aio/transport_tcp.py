@@ -82,12 +82,10 @@ class AsyncTcpNode:
         loop_thread: LoopThread | None = None,
         tracer=None,
         metrics=None,
-        telemetry=None,
     ) -> None:
         self.node_id = node_id
         self.stats = NetworkStats()
         self.tracer = tracer or NOOP_TRACER
-        self.telemetry = telemetry
         if metrics is not None:
             self.stats.attach_metrics(metrics)
         self.corrupt_frames = 0
@@ -148,27 +146,14 @@ class AsyncTcpNode:
     def _frame(self, msg: Message) -> bytes:
         if msg.dst not in self._address_book:
             raise NodeUnreachableError(f"unknown peer {msg.dst!r}")
-        self._stamp_trace_context(msg)
+        if msg.trace_id is None and self.tracer.enabled:
+            msg.trace_id, msg.parent_span_id = self.tracer.current_context()
         frame = encode_frame(msg)
         msg.size_bytes = len(frame) - FRAME_HEADER_BYTES
         return frame
 
-    def _stamp_trace_context(self, msg: Message) -> None:
-        hub = self.telemetry
-        if (
-            hub is None
-            or not hub.enabled
-            or msg.trace_id is not None
-            or msg.kind.startswith("obs.")
-        ):
-            return
-        context = hub.sender_context(msg.src)
-        if context is not None:
-            msg.trace_id, msg.parent_span_id = context
-
     def _record_send(self, msg: Message) -> None:
-        if not msg.kind.startswith("obs."):
-            self.stats.record(msg.kind, msg.size_bytes, msg.src, msg.dst)
+        self.stats.record(msg.kind, msg.size_bytes, msg.src, msg.dst)
         if self.tracer.enabled:
             self.tracer.add_event(
                 "net.send",
@@ -335,10 +320,10 @@ class AsyncTcpNode:
                         {"node": self.node_id, "mid": msg.msg_id},
                     )
                 return
-        hub = self.telemetry
-        if hub is not None and hub.enabled and not msg.kind.startswith("obs."):
-            with hub.node_span(
-                self.node_id,
+        if self.tracer.enabled:
+            # The handler runs inside a span of this node, opened under the
+            # span the message was sent from.
+            with self.tracer.span(
                 f"node.{msg.kind}",
                 {
                     "node": self.node_id,
@@ -347,14 +332,7 @@ class AsyncTcpNode:
                     "messages": 1,
                     "bytes": msg.size_bytes,
                 },
-                trace_id=msg.trace_id,
-                remote_parent=msg.parent_span_id,
-            ):
-                self._deliver(msg)
-        elif self.tracer.enabled:
-            with self.tracer.span(
-                "tcp.recv",
-                {"node": self.node_id, "src": msg.src, "kind": msg.kind},
+                parent=(msg.trace_id, msg.parent_span_id),
             ):
                 self.tracer.add_event(
                     "net.recv", {"src": msg.src, "dst": msg.dst, "kind": msg.kind}
@@ -442,10 +420,8 @@ class AsyncTcpCluster:
         node_ids: list[NodeId],
         tracer=None,
         metrics=None,
-        telemetry=None,
         loop_thread: LoopThread | None = None,
     ) -> None:
-        self.telemetry = telemetry
         self._owns_loop = loop_thread is None
         self.loop_thread = loop_thread or LoopThread(name="aio-tcp-cluster")
         self.nodes: dict[NodeId, AsyncTcpNode] = {
@@ -454,7 +430,6 @@ class AsyncTcpCluster:
                 loop_thread=self.loop_thread,
                 tracer=tracer,
                 metrics=metrics,
-                telemetry=telemetry,
             )
             for node_id in node_ids
         }

@@ -159,6 +159,21 @@ def _scaled_int(value) -> int:
     return scaled
 
 
+def _scaled_values(attribute: str, node_id: str, values) -> list[int]:
+    """Fixed-point encodings of one owner's aggregate inputs.
+
+    A value that is not a finite number is the query's fault, not a bug:
+    it fails the aggregate with a typed error before any round is run.
+    """
+    try:
+        return [_scaled_int(value) for value in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AuditError(
+            f"aggregate over {attribute!r} needs numeric values, but "
+            f"{node_id} holds a non-numeric one"
+        ) from exc
+
+
 def _unscaled(scaled: int, samples) -> object:
     """A fixed-point aggregate in the samples' terms: ``int`` if all of them are."""
     if all(map(isinstance, samples, repeat(int))):
@@ -391,7 +406,7 @@ class QueryExecutor:
 
         if op == "sum":
             scaled = {
-                owner: sum(map(_scaled_int, vals))
+                owner: sum(_scaled_values(attribute, owner, vals))
                 for owner, vals in partials.items()
             }
             if len(scaled) == 1:
@@ -409,7 +424,7 @@ class QueryExecutor:
         for owner, vals in partials.items():
             if vals:
                 fn = max if op == "max" else min
-                extremes[owner] = fn(map(_scaled_int, vals))
+                extremes[owner] = fn(_scaled_values(attribute, owner, vals))
         if not extremes:
             return AggregateResult(op=op, attribute=attribute, value=None, matched=0)
         if len(extremes) == 1:
@@ -493,7 +508,8 @@ class QueryExecutor:
                 result = None
             else:
                 fold = {"sum": sum, "max": max, "min": min}[op]
-                result = _unscaled(fold(map(_scaled_int, samples)), samples)
+                scaled = _scaled_values(measure, measure_node, samples)
+                result = _unscaled(fold(scaled), samples)
             out[value] = AggregateResult(
                 op=op, attribute=measure, value=result, matched=len(samples)
             )

@@ -20,7 +20,6 @@ misconduct obliges opening, and refusing to open is itself the proof.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.crypto.blind import BlindingClient, BlindSigner
@@ -33,6 +32,7 @@ from repro.crypto.schnorr import (
     SchnorrSigner,
 )
 from repro.errors import EvidenceError
+from repro.obs.tracer import NOOP_TRACER
 
 __all__ = ["AuditToken", "NodeCredentials", "CredentialAuthority"]
 
@@ -80,13 +80,13 @@ class CredentialAuthority:
     """Mints anonymous audit tokens and arbitrates identity escrow."""
 
     def __init__(self, group: SchnorrGroup | None = None, rng=None,
-                 telemetry=None) -> None:
+                 tracer=None) -> None:
         self._rng = rng or system_rng()
-        # Cross-node tracing: enrolment work records a span at the
-        # authority's node.  The span carries no identities — linking an
-        # enrolment session to a real id is exactly what blind issuance
-        # prevents, and telemetry must not reopen that channel.
-        self.telemetry = telemetry
+        # Enrolment work records a span at the authority's node.  The span
+        # carries no identities — linking an enrolment session to a real
+        # id is exactly what blind issuance prevents, and tracing must not
+        # reopen that channel.
+        self.tracer = tracer or NOOP_TRACER
         self.group = group or SchnorrGroup.generate(256, self._rng)
         self.key = SchnorrKeyPair.generate(self.group, self._rng)
         self.pedersen = PedersenParams.generate(256, self._rng.spawn("pedersen"))
@@ -110,14 +110,7 @@ class CredentialAuthority:
         if real_id in self.enrolled:
             raise EvidenceError(f"{real_id!r} already holds a token")
         rng = rng or self._rng.spawn(f"enroll:{real_id}")
-        span_cm = (
-            self.telemetry.node_span(
-                "authority", "node.authority.enroll", {"node": "authority"}
-            )
-            if self.telemetry is not None
-            else nullcontext(None)
-        )
-        with span_cm:
+        with self.tracer.span("node.authority.enroll", {"node": "authority"}):
             pseudonym_key = SchnorrKeyPair.generate(self.group, rng)
 
             # Blind issuance: the authority signs without seeing the pseudonym.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.service import AuditReport, ConfidentialAuditingService
 from repro.crypto.schnorr import SchnorrSignature
-from repro.errors import AuditError, ProtocolAbortError
+from repro.errors import AuditError, ProtocolAbortError, ReproError
 from repro.net.message import Message
 
 __all__ = ["DlaQueryFrontdoor", "RemoteAuditorClient"]
@@ -52,10 +52,10 @@ class DlaQueryFrontdoor:
             raise ProtocolAbortError(f"frontdoor got unexpected {msg.kind!r}")
 
     def _serve_query(self, msg: Message, transport) -> None:
-        request_id = msg.payload["request_id"]
+        request_id = _request_id(msg)
         try:
-            report = self.service.audited_query(msg.payload["criterion"])
-        except Exception as exc:  # noqa: BLE001 - surfaced to the client
+            report = self.service.audited_query(_text_field(msg, "criterion"))
+        except ReproError as exc:  # surfaced to the client; bugs propagate
             self._answer_error(msg, transport, request_id, exc)
             return
         self.served += 1
@@ -77,14 +77,14 @@ class DlaQueryFrontdoor:
         )
 
     def _serve_aggregate(self, msg: Message, transport) -> None:
-        request_id = msg.payload["request_id"]
+        request_id = _request_id(msg)
         try:
             result = self.service.aggregate(
-                msg.payload["op"],
-                msg.payload["attribute"],
-                msg.payload.get("criterion"),
+                _text_field(msg, "op"),
+                _text_field(msg, "attribute"),
+                _text_field(msg, "criterion", optional=True),
             )
-        except Exception as exc:  # noqa: BLE001
+        except ReproError as exc:
             self._answer_error(msg, transport, request_id, exc)
             return
         self.served += 1
@@ -112,6 +112,25 @@ class DlaQueryFrontdoor:
                 payload={"request_id": request_id, "error": str(exc)},
             )
         )
+
+
+def _request_id(msg: Message):
+    """The id to echo; ``None`` when the client sent none."""
+    return msg.payload.get("request_id") if isinstance(msg.payload, dict) else None
+
+
+def _text_field(msg: Message, name: str, optional: bool = False) -> str | None:
+    """One string field of a request; a missing or mistyped one is an
+    :class:`AuditError` answered to the client, never a crash of the node."""
+    value = msg.payload.get(name) if isinstance(msg.payload, dict) else None
+    if value is None and optional:
+        return None
+    if not isinstance(value, str):
+        raise AuditError(
+            f"{msg.kind} field {name!r} must be a string, "
+            f"got {type(value).__name__}"
+        )
+    return value
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
@@ -45,16 +45,17 @@ from repro.logstore.schema import GlobalSchema
 from repro.logstore.store import DistributedLogStore, WriteReceipt
 from repro.net.simnet import SimNetwork
 from repro.net.stats import CostReport, CryptoOpCounter
-from repro.obs.assemble import assemble_forest
 from repro.obs.confidentiality import ConfidentialityObservatory, QueryObservation
-from repro.obs.flight import TelemetryHub, run_collection_round
 from repro.obs.server import ObsServer, start_from_env
-from repro.obs.tracer import NOOP_TRACER, Span
+from repro.obs.tracer import NOOP_TRACER
 from repro.precompute.manager import PrecomputeManager
 from repro.smc.base import SmcContext
 from repro.store import StoreConfig, open_durable_store
 
 __all__ = ["AuditReport", "ConfidentialAuditingService"]
+
+#: How many traces the ``/traces`` endpoint returns.
+RECENT_TRACES = 32
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,9 @@ class ConfidentialAuditingService:
         Optional :class:`~repro.obs.tracer.Tracer`; every audited query
         then produces one ``audit.query`` root span whose attributes
         carry the signed digest and exact cost totals, with the full
-        protocol/stage span tree beneath it.  Defaults to the no-op
+        protocol/stage span tree beneath it, and every party's
+        ``node.<kind>`` handler spans land in the same tracer (one tree
+        per query, see :mod:`repro.obs.tracer`).  Defaults to the no-op
         tracer (zero overhead, nothing recorded).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` fed by the
@@ -147,20 +150,11 @@ class ConfidentialAuditingService:
         self.plan = plan
         self.tracer = tracer or NOOP_TRACER
         self.metrics = metrics
-        #: Cross-node tracing: one bounded flight recorder per participant
-        #: node, wired through every per-query network and SMC context so
-        #: trace context propagates on the wire (inert with a noop tracer).
-        self.telemetry = TelemetryHub(self.tracer, metrics=self.metrics)
         #: §5 confidentiality metrics (C_query, C_DLA) computed live for
         #: every executed query, with leakage-budget accounting.
         self.observatory = ConfidentialityObservatory(
             schema, plan, metrics=self.metrics
         )
-        #: Most recent assembled cross-node traces (one list[Span] per
-        #: audited query); the ``/traces`` endpoint renders this.
-        self.recent_traces: deque[list[Span]] = deque(maxlen=32)
-        #: Node spans shipped back by the latest collection round.
-        self.last_node_spans: list[Span] = []
         self._node_health: dict[str, dict] = {}
         self._health_lock = threading.Lock()
         self.precompute = PrecomputeManager()  # benchmark readout only
@@ -221,14 +215,13 @@ class ConfidentialAuditingService:
             self.rng.spawn("smc"),
             tracer=self.tracer,
             metrics=self.metrics,
-            telemetry=self.telemetry,
         )
         self.executor = QueryExecutor(self.store, self.ctx, schema)
 
         # DLA-side identity: credential authority, membership, signatures.
         group = SchnorrGroup.generate(256, self.rng.spawn("group"))
         self.credential_authority = CredentialAuthority(
-            group, self.rng.spawn("ca"), telemetry=self.telemetry
+            group, self.rng.spawn("ca"), tracer=self.tracer
         )
         self.node_credentials: dict[str, NodeCredentials] = {}
         founder_id = plan.node_ids[0]
@@ -389,7 +382,6 @@ class ConfidentialAuditingService:
             metrics=self.metrics,
             resilience=self.resilience,
             faults=self.faults,
-            telemetry=self.telemetry,
         )
 
     def _collect_cost(self, net: SimNetwork, ops_before: Counter) -> CostReport:
@@ -427,15 +419,16 @@ class ConfidentialAuditingService:
         return {"status": overall, "nodes": dict(sorted(nodes.items()))}
 
     def recent_traces_snapshot(self) -> list[dict]:
-        """The ``/traces`` endpoint body: recent assembled trace trees."""
+        """The ``/traces`` endpoint body: the :data:`RECENT_TRACES` latest
+        traces of :attr:`tracer`, in the order they started finishing."""
         from repro.obs.export import span_to_dict
 
+        traces: dict[str | None, list] = {}
+        for span in self.tracer.finished_spans():
+            traces.setdefault(span.trace_id, []).append(span)
         return [
-            {
-                "trace_id": spans[0].trace_id if spans else None,
-                "spans": [span_to_dict(s) for s in spans],
-            }
-            for spans in list(self.recent_traces)
+            {"trace_id": trace_id, "spans": [span_to_dict(s) for s in spans]}
+            for trace_id, spans in list(traces.items())[-RECENT_TRACES:]
         ]
 
     def start_obs_server(self, port: int = 0) -> ObsServer:
@@ -473,24 +466,6 @@ class ConfidentialAuditingService:
             leakage_events,
             tenant=tenant,
         )
-
-    def _collect_trace(self, net, trace_id: str | None) -> list[Span] | None:
-        """Ship node spans back over ``net`` and assemble the query's tree.
-
-        Runs *after* the query's :class:`CostReport` is collected, so the
-        ``obs.collect``/``obs.spans`` round never pollutes cost totals.
-        """
-        if not (self.tracer.enabled and self.telemetry.enabled):
-            return None
-        collected = run_collection_round(self.telemetry, net)
-        self.last_node_spans = collected
-        if trace_id is None:
-            return None
-        local = [s for s in self.tracer.finished_spans() if s.trace_id == trace_id]
-        remote = [s for s in collected if s.trace_id == trace_id]
-        assembled = assemble_forest(local + remote)
-        self.recent_traces.append(assembled)
-        return assembled
 
     def query(
         self,
@@ -667,10 +642,6 @@ class ConfidentialAuditingService:
                     "over_budget": observation.over_budget,
                 }
             )
-        # Telemetry-collection round: ship every node's flight-recorder
-        # spans back over the same per-query network and assemble this
-        # query's single cross-node trace tree.
-        self._collect_trace(net, getattr(span, "trace_id", None))
         return AuditReport(
             criterion=criterion,
             glsns=tuple(result.glsns),

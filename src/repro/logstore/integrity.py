@@ -29,7 +29,6 @@ A glsn some node lost folds to 0 there and is reported ``ok=False``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.crypto.accumulator import OneWayAccumulator
@@ -165,7 +164,6 @@ class IntegrityNode:
         accumulator: OneWayAccumulator,
         ring: list[str],
         crypto=None,
-        telemetry=None,
     ) -> None:
         self.node_id = node_id
         self.store = store
@@ -174,35 +172,32 @@ class IntegrityNode:
         # so a failover supervisor can hand in a ring that avoids bad links.
         self.ring = list(ring)
         self.crypto = crypto
-        # Cross-node tracing (repro.obs.flight.TelemetryHub): fold counts
-        # attribute to this node's open flight-recorder span, and the
-        # initiator's bootstrap fold opens one explicitly.
-        self.telemetry = telemetry
         self.state = _RingState()
 
-    def _node_span(self, name: str):
-        if self.telemetry is None:
-            return nullcontext(None)
-        return self.telemetry.node_span(self.node_id, name, {"node": self.node_id})
+    def _fold(
+        self, transport, glsns: list[int], incoming: list[int], compute
+    ) -> list[int]:
+        """Fold through the store's memo; count real pows and reuses.
 
-    def _fold(self, glsns: list[int], incoming: list[int], compute) -> list[int]:
-        """Fold through the store's memo; count real pows and reuses."""
+        Real pows also land on this node's open span of the transport's
+        tracer (the handler span, or the initiator's ``node.integ.start``).
+        """
         folded, computed, reused = self.store.fold(glsns, incoming, compute)
         if self.crypto is not None:
             for kind, count in (("modexp", computed), ("fold_reused", reused)):
                 if count:
                     self.crypto.add(f"{self.node_id}.{kind}", count)
                     self.crypto.add(f"total.{kind}", count)
-            if computed and self.telemetry is not None:
-                self.telemetry.add_cost(self.node_id, "modexp", computed)
+            if computed and transport.tracer.enabled:
+                transport.tracer.add_cost(self.node_id, "modexp", computed)
         return folded
 
     def start_batch_check(self, transport, glsns: list[int]) -> None:
         """One token carrying every glsn's running value (we fold first)."""
-        with self._node_span("node.integ.start"):
+        with transport.tracer.span("node.integ.start", {"node": self.node_id}):
             base_power = self.accumulator.base_power
             values = self._fold(
-                glsns, [self.accumulator.params.x0] * len(glsns),
+                transport, glsns, [self.accumulator.params.x0] * len(glsns),
                 lambda _bases, exponents: [base_power(e) for e in exponents],
             )
             self._relay(transport, glsns, values, self._others())
@@ -251,7 +246,9 @@ class IntegrityNode:
         if msg.kind != "integ.mpass":
             raise ProtocolAbortError(f"unexpected message kind {msg.kind!r}")
         glsns = payload["glsns"]
-        folded = self._fold(glsns, payload["values"], self.accumulator.step_many)
+        folded = self._fold(
+            transport, glsns, payload["values"], self.accumulator.step_many
+        )
         self._relay(transport, glsns, folded, payload["remaining"], payload["origin"])
 
     def _finish_batch(self, glsns: list[int], values: list[int]) -> None:
@@ -316,8 +313,6 @@ async def _supervised_round(
     targets = list(glsns) if glsns is not None else store.glsns
     if not targets:
         return []
-    telemetry = getattr(net, "telemetry", None)
-
     def launch(alive: list[str], avoid: frozenset):
         if initiator not in alive:
             raise RingFailoverError(
@@ -329,7 +324,7 @@ async def _supervised_round(
         nodes = {
             nid: IntegrityNode(
                 nid, store.stores[nid], store.accumulator, order,
-                crypto=crypto, telemetry=telemetry,
+                crypto=crypto,
             )
             for nid in alive
         }

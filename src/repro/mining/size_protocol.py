@@ -62,7 +62,7 @@ class SizeParty:
         encoded = sorted(
             set(ctx.encoder.encode_hashed_many(private_set, engine=ctx.engine))
         )
-        with ctx.node_span(party_id, "node.ssize.encrypt", {"node": party_id}):
+        with ctx.node_span(party_id, "node.ssize.encrypt"):
             self._own_encrypted = self.cipher.encrypt_set(encoded, engine=ctx.engine)
             ctx.count_modexp(party_id, len(self._own_encrypted))
         self._rng.shuffle(self._own_encrypted)

@@ -48,8 +48,8 @@ class Message:
         ``None`` (the default) on plain single-query transports.
     trace_id, parent_span_id:
         Trace-context propagation (``repro.obs``): the trace this message
-        belongs to and the sender's open span as a ``"node:span_id"``
-        reference.  Stamped by telemetry-enabled transports at send time,
+        belongs to and the id of the sender's open span in the process's
+        tracer.  Stamped by traced transports at send time,
         preserved across :meth:`reply`/:meth:`forwarded` like ``channel``
         so a whole ring circulation stays in one trace.  ``None`` when
         tracing is off — the codec then omits both fields entirely.
@@ -65,7 +65,7 @@ class Message:
     msg_id: str | None = None
     channel: str | None = None
     trace_id: str | None = None
-    parent_span_id: str | None = None
+    parent_span_id: int | None = None
 
     def reply(self, kind: str, payload: Any = None) -> "Message":
         """Construct a response addressed back to this message's sender."""

@@ -108,19 +108,16 @@ class SimNetwork:
         metrics=None,
         resilience: RetryPolicy | None = None,
         dedup_window: int = 4096,
-        telemetry=None,
     ) -> None:
         self.default_link = default_link or LinkModel()
         self.faults = faults
         self.stats = NetworkStats()
         # Span events on send/recv/drop attach to whatever span is open in
-        # the caller (a protocol stage, a query plan node, ...).
+        # the caller (a protocol stage, a query plan node, ...).  With an
+        # enabled tracer, sends carry the sender's open span and every
+        # handler runs inside a ``node.<kind>`` span under it.
         self.tracer = tracer or NOOP_TRACER
         self.metrics = metrics
-        # Cross-node tracing (repro.obs.flight): when a TelemetryHub is
-        # attached, sends are stamped with the sender's open span and every
-        # handler dispatch runs inside a per-node flight-recorder span.
-        self.telemetry = telemetry
         if metrics is not None:
             self.stats.attach_metrics(metrics)
         self.now = 0.0
@@ -252,7 +249,10 @@ class SimNetwork:
         """
         if msg.dst not in self._handlers:
             raise NodeUnreachableError(f"no node registered as {msg.dst!r}")
-        self._stamp_trace_context(msg)
+        if msg.trace_id is None and self.tracer.enabled:
+            # The sender's open span; replies and relays keep the context
+            # they arrived with (``Message.reply`` / ``forwarded``).
+            msg.trace_id, msg.parent_span_id = self.tracer.current_context()
         if self.resilience is not None and msg.kind != ACK_KIND:
             if msg.msg_id is None:
                 alloc = self._allocators.get(msg.src)
@@ -270,26 +270,6 @@ class SimNetwork:
             )
             return
         self._transmit(msg)
-
-    def _stamp_trace_context(self, msg: Message) -> None:
-        """Attach the sender's open span as the message's trace context.
-
-        Replies/forwards already carry the context they arrived with
-        (``Message.reply`` preserves it); only fresh messages are stamped.
-        Telemetry traffic (``obs.*``) never carries context — the
-        collection round must not trace itself into the query's tree.
-        """
-        hub = self.telemetry
-        if (
-            hub is None
-            or not hub.enabled
-            or msg.trace_id is not None
-            or msg.kind.startswith("obs.")
-        ):
-            return
-        context = hub.sender_context(msg.src)
-        if context is not None:
-            msg.trace_id, msg.parent_span_id = context
 
     def _transmit(self, msg: Message) -> None:
         """One physical transmission attempt: fault dice + enqueue."""
@@ -453,11 +433,7 @@ class SimNetwork:
                 {"src": msg.src, "dst": msg.dst, "kind": msg.kind},
             )
             return True
-        # Telemetry-collection traffic (``obs.*``) is plumbing, not
-        # protocol cost: keep it out of the stats ledger so CostReports
-        # and the metrics registry describe only the audited work.
-        if not msg.kind.startswith("obs."):
-            self.stats.record(msg.kind, msg.size_bytes, msg.src, msg.dst)
+        self.stats.record(msg.kind, msg.size_bytes, msg.src, msg.dst)
         if self.tracer.enabled:
             self.tracer.add_event(
                 "net.recv",
@@ -486,12 +462,10 @@ class SimNetwork:
                     return True
         if self.keep_delivery_log:
             self._delivered_log.append(msg)
-        hub = self.telemetry
-        if hub is not None and hub.enabled and not msg.kind.startswith("obs."):
-            # Every protocol handler runs inside a flight-recorder span on
-            # the receiving node, parented to the sender's span reference.
-            with hub.node_span(
-                msg.dst,
+        if self.tracer.enabled:
+            # Every protocol handler runs inside a span of the receiving
+            # party, opened under the span the message was sent from.
+            with self.tracer.span(
                 f"node.{msg.kind}",
                 {
                     "node": msg.dst,
@@ -500,8 +474,7 @@ class SimNetwork:
                     "messages": 1,
                     "bytes": msg.size_bytes,
                 },
-                trace_id=msg.trace_id,
-                remote_parent=msg.parent_span_id,
+                parent=(msg.trace_id, msg.parent_span_id),
             ):
                 handler(msg, self)
         else:

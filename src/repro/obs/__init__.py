@@ -11,14 +11,11 @@ layer:
   per-span attributes, and span events.  The
   :class:`~repro.obs.tracer.NoopTracer` (the default everywhere) makes
   tracing opt-in with near-zero disabled cost.
-* :mod:`~repro.obs.flight` — cross-node tracing: bounded per-node
-  :class:`~repro.obs.flight.FlightRecorder` ring buffers, the
-  :class:`~repro.obs.flight.TelemetryHub` the transports propagate trace
-  context through, and the ``obs.collect``/``obs.spans`` collection
-  round that ships node-local spans back to the coordinator.
-* :mod:`~repro.obs.assemble` — renumbers spans from many recorders into
-  one consistent tree per ``trace_id`` (resolving ``"node:span_id"``
-  remote-parent references).
+  One tracer serves the whole process: the coordinator's spans and every
+  party's ``node.<kind>`` handler spans land in it, each handler span
+  directly under the span the message was sent from (the ``(trace_id,
+  span_id)`` context carried by ``Message.trace_id`` /
+  ``Message.parent_span_id``), so a query's spans form one tree.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   fixed-bucket histograms that :class:`~repro.net.stats.NetworkStats`
   and :class:`~repro.net.stats.CryptoOpCounter` feed into.
@@ -39,7 +36,6 @@ sequential per tracer, so tests can assert the exact span structure of a
 protocol run.
 """
 
-from repro.obs.assemble import assemble_forest, assemble_trace, trace_ids
 from repro.obs.confidentiality import (
     ConfidentialityObservatory,
     QueryObservation,
@@ -52,11 +48,6 @@ from repro.obs.export import (
     loads_jsonl,
     render_tree,
     write_jsonl,
-)
-from repro.obs.flight import (
-    FlightRecorder,
-    TelemetryHub,
-    run_collection_round,
 )
 from repro.obs.metrics import (
     BATCH_BUCKETS,
@@ -79,12 +70,6 @@ __all__ = [
     "NOOP_TRACER",
     "Span",
     "SpanEvent",
-    "FlightRecorder",
-    "TelemetryHub",
-    "run_collection_round",
-    "assemble_forest",
-    "assemble_trace",
-    "trace_ids",
     "ConfidentialityObservatory",
     "QueryObservation",
     "ObsServer",

@@ -39,14 +39,12 @@ def span_to_dict(span: Span) -> dict:
         "attributes": dict(span.attributes),
         "events": [event.to_dict() for event in span.events],
     }
-    # Cross-node fields appear only when set, so traces written before
+    # Trace and party appear only when set, so traces written before
     # propagation existed stay valid and byte-identical on re-export.
     if span.trace_id is not None:
         data["trace_id"] = span.trace_id
     if span.node is not None:
         data["node"] = span.node
-    if span.remote_parent is not None:
-        data["remote_parent"] = span.remote_parent
     return data
 
 
@@ -68,7 +66,6 @@ def span_from_dict(data: dict) -> Span:
         ],
         trace_id=data.get("trace_id"),
         node=data.get("node"),
-        remote_parent=data.get("remote_parent"),
     )
 
 

@@ -6,7 +6,7 @@ Four read-only routes, enough for a Prometheus scrape and a human with
 * ``/metrics``  — Prometheus text exposition of the metrics registry;
 * ``/healthz``  — per-node liveness (JSON), fed by the resilience layer
   (failed links and excluded ring members mark nodes degraded);
-* ``/traces``   — the most recent assembled cross-node traces (JSON);
+* ``/traces``   — the most recent traces of the service's tracer (JSON);
 * ``/leakage``  — the confidentiality observatory's report (JSON):
   leakage budgets, per-tenant ``C_DLA``, recent ``C_query`` values.
 

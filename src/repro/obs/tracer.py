@@ -8,20 +8,25 @@ for tests), span ids are sequential per tracer, and finished spans are
 collected in completion order — so two runs of the same deterministic
 protocol produce identical traces modulo timestamps.
 
-Cross-node tracing builds on three optional :class:`Span` fields:
+Every party of the deployment records into the one tracer of its
+process, and two :class:`Span` fields say where a span belongs:
 
 * ``trace_id`` — one id per logical request (an ``audit.query``, a
-  scheduled query, ...).  Root spans are assigned one automatically;
-  children inherit it.  Carried on the wire by ``Message.trace_id``.
-* ``node`` — which party recorded the span (``None`` means the
-  coordinator process).  Per-node recorders
-  (:class:`repro.obs.flight.FlightRecorder`) set it once at
-  construction.
-* ``remote_parent`` — a cross-tracer parent reference ``"node:span_id"``
-  (see :attr:`Span.ref`).  Span ids are only unique *per tracer*, so a
-  parent on another node is named by this string, carried on the wire by
-  ``Message.parent_span_id`` and resolved later by
-  :func:`repro.obs.assemble.assemble_forest`.
+  scheduled query, an integrity sweep, ...).  Root spans are assigned
+  one automatically; children inherit it.
+* ``node`` — the party that recorded the span: the span's ``node``
+  attribute (the transports' ``node.<kind>`` handler spans and
+  ``SmcContext.node_span`` set it).  ``None`` means the coordinator.
+
+A span opened without an explicit parent goes under the innermost open
+span of its own party, else under the innermost coordinator span, else
+under whatever span is open — so a coordinator span opened inside a
+handler stays beside the party's handler span, exactly where it would be
+if the parties ran elsewhere.  Wire context is a ``(trace_id, span_id)``
+pair (:meth:`Tracer.current_context`), carried by
+``Message.trace_id`` / ``Message.parent_span_id``; a transport opens
+each handler span directly under it (``span(..., parent=...)``), which
+keeps the sender → receiver chain ``--critical-path`` walks.
 
 Disabled tracing is the default everywhere: :data:`NOOP_TRACER` exposes
 the same interface but allocates nothing — ``span()`` returns one shared
@@ -92,16 +97,10 @@ class Span:
     events: list[SpanEvent] = field(default_factory=list)
     trace_id: str | None = None
     node: str | None = None
-    remote_parent: str | None = None
 
     @property
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
-
-    @property
-    def ref(self) -> str:
-        """Globally-meaningful span reference: ``"node:span_id"``."""
-        return f"{self.node or 'coord'}:{self.span_id}"
 
     def set_attribute(self, key: str, value) -> None:
         self.attributes[key] = value
@@ -129,9 +128,6 @@ class Tracer:
     clock:
         Monotonic time source.  Tests inject a counter to make timestamps
         (not just structure) deterministic.
-    node:
-        Identity stamped on every span this tracer records (``None`` =
-        the coordinator process).  Per-node flight recorders set it.
     orphan_capacity:
         Bound on the orphan-event ring buffer (events fired with no open
         span).  Defaults to :data:`DEFAULT_ORPHAN_BUFFER` (256).
@@ -142,11 +138,9 @@ class Tracer:
     def __init__(
         self,
         clock=time.perf_counter,
-        node: str | None = None,
         orphan_capacity: int = DEFAULT_ORPHAN_BUFFER,
     ) -> None:
         self._clock = clock
-        self.node = node
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._finished: list[Span] = []
@@ -185,25 +179,30 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def current_context(self) -> tuple[str | None, str] | None:
-        """``(trace_id, ref)`` of the innermost open span, or ``None``.
+    def current_context(self) -> tuple[str | None, int | None]:
+        """``(trace_id, span_id)`` of the innermost open span, or
+        ``(None, None)`` when no span is open.
 
         This is what a transport stamps onto an outgoing message so the
-        receiving node can open its handler span under the right parent.
+        receiving party can open its handler span under the right parent.
         """
         span = self.current_span
         if span is None:
-            return None
-        return (span.trace_id, span.ref)
+            return (None, None)
+        return (span.trace_id, span.span_id)
+
+    def _owner(self, node: str | None) -> Span | None:
+        """Innermost open span of ``node``, else of the coordinator, else any."""
+        stack = self._stack()
+        for wanted in (node, None):
+            for span in reversed(stack):
+                if span.node == wanted:
+                    return span
+        return stack[-1] if stack else None
 
     def _new_trace_id(self) -> str:
         with self._lock:
-            return f"{self.node or 'coord'}-t{next(self._trace_ids)}"
-
-    def _store(self, span: Span) -> None:
-        """Storage hook: subclasses (the flight recorder) bound it."""
-        with self._lock:
-            self._finished.append(span)
+            return f"t{next(self._trace_ids)}"
 
     @contextmanager
     def span(
@@ -211,51 +210,66 @@ class Tracer:
         name: str,
         attributes: dict | None = None,
         *,
-        trace_id: str | None = None,
-        remote_parent: str | None = None,
+        parent: tuple[str | None, int | None] | None = None,
     ):
-        """Open a child of the current span (or a root span) for the block.
+        """Open a span for the block: a child, or a new trace's root.
 
-        ``trace_id``/``remote_parent`` seed a *root* span from propagated
-        wire context; nested spans inherit the local parent's trace and
-        ignore them (the local parentage is strictly more precise).
+        ``parent`` is a ``(trace_id, span_id)`` pair of this tracer, as
+        :meth:`current_context` returns and a message carries; the span
+        opens directly under it.  Without one (or with a ``None`` span
+        id) the parent is the innermost open span of the span's party
+        (its ``node`` attribute), see the module docstring.
         """
-        stack = self._stack()
-        parent = stack[-1] if stack else None
+        attributes = dict(attributes or {})
+        node = attributes.get("node")
+        trace_id, parent_id = parent or (None, None)
+        if parent_id is None:
+            owner = self._owner(node)
+            if owner is None:
+                trace_id = self._new_trace_id()
+            else:
+                trace_id, parent_id = owner.trace_id, owner.span_id
         with self._lock:
             span_id = next(self._ids)
-        if parent is not None:
-            tid = parent.trace_id
-            remote = None
-        else:
-            tid = trace_id if trace_id is not None else self._new_trace_id()
-            remote = remote_parent
         span = Span(
             name=name,
             span_id=span_id,
-            parent_id=parent.span_id if parent else None,
+            parent_id=parent_id,
             start=self._clock(),
-            attributes=dict(attributes or {}),
-            trace_id=tid,
-            node=self.node,
-            remote_parent=remote,
+            attributes=attributes,
+            trace_id=trace_id,
+            node=node,
         )
-        token = self._stack_var.set(stack + (span,))
+        token = self._stack_var.set(self._stack() + (span,))
         try:
             yield span
         finally:
             self._stack_var.reset(token)
             span.end = self._clock()
-            self._store(span)
+            with self._lock:
+                self._finished.append(span)
+
+    def add_cost(self, node: str, key: str, amount: int) -> None:
+        """Add ``amount`` to ``key`` on the innermost open span of ``node``.
+
+        This is how a party's modexps land on the span of the handler (or
+        bootstrap step) that performed them; with no such span open the
+        count is dropped (the crypto counters still have it).
+        """
+        for span in reversed(self._stack()):
+            if span.node == node:
+                span.attributes[key] = span.attributes.get(key, 0) + amount
+                return
 
     def add_event(self, name: str, attributes: dict | None = None) -> None:
-        """Attach an event to the innermost open span.
+        """Attach an event to the innermost open coordinator span (else to
+        the innermost open span).
 
         With no open span on this thread the event goes to the bounded
         orphan buffer (and the orphan counter) instead of being lost —
         callers never need a guard either way.
         """
-        span = self.current_span
+        span = self._owner(None)
         if span is not None:
             span.add_event(name, attributes, timestamp=self._clock())
             return
@@ -314,8 +328,6 @@ class _NoopSpan:
     events: list = []
     trace_id = None
     node = None
-    remote_parent = None
-    ref = "coord:0"
 
     def set_attribute(self, key, value) -> None:
         pass
@@ -350,7 +362,6 @@ class NoopTracer:
 
     enabled = False
     current_span = None
-    node = None
     orphan_events_total = 0
 
     def span(
@@ -358,13 +369,12 @@ class NoopTracer:
         name: str,
         attributes: dict | None = None,
         *,
-        trace_id: str | None = None,
-        remote_parent: str | None = None,
+        parent: tuple[str | None, int | None] | None = None,
     ) -> _NoopSpanContext:
         return _NOOP_CONTEXT
 
-    def current_context(self) -> None:
-        return None
+    def current_context(self) -> tuple[None, None]:
+        return (None, None)
 
     def detach_context(self) -> None:
         pass

@@ -346,7 +346,6 @@ class QueryScheduler:
             tracer=service.tracer,
             metrics=service.metrics,
             encoder=service.ctx.encoder,
-            telemetry=service.telemetry,
         )
         executor = QueryExecutor(
             service.store,

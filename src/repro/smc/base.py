@@ -12,7 +12,7 @@ Definition 1 (paper §3) distinguishes *participants* (hold private inputs),
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -144,10 +144,12 @@ class SmcContext:
         how the ``pow`` calls are scheduled.
     tracer:
         An :class:`~repro.obs.tracer.Tracer` all protocol runs emit spans
-        into; ``None`` (the default) installs the no-op tracer, which
+        into, each party's modexps landing on that party's innermost open
+        span; ``None`` (the default) installs the no-op tracer, which
         records nothing.  Tracing never changes protocol behaviour:
-        message contents, counts, and modexp totals are identical with
-        any tracer.
+        payloads, message counts and modexp totals are identical with any
+        tracer (a traced transport adds only the trace-context envelope
+        keys).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
         crypto-op counts and modexp batch sizes feed into it.
@@ -158,12 +160,6 @@ class SmcContext:
         counter, and leakage ledger) but passes the service's encoder
         through, so the hashed-encoding memo — pure in (value, prime) —
         is warmed once for all in-flight queries.
-    telemetry:
-        Optional :class:`~repro.obs.flight.TelemetryHub` for cross-node
-        tracing: modexp counts are then also attributed to the open
-        flight-recorder span of the party that performed them, and
-        protocol bootstrap code can open per-node spans through
-        :meth:`node_span`.  Never changes protocol behaviour.
     """
 
     def __init__(
@@ -174,7 +170,6 @@ class SmcContext:
         tracer=None,
         metrics=None,
         encoder: MessageEncoder | None = None,
-        telemetry=None,
     ) -> None:
         if prime < 17:
             raise ConfigurationError("shared prime too small")
@@ -195,11 +190,6 @@ class SmcContext:
         if metrics is not None:
             self.crypto_ops.attach_metrics(metrics)
         self.leakage = LeakageLedger(tracer=self.tracer)
-        # Cross-node tracing (repro.obs.flight.TelemetryHub): when set, a
-        # party's modexps are additionally attributed to whichever of its
-        # flight-recorder spans is open, and bootstrap (round-0) work can
-        # open node spans via :meth:`node_span`.
-        self.telemetry = telemetry
 
     def party_rng(self, party_id: str) -> DeterministicRng:
         """Independent randomness stream for one party."""
@@ -209,8 +199,8 @@ class SmcContext:
         """Record ``count`` modular exponentiations performed by a party."""
         self.crypto_ops.add(f"{party_id}.modexp", count)
         self.crypto_ops.add("total.modexp", count)
-        if self.telemetry is not None:
-            self.telemetry.add_cost(party_id, "modexp", count)
+        if self.tracer.enabled:
+            self.tracer.add_cost(party_id, "modexp", count)
         if self.metrics is not None:
             self.metrics.histogram(
                 "repro_crypto_modexp_batch_size",
@@ -218,17 +208,15 @@ class SmcContext:
                 help="modexps recorded per bulk call",
             ).observe(count)
 
-    def node_span(self, party_id: str, name: str, attributes: dict | None = None):
-        """Context manager: a flight-recorder span at ``party_id``.
+    def node_span(self, party_id: str, name: str):
+        """Context manager: a span recorded at ``party_id``.
 
         Protocol ``start()`` methods run on the coordinator thread before
         any message is delivered, so their per-party work (encrypting own
         sets, dealing shares, blinding values) has no handler span to land
-        in — this opens one explicitly.  A no-op without a telemetry hub.
+        in — this opens one explicitly.
         """
-        if self.telemetry is None:
-            return nullcontext(None)
-        return self.telemetry.node_span(party_id, name, attributes)
+        return self.tracer.span(name, {"node": party_id})
 
 
 @dataclass

@@ -99,9 +99,7 @@ class _CompareParty:
         self.verdict: str | None = None
 
     def start(self, transport) -> None:
-        with self.ctx.node_span(
-            self.party_id, "node.scmp.blind", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.scmp.blind"):
             transport.send(
                 Message(
                     src=self.party_id,
@@ -242,9 +240,7 @@ class _BatchCompareParty:
         self.verdicts: list[str] | None = None
 
     def start(self, transport) -> None:
-        with self.ctx.node_span(
-            self.party_id, "node.scmpb.blind", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.scmpb.blind"):
             transport.send(
                 Message(
                     src=self.party_id,

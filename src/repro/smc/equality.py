@@ -142,9 +142,7 @@ class EqualityParty:
         self.verdict: bool | None = None
 
     def start(self, transport) -> None:
-        with self.ctx.node_span(
-            self.party_id, "node.seq.blind", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.seq.blind"):
             transport.send(
                 Message(
                     src=self.party_id,

@@ -120,9 +120,7 @@ class IntersectionParty:
 
     def start(self, transport) -> None:
         """Round 0: encrypt own set and push it onto the ring."""
-        with self.ctx.node_span(
-            self.party_id, "node.ssi.encrypt", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.ssi.encrypt"):
             encrypted = self._encrypt_own(transport)
             self._advance(transport, origin=self.party_id, hops=1, elements=encrypted)
 

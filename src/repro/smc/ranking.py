@@ -149,9 +149,7 @@ class RankingParty:
         self.verdict: dict | None = None
 
     def start(self, transport) -> None:
-        with self.ctx.node_span(
-            self.party_id, "node.rank.blind", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.rank.blind"):
             transport.send(
                 Message(
                     src=self.party_id,

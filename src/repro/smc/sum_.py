@@ -85,9 +85,7 @@ class SumParty:
 
     def start(self, transport) -> None:
         """Deal one share of our secret to every party (including ourselves)."""
-        with self.ctx.node_span(
-            self.party_id, "node.ssum.deal", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.ssum.deal"):
             shares = self.scheme.share(self.value, rng=self._rng)
             for peer, share in zip(self.parties, shares):
                 payload = {"y": share.y, "from": self.party_id}

@@ -72,9 +72,7 @@ class UnionParty:
         self.state = _UnionState()
 
     def start(self, transport) -> None:
-        with self.ctx.node_span(
-            self.party_id, "node.ssu.encrypt", {"node": self.party_id}
-        ):
+        with self.ctx.node_span(self.party_id, "node.ssu.encrypt"):
             with self.ctx.tracer.span(
                 "ssu.hop",
                 {

@@ -67,7 +67,6 @@ class TestEquivalenceToSerial:
 class TestTraceReconciliation:
     def test_every_trace_sums_to_its_cost_report(self):
         from repro.obs import Tracer
-        from repro.obs.assemble import assemble_trace
 
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
@@ -76,31 +75,26 @@ class TestTraceReconciliation:
             results = sched.gather(handles)
         assert all(r is not None for r in results)
 
+        spans = tracer.finished_spans()
         roots = {
-            s.attributes["channel"]: s
-            for s in tracer.finished_spans()
-            if s.name == "sched.query"
+            s.attributes["channel"]: s for s in spans if s.name == "sched.query"
         }
-        node_spans = service.telemetry.drain_all()
-        coord_spans = tracer.finished_spans()
-        assert service.telemetry.dropped_spans() == 0
+        ids = {s.span_id for s in spans}
 
         checked_network_traces = 0
         for handle in handles:
             root = roots[f"q{handle.seq}"]
             cost = handle.cost
             assert cost is not None
-            mine = [s for s in node_spans if s.trace_id == root.trace_id]
+            trace = [s for s in spans if s.trace_id == root.trace_id]
+            mine = [s for s in trace if s.node is not None]
             assert sum(s.attributes.get("messages", 0) for s in mine) == cost.messages
             assert sum(s.attributes.get("bytes", 0) for s in mine) == cost.bytes
             assert sum(s.attributes.get("modexp", 0) for s in mine) == cost.modexp
             if cost.messages:
                 checked_network_traces += 1
-                assembled = assemble_trace(coord_spans + mine, root.trace_id)
-                assert not any(
-                    "unresolved_parent" in s.attributes for s in assembled
-                )
-                tree_roots = [s for s in assembled if s.parent_id is None]
+                assert all(s.parent_id in ids for s in trace if s.parent_id)
+                tree_roots = [s for s in trace if s.parent_id is None]
                 assert [r.name for r in tree_roots] == ["sched.query"]
         assert checked_network_traces >= 2
         service.close()

@@ -110,11 +110,11 @@ class TestMessageFields:
     def test_trace_context_round_trips(self):
         msg = Message(
             src="P0", dst="P1", kind="ssi.relay", payload={},
-            trace_id="coord-t3", parent_span_id="P0:7",
+            trace_id="t3", parent_span_id=7,
         )
         out = decode_message(encode_message(msg))
-        assert out.trace_id == "coord-t3"
-        assert out.parent_span_id == "P0:7"
+        assert out.trace_id == "t3"
+        assert out.parent_span_id == 7
 
     def test_trace_context_omitted_when_unset(self):
         # Tracing off must cost zero wire bytes: no tid/psp keys at all.
@@ -127,12 +127,12 @@ class TestMessageFields:
     def test_reply_and_forwarded_preserve_trace_context(self):
         msg = Message(
             src="P0", dst="P1", kind="ssi.relay", payload={"x": 1},
-            channel="q1", trace_id="coord-t1", parent_span_id="coord:2",
+            channel="q1", trace_id="t1", parent_span_id=2,
         )
         reply = msg.reply("ssi.done", {"ok": True})
-        assert (reply.trace_id, reply.parent_span_id) == ("coord-t1", "coord:2")
+        assert (reply.trace_id, reply.parent_span_id) == ("t1", 2)
         relayed = msg.forwarded("P2")
-        assert (relayed.trace_id, relayed.parent_span_id) == ("coord-t1", "coord:2")
+        assert (relayed.trace_id, relayed.parent_span_id) == ("t1", 2)
 
 
 class TestFraming:

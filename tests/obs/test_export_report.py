@@ -6,10 +6,12 @@ from repro.errors import ConfigurationError
 from repro.obs import (
     Tracer,
     attribution_rows,
+    critical_path,
     export_jsonl,
     load_jsonl,
     loads_jsonl,
     render_attribution,
+    render_critical_path,
     render_tree,
     write_jsonl,
 )
@@ -126,3 +128,43 @@ class TestAttribution:
 
     def test_empty_trace(self):
         assert render_attribution([]) == "(empty trace)"
+
+
+def _clock(values):
+    it = iter(values)
+    return lambda: next(it)
+
+
+class TestCriticalPath:
+    def _trace_with_slow_hop(self):
+        # root [0,10]; fast child [1,3]; slow child [4,9] with nested [5,8].
+        clock = _clock([0.0, 1.0, 3.0, 4.0, 5.0, 8.0, 9.0, 10.0])
+        tracer = Tracer(clock=clock)
+        with tracer.span("audit.query"):
+            with tracer.span("fast.hop"):
+                pass
+            with tracer.span("slow.hop"):
+                with tracer.span("slow.inner"):
+                    pass
+        return tracer.finished_spans()
+
+    def test_path_follows_latest_finishing_child(self):
+        rows = critical_path(self._trace_with_slow_hop())
+        assert [r["name"] for r in rows] == [
+            "audit.query", "slow.hop", "slow.inner"
+        ]
+        root = rows[0]
+        assert root["duration"] == 10.0
+        assert root["self"] == 5.0  # 10 minus slow.hop's 5
+        assert rows[1]["self"] == 2.0  # 5 minus slow.inner's 3
+        assert rows[2]["of_root"] == 0.3
+
+    def test_render_names_dominant_span(self):
+        text = render_critical_path(self._trace_with_slow_hop())
+        assert "critical path" in text
+        assert "dominant: audit.query" in text
+        assert "slow.hop" in text and "fast.hop" not in text
+
+    def test_empty_trace(self):
+        assert critical_path([]) == []
+        assert render_critical_path([]) == "(empty trace)"

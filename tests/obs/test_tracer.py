@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from repro.obs import NOOP_TRACER, NoopTracer, Tracer
+from repro.obs import NOOP_TRACER, MetricsRegistry, NoopTracer, Tracer
+from repro.obs.tracer import DEFAULT_ORPHAN_BUFFER
 
 
 class _FakeClock:
@@ -146,3 +147,32 @@ class TestNoopTracer:
             with tracer.span("inner"):
                 pass
         assert tracer.finished_spans() == []
+
+
+class TestOrphanEvents:
+    def test_event_without_open_span_buffers(self):
+        tracer = Tracer(orphan_capacity=2)
+        tracer.add_event("lost.one", {"i": 1})
+        tracer.add_event("lost.two", {"i": 2})
+        tracer.add_event("lost.three", {"i": 3})
+        names = [e.name for e in tracer.orphan_events()]
+        assert names == ["lost.two", "lost.three"]  # oldest dropped
+        assert tracer.orphan_events_total == 3
+
+    def test_orphan_metric_increments(self):
+        metrics = MetricsRegistry()
+        tracer = Tracer()
+        tracer.attach_metrics(metrics)
+        tracer.add_event("orphan")
+        with tracer.span("s"):
+            tracer.add_event("not.orphan")
+        snap = metrics.snapshot()
+        values = snap["repro_obs_orphan_events_total"]["values"]
+        assert sum(values.values()) == 1
+
+    def test_orphan_capacity_bounds_the_buffer(self):
+        assert Tracer()._orphans.maxlen == DEFAULT_ORPHAN_BUFFER == 256
+        tracer = Tracer(orphan_capacity=1)
+        tracer.add_event("a")
+        tracer.add_event("b")
+        assert [e.name for e in tracer.orphan_events()] == ["b"]

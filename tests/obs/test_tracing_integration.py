@@ -3,11 +3,12 @@
 The contract (tentpole acceptance): a traced ``audited_query`` produces a
 span tree whose root aggregates match the run's :class:`CostReport`
 exactly, contains one span event per leakage-ledger entry, round-trips
-through the JSONL exporter and the ``trace-report`` CLI — and with the
-no-op tracer the protocol byte/modexp counts are identical to an
-untraced run.
+through the JSONL exporter and the ``trace-report`` CLI — and a traced
+run's message/modexp counts equal an untraced run's, its bytes differing
+by exactly the trace context stamped on the wire.
 """
 
+import json
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from repro.obs import (
     Tracer,
     attribution_rows,
     export_jsonl,
+    load_jsonl,
     loads_jsonl,
     render_attribution,
 )
@@ -140,6 +142,71 @@ class TestAuditedQueryTrace:
         assert total_msgs == service.last_query_cost.messages
 
 
+class TestOneTracer:
+    """Every party's spans land in the service's one tracer."""
+
+    def test_query_and_integrity_node_spans_reach_the_tracer(self):
+        tracer = Tracer()
+        service = _traced_service(tracer=tracer)
+        service.query(CRITERION)
+        service.check_integrity()
+        spans = tracer.finished_spans()
+        by_id = {s.span_id: s for s in spans}
+        ssi = [s for s in spans if s.name.startswith("node.ssi.")]
+        integ = [s for s in spans if s.name.startswith("node.integ.")]
+        assert ssi and integ
+        # The sweep's bootstrap fold is the root of the sweep's trace.
+        [sweep] = [s for s in integ if s.parent_id is None]
+        assert sweep.name == "node.integ.start"
+        for span in ssi + [s for s in integ if s is not sweep]:
+            assert span.node is not None
+            parent = by_id[span.parent_id]
+            assert parent.trace_id == span.trace_id
+        assert {s.trace_id for s in integ} == {sweep.trace_id}
+        hops = [s for s in integ if s.name == "node.integ.mpass"]
+        assert len(hops) == len(service.plan.node_ids) - 1
+        assert all(s.attributes["modexp"] > 0 for s in hops)
+
+    def test_handler_spans_chain_beside_the_coordinator_spans(self):
+        tracer = Tracer()
+        service = _traced_service(tracer=tracer)
+        service.audited_query(CRITERION)
+        spans = tracer.finished_spans()
+        by_id = {s.span_id: s for s in spans}
+        parent = {s.span_id: by_id[s.parent_id].name for s in spans if s.parent_id}
+        hops = [s for s in spans if s.name == "ssi.hop"]
+        bootstraps = [s for s in spans if s.name == "node.ssi.encrypt"]
+        handlers = [s for s in spans if "messages" in s.attributes and s.node]
+        assert hops and bootstraps and handlers
+        # A coordinator span opened inside a handler stays under the
+        # protocol span; party spans chain along the ring beneath it.
+        assert {parent[s.span_id] for s in hops} == {"smc.intersection"}
+        assert {parent[s.span_id] for s in bootstraps} == {"smc.intersection"}
+        assert all(parent[s.span_id].startswith("node.ssi.") for s in handlers)
+        # Every party's modexp is on its own spans: they sum to the query's.
+        party_modexp = sum(s.attributes.get("modexp", 0) for s in spans if s.node)
+        assert party_modexp == service.last_query_cost.modexp > 0
+
+    def test_plain_query_is_a_recent_trace(self):
+        tracer = Tracer()
+        service = _traced_service(tracer=tracer)
+        service.query(CRITERION)
+        traces = service.recent_traces_snapshot()
+        roots = [
+            span["name"]
+            for trace in traces
+            for span in trace["spans"]
+            if span["parent_id"] is None
+        ]
+        assert "query.execute" in roots
+        service.audited_query(CRITERION)
+        latest = service.recent_traces_snapshot()[-1]
+        assert [s["name"] for s in latest["spans"] if s["parent_id"] is None] == [
+            "audit.query"
+        ]
+        assert any(s.get("node") for s in latest["spans"])
+
+
 class TestNoopIdentity:
     def test_traced_and_untraced_runs_have_identical_costs(self):
         def run(tracer):
@@ -147,21 +214,30 @@ class TestNoopIdentity:
                 shared_prime(64), DeterministicRng(b"noop-id"), tracer=tracer
             )
             net = SimNetwork(tracer=ctx.tracer)
+            net.keep_delivery_log = True
             result = secure_set_intersection(
                 ctx,
                 {"P1": ["c", "d", "e"], "P2": ["d", "e", "f"], "P3": ["e", "f", "g"]},
                 net=net,
             )
+            # A traced transport stamps each envelope with its trace
+            # context; those fields are the only bytes tracing may add.
+            context = sum(
+                len(f',"tid":{json.dumps(m.trace_id)},"psp":{m.parent_span_id}')
+                for m in net.delivery_log
+                if m.trace_id is not None
+            )
             return (
                 result.any_value,
                 net.stats.messages,
-                net.stats.bytes,
+                net.stats.bytes - context,
                 ctx.crypto_ops.snapshot(),
                 len(ctx.leakage.events),
-            )
+            ), context
 
-        untraced = run(None)  # defaults to the no-op tracer
-        traced = run(Tracer())
+        untraced, no_context = run(None)  # defaults to the no-op tracer
+        traced, context = run(Tracer())
+        assert no_context == 0 and context > 0
         assert untraced == traced
 
     def test_service_results_identical_with_and_without_tracer(self):
@@ -198,6 +274,19 @@ class TestTraceReportCli:
         assert report.returncode == 0, report.stderr
         assert "audit.query" in report.stdout
         assert "modexp" in report.stdout.splitlines()[0]
+
+    def test_demo_trace_has_the_integrity_sweep_node_spans(self, tmp_path):
+        trace_path = tmp_path / "demo-trace.jsonl"
+        demo = subprocess.run(
+            [sys.executable, "-m", "repro", "--prime-bits", "64",
+             "--seed", "obs-cli", "--trace-out", str(trace_path)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert demo.returncode == 0, demo.stderr
+        names = [s.name for s in load_jsonl(trace_path)]
+        assert "node.integ.start" in names
+        assert "node.integ.mpass" in names
+        assert "node.integ.mdone" in names
 
         tree = subprocess.run(
             [sys.executable, "-m", "repro", "trace-report", "--tree",

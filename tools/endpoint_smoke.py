@@ -12,8 +12,8 @@ real HTTP with :mod:`urllib`:
   run must have fed (``repro_net_messages_total``,
   ``repro_crypto_ops_total``, ``repro_obs_c_query``);
 * ``/healthz`` — JSON, overall ``ok`` with every plan node present;
-* ``/traces`` — JSON, at least one assembled trace whose root is
-  ``audit.query``;
+* ``/traces`` — JSON, a trace rooted at ``audit.query`` (the signed
+  query) and one rooted at ``query.execute`` (the plain query);
 * ``/leakage`` — JSON, the observatory report with a numeric ``c_dla``
   over the queries we just ran.
 
@@ -98,9 +98,8 @@ def main() -> int:
     writer = ApplicationNode.register("U1", service)
     for row in paper_table1_rows():
         service.log_event(row, writer.ticket)
-    # The signed query runs the telemetry-collection round and assembles
-    # the cross-node trace the /traces route serves; the plain query
-    # still feeds the observatory and the metrics registry.
+    # Both queries record into the service's one tracer, whose latest
+    # traces the /traces route serves.
     report = service.audited_query(CROSS_QUERY)
     check(service.verify_report(report), "audited query report failed to verify")
     check(service.query(LOCAL_QUERY) is not None, "local query failed")
@@ -127,7 +126,7 @@ def main() -> int:
         body, ctype = fetch(base, "/traces")
         check(ctype.startswith("application/json"), f"/traces: {ctype!r}")
         traces = json.loads(body)
-        check(traces, "/traces: no assembled traces after traced queries")
+        check(traces, "/traces: no traces after traced queries")
         roots = [
             s["name"]
             for t in traces
@@ -135,7 +134,8 @@ def main() -> int:
             if s.get("parent_id") is None
         ]
         check("audit.query" in roots, f"/traces: no audit.query root in {roots}")
-        print(f"  /traces ok ({len(traces)} assembled traces)")
+        check("query.execute" in roots, f"/traces: no query.execute root in {roots}")
+        print(f"  /traces ok ({len(traces)} traces)")
 
         body, ctype = fetch(base, "/leakage")
         check(ctype.startswith("application/json"), f"/leakage: {ctype!r}")

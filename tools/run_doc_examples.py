@@ -35,7 +35,7 @@ sys.path.insert(0, str(REPO / "src"))
 ALLOWLIST: dict[str, list[int]] = {
     "README.md": [0],               # Quickstart: full service round-trip
     "docs/observability.md": [0,    # Tracer spans/events
-                              2,    # TelemetryHub node spans + cost folding
+                              2,    # handler spans on a traced SimNetwork
                               4],   # MetricsRegistry counters/histograms
     "docs/resilience.md": [0,       # RetryPolicy / Deadline knobs
                            1],      # failover: crash -> degraded result
