@@ -180,9 +180,11 @@ class ConfidentialAuditingService:
 
         # Storage: in-memory by default, durable (WAL + checkpoints +
         # crash recovery) when a store directory is configured.
-        acc_params = AccumulatorParams.generate(
-            256, self.rng.spawn("accumulator")
-        )
+        # The modulus is generated only for a store that has none yet: a
+        # recovery reuses the checkpointed one.
+        def acc_params() -> AccumulatorParams:
+            return AccumulatorParams.generate(256, self.rng.spawn("accumulator"))
+
         store_cfg = store_config or StoreConfig.from_env()
         durable_dir = store_dir if store_dir is not None else store_cfg.directory
         #: :class:`~repro.store.RecoveryReport` of the durable open —
@@ -202,7 +204,7 @@ class ConfidentialAuditingService:
             self.store = DistributedLogStore(
                 plan,
                 self.ticket_authority,
-                acc_params,
+                acc_params(),
                 tracer=self.tracer,
             )
         #: Standing-query registry, built lazily on first registration.

@@ -25,6 +25,11 @@ row ``j`` holds ``x0^(d·2^(6j))`` for every 6-bit digit ``d``, and the
 power is one table lookup and one modular multiplication per digit of the
 exponent, with no squarings.  See ``docs/perf.md`` "Fixed-base
 accumulator" for the shape and the memory bound.
+
+The in-process checker confirms many anchors at once with a product of
+powers ``Π b_i^(e_i) mod n`` over short exponents
+(:meth:`OneWayAccumulator.multi_power`), which Pippenger's bucket method
+computes with about one modular multiplication per base and window.
 """
 
 from __future__ import annotations
@@ -47,6 +52,15 @@ __all__ = ["AccumulatorParams", "OneWayAccumulator", "digest_to_exponent"]
 _WINDOW_BITS = 6
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 _MAX_TABLE_ROWS = 86
+
+
+def _pippenger_window(count: int, bits: int) -> int:
+    """The bucket width that minimises :meth:`OneWayAccumulator.multi_power`'s
+    multiplications: per window, one per base plus two per bucket."""
+    return min(
+        range(1, 17),
+        key=lambda c: -(-bits // c) * (count + (2 << c)),
+    )
 
 
 def digest_to_exponent(data: bytes, bits: int = 128) -> int:
@@ -133,6 +147,48 @@ class OneWayAccumulator:
             if not exponent:
                 break
         return value
+
+    def multi_power(self, bases: list[int], exponents: list[int]) -> int:
+        """``Π bases[i]^exponents[i] mod n`` by Pippenger's bucket method.
+
+        Each ``c``-bit window of the exponents drops every base into the
+        bucket of its digit (one multiplication per base), then folds the
+        buckets with a running product (two per bucket) so that bucket
+        ``d`` ends up raised to ``d``; the windows are joined by ``c``
+        squarings each.  ``c`` minimises that count for the batch size
+        and the longest exponent.  Bitwise equal to the product of
+        ``pow`` calls; exponents must be non-negative.
+        """
+        if len(bases) != len(exponents):
+            raise ParameterError(
+                f"base count {len(bases)} != exponent count {len(exponents)}"
+            )
+        if min(exponents, default=0) < 0:
+            raise ParameterError("multi_power exponents must be non-negative")
+        n = self.params.n
+        bits = max(exponents, default=0).bit_length()
+        if bits == 0:
+            return 1 % n
+        window = _pippenger_window(len(bases), bits)
+        mask = (1 << window) - 1
+        result = 1
+        for shift in range(window * ((bits - 1) // window), -1, -window):
+            for _ in range(window):
+                result = result * result % n
+            buckets = [1] * (mask + 1)
+            for base, exponent in zip(bases, exponents):
+                digit = exponent >> shift & mask
+                if digit:
+                    buckets[digit] = buckets[digit] * base % n
+            running = total = 1
+            for digit in range(mask, 0, -1):
+                bucket = buckets[digit]
+                if bucket != 1:
+                    running = running * bucket % n
+                if running != 1:
+                    total = total * running % n
+            result = result * total % n
+        return result
 
     def build_base_table(self, rows: int = _MAX_TABLE_ROWS) -> int:
         """Grow the table to ``rows`` rows (the cap by default); returns

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.crypto.accumulator import digest_to_exponent
 from repro.errors import FragmentationError, UnknownAttributeError
-from repro.logstore.records import LogRecord
+from repro.logstore.records import _CANONICAL_JSON, LogRecord
 from repro.logstore.schema import GlobalSchema
 
 __all__ = ["Fragment", "FragmentPlan", "paper_fragment_plan", "round_robin_plan"]
@@ -39,9 +39,18 @@ class Fragment:
     _digest_exponent: int = field(default=0, init=False, repr=False, compare=False)
 
     def canonical_bytes(self) -> bytes:
-        """Stable serialization — the integrity accumulator's input."""
-        record = LogRecord(glsn=self.glsn, values=self.values)
-        return self.node_id.encode("utf-8") + b"|" + record.canonical_bytes()
+        """Stable serialization — the integrity accumulator's input.
+
+        ``node|`` then the fragment as a :class:`LogRecord`'s canonical
+        JSON.  Only a ``bytes`` value needs that record's rendering; any
+        other value set is encoded directly, to the same bytes.
+        """
+        values = self.values
+        if any(isinstance(value, bytes) for value in values.values()):
+            record = LogRecord(glsn=self.glsn, values=values)
+            return self.node_id.encode("utf-8") + b"|" + record.canonical_bytes()
+        body = _CANONICAL_JSON.encode(values)
+        return f'{self.node_id}|{{"glsn":{self.glsn},"values":{body}}}'.encode()
 
     def digest_exponent(self) -> int:
         """The accumulator exponent of :meth:`canonical_bytes`, computed once.

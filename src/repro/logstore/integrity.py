@@ -25,10 +25,16 @@ is exactly that of a memo-free sweep.  The initiator likewise keeps its
 last report per glsn (:meth:`~repro.logstore.store.FragmentStore.verdicts`)
 and builds a new one only where the observed value or its anchor changed.
 A glsn some node lost folds to 0 there and is reported ``ok=False``.
+
+The in-process checker is what a recovery audit runs: it confirms every
+glsn at once with one small-exponent batch test and bisects a failing
+batch down to exact per-glsn checks.
 """
 
 from __future__ import annotations
 
+import secrets
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.crypto.accumulator import OneWayAccumulator
@@ -45,6 +51,7 @@ from repro.resilience import Deadline, ring_avoiding, supervise_ring_async
 from repro.twin import sync_twin
 
 __all__ = [
+    "EXACT_LEAF",
     "IntegrityChecker",
     "IntegrityReport",
     "BatchIntegrityReport",
@@ -88,24 +95,60 @@ class BatchIntegrityReport:
     skipped_nodes: tuple[str, ...] = ()
 
 
+#: Largest failing subset :meth:`IntegrityChecker.check_all` checks glsn by
+#: glsn instead of bisecting further.
+EXACT_LEAF = 16
+
+
+def _agreed_anchor(anchors: list[int]) -> int:
+    """The anchor a strict majority of ``anchors`` hold; 0 when none does.
+
+    Nodes that disagree about an anchor mean a compromised node rewrote its
+    copy, so a glsn is checked against the majority value.  With no strict
+    majority (a 2–2 split of four nodes, say) the glsn has no agreed
+    anchor and fails: the rule ``run_majority_agreement`` applies to
+    released results.
+    """
+    first = anchors[0]
+    if 2 * anchors.count(first) > len(anchors):
+        return first
+    value, count = Counter(anchors).most_common(1)[0]
+    return value if 2 * count > len(anchors) else 0
+
+
 class IntegrityChecker:
     """In-process integrity verification over a :class:`DistributedLogStore`.
 
-    Folds every node's stored fragment per glsn with one fixed-base power;
-    a glsn some node no longer holds is reported ``ok=False`` with
-    ``observed=0``.
+    Every glsn's expected value is the anchor a strict majority of its
+    nodes hold (:func:`_agreed_anchor`); its observed value is ``x0`` raised
+    to the product of every node's fragment digest exponent.
+    :meth:`check_glsn` computes that power exactly.  :meth:`check_all`
+    confirms every glsn at once with the small-exponent batch test
+    (Bellare–Garay–Rabin): for fresh random odd 64-bit ``r_g``,
+
+        Π anchor_g^(r_g) == x0^(Σ r_g·P_g)  (mod n),
+
+    which holds for every choice of ``r`` when all anchors match and for at
+    most a 2^-63 share of them otherwise (``docs/threat-model.md``).  A
+    failed batch is bisected with fresh ``r``; a failing subset of at most
+    :data:`EXACT_LEAF` glsns is checked glsn by glsn with
+    :meth:`check_glsn`.  A glsn whose batch passed reports
+    ``observed = expected``.  A glsn some node no longer holds, one with
+    no majority anchor and one whose anchor is not in ``[1, n)`` never
+    enter a batch: they go straight to :meth:`check_glsn` and are
+    reported ``ok=False`` (``observed=0`` when a fragment is lost).
     """
 
     def __init__(self, store: DistributedLogStore) -> None:
         self.store = store
         self.accumulator: OneWayAccumulator = store.accumulator
 
-    def check_glsn(self, glsn: int) -> IntegrityReport:
-        """Fold every node's stored fragment; compare with the anchor."""
+    def _inputs(self, glsn: int, nodes: list[FragmentStore]) -> tuple[int, int]:
+        """``(P, agreed anchor)`` of ``glsn``; ``P`` is 0 when a node lost
+        its fragment."""
         product = 1
         anchors = []
-        for node_id in sorted(self.store.stores):
-            node = self.store.stores[node_id]
+        for node in nodes:
             try:
                 product *= node.local_fragment(glsn).digest_exponent()
                 anchors.append(node.expected_accumulator(glsn))
@@ -113,17 +156,75 @@ class IntegrityChecker:
                 product = 0  # a node lost its fragment: nothing to fold
         if not anchors:
             raise UnknownGlsnError(f"no node holds glsn {glsn:#x}")
-        # Nodes that disagree about the anchor itself mean a compromised
-        # node rewrote its copy: report against the majority value.
-        expected = max(set(anchors), key=anchors.count)
+        return product, _agreed_anchor(anchors)
+
+    def _nodes(self) -> list[FragmentStore]:
+        return [self.store.stores[node_id] for node_id in sorted(self.store.stores)]
+
+    def check_glsn(self, glsn: int) -> IntegrityReport:
+        """Fold every node's stored fragment; compare with the anchor."""
+        product, expected = self._inputs(glsn, self._nodes())
         # One fixed-base power of the pre-multiplied exponents (eq. 9).
         observed = self.accumulator.base_power(product) if product else 0
         return IntegrityReport(
-            glsn=glsn, ok=observed == expected, expected=expected, observed=observed
+            glsn=glsn, ok=observed == expected != 0, expected=expected,
+            observed=observed,
         )
 
     def check_all(self) -> list[IntegrityReport]:
-        return [self.check_glsn(glsn) for glsn in self.store.glsns]
+        """Every glsn's report, the intact ones confirmed in one batch."""
+        glsns = self.store.glsns
+        nodes = self._nodes()
+        n = self.accumulator.params.n
+        reports: dict[int, IntegrityReport] = {}
+        batch: list[tuple[int, int, int]] = []
+        for glsn in glsns:
+            product, expected = self._inputs(glsn, nodes)
+            # An anchor outside [1, n) never equals a power mod n, but the
+            # batch's products would reduce it: check such a glsn exactly.
+            if product and 0 < expected < n:
+                batch.append((glsn, expected, product))
+            else:
+                reports[glsn] = self.check_glsn(glsn)
+        self._confirm(batch, reports)
+        return [reports[glsn] for glsn in glsns]
+
+    def _confirm(
+        self, batch: list[tuple[int, int, int]], reports: dict[int, IntegrityReport]
+    ) -> None:
+        """Report every ``(glsn, anchor, P)`` of ``batch``: all intact when
+        the batch test passes, else by bisection down to exact leaves."""
+        if self._batch_holds(batch):
+            for glsn, expected, _ in batch:
+                reports[glsn] = IntegrityReport(
+                    glsn=glsn, ok=True, expected=expected, observed=expected
+                )
+        elif len(batch) <= EXACT_LEAF:
+            for glsn, _, _ in batch:
+                reports[glsn] = self.check_glsn(glsn)
+        else:
+            mid = len(batch) // 2
+            self._confirm(batch[:mid], reports)
+            self._confirm(batch[mid:], reports)
+
+    def _batch_holds(self, batch: list[tuple[int, int, int]]) -> bool:
+        """Small-exponent test of ``anchor_g == x0^P_g`` for every entry.
+
+        ``r`` is drawn from the operating system (``secrets``) on every
+        call, never from a seeded stream: a tamperer who could predict
+        ``r`` could forge a passing batch.
+        """
+        if not batch:
+            return True
+        noise = secrets.token_bytes(8 * len(batch))
+        weights = [
+            int.from_bytes(noise[at : at + 8], "big") | 1
+            for at in range(0, len(noise), 8)
+        ]
+        params = self.accumulator.params
+        lhs = self.accumulator.multi_power([anchor for _, anchor, _ in batch], weights)
+        exponent = sum(w * product for w, (_, _, product) in zip(weights, batch))
+        return lhs == pow(params.x0, exponent, params.n)
 
     def require_clean(self) -> None:
         """Raise :class:`IntegrityError` naming every tampered glsn."""

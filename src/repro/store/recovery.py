@@ -33,6 +33,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.tickets import TicketAuthority
@@ -78,7 +79,7 @@ def _has_state(directory: Path) -> bool:
 def open_durable_store(
     plan: FragmentPlan,
     authority: TicketAuthority,
-    default_params: AccumulatorParams,
+    default_params: AccumulatorParams | Callable[[], AccumulatorParams],
     directory: str | os.PathLike,
     config: StoreConfig | None = None,
     tracer=None,
@@ -92,6 +93,8 @@ def open_durable_store(
     ``(store, RecoveryReport)``.  ``default_params`` seeds a *fresh*
     store only — recovery always reuses the checkpointed accumulator
     parameters, since the persisted anchors verify against nothing else.
+    It may be a zero-argument callable, called only for a fresh store, so
+    that a recovery never pays for generating a modulus it discards.
     """
     directory = Path(directory)
     config = config or StoreConfig()
@@ -99,7 +102,7 @@ def open_durable_store(
         store = DurableDistributedLogStore(
             plan,
             authority,
-            default_params,
+            default_params() if callable(default_params) else default_params,
             directory,
             config=config,
             tracer=tracer,

@@ -281,3 +281,52 @@ class TestFixedBaseTable:
             for row in acc._table
         ) + sys.getsizeof(acc._table)
         assert size <= 512 * 1024
+
+
+def naive_product(bases, exponents, n):
+    product = 1 % n
+    for base, exponent in zip(bases, exponents):
+        product = product * pow(base, exponent, n) % n
+    return product
+
+
+class TestMultiPower:
+    """``multi_power`` is the product of per-base ``pow`` calls."""
+
+    def test_empty_list_is_one(self, acc):
+        assert acc.multi_power([], []) == 1
+
+    def test_one_base(self, acc):
+        n = acc.params.n
+        for exponent in (0, 1, 2, 63, (1 << 64) - 1):
+            assert acc.multi_power([acc.params.x0], [exponent]) == pow(
+                acc.params.x0, exponent, n
+            )
+
+    def test_bases_one_and_n_minus_one(self, acc):
+        n = acc.params.n
+        bases = [1, n - 1, n - 1, 1, acc.params.x0]
+        exponents = [(1 << 64) - 1, 3, 5, 7, 1 << 63]
+        assert acc.multi_power(bases, exponents) == naive_product(bases, exponents, n)
+        assert acc.multi_power([n - 1], [3]) == n - 1
+        assert acc.multi_power([n - 1, n - 1], [3, 5]) == 1
+
+    @pytest.mark.parametrize("count", [2, 15, 16, 17, 100, 700])
+    def test_matches_naive_product(self, acc, count):
+        rng = DeterministicRng(f"multi:{count}")
+        n = acc.params.n
+        bases = [rng.randrange(1, n) for _ in range(count)]
+        exponents = [rng.randrange(0, 1 << 64) | 1 for _ in range(count)]
+        assert acc.multi_power(bases, exponents) == naive_product(bases, exponents, n)
+
+    def test_window_grows_with_the_batch(self):
+        windows = [accumulator_module._pippenger_window(k, 64) for k in (1, 16, 256, 4600)]
+        assert windows == sorted(windows) and windows[0] < windows[-1]
+
+    def test_rejects_mismatched_and_negative(self, acc):
+        with pytest.raises(ParameterError):
+            acc.multi_power([2, 3], [5])
+        with pytest.raises(ParameterError):
+            acc.multi_power([2, 3], [5, -1])
+        with pytest.raises(ParameterError):
+            acc.multi_power([2, 3], [0, -1])

@@ -3,8 +3,22 @@
 import pytest
 
 from repro.errors import IntegrityError, ProtocolAbortError
-from repro.logstore.integrity import IntegrityChecker, run_integrity_round
+from repro.logstore import integrity
+from repro.logstore.integrity import EXACT_LEAF, IntegrityChecker, run_integrity_round
 from repro.net.simnet import SimNetwork
+from repro.workloads import paper_table1_rows
+
+
+def grow(store, ticket, count):
+    """Append ``count`` more Table 1 rows (distinct Tid values)."""
+    table = paper_table1_rows()
+    rows = [{**table[i % len(table)], "Tid": f"T{i:05d}"} for i in range(count)]
+    return store.append_record(rows, ticket)
+
+
+def exact_reports(store):
+    checker = IntegrityChecker(store)
+    return [checker.check_glsn(glsn) for glsn in store.glsns]
 
 
 class TestInProcessChecker:
@@ -46,6 +60,96 @@ class TestInProcessChecker:
         store, _, receipts = populated_store
         store.node_store("P0").tamper(receipts[1].glsn, "C4", "injected")
         assert not IntegrityChecker(store).check_glsn(receipts[1].glsn).ok
+
+
+class TestAnchorVote:
+    """A glsn is checked against the anchor a strict majority of nodes hold."""
+
+    def test_one_rewritten_anchor_is_outvoted(self, populated_store):
+        store, _, receipts = populated_store
+        glsn = receipts[2].glsn
+        store.node_store("P3")._accumulators[glsn] = 5
+        checker = IntegrityChecker(store)
+        report = checker.check_glsn(glsn)
+        assert report.ok and report.expected == receipts[2].accumulator
+        assert all(r.ok for r in checker.check_all())
+
+    @pytest.mark.parametrize("order", ["true anchor first", "forged anchor first"])
+    def test_a_two_two_split_fails_whatever_the_order(self, populated_store, order):
+        store, _, receipts = populated_store
+        glsn = receipts[1].glsn
+        true, forged = receipts[1].accumulator, receipts[1].accumulator + 2
+        first, second = (true, forged) if order == "true anchor first" else (forged, true)
+        for node_id, anchor in zip(sorted(store.stores), (first, first, second, second)):
+            store.node_store(node_id)._accumulators[glsn] = anchor
+        checker = IntegrityChecker(store)
+        report = checker.check_glsn(glsn)
+        assert not report.ok and report.expected == 0
+        assert report.observed == true
+        assert [r for r in checker.check_all() if not r.ok] == [report]
+
+
+class TestBatchCheck:
+    """``check_all`` confirms every glsn in one small-exponent batch and
+    bisects a failing one down to exact ``check_glsn`` leaves."""
+
+    @pytest.fixture()
+    def large_store(self, populated_store):
+        store, ticket, _ = populated_store
+        grow(store, ticket, 6 * EXACT_LEAF)
+        return store
+
+    def test_a_clean_store_needs_no_exact_check(self, large_store, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            IntegrityChecker, "check_glsn", lambda self, glsn: calls.append(glsn)
+        )
+        reports = IntegrityChecker(large_store).check_all()
+        assert calls == [] and len(reports) == len(large_store.glsns)
+        assert all(r.ok and r.observed == r.expected for r in reports)
+
+    def test_one_tamper_is_localised_to_one_exact_leaf(self, large_store, monkeypatch):
+        victim = large_store.glsns[37]
+        large_store.node_store("P2").tamper(victim, "C3", "forged")
+        calls = []
+        exact = IntegrityChecker.check_glsn
+        monkeypatch.setattr(
+            IntegrityChecker, "check_glsn",
+            lambda self, glsn: calls.append(glsn) or exact(self, glsn),
+        )
+        reports = IntegrityChecker(large_store).check_all()
+        assert [r.glsn for r in reports if not r.ok] == [victim]
+        assert victim in calls and len(calls) <= EXACT_LEAF
+
+    def test_reports_equal_the_exact_path(self, large_store):
+        glsns = large_store.glsns
+        large_store.node_store("P0").tamper(glsns[3], "C4", "x")
+        large_store.node_store("P1").evict(glsns[40])
+        large_store.node_store("P3")._accumulators[glsns[41]] = 7
+        for node_id in ("P0", "P1"):
+            large_store.node_store(node_id)._accumulators[glsns[90]] = 9
+        assert IntegrityChecker(large_store).check_all() == exact_reports(large_store)
+
+    def test_an_anchor_congruent_mod_n_is_not_accepted(self, large_store):
+        """``anchor + n`` reduces to the right residue inside a product, but
+        it is not the anchor: the batch must not pass it."""
+        glsn = large_store.glsns[5]
+        n = large_store.accumulator.params.n
+        for node in large_store.stores.values():
+            node._accumulators[glsn] += n
+        reports = IntegrityChecker(large_store).check_all()
+        assert [r.glsn for r in reports if not r.ok] == [glsn]
+        assert reports == exact_reports(large_store)
+
+    def test_weights_are_drawn_from_the_os(self, large_store, monkeypatch):
+        """One ``secrets`` draw of 8 bytes per glsn, never a seeded stream."""
+        draws = []
+        real = integrity.secrets.token_bytes
+        monkeypatch.setattr(
+            integrity.secrets, "token_bytes", lambda k: draws.append(k) or real(k)
+        )
+        IntegrityChecker(large_store).check_all()
+        assert draws == [8 * len(large_store.glsns)]
 
 
 class TestRingProtocol:

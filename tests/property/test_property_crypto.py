@@ -175,6 +175,29 @@ class TestAccumulatorProperties:
         )
         assert ACC.base_power(exponent) == pow(ACC.params.x0, exponent, ACC.params.n)
 
+    @settings(max_examples=100)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([1, ACC.params.n - 1, ACC.params.x0]),
+                    st.integers(0, ACC.params.n - 1),
+                ),
+                st.integers(0, (1 << 64) - 1),
+            ),
+            max_size=40,
+        )
+    )
+    def test_multi_power_equals_naive_product(self, terms):
+        """The bucket multi-exponentiation is the product of ``pow`` calls,
+        for the empty list, one base, and bases 0, 1 and ``n - 1``."""
+        n = ACC.params.n
+        expected = 1
+        for base, exponent in terms:
+            expected = expected * pow(base, exponent, n) % n
+        bases = [base for base, _ in terms]
+        assert ACC.multi_power(bases, [e for _, e in terms]) == expected
+
     @settings(max_examples=30)
     @given(items=st.lists(st.binary(min_size=1, max_size=20), max_size=6))
     def test_accumulate_all_equals_step_chain(self, items):

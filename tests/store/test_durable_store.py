@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core import ConfidentialAuditingService
+from repro.crypto import DeterministicRng
+from repro.crypto.accumulator import AccumulatorParams
 from repro.errors import ConfigurationError
+from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.logstore.integrity import IntegrityChecker
 from repro.store import (
     CHECKPOINT_FILE,
@@ -167,3 +171,50 @@ class TestLifecycle:
         ) as store:
             pass
         store.close()  # second close is a no-op
+
+
+class TestAccumulatorModulus:
+    """A service generates its accumulator modulus only for a store that
+    has none yet; a recovery reuses the checkpointed one."""
+
+    # ``AccumulatorParams.generate(256, DeterministicRng(b"acc-pin")
+    # .spawn("accumulator"))``, the modulus every earlier build produced.
+    PINNED = (
+        0x9E75B1B1D783F4D257673E68C200DC6705A5AE895BF2EBD0207EE0D538E6E9AD,
+        0x758131E63E443F135EEF730695A35C218D0E6DE2779EB8DD47A4CC1772E7C57E,
+    )
+
+    @staticmethod
+    def service(store_dir=None):
+        schema = paper_table1_schema()
+        return ConfidentialAuditingService(
+            schema, paper_fragment_plan(schema), prime_bits=64,
+            rng=DeterministicRng(b"acc-pin"), store_dir=store_dir,
+            store_config=StoreConfig(fsync="off", compact=False),
+        )
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["in-memory", "fresh dir"])
+    def test_fresh_store_modulus_is_unchanged(self, durable, tmp_path):
+        service = self.service(str(tmp_path) if durable else None)
+        try:
+            params = service.store.accumulator.params
+            assert (params.n, params.x0) == self.PINNED
+        finally:
+            service.close()
+
+    def test_recovery_generates_no_modulus(self, tmp_path, monkeypatch):
+        first = self.service(str(tmp_path))
+        first.append_stream(paper_table1_rows(), first.register_user("U1"))
+        first.close()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a recovery generated a modulus")
+
+        monkeypatch.setattr(AccumulatorParams, "generate", refuse)
+        second = self.service(str(tmp_path))
+        try:
+            params = second.store.accumulator.params
+            assert (params.n, params.x0) == self.PINNED
+            assert second.last_recovery.audit_ok
+        finally:
+            second.close()
