@@ -46,28 +46,16 @@ _MISS = _MISSING()
 class AsyncSingleFlight:
     """An :class:`LruCache` with in-flight deduplication of coroutine computes.
 
-    Exposes the wrapped cache's ``name`` and ``stats`` plus ``joins``,
-    which is also counted into ``sched.coalesce_hits`` labelled with the
-    sharing level.  All state is touched only between awaits on one event
-    loop, so no lock is needed.
+    Exposes the wrapped cache's ``name`` and ``stats`` plus ``joins``
+    (``/metrics`` reads it as ``repro_sched_coalesce_hits_total``, labelled
+    with the sharing level).  All state is touched only between awaits on
+    one event loop, so no lock is needed.
     """
 
-    def __init__(
-        self,
-        cache: LruCache,
-        metrics=None,
-        metric_label: str | None = None,
-    ) -> None:
+    def __init__(self, cache: LruCache) -> None:
         self.cache = cache
         self._inflight: dict[object, asyncio.Event] = {}
         self.joins = 0
-        self._metric = None
-        if metrics is not None:
-            self._metric = metrics.counter(
-                "sched.coalesce_hits",
-                help="computations served by joining concurrent identical work",
-                labels={"level": metric_label or cache.name},
-            )
 
     @property
     def name(self) -> str:
@@ -91,8 +79,6 @@ class AsyncSingleFlight:
                 # failed holder stores nothing — the loop retries and one
                 # joiner becomes the new holder (no exception fan-out).
                 self.joins += 1
-                if self._metric is not None:
-                    self._metric.inc()
                 await event.wait()
                 continue
             self._inflight[key] = asyncio.Event()

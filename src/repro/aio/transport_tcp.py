@@ -81,13 +81,10 @@ class AsyncTcpNode:
         handler: Handler | None = None,
         loop_thread: LoopThread | None = None,
         tracer=None,
-        metrics=None,
     ) -> None:
         self.node_id = node_id
         self.stats = NetworkStats()
         self.tracer = tracer or NOOP_TRACER
-        if metrics is not None:
-            self.stats.attach_metrics(metrics)
         self.corrupt_frames = 0
         self.duplicates_dropped = 0
         self._dedup = DedupWindow()
@@ -419,7 +416,6 @@ class AsyncTcpCluster:
         self,
         node_ids: list[NodeId],
         tracer=None,
-        metrics=None,
         loop_thread: LoopThread | None = None,
     ) -> None:
         self._owns_loop = loop_thread is None
@@ -429,7 +425,6 @@ class AsyncTcpCluster:
                 node_id,
                 loop_thread=self.loop_thread,
                 tracer=tracer,
-                metrics=metrics,
             )
             for node_id in node_ids
         }

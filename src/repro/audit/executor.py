@@ -241,7 +241,7 @@ class QueryExecutor:
         self._projection_cache = (
             projection_cache
             if projection_cache is not None
-            else LruCache("query.projection", metrics=ctx.metrics)
+            else LruCache("query.projection")
         )
         # Subplan coalescing is scheduler-only: serial executors keep it
         # off (None) so single-query behaviour is byte-identical.  Its

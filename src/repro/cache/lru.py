@@ -13,9 +13,9 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
   prime) *into the key*.  Stale entries are
   never served — they simply stop being looked up and age out of the
   LRU.  There is no invalidation bookkeeping to get wrong.
-* **Observable.** Hit / miss / eviction counters and an entry gauge,
-  mirrored into a :class:`~repro.obs.metrics.MetricsRegistry` when one
-  is attached (``repro_cache_hits_total{cache=...}`` etc.).
+* **Observable.** Hit / miss / eviction counters (:attr:`LruCache.stats`;
+  ``/metrics`` reads a service's caches as
+  ``repro_cache_hits_total{cache=...}`` etc.).
 * **Killable.** :func:`set_caching_enabled` ``(False)`` turns every
   cache into a pass-through: :meth:`LruCache.get_or_compute` recomputes
   unconditionally and stores nothing, so any suspected cache-coherence
@@ -91,19 +91,14 @@ class _MISSING:  # sentinel distinguishable from any cached value
 
 
 class LruCache:
-    """A named, bounded, metrics-aware least-recently-used cache.
+    """A named, bounded, counting least-recently-used cache.
 
     Thread-safe for the simple get/put paths (one lock); values are
     expected to be immutable (tuples, frozensets, ints) so a hit can be
     handed straight to the caller.
     """
 
-    def __init__(
-        self,
-        name: str,
-        max_entries: int | None = None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, name: str, max_entries: int | None = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ConfigurationError("max_entries must be positive")
         self.name = name
@@ -113,38 +108,7 @@ class LruCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._metrics = None
-        if metrics is not None:
-            self.attach_metrics(metrics)
         _live_caches.add(self)
-
-    # -- metrics -----------------------------------------------------------
-
-    def attach_metrics(self, registry, prefix: str = "repro_cache") -> None:
-        """Mirror hit/miss/eviction counts into a MetricsRegistry."""
-        labels = {"cache": self.name}
-        self._metrics = {
-            "hits": registry.counter(
-                f"{prefix}_hits_total", help="cache lookups served", labels=labels
-            ),
-            "misses": registry.counter(
-                f"{prefix}_misses_total", help="cache lookups recomputed", labels=labels
-            ),
-            "evictions": registry.counter(
-                f"{prefix}_evictions_total", help="LRU evictions", labels=labels
-            ),
-            "entries": registry.gauge(
-                f"{prefix}_entries", help="live cache entries", labels=labels
-            ),
-        }
-
-    def _record(self, counter: str) -> None:
-        if self._metrics is not None:
-            self._metrics[counter].inc()
-
-    def _sync_gauge(self) -> None:
-        if self._metrics is not None:
-            self._metrics["entries"].set(len(self._entries))
 
     # -- core --------------------------------------------------------------
 
@@ -156,11 +120,9 @@ class LruCache:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
                 self.misses += 1
-                self._record("misses")
                 return default
             self._entries.move_to_end(key)
             self.hits += 1
-            self._record("hits")
             return value
 
     def put(self, key, value) -> None:
@@ -174,8 +136,6 @@ class LruCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                self._record("evictions")
-            self._sync_gauge()
 
     def get_or_compute(self, key, compute: Callable[[], object]):
         """Serve ``key`` from cache or run ``compute`` and remember it.
@@ -191,10 +151,8 @@ class LruCache:
             if value is not sentinel:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self._record("hits")
                 return value
             self.misses += 1
-            self._record("misses")
         # Compute outside the lock: big-int work must not serialize readers.
         value = compute()
         self.put(key, value)
@@ -203,7 +161,6 @@ class LruCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._sync_gauge()
 
     def __len__(self) -> int:
         with self._lock:

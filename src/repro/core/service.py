@@ -15,9 +15,11 @@ integration tests drive everything through it.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -44,8 +46,9 @@ from repro.logstore.records import LogRecord
 from repro.logstore.schema import GlobalSchema
 from repro.logstore.store import DistributedLogStore, WriteReceipt
 from repro.net.simnet import SimNetwork
-from repro.net.stats import CostReport, CryptoOpCounter
+from repro.net.stats import CostReport, CryptoOpCounter, NetworkStats
 from repro.obs.confidentiality import ConfidentialityObservatory, QueryObservation
+from repro.obs.metrics import collect
 from repro.obs.server import ObsServer, start_from_env
 from repro.obs.tracer import NOOP_TRACER
 from repro.precompute.manager import PrecomputeManager
@@ -94,9 +97,6 @@ class ConfidentialAuditingService:
         ``node.<kind>`` handler spans land in the same tracer (one tree
         per query, see :mod:`repro.obs.tracer`).  Defaults to the no-op
         tracer (zero overhead, nothing recorded).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` fed by the
-        network and crypto ledgers of every traced query.
     resilience:
         Optional :class:`~repro.resilience.RetryPolicy`.  When set, every
         per-query network is built reliable: lost/corrupted frames are
@@ -136,7 +136,6 @@ class ConfidentialAuditingService:
         threshold: int | None = None,
         rng: DeterministicRng | None = None,
         tracer=None,
-        metrics=None,
         resilience: RetryPolicy | None = None,
         faults=None,
         prime: int | None = None,
@@ -149,12 +148,16 @@ class ConfidentialAuditingService:
         self.schema = schema
         self.plan = plan
         self.tracer = tracer or NOOP_TRACER
-        self.metrics = metrics
         #: §5 confidentiality metrics (C_query, C_DLA) computed live for
         #: every executed query, with leakage-budget accounting.
-        self.observatory = ConfidentialityObservatory(
-            schema, plan, metrics=self.metrics
-        )
+        self.observatory = ConfidentialityObservatory(schema, plan)
+        #: Service-wide traffic and reliability-event ledgers: every
+        #: call's private network and every scheduled query's channel is
+        #: folded in when it ends (what ``/metrics`` reads).
+        self.net_stats = NetworkStats()
+        self.resilience_stats: Counter = Counter()
+        #: Rows ingested through :meth:`append_stream`.
+        self.ingested_rows = 0
         self._node_health: dict[str, dict] = {}
         self._health_lock = threading.Lock()
         self.precompute = PrecomputeManager()  # benchmark readout only
@@ -198,7 +201,6 @@ class ConfidentialAuditingService:
                 durable_dir,
                 config=store_cfg,
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
         else:
             self.store = DistributedLogStore(
@@ -216,7 +218,6 @@ class ConfidentialAuditingService:
             prime if prime is not None else shared_prime(prime_bits),
             self.rng.spawn("smc"),
             tracer=self.tracer,
-            metrics=self.metrics,
         )
         self.executor = QueryExecutor(self.store, self.ctx, schema)
 
@@ -296,14 +297,6 @@ class ConfidentialAuditingService:
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         receipts: list[WriteReceipt] = []
-        ingest_metric = (
-            self.metrics.counter(
-                "repro_ingest_records_total",
-                help="records ingested through append_stream",
-            )
-            if self.metrics is not None
-            else None
-        )
         rows = iter(rows)
         batched = getattr(self.store, "append_batch", None)
         while True:
@@ -317,8 +310,7 @@ class ConfidentialAuditingService:
                     receipts.extend(batched(batch, ticket))
                 else:
                     receipts.extend(self.store.append(values, ticket) for values in batch)
-            if ingest_metric is not None:
-                ingest_metric.inc(len(batch))
+            self.ingested_rows += len(batch)
             if evaluate_standing and self._standing is not None and len(self._standing):
                 self._standing.evaluate_epoch()
         return receipts
@@ -334,7 +326,7 @@ class ConfidentialAuditingService:
             if self._standing is None:
                 from repro.sched.standing import StandingQueryRegistry
 
-                self._standing = StandingQueryRegistry(self, metrics=self.metrics)
+                self._standing = StandingQueryRegistry(self)
             return self._standing
 
     def register_standing_query(
@@ -376,15 +368,29 @@ class ConfidentialAuditingService:
         return plan_query(criterion, self.schema, self.store.plan, tracer=self.tracer)
 
     def _fresh_net(self) -> SimNetwork:
-        """A simulated network wired into the tracer/metrics: private to
-        one sync call, or the scheduler's shared one under its
+        """A simulated network wired into the tracer: private to one sync
+        call, or the scheduler's shared one under its
         :class:`~repro.sched.ChannelMux`."""
         return SimNetwork(
             tracer=self.tracer,
-            metrics=self.metrics,
             resilience=self.resilience,
             faults=self.faults,
         )
+
+    @contextmanager
+    def _private_net(self):
+        """A fresh network for one call, folded into :attr:`net_stats` and
+        :attr:`resilience_stats` when the call returns or raises."""
+        net = self._fresh_net()
+        try:
+            yield net
+        finally:
+            self.net_stats.merge(net.stats)
+            self._fold_resilience(net)
+
+    def _fold_resilience(self, net) -> None:
+        with self._health_lock:
+            self.resilience_stats.update(net.resilience_stats)
 
     def _collect_cost(self, net: SimNetwork, ops_before: Counter) -> CostReport:
         """CostReport for one query: the net's totals + the crypto delta."""
@@ -437,7 +443,7 @@ class ConfidentialAuditingService:
         """Start (or return) the live telemetry endpoint on ``port``."""
         if self.obs_server is None:
             self.obs_server = ObsServer(
-                metrics=self.metrics,
+                metrics=functools.partial(collect, self),
                 health=self.health_snapshot,
                 traces=self.recent_traces_snapshot,
                 leakage=self.observatory.report,
@@ -484,13 +490,13 @@ class ConfidentialAuditingService:
         ``tenant`` attributes the query in the confidentiality
         observatory's per-tenant C_DLA accounting.
         """
-        net = self._fresh_net()
         ops_before = Counter(self.ctx.crypto_ops.ops)
         leakage_before = self.ctx.leakage.count()
-        result = self.executor.execute(
-            criterion, net=net, deadline=Deadline.after(timeout)
-        )
-        self._collect_cost(net, ops_before)
+        with self._private_net() as net:
+            result = self.executor.execute(
+                criterion, net=net, deadline=Deadline.after(timeout)
+            )
+            self._collect_cost(net, ops_before)
         self.observe_query_result(
             result, self.ctx.leakage.count() - leakage_before, tenant=tenant
         )
@@ -504,12 +510,12 @@ class ConfidentialAuditingService:
         timeout: float | None = None,
     ) -> AggregateResult:
         """Confidential aggregate (sum / count / max / min)."""
-        net = self._fresh_net()
         ops_before = Counter(self.ctx.crypto_ops.ops)
-        result = self.executor.aggregate(
-            op, attribute, criterion, net=net, deadline=Deadline.after(timeout)
-        )
-        self._collect_cost(net, ops_before)
+        with self._private_net() as net:
+            result = self.executor.aggregate(
+                op, attribute, criterion, net=net, deadline=Deadline.after(timeout)
+            )
+            self._collect_cost(net, ops_before)
         return result
 
     # -- concurrent auditing (repro.sched) ----------------------------------------
@@ -606,10 +612,11 @@ class ConfidentialAuditingService:
         :attr:`last_query_cost` — so the trace is a complete, auditable
         account of what the query cost and disclosed.
         """
-        net = self._fresh_net()
         ops_before = Counter(self.ctx.crypto_ops.ops)
         leakage_before = self.ctx.leakage.count()
-        with self.tracer.span("audit.query", {"criterion": criterion}) as span:
+        with self._private_net() as net, self.tracer.span(
+            "audit.query", {"criterion": criterion}
+        ) as span:
             result = self.executor.execute(
                 criterion, net=net, deadline=Deadline.after(timeout)
             )
@@ -701,10 +708,11 @@ class ConfidentialAuditingService:
         ``distributed=False`` checks in process instead.
         """
         if distributed:
-            return run_batched_integrity_round(
-                self.store, net=self._fresh_net(), deadline=Deadline.after(timeout),
-                crypto=self.integrity_ops,
-            )
+            with self._private_net() as net:
+                return run_batched_integrity_round(
+                    self.store, net=net, deadline=Deadline.after(timeout),
+                    crypto=self.integrity_ops,
+                )
         return IntegrityChecker(self.store).check_all()
 
     # -- introspection ----------------------------------------------------------------

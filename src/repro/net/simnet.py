@@ -105,7 +105,6 @@ class SimNetwork:
         default_link: LinkModel | None = None,
         faults: FaultPlan | None = None,
         tracer=None,
-        metrics=None,
         resilience: RetryPolicy | None = None,
         dedup_window: int = 4096,
     ) -> None:
@@ -117,9 +116,6 @@ class SimNetwork:
         # enabled tracer, sends carry the sender's open span and every
         # handler runs inside a ``node.<kind>`` span under it.
         self.tracer = tracer or NOOP_TRACER
-        self.metrics = metrics
-        if metrics is not None:
-            self.stats.attach_metrics(metrics)
         self.now = 0.0
         self._handlers: dict[NodeId, Handler] = {}
         self._links: dict[tuple[NodeId, NodeId], LinkModel] = {}
@@ -155,8 +151,8 @@ class SimNetwork:
         #: drops, corrupt frames, crash-unregistered destinations) so a
         #: channel multiplexer can attribute drops per query.
         self.drop_hook: Callable[[Message], None] | None = None
-        #: Plain counters mirroring the ``resilience.*`` metrics, so tests
-        #: and supervisors can read them without a MetricsRegistry.
+        #: Reliability-layer event counts (``/metrics`` renders each as
+        #: ``repro_resilience_<event>_total``).
         self.resilience_stats: dict[str, int] = {
             "retries": 0,
             "delivery_failed": 0,
@@ -187,10 +183,6 @@ class SimNetwork:
 
     def _count(self, name: str, tracer_event: str | None = None, attrs=None) -> None:
         self.resilience_stats[name] = self.resilience_stats.get(name, 0) + 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"resilience.{name}", help="reliability-layer event count"
-            ).inc()
         if tracer_event and self.tracer.enabled:
             self.tracer.add_event(tracer_event, attrs or {})
 
@@ -521,11 +513,7 @@ class SimNetwork:
                     f"network did not quiesce within {max_steps} deliveries"
                 )
             if check_deadline and deadline.expired:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "resilience.deadline_exceeded",
-                        help="runs abandoned because their deadline expired",
-                    ).inc()
+                self._count("deadline_exceeded")
                 deadline.check(where)
             yield steps
 

@@ -7,12 +7,11 @@ operations (modular exponentiations dominate).  Every transport owns a
 :class:`NetworkStats`; SMC protocols additionally report into a
 :class:`CryptoOpCounter`.
 
-Both ledgers can optionally *feed* a
-:class:`~repro.obs.metrics.MetricsRegistry` (``attach_metrics``): every
-recorded message, drop, timing, and crypto op then also updates the
-registry's counters and histograms, so one Prometheus dump covers the
-whole run.  Detached (the default), neither ledger touches the registry
-at all.
+The ledgers are the only record: nothing is mirrored anywhere else.
+``/metrics`` renders them on request (:func:`repro.obs.metrics.collect`),
+which is why the two distributions a scrape shows — per-message size and
+per-stage wall time — are :class:`~repro.obs.metrics.Histogram` fields
+here.
 """
 
 from __future__ import annotations
@@ -23,7 +22,12 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, SIZE_BUCKETS_BYTES
+from repro.obs.metrics import (
+    BATCH_BUCKETS,
+    LATENCY_BUCKETS_SECONDS,
+    SIZE_BUCKETS_BYTES,
+    Histogram,
+)
 
 __all__ = ["NetworkStats", "CryptoOpCounter", "CostReport"]
 
@@ -51,25 +55,20 @@ class NetworkStats:
     by_kind: Counter = field(default_factory=Counter)
     bytes_by_kind: Counter = field(default_factory=Counter)
     by_link: Counter = field(default_factory=Counter)
-    timings: dict = field(default_factory=dict)
-    timing_calls: Counter = field(default_factory=Counter)
     #: Connection-pool health (TCP transports): per-peer count of live
     #: pooled connections, and per-peer reconnect events.  The simulator
     #: has no connections; both stay empty there.
     connections_open: Counter = field(default_factory=Counter)
     reconnects: Counter = field(default_factory=Counter)
-    _metrics: object = field(default=None, init=False, repr=False, compare=False)
-    _metrics_prefix: str = field(
-        default="repro_net", init=False, repr=False, compare=False
+    #: Per-message encoded size, and per stage the wall time of each pass
+    #: (:attr:`timings` / :attr:`timing_calls` are their sums and counts).
+    sizes: Histogram = field(
+        default_factory=lambda: Histogram(SIZE_BUCKETS_BYTES), repr=False, compare=False
     )
+    stage_seconds: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
-
-    def attach_metrics(self, registry, prefix: str = "repro_net") -> None:
-        """Mirror every future record into a MetricsRegistry."""
-        self._metrics = registry
-        self._metrics_prefix = prefix
 
     def record(self, kind: str, size: int, src: str, dst: str) -> None:
         with self._lock:
@@ -78,52 +77,18 @@ class NetworkStats:
             self.by_kind[kind] += 1
             self.bytes_by_kind[kind] += size
             self.by_link[(src, dst)] += 1
-        if self._metrics is not None:
-            p = self._metrics_prefix
-            self._metrics.counter(
-                f"{p}_messages_total", help="messages delivered", labels={"kind": kind}
-            ).inc()
-            self._metrics.counter(
-                f"{p}_bytes_total", help="payload bytes delivered", labels={"kind": kind}
-            ).inc(size)
-            self._metrics.histogram(
-                f"{p}_message_size_bytes",
-                buckets=SIZE_BUCKETS_BYTES,
-                help="per-message encoded size",
-            ).observe(size)
+        self.sizes.observe(size)
 
     def record_drop(self) -> None:
         with self._lock:
             self.dropped += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                f"{self._metrics_prefix}_dropped_total", help="messages dropped"
-            ).inc()
 
     def record_connect(self, peer: str, reconnect: bool = False) -> None:
-        """A pooled connection to ``peer`` opened (``reconnect``: reopened).
-
-        Feeds the ``repro_net_connections_open`` gauge and — for reopens
-        after a broken pipe — the ``repro_net_reconnects_total`` counter,
-        both labelled per peer.
-        """
+        """A pooled connection to ``peer`` opened (``reconnect``: reopened)."""
         with self._lock:
             self.connections_open[peer] += 1
             if reconnect:
                 self.reconnects[peer] += 1
-        if self._metrics is not None:
-            p = self._metrics_prefix
-            self._metrics.gauge(
-                f"{p}_connections_open",
-                help="live pooled transport connections",
-                labels={"peer": peer},
-            ).inc()
-            if reconnect:
-                self._metrics.counter(
-                    f"{p}_reconnects_total",
-                    help="pooled connections reopened after a failure",
-                    labels={"peer": peer},
-                ).inc()
 
     def record_disconnect(self, peer: str) -> None:
         """A pooled connection to ``peer`` closed."""
@@ -133,25 +98,54 @@ class NetworkStats:
                 self.connections_open[peer] = left
             else:
                 self.connections_open.pop(peer, None)
-        if self._metrics is not None:
-            self._metrics.gauge(
-                f"{self._metrics_prefix}_connections_open",
-                help="live pooled transport connections",
-                labels={"peer": peer},
-            ).dec()
 
     def record_timing(self, stage: str, seconds: float) -> None:
         """Accumulate ``seconds`` of wall-clock against a named stage."""
         with self._lock:
-            self.timings[stage] = self.timings.get(stage, 0.0) + seconds
-            self.timing_calls[stage] += 1
-        if self._metrics is not None:
-            self._metrics.histogram(
-                f"{self._metrics_prefix}_stage_latency_seconds",
-                buckets=LATENCY_BUCKETS_SECONDS,
-                help="wall-clock per pass through a named stage",
-                labels={"stage": stage},
-            ).observe(seconds)
+            hist = self.stage_seconds.get(stage)
+            if hist is None:
+                hist = self.stage_seconds[stage] = Histogram(LATENCY_BUCKETS_SECONDS)
+        hist.observe(seconds)
+
+    def merge(self, other: "NetworkStats") -> None:
+        """Fold another ledger's traffic in (no lost adds).
+
+        Modelled on :meth:`CryptoOpCounter.merge`: the service gives each
+        call a private network and each scheduled query a channel, and
+        folds every one of them into its service-wide ledger when the
+        call ends, so ``/metrics`` reads one ledger whose totals are the
+        sum of the calls' cost reports.  The pool counts
+        (``connections_open``, ``reconnects``) describe one transport's
+        sockets, not traffic, and are not folded.
+        """
+        with other._lock:
+            messages, size, dropped = other.messages, other.bytes, other.dropped
+            by_kind, bytes_by_kind = Counter(other.by_kind), Counter(other.bytes_by_kind)
+            by_link = Counter(other.by_link)
+            stages = dict(other.stage_seconds)
+        with self._lock:
+            self.messages += messages
+            self.bytes += size
+            self.dropped += dropped
+            self.by_kind.update(by_kind)
+            self.bytes_by_kind.update(bytes_by_kind)
+            self.by_link.update(by_link)
+            for stage, hist in stages.items():
+                mine = self.stage_seconds.get(stage)
+                if mine is None:
+                    mine = self.stage_seconds[stage] = Histogram(LATENCY_BUCKETS_SECONDS)
+                mine.merge(hist)
+        self.sizes.merge(other.sizes)
+
+    @property
+    def timings(self) -> dict:
+        """Seconds spent per stage, summed over every pass."""
+        return self.snapshot()["timings"]
+
+    @property
+    def timing_calls(self) -> Counter:
+        """Passes per stage."""
+        return Counter(self.snapshot()["timing_calls"])
 
     @contextmanager
     def time_stage(self, stage: str):
@@ -170,11 +164,11 @@ class NetworkStats:
             self.by_kind.clear()
             self.bytes_by_kind.clear()
             self.by_link.clear()
-            self.timings.clear()
-            self.timing_calls.clear()
+            self.stage_seconds.clear()
+            self.sizes = Histogram(SIZE_BUCKETS_BYTES)
             # connections_open mirrors *live* pool state, not a tally of
             # past events — resetting traffic counters must not desync the
-            # gauge from the sockets that are still open.
+            # count from the sockets that are still open.
             self.reconnects.clear()
 
     def snapshot(self) -> dict:
@@ -190,8 +184,8 @@ class NetworkStats:
                 "by_link": {
                     f"{src}->{dst}": n for (src, dst), n in self.by_link.items()
                 },
-                "timings": dict(self.timings),
-                "timing_calls": dict(self.timing_calls),
+                "timings": {s: h.sum for s, h in self.stage_seconds.items()},
+                "timing_calls": {s: h.count for s, h in self.stage_seconds.items()},
                 "connections_open": dict(self.connections_open),
                 "reconnects": dict(self.reconnects),
             }
@@ -202,28 +196,17 @@ class CryptoOpCounter:
     """Counts of expensive cryptographic operations, by label."""
 
     ops: Counter = field(default_factory=Counter)
-    _metrics: object = field(default=None, init=False, repr=False, compare=False)
-    _metrics_prefix: str = field(
-        default="repro_crypto", init=False, repr=False, compare=False
+    #: Modexps per bulk call (:meth:`repro.smc.base.SmcContext.count_modexp`).
+    batch_sizes: Histogram = field(
+        default_factory=lambda: Histogram(BATCH_BUCKETS), repr=False, compare=False
     )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
 
-    def attach_metrics(self, registry, prefix: str = "repro_crypto") -> None:
-        """Mirror every future op count into a MetricsRegistry."""
-        self._metrics = registry
-        self._metrics_prefix = prefix
-
     def add(self, label: str, count: int = 1) -> None:
         with self._lock:
             self.ops[label] += count
-        if self._metrics is not None:
-            self._metrics.counter(
-                f"{self._metrics_prefix}_ops_total",
-                help="expensive crypto operations",
-                labels={"op": label},
-            ).inc(count)
 
     @property
     def modexp(self) -> int:
@@ -248,10 +231,12 @@ class CryptoOpCounter:
             delta = Counter(other.ops)
         with self._lock:
             self.ops.update(delta)
+        self.batch_sizes.merge(other.batch_sizes)
 
     def reset(self) -> None:
         with self._lock:
             self.ops.clear()
+            self.batch_sizes = Histogram(BATCH_BUCKETS)
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -16,9 +16,10 @@ layer:
   directly under the span the message was sent from (the ``(trace_id,
   span_id)`` context carried by ``Message.trace_id`` /
   ``Message.parent_span_id``), so a query's spans form one tree.
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  fixed-bucket histograms that :class:`~repro.net.stats.NetworkStats`
-  and :class:`~repro.net.stats.CryptoOpCounter` feed into.
+* :func:`~repro.obs.metrics.collect` — builds a fresh
+  :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
+  fixed-bucket histograms) from the ledgers the service already keeps,
+  on every ``/metrics`` request; nothing pushes into a registry.
 * :mod:`~repro.obs.export` — JSON-lines span log, Prometheus-style text
   dump, and a human-readable span tree.
 * :mod:`~repro.obs.report` — the ``python -m repro trace-report`` cost
@@ -54,6 +55,7 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS_SECONDS,
     SIZE_BUCKETS_BYTES,
     MetricsRegistry,
+    collect,
 )
 from repro.obs.report import (
     attribution_rows,
@@ -74,6 +76,7 @@ __all__ = [
     "QueryObservation",
     "ObsServer",
     "MetricsRegistry",
+    "collect",
     "SIZE_BUCKETS_BYTES",
     "LATENCY_BUCKETS_SECONDS",
     "BATCH_BUCKETS",

@@ -15,10 +15,10 @@ query the service executes is observed with
 
 A leakage *budget* (``REPRO_OBS_LEAKAGE_BUDGET``: max ledger events one
 query may emit; 0/unset disables) turns the ledger into an alertable
-signal: queries over budget increment
-``repro_obs_leakage_budget_warnings_total``.  Gauges mirror the latest
-``C_query``, the running ``C_DLA``, and the budget headroom so a
-Prometheus scrape of ``/metrics`` sees confidentiality next to latency.
+signal: queries over budget are counted per tenant.  A scrape of
+``/metrics`` reads the per-tenant ledgers (the latest ``C_query``, the
+running ``C_DLA``, leakage events and budget warnings) and the budget,
+so it sees confidentiality next to latency.
 """
 
 from __future__ import annotations
@@ -107,10 +107,9 @@ class ConfidentialityObservatory:
     threads).
     """
 
-    def __init__(self, schema, plan, metrics=None, budget: int | None = None) -> None:
+    def __init__(self, schema, plan, budget: int | None = None) -> None:
         self.schema = schema
         self.plan = plan
-        self.metrics = metrics
         if budget is None:
             budget = _budget_from_env()
         if budget < 0:
@@ -119,11 +118,6 @@ class ConfidentialityObservatory:
         self._lock = threading.Lock()
         self._tenants: dict[str, _TenantLedger] = {}
         self._recent: deque[QueryObservation] = deque(maxlen=_HISTORY)
-        if metrics is not None and self.budget:
-            metrics.gauge(
-                "repro_obs_leakage_budget",
-                help="configured per-query leakage-event budget",
-            ).set(self.budget)
 
     def observe_query(
         self,
@@ -176,34 +170,7 @@ class ConfidentialityObservatory:
             if over:
                 ledger.over_budget += 1
             self._recent.append(obs)
-        self._emit_metrics(obs, tenant)
         return obs
-
-    def _emit_metrics(self, obs: QueryObservation, tenant: str) -> None:
-        if self.metrics is None:
-            return
-        labels = {"tenant": tenant}
-        self.metrics.gauge(
-            "repro_obs_c_query",
-            help="C_query (eq. 12) of the most recent query",
-            labels=labels,
-        ).set(obs.c_query)
-        self.metrics.gauge(
-            "repro_obs_c_dla",
-            help="running C_DLA (eq. 13): mean C_query this session",
-            labels=labels,
-        ).set(self.c_dla(tenant) or 0.0)
-        self.metrics.counter(
-            "repro_obs_leakage_events_total",
-            help="leakage-ledger entries attributed to queries",
-            labels=labels,
-        ).inc(obs.leakage_events)
-        if obs.over_budget:
-            self.metrics.counter(
-                "repro_obs_leakage_budget_warnings_total",
-                help="queries whose leakage exceeded REPRO_OBS_LEAKAGE_BUDGET",
-                labels=labels,
-            ).inc()
 
     # -- readout -----------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Four read-only routes, enough for a Prometheus scrape and a human with
 ``curl``:
 
-* ``/metrics``  — Prometheus text exposition of the metrics registry;
+* ``/metrics``  — Prometheus text exposition of the service's ledgers
+  (:func:`repro.obs.metrics.collect`);
 * ``/healthz``  — per-node liveness (JSON), fed by the resilience layer
   (failed links and excluded ring members mark nodes degraded);
 * ``/traces``   — the most recent traces of the service's tracer (JSON);
@@ -19,10 +20,13 @@ every route renders the live service objects at request time.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from repro.obs.metrics import collect
 
 __all__ = ["ObsServer", "start_from_env", "OBS_HTTP_PORT_ENV_VAR"]
 
@@ -58,9 +62,10 @@ class _Handler(BaseHTTPRequestHandler):
 class ObsServer:
     """Serves ``/metrics``, ``/healthz``, ``/traces``, ``/leakage``.
 
-    ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` (or
-    ``None``); the three callables return plain JSON-safe dicts and are
-    invoked per request.  The usual construction site is
+    Every route is a callable invoked per request: ``metrics`` returns a
+    :class:`~repro.obs.metrics.MetricsRegistry` to render, the other
+    three plain JSON-safe dicts; a route left ``None`` serves an empty
+    page (``{}`` for the JSON ones).  The usual construction site is
     ``service.start_obs_server()``, which wires all four to the live
     service.
     """
@@ -86,7 +91,7 @@ class ObsServer:
     # -- route providers ---------------------------------------------------
 
     def _render_metrics(self) -> tuple[str, str]:
-        text = self._metrics.render_prometheus() if self._metrics else ""
+        text = self._metrics().render_prometheus() if self._metrics else ""
         return ("text/plain; version=0.0.4; charset=utf-8", text)
 
     def _render_json(self, provider) -> tuple[str, str]:
@@ -155,7 +160,7 @@ def start_from_env(service) -> ObsServer | None:
     except ValueError:
         return None
     return ObsServer(
-        metrics=service.metrics,
+        metrics=functools.partial(collect, service),
         health=service.health_snapshot,
         traces=service.recent_traces_snapshot,
         leakage=lambda: service.observatory.report(),

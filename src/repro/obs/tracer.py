@@ -41,9 +41,9 @@ nests its own spans, exactly as the previous thread-local stack did)
 ``asyncio.Task`` runs in its own context copy, so two pipelined SMC
 rounds never corrupt each other's span nesting — the invariant
 ``repro.aio`` depends on).  Events fired with no open span land in a
-bounded *orphan buffer* (and count toward the
-``repro_obs_orphan_events_total`` metric when a registry is attached)
-instead of being silently lost.
+bounded *orphan buffer* (and count in ``orphan_events_total``, which
+``/metrics`` renders as ``repro_obs_orphan_events_total``) instead of
+being silently lost.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ class Tracer:
         )
         self._orphans: deque[SpanEvent] = deque(maxlen=max(1, orphan_capacity))
         self.orphan_events_total = 0
-        self._orphan_counter = None
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -266,7 +265,7 @@ class Tracer:
         the innermost open span).
 
         With no open span on this thread the event goes to the bounded
-        orphan buffer (and the orphan counter) instead of being lost —
+        orphan buffer (and :attr:`orphan_events_total`) instead of being lost —
         callers never need a guard either way.
         """
         span = self._owner(None)
@@ -279,15 +278,6 @@ class Tracer:
         with self._lock:
             self._orphans.append(event)
             self.orphan_events_total += 1
-        if self._orphan_counter is not None:
-            self._orphan_counter.inc()
-
-    def attach_metrics(self, registry) -> None:
-        """Feed orphan-event counts into ``repro_obs_orphan_events_total``."""
-        self._orphan_counter = registry.counter(
-            "repro_obs_orphan_events_total",
-            help="tracer events fired on threads with no open span",
-        )
 
     # -- inspection --------------------------------------------------------
 
@@ -380,9 +370,6 @@ class NoopTracer:
         pass
 
     def add_event(self, name: str, attributes: dict | None = None) -> None:
-        pass
-
-    def attach_metrics(self, registry) -> None:
         pass
 
     def finished_spans(self) -> list[Span]:

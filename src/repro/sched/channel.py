@@ -69,8 +69,6 @@ class Channel:
         self.mux = mux
         self.tag = tag
         self.stats = NetworkStats()
-        if mux.net.metrics is not None:
-            self.stats.attach_metrics(mux.net.metrics)
         self._nodes: set[NodeId] = set()
         self._closed = False
 
@@ -79,10 +77,6 @@ class Channel:
     @property
     def tracer(self):
         return self.mux.net.tracer
-
-    @property
-    def metrics(self):
-        return self.mux.net.metrics
 
     @property
     def resilience(self):

@@ -41,9 +41,11 @@ owned event loop (:class:`~repro.aio.loop.LoopThread`).
 :meth:`shutdown` are plain methods bridging onto the owned loop, callable
 from any thread.
 
-Observability: per-query ``sched.query`` spans plus ``sched.*`` metrics
-(queue depth and in-flight gauges, admission-wait histogram,
-submitted/completed/failed counters, per-level coalesce hits).
+Observability: per-query ``sched.query`` spans, plus the counts
+``/metrics`` reads as the ``repro_sched_*`` families (queue depth,
+in-flight, an admission-wait histogram, submitted/completed/failed
+counters, per-level coalesce joins).  Each query's channel traffic and
+crypto ops are folded into the service-wide ledgers when it ends.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from repro.cache import LruCache
 from repro.errors import ConfigurationError, SchedulerError, SchedulerShutdownError
 from repro.net.simnet import SimNetwork
 from repro.net.stats import CostReport
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.resilience.policy import Deadline
 from repro.sched.channel import ChannelMux
 from repro.smc.base import SmcContext
@@ -170,7 +172,6 @@ class QueryScheduler:
         service,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         coalesce: bool | None = None,
-        metrics=None,
         loop_thread: LoopThread | None = None,
     ) -> None:
         if max_inflight < 1:
@@ -178,9 +179,6 @@ class QueryScheduler:
         self.max_inflight = max_inflight
         self.coalesce = _coalesce_from_env() if coalesce is None else coalesce
         self.service = service
-        self.metrics = metrics if metrics is not None else service.metrics
-        if self.metrics is None:
-            self.metrics = MetricsRegistry()
         self.loop_thread = loop_thread if loop_thread is not None else LoopThread(
             name="repro-aio-sched"
         )
@@ -194,39 +192,19 @@ class QueryScheduler:
         self._sem: asyncio.Semaphore | None = None
         self._waiting = 0
         self._futures: set = set()
+        #: Queries executing now (loop thread only), and the counts of
+        #: queries admitted, completed and failed (under the state lock).
+        self.in_flight = 0
+        self.submitted = self.completed = self.failed = 0
+        self.admission_wait = Histogram(LATENCY_BUCKETS_SECONDS)
         if self.coalesce:
-            m = self.metrics
-            self._column_cache = LruCache("sched.projection", metrics=m)
-            self._subplan_flight = AsyncSingleFlight(
-                LruCache("sched.subplan", metrics=m), metrics=m, metric_label="subplan"
-            )
-            self._query_flight = AsyncSingleFlight(
-                LruCache("sched.query", metrics=m), metrics=m, metric_label="query"
-            )
+            self._column_cache = LruCache("sched.projection")
+            self._subplan_flight = AsyncSingleFlight(LruCache("sched.subplan"))
+            self._query_flight = AsyncSingleFlight(LruCache("sched.query"))
         else:
             self._column_cache = None
             self._subplan_flight = None
             self._query_flight = None
-        # Metric instances resolved once; emission is then a locked add.
-        self._depth_gauge = self.metrics.gauge(
-            "sched.queue_depth", help="queries waiting for an execution slot"
-        )
-        self._inflight_gauge = self.metrics.gauge(
-            "sched.in_flight", help="queries currently executing"
-        )
-        self._admission_hist = self.metrics.histogram(
-            "sched.admission_wait_seconds",
-            help="seconds between submit and the start of execution",
-        )
-        self._submitted = self.metrics.counter(
-            "sched.submitted", help="queries admitted"
-        )
-        self._completed = self.metrics.counter(
-            "sched.completed", help="queries finished successfully"
-        )
-        self._failed = self.metrics.counter(
-            "sched.failed", help="queries finished with an error"
-        )
 
     # -- admission ---------------------------------------------------------
 
@@ -246,8 +224,8 @@ class QueryScheduler:
             handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
             future = self.loop_thread.submit(self._process(handle))
             self._futures.add(future)
+            self.submitted += 1
         future.add_done_callback(functools.partial(self._task_done, handle))
-        self._submitted.inc()
         return handle
 
     def _task_done(self, handle: QueryHandle, future) -> None:
@@ -262,7 +240,7 @@ class QueryScheduler:
                     f"query #{handle.seq} cancelled: scheduler shut down"
                 )
             )
-            self._failed.inc()
+            self._settle(failed=True)
 
     def gather(self, handles: list[QueryHandle]) -> list[QueryResult]:
         """Results of ``handles`` in submission order (first failure raises)."""
@@ -279,24 +257,28 @@ class QueryScheduler:
             self._sem = asyncio.Semaphore(self.max_inflight)
         try:
             handle._resolve(await self._admit_and_run(handle))
-            self._completed.inc()
+            self._settle(failed=False)
         except Exception as exc:  # typed repro errors and genuine bugs alike
             handle._fail(exc)
-            self._failed.inc()
+            self._settle(failed=True)
+
+    def _settle(self, failed: bool) -> None:
+        with self._state_lock:
+            if failed:
+                self.failed += 1
+            else:
+                self.completed += 1
 
     async def _admit_and_run(self, handle: QueryHandle) -> QueryResult:
         """Wait for an execution slot, then plan and run (or join) the query."""
         self._waiting += 1
-        self._depth_gauge.set(self._waiting)
         try:
             await self._sem.acquire()
         finally:
             self._waiting -= 1
-            self._depth_gauge.set(self._waiting)
-        self._inflight_gauge.inc()
+        self.in_flight += 1
         try:
-            wait = time.perf_counter() - handle.submitted_at
-            self._admission_hist.observe(wait)
+            self.admission_wait.observe(time.perf_counter() - handle.submitted_at)
             handle.started_at = time.perf_counter()
             handle.deadline.check(f"sched.admission[q{handle.seq}]")
             qplan = (
@@ -322,7 +304,7 @@ class QueryScheduler:
             value = await self._query_flight.get_or_compute(key, compute)
             return value if ran else self._fan_out(handle, qplan, value)
         finally:
-            self._inflight_gauge.dec()
+            self.in_flight -= 1
             self._sem.release()
 
     # -- execution ---------------------------------------------------------
@@ -344,7 +326,6 @@ class QueryScheduler:
             service.rng.spawn(f"sched:{handle.seq}"),
             engine=service.ctx.engine,
             tracer=service.tracer,
-            metrics=service.metrics,
             encoder=service.ctx.encoder,
         )
         executor = QueryExecutor(
@@ -378,6 +359,7 @@ class QueryScheduler:
             handle.leakage = qctx.leakage.events
             service.ctx.leakage.extend(handle.leakage)
             service.ctx.crypto_ops.merge(qctx.crypto_ops)
+            service.net_stats.merge(channel.stats)
             channel.close()
 
     def _fan_out(
@@ -438,6 +420,7 @@ class QueryScheduler:
                     # The failure is already recorded on its handle; the
                     # task future is only awaited here for quiescence.
                     pass
+        self.service._fold_resilience(self.net)
         if self._owns_loop:
             self.loop_thread.close()
 

@@ -73,30 +73,14 @@ class StandingQueryRegistry:
     scheduler still parallelizes the member queries of one epoch).
     """
 
-    def __init__(self, service, metrics=None) -> None:
+    def __init__(self, service) -> None:
         self.service = service
         self._queries: dict[int, StandingQuery] = {}
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
+        #: Evaluation epochs run, and non-empty deltas pushed, ever.
         self._epoch = 0
-        self._metrics = metrics
-        if metrics is not None:
-            self._gauge = metrics.gauge(
-                "repro_standing_queries",
-                help="standing queries currently registered",
-            )
-            self._deltas_metric = metrics.counter(
-                "repro_standing_deltas_total",
-                help="non-empty per-epoch deltas pushed to standing queries",
-            )
-            self._epochs_metric = metrics.counter(
-                "repro_standing_epochs_total",
-                help="standing-query evaluation epochs",
-            )
-        else:
-            self._gauge = None
-            self._deltas_metric = None
-            self._epochs_metric = None
+        self.deltas_pushed = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -122,15 +106,11 @@ class StandingQueryRegistry:
                 on_delta=on_delta,
             )
             self._queries[query.query_id] = query
-            if self._gauge is not None:
-                self._gauge.set(len(self._queries))
             return query
 
     def unregister(self, query_id: int) -> None:
         with self._lock:
             self._queries.pop(query_id, None)
-            if self._gauge is not None:
-                self._gauge.set(len(self._queries))
 
     def evaluate_epoch(self) -> list[StandingDelta]:
         """Run every standing query once; push and return the deltas.
@@ -147,8 +127,6 @@ class StandingQueryRegistry:
             self._epoch += 1
             epoch = self._epoch
             queries = list(self._queries.values())
-            if self._epochs_metric is not None:
-                self._epochs_metric.inc()
             with service.tracer.span(
                 "standing.epoch",
                 {"epoch": epoch, "queries": len(queries)},
@@ -174,8 +152,7 @@ class StandingQueryRegistry:
                     if delta.empty:
                         continue
                     query.deltas_pushed += 1
-                    if self._deltas_metric is not None:
-                        self._deltas_metric.inc()
+                    self.deltas_pushed += 1
                     # The push is itself a disclosure: the auditor learns
                     # which epoch each match arrived in, beyond the result
                     # cardinalities already on the ledger.

@@ -25,7 +25,6 @@ from repro.errors import (
     UnauthorizedObserverError,
 )
 from repro.net.stats import CryptoOpCounter
-from repro.obs.metrics import BATCH_BUCKETS
 from repro.obs.tracer import NOOP_TRACER
 from repro.perf.engine import resolve_engine
 from repro.resilience import Deadline, supervise_ring_async
@@ -150,9 +149,6 @@ class SmcContext:
         payloads, message counts and modexp totals are identical with any
         tracer (a traced transport adds only the trace-context envelope
         keys).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-        crypto-op counts and modexp batch sizes feed into it.
     encoder:
         Optional :class:`~repro.crypto.pohlig_hellman.MessageEncoder` to
         share instead of building a fresh one.  The query scheduler gives
@@ -168,7 +164,6 @@ class SmcContext:
         rng: DeterministicRng | None = None,
         engine=None,
         tracer=None,
-        metrics=None,
         encoder: MessageEncoder | None = None,
     ) -> None:
         if prime < 17:
@@ -181,14 +176,11 @@ class SmcContext:
         if encoder is not None and encoder.p != prime:
             raise ConfigurationError("shared encoder prime does not match context")
         self.encoder = encoder or MessageEncoder(
-            prime, cache=LruCache("encoder.hashed", metrics=metrics)
+            prime, cache=LruCache("encoder.hashed")
         )
         self.engine = resolve_engine(engine)
         self.tracer = tracer or NOOP_TRACER
-        self.metrics = metrics
         self.crypto_ops = CryptoOpCounter()
-        if metrics is not None:
-            self.crypto_ops.attach_metrics(metrics)
         self.leakage = LeakageLedger(tracer=self.tracer)
 
     def party_rng(self, party_id: str) -> DeterministicRng:
@@ -199,14 +191,9 @@ class SmcContext:
         """Record ``count`` modular exponentiations performed by a party."""
         self.crypto_ops.add(f"{party_id}.modexp", count)
         self.crypto_ops.add("total.modexp", count)
+        self.crypto_ops.batch_sizes.observe(count)
         if self.tracer.enabled:
             self.tracer.add_cost(party_id, "modexp", count)
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "repro_crypto_modexp_batch_size",
-                buckets=BATCH_BUCKETS,
-                help="modexps recorded per bulk call",
-            ).observe(count)
 
     def node_span(self, party_id: str, name: str):
         """Context manager: a span recorded at ``party_id``.

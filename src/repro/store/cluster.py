@@ -36,6 +36,7 @@ from repro.crypto.accumulator import AccumulatorParams
 from repro.crypto.tickets import Ticket, TicketAuthority
 from repro.logstore.fragmentation import FragmentPlan
 from repro.logstore.store import DistributedLogStore, WriteReceipt
+from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.obs.tracer import NOOP_TRACER
 from repro.perf.engine import register_shutdown_hook, unregister_shutdown_hook
 from repro.store.config import StoreConfig
@@ -57,6 +58,7 @@ class _Compactor:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self.runs = 0
+        self.failures = 0
         #: The exception of the latest failed background checkpoint.
         self.last_error: Exception | None = None
         self._thread = threading.Thread(
@@ -83,11 +85,7 @@ class _Compactor:
                 self.runs += 1
             except Exception as error:  # the worker must outlive a failed run
                 _log.exception("background checkpoint of %s failed", self._store.directory)
-                if self._store.metrics is not None:
-                    self._store.metrics.counter(
-                        "repro_store_compaction_failures_total",
-                        help="background checkpoints that raised",
-                    ).inc()
+                self.failures += 1
                 self.last_error = error
 
 
@@ -102,22 +100,18 @@ class DurableDistributedLogStore(DistributedLogStore):
         directory: str | os.PathLike,
         config: StoreConfig | None = None,
         tracer=None,
-        metrics=None,
         initial_checkpoint: bool = True,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.config = config or StoreConfig()
-        self.metrics = metrics
         self.store_tracer = tracer or NOOP_TRACER
         self.wals: dict[str, WriteAheadLog] = {}
         self._mutation_lock = threading.RLock()
         self._closed = False
 
         def factory(node_id: str) -> DurableFragmentStore:
-            wal = WriteAheadLog(
-                self.directory / node_id, self.config, metrics=metrics
-            )
+            wal = WriteAheadLog(self.directory / node_id, self.config)
             self.wals[node_id] = wal
             return DurableFragmentStore(node_id, authority, wal)
 
@@ -132,6 +126,7 @@ class DurableDistributedLogStore(DistributedLogStore):
             _Compactor(self) if self.config.compact else None
         )
         self.checkpoints_written = 0
+        self.checkpoint_seconds = Histogram(LATENCY_BUCKETS_SECONDS)
         register_shutdown_hook(self.close)
         # A brand-new directory gets an (empty) checkpoint immediately so
         # the accumulator parameters and fragment plan are on disk before
@@ -214,15 +209,7 @@ class DurableDistributedLogStore(DistributedLogStore):
                 for wal in self.wals.values():
                     wal.reset()
         self.checkpoints_written += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_store_checkpoints_total",
-                help="epoch checkpoints written (incl. background compaction)",
-            ).inc()
-            self.metrics.histogram(
-                "repro_store_checkpoint_seconds",
-                help="wall time of one checkpoint (write + WAL truncation)",
-            ).observe(time.monotonic() - started)
+        self.checkpoint_seconds.observe(time.monotonic() - started)
         return self.checkpoint_path
 
     def _checkpoint_records(self) -> Iterator[dict]:

@@ -83,7 +83,6 @@ def open_durable_store(
     directory: str | os.PathLike,
     config: StoreConfig | None = None,
     tracer=None,
-    metrics=None,
     integrity_audit: bool = True,
 ) -> tuple[DurableDistributedLogStore, RecoveryReport | None]:
     """Open (and if needed recover) the durable store at ``directory``.
@@ -106,7 +105,6 @@ def open_durable_store(
             directory,
             config=config,
             tracer=tracer,
-            metrics=metrics,
         )
         return store, None
     report = recover_store(
@@ -114,7 +112,6 @@ def open_durable_store(
         directory,
         config=config,
         tracer=tracer,
-        metrics=metrics,
         integrity_audit=integrity_audit,
     )
     return report
@@ -125,7 +122,6 @@ def recover_store(
     directory: str | os.PathLike,
     config: StoreConfig | None = None,
     tracer=None,
-    metrics=None,
     integrity_audit: bool = True,
 ) -> tuple[DurableDistributedLogStore, RecoveryReport]:
     """Rebuild the store at ``directory`` from checkpoint + WAL replay."""
@@ -159,7 +155,6 @@ def recover_store(
             directory,
             config=config,
             tracer=tracer,
-            metrics=metrics,
             initial_checkpoint=False,
         )
         try:
@@ -220,17 +215,4 @@ def recover_store(
             report.audit_failures = list(audit.failures)
 
     report.duration_seconds = time.monotonic() - started
-    if metrics is not None:
-        metrics.counter(
-            "repro_store_recoveries_total",
-            help="crash-recovery passes (checkpoint load + WAL replay)",
-        ).inc()
-        metrics.histogram(
-            "repro_store_recovery_seconds",
-            help="wall time of one recovery pass, audit included",
-        ).observe(report.duration_seconds)
-        metrics.counter(
-            "repro_store_replayed_records_total",
-            help="WAL records applied during recovery",
-        ).inc(report.wal_records)
     return store, report

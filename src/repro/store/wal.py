@@ -36,6 +36,7 @@ from typing import Iterator
 
 from repro.errors import LogStoreError
 from repro.net.codec import decode_payload, encode_payload
+from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.store.config import StoreConfig
 
 __all__ = ["WriteAheadLog", "WalReplayReport", "RECORD_HEADER_BYTES", "read_records"]
@@ -99,7 +100,6 @@ class WriteAheadLog:
         self,
         directory: str | os.PathLike,
         config: StoreConfig | None = None,
-        metrics=None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -110,23 +110,8 @@ class WriteAheadLog:
         self._active_bytes = 0
         self._closed = False
         self._records_total = 0
-        if metrics is not None:
-            self._records_metric = metrics.counter(
-                "repro_store_wal_records_total",
-                help="records appended to the write-ahead log",
-            )
-            self._flush_hist = metrics.histogram(
-                "repro_store_wal_flush_seconds",
-                help="wall time of one WAL append (write + fsync policy)",
-            )
-            self._segments_gauge = metrics.gauge(
-                "repro_store_wal_segments",
-                help="sealed (immutable) WAL segments awaiting compaction",
-            )
-        else:
-            self._records_metric = None
-            self._flush_hist = None
-            self._segments_gauge = None
+        #: Wall time of each append (write + the fsync policy).
+        self.append_seconds = Histogram(LATENCY_BUCKETS_SECONDS)
         existing = self._segment_paths()
         if existing:
             self._active_index = _segment_index(existing[-1]) + 1
@@ -174,9 +159,7 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
             self._active_bytes += len(encoded)
             self._records_total += 1
-            if self._records_metric is not None:
-                self._records_metric.inc()
-                self._flush_hist.observe(time.monotonic() - started)
+            self.append_seconds.observe(time.monotonic() - started)
             if self._active_bytes >= self.config.segment_bytes:
                 self._rotate_locked()
 
@@ -201,8 +184,6 @@ class WriteAheadLog:
             self._handle = None
         self._active_index += 1
         self._active_bytes = 0
-        if self._segments_gauge is not None:
-            self._segments_gauge.set(self.sealed_segment_count)
 
     # -- replay / truncation -------------------------------------------------
 
@@ -238,8 +219,6 @@ class WriteAheadLog:
                 path.unlink()
             self._active_index += 1
             self._active_bytes = 0
-            if self._segments_gauge is not None:
-                self._segments_gauge.set(0)
 
     def close(self) -> None:
         """Fsync (unless ``off``) and release the file handle."""

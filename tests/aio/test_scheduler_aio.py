@@ -115,14 +115,11 @@ class TestInflightScale:
 
     def test_max_inflight_bounds_concurrent_execution(self):
         service = build_service(rows=12)
-        gauge_high = 0
         with QueryScheduler(service, max_inflight=2, coalesce=False) as sched:
             handles = [sched.submit("C3 = 'bank'") for _ in range(12)]
             sched.gather(handles)
-            gauge_high = max(
-                gauge_high, sched._inflight_gauge.value  # post-run: drained to 0
-            )
-        assert sched._inflight_gauge.value == 0
+        assert sched.in_flight == 0  # post-run: drained to 0
+        assert (sched.submitted, sched.completed, sched.failed) == (12, 12, 0)
         service.close()
 
 

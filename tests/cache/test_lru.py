@@ -95,16 +95,13 @@ class TestMaxEntriesEnv:
 
 class TestMetrics:
     def test_counters_mirrored(self):
-        registry = MetricsRegistry()
-        cache = LruCache("demo", max_entries=1, metrics=registry)
+        # The counters /metrics reads (repro_cache_*{cache="demo"}).
+        cache = LruCache("demo", max_entries=1)
         cache.get_or_compute("a", lambda: 1)
         cache.get_or_compute("a", lambda: 1)
         cache.put("b", 2)  # evicts "a"
-        labels = {"cache": "demo"}
-        assert registry.value("repro_cache_hits_total", labels) == 1
-        assert registry.value("repro_cache_misses_total", labels) == 1
-        assert registry.value("repro_cache_evictions_total", labels) == 1
-        assert registry.value("repro_cache_entries", labels) == 1
+        s = cache.stats
+        assert (s.hits, s.misses, s.evictions, s.entries) == (1, 1, 1, 1)
 
     def test_value_accessor_never_creates(self):
         registry = MetricsRegistry()

@@ -83,6 +83,34 @@ class TestNetworkStats:
         assert stats == empty
 
 
+class TestMerge:
+    def test_merge_folds_traffic_and_distributions(self):
+        a, b = NetworkStats(), NetworkStats()
+        a.record("x", 100, "A", "B")
+        b.record("x", 50, "B", "C")
+        b.record("y", 5000, "C", "A")
+        b.record_drop()
+        b.record_timing("ssi.encrypt", 0.5)
+        a.merge(b)
+        assert (a.messages, a.bytes, a.dropped) == (3, 5150, 1)
+        assert dict(a.by_kind) == {"x": 2, "y": 1}
+        assert dict(a.bytes_by_kind) == {"x": 150, "y": 5000}
+        assert a.by_link[("C", "A")] == 1
+        assert a.timings == {"ssi.encrypt": 0.5}
+        assert a.timing_calls["ssi.encrypt"] == 1
+        assert a.sizes.count == 3 and a.sizes.sum == 5150
+        assert a.stage_seconds["ssi.encrypt"].count == 1
+        assert b.messages == 2  # the source is left as it was
+
+    def test_crypto_merge_folds_batch_sizes(self):
+        a, b = CryptoOpCounter(), CryptoOpCounter()
+        b.add("total.modexp", 4)
+        b.batch_sizes.observe(4)
+        a.merge(b)
+        assert a.ops["total.modexp"] == 4
+        assert (a.batch_sizes.count, a.batch_sizes.sum) == (1, 4)
+
+
 class TestConnectionHealth:
     def test_connect_disconnect_tracks_pool(self):
         stats = NetworkStats()
@@ -116,18 +144,19 @@ class TestConnectionHealth:
         assert dict(stats.reconnects) == {}
 
     def test_metrics_gauge_and_counter(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+        # The pool ledger is the only record; merging traffic into a
+        # service-wide ledger leaves one transport's sockets behind.
         stats = NetworkStats()
-        stats.attach_metrics(registry)
         stats.record_connect("B")
         stats.record_connect("C", reconnect=True)
         stats.record_disconnect("B")
-        dump = registry.render_prometheus()
-        assert 'repro_net_connections_open{peer="B"} 0' in dump
-        assert 'repro_net_connections_open{peer="C"} 1' in dump
-        assert 'repro_net_reconnects_total{peer="C"} 1' in dump
+        stats.record("k", 10, "A", "C")
+        total = NetworkStats()
+        total.merge(stats)
+        assert dict(stats.connections_open) == {"C": 1}
+        assert dict(stats.reconnects) == {"C": 1}
+        assert total.messages == 1
+        assert not total.connections_open and not total.reconnects
 
 
 class TestCryptoOpCounter:

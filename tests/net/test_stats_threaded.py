@@ -7,6 +7,7 @@ regression guard for the scheduler's shared-transport accounting.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.net.stats import CryptoOpCounter, NetworkStats
@@ -49,6 +50,8 @@ def test_network_stats_lose_no_records():
     assert sum(stats.by_link.values()) == total
     assert sum(stats.timing_calls.values()) == total
     assert abs(sum(stats.timings.values()) - total * 0.001) < 1e-6
+    assert stats.sizes.count == total
+    assert sum(h.count for h in stats.stage_seconds.values()) == total
 
 
 def test_crypto_op_counter_loses_no_adds():
@@ -91,3 +94,37 @@ def test_merge_under_concurrent_adds_is_exact():
     for tid in range(THREADS):
         assert snapshot[f"q{tid}.modexp"] == ROUNDS
     assert snapshot["post-merge"] == THREADS
+
+
+def test_network_stats_merge_under_concurrent_records_is_exact():
+    """Calls folding their private networks into the service ledger while
+    other threads record into it directly: nothing is lost."""
+    shared = NetworkStats()
+    privates = [NetworkStats() for _ in range(THREADS)]
+    for tid, private in enumerate(privates):
+        for _ in range(ROUNDS):
+            private.record(f"k{tid % 4}", 10, "A", "B")
+            private.record_timing("stage", 0.001)
+    barrier = threading.Barrier(THREADS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def merger(tid: int) -> None:
+            barrier.wait()
+            shared.merge(privates[tid])
+            shared.record("direct", 1, "A", "B")
+
+        threads = [threading.Thread(target=merger, args=(t,)) for t in range(THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    total = THREADS * ROUNDS
+    assert shared.messages == total + THREADS
+    assert shared.bytes == total * 10 + THREADS
+    assert shared.by_kind["direct"] == THREADS
+    assert shared.sizes.count == total + THREADS
+    assert shared.timing_calls["stage"] == shared.stage_seconds["stage"].count == total

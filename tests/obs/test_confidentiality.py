@@ -11,7 +11,6 @@ from repro.audit.confidentiality import (
 from repro.audit.planner import plan_query
 from repro.errors import ConfigurationError
 from repro.logstore import LogRecord
-from repro.obs import MetricsRegistry
 from repro.obs.confidentiality import ConfidentialityObservatory
 from repro.workloads import paper_table1_rows
 
@@ -76,20 +75,18 @@ class TestLeakageBudget:
     def test_over_budget_flagged_and_counted(
         self, table1_schema, table1_plan
     ):
-        metrics = MetricsRegistry()
         observatory = ConfidentialityObservatory(
-            table1_schema, table1_plan, metrics=metrics, budget=2
+            table1_schema, table1_plan, budget=2
         )
         qplan = plan_query(CROSS, table1_schema, table1_plan)
         under = observatory.observe_query(qplan, [], leakage_events=2)
         over = observatory.observe_query(qplan, [], leakage_events=5)
         assert not under.over_budget
         assert over.over_budget
-        snap = metrics.snapshot()
-        warn = snap["repro_obs_leakage_budget_warnings_total"]["values"]
-        assert sum(warn.values()) == 1
-        leaked = snap["repro_obs_leakage_events_total"]["values"]
-        assert sum(leaked.values()) == 7
+        # The tenant ledger /metrics reads (repro_obs_leakage_*_total).
+        tenant = observatory.report()["tenants"]["default"]
+        assert tenant["over_budget"] == 1
+        assert tenant["leakage_events"] == 7
 
     def test_budget_env_var(self, table1_schema, table1_plan, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_LEAKAGE_BUDGET", "4")
@@ -135,14 +132,9 @@ class TestReport:
         assert report["tenants"] == {}
 
     def test_metrics_gauges_track_latest(self, table1_schema, table1_plan):
-        metrics = MetricsRegistry()
-        observatory = ConfidentialityObservatory(
-            table1_schema, table1_plan, metrics=metrics
-        )
+        observatory = ConfidentialityObservatory(table1_schema, table1_plan)
         qplan = plan_query(CROSS, table1_schema, table1_plan)
         obs = observatory.observe_query(qplan, [], 0)
-        snap = metrics.snapshot()
-        c_query = snap["repro_obs_c_query"]["values"]
-        assert list(c_query.values()) == [pytest.approx(obs.c_query)]
-        c_dla = snap["repro_obs_c_dla"]["values"]
-        assert list(c_dla.values()) == [pytest.approx(obs.c_query)]
+        report = observatory.report()
+        assert report["recent"][-1]["c_query"] == pytest.approx(obs.c_query)
+        assert report["tenants"]["default"]["c_dla"] == pytest.approx(obs.c_query)

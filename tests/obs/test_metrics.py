@@ -67,6 +67,16 @@ class TestHistogram:
         with pytest.raises(ConfigurationError):
             Histogram(())
 
+    def test_merge_adds_counts_and_refuses_other_bounds(self):
+        a, b = Histogram((10, 100)), Histogram((10, 100))
+        a.observe(5)
+        b.observe(50)
+        b.observe(1000)
+        a.merge(b)
+        assert (a.counts, a.sum, a.count) == ([1, 1, 1], 1055, 3)
+        with pytest.raises(ConfigurationError):
+            a.merge(Histogram((10,)))
+
     def test_registry_fixes_buckets_at_family_creation(self):
         reg = MetricsRegistry()
         h1 = reg.histogram("batch", buckets=BATCH_BUCKETS)

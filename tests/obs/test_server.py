@@ -21,7 +21,7 @@ def server():
     metrics.counter("demo_total", help='a "demo" counter\nwith newline').inc(3)
     metrics.histogram("demo_lat", buckets=[0.1, 1.0]).observe(0.5)
     srv = ObsServer(
-        metrics=metrics,
+        metrics=lambda: metrics,
         health=lambda: {"status": "ok", "nodes": {"P1": {"status": "ok"}}},
         traces=lambda: [{"trace_id": "coord-t1", "spans": []}],
         leakage=lambda: {"budget": 0, "queries": 2, "c_dla": 0.5},
@@ -100,8 +100,6 @@ class TestLifecycle:
 
 
 class _StubService:
-    metrics = None
-
     def __init__(self):
         class _Obs:
             @staticmethod

@@ -18,9 +18,9 @@ from repro.crypto.pohlig_hellman import shared_prime
 from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.net.simnet import SimNetwork
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     attribution_rows,
+    collect,
     export_jsonl,
     load_jsonl,
     loads_jsonl,
@@ -33,7 +33,7 @@ from repro.workloads import paper_table1_rows
 CRITERION = "(C1 > 30 or protocl = 'TCP') and Tid = 'T1100267'"
 
 
-def _traced_service(tracer=None, metrics=None) -> ConfidentialAuditingService:
+def _traced_service(tracer=None) -> ConfidentialAuditingService:
     schema = paper_table1_schema()
     service = ConfidentialAuditingService(
         schema,
@@ -41,7 +41,6 @@ def _traced_service(tracer=None, metrics=None) -> ConfidentialAuditingService:
         prime_bits=64,
         rng=DeterministicRng(b"obs-accept"),
         tracer=tracer,
-        metrics=metrics,
     )
     writer = ApplicationNode.register("U1", service)
     for row in paper_table1_rows():
@@ -125,9 +124,9 @@ class TestAuditedQueryTrace:
         assert hop.attributes["engine"]
 
     def test_metrics_fed_by_traced_query(self):
-        metrics = MetricsRegistry()
-        service = _traced_service(tracer=Tracer(), metrics=metrics)
+        service = _traced_service(tracer=Tracer())
         service.audited_query(CRITERION)
+        metrics = collect(service)
         snap = metrics.snapshot()
         assert "repro_net_messages_total" in snap
         assert "repro_net_message_size_bytes" in snap

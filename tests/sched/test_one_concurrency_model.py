@@ -13,7 +13,6 @@ import threading
 
 from repro.aio import AsyncTcpCluster
 from repro.net.message import Message
-from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
 
@@ -44,17 +43,16 @@ def record_schedulers(monkeypatch) -> list[QueryScheduler]:
     return built
 
 
-def high_water(monkeypatch, gauge: Gauge) -> list[int]:
-    """``[max]`` of ``gauge`` over every ``inc`` from now on."""
+def high_water(monkeypatch) -> list[int]:
+    """``[max]`` of any scheduler's ``in_flight`` as each query starts."""
     seen = [0]
-    real_inc = Gauge.inc
+    real_execute = QueryScheduler._execute
 
-    def inc(self, amount=1):
-        real_inc(self, amount)
-        if self is gauge:
-            seen[0] = max(seen[0], self.value)
+    async def execute(self, handle, qplan):
+        seen[0] = max(seen[0], self.in_flight)
+        return await real_execute(self, handle, qplan)
 
-    monkeypatch.setattr(Gauge, "inc", inc)
+    monkeypatch.setattr(QueryScheduler, "_execute", execute)
     return seen
 
 
@@ -77,14 +75,14 @@ def test_every_construction_site_builds_the_same_class(monkeypatch):
 
 
 def test_max_concurrency_bounds_in_flight_and_equals_serial(monkeypatch):
-    registry = MetricsRegistry()
-    serial, concurrent = build_service(), build_service(metrics=registry)
+    serial, concurrent = build_service(), build_service()
     try:
         burst = CRITERIA * 2
-        seen = high_water(monkeypatch, registry.gauge("sched.in_flight"))
+        built = record_schedulers(monkeypatch)
+        seen = high_water(monkeypatch)
         got = concurrent.query_many(burst, max_concurrency=3)
         assert 1 <= seen[0] <= 3
-        assert registry.value("sched.in_flight") == 0
+        assert built[0].in_flight == 0
         assert concurrent._scheduler is None  # the dedicated one is gone again
         for criterion, result in zip(burst, got):
             want = serial.query(criterion)

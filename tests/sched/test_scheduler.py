@@ -13,7 +13,7 @@ from repro.errors import (
     DeadlineExceededError,
     SchedulerShutdownError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import collect
 from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
 
@@ -275,25 +275,28 @@ class TestConfig:
             QueryScheduler(config_service, max_inflight=max_inflight)
 
     def test_sched_metrics_emitted(self):
-        registry = MetricsRegistry()
-        service = build_service(metrics=registry)
+        service = build_service()
         try:
             service.scheduler.gather(
                 [service.submit(c) for c in CRITERIA]
             )
+            registry = collect(service)
             snapshot = registry.snapshot()
             for name in (
-                "sched.submitted",
-                "sched.completed",
-                "sched.queue_depth",
-                "sched.in_flight",
-                "sched.admission_wait_seconds",
-                "sched.coalesce_hits",
+                "repro_sched_submitted_total",
+                "repro_sched_completed_total",
+                "repro_sched_failed_total",
+                "repro_sched_queue_depth",
+                "repro_sched_in_flight",
+                "repro_sched_admission_wait_seconds",
+                "repro_sched_coalesce_hits_total",
             ):
                 assert name in snapshot, name
-            assert registry.value("sched.submitted") == len(CRITERIA)
-            assert registry.value("sched.completed") == len(CRITERIA)
-            assert registry.value("sched.in_flight") == 0
+            assert registry.value("repro_sched_submitted_total") == len(CRITERIA)
+            assert registry.value("repro_sched_completed_total") == len(CRITERIA)
+            assert registry.value("repro_sched_in_flight") == 0
+            wait = snapshot["repro_sched_admission_wait_seconds"]["values"][""]
+            assert wait["count"] == len(CRITERIA)
         finally:
             service.shutdown_scheduler()
 

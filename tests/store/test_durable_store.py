@@ -113,12 +113,9 @@ class TestCheckpoint:
         import logging
         import time
 
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
         store, _ = open_durable_store(
             table1_plan, ticket_authority, acc_params, tmp_path,
-            config=StoreConfig(fsync="off", compact=True), metrics=metrics,
+            config=StoreConfig(fsync="off", compact=True),
         )
 
         def full_disk():
@@ -132,7 +129,8 @@ class TestCheckpoint:
                 time.sleep(0.01)
         store.close()
         assert isinstance(store.compactor.last_error, OSError)
-        assert metrics.value("repro_store_compaction_failures_total") == 1
+        # The count /metrics reads as repro_store_compaction_failures_total.
+        assert store.compactor.failures == 1
         assert "no space left on device" in caplog.text
 
 

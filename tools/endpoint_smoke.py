@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Smoke-test the live telemetry endpoint end to end.  Stdlib only.
 
-Builds a small traced DLA service, logs the paper's Table 1 rows, runs
-a couple of audited queries (one cross-node, one local), starts the
-``ObsServer`` on an ephemeral port, and scrapes all four routes over
-real HTTP with :mod:`urllib`:
+Builds the shipped service (the only argument beyond the defaults is a
+tracer, which ``/traces`` needs), logs the paper's Table 1 rows, runs
+an audited cross-node query, a local query, one ``submit``/``gather``
+and one ``check_integrity()``, starts the ``ObsServer`` on an ephemeral
+port, and scrapes all four routes over real HTTP with :mod:`urllib`:
 
 * ``/metrics`` — must be Prometheus text exposition: correct
   Content-Type, ``# HELP``/``# TYPE`` pairs, a ``+Inf`` histogram
-  bucket, one sample per physical line, and the families the traced
-  run must have fed (``repro_net_messages_total``,
-  ``repro_crypto_ops_total``, ``repro_obs_c_query``);
+  bucket, one valid sample per physical line, and the families those
+  calls leave in the service's ledgers (``repro_net_messages_total``,
+  ``repro_net_message_size_bytes``, ``repro_crypto_ops_total``,
+  ``repro_obs_c_query``, ``repro_sched_submitted_total``);
 * ``/healthz`` — JSON, overall ``ok`` with every plan node present;
 * ``/traces`` — JSON, a trace rooted at ``audit.query`` (the signed
   query) and one rooted at ``query.execute`` (the plain query);
@@ -37,7 +39,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro import ApplicationNode, ConfidentialAuditingService  # noqa: E402
 from repro.crypto import DeterministicRng  # noqa: E402
 from repro.logstore import paper_fragment_plan, paper_table1_schema  # noqa: E402
-from repro.obs import MetricsRegistry, Tracer  # noqa: E402
+from repro.obs import Tracer  # noqa: E402
 from repro.workloads import paper_table1_rows  # noqa: E402
 
 CROSS_QUERY = "(C1 > 30 or protocl = 'TCP') and Tid = 'T1100267'"
@@ -73,6 +75,7 @@ def check_metrics(body: str, content_type: str) -> None:
         "repro_net_message_size_bytes",
         "repro_crypto_ops_total",
         "repro_obs_c_query",
+        "repro_sched_submitted_total",
     ):
         check(family in helps, f"/metrics: family {family} missing")
     check('le="+Inf"' in body, "/metrics: no +Inf histogram bucket")
@@ -93,7 +96,6 @@ def main() -> int:
         prime_bits=64,
         rng=DeterministicRng(b"endpoint-smoke"),
         tracer=Tracer(),
-        metrics=MetricsRegistry(),
     )
     writer = ApplicationNode.register("U1", service)
     for row in paper_table1_rows():
@@ -103,6 +105,11 @@ def main() -> int:
     report = service.audited_query(CROSS_QUERY)
     check(service.verify_report(report), "audited query report failed to verify")
     check(service.query(LOCAL_QUERY) is not None, "local query failed")
+    service.gather([service.submit(CROSS_QUERY)])
+    check(
+        all(r.verified for r in service.check_integrity()),
+        "integrity sweep failed on an untampered log",
+    )
 
     server = service.start_obs_server(port=0)
     try:
@@ -111,7 +118,7 @@ def main() -> int:
 
         body, ctype = fetch(base, "/metrics")
         check_metrics(body, ctype)
-        print("  /metrics ok (exposition format, traced families present)")
+        print("  /metrics ok (exposition format, ledger families present)")
 
         body, ctype = fetch(base, "/healthz")
         check(ctype.startswith("application/json"), f"/healthz: {ctype!r}")
@@ -148,7 +155,7 @@ def main() -> int:
         print(f"  /leakage ok (C_DLA={leakage['c_dla']:.4f} "
               f"over {leakage['queries']} queries)")
     finally:
-        service.stop_obs_server()
+        service.close()
 
     print("endpoint smoke: all four routes verified")
     return 0

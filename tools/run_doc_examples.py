@@ -36,7 +36,7 @@ ALLOWLIST: dict[str, list[int]] = {
     "README.md": [0],               # Quickstart: full service round-trip
     "docs/observability.md": [0,    # Tracer spans/events
                               2,    # handler spans on a traced SimNetwork
-                              4],   # MetricsRegistry counters/histograms
+                              4],   # collect(service): the /metrics registry
     "docs/resilience.md": [0,       # RetryPolicy / Deadline knobs
                            1],      # failover: crash -> degraded result
 }
