@@ -16,7 +16,7 @@ queries and what its machinery costs when concurrency is 1:
   submit-to-resolve clocks during the concurrent run.
 * **Scheduler overhead.**  Distinct queries pushed one at a time through
   a ``max_inflight=1``, coalescing-off scheduler vs plain
-  ``service.query`` — the task/handle/channel machinery must cost < 5%
+  ``service.query`` — the task-and-handle machinery must cost < 5%
   wall-clock.
 
 Writes ``BENCH_p5.json`` at the repo root.
@@ -180,7 +180,7 @@ class TestSchedulerThroughput:
 
         # -- overhead at concurrency 1 -------------------------------------
         # Coalescing off: every query recomputes, so the comparison times
-        # the task/handle/channel machinery itself, not cache hits.
+        # the task-and-handle machinery itself, not cache hits.
         base_svc = _build(ROWS)
 
         def run_serial():

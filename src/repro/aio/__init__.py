@@ -15,11 +15,12 @@ holds the loop and what runs on it:
 * the protocol drivers themselves live where they always did: every
   ``secure_*_async`` / ``run_*_integrity_round_async`` /
   ``QueryExecutor.execute_async`` coroutine is the *one* body of its
-  protocol (the sync name is :func:`repro.twin.sync_twin` of it), and it
-  interleaves with its neighbours exactly when it is handed a
-  :class:`~repro.sched.ChannelMux` channel, whose ``drain`` yields to the
-  loop every :data:`~repro.sched.channel.YIELD_EVERY` deliveries (a
-  private :class:`~repro.net.simnet.SimNetwork` never suspends).
+  protocol (the sync name is :func:`repro.twin.sync_twin` of it).
+  Awaited on the loop, each runs over its own
+  :class:`~repro.net.simnet.SimNetwork`, whose ``drain`` hands the loop
+  a turn every :data:`~repro.net.simnet.YIELD_EVERY` deliveries, so
+  concurrent queries interleave; the sync name resumes those turns in
+  place.
 
 Every sync entry point (``ConfidentialAuditingService.query``, the
 scheduler facade) keeps working unmodified; the

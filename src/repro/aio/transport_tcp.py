@@ -89,7 +89,6 @@ class AsyncTcpNode:
         self.duplicates_dropped = 0
         self._dedup = DedupWindow()
         self._handler = handler
-        self._channel_handlers: dict[str, Handler] = {}
         self._address_book: dict[NodeId, tuple[str, int]] = {}
         self._owns_loop = loop_thread is None
         self._loop_thread = loop_thread or LoopThread(name=f"aio-tcp-{node_id}")
@@ -126,13 +125,6 @@ class AsyncTcpNode:
 
     def set_handler(self, handler: Handler) -> None:
         self._handler = handler
-
-    def register_channel(self, tag: str, handler: Handler) -> None:
-        """Route deliveries tagged ``channel=tag`` to a dedicated handler."""
-        self._channel_handlers[tag] = handler
-
-    def unregister_channel(self, tag: str) -> None:
-        self._channel_handlers.pop(tag, None)
 
     def learn_peers(self, address_book: dict[NodeId, tuple[str, int]]) -> None:
         """Install the cluster address book (node id -> (host, port))."""
@@ -339,11 +331,6 @@ class AsyncTcpNode:
             self._deliver(msg)
 
     def _deliver(self, msg: Message) -> None:
-        if msg.channel is not None:
-            channel_handler = self._channel_handlers.get(msg.channel)
-            if channel_handler is not None:
-                channel_handler(msg, self)
-                return
         if self._handler is not None:
             self._handler(msg, self)
         else:

@@ -151,9 +151,9 @@ class ConfidentialAuditingService:
         #: §5 confidentiality metrics (C_query, C_DLA) computed live for
         #: every executed query, with leakage-budget accounting.
         self.observatory = ConfidentialityObservatory(schema, plan)
-        #: Service-wide traffic and reliability-event ledgers: every
-        #: call's private network and every scheduled query's channel is
-        #: folded in when it ends (what ``/metrics`` reads).
+        #: Service-wide traffic and reliability-event ledgers: every sync
+        #: call's and every scheduled query's private network is folded in
+        #: when it ends (what ``/metrics`` reads).
         self.net_stats = NetworkStats()
         self.resilience_stats: Counter = Counter()
         #: Rows ingested through :meth:`append_stream`.
@@ -368,9 +368,8 @@ class ConfidentialAuditingService:
         return plan_query(criterion, self.schema, self.store.plan, tracer=self.tracer)
 
     def _fresh_net(self) -> SimNetwork:
-        """A simulated network wired into the tracer: private to one sync
-        call, or the scheduler's shared one under its
-        :class:`~repro.sched.ChannelMux`."""
+        """A simulated network wired into the tracer, the retry policy and
+        the fault plan: one per sync call and one per scheduled query."""
         return SimNetwork(
             tracer=self.tracer,
             resilience=self.resilience,
@@ -379,18 +378,18 @@ class ConfidentialAuditingService:
 
     @contextmanager
     def _private_net(self):
-        """A fresh network for one call, folded into :attr:`net_stats` and
-        :attr:`resilience_stats` when the call returns or raises."""
+        """A fresh network for one call or scheduled query.  When it returns
+        or raises, its traffic folds into :attr:`net_stats`, its reliability
+        events into :attr:`resilience_stats`, and its undeliverable messages
+        into the per-node health ``/healthz`` reports."""
         net = self._fresh_net()
         try:
             yield net
         finally:
             self.net_stats.merge(net.stats)
-            self._fold_resilience(net)
-
-    def _fold_resilience(self, net) -> None:
-        with self._health_lock:
-            self.resilience_stats.update(net.resilience_stats)
+            with self._health_lock:
+                self.resilience_stats.update(net.resilience_stats)
+            self._update_health(net)
 
     def _collect_cost(self, net: SimNetwork, ops_before: Counter) -> CostReport:
         """CostReport for one query: the net's totals + the crypto delta."""
@@ -399,19 +398,23 @@ class ConfidentialAuditingService:
         )
         report = CostReport.collect(net.stats, delta, virtual_time=net.now)
         self.last_query_cost = report
-        self._update_health(net)
         return report
 
     # -- observability (repro.obs) --------------------------------------------------
 
-    def _update_health(self, net) -> None:
-        """Refresh per-node liveness from the resilience layer's ledger."""
-        failed = set(getattr(net, "failed_links", ()) or ())
-        down = {dst for _src, dst in failed}
+    def _update_health(self, net: SimNetwork) -> None:
+        """Record what ``net`` saw of each node it involved.  A node is
+        ``degraded`` when a delivery to or from it was given up on (the
+        dead letters last the network's whole life, across failover
+        launches) and no frame of ``net`` reached or left it; nodes ``net``
+        never involved keep their last status."""
+        failed = {(msg.src, msg.dst) for msg in net.dead_letters}
+        suspects = {node for link in failed for node in link}
+        reached = {node for link in net.stats.by_link for node in link}
         with self._health_lock:
-            for node_id in self.plan.node_ids:
+            for node_id in (suspects | reached).intersection(self.plan.node_ids):
                 self._node_health[node_id] = {
-                    "status": "degraded" if node_id in down else "ok",
+                    "status": "ok" if node_id in reached else "degraded",
                     "failed_links": sorted(
                         f"{s}->{d}" for s, d in failed if node_id in (s, d)
                     ),
@@ -526,7 +529,7 @@ class ConfidentialAuditingService:
 
         Built on first access and reused for every subsequent
         :meth:`submit` / :meth:`query_many` call, so admitted queries
-        share its coalescing caches and channel mux: a
+        share its coalescing caches: a
         :class:`~repro.sched.QueryScheduler` running each query as a task
         on its own event loop.  :meth:`shutdown_scheduler` tears it down.
         """

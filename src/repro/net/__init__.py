@@ -8,8 +8,10 @@ are written against the minimal contract shared by every transport:
 * ``transport.stats`` counts messages and bytes.
 
 :class:`~repro.net.simnet.SimNetwork` adds a deterministic virtual clock and
-fault injection; :class:`~repro.aio.transport_tcp.AsyncTcpNode` runs the
-same byte-identical frames over localhost sockets.
+fault injection; every sync call and every scheduled query gets one of its
+own, so a party's view holds its own query's frames and nothing else.
+:class:`~repro.aio.transport_tcp.AsyncTcpNode` runs the same byte-identical
+frames over localhost sockets.
 """
 
 from repro.net.codec import (

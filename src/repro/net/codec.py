@@ -87,7 +87,7 @@ def _message_layout(msg: Message) -> tuple[bytes, list]:
     blocks: list = []
     envelope = {"src": msg.src, "dst": msg.dst, "kind": msg.kind,
                 "payload": _layout(msg.payload, blocks)}
-    extra = {"mid": msg.msg_id, "ch": msg.channel, "tid": msg.trace_id, "psp": msg.parent_span_id}
+    extra = {"mid": msg.msg_id, "tid": msg.trace_id, "psp": msg.parent_span_id}
     envelope.update((key, value) for key, value in extra.items() if value is not None)
     return _dumps(envelope), blocks
 
@@ -169,7 +169,7 @@ def decode_message(data: bytes) -> Message:
     if not type(get("src")) is type(get("dst")) is type(get("kind")) is str:
         raise CodecError(f"a {type(body).__name__} body is not a message envelope")
     return Message(get("src"), get("dst"), get("kind"), get("payload"), size_bytes=len(data),
-                   msg_id=get("mid"), channel=get("ch"), trace_id=get("tid"),
+                   msg_id=get("mid"), trace_id=get("tid"),
                    parent_span_id=get("psp"))
 
 

@@ -40,18 +40,12 @@ class Message:
         reliable transport on first send and preserved verbatim across
         retransmissions so receivers can deduplicate.  ``None`` on
         unreliable (single-shot) transports.
-    channel:
-        Logical channel tag (``repro.sched``): when several concurrent
-        audit queries multiplex one physical network, each query's
-        traffic carries its channel tag so interleaved SMC rounds are
-        dispatched to the right query's handlers and never cross-talk.
-        ``None`` (the default) on plain single-query transports.
     trace_id, parent_span_id:
         Trace-context propagation (``repro.obs``): the trace this message
         belongs to and the id of the sender's open span in the process's
         tracer.  Stamped by traced transports at send time,
-        preserved across :meth:`reply`/:meth:`forwarded` like ``channel``
-        so a whole ring circulation stays in one trace.  ``None`` when
+        preserved across :meth:`reply`/:meth:`forwarded` so a whole ring
+        circulation stays in one trace.  ``None`` when
         tracing is off — the codec then omits both fields entirely.
     """
 
@@ -63,7 +57,6 @@ class Message:
     delivered_at: float | None = None
     size_bytes: int = 0
     msg_id: str | None = None
-    channel: str | None = None
     trace_id: str | None = None
     parent_span_id: int | None = None
 
@@ -71,7 +64,6 @@ class Message:
         """Construct a response addressed back to this message's sender."""
         return Message(
             src=self.dst, dst=self.src, kind=kind, payload=payload,
-            channel=self.channel,
             trace_id=self.trace_id, parent_span_id=self.parent_span_id,
         )
 
@@ -86,7 +78,6 @@ class Message:
             dst=new_dst,
             kind=self.kind,
             payload=self.payload if payload is None else payload,
-            channel=self.channel,
             trace_id=self.trace_id,
             parent_span_id=self.parent_span_id,
         )

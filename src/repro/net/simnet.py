@@ -19,6 +19,12 @@ Usage::
     net.send(Message("P0", "P1", "ping", {"x": 1}))
     net.run()                         # drain the event queue
 
+One network per query: every sync call and every scheduled query builds
+its own, so nothing is multiplexed over one and a party's view holds its
+own query's frames only.  ``await net.drain()`` is :meth:`SimNetwork.run`
+with an event-loop turn every :data:`YIELD_EVERY` deliveries, which is what
+lets queries scheduled on one loop interleave.
+
 Reliability (``repro.resilience``): constructed with a
 :class:`~repro.resilience.RetryPolicy`, every send becomes *at-least-once*
 — the message carries a ``msg_id``, the receiver acknowledges it
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from contextlib import nullcontext
+import types
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -53,12 +59,23 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.resilience.delivery import DedupWindow, MessageIdAllocator
 from repro.resilience.policy import Deadline, RetryPolicy
 
-__all__ = ["LinkModel", "SimNetwork", "ACK_KIND"]
+__all__ = ["LinkModel", "SimNetwork", "ACK_KIND", "YIELD_EVERY"]
 
 Handler = Callable[[Message, "SimNetwork"], None]
 
 #: Message kind of the reliability layer's acknowledgements.
 ACK_KIND = "resilience.ack"
+
+#: :meth:`SimNetwork.drain` yields to the event loop every this many
+#: deliveries, so concurrent queries interleave at bounded granularity.
+YIELD_EVERY = 32
+
+
+@types.coroutine
+def _loop_turn():
+    """Suspend once with a bare ``None``: an asyncio task resumes it on the
+    loop's next iteration, :func:`repro.twin.run_sync` straight away."""
+    yield
 
 
 @dataclass(frozen=True)
@@ -131,26 +148,9 @@ class SimNetwork:
         #: Directed links whose delivery retries exhausted since the last
         #: :meth:`reset_failures` — the failover diagnosis input.
         self.failed_links: set[tuple[NodeId, NodeId]] = set()
-        #: The undeliverable messages themselves, for attribution.
+        #: The undeliverable messages themselves, for attribution; kept for
+        #: the network's whole life (``/healthz`` reads them at the end).
         self.dead_letters: list[Message] = []
-        #: Per-channel views of the two ledgers above (``repro.sched``):
-        #: when concurrent queries multiplex this network, each query's
-        #: failover supervisor must see only its own dead links, so
-        #: exhausted deliveries are additionally bucketed by the
-        #: message's channel tag.
-        self.failed_links_by_channel: dict[str, set[tuple[NodeId, NodeId]]] = {}
-        self.dead_letters_by_channel: dict[str, list[Message]] = {}
-        #: Per-channel count of outstanding work (queued deliveries,
-        #: unacknowledged reliable sends, channel-tagged timers).  A
-        #: channel with backlog 0 is quiescent *for that channel* even
-        #: while neighbors still have traffic in flight — the signal a
-        #: channel's drain (:mod:`repro.sched.channel`) stops on instead of
-        #: global queue exhaustion.
-        self._channel_backlog: dict[str, int] = {}
-        #: Optional callback invoked with every dropped message (fault
-        #: drops, corrupt frames, crash-unregistered destinations) so a
-        #: channel multiplexer can attribute drops per query.
-        self.drop_hook: Callable[[Message], None] | None = None
         #: Reliability-layer event counts (``/metrics`` renders each as
         #: ``repro_resilience_<event>_total``).
         self.resilience_stats: dict[str, int] = {
@@ -186,47 +186,12 @@ class SimNetwork:
         if tracer_event and self.tracer.enabled:
             self.tracer.add_event(tracer_event, attrs or {})
 
-    # -- per-channel quiescence -------------------------------------------
-
-    def _backlog_add(self, channel: str | None, n: int = 1) -> None:
-        if channel is not None:
-            self._channel_backlog[channel] = (
-                self._channel_backlog.get(channel, 0) + n
-            )
-
-    def _backlog_sub(self, channel: str | None, n: int = 1) -> None:
-        if channel is None:
-            return
-        left = self._channel_backlog.get(channel, 0) - n
-        if left > 0:
-            self._channel_backlog[channel] = left
-        else:
-            self._channel_backlog.pop(channel, None)
-
-    def channel_backlog(self, channel: str) -> int:
-        """Outstanding deliveries/acks/timers tagged with ``channel``."""
-        return self._channel_backlog.get(channel, 0)
-
     # -- traffic ----------------------------------------------------------
 
-    def schedule(
-        self, delay: float, fn: Callable[[], None], channel: str | None = None
-    ) -> None:
-        """Run ``fn`` after ``delay`` seconds of virtual time.
-
-        ``channel`` attributes the timer to a logical channel's backlog,
-        so a channel-scoped drain keeps stepping until the callback ran.
-        """
+    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ConfigurationError("cannot schedule into the past")
-        if channel is not None:
-            self._backlog_add(channel)
-            inner = fn
-
-            def fn() -> None:
-                self._backlog_sub(channel)
-                inner()
-
         heapq.heappush(
             self._queue, (self.now + delay, next(self._tiebreak), _Timer(fn))
         )
@@ -252,10 +217,6 @@ class SimNetwork:
                     alloc = self._allocators[msg.src] = MessageIdAllocator(msg.src)
                 msg.msg_id = alloc.next_id()
             self._pending[msg.msg_id] = {"msg": msg, "attempt": 1}
-            # The pending token keeps the channel's backlog non-zero until
-            # the delivery is acknowledged or declared failed, so a
-            # channel-scoped drain never stops between retransmissions.
-            self._backlog_add(msg.channel)
             self._transmit(msg)
             self.schedule(
                 self.resilience.ack_timeout, lambda: self._check_ack(msg.msg_id)
@@ -276,8 +237,6 @@ class SimNetwork:
             decision = self.faults.decide(msg)
             if decision.drop:
                 self.stats.record_drop()
-                if self.drop_hook is not None:
-                    self.drop_hook(msg)
                 if self.tracer.enabled:
                     self.tracer.add_event(
                         "net.drop",
@@ -298,7 +257,6 @@ class SimNetwork:
             )
         delay = self.link_for(msg.src, msg.dst).delay_for(size) + extra_delay
         for _ in range(copies):
-            self._backlog_add(msg.channel)
             heapq.heappush(
                 self._queue,
                 (self.now + delay, next(self._tiebreak), _InFlight(msg, corrupted)),
@@ -332,14 +290,8 @@ class SimNetwork:
         attempt: int = entry["attempt"]
         if self.resilience.exhausted(attempt):
             self._pending.pop(msg_id, None)
-            self._backlog_sub(msg.channel)
             self.failed_links.add((msg.src, msg.dst))
             self.dead_letters.append(msg)
-            if msg.channel is not None:
-                self.failed_links_by_channel.setdefault(msg.channel, set()).add(
-                    (msg.src, msg.dst)
-                )
-                self.dead_letters_by_channel.setdefault(msg.channel, []).append(msg)
             self._count(
                 "delivery_failed",
                 "resilience.delivery_failed",
@@ -370,22 +322,14 @@ class SimNetwork:
             Message(src=msg.dst, dst=msg.src, kind=ACK_KIND, payload={"mid": msg.msg_id})
         )
 
-    def reset_failures(self, channel: str | None = None) -> None:
-        """Clear the failed-link ledger (called between failover launches).
+    def reset_failures(self) -> None:
+        """Clear the failed-link ledger (called before each failover launch).
 
-        With ``channel`` given, only that channel's bucket is cleared —
-        one query's failover must not wipe the diagnosis of a neighbor
-        still inspecting its own dead links.  (The global ledgers keep
-        their union view either way.)
+        :attr:`dead_letters` is kept: it is the whole life's record of
+        undeliverable messages, which health reporting reads after the
+        supervisor's last launch has reset the diagnosis.
         """
-        if channel is not None:
-            self.failed_links_by_channel.pop(channel, None)
-            self.dead_letters_by_channel.pop(channel, None)
-            return
         self.failed_links.clear()
-        self.dead_letters.clear()
-        self.failed_links_by_channel.clear()
-        self.dead_letters_by_channel.clear()
 
     # -- event loop --------------------------------------------------------
 
@@ -399,14 +343,11 @@ class SimNetwork:
             item.fn()
             return True
         msg = item.msg
-        self._backlog_sub(msg.channel)
         msg.delivered_at = self.now
         handler = self._handlers.get(msg.dst)
         if handler is None:
             # Node unregistered after the send (crash mid-flight).
             self.stats.record_drop()
-            if self.drop_hook is not None:
-                self.drop_hook(msg)
             if self.tracer.enabled:
                 self.tracer.add_event(
                     "net.drop",
@@ -417,8 +358,6 @@ class SimNetwork:
             # Frame checksum mismatch at the receiver: discard without an
             # ack, so the sender's retransmission path repairs the loss.
             self.stats.record_drop()
-            if self.drop_hook is not None:
-                self.drop_hook(msg)
             self._count(
                 "corrupt_dropped",
                 "net.corrupt_drop",
@@ -438,9 +377,7 @@ class SimNetwork:
             )
         if self.resilience is not None:
             if msg.kind == ACK_KIND:
-                acked = self._pending.pop(msg.payload["mid"], None)
-                if acked is not None:
-                    self._backlog_sub(acked["msg"].channel)
+                self._pending.pop(msg.payload["mid"], None)
                 return True
             if msg.msg_id is not None:
                 duplicate = self._dedup.seen((msg.src, msg.dst), msg.msg_id)
@@ -473,40 +410,22 @@ class SimNetwork:
             handler(msg, self)
         return True
 
-    def _deliver_until(
-        self,
-        quiescent: Callable[[], bool],
-        where: str,
-        max_steps: int = 1_000_000,
-        deadline: Deadline | None = None,
-        lock=nullcontext(),
+    def _deliver_until_idle(
+        self, where: str, max_steps: int, deadline: Deadline | None
     ) -> Iterator[int]:
-        """The one stepping loop behind ``run`` and ``drain``, here and on
-        :class:`~repro.sched.Channel`.
+        """The one stepping loop behind :meth:`run` and :meth:`drain`.
 
-        Delivers the earliest queued event until ``quiescent()`` holds —
-        "queue empty" for this network, "backlog 0" for a channel — and
+        Delivers the earliest queued event until the queue is empty and
         yields the running delivery count after each one, so a caller that
-        may suspend does so between deliveries.  ``lock`` is held across
-        each check-and-step.  An empty queue before quiescence is a
-        backlog accounting bug and raises rather than spins.
-
-        ``max_steps`` guards against protocol bugs that generate traffic
-        forever.  ``deadline`` (wall-clock, see
-        :class:`~repro.resilience.Deadline`) bounds the loop; expiry raises
-        :class:`~repro.errors.DeadlineExceededError` naming ``where``.
+        may suspend does so between deliveries.  ``max_steps`` guards
+        against protocol bugs that generate traffic forever.  ``deadline``
+        (wall-clock, see :class:`~repro.resilience.Deadline`) bounds the
+        loop; expiry raises :class:`~repro.errors.DeadlineExceededError`
+        naming ``where``.
         """
         steps = 0
         check_deadline = deadline is not None and deadline.is_finite
-        while True:
-            with lock:
-                if quiescent():
-                    return
-                if not self.step():
-                    raise ConfigurationError(
-                        f"{where}: event queue empty before quiescence "
-                        "(backlog accounting bug)"
-                    )
+        while self.step():
             steps += 1
             if steps >= max_steps:
                 raise ConfigurationError(
@@ -517,27 +436,26 @@ class SimNetwork:
                 deadline.check(where)
             yield steps
 
-    def _idle(self) -> bool:
-        return not self._queue
-
     def run(self, max_steps: int = 1_000_000, deadline: Deadline | None = None) -> int:
         """Drain the queue; returns the number of events processed."""
-        return sum(
-            1 for _ in self._deliver_until(self._idle, "simnet.run", max_steps, deadline)
-        )
+        return sum(1 for _ in self._deliver_until_idle("simnet.run", max_steps, deadline))
 
     async def drain(
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
         """:meth:`run` under the name the protocol drivers await.
 
-        A network of its own never suspends: nothing else shares it, so
-        there is nothing to interleave with, and :func:`repro.twin.run_sync`
-        finishes a driver over it in one step.  Concurrent rounds share
-        one network through :class:`~repro.sched.ChannelMux` channels,
-        whose ``drain`` does suspend.
+        Hands the event loop a turn every :data:`YIELD_EVERY` deliveries,
+        so queries scheduled on one loop — each over its own network —
+        interleave.  The turn is a bare ``None`` yield, which
+        :func:`repro.twin.run_sync` resumes in place: a sync name still
+        finishes a driver over this network without any loop.
         """
-        return self.run(max_steps, deadline)
+        steps = 0
+        for steps in self._deliver_until_idle("simnet.drain", max_steps, deadline):
+            if steps % YIELD_EVERY == 0:
+                await _loop_turn()
+        return steps
 
     @property
     def delivery_log(self) -> list[Message]:

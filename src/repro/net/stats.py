@@ -111,9 +111,8 @@ class NetworkStats:
         """Fold another ledger's traffic in (no lost adds).
 
         Modelled on :meth:`CryptoOpCounter.merge`: the service gives each
-        call a private network and each scheduled query a channel, and
-        folds every one of them into its service-wide ledger when the
-        call ends, so ``/metrics`` reads one ledger whose totals are the
+        sync call and each scheduled query a private network, and folds
+        every one of them into its service-wide ledger when it ends, so ``/metrics`` reads one ledger whose totals are the
         sum of the calls' cost reports.  The pool counts
         (``connections_open``, ``reconnects``) describe one transport's
         sockets, not traffic, and are not folded.

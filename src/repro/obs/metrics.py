@@ -284,8 +284,8 @@ def collect(service) -> MetricsRegistry:
     Reads, never writes: every number is a ledger the code keeps for its
     own sake (``docs/observability.md`` names each family's source), so
     nothing is paid between scrapes.  Traffic is the service-wide
-    :class:`~repro.net.stats.NetworkStats` every call folds its private
-    network (and every scheduled query its channel) into, so
+    :class:`~repro.net.stats.NetworkStats` every sync call and every
+    scheduled query folds its private network into, so
     ``repro_net_messages_total`` is the sum of the calls' cost reports.
     """
     reg = MetricsRegistry()
@@ -316,10 +316,8 @@ def collect(service) -> MetricsRegistry:
     for stage, seconds in list(net.stage_seconds.items()):
         hist(_NET + "stage_latency_seconds", _LAT,
              "wall-clock per pass through a named stage", [seconds], stage=stage)
-    events = [service.resilience_stats] + ([sched.net.resilience_stats] if sched else [])
-    for ledger in events:
-        for event, n in dict(ledger).items():
-            count(f"repro_resilience_{event}_total", "reliability-layer event count", n)
+    for event, n in dict(service.resilience_stats).items():
+        count(f"repro_resilience_{event}_total", "reliability-layer event count", n)
 
     ops = service.ctx.crypto_ops
     for op, n in ops.snapshot().items():

@@ -15,14 +15,14 @@ owned event loop (:class:`~repro.aio.loop.LoopThread`).
 * **Isolation** — every admitted query gets its own
   :class:`~repro.smc.base.SmcContext` (private RNG stream, crypto
   counter, leakage ledger) and its own
-  :class:`~repro.sched.channel.Channel` of one
-  :class:`~repro.sched.channel.ChannelMux` over one shared
-  :class:`~repro.net.simnet.SimNetwork`, so interleaved SMC rounds
-  never cross-talk and per-query cost reports stay exact.  Ledgers merge
+  :class:`~repro.net.simnet.SimNetwork` — the same private network a
+  sync call gets — so a party's view holds its own query's frames and
+  nothing else, and per-query cost reports are exact.  Ledgers merge
   into the service-wide ones *grouped per query*.
-* **Pipelining** — drains are cooperative coroutines: query B's ring
-  round departs while query A's reply is still in flight, because A is
-  suspended at a yield point.
+* **Pipelining** — drains are cooperative coroutines: a network's drain
+  hands the loop a turn every :data:`~repro.net.simnet.YIELD_EVERY`
+  deliveries, so query B's ring round departs while query A's is still
+  in flight.
 * **Coalescing** (``REPRO_SCHED_COALESCE``) — identical work in flight
   is computed once and fanned out, keyed on the fragment stores' epochs
   so sharing is invalidation-safe: attribute columns (one shared
@@ -44,8 +44,9 @@ from any thread.
 Observability: per-query ``sched.query`` spans, plus the counts
 ``/metrics`` reads as the ``repro_sched_*`` families (queue depth,
 in-flight, an admission-wait histogram, submitted/completed/failed
-counters, per-level coalesce joins).  Each query's channel traffic and
-crypto ops are folded into the service-wide ledgers when it ends.
+counters, per-level coalesce joins).  Each query's network traffic,
+reliability events, node health and crypto ops are folded into the
+service-wide ledgers when it ends.
 """
 
 from __future__ import annotations
@@ -62,11 +63,9 @@ from repro.audit.executor import QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
 from repro.errors import ConfigurationError, SchedulerError, SchedulerShutdownError
-from repro.net.simnet import SimNetwork
 from repro.net.stats import CostReport
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.resilience.policy import Deadline
-from repro.sched.channel import ChannelMux
 from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
 
@@ -110,8 +109,8 @@ class QueryHandle:
         #: True when the result was fanned out from a concurrent
         #: identical query instead of being computed by this one.
         self.coalesced = False
-        #: Per-query :class:`~repro.net.stats.CostReport` (channel
-        #: traffic + this query's own crypto ops).
+        #: Per-query :class:`~repro.net.stats.CostReport` (the traffic of
+        #: its private network + this query's own crypto ops).
         self.cost: CostReport | None = None
         #: This query's private leakage events, in causal order.
         self.leakage: list[LeakageEvent] = []
@@ -159,8 +158,8 @@ class QueryScheduler:
 
     Built over one service deployment: the scheduler shares the service's
     stores, schema, prime, engine, and hashed-encoder memo, but runs each
-    query in an isolated context over a private channel of one shared
-    network.  ``max_inflight`` defaults to :data:`DEFAULT_MAX_INFLIGHT`;
+    query in an isolated context over a network of its own.
+    ``max_inflight`` defaults to :data:`DEFAULT_MAX_INFLIGHT`;
     ``coalesce`` defaults to ``REPRO_SCHED_COALESCE``.  Passing a
     ``loop_thread`` shares an existing loop (the scheduler then never
     closes it); by default the scheduler owns its loop and tears it down
@@ -183,8 +182,6 @@ class QueryScheduler:
             name="repro-aio-sched"
         )
         self._owns_loop = loop_thread is None
-        self.net: SimNetwork = service._fresh_net()
-        self.mux = ChannelMux(self.net)
         self._seq = 0
         self._state_lock = threading.Lock()
         self._closed = False
@@ -319,8 +316,6 @@ class QueryScheduler:
 
     async def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
         service = self.service
-        tag = f"q{handle.seq}"
-        channel = self.mux.channel(tag)
         qctx = SmcContext(
             service.ctx.prime,
             service.rng.spawn(f"sched:{handle.seq}"),
@@ -337,30 +332,28 @@ class QueryScheduler:
             projection_cache=self._column_cache,
             subplan_cache=self._subplan_flight,
         )
-        vt_start = self.net.now
-        span_attrs = {"criterion": qplan.criterion_text, "channel": tag}
-        try:
-            with service.tracer.span("sched.query", span_attrs) as span:
-                result = await executor.execute_async(
-                    qplan, net=channel, deadline=handle.deadline
+        span_attrs = {"criterion": qplan.criterion_text, "query": f"q{handle.seq}"}
+        with service._private_net() as net:
+            try:
+                with service.tracer.span("sched.query", span_attrs) as span:
+                    result = await executor.execute_async(
+                        qplan, net=net, deadline=handle.deadline
+                    )
+                    if service.tracer.enabled:
+                        span.set_attribute("matches", len(result.glsns))
+                # Concurrent queries feed the confidentiality observatory
+                # too (it is thread-safe); leakage is this query's ledger.
+                service.observe_query_result(result, len(qctx.leakage.events))
+                return result
+            finally:
+                # Cost and leakage are attributed even on failure: the
+                # query spent the traffic and disclosed the entries anyway.
+                handle.cost = CostReport.collect(
+                    net.stats, qctx.crypto_ops, virtual_time=net.now
                 )
-                if service.tracer.enabled:
-                    span.set_attribute("matches", len(result.glsns))
-            # Concurrent queries feed the confidentiality observatory too
-            # (it is thread-safe); leakage is this query's private ledger.
-            service.observe_query_result(result, len(qctx.leakage.events))
-            return result
-        finally:
-            # Cost and leakage are attributed even on failure: the query
-            # spent the traffic and disclosed the entries regardless.
-            handle.cost = CostReport.collect(
-                channel.stats, qctx.crypto_ops, virtual_time=self.net.now - vt_start
-            )
-            handle.leakage = qctx.leakage.events
-            service.ctx.leakage.extend(handle.leakage)
-            service.ctx.crypto_ops.merge(qctx.crypto_ops)
-            service.net_stats.merge(channel.stats)
-            channel.close()
+                handle.leakage = qctx.leakage.events
+                service.ctx.leakage.extend(handle.leakage)
+                service.ctx.crypto_ops.merge(qctx.crypto_ops)
 
     def _fan_out(
         self, handle: QueryHandle, qplan: QueryPlan, value: QueryResult
@@ -420,7 +413,6 @@ class QueryScheduler:
                     # The failure is already recorded on its handle; the
                     # task future is only awaited here for quiescence.
                     pass
-        self.service._fold_resilience(self.net)
         if self._owns_loop:
             self.loop_thread.close()
 

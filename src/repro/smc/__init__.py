@@ -16,12 +16,13 @@ every such disclosure is recorded in the run's
 :class:`~repro.smc.leakage.LeakageLedger`.
 
 Every driver is written once, as the ``secure_*_async`` coroutine whose
-only suspension point is ``await net.drain(...)``.  Awaited on an event
-loop over channels of one :class:`~repro.sched.ChannelMux`, independent
-runs interleave; the plain ``secure_*`` name is
-:func:`repro.twin.sync_twin` of the same body, run to completion over a
-private ``SimNetwork``, whose drain never suspends.  One body means
-results, spans, costs and leakage cannot differ between the two names.
+only suspension point is ``await net.drain(...)``.  Every run has a
+``SimNetwork`` of its own, whose drain hands an event loop a turn every
+:data:`~repro.net.simnet.YIELD_EVERY` deliveries: awaited on a loop,
+independent runs interleave; the plain ``secure_*`` name is
+:func:`repro.twin.sync_twin` of the same body, which resumes those turns
+in place and runs it to completion.  One body means results, spans,
+costs and leakage cannot differ between the two names.
 """
 
 from repro.smc.base import SmcContext, SmcResult

@@ -306,10 +306,10 @@ async def secure_set_intersection_async(
     """Run the full protocol on a simulated network and return the result.
 
     This coroutine is the protocol's only body.  Awaited on an event loop
-    over a :class:`~repro.sched.Channel` its rounds interleave
-    with other tasks'; ``secure_set_intersection`` is
-    :func:`~repro.twin.sync_twin` of it — the same body run to completion
-    over a private :class:`SimNetwork` (see ``docs/async.md``).
+    its rounds interleave with other tasks' (each over its own network);
+    ``secure_set_intersection`` is :func:`~repro.twin.sync_twin` of it —
+    the same body run to completion without a loop (see
+    ``docs/async.md``).
 
     Parameters
     ----------
@@ -320,10 +320,8 @@ async def secure_set_intersection_async(
     observers:
         Party ids authorized to learn the intersection; defaults to all.
     net:
-        An existing transport to run on (stats accumulate there): a
-        :class:`SimNetwork` under either name, a scheduler ``Channel``
-        under the awaited name only.  A fresh private
-        :class:`SimNetwork` is created if omitted.
+        An existing :class:`SimNetwork` to run on (stats accumulate
+        there).  A fresh private one is created if omitted.
     shuffle:
         Enable relay shuffling (see module docstring).
     collector:

@@ -5,12 +5,11 @@ Every protocol driver (``secure_*``, the §4.1 integrity rounds,
 ``async def X_async`` coroutine whose only suspension points are
 ``await net.drain(...)`` and, under a scheduler, the sub-plan join.  On
 an event loop those awaits interleave independent rounds: a
-:class:`~repro.sched.Channel` of the shared mux suspends every
-:data:`~repro.sched.channel.YIELD_EVERY` deliveries.  A private
-:class:`~repro.net.simnet.SimNetwork` answers ``drain`` without ever
-suspending, so over it the same coroutine runs start to finish inside
-one ``send`` — that is all :func:`run_sync` does, and
-``X = sync_twin(X_async)`` is the sync name.
+:class:`~repro.net.simnet.SimNetwork` drain hands the loop a turn every
+:data:`~repro.net.simnet.YIELD_EVERY` deliveries with a bare ``None``
+yield.  Without a loop, :func:`run_sync` resumes each such yield in
+place, so the same coroutine runs start to finish in the caller's
+thread — and ``X = sync_twin(X_async)`` is the sync name.
 """
 
 from __future__ import annotations
@@ -23,23 +22,24 @@ __all__ = ["run_sync", "sync_twin"]
 
 
 def run_sync(coro):
-    """Run a coroutine that never suspends to completion; return its value.
+    """Run a coroutine to completion without an event loop; return its value.
 
-    Exceptions raised by the body propagate unchanged.  A coroutine that
-    does suspend was handed something only an event loop can resume (a
-    :class:`~repro.sched.Channel` drain past
-    :data:`~repro.sched.channel.YIELD_EVERY` deliveries, an ``asyncio``
-    primitive): it is closed — its ``finally``
-    blocks and span exits run — and :class:`ConfigurationError` is raised.
+    A bare ``None`` yield (a network drain's loop turn) is resumed in
+    place.  Exceptions raised by the body propagate unchanged.  A
+    coroutine that yields anything else was handed something only an
+    event loop can resume (an ``asyncio`` future, the scheduler's
+    sub-plan join): it is closed — its ``finally`` blocks and span exits
+    run — and :class:`ConfigurationError` is raised.
     """
     try:
-        coro.send(None)
+        while coro.send(None) is None:
+            pass
     except StopIteration as done:
         return done.value
     coro.close()
     raise ConfigurationError(
-        f"{coro.__qualname__} suspended under a sync name: it was given an "
-        "event-loop transport; await the _async name on a loop instead"
+        f"{coro.__qualname__} suspended under a sync name: it awaited an "
+        "event-loop future; await the _async name on a loop instead"
     )
 
 

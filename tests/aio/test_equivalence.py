@@ -1,17 +1,15 @@
 """Property suite: loop-driven interleaving equals run-to-completion.
 
-Each protocol has one coroutine body with two runners.  The sync name
-runs it to completion over a private ``SimNetwork``, whose drain never
-suspends; the ``_async`` name, awaited on an event loop over a channel of
-a shared ``ChannelMux`` — the scheduler's transport — suspends every
-``YIELD_EVERY`` deliveries.  Two loop runs on the same channel tag, one
-yielding after *every* delivery and one never, must be byte-identical:
-observer values, leakage ledger (event for event, in order), crypto-op
-counter, network cost and virtual time.  Against the sync name the
-values, ledger and crypto ops must be equal and the frames the same,
-each channel-tagged frame longer only by its ``"ch"`` key — including
-under randomized drop/latency fault plans with retransmission.  Any
-divergence means a yield point changed protocol semantics, and is a bug.
+Each protocol has one coroutine body with two runners.  Both run it over
+a private ``SimNetwork``, whose drain hands the event loop a turn every
+``YIELD_EVERY`` deliveries: the sync name resumes those turns in place,
+the ``_async`` name — the scheduler's path — awaits them on a loop.  The
+sync run and two loop runs, one yielding after *every* delivery and one
+never, must be byte-identical: observer values, leakage ledger (event for
+event, in order), crypto-op counter, network cost and virtual time —
+including under randomized drop/latency fault plans with retransmission.
+Any divergence means a yield point changed protocol semantics, and is a
+bug.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ import pytest
 
 from repro.crypto import DeterministicRng, shared_prime
 from repro.net.faults import FaultPlan
-from repro.net.simnet import ACK_KIND, SimNetwork
+from repro.net.simnet import SimNetwork
 from repro.resilience import RetryPolicy
-from repro.sched import ChannelMux
 from repro.smc import (
     SmcContext,
     secure_compare,
@@ -48,7 +45,6 @@ from repro.smc import (
 )
 
 PRIME = shared_prime(64)
-TAG = "q1"
 NEVER = 1 << 62  # a YIELD_EVERY no round reaches
 
 
@@ -62,13 +58,12 @@ def make_net(seed: bytes | None = None, drop_rate: float = 0.0, reorder_rate: fl
     return SimNetwork(resilience=RetryPolicy(), faults=faults)
 
 
-def on_channel(body, yield_every: int, **net_kwargs):
-    """Await ``body(channel)`` on a fresh loop over one mux channel."""
+def on_loop(body, yield_every: int, **net_kwargs):
+    """Await ``body(net)`` on a fresh loop over a fresh network."""
     net = make_net(**net_kwargs)
-    channel = ChannelMux(net).channel(TAG)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.sched.channel.YIELD_EVERY", yield_every)
-        return asyncio.run(body(channel)), net
+        patch.setattr("repro.net.simnet.YIELD_EVERY", yield_every)
+        return asyncio.run(body(net)), net
 
 
 def _comparable(stats) -> dict:
@@ -79,13 +74,13 @@ def _comparable(stats) -> dict:
 
 
 def assert_twin_runs(sync_fn, async_fn, seed: bytes = b"eq", **net_kwargs):
-    """Run the sync name on a private net and the async name twice on a
-    channel (yielding at every delivery, and never); assert equality."""
+    """Run the sync name, and the async name twice on a loop (yielding at
+    every delivery, and never); assert equality."""
     sctx, yctx, nctx = (SmcContext(PRIME, DeterministicRng(seed)) for _ in range(3))
     snet = make_net(**net_kwargs)
     sync_result = sync_fn(sctx, snet)
-    yielded, ynet = on_channel(lambda ch: async_fn(yctx, ch), 1, **net_kwargs)
-    straight, nnet = on_channel(lambda ch: async_fn(nctx, ch), NEVER, **net_kwargs)
+    yielded, ynet = on_loop(lambda net: async_fn(yctx, net), 1, **net_kwargs)
+    straight, nnet = on_loop(lambda net: async_fn(nctx, net), NEVER, **net_kwargs)
 
     assert yielded == straight
     assert yctx.leakage.events == nctx.leakage.events
@@ -96,10 +91,8 @@ def assert_twin_runs(sync_fn, async_fn, seed: bytes = b"eq", **net_kwargs):
     assert yielded == sync_result
     assert yctx.leakage.events == sctx.leakage.events
     assert yctx.crypto_ops.snapshot() == sctx.crypto_ops.snapshot()
-    s, y = snet.stats, ynet.stats
-    assert (y.messages, y.by_kind) == (s.messages, s.by_kind)
-    tagged = y.messages - y.by_kind.get(ACK_KIND, 0)
-    assert y.bytes - s.bytes == tagged * len(f',"ch":"{TAG}"')
+    assert _comparable(ynet.stats) == _comparable(snet.stats)
+    assert ynet.now == snet.now
     return sync_result
 
 
@@ -239,8 +232,8 @@ class TestIntegrityTwins:
     def _reports(self, populated_store, runner, async_runner, **kwargs):
         store, _ticket, _receipts = populated_store
         sync_reports = runner(store, net=SimNetwork(), **kwargs)
-        yielded, _ = on_channel(lambda ch: async_runner(store, net=ch, **kwargs), 1)
-        straight, _ = on_channel(lambda ch: async_runner(store, net=ch, **kwargs), NEVER)
+        yielded, _ = on_loop(lambda net: async_runner(store, net=net, **kwargs), 1)
+        straight, _ = on_loop(lambda net: async_runner(store, net=net, **kwargs), NEVER)
         assert yielded == straight
         return sync_reports, yielded
 
@@ -283,7 +276,7 @@ class TestIntegrityTwins:
 
 class TestPipelining:
     def test_concurrent_protocol_runs_interleave(self, monkeypatch):
-        """Two gathered runs on two channels of one mux both complete and
+        """Two gathered runs, each over its own network, both complete and
         match their sequential twins — the pipelined interleaving changes
         wall-clock shape, never results."""
         sets_a = {"P1": ["x", "y"], "P2": ["y", "z"]}
@@ -295,8 +288,7 @@ class TestPipelining:
         sync_inter = secure_set_intersection(ctx(b"pipe1"), sets_a, net=SimNetwork())
         sync_sum = secure_sum(ctx(b"pipe2"), values, ["A"], net=SimNetwork())
 
-        monkeypatch.setattr("repro.sched.channel.YIELD_EVERY", 1)
-        mux = ChannelMux(SimNetwork())
+        monkeypatch.setattr("repro.net.simnet.YIELD_EVERY", 1)
         order = []
 
         async def tracked(tag, body):
@@ -308,9 +300,9 @@ class TestPipelining:
         async def both():
             return await asyncio.gather(
                 tracked("a", secure_set_intersection_async(
-                    ctx(b"pipe1"), sets_a, net=mux.channel("qa"))),
+                    ctx(b"pipe1"), sets_a, net=SimNetwork())),
                 tracked("b", secure_sum_async(
-                    ctx(b"pipe2"), values, ["A"], net=mux.channel("qb"))),
+                    ctx(b"pipe2"), values, ["A"], net=SimNetwork())),
             )
 
         got_inter, got_sum = asyncio.run(both())

@@ -77,7 +77,7 @@ class TestTraceReconciliation:
 
         spans = tracer.finished_spans()
         roots = {
-            s.attributes["channel"]: s for s in spans if s.name == "sched.query"
+            s.attributes["query"]: s for s in spans if s.name == "sched.query"
         }
         ids = {s.span_id for s in spans}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import inspect
+import types
 import warnings
 
 import pytest
@@ -18,8 +19,7 @@ import pytest
 from repro.crypto import DeterministicRng, shared_prime
 from repro.errors import ConfigurationError
 from repro.net.simnet import SimNetwork
-from repro.sched import ChannelMux
-from repro.smc import SmcContext, secure_set_intersection
+from repro.smc import SmcContext, secure_set_intersection, secure_set_intersection_async
 from repro.twin import run_sync, sync_twin
 from tests.integration.test_e2e_entry_points import load_layers
 
@@ -41,12 +41,29 @@ class TestRunSync:
             run_sync(body())
         assert caught.value is boom
 
+    def test_bare_loop_turns_are_resumed_in_place(self):
+        turns = []
+
+        @types.coroutine
+        def loop_turn():
+            yield  # what a network drain yields to its loop
+
+        async def body():
+            for i in range(3):
+                await loop_turn()
+                turns.append(i)
+            return "done"
+
+        assert run_sync(body()) == "done"
+        assert turns == [0, 1, 2]
+
     def test_suspending_coroutine_is_closed_and_refused(self):
         cleaned_up = []
+        loop = asyncio.new_event_loop()
 
         async def body():
             try:
-                await asyncio.sleep(0)
+                await loop.create_future()
             finally:
                 cleaned_up.append(True)
 
@@ -59,21 +76,41 @@ class TestRunSync:
             assert inspect.getcoroutinestate(coro) == inspect.CORO_CLOSED
             del coro
             gc.collect()
+        loop.close()
         assert cleaned_up == [True]
 
-    def test_sync_name_refuses_an_event_loop_transport(self, monkeypatch):
-        """A mux channel suspends every ``YIELD_EVERY`` deliveries, so a sync
-        name refuses it; a private network never suspends."""
-        monkeypatch.setattr("repro.sched.channel.YIELD_EVERY", 1)
+    def test_sync_name_refuses_an_event_loop_transport(self):
+        """A transport whose drain awaits a real asyncio future can only be
+        resumed by a loop, so a sync name closes the body and refuses it."""
+        loop = asyncio.new_event_loop()
+
+        class LoopBoundNetwork(SimNetwork):
+            async def drain(self, *args, **kwargs):
+                await loop.create_future()
+
+        sets = {"P1": ["a", "b"], "P2": ["b", "c"]}
+        ctx = SmcContext(shared_prime(64), DeterministicRng(b"twin"))
+        try:
+            with pytest.raises(ConfigurationError, match="secure_set_intersection_async"):
+                secure_set_intersection(ctx, sets, net=LoopBoundNetwork())
+        finally:
+            loop.close()
+
+    def test_sync_name_finishes_over_a_drain_that_yields_every_delivery(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.net.simnet.YIELD_EVERY", 1)
         sets = {"P1": ["a", "b"], "P2": ["b", "c"]}
 
         def ctx():
             return SmcContext(shared_prime(64), DeterministicRng(b"twin"))
 
-        channel = ChannelMux(SimNetwork()).channel("q1")
-        with pytest.raises(ConfigurationError, match="secure_set_intersection_async"):
-            secure_set_intersection(ctx(), sets, net=channel)
-        assert secure_set_intersection(ctx(), sets, net=SimNetwork()).any_value == ["b"]
+        net = SimNetwork()
+        result = secure_set_intersection(ctx(), sets, net=net)
+        assert result.any_value == ["b"]
+        assert net.stats.messages > 1  # so the drain did yield, repeatedly
+        looped = asyncio.run(secure_set_intersection_async(ctx(), sets, net=SimNetwork()))
+        assert looped == result
 
     def test_twin_is_a_plain_function_named_after_the_sync_name(self):
         async def probe_async(a, b=2):

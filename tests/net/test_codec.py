@@ -127,7 +127,7 @@ class TestMessageFields:
     def test_reply_and_forwarded_preserve_trace_context(self):
         msg = Message(
             src="P0", dst="P1", kind="ssi.relay", payload={"x": 1},
-            channel="q1", trace_id="t1", parent_span_id=2,
+            trace_id="t1", parent_span_id=2,
         )
         reply = msg.reply("ssi.done", {"ok": True})
         assert (reply.trace_id, reply.parent_span_id) == ("t1", 2)

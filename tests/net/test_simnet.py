@@ -228,3 +228,42 @@ class TestFaultIntegration:
         net.send(Message(src="A", dst="B", kind="k"))
         net.run()
         assert net.now >= 100.0
+
+
+class TestDrain:
+    """``drain`` is ``run`` with a loop turn every ``YIELD_EVERY`` deliveries."""
+
+    @staticmethod
+    def suspensions(coro):
+        """Drive ``coro`` by hand: (number of suspensions, return value)."""
+        count = 0
+        while True:
+            try:
+                assert coro.send(None) is None  # a bare turn, never a future
+            except StopIteration as done:
+                return count, done.value
+            count += 1
+
+    def test_drain_suspends_every_yield_every_deliveries(self, monkeypatch):
+        monkeypatch.setattr("repro.net.simnet.YIELD_EVERY", 3)
+        net = SimNetwork()
+        net.register("A", make_sink([]))
+        log = []
+        net.register("B", make_sink(log))
+        for _ in range(10):
+            net.send(Message(src="A", dst="B", kind="k"))
+        assert self.suspensions(net.drain()) == (3, 10)
+        assert len(log) == 10
+        assert self.suspensions(net.drain()) == (0, 0)  # idle: returns at once
+
+    def test_drain_max_steps_guard(self):
+        net = SimNetwork()
+
+        def ping_pong(msg, n):
+            n.send(Message(src=msg.dst, dst=msg.src, kind="echo"))
+
+        net.register("A", ping_pong)
+        net.register("B", ping_pong)
+        net.send(Message(src="A", dst="B", kind="echo"))
+        with pytest.raises(ConfigurationError, match="did not quiesce within 10"):
+            self.suspensions(net.drain(max_steps=10))

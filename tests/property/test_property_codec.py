@@ -94,9 +94,9 @@ class TestCodecProperties:
         assert decode_payload(encode_payload(payload)) == payload
 
     @settings(deadline=None)
-    @given(payload=payloads, channel=st.none() | identifiers)
-    def test_encoded_size_is_the_encoded_length(self, payload, channel):
-        msg = Message(src="P1", dst="P2", kind="k", payload=payload, channel=channel)
+    @given(payload=payloads, trace_id=st.none() | identifiers)
+    def test_encoded_size_is_the_encoded_length(self, payload, trace_id):
+        msg = Message(src="P1", dst="P2", kind="k", payload=payload, trace_id=trace_id)
         assert encoded_size(msg) == len(encode_message(msg))
 
     @settings(deadline=None)

@@ -1,12 +1,12 @@
 """Scheduler under faults: one query's dead node never poisons neighbors.
 
 Reuses the chaos-matrix recipe (resilient net + FaultPlan crash) at the
-service level: the scheduler multiplexes every in-flight query over ONE
-shared network, so a crashed node exercises exactly the isolation the
-per-channel failure buckets exist for.  With a :class:`RetryPolicy` the
-victim-touching query either fails over (degraded answer, skipped node)
-or raises a typed :class:`ReproError` — it never hangs and it never
-contaminates a neighboring query's channel.
+service level: every in-flight query runs over a network of its own, so a
+crashed node can only show up in the diagnosis of the queries that talk
+to it.  With a :class:`RetryPolicy` the victim-touching query either fails
+over (degraded answer, skipped node) or raises a typed
+:class:`ReproError` — it never hangs and it never contaminates a
+neighboring query.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def test_dead_node_failover_does_not_poison_neighbors(chaos_service):
     neighbors = [chaos_service.submit(c) for c in NEIGHBOR_QUERIES]
 
     # The victim-touching query settles — failover (degraded answer) or
-    # a typed failure — never a hang (channel max_steps/deadline guard).
+    # a typed failure — never a hang (drain max_steps/deadline guard).
     result, error = _settle(doomed)
     assert doomed.done
     if error is None:
@@ -71,13 +71,14 @@ def test_dead_node_failover_does_not_poison_neighbors(chaos_service):
         assert got.glsns == want.glsns
         assert got.subquery_glsns == want.subquery_glsns
 
-    # The shared network diagnosed the crash, and the diagnosis names
-    # only the victim — never a healthy anchor.
-    sched = chaos_service.scheduler
-    failovers = sched.net.resilience_stats.get("failovers", 0)
-    failed = sched.net.failed_links
-    assert failovers >= 1 or failed
-    assert all(VICTIM in link for link in failed)
+    # The victim query's network diagnosed the crash, and the diagnosis
+    # names only the victim — never a healthy anchor.
+    events = chaos_service.resilience_stats
+    assert events["failovers"] >= 1 or events["delivery_failed"] >= 1
+    health = chaos_service.health_snapshot()["nodes"]
+    assert {node for node, h in health.items() if h["status"] != "ok"} == {VICTIM}
+    failed = [link for h in health.values() for link in h["failed_links"]]
+    assert failed and all(VICTIM in link for link in failed)
 
 
 def test_scheduler_stays_usable_after_a_victim_query(chaos_service):
@@ -96,3 +97,50 @@ def test_victim_query_cost_still_attributed(chaos_service):
     # and that spend is attributed to this query's handle.
     assert doomed.cost is not None
     assert doomed.cost.messages > 0
+
+
+def _chaos_twin():
+    """A second deployment with the same crash and the same fault dice."""
+    faults = FaultPlan(rng=DeterministicRng(b"sched-chaos"))
+    faults.crash(VICTIM)
+    return build_service(resilience=RetryPolicy(), faults=faults)
+
+
+def _degraded(service) -> set[str]:
+    snapshot = service.health_snapshot()
+    down = {node for node, h in snapshot["nodes"].items() if h["status"] != "ok"}
+    assert (snapshot["status"] == "degraded") == bool(down)
+    return down
+
+
+class TestHealthAndReliabilityLedger:
+    """What a query's own network saw reaches ``/healthz`` and
+    ``service.resilience_stats`` when the query ends — sync or scheduled,
+    after failover launches reset the per-launch diagnosis."""
+
+    def test_victim_is_degraded_after_a_sync_query(self, chaos_service):
+        chaos_service.query(VICTIM_QUERY)
+        assert chaos_service.resilience_stats["failovers"] >= 1
+        assert _degraded(chaos_service) == {VICTIM}
+
+    def test_victim_is_degraded_after_a_scheduled_query(self, chaos_service):
+        chaos_service.gather([chaos_service.submit(VICTIM_QUERY)])
+        assert _degraded(chaos_service) == {VICTIM}
+
+    def test_fault_free_service_stays_ok(self):
+        service = build_service(resilience=RetryPolicy())
+        service.query(VICTIM_QUERY)
+        service.gather([service.submit(c) for c in [VICTIM_QUERY, *NEIGHBOR_QUERIES]])
+        assert _degraded(service) == set()
+        service.shutdown_scheduler()
+
+    def test_scheduled_events_fold_when_the_query_ends(self, chaos_service):
+        handle = chaos_service.submit(VICTIM_QUERY)
+        chaos_service.gather([handle])
+        sync = _chaos_twin()
+        sync.query(VICTIM_QUERY)
+        # Before any shutdown: the scheduled query's ledger is already in.
+        assert not chaos_service.scheduler._closed
+        assert chaos_service.resilience_stats == sync.resilience_stats
+        assert chaos_service.resilience_stats["failovers"] == 2
+        assert handle.cost.messages == sync.last_query_cost.messages

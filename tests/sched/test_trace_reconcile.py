@@ -1,9 +1,8 @@
 """Property: concurrent queries' traces reconcile with their cost reports.
 
-With the scheduler at concurrency >= 4, every query gets its own channel
+With the scheduler at concurrency >= 4, every query gets its own network
 and its own trace — yet all node spans land in the service's ONE tracer,
-interleaved across query tasks ("helping" means one task's drain may
-deliver another query's messages).  The tentpole invariant must survive that
+interleaved across query tasks.  The invariant must survive that
 interleaving: for EVERY query's trace, the per-node span attributions sum
 exactly to that query's private CostReport.
 """
@@ -34,12 +33,12 @@ class TestConcurrentTraceReconciliation:
         assert all(r is not None for r in results)
 
         # Map each query to its trace: the sched.query root span carries
-        # the channel tag, and everything propagated downstream from it —
+        # the query tag, and everything propagated downstream from it —
         # coordinator children and every party's handler spans — shares
         # its trace id.
         spans = tracer.finished_spans()
         roots = {
-            s.attributes["channel"]: s for s in spans if s.name == "sched.query"
+            s.attributes["query"]: s for s in spans if s.name == "sched.query"
         }
         ids = {s.span_id for s in spans}
 
