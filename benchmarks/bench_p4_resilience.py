@@ -90,7 +90,7 @@ def _build(rows: int):
         AccumulatorParams.generate(128, DeterministicRng(b"p4-acc")),
     )
     ticket = authority.issue("U1", {Operation.READ, Operation.WRITE})
-    store.append_record(_rows(rows), ticket)
+    store.append_batch(_rows(rows), ticket)
     return store, schema
 
 

@@ -4,8 +4,8 @@ The durable backend (``repro.store``) must earn its keep on two axes:
 
 * **Sustained ingest throughput.**  Rows are streamed into a
   ``DurableDistributedLogStore`` through the batched write path
-  (``append_batch``: one WAL sync per batch instead of per row) under
-  each of the three fsync policies (``off``/``batch``/``always``), and
+  (``append_batch``: one WAL write per node and one WAL sync per batch)
+  under each of the three fsync policies (``off``/``batch``/``always``), and
   the §4.1 integrity audit is asserted clean *after* every ladder rung —
   throughput only counts if the accumulators and hash chain stayed
   current while the journal kept up.  The headline is rows/s under the

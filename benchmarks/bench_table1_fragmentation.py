@@ -34,7 +34,7 @@ class TestTable1Regeneration:
     def test_regenerate_tables_1_to_5(self, benchmark, schema, plan):
         def load():
             store, ticket = build_store(plan)
-            return store, store.append_record(paper_table1_rows(), ticket)
+            return store, store.append_batch(paper_table1_rows(), ticket)
 
         store, receipts = benchmark(load)
         records = [
@@ -61,7 +61,7 @@ class TestTable1Regeneration:
 
         def write_batch():
             store, ticket = build_store(plan)
-            store.append_record(rows, ticket)
+            store.append_batch(rows, ticket)
             return store
 
         store = benchmark(write_batch)
@@ -76,7 +76,7 @@ class TestClusterSizeSweep:
 
         def write_batch():
             store, ticket = build_store(plan_obj)
-            store.append_record(rows, ticket)
+            store.append_batch(rows, ticket)
             return store
 
         store = benchmark(write_batch)
@@ -91,7 +91,7 @@ class TestClusterSizeSweep:
             for nodes in (1, 2, 4, 8):
                 plan_obj = round_robin_plan(schema, [f"P{i}" for i in range(nodes)])
                 store, ticket = build_store(plan_obj)
-                store.append_record(rows, ticket)
+                store.append_batch(rows, ticket)
                 fragments = sum(len(store.node_store(n)) for n in plan_obj.node_ids)
                 table.append((nodes, len(store.glsns), fragments))
             return table

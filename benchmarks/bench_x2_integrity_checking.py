@@ -30,7 +30,7 @@ def build(plan_obj, records=20, seed=b"x2"):
         plan_obj, authority, AccumulatorParams.generate(128, DeterministicRng(seed))
     )
     ticket = authority.issue("U1", {Operation.READ, Operation.WRITE})
-    store.append_record(EcommerceWorkload(seed=5).flat_rows(records // 2), ticket)
+    store.append_batch(EcommerceWorkload(seed=5).flat_rows(records // 2), ticket)
     return store
 
 

@@ -34,7 +34,7 @@ def build_store(plan, records: int, domain: int, seed: bytes):
         # 80% correlated, 20% noise.
         right = left if rng.random() < 0.8 else rng.randbelow(domain)
         rows.append({"protocl": f"proto-{left}", "C3": f"label-{right}"})
-    store.append_record(rows, ticket)
+    store.append_batch(rows, ticket)
     return store
 
 

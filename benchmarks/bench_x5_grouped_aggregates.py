@@ -35,7 +35,7 @@ def build_executor(plan, schema, prime64, groups: int, records: int, seed: bytes
         })
     # One singleton group that must be suppressible.
     rows.append({"id": "loner", "C1": 999})
-    store.append_record(rows, ticket)
+    store.append_batch(rows, ticket)
     return QueryExecutor(
         store, SmcContext(prime64, DeterministicRng(seed + b"-ctx")), schema
     )

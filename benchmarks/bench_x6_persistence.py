@@ -29,7 +29,7 @@ def build(plan, records: int, seed: bytes, directory):
         directory, config=CONFIG,
     )
     ticket = authority.issue("U1", {Operation.READ, Operation.WRITE})
-    store.append_record(EcommerceWorkload(seed=3).flat_rows(records // 2), ticket)
+    store.append_batch(EcommerceWorkload(seed=3).flat_rows(records // 2), ticket)
     return store, authority
 
 

@@ -77,6 +77,6 @@ def loaded_store(schema, plan):
     ticket = authority.issue(
         "U1", {Operation.READ, Operation.WRITE, Operation.DELETE}
     )
-    store.append_record(paper_table1_rows(), ticket)
-    store.append_record(EcommerceWorkload(seed=1).flat_rows(50), ticket)
+    store.append_batch(paper_table1_rows(), ticket)
+    store.append_batch(EcommerceWorkload(seed=1).flat_rows(50), ticket)
     return store, ticket

@@ -288,17 +288,19 @@ class ConfidentialAuditingService:
         Rows are consumed lazily (any iterable works) and appended in
         batches of ``batch_size``; each batch is one *ingest epoch*: the
         per-record accumulators are computed exactly as single appends
-        would compute them, and on a durable store the batch shares one
-        WAL sync — the whole epoch is either durable or rolled back as a
-        torn tail on recovery.  After every epoch the registered standing
-        queries are evaluated and their deltas pushed (``evaluate_standing=False`` defers that to an
+        would compute them, each node checks the ticket once and, on a
+        durable store, writes its share of the batch in one WAL write, and
+        the batch shares one WAL sync — the whole epoch is either durable
+        or rolled back as a torn tail on recovery.  A revoked or expired
+        ticket therefore takes effect at the next batch.  After every
+        epoch the registered standing queries are evaluated and their
+        deltas pushed (``evaluate_standing=False`` defers that to an
         explicit :meth:`poll_standing`).
         """
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
         receipts: list[WriteReceipt] = []
         rows = iter(rows)
-        batched = getattr(self.store, "append_batch", None)
         while True:
             batch = list(islice(rows, batch_size))
             if not batch:
@@ -306,10 +308,7 @@ class ConfidentialAuditingService:
             with self.tracer.span(
                 "ingest.batch", {"rows": len(batch), "epoch_start": len(receipts)}
             ):
-                if batched is not None:
-                    receipts.extend(batched(batch, ticket))
-                else:
-                    receipts.extend(self.store.append(values, ticket) for values in batch)
+                receipts.extend(self.store.append_batch(batch, ticket))
             self.ingested_rows += len(batch)
             if evaluate_standing and self._standing is not None and len(self._standing):
                 self._standing.evaluate_epoch()

@@ -23,6 +23,10 @@ from repro.errors import TicketError
 
 __all__ = ["Operation", "Ticket", "TicketAuthority"]
 
+# One encoder for every payload: ``json.dumps`` with these arguments
+# would build a new one per call, and a ticket is verified on every write.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class Operation(str, Enum):
     """The three access primitives the paper names."""
@@ -51,15 +55,19 @@ class Ticket:
     tag: bytes = field(repr=False)
 
     def payload_bytes(self) -> bytes:
-        """Canonical byte serialization of everything covered by the tag."""
+        """Canonical byte serialization of everything covered by the tag.
+
+        Rebuilt on every call: a verification checks the bytes the ticket
+        carries now, never a cached rendering.
+        """
         body = {
             "ticket_id": self.ticket_id,
             "principal": self.principal,
-            "operations": sorted(op.value for op in self.operations),
+            "operations": sorted([op.value for op in self.operations]),
             "issued_at": self.issued_at,
             "expires_at": self.expires_at,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        return _CANONICAL_JSON.encode(body).encode()
 
     def permits(self, op: Operation) -> bool:
         return op in self.operations

@@ -52,19 +52,22 @@ class AccessControlTable:
 
     # -- mutation -----------------------------------------------------------
 
-    def grant(self, ticket: Ticket, glsn: int) -> None:
-        """Record that ``glsn`` was assigned under ``ticket``.
+    def grant(self, ticket: Ticket, glsns: list[int]) -> None:
+        """Record that every glsn in ``glsns`` was assigned under ``ticket``.
 
         The ticket must be authentic and must carry the WRITE right (a glsn
-        is granted at log-write time).
+        is granted at log-write time).  It is verified once for the whole
+        list, so a revocation or expiry takes effect at the next call.
         """
         self._authority.verify(ticket, Operation.WRITE)
-        entry = self._entries.setdefault(
-            ticket.ticket_id,
-            AccessEntry(ticket_id=ticket.ticket_id, operations=ticket.operations),
-        )
-        entry.glsns.add(glsn)
-        self._glsn_owner[glsn] = ticket.ticket_id
+        ticket_id = ticket.ticket_id
+        entry = self._entries.get(ticket_id)
+        if entry is None:
+            entry = self._entries[ticket_id] = AccessEntry(
+                ticket_id=ticket_id, operations=ticket.operations
+            )
+        entry.glsns.update(glsns)
+        self._glsn_owner.update(dict.fromkeys(glsns, ticket_id))
 
     def revoke_glsn(self, ticket: Ticket, glsn: int) -> None:
         """Remove a grant (delete path).  Requires the DELETE right."""

@@ -6,6 +6,8 @@ digests.  :class:`DistributedLogStore` wires ``n`` stores behind one write
 interface implementing the paper's logging flow (Figure 2): a user node
 fragments the record, obtains a glsn, and ships fragment ``Log_i`` to node
 ``P_i`` together with the one-way accumulator of the full fragment set.
+Writes go in batches (a single append is a one-row batch): each node
+receives its fragments of a batch, and checks the ticket, in one call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import is_not, itemgetter, ne, or_
+from operator import attrgetter, is_not, itemgetter, ne, or_
 from typing import Callable, Iterable
 
 from repro.crypto.accumulator import AccumulatorParams, OneWayAccumulator
@@ -30,6 +32,7 @@ __all__ = ["FragmentStore", "DistributedLogStore", "WriteReceipt"]
 # never None, so it always misses.
 _NO_MEMO = (None, None, None)
 _first, _second, _third = map(itemgetter, range(3))
+_glsn = attrgetter("glsn")
 
 
 class FragmentStore:
@@ -67,16 +70,25 @@ class FragmentStore:
     # -- writes ---------------------------------------------------------------
 
     def put(
-        self, fragment: Fragment, ticket: Ticket, expected_accumulator: int
+        self, fragments: list[Fragment], ticket: Ticket, anchors: list[int]
     ) -> None:
-        """Store a fragment under an authenticated WRITE ticket."""
-        if fragment.node_id != self.node_id:
-            raise LogStoreError(
-                f"fragment addressed to {fragment.node_id}, this is {self.node_id}"
-            )
-        self.acl.grant(ticket, fragment.glsn)
-        self._fragments[fragment.glsn] = fragment
-        self._accumulators[fragment.glsn] = expected_accumulator
+        """Store this node's fragments of one batch under an authenticated
+        WRITE ticket, ``anchors[i]`` being the expected accumulator of
+        ``fragments[i]``.
+
+        The ticket is verified once for the batch (tag, revocation,
+        expiry, right); every fragment is checked to be addressed here
+        before any is stored.
+        """
+        for fragment in fragments:
+            if fragment.node_id != self.node_id:
+                raise LogStoreError(
+                    f"fragment addressed to {fragment.node_id}, this is {self.node_id}"
+                )
+        glsns = list(map(_glsn, fragments))
+        self.acl.grant(ticket, glsns)
+        self._fragments.update(zip(glsns, fragments))
+        self._accumulators.update(zip(glsns, anchors))
         self._bump()
 
     def delete(self, glsn: int, ticket: Ticket) -> None:
@@ -295,27 +307,41 @@ class DistributedLogStore:
         }
 
     def append(self, values: dict, ticket: Ticket) -> WriteReceipt:
-        """Log one event: allocate a glsn, fragment, store everywhere.
+        """Log one event: a one-row :meth:`append_batch`."""
+        return self.append_batch([values], ticket)[0]
 
-        Computes the order-independent accumulator over all fragments (one
-        fixed-base power) and hands it to every node — the anchor for §4.1
-        integrity checks.
+    def append_batch(self, rows: list[dict], ticket: Ticket) -> list[WriteReceipt]:
+        """Log ``rows`` in order: per row allocate a glsn, fragment, anchor;
+        then each node stores its fragments of the batch in one call.
+
+        Each row's anchor is the order-independent accumulator over all of
+        its fragments (one fixed-base power), handed to every node — the
+        anchor of §4.1 integrity checks.  The ticket is verified here and
+        once by each node.  Every row is fragmented before any node stores
+        anything, so a row that fails (an unknown attribute, say) leaves
+        the store as it was; the glsns allocated to the batch are left
+        unused, and the next batch gets fresh ones.
         """
         self.authority.verify(ticket, Operation.WRITE)
-        glsn = self.allocator.allocate()
-        record = LogRecord(glsn=glsn, values=values)
-        fragments = self.plan.fragment(record)
-        exponents = [frag.digest_exponent() for frag in fragments.values()]
-        digest = self.accumulator.accumulate_all(exponents)
-        for node_id, fragment in fragments.items():
-            self.stores[node_id].put(fragment, ticket, digest)
-        return WriteReceipt(
-            glsn=glsn, accumulator=digest, nodes=tuple(sorted(fragments))
-        )
-
-    def append_record(self, record_values_list: list[dict], ticket: Ticket) -> list[WriteReceipt]:
-        """Batch append preserving order."""
-        return [self.append(values, ticket) for values in record_values_list]
+        allocate, fragment = self.allocator.allocate, self.plan.fragment
+        accumulate = self.accumulator.accumulate_all
+        fragment_sets, digests, receipts = [], [], []
+        for values in rows:
+            glsn = allocate()
+            fragments = fragment(LogRecord(glsn=glsn, values=values))
+            digest = accumulate([frag.digest_exponent() for frag in fragments.values()])
+            fragment_sets.append(fragments)
+            digests.append(digest)
+            receipts.append(
+                WriteReceipt(glsn=glsn, accumulator=digest, nodes=tuple(sorted(fragments)))
+            )
+        if receipts:
+            # The plan gives every node a fragment of every record.
+            for node_id, store in self.stores.items():
+                store.put(
+                    [fragments[node_id] for fragments in fragment_sets], ticket, digests
+                )
+        return receipts
 
     def read_record(self, glsn: int, ticket: Ticket) -> LogRecord:
         """Reassemble a full record — requires READ right on the glsn.

@@ -399,7 +399,7 @@ def _store(store, recovery, count, gauge, hist) -> None:
     count("repro_store_wal_records_total", "records appended to the write-ahead log",
           sum(wal.records_appended for wal in wals))
     hist("repro_store_wal_flush_seconds", _LAT,
-         "wall time of one WAL append (write + fsync policy)",
+         "wall time of one WAL write, one per node per batch (write + fsync policy)",
          [wal.append_seconds for wal in wals])
     gauge("repro_store_wal_segments", "sealed (immutable) WAL segments awaiting "
           "compaction", sum(wal.sealed_segment_count for wal in wals))

@@ -143,25 +143,26 @@ class DurableDistributedLogStore(DistributedLogStore):
     # -- write path ----------------------------------------------------------
 
     def append(self, values: dict, ticket: Ticket) -> WriteReceipt:
+        """One row, written as a one-row batch but not a sync point: under
+        the ``batch`` policy it reaches the disk at the next batch,
+        rotation, checkpoint or close."""
         with self._mutation_lock:
-            receipt = super().append(values, ticket)
+            [receipt] = super().append_batch([values], ticket)
         self._maybe_compact()
         return receipt
 
     def append_batch(
         self, rows: list[dict], ticket: Ticket
     ) -> list[WriteReceipt]:
-        """Batched append: one WAL sync per batch instead of per record.
+        """Batched append: one WAL write per node and one WAL sync per batch.
 
-        The streaming-ingest path calls this once per ingest epoch; the
+        The streaming-ingest path calls this once per ingest epoch.  The
         durability point of the whole batch is the trailing
         :meth:`sync_wals` (policy-dependent fsync), so an epoch is either
         fully durable or rolled back as a torn tail on recovery.
         """
         with self._mutation_lock:
-            receipts = []
-            for values in rows:
-                receipts.append(super().append(values, ticket))
+            receipts = super().append_batch(rows, ticket)
             self.sync_wals()
         self._maybe_compact()
         return receipts

@@ -7,10 +7,12 @@ Two settings are read from the environment (the Configuration table of
   makes :class:`~repro.core.service.ConfidentialAuditingService` build a
   :class:`~repro.store.DurableDistributedLogStore` instead of the
   in-memory store.
-* ``REPRO_STORE_FSYNC`` — fsync policy: ``always`` (fsync every append —
+* ``REPRO_STORE_FSYNC`` — fsync policy: ``always`` (fsync every WAL
+  write — one per node per batch, a single append being written as a
+  one-row batch — before any of the batch's receipts is returned;
   slowest, strongest), ``batch`` (fsync on ingest batch, rotation,
-  checkpoint and close — the default), or ``off`` (let the OS page cache
-  decide).
+  checkpoint and close — the default), or ``off`` (let the OS page
+  cache decide).
 
 The remaining :class:`StoreConfig` fields (segment size, compaction) are
 constructor arguments only.

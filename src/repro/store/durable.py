@@ -4,7 +4,8 @@
 therefore the exact read path, epochs, and cache keys) of the base
 class; every *mutation* additionally appends one record to the node's
 :class:`~repro.store.wal.WriteAheadLog` after the in-memory state change
-validates.  A record is durable once its WAL entry is flushed — the
+validates; a ``put`` of a batch's fragments is one WAL write, one record
+per fragment.  A record is durable once its WAL entry is flushed — the
 fsync policy decides when the OS page cache is forced out.
 
 Recovery applies the same records back through
@@ -45,30 +46,35 @@ class DurableFragmentStore(FragmentStore):
     # -- logged mutations ----------------------------------------------------
 
     def put(
-        self, fragment: Fragment, ticket: Ticket, expected_accumulator: int
+        self, fragments: list[Fragment], ticket: Ticket, anchors: list[int]
     ) -> None:
-        super().put(fragment, ticket, expected_accumulator)
+        super().put(fragments, ticket, anchors)
         if not self._replaying:
-            self.wal.append(
+            ticket_id = ticket.ticket_id
+            rights = sorted(op.value for op in ticket.operations)
+            self.wal.append([
                 {
                     "op": "put",
                     "glsn": fragment.glsn,
                     "values": dict(fragment.values),
-                    "anchor": expected_accumulator,
-                    "ticket_id": ticket.ticket_id,
-                    "rights": sorted(op.value for op in ticket.operations),
+                    "anchor": anchor,
+                    "ticket_id": ticket_id,
+                    "rights": rights,
                 }
-            )
+                for fragment, anchor in zip(fragments, anchors)
+            ])
 
     def delete(self, glsn: int, ticket: Ticket) -> None:
         super().delete(glsn, ticket)
         if not self._replaying:
-            self.wal.append({"op": "delete", "glsn": glsn, "ticket_id": ticket.ticket_id})
+            self.wal.append(
+                [{"op": "delete", "glsn": glsn, "ticket_id": ticket.ticket_id}]
+            )
 
     def evict(self, glsn: int) -> Fragment:
         fragment = super().evict(glsn)
         if not self._replaying:
-            self.wal.append({"op": "evict", "glsn": glsn})
+            self.wal.append([{"op": "evict", "glsn": glsn}])
         return fragment
 
     def tamper(self, glsn: int, attribute: str, new_value) -> None:
@@ -78,8 +84,8 @@ class DurableFragmentStore(FragmentStore):
         super().tamper(glsn, attribute, new_value)
         if not self._replaying:
             self.wal.append(
-                {"op": "tamper", "glsn": glsn, "attribute": attribute,
-                 "value": new_value}
+                [{"op": "tamper", "glsn": glsn, "attribute": attribute,
+                  "value": new_value}]
             )
 
     # -- replay --------------------------------------------------------------

@@ -13,7 +13,8 @@ run of the same records (:mod:`repro.store.cluster`), and
 Segments rotate at ``StoreConfig.segment_bytes``; the *active* segment
 takes appends, *sealed* segments are immutable and are what background
 compaction folds into the next checkpoint.  Every append writes its
-frame straight to the active segment; when it reaches the disk is the
+frames straight to the active segment — one frame per record, all of
+one call's frames in one ``write`` — and when they reach the disk is the
 ``REPRO_STORE_FSYNC`` policy (see :mod:`repro.store.config`).
 
 Replay tolerates a *torn tail*: a crash mid-write leaves the final
@@ -91,6 +92,11 @@ class WalReplayReport:
 class WriteAheadLog:
     """Per-node append-only log with rotation and replay.
 
+    One :meth:`append` call is one ``write``, one flush and one
+    ``append_seconds`` observation (``repro_store_wal_flush_seconds``),
+    however many records it frames: a node's share of an ingest batch
+    is one call.
+
     Thread-safe: appends, syncs, and resets serialize on one lock (the
     distributed write path already serializes appends, but compaction
     runs from a background thread).
@@ -110,7 +116,8 @@ class WriteAheadLog:
         self._active_bytes = 0
         self._closed = False
         self._records_total = 0
-        #: Wall time of each append (write + the fsync policy).
+        #: Wall time of each append call — one per node per ingest batch —
+        #: write + the fsync policy.
         self.append_seconds = Histogram(LATENCY_BUCKETS_SECONDS)
         existing = self._segment_paths()
         if existing:
@@ -144,10 +151,12 @@ class WriteAheadLog:
         checksum = zlib.crc32(body) & 0xFFFFFFFF
         return len(body).to_bytes(4, "big") + checksum.to_bytes(4, "big") + body
 
-    def append(self, record: dict) -> None:
-        """Write one record's frame to the active segment (fsynced under
-        the ``always`` policy), rotating once the segment is full."""
-        encoded = self.encode_record(record)
+    def append(self, records: list[dict]) -> None:
+        """Write one frame per record to the active segment in one
+        ``write`` (fsynced under the ``always`` policy), rotating once the
+        segment is full — so rotation falls only between calls and no
+        frame is split across segments."""
+        encoded = b"".join(map(self.encode_record, records))
         with self._lock:
             if self._closed:
                 raise LogStoreError(f"WAL {self.directory} is closed")
@@ -158,7 +167,7 @@ class WriteAheadLog:
             if self.config.fsync == "always":
                 os.fsync(handle.fileno())
             self._active_bytes += len(encoded)
-            self._records_total += 1
+            self._records_total += len(records)
             self.append_seconds.observe(time.monotonic() - started)
             if self._active_bytes >= self.config.segment_bytes:
                 self._rotate_locked()

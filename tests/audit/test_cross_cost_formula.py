@@ -219,7 +219,7 @@ def _executor(rows: list[dict], tag: bytes = b"align"):
         AccumulatorParams.generate(128, DeterministicRng(tag)),
     )
     ticket = authority.issue("U", {Operation.READ, Operation.WRITE})
-    glsns = [receipt.glsn for receipt in store.append_record(rows, ticket)]
+    glsns = [receipt.glsn for receipt in store.append_batch(rows, ticket)]
     ctx = SmcContext(shared_prime(64), DeterministicRng(tag + b"-ctx"))
     return QueryExecutor(store, ctx, schema), glsns
 

@@ -34,7 +34,7 @@ def sparse_executor(table1_schema, table1_plan, ticket_authority, prime64):
         AccumulatorParams.generate(128, DeterministicRng(b"sparse")),
     )
     ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
-    store.append_record(
+    store.append_batch(
         [
             {"C1": 10},                          # only C1
             {"C2": "5.00"},                      # only C2

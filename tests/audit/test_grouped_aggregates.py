@@ -32,7 +32,7 @@ def executor(table1_schema, table1_plan, ticket_authority, prime64):
         {"protocl": "TCP", "C1": 7, "C2": "0.50", "id": "U3"},
         {"protocl": "ICMP", "C1": 99, "C2": "9.99", "id": "U3"},  # singleton group
     ]
-    store.append_record(rows, ticket)
+    store.append_batch(rows, ticket)
     return QueryExecutor(
         store, SmcContext(prime64, DeterministicRng(b"group-ctx")), table1_schema
     )

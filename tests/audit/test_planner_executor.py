@@ -244,7 +244,7 @@ class TestMultiOwnerAggregates:
             AccumulatorParams.generate(128, DeterministicRng(b"repl")),
         )
         ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
-        store.append_record(paper_table1_rows(), ticket)
+        store.append_batch(paper_table1_rows(), ticket)
         ctx = SmcContext(prime64, DeterministicRng(b"repl-ctx"))
         return QueryExecutor(store, ctx, table1_schema)
 

@@ -43,7 +43,7 @@ def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_siz
         schema, paper_fragment_plan(schema), prime_bits=64,
         rng=DeterministicRng(b"cache-growth"),
     )
-    service.store.append_record(
+    service.store.append_batch(
         [
             {"C1": i % 89, "C2": i % 500, "C5": i % 97, "protocl": ("tcp", "udp")[i % 2]}
             for i in range(ROWS)

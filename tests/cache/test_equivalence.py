@@ -72,7 +72,7 @@ def build(seed: int, count: int = 8):
     ticket = authority.issue(
         "U1", {Operation.READ, Operation.WRITE, Operation.DELETE}
     )
-    store.append_record(random_rows(seed, count), ticket)
+    store.append_batch(random_rows(seed, count), ticket)
     ctx = SmcContext(shared_prime(64), DeterministicRng(f"smc:{seed}"))
     return store, ticket, QueryExecutor(store, ctx, schema)
 

@@ -29,9 +29,10 @@ from repro.logstore import (
 from repro.smc import SmcContext
 from repro.workloads import paper_table1_rows
 
-# ``--hypothesis-profile=ci``: the codec, checkpoint and integrity-memo fuzz
-# modules again, with ten times the default examples (where a test does not
-# set its own) and no per-example deadline (shared runners stall).
+# ``--hypothesis-profile=ci``: the codec, checkpoint, batched-WAL and
+# integrity-memo fuzz modules again, with ten times the default examples
+# (where a test does not set its own) and no per-example deadline (shared
+# runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
@@ -103,5 +104,5 @@ def populated_store(table1_schema, table1_plan, ticket_authority):
     ticket = ticket_authority.issue(
         "U1", {Operation.READ, Operation.WRITE, Operation.DELETE}
     )
-    receipts = store.append_record(paper_table1_rows(), ticket)
+    receipts = store.append_batch(paper_table1_rows(), ticket)
     return store, ticket, receipts

@@ -81,7 +81,7 @@ def executor(table1_schema, table1_plan, ticket_authority, prime64):
         {"Tid": "S2", "id": "U3", "C1": 96, "C3": "probe"},
         {"Tid": "S3", "id": "U4", "C1": 97, "C3": "probe"},
     ]
-    store.append_record(rows, ticket)
+    store.append_batch(rows, ticket)
     ctx = SmcContext(prime64, DeterministicRng(b"rules-ctx"))
     return QueryExecutor(store, ctx, table1_schema)
 

@@ -35,6 +35,27 @@ class TestIssuance:
         ids = {authority.issue("U", {Operation.READ}).ticket_id for _ in range(50)}
         assert len(ids) == 50
 
+    def test_payload_and_tag_bytes_are_pinned(self, authority):
+        # Tickets issued by earlier versions must keep verifying: the
+        # canonical payload is compact, key-sorted JSON, escapes included.
+        authority.tick(3)
+        plain = authority.issue("U1", {Operation.READ, Operation.WRITE})
+        escaped = authority.issue('ü "q" \\ ☃', set(Operation), lifetime=7)
+        assert plain.payload_bytes() == (
+            b'{"expires_at":null,"issued_at":3,"operations":["read","write"],'
+            b'"principal":"U1","ticket_id":"5232aeba40b8d438"}'
+        )
+        assert plain.tag.hex() == (
+            "3b71d4b4d00f848ba2ba07991fafc44e6d398b737e005dcd0b2edd575aadc2a8"
+        )
+        assert escaped.payload_bytes() == (
+            b'{"expires_at":10,"issued_at":3,"operations":["delete","read","write"],'
+            b'"principal":"\\u00fc \\"q\\" \\\\ \\u2603","ticket_id":"28e5b63ff3bb0fba"}'
+        )
+        assert escaped.tag.hex() == (
+            "63e24a9c1b0f0f79d7d0870f4cb85dfcc1cb2e75f8f570e6942d5af204ddf9f3"
+        )
+
     def test_operation_parse(self):
         assert Operation.parse("READ") is Operation.READ
         assert Operation.parse("write") is Operation.WRITE

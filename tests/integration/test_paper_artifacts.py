@@ -26,7 +26,7 @@ def loaded(table1_plan, ticket_authority):
         AccumulatorParams.generate(128, DeterministicRng(b"paper")),
     )
     ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
-    receipts = store.append_record(paper_table1_rows(), ticket)
+    receipts = store.append_batch(paper_table1_rows(), ticket)
     return store, ticket, receipts
 
 

@@ -27,7 +27,7 @@ def big_world(prime64):
     )
     ticket = authority.issue("U1", {Operation.READ, Operation.WRITE})
     rows = generator.rows(schema, 400, sparsity=0.1)
-    receipts = store.append_record(rows, ticket)
+    receipts = store.append_batch(rows, ticket)
     oracle = CentralizedAuditor(schema)
     for receipt, row in zip(receipts, rows):
         oracle.ingest(LogRecord(receipt.glsn, row))

@@ -107,7 +107,7 @@ class TestMemoAcrossRewrites:
             config=config,
         )
         ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
-        receipts = store.append_record(paper_table1_rows(), ticket)
+        receipts = store.append_batch(paper_table1_rows(), ticket)
         assert_flags(store, [])
         glsn = receipts[3].glsn
         original = store.node_store("P1").local_fragment(glsn).values["C2"]
@@ -134,7 +134,7 @@ class TestMemoAcrossRewrites:
         )
         try:
             ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
-            receipts = store.append_record(paper_table1_rows(), ticket)
+            receipts = store.append_batch(paper_table1_rows(), ticket)
             assert_flags(store, [])
             glsn = receipts[0].glsn
             node = store.node_store("P1")

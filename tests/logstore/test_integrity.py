@@ -13,7 +13,7 @@ def grow(store, ticket, count):
     """Append ``count`` more Table 1 rows (distinct Tid values)."""
     table = paper_table1_rows()
     rows = [{**table[i % len(table)], "Tid": f"T{i:05d}"} for i in range(count)]
-    return store.append_record(rows, ticket)
+    return store.append_batch(rows, ticket)
 
 
 def exact_reports(store):

@@ -83,7 +83,7 @@ def mining_store(table1_schema, table1_plan, ticket_authority):
         + [{"protocl": "TCP", "C3": "probe"}] * 3    # strong TCP=>probe
         + [{"protocl": "TCP", "C3": "order"}] * 1
     )
-    store.append_record(rows, ticket)
+    store.append_batch(rows, ticket)
     return store
 
 

@@ -84,7 +84,7 @@ def _service(rows) -> ConfidentialAuditingService:
     service = ConfidentialAuditingService(
         SCHEMA, PLAN, prime_bits=64, rng=DeterministicRng(b"observe-signatures")
     )
-    service.store.append_record(rows, service.register_user("writer"))
+    service.store.append_batch(rows, service.register_user("writer"))
     return service
 
 

@@ -42,7 +42,7 @@ def build_stores(rows, plan=PLAN):
         plan, authority, AccumulatorParams.generate(128, DeterministicRng(b"pa"))
     )
     ticket = authority.issue("U", {Operation.READ, Operation.WRITE})
-    receipts = store.append_record(rows, ticket)
+    receipts = store.append_batch(rows, ticket)
     oracle = CentralizedAuditor(plan.schema)
     for receipt, row in zip(receipts, rows):
         oracle.ingest(LogRecord(receipt.glsn, row))

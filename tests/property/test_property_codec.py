@@ -258,8 +258,7 @@ class TestWalRecordProperties:
         cut = data.draw(st.integers(1, len(last) - 1), label="cut")
         with tempfile.TemporaryDirectory() as directory:
             wal = WriteAheadLog(directory, StoreConfig(fsync="off"))
-            for record in records:
-                wal.append(record)
+            wal.append(records)
             wal.close()
             (segment,) = wal._segment_paths()
             segment.write_bytes(segment.read_bytes()[:-cut])

@@ -93,7 +93,7 @@ def _executor(pairs) -> QueryExecutor:
         for i, (a, b) in enumerate(pairs)
     ]
     if records:
-        store.append_record(records, ticket)
+        store.append_batch(records, ticket)
     ctx = SmcContext(shared_prime(64), DeterministicRng(b"column-scan-ctx"))
     return QueryExecutor(store, ctx, SCHEMA)
 

@@ -27,7 +27,7 @@ TABLE = paper_table1_rows()
 def build(count: int) -> DistributedLogStore:
     store = DistributedLogStore(PLAN, AUTHORITY, PARAMS)
     rows = [{**TABLE[i % len(TABLE)], "Tid": f"T{i:05d}"} for i in range(count)]
-    store.append_record(rows, TICKET)
+    store.append_batch(rows, TICKET)
     return store
 
 

@@ -46,8 +46,12 @@ row_strategy = st.fixed_dictionaries(
 
 
 @settings(max_examples=25, deadline=None)
-@given(rows=st.lists(row_strategy, min_size=1, max_size=8), seed=st.integers(0, 999))
-def test_roundtrip_preserves_everything(rows, seed):
+@given(
+    rows=st.lists(row_strategy, min_size=1, max_size=8),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 999),
+)
+def test_roundtrip_preserves_everything(rows, batch, seed):
     authority = TicketAuthority(SECRET)
     ticket = authority.issue("U", {Operation.READ, Operation.WRITE})
     with tempfile.TemporaryDirectory() as directory:
@@ -55,7 +59,9 @@ def test_roundtrip_preserves_everything(rows, seed):
             PLAN, authority, AccumulatorParams.generate(128, DeterministicRng(seed)),
             directory, config=CONFIG,
         )
-        receipts = store.append_record(rows, ticket)
+        receipts = []
+        for at in range(0, len(rows), batch):
+            receipts += store.append_batch(rows[at : at + batch], ticket)
         expected = store_state(store)
         store.checkpoint()
         store.close()
@@ -83,7 +89,7 @@ def checkpoint_bytes() -> bytes:
             PLAN, authority, AccumulatorParams.generate(128, DeterministicRng(7)),
             directory, config=CONFIG,
         )
-        store.append_record(
+        store.append_batch(
             [{"a": i, "s": "x", "C1": i * i, "blob": b"\x00\xff"} for i in range(3)], ticket
         )
         store.checkpoint()

@@ -27,7 +27,7 @@ from tests.store.conftest import reopen, store_state
 def populated(durable_store):
     """The paper's Table 1 rows in a durable store; ``(store, ticket, receipts)``."""
     store, ticket, _ = durable_store
-    return store, ticket, store.append_record(paper_table1_rows(), ticket)
+    return store, ticket, store.append_batch(paper_table1_rows(), ticket)
 
 
 class TestCheckpointReopen:
@@ -197,7 +197,7 @@ def test_checkpoint_rename_is_durable_before_the_wal_goes(
         table1_plan, ticket_authority, acc_params, tmp_path,
         config=StoreConfig(fsync="batch", compact=False),
     )
-    store.append_record(paper_table1_rows(), ticket_authority.issue("U1", {Operation.WRITE}))
+    store.append_batch(paper_table1_rows(), ticket_authority.issue("U1", {Operation.WRITE}))
     calls = []
 
     def logged(name, real):

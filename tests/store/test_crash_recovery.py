@@ -7,6 +7,7 @@ suffix of appends, answers reads identically over the surviving prefix,
 and passes the §4.1 integrity audit.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,14 +19,26 @@ from repro.workloads import paper_table1_rows
 from tests.store.conftest import reopen, store_state
 
 
-def build(plan, authority, params, directory, rows, config):
+def build(plan, authority, params, directory, rows, config, batch_sizes=()):
+    """A fresh durable store holding ``rows``, appended in batches of
+    ``batch_sizes`` in turn (cycled; one batch of everything when empty)."""
     store, report = open_durable_store(plan, authority, params, directory, config=config)
     assert report is None
     ticket = authority.issue(
         "U1", {Operation.READ, Operation.WRITE, Operation.DELETE}
     )
-    receipts = store.append_record(rows, ticket)
+    receipts = append_in_batches(store, rows, ticket, batch_sizes)
     return store, ticket, receipts
+
+
+def append_in_batches(store, rows, ticket, batch_sizes=()):
+    sizes = itertools.cycle(batch_sizes or [max(len(rows), 1)])
+    receipts, at = [], 0
+    while at < len(rows):
+        size = next(sizes)
+        receipts += store.append_batch(rows[at : at + size], ticket)
+        at += size
+    return receipts
 
 
 def crash(store):
@@ -117,9 +130,12 @@ class TestRandomizedTruncation:
         self, table1_plan, ticket_authority, acc_params, fast_config, tmp_path, seed
     ):
         rng = random.Random(seed)
-        rows = paper_table1_rows() * 2
+        rows = paper_table1_rows() * 3
+        # Several batches per segment, so a cut can land inside any of them.
+        batch_sizes = [rng.randint(1, 6) for _ in range(4)]
         store, ticket, receipts = build(
-            table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config
+            table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config,
+            batch_sizes,
         )
         all_glsns = store.glsns
         crash(store)
@@ -161,11 +177,11 @@ class TestRandomizedTruncation:
         rng = random.Random(1000 + seed)
         rows = paper_table1_rows()
         store, ticket, receipts = build(
-            table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config
+            table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config, [2]
         )
         store.checkpoint()
         checkpointed = list(store.glsns)
-        extra = store.append_record(rows[:3], ticket)
+        extra = append_in_batches(store, rows * 2, ticket, [rng.randint(1, 4), 3])
         crash(store)
         node_id = rng.choice(list(store.stores))
         segment = sorted((tmp_path / node_id).glob("wal-*.seg"))[-1]

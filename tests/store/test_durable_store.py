@@ -22,7 +22,7 @@ from tests.store.conftest import reopen
 class TestWritePath:
     def test_reads_equal_in_memory_semantics(self, durable_store):
         store, ticket, _ = durable_store
-        receipts = store.append_record(paper_table1_rows(), ticket)
+        receipts = store.append_batch(paper_table1_rows(), ticket)
         record = store.read_record(receipts[0].glsn, ticket)
         assert record.values == paper_table1_rows()[0]
         assert store.glsns == [r.glsn for r in receipts]
@@ -31,7 +31,7 @@ class TestWritePath:
 
     def test_every_mutation_journaled(self, durable_store):
         store, ticket, _ = durable_store
-        receipts = store.append_record(paper_table1_rows()[:2], ticket)
+        receipts = store.append_batch(paper_table1_rows()[:2], ticket)
         store.delete_record(receipts[0].glsn, ticket)
         for wal in store.wals.values():
             ops = [e["op"] for e in wal.replay().entries]
@@ -63,7 +63,7 @@ class TestWritePath:
 class TestCheckpoint:
     def test_checkpoint_truncates_wals(self, durable_store):
         store, ticket, directory = durable_store
-        store.append_record(paper_table1_rows(), ticket)
+        store.append_batch(paper_table1_rows(), ticket)
         assert any(wal.replay().records for wal in store.wals.values())
         store.checkpoint()
         assert all(wal.replay().records == 0 for wal in store.wals.values())
@@ -73,7 +73,7 @@ class TestCheckpoint:
         self, durable_store, table1_plan, ticket_authority, acc_params, fast_config
     ):
         store, ticket, directory = durable_store
-        receipts = store.append_record(paper_table1_rows(), ticket)
+        receipts = store.append_batch(paper_table1_rows(), ticket)
         store.checkpoint()
         store.close()
         recovered, report = reopen(

@@ -22,8 +22,7 @@ class TestFraming:
             {"op": "put", "glsn": 7, "values": {"a": "x"}, "anchor": 2**200 + 1},
             {"op": "delete", "glsn": 7},
         ]
-        for record in records:
-            wal.append(record)
+        wal.append(records)
         wal.close()
         replay = make_wal(tmp_path).replay()
         assert not replay.torn_tail
@@ -32,7 +31,7 @@ class TestFraming:
     def test_bigints_survive(self, tmp_path):
         wal = make_wal(tmp_path)
         huge = 2**1024 + 12345
-        wal.append({"op": "put", "glsn": 1, "anchor": huge, "chain": None})
+        wal.append([{"op": "put", "glsn": 1, "anchor": huge, "chain": None}])
         wal.close()
         entry = make_wal(tmp_path).replay().entries[0]
         assert entry["anchor"] == huge and entry["chain"] is None
@@ -48,7 +47,7 @@ class TestRotation:
     def test_segments_rotate_and_seal(self, tmp_path):
         wal = make_wal(tmp_path, segment_bytes=64)
         for i in range(20):
-            wal.append({"op": "put", "glsn": i, "values": {"k": "v" * 8}})
+            wal.append([{"op": "put", "glsn": i, "values": {"k": "v" * 8}}])
         assert wal.sealed_segment_count >= 2
         replay = wal.replay()
         assert replay.records == 20
@@ -58,11 +57,11 @@ class TestRotation:
     def test_reset_deletes_but_never_reuses_indices(self, tmp_path):
         wal = make_wal(tmp_path, segment_bytes=64)
         for i in range(10):
-            wal.append({"op": "put", "glsn": i})
+            wal.append([{"op": "put", "glsn": i}])
         before = sorted(p.name for p in tmp_path.glob("wal-*.seg"))
         wal.reset()
         assert not list(tmp_path.glob("wal-*.seg"))
-        wal.append({"op": "put", "glsn": 99})
+        wal.append([{"op": "put", "glsn": 99}])
         after = sorted(p.name for p in tmp_path.glob("wal-*.seg"))
         assert after and after[0] > before[-1]
         assert wal.replay().entries == [{"op": "put", "glsn": 99}]
@@ -70,24 +69,56 @@ class TestRotation:
 
 
 class TestBatching:
-    def test_zero_window_flushes_immediately(self, tmp_path):
+    def test_appended_records_are_on_disk_when_append_returns(self, tmp_path):
         wal = make_wal(tmp_path)
-        wal.append({"op": "put", "glsn": 1})
+        wal.append([{"op": "put", "glsn": 1}])
         assert make_wal(tmp_path).replay().records == 1
         wal.close()
+
+    def test_one_call_writes_exactly_one_frame_per_record(self, tmp_path):
+        records = [
+            {"op": "put", "glsn": i, "values": {"k": f"v{i}"}, "anchor": 2**130 + i}
+            for i in range(7)
+        ]
+        wal = make_wal(tmp_path)
+        wal.append(records)
+        wal.close()
+        (segment,) = tmp_path.glob("wal-*.seg")
+        assert segment.read_bytes() == b"".join(map(WriteAheadLog.encode_record, records))
+        assert wal.records_appended == 7
+        assert wal.append_seconds.count == 1
+
+    def test_rotation_falls_between_calls_and_never_splits_a_frame(self, tmp_path):
+        # Each call overruns the 64-byte segment, so each lands whole in a
+        # segment of its own, however many frames it carries.
+        wal = make_wal(tmp_path, segment_bytes=64)
+        calls = [
+            [{"op": "put", "glsn": 10 * c + i, "values": {"k": "v" * 64}} for i in range(c + 1)]
+            for c in range(4)
+        ]
+        for records in calls:
+            wal.append(records)
+        wal.close()
+        segments = sorted(tmp_path.glob("wal-*.seg"))
+        assert [s.read_bytes() for s in segments] == [
+            b"".join(map(WriteAheadLog.encode_record, records)) for records in calls
+        ]
+        replay = make_wal(tmp_path).replay()
+        assert not replay.torn_tail
+        assert replay.entries == [record for records in calls for record in records]
 
     def test_closed_wal_refuses_appends(self, tmp_path):
         wal = make_wal(tmp_path)
         wal.close()
         with pytest.raises(LogStoreError):
-            wal.append({"op": "put", "glsn": 1})
+            wal.append([{"op": "put", "glsn": 1}])
 
 
 class TestTornTails:
     def fill(self, tmp_path, count=5):
         wal = make_wal(tmp_path)
         for i in range(count):
-            wal.append({"op": "put", "glsn": i, "values": {"k": f"v{i}"}})
+            wal.append([{"op": "put", "glsn": i, "values": {"k": f"v{i}"}}])
         wal.close()
         return sorted(tmp_path.glob("wal-*.seg"))[-1]
 
