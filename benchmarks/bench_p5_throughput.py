@@ -4,20 +4,24 @@ Measures what ``repro.sched`` buys on a mixed workload of 8 concurrent
 queries and what its machinery costs when concurrency is 1:
 
 * **Throughput.**  The same 8-query mix executed serially
-  (``service.query`` in a loop) vs through ``service.query_many`` at
-  concurrency 8 on an identically-seeded twin deployment.  The
-  acceptance bar is >= 3x queries/sec; every concurrent result is
-  asserted equal, query by query, to its serial counterpart.  The mix
-  repeats one criterion and shares an expensive ``C1 > C5`` cross-anchor
-  predicate between two *distinct* criteria, so the speedup decomposes
-  into whole-query fan-out plus subplan-level single-flight sharing —
-  the big-int SMC rounds hold the GIL, so overlap alone buys ~nothing.
+  (``service.query`` in a loop on a service built with
+  ``REPRO_SCHED_COALESCE=off``, so every query pays its own rounds) vs
+  through a scheduler at concurrency 8 on an identically-seeded twin
+  deployment.  The acceptance bar is >= 3x queries/sec; every concurrent
+  result is asserted equal, query by query, to its serial counterpart.
+  The mix repeats one criterion and shares an expensive ``C1 > C5``
+  cross-anchor predicate between two *distinct* criteria, so the speedup
+  decomposes into whole-query fan-out plus subplan-level single-flight
+  sharing — the big-int SMC rounds hold the GIL, so overlap alone buys
+  ~nothing.  The same serial loop on a default service, whose sync
+  queries reuse equal-epoch cross predicates from the service's
+  sub-plan memo, is reported beside it (not gated).
 * **Latency under load.**  p50/p95 per-query latency from the handles'
   submit-to-resolve clocks during the concurrent run.
 * **Scheduler overhead.**  Distinct queries pushed one at a time through
   a ``max_inflight=1``, coalescing-off scheduler vs plain
-  ``service.query`` — the task-and-handle machinery must cost < 5%
-  wall-clock.
+  ``service.query`` on a coalescing-off service — the task-and-handle
+  machinery must cost < 5% wall-clock.
 
 Writes ``BENCH_p5.json`` at the repo root.
 
@@ -50,7 +54,7 @@ from benchmarks.conftest import print_rows
 from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng
 from repro.logstore import paper_fragment_plan, paper_table1_schema
-from repro.sched import QueryScheduler
+from repro.sched import COALESCE_ENV_VAR, QueryScheduler
 
 ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "120"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
@@ -99,6 +103,13 @@ def _build(rows: int) -> ConfidentialAuditingService:
     return service
 
 
+def _build_unshared(monkeypatch, rows: int) -> ConfidentialAuditingService:
+    """A twin whose queries share nothing: every one runs its own rounds."""
+    with monkeypatch.context() as env:
+        env.setenv(COALESCE_ENV_VAR, "off")
+        return _build(rows)
+
+
 def _percentile(samples: list[float], q: float) -> float:
     ordered = sorted(samples)
     idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
@@ -115,7 +126,7 @@ def _best_of(fn, repeats: int = 5) -> float:
 
 
 class TestSchedulerThroughput:
-    def test_throughput_latency_and_overhead(self):
+    def test_throughput_latency_and_overhead(self, monkeypatch):
         results: dict = {
             "experiment": "P5",
             "rows": ROWS,
@@ -126,10 +137,16 @@ class TestSchedulerThroughput:
         }
 
         # -- throughput: serial loop vs query_many on a twin ---------------
-        serial_svc = _build(ROWS)
+        serial_svc = _build_unshared(monkeypatch, ROWS)
         start = time.perf_counter()
         serial = [serial_svc.query(c) for c in MIX]
         t_serial = time.perf_counter() - start
+
+        memo_svc = _build(ROWS)
+        start = time.perf_counter()
+        memo_serial = [memo_svc.query(c) for c in MIX]
+        t_memo = time.perf_counter() - start
+        assert [r.glsns for r in memo_serial] == [r.glsns for r in serial]
 
         conc_svc = _build(ROWS)
         start = time.perf_counter()
@@ -152,6 +169,7 @@ class TestSchedulerThroughput:
             "concurrent_s": round(t_conc, 3),
             "speedup": round(speedup, 2),
             "serial_qps": round(len(MIX) / t_serial, 2),
+            "serial_memo_qps": round(len(MIX) / t_memo, 2),
             "concurrent_qps": round(len(MIX) / t_conc, 2),
             "queries_coalesced": coalesced,
             "coalesce_stats": sched.coalesce_stats(),
@@ -167,6 +185,8 @@ class TestSchedulerThroughput:
             [
                 ("serial loop", f"{t_serial:.2f}", f"{len(MIX) / t_serial:.2f}",
                  "—", "—"),
+                ("serial + memo", f"{t_memo:.2f}", f"{len(MIX) / t_memo:.2f}",
+                 "—", "—"),
                 (f"sched x{CONCURRENCY}", f"{t_conc:.2f}",
                  f"{len(MIX) / t_conc:.2f}",
                  f"{_percentile(latencies, 0.5) * 1e3:.0f}",
@@ -179,9 +199,10 @@ class TestSchedulerThroughput:
         )
 
         # -- overhead at concurrency 1 -------------------------------------
-        # Coalescing off: every query recomputes, so the comparison times
-        # the task-and-handle machinery itself, not cache hits.
-        base_svc = _build(ROWS)
+        # Coalescing off on both paths: every query recomputes, so the
+        # comparison times the task-and-handle machinery itself, not cache
+        # hits.
+        base_svc = _build_unshared(monkeypatch, ROWS)
 
         def run_serial():
             for criterion in OVERHEAD_QUERIES:

@@ -48,8 +48,11 @@ class AsyncSingleFlight:
 
     Exposes the wrapped cache's ``name`` and ``stats`` plus ``joins``
     (``/metrics`` reads it as ``repro_sched_coalesce_hits_total``, labelled
-    with the sharing level).  All state is touched only between awaits on
-    one event loop, so no lock is needed.
+    with the sharing level).  The in-flight table is touched only between
+    awaits on one event loop, so it needs no lock.  The wrapped cache may
+    be shared: the service's sub-plan memo is also read and written by
+    sync callers on other threads, which never join (the
+    :class:`~repro.cache.LruCache` is thread-safe).
     """
 
     def __init__(self, cache: LruCache) -> None:
@@ -65,8 +68,19 @@ class AsyncSingleFlight:
     def stats(self):
         return self.cache.stats
 
-    async def get_or_compute(self, key, compute: Callable[[], Awaitable[object]]):
-        """Serve ``key`` from cache, join an in-flight compute, or compute."""
+    async def get_or_compute(
+        self,
+        key,
+        compute: Callable[[], Awaitable[object]],
+        *,
+        keep: Callable[[object], bool] | None = None,
+    ):
+        """Serve ``key`` from cache, join an in-flight compute, or compute.
+
+        A computed value for which ``keep`` returns false is handed to its
+        caller only: nothing is stored, so joiners find a miss and one of
+        them computes afresh.
+        """
         if not caching_enabled():
             return await compute()
         while True:
@@ -84,7 +98,8 @@ class AsyncSingleFlight:
             self._inflight[key] = asyncio.Event()
             try:
                 value = await compute()
-                self.cache.put(key, value)
+                if keep is None or keep(value):
+                    self.cache.put(key, value)
                 return value
             finally:
                 done = self._inflight.pop(key, None)

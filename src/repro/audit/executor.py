@@ -46,7 +46,7 @@ from repro.logstore.schema import GlobalSchema
 from repro.logstore.store import DistributedLogStore
 from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline
-from repro.smc.base import SmcContext, protocol_span
+from repro.smc.base import SmcContext, SmcResult, protocol_span
 from repro.smc.comparison import (
     evaluate_operator,
     secure_compare_async,
@@ -243,10 +243,12 @@ class QueryExecutor:
             if projection_cache is not None
             else LruCache("query.projection")
         )
-        # Subplan coalescing is scheduler-only: serial executors keep it
-        # off (None) so single-query behaviour is byte-identical.  Its
-        # computes run SMC rounds, so this one is awaited:
-        # ``await get_or_compute(key, coroutine_function)``.
+        # The sub-plan memo (:meth:`_evaluate_predicate`): the service's
+        # one epoch-keyed ``LruCache``, read and written in place by a sync
+        # executor, or the scheduler's single-flight around that same
+        # cache, whose ``get_or_compute(key, coroutine_function)`` is
+        # awaited.  ``None`` (a bare executor, or ``REPRO_SCHED_COALESCE``
+        # off) runs every cross predicate's rounds.
         self._subplan_cache = subplan_cache
 
     # -- public API -----------------------------------------------------------
@@ -266,10 +268,11 @@ class QueryExecutor:
 
         :meth:`execute` is :func:`~repro.twin.sync_twin` of this coroutine.
         Awaited on an event loop, concurrent queries interleave their ring
-        hops over shared transports; the injected subplan cache's
+        hops over shared transports; a single-flight sub-plan memo's
         ``get_or_compute`` is awaited, so on a loop it must park joiners on
         an ``asyncio.Event`` (:class:`~repro.aio.coalesce.AsyncSingleFlight`),
-        never on a thread-blocking wait.
+        never on a thread-blocking wait.  Under the sync name the memo is
+        a plain :class:`~repro.cache.LruCache` and nothing parks.
         """
         tracer = self.ctx.tracer
         net = net or SimNetwork(tracer=tracer)
@@ -531,9 +534,9 @@ class QueryExecutor:
         comparison deliver to both), which is what lets the plan anchor the
         clause at either: :meth:`QueryPlan.describe`.
 
-        With a scheduler-injected subplan cache, whole cross-predicate SMC
-        subplans (the expensive primitives: ``ssi``/``scmp``) are shared
-        across concurrent queries — keyed on the predicate and the
+        With a sub-plan memo, whole cross-predicate SMC subplans (the
+        expensive primitives: ``ssi``/``scmp``) are shared across queries,
+        earlier or concurrent — keyed on the predicate and the
         participating stores' epochs, so a write on any involved node
         invalidates exactly the affected entries.  A shared result is a
         disclosure in its own right (the recipient query learns the
@@ -541,8 +544,12 @@ class QueryExecutor:
         on the ledger.
         """
         strategy = qplan.strategies[str(pred)]
-        if self._subplan_cache is None or strategy.primitive not in ("ssi", "scmp"):
-            return await self._evaluate_predicate_uncached(pred, qplan, net, deadline)
+        memo = self._subplan_cache
+        runs: list[SmcResult] = []
+        if memo is None or strategy.primitive not in ("ssi", "scmp"):
+            return await self._evaluate_predicate_uncached(
+                pred, qplan, net, deadline, runs
+            )
         key = (
             str(pred),
             strategy.primitive,
@@ -557,18 +564,35 @@ class QueryExecutor:
             nonlocal ran
             ran = True
             node, glsns = await self._evaluate_predicate_uncached(
-                pred, qplan, net, deadline
+                pred, qplan, net, deadline, runs
             )
             return node, frozenset(glsns)
 
-        node, glsns = await self._subplan_cache.get_or_compute(key, compute)
+        def healthy(_value) -> bool:
+            # A run that failover completed without some party is not the
+            # epochs' answer: no later query may be served it.
+            return not any(run.degraded for run in runs)
+
+        if isinstance(memo, LruCache):
+            # A sync caller never parks (run_sync refuses a loop future), so
+            # it never joins a compute in flight on the scheduler's loop:
+            # get, compute, put.  Two racing computes store equal values —
+            # the result is a pure function of the epochs in the key.
+            value = memo.get(key)
+            if value is None:
+                value = await compute()
+                if healthy(value):
+                    memo.put(key, value)
+        else:
+            value = await memo.get_or_compute(key, compute, keep=healthy)
+        node, glsns = value
         if not ran:
             self.ctx.leakage.record(
                 "scheduler",
                 node,
                 "coalesced_result",
-                f"subplan {pred} served from a concurrent query's SMC run "
-                f"at equal store epochs",
+                f"subplan {pred} served from an earlier or concurrent query's "
+                f"SMC run at equal store epochs",
             )
         return node, set(glsns)
 
@@ -577,8 +601,11 @@ class QueryExecutor:
         pred: Predicate,
         qplan: QueryPlan,
         net: SimNetwork,
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
+        runs: list[SmcResult],
     ) -> tuple[str, set[int]]:
+        """One predicate's glsns at its anchor node; every SMC run it makes
+        is appended to ``runs``."""
         strategy = qplan.strategies[str(pred)]
         with protocol_span(
             self.ctx,
@@ -594,11 +621,11 @@ class QueryExecutor:
                 glsns = self._local_scan(strategy.nodes[0], pred)
             elif strategy.primitive == "ssi":
                 glsns = await self._cross_equality(
-                    pred, strategy.nodes, net, deadline, span
+                    pred, strategy.nodes, net, deadline, span, runs
                 )
             elif strategy.primitive == "scmp":
                 glsns = await self._cross_order(
-                    pred, strategy.nodes, net, deadline, span
+                    pred, strategy.nodes, net, deadline, span, runs
                 )
             else:
                 raise PlanningError(f"unknown strategy {strategy.primitive!r}")
@@ -640,6 +667,7 @@ class QueryExecutor:
         net: SimNetwork,
         deadline: Deadline | None,
         span,
+        runs: list[SmcResult],
     ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
@@ -651,13 +679,14 @@ class QueryExecutor:
             net=net,
             deadline=deadline,
         )
+        runs.append(result)
         eq_glsns = {int(composite.split("|", 1)[0]) for composite in result.any_value}
         if pred.op == "=":
             return eq_glsns
         # "!=": common presence minus equality matches.
         common = await self._common_glsns(
             left_node, pred.left.name, right_node, right_attr.name,
-            net, deadline, span,
+            net, deadline, span, runs,
         )
         return common - eq_glsns
 
@@ -677,6 +706,7 @@ class QueryExecutor:
         net: SimNetwork,
         deadline: Deadline | None = None,
         span=None,
+        runs: list[SmcResult] | None = None,
     ) -> set[int]:
         """The glsns carrying ``left_attr`` at its owner and ``right_attr`` at its.
 
@@ -698,7 +728,9 @@ class QueryExecutor:
         ``n·Σ|A_i|`` encryptions and as many decryptions, and a decryption
         exponent is as long as the modulus where an encryption exponent has
         :data:`~repro.crypto.pohlig_hellman.SHORT_EXPONENT_BITS`.
+        The SMC run is appended to ``runs`` when given.
         """
+        runs = [] if runs is None else runs
         present = {
             left_node: self._present_glsns(left_node, left_attr),
             right_node: self._present_glsns(right_node, right_attr),
@@ -736,6 +768,7 @@ class QueryExecutor:
                 net=net,
                 deadline=deadline,
             )
+            runs.append(union)
             return set(indexes[left_node]) - set(union.any_value)
         result = await secure_set_intersection_async(
             self.ctx,
@@ -743,6 +776,7 @@ class QueryExecutor:
             net=net,
             deadline=deadline,
         )
+        runs.append(result)
         return set(result.any_value)
 
     def _scaled_column(
@@ -773,6 +807,7 @@ class QueryExecutor:
         net: SimNetwork,
         deadline: Deadline | None,
         span,
+        runs: list[SmcResult],
     ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
@@ -781,7 +816,7 @@ class QueryExecutor:
         ordered = sorted(
             await self._common_glsns(
                 left_node, pred.left.name, right_node, right_attr.name,
-                net, deadline, span,
+                net, deadline, span, runs,
             )
         )
         left_values = [left_scaled[g] for g in ordered]
@@ -789,35 +824,33 @@ class QueryExecutor:
         out: set[int] = set()
         if self.batch_compare:
             self._session += 1
-            verdicts = (
-                await secure_compare_batch_async(
-                    self.ctx,
-                    (left_node, left_values),
-                    (right_node, right_values),
-                    value_bound=self.value_bound,
-                    net=net,
-                    session=f"qb-{self._session}",
-                    deadline=deadline,
-                )
-            ).any_value
-            for glsn, verdict in zip(ordered, verdicts):
+            batch = await secure_compare_batch_async(
+                self.ctx,
+                (left_node, left_values),
+                (right_node, right_values),
+                value_bound=self.value_bound,
+                net=net,
+                session=f"qb-{self._session}",
+                deadline=deadline,
+            )
+            runs.append(batch)
+            for glsn, verdict in zip(ordered, batch.any_value):
                 if evaluate_operator(pred.op, verdict):
                     out.add(glsn)
             return out
         for glsn, left_value, right_value in zip(ordered, left_values, right_values):
             self._session += 1
-            verdict = (
-                await secure_compare_async(
-                    self.ctx,
-                    (left_node, left_value),
-                    (right_node, right_value),
-                    value_bound=self.value_bound,
-                    net=net,
-                    session=f"q-{self._session}-{glsn}",
-                    deadline=deadline,
-                )
-            ).any_value
-            if evaluate_operator(pred.op, verdict):
+            compared = await secure_compare_async(
+                self.ctx,
+                (left_node, left_value),
+                (right_node, right_value),
+                value_bound=self.value_bound,
+                net=net,
+                session=f"q-{self._session}-{glsn}",
+                deadline=deadline,
+            )
+            runs.append(compared)
+            if evaluate_operator(pred.op, compared.any_value):
                 out.add(glsn)
         return out
 

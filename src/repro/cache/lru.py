@@ -19,13 +19,16 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
 * **Killable.** :func:`set_caching_enabled` ``(False)`` turns every
   cache into a pass-through: :meth:`LruCache.get_or_compute` recomputes
   unconditionally and stores nothing, so any suspected cache-coherence
-  bug can be ruled out with one call.
+  bug can be ruled out with one call.  :func:`coalescing_from_env`
+  (``REPRO_SCHED_COALESCE``) is the narrower privacy opt-out: it stops
+  one query being served another's cross-predicate or whole result.
   Cached and uncached paths are value-identical by construction — the
   equivalence test suite asserts it.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -35,9 +38,11 @@ from typing import Callable
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "COALESCE_ENV_VAR",
     "CacheStats",
     "LruCache",
     "caching_enabled",
+    "coalescing_from_env",
     "set_caching_enabled",
     "default_max_entries",
     "cache_stats_snapshot",
@@ -63,6 +68,24 @@ def set_caching_enabled(flag: bool | None) -> None:
     default, on."""
     global _enabled
     _enabled = True if flag is None else bool(flag)
+
+
+COALESCE_ENV_VAR = "REPRO_SCHED_COALESCE"
+
+_OFF_VALUES = {"off", "0", "false", "no", "disabled"}
+_ON_VALUES = {"on", "1", "true", "yes", "enabled", ""}
+
+
+def coalescing_from_env() -> bool:
+    """``REPRO_SCHED_COALESCE`` (default on): whether a query may be served
+    the result of another query's run at equal store epochs.  A value that
+    is neither an on nor an off spelling is an error, never a silent "on"."""
+    raw = os.environ.get(COALESCE_ENV_VAR, "on").strip().lower()
+    if raw in _OFF_VALUES:
+        return False
+    if raw in _ON_VALUES:
+        return True
+    raise ConfigurationError(f"{COALESCE_ENV_VAR}={raw!r} is neither on nor off")
 
 
 def default_max_entries() -> int:

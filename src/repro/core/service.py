@@ -25,6 +25,7 @@ from itertools import islice
 
 from repro.audit.executor import AggregateResult, QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
+from repro.cache import LruCache, coalescing_from_env
 from repro.cluster.agreement import digest_result, run_majority_agreement, sign_agreed_result
 from repro.cluster.authority import CredentialAuthority, NodeCredentials
 from repro.cluster.membership import DlaMembership
@@ -219,7 +220,23 @@ class ConfidentialAuditingService:
             self.rng.spawn("smc"),
             tracer=self.tracer,
         )
-        self.executor = QueryExecutor(self.store, self.ctx, schema)
+        #: Whether one query may be served another's result at equal store
+        #: epochs: ``REPRO_SCHED_COALESCE``, read here once.  It decides for
+        #: :attr:`executor` and is the default of every scheduler built on
+        #: this service.
+        self.coalesce = coalescing_from_env()
+        #: The one sub-plan memo: each cross predicate's glsn set, keyed on
+        #: the predicate and its nodes' store epochs.  :attr:`executor`
+        #: reads and writes it, and the scheduler's single-flight wraps it,
+        #: so every query the service runs reuses an equal-epoch result and
+        #: records ``coalesced_result`` for it.
+        self.subplan_memo = LruCache("query.subplan")
+        self.executor = QueryExecutor(
+            self.store,
+            self.ctx,
+            schema,
+            subplan_cache=self.subplan_memo if self.coalesce else None,
+        )
 
         # DLA-side identity: credential authority, membership, signatures.
         group = SchnorrGroup.generate(256, self.rng.spawn("group"))
@@ -459,10 +476,10 @@ class ConfidentialAuditingService:
             self.obs_server = None
 
     def _record_attributes(self, glsns: list[int]) -> list[frozenset]:
-        """Per glsn, the attribute names its fragments carry — all eq. 10 reads."""
+        """Per glsn, the attribute names its fragments carry — all eq. 10
+        reads.  A node that lost a glsn's fragment contributes none."""
         per_node = [
-            [node_store.local_fragment(glsn).values for glsn in glsns]
-            for node_store in self.store.stores.values()
+            node_store.held_values(glsns) for node_store in self.store.stores.values()
         ]
         return list(map(frozenset().union, *per_node))
 
@@ -602,10 +619,13 @@ class ConfidentialAuditingService:
     ) -> AuditReport:
         """Query + majority agreement + threshold-signed release.
 
-        Every DLA node is modeled as computing the result; the digests
-        pass one agreement round, then ``k`` nodes threshold-sign.  A
-        single falsifying node is outvoted (exercised in tests via a
-        corrupted digest).
+        The query runs once and its digest passes one agreement round,
+        then ``k`` nodes threshold-sign.  The round votes over that one
+        digest copied to every node: no node computes a digest from its
+        own view, so this call cannot outvote a falsifying node (only
+        :func:`~repro.cluster.agreement.run_majority_agreement` over
+        independently reported digests can, which its own tests show).
+        ROADMAP items 10 and 14 track giving each node its own view.
 
         With a tracer installed, the whole run lives under one
         ``audit.query`` root span whose attributes carry the criterion,

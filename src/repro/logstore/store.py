@@ -128,6 +128,12 @@ class FragmentStore:
         checks — node code accessing its *own* storage needs no ticket."""
         return self._read(glsn)
 
+    def held_values(self, glsns) -> list[dict]:
+        """Node-side: the values held for each of ``glsns``, ``{}`` for a
+        glsn this node lost (:meth:`evict`) or no longer holds."""
+        held = self._fragments
+        return [held[glsn].values if glsn in held else {} for glsn in glsns]
+
     def expected_accumulator(self, glsn: int) -> int:
         try:
             return self._accumulators[glsn]

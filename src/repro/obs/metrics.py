@@ -325,12 +325,12 @@ def collect(service) -> MetricsRegistry:
     hist("repro_crypto_modexp_batch_size", BATCH_BUCKETS,
          "modexps recorded per bulk call", [ops.batch_sizes])
 
-    caches = [service.ctx.encoder._cache, service.executor._projection_cache]
+    caches = [service.ctx.encoder._cache, service.executor._projection_cache,
+              service.subplan_memo]
     if sched is not None:
         _scheduler(sched, count, gauge, hist)
         if sched.coalesce:
-            caches += [sched._column_cache, sched._subplan_flight.cache,
-                       sched._query_flight.cache]
+            caches += [sched._column_cache, sched._query_flight.cache]
     for stats in (cache.stats for cache in caches):
         count(_CACHE + "hits_total", "cache lookups served", stats.hits,
               cache=stats.name)

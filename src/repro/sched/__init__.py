@@ -12,12 +12,12 @@ package runs many in-flight queries over one deployment:
 * :class:`StandingQueryRegistry` — register a criterion once, receive
   per-ingest-epoch deltas (continuous auditing; see docs/storage.md).
 
-Coalescing follows ``REPRO_SCHED_COALESCE`` unless the constructor says
-otherwise (see docs/async.md).
+Coalescing follows the service's ``REPRO_SCHED_COALESCE`` decision
+unless the constructor says otherwise (see docs/async.md).
 """
 
+from repro.cache import COALESCE_ENV_VAR
 from repro.sched.scheduler import (
-    COALESCE_ENV_VAR,
     DEFAULT_MAX_INFLIGHT,
     QueryHandle,
     QueryScheduler,

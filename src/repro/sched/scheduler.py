@@ -30,7 +30,10 @@ owned event loop (:class:`~repro.aio.loop.LoopThread`).
   is finished before another task could ask for it), cross-predicate SMC
   subplans and whole queries with equal plan fingerprints at equal
   epochs (:class:`~repro.aio.coalesce.AsyncSingleFlight`, whose computes
-  ``await``).  A fanned-out query's ledger records the
+  ``await``).  The sub-plan level wraps the service's one
+  ``query.subplan`` memo, which its sync calls read and write too, so a
+  burst reuses a sync query's cross predicates and the reverse.  A
+  fanned-out query's ledger, and a reused sub-plan's, records the
   ``coalesced_result`` disclosure explicitly.
 * **Deadlines** — ``submit(criterion, timeout=...)`` starts the
   :class:`~repro.resilience.Deadline` at *admission*, so time spent
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import threading
 import time
 
@@ -72,28 +74,12 @@ from repro.smc.leakage import LeakageEvent
 __all__ = [
     "QueryHandle",
     "QueryScheduler",
-    "COALESCE_ENV_VAR",
     "DEFAULT_MAX_INFLIGHT",
 ]
 
 #: Bound on concurrently *executing* query tasks (admission is unbounded:
 #: excess queries are parked asyncio.Tasks awaiting the semaphore).
 DEFAULT_MAX_INFLIGHT = 256
-COALESCE_ENV_VAR = "REPRO_SCHED_COALESCE"
-
-_OFF_VALUES = {"off", "0", "false", "no", "disabled"}
-_ON_VALUES = {"on", "1", "true", "yes", "enabled", ""}
-
-
-def _coalesce_from_env() -> bool:
-    """``REPRO_SCHED_COALESCE`` (default on); a value that is neither an
-    on nor an off spelling is an error, never a silent "on"."""
-    raw = os.environ.get(COALESCE_ENV_VAR, "on").strip().lower()
-    if raw in _OFF_VALUES:
-        return False
-    if raw in _ON_VALUES:
-        return True
-    raise ConfigurationError(f"{COALESCE_ENV_VAR}={raw!r} is neither on nor off")
 
 
 class QueryHandle:
@@ -160,7 +146,12 @@ class QueryScheduler:
     stores, schema, prime, engine, and hashed-encoder memo, but runs each
     query in an isolated context over a network of its own.
     ``max_inflight`` defaults to :data:`DEFAULT_MAX_INFLIGHT`;
-    ``coalesce`` defaults to ``REPRO_SCHED_COALESCE``.  Passing a
+    ``coalesce`` defaults to the service's own decision
+    (``service.coalesce``, which is ``REPRO_SCHED_COALESCE`` when the
+    service was built); an explicit argument decides for this scheduler
+    only.  On, its queries join and fill the service's sub-plan memo (:attr:`ConfidentialAuditingService.subplan_memo
+    <repro.core.service.ConfidentialAuditingService.subplan_memo>`),
+    whose entries outlive :meth:`shutdown`.  Passing a
     ``loop_thread`` shares an existing loop (the scheduler then never
     closes it); by default the scheduler owns its loop and tears it down
     on :meth:`shutdown`.
@@ -176,7 +167,7 @@ class QueryScheduler:
         if max_inflight < 1:
             raise ConfigurationError("scheduler needs max_inflight >= 1")
         self.max_inflight = max_inflight
-        self.coalesce = _coalesce_from_env() if coalesce is None else coalesce
+        self.coalesce = service.coalesce if coalesce is None else coalesce
         self.service = service
         self.loop_thread = loop_thread if loop_thread is not None else LoopThread(
             name="repro-aio-sched"
@@ -196,7 +187,9 @@ class QueryScheduler:
         self.admission_wait = Histogram(LATENCY_BUCKETS_SECONDS)
         if self.coalesce:
             self._column_cache = LruCache("sched.projection")
-            self._subplan_flight = AsyncSingleFlight(LruCache("sched.subplan"))
+            # The service's one sub-plan memo: a burst reuses what a sync
+            # query stored and the reverse, and it outlives this scheduler.
+            self._subplan_flight = AsyncSingleFlight(service.subplan_memo)
             self._query_flight = AsyncSingleFlight(LruCache("sched.query"))
         else:
             self._column_cache = None

@@ -98,8 +98,7 @@ def matching(rows: list[dict], test) -> int:
     return sum(1 for row in rows if test(row))
 
 
-@pytest.fixture(scope="module")
-def dense_service():
+def dense_deployment() -> ConfidentialAuditingService:
     schema = paper_table1_schema()
     service = ConfidentialAuditingService(
         schema, paper_fragment_plan(schema), prime_bits=64,
@@ -108,6 +107,22 @@ def dense_service():
     ticket = service.register_user("u")
     for row in dense_rows():
         service.log_event(row, ticket)
+    return service
+
+
+@pytest.fixture(scope="module")
+def dense_service():
+    service = dense_deployment()
+    yield service
+    service.close()
+
+
+@pytest.fixture(scope="module")
+def memo_off_service():
+    """The same deployment with ``REPRO_SCHED_COALESCE=off``: no sub-plan memo."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("REPRO_SCHED_COALESCE", "off")
+        service = dense_deployment()
     yield service
     service.close()
 
@@ -126,31 +141,37 @@ def equal(row):
 
 # Attribute homes in the paper's plan: C1@P3, C5@P1, C2@P1, C3@P2, C4@P0,
 # C@P2.  Per template: the query, its predicted cost given the 100 dense
-# rows, and the ledger categories the same query recorded before the
-# complement alignment and the holder choice existed (commit d2703a4).
+# rows, its cross predicate (None for none) with that sub-plan's own cost,
+# and the ledger categories the same query recorded before the complement
+# alignment and the holder choice existed (commit d2703a4).
 ROWS = dense_rows()
 ALIGN_DENSE = union_cost([0, 0], 0)
+ORDER = ("C1 > C5", total(ALIGN_DENSE, COMPARE_BATCH))
+EQUALITY = ("C4 = C", intersection_cost([len(ROWS), len(ROWS)]))
 TEMPLATES = [
     pytest.param(
         "C1 > C5 and C3 = 'bank'",
         # clause sets at P3 (or P1) and P2: a ring between two nodes
         total(
-            ALIGN_DENSE, COMPARE_BATCH,
+            ORDER[1],
             conjunction_cost([matching(ROWS, greater), matching(ROWS, bank)]),
         ),
+        ORDER,
         {"order_statistics": 1, "position_linkage": 2, "result_cardinality": 2, "set_size": 4},
         id="order-and-third-node-label",
     ),
     pytest.param(
         "C1 > C5 and C2 < 50",
         # C2 lives on P1, a party of C1 > C5: conjoined there, no ring
-        total(ALIGN_DENSE, COMPARE_BATCH),
+        ORDER[1],
+        ORDER,
         {"order_statistics": 1, "position_linkage": 2, "result_cardinality": 2, "set_size": 4},
         id="order-and-5pct-cut-on-a-party",
     ),
     pytest.param(
         "C1 > C5 and C2 < 600",
-        total(ALIGN_DENSE, COMPARE_BATCH),
+        ORDER[1],
+        ORDER,
         {"order_statistics": 1, "position_linkage": 2, "result_cardinality": 2, "set_size": 4},
         id="order-and-60pct-cut-on-a-party",
     ),
@@ -158,11 +179,12 @@ TEMPLATES = [
         "C4 = C and C2 < 250",
         # the glsn|value join (P0, P2), then a ring with the cut on P1
         total(
-            intersection_cost([len(ROWS), len(ROWS)]),
+            EQUALITY[1],
             conjunction_cost(
                 [matching(ROWS, equal), matching(ROWS, lambda r: r["C2"] < 250)]
             ),
         ),
+        EQUALITY,
         {"position_linkage": 2, "result_cardinality": 2, "set_size": 4},
         id="equality-join-and-cut",
     ),
@@ -171,41 +193,89 @@ TEMPLATES = [
         conjunction_cost(
             [matching(ROWS, lambda r: r["C2"] < 250), matching(ROWS, bank)]
         ),
+        None,
         {"position_linkage": 1, "result_cardinality": 1, "set_size": 2},
         id="two-local-clauses",
     ),
 ]
 
 
+def ask(service, criterion: str) -> tuple[tuple[int, int], Counter, list[int]]:
+    """``(modexps, messages)``, ledger categories and answer of one query."""
+    leaked_before = service.ctx.leakage.count()
+    glsns = service.query(criterion).glsns
+    cost = service.last_query_cost
+    events = service.ctx.leakage.events[leaked_before:]
+    return (cost.modexp, cost.messages), Counter(e.category for e in events), glsns
+
+
 class TestCrossAuditTemplates:
-    @pytest.mark.parametrize("criterion, predicted, parent_ledger", TEMPLATES)
+    @pytest.mark.parametrize("criterion, predicted, cross, parent_ledger", TEMPLATES)
     def test_measured_cost_equals_the_closed_form(
-        self, dense_service, criterion, predicted, parent_ledger
+        self, dense_service, criterion, predicted, cross, parent_ledger
     ):
-        leaked_before = dense_service.ctx.leakage.count()
-        dense_service.query(criterion)
-        cost = dense_service.last_query_cost
+        dense_service.subplan_memo.clear()  # cold: nothing asked before
+        cost, ledger, glsns = ask(dense_service, criterion)
+        assert cost == predicted
+        for category, count in ledger.items():
+            assert count <= parent_ledger.get(category, 0), category
+
+        # The second asking at the same epoch is served the cross predicate
+        # from the memo: it pays the closed form minus that sub-plan's own
+        # cost (the conjunction is still paid), and its ledger trades the
+        # sub-plan's entries for one coalesced_result.
+        again, again_ledger, again_glsns = ask(dense_service, criterion)
+        assert again_glsns == glsns
+        if cross is None:
+            assert (again, again_ledger) == (cost, ledger)
+            return
+        cross_criterion, cross_cost = cross
+        dense_service.subplan_memo.clear()
+        alone, alone_ledger, _ = ask(dense_service, cross_criterion)
+        assert alone == cross_cost
+        assert again == (cost[0] - cross_cost[0], cost[1] - cross_cost[1])
+        assert again_ledger - ledger == Counter({"coalesced_result": 1})
+        assert ledger - again_ledger == alone_ledger
+
+    @pytest.mark.parametrize("criterion, predicted, cross, parent_ledger", TEMPLATES)
+    def test_memo_off_asks_pay_the_closed_form_every_time(
+        self, memo_off_service, criterion, predicted, cross, parent_ledger
+    ):
+        leaked_before = memo_off_service.ctx.leakage.count()
+        memo_off_service.query(criterion)
+        cost = memo_off_service.last_query_cost
         assert (cost.modexp, cost.messages) == predicted
-        # The second asking at the same epoch pays the same: nothing above
-        # was saved by remembering an earlier answer.
-        dense_service.query(criterion)
-        again = dense_service.last_query_cost
+        # With REPRO_SCHED_COALESCE=off the second asking at the same epoch
+        # pays the same: nothing above was saved by remembering an answer.
+        memo_off_service.query(criterion)
+        again = memo_off_service.last_query_cost
         assert (again.modexp, again.messages) == predicted
 
-        events = dense_service.ctx.leakage.events[leaked_before:]
+        events = memo_off_service.ctx.leakage.events[leaked_before:]
         first = Counter(e.category for e in events[: len(events) // 2])
         assert first == Counter(e.category for e in events[len(events) // 2 :])
         for category, count in first.items():
             assert count <= parent_ledger.get(category, 0), category
+        assert len(memo_off_service.subplan_memo) == 0
 
-    def test_round_total(self, dense_service):
-        spent = 0
-        for param in TEMPLATES:
-            dense_service.query(param.values[0])
-            spent += dense_service.last_query_cost.modexp
+    def test_round_total(self, dense_service, memo_off_service):
+        def round_total(service) -> int:
+            spent = 0
+            for param in TEMPLATES:
+                service.query(param.values[0])
+                spent += service.last_query_cost.modexp
+            return spent
+
+        dense_service.subplan_memo.clear()
         # 400 of these are the equality join's composites; at commit d2703a4
-        # the same five queries cost 2 270.
-        assert spent == 736
+        # the same five queries cost 2 270.  C1 > C5 recurs in three
+        # templates, but its dense alignment and blind comparison cost no
+        # modexp, so reusing it within the cold round saves messages only.
+        assert round_total(dense_service) == 736
+        # At equal epochs the next round reuses both cross predicates: only
+        # the conjunction rings are paid.
+        assert round_total(dense_service) == 736 - EQUALITY[1][0] == 336
+        assert round_total(memo_off_service) == round_total(memo_off_service) == 736
 
 
 # -- the alignment helper on its own -----------------------------------------

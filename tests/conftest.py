@@ -29,10 +29,10 @@ from repro.logstore import (
 from repro.smc import SmcContext
 from repro.workloads import paper_table1_rows
 
-# ``--hypothesis-profile=ci``: the codec, checkpoint, batched-WAL and
-# integrity-memo fuzz modules again, with ten times the default examples
-# (where a test does not set its own) and no per-example deadline (shared
-# runners stall).
+# ``--hypothesis-profile=ci``: the codec, checkpoint, batched-WAL,
+# integrity-memo and sub-plan-memo fuzz modules again, with ten times the
+# default examples (where a test does not set its own) and no per-example
+# deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -140,7 +140,7 @@ class TestCoalescing:
             twin = build_service()
             for criterion, result in zip(pair, results):
                 assert twin.query(criterion).glsns == result.glsns
-            subplan = service.scheduler.coalesce_stats()["sched.subplan"]
+            subplan = service.scheduler.coalesce_stats()["query.subplan"]
             assert subplan["hits"] >= 1  # a joiner re-reads the holder's value
             # Exactly one query ran the comparison rounds; the other's ledger
             # carries the explicit reuse record instead.
@@ -166,7 +166,7 @@ class TestCoalescing:
         stats = sched.coalesce_stats()
         assert set(stats) == {
             "sched.projection",
-            "sched.subplan",
+            "query.subplan",
             "sched.query",
         }
         assert stats["sched.query"]["hits"] + stats["sched.query"]["joins"] > 0
@@ -252,10 +252,19 @@ def config_service():
 class TestConfig:
     def test_env_knobs(self, monkeypatch, config_service):
         monkeypatch.setenv("REPRO_SCHED_COALESCE", "off")
+        service = build_service(rows=2)
+        try:
+            assert service.coalesce is False
+            with QueryScheduler(service) as sched:
+                assert sched.coalesce is False
+            # An explicit argument beats the variable.
+            with QueryScheduler(service, coalesce=True) as sched:
+                assert sched.coalesce is True
+        finally:
+            service.close()
+        # The variable is read once, by the service: a scheduler built after
+        # it changed follows the service it runs on.
         with QueryScheduler(config_service) as sched:
-            assert sched.coalesce is False
-        # An explicit argument beats the variable.
-        with QueryScheduler(config_service, coalesce=True) as sched:
             assert sched.coalesce is True
 
     def test_env_defaults(self, config_service):
@@ -263,11 +272,11 @@ class TestConfig:
             assert (sched.max_inflight, sched.coalesce) == (256, True)
 
     @pytest.mark.parametrize("value", ["of", "maybe", "offf"])
-    def test_invalid_coalesce_env_raises(self, monkeypatch, config_service, value):
+    def test_invalid_coalesce_env_raises(self, monkeypatch, value):
         """A mistyped privacy switch must fail loudly, not keep coalescing."""
         monkeypatch.setenv("REPRO_SCHED_COALESCE", value)
         with pytest.raises(ConfigurationError, match="REPRO_SCHED_COALESCE"):
-            QueryScheduler(config_service)
+            build_service(rows=0)
 
     @pytest.mark.parametrize("max_inflight", [0, -1])
     def test_invalid_max_inflight_raises(self, config_service, max_inflight):
