@@ -69,16 +69,17 @@ class FragmentStore:
 
     # -- writes ---------------------------------------------------------------
 
-    def put(
+    def stage_put(
         self, fragments: list[Fragment], ticket: Ticket, anchors: list[int]
-    ) -> None:
-        """Store this node's fragments of one batch under an authenticated
-        WRITE ticket, ``anchors[i]`` being the expected accumulator of
-        ``fragments[i]``.
+    ) -> Callable[[], None]:
+        """Check this node's fragments of one batch and return the call
+        that stores them under an authenticated WRITE ticket, ``anchors[i]``
+        being the expected accumulator of ``fragments[i]``.
 
-        The ticket is verified once for the batch (tag, revocation,
-        expiry, right); every fragment is checked to be addressed here
-        before any is stored.
+        Every fragment is checked to be addressed here, and nothing is
+        stored until the returned call runs, so a writer stages every
+        node's share before any node stores one.  That call verifies the
+        ticket once for the batch (tag, revocation, expiry, right).
         """
         for fragment in fragments:
             if fragment.node_id != self.node_id:
@@ -86,10 +87,14 @@ class FragmentStore:
                     f"fragment addressed to {fragment.node_id}, this is {self.node_id}"
                 )
         glsns = list(map(_glsn, fragments))
-        self.acl.grant(ticket, glsns)
-        self._fragments.update(zip(glsns, fragments))
-        self._accumulators.update(zip(glsns, anchors))
-        self._bump()
+
+        def commit() -> None:
+            self.acl.grant(ticket, glsns)
+            self._fragments.update(zip(glsns, fragments))
+            self._accumulators.update(zip(glsns, anchors))
+            self._bump()
+
+        return commit
 
     def delete(self, glsn: int, ticket: Ticket) -> None:
         """Delete a fragment under an authenticated DELETE ticket."""
@@ -324,9 +329,11 @@ class DistributedLogStore:
         its fragments (one fixed-base power), handed to every node — the
         anchor of §4.1 integrity checks.  The ticket is verified here and
         once by each node.  Every row is fragmented before any node stores
-        anything, so a row that fails (an unknown attribute, say) leaves
-        the store as it was; the glsns allocated to the batch are left
-        unused, and the next batch gets fresh ones.
+        anything, and every node stages its share (on a durable store,
+        builds its WAL frames) before any node stores one, so a row that
+        fails (an unknown attribute, or a value the WAL codec refuses)
+        leaves the store as it was; the glsns allocated to the batch are
+        left unused, and the next batch gets fresh ones.
         """
         self.authority.verify(ticket, Operation.WRITE)
         allocate, fragment = self.allocator.allocate, self.plan.fragment
@@ -343,10 +350,14 @@ class DistributedLogStore:
             )
         if receipts:
             # The plan gives every node a fragment of every record.
-            for node_id, store in self.stores.items():
-                store.put(
+            commits = [
+                store.stage_put(
                     [fragments[node_id] for fragments in fragment_sets], ticket, digests
                 )
+                for node_id, store in self.stores.items()
+            ]
+            for commit in commits:
+                commit()
         return receipts
 
     def read_record(self, glsn: int, ticket: Ticket) -> LogRecord:

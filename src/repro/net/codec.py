@@ -48,6 +48,9 @@ _MAX_FRAME = 64 * 1024 * 1024  # 64 MiB guard against corrupted length prefixes
 _JSON_SAFE_INT = 1 << 53       # beyond this, ints round-trip unreliably via JSON readers
 _INT, _INTS, _BYTES = "__int__", "__ints__", "__bytes__"
 _RESERVED_KEYS = (_INT, _INTS, _BYTES)
+#: The one envelope encoder: ``json.dumps(..., separators=...)`` builds a
+#: new ``JSONEncoder`` per call; ``encode`` keeps no state between calls.
+_ENVELOPE_JSON = json.JSONEncoder(separators=(",", ":"))
 _DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
@@ -94,7 +97,7 @@ def _message_layout(msg: Message) -> tuple[bytes, list]:
 
 def _dumps(envelope: Any) -> bytes:
     try:
-        return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+        return _ENVELOPE_JSON.encode(envelope).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CodecError(f"failed to encode envelope: {exc}") from exc
 

@@ -5,8 +5,9 @@ therefore the exact read path, epochs, and cache keys) of the base
 class; every *mutation* additionally appends one record to the node's
 :class:`~repro.store.wal.WriteAheadLog` after the in-memory state change
 validates; a ``put`` of a batch's fragments is one WAL write, one record
-per fragment.  A record is durable once its WAL entry is flushed — the
-fsync policy decides when the OS page cache is forced out.
+per fragment, each framed when the batch is staged.  A record is durable
+once its WAL entry is flushed — the fsync policy decides when the OS page
+cache is forced out.
 
 Recovery applies the same records back through
 :meth:`DurableFragmentStore.apply_wal_record` — and installs each node's
@@ -17,6 +18,8 @@ WAL it did not get to truncate.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.crypto.tickets import Operation, Ticket, TicketAuthority
 from repro.errors import LogStoreError, UnknownGlsnError
@@ -45,24 +48,34 @@ class DurableFragmentStore(FragmentStore):
 
     # -- logged mutations ----------------------------------------------------
 
-    def put(
+    def stage_put(
         self, fragments: list[Fragment], ticket: Ticket, anchors: list[int]
-    ) -> None:
-        super().put(fragments, ticket, anchors)
-        if not self._replaying:
-            ticket_id = ticket.ticket_id
-            rights = sorted(op.value for op in ticket.operations)
-            self.wal.append([
-                {
-                    "op": "put",
-                    "glsn": fragment.glsn,
-                    "values": dict(fragment.values),
-                    "anchor": anchor,
-                    "ticket_id": ticket_id,
-                    "rights": rights,
-                }
-                for fragment, anchor in zip(fragments, anchors)
-            ])
+    ) -> Callable[[], None]:
+        """Also frame one ``put`` record per fragment now — a value the
+        codec refuses raises here, before any node stores anything — and
+        write the frames, in one WAL append, when the batch is stored."""
+        store = super().stage_put(fragments, ticket, anchors)
+        if self._replaying:
+            return store
+        ticket_id = ticket.ticket_id
+        rights = sorted(op.value for op in ticket.operations)
+        frames = [
+            self.wal.encode_record({
+                "op": "put",
+                "glsn": fragment.glsn,
+                "values": fragment.values,
+                "anchor": anchor,
+                "ticket_id": ticket_id,
+                "rights": rights,
+            })
+            for fragment, anchor in zip(fragments, anchors)
+        ]
+
+        def store_and_log() -> None:
+            store()
+            self.wal.append(frames)
+
+        return store_and_log
 
     def delete(self, glsn: int, ticket: Ticket) -> None:
         super().delete(glsn, ticket)

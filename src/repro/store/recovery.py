@@ -13,7 +13,8 @@ one is recovered:
    idempotently (safe even when a crash left the WAL overlapping the
    checkpoint it was about to truncate).  A *torn tail* — the truncated
    or CRC-broken final record a crash leaves mid-write — ends that
-   node's replay cleanly.
+   node's replay cleanly; it can only be in the node's last segment, so
+   the same damage in a sealed one raises :class:`LogStoreError`.
 3. **Rollback** — a glsn durable on some nodes but not all is a
    half-written append (vertical fragmentation puts every glsn on every
    node); such glsns are always a suffix of the log and are rolled back
@@ -167,24 +168,24 @@ def recover_store(
                     f"{checkpoint_path}: ends at offset {len(data)} with no record "
                     f"of node(s) {sorted(set(store.stores) - loaded)}"
                 )
+
+            # -- WAL replay, idempotent, tolerating per-node torn tails ---
+            for node_id, node in store.stores.items():
+                replay = store.wals[node_id].replay()
+                node._replaying = True
+                try:
+                    for record in replay.entries:
+                        node.apply_wal_record(record)
+                finally:
+                    node._replaying = False
+                report.wal_records += replay.records
+                if replay.torn_tail:
+                    report.torn_nodes.append(node_id)
+                    if not report.detail:
+                        report.detail = replay.detail
         except BaseException:
             store.close()
             raise
-
-        # -- WAL replay, idempotent, tolerating per-node torn tails -------
-        for node_id, node in store.stores.items():
-            replay = store.wals[node_id].replay()
-            node._replaying = True
-            try:
-                for record in replay.entries:
-                    node.apply_wal_record(record)
-            finally:
-                node._replaying = False
-            report.wal_records += replay.records
-            if replay.torn_tail:
-                report.torn_nodes.append(node_id)
-                if not report.detail:
-                    report.detail = replay.detail
 
         # -- torn-append rollback: a glsn missing from any node is a
         # half-written append; fragmentation puts every glsn on every

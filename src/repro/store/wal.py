@@ -17,12 +17,19 @@ frames straight to the active segment — one frame per record, all of
 one call's frames in one ``write`` — and when they reach the disk is the
 ``REPRO_STORE_FSYNC`` policy (see :mod:`repro.store.config`).
 
+A ``put`` record — one per stored fragment, so most of what an ingest
+writes — is framed from a template: its envelope is written around one
+JSON encode of its ``values``, to the bytes the codec's generic walk
+would write.  A record any of whose fields needs a block other than the
+anchor's goes through :func:`encode_payload`.
+
 Replay tolerates a *torn tail*: a crash mid-write leaves the final
-record truncated or CRC-broken, and :meth:`WriteAheadLog.replay` stops
-cleanly at the last intact record instead of raising — the recovery
-layer then rolls the half-written append back across the cluster.  A
-checkpoint is renamed into place only once whole, so the same damage
-there is an error.
+record of the last segment truncated or CRC-broken, and
+:meth:`WriteAheadLog.replay` stops cleanly at the last intact record
+instead of raising — the recovery layer then rolls the half-written
+append back across the cluster.  A sealed segment was whole before the
+next one was opened, and a checkpoint is renamed into place only once
+whole, so the same damage in either is an error.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.errors import LogStoreError
-from repro.net.codec import decode_payload, encode_payload
+from repro.net.codec import (
+    _ENVELOPE_JSON,
+    _JSON_SAFE_INT,
+    _RESERVED_KEYS,
+    decode_payload,
+    encode_payload,
+)
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.store.config import StoreConfig
 
@@ -47,9 +60,49 @@ RECORD_HEADER_BYTES = 8
 
 _SEGMENT_GLOB = "wal-*.seg"
 
+# A ``put`` record's fields, in the order the durable store writes them
+# (the envelope's key order), and the value types JSON writes as-is.
+_PUT_FIELDS = ("op", "glsn", "values", "anchor", "ticket_id", "rights")
+_PLAIN = frozenset({str, float, bool, type(None)})
+
 
 def _segment_index(path: Path) -> int:
     return int(path.stem.split("-", 1)[1])
+
+
+def _put_body(record: dict) -> bytes | None:
+    """``encode_payload(record)`` for a ``put`` record whose one block is
+    its anchor, without the codec's generic walk: the envelope is a
+    template around one JSON encode of ``values``.  ``None`` — the caller
+    then uses the codec — when another field would need a block (a
+    ``bytes``, list or dict value, an int or glsn outside ±2^53), is not
+    of a plain JSON type, or the anchor is not a block."""
+    glsn, values, anchor = record["glsn"], record["values"], record["anchor"]
+    ticket_id, rights = record["ticket_id"], record["rights"]
+    if not (
+        record["op"] == "put"
+        and type(glsn) is int and -_JSON_SAFE_INT < glsn < _JSON_SAFE_INT
+        and type(anchor) is int and anchor >= _JSON_SAFE_INT
+        and type(values) is dict and type(ticket_id) is str and type(rights) is list
+    ):
+        return None
+    for key, value in values.items():
+        if type(key) is not str or key in _RESERVED_KEYS:
+            return None
+        if type(value) not in _PLAIN and not (
+            type(value) is int and -_JSON_SAFE_INT < value < _JSON_SAFE_INT
+        ):
+            return None
+    for right in rights:
+        if type(right) is not str:
+            return None
+    encode = _ENVELOPE_JSON.encode
+    width = (anchor.bit_length() + 7) // 8
+    head = (
+        f'{{"op":"put","glsn":{glsn},"values":{encode(values)},"anchor":{{"__int__":{width}}},'
+        f'"ticket_id":{encode(ticket_id)},"rights":[{",".join(map(encode, rights))}]}}'
+    ).encode()
+    return len(head).to_bytes(4, "big") + head + anchor.to_bytes(width, "big")
 
 
 def read_records(data: bytes, name: str) -> Iterator[dict]:
@@ -147,16 +200,25 @@ class WriteAheadLog:
 
     @staticmethod
     def encode_record(record: dict) -> bytes:
-        body = encode_payload(record)
+        """One record's frame: :func:`encode_payload`'s body, written from
+        the ``put`` template when the record is one it covers."""
+        body = _put_body(record) if tuple(record) == _PUT_FIELDS else None
+        if body is None:
+            body = encode_payload(record)
         checksum = zlib.crc32(body) & 0xFFFFFFFF
         return len(body).to_bytes(4, "big") + checksum.to_bytes(4, "big") + body
 
-    def append(self, records: list[dict]) -> None:
+    def append(self, records: list[dict | bytes]) -> None:
         """Write one frame per record to the active segment in one
         ``write`` (fsynced under the ``always`` policy), rotating once the
         segment is full — so rotation falls only between calls and no
-        frame is split across segments."""
-        encoded = b"".join(map(self.encode_record, records))
+        frame is split across segments.  A record may be given as the
+        frame :meth:`encode_record` already made of it, so a writer can
+        find a record the codec refuses before it changes anything."""
+        encoded = b"".join(
+            record if type(record) is bytes else self.encode_record(record)
+            for record in records
+        )
         with self._lock:
             if self._closed:
                 raise LogStoreError(f"WAL {self.directory} is closed")
@@ -197,20 +259,29 @@ class WriteAheadLog:
     # -- replay / truncation -------------------------------------------------
 
     def replay(self) -> WalReplayReport:
-        """Decode every intact record currently on disk, in append order."""
+        """Decode every intact record currently on disk, in append order.
+
+        Only the last segment can end in a torn tail; a damaged frame in a
+        sealed one raises :class:`LogStoreError` naming the segment and
+        the offset, as a damaged checkpoint does.
+        """
         report = WalReplayReport()
-        for path in self._segment_paths():
+        paths = self._segment_paths()
+        for path in paths:
             report.segments += 1
             data = path.read_bytes()
             report.bytes_read += len(data)
             try:
-                for record in read_records(data, path.name):
+                for record in read_records(data, str(path)):
                     report.entries.append(record)
                     report.records += 1
             except LogStoreError as torn:
+                if path != paths[-1]:
+                    raise LogStoreError(
+                        f"{torn}, in a sealed segment (only the last can be torn)"
+                    ) from torn
                 report.torn_tail = True
                 report.detail = str(torn)
-                return report
         return report
 
     def reset(self) -> None:

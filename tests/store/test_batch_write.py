@@ -16,7 +16,7 @@ import pytest
 from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng
 from repro.crypto.tickets import TicketAuthority
-from repro.errors import TicketError, UnknownAttributeError
+from repro.errors import CodecError, TicketError, UnknownAttributeError
 from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.store import StoreConfig, WriteAheadLog
 from repro.workloads import paper_table1_rows
@@ -115,6 +115,31 @@ class TestMidBatchFailure:
             assert recovered.glsns == [r.glsn for r in first + after]
         finally:
             recovered.close()
+
+
+    def test_a_row_the_wal_cannot_encode_leaves_every_node_as_it_was(self, tmp_path):
+        # Canonical JSON accepts a reserved codec key as a value; the WAL
+        # codec refuses it, and P2 (C3's node) finds out only when it
+        # frames its share — after P0 and P1 have framed theirs.
+        service = durable_service(tmp_path)
+        ticket = service.register_user("U1")
+        service.append_stream(rows(4), ticket, batch_size=4)
+        before, disk = store_state(service.store), wal_bytes(tmp_path)
+        with pytest.raises(CodecError):
+            service.log_event({"C1": 6, "C2": 8, "C3": {"__int__": 1}}, ticket)
+        assert store_state(service.store)["nodes"] == before["nodes"]
+        assert wal_bytes(tmp_path) == disk
+        service.append_stream(rows(3), ticket, batch_size=4)
+        live = store_state(service.store)
+        service.close()
+
+        reopened = durable_service(tmp_path)
+        try:
+            report = reopened.last_recovery
+            assert report.audit_ok and report.rolled_back == []
+            assert store_state(reopened.store)["nodes"] == live["nodes"]
+        finally:
+            reopened.close()
 
 
 class TestOncePerBatch:

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.crypto.tickets import Operation
+from repro.errors import LogStoreError
 from repro.store import StoreConfig, open_durable_store
 from repro.workloads import paper_table1_rows
 
@@ -120,6 +121,26 @@ class TestCleanRestart:
         assert receipts[1].glsn not in recovered.glsns
         assert report.audit_ok
         recovered.close()
+
+
+class TestSealedSegmentDamage:
+    def test_recovery_refuses_a_damaged_sealed_segment(
+        self, table1_plan, ticket_authority, acc_params, tmp_path
+    ):
+        config = StoreConfig(fsync="off", compact=False, segment_bytes=256)
+        store, _, _ = build(
+            table1_plan, ticket_authority, acc_params, tmp_path,
+            paper_table1_rows() * 2, config, batch_sizes=[1],
+        )
+        crash(store)
+        first, *later = sorted((tmp_path / "P1").glob("wal-*.seg"))
+        assert later
+        data = bytearray(first.read_bytes())
+        data[-1] ^= 0xFF
+        first.write_bytes(bytes(data))
+        # Not a torn tail to roll back: P1's later segments are intact.
+        with pytest.raises(LogStoreError, match=rf"{first.name}: CRC mismatch"):
+            reopen(table1_plan, ticket_authority, acc_params, tmp_path, config)
 
 
 class TestRandomizedTruncation:

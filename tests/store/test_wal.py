@@ -145,3 +145,16 @@ class TestTornTails:
         replay = make_wal(tmp_path).replay()
         assert replay.torn_tail and replay.records == 4
         assert "CRC" in replay.detail
+
+    def test_damage_in_a_sealed_segment_is_an_error_not_a_torn_tail(self, tmp_path):
+        wal = make_wal(tmp_path, segment_bytes=200)
+        for i in range(12):
+            wal.append([{"op": "put", "glsn": i, "values": {"k": f"v{i}"}}])
+        wal.close()
+        segments = sorted(tmp_path.glob("wal-*.seg"))
+        assert len(segments) == 3
+        data = bytearray(segments[0].read_bytes())
+        data[RECORD_HEADER_BYTES + 5] ^= 0xFF  # the first record's body
+        segments[0].write_bytes(bytes(data))
+        with pytest.raises(LogStoreError, match=r"wal-\d+\.seg: CRC mismatch at offset 0"):
+            make_wal(tmp_path).replay()
