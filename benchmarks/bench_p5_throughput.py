@@ -1,27 +1,27 @@
-"""Experiment P5: audit-query throughput under the concurrent scheduler.
+"""Experiment P5: audit-query throughput through the query scheduler.
 
-Measures what ``repro.sched`` buys on a mixed workload of 8 concurrent
-queries and what its machinery costs when concurrency is 1:
+Measures what ``repro.sched`` buys on a mixed burst of 8 queries and what
+its machinery costs on queries that share nothing:
 
 * **Throughput.**  The same 8-query mix executed serially
   (``service.query`` in a loop on a service built with
   ``REPRO_SCHED_COALESCE=off``, so every query pays its own rounds) vs
-  through a scheduler at concurrency 8 on an identically-seeded twin
-  deployment.  The acceptance bar is >= 3x queries/sec; every concurrent
-  result is asserted equal, query by query, to its serial counterpart.
-  The mix repeats one criterion and shares an expensive ``C1 > C5``
-  cross-anchor predicate between two *distinct* criteria, so the speedup
-  decomposes into whole-query fan-out plus subplan-level single-flight
-  sharing — the big-int SMC rounds hold the GIL, so overlap alone buys
-  ~nothing.  The same serial loop on a default service, whose sync
+  one ``submit``/``gather`` burst through a scheduler on an
+  identically-seeded twin deployment.  The acceptance bar is >= 3x
+  queries/sec; every scheduled result is asserted equal, query by query,
+  to its serial counterpart.  The mix repeats one criterion and shares an
+  expensive ``C1 > C5`` cross-anchor predicate between two *distinct*
+  criteria, so the speedup decomposes into whole-query fan-out plus
+  sub-plan sharing — the scheduler runs one query at a time, so there is
+  no overlap to buy anything else.  The same serial loop on a default service, whose sync
   queries reuse equal-epoch cross predicates from the service's
   sub-plan memo, is reported beside it (not gated).
 * **Latency under load.**  p50/p95 per-query latency from the handles'
-  submit-to-resolve clocks during the concurrent run.
+  submit-to-resolve clocks during the burst.
 * **Scheduler overhead.**  Distinct queries pushed one at a time through
-  a ``max_inflight=1``, coalescing-off scheduler vs plain
-  ``service.query`` on a coalescing-off service — the task-and-handle
-  machinery must cost < 5% wall-clock.
+  a coalescing-off scheduler vs plain ``service.query`` on a
+  coalescing-off service — the queue-and-handle machinery must cost < 5%
+  wall-clock.
 
 Writes ``BENCH_p5.json`` at the repo root.
 
@@ -29,8 +29,7 @@ Environment knobs (for CI smoke runs on tiny machines):
 
 - ``REPRO_BENCH_ROWS``          log size                     (default 120)
 - ``REPRO_BENCH_MIN_SPEEDUP``   throughput bar asserted      (default 3.0)
-- ``REPRO_BENCH_MAX_OVERHEAD``  concurrency-1 ceiling        (default 0.05)
-- ``REPRO_BENCH_CONCURRENCY``   in-flight bound for the mix  (default 8)
+- ``REPRO_BENCH_MAX_OVERHEAD``  one-at-a-time ceiling        (default 0.05)
 
 Run directly with ``python benchmarks/bench_p5_throughput.py [--smoke]``;
 ``--smoke`` applies tiny-machine knobs (fewer rows, relaxed bars).
@@ -59,7 +58,6 @@ from repro.sched import COALESCE_ENV_VAR, QueryScheduler
 ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "120"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_MAX_OVERHEAD", "0.05"))
-CONCURRENCY = int(os.environ.get("REPRO_BENCH_CONCURRENCY", "8"))
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_p5.json"
 
 # Two distinct SMC-heavy queries sharing the C1 > C5 cross predicate,
@@ -131,7 +129,6 @@ class TestSchedulerThroughput:
             "experiment": "P5",
             "rows": ROWS,
             "mix": MIX,
-            "concurrency": CONCURRENCY,
             "min_speedup_asserted": MIN_SPEEDUP,
             "max_overhead_asserted": MAX_OVERHEAD,
         }
@@ -150,7 +147,7 @@ class TestSchedulerThroughput:
 
         conc_svc = _build(ROWS)
         start = time.perf_counter()
-        with QueryScheduler(conc_svc, max_inflight=CONCURRENCY) as sched:
+        with QueryScheduler(conc_svc) as sched:
             handles = [sched.submit(c) for c in MIX]
             concurrent = sched.gather(handles)
         t_conc = time.perf_counter() - start
@@ -187,7 +184,7 @@ class TestSchedulerThroughput:
                  "—", "—"),
                 ("serial + memo", f"{t_memo:.2f}", f"{len(MIX) / t_memo:.2f}",
                  "—", "—"),
-                (f"sched x{CONCURRENCY}", f"{t_conc:.2f}",
+                ("sched burst", f"{t_conc:.2f}",
                  f"{len(MIX) / t_conc:.2f}",
                  f"{_percentile(latencies, 0.5) * 1e3:.0f}",
                  f"{_percentile(latencies, 0.95) * 1e3:.0f}"),
@@ -198,9 +195,9 @@ class TestSchedulerThroughput:
             f"bar is {MIN_SPEEDUP:.1f}x"
         )
 
-        # -- overhead at concurrency 1 -------------------------------------
+        # -- overhead, one query at a time ---------------------------------
         # Coalescing off on both paths: every query recomputes, so the
-        # comparison times the task-and-handle machinery itself, not cache
+        # comparison times the queue-and-handle machinery itself, not cache
         # hits.
         base_svc = _build_unshared(monkeypatch, ROWS)
 
@@ -209,7 +206,7 @@ class TestSchedulerThroughput:
                 base_svc.query(criterion)
 
         sched_svc = _build(ROWS)
-        one = QueryScheduler(sched_svc, max_inflight=1, coalesce=False)
+        one = QueryScheduler(sched_svc, coalesce=False)
         try:
 
             def run_scheduled():
@@ -229,16 +226,16 @@ class TestSchedulerThroughput:
             "overhead_pct": round(overhead * 100, 2),
         }
         print_rows(
-            "P5: scheduler machinery cost at concurrency 1 (coalesce off)",
+            "P5: scheduler machinery cost, one query at a time (coalesce off)",
             ["path", "best ms", "overhead"],
             [
                 ("service.query", f"{t_plain * 1e3:.1f}", "—"),
-                ("scheduler x1", f"{t_sched * 1e3:.1f}",
+                ("scheduler", f"{t_sched * 1e3:.1f}",
                  f"{overhead * 100:+.1f}%"),
             ],
         )
         assert overhead < MAX_OVERHEAD, (
-            f"scheduler costs {overhead:.1%} at concurrency 1, "
+            f"scheduler costs {overhead:.1%} one query at a time, "
             f"ceiling is {MAX_OVERHEAD:.0%}"
         )
 

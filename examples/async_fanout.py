@@ -1,9 +1,10 @@
-"""Async fan-out: 256 concurrent audit queries over one shared deployment.
+"""Fan-out: a burst of 256 audit queries over one shared deployment.
 
 The scheduler behind `service.submit` (`repro.sched.QueryScheduler`)
-runs each query as a task on one event loop, so it admits the whole
-burst at once, and every answer is verified against a serial
-`service.query` ground truth.
+admits the whole burst at once and runs the queries one at a time, in
+order, on its worker thread; equal queries are served the first one's
+result.  Every answer is verified against a serial `service.query`
+ground truth.
 
 Run:  python examples/async_fanout.py
 """
@@ -41,22 +42,21 @@ def main() -> None:
     # 2. Serial ground truth, one evaluation per distinct criterion.
     expected = {criterion: service.query(criterion).glsns for criterion in QUERIES}
 
-    # 3. The burst: 256 queries submitted at once onto the event loop.
-    #    Admission never blocks; execution is semaphore-bounded
-    #    (QueryScheduler's max_inflight, default 256).
+    # 3. The burst: 256 queries submitted at once.  Admission never
+    #    blocks; the scheduler's worker thread runs one query at a time.
     batch = (QUERIES * (BURST // len(QUERIES)))[:BURST]
     handles = [service.submit(criterion) for criterion in batch]
     print(f"submitted {len(handles)} queries "
           f"({type(service.scheduler).__name__})")
     results = service.gather(handles)
 
-    # 4. Every concurrent answer matches its serial twin, query by query.
+    # 4. Every scheduled answer matches its serial twin, query by query.
     for criterion, result in zip(batch, results):
         assert result.glsns == expected[criterion], criterion
     coalesced = sum(1 for h in handles if h.coalesced)
     print(f"all {len(results)} answers verified against the serial path")
     print(f"shared executions: {coalesced} of {BURST} queries coalesced "
-          f"onto {BURST - coalesced} in-flight computes")
+          f"onto {BURST - coalesced} executed ones")
 
     # 5. Exact reconciliation survives the fan-out: each handle carries
     #    its own cost report and leakage slice.

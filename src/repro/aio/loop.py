@@ -1,12 +1,12 @@
 """One owned event loop on a daemon thread, with a sync facade.
 
-Loop ownership is the central design decision of :mod:`repro.aio` (see
-``docs/async.md``): the async scheduler *owns* its event loop rather
-than borrowing the caller's, so sync entry points keep working whether
-or not the caller has a loop running.  :class:`LoopThread` encapsulates
-that ownership — it starts the loop lazily on a daemon thread, bridges
-sync callers in via :func:`asyncio.run_coroutine_threadsafe`, and stops
-the loop cleanly on close.
+The TCP transport (:mod:`repro.aio.transport_tcp`) *owns* its event loop
+rather than borrowing the caller's, so its sync ``send``/``receive``
+keep working whether or not the caller has a loop running.
+:class:`LoopThread` encapsulates that ownership — it starts the loop
+lazily on a daemon thread, bridges sync callers in via
+:func:`asyncio.run_coroutine_threadsafe`, and stops the loop cleanly on
+close.
 """
 
 from __future__ import annotations

@@ -235,20 +235,18 @@ class QueryExecutor:
         self.early_exit = True
         self._session = 0
         # Home of the typed columns (:meth:`_projection`); with the cache
-        # kill switch off they are rebuilt per use.  The query scheduler injects a shared
-        # single-flight cache here so concurrent queries build a column
-        # once; any object with ``get_or_compute(key, compute)`` qualifies.
+        # kill switch off they are rebuilt per use.  The query scheduler
+        # injects the service executor's cache here, so every query the
+        # service runs builds a column once per (node, attribute, epoch).
         self._projection_cache = (
             projection_cache
             if projection_cache is not None
             else LruCache("query.projection")
         )
         # The sub-plan memo (:meth:`_evaluate_predicate`): the service's
-        # one epoch-keyed ``LruCache``, read and written in place by a sync
-        # executor, or the scheduler's single-flight around that same
-        # cache, whose ``get_or_compute(key, coroutine_function)`` is
-        # awaited.  ``None`` (a bare executor, or ``REPRO_SCHED_COALESCE``
-        # off) runs every cross predicate's rounds.
+        # one epoch-keyed ``LruCache``, read and written in place by every
+        # executor the service builds.  ``None`` (a bare executor, or
+        # ``REPRO_SCHED_COALESCE`` off) runs every cross predicate's rounds.
         self._subplan_cache = subplan_cache
 
     # -- public API -----------------------------------------------------------
@@ -267,12 +265,6 @@ class QueryExecutor:
         :class:`~repro.errors.DeadlineExceededError` once spent.
 
         :meth:`execute` is :func:`~repro.twin.sync_twin` of this coroutine.
-        Awaited on an event loop, concurrent queries interleave their ring
-        hops over shared transports; a single-flight sub-plan memo's
-        ``get_or_compute`` is awaited, so on a loop it must park joiners on
-        an ``asyncio.Event`` (:class:`~repro.aio.coalesce.AsyncSingleFlight`),
-        never on a thread-blocking wait.  Under the sync name the memo is
-        a plain :class:`~repro.cache.LruCache` and nothing parks.
         """
         tracer = self.ctx.tracer
         net = net or SimNetwork(tracer=tracer)
@@ -535,8 +527,8 @@ class QueryExecutor:
         clause at either: :meth:`QueryPlan.describe`.
 
         With a sub-plan memo, whole cross-predicate SMC subplans (the
-        expensive primitives: ``ssi``/``scmp``) are shared across queries,
-        earlier or concurrent — keyed on the predicate and the
+        expensive primitives: ``ssi``/``scmp``) are shared with later
+        queries — keyed on the predicate and the
         participating stores' epochs, so a write on any involved node
         invalidates exactly the affected entries.  A shared result is a
         disclosure in its own right (the recipient query learns the
@@ -558,42 +550,27 @@ class QueryExecutor:
                 for node in strategy.nodes
             ),
         )
-        ran = False
-
-        async def compute() -> tuple[str, frozenset[int]]:
-            nonlocal ran
-            ran = True
+        # Get, compute, put.  Two racing computes (a sync call beside the
+        # scheduler's worker) store equal values — the result is a pure
+        # function of the epochs in the key.
+        value = memo.get(key)
+        if value is None:
             node, glsns = await self._evaluate_predicate_uncached(
                 pred, qplan, net, deadline, runs
             )
-            return node, frozenset(glsns)
-
-        def healthy(_value) -> bool:
             # A run that failover completed without some party is not the
             # epochs' answer: no later query may be served it.
-            return not any(run.degraded for run in runs)
-
-        if isinstance(memo, LruCache):
-            # A sync caller never parks (run_sync refuses a loop future), so
-            # it never joins a compute in flight on the scheduler's loop:
-            # get, compute, put.  Two racing computes store equal values —
-            # the result is a pure function of the epochs in the key.
-            value = memo.get(key)
-            if value is None:
-                value = await compute()
-                if healthy(value):
-                    memo.put(key, value)
-        else:
-            value = await memo.get_or_compute(key, compute, keep=healthy)
+            if not any(run.degraded for run in runs):
+                memo.put(key, (node, frozenset(glsns)))
+            return node, glsns
         node, glsns = value
-        if not ran:
-            self.ctx.leakage.record(
-                "scheduler",
-                node,
-                "coalesced_result",
-                f"subplan {pred} served from an earlier or concurrent query's "
-                f"SMC run at equal store epochs",
-            )
+        self.ctx.leakage.record(
+            "scheduler",
+            node,
+            "coalesced_result",
+            f"subplan {pred} served from an earlier query's "
+            f"SMC run at equal store epochs",
+        )
         return node, set(glsns)
 
     async def _evaluate_predicate_uncached(

@@ -80,7 +80,7 @@ class QueryPlan:
         Two plans with equal fingerprints produce equal results over equal
         store states: clauses are commutative under the final conjunction
         and predicates under each clause's disjunction, so both levels are
-        sorted.  The query scheduler coalesces concurrent queries on
+        sorted.  The query scheduler coalesces queries on
         ``(fingerprint, store epochs)`` — criterion-text differences that
         do not change the computation (clause order, spacing) still share.
         """

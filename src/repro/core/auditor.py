@@ -33,21 +33,12 @@ class Auditor:
         """Unsigned confidential query (exploration)."""
         return self.service.query(criterion, timeout=timeout)
 
-    def query_many(
-        self,
-        criteria,
-        max_concurrency: int | None = None,
-        timeout: float | None = None,
-    ) -> list[QueryResult]:
-        """Concurrent batch of unsigned queries (results in input order).
+    def query_many(self, criteria, timeout: float | None = None) -> list[QueryResult]:
+        """Batch of unsigned queries (results in input order).
 
-        Delegates to the service's :mod:`repro.sched` scheduler; see
-        :meth:`ConfidentialAuditingService.query_many` for the
-        ``max_concurrency`` modes (``0`` = strict serial fallback).
+        Delegates to :meth:`ConfidentialAuditingService.query_many`.
         """
-        return self.service.query_many(
-            criteria, max_concurrency=max_concurrency, timeout=timeout
-        )
+        return self.service.query_many(criteria, timeout=timeout)
 
     def audited_query(
         self, criterion: str, timeout: float | None = None

@@ -226,10 +226,10 @@ class ConfidentialAuditingService:
         #: this service.
         self.coalesce = coalescing_from_env()
         #: The one sub-plan memo: each cross predicate's glsn set, keyed on
-        #: the predicate and its nodes' store epochs.  :attr:`executor`
-        #: reads and writes it, and the scheduler's single-flight wraps it,
-        #: so every query the service runs reuses an equal-epoch result and
-        #: records ``coalesced_result`` for it.
+        #: the predicate and its nodes' store epochs.  :attr:`executor` and
+        #: every scheduled query's executor read and write it, so every
+        #: query the service runs reuses an equal-epoch result and records
+        #: ``coalesced_result`` for it.
         self.subplan_memo = LruCache("query.subplan")
         self.executor = QueryExecutor(
             self.store,
@@ -537,27 +537,29 @@ class ConfidentialAuditingService:
             self._collect_cost(net, ops_before)
         return result
 
-    # -- concurrent auditing (repro.sched) ----------------------------------------
+    # -- scheduled auditing (repro.sched) -----------------------------------------
 
     @property
     def scheduler(self):
-        """The service's persistent concurrent-query scheduler.
+        """The service's persistent query scheduler.
 
         Built on first access and reused for every subsequent
-        :meth:`submit` / :meth:`query_many` call, so admitted queries
-        share its coalescing caches: a
-        :class:`~repro.sched.QueryScheduler` running each query as a task
-        on its own event loop.  :meth:`shutdown_scheduler` tears it down.
+        :meth:`submit` / :meth:`query_many` call and every standing-query
+        epoch: a :class:`~repro.sched.QueryScheduler` running one query at
+        a time on its worker thread.  One that was shut down is replaced
+        by a new one here, so a ``scheduler.shutdown()`` never leaves the
+        service refusing queries.  :meth:`shutdown_scheduler` tears it
+        down.
         """
         with self._sched_lock:
-            if self._scheduler is None:
+            if self._scheduler is None or self._scheduler._closed:
                 from repro.sched import QueryScheduler
 
                 self._scheduler = QueryScheduler(self)
             return self._scheduler
 
     def submit(self, criterion: str, timeout: float | None = None):
-        """Admit one query for concurrent execution; returns its handle.
+        """Queue one query on the :attr:`scheduler`; returns its handle.
 
         The returned :class:`~repro.sched.QueryHandle` resolves to the
         same :class:`QueryResult` a serial :meth:`query` call would
@@ -571,38 +573,14 @@ class ConfidentialAuditingService:
         """Results for :meth:`submit` handles, in submission order."""
         return self.scheduler.gather(handles)
 
-    def query_many(
-        self,
-        criteria,
-        max_concurrency: int | None = None,
-        timeout: float | None = None,
-    ) -> list[QueryResult]:
-        """Run many queries concurrently; results in input order.
-
-        ``max_concurrency`` picks the execution mode:
-
-        * ``0`` — strict serial fallback: a plain :meth:`query` call per
-          criterion, bit-for-bit identical to running them yourself;
-        * ``None`` (default) — the service's persistent :attr:`scheduler`
-          (at most :data:`~repro.sched.DEFAULT_MAX_INFLIGHT` queries
-          executing at once);
-        * ``N`` — a dedicated scheduler of the same class with
-          ``max_inflight=N``, torn down before returning.
+    def query_many(self, criteria, timeout: float | None = None) -> list[QueryResult]:
+        """Run many queries through the persistent :attr:`scheduler`;
+        results in input order.
 
         ``timeout`` applies per query, not to the batch.
         """
-        criteria = list(criteria)
-        if max_concurrency == 0:
-            return [self.query(criterion, timeout=timeout) for criterion in criteria]
-        if max_concurrency is None:
-            sched = self.scheduler
-            handles = [sched.submit(c, timeout=timeout) for c in criteria]
-            return sched.gather(handles)
-        from repro.sched import QueryScheduler
-
-        with QueryScheduler(self, max_inflight=max_concurrency) as sched:
-            handles = [sched.submit(c, timeout=timeout) for c in criteria]
-            return sched.gather(handles)
+        sched = self.scheduler
+        return sched.gather([sched.submit(c, timeout=timeout) for c in criteria])
 
     def shutdown_scheduler(self) -> None:
         """Stop the persistent scheduler (a later :meth:`submit` rebuilds it)."""

@@ -22,8 +22,7 @@ Usage::
 One network per query: every sync call and every scheduled query builds
 its own, so nothing is multiplexed over one and a party's view holds its
 own query's frames only.  ``await net.drain()`` is :meth:`SimNetwork.run`
-with an event-loop turn every :data:`YIELD_EVERY` deliveries, which is what
-lets queries scheduled on one loop interleave.
+under the name the coroutine protocol drivers await: it never suspends.
 
 Reliability (``repro.resilience``): constructed with a
 :class:`~repro.resilience.RetryPolicy`, every send becomes *at-least-once*
@@ -46,9 +45,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import types
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import ConfigurationError, NodeUnreachableError
 from repro.net.codec import encoded_size
@@ -59,23 +57,12 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.resilience.delivery import DedupWindow, MessageIdAllocator
 from repro.resilience.policy import Deadline, RetryPolicy
 
-__all__ = ["LinkModel", "SimNetwork", "ACK_KIND", "YIELD_EVERY"]
+__all__ = ["LinkModel", "SimNetwork", "ACK_KIND"]
 
 Handler = Callable[[Message, "SimNetwork"], None]
 
 #: Message kind of the reliability layer's acknowledgements.
 ACK_KIND = "resilience.ack"
-
-#: :meth:`SimNetwork.drain` yields to the event loop every this many
-#: deliveries, so concurrent queries interleave at bounded granularity.
-YIELD_EVERY = 32
-
-
-@types.coroutine
-def _loop_turn():
-    """Suspend once with a bare ``None``: an asyncio task resumes it on the
-    loop's next iteration, :func:`repro.twin.run_sync` straight away."""
-    yield
 
 
 @dataclass(frozen=True)
@@ -412,13 +399,12 @@ class SimNetwork:
 
     def _deliver_until_idle(
         self, where: str, max_steps: int, deadline: Deadline | None
-    ) -> Iterator[int]:
-        """The one stepping loop behind :meth:`run` and :meth:`drain`.
+    ) -> int:
+        """The one delivery loop behind :meth:`run` and :meth:`drain`.
 
         Delivers the earliest queued event until the queue is empty and
-        yields the running delivery count after each one, so a caller that
-        may suspend does so between deliveries.  ``max_steps`` guards
-        against protocol bugs that generate traffic forever.  ``deadline``
+        returns the number delivered.  ``max_steps`` guards against
+        protocol bugs that generate traffic forever.  ``deadline``
         (wall-clock, see :class:`~repro.resilience.Deadline`) bounds the
         loop; expiry raises :class:`~repro.errors.DeadlineExceededError`
         naming ``where``.
@@ -434,28 +420,21 @@ class SimNetwork:
             if check_deadline and deadline.expired:
                 self._count("deadline_exceeded")
                 deadline.check(where)
-            yield steps
+        return steps
 
     def run(self, max_steps: int = 1_000_000, deadline: Deadline | None = None) -> int:
         """Drain the queue; returns the number of events processed."""
-        return sum(1 for _ in self._deliver_until_idle("simnet.run", max_steps, deadline))
+        return self._deliver_until_idle("simnet.run", max_steps, deadline)
 
     async def drain(
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
         """:meth:`run` under the name the protocol drivers await.
 
-        Hands the event loop a turn every :data:`YIELD_EVERY` deliveries,
-        so queries scheduled on one loop — each over its own network —
-        interleave.  The turn is a bare ``None`` yield, which
-        :func:`repro.twin.run_sync` resumes in place: a sync name still
-        finishes a driver over this network without any loop.
+        It never suspends, so :func:`repro.twin.run_sync` finishes a
+        driver over this network in one step.
         """
-        steps = 0
-        for steps in self._deliver_until_idle("simnet.drain", max_steps, deadline):
-            if steps % YIELD_EVERY == 0:
-                await _loop_turn()
-        return steps
+        return self._deliver_until_idle("simnet.drain", max_steps, deadline)
 
     @property
     def delivery_log(self) -> list[Message]:

@@ -42,10 +42,10 @@ class NetworkStats:
     the run, so cost reports can attribute wall-clock to crypto stages,
     not just message counts.
 
-    All mutators take one internal lock: when the scheduler
-    (:mod:`repro.sched`) multiplexes concurrent queries over a shared
-    transport, increments from different worker threads must not lose
-    updates (``x += 1`` is not atomic in CPython).  Single-threaded use
+    All mutators take one internal lock: the service-wide stats receive
+    merges from sync callers and from the scheduler's worker thread, and
+    increments from different threads must not lose updates (``x += 1``
+    is not atomic in CPython).  Single-threaded use
     pays one uncontended lock acquire per record.
     """
 
@@ -222,7 +222,7 @@ class CryptoOpCounter:
     def merge(self, other: "CryptoOpCounter") -> None:
         """Fold another counter's totals in (one lock hold, no lost adds).
 
-        The scheduler gives each concurrent query its own counter and
+        The scheduler gives each query its own counter and
         merges it into the service-wide ledger on completion, so global
         accounting stays exact without contending per-op.
         """

@@ -32,8 +32,8 @@ from repro.errors import ConfigurationError
 from repro.obs.export import escape_help_text, escape_label_value
 
 # One process-wide lock guards every Histogram: a histogram is also a
-# ledger type, observed from the scheduler's concurrent queries on many
-# threads, and a single coarse lock keeps it exact without per-instance
+# ledger type, observed from the scheduler's worker and from sync callers
+# on other threads, and a single coarse lock keeps it exact without per-instance
 # lock storage (__slots__).  A registry is built by one thread per
 # request, so its counters and gauges need no lock.
 _LOCK = threading.Lock()
@@ -330,7 +330,7 @@ def collect(service) -> MetricsRegistry:
     if sched is not None:
         _scheduler(sched, count, gauge, hist)
         if sched.coalesce:
-            caches += [sched._column_cache, sched._query_flight.cache]
+            caches.append(sched._query_cache)
     for stats in (cache.stats for cache in caches):
         count(_CACHE + "hits_total", "cache lookups served", stats.hits,
               cache=stats.name)
@@ -359,20 +359,16 @@ def collect(service) -> MetricsRegistry:
 
 
 def _scheduler(sched, count, gauge, hist) -> None:
-    gauge("repro_sched_queue_depth", "queries waiting for an execution slot",
+    gauge("repro_sched_queue_depth", "queries queued and not yet started",
           sched._waiting)
-    gauge("repro_sched_in_flight", "queries currently executing", sched.in_flight)
+    gauge("repro_sched_in_flight", "queries currently executing (0 or 1)",
+          sched.in_flight)
     hist("repro_sched_admission_wait_seconds", _LAT,
          "seconds between submit and the start of execution", [sched.admission_wait])
     count("repro_sched_submitted_total", "queries admitted", sched.submitted)
     count("repro_sched_completed_total", "queries finished successfully",
           sched.completed)
     count("repro_sched_failed_total", "queries finished with an error", sched.failed)
-    if sched.coalesce:
-        for level in ("subplan", "query"):
-            count("repro_sched_coalesce_hits_total", "computations served by joining "
-                  "concurrent identical work", getattr(sched, f"_{level}_flight").joins,
-                  level=level)
 
 
 def _observatory(observatory, count, gauge) -> None:

@@ -35,12 +35,9 @@ build attribute dicts per call should additionally gate on
 ``tracer.enabled`` (the transports do).
 
 The span stack lives in a :mod:`contextvars` variable, so the tracer is
-safe to share across the TCP transport's reader threads (each thread
-nests its own spans, exactly as the previous thread-local stack did)
-*and* across interleaved coroutines on one event loop (each
-``asyncio.Task`` runs in its own context copy, so two pipelined SMC
-rounds never corrupt each other's span nesting — the invariant
-``repro.aio`` depends on).  Events fired with no open span land in a
+safe to share across threads — the scheduler's worker, the TCP
+transport's loop thread — each of which starts with an empty stack and
+nests its own spans.  Events fired with no open span land in a
 bounded *orphan buffer* (and count in ``orphan_events_total``, which
 ``/metrics`` renders as ``repro_obs_orphan_events_total``) instead of
 being silently lost.
@@ -160,18 +157,6 @@ class Tracer:
 
     def _stack(self) -> tuple[Span, ...]:
         return self._stack_var.get()
-
-    def detach_context(self) -> None:
-        """Clear the open-span stack in *this* execution context.
-
-        ``asyncio.run_coroutine_threadsafe`` copies the submitting
-        thread's context into the new task — including any span that
-        thread happens to have open.  A per-query task calls this first
-        so its ``sched.query`` span is a genuine root, not an accidental
-        child of whatever the submitter was doing.  Sync callers never
-        need it.
-        """
-        self._stack_var.set(())
 
     @property
     def current_span(self) -> Span | None:
@@ -365,9 +350,6 @@ class NoopTracer:
 
     def current_context(self) -> tuple[None, None]:
         return (None, None)
-
-    def detach_context(self) -> None:
-        pass
 
     def add_event(self, name: str, attributes: dict | None = None) -> None:
         pass

@@ -1,12 +1,12 @@
-"""Concurrent audit-query scheduling (``repro.sched``).
+"""Audit-query scheduling (``repro.sched``).
 
 Every query, sync or scheduled, runs over a network of its own.  This
-package runs many in-flight queries over one deployment:
+package queues many queries over one deployment:
 
-* :class:`QueryScheduler` — one event-loop task per query with
-  semaphore-bounded execution, per-query isolation (context, ledger,
-  cost), cross-query coalescing of identical epoch-keyed work,
-  deadline-aware admission;
+* :class:`QueryScheduler` — non-blocking admission, one query at a time
+  on one worker thread, per-query isolation (context, ledger, cost),
+  cross-query coalescing of identical epoch-keyed work, deadline-aware
+  admission;
 * :class:`QueryHandle` — a submitted query's future (result, cost
   report, private leakage group, latency);
 * :class:`StandingQueryRegistry` — register a criterion once, receive
@@ -17,11 +17,7 @@ unless the constructor says otherwise (see docs/async.md).
 """
 
 from repro.cache import COALESCE_ENV_VAR
-from repro.sched.scheduler import (
-    DEFAULT_MAX_INFLIGHT,
-    QueryHandle,
-    QueryScheduler,
-)
+from repro.sched.scheduler import QueryHandle, QueryScheduler
 from repro.sched.standing import StandingDelta, StandingQuery, StandingQueryRegistry
 
 __all__ = [
@@ -31,5 +27,4 @@ __all__ = [
     "QueryHandle",
     "QueryScheduler",
     "COALESCE_ENV_VAR",
-    "DEFAULT_MAX_INFLIGHT",
 ]

@@ -1,85 +1,69 @@
-"""Concurrent audit-query scheduler (one event loop, shared subplans).
+"""Audit-query scheduler: a FIFO queue drained on one worker thread.
 
 The paper's DLA service fields queries from many independent auditors
-(§2, §4.2); the serial :class:`~repro.core.service.ConfidentialAuditingService`
-entry points run one query at a time, each occupying the whole cluster.
-:class:`QueryScheduler` turns the same deployment into a multi-query
-service: each admitted query runs as one :class:`asyncio.Task` on an
-owned event loop (:class:`~repro.aio.loop.LoopThread`).
+(§2, §4.2).  :class:`QueryScheduler` admits them without blocking and
+runs them one at a time, in submission order, on one lazily started
+daemon thread (``repro-sched``).  Every query is a chain of modexp rings
+inside this process, so two queries running at once would only take
+turns on the same interpreter: what a burst gains is the sharing below,
+which a serial drain keeps whole.
 
-* **Admission** — unbounded: every :meth:`submit` immediately becomes a
-  parked task, a few KB each, so thousands of queries can be in flight.
-  An :class:`asyncio.Semaphore` (``max_inflight``, default
-  :data:`DEFAULT_MAX_INFLIGHT`) bounds how many *execute* concurrently;
-  the rest await it.
-* **Isolation** — every admitted query gets its own
+* **Admission** — :meth:`submit` puts the query's handle on a
+  :class:`queue.SimpleQueue` and returns at once; the worker takes the
+  handles in order and runs each through the sync executor path.
+* **Isolation** — every query gets its own
   :class:`~repro.smc.base.SmcContext` (private RNG stream, crypto
   counter, leakage ledger) and its own
   :class:`~repro.net.simnet.SimNetwork` — the same private network a
   sync call gets — so a party's view holds its own query's frames and
   nothing else, and per-query cost reports are exact.  Ledgers merge
   into the service-wide ones *grouped per query*.
-* **Pipelining** — drains are cooperative coroutines: a network's drain
-  hands the loop a turn every :data:`~repro.net.simnet.YIELD_EVERY`
-  deliveries, so query B's ring round departs while query A's is still
-  in flight.
-* **Coalescing** (``REPRO_SCHED_COALESCE``) — identical work in flight
-  is computed once and fanned out, keyed on the fragment stores' epochs
-  so sharing is invalidation-safe: attribute columns (one shared
-  :class:`~repro.cache.LruCache` — a column build never suspends, so it
-  is finished before another task could ask for it), cross-predicate SMC
-  subplans and whole queries with equal plan fingerprints at equal
-  epochs (:class:`~repro.aio.coalesce.AsyncSingleFlight`, whose computes
-  ``await``).  The sub-plan level wraps the service's one
-  ``query.subplan`` memo, which its sync calls read and write too, so a
-  burst reuses a sync query's cross predicates and the reverse.  A
+* **Coalescing** (``REPRO_SCHED_COALESCE``) — work already done at equal
+  store epochs is reused, keyed so that sharing is invalidation-safe:
+  attribute columns (the service executor's ``query.projection``
+  cache), cross-predicate SMC subplans (the service's one
+  ``query.subplan`` memo, which its sync calls read and write too) and
+  whole queries with equal plan fingerprints at equal epochs
+  (``sched.query``).  Each level is get, compute, put: a query that
+  fails stores nothing, so the next equal query computes afresh.  A
   fanned-out query's ledger, and a reused sub-plan's, records the
   ``coalesced_result`` disclosure explicitly.
 * **Deadlines** — ``submit(criterion, timeout=...)`` starts the
   :class:`~repro.resilience.Deadline` at *admission*, so time spent
-  parked behind the semaphore counts; a query that expires before it
-  gets a slot fails with the typed error without consuming cluster work.
+  queued counts; a query that expires before it starts fails with the
+  typed error without consuming cluster work.
 
 :meth:`submit`, :meth:`gather`, :meth:`coalesce_stats` and
-:meth:`shutdown` are plain methods bridging onto the owned loop, callable
-from any thread.
+:meth:`shutdown` are plain methods, callable from any thread.
 
 Observability: per-query ``sched.query`` spans, plus the counts
 ``/metrics`` reads as the ``repro_sched_*`` families (queue depth,
 in-flight, an admission-wait histogram, submitted/completed/failed
-counters, per-level coalesce joins).  Each query's network traffic,
-reliability events, node health and crypto ops are folded into the
-service-wide ledgers when it ends.
+counters).  Each query's network traffic, reliability events, node
+health and crypto ops are folded into the service-wide ledgers when it
+ends.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
+import queue
 import threading
 import time
 
-from repro.aio.coalesce import AsyncSingleFlight
-from repro.aio.loop import LoopThread
 from repro.audit.executor import QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
-from repro.errors import ConfigurationError, SchedulerError, SchedulerShutdownError
+from repro.errors import SchedulerError, SchedulerShutdownError
 from repro.net.stats import CostReport
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.resilience.policy import Deadline
 from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
 
-__all__ = [
-    "QueryHandle",
-    "QueryScheduler",
-    "DEFAULT_MAX_INFLIGHT",
-]
+__all__ = ["QueryHandle", "QueryScheduler"]
 
-#: Bound on concurrently *executing* query tasks (admission is unbounded:
-#: excess queries are parked asyncio.Tasks awaiting the semaphore).
-DEFAULT_MAX_INFLIGHT = 256
+#: Queued after the last handle by :meth:`QueryScheduler.shutdown`.
+_STOP = None
 
 
 class QueryHandle:
@@ -92,8 +76,8 @@ class QueryHandle:
         self.submitted_at = time.perf_counter()
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        #: True when the result was fanned out from a concurrent
-        #: identical query instead of being computed by this one.
+        #: True when the result was fanned out from an earlier identical
+        #: query instead of being computed by this one.
         self.coalesced = False
         #: Per-query :class:`~repro.net.stats.CostReport` (the traffic of
         #: its private network + this query's own crypto ops).
@@ -110,7 +94,7 @@ class QueryHandle:
 
     @property
     def latency(self) -> float | None:
-        """Submit-to-finish seconds (includes admission wait); None if running."""
+        """Submit-to-finish seconds (includes queue wait); None if running."""
         if self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at
@@ -140,61 +124,42 @@ class QueryHandle:
 
 
 class QueryScheduler:
-    """Admits, pipelines, and coalesces concurrent queries on one event loop.
+    """Admits queries at once and runs them one at a time, in order.
 
     Built over one service deployment: the scheduler shares the service's
     stores, schema, prime, engine, and hashed-encoder memo, but runs each
     query in an isolated context over a network of its own.
-    ``max_inflight`` defaults to :data:`DEFAULT_MAX_INFLIGHT`;
     ``coalesce`` defaults to the service's own decision
     (``service.coalesce``, which is ``REPRO_SCHED_COALESCE`` when the
     service was built); an explicit argument decides for this scheduler
-    only.  On, its queries join and fill the service's sub-plan memo (:attr:`ConfidentialAuditingService.subplan_memo
+    only.  On, its queries read and fill the service's column cache and
+    sub-plan memo (:attr:`ConfidentialAuditingService.subplan_memo
     <repro.core.service.ConfidentialAuditingService.subplan_memo>`),
-    whose entries outlive :meth:`shutdown`.  Passing a
-    ``loop_thread`` shares an existing loop (the scheduler then never
-    closes it); by default the scheduler owns its loop and tears it down
-    on :meth:`shutdown`.
+    whose entries outlive :meth:`shutdown`.
     """
 
-    def __init__(
-        self,
-        service,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        coalesce: bool | None = None,
-        loop_thread: LoopThread | None = None,
-    ) -> None:
-        if max_inflight < 1:
-            raise ConfigurationError("scheduler needs max_inflight >= 1")
-        self.max_inflight = max_inflight
+    def __init__(self, service, coalesce: bool | None = None) -> None:
         self.coalesce = service.coalesce if coalesce is None else coalesce
         self.service = service
-        self.loop_thread = loop_thread if loop_thread is not None else LoopThread(
-            name="repro-aio-sched"
-        )
-        self._owns_loop = loop_thread is None
         self._seq = 0
         self._state_lock = threading.Lock()
         self._closed = False
-        #: Created lazily inside the first task so it binds the owned loop.
-        self._sem: asyncio.Semaphore | None = None
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        #: The ``repro-sched`` worker, started by the first :meth:`submit`.
+        self._worker: threading.Thread | None = None
+        #: Handles queued and not yet started, whether a query is executing
+        #: now (0 or 1), and the counts of queries admitted, completed and
+        #: failed (all under the state lock).
         self._waiting = 0
-        self._futures: set = set()
-        #: Queries executing now (loop thread only), and the counts of
-        #: queries admitted, completed and failed (under the state lock).
         self.in_flight = 0
         self.submitted = self.completed = self.failed = 0
         self.admission_wait = Histogram(LATENCY_BUCKETS_SECONDS)
         if self.coalesce:
-            self._column_cache = LruCache("sched.projection")
-            # The service's one sub-plan memo: a burst reuses what a sync
-            # query stored and the reverse, and it outlives this scheduler.
-            self._subplan_flight = AsyncSingleFlight(service.subplan_memo)
-            self._query_flight = AsyncSingleFlight(LruCache("sched.query"))
+            self._column_cache = service.executor._projection_cache
+            self._query_cache = LruCache("sched.query")
         else:
             self._column_cache = None
-            self._subplan_flight = None
-            self._query_flight = None
+            self._query_cache = None
 
     # -- admission ---------------------------------------------------------
 
@@ -203,99 +168,77 @@ class QueryScheduler:
 
         ``criterion`` is a criterion string or a pre-built
         :class:`~repro.audit.planner.QueryPlan`.  ``timeout`` starts the
-        query's deadline *now* — time parked behind the in-flight
-        semaphore spends it.  Admission itself never blocks: the query
-        becomes an event-loop task straight away.
+        query's deadline *now* — time spent queued behind earlier queries
+        spends it.  Admission itself never blocks.
         """
         with self._state_lock:
             if self._closed:
                 raise SchedulerShutdownError("scheduler is shut down")
             self._seq += 1
             handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
-            future = self.loop_thread.submit(self._process(handle))
-            self._futures.add(future)
             self.submitted += 1
-        future.add_done_callback(functools.partial(self._task_done, handle))
-        return handle
-
-    def _task_done(self, handle: QueryHandle, future) -> None:
-        with self._state_lock:
-            self._futures.discard(future)
-        if not handle.done:
-            # Only a task cancelled by shutdown(wait=False) — mid-query, or
-            # before its first step ever ran — ends without settling its
-            # handle; result()/gather() must not wait on it forever.
-            handle._fail(
-                SchedulerShutdownError(
-                    f"query #{handle.seq} cancelled: scheduler shut down"
+            self._waiting += 1
+            if self._worker is None:
+                self._worker = threading.Thread(
+                    target=self._drain, name="repro-sched", daemon=True
                 )
-            )
-            self._settle(failed=True)
+                self._worker.start()
+            self._queue.put(handle)
+        return handle
 
     def gather(self, handles: list[QueryHandle]) -> list[QueryResult]:
         """Results of ``handles`` in submission order (first failure raises)."""
         return [handle.result() for handle in handles]
 
-    # -- per-query task ----------------------------------------------------
+    # -- the worker --------------------------------------------------------
 
-    async def _process(self, handle: QueryHandle) -> None:
-        # run_coroutine_threadsafe copies the *submitting* thread's
-        # context, which may carry an open span stack; each query task
-        # must start from a clean slate or spans would mis-parent.
-        self.service.tracer.detach_context()
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.max_inflight)
-        try:
-            handle._resolve(await self._admit_and_run(handle))
-            self._settle(failed=False)
-        except Exception as exc:  # typed repro errors and genuine bugs alike
-            handle._fail(exc)
-            self._settle(failed=True)
-
-    def _settle(self, failed: bool) -> None:
-        with self._state_lock:
-            if failed:
-                self.failed += 1
+    def _drain(self) -> None:
+        """Run queued handles in order until :meth:`shutdown` queues the stop."""
+        while (handle := self._queue.get()) is not _STOP:
+            with self._state_lock:
+                self._waiting -= 1
+                self.in_flight = 1
+            error = None
+            try:
+                result = self._run(handle)
+            except Exception as exc:  # typed repro errors and genuine bugs alike
+                error = exc
+            # Counters first: a caller woken by the handle reads them settled.
+            with self._state_lock:
+                self.in_flight = 0
+                if error is None:
+                    self.completed += 1
+                else:
+                    self.failed += 1
+            if error is None:
+                handle._resolve(result)
             else:
-                self.completed += 1
+                handle._fail(error)
 
-    async def _admit_and_run(self, handle: QueryHandle) -> QueryResult:
-        """Wait for an execution slot, then plan and run (or join) the query."""
-        self._waiting += 1
-        try:
-            await self._sem.acquire()
-        finally:
-            self._waiting -= 1
-        self.in_flight += 1
-        try:
-            self.admission_wait.observe(time.perf_counter() - handle.submitted_at)
-            handle.started_at = time.perf_counter()
-            handle.deadline.check(f"sched.admission[q{handle.seq}]")
-            qplan = (
-                handle.criterion
-                if isinstance(handle.criterion, QueryPlan)
-                else plan_query(
-                    handle.criterion,
-                    self.service.schema,
-                    self.service.store.plan,
-                    tracer=self.service.tracer,
-                )
+    def _run(self, handle: QueryHandle) -> QueryResult:
+        """Plan and run the query, or serve it an equal earlier result."""
+        self.admission_wait.observe(time.perf_counter() - handle.submitted_at)
+        handle.started_at = time.perf_counter()
+        handle.deadline.check(f"sched.admission[q{handle.seq}]")
+        qplan = (
+            handle.criterion
+            if isinstance(handle.criterion, QueryPlan)
+            else plan_query(
+                handle.criterion,
+                self.service.schema,
+                self.service.store.plan,
+                tracer=self.service.tracer,
             )
-            if self._query_flight is None:
-                return await self._execute(handle, qplan)
-            ran = False
-
-            async def compute() -> QueryResult:
-                nonlocal ran
-                ran = True
-                return await self._execute(handle, qplan)
-
-            key = (qplan.fingerprint(), self._epoch_vector())
-            value = await self._query_flight.get_or_compute(key, compute)
-            return value if ran else self._fan_out(handle, qplan, value)
-        finally:
-            self.in_flight -= 1
-            self._sem.release()
+        )
+        if self._query_cache is None:
+            return self._execute(handle, qplan)
+        key = (qplan.fingerprint(), self._epoch_vector())
+        value = self._query_cache.get(key)
+        if value is not None:
+            return self._fan_out(handle, qplan, value)
+        value = self._execute(handle, qplan)
+        self._query_cache.put(key, value)
+        return value
 
     # -- execution ---------------------------------------------------------
 
@@ -307,7 +250,7 @@ class QueryScheduler:
             for node_id in store.plan.node_ids
         )
 
-    async def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
+    def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
         service = self.service
         qctx = SmcContext(
             service.ctx.prime,
@@ -323,18 +266,18 @@ class QueryScheduler:
             value_bound=service.executor.value_bound,
             batch_compare=service.executor.batch_compare,
             projection_cache=self._column_cache,
-            subplan_cache=self._subplan_flight,
+            subplan_cache=service.subplan_memo if self.coalesce else None,
         )
         span_attrs = {"criterion": qplan.criterion_text, "query": f"q{handle.seq}"}
         with service._private_net() as net:
             try:
                 with service.tracer.span("sched.query", span_attrs) as span:
-                    result = await executor.execute_async(
+                    result = executor.execute(
                         qplan, net=net, deadline=handle.deadline
                     )
                     if service.tracer.enabled:
                         span.set_attribute("matches", len(result.glsns))
-                # Concurrent queries feed the confidentiality observatory
+                # Scheduled queries feed the confidentiality observatory
                 # too (it is thread-safe); leakage is this query's ledger.
                 service.observe_query_result(result, len(qctx.leakage.events))
                 return result
@@ -359,7 +302,7 @@ class QueryScheduler:
                 "scheduler",
                 "*",
                 "coalesced_result",
-                f"query #{handle.seq} fanned out from a concurrent identical "
+                f"query #{handle.seq} fanned out from an earlier identical "
                 f"query (equal plan fingerprint at equal store epochs)",
             )
         ]
@@ -376,38 +319,51 @@ class QueryScheduler:
     # -- introspection -----------------------------------------------------
 
     def coalesce_stats(self) -> dict:
-        """Hit/miss/join counts per sharing level (empty when disabled)."""
+        """Hit/miss counts per sharing level (empty when disabled).
+
+        ``joins`` is always 0: with one query executing at a time, nothing
+        can join a computation in flight.
+        """
         if not self.coalesce:
             return {}
         out: dict = {}
-        for level, joins in (
-            (self._column_cache, 0),  # nothing can join a build that never suspends
-            (self._subplan_flight, self._subplan_flight.joins),
-            (self._query_flight, self._query_flight.joins),
-        ):
-            s = level.stats
-            out[level.name] = {"hits": s.hits, "misses": s.misses, "joins": joins}
+        for cache in (self._column_cache, self.service.subplan_memo, self._query_cache):
+            s = cache.stats
+            out[cache.name] = {"hits": s.hits, "misses": s.misses, "joins": 0}
         return out
 
     # -- lifecycle ---------------------------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop admitting, drain every in-flight query, stop the loop."""
+        """Stop admitting and stop the worker once the queue is drained.
+
+        ``wait=True`` runs every queued query and joins the worker;
+        ``wait=False`` fails every query that has not started with
+        :class:`~repro.errors.SchedulerShutdownError` and returns while the
+        running one (if any) finishes.
+        """
+        abandoned: list[QueryHandle] = []
         with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-            futures = list(self._futures)
-        if wait:
-            for future in futures:
-                try:
-                    future.result()
-                except Exception:
-                    # The failure is already recorded on its handle; the
-                    # task future is only awaited here for quiescence.
-                    pass
-        if self._owns_loop:
-            self.loop_thread.close()
+            if not self._closed:
+                self._closed = True
+                if not wait:
+                    try:
+                        while True:
+                            abandoned.append(self._queue.get_nowait())
+                    except queue.Empty:
+                        pass
+                    self._waiting -= len(abandoned)
+                    self.failed += len(abandoned)
+                self._queue.put(_STOP)
+            worker = self._worker
+        for handle in abandoned:
+            handle._fail(
+                SchedulerShutdownError(
+                    f"query #{handle.seq} cancelled: scheduler shut down"
+                )
+            )
+        if wait and worker is not None:
+            worker.join()
 
     def __enter__(self) -> "QueryScheduler":
         return self

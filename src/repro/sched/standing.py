@@ -8,7 +8,7 @@ batch, or an explicit poll), receives only the *delta* — glsns newly
 matching or no longer matching since the previous epoch.
 
 Deltas are produced by re-executing the query through the service's
-:class:`~repro.sched.QueryScheduler`, so concurrent standing queries
+:class:`~repro.sched.QueryScheduler`, so standing queries of one epoch
 coalesce with each other and with ad-hoc queries (equal plan
 fingerprint at equal store epochs → one execution).  The differencing
 against the previous answer happens on the auditor side and discloses
@@ -69,8 +69,7 @@ class StandingQuery:
 class StandingQueryRegistry:
     """All standing queries of one service, evaluated per ingest epoch.
 
-    Thread-safe; evaluation serializes on one lock (the underlying
-    scheduler still parallelizes the member queries of one epoch).
+    Thread-safe; evaluation serializes on one lock.
     """
 
     def __init__(self, service) -> None:

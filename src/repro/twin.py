@@ -2,14 +2,11 @@
 
 Every protocol driver (``secure_*``, the §4.1 integrity rounds,
 ``supervise_ring``, ``QueryExecutor.execute``) is written once, as the
-``async def X_async`` coroutine whose only suspension points are
-``await net.drain(...)`` and, under a scheduler, the sub-plan join.  On
-an event loop those awaits interleave independent rounds: a
-:class:`~repro.net.simnet.SimNetwork` drain hands the loop a turn every
-:data:`~repro.net.simnet.YIELD_EVERY` deliveries with a bare ``None``
-yield.  Without a loop, :func:`run_sync` resumes each such yield in
-place, so the same coroutine runs start to finish in the caller's
-thread — and ``X = sync_twin(X_async)`` is the sync name.
+``async def X_async`` coroutine whose only awaits are
+``await net.drain(...)`` and the drivers it calls.  A
+:class:`~repro.net.simnet.SimNetwork` drain never suspends, so
+:func:`run_sync` runs the coroutine start to finish with one ``send`` in
+the caller's thread — and ``X = sync_twin(X_async)`` is the sync name.
 """
 
 from __future__ import annotations
@@ -22,18 +19,16 @@ __all__ = ["run_sync", "sync_twin"]
 
 
 def run_sync(coro):
-    """Run a coroutine to completion without an event loop; return its value.
+    """Run a coroutine that never suspends to completion; return its value.
 
-    A bare ``None`` yield (a network drain's loop turn) is resumed in
-    place.  Exceptions raised by the body propagate unchanged.  A
-    coroutine that yields anything else was handed something only an
-    event loop can resume (an ``asyncio`` future, the scheduler's
-    sub-plan join): it is closed — its ``finally`` blocks and span exits
-    run — and :class:`ConfigurationError` is raised.
+    Exceptions raised by the body propagate unchanged.  A coroutine that
+    yields at all was handed something only an event loop can resume (an
+    ``asyncio`` future, a transport whose drain awaits one): it is closed
+    — its ``finally`` blocks and span exits run — and
+    :class:`ConfigurationError` is raised.
     """
     try:
-        while coro.send(None) is None:
-            pass
+        coro.send(None)
     except StopIteration as done:
         return done.value
     coro.close()

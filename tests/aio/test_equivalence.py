@@ -1,15 +1,13 @@
-"""Property suite: loop-driven interleaving equals run-to-completion.
+"""Property suite: a driver awaited on an event loop equals its sync name.
 
-Each protocol has one coroutine body with two runners.  Both run it over
-a private ``SimNetwork``, whose drain hands the event loop a turn every
-``YIELD_EVERY`` deliveries: the sync name resumes those turns in place,
-the ``_async`` name — the scheduler's path — awaits them on a loop.  The
-sync run and two loop runs, one yielding after *every* delivery and one
-never, must be byte-identical: observer values, leakage ledger (event for
-event, in order), crypto-op counter, network cost and virtual time —
-including under randomized drop/latency fault plans with retransmission.
-Any divergence means a yield point changed protocol semantics, and is a
-bug.
+Each protocol has one coroutine body with two runners, both over a
+private ``SimNetwork``: the sync name runs it to completion in one step
+(:func:`repro.twin.run_sync`), the ``_async`` name is awaited on a loop.
+The two runs must be byte-identical: observer values, leakage ledger
+(event for event, in order), crypto-op counter, network cost and virtual
+time — including under randomized drop/latency fault plans with
+retransmission.  Any divergence means the runner changed protocol
+semantics, and is a bug.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from repro.smc import (
 )
 
 PRIME = shared_prime(64)
-NEVER = 1 << 62  # a YIELD_EVERY no round reaches
 
 
 def make_net(seed: bytes | None = None, drop_rate: float = 0.0, reorder_rate: float = 0.0):
@@ -58,12 +55,10 @@ def make_net(seed: bytes | None = None, drop_rate: float = 0.0, reorder_rate: fl
     return SimNetwork(resilience=RetryPolicy(), faults=faults)
 
 
-def on_loop(body, yield_every: int, **net_kwargs):
+def on_loop(body, **net_kwargs):
     """Await ``body(net)`` on a fresh loop over a fresh network."""
     net = make_net(**net_kwargs)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.net.simnet.YIELD_EVERY", yield_every)
-        return asyncio.run(body(net)), net
+    return asyncio.run(body(net)), net
 
 
 def _comparable(stats) -> dict:
@@ -74,25 +69,17 @@ def _comparable(stats) -> dict:
 
 
 def assert_twin_runs(sync_fn, async_fn, seed: bytes = b"eq", **net_kwargs):
-    """Run the sync name, and the async name twice on a loop (yielding at
-    every delivery, and never); assert equality."""
-    sctx, yctx, nctx = (SmcContext(PRIME, DeterministicRng(seed)) for _ in range(3))
+    """Run the sync name, and the async name on a loop; assert equality."""
+    sctx, actx = (SmcContext(PRIME, DeterministicRng(seed)) for _ in range(2))
     snet = make_net(**net_kwargs)
     sync_result = sync_fn(sctx, snet)
-    yielded, ynet = on_loop(lambda net: async_fn(yctx, net), 1, **net_kwargs)
-    straight, nnet = on_loop(lambda net: async_fn(nctx, net), NEVER, **net_kwargs)
+    looped, anet = on_loop(lambda net: async_fn(actx, net), **net_kwargs)
 
-    assert yielded == straight
-    assert yctx.leakage.events == nctx.leakage.events
-    assert yctx.crypto_ops.snapshot() == nctx.crypto_ops.snapshot()
-    assert _comparable(ynet.stats) == _comparable(nnet.stats)
-    assert ynet.now == nnet.now
-
-    assert yielded == sync_result
-    assert yctx.leakage.events == sctx.leakage.events
-    assert yctx.crypto_ops.snapshot() == sctx.crypto_ops.snapshot()
-    assert _comparable(ynet.stats) == _comparable(snet.stats)
-    assert ynet.now == snet.now
+    assert looped == sync_result
+    assert actx.leakage.events == sctx.leakage.events
+    assert actx.crypto_ops.snapshot() == sctx.crypto_ops.snapshot()
+    assert _comparable(anet.stats) == _comparable(snet.stats)
+    assert anet.now == snet.now
     return sync_result
 
 
@@ -232,10 +219,8 @@ class TestIntegrityTwins:
     def _reports(self, populated_store, runner, async_runner, **kwargs):
         store, _ticket, _receipts = populated_store
         sync_reports = runner(store, net=SimNetwork(), **kwargs)
-        yielded, _ = on_loop(lambda net: async_runner(store, net=net, **kwargs), 1)
-        straight, _ = on_loop(lambda net: async_runner(store, net=net, **kwargs), NEVER)
-        assert yielded == straight
-        return sync_reports, yielded
+        looped, _ = on_loop(lambda net: async_runner(store, net=net, **kwargs))
+        return sync_reports, looped
 
     def test_batched_round(self, populated_store):
         from repro.logstore.integrity import (
@@ -273,39 +258,3 @@ class TestIntegrityTwins:
         )
         assert async_reports == sync_reports
 
-
-class TestPipelining:
-    def test_concurrent_protocol_runs_interleave(self, monkeypatch):
-        """Two gathered runs, each over its own network, both complete and
-        match their sequential twins — the pipelined interleaving changes
-        wall-clock shape, never results."""
-        sets_a = {"P1": ["x", "y"], "P2": ["y", "z"]}
-        values = {"A": 5, "B": 6, "C": 7}
-
-        def ctx(seed):
-            return SmcContext(PRIME, DeterministicRng(seed))
-
-        sync_inter = secure_set_intersection(ctx(b"pipe1"), sets_a, net=SimNetwork())
-        sync_sum = secure_sum(ctx(b"pipe2"), values, ["A"], net=SimNetwork())
-
-        monkeypatch.setattr("repro.net.simnet.YIELD_EVERY", 1)
-        order = []
-
-        async def tracked(tag, body):
-            order.append(tag)
-            result = await body
-            order.append(tag)
-            return result
-
-        async def both():
-            return await asyncio.gather(
-                tracked("a", secure_set_intersection_async(
-                    ctx(b"pipe1"), sets_a, net=SimNetwork())),
-                tracked("b", secure_sum_async(
-                    ctx(b"pipe2"), values, ["A"], net=SimNetwork())),
-            )
-
-        got_inter, got_sum = asyncio.run(both())
-        assert got_inter == sync_inter
-        assert got_sum == sync_sum
-        assert order[:2] == ["a", "b"]  # a suspended before it finished

@@ -1,19 +1,20 @@
-"""What running on an event loop adds to the scheduler's contract.
+"""What a queue drained on one worker thread adds to the scheduler's contract.
 
 ``tests/sched/test_scheduler.py`` holds the behaviour suite of
 :class:`~repro.sched.QueryScheduler`; the cases here are the ones that
-exist because every query is a task on one loop: exact ledger and trace
-reconciliation when rounds interleave, hundreds of parked queries,
-cancellation by ``shutdown(wait=False)``.
+exist because every query waits its turn on one worker: exact ledger and
+trace reconciliation, hundreds of queued queries, one query executing at
+a time, ``shutdown(wait=False)`` failing the queries not yet started,
+and a worker that starts on the first submit and ends with the service.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
-from repro.aio import aio_scheduler_enabled
 from repro.errors import DeadlineExceededError, SchedulerShutdownError
 from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
@@ -53,7 +54,7 @@ class TestEquivalenceToSerial:
             stats = sched.coalesce_stats()
         assert len({tuple(r.glsns) for r in results}) == 1
         coalesced = [h for h in handles if h.coalesced]
-        assert coalesced, "identical concurrent queries must share one execution"
+        assert coalesced, "identical queries of one burst must share one execution"
         for handle in coalesced:
             assert handle.cost.messages == 0
             assert [e.category for e in handle.leakage] == ["coalesced_result"]
@@ -102,7 +103,7 @@ class TestTraceReconciliation:
 
 class TestInflightScale:
     def test_sustains_hundreds_in_flight(self):
-        """300 queries admitted at once, each a parked task —
+        """300 queries admitted at once, each a queued handle —
         all resolve, in submission order, to one consistent answer."""
         service = build_service(rows=12)
         with QueryScheduler(service, coalesce=False) as sched:
@@ -113,12 +114,25 @@ class TestInflightScale:
         assert [h.seq for h in handles] == list(range(1, 301))
         service.close()
 
-    def test_max_inflight_bounds_concurrent_execution(self):
+    def test_one_query_executes_at_a_time(self, monkeypatch):
+        """Every query runs alone, in submission order: each starts after
+        its predecessor finished, and ``in_flight`` is 1 while it runs."""
         service = build_service(rows=12)
-        with QueryScheduler(service, max_inflight=2, coalesce=False) as sched:
-            handles = [sched.submit("C3 = 'bank'") for _ in range(12)]
+        seen = []
+        real_execute = QueryScheduler._execute
+
+        def execute(self, handle, qplan):
+            seen.append(self.in_flight)
+            return real_execute(self, handle, qplan)
+
+        monkeypatch.setattr(QueryScheduler, "_execute", execute)
+        with QueryScheduler(service, coalesce=False) as sched:
+            handles = [sched.submit(c) for c in CRITERIA * 2]
             sched.gather(handles)
-        assert sched.in_flight == 0  # post-run: drained to 0
+        assert seen == [1] * len(handles)
+        for earlier, later in zip(handles, handles[1:]):
+            assert earlier.finished_at <= later.started_at
+        assert (sched.in_flight, sched._waiting) == (0, 0)
         assert (sched.submitted, sched.completed, sched.failed) == (12, 12, 0)
         service.close()
 
@@ -135,10 +149,10 @@ class TestLifecycle:
         service.close()
 
     def test_shutdown_without_wait_settles_every_handle(self):
-        """``shutdown(wait=False)`` cancels the queries still on the loop;
-        each must fail with the typed error, never stay pending forever."""
+        """``shutdown(wait=False)`` fails the queries still queued with the
+        typed error; none may stay pending forever."""
         service = build_service(rows=12)
-        sched = QueryScheduler(service, max_inflight=2, coalesce=False)
+        sched = QueryScheduler(service, coalesce=False)
         handles = [sched.submit("C1 > 30 and C3 = 'bank'") for _ in range(40)]
         sched.shutdown(wait=False)
         deadline = time.monotonic() + 30.0
@@ -146,7 +160,7 @@ class TestLifecycle:
             time.sleep(0.01)
         assert [h.seq for h in handles if not h.done] == []
         failed = [h for h in handles if h.exception() is not None]
-        assert failed, "a 40-query burst cannot finish before the loop stops"
+        assert failed, "a 40-query burst cannot finish before the shutdown"
         for handle in failed:
             with pytest.raises(SchedulerShutdownError):
                 handle.result(timeout=0)
@@ -162,13 +176,16 @@ class TestLifecycle:
 
 
 class TestServiceRouting:
-    def test_service_scheduler_is_async_by_default(self):
-        """Nothing selects the scheduler: it is always the event loop."""
-        assert aio_scheduler_enabled()
+    def test_worker_thread_starts_lazily(self):
+        """The service's scheduler starts its ``repro-sched`` worker on the
+        first submit, and ``service.close()`` joins it."""
         service = build_service(rows=8)
         assert type(service.scheduler) is QueryScheduler
-        assert service.scheduler.loop_thread.running is False  # lazy until a submit
+        assert service.scheduler._worker is None  # lazy until a submit
         result = service.submit("C3 = 'bank'").result()
         assert result is not None
-        assert service.scheduler.loop_thread.running
+        worker = service.scheduler._worker
+        assert worker.name == "repro-sched" and worker.is_alive()
+        assert worker is not threading.current_thread()
         service.close()
+        assert not worker.is_alive()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -284,19 +285,60 @@ class TestInvalidation:
         assert reuses(service) == 1
 
 
+    def test_a_burst_query_that_expires_mid_query_stores_nothing(
+        self, service, monkeypatch
+    ):
+        """A scheduled query whose deadline expires while its cross
+        predicate is computing fails alone: neither the sub-plan memo nor
+        the whole-query memo keeps anything of it, and the next equal
+        query recomputes and succeeds."""
+        from repro.errors import DeadlineExceededError
+
+        original = executor_module.secure_compare_batch_async
+        stalled = []
+
+        async def stall_once(*args, **kwargs):
+            if not stalled:
+                stalled.append(True)
+                time.sleep(1.0)  # the 0.5 s budget runs out mid-query
+            return await original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "secure_compare_batch_async", stall_once)
+        criterion = "C1 > C5 and C3 = 'bank'"
+        doomed = service.submit(criterion, timeout=0.5)
+        with pytest.raises(DeadlineExceededError):
+            doomed.result(timeout=60)
+        assert doomed.started_at is not None and doomed.cost.messages > 0
+        assert len(service.subplan_memo) == 0
+        assert len(service.scheduler._query_cache) == 0
+
+        retry = service.submit(criterion)
+        twin, ticket = build()
+        populate(twin, ticket)
+        try:
+            assert retry.result(timeout=60).glsns == twin.query(criterion).glsns
+        finally:
+            twin.close()
+        assert not retry.coalesced and reuses(service) == 0
+        assert len(service.subplan_memo) == 1
+
+
 class TestSyncBesideTheScheduler:
     def test_sync_query_while_a_burst_computes_the_same_predicate(
         self, service, monkeypatch
     ):
-        """The burst's compare round is held open on the loop thread while
-        the main thread asks for the same predicate: the sync query must not
-        join the in-flight compute (it would park), but compute for itself."""
+        """The burst's compare round is held open on the scheduler's worker
+        thread while the main thread asks for the same predicate: nothing is
+        stored yet, so the sync query computes for itself instead of waiting
+        for the worker, and both store the same value."""
         main = threading.current_thread()
         started, release = threading.Event(), threading.Event()
         original = executor_module.secure_compare_batch_async
+        gated_on = []
 
         async def gated(*args, **kwargs):
             if threading.current_thread() is not main:
+                gated_on.append(threading.current_thread().name)
                 started.set()
                 release.wait(timeout=60)
             return await original(*args, **kwargs)
@@ -310,10 +352,12 @@ class TestSyncBesideTheScheduler:
             assert started.wait(timeout=60)
             try:
                 sync = service.query("C1 > C5 and C2 < 150").glsns
-                assert reuses(service) == 0  # computed, not joined
+                assert reuses(service) == 0  # computed, not waited for
+                assert len(service.subplan_memo) == 1  # the sync run's entry
             finally:
                 release.set()
             burst = service.gather(handles)
+            assert gated_on == ["repro-sched"]  # only the first query's round
             assert sync == burst[1].glsns
             assert [r.glsns for r in burst] == [twin.query(c).glsns for c in criteria]
             # Afterwards the memo answers both callers.

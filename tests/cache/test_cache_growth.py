@@ -31,9 +31,9 @@ def _caches(owner) -> dict[str, object]:
 
 def _sizes(service) -> dict[str, int]:
     found = {**_caches(service.executor), **_caches(service.scheduler)}
-    # The whole-result flight is keyed by plan fingerprint: one entry per
+    # The whole-result memo is keyed by plan fingerprint: one entry per
     # distinct question is its contract (coalescing identical queries).
-    found.pop("_query_flight")
+    found.pop("_query_cache")
     return {name: len(getattr(cache, "cache", cache)) for name, cache in found.items()}
 
 
@@ -63,7 +63,9 @@ def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_siz
             service.query(criterion)
         scheduler.gather([scheduler.submit(c) for c in CRITERIA])
         assert _sizes(service) == before
-        # ... and not because nothing is cached: C2, C5, protocl and C1, in both homes
-        assert before["_projection_cache"] == before["_column_cache"] == 4
+        # ... and not because nothing is cached: C2, C5, protocl and C1,
+        # in the one column cache both paths share
+        assert service.scheduler._column_cache is service.executor._projection_cache
+        assert before["_projection_cache"] == 4
     finally:
         service.shutdown_scheduler()

@@ -19,7 +19,7 @@ import pytest
 from repro.crypto import DeterministicRng, shared_prime
 from repro.errors import ConfigurationError
 from repro.net.simnet import SimNetwork
-from repro.smc import SmcContext, secure_set_intersection, secure_set_intersection_async
+from repro.smc import SmcContext, secure_set_intersection
 from repro.twin import run_sync, sync_twin
 from tests.integration.test_e2e_entry_points import load_layers
 
@@ -41,21 +41,24 @@ class TestRunSync:
             run_sync(body())
         assert caught.value is boom
 
-    def test_bare_loop_turns_are_resumed_in_place(self):
-        turns = []
+    def test_a_bare_yield_is_refused(self):
+        """No transport's drain suspends on the sync path, so even a bare
+        ``None`` yield means the body needs a loop: it is closed and refused."""
+        cleaned_up = []
 
         @types.coroutine
-        def loop_turn():
-            yield  # what a network drain yields to its loop
+        def bare_turn():
+            yield
 
         async def body():
-            for i in range(3):
-                await loop_turn()
-                turns.append(i)
-            return "done"
+            try:
+                await bare_turn()
+            finally:
+                cleaned_up.append(True)
 
-        assert run_sync(body()) == "done"
-        assert turns == [0, 1, 2]
+        with pytest.raises(ConfigurationError, match="suspended under a sync name"):
+            run_sync(body())
+        assert cleaned_up == [True]
 
     def test_suspending_coroutine_is_closed_and_refused(self):
         cleaned_up = []
@@ -95,22 +98,6 @@ class TestRunSync:
                 secure_set_intersection(ctx, sets, net=LoopBoundNetwork())
         finally:
             loop.close()
-
-    def test_sync_name_finishes_over_a_drain_that_yields_every_delivery(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr("repro.net.simnet.YIELD_EVERY", 1)
-        sets = {"P1": ["a", "b"], "P2": ["b", "c"]}
-
-        def ctx():
-            return SmcContext(shared_prime(64), DeterministicRng(b"twin"))
-
-        net = SimNetwork()
-        result = secure_set_intersection(ctx(), sets, net=net)
-        assert result.any_value == ["b"]
-        assert net.stats.messages > 1  # so the drain did yield, repeatedly
-        looped = asyncio.run(secure_set_intersection_async(ctx(), sets, net=SimNetwork()))
-        assert looped == result
 
     def test_twin_is_a_plain_function_named_after_the_sync_name(self):
         async def probe_async(a, b=2):

@@ -231,7 +231,7 @@ class TestFaultIntegration:
 
 
 class TestDrain:
-    """``drain`` is ``run`` with a loop turn every ``YIELD_EVERY`` deliveries."""
+    """``drain`` is ``run`` under an awaitable name: it never suspends."""
 
     @staticmethod
     def suspensions(coro):
@@ -244,16 +244,15 @@ class TestDrain:
                 return count, done.value
             count += 1
 
-    def test_drain_suspends_every_yield_every_deliveries(self, monkeypatch):
-        monkeypatch.setattr("repro.net.simnet.YIELD_EVERY", 3)
+    def test_drain_runs_to_quiescence_without_suspending(self):
         net = SimNetwork()
         net.register("A", make_sink([]))
         log = []
         net.register("B", make_sink(log))
-        for _ in range(10):
+        for _ in range(40):
             net.send(Message(src="A", dst="B", kind="k"))
-        assert self.suspensions(net.drain()) == (3, 10)
-        assert len(log) == 10
+        assert self.suspensions(net.drain()) == (0, 40)
+        assert len(log) == 40
         assert self.suspensions(net.drain()) == (0, 0)  # idle: returns at once
 
     def test_drain_max_steps_guard(self):

@@ -1,7 +1,7 @@
-"""Fixtures for the concurrent-scheduler suite.
+"""Fixtures for the scheduler suite.
 
 Services are built identically (same seed, same rows) so a serial run on
-one deployment is the ground truth for a concurrent run on its twin.
+one deployment is the ground truth for a scheduled run on its twin.
 """
 
 from __future__ import annotations

@@ -1,13 +1,21 @@
-"""AsyncSingleFlight: compute-once semantics and failure isolation."""
+"""Whole-query coalescing: compute-once semantics and failure isolation.
+
+The scheduler remembers each executed query's result under its plan
+fingerprint and every node store's epoch (``sched.query``): get, compute,
+put, one query at a time.  An equal query later in the queue is served
+that result; a query that fails stores nothing, so it can never poison
+the next equal query — that one computes afresh.
+"""
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
-from repro.aio import AsyncSingleFlight
-from repro.cache import LruCache, set_caching_enabled
+from repro.cache import set_caching_enabled
+from repro.sched import QueryScheduler
+from tests.sched.conftest import build_service
+
+CRITERION = "C1 > 30 and C3 = 'bank'"
 
 
 @pytest.fixture(autouse=True)
@@ -17,116 +25,69 @@ def _caching_on():
     set_caching_enabled(None)
 
 
-def constant(value, calls: list):
-    async def compute():
-        calls.append(1)
-        return value
-
-    return compute
-
-
-def test_serves_cached_value_without_recompute():
-    async def scenario():
-        flight = AsyncSingleFlight(LruCache("sf.basic"))
-        calls: list = []
-        assert await flight.get_or_compute("k", constant(42, calls)) == 42
-        assert await flight.get_or_compute("k", constant(99, calls)) == 42
-        assert len(calls) == 1
-
-    asyncio.run(scenario())
+@pytest.fixture()
+def service():
+    svc = build_service(rows=12)
+    yield svc
+    svc.close()
 
 
-def test_concurrent_tasks_compute_once():
-    async def scenario():
-        flight = AsyncSingleFlight(LruCache("sf.once"))
-        entered, release = asyncio.Event(), asyncio.Event()
-        compute_count = [0]
+def count_executions(monkeypatch, fail_first: bool = False) -> list[int]:
+    """``[n]``: how many queries really executed (the first may be made to fail)."""
+    calls = [0]
+    real_execute = QueryScheduler._execute
 
-        async def compute():
-            compute_count[0] += 1
-            entered.set()
-            await release.wait()
-            return "value"
+    def execute(self, handle, qplan):
+        calls[0] += 1
+        if fail_first and calls[0] == 1:
+            raise RuntimeError("holder dies")
+        return real_execute(self, handle, qplan)
 
-        holder = asyncio.create_task(flight.get_or_compute("k", compute))
-        await asyncio.wait_for(entered.wait(), 30)  # the holder is mid-compute
-        joiners = [
-            asyncio.create_task(flight.get_or_compute("k", compute)) for _ in range(4)
-        ]
-        await asyncio.sleep(0)  # every joiner reaches the holder's event
-        assert flight.joins == 4
-        release.set()
-        results = await asyncio.wait_for(asyncio.gather(holder, *joiners), 30)
-        assert results == ["value"] * 5
-        assert compute_count[0] == 1
-
-    asyncio.run(scenario())
+    monkeypatch.setattr(QueryScheduler, "_execute", execute)
+    return calls
 
 
-def test_failed_holder_does_not_poison_joiners():
-    """The holder's exception stays its own; a joiner retries and wins."""
-
-    async def scenario():
-        flight = AsyncSingleFlight(LruCache("sf.fail"))
-        entered, release = asyncio.Event(), asyncio.Event()
-        attempts = [0]
-
-        async def compute():
-            attempts[0] += 1
-            if attempts[0] == 1:
-                entered.set()
-                await release.wait()
-                raise RuntimeError("holder dies")
-            return "recovered"
-
-        holder = asyncio.create_task(flight.get_or_compute("k", compute))
-        await asyncio.wait_for(entered.wait(), 30)
-        joiners = [
-            asyncio.create_task(flight.get_or_compute("k", compute)) for _ in range(2)
-        ]
-        await asyncio.sleep(0)
-        release.set()
-        outcomes = await asyncio.wait_for(
-            asyncio.gather(holder, *joiners, return_exceptions=True), 30
-        )
-        assert isinstance(outcomes[0], RuntimeError)  # exactly the holder
-        assert outcomes[1:] == ["recovered", "recovered"]
-        assert attempts[0] == 2  # one joiner became the new holder, one joined it
-        # The in-flight table is clean: a later caller hits the cache.
-        assert await flight.get_or_compute("k", constant("later", [])) == "recovered"
-
-    asyncio.run(scenario())
+def test_serves_cached_value_without_recompute(service, monkeypatch):
+    calls = count_executions(monkeypatch)
+    first = service.submit(CRITERION)
+    first.result(timeout=60)
+    later = service.submit(CRITERION)
+    assert later.result(timeout=60).glsns == first.result().glsns
+    assert calls[0] == 1
+    assert later.coalesced and later.cost.messages == 0
 
 
-def test_kill_switch_bypasses_sharing():
-    async def scenario():
-        flight = AsyncSingleFlight(LruCache("sf.off"))
-        set_caching_enabled(False)
-        calls: list = []
-        assert await flight.get_or_compute("k", constant("a", calls)) == "a"
-        assert await flight.get_or_compute("k", constant("b", calls)) == "b"
-        assert len(calls) == 2
+def test_concurrent_tasks_compute_once(service, monkeypatch):
+    calls = count_executions(monkeypatch)
+    handles = [service.submit(CRITERION) for _ in range(5)]
+    results = service.gather(handles)
+    assert len({tuple(r.glsns) for r in results}) == 1
+    assert calls[0] == 1
+    assert [h.coalesced for h in handles] == [False] + [True] * 4
+    stats = service.scheduler.coalesce_stats()["sched.query"]
+    assert (stats["misses"], stats["hits"]) == (1, 4)
 
-    asyncio.run(scenario())
+
+def test_failed_holder_does_not_poison_joiners(service, monkeypatch):
+    """The first query's exception stays its own; the next equal query
+    computes afresh and the rest are served its result."""
+    calls = count_executions(monkeypatch, fail_first=True)
+    handles = [service.submit(CRITERION) for _ in range(3)]
+    with pytest.raises(RuntimeError, match="holder dies"):
+        handles[0].result(timeout=60)
+    second, third = (h.result(timeout=60) for h in handles[1:])
+    assert second.glsns == third.glsns == build_service(rows=12).query(CRITERION).glsns
+    assert calls[0] == 2
+    assert [h.coalesced for h in handles] == [False, False, True]
+    assert len(service.scheduler._query_cache) == 1
 
 
-def test_join_metric_counts_per_level():
-    async def scenario():
-        flight = AsyncSingleFlight(LruCache("sf.metric"))
-        entered, release = asyncio.Event(), asyncio.Event()
-
-        async def compute():
-            entered.set()
-            await release.wait()
-            return 1
-
-        holder = asyncio.create_task(flight.get_or_compute("k", compute))
-        await asyncio.wait_for(entered.wait(), 30)
-        joiner = asyncio.create_task(flight.get_or_compute("k", compute))
-        await asyncio.sleep(0)
-        release.set()
-        await asyncio.wait_for(asyncio.gather(holder, joiner), 30)
-        # The ledger /metrics reads as repro_sched_coalesce_hits_total.
-        assert flight.joins == 1
-
-    asyncio.run(scenario())
+def test_kill_switch_bypasses_sharing(service, monkeypatch):
+    calls = count_executions(monkeypatch)
+    set_caching_enabled(False)
+    handles = [service.submit(CRITERION) for _ in range(3)]
+    service.gather(handles)
+    assert calls[0] == 3
+    assert not any(h.coalesced for h in handles)
+    stats = service.scheduler.coalesce_stats()["sched.query"]
+    assert (stats["misses"], stats["hits"]) == (0, 0)

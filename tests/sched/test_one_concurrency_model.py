@@ -1,24 +1,33 @@
-"""One concurrency model: every scheduler is one class on an event loop.
+"""One concurrency model: one scheduler class, one worker, no query loop.
 
-``service.scheduler`` and the dedicated scheduler of
-``query_many(max_concurrency=N)`` build the same
-:class:`~repro.sched.QueryScheduler`; nothing runs on a worker pool or a
-per-connection reader thread, and closing a service or a TCP cluster
-leaves no loop thread behind.
+``service.scheduler`` is the one :class:`~repro.sched.QueryScheduler` a
+service builds; ``query_many`` and standing queries go through it too.
+Its queries run one at a time on its ``repro-sched`` worker thread —
+never on an event loop, so the query path does not even import
+:mod:`asyncio` — and nothing runs on a worker pool or a per-connection
+reader thread.  Closing a service or a TCP cluster leaves no thread
+behind.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
+import repro
 from repro.aio import AsyncTcpCluster
 from repro.net.message import Message
 from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
 
 #: Every thread this repo's schedulers and socket transports ever named.
-LOOP_THREADS = ("repro-aio-sched", "aio-tcp-")
+WORKER_THREADS = ("repro-sched", "repro-aio-sched", "aio-tcp-")
 POOL_THREADS = ("sched-worker-", "tcp-read-", "tcp-accept-")
+REPO = Path(repro.__file__).resolve().parents[2]
 
 
 def thread_names(prefixes: tuple[str, ...], since: set[threading.Thread]) -> list[str]:
@@ -43,28 +52,15 @@ def record_schedulers(monkeypatch) -> list[QueryScheduler]:
     return built
 
 
-def high_water(monkeypatch) -> list[int]:
-    """``[max]`` of any scheduler's ``in_flight`` as each query starts."""
-    seen = [0]
-    real_execute = QueryScheduler._execute
-
-    async def execute(self, handle, qplan):
-        seen[0] = max(seen[0], self.in_flight)
-        return await real_execute(self, handle, qplan)
-
-    monkeypatch.setattr(QueryScheduler, "_execute", execute)
-    return seen
-
-
 def test_every_construction_site_builds_the_same_class(monkeypatch):
     built = record_schedulers(monkeypatch)
     service = build_service(rows=12)
     try:
         persistent = service.scheduler
-        service.query_many(CRITERIA[:2], max_concurrency=3)
-        assert len(built) == 2 and built[0] is persistent
-        assert {type(s) for s in built} == {QueryScheduler}
-        assert built[1].max_inflight == 3
+        service.query_many(CRITERIA[:2])
+        service.register_standing_query("C3 = 'bank'")
+        service.poll_standing()
+        assert built == [persistent]
         # One module defines a scheduler; the benchmark's alias is that class.
         from repro.aio.scheduler import AsyncQueryScheduler
 
@@ -74,32 +70,13 @@ def test_every_construction_site_builds_the_same_class(monkeypatch):
         service.close()
 
 
-def test_max_concurrency_bounds_in_flight_and_equals_serial(monkeypatch):
-    serial, concurrent = build_service(), build_service()
-    try:
-        burst = CRITERIA * 2
-        built = record_schedulers(monkeypatch)
-        seen = high_water(monkeypatch)
-        got = concurrent.query_many(burst, max_concurrency=3)
-        assert 1 <= seen[0] <= 3
-        assert built[0].in_flight == 0
-        assert concurrent._scheduler is None  # the dedicated one is gone again
-        for criterion, result in zip(burst, got):
-            want = serial.query(criterion)
-            assert result.glsns == want.glsns
-            assert result.subquery_glsns == want.subquery_glsns
-    finally:
-        serial.close()
-        concurrent.close()
-
-
 def test_query_many_ledger_equals_the_persistent_schedulers():
-    """A dedicated ``max_concurrency=N`` scheduler is the same machine with a
-    smaller bound: same answers *and* the same ledger, entry for entry."""
+    """``query_many`` is ``submit`` + ``gather`` on the same scheduler:
+    same answers *and* the same ledger, entry for entry."""
     via_submit, via_many = build_service(), build_service()
     try:
         a = via_submit.gather([via_submit.submit(c) for c in CRITERIA])
-        b = via_many.query_many(CRITERIA, max_concurrency=4)
+        b = via_many.query_many(CRITERIA)
         assert [r.glsns for r in a] == [r.glsns for r in b]
         assert via_submit.ctx.leakage.events == via_many.ctx.leakage.events
         assert via_submit.ctx.crypto_ops.ops == via_many.ctx.crypto_ops.ops
@@ -114,17 +91,44 @@ def test_no_pool_or_reader_threads_and_close_leaves_no_loop_thread():
     cluster = AsyncTcpCluster(["A", "B"])
     try:
         service.gather([service.submit(c) for c in CRITERIA * 2])
-        service.query_many(CRITERIA, max_concurrency=3)
+        service.query_many(CRITERIA)
         cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
         cluster["B"].send(cluster["B"].receive(timeout=5.0).reply("pong", 2))
         assert cluster["A"].receive(timeout=5.0).payload == 2
         assert thread_names(POOL_THREADS, before) == []
-        # One loop for the persistent scheduler, one for the whole mesh.
-        assert sorted(thread_names(LOOP_THREADS, before)) == [
+        # One worker for the scheduler, one loop for the whole mesh.
+        assert sorted(thread_names(WORKER_THREADS, before)) == [
             "aio-tcp-cluster",
-            "repro-aio-sched",
+            "repro-sched",
         ]
     finally:
         service.close()
         cluster.close()
-    assert thread_names(LOOP_THREADS + POOL_THREADS, before) == []
+    assert thread_names(WORKER_THREADS + POOL_THREADS, before) == []
+
+
+def test_the_query_path_never_imports_asyncio():
+    """A burst, ``query_many`` and a standing-query epoch, in a fresh
+    interpreter: :mod:`asyncio` is never imported, and ``close()`` leaves
+    no ``repro-sched`` thread."""
+    probe = textwrap.dedent(
+        """
+        import sys, threading
+        from tests.sched.conftest import CRITERIA, build_service
+
+        service = build_service(rows=12)
+        service.gather([service.submit(c) for c in CRITERIA])
+        service.query_many(CRITERIA[:2])
+        service.register_standing_query("C3 = 'bank'")
+        service.append_stream([{"C3": "bank", "C5": 1}], service.register_user("w"))
+        print("asyncio" in sys.modules)
+        service.close()
+        print(sorted(t.name for t in threading.enumerate()))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, cwd=REPO
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["False", "['MainThread']"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import asyncio
+import sys
 import threading
 import time
 
@@ -29,7 +29,7 @@ class TestEquivalenceWithSerial:
     def test_query_many_matches_serial_per_query(self, twin_services):
         serial_svc, conc_svc = twin_services
         expected = [serial_svc.query(c) for c in CRITERIA]
-        got = conc_svc.query_many(CRITERIA, max_concurrency=4)
+        got = conc_svc.query_many(CRITERIA)
         assert len(got) == len(expected)
         for s, c in zip(expected, got):
             assert_same_result(s, c)
@@ -46,24 +46,11 @@ class TestEquivalenceWithSerial:
     def test_coalescing_off_still_matches_serial(self, twin_services):
         serial_svc, conc_svc = twin_services
         expected = [serial_svc.query(c) for c in CRITERIA]
-        with QueryScheduler(conc_svc, max_inflight=4, coalesce=False) as sched:
+        with QueryScheduler(conc_svc, coalesce=False) as sched:
             got = sched.gather([sched.submit(c) for c in CRITERIA])
         for s, c in zip(expected, got):
             assert_same_result(s, c)
         assert sched.coalesce_stats() == {}
-
-    def test_serial_fallback_is_a_literal_query_loop(self, twin_services):
-        """max_concurrency=0 goes through service.query itself: results are
-        bit-for-bit what a hand-written serial loop would produce, and no
-        scheduler machinery is ever constructed."""
-        serial_svc, fb_svc = twin_services
-        expected = [serial_svc.query(c) for c in CRITERIA]
-        got = fb_svc.query_many(CRITERIA, max_concurrency=0)
-        for s, f in zip(expected, got):
-            assert_same_result(s, f)
-            # Identical code path => identical traffic counts too.
-            assert s.messages == f.messages
-        assert fb_svc._scheduler is None
 
 
 class TestHandles:
@@ -118,7 +105,7 @@ class TestCoalescing:
         try:
             # Distinct criteria sharing one expensive scmp cross predicate.
             pair = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 400"]
-            with QueryScheduler(service, max_inflight=1) as sched:
+            with QueryScheduler(service) as sched:
                 results = sched.gather([sched.submit(c) for c in pair])
             twin = build_service()
             for criterion, result in zip(pair, results):
@@ -129,8 +116,8 @@ class TestCoalescing:
             service.shutdown_scheduler()
 
     def test_concurrent_queries_share_one_subplan_run(self):
-        """Two queries racing on the same cross predicate run its SMC
-        rounds once; the other joins (or hits) through the single-flight
+        """Two queries of one burst on the same cross predicate run its
+        SMC rounds once; the later one reads the earlier one's sub-plan
         and says so on its ledger."""
         service = build_service()
         try:
@@ -141,7 +128,7 @@ class TestCoalescing:
             for criterion, result in zip(pair, results):
                 assert twin.query(criterion).glsns == result.glsns
             subplan = service.scheduler.coalesce_stats()["query.subplan"]
-            assert subplan["hits"] >= 1  # a joiner re-reads the holder's value
+            assert subplan["hits"] >= 1  # the second query read the first's value
             # Exactly one query ran the comparison rounds; the other's ledger
             # carries the explicit reuse record instead.
             ran = [
@@ -160,21 +147,37 @@ class TestCoalescing:
         finally:
             service.shutdown_scheduler()
 
+    def test_columns_come_from_the_service_executors_cache(self, service):
+        """One column cache per service: scheduled queries read the sync
+        executor's ``query.projection`` cache, so a burst after a sync query
+        builds no column, and a rebuilt scheduler keeps them."""
+        cache = service.executor._projection_cache
+        service.query("C3 = 'bank' or C3 = 'salary'")
+        built = cache.stats.misses
+        service.gather([service.submit("C3 = 'bank'")])
+        service.shutdown_scheduler()
+        service.gather([service.submit("C3 = 'shop'")])
+        assert service.scheduler._column_cache is cache
+        assert cache.stats.misses == built
+        assert cache.stats.hits >= 2
+
     def test_coalesce_stats_expose_all_levels(self, service):
         sched = service.scheduler
         sched.gather([sched.submit(c) for c in CRITERIA])
         stats = sched.coalesce_stats()
         assert set(stats) == {
-            "sched.projection",
+            "query.projection",
             "query.subplan",
             "sched.query",
         }
-        assert stats["sched.query"]["hits"] + stats["sched.query"]["joins"] > 0
+        assert stats["sched.query"]["hits"] > 0
+        # One query executes at a time, so nothing ever joins one in flight.
+        assert {level["joins"] for level in stats.values()} == {0}
 
 
 class TestLeakageGrouping:
     def test_ledger_groups_per_query(self, service):
-        """Entries of racing queries never interleave: each query's private
+        """Entries of a burst's queries never interleave: each query's private
         ledger lands in the service ledger as one contiguous group."""
         handles = [service.submit(c) for c in CRITERIA]
         service.gather(handles)
@@ -191,7 +194,7 @@ class TestLeakageGrouping:
             assert starts, f"query #{handle.seq}'s ledger group was interleaved"
 
     def test_within_query_order_is_deterministic(self):
-        """Same query, two identically-seeded deployments, concurrency on:
+        """Same query, two identically-seeded deployments, both scheduled:
         each query's private leakage sequence is identical."""
         a, b = build_service(), build_service()
         try:
@@ -212,15 +215,15 @@ class TestAdmissionControl:
         sched = QueryScheduler(service, **kwargs)
         original = sched._execute
 
-        async def slow_execute(handle, qplan):
-            await asyncio.sleep(delay)
-            return await original(handle, qplan)
+        def slow_execute(handle, qplan):
+            time.sleep(delay)
+            return original(handle, qplan)
 
         sched._execute = slow_execute
         return sched
 
     def test_deadline_expires_in_admission_queue(self, service):
-        sched = self._slow_scheduler(service, delay=0.3, max_inflight=1)
+        sched = self._slow_scheduler(service, delay=0.3)
         try:
             slow = sched.submit(CRITERIA[0])
             time.sleep(0.05)
@@ -242,6 +245,23 @@ class TestAdmissionControl:
         # The service rebuilds a fresh scheduler on demand.
         service.shutdown_scheduler()
         assert service.query_many([CRITERIA[0]])[0].glsns is not None
+
+    def test_the_service_replaces_a_shut_down_scheduler(self, service):
+        """Shutting down the scheduler the service hands out must not leave
+        the service refusing queries: submit, query_many and a standing
+        query's ingest epoch each run on a new one."""
+        old = service.scheduler
+        old.shutdown()
+        assert service.submit(CRITERIA[0]).result(timeout=60).glsns is not None
+        assert service.scheduler is not old
+        service.scheduler.shutdown()
+        assert len(service.query_many(CRITERIA[:2])) == 2
+        deltas = []
+        service.register_standing_query("C3 = 'bank'", on_delta=deltas.append)
+        service.scheduler.shutdown()
+        ticket = service.register_user("late-writer")
+        (receipt,) = service.append_stream([{"C3": "bank", "C5": 1}], ticket)
+        assert receipt.glsn in deltas[-1].added
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +289,7 @@ class TestConfig:
 
     def test_env_defaults(self, config_service):
         with QueryScheduler(config_service) as sched:
-            assert (sched.max_inflight, sched.coalesce) == (256, True)
+            assert sched.coalesce is True
 
     @pytest.mark.parametrize("value", ["of", "maybe", "offf"])
     def test_invalid_coalesce_env_raises(self, monkeypatch, value):
@@ -277,11 +297,6 @@ class TestConfig:
         monkeypatch.setenv("REPRO_SCHED_COALESCE", value)
         with pytest.raises(ConfigurationError, match="REPRO_SCHED_COALESCE"):
             build_service(rows=0)
-
-    @pytest.mark.parametrize("max_inflight", [0, -1])
-    def test_invalid_max_inflight_raises(self, config_service, max_inflight):
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            QueryScheduler(config_service, max_inflight=max_inflight)
 
     def test_sched_metrics_emitted(self):
         service = build_service()
@@ -298,9 +313,10 @@ class TestConfig:
                 "repro_sched_queue_depth",
                 "repro_sched_in_flight",
                 "repro_sched_admission_wait_seconds",
-                "repro_sched_coalesce_hits_total",
             ):
                 assert name in snapshot, name
+            # Nothing can join a query in flight, so there is no joins family.
+            assert "repro_sched_coalesce_hits_total" not in snapshot
             assert registry.value("repro_sched_submitted_total") == len(CRITERIA)
             assert registry.value("repro_sched_completed_total") == len(CRITERIA)
             assert registry.value("repro_sched_in_flight") == 0
@@ -312,11 +328,13 @@ class TestConfig:
 
 class TestThreadSafeSubmission:
     def test_concurrent_submitters(self, twin_services):
-        """Many client threads submitting at once: all results correct."""
+        """Many client threads submitting at once, with thread switches
+        forced often: all results correct and no counter update lost."""
         serial_svc, conc_svc = twin_services
         expected = {c: serial_svc.query(c).glsns for c in set(CRITERIA)}
         results: dict[int, list[int]] = {}
         errors: list[BaseException] = []
+        burst = CRITERIA * 4
 
         def client(i: int, criterion: str) -> None:
             try:
@@ -327,13 +345,22 @@ class TestThreadSafeSubmission:
 
         threads = [
             threading.Thread(target=client, args=(i, c))
-            for i, c in enumerate(CRITERIA * 2)
+            for i, c in enumerate(burst)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        for i, criterion in enumerate(CRITERIA * 2):
+        for i, criterion in enumerate(burst):
             assert results[i] == expected[criterion]
+        sched = conc_svc.scheduler
+        assert (sched.submitted, sched.completed, sched.failed) == (len(burst), len(burst), 0)
+        assert (sched._waiting, sched.in_flight) == (0, 0)
         conc_svc.shutdown_scheduler()

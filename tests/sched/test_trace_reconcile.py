@@ -1,10 +1,10 @@
-"""Property: concurrent queries' traces reconcile with their cost reports.
+"""Property: scheduled queries' traces reconcile with their cost reports.
 
-With the scheduler at concurrency >= 4, every query gets its own network
-and its own trace — yet all node spans land in the service's ONE tracer,
-interleaved across query tasks.  The invariant must survive that
-interleaving: for EVERY query's trace, the per-node span attributions sum
-exactly to that query's private CostReport.
+Every scheduled query gets its own network and its own trace, yet all
+node spans land in the service's ONE tracer, the worker thread's beside
+the caller's.  The invariant must survive that: for EVERY query's trace,
+the per-node span attributions sum exactly to that query's private
+CostReport.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class TestConcurrentTraceReconciliation:
     def test_every_trace_sums_to_its_cost_report(self):
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        with QueryScheduler(service, max_inflight=4, coalesce=False) as sched:
+        with QueryScheduler(service, coalesce=False) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)
