@@ -237,7 +237,8 @@ class QueryExecutor:
         # Home of the typed columns (:meth:`_projection`); with the cache
         # kill switch off they are rebuilt per use.  The query scheduler
         # injects the service executor's cache here, so every query the
-        # service runs builds a column once per (node, attribute, epoch).
+        # service runs builds a column once per (node, attribute, epoch)
+        # and keeps the latest one.
         self._projection_cache = (
             projection_cache
             if projection_cache is not None
@@ -528,7 +529,7 @@ class QueryExecutor:
 
         With a sub-plan memo, whole cross-predicate SMC subplans (the
         expensive primitives: ``ssi``/``scmp``) are shared with later
-        queries — keyed on the predicate and the
+        queries — keyed on the predicate, the plan's glsn floor and the
         participating stores' epochs, so a write on any involved node
         invalidates exactly the affected entries.  A shared result is a
         disclosure in its own right (the recipient query learns the
@@ -549,6 +550,8 @@ class QueryExecutor:
                 (node, self.store.node_store(node).epoch)
                 for node in strategy.nodes
             ),
+            # A floored result is not the epochs' whole answer.
+            qplan.floor,
         )
         # Get, compute, put.  Two racing computes (a sync call beside the
         # scheduler's worker) store equal values — the result is a pure
@@ -584,6 +587,7 @@ class QueryExecutor:
         """One predicate's glsns at its anchor node; every SMC run it makes
         is appended to ``runs``."""
         strategy = qplan.strategies[str(pred)]
+        floor = qplan.floor
         with protocol_span(
             self.ctx,
             net,
@@ -595,44 +599,60 @@ class QueryExecutor:
             },
         ) as span:
             if strategy.primitive == "scan":
-                glsns = self._local_scan(strategy.nodes[0], pred)
+                glsns = self._local_scan(strategy.nodes[0], pred, floor)
             elif strategy.primitive == "ssi":
                 glsns = await self._cross_equality(
-                    pred, strategy.nodes, net, deadline, span, runs
+                    pred, strategy.nodes, net, deadline, span, runs, floor
                 )
             elif strategy.primitive == "scmp":
                 glsns = await self._cross_order(
-                    pred, strategy.nodes, net, deadline, span, runs
+                    pred, strategy.nodes, net, deadline, span, runs, floor
                 )
             else:
                 raise PlanningError(f"unknown strategy {strategy.primitive!r}")
             span.set_attribute("matches", len(glsns))
             return strategy.nodes[0], glsns
 
-    def _projection(self, node_id: str, attribute: str) -> _Column:
-        """One attribute's column on its owner node.
+    def _projection(
+        self, node_id: str, attribute: str, floor: int | None = None
+    ) -> _Column:
+        """One attribute's column on its owner node, of the rows at or
+        above ``floor`` when one is given.
 
-        Memoized per (node, attribute, store epoch): any mutation of the
-        owning store bumps its epoch and the next query re-scans; stores
-        untouched since the last query serve the cached column and skip
-        the fragment scan entirely.
+        A whole column is memoized per (node, attribute) at the store's
+        epoch: any mutation of the owning store bumps its epoch, and the
+        next query re-scans and replaces the column; stores untouched
+        since the last query serve the cached column and skip the
+        fragment scan entirely.  A floored column reads only the rows at
+        or above the floor and is not kept.
         """
         store = self.store.node_store(node_id)
+        if floor is not None:
+            return _Column(store.fragments_from(floor), attribute)
         return self._projection_cache.get_or_compute(
-            (node_id, attribute, store.epoch),
+            (node_id, attribute),
             lambda: _Column(store.scan(), attribute),
+            version=store.epoch,
         )
 
-    def _local_scan(self, node_id: str, pred: Predicate) -> set[int]:
-        column = self._projection(node_id, pred.left.name)
+    def _local_scan(
+        self, node_id: str, pred: Predicate, floor: int | None = None
+    ) -> set[int]:
+        column = self._projection(node_id, pred.left.name, floor)
         if isinstance(pred.right, Constant):
             return column.match_constant(pred.op, pred.right.value)
-        return column.match_column(pred.op, self._projection(node_id, pred.right.name))
+        return column.match_column(
+            pred.op, self._projection(node_id, pred.right.name, floor)
+        )
 
     def _present_glsns(
-        self, node_id: str, attribute: str, matching: set[int] | None = None
+        self,
+        node_id: str,
+        attribute: str,
+        matching: set[int] | None = None,
+        floor: int | None = None,
     ) -> set[int]:
-        out = set(self._projection(node_id, attribute).raw)
+        out = set(self._projection(node_id, attribute, floor).raw)
         if matching is not None:
             out &= matching
         return out
@@ -645,11 +665,12 @@ class QueryExecutor:
         deadline: Deadline | None,
         span,
         runs: list[SmcResult],
+        floor: int | None = None,
     ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        left_pairs = self._composite_set(left_node, pred.left.name)
-        right_pairs = self._composite_set(right_node, right_attr.name)
+        left_pairs = self._composite_set(left_node, pred.left.name, floor)
+        right_pairs = self._composite_set(right_node, right_attr.name, floor)
         result = await secure_set_intersection_async(
             self.ctx,
             {left_node: sorted(left_pairs), right_node: sorted(right_pairs)},
@@ -663,15 +684,17 @@ class QueryExecutor:
         # "!=": common presence minus equality matches.
         common = await self._common_glsns(
             left_node, pred.left.name, right_node, right_attr.name,
-            net, deadline, span, runs,
+            net, deadline, span, runs, floor,
         )
         return common - eq_glsns
 
-    def _composite_set(self, node_id: str, attribute: str) -> set[str]:
+    def _composite_set(
+        self, node_id: str, attribute: str, floor: int | None = None
+    ) -> set[str]:
         """``glsn|value`` composites — the secure equality-join elements."""
         return {
             f"{glsn}|{value}"
-            for glsn, value in self._projection(node_id, attribute)
+            for glsn, value in self._projection(node_id, attribute, floor)
         }
 
     async def _common_glsns(
@@ -684,8 +707,11 @@ class QueryExecutor:
         deadline: Deadline | None = None,
         span=None,
         runs: list[SmcResult] | None = None,
+        floor: int | None = None,
     ) -> set[int]:
-        """The glsns carrying ``left_attr`` at its owner and ``right_attr`` at its.
+        """The glsns carrying ``left_attr`` at its owner and ``right_attr`` at its
+        (of those at or above ``floor`` when one is given: the presence
+        sets and the indexes are then read from the floor up).
 
         Two representations of the same set.  The presence sets can be
         intersected (``∩ₛ``), or — when both owners index the same glsns —
@@ -709,10 +735,17 @@ class QueryExecutor:
         """
         runs = [] if runs is None else runs
         present = {
-            left_node: self._present_glsns(left_node, left_attr),
-            right_node: self._present_glsns(right_node, right_attr),
+            left_node: self._present_glsns(left_node, left_attr, floor=floor),
+            right_node: self._present_glsns(right_node, right_attr, floor=floor),
         }
-        indexes = {node: self.store.node_store(node).glsns for node in present}
+        indexes = {
+            node: (
+                self.store.node_store(node).glsns
+                if floor is None
+                else self.store.node_store(node).glsns_from(floor)
+            )
+            for node in present
+        }
         index_agree = indexes[left_node] == indexes[right_node]
         absent = {node: set(indexes[node]) - present[node] for node in present}
         decrypt_weight = max(1, self.ctx.prime.bit_length() // SHORT_EXPONENT_BITS)
@@ -757,7 +790,7 @@ class QueryExecutor:
         return set(result.any_value)
 
     def _scaled_column(
-        self, node_id: str, attribute: str, pred: Predicate
+        self, node_id: str, attribute: str, pred: Predicate, floor: int | None = None
     ) -> dict[int, int]:
         """``glsn -> fixed-point value`` of one owner's attribute.
 
@@ -766,7 +799,7 @@ class QueryExecutor:
         has been sent or disclosed yet.
         """
         scaled = {}
-        for glsn, value in self._projection(node_id, attribute):
+        for glsn, value in self._projection(node_id, attribute, floor):
             try:
                 scaled[glsn] = _scaled_int(value)
             except (TypeError, ValueError) as exc:
@@ -785,15 +818,16 @@ class QueryExecutor:
         deadline: Deadline | None,
         span,
         runs: list[SmcResult],
+        floor: int | None = None,
     ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        left_scaled = self._scaled_column(left_node, pred.left.name, pred)
-        right_scaled = self._scaled_column(right_node, right_attr.name, pred)
+        left_scaled = self._scaled_column(left_node, pred.left.name, pred, floor)
+        right_scaled = self._scaled_column(right_node, right_attr.name, pred, floor)
         ordered = sorted(
             await self._common_glsns(
                 left_node, pred.left.name, right_node, right_attr.name,
-                net, deadline, span, runs,
+                net, deadline, span, runs, floor,
             )
         )
         left_values = [left_scaled[g] for g in ordered]

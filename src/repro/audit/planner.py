@@ -53,6 +53,10 @@ class QueryPlan:
     form: ConjunctiveForm
     subqueries: list[ClassifiedSubquery]
     strategies: dict[str, PredicateStrategy] = field(default_factory=dict)
+    #: Evaluate only rows whose glsn is at least this (``None``: every
+    #: row).  Every predicate is a function of one row's values, so the
+    #: answer is the full answer's glsns at or above the floor.
+    floor: int | None = None
 
     @property
     def q(self) -> int:
@@ -82,13 +86,15 @@ class QueryPlan:
         and predicates under each clause's disjunction, so both levels are
         sorted.  The query scheduler coalesces queries on
         ``(fingerprint, store epochs)`` — criterion-text differences that
-        do not change the computation (clause order, spacing) still share.
+        do not change the computation (clause order, spacing) still share,
+        and a floored plan never shares with an unfloored one.
         """
         clauses = sorted(
             "|".join(sorted(str(cp.predicate) for cp in sq.predicates))
             for sq in self.subqueries
         )
-        return " & ".join(clauses)
+        text = " & ".join(clauses)
+        return text if self.floor is None else f"{text} @ glsn >= {self.floor}"
 
     def _holders(self, sq: ClassifiedSubquery) -> tuple[str, ...]:
         """The nodes that hold clause ``sq``'s glsn set once it is evaluated.

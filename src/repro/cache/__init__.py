@@ -2,13 +2,14 @@
 
 One primitive (:class:`LruCache`) behind three hot paths:
 
-* the query executor's per-(node, attribute) column cache, keyed by the
-  owning store's epoch;
+* the query executor's per-(node, attribute) column cache, one slot
+  versioned by the owning store's epoch;
 * the :class:`~repro.crypto.pohlig_hellman.MessageEncoder` hashed-encoding
   memo (pure function of value and prime);
 * the service's one sub-plan memo (``query.subplan``): cross-predicate
-  results keyed on the predicate and its nodes' store epochs, shared by
-  sync and scheduled queries (off under ``REPRO_SCHED_COALESCE=off``).
+  results keyed on the predicate, its nodes' store epochs and the plan's
+  glsn floor, shared by sync and scheduled queries (off under
+  ``REPRO_SCHED_COALESCE=off``).
 
 :func:`set_caching_enabled` ``(False)`` disables everything at once;
 each cache holds at most ``DEFAULT_MAX_ENTRIES`` entries unless built

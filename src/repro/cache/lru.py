@@ -10,9 +10,11 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
   evicted first, so a long-running service cannot grow without limit.
 * **Epoch-keyed.** Callers put the data-version (a
   :class:`~repro.logstore.store.FragmentStore` epoch, the cipher
-  prime) *into the key*.  Stale entries are
-  never served — they simply stop being looked up and age out of the
-  LRU.  There is no invalidation bookkeeping to get wrong.
+  prime) *into the key*, or pass it as the ``version`` of a slot
+  (:meth:`LruCache.get_or_compute`).  Stale entries are never served —
+  a key's simply stop being looked up and age out of the LRU, a slot's
+  is replaced by the next version's.  There is no invalidation
+  bookkeeping to get wrong.
 * **Observable.** Hit / miss / eviction counters (:attr:`LruCache.stats`;
   ``/metrics`` reads a service's caches as
   ``repro_cache_hits_total{cache=...}`` etc.).
@@ -153,32 +155,47 @@ class LruCache:
         if not caching_enabled():
             return
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._put_locked(key, value)
 
-    def get_or_compute(self, key, compute: Callable[[], object]):
+    def _put_locked(self, key, value) -> None:
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = value
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def get_or_compute(self, key, compute: Callable[[], object], version=_MISSING):
         """Serve ``key`` from cache or run ``compute`` and remember it.
+
+        With ``version`` (an ordered stamp, such as a store epoch) ``key``
+        is a slot holding one version of its value, stored as the pair
+        ``(version, value)``: an entry of another version is a miss, and
+        the value computed for a version at least as new replaces it, so
+        a superseded value leaves the cache at once instead of waiting to
+        age out.  Use a key with ``version`` always or never.
 
         With caching disabled this is exactly ``compute()`` — nothing is
         read or written, so the kill switch also rules out key bugs.
         """
         if not caching_enabled():
             return compute()
-        sentinel = _MISSING
         with self._lock:
-            value = self._entries.get(key, sentinel)
-            if value is not sentinel:
+            entry = self._entries.get(key, _MISSING)
+            if entry is not _MISSING and (version is _MISSING or entry[0] == version):
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return value
+                return entry if version is _MISSING else entry[1]
             self.misses += 1
         # Compute outside the lock: big-int work must not serialize readers.
         value = compute()
-        self.put(key, value)
+        with self._lock:
+            if version is _MISSING:
+                self._put_locked(key, value)
+                return value
+            entry = self._entries.get(key, _MISSING)
+            if entry is _MISSING or entry[0] <= version:  # else a newer one won
+                self._put_locked(key, (version, value))
         return value
 
     def clear(self) -> None:

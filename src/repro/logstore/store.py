@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import attrgetter, is_not, itemgetter, ne, or_
+from itertools import compress, repeat, takewhile
+from operator import attrgetter, is_not, itemgetter, lt, ne, or_
 from typing import Callable, Iterable
 
 from repro.crypto.accumulator import AccumulatorParams, OneWayAccumulator
@@ -41,12 +41,18 @@ class FragmentStore:
     def __init__(self, node_id: str, authority: TicketAuthority) -> None:
         self.node_id = node_id
         self.acl = AccessControlTable(authority)
+        # Iterates in glsn order: appends arrive in glsn order, and any
+        # other put re-sorts it (:meth:`_install`), so reads never sort.
         self._fragments: dict[int, Fragment] = {}
         self._accumulators: dict[int, int] = {}  # glsn -> expected A(x0, frags)
         # Cache coherence: a monotonic store-wide epoch bumped on every
         # mutation (put/delete/tamper); caches key on it, so stale entries
         # are simply never looked up again.
         self._epoch = 0
+        # One past the highest glsn ever stored here, and the count of
+        # mutations that were not appends above it (:attr:`rewrites`).
+        self._watermark = 0
+        self._rewrites = 0
         # This node's last integrity fold per glsn: (the stored Fragment it
         # folded, incoming value, folded value).  ``pow`` is pure and a
         # stored fragment is never edited in place, so a sweep that meets
@@ -64,8 +70,46 @@ class FragmentStore:
         """Monotonic mutation counter — cache keys include it."""
         return self._epoch
 
+    @property
+    def watermark(self) -> int:
+        """One past the highest glsn this node has ever stored."""
+        return self._watermark
+
+    @property
+    def rewrites(self) -> int:
+        """Mutations that were not appends above :attr:`watermark`:
+        deletes, evictions, tampers, rollbacks, overwrites and puts below
+        it.  While it is unchanged, every fragment under a past watermark
+        is the one that was there when it was read."""
+        return self._rewrites
+
     def _bump(self) -> None:
         self._epoch += 1
+
+    def _rewrite(self) -> None:
+        self._rewrites += 1
+        self._epoch += 1
+
+    def _install(self, glsns: list[int], fragments: list[Fragment]) -> None:
+        """Store ``fragments`` under ``glsns``, keeping :attr:`_fragments`
+        in glsn order; anything but an append above the watermark, in
+        order, counts as a rewrite."""
+        held = self._fragments
+        if not glsns:
+            self._bump()
+            return
+        if glsns[0] >= self._watermark and all(map(lt, glsns, glsns[1:])):
+            held.update(zip(glsns, fragments))
+            self._watermark = glsns[-1] + 1
+            self._bump()
+            return
+        top = next(reversed(held), -1)
+        fresh = [glsn for glsn in glsns if glsn not in held]
+        held.update(zip(glsns, fragments))
+        if fresh and (fresh[0] < top or not all(map(lt, fresh, fresh[1:]))):
+            self._fragments = dict(sorted(held.items()))
+        self._watermark = max(self._watermark, max(glsns) + 1)
+        self._rewrite()
 
     # -- writes ---------------------------------------------------------------
 
@@ -90,9 +134,8 @@ class FragmentStore:
 
         def commit() -> None:
             self.acl.grant(ticket, glsns)
-            self._fragments.update(zip(glsns, fragments))
             self._accumulators.update(zip(glsns, anchors))
-            self._bump()
+            self._install(glsns, fragments)
 
         return commit
 
@@ -111,7 +154,7 @@ class FragmentStore:
             self._folds.pop(glsn, None)
             self._verdicts.pop(glsn, None)
         self._accumulators.pop(glsn, None)
-        self._bump()
+        self._rewrite()
 
     # -- reads ----------------------------------------------------------------
 
@@ -228,7 +271,7 @@ class FragmentStore:
 
     @property
     def glsns(self) -> list[int]:
-        return sorted(self._fragments)
+        return list(self._fragments)
 
     def __len__(self) -> int:
         return len(self._fragments)
@@ -237,10 +280,21 @@ class FragmentStore:
         self, predicate: Callable[[Fragment], bool] | None = None
     ) -> Iterable[Fragment]:
         """Iterate local fragments (optionally filtered) in glsn order."""
-        for glsn in self.glsns:
-            frag = self._fragments[glsn]
+        for frag in list(self._fragments.values()):
             if predicate is None or predicate(frag):
                 yield frag
+
+    def glsns_from(self, floor: int) -> list[int]:
+        """The held glsns at or above ``floor``, in order, read from the
+        top: O(glsns at or above ``floor``), however long the log."""
+        tail = list(takewhile(floor.__le__, reversed(self._fragments)))
+        tail.reverse()
+        return tail
+
+    def fragments_from(self, floor: int) -> list[Fragment]:
+        """The held fragments of :meth:`glsns_from` ``(floor)``, in order."""
+        held = self._fragments
+        return [held[glsn] for glsn in self.glsns_from(floor)]
 
     # -- fault injection (tests/benches) ---------------------------------------
 
@@ -271,11 +325,11 @@ class FragmentStore:
         self._fragments[glsn] = Fragment(
             glsn=frag.glsn, node_id=frag.node_id, values=values
         )
-        # Even a malicious rewrite moves the epoch: the compromised node's
-        # own caches see its mutation (anchors, of course, do not).  The
-        # fold memo needs no entry dropped: it is keyed on the replaced
-        # Fragment object, so the next fold misses.
-        self._bump()
+        # Even a malicious rewrite moves the epoch and the rewrite count:
+        # the compromised node's own caches see its mutation (anchors, of
+        # course, do not).  The fold memo needs no entry dropped: it is
+        # keyed on the replaced Fragment object, so the next fold misses.
+        self._rewrite()
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ which a serial drain keeps whole.
   ``query.subplan`` memo, which its sync calls read and write too) and
   whole queries with equal plan fingerprints at equal epochs
   (``sched.query``).  Each level is get, compute, put: a query that
-  fails stores nothing, so the next equal query computes afresh.  A
+  fails, or that failover completed without some party, stores nothing,
+  so the next equal query computes afresh.  A
   fanned-out query's ledger, and a reused sub-plan's, records the
   ``coalesced_result`` disclosure explicitly.
 * **Deadlines** — ``submit(criterion, timeout=...)`` starts the
@@ -35,6 +36,10 @@ which a serial drain keeps whole.
 
 :meth:`submit`, :meth:`gather`, :meth:`coalesce_stats` and
 :meth:`shutdown` are plain methods, callable from any thread.
+
+Every query it runs feeds the confidentiality observatory, except a
+standing query's evaluation (:mod:`repro.sched.standing`), whose pushed
+deltas are observed instead.
 
 Observability: per-query ``sched.query`` spans, plus the counts
 ``/metrics`` reads as the ``repro_sched_*`` families (queue depth,
@@ -68,6 +73,10 @@ _STOP = None
 
 class QueryHandle:
     """A submitted query's future: result, cost, and leakage in one place."""
+
+    #: Whether the run feeds the confidentiality observatory; a standing
+    #: query's runs do not (its deltas do).
+    observe = True
 
     def __init__(self, seq: int, criterion, deadline: Deadline) -> None:
         self.seq = seq
@@ -171,11 +180,19 @@ class QueryScheduler:
         query's deadline *now* — time spent queued behind earlier queries
         spends it.  Admission itself never blocks.
         """
+        return self._admit(criterion, timeout)
+
+    def _admit(
+        self, criterion, timeout: float | None = None, observe: bool = True
+    ) -> QueryHandle:
+        """:meth:`submit`; ``observe=False`` keeps the run out of the
+        confidentiality observatory (a standing query's epoch)."""
         with self._state_lock:
             if self._closed:
                 raise SchedulerShutdownError("scheduler is shut down")
             self._seq += 1
             handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
+            handle.observe = observe
             self.submitted += 1
             self._waiting += 1
             if self._worker is None:
@@ -237,7 +254,10 @@ class QueryScheduler:
         if value is not None:
             return self._fan_out(handle, qplan, value)
         value = self._execute(handle, qplan)
-        self._query_cache.put(key, value)
+        # A run that failover completed without some party is not the
+        # epochs' answer: no later query may be served it.
+        if not any(e.category == "degraded_result" for e in handle.leakage):
+            self._query_cache.put(key, value)
         return value
 
     # -- execution ---------------------------------------------------------
@@ -279,7 +299,8 @@ class QueryScheduler:
                         span.set_attribute("matches", len(result.glsns))
                 # Scheduled queries feed the confidentiality observatory
                 # too (it is thread-safe); leakage is this query's ledger.
-                service.observe_query_result(result, len(qctx.leakage.events))
+                if handle.observe:
+                    service.observe_query_result(result, len(qctx.leakage.events))
                 return result
             finally:
                 # Cost and leakage are attributed even on failure: the

@@ -7,24 +7,42 @@ auditor registers a criterion once and, at every ingest epoch (each
 batch, or an explicit poll), receives only the *delta* — glsns newly
 matching or no longer matching since the previous epoch.
 
-Deltas are produced by re-executing the query through the service's
+Deltas are produced by executing the query through the service's
 :class:`~repro.sched.QueryScheduler`, so standing queries of one epoch
-coalesce with each other and with ad-hoc queries (equal plan
-fingerprint at equal store epochs → one execution).  The differencing
-against the previous answer happens on the auditor side and discloses
-strictly less than the full result re-release it replaces — but it *is*
-a disclosure with its own shape (the arrival pattern of matches over
-time), so every pushed delta is recorded in the leakage ledger under
-the ``standing_delta`` category and fed to the confidentiality
-observatory, whose per-tenant ``C_DLA`` updates live (see
-``docs/storage.md`` for the accounting).
+coalesce with each other (equal plan fingerprint at equal store epochs
+→ one execution).  What an epoch executes depends on what changed:
+
+* **appended** — when no node has rewritten a fragment (deleted,
+  evicted, tampered with, rolled back or overwritten one: the
+  :attr:`~repro.logstore.store.FragmentStore.rewrites` counters) since
+  the query's last good evaluation, the plan runs with a glsn *floor*
+  (:attr:`QueryPlan.floor <repro.audit.planner.QueryPlan.floor>`): only
+  the rows appended since then are read, joined or compared.  Every
+  predicate is a function of one row's values, so the floored answer is
+  the full answer's new part: it is the delta's ``added``, and nothing
+  is ``removed``;
+* **full** — on a query's first epoch, after any rewrite, and after a
+  run that raised or came back degraded, the whole plan runs and its
+  answer is diffed against what the auditor has been shown.
+
+The floor is the lowest node :attr:`~repro.logstore.store.FragmentStore.watermark`,
+read before the runs: a row below it is on every node by then, or
+arrives later as an out-of-order put, which counts as a rewrite.
+
+The differencing discloses strictly less than the full result
+re-release it replaces — but it *is* a disclosure with its own shape
+(the arrival pattern of matches over time), so every pushed delta is
+recorded in the leakage ledger under the ``standing_delta`` category
+and fed to the confidentiality observatory under the registering
+tenant, whose ``C_DLA`` updates live; the runs themselves are not
+observed (see ``docs/storage.md`` for the accounting).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.audit.planner import QueryPlan
 
@@ -61,6 +79,10 @@ class StandingQuery:
     on_delta: object = None
     #: glsns the auditor has already been shown for this criterion.
     seen: set[int] = field(default_factory=set)
+    #: The next epoch reads only glsns at or above this (``None``: the
+    #: whole log), while the nodes' rewrite counts still equal ``rewrites``.
+    floor: int | None = None
+    rewrites: tuple[int, ...] = ()
     epochs: int = 0
     deltas_pushed: int = 0
     last_delta: StandingDelta | None = None
@@ -115,9 +137,13 @@ class StandingQueryRegistry:
         """Run every standing query once; push and return the deltas.
 
         Queries are submitted to the service scheduler together, so an
-        epoch with N standing queries over identical plans costs one
-        execution, and an epoch where nothing changed since the last
-        evaluation is answered from the scheduler's coalescing cache.
+        epoch with N standing queries over identical plans at equal floors
+        costs one execution.  A query whose floor holds reads only the
+        rows appended since its last good evaluation, and runs nothing
+        when there are none; the others run in full (module docstring).
+        A run that raises leaves every query of the epoch to run in full
+        next time, and one that came back degraded leaves its own: the
+        next epoch's delta then covers what this one missed.
         """
         service = self.service
         with self._lock:
@@ -126,25 +152,63 @@ class StandingQueryRegistry:
             self._epoch += 1
             epoch = self._epoch
             queries = list(self._queries.values())
+            nodes = list(service.store.stores.values())
+            # Read before any run: see the module docstring.
+            mark = min(node.watermark for node in nodes)
+            rewrites = tuple(node.rewrites for node in nodes)
+            floors = [
+                query.floor if query.rewrites == rewrites else None
+                for query in queries
+            ]
+            full = None in floors
+            rows = len(nodes[0]) if full else len(nodes[0].glsns_from(min(floors)))
             with service.tracer.span(
                 "standing.epoch",
-                {"epoch": epoch, "queries": len(queries)},
+                {
+                    "epoch": epoch,
+                    "queries": len(queries),
+                    "scope": "full" if full else "appended",
+                    "rows": rows,
+                },
             ):
                 sched = service.scheduler
-                handles = [sched.submit(q.qplan) for q in queries]
-                results = sched.gather(handles)
+                # A floor at the mark has nothing above it to read: no run.
+                handles = [
+                    None if floor == mark else sched._admit(
+                        query.qplan if floor is None else replace(query.qplan, floor=floor),
+                        observe=False,
+                    )
+                    for query, floor in zip(queries, floors)
+                ]
+                try:
+                    results = iter(sched.gather([h for h in handles if h is not None]))
+                except BaseException:
+                    for query in queries:
+                        query.floor = None
+                    raise
                 deltas = []
-                for query, result in zip(queries, results):
-                    current = set(result.glsns)
+                for query, floor, handle in zip(queries, floors, handles):
+                    current = set() if handle is None else set(next(results).glsns)
+                    added = current - query.seen
+                    if floor is None:
+                        removed = query.seen - current
+                        query.seen = current
+                    else:
+                        removed = set()
+                        query.seen |= added
+                    degraded = handle is not None and any(
+                        event.category == "degraded_result" for event in handle.leakage
+                    )
+                    query.floor = None if degraded else mark
+                    query.rewrites = rewrites
                     delta = StandingDelta(
                         query_id=query.query_id,
                         criterion=query.criterion,
                         epoch=epoch,
-                        added=tuple(sorted(current - query.seen)),
-                        removed=tuple(sorted(query.seen - current)),
-                        total=len(current),
+                        added=tuple(sorted(added)),
+                        removed=tuple(sorted(removed)),
+                        total=len(query.seen),
                     )
-                    query.seen = current
                     query.epochs += 1
                     query.last_delta = delta
                     deltas.append(delta)
@@ -190,6 +254,7 @@ class StandingQueryRegistry:
                         "seen": len(q.seen),
                         "epochs": q.epochs,
                         "deltas_pushed": q.deltas_pushed,
+                        "floor": q.floor,
                     }
                     for q in self._queries.values()
                 ],

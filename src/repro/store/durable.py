@@ -115,14 +115,12 @@ class DurableFragmentStore(FragmentStore):
         op = record.get("op")
         glsn = record.get("glsn")
         if op == "node":
-            for glsn, anchor, values in zip(
-                record["glsns"], record["anchors"], record["values"]
-            ):
-                self._fragments[glsn] = Fragment(
-                    glsn=glsn, node_id=self.node_id, values=values
-                )
-                self._accumulators[glsn] = anchor
-            self._bump()
+            glsns = record["glsns"]
+            self._accumulators.update(zip(glsns, record["anchors"]))
+            self._install(glsns, [
+                Fragment(glsn=glsn, node_id=self.node_id, values=values)
+                for glsn, values in zip(glsns, record["values"])
+            ])
             for ticket_id, rights, glsns in record["acl"]:
                 entry = self.acl._entries.setdefault(
                     ticket_id,
@@ -137,7 +135,6 @@ class DurableFragmentStore(FragmentStore):
             fragment = Fragment(
                 glsn=glsn, node_id=self.node_id, values=dict(record["values"])
             )
-            self._fragments[glsn] = fragment
             self._accumulators[glsn] = record["anchor"]
             entry = self.acl._entries.setdefault(
                 record["ticket_id"],
@@ -150,7 +147,7 @@ class DurableFragmentStore(FragmentStore):
             )
             entry.glsns.add(glsn)
             self.acl._glsn_owner[glsn] = record["ticket_id"]
-            self._bump()
+            self._install([glsn], [fragment])
         elif op == "delete":
             if glsn not in self._fragments:
                 return  # idempotent overlap with the checkpoint
@@ -172,7 +169,7 @@ class DurableFragmentStore(FragmentStore):
             self._fragments[glsn] = Fragment(
                 glsn=glsn, node_id=self.node_id, values=values
             )
-            self._bump()
+            self._rewrite()
         else:
             raise LogStoreError(f"unknown WAL record op {op!r}")
 

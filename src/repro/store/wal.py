@@ -175,6 +175,11 @@ class WriteAheadLog:
         existing = self._segment_paths()
         if existing:
             self._active_index = _segment_index(existing[-1]) + 1
+        #: Segments on disk other than the active one, kept across
+        #: rotation and :meth:`reset` so nothing lists the directory per
+        #: append: every segment found here is sealed (appends go to a
+        #: new one past them).
+        self._sealed = len(existing)
 
     # -- paths ---------------------------------------------------------------
 
@@ -187,10 +192,7 @@ class WriteAheadLog:
     @property
     def sealed_segment_count(self) -> int:
         """Immutable segments on disk (excludes the active one)."""
-        with self._lock:
-            paths = self._segment_paths()
-            active = self._active_path()
-            return sum(1 for p in paths if p != active)
+        return self._sealed
 
     @property
     def records_appended(self) -> int:
@@ -253,6 +255,7 @@ class WriteAheadLog:
                 os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
+            self._sealed += 1
         self._active_index += 1
         self._active_bytes = 0
 
@@ -297,6 +300,7 @@ class WriteAheadLog:
                 self._handle = None
             for path in self._segment_paths():
                 path.unlink()
+            self._sealed = 0
             self._active_index += 1
             self._active_bytes = 0
 

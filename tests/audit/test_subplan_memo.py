@@ -261,6 +261,31 @@ class TestInvalidation:
         finally:
             service.close()
 
+    def test_a_degraded_burst_result_is_not_kept_whole_either(self):
+        """The whole-query memo (``sched.query``) follows the same rule: an
+        equal query at equal epochs after the node is back is not served
+        the degraded answer."""
+        from repro.net.faults import FaultPlan
+        from repro.resilience import RetryPolicy
+
+        faults = FaultPlan()
+        service, ticket = build(faults=faults, resilience=RetryPolicy())
+        for i in range(12):
+            service.log_event({"C4": i % 2, "C": (i // 2) % 2}, ticket)
+        try:
+            healthy = service.query("C4 = C").glsns
+            service.subplan_memo.clear()
+            faults.crash("P0")
+            (degraded,) = service.gather([service.submit("C4 = C")])
+            assert degraded.glsns != healthy
+            assert len(service.scheduler._query_cache) == 0
+            faults.recover("P0")
+            handle = service.submit("C4 = C")
+            assert handle.result(timeout=60).glsns == healthy
+            assert not handle.coalesced
+        finally:
+            service.close()
+
     def test_another_querys_degraded_entry_does_not_void_a_healthy_run(
         self, service, monkeypatch
     ):

@@ -69,3 +69,33 @@ def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_siz
         assert before["_projection_cache"] == 4
     finally:
         service.shutdown_scheduler()
+
+
+def test_a_new_epoch_replaces_the_columns_of_the_old_one():
+    """Storing a column at store epoch e drops that (node, attribute)'s
+    column of an older epoch at once: ingest epochs, each with a standing
+    query's evaluation and an ad-hoc query, leave one column per (node,
+    attribute) the queries read."""
+    schema = paper_table1_schema()
+    service = ConfidentialAuditingService(
+        schema, paper_fragment_plan(schema), prime_bits=64,
+        rng=DeterministicRng(b"cache-epochs"),
+    )
+    writer = service.register_user("writer")
+    try:
+        service.register_standing_query("C2 < 100 and C4 = C")
+        for epoch in range(8):
+            service.append_stream(
+                [{"C2": i * 7 % 300, "C4": i % 2, "C": i % 3, "C3": "bank"}
+                 for i in range(epoch * 10, epoch * 10 + 10)],
+                writer,
+            )
+            service.query("C2 < 100 and C3 = 'bank'")
+        cache = service.executor._projection_cache
+        # The standing query's first epoch read C4 and C whole; its later
+        # epochs read only appended rows, which are not kept.
+        assert sorted(cache._entries) == [
+            ("P0", "C4"), ("P1", "C2"), ("P2", "C"), ("P2", "C3"),
+        ]
+    finally:
+        service.close()

@@ -24,6 +24,18 @@ class TestLruSemantics:
         assert len(calls) == 1
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
+    def test_a_versioned_slot_holds_one_version(self):
+        cache = LruCache("t", max_entries=4)
+        assert cache.get_or_compute("k", lambda: "v1", version=1) == "v1"
+        assert cache.get_or_compute("k", lambda: "never", version=1) == "v1"
+        assert cache.get_or_compute("k", lambda: "v2", version=2) == "v2"
+        assert len(cache) == 1 and cache.get("k") == (2, "v2")
+        # An older version is computed for its caller but never replaces
+        # the newer one.
+        assert cache.get_or_compute("k", lambda: "v1 again", version=1) == "v1 again"
+        assert cache.get("k") == (2, "v2")
+        assert (cache.stats.hits, cache.stats.misses) == (3, 3)
+
     def test_eviction_is_least_recently_used(self):
         cache = LruCache("t", max_entries=2)
         cache.put("a", 1)

@@ -7,6 +7,7 @@ evictions, and the bound is never exceeded.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -129,3 +130,28 @@ def test_stats_snapshot_is_consistent_under_writers():
     for t in writers:
         t.join(timeout=60)
     assert bad == []
+
+
+def test_a_versioned_slot_never_goes_back_a_version():
+    """Threads compute one slot at interleaved versions: whatever order
+    their stores land in, the slot ends at the newest version, and every
+    caller got the value of the version it asked for."""
+    cache = LruCache("thr.slot", max_entries=BOUND)
+    wrong: list[int] = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def worker(tid: int) -> None:
+            for i in range(ROUNDS):
+                version = tid + THREADS * i
+                got = cache.get_or_compute("slot", lambda v=version: v * 7, version=version)
+                if got != version * 7:
+                    wrong.append(version)
+
+        _run_threads(worker)
+    finally:
+        sys.setswitchinterval(previous)
+    assert wrong == []
+    newest = THREADS * ROUNDS - 1
+    assert cache.get("slot") == (newest, newest * 7)

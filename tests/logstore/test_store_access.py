@@ -109,6 +109,40 @@ class TestScan:
         assert len(store.node_store("P0")) == 1
 
 
+class TestWatermark:
+    """Appends in glsn order move only the watermark; every other mutation
+    counts as a rewrite, and the fragments stay in glsn order."""
+
+    def test_in_order_appends_are_not_rewrites(self, store, writer):
+        receipts = store.append_batch([{**ROW, "C1": i} for i in range(6)], writer)
+        p3 = store.node_store("P3")
+        assert p3.rewrites == 0 and p3.watermark == receipts[-1].glsn + 1
+        floor = receipts[4].glsn
+        assert p3.glsns_from(floor) == [r.glsn for r in receipts[4:]]
+        assert [f.values["C1"] for f in p3.fragments_from(floor)] == [4, 5]
+        assert p3.glsns_from(p3.watermark) == []
+
+    def test_every_other_mutation_is_a_rewrite(self, store, writer):
+        glsns = [r.glsn for r in store.append_batch([ROW] * 4, writer)]
+        p3 = store.node_store("P3")
+        store.delete_record(glsns[0], writer)
+        p3.tamper(glsns[1], "C1", 99)
+        p3.evict(glsns[2])
+        assert p3.rewrites == 3
+        assert p3.glsns == [glsns[1], glsns[3]] and p3.watermark == glsns[-1] + 1
+
+    def test_a_put_below_the_watermark_is_a_rewrite_and_keeps_the_order(
+        self, store, writer
+    ):
+        glsns = [r.glsn for r in store.append_batch([ROW] * 3, writer)]
+        p3 = store.node_store("P3")
+        victim = p3.evict(glsns[1])
+        p3.stage_put([victim], writer, [0])()
+        assert p3.rewrites == 2
+        assert p3.glsns == glsns == sorted(p3._fragments)
+        assert p3.glsns_from(glsns[1]) == glsns[1:]
+
+
 class TestAccessControlTable:
     def test_grants_tracked_per_ticket(self, store, writer, ticket_authority):
         other = ticket_authority.issue("U2", {Operation.READ, Operation.WRITE})

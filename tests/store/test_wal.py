@@ -68,6 +68,32 @@ class TestRotation:
         wal.close()
 
 
+    def test_sealed_count_equals_the_directory_listing(self, tmp_path):
+        """The count is kept, not listed, across rotation, reset and reopen."""
+
+        def listed(wal) -> int:
+            active = wal._active_path()
+            return sum(1 for path in wal._segment_paths() if path != active)
+
+        wal = make_wal(tmp_path, segment_bytes=64)
+        for i in range(12):
+            wal.append([{"op": "put", "glsn": i, "values": {"k": "v" * 8}}])
+            assert wal.sealed_segment_count == listed(wal)
+        assert wal.sealed_segment_count >= 2
+        wal.reset()
+        assert wal.sealed_segment_count == listed(wal) == 0
+        for i in range(5):
+            wal.append([{"op": "put", "glsn": i, "values": {"k": "v" * 8}}])
+        count = wal.sealed_segment_count
+        assert count == listed(wal) >= 1
+        wal.close()
+        reopened = make_wal(tmp_path, segment_bytes=64)
+        assert reopened.sealed_segment_count == listed(reopened) == count + 1
+        reopened.append([{"op": "put", "glsn": 9}])
+        assert reopened.sealed_segment_count == listed(reopened)
+        reopened.close()
+
+
 class TestBatching:
     def test_appended_records_are_on_disk_when_append_returns(self, tmp_path):
         wal = make_wal(tmp_path)
