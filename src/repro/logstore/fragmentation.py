@@ -17,6 +17,7 @@ examples regenerate those tables verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from repro.crypto.accumulator import digest_to_exponent
 from repro.errors import FragmentationError, UnknownAttributeError
@@ -24,6 +25,17 @@ from repro.logstore.records import _CANONICAL_JSON, LogRecord
 from repro.logstore.schema import GlobalSchema
 
 __all__ = ["Fragment", "FragmentPlan", "paper_fragment_plan", "round_robin_plan"]
+
+# ``_CANONICAL_JSON.encode`` as one C call: the iterencoder that method
+# builds on every call, built once.  It keeps no circular-reference
+# markers (a shared marker table would outlive a failed call), so a
+# value that contains itself raises ``RecursionError`` instead of
+# ``ValueError``; every other value encodes to the same text.
+_canonical_chunks = c_make_encoder(
+    None, _CANONICAL_JSON.default, encode_basestring_ascii, None,
+    _CANONICAL_JSON.key_separator, _CANONICAL_JSON.item_separator,
+    _CANONICAL_JSON.sort_keys, _CANONICAL_JSON.skipkeys, _CANONICAL_JSON.allow_nan,
+)
 
 
 @dataclass(frozen=True)
@@ -42,14 +54,15 @@ class Fragment:
         """Stable serialization — the integrity accumulator's input.
 
         ``node|`` then the fragment as a :class:`LogRecord`'s canonical
-        JSON.  Only a ``bytes`` value needs that record's rendering; any
-        other value set is encoded directly, to the same bytes.
+        JSON.  The values are encoded directly, to the same bytes, in one
+        C call; only a value JSON cannot encode (``TypeError``: a
+        ``bytes``) takes that record's rendering.
         """
-        values = self.values
-        if any(isinstance(value, bytes) for value in values.values()):
-            record = LogRecord(glsn=self.glsn, values=values)
+        try:
+            body = "".join(_canonical_chunks(self.values, 0))
+        except TypeError:
+            record = LogRecord(glsn=self.glsn, values=self.values)
             return self.node_id.encode("utf-8") + b"|" + record.canonical_bytes()
-        body = _CANONICAL_JSON.encode(values)
         return f'{self.node_id}|{{"glsn":{self.glsn},"values":{body}}}'.encode()
 
     def digest_exponent(self) -> int:

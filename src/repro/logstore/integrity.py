@@ -36,6 +36,7 @@ from __future__ import annotations
 import secrets
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 from repro.crypto.accumulator import OneWayAccumulator
 from repro.errors import (
@@ -44,6 +45,7 @@ from repro.errors import (
     RingFailoverError,
     UnknownGlsnError,
 )
+from repro.logstore.fragmentation import Fragment
 from repro.logstore.store import DistributedLogStore, FragmentStore
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
@@ -158,6 +160,28 @@ class IntegrityChecker:
             raise UnknownGlsnError(f"no node holds glsn {glsn:#x}")
         return product, _agreed_anchor(anchors)
 
+    def _all_inputs(
+        self, glsns: list[int], nodes: list[FragmentStore]
+    ) -> list[tuple[int, int]]:
+        """``[_inputs(glsn, nodes) for glsn in glsns]``, a node's column at a
+        time while every node holds every glsn (the recovered store's
+        case); a node lacking one sends every glsn through :meth:`_inputs`."""
+        if not glsns:
+            return []
+        products = [1] * len(glsns)
+        columns = []
+        try:
+            for node in nodes:
+                fragments = map(node.local_fragment, glsns)
+                products = list(map(mul, products, map(Fragment.digest_exponent, fragments)))
+                columns.append(list(map(node.expected_accumulator, glsns)))
+        except UnknownGlsnError:
+            return [self._inputs(glsn, nodes) for glsn in glsns]
+        first = columns[0]
+        if all(column == first for column in columns):
+            return list(zip(products, first))
+        return list(zip(products, map(_agreed_anchor, zip(*columns))))
+
     def _nodes(self) -> list[FragmentStore]:
         return [self.store.stores[node_id] for node_id in sorted(self.store.stores)]
 
@@ -178,8 +202,7 @@ class IntegrityChecker:
         n = self.accumulator.params.n
         reports: dict[int, IntegrityReport] = {}
         batch: list[tuple[int, int, int]] = []
-        for glsn in glsns:
-            product, expected = self._inputs(glsn, nodes)
+        for glsn, (product, expected) in zip(glsns, self._all_inputs(glsns, nodes)):
             # An anchor outside [1, n) never equals a power mod n, but the
             # batch's products would reduce it: check such a glsn exactly.
             if product and 0 < expected < n:

@@ -26,7 +26,9 @@ malformed body raises :class:`CodecError`.
 from __future__ import annotations
 
 import json
+import sys
 import zlib
+from array import array
 from itertools import repeat
 from typing import Any, Callable
 
@@ -52,6 +54,20 @@ _RESERVED_KEYS = (_INT, _INTS, _BYTES)
 #: new ``JSONEncoder`` per call; ``encode`` keeps no state between calls.
 _ENVELOPE_JSON = json.JSONEncoder(separators=(",", ":"))
 _DECODE_ERRORS = (TypeError, ValueError, RecursionError)
+#: Unsigned ``array`` typecode per element width a machine integer has
+#: (the signed code is its lower case): such a block converts in one call.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHIQ"}
+_SWAP = sys.byteorder == "little"
+
+
+def _array(code: str, signed: bool, elements) -> array:
+    """An array of ``elements`` in big-endian byte order: built from ints,
+    its ``tobytes()`` is their block; built from a block's bytes, its
+    ``tolist()`` is the block's ints."""
+    machine = array(code.lower() if signed else code, elements)
+    if _SWAP:
+        machine.byteswap()
+    return machine
 
 
 def _width(lo: int, hi: int) -> int:
@@ -110,6 +126,8 @@ def _body(head: bytes, blocks: list) -> bytes:
             parts.append(data)
         elif isinstance(data, int):
             parts.append(data.to_bytes(width, "big", signed=signed))
+        elif width in _ARRAY_CODES:
+            parts.append(_array(_ARRAY_CODES[width], signed, data).tobytes())
         elif signed:
             parts.extend(v.to_bytes(width, "big", signed=True) for v in data)
         else:
@@ -148,6 +166,8 @@ def decode_payload(data: bytes) -> Any:
             return data[start:offset]
         if key == _INT:
             return int.from_bytes(data[start:offset], "big", signed=signed)
+        if width in _ARRAY_CODES:
+            return _array(_ARRAY_CODES[width], signed, data[start:offset]).tolist()
         return [int.from_bytes(data[i : i + width], "big", signed=signed)
                 for i in range(start, offset, width)]
 

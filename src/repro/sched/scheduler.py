@@ -37,7 +37,8 @@ which a serial drain keeps whole.
 :meth:`submit`, :meth:`gather`, :meth:`coalesce_stats` and
 :meth:`shutdown` are plain methods, callable from any thread.
 
-Every query it runs feeds the confidentiality observatory, except a
+Every query it answers feeds the confidentiality observatory — a
+coalesced one with its one ``coalesced_result`` event — except a
 standing query's evaluation (:mod:`repro.sched.standing`), whose pushed
 deltas are observed instead.
 
@@ -329,13 +330,17 @@ class QueryScheduler:
         ]
         handle.leakage = events
         self.service.ctx.leakage.extend(events)
-        return QueryResult(
+        result = QueryResult(
             plan=qplan,
             glsns=list(value.glsns),
             subquery_glsns={k: list(v) for k, v in value.subquery_glsns.items()},
             messages=value.messages,
             bytes=value.bytes,
         )
+        # A fanned-out answer is disclosed to its auditor all the same.
+        if handle.observe:
+            self.service.observe_query_result(result, len(events))
+        return result
 
     # -- introspection -----------------------------------------------------
 

@@ -231,8 +231,8 @@ class DurableDistributedLogStore(DistributedLogStore):
                 "op": "node",
                 "node": node_id,
                 "glsns": glsns,
-                "anchors": [node.expected_accumulator(g) for g in glsns],
-                "values": [node.local_fragment(g).values for g in glsns],
+                "anchors": list(map(node.expected_accumulator, glsns)),
+                "values": node.held_values(glsns),
                 "acl": [
                     [entry.ticket_id, sorted(op.value for op in entry.operations),
                      sorted(entry.glsns)]

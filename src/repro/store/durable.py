@@ -19,6 +19,7 @@ WAL it did not get to truncate.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable
 
 from repro.crypto.tickets import Operation, Ticket, TicketAuthority
@@ -117,10 +118,9 @@ class DurableFragmentStore(FragmentStore):
         if op == "node":
             glsns = record["glsns"]
             self._accumulators.update(zip(glsns, record["anchors"]))
-            self._install(glsns, [
-                Fragment(glsn=glsn, node_id=self.node_id, values=values)
-                for glsn, values in zip(glsns, record["values"])
-            ])
+            self._install(
+                glsns, list(map(Fragment, glsns, repeat(self.node_id), record["values"]))
+            )
             for ticket_id, rights, glsns in record["acl"]:
                 entry = self.acl._entries.setdefault(
                     ticket_id,

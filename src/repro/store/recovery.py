@@ -140,64 +140,73 @@ def recover_store(
                 "the initial checkpoint carries the fragment plan and "
                 "accumulator parameters and cannot be reconstructed"
             )
-        data = checkpoint_path.read_bytes()
-        records = read_records(data, str(checkpoint_path))
-        header = next(records, None)
-        if not isinstance(header, dict) or header.get("op") != "header":
-            raise LogStoreError(f"{checkpoint_path}: no header record at offset 0")
-        report.checkpoint_loaded = True
-        schema = GlobalSchema(
-            [Attribute(name, AttributeKind(kind)) for name, kind in header["schema"]]
-        )
-        store = DurableDistributedLogStore(
-            FragmentPlan(schema, header["assignment"], allow_overlap=header["allow_overlap"]),
-            authority,
-            AccumulatorParams(n=header["n"], x0=header["x0"]),
-            directory,
-            config=config,
-            tracer=tracer,
-            initial_checkpoint=False,
-        )
-        try:
-            loaded = set()
-            for record in records:
-                store.node_store(record["node"]).apply_wal_record(record)
-                loaded.add(record["node"])
-            if loaded != set(store.stores):
-                raise LogStoreError(
-                    f"{checkpoint_path}: ends at offset {len(data)} with no record "
-                    f"of node(s) {sorted(set(store.stores) - loaded)}"
-                )
+        with span_tracer.span("store.recover.load") as span:
+            data = checkpoint_path.read_bytes()
+            records = read_records(data, str(checkpoint_path))
+            header = next(records, None)
+            if not isinstance(header, dict) or header.get("op") != "header":
+                raise LogStoreError(f"{checkpoint_path}: no header record at offset 0")
+            report.checkpoint_loaded = True
+            schema = GlobalSchema(
+                [Attribute(name, AttributeKind(kind)) for name, kind in header["schema"]]
+            )
+            store = DurableDistributedLogStore(
+                FragmentPlan(schema, header["assignment"], allow_overlap=header["allow_overlap"]),
+                authority,
+                AccumulatorParams(n=header["n"], x0=header["x0"]),
+                directory,
+                config=config,
+                tracer=tracer,
+                initial_checkpoint=False,
+            )
+            try:
+                loaded = set()
+                for record in records:
+                    store.node_store(record["node"]).apply_wal_record(record)
+                    loaded.add(record["node"])
+                if loaded != set(store.stores):
+                    raise LogStoreError(
+                        f"{checkpoint_path}: ends at offset {len(data)} with no record "
+                        f"of node(s) {sorted(set(store.stores) - loaded)}"
+                    )
+            except BaseException:
+                store.close()
+                raise
+            if span_tracer.enabled:
+                span.set_attributes({"records": 1 + len(loaded), "glsns": len(store.glsns)})
 
+        with span_tracer.span("store.recover.replay") as span:
             # -- WAL replay, idempotent, tolerating per-node torn tails ---
-            for node_id, node in store.stores.items():
-                replay = store.wals[node_id].replay()
-                node._replaying = True
-                try:
-                    for record in replay.entries:
-                        node.apply_wal_record(record)
-                finally:
-                    node._replaying = False
-                report.wal_records += replay.records
-                if replay.torn_tail:
-                    report.torn_nodes.append(node_id)
-                    if not report.detail:
-                        report.detail = replay.detail
-        except BaseException:
-            store.close()
-            raise
+            try:
+                for node_id, node in store.stores.items():
+                    replay = store.wals[node_id].replay()
+                    node._replaying = True
+                    try:
+                        for record in replay.entries:
+                            node.apply_wal_record(record)
+                    finally:
+                        node._replaying = False
+                    report.wal_records += replay.records
+                    if replay.torn_tail:
+                        report.torn_nodes.append(node_id)
+                        if not report.detail:
+                            report.detail = replay.detail
+            except BaseException:
+                store.close()
+                raise
 
-        # -- torn-append rollback: a glsn missing from any node is a
-        # half-written append; fragmentation puts every glsn on every
-        # node, so completeness == presence everywhere. -------------------
-        per_node = [set(node.glsns) for node in store.stores.values()]
-        complete = set.intersection(*per_node) if per_node else set()
-        incomplete = sorted(set.union(*per_node) - complete) if per_node else []
-        for glsn in incomplete:
-            for node in store.stores.values():
-                node.rollback_glsn(glsn)
-        report.rolled_back = incomplete
-        report.glsns = len(store.glsns)
+            # -- torn-append rollback: a glsn missing from any node is a
+            # half-written append; fragmentation puts every glsn on every
+            # node, so completeness == presence everywhere. ---------------
+            per_node = [set(node.glsns) for node in store.stores.values()]
+            complete = set.intersection(*per_node) if per_node else set()
+            incomplete = sorted(set.union(*per_node) - complete) if per_node else []
+            for glsn in incomplete:
+                for node in store.stores.values():
+                    node.rollback_glsn(glsn)
+            report.rolled_back = incomplete
+            report.glsns = len(store.glsns)
+            span.set_attributes({"records": report.wal_records, "glsns": report.glsns})
 
         # -- allocator fast-forward past every surviving glsn --------------
         glsns = store.glsns
@@ -211,7 +220,12 @@ def recover_store(
         if integrity_audit:
             from repro.resilience.recovery import recovery_audit
 
-            audit = recovery_audit(store)
+            with span_tracer.span("store.recover.audit") as span:
+                audit = recovery_audit(store)
+                span.set_attributes({
+                    "records": sum(map(len, store.stores.values())),
+                    "glsns": audit.checked,
+                })
             report.audit_ok = audit.clean
             report.audit_failures = list(audit.failures)
 

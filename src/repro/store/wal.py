@@ -21,7 +21,11 @@ A ``put`` record — one per stored fragment, so most of what an ingest
 writes — is framed from a template: its envelope is written around one
 JSON encode of its ``values``, to the bytes the codec's generic walk
 would write.  A record any of whose fields needs a block other than the
-anchor's goes through :func:`encode_payload`.
+anchor's goes through :func:`encode_payload`.  A checkpoint's ``node``
+record is framed likewise, its fragments' values in the one JSON encode
+of the envelope when none needs a block; and :func:`read_records` reads
+a template-shaped ``put`` frame back with one ``json.loads`` and the
+anchor read by hand, every other frame with :func:`decode_payload`.
 
 Replay tolerates a *torn tail*: a crash mid-write leaves the final
 record of the last segment truncated or CRC-broken, and
@@ -34,19 +38,25 @@ whole, so the same damage in either is an error.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
 from repro.errors import LogStoreError
 from repro.net.codec import (
     _ENVELOPE_JSON,
+    _INT,
     _JSON_SAFE_INT,
     _RESERVED_KEYS,
+    _body,
+    _dumps,
+    _layout,
     decode_payload,
     encode_payload,
 )
@@ -64,6 +74,8 @@ _SEGMENT_GLOB = "wal-*.seg"
 # (the envelope's key order), and the value types JSON writes as-is.
 _PUT_FIELDS = ("op", "glsn", "values", "anchor", "ticket_id", "rights")
 _PLAIN = frozenset({str, float, bool, type(None)})
+# A checkpoint's ``node`` record, likewise (:mod:`repro.store.cluster`).
+_NODE_FIELDS = ("op", "node", "glsns", "anchors", "values", "acl")
 
 
 def _segment_index(path: Path) -> int:
@@ -105,6 +117,79 @@ def _put_body(record: dict) -> bytes | None:
     return len(head).to_bytes(4, "big") + head + anchor.to_bytes(width, "big")
 
 
+def _plain_rows(rows: list) -> bool:
+    """Whether the codec writes ``rows`` — a list of fragment values —
+    as JSON with no block: every row a ``dict`` of ``str`` keys none of
+    them reserved, every value a plain JSON scalar or an int inside
+    ±2^53.  Each test is one C-level pass over all the rows at once."""
+    if not set(map(type, rows)) <= {dict}:
+        return False
+    keys = set(chain.from_iterable(rows))
+    if not keys.isdisjoint(_RESERVED_KEYS) or not set(map(type, keys)) <= {str}:
+        return False
+    flat = list(chain.from_iterable(map(dict.values, rows)))
+    kinds = set(map(type, flat))
+    if int in kinds:
+        ints = [value for value in flat if type(value) is int]
+        if not -_JSON_SAFE_INT < min(ints) <= max(ints) < _JSON_SAFE_INT:
+            return False
+        kinds.discard(int)
+    return kinds <= _PLAIN
+
+
+def _node_body(record: dict) -> bytes | None:
+    """``encode_payload(record)`` for a checkpoint ``node`` record whose
+    fragment values need no block, without the codec's walk over every
+    fragment: the values list goes into the envelope as it is, so it is
+    written by the one JSON encode of the envelope, and only the small
+    fields (glsns, anchors, ACL) are laid out by the codec — their
+    blocks are the record's blocks, in the same order.  ``None`` when a
+    value is not plain (:func:`_plain_rows`): the caller then uses the
+    codec, which also raises on a reserved key."""
+    if not _plain_rows(record["values"]):
+        return None
+    blocks: list = []
+    envelope = {
+        "op": _layout(record["op"], blocks),
+        "node": _layout(record["node"], blocks),
+        "glsns": _layout(record["glsns"], blocks),
+        "anchors": _layout(record["anchors"], blocks),
+        "values": record["values"],
+        "acl": _layout(record["acl"], blocks),
+    }
+    return _body(_dumps(envelope), blocks)
+
+
+def _put_record(body: bytes) -> dict | None:
+    """``decode_payload(body)`` for a body :func:`_put_body` could have
+    written — the six ``put`` fields in order, the anchor's block the
+    body's only one, no other field or value a dict or list a block
+    could stand for — by one ``json.loads`` with no per-object hook and
+    the anchor read by hand.  ``None`` for any other body: the caller
+    then decodes it with the codec."""
+    end = 4 + int.from_bytes(body[:4], "big")
+    try:
+        record = json.loads(body[4:end].decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    if type(record) is not dict or tuple(record) != _PUT_FIELDS:
+        return None
+    anchor, values, rights = record["anchor"], record["values"], record["rights"]
+    width = len(body) - end
+    if not (
+        type(anchor) is dict and tuple(anchor) == (_INT,)
+        and type(anchor[_INT]) is int and anchor[_INT] == width > 0
+        and type(values) is dict and values.keys().isdisjoint(_RESERVED_KEYS)
+        and type(rights) is list
+        and set(map(type, chain(
+            (record["glsn"], record["ticket_id"]), values.values(), rights
+        ))).isdisjoint((dict, list))
+    ):
+        return None
+    record["anchor"] = int.from_bytes(body[end:], "big")
+    return record
+
+
 def read_records(data: bytes, name: str) -> Iterator[dict]:
     """Decode the framed records of one file's ``data``, in order; a frame
     cut short or failing its CRC raises :class:`LogStoreError` naming
@@ -123,7 +208,8 @@ def read_records(data: bytes, name: str) -> Iterator[dict]:
         body = data[offset + RECORD_HEADER_BYTES : end]
         if zlib.crc32(body) != int.from_bytes(data[offset + 4 : offset + 8], "big"):
             raise LogStoreError(f"{name}: CRC mismatch at offset {offset}")
-        yield decode_payload(body)
+        record = _put_record(body) if body.startswith(b'{"op":"put",', 4) else None
+        yield decode_payload(body) if record is None else record
         offset = end
 
 
@@ -203,8 +289,13 @@ class WriteAheadLog:
     @staticmethod
     def encode_record(record: dict) -> bytes:
         """One record's frame: :func:`encode_payload`'s body, written from
-        the ``put`` template when the record is one it covers."""
-        body = _put_body(record) if tuple(record) == _PUT_FIELDS else None
+        the ``put`` or ``node`` template when the record is one it covers."""
+        fields = tuple(record)
+        body = (
+            _put_body(record) if fields == _PUT_FIELDS
+            else _node_body(record) if fields == _NODE_FIELDS
+            else None
+        )
         if body is None:
             body = encode_payload(record)
         checksum = zlib.crc32(body) & 0xFFFFFFFF

@@ -30,9 +30,10 @@ from repro.smc import SmcContext
 from repro.workloads import paper_table1_rows
 
 # ``--hypothesis-profile=ci``: the codec, checkpoint, batched-WAL, WAL
-# put-template, integrity-memo, sub-plan-memo and standing-scope fuzz
-# modules again, with ten times the default examples (where a test does
-# not set its own) and no per-example deadline (shared runners stall).
+# put-template, recovery-codec, integrity-memo, sub-plan-memo and
+# standing-scope fuzz modules again, with ten times the default examples
+# (where a test does not set its own) and no per-example deadline (shared
+# runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -91,3 +91,14 @@ def test_kill_switch_bypasses_sharing(service, monkeypatch):
     assert not any(h.coalesced for h in handles)
     stats = service.scheduler.coalesce_stats()["sched.query"]
     assert (stats["misses"], stats["hits"]) == (0, 0)
+
+
+def test_a_coalesced_query_is_observed_with_its_one_disclosure(service):
+    before = service.observatory.query_count()
+    first, second = service.submit("C3 = 'bank'"), service.submit("C3 = 'bank'")
+    results = service.gather([first, second])
+    assert second.coalesced and results[1].glsns == results[0].glsns
+    assert service.observatory.query_count() == before + 2
+    recent = service.observatory.report()["recent"]
+    assert recent[-1]["leakage_events"] == len(second.leakage) == 1
+    assert recent[-1]["matches"] == len(results[1].glsns)

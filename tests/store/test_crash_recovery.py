@@ -14,6 +14,7 @@ import pytest
 
 from repro.crypto.tickets import Operation
 from repro.errors import LogStoreError
+from repro.obs import Tracer
 from repro.store import StoreConfig, open_durable_store
 from repro.workloads import paper_table1_rows
 
@@ -217,3 +218,43 @@ class TestRandomizedTruncation:
         assert set(recovered.glsns) <= set(checkpointed) | {r.glsn for r in extra}
         assert report.audit_ok
         recovered.close()
+
+
+class TestRecoverySpans:
+    def test_each_phase_is_a_child_span_carrying_the_report_counts(
+        self, table1_plan, ticket_authority, acc_params, fast_config, tmp_path
+    ):
+        rows = paper_table1_rows()
+        store, ticket, _ = build(
+            table1_plan, ticket_authority, acc_params, tmp_path, rows, fast_config, [2]
+        )
+        store.checkpoint()
+        checkpointed = len(store.glsns)
+        append_in_batches(store, rows, ticket, [3])
+        crash(store)
+        segment = sorted((tmp_path / "P1").glob("wal-*.seg"))[-1]
+        segment.write_bytes(segment.read_bytes()[:-10])
+
+        tracer = Tracer()
+        recovered, report = open_durable_store(
+            table1_plan, ticket_authority, acc_params, tmp_path,
+            config=fast_config, tracer=tracer,
+        )
+        recovered.close()
+        assert report.torn_nodes == ["P1"] and report.rolled_back and report.audit_ok
+        [root] = [s for s in tracer.finished_spans() if s.name == "store.recover"]
+        children = {
+            s.name: s for s in tracer.finished_spans() if s.parent_id == root.span_id
+        }
+        assert set(children) == {
+            "store.recover.load", "store.recover.replay", "store.checkpoint",
+            "store.recover.audit",
+        }
+        assert sum(s.duration for s in children.values()) <= root.duration
+        nodes = len(table1_plan.node_ids)
+        load = children["store.recover.load"].attributes
+        replay = children["store.recover.replay"].attributes
+        audit = children["store.recover.audit"].attributes
+        assert load == {"records": 1 + nodes, "glsns": checkpointed}
+        assert replay == {"records": report.wal_records, "glsns": report.glsns}
+        assert audit == {"records": nodes * report.glsns, "glsns": report.glsns}

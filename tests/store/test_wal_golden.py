@@ -1,12 +1,19 @@
-"""The WAL's bytes are pinned: batching the write path changed how often
-the WAL is written, never what is written.
+"""The WAL's and the checkpoint's bytes are pinned: batching the write
+path changed how often the WAL is written, never what is written, and
+writing a checkpoint's ``node`` records from a template changed how they
+are encoded, never the bytes.
 
 Two hundred seeded rows are streamed into a fresh durable store; the
 sha256 of each node's concatenated segments must equal the digest the
 per-fragment write path produced for the same rows (the values below).
 Segments are kept small so the WAL rotates several times; segment
 boundaries may move — rotation falls between ``append`` calls — so the
-digest is taken over the concatenation, in segment order.
+digest is taken over the concatenation, in segment order.  The
+``checkpoint.seg`` of the same rows must equal the one the codec's
+generic walk wrote, as must that of a store whose ACL has a one-glsn
+grant, whose fragments include a deleted, an evicted and a tampered one,
+and one of whose node records holds a ``bytes`` value (so is written by
+the codec).
 """
 
 import hashlib
@@ -14,7 +21,7 @@ import random
 from pathlib import Path
 
 from repro.core import ConfidentialAuditingService
-from repro.crypto import DeterministicRng
+from repro.crypto import DeterministicRng, Operation
 from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.store import StoreConfig
 
@@ -27,6 +34,10 @@ GOLDEN = {
     "P2": "87d6c0957e4270b476c8985bdb4a96cf3fa462029256c728597ad720e37e2848",
     "P3": "970a940bf9d03f3e15b96d8f9cba9147423bfcd3385a91f35df66426ee8c1718",
 }
+
+
+CHECKPOINT_GOLDEN = "7466fce4d0952c884c9c2ef361b69d989a13e1d720e1a811ebf2921e32cdf11d"
+MIXED_CHECKPOINT_GOLDEN = "c5454ef56fa742be8cb657c2238bb75bfb9c6ca2e001e4220372767fb2c1436b"
 
 
 def seeded_rows(count: int) -> list[dict]:
@@ -56,14 +67,23 @@ def node_wal_digests(directory: Path) -> dict[str, str]:
     return digests
 
 
-def stream_into(directory: Path) -> dict[str, str]:
+def golden_service(directory: Path) -> ConfidentialAuditingService:
     schema = paper_table1_schema()
-    service = ConfidentialAuditingService(
+    return ConfidentialAuditingService(
         schema, paper_fragment_plan(schema), prime_bits=64,
         rng=DeterministicRng(b"wal-golden"),
         store_dir=str(directory),
         store_config=StoreConfig(fsync="off", compact=False, segment_bytes=8192),
     )
+
+
+def checkpoint_digest(service: ConfidentialAuditingService, directory: Path) -> str:
+    service.store.checkpoint()
+    return hashlib.sha256((directory / "checkpoint.seg").read_bytes()).hexdigest()
+
+
+def stream_into(directory: Path) -> dict[str, str]:
+    service = golden_service(directory)
     try:
         ticket = service.register_user("U1")
         receipts = service.append_stream(seeded_rows(ROWS), ticket, batch_size=BATCH)
@@ -75,3 +95,30 @@ def stream_into(directory: Path) -> dict[str, str]:
 
 def test_streamed_wal_bytes_match_the_per_fragment_write_path(tmp_path):
     assert stream_into(tmp_path) == GOLDEN
+
+
+def test_checkpoint_bytes_match_the_generic_codec(tmp_path):
+    service = golden_service(tmp_path)
+    try:
+        ticket = service.register_user("U1")
+        service.append_stream(seeded_rows(ROWS), ticket, batch_size=BATCH)
+        assert checkpoint_digest(service, tmp_path) == CHECKPOINT_GOLDEN
+    finally:
+        service.close()
+
+
+def test_a_mixed_checkpoint_matches_the_generic_codec(tmp_path):
+    service = golden_service(tmp_path)
+    try:
+        ticket = service.register_user(
+            "U1", {Operation.READ, Operation.WRITE, Operation.DELETE}
+        )
+        receipts = service.append_stream(seeded_rows(ROWS), ticket, batch_size=BATCH)
+        other = service.register_user("U2")
+        service.append_stream(seeded_rows(1), other, batch_size=BATCH)
+        service.store.delete_record(receipts[3].glsn, ticket)
+        service.store.node_store("P3").tamper(receipts[5].glsn, "ip", b"\x00raw")
+        service.store.node_store("P1").evict(receipts[7].glsn)
+        assert checkpoint_digest(service, tmp_path) == MIXED_CHECKPOINT_GOLDEN
+    finally:
+        service.close()
