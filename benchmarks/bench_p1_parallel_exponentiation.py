@@ -156,13 +156,7 @@ class TestParallelExponentiation:
 
         t_noop, out_noop = _timed(lambda: run(NOOP_TRACER), repeat=5)
 
-        tracer = Tracer()
-
-        def traced():
-            tracer.reset()
-            return run(tracer)
-
-        t_traced, out_traced = _timed(traced, repeat=5)
+        t_traced, out_traced = _timed(lambda: run(Tracer()), repeat=5)
         assert out_traced == out_noop  # tracing never perturbs results
         overhead = t_traced / t_noop - 1.0
         assert overhead < 0.05, (

@@ -147,9 +147,12 @@ class TestSchedulerThroughput:
 
         conc_svc = _build(ROWS)
         start = time.perf_counter()
-        with QueryScheduler(conc_svc) as sched:
+        sched = QueryScheduler(conc_svc)
+        try:
             handles = [sched.submit(c) for c in MIX]
             concurrent = sched.gather(handles)
+        finally:
+            sched.shutdown()
         t_conc = time.perf_counter() - start
 
         # Exact per-query equality with the serial ground truth.

@@ -91,9 +91,3 @@ class LoopThread:
         if loop is not None and thread is not None and thread.is_alive():
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10.0)
-
-    def __enter__(self) -> "LoopThread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

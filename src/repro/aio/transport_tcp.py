@@ -389,12 +389,6 @@ class AsyncTcpNode:
         if self._owns_loop:
             self._loop_thread.close()
 
-    def __enter__(self) -> "AsyncTcpNode":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class AsyncTcpCluster:
     """``node_ids`` on ephemeral localhost ports, meshed, sharing one loop."""

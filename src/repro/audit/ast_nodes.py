@@ -51,10 +51,6 @@ class Constant(Term):
 class Node:
     """Base class for criterion AST nodes."""
 
-    def predicates(self) -> list["Predicate"]:
-        """All predicate leaves, left-to-right."""
-        raise NotImplementedError
-
     def attributes(self) -> set[str]:
         """All attribute names referenced anywhere below this node."""
         return {
@@ -80,11 +76,6 @@ class Predicate(Node):
             raise QuerySyntaxError("predicate left-hand side must be an attribute")
         if not isinstance(self.right, (AttributeRef, Constant)):
             raise QuerySyntaxError("predicate right-hand side must be attr or const")
-
-    @property
-    def is_cross_shaped(self) -> bool:
-        """Attribute-vs-attribute comparison (candidate cross predicate)."""
-        return isinstance(self.right, AttributeRef)
 
     def negated(self) -> "Predicate":
         """The equivalent predicate with the operator complemented."""
@@ -128,12 +119,6 @@ class _NaryNode(Node):
 
     def predicates(self) -> list[Predicate]:
         return [p for child in self.children for p in child.predicates()]
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.children == other.children
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.children))
 
     def __str__(self) -> str:
         return "(" + f" {self.symbol} ".join(str(c) for c in self.children) + ")"

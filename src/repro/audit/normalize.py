@@ -71,9 +71,6 @@ class ConjunctiveForm:
     def s(self) -> int:
         return sum(len(clause) for clause in self.clauses)
 
-    def predicates(self) -> list[Predicate]:
-        return [p for clause in self.clauses for p in clause]
-
     def __str__(self) -> str:
         parts = []
         for clause in self.clauses:

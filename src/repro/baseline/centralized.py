@@ -52,10 +52,6 @@ class CentralizedAuditor:
         record.validate_against(self.schema)
         self.records.append(record)
 
-    def ingest_all(self, records: list[LogRecord]) -> None:
-        for record in records:
-            self.ingest(record)
-
     def _predicate_holds(self, pred: Predicate, record: LogRecord) -> bool:
         left = record.get(pred.left.name)
         if left is None:

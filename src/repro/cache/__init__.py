@@ -22,7 +22,6 @@ from repro.cache.lru import (
     LruCache,
     cache_stats_snapshot,
     caching_enabled,
-    clear_all_caches,
     coalescing_from_env,
     default_max_entries,
     set_caching_enabled,
@@ -34,7 +33,6 @@ __all__ = [
     "LruCache",
     "cache_stats_snapshot",
     "caching_enabled",
-    "clear_all_caches",
     "coalescing_from_env",
     "default_max_entries",
     "set_caching_enabled",

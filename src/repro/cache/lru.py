@@ -48,7 +48,6 @@ __all__ = [
     "set_caching_enabled",
     "default_max_entries",
     "cache_stats_snapshot",
-    "clear_all_caches",
 ]
 
 DEFAULT_MAX_ENTRIES = 4096
@@ -104,11 +103,6 @@ class CacheStats:
     misses: int
     evictions: int
     entries: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class _MISSING:  # sentinel distinguishable from any cached value
@@ -198,18 +192,6 @@ class LruCache:
                 self._put_locked(key, (version, value))
         return value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._entries
-
     @property
     def stats(self) -> CacheStats:
         with self._lock:
@@ -220,13 +202,6 @@ class LruCache:
                 evictions=self.evictions,
                 entries=len(self._entries),
             )
-
-    def __repr__(self) -> str:
-        s = self.stats
-        return (
-            f"<LruCache {self.name} entries={s.entries}/{self.max_entries} "
-            f"hits={s.hits} misses={s.misses} evictions={s.evictions}>"
-        )
 
 
 def cache_stats_snapshot() -> dict[str, dict]:
@@ -245,11 +220,3 @@ def cache_stats_snapshot() -> dict[str, dict]:
         row["evictions"] += s.evictions
         row["entries"] += s.entries
     return dict(sorted(out.items()))
-
-
-def clear_all_caches() -> int:
-    """Drop every entry of every live cache; returns caches cleared."""
-    caches = list(_live_caches)
-    for cache in caches:
-        cache.clear()
-    return len(caches)

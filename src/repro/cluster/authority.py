@@ -94,10 +94,6 @@ class CredentialAuthority:
         self._blind = BlindSigner(self.group, self.key, self._rng.spawn("blind"))
         self.enrolled: set[str] = set()
 
-    @property
-    def public_key(self) -> int:
-        return self.key.y
-
     # -- enrolment -------------------------------------------------------------
 
     def enroll(self, real_id: str, rng=None) -> NodeCredentials:

@@ -42,10 +42,6 @@ __all__ = [
 ]
 
 
-def _int_bytes(value: int) -> bytes:
-    return value.to_bytes((value.bit_length() + 8) // 8, "big")
-
-
 @dataclass(frozen=True)
 class ServiceTerms:
     """The negotiated logging/auditing attributes of a membership.
@@ -184,15 +180,6 @@ class EvidenceChain:
                     f"{piece.index} is not the latest member"
                 )
         self.pieces.append(piece)
-
-    @property
-    def members(self) -> list[int]:
-        """Pseudonyms of all members in join order (founder first)."""
-        if not self.pieces:
-            return []
-        out = [self.pieces[0].inviter_token.pseudonym]
-        out.extend(p.invitee_token.pseudonym for p in self.pieces)
-        return out
 
     @property
     def current_inviter(self) -> int | None:

@@ -83,9 +83,6 @@ class DlaMembership:
         self.admit(piece)
         return piece
 
-    def is_member(self, pseudonym: int) -> bool:
-        return pseudonym in self._by_pseudonym
-
     def verify(self) -> None:
         """Re-verify the whole chain (a node joining late does this)."""
         self.chain.verify_all()

@@ -20,7 +20,6 @@ from repro.core.rules import (
     NonRepudiationRule,
     OrderRule,
     Rule,
-    RuleSet,
     RuleVerdict,
 )
 from repro.core.service import AuditReport, ConfidentialAuditingService
@@ -35,7 +34,6 @@ __all__ = [
     "Transaction",
     "TransactionType",
     "Rule",
-    "RuleSet",
     "RuleVerdict",
     "AtomicityRule",
     "NonRepudiationRule",

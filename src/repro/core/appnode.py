@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.service import ConfidentialAuditingService
-from repro.core.transaction import AtomicEvent, Transaction
 from repro.crypto.tickets import Ticket
-from repro.errors import LogStoreError
-from repro.logstore.records import LogRecord
 from repro.logstore.store import WriteReceipt
 
 __all__ = ["ApplicationNode"]
@@ -47,52 +44,6 @@ class ApplicationNode:
         receipt = self.service.log_event(body, self.ticket)
         self.receipts.append(receipt)
         return receipt
-
-    def log_transaction(self, transaction: Transaction) -> list[WriteReceipt]:
-        """Log every event of a transaction executed *by this node*.
-
-        Events executed by other nodes are skipped — each node logs its own
-        part, which is exactly what makes cross-node auditing necessary.
-        """
-        receipts = []
-        for step, event in enumerate(transaction.events):
-            if event.executor != self.user_id:
-                continue
-            values = event.log_values(transaction.tsn, transaction.ttn, step)
-            receipts.append(self.log_values(values))
-        return receipts
-
-    def log_event(self, transaction: Transaction, event: AtomicEvent, step: int) -> WriteReceipt:
-        """Log a single event of a transaction (fine-grained variant)."""
-        if event.executor != self.user_id:
-            raise LogStoreError(
-                f"{self.user_id} cannot log an event executed by {event.executor}"
-            )
-        return self.log_values(event.log_values(transaction.tsn, transaction.ttn, step))
-
-    def read_back(self, receipt: WriteReceipt) -> LogRecord:
-        """Read one of our own records back (ticket-checked end to end)."""
-        return self.service.read_own_record(receipt.glsn, self.ticket)
-
-    def fetch_matching(self, criterion: str) -> list[LogRecord]:
-        """The paper's final query step: retrieve the *log pieces* that
-        meet an auditing criterion — for the records this node owns.
-
-        The confidential query yields glsns; ticket-checked reassembly
-        then returns full records, but only for glsns granted to our own
-        ticket (others raise AccessDenied and are skipped — the DLA never
-        hands us someone else's record).
-        """
-        from repro.errors import AccessDeniedError, UnknownGlsnError
-
-        result = self.service.query(criterion)
-        records = []
-        for glsn in result.glsns:
-            try:
-                records.append(self.service.read_own_record(glsn, self.ticket))
-            except (AccessDeniedError, UnknownGlsnError):
-                continue
-        return records
 
     def verify_receipt(self, receipt: WriteReceipt) -> bool:
         """Check the cluster still reproduces our integrity anchor."""

@@ -3,8 +3,7 @@
 The auditor is *not* trusted with raw logs — it receives glsn-keyed query
 results, aggregate values, rule verdicts and threshold-signed reports.
 :class:`Auditor` is a convenience wrapper around the service's auditing
-surface that additionally tracks every report it received so sessions can
-be re-verified later.
+surface that additionally keeps every verified report it received.
 """
 
 from __future__ import annotations
@@ -33,13 +32,6 @@ class Auditor:
         """Unsigned confidential query (exploration)."""
         return self.service.query(criterion, timeout=timeout)
 
-    def query_many(self, criteria, timeout: float | None = None) -> list[QueryResult]:
-        """Batch of unsigned queries (results in input order).
-
-        Delegates to :meth:`ConfidentialAuditingService.query_many`.
-        """
-        return self.service.query_many(criteria, timeout=timeout)
-
     def audited_query(
         self, criterion: str, timeout: float | None = None
     ) -> AuditReport:
@@ -63,10 +55,3 @@ class Auditor:
     def check_rule(self, rule: Rule) -> RuleVerdict:
         """Evaluate one transaction rule r_j(T) confidentially."""
         return rule.evaluate(self.service.executor)
-
-    def check_rules(self, rules: list[Rule]) -> list[RuleVerdict]:
-        return [self.check_rule(rule) for rule in rules]
-
-    def reverify_session(self) -> bool:
-        """Re-verify every report collected in this auditing session."""
-        return all(self.service.verify_report(r) for r in self.reports)

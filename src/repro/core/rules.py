@@ -13,7 +13,7 @@ returns a :class:`RuleVerdict` carrying the evidence glsns it relied on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.audit.executor import QueryExecutor
 from repro.errors import AuditError
@@ -28,7 +28,6 @@ __all__ = [
     "ConsistencyRule",
     "IrregularPatternRule",
     "OrderRule",
-    "RuleSet",
 ]
 
 
@@ -46,9 +45,6 @@ class Rule:
     """Base class: a boolean condition over the (confidential) audit trail."""
 
     name = "rule"
-
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        raise NotImplementedError
 
 
 @dataclass
@@ -263,16 +259,3 @@ class OrderRule(Rule):
             ),
             evidence_glsns=tuple(sorted(set(first.glsns) | set(second.glsns))),
         )
-
-
-@dataclass
-class RuleSet:
-    """The paper's ``R_T``: an ordered collection of rules for one T."""
-
-    rules: list[Rule] = field(default_factory=list)
-
-    def evaluate(self, executor: QueryExecutor) -> list[RuleVerdict]:
-        return [rule.evaluate(executor) for rule in self.rules]
-
-    def all_pass(self, executor: QueryExecutor) -> bool:
-        return all(v.passed for v in self.evaluate(executor))

@@ -55,11 +55,6 @@ class TransactionType:
         if not self.expected_events:
             raise ConfigurationError("a transaction type needs expected events")
 
-    @property
-    def width(self) -> int:
-        """The paper's ``w``: number of atomic events per instance."""
-        return len(self.expected_events)
-
 
 @dataclass
 class Transaction:

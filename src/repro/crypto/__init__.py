@@ -4,7 +4,7 @@ Everything here is implemented from scratch over Python big integers:
 
 * :mod:`repro.crypto.rng` — deterministic (seedable) and OS-entropy RNGs;
 * :mod:`repro.crypto.primes` — Miller-Rabin, safe primes, RSA moduli;
-* :mod:`repro.crypto.modmath` — inverses, CRT, Jacobi, generators;
+* :mod:`repro.crypto.modmath` — inverses, Jacobi, subgroup generators;
 * :mod:`repro.crypto.pohlig_hellman` — the commutative cipher of paper §3;
 * :mod:`repro.crypto.shamir` — (k, n) secret sharing for secure sum (§3.5);
 * :mod:`repro.crypto.accumulator` — one-way accumulator (§4.1 eq. 8-9);
@@ -26,7 +26,6 @@ from repro.crypto.primes import (
     random_prime,
     rsa_modulus,
     safe_prime,
-    sophie_germain_pair,
 )
 from repro.crypto.pohlig_hellman import (
     CommutativeKey,
@@ -47,7 +46,7 @@ from repro.crypto.schnorr import (
     SchnorrSignature,
     SchnorrSigner,
 )
-from repro.crypto.blind import BlindingClient, BlindSigner, issue_blind_signature
+from repro.crypto.blind import BlindingClient, BlindSigner
 from repro.crypto.threshold import PartialSignature, ThresholdKeyShare, ThresholdScheme
 from repro.crypto.tickets import Operation, Ticket, TicketAuthority
 
@@ -60,7 +59,6 @@ __all__ = [
     "random_prime",
     "rsa_modulus",
     "safe_prime",
-    "sophie_germain_pair",
     "CommutativeKey",
     "MessageEncoder",
     "PohligHellmanCipher",
@@ -79,7 +77,6 @@ __all__ = [
     "SchnorrSigner",
     "BlindingClient",
     "BlindSigner",
-    "issue_blind_signature",
     "PartialSignature",
     "ThresholdKeyShare",
     "ThresholdScheme",

@@ -209,28 +209,16 @@ class OneWayAccumulator:
 
     def step(self, current: int, item: bytes | int) -> int:
         """One application of eq. 8: ``A(current, y) = current^y mod n``."""
-        exponent = item if isinstance(item, int) else digest_to_exponent(item)
-        if exponent <= 1:
-            raise ParameterError("accumulated exponents must exceed 1")
-        return pow(current, exponent, self.params.n)
+        return pow(current, self._exponent_for(item), self.params.n)
 
-    def accumulate_all(self, items: list[bytes | int], start: int | None = None) -> int:
-        """Fold every item into the base (or ``start``), any order-equivalent.
+    def accumulate_all(self, items: list[bytes | int]) -> int:
+        """Fold every item into the base, any order-equivalent.
 
-        From the base this is one :meth:`base_power` of the pre-multiplied
-        exponents, value-identical to the :meth:`step` chain (eq. 9).
+        One :meth:`base_power` of the pre-multiplied exponents,
+        value-identical to the :meth:`step` chain (eq. 9).
         """
         with self.tracer.span("acc.accumulate", {"items": len(items)}):
-            if start is None:
-                return self.base_power(self.exponent_product(items))
-            acc = start
-            for item in items:
-                acc = self.step(acc, item)
-            return acc
-
-    def verify(self, items: list[bytes | int], expected: int) -> bool:
-        """Check that accumulating ``items`` reproduces ``expected``."""
-        return self.accumulate_all(items) == expected
+            return self.base_power(self.exponent_product(items))
 
     def witness(self, items: list[bytes | int], index: int) -> int:
         """Membership witness for ``items[index]``: the accumulator of all
@@ -360,9 +348,3 @@ class OneWayAccumulator:
                 (value, lo, hi) for value, (lo, hi) in zip(level, spans)
             ]
         return witnesses
-
-    def verify_membership(
-        self, item: bytes | int, witness: int, accumulated: int
-    ) -> bool:
-        """Check ``item`` is a member given its witness and the full value."""
-        return self.step(witness, item) == accumulated

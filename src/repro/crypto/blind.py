@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.schnorr import SchnorrGroup, SchnorrKeyPair, SchnorrSignature, SchnorrSigner
+from repro.crypto.schnorr import SchnorrGroup, SchnorrKeyPair, SchnorrSignature
 from repro.crypto.rng import system_rng
 from repro.errors import ProtocolAbortError
 
@@ -45,10 +45,6 @@ class BlindSigner:
         self.group = group
         self.key = key
         self._rng = rng or system_rng()
-
-    @property
-    def public_y(self) -> int:
-        return self.key.y
 
     def start(self) -> tuple[BlindSession, int]:
         """Phase 1: commit to a nonce; send ``R = g^k`` to the user."""
@@ -96,21 +92,3 @@ class BlindingClient:
             raise ProtocolAbortError("challenge() must run before unblind()")
         s_prime = (signer_s + self._alpha) % self.group.q
         return SchnorrSignature(c=self._c_prime, s=s_prime)
-
-
-def issue_blind_signature(
-    signer: BlindSigner, message: bytes, rng=None
-) -> SchnorrSignature:
-    """Convenience one-shot: run the full 4-move protocol locally.
-
-    Used by tests and by in-process simulations where both roles live in
-    the same address space; networked deployments drive the two classes
-    over a transport instead.
-    """
-    client = BlindingClient(signer.group, signer.public_y, rng=rng)
-    session, r = signer.start()
-    c = client.challenge(r, message)
-    s = signer.respond(session, c)
-    sig = client.unblind(s)
-    SchnorrSigner(signer.group).require_valid(signer.public_y, message, sig)
-    return sig

@@ -111,7 +111,3 @@ class PedersenCommitter:
             * pow(self.params.h, blinding % self.params.q, self.params.p)
         ) % self.params.p
         return expected == commitment.value
-
-    def add(self, a: Commitment, b: Commitment) -> Commitment:
-        """Homomorphic addition: commits to the sum of messages (and blindings)."""
-        return Commitment((a.value * b.value) % self.params.p)

@@ -2,8 +2,8 @@
 
 All group operations in the library happen in ``Z_p`` (prime field) or
 ``Z_n`` (RSA-style composite).  Python's built-in ``pow`` does modular
-exponentiation; this module adds inverses, egcd, CRT, Jacobi symbols and
-generator searching so higher layers never hand-roll number theory.
+exponentiation; this module adds inverses, egcd, Jacobi symbols and
+subgroup-generator search so higher layers never hand-roll number theory.
 """
 
 from __future__ import annotations
@@ -38,26 +38,6 @@ def modinv(a: int, m: int) -> int:
     return x % m
 
 
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Chinese Remainder Theorem for pairwise-coprime ``moduli``.
-
-    Returns the unique ``x`` modulo ``prod(moduli)`` with
-    ``x ≡ residues[i] (mod moduli[i])`` for every ``i``.
-    """
-    if len(residues) != len(moduli):
-        raise ParameterError("residue and modulus lists differ in length")
-    if not moduli:
-        raise ParameterError("CRT needs at least one congruence")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
-        g, p, _ = egcd(m, m_i)
-        if g != 1:
-            raise ParameterError("CRT moduli must be pairwise coprime")
-        x = (x + (r_i - x) * p % m_i * m) % (m * m_i)
-        m *= m_i
-    return x % m
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol ``(a/n)`` for odd ``n > 0``; returns -1, 0 or 1."""
     if n <= 0 or n % 2 == 0:
@@ -74,32 +54,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def is_quadratic_residue(a: int, p: int) -> bool:
-    """Euler criterion: is ``a`` a non-zero square modulo prime ``p``?"""
-    a %= p
-    if a == 0:
-        return False
-    return pow(a, (p - 1) // 2, p) == 1
-
-
-def find_generator(p: int, factors: list[int], rng) -> int:
-    """Find a generator of ``Z_p^*`` given the prime factors of ``p - 1``.
-
-    Samples candidates and checks ``g^((p-1)/q) != 1`` for each prime
-    factor ``q`` of ``p - 1``.
-    """
-    order = p - 1
-    while True:
-        g = rng.randrange(2, p - 1)
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            return g
-
-
-def find_safe_prime_generator(p: int, rng) -> int:
-    """Find a generator of ``Z_p^*`` for a safe prime ``p = 2q + 1``."""
-    return find_generator(p, [2, (p - 1) // 2], rng)
 
 
 def find_subgroup_generator(p: int, q: int, rng) -> int:
@@ -124,8 +78,3 @@ def int_to_bytes(value: int) -> bytes:
         raise ParameterError("cannot encode a negative integer")
     length = max(1, (value.bit_length() + 7) // 8)
     return value.to_bytes(length, "big")
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Big-endian decoding, inverse of :func:`int_to_bytes`."""
-    return int.from_bytes(data, "big")

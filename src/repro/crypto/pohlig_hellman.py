@@ -94,10 +94,6 @@ class CommutativeKey:
         if (self.e * self.d) % (self.p - 1) != 1:
             raise ParameterError("e*d != 1 mod p-1: not a valid key pair")
 
-    @property
-    def public_modulus(self) -> int:
-        return self.p
-
 
 class PohligHellmanCipher:
     """Commutative cipher bound to one key pair.
@@ -144,10 +140,6 @@ class PohligHellmanCipher:
             except ParameterError:
                 continue
             return cls(CommutativeKey(p=p, e=e, d=d))
-
-    @property
-    def p(self) -> int:
-        return self.key.p
 
     def _check_element(self, value: int) -> int:
         value %= self.key.p

@@ -14,7 +14,7 @@ random one.
 
 from __future__ import annotations
 
-from repro.crypto.rng import DeterministicRng, system_rng
+from repro.crypto.rng import system_rng
 from repro.errors import ParameterError
 
 _SMALL_PRIMES = [
@@ -133,12 +133,6 @@ def safe_prime(bits: int, rng=None, fresh: bool = False) -> int:
             return p
 
 
-def sophie_germain_pair(bits: int, rng=None, fresh: bool = False) -> tuple[int, int]:
-    """Return ``(p, q)`` with ``p = 2q + 1`` both prime, ``p`` of ``bits`` bits."""
-    p = safe_prime(bits, rng=rng, fresh=fresh)
-    return p, (p - 1) // 2
-
-
 def rsa_modulus(bits: int, rng=None) -> tuple[int, int, int]:
     """Return ``(n, p, q)`` with ``n = p*q`` an RSA-style modulus of ``bits`` bits.
 
@@ -171,15 +165,3 @@ def prime_above(lower: int, rng=None) -> int:
     while not is_probable_prime(candidate, rng=rng):
         candidate += 2
     return candidate
-
-
-def _verify_table() -> None:
-    """Self-check of the pre-verified safe-prime table (used by tests)."""
-    rng = DeterministicRng(b"table-check")
-    for bits, p in _SAFE_PRIME_TABLE.items():
-        if p.bit_length() != bits:
-            raise ParameterError(f"table entry for {bits} bits has wrong size")
-        if not is_probable_prime(p, rounds=64, rng=rng):
-            raise ParameterError(f"table entry for {bits} bits is composite")
-        if not is_probable_prime((p - 1) // 2, rounds=64, rng=rng):
-            raise ParameterError(f"table entry for {bits} bits is not safe")

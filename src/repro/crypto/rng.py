@@ -113,14 +113,6 @@ class DeterministicRng:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample(self, population, k: int) -> list:
-        """Return ``k`` distinct elements drawn without replacement."""
-        population = list(population)
-        if k > len(population):
-            raise ConfigurationError("sample larger than population")
-        self.shuffle(population)
-        return population[:k]
-
     def random(self) -> float:
         """Return a float in ``[0, 1)`` with 53 bits of precision."""
         return self.getrandbits(53) / (1 << 53)

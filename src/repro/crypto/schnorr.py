@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.crypto import primes
 from repro.crypto.modmath import find_subgroup_generator
 from repro.crypto.rng import system_rng
-from repro.errors import ParameterError, SignatureError
+from repro.errors import ParameterError
 
 __all__ = ["SchnorrGroup", "SchnorrKeyPair", "SchnorrSignature", "SchnorrSigner"]
 
@@ -73,10 +73,6 @@ class SchnorrKeyPair:
         x = group.random_scalar(rng)
         return cls(group=group, x=x, y=pow(group.g, x, group.p))
 
-    @property
-    def public(self) -> int:
-        return self.y
-
 
 @dataclass(frozen=True)
 class SchnorrSignature:
@@ -109,8 +105,3 @@ class SchnorrSigner:
             return False
         r_prime = (pow(g.g, sig.s, g.p) * pow(public_y, sig.c, g.p)) % g.p
         return g.hash_to_scalar(r_prime, public_y, message) == sig.c
-
-    def require_valid(self, public_y: int, message: bytes, sig: SchnorrSignature) -> None:
-        """Raise :class:`SignatureError` unless the signature verifies."""
-        if not self.verify(public_y, message, sig):
-            raise SignatureError("Schnorr signature failed verification")

@@ -7,9 +7,9 @@ gives every node one share of ``F(z) = Σ f_i(z)``, whose free coefficient is
 the sum of the secrets.  Any ``k`` shares reconstruct ``F`` by Lagrange
 interpolation.
 
-This module provides the polynomial machinery: share generation, Lagrange
-reconstruction (full polynomial and constant-term-only fast path), and
-share-wise addition / scalar multiplication used for weighted sums.
+This module provides the polynomial machinery: share generation and
+Lagrange reconstruction of the constant term.  The secure sum
+(:mod:`repro.smc.sum_`) adds and weights share values itself.
 """
 
 from __future__ import annotations
@@ -30,26 +30,6 @@ class Share:
     x: int
     y: int
     p: int
-
-    def __add__(self, other: "Share") -> "Share":
-        """Pointwise share addition: a share of the *sum* of the secrets.
-
-        Both shares must sit at the same evaluation point in the same field.
-        """
-        if not isinstance(other, Share):
-            return NotImplemented
-        if self.p != other.p:
-            raise SecretSharingError("cannot add shares from different fields")
-        if self.x != other.x:
-            raise SecretSharingError(
-                "cannot add shares at different evaluation points "
-                f"({self.x} vs {other.x})"
-            )
-        return Share(self.x, (self.y + other.y) % self.p, self.p)
-
-    def scale(self, factor: int) -> "Share":
-        """Scalar multiplication: a share of ``factor * secret``."""
-        return Share(self.x, (self.y * factor) % self.p, self.p)
 
 
 class ShamirScheme:
@@ -133,39 +113,3 @@ class ShamirScheme:
                 den = (den * (s_i.x - s_j.x)) % self.p
             secret = (secret + s_i.y * num * modinv(den, self.p)) % self.p
         return secret
-
-    def interpolate(self, shares: list[Share], x: int) -> int:
-        """Evaluate the unique degree-(k-1) polynomial through ``shares`` at ``x``."""
-        if len(shares) < self.k:
-            raise ThresholdError(
-                f"need at least {self.k} shares, got {len(shares)}"
-            )
-        subset = shares[: self.k]
-        result = 0
-        for i, s_i in enumerate(subset):
-            num, den = 1, 1
-            for j, s_j in enumerate(subset):
-                if i == j:
-                    continue
-                num = (num * (x - s_j.x)) % self.p
-                den = (den * (s_i.x - s_j.x)) % self.p
-            result = (result + s_i.y * num * modinv(den, self.p)) % self.p
-        return result
-
-    @staticmethod
-    def add_shares(per_point_shares: list[list[Share]]) -> list[Share]:
-        """Column-wise addition of share lists.
-
-        ``per_point_shares[i]`` is node ``i``'s full share vector; the result
-        is the share vector of the sum polynomial ``F(z) = Σ f_i(z)`` — the
-        core step of the paper's secure sum.
-        """
-        if not per_point_shares:
-            raise SecretSharingError("no share vectors to add")
-        width = len(per_point_shares[0])
-        if any(len(vec) != width for vec in per_point_shares):
-            raise SecretSharingError("share vectors have differing lengths")
-        totals = per_point_shares[0]
-        for vec in per_point_shares[1:]:
-            totals = [a + b for a, b in zip(totals, vec)]
-        return totals

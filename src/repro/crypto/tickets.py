@@ -35,13 +35,6 @@ class Operation(str, Enum):
     WRITE = "write"    # write / log
     DELETE = "delete"
 
-    @classmethod
-    def parse(cls, text: str) -> "Operation":
-        try:
-            return cls(text.lower())
-        except ValueError as exc:
-            raise TicketError(f"unknown operation {text!r}") from exc
-
 
 @dataclass(frozen=True)
 class Ticket:
@@ -94,10 +87,6 @@ class TicketAuthority:
         if amount < 0:
             raise TicketError("clock cannot run backwards")
         self._clock += amount
-        return self._clock
-
-    @property
-    def now(self) -> int:
         return self._clock
 
     def _tag(self, payload: bytes) -> bytes:
@@ -154,11 +143,3 @@ class TicketAuthority:
             raise TicketError(
                 f"ticket {ticket.ticket_id} does not permit {required.value}"
             )
-
-    def is_valid(self, ticket: Ticket, required: Operation | None = None) -> bool:
-        """Boolean form of :meth:`verify`."""
-        try:
-            self.verify(ticket, required)
-        except TicketError:
-            return False
-        return True

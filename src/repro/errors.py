@@ -77,18 +77,6 @@ class DeadlineExceededError(NetworkError):
         self.stage = stage
 
 
-class DeliveryFailedError(NetworkError):
-    """At-least-once delivery exhausted its retry budget for a link.
-
-    ``links`` lists the ``(src, dst)`` pairs that could not be reached;
-    the ring supervisors use it to plan failover.
-    """
-
-    def __init__(self, message: str, links: tuple | None = None) -> None:
-        super().__init__(message)
-        self.links = tuple(links or ())
-
-
 class SmcError(ReproError):
     """Base class for secure-multiparty-computation protocol failures."""
 

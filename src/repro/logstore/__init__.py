@@ -17,12 +17,7 @@ from repro.logstore.fragmentation import (
     paper_fragment_plan,
     round_robin_plan,
 )
-from repro.logstore.glsn import PAPER_GLSN_START, GlsnAllocator, GlsnBlock
-from repro.logstore.glsn_service import (
-    GlsnClient,
-    GlsnCoordinator,
-    audit_grants,
-)
+from repro.logstore.glsn import PAPER_GLSN_START, GlsnAllocator
 from repro.logstore.integrity import (
     IntegrityChecker,
     IntegrityNode,
@@ -52,10 +47,6 @@ __all__ = [
     "paper_fragment_plan",
     "round_robin_plan",
     "GlsnAllocator",
-    "GlsnBlock",
-    "GlsnCoordinator",
-    "GlsnClient",
-    "audit_grants",
     "PAPER_GLSN_START",
     "FragmentStore",
     "DistributedLogStore",

@@ -133,9 +133,6 @@ class FragmentPlan:
     def node_ids(self) -> list[str]:
         return sorted(self.assignment)
 
-    def supports(self, node_id: str, attribute: str) -> bool:
-        return attribute in self.assignment.get(node_id, ())
-
     def owners_of(self, attribute: str) -> list[str]:
         """All nodes supporting ``attribute`` (singleton when disjoint)."""
         try:

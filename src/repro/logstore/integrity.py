@@ -40,7 +40,6 @@ from operator import mul
 
 from repro.crypto.accumulator import OneWayAccumulator
 from repro.errors import (
-    IntegrityError,
     ProtocolAbortError,
     RingFailoverError,
     UnknownGlsnError,
@@ -248,15 +247,6 @@ class IntegrityChecker:
         lhs = self.accumulator.multi_power([anchor for _, anchor, _ in batch], weights)
         exponent = sum(w * product for w, (_, _, product) in zip(weights, batch))
         return lhs == pow(params.x0, exponent, params.n)
-
-    def require_clean(self) -> None:
-        """Raise :class:`IntegrityError` naming every tampered glsn."""
-        bad = [r.glsn for r in self.check_all() if not r.ok]
-        if bad:
-            raise IntegrityError(
-                "integrity violation at glsn(s): "
-                + ", ".join(format(g, "x") for g in bad)
-            )
 
 
 @dataclass
@@ -545,4 +535,3 @@ async def run_combined_integrity_round_async(store, **kwargs) -> BatchIntegrityR
 
 
 run_combined_integrity_round = sync_twin(run_combined_integrity_round_async)
-

@@ -76,19 +76,12 @@ class GlobalSchema:
     def __iter__(self):
         return iter(self._attributes)
 
-    def __len__(self) -> int:
-        return len(self._attributes)
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
     @property
     def names(self) -> list[str]:
         return [a.name for a in self._attributes]
-
-    @property
-    def undefined_names(self) -> list[str]:
-        return [a.name for a in self._attributes if a.is_undefined]
 
     def get(self, name: str) -> Attribute:
         try:
@@ -105,14 +98,6 @@ class GlobalSchema:
                 raise UnknownAttributeError(
                     f"record attribute {name!r} is not in the global schema"
                 )
-
-    def subset(self, names: list[str]) -> list[Attribute]:
-        """The attribute objects for ``names`` (schema order preserved)."""
-        wanted = set(names)
-        missing = wanted - set(self._by_name)
-        if missing:
-            raise UnknownAttributeError(f"unknown attributes: {sorted(missing)}")
-        return [a for a in self._attributes if a.name in wanted]
 
 
 def paper_table1_schema() -> GlobalSchema:

@@ -25,13 +25,7 @@ from repro.net.faults import FaultDecision, FaultPlan, TamperRule
 from repro.net.message import Message, NodeId
 from repro.net.simnet import LinkModel, SimNetwork
 from repro.net.stats import CostReport, CryptoOpCounter, NetworkStats
-from repro.net.topology import (
-    latency_ring,
-    next_on_ring,
-    ring_graph,
-    ring_order,
-    star_center,
-)
+from repro.net.topology import latency_ring, next_on_ring
 
 __all__ = [
     "Message",
@@ -49,9 +43,6 @@ __all__ = [
     "encode_frame",
     "decode_frames",
     "encoded_size",
-    "ring_order",
     "next_on_ring",
-    "ring_graph",
-    "star_center",
     "latency_ring",
 ]

@@ -43,10 +43,8 @@ class Message:
     trace_id, parent_span_id:
         Trace-context propagation (``repro.obs``): the trace this message
         belongs to and the id of the sender's open span in the process's
-        tracer.  Stamped by traced transports at send time,
-        preserved across :meth:`reply`/:meth:`forwarded` so a whole ring
-        circulation stays in one trace.  ``None`` when
-        tracing is off — the codec then omits both fields entirely.
+        tracer.  Stamped by traced transports at send time.  ``None``
+        when tracing is off — the codec then omits both fields entirely.
     """
 
     src: NodeId
@@ -59,25 +57,3 @@ class Message:
     msg_id: str | None = None
     trace_id: str | None = None
     parent_span_id: int | None = None
-
-    def reply(self, kind: str, payload: Any = None) -> "Message":
-        """Construct a response addressed back to this message's sender."""
-        return Message(
-            src=self.dst, dst=self.src, kind=kind, payload=payload,
-            trace_id=self.trace_id, parent_span_id=self.parent_span_id,
-        )
-
-    def forwarded(self, new_dst: NodeId, payload: Any = None) -> "Message":
-        """Construct a relay of this message from its receiver to ``new_dst``.
-
-        Used by ring protocols: each hop re-addresses the (re-encrypted)
-        payload to the next node.
-        """
-        return Message(
-            src=self.dst,
-            dst=new_dst,
-            kind=self.kind,
-            payload=self.payload if payload is None else payload,
-            trace_id=self.trace_id,
-            parent_span_id=self.parent_span_id,
-        )

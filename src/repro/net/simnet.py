@@ -157,10 +157,6 @@ class SimNetwork:
     def unregister(self, node_id: NodeId) -> None:
         self._handlers.pop(node_id, None)
 
-    @property
-    def node_ids(self) -> list[NodeId]:
-        return sorted(self._handlers)
-
     def set_link(self, src: NodeId, dst: NodeId, model: LinkModel) -> None:
         """Override the link model for one directed pair."""
         self._links[(src, dst)] = model
@@ -194,8 +190,6 @@ class SimNetwork:
         if msg.dst not in self._handlers:
             raise NodeUnreachableError(f"no node registered as {msg.dst!r}")
         if msg.trace_id is None and self.tracer.enabled:
-            # The sender's open span; replies and relays keep the context
-            # they arrived with (``Message.reply`` / ``forwarded``).
             msg.trace_id, msg.parent_span_id = self.tracer.current_context()
         if self.resilience is not None and msg.kind != ACK_KIND:
             if msg.msg_id is None:
@@ -258,14 +252,6 @@ class SimNetwork:
         """
         for msg in msgs:
             self.send(msg)
-
-    def broadcast(self, src: NodeId, kind: str, payload, exclude: set[NodeId] | None = None) -> None:
-        """Send one copy of ``payload`` from ``src`` to every other node."""
-        exclude = exclude or set()
-        for node_id in self.node_ids:
-            if node_id == src or node_id in exclude:
-                continue
-            self.send(Message(src=src, dst=node_id, kind=kind, payload=payload))
 
     # -- reliability internals ---------------------------------------------
 
@@ -435,11 +421,3 @@ class SimNetwork:
         driver over this network in one step.
         """
         return self._deliver_until_idle("simnet.drain", max_steps, deadline)
-
-    @property
-    def delivery_log(self) -> list[Message]:
-        """Messages delivered so far (only if ``keep_delivery_log`` is set)."""
-        return list(self._delivered_log)
-
-    def reset_stats(self) -> None:
-        self.stats.reset()

@@ -60,8 +60,7 @@ class NetworkStats:
     #: has no connections; both stay empty there.
     connections_open: Counter = field(default_factory=Counter)
     reconnects: Counter = field(default_factory=Counter)
-    #: Per-message encoded size, and per stage the wall time of each pass
-    #: (:attr:`timings` / :attr:`timing_calls` are their sums and counts).
+    #: Per-message encoded size, and per stage the wall time of each pass.
     sizes: Histogram = field(
         default_factory=lambda: Histogram(SIZE_BUCKETS_BYTES), repr=False, compare=False
     )
@@ -136,16 +135,6 @@ class NetworkStats:
                 mine.merge(hist)
         self.sizes.merge(other.sizes)
 
-    @property
-    def timings(self) -> dict:
-        """Seconds spent per stage, summed over every pass."""
-        return self.snapshot()["timings"]
-
-    @property
-    def timing_calls(self) -> Counter:
-        """Passes per stage."""
-        return Counter(self.snapshot()["timing_calls"])
-
     @contextmanager
     def time_stage(self, stage: str):
         """Context manager timing one pass through a named stage."""
@@ -154,21 +143,6 @@ class NetworkStats:
             yield
         finally:
             self.record_timing(stage, time.perf_counter() - start)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.messages = 0
-            self.bytes = 0
-            self.dropped = 0
-            self.by_kind.clear()
-            self.bytes_by_kind.clear()
-            self.by_link.clear()
-            self.stage_seconds.clear()
-            self.sizes = Histogram(SIZE_BUCKETS_BYTES)
-            # connections_open mirrors *live* pool state, not a tally of
-            # past events — resetting traffic counters must not desync the
-            # count from the sockets that are still open.
-            self.reconnects.clear()
 
     def snapshot(self) -> dict:
         """Plain-dict copy for logging / assertions (JSON-safe throughout:
@@ -231,11 +205,6 @@ class CryptoOpCounter:
         with self._lock:
             self.ops.update(delta)
         self.batch_sizes.merge(other.batch_sizes)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.ops.clear()
-            self.batch_sizes = Histogram(BATCH_BUCKETS)
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -1,32 +1,16 @@
-"""Topology helpers: rings, stars, and routing orders for SMC protocols.
+"""Ring orders for the SMC protocols.
 
-The commutative-cipher protocols route sets around a *ring* of DLA nodes;
-blind-TTP protocols use a *star* centered on the TTP.  This module computes
-those orders and provides NetworkX adapters for richer experiments (e.g.
-latency-weighted ring orders).
+The commutative-cipher protocols route sets around a *ring* of DLA nodes:
+the canonical ring is the sorted node ids, and a latency-aware order
+(greedy TSP over measured links) is the ablation the ring benchmark runs.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.net.message import NodeId
 
-__all__ = ["ring_order", "next_on_ring", "star_center", "latency_ring", "ring_graph"]
-
-
-def ring_order(nodes: list[NodeId], start: NodeId | None = None) -> list[NodeId]:
-    """Canonical ring order: sorted node ids, rotated to begin at ``start``."""
-    if not nodes:
-        raise ConfigurationError("a ring needs at least one node")
-    ordered = sorted(nodes)
-    if start is None:
-        return ordered
-    if start not in ordered:
-        raise ConfigurationError(f"start node {start!r} not in ring")
-    idx = ordered.index(start)
-    return ordered[idx:] + ordered[:idx]
+__all__ = ["next_on_ring", "latency_ring"]
 
 
 def next_on_ring(nodes: list[NodeId], current: NodeId) -> NodeId:
@@ -37,23 +21,6 @@ def next_on_ring(nodes: list[NodeId], current: NodeId) -> NodeId:
     except ValueError as exc:
         raise ConfigurationError(f"{current!r} is not on the ring") from exc
     return ordered[(idx + 1) % len(ordered)]
-
-
-def star_center(nodes: list[NodeId], center: NodeId) -> list[tuple[NodeId, NodeId]]:
-    """Spoke list ``(leaf, center)`` for a star topology."""
-    if center not in nodes:
-        raise ConfigurationError(f"center {center!r} not among nodes")
-    return [(n, center) for n in sorted(nodes) if n != center]
-
-
-def ring_graph(nodes: list[NodeId]) -> nx.DiGraph:
-    """Directed cycle graph over the canonical ring order."""
-    ordered = ring_order(nodes)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(ordered)
-    for i, node in enumerate(ordered):
-        graph.add_edge(node, ordered[(i + 1) % len(ordered)])
-    return graph
 
 
 def latency_ring(latencies: dict[tuple[NodeId, NodeId], float]) -> list[NodeId]:

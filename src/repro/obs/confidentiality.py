@@ -183,10 +183,6 @@ class ConfidentialityObservatory:
             values = [c for t in self._tenants.values() for c in t.c_queries]
         return mean(values) if values else None
 
-    def query_count(self) -> int:
-        with self._lock:
-            return sum(len(t.c_queries) for t in self._tenants.values())
-
     def report(self) -> dict:
         """The ``/leakage`` endpoint body: budgets, C_DLA, recent queries."""
         with self._lock:

@@ -3,8 +3,7 @@
 A :class:`MetricsRegistry` holds metric *families* keyed by name; each
 family holds one instance per label set.  The shapes mirror the
 Prometheus exposition format so :meth:`MetricsRegistry.render_prometheus`
-is a faithful text dump, while :meth:`MetricsRegistry.snapshot` gives a
-plain JSON-safe dict for tests and logs.
+is a faithful text dump.
 
 Nothing pushes into a registry.  The code keeps its counts in ledgers
 (:class:`~repro.net.stats.NetworkStats`,
@@ -79,14 +78,8 @@ class Gauge:
     def __init__(self) -> None:
         self.value = 0
 
-    def set(self, value: int | float) -> None:
-        self.value = value
-
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
-
-    def dec(self, amount: int | float = 1) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -207,45 +200,6 @@ class MetricsRegistry:
 
     # -- export ------------------------------------------------------------
 
-    def value(self, name: str, labels: dict | None = None):
-        """Current value of one counter/gauge instance, or ``None``.
-
-        A read-only probe that never creates families or instances —
-        tests and report printers can ask for metrics that may not have
-        been emitted.  Histograms have no single value; asking for one
-        raises.
-        """
-        family = self._families.get(name)
-        if family is None:
-            return None
-        if family.kind == "histogram":
-            raise ConfigurationError(
-                f"metric {name!r} is a histogram; read it via snapshot()"
-            )
-        metric = family.instances.get(_label_key(labels))
-        return None if metric is None else metric.value
-
-    def snapshot(self) -> dict:
-        """Plain-dict dump: family -> {type, help, values-by-label-string}."""
-        out: dict = {}
-        for name in sorted(self._families):
-            family = self._families[name]
-            values: dict = {}
-            for key in sorted(family.instances):
-                metric = family.instances[key]
-                label_str = ",".join(f"{k}={v}" for k, v in key)
-                if isinstance(metric, Histogram):
-                    values[label_str] = {
-                        "buckets": list(metric.buckets),
-                        "counts": list(metric.counts),
-                        "sum": metric.sum,
-                        "count": metric.count,
-                    }
-                else:
-                    values[label_str] = metric.value
-            out[name] = {"type": family.kind, "help": family.help, "values": values}
-        return out
-
     def render_prometheus(self) -> str:
         """Prometheus text exposition format dump of every family."""
         lines: list[str] = []
@@ -350,7 +304,7 @@ def collect(service) -> MetricsRegistry:
         count("repro_standing_deltas_total", "non-empty per-epoch deltas pushed to "
               "standing queries", standing.deltas_pushed)
         count("repro_standing_epochs_total", "standing-query evaluation epochs",
-              standing._epoch)
+              standing.epoch)
     count("repro_ingest_records_total", "records ingested through append_stream",
           service.ingested_rows)
     if hasattr(service.store, "wals"):  # the durable backend

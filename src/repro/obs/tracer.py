@@ -28,19 +28,18 @@ pair (:meth:`Tracer.current_context`), carried by
 each handler span directly under it (``span(..., parent=...)``), which
 keeps the sender → receiver chain ``--critical-path`` walks.
 
-Disabled tracing is the default everywhere: :data:`NOOP_TRACER` exposes
-the same interface but allocates nothing — ``span()`` returns one shared
-reusable context manager yielding one shared inert span.  Hot paths that
-build attribute dicts per call should additionally gate on
-``tracer.enabled`` (the transports do).
+Disabled tracing is the default everywhere: :data:`NOOP_TRACER`
+allocates nothing — ``span()`` returns one shared reusable context
+manager yielding one shared inert span.  Events, costs and trace context
+are asked of a tracer only behind ``tracer.enabled`` (the transports,
+the ledger and the SMC context all gate on it).
 
 The span stack lives in a :mod:`contextvars` variable, so the tracer is
 safe to share across threads — the scheduler's worker, the TCP
 transport's loop thread — each of which starts with an empty stack and
-nests its own spans.  Events fired with no open span land in a
-bounded *orphan buffer* (and count in ``orphan_events_total``, which
-``/metrics`` renders as ``repro_obs_orphan_events_total``) instead of
-being silently lost.
+nests its own spans.  Events fired with no open span are not kept, but
+they are counted in ``orphan_events_total``, which ``/metrics`` renders
+as ``repro_obs_orphan_events_total``, so none is lost silently.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import contextvars
 import itertools
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -59,10 +57,7 @@ __all__ = [
     "Tracer",
     "NoopTracer",
     "NOOP_TRACER",
-    "DEFAULT_ORPHAN_BUFFER",
 ]
-
-DEFAULT_ORPHAN_BUFFER = 256
 
 
 @dataclass
@@ -125,18 +120,11 @@ class Tracer:
     clock:
         Monotonic time source.  Tests inject a counter to make timestamps
         (not just structure) deterministic.
-    orphan_capacity:
-        Bound on the orphan-event ring buffer (events fired with no open
-        span).  Defaults to :data:`DEFAULT_ORPHAN_BUFFER` (256).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock=time.perf_counter,
-        orphan_capacity: int = DEFAULT_ORPHAN_BUFFER,
-    ) -> None:
+    def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
@@ -150,7 +138,6 @@ class Tracer:
         self._stack_var: contextvars.ContextVar[tuple[Span, ...]] = (
             contextvars.ContextVar("repro_span_stack", default=())
         )
-        self._orphans: deque[SpanEvent] = deque(maxlen=max(1, orphan_capacity))
         self.orphan_events_total = 0
 
     # -- span lifecycle ----------------------------------------------------
@@ -249,19 +236,14 @@ class Tracer:
         """Attach an event to the innermost open coordinator span (else to
         the innermost open span).
 
-        With no open span on this thread the event goes to the bounded
-        orphan buffer (and :attr:`orphan_events_total`) instead of being lost —
-        callers never need a guard either way.
+        With no open span on this thread the event is counted in
+        :attr:`orphan_events_total` and dropped.
         """
         span = self._owner(None)
         if span is not None:
             span.add_event(name, attributes, timestamp=self._clock())
             return
-        event = SpanEvent(
-            name=name, timestamp=self._clock(), attributes=dict(attributes or {})
-        )
         with self._lock:
-            self._orphans.append(event)
             self.orphan_events_total += 1
 
     # -- inspection --------------------------------------------------------
@@ -271,25 +253,9 @@ class Tracer:
         with self._lock:
             return list(self._finished)
 
-    def root_spans(self) -> list[Span]:
-        return [s for s in self.finished_spans() if s.parent_id is None]
-
-    def orphan_events(self) -> list[SpanEvent]:
-        """Buffered events that had no open span (oldest dropped first)."""
-        with self._lock:
-            return list(self._orphans)
-
-    def reset(self) -> None:
-        """Drop collected spans and restart the id sequence."""
-        with self._lock:
-            self._finished.clear()
-            self._ids = itertools.count(1)
-            self._trace_ids = itertools.count(1)
-            self._orphans.clear()
-
 
 class _NoopSpan:
-    """Shared inert span: accepts the Span API, records nothing."""
+    """Shared inert span: accepts attribute writes, records nothing."""
 
     __slots__ = ()
 
@@ -308,9 +274,6 @@ class _NoopSpan:
         pass
 
     def set_attributes(self, mapping) -> None:
-        pass
-
-    def add_event(self, name, attributes=None, timestamp=None) -> None:
         pass
 
 
@@ -333,7 +296,11 @@ _NOOP_CONTEXT = _NoopSpanContext()
 
 
 class NoopTracer:
-    """Tracing disabled: the same interface, no allocation, no recording."""
+    """Tracing disabled: spans that record nothing, no allocation.
+
+    Events, costs and trace context are asked of a tracer only when it is
+    :attr:`enabled`, so this one offers spans and the span list alone.
+    """
 
     enabled = False
     current_span = None
@@ -348,23 +315,8 @@ class NoopTracer:
     ) -> _NoopSpanContext:
         return _NOOP_CONTEXT
 
-    def current_context(self) -> tuple[None, None]:
-        return (None, None)
-
-    def add_event(self, name: str, attributes: dict | None = None) -> None:
-        pass
-
     def finished_spans(self) -> list[Span]:
         return []
-
-    def root_spans(self) -> list[Span]:
-        return []
-
-    def orphan_events(self) -> list[SpanEvent]:
-        return []
-
-    def reset(self) -> None:
-        pass
 
 
 NOOP_TRACER = NoopTracer()

@@ -12,7 +12,6 @@ from repro.perf.engine import (
     SerialEngine,
     get_default_engine,
     resolve_engine,
-    set_default_engine,
     shutdown_shared_pool,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "SerialEngine",
     "get_default_engine",
     "resolve_engine",
-    "set_default_engine",
     "shutdown_shared_pool",
 ]

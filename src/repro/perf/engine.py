@@ -41,7 +41,6 @@ __all__ = [
     "AutoEngine",
     "resolve_engine",
     "get_default_engine",
-    "set_default_engine",
     "shutdown_shared_pool",
     "ensure_shutdown_at_exit",
     "register_shutdown_hook",
@@ -84,15 +83,6 @@ class ExponentiationEngine:
     """
 
     name = "abstract"
-
-    def pow_many(self, bases: list[int], exponent, modulus: int) -> list[int]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any worker resources (idempotent)."""
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"
 
 
 class SerialEngine(ExponentiationEngine):
@@ -319,10 +309,6 @@ class AutoEngine(ExponentiationEngine):
     def pow_many(self, bases: list[int], exponent, modulus: int) -> list[int]:
         return self.select(bases, exponent, modulus).pow_many(bases, exponent, modulus)
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-
 
 _SPECS = {
     "serial": SerialEngine,
@@ -370,20 +356,3 @@ def get_default_engine() -> ExponentiationEngine:
                 )
             _default_engine = cls()
         return _default_engine
-
-
-def set_default_engine(spec) -> ExponentiationEngine:
-    """Install (and return) a new process-wide default.
-
-    Pass ``None`` to reset, so the next :func:`get_default_engine` re-reads
-    the environment.
-    """
-    global _default_engine
-    if spec is None:
-        with _default_lock:
-            _default_engine = None
-        return get_default_engine()
-    engine = resolve_engine(spec)
-    with _default_lock:
-        _default_engine = engine
-    return engine

@@ -62,12 +62,3 @@ class DedupWindow:
         if len(window) > self.capacity:
             window.popitem(last=False)
         return False
-
-    def forget_link(self, link: tuple[str, str]) -> None:
-        self._links.pop(link, None)
-
-    def clear(self) -> None:
-        self._links.clear()
-
-    def __len__(self) -> int:
-        return sum(len(w) for w in self._links.values())

@@ -78,11 +78,6 @@ class Deadline:
         rest = self.remaining()
         return rest if timeout is None else min(timeout, rest)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._expires_at is None:
-            return "Deadline(never)"
-        return f"Deadline(remaining={self.remaining():.3f}s)"
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

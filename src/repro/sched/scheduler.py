@@ -390,9 +390,3 @@ class QueryScheduler:
             )
         if wait and worker is not None:
             worker.join()
-
-    def __enter__(self) -> "QueryScheduler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -100,7 +100,7 @@ class StandingQueryRegistry:
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         #: Evaluation epochs run, and non-empty deltas pushed, ever.
-        self._epoch = 0
+        self.epoch = 0
         self.deltas_pushed = 0
 
     def __len__(self) -> int:
@@ -149,8 +149,8 @@ class StandingQueryRegistry:
         with self._lock:
             if not self._queries:
                 return []
-            self._epoch += 1
-            epoch = self._epoch
+            self.epoch += 1
+            epoch = self.epoch
             queries = list(self._queries.values())
             nodes = list(service.store.stores.values())
             # Read before any run: see the module docstring.
@@ -240,22 +240,3 @@ class StandingQueryRegistry:
                     if query.on_delta is not None:
                         query.on_delta(delta)
                 return deltas
-
-    def snapshot(self) -> dict:
-        """Registry state for the telemetry endpoint / debugging."""
-        with self._lock:
-            return {
-                "epoch": self._epoch,
-                "queries": [
-                    {
-                        "id": q.query_id,
-                        "criterion": q.criterion,
-                        "tenant": q.tenant,
-                        "seen": len(q.seen),
-                        "epochs": q.epochs,
-                        "deltas_pushed": q.deltas_pushed,
-                        "floor": q.floor,
-                    }
-                    for q in self._queries.values()
-                ],
-            }

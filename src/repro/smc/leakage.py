@@ -123,15 +123,8 @@ class LeakageLedger:
     def categories(self) -> set[str]:
         return {e.category for e in self.events}
 
-    def by_observer(self, observer: str) -> list[LeakageEvent]:
-        return [e for e in self.events if e.observer in (observer, "*")]
-
     def count(self, category: str | None = None) -> int:
         if category is None:
             with self._lock:
                 return len(self._events)
         return sum(1 for e in self.events if e.category == category)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()

@@ -267,9 +267,3 @@ class DurableDistributedLogStore(DistributedLogStore):
             for wal in self.wals.values():
                 wal.close()
         unregister_shutdown_hook(self.close)
-
-    def __enter__(self) -> "DurableDistributedLogStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -406,9 +406,3 @@ class WriteAheadLog:
                 self._handle.close()
                 self._handle = None
             self._closed = True
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,10 +1,8 @@
-"""Parameterized random workload generation for sweeps and benchmarks.
+"""Random query mixes for sweeps and benchmarks.
 
-The §5 confidentiality metrics and the scaling benchmarks need schemas,
-fragment plans, log streams and query mixes of controllable shape:
-attribute count, undefined-attribute fraction, node count, record count,
-predicate mix (local/cross ratio).  This module generates all of them
-deterministically from a seed.
+The scaling benchmarks need criteria of controllable shape over a given
+schema and fragment plan: clause count and predicate mix (local/cross
+ratio).  This module generates them deterministically from a seed.
 """
 
 from __future__ import annotations
@@ -13,69 +11,19 @@ from dataclasses import dataclass
 
 from repro.crypto.rng import DeterministicRng
 from repro.logstore.fragmentation import FragmentPlan
-from repro.logstore.schema import Attribute, AttributeKind, GlobalSchema
+from repro.logstore.schema import AttributeKind, GlobalSchema
 
 __all__ = ["WorkloadGenerator"]
 
 
 @dataclass
 class WorkloadGenerator:
-    """Deterministic generator of schemas, plans, rows and criteria."""
+    """Deterministic generator of audit criteria."""
 
     seed: int = 42
 
     def __post_init__(self) -> None:
         self._rng = DeterministicRng(f"generator:{self.seed}")
-
-    # -- schema / plan -----------------------------------------------------
-
-    def schema(self, defined: int = 4, undefined: int = 4) -> GlobalSchema:
-        """A schema with ``defined`` typed and ``undefined`` opaque attrs.
-
-        Defined attributes alternate int / text so both predicate families
-        are expressible; attribute ``a0`` is always an int.
-        """
-        attributes = []
-        for i in range(defined):
-            kind = AttributeKind.INTEGER if i % 2 == 0 else AttributeKind.TEXT
-            attributes.append(Attribute(f"a{i}", kind))
-        for i in range(undefined):
-            attributes.append(Attribute(f"C{i + 1}", AttributeKind.UNDEFINED))
-        return GlobalSchema(attributes)
-
-    def plan(self, schema: GlobalSchema, nodes: int = 4) -> FragmentPlan:
-        """Random disjoint assignment of the schema over ``nodes`` DLA nodes.
-
-        Every node gets at least one attribute (round-robin base, then the
-        remainder shuffled on top).
-        """
-        node_ids = [f"P{i}" for i in range(nodes)]
-        names = list(schema.names)
-        self._rng.shuffle(names)
-        assignment: dict[str, list[str]] = {n: [] for n in node_ids}
-        for i, name in enumerate(names):
-            assignment[node_ids[i % nodes]].append(name)
-        return FragmentPlan(schema, assignment)
-
-    # -- data -----------------------------------------------------------------
-
-    def rows(self, schema: GlobalSchema, count: int, sparsity: float = 0.0) -> list[dict]:
-        """Random records; ``sparsity`` is the per-attribute dropout rate."""
-        out = []
-        for _ in range(count):
-            row = {}
-            for attribute in schema:
-                if sparsity and self._rng.random() < sparsity:
-                    continue
-                if attribute.kind is AttributeKind.INTEGER:
-                    row[attribute.name] = self._rng.randint(0, 999)
-                elif attribute.kind is AttributeKind.UNDEFINED:
-                    row[attribute.name] = self._rng.randint(0, 99)
-                else:
-                    row[attribute.name] = f"v{self._rng.randint(0, 9)}"
-            if row:
-                out.append(row)
-        return out
 
     # -- queries ----------------------------------------------------------------
 

@@ -17,14 +17,14 @@ import pytest
 
 from repro.errors import DeadlineExceededError, SchedulerShutdownError
 from repro.sched import QueryScheduler
-from tests.sched.conftest import CRITERIA, build_service
+from tests.sched.conftest import CRITERIA, build_service, running
 
 
 class TestEquivalenceToSerial:
     def test_matches_serial_twin(self):
         serial, concurrent = build_service(), build_service()
         expected = [serial.query(c) for c in CRITERIA]
-        with QueryScheduler(concurrent) as sched:
+        with running(QueryScheduler(concurrent)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         for got, want in zip(results, expected):
@@ -36,7 +36,7 @@ class TestEquivalenceToSerial:
     def test_ledger_reconciliation_is_exact(self):
         service = build_service()
         leakage_before = service.ctx.leakage.count()
-        with QueryScheduler(service, coalesce=False) as sched:
+        with running(QueryScheduler(service, coalesce=False)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             sched.gather(handles)
         # Every handle owns its private cost and leakage...
@@ -48,7 +48,7 @@ class TestEquivalenceToSerial:
 
     def test_coalesced_queries_fan_out_with_ledger_entry(self):
         service = build_service()
-        with QueryScheduler(service) as sched:
+        with running(QueryScheduler(service)) as sched:
             handles = [sched.submit(CRITERIA[0]) for _ in range(4)]
             results = sched.gather(handles)
             stats = sched.coalesce_stats()
@@ -71,7 +71,7 @@ class TestTraceReconciliation:
 
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        with QueryScheduler(service, coalesce=False) as sched:
+        with running(QueryScheduler(service, coalesce=False)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)
@@ -106,7 +106,7 @@ class TestInflightScale:
         """300 queries admitted at once, each a queued handle —
         all resolve, in submission order, to one consistent answer."""
         service = build_service(rows=12)
-        with QueryScheduler(service, coalesce=False) as sched:
+        with running(QueryScheduler(service, coalesce=False)) as sched:
             handles = [sched.submit("C3 = 'bank'") for _ in range(300)]
             assert len(handles) == 300  # admission never blocked
             results = sched.gather(handles)
@@ -126,7 +126,7 @@ class TestInflightScale:
             return real_execute(self, handle, qplan)
 
         monkeypatch.setattr(QueryScheduler, "_execute", execute)
-        with QueryScheduler(service, coalesce=False) as sched:
+        with running(QueryScheduler(service, coalesce=False)) as sched:
             handles = [sched.submit(c) for c in CRITERIA * 2]
             sched.gather(handles)
         assert seen == [1] * len(handles)
@@ -168,7 +168,7 @@ class TestLifecycle:
 
     def test_deadline_expires_in_admission(self):
         service = build_service(rows=8)
-        with QueryScheduler(service) as sched:
+        with running(QueryScheduler(service)) as sched:
             handle = sched.submit("C1 > 30 and C3 = 'bank'", timeout=0.0)
             with pytest.raises(DeadlineExceededError):
                 handle.result(timeout=10.0)

@@ -13,6 +13,7 @@ import socket
 import threading
 import time
 import zlib
+from contextlib import closing
 
 import pytest
 
@@ -107,7 +108,7 @@ class TestAsyncTcpNode:
     def test_wire_is_the_codec_frame_in_both_directions(self):
         """What crosses the socket is exactly ``encode_frame``: a raw socket
         can feed a node, and a raw listener reads what a node writes."""
-        with AsyncTcpNode("A") as node, socket.create_server(("127.0.0.1", 0)) as raw:
+        with closing(AsyncTcpNode("A")) as node, socket.create_server(("127.0.0.1", 0)) as raw:
             inbound = Message(src="raw", dst="A", kind="ping", payload=41)
             with socket.create_connection(node.address) as feeder:
                 feeder.sendall(encode_frame(inbound))
@@ -132,7 +133,7 @@ class TestAsyncTcpNode:
         body = (2).to_bytes(4, "big") + b"[]"
         bad = len(body).to_bytes(4, "big") + zlib.crc32(body).to_bytes(4, "big") + body
         good = Message(src="raw", dst="A", kind="ping", payload=[2**300, 7])
-        with AsyncTcpNode("A") as node:
+        with closing(AsyncTcpNode("A")) as node:
             with socket.create_connection(node.address) as feeder:
                 feeder.sendall(bad + encode_frame(good))
                 assert node.receive(timeout=5.0).payload == good.payload
@@ -205,7 +206,7 @@ class TestBounds:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         listener.bind(("127.0.0.1", 0))
         listener.listen()
-        with listener, AsyncTcpNode("A") as node:
+        with listener, closing(AsyncTcpNode("A")) as node:
             node.learn_peers({"B": listener.getsockname()})
             blob = "x" * (1 << 20)
             for _ in range(16):
@@ -257,7 +258,7 @@ class TestDeadPeer:
             assert node._queues == {} and node._writer_tasks == {}
             assert dict(node.stats.connections_open) == {}
 
-            with AsyncTcpNode("B", loop_thread=cluster.loop_thread) as reborn:
+            with closing(AsyncTcpNode("B", loop_thread=cluster.loop_thread)) as reborn:
                 node.learn_peers({"B": reborn.address})
                 node.send(Message(src="A", dst="B", kind="k", payload="back"))
                 assert reborn.receive(timeout=5.0).payload == "back"

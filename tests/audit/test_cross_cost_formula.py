@@ -214,7 +214,7 @@ class TestCrossAuditTemplates:
     def test_measured_cost_equals_the_closed_form(
         self, dense_service, criterion, predicted, cross, parent_ledger
     ):
-        dense_service.subplan_memo.clear()  # cold: nothing asked before
+        dense_service.subplan_memo._entries.clear()  # cold: nothing asked before
         cost, ledger, glsns = ask(dense_service, criterion)
         assert cost == predicted
         for category, count in ledger.items():
@@ -230,7 +230,7 @@ class TestCrossAuditTemplates:
             assert (again, again_ledger) == (cost, ledger)
             return
         cross_criterion, cross_cost = cross
-        dense_service.subplan_memo.clear()
+        dense_service.subplan_memo._entries.clear()
         alone, alone_ledger, _ = ask(dense_service, cross_criterion)
         assert alone == cross_cost
         assert again == (cost[0] - cross_cost[0], cost[1] - cross_cost[1])
@@ -256,7 +256,7 @@ class TestCrossAuditTemplates:
         assert first == Counter(e.category for e in events[len(events) // 2 :])
         for category, count in first.items():
             assert count <= parent_ledger.get(category, 0), category
-        assert len(memo_off_service.subplan_memo) == 0
+        assert memo_off_service.subplan_memo.stats.entries == 0
 
     def test_round_total(self, dense_service, memo_off_service):
         def round_total(service) -> int:
@@ -266,7 +266,7 @@ class TestCrossAuditTemplates:
                 spent += service.last_query_cost.modexp
             return spent
 
-        dense_service.subplan_memo.clear()
+        dense_service.subplan_memo._entries.clear()
         # 400 of these are the equality join's composites; at commit d2703a4
         # the same five queries cost 2 270.  C1 > C5 recurs in three
         # templates, but its dense alignment and blind comparison cost no

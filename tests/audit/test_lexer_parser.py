@@ -70,7 +70,6 @@ class TestParser:
     def test_attr_vs_attr(self):
         node = parse_criterion("C1 = C2")
         assert isinstance(node.right, AttributeRef)
-        assert node.is_cross_shaped
 
     def test_precedence_and_over_or(self):
         node = parse_criterion("a = 1 or b = 2 and c = 3")

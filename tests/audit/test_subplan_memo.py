@@ -28,6 +28,7 @@ from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng, Operation
 from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.obs.metrics import collect
+from tests.metrics_probe import metric_value
 
 SCHEMA = paper_table1_schema()
 PLAN = paper_fragment_plan(SCHEMA)
@@ -170,7 +171,7 @@ class SubplanMemoMachine(RuleBasedStateMachine):
 
     @invariant()
     def one_entry_per_computed_predicate_and_epochs(self) -> None:
-        assert len(self.service.subplan_memo) == len(self.computed)
+        assert self.service.subplan_memo.stats.entries == len(self.computed)
 
 
 SubplanMemoMachine.TestCase.settings = settings(
@@ -216,7 +217,7 @@ class TestInvalidation:
         finally:
             set_caching_enabled(None)
         assert reuses(service) == 0
-        assert len(service.subplan_memo) == 0
+        assert service.subplan_memo.stats.entries == 0
 
     def test_a_degraded_result_is_never_stored(self):
         from repro.net.faults import FaultPlan
@@ -228,12 +229,12 @@ class TestInvalidation:
             service.log_event({"C4": i % 2, "C": (i // 2) % 2}, ticket)
         try:
             healthy = service.query("C4 = C").glsns
-            service.subplan_memo.clear()
+            service.subplan_memo._entries.clear()
             faults.crash("P0")  # the ring completes without C4's owner
             degraded = service.query("C4 = C").glsns
             assert service.ctx.leakage.count("degraded_result") >= 1
             assert degraded != healthy
-            assert len(service.subplan_memo) == 0
+            assert service.subplan_memo.stats.entries == 0
             faults.recover("P0")
             assert service.query("C4 = C").glsns == healthy
             assert reuses(service) == 0
@@ -250,11 +251,11 @@ class TestInvalidation:
             service.log_event({"C4": i % 2, "C": (i // 2) % 2}, ticket)
         try:
             healthy = service.query("C4 = C").glsns
-            service.subplan_memo.clear()
+            service.subplan_memo._entries.clear()
             faults.crash("P0")
             (degraded,) = service.gather([service.submit("C4 = C")])
             assert degraded.glsns != healthy
-            assert len(service.subplan_memo) == 0
+            assert service.subplan_memo.stats.entries == 0
             faults.recover("P0")
             assert service.query("C4 = C").glsns == healthy
             assert reuses(service) == 0
@@ -274,11 +275,11 @@ class TestInvalidation:
             service.log_event({"C4": i % 2, "C": (i // 2) % 2}, ticket)
         try:
             healthy = service.query("C4 = C").glsns
-            service.subplan_memo.clear()
+            service.subplan_memo._entries.clear()
             faults.crash("P0")
             (degraded,) = service.gather([service.submit("C4 = C")])
             assert degraded.glsns != healthy
-            assert len(service.scheduler._query_cache) == 0
+            assert service.scheduler._query_cache.stats.entries == 0
             faults.recover("P0")
             handle = service.submit("C4 = C")
             assert handle.result(timeout=60).glsns == healthy
@@ -305,7 +306,7 @@ class TestInvalidation:
             executor_module, "secure_set_intersection_async", beside_a_degraded_query
         )
         first = service.query("C4 = C").glsns
-        assert len(service.subplan_memo) == 1
+        assert service.subplan_memo.stats.entries == 1
         assert service.query("C4 = C").glsns == first
         assert reuses(service) == 1
 
@@ -334,8 +335,8 @@ class TestInvalidation:
         with pytest.raises(DeadlineExceededError):
             doomed.result(timeout=60)
         assert doomed.started_at is not None and doomed.cost.messages > 0
-        assert len(service.subplan_memo) == 0
-        assert len(service.scheduler._query_cache) == 0
+        assert service.subplan_memo.stats.entries == 0
+        assert service.scheduler._query_cache.stats.entries == 0
 
         retry = service.submit(criterion)
         twin, ticket = build()
@@ -345,7 +346,7 @@ class TestInvalidation:
         finally:
             twin.close()
         assert not retry.coalesced and reuses(service) == 0
-        assert len(service.subplan_memo) == 1
+        assert service.subplan_memo.stats.entries == 1
 
 
 class TestSyncBesideTheScheduler:
@@ -378,7 +379,7 @@ class TestSyncBesideTheScheduler:
             try:
                 sync = service.query("C1 > C5 and C2 < 150").glsns
                 assert reuses(service) == 0  # computed, not waited for
-                assert len(service.subplan_memo) == 1  # the sync run's entry
+                assert service.subplan_memo.stats.entries == 1  # the sync run's entry
             finally:
                 release.set()
             burst = service.gather(handles)
@@ -496,8 +497,8 @@ class TestSyncMatchesTheCoalescedBurst:
 class TestMetrics:
     @staticmethod
     def hits(service) -> int:
-        return collect(service).value(
-            "repro_cache_hits_total", {"cache": "query.subplan"}
+        return metric_value(
+            collect(service), "repro_cache_hits_total", {"cache": "query.subplan"}
         )
 
     def test_sync_hits_show_with_no_scheduler_built(self, service):

@@ -21,13 +21,12 @@ class TestCentralized:
     @pytest.fixture()
     def auditor(self):
         auditor = CentralizedAuditor(paper_table1_schema())
-        auditor.ingest_all(
-            [
-                LogRecord(1, {"C1": 20, "protocl": "UDP", "Tid": "T1"}),
-                LogRecord(2, {"C1": 45, "protocl": "TCP", "Tid": "T1"}),
-                LogRecord(3, {"C1": 50, "protocl": "UDP", "Tid": "T2"}),
-            ]
-        )
+        for record in [
+            LogRecord(1, {"C1": 20, "protocl": "UDP", "Tid": "T1"}),
+            LogRecord(2, {"C1": 45, "protocl": "TCP", "Tid": "T1"}),
+            LogRecord(3, {"C1": 50, "protocl": "UDP", "Tid": "T2"}),
+        ]:
+            auditor.ingest(record)
         return auditor
 
     def test_execute(self, auditor):

@@ -34,7 +34,7 @@ def _sizes(service) -> dict[str, int]:
     # The whole-result memo is keyed by plan fingerprint: one entry per
     # distinct question is its contract (coalescing identical queries).
     found.pop("_query_cache")
-    return {name: len(getattr(cache, "cache", cache)) for name, cache in found.items()}
+    return {name: getattr(cache, "cache", cache).stats.entries for name, cache in found.items()}
 
 
 def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_size():

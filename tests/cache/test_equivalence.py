@@ -183,4 +183,4 @@ class TestWitnessEquivalence:
         items = [f"frag-{i}".encode() for i in range(9)]
         total = acc.accumulate_all(items)
         for item, witness in zip(items, acc.witness_all(items)):
-            assert acc.verify_membership(item, witness, total)
+            assert acc.step(witness, item) == total

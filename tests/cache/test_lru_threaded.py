@@ -56,7 +56,6 @@ def test_accounting_balances_under_contention():
     _run_threads(worker)
     stats = cache.stats
     assert stats.entries <= BOUND  # bound never exceeded
-    assert len(cache) == stats.entries
     # Every get was either a hit or a miss, never both / neither.
     gets = THREADS * ROUNDS - THREADS * ((ROUNDS + 2) // 3)
     assert stats.hits + stats.misses == gets

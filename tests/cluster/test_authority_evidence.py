@@ -98,11 +98,6 @@ class TestEvidenceChain:
         e2 = make_evidence(authority, nodes["b"], nodes["c"], terms, 2, rng)
         chain.append(e1)
         chain.append(e2)
-        assert chain.members == [
-            nodes["a"].pseudonym,
-            nodes["b"].pseudonym,
-            nodes["c"].pseudonym,
-        ]
         assert chain.current_inviter == nodes["c"].pseudonym
         chain.verify_all()
 

@@ -10,7 +10,6 @@ from repro.core.rules import (
     FairnessRule,
     IrregularPatternRule,
     NonRepudiationRule,
-    RuleSet,
 )
 from repro.core.transaction import AtomicEvent, Transaction, TransactionType
 from repro.crypto import AccumulatorParams, DeterministicRng, Operation
@@ -20,10 +19,6 @@ from repro.smc.base import SmcContext
 
 
 class TestTransactionModel:
-    def test_type_width(self):
-        ttype = TransactionType("order", ("place", "confirm"))
-        assert ttype.width == 2
-
     def test_type_needs_events(self):
         with pytest.raises(ConfigurationError):
             TransactionType("empty", ())
@@ -156,16 +151,3 @@ class TestRules:
         # use EID vs Tid which always differ -> inconsistent.
         verdict = ConsistencyRule("id", "EID").evaluate(executor)
         assert not verdict.passed
-
-    def test_rule_set(self, executor):
-        ruleset = RuleSet([
-            AtomicityRule(tsn="T1", width=2),
-            NonRepudiationRule(tsn="T1", parties=("U1", "U2")),
-        ])
-        verdicts = ruleset.evaluate(executor)
-        assert len(verdicts) == 2
-        assert ruleset.all_pass(executor)
-
-    def test_rule_set_fails_fast_on_verdicts(self, executor):
-        ruleset = RuleSet([AtomicityRule(tsn="T2", width=2)])
-        assert not ruleset.all_pass(executor)

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.crypto.primes import (
-    _verify_table,
+    _SAFE_PRIME_TABLE,
     is_probable_prime,
     prime_above,
     random_prime,
     rsa_modulus,
     safe_prime,
-    sophie_germain_pair,
 )
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ParameterError
@@ -58,21 +57,20 @@ class TestGeneration:
     def test_safe_prime_table_fast_path(self):
         # Table entries are deterministic and valid.
         assert safe_prime(128) == safe_prime(128)
-        _verify_table()
+        rng = DeterministicRng(b"table-check")
+        for bits, p in _SAFE_PRIME_TABLE.items():
+            assert p.bit_length() == bits
+            assert is_probable_prime(p, rounds=64, rng=rng)
+            assert is_probable_prime((p - 1) // 2, rounds=64, rng=rng)
 
     @pytest.mark.parametrize("bits", [1024, 2048])
     def test_safe_prime_table_holds_the_modp_groups(self, bits):
-        """RFC 2409 group 2 / RFC 3526 group 14 (``_verify_table`` checks
+        """RFC 2409 group 2 / RFC 3526 group 14 (the fast-path test checks
         primality): 64 one bits at either end, digits of pi between."""
         p = safe_prime(bits)
         assert p.bit_length() == bits
         assert p >> (bits - 64) == p % 2**64 == 2**64 - 1
         assert hex(p)[18:26] == "c90fdaa2"
-
-    def test_sophie_germain_pair(self):
-        p, q = sophie_germain_pair(64)
-        assert p == 2 * q + 1
-        assert is_probable_prime(p) and is_probable_prime(q)
 
     def test_rsa_modulus(self, rng):
         n, p, q = rsa_modulus(64, rng=rng)

@@ -106,17 +106,6 @@ class TestSequenceHelpers:
         assert sorted(shuffled) == items
         assert shuffled != items  # overwhelming probability
 
-    def test_sample_distinct(self):
-        rng = DeterministicRng(31)
-        population = list(range(20))
-        picked = rng.sample(population, 5)
-        assert len(picked) == 5 and len(set(picked)) == 5
-        assert all(p in population for p in picked)
-
-    def test_sample_too_large(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).sample([1, 2], 3)
-
 
 class TestSystemRng:
     def test_interface(self):

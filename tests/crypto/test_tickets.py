@@ -56,12 +56,6 @@ class TestIssuance:
             "63e24a9c1b0f0f79d7d0870f4cb85dfcc1cb2e75f8f570e6942d5af204ddf9f3"
         )
 
-    def test_operation_parse(self):
-        assert Operation.parse("READ") is Operation.READ
-        assert Operation.parse("write") is Operation.WRITE
-        with pytest.raises(TicketError):
-            Operation.parse("format")
-
 
 class TestForgery:
     def test_forged_tag(self, authority):
@@ -117,13 +111,7 @@ class TestLifecycle:
         authority.revoke(ticket.ticket_id)
         with pytest.raises(TicketError):
             authority.verify(ticket)
-        assert not authority.is_valid(ticket)
 
     def test_clock_monotone(self, authority):
         with pytest.raises(TicketError):
             authority.tick(-1)
-
-    def test_is_valid_boolean(self, authority):
-        ticket = authority.issue("U1", {Operation.WRITE})
-        assert authority.is_valid(ticket, Operation.WRITE)
-        assert not authority.is_valid(ticket, Operation.READ)

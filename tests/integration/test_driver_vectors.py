@@ -250,7 +250,7 @@ def test_bytes_are_envelopes_plus_blocks(name, prime64):
     """A scenario's bytes are, frame by frame, the 4-byte envelope length,
     the JSON envelope, and ``count x |width|`` bytes per element block."""
     _answer, net, _modexp, _ledger = SCENARIOS[name](prime64)
-    frames = net.delivery_log
+    frames = net._delivered_log
     assert len(frames) == RECORDED[name]["messages"]
     total = 0
     for msg in frames:

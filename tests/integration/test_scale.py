@@ -10,23 +10,48 @@ from repro.crypto import (
     Operation,
     TicketAuthority,
 )
-from repro.logstore import DistributedLogStore, LogRecord, round_robin_plan
+from repro.logstore import (
+    Attribute,
+    AttributeKind,
+    DistributedLogStore,
+    GlobalSchema,
+    LogRecord,
+    round_robin_plan,
+)
 from repro.logstore.integrity import IntegrityChecker
 from repro.smc.base import SmcContext
 from repro.workloads import WorkloadGenerator
 
 
+def _rows(schema: GlobalSchema, count: int, rng: DeterministicRng) -> list[dict]:
+    """Random records, each attribute dropped with probability 0.1."""
+    values = {
+        AttributeKind.INTEGER: lambda: rng.randint(0, 999),
+        AttributeKind.UNDEFINED: lambda: rng.randint(0, 99),
+        AttributeKind.TEXT: lambda: f"v{rng.randint(0, 9)}",
+    }
+    rows = (
+        {a.name: values[a.kind]() for a in schema if rng.random() >= 0.1}
+        for _ in range(count)
+    )
+    return [row for row in rows if row]
+
+
 @pytest.fixture(scope="module")
 def big_world(prime64):
     generator = WorkloadGenerator(seed=99)
-    schema = generator.schema(defined=6, undefined=6)
+    kinds = [AttributeKind.INTEGER, AttributeKind.TEXT]
+    schema = GlobalSchema(
+        [Attribute(f"a{i}", kinds[i % 2]) for i in range(6)]
+        + [Attribute(f"C{i + 1}", AttributeKind.UNDEFINED) for i in range(6)]
+    )
     plan = round_robin_plan(schema, [f"P{i}" for i in range(8)])
     authority = TicketAuthority(b"scale-test-master-secret-32b!!!!")
     store = DistributedLogStore(
         plan, authority, AccumulatorParams.generate(128, DeterministicRng(b"sc"))
     )
     ticket = authority.issue("U1", {Operation.READ, Operation.WRITE})
-    rows = generator.rows(schema, 400, sparsity=0.1)
+    rows = _rows(schema, 400, DeterministicRng(b"scale-rows"))
     receipts = store.append_batch(rows, ticket)
     oracle = CentralizedAuditor(schema)
     for receipt, row in zip(receipts, rows):

@@ -8,7 +8,6 @@ from repro.core import (
     Auditor,
     ConfidentialAuditingService,
     OrderRule,
-    RuleSet,
     AtomicityRule,
     Transaction,
 )
@@ -59,13 +58,12 @@ def world():
 
 class TestSettlementAuditing:
     def test_type_shape(self):
-        assert SETTLEMENT_TYPE.width == 3
         assert SETTLEMENT_TYPE.expected_events == ("invoice", "pay", "settle")
 
     def test_good_settlement_passes_all_rules(self, world):
         service, good, _, _ = world
         auditor = Auditor("settlement-auditor", service)
-        ruleset = RuleSet([
+        rules = [
             AtomicityRule(tsn=good.tsn, width=3),
             OrderRule(
                 first_criterion=f"Tid = '{good.tsn}' and C3 = 'invoice'",
@@ -75,8 +73,8 @@ class TestSettlementAuditing:
                 first_criterion=f"Tid = '{good.tsn}' and C3 = 'pay'",
                 second_criterion=f"Tid = '{good.tsn}' and C3 = 'settle'",
             ),
-        ])
-        assert ruleset.all_pass(service.executor)
+        ]
+        assert all(auditor.check_rule(rule).passed for rule in rules)
 
     def test_pay_before_invoice_caught(self, world):
         service, _, bad, _ = world

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     FragmentationError,
-    LogStoreError,
     UnknownAttributeError,
 )
 from repro.logstore.fragmentation import (
@@ -13,7 +12,7 @@ from repro.logstore.fragmentation import (
     paper_fragment_plan,
     round_robin_plan,
 )
-from repro.logstore.glsn import PAPER_GLSN_START, GlsnAllocator, GlsnBlock
+from repro.logstore.glsn import PAPER_GLSN_START, GlsnAllocator
 from repro.logstore.records import LogRecord
 from repro.logstore.schema import Attribute, AttributeKind, GlobalSchema
 
@@ -28,26 +27,9 @@ class TestGlsnAllocator:
     def test_paper_start(self):
         assert GlsnAllocator().allocate() == PAPER_GLSN_START
 
-    def test_allocate_many(self):
-        alloc = GlsnAllocator(start=10)
-        assert alloc.allocate_many(3) == [10, 11, 12]
-        assert alloc.allocate() == 13
-
     def test_negative_start_rejected(self):
         with pytest.raises(ConfigurationError):
             GlsnAllocator(start=-1)
-
-
-class TestBlockAllocator:
-    def test_block_exhaustion_guard(self):
-        block = GlsnBlock(start=0, end=1)
-        block.take()
-        with pytest.raises(LogStoreError):
-            block.take()
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GlsnBlock(start=5, end=5)
 
 
 @pytest.fixture()
@@ -94,10 +76,6 @@ class TestFragmentPlan:
     def test_empty_plan_rejected(self, simple_schema):
         with pytest.raises(FragmentationError):
             FragmentPlan(simple_schema, {})
-
-    def test_supports(self, simple_schema):
-        plan = FragmentPlan(simple_schema, {"P0": ["a", "b"], "P1": ["C1", "C2"]})
-        assert plan.supports("P0", "a") and not plan.supports("P0", "C1")
 
 
 class TestFragmentation:

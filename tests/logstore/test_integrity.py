@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IntegrityError, ProtocolAbortError
+from repro.errors import ProtocolAbortError
 from repro.logstore import integrity
 from repro.logstore.integrity import EXACT_LEAF, IntegrityChecker, run_integrity_round
 from repro.net.simnet import SimNetwork
@@ -28,7 +28,6 @@ class TestInProcessChecker:
         reports = checker.check_all()
         assert len(reports) == 5
         assert all(r.ok for r in reports)
-        checker.require_clean()
 
     def test_single_value_tamper_detected(self, populated_store):
         store, _, receipts = populated_store
@@ -36,13 +35,6 @@ class TestInProcessChecker:
         checker = IntegrityChecker(store)
         bad = [r for r in checker.check_all() if not r.ok]
         assert [r.glsn for r in bad] == [receipts[2].glsn]
-
-    def test_require_clean_raises_with_glsn(self, populated_store):
-        store, _, receipts = populated_store
-        store.node_store("P2").tamper(receipts[0].glsn, "C3", "forged")
-        with pytest.raises(IntegrityError) as excinfo:
-            IntegrityChecker(store).require_clean()
-        assert format(receipts[0].glsn, "x") in str(excinfo.value)
 
     def test_tamper_on_every_node_detected(self, populated_store):
         """Any single compromised node is caught regardless of which."""

@@ -59,20 +59,10 @@ class TestGlobalSchema:
         with pytest.raises(UnknownAttributeError):
             schema.validate_values({"ghost": 1})
 
-    def test_subset_preserves_order(self):
-        schema = GlobalSchema([Attribute("a"), Attribute("b"), Attribute("c")])
-        subset = schema.subset(["c", "a"])
-        assert [s.name for s in subset] == ["a", "c"]
-
-    def test_subset_unknown(self):
-        schema = GlobalSchema([Attribute("a")])
-        with pytest.raises(UnknownAttributeError):
-            schema.subset(["nope"])
-
     def test_paper_schema_shape(self):
         schema = paper_table1_schema()
         assert schema.names[:7] == ["Time", "id", "protocl", "Tid", "C1", "C2", "C3"]
-        assert set(schema.undefined_names) == {"C1", "C2", "C3", "C4", "C5", "C"}
+        assert {a.name for a in schema if a.is_undefined} == {"C1", "C2", "C3", "C4", "C5", "C"}
 
 
 class TestLogRecord:

@@ -124,16 +124,6 @@ class TestMessageFields:
         out = decode_message(encoded)
         assert out.trace_id is None and out.parent_span_id is None
 
-    def test_reply_and_forwarded_preserve_trace_context(self):
-        msg = Message(
-            src="P0", dst="P1", kind="ssi.relay", payload={"x": 1},
-            trace_id="t1", parent_span_id=2,
-        )
-        reply = msg.reply("ssi.done", {"ok": True})
-        assert (reply.trace_id, reply.parent_span_id) == ("t1", 2)
-        relayed = msg.forwarded("P2")
-        assert (relayed.trace_id, relayed.parent_span_id) == ("t1", 2)
-
 
 class TestFraming:
     def test_single_frame(self):
@@ -217,23 +207,6 @@ class TestMalformedBodies:
         body = encode_message(Message(src="a", dst="b", kind="k", payload=[2**255, 1]))
         with pytest.raises(CodecError, match="trailing"):
             decode_message(body + b"\x00")
-
-
-class TestMessageHelpers:
-    def test_reply_addresses_sender(self):
-        msg = Message(src="A", dst="B", kind="req", payload=1)
-        reply = msg.reply("resp", 2)
-        assert (reply.src, reply.dst, reply.kind, reply.payload) == ("B", "A", "resp", 2)
-
-    def test_forwarded_keeps_kind(self):
-        msg = Message(src="A", dst="B", kind="ring", payload=[1])
-        fwd = msg.forwarded("C")
-        assert (fwd.src, fwd.dst, fwd.kind, fwd.payload) == ("B", "C", "ring", [1])
-
-    def test_forwarded_new_payload(self):
-        msg = Message(src="A", dst="B", kind="ring", payload=[1])
-        fwd = msg.forwarded("C", payload=[2])
-        assert fwd.payload == [2]
 
 
 class TestBatchedBigInts:

@@ -66,24 +66,6 @@ class TestDelivery:
         net.run()
         assert net.stats.dropped == 1
 
-    def test_broadcast(self):
-        net = SimNetwork()
-        logs = {n: [] for n in "ABCD"}
-        for n in "ABCD":
-            net.register(n, make_sink(logs[n]))
-        net.broadcast("A", "hello", {"x": 1})
-        net.run()
-        assert not logs["A"] and all(len(logs[n]) == 1 for n in "BCD")
-
-    def test_broadcast_exclude(self):
-        net = SimNetwork()
-        logs = {n: [] for n in "ABC"}
-        for n in "ABC":
-            net.register(n, make_sink(logs[n]))
-        net.broadcast("A", "k", None, exclude={"B"})
-        net.run()
-        assert not logs["B"] and len(logs["C"]) == 1
-
 
 class TestVirtualClock:
     def test_time_advances_with_latency(self):
@@ -148,15 +130,6 @@ class TestStats:
         assert net.stats.bytes > 0
         assert net.stats.by_link[("A", "B")] == 3
 
-    def test_reset(self):
-        net = SimNetwork()
-        net.register("A", make_sink([]))
-        net.register("B", make_sink([]))
-        net.send(Message(src="A", dst="B", kind="x"))
-        net.run()
-        net.reset_stats()
-        assert net.stats.messages == 0 and not net.stats.by_kind
-
     def test_delivery_log_opt_in(self):
         net = SimNetwork()
         net.keep_delivery_log = True
@@ -164,7 +137,7 @@ class TestStats:
         net.register("B", make_sink([]))
         net.send(Message(src="A", dst="B", kind="x", payload=9))
         net.run()
-        assert [m.payload for m in net.delivery_log] == [9]
+        assert [m.payload for m in net._delivered_log] == [9]
 
 
 class TestFaultIntegration:

@@ -3,30 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.topology import (
-    latency_ring,
-    next_on_ring,
-    ring_graph,
-    ring_order,
-    star_center,
-)
+from repro.net.topology import latency_ring, next_on_ring
 
 
 class TestRing:
-    def test_canonical_order(self):
-        assert ring_order(["P2", "P0", "P1"]) == ["P0", "P1", "P2"]
-
-    def test_rotation(self):
-        assert ring_order(["P0", "P1", "P2"], start="P1") == ["P1", "P2", "P0"]
-
-    def test_unknown_start(self):
-        with pytest.raises(ConfigurationError):
-            ring_order(["P0"], start="P9")
-
-    def test_empty(self):
-        with pytest.raises(ConfigurationError):
-            ring_order([])
-
     def test_successor(self):
         nodes = ["P0", "P1", "P2"]
         assert next_on_ring(nodes, "P0") == "P1"
@@ -38,25 +18,6 @@ class TestRing:
 
     def test_single_node_ring(self):
         assert next_on_ring(["P0"], "P0") == "P0"
-
-    def test_ring_graph_is_cycle(self):
-        graph = ring_graph(["a", "b", "c", "d"])
-        assert graph.number_of_edges() == 4
-        # Following successors returns to start after exactly n hops.
-        node = "a"
-        for _ in range(4):
-            node = next(iter(graph.successors(node)))
-        assert node == "a"
-
-
-class TestStar:
-    def test_spokes(self):
-        spokes = star_center(["ttp", "A", "B"], center="ttp")
-        assert spokes == [("A", "ttp"), ("B", "ttp")]
-
-    def test_center_must_be_member(self):
-        with pytest.raises(ConfigurationError):
-            star_center(["A", "B"], center="ttp")
 
 
 class TestLatencyRing:

@@ -22,6 +22,7 @@ from repro.net.faults import FaultPlan
 from repro.obs import MetricsRegistry, collect
 from repro.resilience import RetryPolicy
 from repro.workloads import paper_table1_rows
+from tests.metrics_probe import metric_value, metric_values
 
 CROSS = "(C1 > 30 or protocl = 'TCP') and Tid = 'T1100267'"
 BURST = [
@@ -46,7 +47,7 @@ def table1_service(**kwargs) -> ConfidentialAuditingService:
 
 
 def family_total(registry: MetricsRegistry, name: str) -> int:
-    return sum(registry.snapshot()[name]["values"].values())
+    return sum(metric_values(registry, name).values())
 
 
 def test_default_service_serves_a_full_page():
@@ -85,7 +86,7 @@ def test_every_line_is_valid_exposition_after_faults_and_a_burst():
         registry = collect(service)
     finally:
         service.close()
-    assert registry.value("repro_resilience_retries_total") > 0
+    assert metric_value(registry, "repro_resilience_retries_total") > 0
     lines = registry.render_prometheus().splitlines()
     bad = [ln for ln in lines if not ln.startswith("#") and not SAMPLE.match(ln)]
     assert lines and not bad, bad[:3]
@@ -159,15 +160,15 @@ def test_durable_store_families_read_the_store(tmp_path):
     first.store.checkpoint()
     registry = collect(first)
     first.close()
-    assert registry.value("repro_ingest_records_total") == len(rows)
-    assert registry.value("repro_standing_epochs_total") == (len(rows) + 1) // 2
-    assert registry.value("repro_standing_queries") == 1
+    assert metric_value(registry, "repro_ingest_records_total") == len(rows)
+    assert metric_value(registry, "repro_standing_epochs_total") == (len(rows) + 1) // 2
+    assert metric_value(registry, "repro_standing_queries") == 1
     # The initial empty checkpoint, then ours.
-    assert registry.value("repro_store_checkpoints_total") == 2
-    assert registry.value("repro_store_wal_records_total") == sum(
+    assert metric_value(registry, "repro_store_checkpoints_total") == 2
+    assert metric_value(registry, "repro_store_wal_records_total") == sum(
         wal.records_appended for wal in first.store.wals.values()
     )
-    assert registry.value("repro_store_recoveries_total") is None
+    assert metric_value(registry, "repro_store_recoveries_total") is None
 
     second = ConfidentialAuditingService(
         first.schema, first.plan, prime_bits=64, store_dir=tmp_path
@@ -177,10 +178,10 @@ def test_durable_store_families_read_the_store(tmp_path):
         registry = collect(second)
     finally:
         second.close()
-    assert registry.value("repro_store_recoveries_total") == 1
+    assert metric_value(registry, "repro_store_recoveries_total") == 1
     assert (
-        registry.value("repro_store_replayed_records_total")
+        metric_value(registry, "repro_store_replayed_records_total")
         == second.last_recovery.wal_records
     )
-    recovery = registry.snapshot()["repro_store_recovery_seconds"]["values"][""]
+    recovery = metric_values(registry, "repro_store_recovery_seconds")[""]
     assert recovery["count"] == 1

@@ -59,7 +59,7 @@ class TestObserveQuery:
         o1 = observatory.observe_query(qplan, _records(), leakage_events=1)
         o2 = observatory.observe_query(qplan, [], leakage_events=0)
         assert observatory.c_dla() == pytest.approx(mean([o1.c_query, o2.c_query]))
-        assert observatory.query_count() == 2
+        assert observatory.report()["queries"] == 2
 
     def test_per_tenant_c_dla_separated(self, observatory, table1_schema, table1_plan):
         qplan = plan_query(CROSS, table1_schema, table1_plan)

@@ -130,7 +130,12 @@ class TestTransportPropagation:
             # A fresh message sent mid-delivery, and a relay of the
             # incoming one.
             tn.send(Message(src="B", dst="C", kind="next", payload={}))
-            tn.send(msg.forwarded("C"))
+            tn.send(
+                Message(
+                    src="B", dst="C", kind=msg.kind, payload=msg.payload,
+                    trace_id=msg.trace_id, parent_span_id=msg.parent_span_id,
+                )
+            )
 
         net.register("A", lambda msg, tn: None)
         net.register("B", relay)
@@ -146,7 +151,7 @@ class TestTransportPropagation:
         # The next hop's span chains under the handler that sent it ...
         assert fresh.parent_span_id == b_span.span_id
         assert spans["C", "node.next"].parent_id == b_span.span_id
-        # ... while forwarded() preserves the context it arrived with.
+        # ... while a relay that carries the context it arrived with keeps it.
         assert relayed.parent_span_id == root.span_id
         assert spans["C", "node.hop"].parent_id == root.span_id
         assert {s.trace_id for s in spans.values()} == {root.trace_id}

@@ -1,7 +1,5 @@
 """Unit tests for the metrics registry and Prometheus rendering."""
 
-import json
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -32,14 +30,6 @@ class TestCounterGauge:
         reg = MetricsRegistry()
         reg.counter("m", labels={"a": 1, "b": 2}).inc()
         assert reg.counter("m", labels={"b": 2, "a": 1}).value == 1
-
-    def test_gauge_moves_both_ways(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(10)
-        g.dec(3)
-        g.inc()
-        assert g.value == 8
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
@@ -86,16 +76,6 @@ class TestHistogram:
 
 
 class TestExport:
-    def test_snapshot_is_json_safe(self):
-        reg = MetricsRegistry()
-        reg.counter("c", help="a counter", labels={"k": "v"}).inc()
-        reg.gauge("g").set(2)
-        reg.histogram("h", buckets=(1, 10)).observe(5)
-        snap = reg.snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-        assert snap["c"]["values"]["k=v"] == 1
-        assert snap["h"]["values"][""]["count"] == 1
-
     def test_render_prometheus(self):
         reg = MetricsRegistry()
         reg.counter("repro_msgs_total", help="messages", labels={"kind": "x"}).inc(3)
@@ -112,7 +92,6 @@ class TestExport:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
-        assert MetricsRegistry().snapshot() == {}
 
 
 class TestExpositionHardening:

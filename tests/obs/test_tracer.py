@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.obs import NOOP_TRACER, NoopTracer, Tracer
-from repro.obs.tracer import DEFAULT_ORPHAN_BUFFER
 
 
 class _FakeClock:
@@ -90,16 +89,6 @@ class TestTracer:
         assert span.end is not None
         assert tracer.current_span is None
 
-    def test_reset_clears_everything(self):
-        tracer = Tracer()
-        with tracer.span("s"):
-            pass
-        tracer.reset()
-        assert tracer.finished_spans() == []
-        with tracer.span("t"):
-            pass
-        assert [s.name for s in tracer.finished_spans()] == ["t"]
-
     def test_root_spans(self):
         tracer = Tracer()
         with tracer.span("r1"):
@@ -107,7 +96,7 @@ class TestTracer:
                 pass
         with tracer.span("r2"):
             pass
-        assert [s.name for s in tracer.root_spans()] == ["r1", "r2"]
+        assert [s.name for s in tracer.finished_spans() if s.parent_id is None] == ["r1", "r2"]
 
     def test_thread_local_span_stacks(self):
         tracer = Tracer()
@@ -135,11 +124,7 @@ class TestNoopTracer:
         with tracer.span("x", {"a": 1}) as span:
             span.set_attribute("k", "v")
             span.set_attributes({"m": 2})
-            span.add_event("e")
-            tracer.add_event("e2")
         assert tracer.finished_spans() == []
-        assert tracer.root_spans() == []
-        tracer.reset()  # must not raise
 
     def test_shared_context_manager_is_reentrant(self):
         tracer = NoopTracer()
@@ -150,15 +135,6 @@ class TestNoopTracer:
 
 
 class TestOrphanEvents:
-    def test_event_without_open_span_buffers(self):
-        tracer = Tracer(orphan_capacity=2)
-        tracer.add_event("lost.one", {"i": 1})
-        tracer.add_event("lost.two", {"i": 2})
-        tracer.add_event("lost.three", {"i": 3})
-        names = [e.name for e in tracer.orphan_events()]
-        assert names == ["lost.two", "lost.three"]  # oldest dropped
-        assert tracer.orphan_events_total == 3
-
     def test_orphan_metric_increments(self):
         # The count /metrics reads as repro_obs_orphan_events_total.
         tracer = Tracer()
@@ -167,10 +143,3 @@ class TestOrphanEvents:
             tracer.add_event("not.orphan")
         assert tracer.orphan_events_total == 1
         assert NOOP_TRACER.orphan_events_total == 0
-
-    def test_orphan_capacity_bounds_the_buffer(self):
-        assert Tracer()._orphans.maxlen == DEFAULT_ORPHAN_BUFFER == 256
-        tracer = Tracer(orphan_capacity=1)
-        tracer.add_event("a")
-        tracer.add_event("b")
-        assert [e.name for e in tracer.orphan_events()] == ["b"]

@@ -29,6 +29,7 @@ from repro.obs import (
 from repro.smc.base import SmcContext
 from repro.smc.intersection import secure_set_intersection
 from repro.workloads import paper_table1_rows
+from tests.metrics_probe import family_names, metric_values
 
 CRITERION = "(C1 > 30 or protocl = 'TCP') and Tid = 'T1100267'"
 
@@ -56,7 +57,9 @@ class TestAuditedQueryTrace:
         cost = service.last_query_cost
         assert cost is not None
 
-        roots = [s for s in tracer.root_spans() if s.name == "audit.query"]
+        roots = [
+            s for s in tracer.finished_spans() if s.parent_id is None and s.name == "audit.query"
+        ]
         assert len(roots) == 1
         root = roots[0]
         assert root.attributes["messages"] == cost.messages
@@ -87,7 +90,9 @@ class TestAuditedQueryTrace:
         ]
         assert ledger_entries > 0
         assert len(leakage_events) == ledger_entries
-        root = next(s for s in tracer.root_spans() if s.name == "audit.query")
+        root = next(
+            s for s in tracer.finished_spans() if s.parent_id is None and s.name == "audit.query"
+        )
         assert root.attributes["leakage_events"] == ledger_entries
         # Event attributes mirror the ledger entries one-to-one.
         recorded = {
@@ -127,17 +132,15 @@ class TestAuditedQueryTrace:
         service = _traced_service(tracer=Tracer())
         service.audited_query(CRITERION)
         metrics = collect(service)
-        snap = metrics.snapshot()
-        assert "repro_net_messages_total" in snap
-        assert "repro_net_message_size_bytes" in snap
-        assert "repro_crypto_ops_total" in snap
-        assert "repro_crypto_modexp_batch_size" in snap
+        families = family_names(metrics)
+        assert "repro_net_messages_total" in families
+        assert "repro_net_message_size_bytes" in families
+        assert "repro_crypto_ops_total" in families
+        assert "repro_crypto_modexp_batch_size" in families
         text = metrics.render_prometheus()
         assert "repro_net_messages_total{" in text
         # Message totals in the registry match the cost report.
-        total_msgs = sum(
-            v for v in snap["repro_net_messages_total"]["values"].values()
-        )
+        total_msgs = sum(metric_values(metrics, "repro_net_messages_total").values())
         assert total_msgs == service.last_query_cost.messages
 
 
@@ -223,7 +226,7 @@ class TestNoopIdentity:
             # context; those fields are the only bytes tracing may add.
             context = sum(
                 len(f',"tid":{json.dumps(m.trace_id)},"psp":{m.parent_span_id}')
-                for m in net.delivery_log
+                for m in net._delivered_log
                 if m.trace_id is not None
             )
             return (

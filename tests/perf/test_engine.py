@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, ParameterError
+from repro.perf import engine as engine_module
 from repro.perf.engine import (
     ENGINE_ENV_VAR,
     AutoEngine,
@@ -10,7 +11,6 @@ from repro.perf.engine import (
     SerialEngine,
     get_default_engine,
     resolve_engine,
-    set_default_engine,
 )
 
 P = (1 << 89) - 1  # Mersenne prime, handy fixed modulus
@@ -25,9 +25,9 @@ def pool_engine():
 
 
 @pytest.fixture(autouse=True)
-def _restore_default_engine():
-    yield
-    set_default_engine(None)
+def _fresh_default_engine(monkeypatch):
+    """Each test builds the process-wide default from its own environment."""
+    monkeypatch.setattr(engine_module, "_default_engine", None)
 
 
 class TestSerialEngine:
@@ -163,21 +163,14 @@ class TestResolution:
 
     def test_env_var_drives_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "serial")
-        set_default_engine(None)
         assert isinstance(get_default_engine(), SerialEngine)
         assert isinstance(resolve_engine(None), SerialEngine)
 
     def test_bad_env_var_rejected(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "quantum")
         with pytest.raises(ConfigurationError):
-            set_default_engine(None)  # forces a re-read of the env var
+            get_default_engine()
 
     def test_default_is_auto_without_env(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        set_default_engine(None)
         assert isinstance(get_default_engine(), AutoEngine)
-
-    def test_set_default_engine(self):
-        engine = SerialEngine()
-        assert set_default_engine(engine) is engine
-        assert get_default_engine() is engine

@@ -24,6 +24,14 @@ _CREDS = [_CA.enroll(f"prop-node-{i}") for i in range(6)]
 SLOW = settings(max_examples=15, deadline=None)
 
 
+def _valid(authority, ticket, required=None) -> bool:
+    try:
+        authority.verify(ticket, required)
+    except TicketError:
+        return False
+    return True
+
+
 class TestEvidenceChainProperties:
     @SLOW
     @given(
@@ -41,7 +49,7 @@ class TestEvidenceChainProperties:
             )
             chain.append(piece)
         chain.verify_all()
-        assert len(chain.members) == length + 1
+        assert len(chain.pieces) == length
 
     @SLOW
     @given(
@@ -86,7 +94,7 @@ class TestTicketProperties:
         ticket = authority.issue(principal, ops, lifetime)
         authority.tick(ticks)
         should_be_valid = lifetime is None or ticks <= lifetime
-        assert authority.is_valid(ticket) == should_be_valid
+        assert _valid(authority, ticket) == should_be_valid
 
     @SLOW
     @given(
@@ -96,4 +104,4 @@ class TestTicketProperties:
     def test_operation_gating(self, ops, required):
         authority = TicketAuthority(b"prop-ticket-master-secret-32b!!!")
         ticket = authority.issue("u", ops)
-        assert authority.is_valid(ticket, required) == (required in ops)
+        assert _valid(authority, ticket, required) == (required in ops)

@@ -58,7 +58,7 @@ class StandingScopeMachine(RuleBasedStateMachine):
         self.service.close()
 
     def _check_epoch(self) -> None:
-        epoch = self.service.standing.snapshot()["epoch"]
+        epoch = self.service.standing.epoch
         for criterion, query in self.queries.items():
             delta = query.last_delta
             assert delta.epoch == epoch

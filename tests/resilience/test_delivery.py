@@ -50,16 +50,6 @@ class TestDedupWindow:
         assert window.seen(link, "a") is True
         assert window.seen(link, "b") is False
 
-    def test_forget_link_and_clear(self):
-        window = DedupWindow()
-        window.seen(("P0", "P1"), "x")
-        window.seen(("P2", "P1"), "y")
-        assert len(window) == 2
-        window.forget_link(("P0", "P1"))
-        assert len(window) == 1
-        window.clear()
-        assert len(window) == 0
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             DedupWindow(capacity=0)

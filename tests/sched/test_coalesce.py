@@ -79,7 +79,7 @@ def test_failed_holder_does_not_poison_joiners(service, monkeypatch):
     assert second.glsns == third.glsns == build_service(rows=12).query(CRITERION).glsns
     assert calls[0] == 2
     assert [h.coalesced for h in handles] == [False, False, True]
-    assert len(service.scheduler._query_cache) == 1
+    assert service.scheduler._query_cache.stats.entries == 1
 
 
 def test_kill_switch_bypasses_sharing(service, monkeypatch):
@@ -94,11 +94,11 @@ def test_kill_switch_bypasses_sharing(service, monkeypatch):
 
 
 def test_a_coalesced_query_is_observed_with_its_one_disclosure(service):
-    before = service.observatory.query_count()
+    before = service.observatory.report()["queries"]
     first, second = service.submit("C3 = 'bank'"), service.submit("C3 = 'bank'")
     results = service.gather([first, second])
     assert second.coalesced and results[1].glsns == results[0].glsns
-    assert service.observatory.query_count() == before + 2
+    assert service.observatory.report()["queries"] == before + 2
     recent = service.observatory.report()["recent"]
     assert recent[-1]["leakage_events"] == len(second.leakage) == 1
     assert recent[-1]["matches"] == len(results[1].glsns)

@@ -93,7 +93,8 @@ def test_no_pool_or_reader_threads_and_close_leaves_no_loop_thread():
         service.gather([service.submit(c) for c in CRITERIA * 2])
         service.query_many(CRITERIA)
         cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
-        cluster["B"].send(cluster["B"].receive(timeout=5.0).reply("pong", 2))
+        ping = cluster["B"].receive(timeout=5.0)
+        cluster["B"].send(Message(src=ping.dst, dst=ping.src, kind="pong", payload=2))
         assert cluster["A"].receive(timeout=5.0).payload == 2
         assert thread_names(POOL_THREADS, before) == []
         # One worker for the scheduler, one loop for the whole mesh.

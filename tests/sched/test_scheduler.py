@@ -15,7 +15,8 @@ from repro.errors import (
 )
 from repro.obs.metrics import collect
 from repro.sched import QueryScheduler
-from tests.sched.conftest import CRITERIA, build_service
+from tests.metrics_probe import family_names, metric_value, metric_values
+from tests.sched.conftest import CRITERIA, build_service, running
 
 
 def assert_same_result(serial, concurrent):
@@ -46,7 +47,7 @@ class TestEquivalenceWithSerial:
     def test_coalescing_off_still_matches_serial(self, twin_services):
         serial_svc, conc_svc = twin_services
         expected = [serial_svc.query(c) for c in CRITERIA]
-        with QueryScheduler(conc_svc, coalesce=False) as sched:
+        with running(QueryScheduler(conc_svc, coalesce=False)) as sched:
             got = sched.gather([sched.submit(c) for c in CRITERIA])
         for s, c in zip(expected, got):
             assert_same_result(s, c)
@@ -105,7 +106,7 @@ class TestCoalescing:
         try:
             # Distinct criteria sharing one expensive scmp cross predicate.
             pair = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 400"]
-            with QueryScheduler(service) as sched:
+            with running(QueryScheduler(service)) as sched:
                 results = sched.gather([sched.submit(c) for c in pair])
             twin = build_service()
             for criterion, result in zip(pair, results):
@@ -275,20 +276,20 @@ class TestConfig:
         service = build_service(rows=2)
         try:
             assert service.coalesce is False
-            with QueryScheduler(service) as sched:
+            with running(QueryScheduler(service)) as sched:
                 assert sched.coalesce is False
             # An explicit argument beats the variable.
-            with QueryScheduler(service, coalesce=True) as sched:
+            with running(QueryScheduler(service, coalesce=True)) as sched:
                 assert sched.coalesce is True
         finally:
             service.close()
         # The variable is read once, by the service: a scheduler built after
         # it changed follows the service it runs on.
-        with QueryScheduler(config_service) as sched:
+        with running(QueryScheduler(config_service)) as sched:
             assert sched.coalesce is True
 
     def test_env_defaults(self, config_service):
-        with QueryScheduler(config_service) as sched:
+        with running(QueryScheduler(config_service)) as sched:
             assert sched.coalesce is True
 
     @pytest.mark.parametrize("value", ["of", "maybe", "offf"])
@@ -305,7 +306,7 @@ class TestConfig:
                 [service.submit(c) for c in CRITERIA]
             )
             registry = collect(service)
-            snapshot = registry.snapshot()
+            families = family_names(registry)
             for name in (
                 "repro_sched_submitted_total",
                 "repro_sched_completed_total",
@@ -314,13 +315,13 @@ class TestConfig:
                 "repro_sched_in_flight",
                 "repro_sched_admission_wait_seconds",
             ):
-                assert name in snapshot, name
+                assert name in families, name
             # Nothing can join a query in flight, so there is no joins family.
-            assert "repro_sched_coalesce_hits_total" not in snapshot
-            assert registry.value("repro_sched_submitted_total") == len(CRITERIA)
-            assert registry.value("repro_sched_completed_total") == len(CRITERIA)
-            assert registry.value("repro_sched_in_flight") == 0
-            wait = snapshot["repro_sched_admission_wait_seconds"]["values"][""]
+            assert "repro_sched_coalesce_hits_total" not in families
+            assert metric_value(registry, "repro_sched_submitted_total") == len(CRITERIA)
+            assert metric_value(registry, "repro_sched_completed_total") == len(CRITERIA)
+            assert metric_value(registry, "repro_sched_in_flight") == 0
+            wait = metric_values(registry, "repro_sched_admission_wait_seconds")[""]
             assert wait["count"] == len(CRITERIA)
         finally:
             service.shutdown_scheduler()

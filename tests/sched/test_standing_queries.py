@@ -64,7 +64,7 @@ class TestDeltaEquivalence:
         service.append_stream(rows, ticket, batch_size=4)
         assert deltas == []
         # The registry still evaluated: empty deltas exist, none pushed.
-        assert service.standing.snapshot()["epoch"] > 0
+        assert service.standing.epoch > 0
 
     def test_delete_reported_as_removed(self, service):
         from repro.crypto.tickets import Operation
@@ -89,6 +89,19 @@ class TestDeltaEquivalence:
         service.standing.unregister(query.query_id)
         service.append_stream(ingest_rows(), ticket, batch_size=4)
         assert deltas == []
+
+    def test_poll_after_unregister_answers_only_the_remaining_query(self, service):
+        ticket = service.register_user("writer")
+        kept = service.register_standing_query(CRITERION)
+        dropped = service.register_standing_query("id == 'U2'")
+        service.standing.unregister(dropped.query_id)
+        service.standing.unregister(10**6)  # an unknown id is a no-op
+        for row in ingest_rows():
+            service.log_event(row, ticket)
+        (delta,) = service.poll_standing()
+        assert delta.query_id == kept.query_id
+        assert set(delta.added) == set(service.query(CRITERION).glsns) != set()
+        assert dropped.epochs == 0
 
 
 class TestLeakageAccounting:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.obs import Tracer
 from repro.sched import QueryScheduler
-from tests.sched.conftest import build_service
+from tests.sched.conftest import build_service, running
 
 CRITERIA = [
     "C1 > 30 and C3 = 'bank'",
@@ -27,7 +27,7 @@ class TestConcurrentTraceReconciliation:
     def test_every_trace_sums_to_its_cost_report(self):
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        with QueryScheduler(service, coalesce=False) as sched:
+        with running(QueryScheduler(service, coalesce=False)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)

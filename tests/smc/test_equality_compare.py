@@ -57,7 +57,7 @@ class TestSecureEquality:
 
     def test_ttp_learns_only_verdict(self, ctx):
         secure_equality(ctx, ("A", "x"), ("B", "x"))
-        ttp_events = ctx.leakage.by_observer("ttp")
+        ttp_events = [e for e in ctx.leakage.events if e.observer in ("ttp", "*")]
         assert {e.category for e in ttp_events} == {"equality_verdict"}
 
     def test_message_cost_constant(self, ctx):
@@ -149,7 +149,7 @@ class TestSecureRanking:
 
     def test_leakage_records_ttp_order_statistics(self, ctx):
         secure_ranking(ctx, {"A": 1, "B": 2, "C": 3})
-        cats = {e.category for e in ctx.leakage.by_observer("ttp")}
+        cats = {e.category for e in [e for e in ctx.leakage.events if e.observer in ("ttp", "*")]}
         assert cats == {"order_statistics", "scaled_gap"}
 
     def test_message_cost_linear(self, ctx):

@@ -49,7 +49,7 @@ class TestUnion:
             secure_set_union(ctx, {"A": [1], "B": [2]}, collector="nobody", net=net)
         assert ctx.crypto_ops.snapshot() == {}
         assert ctx.leakage.events == []
-        assert net.stats.messages == 0 and net.node_ids == []
+        assert net.stats.messages == 0 and not net._handlers
 
     def test_large_values_rejected_by_encoding(self, ctx):
         """Reversible encoding caps values at p//4."""
@@ -63,7 +63,7 @@ class TestUnion:
         net = SimNetwork()
         net.keep_delivery_log = True
         secure_set_union(ctx, {"A": list(range(16)), "B": [99]}, net=net)
-        relays = [m for m in net.delivery_log if m.kind == "ssu.relay"]
+        relays = [m for m in net._delivered_log if m.kind == "ssu.relay"]
         assert relays, "expected relay traffic"
 
     def test_result_cardinality_leak_recorded(self, ctx):

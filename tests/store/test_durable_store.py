@@ -1,5 +1,7 @@
 """Durable cluster store: journaling, checkpoints, compaction, config."""
 
+from contextlib import closing
+
 import pytest
 
 from repro.core import ConfidentialAuditingService
@@ -160,12 +162,14 @@ class TestLifecycle:
     def test_close_idempotent_and_context_manager(
         self, table1_plan, ticket_authority, acc_params, fast_config, tmp_path
     ):
-        with DurableDistributedLogStore(
-            table1_plan,
-            ticket_authority,
-            acc_params,
-            tmp_path,
-            config=fast_config,
+        with closing(
+            DurableDistributedLogStore(
+                table1_plan,
+                ticket_authority,
+                acc_params,
+                tmp_path,
+                config=fast_config,
+            )
         ) as store:
             pass
         store.close()  # second close is a no-op

@@ -4,6 +4,7 @@ import pytest
 
 from repro.audit.parser import parse_criterion
 from repro.audit.planner import plan_query
+from repro.logstore import Attribute, AttributeKind, GlobalSchema, round_robin_plan
 from repro.workloads import (
     ORDER_TYPE,
     EcommerceWorkload,
@@ -102,38 +103,21 @@ class TestLibrary:
         assert all(r["C1"] == 0 for r in rows if r["C3"] != "search")
 
 
+def _schema(defined: int, undefined: int) -> GlobalSchema:
+    """``defined`` typed attributes (int, text, int, ...) and ``undefined``
+    opaque ones."""
+    kinds = [AttributeKind.INTEGER, AttributeKind.TEXT]
+    return GlobalSchema(
+        [Attribute(f"a{i}", kinds[i % 2]) for i in range(defined)]
+        + [Attribute(f"C{i + 1}", AttributeKind.UNDEFINED) for i in range(undefined)]
+    )
+
+
 class TestGenerator:
-    def test_schema_shape(self):
-        schema = WorkloadGenerator().schema(defined=3, undefined=5)
-        assert len(schema) == 8
-        assert len(schema.undefined_names) == 5
-
-    def test_plan_covers_all_nodes(self):
-        generator = WorkloadGenerator()
-        schema = generator.schema(4, 4)
-        plan = generator.plan(schema, nodes=4)
-        assert len(plan.node_ids) == 4
-        assert all(plan.assignment[n] for n in plan.node_ids)
-
-    def test_rows_respect_schema(self):
-        generator = WorkloadGenerator()
-        schema = generator.schema(4, 4)
-        for row in generator.rows(schema, 20):
-            schema.validate_values(row)
-
-    def test_sparsity(self):
-        generator = WorkloadGenerator()
-        schema = generator.schema(4, 4)
-        dense = generator.rows(schema, 50, sparsity=0.0)
-        sparse = generator.rows(schema, 50, sparsity=0.5)
-        dense_cells = sum(len(r) for r in dense)
-        sparse_cells = sum(len(r) for r in sparse)
-        assert sparse_cells < dense_cells
-
     def test_criteria_parse_and_plan(self):
         generator = WorkloadGenerator()
-        schema = generator.schema(4, 4)
-        plan = generator.plan(schema, 4)
+        schema = _schema(4, 4)
+        plan = round_robin_plan(schema, ["P0", "P1", "P2", "P3"])
         for _ in range(10):
             criterion = generator.criterion_mix(schema, plan, clauses=3)
             parse_criterion(criterion, schema)
@@ -141,8 +125,8 @@ class TestGenerator:
 
     def test_cross_criterion_really_crosses(self):
         generator = WorkloadGenerator()
-        schema = generator.schema(6, 6)
-        plan = generator.plan(schema, 4)
+        schema = _schema(6, 6)
+        plan = round_robin_plan(schema, ["P0", "P1", "P2", "P3"])
         criterion = generator.cross_criterion(schema, plan)
         qplan = plan_query(criterion, schema, plan)
         assert qplan.t == 1
