@@ -33,8 +33,9 @@ leakage accounting cover the entire query.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import compress, repeat
 
 from repro.audit.ast_nodes import AttributeRef, Constant, Predicate
 from repro.audit.planner import QueryPlan, plan_query
@@ -98,9 +99,19 @@ class _Column:
     fails on any other way (an integer beyond the float range) is in
     neither but in ``rest``: :func:`_apply_op` judges it, or raises on it,
     as a row scan would.
+
+    Two derived views are built on first use, so a column only an
+    aggregate reads never sorts and one only a predicate reads never
+    scales: both typed halves sorted by value (:meth:`match_constant`
+    bisects them) and every row's fixed-point integer (:meth:`scaled`).
+    A column built with ``sort=False`` — read by one predicate and
+    dropped — is matched row by row instead: one pass is cheaper than a
+    sort it would use once.
     """
 
-    def __init__(self, fragments, attribute: str) -> None:
+    def __init__(self, fragments, attribute: str, sort: bool = True) -> None:
+        self.attribute = attribute
+        self.sort = sort
         self.raw = {
             frag.glsn: frag.values[attribute]
             for frag in fragments
@@ -116,22 +127,49 @@ class _Column:
                 self.texts[glsn] = str(value)
             except ArithmeticError:
                 self.rest.append(glsn)
+        self._sorted = None
+        self._scaled = None
 
     def __iter__(self):
         return iter(self.raw.items())
 
+    def _sorted_halves(self):
+        """``((keys, glsns), (keys, glsns))`` of ``nums`` and ``texts``,
+        each ascending by value; NaN rows, which no order holds, are left
+        out (:meth:`match_constant` never asks them by order)."""
+        halves = self._sorted
+        if halves is None:
+            halves = self._sorted = (
+                _by_value({g: v for g, v in self.nums.items() if v == v}),
+                _by_value(self.texts),
+            )
+        return halves
+
     def match_constant(self, op: str, constant) -> set[int]:
-        """Glsns whose value satisfies ``value ⊙ constant``."""
+        """Glsns whose value satisfies ``value ⊙ constant``.
+
+        ``<``, ``<=``, ``>``, ``>=`` and ``=`` are bisections of the
+        sorted halves: the cost is the matches, not the column.  ``!=``
+        and the rows the halves cannot hold go row by row.
+        """
         compare = _COMPARE[op]
         text = str(constant)
-        out = {glsn for glsn, value in self.texts.items() if compare(value, text)}
+        by_bisection = self.sort and op != "!="
+        if by_bisection:
+            nums, texts = self._sorted_halves()
+            out = set(_bisected(op, *texts, text))
+        else:
+            out = {glsn for glsn, value in self.texts.items() if compare(value, text)}
         try:
             number = float(constant)
         except (TypeError, ValueError, ArithmeticError):
             # No float to hold the numeric rows against: they go by the row rule.
             untyped = [*self.nums, *self.rest]
         else:
-            out |= {g for g, value in self.nums.items() if compare(value, number)}
+            if not by_bisection:
+                out |= {g for g, value in self.nums.items() if compare(value, number)}
+            elif number == number:  # NaN satisfies no ordered operator
+                out.update(_bisected(op, *nums, number))
             untyped = self.rest
         out.update(g for g in untyped if _apply_op(op, self.raw[g], constant))
         return out
@@ -147,6 +185,82 @@ class _Column:
         )
         return out
 
+    def rows(self, matching: set[int] | None) -> list[int]:
+        """This column's glsns, only those in ``matching`` when it is given
+        (then in no particular order, at the cost of ``matching``)."""
+        if matching is None:
+            return list(self.raw)
+        return list(filter(self.raw.__contains__, matching))
+
+    def scaled(self, rows: list[int], node_id: str) -> tuple[list[int], bool]:
+        """The fixed-point integers of ``rows`` (glsns of this column) and
+        whether every one of their stored values is an ``int``.
+
+        A value that is not a finite number is the query's fault, not a
+        bug: the first of ``rows`` in glsn order that :func:`_scaled_int`
+        fails on fails the aggregate, with a typed error before any round
+        is run (a negative one with that function's own error).
+        """
+        if self._scaled is None:
+            self._scaled = _scale_all(self.raw)
+        table, failed, non_int = self._scaled
+        wanted = set(rows) if failed or non_int else ()
+        for glsn in filter(wanted.__contains__, failed):
+            try:
+                _scaled_int(self.raw[glsn])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise AuditError(
+                    f"aggregate over {self.attribute!r} needs numeric values, but "
+                    f"{node_id} holds a non-numeric one"
+                ) from exc
+        all_int = wanted.isdisjoint(non_int) if non_int else True
+        return list(map(table.__getitem__, rows)), all_int
+
+
+def _by_value(column: dict) -> tuple[list, list[int]]:
+    """``column``'s values ascending and the glsns in that order."""
+    glsns = sorted(column, key=column.__getitem__)
+    return list(map(column.__getitem__, glsns)), glsns
+
+
+def _bisected(op: str, keys: list, glsns: list[int], key) -> list[int]:
+    """The glsns of the sorted ``keys`` that satisfy ``value ⊙ key`` for
+    an ordered ``op`` (``=`` included)."""
+    if op == "<":
+        return glsns[: bisect_left(keys, key)]
+    if op == "<=":
+        return glsns[: bisect_right(keys, key)]
+    if op == ">":
+        return glsns[bisect_right(keys, key):]
+    if op == ">=":
+        return glsns[bisect_left(keys, key):]
+    return glsns[bisect_left(keys, key) : bisect_right(keys, key)]
+
+
+def _scale_all(raw: dict) -> tuple[dict[int, int], list[int], list[int]]:
+    """Every row of ``raw`` through :func:`_scaled_int`: the glsn ->
+    integer table, the glsns it raised on and the glsns whose value is
+    not an ``int``, both in glsn order."""
+    values = list(raw.values())
+    is_int = map(isinstance, values, repeat(int))
+    non_int = list(compress(raw, map(operator.not_, is_int)))
+    try:
+        # One pass of C calls; a row it cannot take, or a negative one,
+        # sends the column through the row loop below to find which.
+        scaled = map(operator.mul, map(float, values), repeat(_NUMERIC_SCALE))
+        ints = list(map(round, scaled))
+        if not ints or min(ints) >= 0:
+            return dict(zip(raw, ints)), [], non_int
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    table, failed = {}, []
+    for glsn, value in raw.items():
+        try:
+            table[glsn] = _scaled_int(value)
+        except (TypeError, ValueError, ArithmeticError, AuditError):
+            failed.append(glsn)
+    return table, failed, non_int
+
 
 def _scaled_int(value) -> int:
     """Fixed-point integer encoding for blind-TTP order comparison."""
@@ -159,24 +273,9 @@ def _scaled_int(value) -> int:
     return scaled
 
 
-def _scaled_values(attribute: str, node_id: str, values) -> list[int]:
-    """Fixed-point encodings of one owner's aggregate inputs.
-
-    A value that is not a finite number is the query's fault, not a bug:
-    it fails the aggregate with a typed error before any round is run.
-    """
-    try:
-        return [_scaled_int(value) for value in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AuditError(
-            f"aggregate over {attribute!r} needs numeric values, but "
-            f"{node_id} holds a non-numeric one"
-        ) from exc
-
-
-def _unscaled(scaled: int, samples) -> object:
+def _unscaled(scaled: int, all_int: bool) -> object:
     """A fixed-point aggregate in the samples' terms: ``int`` if all of them are."""
-    if all(map(isinstance, samples, repeat(int))):
+    if all_int:
         return scaled // _NUMERIC_SCALE
     return scaled / _NUMERIC_SCALE
 
@@ -372,19 +471,13 @@ class QueryExecutor:
             matching = None
 
         owners = self.plan.owners_of(attribute)
-        partials: dict[str, list] = {}
-        for owner in owners:
-            partials[owner] = [
-                value
-                for glsn, value in self._projection(owner, attribute)
-                if matching is None or glsn in matching
-            ]
+        columns = {owner: self._projection(owner, attribute) for owner in owners}
+        rows = {owner: column.rows(matching) for owner, column in columns.items()}
 
-        matched = sum(len(v) for v in partials.values())
+        matched = sum(map(len, rows.values()))
         if op == "count":
-            counts = {owner: len(vals) for owner, vals in partials.items()}
-            if len(counts) == 1:
-                total = next(iter(counts.values()))
+            if len(owners) == 1:
+                total = matched
             else:
                 # Replicated owners would double-count shared glsns under a
                 # plain secure sum; the secure union of presence sets yields
@@ -401,26 +494,29 @@ class QueryExecutor:
             return AggregateResult(op=op, attribute=attribute, value=total, matched=matched)
 
         if op == "sum":
-            scaled = {
-                owner: sum(_scaled_values(attribute, owner, vals))
-                for owner, vals in partials.items()
-            }
+            scaled, all_int = {}, True
+            for owner, column in columns.items():
+                ints, owner_int = column.scaled(rows[owner], owner)
+                scaled[owner] = sum(ints)
+                all_int = all_int and owner_int
             if len(scaled) == 1:
                 total_scaled = next(iter(scaled.values()))
             else:
                 total_scaled = secure_sum(
                     self.ctx, scaled, net=net, deadline=deadline
                 ).any_value
-            value = _unscaled(total_scaled, chain.from_iterable(partials.values()))
+            value = _unscaled(total_scaled, all_int)
             return AggregateResult(op=op, attribute=attribute, value=value, matched=matched)
 
         # max / min: find the holder via secure ranking, then only the
         # holder reveals its partial extreme (that value IS the result).
-        extremes = {}
-        for owner, vals in partials.items():
-            if vals:
-                fn = max if op == "max" else min
-                extremes[owner] = fn(_scaled_values(attribute, owner, vals))
+        extremes, all_int = {}, True
+        fn = max if op == "max" else min
+        for owner, column in columns.items():
+            if rows[owner]:
+                ints, owner_int = column.scaled(rows[owner], owner)
+                extremes[owner] = fn(ints)
+                all_int = all_int and owner_int
         if not extremes:
             return AggregateResult(op=op, attribute=attribute, value=None, matched=0)
         if len(extremes) == 1:
@@ -438,7 +534,7 @@ class QueryExecutor:
             key = "argmax" if op == "max" else "argmin"
             holder = ranking.any_value[key]
             scaled_value = extremes[holder]
-        raw = _unscaled(scaled_value, chain.from_iterable(partials.values()))
+        raw = _unscaled(scaled_value, all_int)
         return AggregateResult(
             op=op, attribute=attribute, value=raw, matched=matched, holder=holder
         )
@@ -490,22 +586,21 @@ class QueryExecutor:
                 "group_membership",
                 f"measure owner sees {len(groups)} blinded-label glsn groups",
             )
-        measure_pairs = self._projection(measure_node, measure)
+        measure_column = self._projection(measure_node, measure)
 
         out: dict[object, AggregateResult] = {}
         for value, glsns in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             if len(glsns) < min_group_size:
                 continue  # suppressed: the label is never unblinded
-            members = set(glsns)
-            samples = [v for glsn, v in measure_pairs if glsn in members]
+            samples = measure_column.rows(set(glsns))
             if op == "count":
                 result: object = len(samples)
             elif not samples:
                 result = None
             else:
                 fold = {"sum": sum, "max": max, "min": min}[op]
-                scaled = _scaled_values(measure, measure_node, samples)
-                result = _unscaled(fold(scaled), samples)
+                scaled, all_int = measure_column.scaled(samples, measure_node)
+                result = _unscaled(fold(scaled), all_int)
             out[value] = AggregateResult(
                 op=op, attribute=measure, value=result, matched=len(samples)
             )
@@ -628,7 +723,7 @@ class QueryExecutor:
         """
         store = self.store.node_store(node_id)
         if floor is not None:
-            return _Column(store.fragments_from(floor), attribute)
+            return _Column(store.fragments_from(floor), attribute, sort=False)
         return self._projection_cache.get_or_compute(
             (node_id, attribute),
             lambda: _Column(store.scan(), attribute),

@@ -21,7 +21,8 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import is_
 
 from repro.audit.executor import AggregateResult, QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
@@ -74,6 +75,55 @@ class AuditReport:
 
     def body_bytes(self) -> bytes:
         return self.digest.encode("ascii")
+
+
+_NO_NAMES = frozenset()
+
+
+class _Signatures:
+    """Per glsn, the union of the attribute names its fragments carry.
+
+    That union is all eq. 10 reads of a record, and many records share
+    one, so each distinct union is kept once (interned).  A glsn's union
+    is read off the nodes' fragments the first time a query matches it
+    and kept while it cannot change: while no node's
+    :attr:`~repro.logstore.store.FragmentStore.rewrites` moves and, for a
+    glsn every node has passed (below each node's watermark), no later
+    append can add a fragment to it.  Any rewrite (a delete, an eviction,
+    a tamper, a put below a watermark) drops them all.  A node that lost a
+    glsn's fragment contributes no names to it.
+    """
+
+    def __init__(self, store: DistributedLogStore) -> None:
+        self._store = store
+        self._lock = threading.Lock()
+        self._rewrites: list[int] | None = None
+        self._names: dict[int, frozenset] = {}
+        self._interned: dict[frozenset, frozenset] = {}
+
+    def of(self, glsns: list[int]) -> list[frozenset]:
+        """The interned attribute-name set of each of ``glsns``."""
+        nodes = list(self._store.stores.values())
+        with self._lock:
+            # Read before the fragments: a write racing the read below
+            # leaves these behind it, so the next call sees it.
+            rewrites = [node.rewrites for node in nodes]
+            settled = min(node.watermark for node in nodes)
+            if rewrites != self._rewrites:
+                self._rewrites, self._names, self._interned = rewrites, {}, {}
+            found = list(map(self._names.get, glsns))
+            if None not in found:
+                return found
+            missing = list(compress(glsns, map(is_, found, repeat(None))))
+            # ``frozenset.union`` takes each node's values dict as its keys.
+            held = [node.held_values(missing) for node in nodes]
+            unions = list(map(_NO_NAMES.union, *held))
+            interned = map(self._interned.setdefault, unions, unions)
+            fresh = dict(zip(missing, interned))
+            self._names.update(
+                (glsn, names) for glsn, names in fresh.items() if glsn < settled
+            )
+            return list(map(fresh.get, glsns, found))
 
 
 class ConfidentialAuditingService:
@@ -210,6 +260,7 @@ class ConfidentialAuditingService:
                 acc_params(),
                 tracer=self.tracer,
             )
+        self._signatures = _Signatures(self.store)
         #: Standing-query registry, built lazily on first registration.
         self._standing = None
         self._standing_lock = threading.Lock()
@@ -477,11 +528,8 @@ class ConfidentialAuditingService:
 
     def _record_attributes(self, glsns: list[int]) -> list[frozenset]:
         """Per glsn, the attribute names its fragments carry — all eq. 10
-        reads.  A node that lost a glsn's fragment contributes none."""
-        per_node = [
-            node_store.held_values(glsns) for node_store in self.store.stores.values()
-        ]
-        return list(map(frozenset().union, *per_node))
+        reads — as the interned sets :class:`_Signatures` keeps."""
+        return self._signatures.of(glsns)
 
     def observe_query_result(
         self, result: QueryResult, leakage_events: int, tenant: str = "default"

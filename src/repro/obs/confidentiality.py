@@ -6,9 +6,11 @@ only evaluates them statically.  The observatory closes the loop: every
 query the service executes is observed with
 
 * its ``C_auditing`` (from the plan's s/t/q decomposition),
-* the mean ``C_store`` over the records it matched, scored once per
-  distinct attribute set (eq. 10 reads nothing else of a record; no
-  matches means ``C_store = 1`` — nothing about stored values was exposed),
+* the mean ``C_store`` over the records it matched: each record given
+  as its attribute-name set, each distinct set scored once for the
+  observatory's life and weighted by its count (eq. 10 reads nothing else
+  of a record; no matches means ``C_store = 1`` — nothing about stored
+  values was exposed),
 * the :class:`~repro.smc.leakage.LeakageLedger` delta it produced, and
 * the running ``C_DLA`` — the mean ``C_query`` per session *and* per
   tenant, so multi-tenant deployments can watch budgets separately.
@@ -118,6 +120,8 @@ class ConfidentialityObservatory:
         self._lock = threading.Lock()
         self._tenants: dict[str, _TenantLedger] = {}
         self._recent: deque[QueryObservation] = deque(maxlen=_HISTORY)
+        # Bounded by the schema: one entry per distinct attribute set seen.
+        self._scores: dict[frozenset, Fraction] = {}
 
     def observe_query(
         self,
@@ -136,18 +140,20 @@ class ConfidentialityObservatory:
         """
         # Deferred: repro.audit transitively imports repro.obs submodules,
         # so a module-level import here would close a package-init cycle.
-        from repro.audit.confidentiality import (
-            auditing_confidentiality,
-            store_confidentiality,
-        )
+        from repro.audit.confidentiality import auditing_confidentiality
 
         c_aud = auditing_confidentiality(qplan, self.schema, self.plan)
-        signatures = Counter(frozenset(getattr(r, "values", r)) for r in records)
+        try:
+            counted = Counter(records)
+        except TypeError:  # a LogRecord's values dict does not hash
+            counted = Counter(frozenset(getattr(r, "values", r)) for r in records)
+        signatures: Counter = Counter()
+        for key, count in counted.items():
+            signatures[frozenset(getattr(key, "values", key))] += count
         # One score per signature; the exact mean statistics.mean would give
         # over the records (no records: nothing stored was exposed).
         weighted = sum(
-            Fraction(store_confidentiality(names, self.schema, self.plan).value) * count
-            for names, count in signatures.items()
+            self._score(names) * count for names, count in signatures.items()
         )
         c_store = float(weighted / len(records)) if records else 1.0
         c_query = c_aud * c_store
@@ -171,6 +177,17 @@ class ConfidentialityObservatory:
                 ledger.over_budget += 1
             self._recent.append(obs)
         return obs
+
+    def _score(self, names: frozenset) -> Fraction:
+        """Eq. 10 of one attribute set, computed once per set: it reads
+        nothing but the set, the schema and the plan."""
+        score = self._scores.get(names)
+        if score is None:
+            from repro.audit.confidentiality import store_confidentiality
+
+            score = Fraction(store_confidentiality(names, self.schema, self.plan).value)
+            self._scores[names] = score
+        return score
 
     # -- readout -----------------------------------------------------------
 

@@ -99,8 +99,14 @@ class TestLogRecord:
         glsn=st.integers(0, 2**64),
         values=st.dictionaries(
             st.sampled_from(paper_table1_schema().names),
+            # Bounded sizes: unbounded text and bytes make single examples
+            # slow enough to trip Hypothesis' too_slow check on a busy runner.
             st.one_of(
-                st.text(), st.integers(), st.floats(), st.none(), st.binary()
+                st.text(max_size=64),
+                st.integers(),
+                st.floats(),
+                st.none(),
+                st.binary(max_size=64),
             ),
         ),
     )

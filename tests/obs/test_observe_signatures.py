@@ -9,6 +9,8 @@ replaced — ``statistics.mean`` of one ``store_confidentiality`` per
 
 from __future__ import annotations
 
+import sys
+import threading
 from statistics import mean
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from repro.audit.confidentiality import (
 )
 from repro.audit.planner import plan_query
 from repro.core import ConfidentialAuditingService
-from repro.crypto import DeterministicRng
+from repro.crypto import DeterministicRng, Operation
 from repro.logstore import LogRecord, paper_fragment_plan, paper_table1_schema
 from repro.logstore.fragmentation import FragmentPlan
 from repro.obs.confidentiality import ConfidentialityObservatory
@@ -156,3 +158,193 @@ def test_query_after_records_were_evicted_is_bit_equal():
     assert service.observatory.c_dla("default") == _per_record_c_query(
         EVERYTHING, [row for _, row in kept]
     )
+
+
+def test_signatures_follow_every_rewrite_of_the_log():
+    """Each rewrite that changes a record's attribute names — a tamper that
+    adds one, a delete, an eviction on one node, a put below the watermark
+    — and a record some nodes store before others are scored from the log
+    as it is after them, query by query."""
+    rows = _rows(40)
+    service = ConfidentialAuditingService(
+        SCHEMA, PLAN, prime_bits=64, rng=DeterministicRng(b"observe-signatures")
+    )
+    ticket = service.register_user(
+        "writer", {Operation.READ, Operation.WRITE, Operation.DELETE}
+    )
+    receipts = service.store.append_batch(rows, ticket)
+    expected = {receipt.glsn: dict(row) for receipt, row in zip(receipts, rows)}
+    glsns = list(expected)
+
+    def check(tenant: str) -> None:
+        assert service.query(EVERYTHING, tenant=tenant).glsns == sorted(expected)
+        assert service.observatory.c_dla(tenant) == _per_record_c_query(
+            EVERYTHING, list(expected.values())
+        )
+
+    check("before")  # builds the index
+
+    # A tamper on P0 gives a ("Tid", "C1") record an attribute it lacked.
+    target = glsns[0]
+    assert set(expected[target]) == {"Tid", "C1"}
+    service.store.node_store("P0").tamper(target, "Time", 99)
+    expected[target]["Time"] = 99
+    check("tamper")
+
+    service.store.delete_record(glsns[1], ticket)
+    del expected[glsns[1]]
+    check("delete")
+
+    # P1 alone loses the fragment of a record with attributes there.
+    target = glsns[10]
+    assert {"id", "C2"} <= set(expected[target])
+    service.store.node_store("P1").evict(target)
+    for name in PLAN.assignment["P1"]:
+        expected[target].pop(name, None)
+    check("evict")
+
+    # A record put under a glsn below every stored one.
+    below = min(expected) - 1
+    row = _row(below, SIGNATURES[3])
+    for node_id, fragment in PLAN.fragment(LogRecord(glsn=below, values=row)).items():
+        service.store.node_store(node_id).stage_put([fragment], ticket, [0])()
+    expected[below] = row
+    check("put-below")
+
+    # Appends after all that.
+    more = _rows(9)
+    receipts = service.store.append_batch(more, ticket)
+    expected.update((receipt.glsn, row) for receipt, row in zip(receipts, more))
+    check("append")
+
+    # A record that P2 (which holds Tid) and P3 store before P0 and P1 do,
+    # as a writer mid-batch leaves it: asked in between, and after.
+    top = max(expected) + 1
+    row = _row(top, tuple(SCHEMA.names))
+    fragments = PLAN.fragment(LogRecord(glsn=top, values=row))
+    for node_id in ("P2", "P3"):
+        service.store.node_store(node_id).stage_put([fragments[node_id]], ticket, [0])()
+    expected[top] = {
+        name: value
+        for name, value in row.items()
+        if name in PLAN.assignment["P2"] + PLAN.assignment["P3"]
+    }
+    check("half-written")
+    for node_id in ("P0", "P1"):
+        service.store.node_store(node_id).stage_put([fragments[node_id]], ticket, [0])()
+    expected[top] = row
+    check("written")
+
+
+class _CountingDict(dict):
+    """A node's fragment map that counts every read of it."""
+
+    reads = 0
+
+    def _count(self) -> None:
+        _CountingDict.reads += 1
+
+    def __getitem__(self, key):
+        self._count()
+        return super().__getitem__(key)
+
+    def get(self, *args):
+        self._count()
+        return super().get(*args)
+
+    def __contains__(self, key):
+        self._count()
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self._count()
+        return super().__iter__()
+
+    def __reversed__(self):
+        self._count()
+        return super().__reversed__()
+
+    def keys(self):
+        self._count()
+        return super().keys()
+
+    def values(self):
+        self._count()
+        return super().values()
+
+    def items(self):
+        self._count()
+        return super().items()
+
+
+def test_asking_again_at_one_epoch_reads_no_fragment(monkeypatch):
+    """The second asking of a 1 000-row query builds no signature: it reads
+    no node's fragments at all, and scores the same."""
+    service = _service(_rows(1000))
+    first = service.query(EVERYTHING, tenant="first")
+    assert len(first.glsns) == 1000
+    for node_id in PLAN.node_ids:
+        node = service.store.node_store(node_id)
+        monkeypatch.setattr(node, "_fragments", _CountingDict(node._fragments))
+    monkeypatch.setattr(_CountingDict, "reads", 0)
+    second = service.query(EVERYTHING, tenant="second")
+    assert second.glsns == first.glsns
+    assert _CountingDict.reads == 0
+    assert service.observatory.c_dla("second") == service.observatory.c_dla("first")
+
+
+def test_concurrent_observers_and_writers_leave_every_signature_right():
+    """Queries on two threads (the caller's and the scheduler's) observe
+    while a writer appends and tampers; afterwards the index holds each
+    glsn's names as its fragments carry them."""
+    service = _service(_rows(60))
+    ticket = service.register_user("writer-2")
+    done = threading.Event()
+    errors = []
+
+    def write() -> None:
+        try:
+            for batch in range(20):
+                receipts = service.store.append_batch(_rows(10), ticket)
+                if batch % 7 == 3:
+                    service.store.node_store("P3").tamper(
+                        receipts[0].glsn, "ip", "10.0.0.1"
+                    )
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def observe(ask) -> None:
+        try:
+            while not done.is_set():
+                ask(EVERYTHING)
+        except Exception as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=write),
+            threading.Thread(target=observe, args=(service.query,)),
+            threading.Thread(
+                target=observe, args=(lambda c: service.submit(c).result(timeout=30),)
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+        service.close()
+    assert errors == []
+    glsns = service.store.glsns
+    nodes = service.store.stores.values()
+    truth = [
+        frozenset().union(*(node.held_values([glsn])[0] for node in nodes))
+        for glsn in glsns
+    ]
+    assert service._record_attributes(glsns) == truth

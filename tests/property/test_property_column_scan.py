@@ -148,3 +148,40 @@ def test_every_kind_of_row_at_once(op):
                   Constant(None), AttributeRef(RIGHT)):
         pred = Predicate(AttributeRef(LEFT), op, right)
         assert executor._local_scan(NODE, pred) == reference_scan(store, op, LEFT, right)
+
+
+# Values at the edges of a bisection: equal runs, the two zeros, the two
+# infinities, NaN (in no order), and strings that are numbers to float().
+boundary_values = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, float("inf"), float("-inf"), float("nan"), "nan"]),
+    st.sampled_from([
+        "0", "-0", "0.0", "1e3", "inf", "-inf", " 7 ", "7", "tcp", "udp", "",
+        2**53 + 1, 10**400, True, None,
+    ]),
+    st.integers(-3, 3),
+    st.floats(-4, 4, width=16),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pool=st.lists(boundary_values, min_size=1, max_size=8))
+def test_a_constant_from_the_column_itself_matches_the_row_scan(data, pool):
+    """Every operator against a constant drawn from the column's own values:
+    an off-by-one ``bisect_left`` / ``bisect_right`` moves exactly these
+    equal rows across the cut."""
+    column = data.draw(
+        st.lists(st.one_of(st.just(ABSENT), st.sampled_from(pool)), max_size=60)
+    )
+    present = [value for value in column if value is not ABSENT] or pool
+    constant = data.draw(st.sampled_from(present))
+    executor = _executor([(value, ABSENT) for value in column])
+    store = executor.store.node_store(NODE)
+    right = Constant(constant)
+    # One column, sorted once and asked every way; and the floored column
+    # a standing query reads once, matched row by row (here from the
+    # first glsn, so over every row).
+    for floor in (None, min(store.glsns, default=0)):
+        for op in OPERATORS:
+            pred = Predicate(AttributeRef(LEFT), op, right)
+            got = _outcome(lambda: executor._local_scan(NODE, pred, floor))
+            assert got == _outcome(lambda: reference_scan(store, op, LEFT, right))
