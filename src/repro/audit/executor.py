@@ -104,14 +104,10 @@ class _Column:
     aggregate reads never sorts and one only a predicate reads never
     scales: both typed halves sorted by value (:meth:`match_constant`
     bisects them) and every row's fixed-point integer (:meth:`scaled`).
-    A column built with ``sort=False`` — read by one predicate and
-    dropped — is matched row by row instead: one pass is cheaper than a
-    sort it would use once.
     """
 
-    def __init__(self, fragments, attribute: str, sort: bool = True) -> None:
+    def __init__(self, fragments, attribute: str) -> None:
         self.attribute = attribute
-        self.sort = sort
         self.raw = {
             frag.glsn: frag.values[attribute]
             for frag in fragments
@@ -152,22 +148,20 @@ class _Column:
         sorted halves: the cost is the matches, not the column.  ``!=``
         and the rows the halves cannot hold go row by row.
         """
-        compare = _COMPARE[op]
         text = str(constant)
-        by_bisection = self.sort and op != "!="
-        if by_bisection:
+        if op == "!=":
+            out = {glsn for glsn, value in self.texts.items() if value != text}
+        else:
             nums, texts = self._sorted_halves()
             out = set(_bisected(op, *texts, text))
-        else:
-            out = {glsn for glsn, value in self.texts.items() if compare(value, text)}
         try:
             number = float(constant)
         except (TypeError, ValueError, ArithmeticError):
             # No float to hold the numeric rows against: they go by the row rule.
             untyped = [*self.nums, *self.rest]
         else:
-            if not by_bisection:
-                out |= {g for g, value in self.nums.items() if compare(value, number)}
+            if op == "!=":
+                out |= {g for g, value in self.nums.items() if value != number}
             elif number == number:  # NaN satisfies no ordered operator
                 out.update(_bisected(op, *nums, number))
             untyped = self.rest
@@ -723,7 +717,7 @@ class QueryExecutor:
         """
         store = self.store.node_store(node_id)
         if floor is not None:
-            return _Column(store.fragments_from(floor), attribute, sort=False)
+            return _Column(store.fragments_from(floor), attribute)
         return self._projection_cache.get_or_compute(
             (node_id, attribute),
             lambda: _Column(store.scan(), attribute),

@@ -14,7 +14,11 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
   (:meth:`LruCache.get_or_compute`).  Stale entries are never served —
   a key's simply stop being looked up and age out of the LRU, a slot's
   is replaced by the next version's.  There is no invalidation
-  bookkeeping to get wrong.
+  bookkeeping to get wrong.  The one exception, ``obs.signatures``,
+  keys by glsn, and its owner empties it (:meth:`~LruCache.clear`),
+  under the owner's lock, when its version moves: a version per key
+  would cost a tuple per lookup on a path that reads hundreds of keys
+  at once (:meth:`~LruCache.get_many`).
 * **Observable.** Hit / miss / eviction counters (:attr:`LruCache.stats`;
   ``/metrics`` reads a service's caches as
   ``repro_cache_hits_total{cache=...}`` etc.).
@@ -33,8 +37,10 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_, is_not
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -151,6 +157,35 @@ class LruCache:
         with self._lock:
             self._put_locked(key, value)
 
+    def get_many(self, keys: list) -> tuple[list, list]:
+        """:meth:`get` of each of ``keys`` under one lock: the values in
+        ``keys``' order, ``None`` for a miss, and the keys missed.  The
+        lookups and recency refreshes are C calls, not a Python loop."""
+        if not caching_enabled():
+            return [None] * len(keys), list(keys)
+        with self._lock:
+            entries = self._entries
+            try:
+                found = list(map(entries.__getitem__, keys))
+                missed, held = [], keys
+            except KeyError:
+                found = list(map(entries.get, keys, repeat(_MISSING)))
+                missed = list(compress(keys, map(is_, found, repeat(_MISSING))))
+                held = compress(keys, map(is_not, found, repeat(_MISSING)))
+                found = [None if value is _MISSING else value for value in found]
+            deque(map(entries.move_to_end, held), maxlen=0)
+            self.hits += len(keys) - len(missed)
+            self.misses += len(missed)
+        return found, missed
+
+    def put_many(self, items) -> None:
+        """:meth:`put` of each ``(key, value)`` pair, under one lock."""
+        if not caching_enabled():
+            return
+        with self._lock:
+            for key, value in items:
+                self._put_locked(key, value)
+
     def _put_locked(self, key, value) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -191,6 +226,11 @@ class LruCache:
             if entry is _MISSING or entry[0] <= version:  # else a newer one won
                 self._put_locked(key, (version, value))
         return value
+
+    def clear(self) -> None:
+        """Drop every entry; the counters keep counting."""
+        with self._lock:
+            self._entries.clear()
 
     @property
     def stats(self) -> CacheStats:

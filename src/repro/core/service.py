@@ -21,8 +21,7 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import is_
+from itertools import islice
 
 from repro.audit.executor import AggregateResult, QueryExecutor, QueryResult
 from repro.audit.planner import QueryPlan, plan_query
@@ -84,43 +83,47 @@ class _Signatures:
     """Per glsn, the union of the attribute names its fragments carry.
 
     That union is all eq. 10 reads of a record, and many records share
-    one, so each distinct union is kept once (interned).  A glsn's union
-    is read off the nodes' fragments the first time a query matches it
-    and kept while it cannot change: while no node's
-    :attr:`~repro.logstore.store.FragmentStore.rewrites` moves and, for a
-    glsn every node has passed (below each node's watermark), no later
-    append can add a fragment to it.  Any rewrite (a delete, an eviction,
-    a tamper, a put below a watermark) drops them all.  A node that lost a
-    glsn's fragment contributes no names to it.
+    one, so each distinct union is one shared (interned) ``frozenset``.
+    A glsn's union is read off the nodes' fragments the first time a
+    query matches it and kept in the ``"obs.signatures"``
+    :class:`~repro.cache.LruCache` (bounded, counted in ``/metrics``,
+    off with :func:`~repro.cache.set_caching_enabled`) while the sum of
+    the nodes' :attr:`~repro.logstore.store.FragmentStore.rewrites`
+    counts stands: any rewrite (a delete, an eviction, a tamper, a put
+    below a watermark) raises it and empties the cache.  Only a glsn
+    every node has passed (below each node's watermark) is kept, as no
+    later append can add a fragment to it.  A node that lost a glsn's
+    fragment contributes no names to it.
     """
 
     def __init__(self, store: DistributedLogStore) -> None:
         self._store = store
+        # Orders each emptying of the cache before the fills that follow.
         self._lock = threading.Lock()
-        self._rewrites: list[int] | None = None
-        self._names: dict[int, frozenset] = {}
+        self._kept = LruCache("obs.signatures")
+        self._rewrites: int | None = None
         self._interned: dict[frozenset, frozenset] = {}
 
     def of(self, glsns: list[int]) -> list[frozenset]:
         """The interned attribute-name set of each of ``glsns``."""
         nodes = list(self._store.stores.values())
         with self._lock:
-            # Read before the fragments: a write racing the read below
-            # leaves these behind it, so the next call sees it.
-            rewrites = [node.rewrites for node in nodes]
+            # Read before the fragments: a rewrite racing the read below
+            # leaves the sum behind it, so the next call empties the cache.
+            rewrites = sum(node.rewrites for node in nodes)
             settled = min(node.watermark for node in nodes)
             if rewrites != self._rewrites:
-                self._rewrites, self._names, self._interned = rewrites, {}, {}
-            found = list(map(self._names.get, glsns))
-            if None not in found:
+                self._rewrites, self._interned = rewrites, {}
+                self._kept.clear()
+            found, missing = self._kept.get_many(glsns)
+            if not missing:
                 return found
-            missing = list(compress(glsns, map(is_, found, repeat(None))))
             # ``frozenset.union`` takes each node's values dict as its keys.
             held = [node.held_values(missing) for node in nodes]
             unions = list(map(_NO_NAMES.union, *held))
-            interned = map(self._interned.setdefault, unions, unions)
-            fresh = dict(zip(missing, interned))
-            self._names.update(
+            interned = self._interned
+            fresh = dict(zip(missing, map(interned.setdefault, unions, unions)))
+            self._kept.put_many(
                 (glsn, names) for glsn, names in fresh.items() if glsn < settled
             )
             return list(map(fresh.get, glsns, found))

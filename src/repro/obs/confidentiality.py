@@ -30,6 +30,7 @@ import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from statistics import mean
 
 from repro.errors import ConfigurationError
@@ -135,7 +136,8 @@ class ConfidentialityObservatory:
 
         ``qplan`` is the executed :class:`~repro.audit.planner.QueryPlan`
         (its s/t/q decomposition gives eq. 11); ``records`` the matched
-        records, each as the attribute names it uses or a ``LogRecord`` (eq. 10);
+        records, each as the ``frozenset`` of attribute names it uses or
+        each a ``LogRecord`` (eq. 10);
         ``leakage_events`` the ledger delta this query produced.
         """
         # Deferred: repro.audit transitively imports repro.obs submodules,
@@ -143,13 +145,11 @@ class ConfidentialityObservatory:
         from repro.audit.confidentiality import auditing_confidentiality
 
         c_aud = auditing_confidentiality(qplan, self.schema, self.plan)
-        try:
-            counted = Counter(records)
-        except TypeError:  # a LogRecord's values dict does not hash
-            counted = Counter(frozenset(getattr(r, "values", r)) for r in records)
-        signatures: Counter = Counter()
-        for key, count in counted.items():
-            signatures[frozenset(getattr(key, "values", key))] += count
+        signatures = Counter(
+            records
+            if not records or isinstance(records[0], frozenset)
+            else map(frozenset, map(attrgetter("values"), records))
+        )
         # One score per signature; the exact mean statistics.mean would give
         # over the records (no records: nothing stored was exposed).
         weighted = sum(

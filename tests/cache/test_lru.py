@@ -57,6 +57,17 @@ class TestLruSemantics:
         with pytest.raises(ConfigurationError):
             LruCache("t", max_entries=0)
 
+    def test_bulk_get_and_put_are_gets_and_puts(self):
+        cache = LruCache("t", max_entries=3)
+        cache.put_many([("a", 1), ("b", 2), ("c", 3)])
+        assert cache.get_many(["c", "x", "a"]) == ([3, None, 1], ["x"])
+        assert cache.get_many(["a", "c"]) == ([1, 3], [])
+        assert (cache.stats.hits, cache.stats.misses) == (4, 1)
+        # "b" was the one key not read: least recently used, evicted first.
+        cache.put_many([("d", 4)])
+        assert cache.get_many(["a", "b", "c", "d"]) == ([1, None, 3, 4], ["b"])
+        assert cache.stats.evictions == 1 and cache.stats.entries == 3
+
 
 class TestKillSwitch:
     def test_runtime_override_disables(self):
@@ -74,6 +85,9 @@ class TestKillSwitch:
         set_caching_enabled(False)
         cache.put("k", 1)
         assert cache.get("k", "miss") == "miss"
+        cache.put_many([("k", 1)])
+        assert cache.get_many(["k"]) == ([None], ["k"])
+        assert cache.stats.entries == 0
         set_caching_enabled(None)
 
     def test_on_by_default_and_none_restores_it(self):

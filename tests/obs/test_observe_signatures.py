@@ -20,6 +20,7 @@ from repro.audit.confidentiality import (
     store_confidentiality,
 )
 from repro.audit.planner import plan_query
+from repro.cache import cache_stats_snapshot, set_caching_enabled
 from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng, Operation
 from repro.logstore import LogRecord, paper_fragment_plan, paper_table1_schema
@@ -291,6 +292,48 @@ def test_asking_again_at_one_epoch_reads_no_fragment(monkeypatch):
     assert second.glsns == first.glsns
     assert _CountingDict.reads == 0
     assert service.observatory.c_dla("second") == service.observatory.c_dla("first")
+
+
+def test_with_caching_off_every_asking_reads_the_fragments(monkeypatch):
+    """The cache kill switch reaches the kept signatures too: nothing is
+    kept, a second asking reads the fragments again, and a tamper that
+    adds an attribute between the two askings is scored."""
+    rows = _rows(40)
+    service = _service(rows)
+    set_caching_enabled(False)
+    try:
+        service.query(EVERYTHING, tenant="first")
+        target = service.store.glsns[0]
+        assert set(rows[0]) == {"Tid", "C1"}
+        service.store.node_store("P0").tamper(target, "Time", 99)
+        rows[0] = {**rows[0], "Time": 99}
+        for node_id in PLAN.node_ids:
+            node = service.store.node_store(node_id)
+            monkeypatch.setattr(node, "_fragments", _CountingDict(node._fragments))
+        monkeypatch.setattr(_CountingDict, "reads", 0)
+        service.query(EVERYTHING, tenant="tamper")
+        assert _CountingDict.reads > 0
+    finally:
+        set_caching_enabled(None)
+    assert service._signatures._kept.stats.entries == 0
+    assert service.observatory.c_dla("tamper") == _per_record_c_query(EVERYTHING, rows)
+
+
+def test_kept_signatures_are_bounded_and_counted():
+    """The kept signatures are an LRU of bounded size that ``/metrics``
+    counts: a query matching more glsns than it holds evicts, keeps the
+    bound and still scores every match."""
+    rows = _rows(130)
+    service = _service(rows)
+    kept = service._signatures._kept
+    kept.max_entries = 100
+    for tenant in ("first", "second"):
+        assert len(service.query(EVERYTHING, tenant=tenant).glsns) == 130
+        assert service.observatory.c_dla(tenant) == _per_record_c_query(EVERYTHING, rows)
+    stats = kept.stats
+    assert stats.entries == 100 and stats.evictions >= 30
+    assert stats.hits > 0 and stats.misses >= 130
+    assert cache_stats_snapshot()["obs.signatures"]["entries"] >= 100
 
 
 def test_concurrent_observers_and_writers_leave_every_signature_right():

@@ -178,8 +178,8 @@ def test_a_constant_from_the_column_itself_matches_the_row_scan(data, pool):
     store = executor.store.node_store(NODE)
     right = Constant(constant)
     # One column, sorted once and asked every way; and the floored column
-    # a standing query reads once, matched row by row (here from the
-    # first glsn, so over every row).
+    # a standing query reads once (here from the first glsn, so over
+    # every row), sorted on its own.
     for floor in (None, min(store.glsns, default=0)):
         for op in OPERATORS:
             pred = Predicate(AttributeRef(LEFT), op, right)
