@@ -15,10 +15,10 @@ same attribute sets into ``Z_p^*`` even though the log barely changed.
   a key's simply stop being looked up and age out of the LRU, a slot's
   is replaced by the next version's.  There is no invalidation
   bookkeeping to get wrong.  The one exception, ``obs.signatures``,
-  keys by glsn, and its owner empties it (:meth:`~LruCache.clear`),
-  under the owner's lock, when its version moves: a version per key
-  would cost a tuple per lookup on a path that reads hundreds of keys
-  at once (:meth:`~LruCache.get_many`).
+  keys by glsn, and its owner empties it (:meth:`~LruCache.clear`):
+  a version per key would cost a tuple per lookup on a path that reads
+  hundreds of keys at once (:meth:`~LruCache.get_many`).  Each cache's
+  rule is in ``docs/storage.md``, "Store epochs and cache coherence".
 * **Observable.** Hit / miss / eviction counters (:attr:`LruCache.stats`;
   ``/metrics`` reads a service's caches as
   ``repro_cache_hits_total{cache=...}`` etc.).

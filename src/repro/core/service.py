@@ -87,13 +87,9 @@ class _Signatures:
     A glsn's union is read off the nodes' fragments the first time a
     query matches it and kept in the ``"obs.signatures"``
     :class:`~repro.cache.LruCache` (bounded, counted in ``/metrics``,
-    off with :func:`~repro.cache.set_caching_enabled`) while the sum of
-    the nodes' :attr:`~repro.logstore.store.FragmentStore.rewrites`
-    counts stands: any rewrite (a delete, an eviction, a tamper, a put
-    below a watermark) raises it and empties the cache.  Only a glsn
-    every node has passed (below each node's watermark) is kept, as no
-    later append can add a fragment to it.  A node that lost a glsn's
-    fragment contributes no names to it.
+    off with :func:`~repro.cache.set_caching_enabled`).  Its coherence
+    rule is in ``docs/storage.md``, "Store epochs and cache coherence".
+    A node that lost a glsn's fragment contributes no names to it.
     """
 
     def __init__(self, store: DistributedLogStore) -> None:
@@ -101,20 +97,24 @@ class _Signatures:
         # Orders each emptying of the cache before the fills that follow.
         self._lock = threading.Lock()
         self._kept = LruCache("obs.signatures")
-        self._rewrites: int | None = None
+        # The node epochs at the last call, and the highest glsn kept
+        # since the last emptying.
+        self._epochs = store.epochs
+        self._top = -1
         self._interned: dict[frozenset, frozenset] = {}
 
     def of(self, glsns: list[int]) -> list[frozenset]:
         """The interned attribute-name set of each of ``glsns``."""
         nodes = list(self._store.stores.values())
         with self._lock:
-            # Read before the fragments: a rewrite racing the read below
-            # leaves the sum behind it, so the next call empties the cache.
-            rewrites = sum(node.rewrites for node in nodes)
-            settled = min(node.watermark for node in nodes)
-            if rewrites != self._rewrites:
-                self._rewrites, self._interned = rewrites, {}
+            # Read before the fragments: a mutation racing the read below
+            # is after these epochs, so the next call sees it.
+            epochs = self._store.epochs
+            cut = self._store.changed_since(self._epochs)
+            if cut is not None and cut <= self._top:
+                self._top, self._interned = -1, {}
                 self._kept.clear()
+            self._epochs = epochs
             found, missing = self._kept.get_many(glsns)
             if not missing:
                 return found
@@ -123,9 +123,8 @@ class _Signatures:
             unions = list(map(_NO_NAMES.union, *held))
             interned = self._interned
             fresh = dict(zip(missing, map(interned.setdefault, unions, unions)))
-            self._kept.put_many(
-                (glsn, names) for glsn, names in fresh.items() if glsn < settled
-            )
+            self._kept.put_many(fresh.items())
+            self._top = max(self._top, max(missing))
             return list(map(fresh.get, glsns, found))
 
 

@@ -13,8 +13,9 @@ receives its fragments of a batch, and checks the ticket, in one call.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat, takewhile
+from itertools import compress, islice, repeat, takewhile
 from operator import attrgetter, is_not, itemgetter, lt, ne, or_
 from typing import Callable, Iterable
 
@@ -27,6 +28,10 @@ from repro.logstore.glsn import GlsnAllocator
 from repro.logstore.records import LogRecord
 
 __all__ = ["FragmentStore", "DistributedLogStore", "WriteReceipt"]
+
+#: How many mutations a store's change journal remembers: an epoch older
+#: than that reads as "everything changed" (:meth:`FragmentStore.changed_from`).
+JOURNAL_BOUND = 256
 
 # The memo slot of a glsn never folded (or judged) here: a token value is
 # never None, so it always misses.
@@ -45,14 +50,12 @@ class FragmentStore:
         # other put re-sorts it (:meth:`_install`), so reads never sort.
         self._fragments: dict[int, Fragment] = {}
         self._accumulators: dict[int, int] = {}  # glsn -> expected A(x0, frags)
-        # Cache coherence: a monotonic store-wide epoch bumped on every
-        # mutation (put/delete/tamper); caches key on it, so stale entries
-        # are simply never looked up again.
+        # The change journal (:meth:`changed_from`): the lowest glsn each
+        # of the last JOURNAL_BOUND mutations touched, and :attr:`epoch`,
+        # the count of mutations ever, under one lock.
+        self._journal: deque[int] = deque(maxlen=JOURNAL_BOUND)
         self._epoch = 0
-        # One past the highest glsn ever stored here, and the count of
-        # mutations that were not appends above it (:attr:`rewrites`).
-        self._watermark = 0
-        self._rewrites = 0
+        self._journal_lock = threading.Lock()
         # This node's last integrity fold per glsn: (the stored Fragment it
         # folded, incoming value, folded value).  ``pow`` is pure and a
         # stored fragment is never edited in place, so a sweep that meets
@@ -67,49 +70,49 @@ class FragmentStore:
 
     @property
     def epoch(self) -> int:
-        """Monotonic mutation counter — cache keys include it."""
+        """This store's position in its change journal: the count of
+        mutations so far.  Cache keys include it."""
         return self._epoch
 
-    @property
-    def watermark(self) -> int:
-        """One past the highest glsn this node has ever stored."""
-        return self._watermark
+    def _changed(self, glsn: int) -> None:
+        """Journal one mutation whose lowest touched glsn is ``glsn``.
+        Callers make the mutation visible first: a reader that reads the
+        new epoch then reads the new state, so no stale state is ever
+        cached under a new epoch."""
+        with self._journal_lock:
+            self._journal.append(glsn)
+            self._epoch += 1
 
-    @property
-    def rewrites(self) -> int:
-        """Mutations that were not appends above :attr:`watermark`:
-        deletes, evictions, tampers, rollbacks, overwrites and puts below
-        it.  While it is unchanged, every fragment under a past watermark
-        is the one that was there when it was read."""
-        return self._rewrites
-
-    def _bump(self) -> None:
-        self._epoch += 1
-
-    def _rewrite(self) -> None:
-        self._rewrites += 1
-        self._epoch += 1
+    def changed_from(self, epoch: int) -> int | None:
+        """The lowest glsn any mutation since ``epoch`` touched: ``None``
+        when nothing changed, 0 when ``epoch`` is older than the journal
+        remembers.  Every fragment below the answer is the one that was
+        there at ``epoch``."""
+        with self._journal_lock:
+            since = self._epoch - epoch
+            if not since:
+                return None
+            if since > len(self._journal):
+                return 0
+            return min(islice(reversed(self._journal), since))
 
     def _install(self, glsns: list[int], fragments: list[Fragment]) -> None:
         """Store ``fragments`` under ``glsns``, keeping :attr:`_fragments`
-        in glsn order; anything but an append above the watermark, in
-        order, counts as a rewrite."""
-        held = self._fragments
+        in glsn order: an append above every held glsn, in order, is one
+        dict update; any other put re-sorts when it adds a glsn out of
+        order."""
         if not glsns:
-            self._bump()
             return
-        if glsns[0] >= self._watermark and all(map(lt, glsns, glsns[1:])):
-            held.update(zip(glsns, fragments))
-            self._watermark = glsns[-1] + 1
-            self._bump()
-            return
+        held = self._fragments
         top = next(reversed(held), -1)
-        fresh = [glsn for glsn in glsns if glsn not in held]
-        held.update(zip(glsns, fragments))
-        if fresh and (fresh[0] < top or not all(map(lt, fresh, fresh[1:]))):
-            self._fragments = dict(sorted(held.items()))
-        self._watermark = max(self._watermark, max(glsns) + 1)
-        self._rewrite()
+        if glsns[0] > top and all(map(lt, glsns, glsns[1:])):
+            held.update(zip(glsns, fragments))
+        else:
+            fresh = [glsn for glsn in glsns if glsn not in held]
+            held.update(zip(glsns, fragments))
+            if fresh and (fresh[0] < top or not all(map(lt, fresh, fresh[1:]))):
+                self._fragments = dict(sorted(held.items()))
+        self._changed(min(glsns))
 
     # -- writes ---------------------------------------------------------------
 
@@ -154,7 +157,7 @@ class FragmentStore:
             self._folds.pop(glsn, None)
             self._verdicts.pop(glsn, None)
         self._accumulators.pop(glsn, None)
-        self._rewrite()
+        self._changed(glsn)
 
     # -- reads ----------------------------------------------------------------
 
@@ -325,11 +328,11 @@ class FragmentStore:
         self._fragments[glsn] = Fragment(
             glsn=frag.glsn, node_id=frag.node_id, values=values
         )
-        # Even a malicious rewrite moves the epoch and the rewrite count:
-        # the compromised node's own caches see its mutation (anchors, of
-        # course, do not).  The fold memo needs no entry dropped: it is
-        # keyed on the replaced Fragment object, so the next fold misses.
-        self._rewrite()
+        # Even a malicious rewrite is journaled: the compromised node's
+        # own caches see its mutation (anchors, of course, do not).  The
+        # fold memo needs no entry dropped: it is keyed on the replaced
+        # Fragment object, so the next fold misses.
+        self._changed(glsn)
 
 
 @dataclass(frozen=True)
@@ -442,6 +445,23 @@ class DistributedLogStore:
             return self.stores[node_id]
         except KeyError as exc:
             raise AccessDeniedError(f"unknown DLA node {node_id!r}") from exc
+
+    @property
+    def epochs(self) -> tuple[int, ...]:
+        """Every node's :attr:`FragmentStore.epoch`, in :attr:`stores` order."""
+        return tuple(store.epoch for store in self.stores.values())
+
+    def changed_since(self, epochs: tuple[int, ...]) -> int | None:
+        """The lowest glsn any node changed since its entry of ``epochs``
+        (an :attr:`epochs` reading): ``None`` when no node changed."""
+        changed = map(FragmentStore.changed_from, self.stores.values(), epochs)
+        return min((glsn for glsn in changed if glsn is not None), default=None)
+
+    @property
+    def lowest_glsn(self) -> int:
+        """The lowest glsn any node holds (0 when none holds one)."""
+        firsts = [next(iter(store._fragments), None) for store in self.stores.values()]
+        return min((glsn for glsn in firsts if glsn is not None), default=0)
 
     @property
     def glsns(self) -> list[int]:

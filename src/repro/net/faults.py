@@ -114,7 +114,7 @@ class FaultPlan:
 class TamperRule:
     """Deterministic, targeted tampering (used by integrity-check tests).
 
-    Unlike the probabilistic :class:`FaultPlan`, a tamper rule rewrites the
+    Unlike the probabilistic :class:`FaultPlan`, a tamper rule replaces the
     payload of messages matching ``kind`` exactly once, emulating a
     compromised DLA node altering a log fragment in flight.
     """

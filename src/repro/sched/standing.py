@@ -10,24 +10,9 @@ matching or no longer matching since the previous epoch.
 Deltas are produced by executing the query through the service's
 :class:`~repro.sched.QueryScheduler`, so standing queries of one epoch
 coalesce with each other (equal plan fingerprint at equal store epochs
-→ one execution).  What an epoch executes depends on what changed:
-
-* **appended** — when no node has rewritten a fragment (deleted,
-  evicted, tampered with, rolled back or overwritten one: the
-  :attr:`~repro.logstore.store.FragmentStore.rewrites` counters) since
-  the query's last good evaluation, the plan runs with a glsn *floor*
-  (:attr:`QueryPlan.floor <repro.audit.planner.QueryPlan.floor>`): only
-  the rows appended since then are read, joined or compared.  Every
-  predicate is a function of one row's values, so the floored answer is
-  the full answer's new part: it is the delta's ``added``, and nothing
-  is ``removed``;
-* **full** — on a query's first epoch, after any rewrite, and after a
-  run that raised or came back degraded, the whole plan runs and its
-  answer is diffed against what the auditor has been shown.
-
-The floor is the lowest node :attr:`~repro.logstore.store.FragmentStore.watermark`,
-read before the runs: a row below it is on every node by then, or
-arrives later as an out-of-order put, which counts as a rewrite.
+→ one execution).  Each query keeps the node epochs of its last good
+evaluation and re-reads only the glsns changed since them: the rule is
+in ``docs/storage.md``, "Store epochs and cache coherence".
 
 The differencing discloses strictly less than the full result
 re-release it replaces — but it *is* a disclosure with its own shape
@@ -70,7 +55,7 @@ class StandingDelta:
 
 @dataclass
 class StandingQuery:
-    """One registered criterion and its per-epoch watermark."""
+    """One registered criterion and what its last good evaluation saw."""
 
     query_id: int
     criterion: str
@@ -79,10 +64,9 @@ class StandingQuery:
     on_delta: object = None
     #: glsns the auditor has already been shown for this criterion.
     seen: set[int] = field(default_factory=set)
-    #: The next epoch reads only glsns at or above this (``None``: the
-    #: whole log), while the nodes' rewrite counts still equal ``rewrites``.
-    floor: int | None = None
-    rewrites: tuple[int, ...] = ()
+    #: The node epochs ``seen`` was read at (``None``: no good evaluation
+    #: yet, or the last one raised or came back degraded).
+    node_epochs: tuple[int, ...] | None = None
     epochs: int = 0
     deltas_pushed: int = 0
     last_delta: StandingDelta | None = None
@@ -115,7 +99,7 @@ class StandingQueryRegistry:
         ``on_delta`` (optional) is called with each non-empty
         :class:`StandingDelta` as it is produced.  The first epoch's
         delta contains every currently matching glsn — registration
-        starts from an empty watermark, not from a hidden full query.
+        starts with no node epochs, not from a hidden full query.
         """
         qplan = self.service.plan_criterion(criterion)
         with self._lock:
@@ -137,13 +121,15 @@ class StandingQueryRegistry:
         """Run every standing query once; push and return the deltas.
 
         Queries are submitted to the service scheduler together, so an
-        epoch with N standing queries over identical plans at equal floors
-        costs one execution.  A query whose floor holds reads only the
-        rows appended since its last good evaluation, and runs nothing
-        when there are none; the others run in full (module docstring).
-        A run that raises leaves every query of the epoch to run in full
-        next time, and one that came back degraded leaves its own: the
-        next epoch's delta then covers what this one missed.
+        epoch with N standing queries over identical plans at equal cuts
+        costs one execution.  A query's *cut* is the lowest glsn any node
+        changed since its node epochs (0 without them): it runs nothing
+        when nothing changed, and otherwise the plan floored at the cut,
+        unfloored when the cut is at or below every held glsn.  Its new
+        answer is what it had been shown below the cut plus that run's.
+        A run that raises leaves every query of the epoch with no node
+        epochs, and one that came back degraded leaves its own: the next
+        epoch's delta then covers what this one missed.
         """
         service = self.service
         with self._lock:
@@ -152,55 +138,54 @@ class StandingQueryRegistry:
             self.epoch += 1
             epoch = self.epoch
             queries = list(self._queries.values())
-            nodes = list(service.store.stores.values())
-            # Read before any run: see the module docstring.
-            mark = min(node.watermark for node in nodes)
-            rewrites = tuple(node.rewrites for node in nodes)
-            floors = [
-                query.floor if query.rewrites == rewrites else None
+            store = service.store
+            # Read before any run: a mutation racing the runs is after
+            # these epochs, so the next epoch's cut covers it.
+            now = store.epochs
+            cuts = [
+                0 if query.node_epochs is None else store.changed_since(query.node_epochs)
                 for query in queries
             ]
-            full = None in floors
-            rows = len(nodes[0]) if full else len(nodes[0].glsns_from(min(floors)))
+            # A cut at or below every held glsn floors nothing: run unfloored.
+            lowest = store.lowest_glsn
+            least = min((cut for cut in cuts if cut is not None), default=None)
+            node = next(iter(store.stores.values()))
             with service.tracer.span(
                 "standing.epoch",
                 {
                     "epoch": epoch,
                     "queries": len(queries),
-                    "scope": "full" if full else "appended",
-                    "rows": rows,
+                    "scope": "full" if least is not None and least <= lowest else "appended",
+                    "rows": 0 if least is None else len(node.glsns_from(least)),
                 },
             ):
                 sched = service.scheduler
-                # A floor at the mark has nothing above it to read: no run.
                 handles = [
-                    None if floor == mark else sched._admit(
-                        query.qplan if floor is None else replace(query.qplan, floor=floor),
+                    None if cut is None else sched._admit(
+                        query.qplan if cut <= lowest else replace(query.qplan, floor=cut),
                         observe=False,
                     )
-                    for query, floor in zip(queries, floors)
+                    for query, cut in zip(queries, cuts)
                 ]
                 try:
                     results = iter(sched.gather([h for h in handles if h is not None]))
                 except BaseException:
                     for query in queries:
-                        query.floor = None
+                        query.node_epochs = None
                     raise
                 deltas = []
-                for query, floor, handle in zip(queries, floors, handles):
-                    current = set() if handle is None else set(next(results).glsns)
-                    added = current - query.seen
-                    if floor is None:
-                        removed = query.seen - current
-                        query.seen = current
-                    else:
-                        removed = set()
+                for query, cut, handle in zip(queries, cuts, handles):
+                    added, removed = set(), set()
+                    if handle is not None:
+                        answer = set(next(results).glsns)
+                        added = answer - query.seen
+                        removed = {glsn for glsn in query.seen if glsn >= cut} - answer
+                        query.seen -= removed
                         query.seen |= added
                     degraded = handle is not None and any(
                         event.category == "degraded_result" for event in handle.leakage
                     )
-                    query.floor = None if degraded else mark
-                    query.rewrites = rewrites
+                    query.node_epochs = None if degraded else now
                     delta = StandingDelta(
                         query_id=query.query_id,
                         criterion=query.criterion,

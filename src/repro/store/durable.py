@@ -23,7 +23,7 @@ from itertools import repeat
 from typing import Callable
 
 from repro.crypto.tickets import Operation, Ticket, TicketAuthority
-from repro.errors import LogStoreError, UnknownGlsnError
+from repro.errors import LogStoreError
 from repro.logstore.access import AccessEntry
 from repro.logstore.fragmentation import Fragment
 from repro.logstore.store import FragmentStore
@@ -160,16 +160,8 @@ class DurableFragmentStore(FragmentStore):
             if glsn in self._fragments:
                 self._forget(glsn)
         elif op == "tamper":
-            try:
-                fragment = self._read(glsn)
-            except UnknownGlsnError:
-                return
-            values = dict(fragment.values)
-            values[record["attribute"]] = record["value"]
-            self._fragments[glsn] = Fragment(
-                glsn=glsn, node_id=self.node_id, values=values
-            )
-            self._rewrite()
+            if glsn in self._fragments:
+                self.tamper(glsn, record["attribute"], record["value"])
         else:
             raise LogStoreError(f"unknown WAL record op {op!r}")
 

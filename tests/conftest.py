@@ -31,9 +31,9 @@ from repro.workloads import paper_table1_rows
 
 # ``--hypothesis-profile=ci``: the codec, checkpoint, batched-WAL, WAL
 # put-template, recovery-codec, integrity-memo, sub-plan-memo,
-# standing-scope, column-scan and aggregate fuzz modules again, with ten
-# times the default examples (where a test does not set its own) and no
-# per-example deadline (shared runners stall).
+# standing-scope, cache-differential, column-scan and aggregate fuzz
+# modules again, with ten times the default examples (where a test does
+# not set its own) and no per-example deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

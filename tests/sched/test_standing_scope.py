@@ -1,12 +1,14 @@
-"""A standing query reads the rows its epoch appended, not the whole log.
+"""A standing query reads the rows its epoch changed, not the whole log.
 
-After a query's first good epoch, and while no node rewrites a fragment,
-each epoch runs the plan with a glsn floor: it costs what a fresh query
-over the appended rows costs, its ``added`` is the floored answer and it
-removes nothing.  A rewrite, a run that raises and a degraded run each
-send the next epoch back to the full plan, whose diff against what the
-auditor was shown covers anything the floored epochs could not see.
-Neither memo serves a floored result to a full query.
+After a query's first good epoch, each epoch runs the plan floored at
+the lowest glsn any node changed since the last good one: after appends
+it costs what a fresh query over the appended rows costs, its ``added``
+is the floored answer and it removes nothing; after a delete it reads
+from the deleted glsn up.  A change at or below every held glsn, a run
+that raises and a degraded run each send the next epoch back to the full
+plan, whose diff against what the auditor was shown covers anything the
+floored epochs could not see.  Neither memo serves a floored result to a
+full query.
 """
 
 from __future__ import annotations
@@ -90,8 +92,7 @@ class TestScope:
             assert [s["rows"] for s in spans] == [8] * 5
             assert all(not d.removed for d in deltas)
             assert shown(deltas) == set(service.query(CROSS_EQ).glsns) == query.seen
-            watermark = service.store.node_store("P0").watermark
-            assert query.floor == watermark
+            assert query.node_epochs == service.store.epochs
         finally:
             service.close()
 
@@ -134,6 +135,28 @@ class TestScope:
             assert shown(deltas) == set(service.query(CROSS_EQ).glsns)
             service.poll_standing()
             assert epoch_spans(tracer)[-1]["scope"] == "appended"
+        finally:
+            service.close()
+
+    def test_a_delete_in_the_last_epoch_reads_only_from_its_glsn(self):
+        tracer = Tracer()
+        service, ticket = build(tracer=tracer)
+        try:
+            deltas = []
+            service.register_standing_query(CROSS_EQ, on_delta=deltas.append)
+            service.append_stream(rows(24), ticket, batch_size=8)
+            last = service.store.glsns[-8:]
+            target = next(g for g in service.query(CROSS_EQ).glsns if g in last)
+            service.store.delete_record(target, ticket)
+            (delta,) = service.poll_standing()
+            assert epoch_spans(tracer)[-1] == {
+                "epoch": 4,
+                "queries": 1,
+                "scope": "appended",
+                "rows": len([g for g in last if g > target]),
+            }
+            assert delta.removed == (target,) and delta.added == ()
+            assert shown(deltas) == set(service.query(CROSS_EQ).glsns)
         finally:
             service.close()
 
@@ -235,11 +258,11 @@ class TestFailedRuns:
             deltas = []
             query = service.register_standing_query(CROSS_EQ, on_delta=deltas.append)
             service.append_stream(rows(16), ticket, batch_size=8)
-            floor = query.floor
+            floor = service.store.glsns[-1] + 1
             armed.append(True)
             with pytest.raises(type(error)):
                 service.append_stream(rows(8, 16), ticket, batch_size=8)
-            assert query.floor is None and floor is not None
+            assert query.node_epochs is None
             service.append_stream(rows(8, 24), ticket, batch_size=8)
             assert epoch_spans(tracer)[-1]["scope"] == "full"
             missed = {
@@ -265,7 +288,7 @@ class TestFailedRuns:
             faults.crash("P0")  # the ring completes without C4's owner
             service.append_stream(rows(8, 16), ticket, batch_size=8)
             assert service.ctx.leakage.count("degraded_result") >= 1
-            assert query.floor is None
+            assert query.node_epochs is None
             faults.recover("P0")
             service.append_stream(rows(8, 24), ticket, batch_size=8)
             assert [s["scope"] for s in epoch_spans(tracer)] == [
