@@ -1,27 +1,13 @@
-"""The one event loop: the real-socket transport (see ``docs/async.md``).
+"""Second dotted names the end-to-end benchmark pins, and nothing else.
 
-Queries do not run on an event loop: the scheduler runs them one at a
-time on a worker thread, and every protocol driver's sync name runs its
-coroutine body to completion in one step (:mod:`repro.twin`).  What is
-left here is the TCP transport's loop:
-
-* :class:`LoopThread` — one owned event loop on a daemon thread, with
-  the sync bridge the transport's facade methods use;
-* :class:`AsyncTcpNode` / :class:`AsyncTcpCluster` — the real-socket
-  transport, on asyncio streams (one pooled connection per peer,
-  writer-drain backpressure, the CRC framing of :mod:`repro.net.codec`
-  on the wire).
+Nothing runs on an event loop: protocol drivers are plain functions, the
+scheduler runs queries on one worker thread, and the socket transport is
+:mod:`repro.net.tcp` (``docs/concurrency.md``).  What is left here exists
+because ``benchmarks/e2e`` imports or traces it: this function and the
+two alias modules :mod:`repro.aio.simnet` and :mod:`repro.aio.scheduler`.
 """
 
-from repro.aio.loop import LoopThread
-from repro.aio.transport_tcp import AsyncTcpCluster, AsyncTcpNode
-
-__all__ = [
-    "AsyncTcpCluster",
-    "AsyncTcpNode",
-    "LoopThread",
-    "aio_scheduler_enabled",
-]
+__all__ = ["aio_scheduler_enabled"]
 
 
 def aio_scheduler_enabled() -> bool:

@@ -50,19 +50,13 @@ from repro.resilience import Deadline
 from repro.smc.base import SmcContext, SmcResult, protocol_span
 from repro.smc.comparison import (
     evaluate_operator,
-    secure_compare_async,
-    secure_compare_batch_async,
+    secure_compare,
+    secure_compare_batch,
 )
-from repro.smc.intersection import (
-    # the sync alias stays importable from here: benchmarks/e2e/test_harness.py
-    # checks that the tracer rebinds and restores it on this module
-    secure_set_intersection,  # noqa: F401
-    secure_set_intersection_async,
-)
+from repro.smc.intersection import secure_set_intersection
 from repro.smc.ranking import secure_ranking
 from repro.smc.sum_ import secure_sum
-from repro.smc.union_ import secure_set_union, secure_set_union_async
-from repro.twin import sync_twin
+from repro.smc.union_ import secure_set_union
 
 __all__ = ["QueryResult", "AggregateResult", "QueryExecutor"]
 
@@ -345,7 +339,7 @@ class QueryExecutor:
 
     # -- public API -----------------------------------------------------------
 
-    async def execute_async(
+    def execute(
         self,
         criterion: str | QueryPlan,
         net: SimNetwork | None = None,
@@ -357,8 +351,6 @@ class QueryExecutor:
         each protocol launch (and, on a resilient net, each failover)
         checks the remaining budget and raises a typed
         :class:`~repro.errors.DeadlineExceededError` once spent.
-
-        :meth:`execute` is :func:`~repro.twin.sync_twin` of this coroutine.
         """
         tracer = self.ctx.tracer
         net = net or SimNetwork(tracer=tracer)
@@ -391,11 +383,11 @@ class QueryExecutor:
             for sq in ordered_subqueries:
                 per_node: dict[str, set[int]] = {}
                 for cp in sq.predicates:
-                    node, glsns = await self._evaluate_predicate(
+                    node, glsns = self._evaluate_predicate(
                         cp.predicate, qplan, net, deadline
                     )
                     per_node.setdefault(node, set()).update(glsns)
-                clause_glsns = await self._merge_union(per_node, net, deadline)
+                clause_glsns = self._merge_union(per_node, net, deadline)
                 anchor = anchors[sq.index]
                 subquery_glsns[sq.label] = sorted(clause_glsns)
                 if anchor in clause_sets:
@@ -414,7 +406,7 @@ class QueryExecutor:
                         bytes=net.stats.bytes - start_bytes,
                     )
 
-            final = await self._merge_intersection(clause_sets, net, deadline, span)
+            final = self._merge_intersection(clause_sets, net, deadline, span)
             span.set_attribute("matches", len(final))
             return QueryResult(
                 plan=qplan,
@@ -424,7 +416,8 @@ class QueryExecutor:
                 bytes=net.stats.bytes - start_bytes,
             )
 
-    execute = sync_twin(execute_async)
+    # benchmarks/e2e/layers.py pins this name; ROADMAP item 1(b) deletes it.
+    def execute_async(self, *args, **kwargs): return self.execute(*args, **kwargs)
 
     def aggregate(
         self,
@@ -602,7 +595,7 @@ class QueryExecutor:
 
     # -- predicate evaluation ---------------------------------------------------
 
-    async def _evaluate_predicate(
+    def _evaluate_predicate(
         self,
         pred: Predicate,
         qplan: QueryPlan,
@@ -629,7 +622,7 @@ class QueryExecutor:
         memo = self._subplan_cache
         runs: list[SmcResult] = []
         if memo is None or strategy.primitive not in ("ssi", "scmp"):
-            return await self._evaluate_predicate_uncached(
+            return self._evaluate_predicate_uncached(
                 pred, qplan, net, deadline, runs
             )
         key = (
@@ -647,7 +640,7 @@ class QueryExecutor:
         # function of the epochs in the key.
         value = memo.get(key)
         if value is None:
-            node, glsns = await self._evaluate_predicate_uncached(
+            node, glsns = self._evaluate_predicate_uncached(
                 pred, qplan, net, deadline, runs
             )
             # A run that failover completed without some party is not the
@@ -665,7 +658,7 @@ class QueryExecutor:
         )
         return node, set(glsns)
 
-    async def _evaluate_predicate_uncached(
+    def _evaluate_predicate_uncached(
         self,
         pred: Predicate,
         qplan: QueryPlan,
@@ -690,11 +683,11 @@ class QueryExecutor:
             if strategy.primitive == "scan":
                 glsns = self._local_scan(strategy.nodes[0], pred, floor)
             elif strategy.primitive == "ssi":
-                glsns = await self._cross_equality(
+                glsns = self._cross_equality(
                     pred, strategy.nodes, net, deadline, span, runs, floor
                 )
             elif strategy.primitive == "scmp":
-                glsns = await self._cross_order(
+                glsns = self._cross_order(
                     pred, strategy.nodes, net, deadline, span, runs, floor
                 )
             else:
@@ -746,7 +739,7 @@ class QueryExecutor:
             out &= matching
         return out
 
-    async def _cross_equality(
+    def _cross_equality(
         self,
         pred: Predicate,
         nodes: tuple[str, ...],
@@ -760,7 +753,7 @@ class QueryExecutor:
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
         left_pairs = self._composite_set(left_node, pred.left.name, floor)
         right_pairs = self._composite_set(right_node, right_attr.name, floor)
-        result = await secure_set_intersection_async(
+        result = secure_set_intersection(
             self.ctx,
             {left_node: sorted(left_pairs), right_node: sorted(right_pairs)},
             net=net,
@@ -771,7 +764,7 @@ class QueryExecutor:
         if pred.op == "=":
             return eq_glsns
         # "!=": common presence minus equality matches.
-        common = await self._common_glsns(
+        common = self._common_glsns(
             left_node, pred.left.name, right_node, right_attr.name,
             net, deadline, span, runs, floor,
         )
@@ -786,7 +779,7 @@ class QueryExecutor:
             for glsn, value in self._projection(node_id, attribute, floor)
         }
 
-    async def _common_glsns(
+    def _common_glsns(
         self,
         left_node: str,
         left_attr: str,
@@ -861,7 +854,7 @@ class QueryExecutor:
                 )
         if by_complement:
             # Run even over two empty sets: the sizes are still exchanged.
-            union = await secure_set_union_async(
+            union = secure_set_union(
                 self.ctx,
                 {node: sorted(glsns) for node, glsns in absent.items()},
                 net=net,
@@ -869,7 +862,7 @@ class QueryExecutor:
             )
             runs.append(union)
             return set(indexes[left_node]) - set(union.any_value)
-        result = await secure_set_intersection_async(
+        result = secure_set_intersection(
             self.ctx,
             {node: sorted(glsns) for node, glsns in present.items()},
             net=net,
@@ -899,7 +892,7 @@ class QueryExecutor:
                 ) from exc
         return scaled
 
-    async def _cross_order(
+    def _cross_order(
         self,
         pred: Predicate,
         nodes: tuple[str, ...],
@@ -914,7 +907,7 @@ class QueryExecutor:
         left_scaled = self._scaled_column(left_node, pred.left.name, pred, floor)
         right_scaled = self._scaled_column(right_node, right_attr.name, pred, floor)
         ordered = sorted(
-            await self._common_glsns(
+            self._common_glsns(
                 left_node, pred.left.name, right_node, right_attr.name,
                 net, deadline, span, runs, floor,
             )
@@ -924,7 +917,7 @@ class QueryExecutor:
         out: set[int] = set()
         if self.batch_compare:
             self._session += 1
-            batch = await secure_compare_batch_async(
+            batch = secure_compare_batch(
                 self.ctx,
                 (left_node, left_values),
                 (right_node, right_values),
@@ -940,7 +933,7 @@ class QueryExecutor:
             return out
         for glsn, left_value, right_value in zip(ordered, left_values, right_values):
             self._session += 1
-            compared = await secure_compare_async(
+            compared = secure_compare(
                 self.ctx,
                 (left_node, left_value),
                 (right_node, right_value),
@@ -956,7 +949,7 @@ class QueryExecutor:
 
     # -- set merging ---------------------------------------------------------
 
-    async def _merge_union(
+    def _merge_union(
         self,
         per_node: dict[str, set[int]],
         net: SimNetwork,
@@ -970,7 +963,7 @@ class QueryExecutor:
         with protocol_span(
             self.ctx, net, "query.merge_union", {"nodes": sorted(per_node)}
         ):
-            result = await secure_set_union_async(
+            result = secure_set_union(
                 self.ctx,
                 {node: sorted(glsns) for node, glsns in per_node.items()},
                 net=net,
@@ -978,7 +971,7 @@ class QueryExecutor:
             )
         return set(result.any_value)
 
-    async def _merge_intersection(
+    def _merge_intersection(
         self,
         clause_sets: dict[str, set[int]],
         net: SimNetwork,
@@ -1005,7 +998,7 @@ class QueryExecutor:
         with protocol_span(
             self.ctx, net, "query.merge_intersection", {"nodes": sorted(clause_sets)}
         ):
-            result = await secure_set_intersection_async(
+            result = secure_set_intersection(
                 self.ctx,
                 {node: sorted(glsns) for node, glsns in clause_sets.items()},
                 net=net,

@@ -23,7 +23,6 @@ from repro.logstore.integrity import (
     IntegrityNode,
     IntegrityReport,
     run_integrity_round,
-    run_integrity_round_async,
 )
 from repro.logstore.records import LogRecord, format_glsn, render_table
 from repro.logstore.schema import (
@@ -58,5 +57,4 @@ __all__ = [
     "IntegrityNode",
     "IntegrityReport",
     "run_integrity_round",
-    "run_integrity_round_async",
 ]

@@ -48,8 +48,7 @@ from repro.logstore.fragmentation import Fragment
 from repro.logstore.store import DistributedLogStore, FragmentStore
 from repro.net.message import Message
 from repro.net.simnet import SimNetwork
-from repro.resilience import Deadline, ring_avoiding, supervise_ring_async
-from repro.twin import sync_twin
+from repro.resilience import Deadline, ring_avoiding, supervise_ring
 
 __all__ = [
     "EXACT_LEAF",
@@ -58,9 +57,9 @@ __all__ = [
     "BatchIntegrityReport",
     "IntegrityNode",
     "run_integrity_round",
-    "run_integrity_round_async",
+    "run_integrity_round",
     "run_batched_integrity_round",
-    "run_batched_integrity_round_async",
+    "run_batched_integrity_round",
 ]
 
 
@@ -393,7 +392,7 @@ def _reports_of(node: IntegrityNode, glsns: list[int]):
     return list(map(reports.__getitem__, glsns))
 
 
-async def _supervised_round(
+def _supervised_round(
     store: DistributedLogStore,
     glsns: list[int] | None,
     initiator: str | None,
@@ -452,7 +451,7 @@ async def _supervised_round(
 
         return collect
 
-    outcome = await supervise_ring_async(
+    outcome = supervise_ring(
         net, "integrity_ring", ring_all, launch,
         essential=[initiator], min_parties=1, deadline=deadline,
     )
@@ -466,7 +465,7 @@ async def _supervised_round(
     return verdicts
 
 
-async def run_integrity_round_async(
+def run_integrity_round(
     store: DistributedLogStore,
     glsns: list[int] | None = None,
     initiator: str | None = None,
@@ -482,17 +481,14 @@ async def run_integrity_round_async(
     form.  The ring is failover-supervised (see
     :func:`_supervised_round`).  ``crypto`` is forwarded to every
     :class:`IntegrityNode` (per-node and total fold counts).
-
-    ``run_integrity_round`` is :func:`~repro.twin.sync_twin` of this
-    coroutine (one body, two runners: ``docs/async.md``).
     """
-    return await _supervised_round(
+    return _supervised_round(
         store, glsns, initiator, net, deadline, crypto,
         _start_per_glsn, _reports_of,
     )
 
 
-async def run_batched_integrity_round_async(
+def run_batched_integrity_round(
     store: DistributedLogStore,
     glsns: list[int] | None = None,
     initiator: str | None = None,
@@ -508,24 +504,17 @@ async def run_batched_integrity_round_async(
     ``nodes × N``.  The per-glsn folds are value-identical to
     :func:`run_integrity_round` — same observed accumulators, same
     reports — only the transcript's message count changes.
-
-    ``run_batched_integrity_round`` is :func:`~repro.twin.sync_twin` of this
-    coroutine (one body, two runners: ``docs/async.md``).
     """
-    return await _supervised_round(
+    return _supervised_round(
         store, glsns, initiator, net, deadline, crypto,
         IntegrityNode.start_batch_check, _reports_of,
     )
 
 
-run_integrity_round = sync_twin(run_integrity_round_async)
-run_batched_integrity_round = sync_twin(run_batched_integrity_round_async)
-
-
-# The combined product-fold ring is gone; the e2e tracer still pins these
-# two names, so they remain as the batched round under one verdict.
-async def run_combined_integrity_round_async(store, **kwargs) -> BatchIntegrityReport:
-    reports = await run_batched_integrity_round_async(store, **kwargs)
+# The combined product-fold ring is gone; the e2e tracer still pins this
+# name, so it remains as the batched round under one verdict.
+def run_combined_integrity_round(store, **kwargs) -> BatchIntegrityReport:
+    reports = run_batched_integrity_round(store, **kwargs)
     skipped = tuple(sorted({n for r in reports for n in r.skipped_nodes}))
     return BatchIntegrityReport(
         glsns=tuple(r.glsn for r in reports), ok=all(r.ok for r in reports),
@@ -534,4 +523,7 @@ async def run_combined_integrity_round_async(store, **kwargs) -> BatchIntegrityR
     )
 
 
-run_combined_integrity_round = sync_twin(run_combined_integrity_round_async)
+# benchmarks/e2e/layers.py pins these names; ROADMAP item 1(b) deletes them.
+def run_integrity_round_async(*args, **kwargs): return run_integrity_round(*args, **kwargs)
+def run_batched_integrity_round_async(*args, **kwargs): return run_batched_integrity_round(*args, **kwargs)
+def run_combined_integrity_round_async(*args, **kwargs): return run_combined_integrity_round(*args, **kwargs)

@@ -10,8 +10,9 @@ are written against the minimal contract shared by every transport:
 :class:`~repro.net.simnet.SimNetwork` adds a deterministic virtual clock and
 fault injection; every sync call and every scheduled query gets one of its
 own, so a party's view holds its own query's frames and nothing else.
-:class:`~repro.aio.transport_tcp.AsyncTcpNode` runs the same byte-identical
-frames over localhost sockets.
+:class:`~repro.net.tcp.TcpNode` runs the same byte-identical frames over
+localhost sockets, every socket of a mesh on one :mod:`selectors` loop
+(``docs/concurrency.md``).
 """
 
 from repro.net.codec import (

@@ -9,7 +9,7 @@ The paper assumes "message routing is handled by the lower network layer";
 ``SimNetwork`` *is* that layer.  Substitution note (DESIGN.md): the paper
 deployed on dedicated appliance nodes; every protocol here is written
 against the abstract ``send/handler`` interface, so the identical protocol
-code also runs over real sockets (:mod:`repro.aio.transport_tcp`).
+code also runs over real sockets (:mod:`repro.net.tcp`).
 
 Usage::
 
@@ -21,8 +21,8 @@ Usage::
 
 One network per query: every sync call and every scheduled query builds
 its own, so nothing is multiplexed over one and a party's view holds its
-own query's frames only.  ``await net.drain()`` is :meth:`SimNetwork.run`
-under the name the coroutine protocol drivers await: it never suspends.
+own query's frames only.  ``net.drain()`` is :meth:`SimNetwork.run`
+under the name the protocol drivers call.
 
 Reliability (``repro.resilience``): constructed with a
 :class:`~repro.resilience.RetryPolicy`, every send becomes *at-least-once*
@@ -244,7 +244,7 @@ class SimNetwork:
             )
 
     def send_many(self, msgs: list[Message]) -> None:
-        """Enqueue several messages (interface parity with ``AsyncTcpNode``).
+        """Enqueue several messages (interface parity with ``TcpNode``).
 
         The simulator has no per-syscall cost to coalesce away, so this is
         a plain loop; protocols written against ``send_many`` get the real
@@ -412,12 +412,8 @@ class SimNetwork:
         """Drain the queue; returns the number of events processed."""
         return self._deliver_until_idle("simnet.run", max_steps, deadline)
 
-    async def drain(
+    def drain(
         self, max_steps: int = 1_000_000, deadline: Deadline | None = None
     ) -> int:
-        """:meth:`run` under the name the protocol drivers await.
-
-        It never suspends, so :func:`repro.twin.run_sync` finishes a
-        driver over this network in one step.
-        """
+        """:meth:`run` under the name the protocol drivers call."""
         return self._deliver_until_idle("simnet.drain", max_steps, deadline)

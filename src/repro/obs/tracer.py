@@ -131,10 +131,9 @@ class Tracer:
         self._finished: list[Span] = []
         self._lock = threading.Lock()
         # The open-span stack is an *immutable tuple* in a context
-        # variable: per-thread (fresh threads start with the default) and
-        # per-asyncio-task (each task runs in a context copy, and because
-        # the tuple is never mutated in place, sibling tasks that copied
-        # the same context cannot corrupt each other's nesting).
+        # variable: per-thread (fresh threads start with the default), and
+        # never mutated in place, so a context copy cannot corrupt the
+        # nesting it was copied from.
         self._stack_var: contextvars.ContextVar[tuple[Span, ...]] = (
             contextvars.ContextVar("repro_span_stack", default=())
         )

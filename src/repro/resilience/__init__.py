@@ -24,7 +24,6 @@ from repro.resilience.failover import (
     ring_avoiding,
     standby_id,
     supervise_ring,
-    supervise_ring_async,
 )
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.resilience.recovery import RecoveryAuditReport, recovery_audit
@@ -41,5 +40,4 @@ __all__ = [
     "ring_avoiding",
     "standby_id",
     "supervise_ring",
-    "supervise_ring_async",
 ]

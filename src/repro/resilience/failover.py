@@ -39,12 +39,10 @@ from typing import Callable, Iterable
 
 from repro.errors import RingFailoverError
 from repro.resilience.policy import Deadline
-from repro.twin import sync_twin
 
 __all__ = [
     "FailoverOutcome",
     "supervise_ring",
-    "supervise_ring_async",
     "ring_avoiding",
     "pick_coordinator",
     "standby_id",
@@ -148,11 +146,7 @@ def _diagnose_dead(
     bad link that re-routing did not cure) excludes a single endpoint,
     smallest id first — inputs are shed one at a time, not wholesale.
     """
-    peers: dict[str, set[str]] = {}
-    for src, dst in failed:
-        peers.setdefault(dst, set()).add(src)
-        peers.setdefault(src, set()).add(dst)
-    dead = {n for n, ps in peers.items() if len(ps) >= 2 and n in excludable}
+    dead = _dead_nodes(failed, excludable)
     if dead:
         return dead
     source = retried or failed
@@ -162,7 +156,7 @@ def _diagnose_dead(
     return {candidates[0]} if candidates else set()
 
 
-async def supervise_ring_async(
+def supervise_ring(
     net,
     protocol: str,
     parties: list[str],
@@ -180,9 +174,6 @@ async def supervise_ring_async(
     :class:`RingFailoverError` (typed, attributed) when recovery is
     impossible, and :class:`~repro.errors.DeadlineExceededError` when the
     propagated deadline expires first.
-
-    ``supervise_ring`` is :func:`~repro.twin.sync_twin` of this coroutine
-    (one body, two runners: ``docs/async.md``).
     """
     essential = set(essential)
     alive = list(parties)
@@ -196,7 +187,7 @@ async def supervise_ring_async(
         deadline.check(f"{protocol}.launch")
         net.reset_failures()
         collect = launch(list(alive), frozenset(avoid))
-        await net.drain(deadline=deadline)
+        net.drain(deadline=deadline)
         values = collect()
         if values is not None:
             if skipped and ledger is not None:
@@ -244,7 +235,7 @@ async def supervise_ring_async(
         # it failing toward several distinct peers.
         history = failed | avoid
         avoid |= failed
-        if not retried and fresh and not _must_exclude(history, excludable):
+        if not retried and fresh and not _dead_nodes(history, excludable):
             # First sighting of these links: try re-routing before
             # shedding anyone's input.
             continue
@@ -269,15 +260,10 @@ async def supervise_ring_async(
             )
 
 
-supervise_ring = sync_twin(supervise_ring_async)
-
-
-def _must_exclude(failed: set[tuple[str, str]], excludable: set[str]) -> bool:
-    """True when failures already look like a dead excludable node."""
+def _dead_nodes(failed: set[tuple[str, str]], excludable: set[str]) -> set[str]:
+    """Excludable nodes with failed links to or from two or more peers."""
     peers: dict[str, set[str]] = {}
     for src, dst in failed:
         peers.setdefault(dst, set()).add(src)
         peers.setdefault(src, set()).add(dst)
-    return any(
-        len(ps) >= 2 and n in excludable for n, ps in peers.items()
-    )
+    return {n for n, ps in peers.items() if len(ps) >= 2 and n in excludable}

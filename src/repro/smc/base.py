@@ -27,7 +27,7 @@ from repro.errors import (
 from repro.net.stats import CryptoOpCounter
 from repro.obs.tracer import NOOP_TRACER
 from repro.perf.engine import resolve_engine
-from repro.resilience import Deadline, supervise_ring_async
+from repro.resilience import Deadline, supervise_ring
 from repro.smc.leakage import LeakageLedger
 
 __all__ = ["SmcContext", "SmcResult", "protocol_span", "run_supervised"]
@@ -63,7 +63,7 @@ def protocol_span(ctx: "SmcContext", net, name: str, attributes: dict | None = N
             )
 
 
-async def run_supervised(
+def run_supervised(
     ctx: "SmcContext",
     net,
     protocol: str,
@@ -108,7 +108,7 @@ async def run_supervised(
 
         return collect
 
-    outcome = await supervise_ring_async(
+    outcome = supervise_ring(
         net, protocol, parties, launch,
         essential=essential, min_parties=min_parties,
         deadline=deadline, ledger=ctx.leakage,

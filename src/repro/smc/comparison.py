@@ -19,13 +19,10 @@ from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline, standby_id
 from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
 from repro.smc.ranking import MonotoneBlinding
-from repro.twin import sync_twin
 
 __all__ = [
     "secure_compare",
-    "secure_compare_async",
     "secure_compare_batch",
-    "secure_compare_batch_async",
     "evaluate_operator",
     "COMPARISON_OPERATORS",
 ]
@@ -119,7 +116,7 @@ class _CompareParty:
         self.verdict = msg.payload["verdict"]
 
 
-async def secure_compare_async(
+def secure_compare(
     ctx: SmcContext,
     left: tuple[str, int],
     right: tuple[str, int],
@@ -137,9 +134,6 @@ async def secure_compare_async(
     standby id (:func:`~repro.resilience.standby_id`); the two input
     parties are essential (a dead one raises
     :class:`~repro.errors.RingFailoverError`).
-
-    ``secure_compare`` is :func:`~repro.twin.sync_twin` of this coroutine
-    (one body, two runners: ``docs/async.md``).
     """
     (lid, lval), (rid, rval) = left, right
     if lid == rid:
@@ -164,13 +158,10 @@ async def secure_compare_async(
                 for pid, value in (left, right)
             }
 
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, [lid, rid], build, lambda party: party.verdict,
             rounds=2, essential=(lid, rid), min_parties=2, deadline=deadline,
         )
-
-
-secure_compare = sync_twin(secure_compare_async)
 
 
 class _BatchCompareTtp:
@@ -260,7 +251,7 @@ class _BatchCompareParty:
         self.verdicts = list(msg.payload["verdicts"])
 
 
-async def secure_compare_batch_async(
+def secure_compare_batch(
     ctx: SmcContext,
     left: tuple[str, list[int]],
     right: tuple[str, list[int]],
@@ -278,9 +269,6 @@ async def secure_compare_batch_async(
     per party (2 submissions + 2 verdict deliveries total), at identical
     leakage per comparison.  Returns a verdict list aligned with the
     inputs.
-
-    ``secure_compare_batch`` is :func:`~repro.twin.sync_twin` of this
-    coroutine (one body, two runners: ``docs/async.md``).
     """
     (lid, lvals), (rid, rvals) = left, right
     if lid == rid:
@@ -314,13 +302,10 @@ async def secure_compare_batch_async(
                 for pid, values in (left, right)
             }
 
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, [lid, rid], build, lambda party: party.verdicts,
             rounds=2, essential=(lid, rid), min_parties=2, deadline=deadline,
         )
-
-
-secure_compare_batch = sync_twin(secure_compare_batch_async)
 
 
 def evaluate_operator(op: str, verdict: str) -> bool:
@@ -338,3 +323,8 @@ def evaluate_operator(op: str, verdict: str) -> bool:
     if op not in table:
         raise SmcError(f"unknown comparison operator {op!r}")
     return table[op]
+
+
+# benchmarks/e2e/layers.py pins these names; ROADMAP item 1(b) deletes them.
+def secure_compare_async(*args, **kwargs): return secure_compare(*args, **kwargs)
+def secure_compare_batch_async(*args, **kwargs): return secure_compare_batch(*args, **kwargs)

@@ -29,17 +29,14 @@ from repro.net.message import Message
 from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline, standby_id
 from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
-from repro.smc.intersection import secure_set_intersection_async
-from repro.twin import sync_twin
+from repro.smc.intersection import secure_set_intersection
 
 __all__ = [
     "AffineBlinding",
     "BlindTtp",
     "EqualityParty",
     "secure_equality",
-    "secure_equality_async",
     "secure_equality_commutative",
-    "secure_equality_commutative_async",
 ]
 
 PROTOCOL = "secure_equality"
@@ -162,7 +159,7 @@ class EqualityParty:
         self.verdict = bool(msg.payload["equal"])
 
 
-async def secure_equality_async(
+def secure_equality(
     ctx: SmcContext,
     left: tuple[str, object],
     right: tuple[str, object],
@@ -179,9 +176,6 @@ async def secure_equality_async(
     essential, so a dead party aborts with a typed
     :class:`~repro.errors.RingFailoverError` rather than a silent partial
     answer.
-
-    ``secure_equality`` is :func:`~repro.twin.sync_twin` of this coroutine
-    (one body, two runners: ``docs/async.md``).
     """
     lid, rid = left[0], right[0]
     if lid == rid:
@@ -208,16 +202,13 @@ async def secure_equality_async(
                 for pid, value in (left, right)
             }
 
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, reply_to, build, lambda party: party.verdict,
             rounds=2, essential=(lid, rid), min_parties=2, deadline=deadline,
         )
 
 
-secure_equality = sync_twin(secure_equality_async)
-
-
-async def secure_equality_commutative_async(
+def secure_equality_commutative(
     ctx: SmcContext,
     left: tuple[str, object],
     right: tuple[str, object],
@@ -227,13 +218,10 @@ async def secure_equality_commutative_async(
 
     "When the set size of S_i = 1, the secure set intersection could be
     used for secure equality comparison."
-
-    ``secure_equality_commutative`` is :func:`~repro.twin.sync_twin` of this
-    coroutine (one body, two runners: ``docs/async.md``).
     """
     (lid, lval), (rid, rval) = left, right
     with ctx.tracer.span("smc.equality", {"route": "commutative"}):
-        result = await secure_set_intersection_async(
+        result = secure_set_intersection(
             ctx, {lid: [lval], rid: [rval]}, net=net, shuffle=False
         )
     equal = len(result.any_value) == 1
@@ -245,4 +233,5 @@ async def secure_equality_commutative_async(
     )
 
 
-secure_equality_commutative = sync_twin(secure_equality_commutative_async)
+# benchmarks/e2e/layers.py pins this name; ROADMAP item 1(b) deletes it.
+def secure_equality_async(*args, **kwargs): return secure_equality(*args, **kwargs)

@@ -33,12 +33,10 @@ from repro.net.message import Message
 from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline, pick_coordinator, ring_avoiding
 from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
-from repro.twin import sync_twin
 
 __all__ = [
     "IntersectionParty",
     "secure_set_intersection",
-    "secure_set_intersection_async",
     "fig4_walkthrough",
 ]
 
@@ -293,7 +291,7 @@ class IntersectionParty:
             transport.send_many(outgoing)
 
 
-async def secure_set_intersection_async(
+def secure_set_intersection(
     ctx: SmcContext,
     sets: dict[str, list],
     observers: list[str] | None = None,
@@ -304,12 +302,6 @@ async def secure_set_intersection_async(
     deadline: Deadline | None = None,
 ) -> SmcResult:
     """Run the full protocol on a simulated network and return the result.
-
-    This coroutine is the protocol's only body.  Awaited on an event loop
-    its rounds interleave with other tasks' (each over its own network);
-    ``secure_set_intersection`` is :func:`~repro.twin.sync_twin` of it —
-    the same body run to completion without a loop (see
-    ``docs/async.md``).
 
     Parameters
     ----------
@@ -382,13 +374,10 @@ async def secure_set_intersection_async(
             "shuffle": shuffle,
         },
     ):
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, parties, build, lambda party: party.state.result,
             rounds=len(parties), observers=observers, deadline=deadline,
         )
-
-
-secure_set_intersection = sync_twin(secure_set_intersection_async)
 
 
 def fig4_walkthrough(ctx: SmcContext | None = None) -> dict:
@@ -428,3 +417,7 @@ def fig4_walkthrough(ctx: SmcContext | None = None) -> dict:
         "bytes": net.stats.bytes,
         "modexp": ctx.crypto_ops.modexp,
     }
+
+
+# benchmarks/e2e/layers.py pins this name; ROADMAP item 1(b) deletes it.
+def secure_set_intersection_async(*args, **kwargs): return secure_set_intersection(*args, **kwargs)

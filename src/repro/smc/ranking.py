@@ -28,14 +28,12 @@ from repro.net.message import Message
 from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline, standby_id
 from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
-from repro.twin import sync_twin
 
 __all__ = [
     "MonotoneBlinding",
     "RankingTtp",
     "RankingParty",
     "secure_ranking",
-    "secure_ranking_async",
 ]
 
 PROTOCOL = "secure_ranking"
@@ -165,7 +163,7 @@ class RankingParty:
         self.verdict = dict(msg.payload)
 
 
-async def secure_ranking_async(
+def secure_ranking(
     ctx: SmcContext,
     values: dict[str, int],
     value_bound: int | None = None,
@@ -189,9 +187,6 @@ async def secure_ranking_async(
     learn ranks over the reduced group, the result is ``degraded=True`` and
     names the skipped party — never a silent ranking that pretends everyone
     participated.
-
-    ``secure_ranking`` is :func:`~repro.twin.sync_twin` of this coroutine
-    (one body, two runners: ``docs/async.md``).
     """
     if len(values) < 2:
         raise ConfigurationError("ranking needs at least two parties")
@@ -218,10 +213,11 @@ async def secure_ranking_async(
                 for pid in alive
             }
 
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, sorted(values), build, lambda party: party.verdict,
             rounds=2, min_parties=2, deadline=deadline,
         )
 
 
-secure_ranking = sync_twin(secure_ranking_async)
+# benchmarks/e2e/layers.py pins this name; ROADMAP item 1(b) deletes it.
+def secure_ranking_async(*args, **kwargs): return secure_ranking(*args, **kwargs)

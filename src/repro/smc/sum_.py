@@ -29,14 +29,11 @@ from repro.net.message import Message
 from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline
 from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
-from repro.twin import sync_twin
 
 __all__ = [
     "SumParty",
     "secure_sum",
-    "secure_sum_async",
     "secure_weighted_sum",
-    "secure_weighted_sum_async",
 ]
 
 PROTOCOL = "secure_sum"
@@ -147,7 +144,7 @@ class SumParty:
             self.state.result = self.scheme.reconstruct(shares)
 
 
-async def _run_sum(
+def _run_sum(
     ctx: SmcContext,
     values: dict[str, int],
     weights: dict[str, int] | None,
@@ -204,13 +201,13 @@ async def _run_sum(
             PROTOCOL, "*", "value_bound",
             f"field modulus {field_prime} bounds the (weighted) sum a priori",
         )
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, parties, build, lambda party: party.state.result,
             rounds=2, observers=observers, deadline=deadline,
         )
 
 
-async def secure_sum_async(
+def secure_sum(
     ctx: SmcContext,
     values: dict[str, int],
     observers: list[str] | None = None,
@@ -226,14 +223,11 @@ async def secure_sum_async(
     maximum possible sum.  The run is supervised: on a resilient network
     unreachable parties are excluded and the (partial) sum comes back with
     ``degraded=True`` and the skipped ids listed.
-
-    ``secure_sum`` is :func:`~repro.twin.sync_twin` of this coroutine (one
-    body, two runners: ``docs/async.md``).
     """
-    return await _run_sum(ctx, values, None, observers, k, net, field_prime, deadline)
+    return _run_sum(ctx, values, None, observers, k, net, field_prime, deadline)
 
 
-async def secure_weighted_sum_async(
+def secure_weighted_sum(
     ctx: SmcContext,
     values: dict[str, int],
     weights: dict[str, int],
@@ -243,15 +237,11 @@ async def secure_weighted_sum_async(
     field_prime: int | None = None,
     deadline: Deadline | None = None,
 ) -> SmcResult:
-    """Compute ``Σ weights[p] · values[p]`` for public weights.
-
-    ``secure_weighted_sum`` is :func:`~repro.twin.sync_twin` of this
-    coroutine (one body, two runners: ``docs/async.md``).
-    """
-    return await _run_sum(
+    """Compute ``Σ weights[p] · values[p]`` for public weights."""
+    return _run_sum(
         ctx, values, weights, observers, k, net, field_prime, deadline
     )
 
 
-secure_sum = sync_twin(secure_sum_async)
-secure_weighted_sum = sync_twin(secure_weighted_sum_async)
+# benchmarks/e2e/layers.py pins this name; ROADMAP item 1(b) deletes it.
+def secure_sum_async(*args, **kwargs): return secure_sum(*args, **kwargs)

@@ -28,9 +28,8 @@ from repro.net.simnet import SimNetwork
 from repro.net.topology import next_on_ring
 from repro.resilience import Deadline, pick_coordinator, ring_avoiding
 from repro.smc.base import SmcContext, SmcResult, protocol_span, run_supervised
-from repro.twin import sync_twin
 
-__all__ = ["UnionParty", "secure_set_union", "secure_set_union_async"]
+__all__ = ["UnionParty", "secure_set_union"]
 
 PROTOCOL = "secure_set_union"
 
@@ -192,7 +191,7 @@ class UnionParty:
                 )
 
 
-async def secure_set_union_async(
+def secure_set_union(
     ctx: SmcContext,
     sets: dict[str, list[int]],
     observers: list[str] | None = None,
@@ -207,9 +206,6 @@ async def secure_set_union_async(
     :func:`repro.smc.intersection.secure_set_intersection`, including
     failover supervision (re-route or exclude on a resilient network, with
     ``degraded``/``skipped`` set on the result).
-
-    ``secure_set_union`` is :func:`~repro.twin.sync_twin` of this coroutine
-    (one body, two runners: ``docs/async.md``).
     """
     if not sets:
         raise ConfigurationError("union needs at least one party")
@@ -248,10 +244,11 @@ async def secure_set_union_async(
             "engine": ctx.engine.name,
         },
     ):
-        return await run_supervised(
+        return run_supervised(
             ctx, net, PROTOCOL, parties, build, lambda party: party.state.result,
             rounds=len(parties), observers=observers, deadline=deadline,
         )
 
 
-secure_set_union = sync_twin(secure_set_union_async)
+# benchmarks/e2e/layers.py pins this name; ROADMAP item 1(b) deletes it.
+def secure_set_union_async(*args, **kwargs): return secure_set_union(*args, **kwargs)

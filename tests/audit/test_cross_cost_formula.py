@@ -34,7 +34,6 @@ from repro.logstore import (
 )
 from repro.net.simnet import SimNetwork
 from repro.smc import SmcContext, secure_set_intersection
-from repro.twin import run_sync
 
 LABELS = ("bank", "salary", "shop", "tax", "fee", "loan")
 
@@ -298,7 +297,7 @@ def _align(executor: QueryExecutor):
     """Run ``_common_glsns`` for C1@P3 / C5@P1; returns (set, modexps, messages)."""
     net = SimNetwork()
     before = executor.ctx.crypto_ops.modexp
-    common = run_sync(executor._common_glsns("P3", "C1", "P1", "C5", net))
+    common = executor._common_glsns("P3", "C1", "P1", "C5", net)
     return common, executor.ctx.crypto_ops.modexp - before, net.stats.messages
 
 

@@ -294,16 +294,16 @@ class TestInvalidation:
         query's completion: a ``degraded_result`` landing there while a
         healthy sync run is computing must not keep that run out of the
         memo — only the run's own protocol results decide."""
-        original = executor_module.secure_set_intersection_async
+        original = executor_module.secure_set_intersection
 
-        async def beside_a_degraded_query(*args, **kwargs):
+        def beside_a_degraded_query(*args, **kwargs):
             service.ctx.leakage.record(
                 "intersection", "*", "degraded_result", "another query's run"
             )
-            return await original(*args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(
-            executor_module, "secure_set_intersection_async", beside_a_degraded_query
+            executor_module, "secure_set_intersection", beside_a_degraded_query
         )
         first = service.query("C4 = C").glsns
         assert service.subplan_memo.stats.entries == 1
@@ -320,16 +320,16 @@ class TestInvalidation:
         query recomputes and succeeds."""
         from repro.errors import DeadlineExceededError
 
-        original = executor_module.secure_compare_batch_async
+        original = executor_module.secure_compare_batch
         stalled = []
 
-        async def stall_once(*args, **kwargs):
+        def stall_once(*args, **kwargs):
             if not stalled:
                 stalled.append(True)
                 time.sleep(1.0)  # the 0.5 s budget runs out mid-query
-            return await original(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(executor_module, "secure_compare_batch_async", stall_once)
+        monkeypatch.setattr(executor_module, "secure_compare_batch", stall_once)
         criterion = "C1 > C5 and C3 = 'bank'"
         doomed = service.submit(criterion, timeout=0.5)
         with pytest.raises(DeadlineExceededError):
@@ -359,17 +359,17 @@ class TestSyncBesideTheScheduler:
         for the worker, and both store the same value."""
         main = threading.current_thread()
         started, release = threading.Event(), threading.Event()
-        original = executor_module.secure_compare_batch_async
+        original = executor_module.secure_compare_batch
         gated_on = []
 
-        async def gated(*args, **kwargs):
+        def gated(*args, **kwargs):
             if threading.current_thread() is not main:
                 gated_on.append(threading.current_thread().name)
                 started.set()
                 release.wait(timeout=60)
-            return await original(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(executor_module, "secure_compare_batch_async", gated)
+        monkeypatch.setattr(executor_module, "secure_compare_batch", gated)
         twin, ticket = build()
         populate(twin, ticket)
         try:

@@ -172,11 +172,11 @@ class TestRemoteOverTcp:
     def test_tcp_roundtrip(self, world):
         import time
 
-        from repro.aio import AsyncTcpCluster
+        from repro.net.tcp import TcpCluster
 
         frontdoor = DlaQueryFrontdoor("fd", world)
         client = RemoteAuditorClient("aud", "fd", world)
-        with AsyncTcpCluster(["fd", "aud"]) as cluster:
+        with TcpCluster(["fd", "aud"]) as cluster:
             cluster["fd"].set_handler(frontdoor.handle)
             cluster["aud"].set_handler(client.handle)
             request_id = client.send_query(cluster["aud"], "C1 > 30")
@@ -192,11 +192,11 @@ class TestRemoteOverTcp:
         and the same connection then answers the next request."""
         import time
 
-        from repro.aio import AsyncTcpCluster
+        from repro.net.tcp import TcpCluster
 
         frontdoor = DlaQueryFrontdoor("fd", table1)
         client = RemoteAuditorClient("aud", "fd", table1)
-        with AsyncTcpCluster(["fd", "aud"]) as cluster:
+        with TcpCluster(["fd", "aud"]) as cluster:
             cluster["fd"].set_handler(frontdoor.handle)
             cluster["aud"].set_handler(client.handle)
             bad = client.send_aggregate(cluster["aud"], "sum", "C3")

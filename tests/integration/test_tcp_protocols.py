@@ -1,7 +1,7 @@
 """The same protocol objects running over real localhost TCP sockets.
 
 The SMC party classes are transport-agnostic: this test wires
-IntersectionParty instances to AsyncTcpNode handlers and verifies the Figure 4
+IntersectionParty instances to TcpNode handlers and verifies the Figure 4
 result appears over genuine sockets, byte-identical frames and all.
 """
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.crypto import DeterministicRng
 from repro.crypto.pohlig_hellman import shared_prime
-from repro.aio import AsyncTcpCluster
+from repro.net.tcp import TcpCluster
 from repro.smc.base import SmcContext
 from repro.smc.intersection import IntersectionParty
 
@@ -41,7 +41,7 @@ class TestIntersectionOverTcp:
             )
             for pid in parties
         }
-        with AsyncTcpCluster(parties) as cluster:
+        with TcpCluster(parties) as cluster:
             for pid, party in nodes.items():
                 cluster[pid].set_handler(party.handle)
             for pid, party in nodes.items():
@@ -64,7 +64,7 @@ class TestIntersectionOverTcp:
             pid: IntersectionParty(pid, sets[pid], ctx, parties, parties, "A")
             for pid in parties
         }
-        with AsyncTcpCluster(parties) as cluster:
+        with TcpCluster(parties) as cluster:
             for pid, party in nodes.items():
                 cluster[pid].set_handler(party.handle)
             for pid, party in nodes.items():

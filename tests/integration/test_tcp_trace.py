@@ -12,7 +12,7 @@ import time
 
 from repro.crypto import DeterministicRng
 from repro.crypto.pohlig_hellman import shared_prime
-from repro.aio import AsyncTcpCluster
+from repro.net.tcp import TcpCluster
 from repro.obs import Tracer
 from repro.smc.base import SmcContext
 from repro.smc.intersection import IntersectionParty
@@ -42,7 +42,7 @@ class TestCrossNodeTraceOverTcp:
             )
             for pid in parties
         }
-        with AsyncTcpCluster(parties, tracer=tracer) as cluster:
+        with TcpCluster(parties, tracer=tracer) as cluster:
             for pid, party in nodes.items():
                 cluster[pid].set_handler(party.handle)
 

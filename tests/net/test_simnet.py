@@ -204,18 +204,8 @@ class TestFaultIntegration:
 
 
 class TestDrain:
-    """``drain`` is ``run`` under an awaitable name: it never suspends."""
-
-    @staticmethod
-    def suspensions(coro):
-        """Drive ``coro`` by hand: (number of suspensions, return value)."""
-        count = 0
-        while True:
-            try:
-                assert coro.send(None) is None  # a bare turn, never a future
-            except StopIteration as done:
-                return count, done.value
-            count += 1
+    """``drain`` is ``run`` under the name the protocol drivers call: a
+    plain method that delivers until the queue is empty."""
 
     def test_drain_runs_to_quiescence_without_suspending(self):
         net = SimNetwork()
@@ -224,9 +214,9 @@ class TestDrain:
         net.register("B", make_sink(log))
         for _ in range(40):
             net.send(Message(src="A", dst="B", kind="k"))
-        assert self.suspensions(net.drain()) == (0, 40)
+        assert net.drain() == 40
         assert len(log) == 40
-        assert self.suspensions(net.drain()) == (0, 0)  # idle: returns at once
+        assert net.drain() == 0  # idle: returns at once
 
     def test_drain_max_steps_guard(self):
         net = SimNetwork()
@@ -238,4 +228,4 @@ class TestDrain:
         net.register("B", ping_pong)
         net.send(Message(src="A", dst="B", kind="echo"))
         with pytest.raises(ConfigurationError, match="did not quiesce within 10"):
-            self.suspensions(net.drain(max_steps=10))
+            net.drain(max_steps=10)

@@ -21,7 +21,6 @@ from repro.logstore.store import DistributedLogStore
 from repro.net.simnet import SimNetwork
 from repro.smc.base import SmcContext
 from repro.smc.intersection import secure_set_intersection
-from repro.twin import run_sync
 
 PRIME = shared_prime(64)
 
@@ -192,9 +191,7 @@ class TestCrossAlignmentAgainstOracle:
 
         # Whichever representation the executor chose, the aligned set is
         # what the presence intersection alone computes.
-        common = run_sync(
-            executor._common_glsns("P3", "C1", "P1", "C5", SimNetwork())
-        )
+        common = executor._common_glsns("P3", "C1", "P1", "C5", SimNetwork())
         presence = secure_set_intersection(
             SmcContext(PRIME, DeterministicRng(seed + 1)),
             {

@@ -5,8 +5,8 @@ service builds; ``query_many`` and standing queries go through it too.
 Its queries run one at a time on its ``repro-sched`` worker thread —
 never on an event loop, so the query path does not even import
 :mod:`asyncio` — and nothing runs on a worker pool or a per-connection
-reader thread.  Closing a service or a TCP cluster leaves no thread
-behind.
+reader thread: a TCP mesh is one ``selectors`` loop on one thread.
+Closing a service or a TCP cluster leaves no thread behind.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import threading
 from pathlib import Path
 
 import repro
-from repro.aio import AsyncTcpCluster
 from repro.net.message import Message
+from repro.net.tcp import TcpCluster
 from repro.sched import QueryScheduler
 from tests.sched.conftest import CRITERIA, build_service
 
 #: Every thread this repo's schedulers and socket transports ever named.
-WORKER_THREADS = ("repro-sched", "repro-aio-sched", "aio-tcp-")
+WORKER_THREADS = ("repro-sched", "repro-aio-sched", "tcp-io-")
 POOL_THREADS = ("sched-worker-", "tcp-read-", "tcp-accept-")
 REPO = Path(repro.__file__).resolve().parents[2]
 
@@ -88,7 +88,7 @@ def test_query_many_ledger_equals_the_persistent_schedulers():
 def test_no_pool_or_reader_threads_and_close_leaves_no_loop_thread():
     before = set(threading.enumerate())
     service = build_service(rows=12)
-    cluster = AsyncTcpCluster(["A", "B"])
+    cluster = TcpCluster(["A", "B"])
     try:
         service.gather([service.submit(c) for c in CRITERIA * 2])
         service.query_many(CRITERIA)
@@ -99,8 +99,8 @@ def test_no_pool_or_reader_threads_and_close_leaves_no_loop_thread():
         assert thread_names(POOL_THREADS, before) == []
         # One worker for the scheduler, one loop for the whole mesh.
         assert sorted(thread_names(WORKER_THREADS, before)) == [
-            "aio-tcp-cluster",
             "repro-sched",
+            "tcp-io-mesh",
         ]
     finally:
         service.close()

@@ -242,17 +242,17 @@ class TestFailedRuns:
     def test_a_run_that_raises_does_not_advance_the_floor(self, error, monkeypatch):
         tracer = Tracer()
         service, ticket = build(tracer=tracer)
-        original = executor_module.secure_set_intersection_async
+        original = executor_module.secure_set_intersection
         armed = []
 
-        async def fail_when_armed(*args, **kwargs):
+        def fail_when_armed(*args, **kwargs):
             if armed:
                 armed.clear()
                 raise error
-            return await original(*args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(
-            executor_module, "secure_set_intersection_async", fail_when_armed
+            executor_module, "secure_set_intersection", fail_when_armed
         )
         try:
             deltas = []
