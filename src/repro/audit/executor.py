@@ -450,14 +450,8 @@ class QueryExecutor:
         net: SimNetwork,
         deadline: Deadline | None = None,
     ) -> AggregateResult:
-        if criterion is not None:
-            matching: set[int] | None = set(
-                self.execute(criterion, net=net, deadline=deadline).glsns
-            )
-        else:
-            matching = None
-
         owners = self.plan.owners_of(attribute)
+        matching = self._matching(criterion, "aggregate", owners, net, deadline)
         columns = {owner: self._projection(owner, attribute) for owner in owners}
         rows = {owner: column.rows(matching) for owner, column in columns.items()}
 
@@ -553,18 +547,17 @@ class QueryExecutor:
         if min_group_size < 1:
             raise AuditError("min_group_size must be at least 1")
         net = net or SimNetwork(tracer=self.ctx.tracer)
-        matching: set[int] | None = None
-        if criterion is not None:
-            matching = set(self.execute(criterion, net=net, deadline=deadline).glsns)
-
         group_node = self.plan.home_of(group_by)
+        measure_node = self.plan.home_of(measure)
+        matching = self._matching(
+            criterion, "aggregate_grouped", {group_node, measure_node}, net, deadline
+        )
         groups: dict[object, list[int]] = {}
         for glsn, value in self._projection(group_node, group_by):
             if matching is not None and glsn not in matching:
                 continue
             groups.setdefault(value, []).append(glsn)
 
-        measure_node = self.plan.home_of(measure)
         cross_node = measure_node != group_node
         if cross_node:
             self.ctx.leakage.record(
@@ -592,6 +585,34 @@ class QueryExecutor:
                 op=op, attribute=measure, value=result, matched=len(samples)
             )
         return out
+
+    def _matching(
+        self,
+        criterion: str | None,
+        protocol: str,
+        owners,
+        net: SimNetwork,
+        deadline: Deadline | None,
+    ) -> set[int] | None:
+        """The criterion's glsns, for ``owners`` to filter their columns by.
+
+        Each owner that filters learns which of its rows matched.  Where
+        the criterion read another node's attributes that is a disclosure
+        (``result_membership``); a criterion on the owner's own attributes
+        tells it nothing it does not hold.
+        """
+        if criterion is None:
+            return None
+        result = self.execute(criterion, net=net, deadline=deadline)
+        read = {node for s in result.plan.strategies.values() for node in s.nodes}
+        for owner in sorted(owners):
+            if read - {owner}:
+                self.ctx.leakage.record(
+                    protocol, owner, "result_membership",
+                    f"owner learns which of its rows match "
+                    f"{result.plan.criterion_text!r} ({len(result.glsns)} glsns)",
+                )
+        return set(result.glsns)
 
     # -- predicate evaluation ---------------------------------------------------
 

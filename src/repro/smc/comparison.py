@@ -61,7 +61,8 @@ class _CompareTtp:
             verdict = "eq"
         self.ctx.leakage.record(
             PROTOCOL, self.ttp_id, "order_statistics",
-            f"TTP learns the order of two blinded values (session {session})",
+            f"TTP learns the order of two values and their difference scaled "
+            f"by the map's slope a (session {session})",
         )
         for pid in entry["values"]:
             transport.send(
@@ -193,10 +194,13 @@ class _BatchCompareTtp:
             "lt" if a < b else ("gt" if a > b else "eq")
             for a, b in zip(left_vec, right_vec)
         ]
+        # W = a·Y + b with no wrap or jitter: every blinded difference is a
+        # multiple of a, so their gcd is a and (W_i - W_0) / a = Y_i - Y_0.
         self.ctx.leakage.record(
             PROTOCOL, self.ttp_id, "order_statistics",
-            f"TTP learns {len(verdicts)} pairwise blinded orderings "
-            f"(session {session})",
+            f"TTP learns {len(verdicts)} pairwise orderings and every compared "
+            f"value up to one common offset: the gcd of the blinded differences "
+            f"is the map's slope a (session {session})",
         )
         for pid in entry["vectors"]:
             transport.send(
