@@ -34,6 +34,7 @@ import struct
 import threading
 import time
 from collections import deque
+from contextvars import Context, copy_context
 from functools import partial
 from typing import Callable
 
@@ -67,7 +68,8 @@ class _Peer:
     def __init__(self) -> None:
         self.sock: socket.socket | None = None
         self.connected = False
-        self.pending: deque[tuple[bytes, int]] = deque()  # (payload, frames)
+        # (payload, frames, the sender's context when traced) per write
+        self.pending: deque[tuple[bytes, int, Context | None]] = deque()
         self.sent = 0  # bytes of pending[0] already written
         # Set while the socket waits to connect or to take pending bytes,
         # and exactly then registered for writability.
@@ -134,8 +136,11 @@ class TcpNode:
         batches: dict[NodeId, list[bytes]] = {}
         for msg in msgs:
             batches.setdefault(msg.dst, []).append(self._frame(msg))
+        # A traced send's context travels with its frames, so a drop on the
+        # loop thread is recorded under the span the send was made from.
+        context = copy_context() if self.tracer.enabled else None
         for dst, frames in batches.items():
-            item = (b"".join(frames), len(frames))
+            item = (b"".join(frames), len(frames), context)
             if self._mesh.on_loop():
                 self._enqueue(dst, item)
             else:
@@ -149,7 +154,7 @@ class TcpNode:
                      "bytes": msg.size_bytes},
                 )
 
-    def _enqueue(self, dst: NodeId, item: tuple[bytes, int]) -> None:
+    def _enqueue(self, dst: NodeId, item: tuple) -> None:
         if self._closed:
             return
         peer = self._peers.get(dst)
@@ -254,23 +259,29 @@ class TcpNode:
         the next send dials afresh (maybe at a new address by then)."""
         self._disconnect(dst, peer, abort)
         del self._peers[dst]
-        frames = sum(count for _payload, count in peer.pending)
+        frames = sum(count for _payload, count, _context in peer.pending)
         for _ in range(frames):
             self.stats.record_drop()
         if self.tracer.enabled:
-            self.tracer.add_event(
+            peer.pending[-1][2].run(
+                self.tracer.add_event,
                 "net.drop",
                 {"src": self.node_id, "dst": dst, "frames": frames,
                  "error": f"{type(exc).__name__}: {exc}"},
             )
 
-    def _expire(self, now: float) -> None:
-        """Abandon every peer whose connect or write is overdue."""
+    def _expire(self, now: float) -> float:
+        """Abandon every peer whose connect or write is overdue; returns the
+        earliest deadline left (infinity when none is)."""
         for dst, peer in list(self._peers.items()):
             if peer.deadline is not None and peer.deadline <= now:
                 what = "write to" if peer.connected else "connect to"
                 error = TransportTimeout(f"{self.node_id}: {what} {dst!r} timed out")
                 self._abandon(dst, peer, error, abort=peer.connected)
+        return min(
+            (p.deadline for p in self._peers.values() if p.deadline is not None),
+            default=float("inf"),
+        )
 
     # -- receiving --------------------------------------------------------
 
@@ -435,26 +446,16 @@ class TcpCluster:
                 pass
 
     def _run(self) -> None:
+        deadline = float("inf")
         while self._running:
-            deadlines = [
-                peer.deadline
-                for node in self.members
-                for peer in node._peers.values()
-                if peer.deadline is not None
-            ]
-            timeout = None
-            if self._calls:
-                timeout = 0.0
-            elif deadlines:
-                timeout = max(0.0, min(deadlines) - time.monotonic())
-            for key, _events in self.selector.select(timeout):
+            timeout = None if deadline == float("inf") else deadline - time.monotonic()
+            for key, _events in self.selector.select(0.0 if self._calls else timeout):
                 key.data(key.fileobj)
             while self._calls:
                 fn, args = self._calls.popleft()
                 fn(*args)
             now = time.monotonic()
-            for node in self.members:
-                node._expire(now)
+            deadline = min((node._expire(now) for node in self.members), default=float("inf"))
         for key in list(self.selector.get_map().values()):
             key.fileobj.close()
         self.selector.close()

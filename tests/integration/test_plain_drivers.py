@@ -99,8 +99,12 @@ def test_the_benchmark_pins_eleven_driver_pairs():
     assert len(_PAIRS) == 11
 
 
-@pytest.mark.parametrize("sync_path,async_path", _PAIRS)
-def test_pinned_async_name_forwards_to_a_distinct_plain_function(sync_path, async_path):
+@pytest.mark.parametrize(
+    "sync_path,async_path", _PAIRS, ids=[path.partition(":")[2] for _, path in _PAIRS]
+)
+def test_async_alias_forwards(sync_path, async_path):
+    """Each pinned ``_async`` name is a distinct plain function that
+    forwards to its plain name."""
     owner, attr = _LAYERS._resolve(sync_path)
     body = vars(owner)[attr]
     owner, alias_attr = _LAYERS._resolve(async_path)

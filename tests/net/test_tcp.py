@@ -11,6 +11,7 @@ that a handler's send never blocks the thread that dispatches handlers.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 import zlib
@@ -476,6 +477,52 @@ class TestDeadPeer:
                 assert reborn.receive(timeout=5.0).payload == "back"
                 assert dict(node.stats.connections_open) == {"B": 1}
             assert node.stats.dropped == 3
+
+
+    def test_a_drop_is_recorded_under_the_span_it_was_sent_from(self):
+        tracer = Tracer()
+        with TcpCluster(["A", "B"], tracer=tracer) as cluster:
+            cluster["B"].close()
+            with tracer.span("root") as root:
+                cluster["A"].send(Message(src="A", dst="B", kind="k", payload=1))
+            assert wait_until(lambda: cluster["A"].stats.dropped == 1)
+        (drop,) = [e for e in root.events if e.name == "net.drop"]
+        assert drop.attributes["dst"] == "B" and drop.attributes["frames"] == 1
+        assert tracer.orphan_events_total == 0
+
+
+class TestManySenders:
+    def test_concurrent_senders_lose_nothing_and_keep_their_order(self):
+        """Four threads (more than the cores) hand sends to one mesh loop
+        under a 1 µs switch interval: every message arrives once, each
+        sender's in its own order, and the counters add up."""
+        senders, each = 4, 200
+        with TcpCluster(["A", "B"]) as cluster:
+            seen, done = collect(cluster["B"], senders * each)
+
+            def send_all(sender: int) -> None:
+                for i in range(each):
+                    cluster["A"].send(
+                        Message(src="A", dst="B", kind="k", payload=[sender, i])
+                    )
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=send_all, args=(n,)) for n in range(senders)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert done.wait(30.0)
+            for sender in range(senders):
+                assert [i for s, i in seen if s == sender] == list(range(each))
+            assert cluster["A"].stats.messages == senders * each
 
 
 class TestOneLoop:
