@@ -349,7 +349,7 @@ class TestConnectionPoolHealth:
             assert dict(cluster["A"].stats.connections_open) == {"B": 1}
             assert dict(cluster["A"].stats.reconnects) == {}
 
-    def test_broken_stream_counts_a_reconnect(self):
+    def test_broken_socket_counts_a_reconnect(self):
         with TcpCluster(["A", "B"]) as cluster:
             node = cluster["A"]
             node.send(Message(src="A", dst="B", kind="k", payload=1))
