@@ -209,7 +209,8 @@ class TestSchedulerThroughput:
                 base_svc.query(criterion)
 
         sched_svc = _build(ROWS)
-        one = QueryScheduler(sched_svc, coalesce=False)
+        sched_svc.coalesce = False
+        one = QueryScheduler(sched_svc)
         try:
 
             def run_scheduled():

@@ -322,10 +322,10 @@ class QueryExecutor:
         self.early_exit = True
         self._session = 0
         # Home of the typed columns (:meth:`_projection`); with the cache
-        # kill switch off they are rebuilt per use.  The query scheduler
-        # injects the service executor's cache here, so every query the
-        # service runs builds a column once per (node, attribute, epoch)
-        # and keeps the latest one.
+        # kill switch off they are rebuilt per use.  The service passes
+        # its one column cache to every executor it builds, so every query
+        # builds a column once per (node, attribute, epoch) and keeps the
+        # latest one.
         self._projection_cache = (
             projection_cache
             if projection_cache is not None

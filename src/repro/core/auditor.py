@@ -53,5 +53,6 @@ class Auditor:
         return self.service.aggregate(op, attribute, criterion, timeout=timeout)
 
     def check_rule(self, rule: Rule) -> RuleVerdict:
-        """Evaluate one transaction rule r_j(T) confidentially."""
-        return rule.evaluate(self.service.executor)
+        """Evaluate one transaction rule r_j(T) confidentially; each query
+        it asks is a service query of its own."""
+        return rule.evaluate(self.service.query)

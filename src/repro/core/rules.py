@@ -6,16 +6,18 @@ non-repudiation, atomic, consistency checking, irregular pattern
 detection)."
 
 Each rule class compiles its semantics into *confidential* auditing
-queries against a :class:`~repro.audit.executor.QueryExecutor`, so the
-auditor verifies conformance without reading raw log rows.  Every rule
-returns a :class:`RuleVerdict` carrying the evidence glsns it relied on.
+queries, asked through a ``query`` callable (``Auditor.check_rule``
+passes ``service.query``), so the auditor verifies conformance without
+reading raw log rows.  Every rule returns a :class:`RuleVerdict`
+carrying the evidence glsns it relied on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.audit.executor import QueryExecutor
+from repro.audit.executor import QueryResult
 from repro.errors import AuditError
 
 __all__ = [
@@ -41,6 +43,10 @@ class RuleVerdict:
     evidence_glsns: tuple[int, ...] = ()
 
 
+#: Runs one criterion confidentially and returns its result.
+Query = Callable[[str], QueryResult]
+
+
 class Rule:
     """Base class: a boolean condition over the (confidential) audit trail."""
 
@@ -59,8 +65,8 @@ class AtomicityRule(Rule):
     width: int
     name: str = "atomicity"
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        result = executor.execute(f"Tid = '{self.tsn}'")
+    def evaluate(self, query: Query) -> RuleVerdict:
+        result = query(f"Tid = '{self.tsn}'")
         count = result.count
         passed = count == self.width
         return RuleVerdict(
@@ -84,11 +90,11 @@ class NonRepudiationRule(Rule):
     parties: tuple[str, ...] = ()
     name: str = "non-repudiation"
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
+    def evaluate(self, query: Query) -> RuleVerdict:
         missing = []
         evidence: list[int] = []
         for party in self.parties:
-            result = executor.execute(f"Tid = '{self.tsn}' and id = '{party}'")
+            result = query(f"Tid = '{self.tsn}' and id = '{party}'")
             if result.count == 0:
                 missing.append(party)
             evidence.extend(result.glsns)
@@ -117,9 +123,9 @@ class CorrelationRule(Rule):
     right_criterion: str
     name: str = "correlation"
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        left = executor.execute(self.left_criterion)
-        right = executor.execute(self.right_criterion)
+    def evaluate(self, query: Query) -> RuleVerdict:
+        left = query(self.left_criterion)
+        right = query(self.right_criterion)
         passed = (left.count > 0) == (right.count > 0)
         return RuleVerdict(
             rule=self.name,
@@ -145,9 +151,9 @@ class FairnessRule(Rule):
     tolerance: int = 0
     name: str = "fairness"
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        a = executor.execute(self.criterion_a)
-        b = executor.execute(self.criterion_b)
+    def evaluate(self, query: Query) -> RuleVerdict:
+        a = query(self.criterion_a)
+        b = query(self.criterion_b)
         passed = abs(a.count - b.count) <= self.tolerance
         return RuleVerdict(
             rule=self.name,
@@ -169,10 +175,8 @@ class ConsistencyRule(Rule):
     right_attribute: str
     name: str = "consistency"
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        mismatched = executor.execute(
-            f"{self.left_attribute} != {self.right_attribute}"
-        )
+    def evaluate(self, query: Query) -> RuleVerdict:
+        mismatched = query(f"{self.left_attribute} != {self.right_attribute}")
         passed = mismatched.count == 0
         return RuleVerdict(
             rule=self.name,
@@ -203,8 +207,8 @@ class IrregularPatternRule(Rule):
         if self.threshold < 0:
             raise AuditError("threshold must be non-negative")
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        result = executor.execute(self.criterion)
+    def evaluate(self, query: Query) -> RuleVerdict:
+        result = query(self.criterion)
         passed = result.count <= self.threshold
         return RuleVerdict(
             rule=self.name,
@@ -234,9 +238,9 @@ class OrderRule(Rule):
     second_criterion: str
     name: str = "event-order"
 
-    def evaluate(self, executor: QueryExecutor) -> RuleVerdict:
-        first = executor.execute(self.first_criterion)
-        second = executor.execute(self.second_criterion)
+    def evaluate(self, query: Query) -> RuleVerdict:
+        first = query(self.first_criterion)
+        second = query(self.second_criterion)
         if not first.glsns or not second.glsns:
             return RuleVerdict(
                 rule=self.name,

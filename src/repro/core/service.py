@@ -16,6 +16,7 @@ integration tests drive everything through it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import threading
 from collections import Counter
@@ -77,6 +78,21 @@ class AuditReport:
 
 
 _NO_NAMES = frozenset()
+
+
+@dataclass(frozen=True)
+class _QueryScope:
+    """One query's context, executor and network (``_query_scope``)."""
+
+    ctx: SmcContext
+    executor: QueryExecutor
+    net: SimNetwork
+
+    def cost(self) -> CostReport:
+        """The query's cost so far: its traffic and its crypto ops."""
+        return CostReport.collect(
+            self.net.stats, self.ctx.crypto_ops, virtual_time=self.net.now
+        )
 
 
 class _Signatures:
@@ -214,8 +230,8 @@ class ConfidentialAuditingService:
         self._node_health: dict[str, dict] = {}
         self._health_lock = threading.Lock()
         self.precompute = PrecomputeManager()  # benchmark readout only
-        #: Modexp ledger for distributed integrity rounds (kept separate
-        #: from the query ledger so per-query CostReport deltas are pure).
+        #: Modexp ledger for distributed integrity rounds (kept apart from
+        #: the query ledger, :attr:`ctx`).
         self.integrity_ops = CryptoOpCounter()
         #: CostReport of the most recent query/audited_query (None before).
         self.last_query_cost: CostReport | None = None
@@ -267,29 +283,24 @@ class ConfidentialAuditingService:
         self._standing = None
         self._standing_lock = threading.Lock()
 
-        # Relaxed-SMC context and executor.
+        #: What every query's context shares (prime, engine, encoder), and
+        #: the service-wide ledgers each query merges into when it ends.
         self.ctx = SmcContext(
             prime if prime is not None else shared_prime(prime_bits),
             self.rng.spawn("smc"),
             tracer=self.tracer,
         )
-        #: Whether one query may be served another's result at equal store
-        #: epochs: ``REPRO_SCHED_COALESCE``, read here once.  It decides for
-        #: :attr:`executor` and is the default of every scheduler built on
-        #: this service.
+        self._query_seq = itertools.count(1)
+        #: Whether a query may be served another query's result at equal
+        #: store epochs: ``REPRO_SCHED_COALESCE``, read here once.
         self.coalesce = coalescing_from_env()
+        #: The typed columns (node-local: every query reads them).
+        self.column_cache = LruCache("query.projection")
         #: The one sub-plan memo: each cross predicate's glsn set, keyed on
-        #: the predicate and its nodes' store epochs.  :attr:`executor` and
-        #: every scheduled query's executor read and write it, so every
-        #: query the service runs reuses an equal-epoch result and records
-        #: ``coalesced_result`` for it.
+        #: the predicate and its nodes' store epochs.  With :attr:`coalesce`
+        #: on, every query the service runs reads and writes it, reuses an
+        #: equal-epoch result and records ``coalesced_result`` for it.
         self.subplan_memo = LruCache("query.subplan")
-        self.executor = QueryExecutor(
-            self.store,
-            self.ctx,
-            schema,
-            subplan_cache=self.subplan_memo if self.coalesce else None,
-        )
 
         # DLA-side identity: credential authority, membership, signatures.
         group = SchnorrGroup.generate(256, self.rng.spawn("group"))
@@ -460,14 +471,34 @@ class ConfidentialAuditingService:
                 self.resilience_stats.update(net.resilience_stats)
             self._update_health(net)
 
-    def _collect_cost(self, net: SimNetwork, ops_before: Counter) -> CostReport:
-        """CostReport for one query: the net's totals + the crypto delta."""
-        delta = CryptoOpCounter(
-            ops=Counter(self.ctx.crypto_ops.ops) - ops_before
+    @contextmanager
+    def _query_scope(self, label: str | None = None):
+        """The one scope every query the service answers runs in: its own
+        context (RNG spawned under ``label``, by default the next
+        ``query:{n}``; own crypto and leakage ledgers), an executor over it
+        and a :meth:`_private_net`.  On exit, also by an exception, the
+        query's ledgers merge into :attr:`ctx` as one group."""
+        shared = self.ctx
+        ctx = SmcContext(
+            shared.prime,
+            self.rng.spawn(label or f"query:{next(self._query_seq)}"),
+            engine=shared.engine,
+            tracer=self.tracer,
+            encoder=shared.encoder,
         )
-        report = CostReport.collect(net.stats, delta, virtual_time=net.now)
-        self.last_query_cost = report
-        return report
+        executor = QueryExecutor(
+            self.store,
+            ctx,
+            self.schema,
+            projection_cache=self.column_cache,
+            subplan_cache=self.subplan_memo if self.coalesce else None,
+        )
+        try:
+            with self._private_net() as net:
+                yield _QueryScope(ctx, executor, net)
+        finally:
+            shared.leakage.extend(ctx.leakage.events)
+            shared.crypto_ops.merge(ctx.crypto_ops)
 
     # -- observability (repro.obs) --------------------------------------------------
 
@@ -559,16 +590,12 @@ class ConfidentialAuditingService:
         ``tenant`` attributes the query in the confidentiality
         observatory's per-tenant C_DLA accounting.
         """
-        ops_before = Counter(self.ctx.crypto_ops.ops)
-        leakage_before = self.ctx.leakage.count()
-        with self._private_net() as net:
-            result = self.executor.execute(
-                criterion, net=net, deadline=Deadline.after(timeout)
+        with self._query_scope() as scope:
+            result = scope.executor.execute(
+                criterion, net=scope.net, deadline=Deadline.after(timeout)
             )
-            self._collect_cost(net, ops_before)
-        self.observe_query_result(
-            result, self.ctx.leakage.count() - leakage_before, tenant=tenant
-        )
+            self.last_query_cost = scope.cost()
+        self.observe_query_result(result, scope.ctx.leakage.count(), tenant=tenant)
         return result
 
     def aggregate(
@@ -579,12 +606,12 @@ class ConfidentialAuditingService:
         timeout: float | None = None,
     ) -> AggregateResult:
         """Confidential aggregate (sum / count / max / min)."""
-        ops_before = Counter(self.ctx.crypto_ops.ops)
-        with self._private_net() as net:
-            result = self.executor.aggregate(
-                op, attribute, criterion, net=net, deadline=Deadline.after(timeout)
+        with self._query_scope() as scope:
+            result = scope.executor.aggregate(
+                op, attribute, criterion, net=scope.net,
+                deadline=Deadline.after(timeout),
             )
-            self._collect_cost(net, ops_before)
+            self.last_query_cost = scope.cost()
         return result
 
     # -- scheduled auditing (repro.sched) -----------------------------------------
@@ -662,13 +689,11 @@ class ConfidentialAuditingService:
         :attr:`last_query_cost` — so the trace is a complete, auditable
         account of what the query cost and disclosed.
         """
-        ops_before = Counter(self.ctx.crypto_ops.ops)
-        leakage_before = self.ctx.leakage.count()
-        with self._private_net() as net, self.tracer.span(
+        with self._query_scope() as scope, self.tracer.span(
             "audit.query", {"criterion": criterion}
         ) as span:
-            result = self.executor.execute(
-                criterion, net=net, deadline=Deadline.after(timeout)
+            result = scope.executor.execute(
+                criterion, net=scope.net, deadline=Deadline.after(timeout)
             )
             digest = digest_result(sorted(result.glsns))
             local_digests = {node_id: digest for node_id in self.plan.node_ids}
@@ -677,11 +702,14 @@ class ConfidentialAuditingService:
                 self.node_shares[node_id]
                 for node_id in self.plan.node_ids[: self.threshold]
             ]
+            # The query's own stream: a nonce reused across two digests
+            # would give away the cluster's signing key.
+            nonces = scope.ctx.rng.spawn("sign")
             signature = sign_agreed_result(
-                self.threshold_scheme, signer_shares, agreed, self.rng.spawn("sign")
+                self.threshold_scheme, signer_shares, agreed, nonces
             )
-            cost = self._collect_cost(net, ops_before)
-            leakage_delta = self.ctx.leakage.count() - leakage_before
+            cost = self.last_query_cost = scope.cost()
+            leakage_delta = scope.ctx.leakage.count()
             observation = self.observe_query_result(
                 result, leakage_delta, tenant=tenant
             )
@@ -732,14 +760,16 @@ class ConfidentialAuditingService:
         """
         from repro.mining.associations import mine_cross_associations
 
-        return mine_cross_associations(
-            self.store,
-            self.ctx,
-            attribute_a,
-            attribute_b,
-            min_support=min_support,
-            min_confidence=min_confidence,
-        )
+        with self._query_scope() as scope:
+            return mine_cross_associations(
+                self.store,
+                scope.ctx,
+                attribute_a,
+                attribute_b,
+                min_support=min_support,
+                min_confidence=min_confidence,
+                net=scope.net,
+            )
 
     # -- integrity ------------------------------------------------------------------
 

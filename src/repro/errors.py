@@ -20,16 +20,8 @@ class CryptoError(ReproError):
     """Base class for cryptographic failures."""
 
 
-class KeyMismatchError(CryptoError):
-    """Decryption attempted with a key that does not match the ciphertext."""
-
-
 class ParameterError(CryptoError):
     """Cryptographic domain parameters are invalid (bad prime, modulus...)."""
-
-
-class SignatureError(CryptoError):
-    """A signature failed to verify."""
 
 
 class SecretSharingError(CryptoError):
@@ -46,10 +38,6 @@ class NetworkError(ReproError):
 
 class NodeUnreachableError(NetworkError):
     """A message was addressed to a node that is not registered or is down."""
-
-
-class PartitionError(NetworkError):
-    """Delivery failed because the source and target are partitioned."""
 
 
 class CodecError(NetworkError):
@@ -126,10 +114,6 @@ class AccessDeniedError(LogStoreError):
 
 class TicketError(AccessDeniedError):
     """A ticket is malformed, expired, or failed authentication."""
-
-
-class IntegrityError(LogStoreError):
-    """Accumulator cross-check detected fragment tampering."""
 
 
 class UnknownGlsnError(LogStoreError):

@@ -196,12 +196,14 @@ class CryptoOpCounter:
     def merge(self, other: "CryptoOpCounter") -> None:
         """Fold another counter's totals in (one lock hold, no lost adds).
 
-        The scheduler gives each query its own counter and
-        merges it into the service-wide ledger on completion, so global
+        The service gives each query its own counter and merges it
+        into the service-wide ledger when the query ends, so global
         accounting stays exact without contending per-op.
         """
         with other._lock:
             delta = Counter(other.ops)
+        if not delta:
+            return  # nothing counted, so no batch sizes either (a local query)
         with self._lock:
             self.ops.update(delta)
         self.batch_sizes.merge(other.batch_sizes)

@@ -12,11 +12,12 @@ thread (``tcp-io-mesh``) accepts, reads, decodes, drops duplicate
 built alone gets a mesh of its own.  A send from another thread is handed
 to the loop and wakes it through a socketpair; a handler's send writes at
 once.  No send blocks.  Each peer gets one pooled connection, written in
-send order (``send_many`` makes one write per peer) and reopened once when
-it breaks.  A peer whose connect takes longer than :data:`CONNECT_TIMEOUT`,
-that takes none of its pending bytes for :data:`WRITE_TIMEOUT`, or that
-cannot be reached twice in a row is abandoned: its pending frames count in
-``stats.dropped`` and the next send dials afresh.  :meth:`TcpNode.receive`
+send order (``send_many`` makes one write per peer), reopened once when
+it breaks and dropped when the peer closes it while idle.  A peer whose
+connect takes longer than :data:`CONNECT_TIMEOUT`, that takes none of its
+pending bytes for :data:`WRITE_TIMEOUT`, or that cannot be reached twice
+in a row is abandoned: its pending frames count in ``stats.dropped`` and
+the next send dials afresh.  :meth:`TcpNode.receive`
 waits :data:`RECV_TIMEOUT` unless told otherwise, clamped by a propagated
 :class:`~repro.resilience.Deadline`.  A frame whose body does not decode
 costs that one message (``corrupt_frames``).
@@ -72,7 +73,7 @@ class _Peer:
         self.pending: deque[tuple[bytes, int, Context | None]] = deque()
         self.sent = 0  # bytes of pending[0] already written
         # Set while the socket waits to connect or to take pending bytes,
-        # and exactly then registered for writability.
+        # and exactly then registered for writability (else for readability).
         self.deadline: float | None = None
         self.retried = False
 
@@ -169,24 +170,25 @@ class TcpNode:
 
     def _watch(self, dst: NodeId, peer: _Peer, seconds: float | None) -> None:
         """Wait up to ``seconds`` for ``peer``'s socket to be writable
-        (``None``: stop waiting)."""
-        if seconds is None:
-            if peer.deadline is not None:
-                self._mesh.selector.unregister(peer.sock)
-            peer.deadline = None
-            return
-        if peer.deadline is None:
-            self._mesh.selector.register(
-                peer.sock, selectors.EVENT_WRITE, partial(self._on_writable, dst)
+        (``None``: stop waiting, and watch for the peer's close instead)."""
+        if (seconds is None) != (peer.deadline is None):
+            events, on_ready = (
+                (selectors.EVENT_READ, self._on_hangup)
+                if seconds is None
+                else (selectors.EVENT_WRITE, self._on_writable)
             )
-        peer.deadline = time.monotonic() + seconds
+            self._mesh.selector.modify(peer.sock, events, partial(on_ready, dst))
+        peer.deadline = None if seconds is None else time.monotonic() + seconds
 
     def _dial(self, dst: NodeId, peer: _Peer) -> None:
         """Start a non-blocking connect; writability says how it ended."""
         peer.sock = socket.socket()
         peer.sock.setblocking(False)
         peer.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._watch(dst, peer, CONNECT_TIMEOUT)
+        self._mesh.selector.register(
+            peer.sock, selectors.EVENT_WRITE, partial(self._on_writable, dst)
+        )
+        peer.deadline = time.monotonic() + CONNECT_TIMEOUT
         error = peer.sock.connect_ex(self._address_book[dst])
         if error not in (0, errno.EINPROGRESS):
             self._fail(dst, peer, OSError(error, os.strerror(error)))
@@ -205,6 +207,13 @@ class TcpNode:
             self._ever_connected.add(dst)
             self._watch(dst, peer, WRITE_TIMEOUT)
         self._flush(dst, peer)
+
+    def _on_hangup(self, dst: NodeId, sock: socket.socket) -> None:
+        """The peer closed an idle connection: forget it; the next send dials."""
+        peer = self._peers.get(dst)
+        if peer is not None and peer.sock is sock:
+            self._disconnect(dst, peer)
+            del self._peers[dst]
 
     def _flush(self, dst: NodeId, peer: _Peer) -> None:
         """Write pending bytes until none are left or the kernel takes no more."""
@@ -241,7 +250,7 @@ class TcpNode:
     def _disconnect(self, dst: NodeId, peer: _Peer, abort: bool = False) -> None:
         if peer.sock is None:
             return
-        self._watch(dst, peer, None)
+        self._mesh.selector.unregister(peer.sock)
         if abort:
             # Bytes buffered for a peer that stopped reading never flush:
             # reset the connection rather than linger on it.

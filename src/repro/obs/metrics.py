@@ -279,11 +279,11 @@ def collect(service) -> MetricsRegistry:
     hist("repro_crypto_modexp_batch_size", BATCH_BUCKETS,
          "modexps recorded per bulk call", [ops.batch_sizes])
 
-    caches = [service.ctx.encoder._cache, service.executor._projection_cache,
-              service.subplan_memo]
+    caches = [service.ctx.encoder._cache, service.column_cache,
+              service.subplan_memo, service._signatures._kept]
     if sched is not None:
         _scheduler(sched, count, gauge, hist)
-        if sched.coalesce:
+        if sched._query_cache is not None:
             caches.append(sched._query_cache)
     for stats in (cache.stats for cache in caches):
         count(_CACHE + "hits_total", "cache lookups served", stats.hits,

@@ -13,7 +13,7 @@ package queues many queries over one deployment:
   per-ingest-epoch deltas (continuous auditing; see docs/storage.md).
 
 Coalescing follows the service's ``REPRO_SCHED_COALESCE`` decision
-unless the constructor says otherwise (see docs/concurrency.md).
+(see docs/concurrency.md).
 """
 
 from repro.cache import COALESCE_ENV_VAR

@@ -10,21 +10,21 @@ which a serial drain keeps whole.
 
 * **Admission** — :meth:`submit` puts the query's handle on a
   :class:`queue.SimpleQueue` and returns at once; the worker takes the
-  handles in order and runs each through the sync executor path.
-* **Isolation** — every query gets its own
-  :class:`~repro.smc.base.SmcContext` (private RNG stream, crypto
-  counter, leakage ledger) and its own
-  :class:`~repro.net.simnet.SimNetwork` — the same private network a
-  sync call gets — so a party's view holds its own query's frames and
-  nothing else, and per-query cost reports are exact.  Ledgers merge
-  into the service-wide ones *grouped per query*.
-* **Coalescing** (``REPRO_SCHED_COALESCE``) — work already done at equal
-  store epochs is reused, keyed so that sharing is invalidation-safe:
-  attribute columns (the service executor's ``query.projection``
-  cache), cross-predicate SMC subplans (the service's one
-  ``query.subplan`` memo, which its sync calls read and write too) and
-  whole queries with equal plan fingerprints at equal epochs
-  (``sched.query``).  Each level is get, compute, put: a query that
+  handles in order and runs each in the service's one per-query scope.
+* **Isolation** — that scope, the one a sync call runs in too, gives
+  every query its own :class:`~repro.smc.base.SmcContext` (private RNG
+  stream ``sched:{seq}``, crypto counter, leakage ledger) and its own
+  :class:`~repro.net.simnet.SimNetwork`, so a party's view holds its own
+  query's frames and nothing else, and per-query cost reports are exact.
+  Ledgers merge into the service-wide ones *grouped per query*.
+* **Coalescing** (``REPRO_SCHED_COALESCE``, read once into
+  ``service.coalesce``) — a result already computed at equal store epochs
+  is reused, keyed so that sharing is invalidation-safe: cross-predicate
+  SMC subplans (the service's one ``query.subplan`` memo, which its sync
+  calls read and write too) and whole queries with equal plan
+  fingerprints at equal epochs (``sched.query``).  The attribute columns
+  (``query.projection``) are node-local and every query reads them,
+  coalescing or not.  Each level is get, compute, put: a query that
   fails, or that failover completed without some party, stores nothing,
   so the next equal query computes afresh.  A
   fanned-out query's ledger, and a reused sub-plan's, records the
@@ -56,14 +56,13 @@ import queue
 import threading
 import time
 
-from repro.audit.executor import QueryExecutor, QueryResult
+from repro.audit.executor import QueryResult
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
 from repro.errors import SchedulerError, SchedulerShutdownError
 from repro.net.stats import CostReport
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
 from repro.resilience.policy import Deadline
-from repro.smc.base import SmcContext
 from repro.smc.leakage import LeakageEvent
 
 __all__ = ["QueryHandle", "QueryScheduler"]
@@ -136,20 +135,18 @@ class QueryHandle:
 class QueryScheduler:
     """Admits queries at once and runs them one at a time, in order.
 
-    Built over one service deployment: the scheduler shares the service's
-    stores, schema, prime, engine, and hashed-encoder memo, but runs each
-    query in an isolated context over a network of its own.
-    ``coalesce`` defaults to the service's own decision
-    (``service.coalesce``, which is ``REPRO_SCHED_COALESCE`` when the
-    service was built); an explicit argument decides for this scheduler
-    only.  On, its queries read and fill the service's column cache and
-    sub-plan memo (:attr:`ConfidentialAuditingService.subplan_memo
-    <repro.core.service.ConfidentialAuditingService.subplan_memo>`),
-    whose entries outlive :meth:`shutdown`.
+    Built over one service deployment, whose per-query scope runs each
+    query: an isolated context over a network of its own, sharing the
+    service's stores, schema, prime, engine, hashed-encoder memo and
+    column cache.  With ``service.coalesce`` on, queries also read and
+    fill the service's sub-plan memo
+    (:attr:`ConfidentialAuditingService.subplan_memo
+    <repro.core.service.ConfidentialAuditingService.subplan_memo>`, whose
+    entries outlive :meth:`shutdown`) and this scheduler's whole-query
+    memo.
     """
 
-    def __init__(self, service, coalesce: bool | None = None) -> None:
-        self.coalesce = service.coalesce if coalesce is None else coalesce
+    def __init__(self, service) -> None:
         self.service = service
         self._seq = 0
         self._state_lock = threading.Lock()
@@ -164,12 +161,7 @@ class QueryScheduler:
         self.in_flight = 0
         self.submitted = self.completed = self.failed = 0
         self.admission_wait = Histogram(LATENCY_BUCKETS_SECONDS)
-        if self.coalesce:
-            self._column_cache = service.executor._projection_cache
-            self._query_cache = LruCache("sched.query")
-        else:
-            self._column_cache = None
-            self._query_cache = None
+        self._query_cache = LruCache("sched.query") if service.coalesce else None
 
     # -- admission ---------------------------------------------------------
 
@@ -250,7 +242,7 @@ class QueryScheduler:
         )
         if self._query_cache is None:
             return self._execute(handle, qplan)
-        key = (qplan.fingerprint(), self._epoch_vector())
+        key = (qplan.fingerprint(), self.service.store.epochs)
         value = self._query_cache.get(key)
         if value is not None:
             return self._fan_out(handle, qplan, value)
@@ -263,55 +255,27 @@ class QueryScheduler:
 
     # -- execution ---------------------------------------------------------
 
-    def _epoch_vector(self) -> tuple:
-        """Every node store's epoch — the coalescing validity stamp."""
-        store = self.service.store
-        return tuple(
-            (node_id, store.node_store(node_id).epoch)
-            for node_id in store.plan.node_ids
-        )
-
     def _execute(self, handle: QueryHandle, qplan: QueryPlan) -> QueryResult:
         service = self.service
-        qctx = SmcContext(
-            service.ctx.prime,
-            service.rng.spawn(f"sched:{handle.seq}"),
-            engine=service.ctx.engine,
-            tracer=service.tracer,
-            encoder=service.ctx.encoder,
-        )
-        executor = QueryExecutor(
-            service.store,
-            qctx,
-            service.schema,
-            value_bound=service.executor.value_bound,
-            batch_compare=service.executor.batch_compare,
-            projection_cache=self._column_cache,
-            subplan_cache=service.subplan_memo if self.coalesce else None,
-        )
         span_attrs = {"criterion": qplan.criterion_text, "query": f"q{handle.seq}"}
-        with service._private_net() as net:
+        with service._query_scope(f"sched:{handle.seq}") as scope:
             try:
                 with service.tracer.span("sched.query", span_attrs) as span:
-                    result = executor.execute(
-                        qplan, net=net, deadline=handle.deadline
+                    result = scope.executor.execute(
+                        qplan, net=scope.net, deadline=handle.deadline
                     )
                     if service.tracer.enabled:
                         span.set_attribute("matches", len(result.glsns))
                 # Scheduled queries feed the confidentiality observatory
                 # too (it is thread-safe); leakage is this query's ledger.
                 if handle.observe:
-                    service.observe_query_result(result, len(qctx.leakage.events))
+                    service.observe_query_result(result, scope.ctx.leakage.count())
                 return result
             finally:
                 # Cost and leakage are attributed even on failure: the
                 # query spent the traffic and disclosed the entries anyway.
-                handle.cost = CostReport.collect(
-                    net.stats, qctx.crypto_ops, virtual_time=net.now
-                )
-                handle.leakage = qctx.leakage.events
-                service.ctx.leakage.extend(handle.leakage)
-                service.ctx.crypto_ops.merge(qctx.crypto_ops)
+                handle.cost = scope.cost()
+                handle.leakage = scope.ctx.leakage.events
 
     def _fan_out(
         self, handle: QueryHandle, qplan: QueryPlan, value: QueryResult
@@ -350,10 +314,11 @@ class QueryScheduler:
         ``joins`` is always 0: with one query executing at a time, nothing
         can join a computation in flight.
         """
-        if not self.coalesce:
+        if self._query_cache is None:
             return {}
+        service = self.service
         out: dict = {}
-        for cache in (self._column_cache, self.service.subplan_memo, self._query_cache):
+        for cache in (service.column_cache, service.subplan_memo, self._query_cache):
             s = cache.stats
             out[cache.name] = {"hits": s.hits, "misses": s.misses, "joins": 0}
         return out

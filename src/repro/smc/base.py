@@ -151,11 +151,11 @@ class SmcContext:
         keys).
     encoder:
         Optional :class:`~repro.crypto.pohlig_hellman.MessageEncoder` to
-        share instead of building a fresh one.  The query scheduler gives
-        every concurrent query its own context (own RNG stream, crypto
-        counter, and leakage ledger) but passes the service's encoder
-        through, so the hashed-encoding memo — pure in (value, prime) —
-        is warmed once for all in-flight queries.
+        share instead of building a fresh one.  The service gives every
+        query its own context (own RNG stream, crypto counter, and
+        leakage ledger) but passes its encoder through, so the
+        hashed-encoding memo — pure in (value, prime) — is warmed once
+        for all queries.
     """
 
     def __init__(

@@ -57,11 +57,11 @@ class LeakageLedger:
     trace carries the full disclosure story inline with the cost story.
 
     Ledgers are thread-safe, and crucially :meth:`extend` appends a whole
-    group of events under one lock hold: the query scheduler gives each
-    concurrent query a private ledger (within-query order is the
-    protocol's deterministic causal order) and merges it into the
-    service-wide ledger on completion, so the global ledger stays grouped
-    per query instead of interleaving entries from racing queries.
+    group of events under one lock hold: the service gives each query a
+    private ledger (within-query order is the protocol's deterministic
+    causal order) and merges it into the service-wide ledger when the
+    query ends, so the global ledger stays grouped per query instead of
+    interleaving entries from queries running side by side.
     """
 
     def __init__(self, tracer=None) -> None:

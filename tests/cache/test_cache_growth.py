@@ -4,8 +4,8 @@ A cache keyed on the *criterion* holds one entry per distinct question ever
 asked — memory that scales with the auditors' curiosity, not with the log.
 The per-predicate scan cache did exactly that (300 entries after the loop
 below); the per-(node, attribute, epoch) column cache is bounded by the
-schema, so after the first pass every cache an executor or a scheduler owns
-keeps its ``len()``.
+schema, so after the first pass every cache the service or its scheduler
+owns keeps its ``len()``.
 """
 
 from repro.core import ConfidentialAuditingService
@@ -30,7 +30,7 @@ def _caches(owner) -> dict[str, object]:
 
 
 def _sizes(service) -> dict[str, int]:
-    found = {**_caches(service.executor), **_caches(service.scheduler)}
+    found = {**_caches(service), **_caches(service.scheduler)}
     # The whole-result memo is keyed by plan fingerprint: one entry per
     # distinct question is its contract (coalescing identical queries).
     found.pop("_query_cache")
@@ -65,8 +65,8 @@ def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_siz
         assert _sizes(service) == before
         # ... and not because nothing is cached: C2, C5, protocl and C1,
         # in the one column cache both paths share
-        assert service.scheduler._column_cache is service.executor._projection_cache
-        assert before["_projection_cache"] == 4
+        assert set(before) == {"column_cache", "subplan_memo"}
+        assert before["column_cache"] == 4
     finally:
         service.shutdown_scheduler()
 
@@ -91,7 +91,7 @@ def test_a_new_epoch_replaces_the_columns_of_the_old_one():
                 writer,
             )
             service.query("C2 < 100 and C3 = 'bank'")
-        cache = service.executor._projection_cache
+        cache = service.column_cache
         # The standing query's first epoch read C4 and C whole; its later
         # epochs read only appended rows, which are not kept.
         assert sorted(cache._entries) == [

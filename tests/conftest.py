@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from repro.crypto import (
     AccumulatorParams,
@@ -35,6 +35,18 @@ from repro.workloads import paper_table1_rows
 # modules again, with ten times the default examples (where a test does
 # not set its own) and no per-example deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+def pytest_collection_finish(session):
+    """Build Hypothesis' one-off Unicode tables before the first test.
+
+    The first ``st.text()`` a process validates computes which code points
+    UTF-8 encodes (seconds, cached under ``.hypothesis/`` for later
+    processes).  Left to the first test that draws text, that time counts
+    as its input generation and fails its ``too_slow`` health check in a
+    fresh checkout; here it is paid once, outside any test.
+    """
+    st.text().validate()
 
 
 @pytest.fixture(scope="session", autouse=True)

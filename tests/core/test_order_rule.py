@@ -42,28 +42,28 @@ class TestOrderRule:
         verdict = OrderRule(
             first_criterion="Tid = 'T1' and C3 = 'place'",
             second_criterion="Tid = 'T1' and C3 = 'confirm'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert verdict.passed
 
     def test_inverted_order_fails(self, executor):
         verdict = OrderRule(
             first_criterion="Tid = 'T2' and C3 = 'place'",
             second_criterion="Tid = 'T2' and C3 = 'confirm'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert not verdict.passed
 
     def test_interleaving_fails(self, executor):
         verdict = OrderRule(
             first_criterion="Tid = 'T3' and C3 = 'place'",
             second_criterion="Tid = 'T3' and C3 = 'confirm'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert not verdict.passed
 
     def test_missing_events_fail(self, executor):
         verdict = OrderRule(
             first_criterion="Tid = 'T9' and C3 = 'place'",
             second_criterion="Tid = 'T9' and C3 = 'confirm'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert not verdict.passed
         assert "missing" in verdict.detail
 
@@ -71,5 +71,5 @@ class TestOrderRule:
         verdict = OrderRule(
             first_criterion="Tid = 'T1' and C3 = 'place'",
             second_criterion="Tid = 'T1' and C3 = 'confirm'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert len(verdict.evidence_glsns) == 2

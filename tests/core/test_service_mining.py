@@ -38,9 +38,10 @@ class TestServiceMining:
         assert all(r.confidence >= 0.9 for r in rules)
 
     def test_grouped_aggregates_via_executor(self, service):
-        out = service.executor.aggregate_grouped(
-            "sum", "C1", group_by="protocl"
-        )
+        with service._query_scope() as scope:
+            out = scope.executor.aggregate_grouped(
+                "sum", "C1", group_by="protocl", net=scope.net
+            )
         assert out["UDP"].value == 5 * 10 + 91
         assert out["TCP"].value == 4 * 90
 

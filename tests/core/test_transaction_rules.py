@@ -83,21 +83,21 @@ def executor(table1_schema, table1_plan, ticket_authority, prime64):
 
 class TestRules:
     def test_atomicity_pass(self, executor):
-        verdict = AtomicityRule(tsn="T1", width=2).evaluate(executor)
+        verdict = AtomicityRule(tsn="T1", width=2).evaluate(executor.execute)
         assert verdict.passed
         assert len(verdict.evidence_glsns) == 2
 
     def test_atomicity_fail(self, executor):
-        verdict = AtomicityRule(tsn="T2", width=2).evaluate(executor)
+        verdict = AtomicityRule(tsn="T2", width=2).evaluate(executor.execute)
         assert not verdict.passed
         assert "1/2" in verdict.detail
 
     def test_non_repudiation_pass(self, executor):
-        verdict = NonRepudiationRule(tsn="T1", parties=("U1", "U2")).evaluate(executor)
+        verdict = NonRepudiationRule(tsn="T1", parties=("U1", "U2")).evaluate(executor.execute)
         assert verdict.passed
 
     def test_non_repudiation_fail_names_missing(self, executor):
-        verdict = NonRepudiationRule(tsn="T2", parties=("U1", "U2")).evaluate(executor)
+        verdict = NonRepudiationRule(tsn="T2", parties=("U1", "U2")).evaluate(executor.execute)
         assert not verdict.passed
         assert "U2" in verdict.detail
 
@@ -105,14 +105,14 @@ class TestRules:
         verdict = CorrelationRule(
             left_criterion="C3 = 'order' and Tid = 'T1'",
             right_criterion="C3 = 'confirm' and Tid = 'T1'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert verdict.passed
 
     def test_correlation_fail(self, executor):
         verdict = CorrelationRule(
             left_criterion="C3 = 'order' and Tid = 'T2'",
             right_criterion="C3 = 'confirm' and Tid = 'T2'",
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert not verdict.passed
 
     def test_fairness(self, executor):
@@ -120,25 +120,25 @@ class TestRules:
             criterion_a="id = 'U1' and C3 = 'order'",
             criterion_b="id = 'U2' and C3 = 'confirm'",
             tolerance=1,
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert ok.passed
         strict = FairnessRule(
             criterion_a="C3 = 'order'",
             criterion_b="C3 = 'confirm'",
             tolerance=0,
-        ).evaluate(executor)
+        ).evaluate(executor.execute)
         assert not strict.passed  # 2 orders vs 1 confirm
 
     def test_irregular_pattern_fires(self, executor):
         verdict = IrregularPatternRule(criterion="C1 > 90", threshold=2).evaluate(
-            executor
+            executor.execute
         )
         assert not verdict.passed
         assert len(verdict.evidence_glsns) == 3
 
     def test_irregular_pattern_quiet(self, executor):
         verdict = IrregularPatternRule(criterion="C1 > 90", threshold=5).evaluate(
-            executor
+            executor.execute
         )
         assert verdict.passed
 
@@ -149,5 +149,5 @@ class TestRules:
     def test_consistency_rule(self, executor):
         # C1 vs C1 is trivially consistent but exercises the != path...
         # use EID vs Tid which always differ -> inconsistent.
-        verdict = ConsistencyRule("id", "EID").evaluate(executor)
+        verdict = ConsistencyRule("id", "EID").evaluate(executor.execute)
         assert not verdict.passed

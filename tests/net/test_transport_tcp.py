@@ -364,6 +364,23 @@ class TestConnectionPoolHealth:
             assert dict(node.stats.reconnects) == {"B": 1}
             assert node.stats.dropped == 0
 
+    def test_a_peer_closing_an_idle_connection_loses_no_frame(self):
+        """The peer's close of an idle pooled connection is seen on the
+        loop, so the next send dials afresh instead of writing into the
+        closed connection, where its frame would be lost uncounted."""
+        with TcpCluster(["A", "B"]) as cluster:
+            node, peer = cluster["A"], cluster["B"]
+            node.send(Message(src="A", dst="B", kind="k", payload=1))
+            assert peer.receive(timeout=5.0).payload == 1
+            cluster.call_soon(
+                lambda: [peer._close_inbound(conn) for conn in list(peer._inbound)]
+            )
+            time.sleep(0.3)
+            node.send(Message(src="A", dst="B", kind="k", payload=2))
+            assert peer.receive(timeout=5.0).payload == 2
+            assert dict(node.stats.reconnects) == {"B": 1}
+            assert node.stats.dropped == 0
+
     def test_close_drains_the_gauge(self):
         cluster = TcpCluster(["A", "B"])
         try:

@@ -26,6 +26,8 @@ from repro.crypto import DeterministicRng, Operation
 from repro.logstore import LogRecord, paper_fragment_plan, paper_table1_schema
 from repro.logstore.fragmentation import FragmentPlan
 from repro.obs.confidentiality import ConfidentialityObservatory
+from repro.obs.metrics import collect
+from tests.metrics_probe import metric_value
 
 SCHEMA = paper_table1_schema()
 PLAN = paper_fragment_plan(SCHEMA)
@@ -334,6 +336,23 @@ def test_kept_signatures_are_bounded_and_counted():
     assert stats.entries == 100 and stats.evictions >= 30
     assert stats.hits > 0 and stats.misses >= 130
     assert cache_stats_snapshot()["obs.signatures"]["entries"] >= 100
+
+
+def test_metrics_count_the_kept_signatures():
+    """``/metrics`` has an ``obs.signatures`` series beside the other
+    service-owned caches, read from the service's own cache."""
+    service = _service(_rows(30))
+    service.query(EVERYTHING)
+    service.query(EVERYTHING)
+    registry = collect(service)
+    stats = service._signatures._kept.stats
+    for family, value in (
+        ("repro_cache_entries", 30),
+        ("repro_cache_misses_total", 30),
+        ("repro_cache_hits_total", 30),
+    ):
+        assert metric_value(registry, family, {"cache": "obs.signatures"}) == value
+    assert (stats.entries, stats.misses, stats.hits) == (30, 30, 30)
 
 
 def test_concurrent_observers_and_writers_leave_every_signature_right():

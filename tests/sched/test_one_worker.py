@@ -36,7 +36,8 @@ class TestEquivalenceToSerial:
     def test_ledger_reconciliation_is_exact(self):
         service = build_service()
         leakage_before = service.ctx.leakage.count()
-        with running(QueryScheduler(service, coalesce=False)) as sched:
+        service.coalesce = False
+        with running(QueryScheduler(service)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             sched.gather(handles)
         # Every handle owns its private cost and leakage...
@@ -71,7 +72,8 @@ class TestTraceReconciliation:
 
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        with running(QueryScheduler(service, coalesce=False)) as sched:
+        service.coalesce = False
+        with running(QueryScheduler(service)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)
@@ -106,7 +108,8 @@ class TestInflightScale:
         """300 queries admitted at once, each a queued handle —
         all resolve, in submission order, to one consistent answer."""
         service = build_service(rows=12)
-        with running(QueryScheduler(service, coalesce=False)) as sched:
+        service.coalesce = False
+        with running(QueryScheduler(service)) as sched:
             handles = [sched.submit("C3 = 'bank'") for _ in range(300)]
             assert len(handles) == 300  # admission never blocked
             results = sched.gather(handles)
@@ -126,7 +129,8 @@ class TestInflightScale:
             return real_execute(self, handle, qplan)
 
         monkeypatch.setattr(QueryScheduler, "_execute", execute)
-        with running(QueryScheduler(service, coalesce=False)) as sched:
+        service.coalesce = False
+        with running(QueryScheduler(service)) as sched:
             handles = [sched.submit(c) for c in CRITERIA * 2]
             sched.gather(handles)
         assert seen == [1] * len(handles)
@@ -152,7 +156,8 @@ class TestLifecycle:
         """``shutdown(wait=False)`` fails the queries still queued with the
         typed error; none may stay pending forever."""
         service = build_service(rows=12)
-        sched = QueryScheduler(service, coalesce=False)
+        service.coalesce = False
+        sched = QueryScheduler(service)
         handles = [sched.submit("C1 > 30 and C3 = 'bank'") for _ in range(40)]
         sched.shutdown(wait=False)
         deadline = time.monotonic() + 30.0

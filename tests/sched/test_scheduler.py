@@ -47,7 +47,8 @@ class TestEquivalenceWithSerial:
     def test_coalescing_off_still_matches_serial(self, twin_services):
         serial_svc, conc_svc = twin_services
         expected = [serial_svc.query(c) for c in CRITERIA]
-        with running(QueryScheduler(conc_svc, coalesce=False)) as sched:
+        conc_svc.coalesce = False
+        with running(QueryScheduler(conc_svc)) as sched:
             got = sched.gather([sched.submit(c) for c in CRITERIA])
         for s, c in zip(expected, got):
             assert_same_result(s, c)
@@ -149,18 +150,30 @@ class TestCoalescing:
             service.shutdown_scheduler()
 
     def test_columns_come_from_the_service_executors_cache(self, service):
-        """One column cache per service: scheduled queries read the sync
-        executor's ``query.projection`` cache, so a burst after a sync query
-        builds no column, and a rebuilt scheduler keeps them."""
-        cache = service.executor._projection_cache
+        """One column cache per service: scheduled queries read the
+        ``query.projection`` cache sync queries read, so a burst after a sync
+        query builds no column, and a rebuilt scheduler keeps them."""
+        cache = service.column_cache
         service.query("C3 = 'bank' or C3 = 'salary'")
         built = cache.stats.misses
         service.gather([service.submit("C3 = 'bank'")])
         service.shutdown_scheduler()
         service.gather([service.submit("C3 = 'shop'")])
-        assert service.scheduler._column_cache is cache
+        level = service.scheduler.coalesce_stats()["query.projection"]
+        assert (level["hits"], level["misses"]) == (cache.stats.hits, cache.stats.misses)
         assert cache.stats.misses == built
         assert cache.stats.hits >= 2
+
+    def test_columns_are_shared_with_coalescing_off(self, service):
+        """Columns are node-local, not another query's result: with
+        coalescing off a scheduled query still reads the one column cache."""
+        service.coalesce = False
+        cache = service.column_cache
+        service.query("C3 = 'bank' or C3 = 'salary'")
+        built = cache.stats.misses
+        service.gather([service.submit("C3 = 'shop'")])
+        assert cache.stats.misses == built
+        assert cache.stats.hits >= 1
 
     def test_coalesce_stats_expose_all_levels(self, service):
         sched = service.scheduler
@@ -277,20 +290,21 @@ class TestConfig:
         try:
             assert service.coalesce is False
             with running(QueryScheduler(service)) as sched:
-                assert sched.coalesce is False
-            # An explicit argument beats the variable.
-            with running(QueryScheduler(service, coalesce=True)) as sched:
-                assert sched.coalesce is True
+                assert sched.coalesce_stats() == {}
+            # ``service.coalesce`` decides for every scheduler built after it.
+            service.coalesce = True
+            with running(QueryScheduler(service)) as sched:
+                assert "sched.query" in sched.coalesce_stats()
         finally:
             service.close()
         # The variable is read once, by the service: a scheduler built after
         # it changed follows the service it runs on.
         with running(QueryScheduler(config_service)) as sched:
-            assert sched.coalesce is True
+            assert "sched.query" in sched.coalesce_stats()
 
     def test_env_defaults(self, config_service):
         with running(QueryScheduler(config_service)) as sched:
-            assert sched.coalesce is True
+            assert "sched.query" in sched.coalesce_stats()
 
     @pytest.mark.parametrize("value", ["of", "maybe", "offf"])
     def test_invalid_coalesce_env_raises(self, monkeypatch, value):

@@ -27,7 +27,8 @@ class TestConcurrentTraceReconciliation:
     def test_every_trace_sums_to_its_cost_report(self):
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
-        with running(QueryScheduler(service, coalesce=False)) as sched:
+        service.coalesce = False
+        with running(QueryScheduler(service)) as sched:
             handles = [sched.submit(c) for c in CRITERIA]
             results = sched.gather(handles)
         assert all(r is not None for r in results)
