@@ -61,6 +61,7 @@ from repro.smc.union_ import secure_set_union
 __all__ = ["QueryResult", "AggregateResult", "QueryExecutor"]
 
 _NUMERIC_SCALE = 100  # fixed-point scale for decimal attribute comparison
+_VALUE_BOUND = 2**40  # public a-priori bound on compared and ranked values
 
 
 _COMPARE = {
@@ -302,7 +303,6 @@ class QueryExecutor:
         store: DistributedLogStore,
         ctx: SmcContext,
         schema: GlobalSchema,
-        value_bound: int = 2**40,
         batch_compare: bool = True,
         projection_cache=None,
         subplan_cache=None,
@@ -311,7 +311,6 @@ class QueryExecutor:
         self.ctx = ctx
         self.schema = schema
         self.plan: FragmentPlan = store.plan
-        self.value_bound = value_bound
         # Batched blind-TTP comparison sends all per-glsn value pairs in
         # one round trip; per-glsn mode (batch_compare=False) exists for
         # the A2 ablation and costs 4 messages per common glsn.
@@ -507,7 +506,7 @@ class QueryExecutor:
             ranking = secure_ranking(
                 self.ctx,
                 extremes,
-                value_bound=self.value_bound,
+                value_bound=_VALUE_BOUND,
                 net=net,
                 group_label=f"agg-{self._session}",
                 deadline=deadline,
@@ -942,7 +941,7 @@ class QueryExecutor:
                 self.ctx,
                 (left_node, left_values),
                 (right_node, right_values),
-                value_bound=self.value_bound,
+                value_bound=_VALUE_BOUND,
                 net=net,
                 session=f"qb-{self._session}",
                 deadline=deadline,
@@ -958,7 +957,7 @@ class QueryExecutor:
                 self.ctx,
                 (left_node, left_value),
                 (right_node, right_value),
-                value_bound=self.value_bound,
+                value_bound=_VALUE_BOUND,
                 net=net,
                 session=f"q-{self._session}-{glsn}",
                 deadline=deadline,

@@ -54,6 +54,7 @@ from repro.obs.metrics import collect
 from repro.obs.server import ObsServer, start_from_env
 from repro.obs.tracer import NOOP_TRACER
 from repro.precompute.manager import PrecomputeManager
+from repro.sched import QueryScheduler, StandingQueryRegistry
 from repro.smc.base import SmcContext
 from repro.store import StoreConfig, open_durable_store
 
@@ -279,9 +280,9 @@ class ConfidentialAuditingService:
                 tracer=self.tracer,
             )
         self._signatures = _Signatures(self.store)
-        #: Standing-query registry, built lazily on first registration.
-        self._standing = None
-        self._standing_lock = threading.Lock()
+        #: The :class:`~repro.sched.StandingQueryRegistry`: :meth:`append_stream`
+        #: evaluates it after every ingest epoch while a criterion is registered.
+        self.standing = StandingQueryRegistry(self)
 
         #: What every query's context shares (prime, engine, encoder), and
         #: the service-wide ledgers each query merges into when it ends.
@@ -301,6 +302,11 @@ class ConfidentialAuditingService:
         #: on, every query the service runs reads and writes it, reuses an
         #: equal-epoch result and records ``coalesced_result`` for it.
         self.subplan_memo = LruCache("query.subplan")
+        #: The whole-query memo: each scheduled query's result, keyed on its
+        #: plan fingerprint and the store epochs.  While :attr:`coalesce` is
+        #: on, every :meth:`submit` reads and writes it; it outlives any
+        #: scheduler.
+        self.query_memo = LruCache("sched.query")
 
         # DLA-side identity: credential authority, membership, signatures.
         group = SchnorrGroup.generate(256, self.rng.spawn("group"))
@@ -391,23 +397,9 @@ class ConfidentialAuditingService:
             ):
                 receipts.extend(self.store.append_batch(batch, ticket))
             self.ingested_rows += len(batch)
-            if evaluate_standing and self._standing is not None and len(self._standing):
-                self._standing.evaluate_epoch()
+            if evaluate_standing and len(self.standing):
+                self.standing.evaluate_epoch()
         return receipts
-
-    @property
-    def standing(self):
-        """The service's :class:`~repro.sched.StandingQueryRegistry`.
-
-        Built on first access; :meth:`append_stream` evaluates it after
-        every ingest epoch once at least one criterion is registered.
-        """
-        with self._standing_lock:
-            if self._standing is None:
-                from repro.sched.standing import StandingQueryRegistry
-
-                self._standing = StandingQueryRegistry(self)
-            return self._standing
 
     def register_standing_query(
         self, criterion: str, tenant: str = "default", on_delta=None
@@ -621,17 +613,15 @@ class ConfidentialAuditingService:
         """The service's persistent query scheduler.
 
         Built on first access and reused for every subsequent
-        :meth:`submit` / :meth:`query_many` call and every standing-query
-        epoch: a :class:`~repro.sched.QueryScheduler` running one query at
-        a time on its worker thread.  One that was shut down is replaced
-        by a new one here, so a ``scheduler.shutdown()`` never leaves the
-        service refusing queries.  :meth:`shutdown_scheduler` tears it
-        down.
+        :meth:`submit` / :meth:`query_many` call: a
+        :class:`~repro.sched.QueryScheduler` running one query at a time
+        on its worker thread (standing epochs run on the ingesting one).
+        One that was shut down is replaced by a new one here, so a
+        ``scheduler.shutdown()`` never leaves the service refusing
+        queries.  :meth:`shutdown_scheduler` tears it down.
         """
         with self._sched_lock:
             if self._scheduler is None or self._scheduler._closed:
-                from repro.sched import QueryScheduler
-
                 self._scheduler = QueryScheduler(self)
             return self._scheduler
 

@@ -124,10 +124,11 @@ class DeterministicRng:
         adding a random draw in one component does not shift every other
         component's stream (which would invalidate recorded test vectors).
         """
-        child = DeterministicRng(b"")
+        child = object.__new__(DeterministicRng)
         child._key = hmac.new(
             self._key, b"spawn:" + label.encode("utf-8"), hashlib.sha256
         ).digest()
+        child._counter = 0
         return child
 
 

@@ -279,12 +279,10 @@ def collect(service) -> MetricsRegistry:
     hist("repro_crypto_modexp_batch_size", BATCH_BUCKETS,
          "modexps recorded per bulk call", [ops.batch_sizes])
 
-    caches = [service.ctx.encoder._cache, service.column_cache,
-              service.subplan_memo, service._signatures._kept]
     if sched is not None:
         _scheduler(sched, count, gauge, hist)
-        if sched._query_cache is not None:
-            caches.append(sched._query_cache)
+    caches = [service.ctx.encoder._cache, service.column_cache, service.subplan_memo,
+              service.query_memo, service._signatures._kept]
     for stats in (cache.stats for cache in caches):
         count(_CACHE + "hits_total", "cache lookups served", stats.hits,
               cache=stats.name)
@@ -297,14 +295,13 @@ def collect(service) -> MetricsRegistry:
     _observatory(service.observatory, count, gauge)
     count("repro_obs_orphan_events_total", "tracer events fired on threads with no "
           "open span", service.tracer.orphan_events_total)
-    standing = service._standing
-    if standing is not None:
-        gauge("repro_standing_queries", "standing queries currently registered",
-              len(standing))
-        count("repro_standing_deltas_total", "non-empty per-epoch deltas pushed to "
-              "standing queries", standing.deltas_pushed)
-        count("repro_standing_epochs_total", "standing-query evaluation epochs",
-              standing.epoch)
+    standing = service.standing
+    gauge("repro_standing_queries", "standing queries currently registered",
+          len(standing))
+    count("repro_standing_deltas_total", "non-empty per-epoch deltas pushed to "
+          "standing queries", standing.deltas_pushed)
+    count("repro_standing_epochs_total", "standing-query evaluation epochs",
+          standing.epoch)
     count("repro_ingest_records_total", "records ingested through append_stream",
           service.ingested_rows)
     if hasattr(service.store, "wals"):  # the durable backend

@@ -18,11 +18,13 @@ which a serial drain keeps whole.
   query's frames and nothing else, and per-query cost reports are exact.
   Ledgers merge into the service-wide ones *grouped per query*.
 * **Coalescing** (``REPRO_SCHED_COALESCE``, read once into
-  ``service.coalesce``) — a result already computed at equal store epochs
-  is reused, keyed so that sharing is invalidation-safe: cross-predicate
-  SMC subplans (the service's one ``query.subplan`` memo, which its sync
-  calls read and write too) and whole queries with equal plan
-  fingerprints at equal epochs (``sched.query``).  The attribute columns
+  ``service.coalesce``, which each query reads as it starts) — a result
+  already computed at equal store epochs is reused, keyed so that sharing
+  is invalidation-safe: cross-predicate SMC subplans (the service's one
+  ``query.subplan`` memo, which its sync calls read and write too) and
+  whole queries with equal plan fingerprints at equal epochs (the
+  service's ``query_memo``, ``sched.query``, which outlives any
+  scheduler).  The attribute columns
   (``query.projection``) are node-local and every query reads them,
   coalescing or not.  Each level is get, compute, put: a query that
   fails, or that failover completed without some party, stores nothing,
@@ -38,9 +40,9 @@ which a serial drain keeps whole.
 :meth:`shutdown` are plain methods, callable from any thread.
 
 Every query it answers feeds the confidentiality observatory — a
-coalesced one with its one ``coalesced_result`` event — except a
-standing query's evaluation (:mod:`repro.sched.standing`), whose pushed
-deltas are observed instead.
+coalesced one with its one ``coalesced_result`` event.  Standing queries
+(:mod:`repro.sched.standing`) never reach this queue: an ingest runs its
+epoch's plans on its own thread.
 
 Observability: per-query ``sched.query`` spans, plus the counts
 ``/metrics`` reads as the ``repro_sched_*`` families (queue depth,
@@ -58,7 +60,6 @@ import time
 
 from repro.audit.executor import QueryResult
 from repro.audit.planner import QueryPlan, plan_query
-from repro.cache import LruCache
 from repro.errors import SchedulerError, SchedulerShutdownError
 from repro.net.stats import CostReport
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, Histogram
@@ -73,10 +74,6 @@ _STOP = None
 
 class QueryHandle:
     """A submitted query's future: result, cost, and leakage in one place."""
-
-    #: Whether the run feeds the confidentiality observatory; a standing
-    #: query's runs do not (its deltas do).
-    observe = True
 
     def __init__(self, seq: int, criterion, deadline: Deadline) -> None:
         self.seq = seq
@@ -138,12 +135,11 @@ class QueryScheduler:
     Built over one service deployment, whose per-query scope runs each
     query: an isolated context over a network of its own, sharing the
     service's stores, schema, prime, engine, hashed-encoder memo and
-    column cache.  With ``service.coalesce`` on, queries also read and
-    fill the service's sub-plan memo
+    column cache.  While ``service.coalesce`` is on, queries also read
+    and fill the service's sub-plan and whole-query memos
     (:attr:`ConfidentialAuditingService.subplan_memo
-    <repro.core.service.ConfidentialAuditingService.subplan_memo>`, whose
-    entries outlive :meth:`shutdown`) and this scheduler's whole-query
-    memo.
+    <repro.core.service.ConfidentialAuditingService.subplan_memo>` and
+    ``query_memo``, whose entries outlive :meth:`shutdown`).
     """
 
     def __init__(self, service) -> None:
@@ -161,7 +157,6 @@ class QueryScheduler:
         self.in_flight = 0
         self.submitted = self.completed = self.failed = 0
         self.admission_wait = Histogram(LATENCY_BUCKETS_SECONDS)
-        self._query_cache = LruCache("sched.query") if service.coalesce else None
 
     # -- admission ---------------------------------------------------------
 
@@ -173,19 +168,11 @@ class QueryScheduler:
         query's deadline *now* — time spent queued behind earlier queries
         spends it.  Admission itself never blocks.
         """
-        return self._admit(criterion, timeout)
-
-    def _admit(
-        self, criterion, timeout: float | None = None, observe: bool = True
-    ) -> QueryHandle:
-        """:meth:`submit`; ``observe=False`` keeps the run out of the
-        confidentiality observatory (a standing query's epoch)."""
         with self._state_lock:
             if self._closed:
                 raise SchedulerShutdownError("scheduler is shut down")
             self._seq += 1
             handle = QueryHandle(self._seq, criterion, Deadline.after(timeout))
-            handle.observe = observe
             self.submitted += 1
             self._waiting += 1
             if self._worker is None:
@@ -240,17 +227,18 @@ class QueryScheduler:
                 tracer=self.service.tracer,
             )
         )
-        if self._query_cache is None:
+        if not self.service.coalesce:
             return self._execute(handle, qplan)
+        memo = self.service.query_memo
         key = (qplan.fingerprint(), self.service.store.epochs)
-        value = self._query_cache.get(key)
+        value = memo.get(key)
         if value is not None:
             return self._fan_out(handle, qplan, value)
         value = self._execute(handle, qplan)
         # A run that failover completed without some party is not the
         # epochs' answer: no later query may be served it.
         if not any(e.category == "degraded_result" for e in handle.leakage):
-            self._query_cache.put(key, value)
+            memo.put(key, value)
         return value
 
     # -- execution ---------------------------------------------------------
@@ -268,8 +256,7 @@ class QueryScheduler:
                         span.set_attribute("matches", len(result.glsns))
                 # Scheduled queries feed the confidentiality observatory
                 # too (it is thread-safe); leakage is this query's ledger.
-                if handle.observe:
-                    service.observe_query_result(result, scope.ctx.leakage.count())
+                service.observe_query_result(result, scope.ctx.leakage.count())
                 return result
             finally:
                 # Cost and leakage are attributed even on failure: the
@@ -302,8 +289,7 @@ class QueryScheduler:
             bytes=value.bytes,
         )
         # A fanned-out answer is disclosed to its auditor all the same.
-        if handle.observe:
-            self.service.observe_query_result(result, len(events))
+        self.service.observe_query_result(result, len(events))
         return result
 
     # -- introspection -----------------------------------------------------
@@ -314,11 +300,11 @@ class QueryScheduler:
         ``joins`` is always 0: with one query executing at a time, nothing
         can join a computation in flight.
         """
-        if self._query_cache is None:
-            return {}
         service = self.service
+        if not service.coalesce:
+            return {}
         out: dict = {}
-        for cache in (service.column_cache, service.subplan_memo, self._query_cache):
+        for cache in (service.column_cache, service.subplan_memo, service.query_memo):
             s = cache.stats
             out[cache.name] = {"hits": s.hits, "misses": s.misses, "joins": 0}
         return out

@@ -7,12 +7,13 @@ auditor registers a criterion once and, at every ingest epoch (each
 batch, or an explicit poll), receives only the *delta* — glsns newly
 matching or no longer matching since the previous epoch.
 
-Deltas are produced by executing the query through the service's
-:class:`~repro.sched.QueryScheduler`, so standing queries of one epoch
-coalesce with each other (equal plan fingerprint at equal store epochs
-→ one execution).  Each query keeps the node epochs of its last good
-evaluation and re-reads only the glsns changed since them: the rule is
-in ``docs/storage.md``, "Store epochs and cache coherence".
+An epoch runs on the thread that asks for it (the ingest's own), in the
+service's one per-query scope, and never waits behind scheduled queries.
+With ``service.coalesce`` on, standing queries of one epoch with equal
+plan fingerprints (the floor included) share one execution.  Each query
+keeps the node epochs of its last good evaluation and re-reads only the
+glsns changed since them: the rule is in ``docs/storage.md``, "Store
+epochs and cache coherence".
 
 The differencing discloses strictly less than the full result
 re-release it replaces — but it *is* a disclosure with its own shape
@@ -30,6 +31,7 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from repro.audit.planner import QueryPlan
+from repro.cache import caching_enabled
 
 __all__ = ["StandingQuery", "StandingDelta", "StandingQueryRegistry"]
 
@@ -120,11 +122,12 @@ class StandingQueryRegistry:
     def evaluate_epoch(self) -> list[StandingDelta]:
         """Run every standing query once; push and return the deltas.
 
-        Queries are submitted to the service scheduler together, so an
-        epoch with N standing queries over identical plans at equal cuts
-        costs one execution.  A query's *cut* is the lowest glsn any node
-        changed since its node epochs (0 without them): it runs nothing
-        when nothing changed, and otherwise the plan floored at the cut,
+        Each distinct plan runs once, before any delta: with
+        ``service.coalesce`` on, N standing queries over identical plans at
+        equal cuts cost one execution and N - 1 ``coalesced_result``
+        events.  A query's *cut* is the lowest glsn any node changed
+        since its node epochs (0 without them): it runs nothing when
+        nothing changed, and otherwise the plan floored at the cut,
         unfloored when the cut is at or below every held glsn.  Its new
         answer is what it had been shown below the cut plus that run's.
         A run that raises leaves every query of the epoch with no node
@@ -159,32 +162,42 @@ class StandingQueryRegistry:
                     "rows": 0 if least is None else len(node.glsns_from(least)),
                 },
             ):
-                sched = service.scheduler
-                handles = [
-                    None if cut is None else sched._admit(
-                        query.qplan if cut <= lowest else replace(query.qplan, floor=cut),
-                        observe=False,
-                    )
-                    for query, cut in zip(queries, cuts)
-                ]
+                share = service.coalesce and caching_enabled()
+                # Per key: the run's answer and whether it came back degraded.
+                runs: dict = {}
+                keys = []
                 try:
-                    results = iter(sched.gather([h for h in handles if h is not None]))
+                    for query, cut in zip(queries, cuts):
+                        if cut is None:
+                            keys.append(None)
+                            continue
+                        qplan = query.qplan if cut <= lowest else replace(query.qplan, floor=cut)
+                        key = qplan.fingerprint() if share else query.query_id
+                        keys.append(key)
+                        if key in runs:
+                            service.ctx.leakage.record(
+                                "standing_query", "*", "coalesced_result",
+                                f"standing query #{query.query_id} served an equal "
+                                f"plan's epoch {epoch} run",
+                            )
+                        else:
+                            label = f"standing:{epoch}:{query.query_id}"
+                            with service._query_scope(label) as scope:
+                                answer = set(scope.executor.execute(qplan, net=scope.net).glsns)
+                            runs[key] = answer, scope.ctx.leakage.count("degraded_result") > 0
                 except BaseException:
                     for query in queries:
                         query.node_epochs = None
                     raise
                 deltas = []
-                for query, cut, handle in zip(queries, cuts, handles):
-                    added, removed = set(), set()
-                    if handle is not None:
-                        answer = set(next(results).glsns)
+                for query, cut, key in zip(queries, cuts, keys):
+                    added, removed, degraded = set(), set(), False
+                    if key is not None:
+                        answer, degraded = runs[key]
                         added = answer - query.seen
                         removed = {glsn for glsn in query.seen if glsn >= cut} - answer
                         query.seen -= removed
                         query.seen |= added
-                    degraded = handle is not None and any(
-                        event.category == "degraded_result" for event in handle.leakage
-                    )
                     query.node_epochs = None if degraded else now
                     delta = StandingDelta(
                         query_id=query.query_id,

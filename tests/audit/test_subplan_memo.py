@@ -279,7 +279,7 @@ class TestInvalidation:
             faults.crash("P0")
             (degraded,) = service.gather([service.submit("C4 = C")])
             assert degraded.glsns != healthy
-            assert service.scheduler._query_cache.stats.entries == 0
+            assert service.query_memo.stats.entries == 0
             faults.recover("P0")
             handle = service.submit("C4 = C")
             assert handle.result(timeout=60).glsns == healthy
@@ -336,7 +336,7 @@ class TestInvalidation:
             doomed.result(timeout=60)
         assert doomed.started_at is not None and doomed.cost.messages > 0
         assert service.subplan_memo.stats.entries == 0
-        assert service.scheduler._query_cache.stats.entries == 0
+        assert service.query_memo.stats.entries == 0
 
         retry = service.submit(criterion)
         twin, ticket = build()

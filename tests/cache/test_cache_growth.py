@@ -33,7 +33,7 @@ def _sizes(service) -> dict[str, int]:
     found = {**_caches(service), **_caches(service.scheduler)}
     # The whole-result memo is keyed by plan fingerprint: one entry per
     # distinct question is its contract (coalescing identical queries).
-    found.pop("_query_cache")
+    found.pop("query_memo")
     return {name: getattr(cache, "cache", cache).stats.entries for name, cache in found.items()}
 
 

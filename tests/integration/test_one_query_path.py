@@ -100,6 +100,7 @@ def test_every_query_entry_point_runs_in_the_scope():
         f"{service}audited_query",
         f"{service}mine_associations",
         "sched/scheduler:QueryScheduler._execute",
+        "sched/standing:StandingQueryRegistry.evaluate_epoch",
     ):
         assert "_query_scope" in _own_calls(functions[entry]), entry
     # A rule asks its queries through the service's own ``query``.
@@ -119,3 +120,20 @@ def test_no_shared_executor_or_cost_diff_is_left():
             text = path.read_text(encoding="utf-8")
             assert "self.executor =" not in text, path
             assert "ops_before" not in text and "leakage_before" not in text, path
+
+
+def test_standing_epochs_bypass_the_scheduler_and_the_service_owns_the_memo():
+    """Standing runs take no side door into the scheduler's queue, and the
+    whole-query memo is built once, by the service, not per scheduler."""
+    from repro.sched import QueryHandle, QueryScheduler
+
+    assert not hasattr(QueryScheduler, "_admit") and not hasattr(QueryHandle, "observe")
+    tree = ast.parse((SRC / "sched" / "standing.py").read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attributes & {"scheduler", "_scheduler"}
+    sites = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for _ in range(path.read_text(encoding="utf-8").count('LruCache("sched.query")'))
+    ]
+    assert sites == ["core/service.py"]

@@ -419,8 +419,11 @@ class TestBounds:
             errors = spy_on_abandon(node, monkeypatch)
             node.learn_peers({"B": listener.getsockname()})
             blob = "x" * (1 << 20)
-            for _ in range(16):
-                node.send(Message(src="A", dst="B", kind="k", payload=blob))
+            # One write for all 16: no frame can reach the loop after the
+            # abandon and dial the connection the "again" accept expects.
+            node.send_many(
+                [Message(src="A", dst="B", kind="k", payload=blob) for _ in range(16)]
+            )
             accepted, _ = listener.accept()  # ... and never recv()
             with accepted:
                 assert wait_until(lambda: node.stats.dropped > 0, 10.0)

@@ -79,7 +79,7 @@ def test_failed_holder_does_not_poison_joiners(service, monkeypatch):
     assert second.glsns == third.glsns == build_service(rows=12).query(CRITERION).glsns
     assert calls[0] == 2
     assert [h.coalesced for h in handles] == [False, False, True]
-    assert service.scheduler._query_cache.stats.entries == 1
+    assert service.query_memo.stats.entries == 1
 
 
 def test_kill_switch_bypasses_sharing(service, monkeypatch):
