@@ -181,14 +181,17 @@ class _Column:
             return list(self.raw)
         return list(filter(self.raw.__contains__, matching))
 
-    def scaled(self, rows: list[int], node_id: str) -> tuple[list[int], bool]:
+    def scaled(
+        self, rows: list[int], node_id: str, use: str = "aggregate"
+    ) -> tuple[list[int], bool]:
         """The fixed-point integers of ``rows`` (glsns of this column) and
         whether every one of their stored values is an ``int``.
 
         A value that is not a finite number is the query's fault, not a
         bug: the first of ``rows`` in glsn order that :func:`_scaled_int`
-        fails on fails the aggregate, with a typed error before any round
-        is run (a negative one with that function's own error).
+        fails on fails the ``use`` (an aggregate or an ordered cross
+        predicate) with a typed error before any round is run (a negative
+        one with that function's own error).
         """
         if self._scaled is None:
             self._scaled = _scale_all(self.raw)
@@ -199,7 +202,7 @@ class _Column:
                 _scaled_int(self.raw[glsn])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise AuditError(
-                    f"aggregate over {self.attribute!r} needs numeric values, but "
+                    f"{use} over {self.attribute!r} needs numeric values, but "
                     f"{node_id} holds a non-numeric one"
                 ) from exc
         all_int = wanted.isdisjoint(non_int) if non_int else True
@@ -891,27 +894,6 @@ class QueryExecutor:
         runs.append(result)
         return set(result.any_value)
 
-    def _scaled_column(
-        self, node_id: str, attribute: str, pred: Predicate, floor: int | None = None
-    ) -> dict[int, int]:
-        """``glsn -> fixed-point value`` of one owner's attribute.
-
-        Each owner checks its own column before any round is run, so a
-        value the blind TTP could not order fails the query while nothing
-        has been sent or disclosed yet.
-        """
-        scaled = {}
-        for glsn, value in self._projection(node_id, attribute, floor):
-            try:
-                scaled[glsn] = _scaled_int(value)
-            except (TypeError, ValueError) as exc:
-                raise AuditError(
-                    f"ordered cross predicate {pred} needs numeric values, but "
-                    f"attribute {attribute!r} on {node_id} holds a non-numeric "
-                    f"one (glsn {glsn:#x})"
-                ) from exc
-        return scaled
-
     def _cross_order(
         self,
         pred: Predicate,
@@ -924,16 +906,21 @@ class QueryExecutor:
     ) -> set[int]:
         left_node, right_node = nodes[0], nodes[1]
         right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        left_scaled = self._scaled_column(left_node, pred.left.name, pred, floor)
-        right_scaled = self._scaled_column(right_node, right_attr.name, pred, floor)
+        left = self._projection(left_node, pred.left.name, floor)
+        right = self._projection(right_node, right_attr.name, floor)
+        # Each owner checks its whole column before any round is run, so a
+        # value the blind TTP could not order fails the query while nothing
+        # has been sent or disclosed yet.
+        for node_id, column in ((left_node, left), (right_node, right)):
+            column.scaled(list(column.raw), node_id, f"ordered cross predicate {pred}")
         ordered = sorted(
             self._common_glsns(
                 left_node, pred.left.name, right_node, right_attr.name,
                 net, deadline, span, runs, floor,
             )
         )
-        left_values = [left_scaled[g] for g in ordered]
-        right_values = [right_scaled[g] for g in ordered]
+        left_values, _ = left.scaled(ordered, left_node)
+        right_values, _ = right.scaled(ordered, right_node)
         out: set[int] = set()
         if self.batch_compare:
             self._session += 1

@@ -1,16 +1,16 @@
 """Bounded, epoch-keyed memoization stores for the DLA hot paths.
 
 The service's steady-state cost is dominated by *redundant* work:
-repeated audit queries re-scan the same fragment stores and re-hash the
-same attribute sets into ``Z_p^*`` even though the log barely changed.
+repeated audit queries re-scan the same fragment stores and re-run the
+same cross-predicate rings even though the log barely changed.
 :class:`LruCache` is the one memoization primitive every hot path shares:
 
 * **Bounded.** At most ``max_entries`` live entries (default
   :data:`DEFAULT_MAX_ENTRIES`, 4096); the least-recently-used entry is
   evicted first, so a long-running service cannot grow without limit.
 * **Epoch-keyed.** Callers put the data-version (a
-  :class:`~repro.logstore.store.FragmentStore` epoch, the cipher
-  prime) *into the key*, or pass it as the ``version`` of a slot
+  :class:`~repro.logstore.store.FragmentStore` epoch) *into the key*,
+  or pass it as the ``version`` of a slot
   (:meth:`LruCache.get_or_compute`).  Stale entries are never served —
   a key's simply stop being looked up and age out of the LRU, a slot's
   is replaced by the next version's.  There is no invalidation

@@ -284,7 +284,7 @@ class ConfidentialAuditingService:
         #: evaluates it after every ingest epoch while a criterion is registered.
         self.standing = StandingQueryRegistry(self)
 
-        #: What every query's context shares (prime, engine, encoder), and
+        #: What every query's context shares (prime, engine), and
         #: the service-wide ledgers each query merges into when it ends.
         self.ctx = SmcContext(
             prime if prime is not None else shared_prime(prime_bits),
@@ -476,7 +476,6 @@ class ConfidentialAuditingService:
             self.rng.spawn(label or f"query:{next(self._query_seq)}"),
             engine=shared.engine,
             tracer=self.tracer,
-            encoder=shared.encoder,
         )
         executor = QueryExecutor(
             self.store,

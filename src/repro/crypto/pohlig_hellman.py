@@ -42,7 +42,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto import primes
-from repro.crypto.modmath import int_to_bytes, modinv
+from repro.crypto.modmath import int_to_bytes, jacobi, modinv
 from repro.crypto.rng import DeterministicRng, system_rng
 from repro.errors import ParameterError
 from repro.perf.engine import resolve_engine
@@ -183,23 +183,16 @@ class MessageEncoder:
       probability is negligible for |p| >= 64 bits relative to set sizes
       here.  This is what the secure set intersection uses: equality of
       encodings <=> equality of values.
-    * :meth:`encode_int` / :meth:`decode_int` — reversible shift encoding
-      for integers in ``[0, p//4)``; used when the plaintext must be
-      recovered after full decryption (secure set union).
-
-    ``cache`` is an optional :class:`~repro.cache.LruCache` memoizing
-    hashed encodings.  ``encode_hashed`` is a pure function of
-    ``(value, p)`` and ``p`` is fixed per encoder, so the memo key is
-    just the value's canonical bytes; repeated queries then skip the
-    SHA-256 rejection-sampling loop and the squaring entirely.  Cached
-    and uncached encodings are identical by construction.
+    * :meth:`encode_int` / :meth:`decode_int` — reversible encoding for
+      integers in ``[0, p//4)`` as the quadratic residue of ``±(v + 2)``;
+      used when the plaintext must be recovered after full decryption
+      (secure set union).
     """
 
-    def __init__(self, p: int, cache=None) -> None:
+    def __init__(self, p: int) -> None:
         if p < 17:
             raise ParameterError("modulus too small to encode messages")
         self.p = p
-        self._cache = cache
         self._hash_blocks = -(-(p.bit_length() + 64) // 256)  # SHA-256 digests
 
     def _canonical_bytes(self, value) -> bytes:
@@ -237,63 +230,41 @@ class MessageEncoder:
 
     def encode_hashed(self, value) -> int:
         """One-way encoding of an arbitrary value into the QR subgroup."""
-        if self._cache is None:
-            return pow(self._hash_to_unit(value), 2, self.p)
-        key = self._canonical_bytes(value)
-        return self._cache.get_or_compute(
-            key, lambda: pow(self._hash_to_unit(value), 2, self.p)
-        )
+        return pow(self._hash_to_unit(value), 2, self.p)
 
     def encode_hashed_many(self, values, engine=None) -> list[int]:
         """Bulk :meth:`encode_hashed` (order preserved).
 
         Hashing is cheap; the squarings route through the exponentiation
         engine.  Element-wise equal to ``[encode_hashed(v) for v in values]``.
-        With a cache attached, only memo misses are hashed and squared.
         """
-        if self._cache is None:
-            units = [self._hash_to_unit(v) for v in values]
-            return resolve_engine(engine).pow_many(units, 2, self.p)
-        out: list[int | None] = []
-        miss_positions: list[int] = []
-        miss_units: list[int] = []
-        miss_keys: list[bytes] = []
-        for i, value in enumerate(values):
-            key = self._canonical_bytes(value)
-            hit = self._cache.get(key)
-            out.append(hit)
-            if hit is None:
-                miss_positions.append(i)
-                miss_units.append(self._hash_to_unit(value))
-                miss_keys.append(key)
-        if miss_units:
-            squared = resolve_engine(engine).pow_many(miss_units, 2, self.p)
-            for position, key, encoding in zip(miss_positions, miss_keys, squared):
-                out[position] = encoding
-                self._cache.put(key, encoding)
-        return out  # type: ignore[return-value]
+        units = [self._hash_to_unit(v) for v in values]
+        return resolve_engine(engine).pow_many(units, 2, self.p)
 
     def encode_int(self, value: int) -> int:
         """Reversible encoding of a small non-negative integer.
 
-        The value is only shifted by 2, so that 0 (not a group element)
-        and 1 (a fixed point of exponentiation) are never used as
-        plaintexts.  Unlike :meth:`encode_hashed`, the result is *not*
-        squared into the QR subgroup: squaring is two-to-one on
-        ``Z_p^*`` and would make decoding ambiguous.  Skipping it is
-        safe here because the cipher is a bijection on all of
-        ``Z_p^*``, so encryption needs no subgroup confinement — only
-        the hashed (never-decoded) encoding pays the square for its
-        small-subgroup hygiene.
+        ``x = value + 2`` keeps 0 (not a group element) and 1 (a fixed
+        point of exponentiation) out of the plaintexts.  The result is
+        whichever of ``x`` and ``p - x`` is a quadratic residue: for
+        ``p ≡ 3 (mod 4)`` (every safe prime above 7) ``-1`` is a
+        non-residue, so exactly one of the two is.  A residue's every
+        power is one, so a relay that reads Jacobi symbols off ``∪ₛ``
+        ciphertexts reads 1 for every element, whatever its plaintext.
+        Squaring, as :meth:`encode_hashed` does, would make decoding
+        ambiguous; the sign choice costs no modexp.
         """
         if value < 0 or value >= self.p // 4:
             raise ParameterError(
                 f"reversible encoding requires 0 <= value < p//4, got {value}"
             )
-        return value + 2
+        x = value + 2
+        return x if jacobi(x, self.p) == 1 else self.p - x
 
     def decode_int(self, element: int) -> int:
-        """Inverse of :meth:`encode_int`."""
+        """Inverse of :meth:`encode_int`: ``p - y`` folds back to ``y``."""
+        if element > self.p // 2:
+            element = self.p - element
         value = element - 2
         if value < 0 or value >= self.p // 4:
             raise ParameterError(f"element {element} is not a valid int encoding")

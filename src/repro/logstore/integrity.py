@@ -57,8 +57,6 @@ __all__ = [
     "BatchIntegrityReport",
     "IntegrityNode",
     "run_integrity_round",
-    "run_integrity_round",
-    "run_batched_integrity_round",
     "run_batched_integrity_round",
 ]
 

@@ -243,16 +243,6 @@ class SimNetwork:
                 (self.now + delay, next(self._tiebreak), _InFlight(msg, corrupted)),
             )
 
-    def send_many(self, msgs: list[Message]) -> None:
-        """Enqueue several messages (interface parity with ``TcpNode``).
-
-        The simulator has no per-syscall cost to coalesce away, so this is
-        a plain loop; protocols written against ``send_many`` get the real
-        coalescing when they run over TCP.
-        """
-        for msg in msgs:
-            self.send(msg)
-
     # -- reliability internals ---------------------------------------------
 
     def _check_ack(self, msg_id: str) -> None:

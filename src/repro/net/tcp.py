@@ -12,8 +12,8 @@ thread (``tcp-io-mesh``) accepts, reads, decodes, drops duplicate
 built alone gets a mesh of its own.  A send from another thread is handed
 to the loop and wakes it through a socketpair; a handler's send writes at
 once.  No send blocks.  Each peer gets one pooled connection, written in
-send order (``send_many`` makes one write per peer), reopened once when
-it breaks and dropped when the peer closes it while idle.  A peer whose
+send order, one frame per send, reopened once when it breaks and dropped
+when the peer closes it while idle.  A peer whose
 connect takes longer than :data:`CONNECT_TIMEOUT`, that takes none of its
 pending bytes for :data:`WRITE_TIMEOUT`, or that cannot be reached twice
 in a row is abandoned: its pending frames count in ``stats.dropped`` and
@@ -69,8 +69,8 @@ class _Peer:
     def __init__(self) -> None:
         self.sock: socket.socket | None = None
         self.connected = False
-        # (payload, frames, the sender's context when traced) per write
-        self.pending: deque[tuple[bytes, int, Context | None]] = deque()
+        # (frame, the sender's context when traced) per send
+        self.pending: deque[tuple[bytes, Context | None]] = deque()
         self.sent = 0  # bytes of pending[0] already written
         # Set while the socket waits to connect or to take pending bytes,
         # and exactly then registered for writability (else for readability).
@@ -128,32 +128,22 @@ class TcpNode:
 
     def send(self, msg: Message) -> None:
         """Send one framed message."""
-        self.send_many([msg])
-
-    def send_many(self, msgs: list[Message]) -> None:
-        """Ship several messages, one write per peer."""
         if self._closed:
             raise TransportClosedError(f"{self.node_id} is closed")
-        batches: dict[NodeId, list[bytes]] = {}
-        for msg in msgs:
-            batches.setdefault(msg.dst, []).append(self._frame(msg))
-        # A traced send's context travels with its frames, so a drop on the
+        # A traced send's context travels with its frame, so a drop on the
         # loop thread is recorded under the span the send was made from.
-        context = copy_context() if self.tracer.enabled else None
-        for dst, frames in batches.items():
-            item = (b"".join(frames), len(frames), context)
-            if self._mesh.on_loop():
-                self._enqueue(dst, item)
-            else:
-                self._mesh.call_soon(self._enqueue, dst, item)
-        for msg in msgs:
-            self.stats.record(msg.kind, msg.size_bytes, msg.src, msg.dst)
-            if self.tracer.enabled:
-                self.tracer.add_event(
-                    "net.send",
-                    {"src": msg.src, "dst": msg.dst, "kind": msg.kind,
-                     "bytes": msg.size_bytes},
-                )
+        item = (self._frame(msg), copy_context() if self.tracer.enabled else None)
+        if self._mesh.on_loop():
+            self._enqueue(msg.dst, item)
+        else:
+            self._mesh.call_soon(self._enqueue, msg.dst, item)
+        self.stats.record(msg.kind, msg.size_bytes, msg.src, msg.dst)
+        if self.tracer.enabled:
+            self.tracer.add_event(
+                "net.send",
+                {"src": msg.src, "dst": msg.dst, "kind": msg.kind,
+                 "bytes": msg.size_bytes},
+            )
 
     def _enqueue(self, dst: NodeId, item: tuple) -> None:
         if self._closed:
@@ -268,11 +258,11 @@ class TcpNode:
         the next send dials afresh (maybe at a new address by then)."""
         self._disconnect(dst, peer, abort)
         del self._peers[dst]
-        frames = sum(count for _payload, count, _context in peer.pending)
+        frames = len(peer.pending)
         for _ in range(frames):
             self.stats.record_drop()
         if self.tracer.enabled:
-            peer.pending[-1][2].run(
+            peer.pending[-1][1].run(
                 self.tracer.add_event,
                 "net.drop",
                 {"src": self.node_id, "dst": dst, "frames": frames,

@@ -281,8 +281,8 @@ def collect(service) -> MetricsRegistry:
 
     if sched is not None:
         _scheduler(sched, count, gauge, hist)
-    caches = [service.ctx.encoder._cache, service.column_cache, service.subplan_memo,
-              service.query_memo, service._signatures._kept]
+    caches = [service.column_cache, service.subplan_memo, service.query_memo,
+              service._signatures._kept]
     for stats in (cache.stats for cache in caches):
         count(_CACHE + "hits_total", "cache lookups served", stats.hits,
               cache=stats.name)

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.cache import LruCache
 from repro.crypto.pohlig_hellman import MessageEncoder
 from repro.crypto.rng import DeterministicRng, system_rng
 from repro.errors import (
@@ -149,13 +148,6 @@ class SmcContext:
         payloads, message counts and modexp totals are identical with any
         tracer (a traced transport adds only the trace-context envelope
         keys).
-    encoder:
-        Optional :class:`~repro.crypto.pohlig_hellman.MessageEncoder` to
-        share instead of building a fresh one.  The service gives every
-        query its own context (own RNG stream, crypto counter, and
-        leakage ledger) but passes its encoder through, so the
-        hashed-encoding memo — pure in (value, prime) — is warmed once
-        for all queries.
     """
 
     def __init__(
@@ -164,20 +156,12 @@ class SmcContext:
         rng: DeterministicRng | None = None,
         engine=None,
         tracer=None,
-        encoder: MessageEncoder | None = None,
     ) -> None:
         if prime < 17:
             raise ConfigurationError("shared prime too small")
         self.prime = prime
         self.rng = rng or system_rng()
-        # Hashed encodings are pure in (value, prime): memoize them so
-        # repeated protocol runs over the same elements skip the SHA-256
-        # rejection sampling and squaring (the cache kill switch disables).
-        if encoder is not None and encoder.p != prime:
-            raise ConfigurationError("shared encoder prime does not match context")
-        self.encoder = encoder or MessageEncoder(
-            prime, cache=LruCache("encoder.hashed")
-        )
+        self.encoder = MessageEncoder(prime)
         self.engine = resolve_engine(engine)
         self.tracer = tracer or NOOP_TRACER
         self.crypto_ops = CryptoOpCounter()

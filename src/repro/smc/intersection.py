@@ -211,8 +211,8 @@ class IntersectionParty:
                 "position_linkage",
                 "collector links intersection hits to element positions",
             )
-            transport.send_many(
-                [
+            for origin, elems in self.state.full_sets.items():
+                transport.send(
                     Message(
                         src=self.party_id,
                         dst=origin,
@@ -223,9 +223,7 @@ class IntersectionParty:
                             ]
                         },
                     )
-                    for origin, elems in self.state.full_sets.items()
-                ]
-            )
+                )
         else:
             # Shuffled mode: decrypt the encrypted intersection around the
             # ring (any order — commutativity), starting with ourselves.
@@ -274,12 +272,11 @@ class IntersectionParty:
 
     def _publish(self, transport, items: list) -> None:
         items = sorted(items, key=repr)
-        outgoing = []
         for observer in self.observers:
             if observer == self.party_id:
                 self.state.result = items
             else:
-                outgoing.append(
+                transport.send(
                     Message(
                         src=self.party_id,
                         dst=observer,
@@ -287,8 +284,6 @@ class IntersectionParty:
                         payload={"items": items},
                     )
                 )
-        if outgoing:
-            transport.send_many(outgoing)
 
 
 def secure_set_intersection(

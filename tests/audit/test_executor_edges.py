@@ -123,3 +123,27 @@ class TestErrorPaths:
         )
         with pytest.raises(AuditError):
             executor.execute("C1 < C2")
+
+    @pytest.mark.parametrize(
+        "value", [10**400, float("inf"), float("nan")], ids=["10**400", "inf", "nan"]
+    )
+    def test_value_outside_float_range_fails_cross_order_typed(
+        self, value, table1_schema, table1_plan, ticket_authority, prime64
+    ):
+        """A value the fixed-point table cannot hold fails an ordered cross
+        predicate with the typed error an aggregate over it raises, before
+        any round is run."""
+        store = DistributedLogStore(
+            table1_plan,
+            ticket_authority,
+            AccumulatorParams.generate(128, DeterministicRng(b"huge")),
+        )
+        ticket = ticket_authority.issue("U1", {Operation.READ, Operation.WRITE})
+        store.append_batch([{"C1": 7, "C5": 3}, {"C1": value, "C5": 4}], ticket)
+        ctx = SmcContext(prime64, DeterministicRng(b"huge-ctx"))
+        executor = QueryExecutor(store, ctx, table1_schema)
+        with pytest.raises(AuditError, match="needs numeric values"):
+            executor.execute("C1 > C5")
+        assert ctx.crypto_ops.snapshot() == {}
+        with pytest.raises(AuditError, match="needs numeric values"):
+            executor.aggregate("sum", "C1")

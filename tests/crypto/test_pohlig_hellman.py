@@ -188,18 +188,12 @@ class TestMessageEncoder:
     def test_hashed_spreads_over_the_whole_group_at_1024_bits(self):
         """One SHA-256 digest squared never exceeds 2^512; the counter-mode
         expansion must reach the top of a 1024-bit group."""
-        from repro.cache import LruCache
-
         p = shared_prime(1024)
         values = [f"item-{i}" for i in range(1000)]
         encodings = [MessageEncoder(p).encode_hashed(v) for v in values]
         assert len(set(encodings)) == 1000
         assert all(e > 1 << 900 for e in encodings)
-        cached = MessageEncoder(p, cache=LruCache("test.hashed", max_entries=2000))
         assert MessageEncoder(p).encode_hashed_many(values, engine="serial") == encodings
-        assert cached.encode_hashed_many(values[:600], engine="serial") == encodings[:600]
-        assert cached.encode_hashed_many(values, engine="serial") == encodings
-        assert [cached.encode_hashed(v) for v in values[::50]] == encodings[::50]
 
     def test_unsupported_type(self, prime64):
         with pytest.raises(ParameterError):

@@ -274,68 +274,37 @@ class TestNoDelay:
 
 
 class TestSendMany:
+    """Many sends in a row: each is one frame, in send order per peer."""
+
     def test_fan_out_to_multiple_peers(self):
         with TcpCluster(["A", "B", "C"]) as cluster:
-            cluster["A"].send_many(
-                [
-                    Message(src="A", dst="B", kind="k", payload="to-b"),
-                    Message(src="A", dst="C", kind="k", payload="to-c"),
-                    Message(src="A", dst="B", kind="k", payload="to-b-2"),
-                ]
-            )
+            for dst, payload in [("B", "to-b"), ("C", "to-c"), ("B", "to-b-2")]:
+                cluster["A"].send(Message(src="A", dst=dst, kind="k", payload=payload))
             assert cluster["B"].receive(timeout=5.0).payload == "to-b"
             assert cluster["B"].receive(timeout=5.0).payload == "to-b-2"
             assert cluster["C"].receive(timeout=5.0).payload == "to-c"
             assert cluster["A"].stats.messages == 3
 
-    def test_send_many_is_one_write_per_peer(self, monkeypatch):
-        with TcpCluster(["A", "B", "C"]) as cluster:
-            node = cluster["A"]
-            writes = []
-            real = node._enqueue
-
-            def enqueue(dst, item):
-                writes.append((dst, item[1]))
-                real(dst, item)
-
-            monkeypatch.setattr(node, "_enqueue", enqueue)
-            node.send_many(
-                [Message(src="A", dst=d, kind="k", payload=i) for i, d in enumerate("BCBB")]
-            )
-            assert [cluster["B"].receive(timeout=5.0).payload for _ in range(3)] == [0, 2, 3]
-            assert cluster["C"].receive(timeout=5.0).payload == 1
-            assert sorted(writes) == [("B", 3), ("C", 1)]
-
     def test_order_preserved_within_batch(self):
         with TcpCluster(["A", "B"]) as cluster:
             seen, done = collect(cluster["B"], 20)
-            cluster["A"].send_many(
-                [Message(src="A", dst="B", kind="k", payload=i) for i in range(20)]
-            )
+            for i in range(20):
+                cluster["A"].send(Message(src="A", dst="B", kind="k", payload=i))
             assert done.wait(10.0)
             assert seen == list(range(20))
 
     def test_unknown_peer_rejected_before_any_write(self):
         with TcpCluster(["A", "B"]) as cluster:
             with pytest.raises(NodeUnreachableError):
-                cluster["A"].send_many(
-                    [
-                        Message(src="A", dst="B", kind="k", payload=1),
-                        Message(src="A", dst="ghost", kind="k", payload=2),
-                    ]
-                )
+                cluster["A"].send(Message(src="A", dst="ghost", kind="k", payload=2))
             assert cluster["A"].stats.messages == 0
+            assert cluster["A"]._peers == {}
 
     def test_closed_transport_rejects(self):
         node = TcpNode("solo")
         node.close()
         with pytest.raises(TransportClosedError):
-            node.send_many([Message(src="solo", dst="solo", kind="k")])
-
-    def test_empty_batch_is_noop(self):
-        with TcpCluster(["A"]) as cluster:
-            cluster["A"].send_many([])
-            assert cluster["A"].stats.messages == 0
+            node.send(Message(src="solo", dst="solo", kind="k"))
 
 
 class TestConnectionPoolHealth:
@@ -418,12 +387,10 @@ class TestBounds:
         with never_reading_listener() as listener, closing(TcpNode("A")) as node:
             errors = spy_on_abandon(node, monkeypatch)
             node.learn_peers({"B": listener.getsockname()})
-            blob = "x" * (1 << 20)
-            # One write for all 16: no frame can reach the loop after the
+            blob = "x" * (16 << 20)
+            # One frame, one write: no frame can reach the loop after the
             # abandon and dial the connection the "again" accept expects.
-            node.send_many(
-                [Message(src="A", dst="B", kind="k", payload=blob) for _ in range(16)]
-            )
+            node.send(Message(src="A", dst="B", kind="k", payload=blob))
             accepted, _ = listener.accept()  # ... and never recv()
             with accepted:
                 assert wait_until(lambda: node.stats.dropped > 0, 10.0)

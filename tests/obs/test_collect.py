@@ -72,6 +72,33 @@ def test_default_service_serves_a_full_page():
         assert family in families, family
 
 
+def test_cache_families_name_exactly_the_caches_the_service_built(monkeypatch):
+    """``/metrics`` lists a service's caches by hand: every ``LruCache``
+    the service builds, while built or while answering, has its label, and
+    no label names a cache it did not build."""
+    from repro.cache import LruCache
+
+    built: list[str] = []
+    real_init = LruCache.__init__
+
+    def recording_init(self, name, *args, **kwargs):
+        built.append(name)
+        real_init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(LruCache, "__init__", recording_init)
+    service = table1_service()
+    try:
+        service.query(CROSS)
+        service.gather([service.submit(CROSS)])
+        registry = collect(service)
+    finally:
+        service.close()
+    for family in ("hits_total", "misses_total", "evictions_total", "entries"):
+        labels = set(metric_values(registry, "repro_cache_" + family))
+        assert labels == {f"cache={name}" for name in built}, family
+    assert len(built) == len(set(built))
+
+
 def test_every_line_is_valid_exposition_after_faults_and_a_burst():
     faults = FaultPlan(drop_rate=0.2, duplicate_rate=0.1, rng=DeterministicRng(b"lossy"))
     service = table1_service(
