@@ -12,15 +12,16 @@ its machinery costs on queries that share nothing:
   to its serial counterpart.  The mix repeats one criterion and shares an
   expensive ``C1 > C5`` cross-anchor predicate between two *distinct*
   criteria, so the speedup decomposes into whole-query fan-out plus
-  sub-plan sharing — the scheduler runs one query at a time, so there is
-  no overlap to buy anything else.  The same serial loop on a default service, whose sync
+  sub-plan sharing — each query runs in its submitter's thread, so there
+  is no overlap to buy anything else.  The same serial loop on a default service, whose sync
   queries reuse equal-epoch cross predicates from the service's
   sub-plan memo, is reported beside it (not gated).
 * **Latency under load.**  p50/p95 per-query latency from the handles'
-  submit-to-resolve clocks during the burst.
+  submit-to-finish clocks during the burst (planning and running; no
+  query waits behind another).
 * **Scheduler overhead.**  Distinct queries pushed one at a time through
   a coalescing-off scheduler vs plain ``service.query`` on a
-  coalescing-off service — the queue-and-handle machinery must cost < 5%
+  coalescing-off service — the handle machinery must cost < 5%
   wall-clock.
 
 Writes ``BENCH_p5.json`` at the repo root.
@@ -148,11 +149,8 @@ class TestSchedulerThroughput:
         conc_svc = _build(ROWS)
         start = time.perf_counter()
         sched = QueryScheduler(conc_svc)
-        try:
-            handles = [sched.submit(c) for c in MIX]
-            concurrent = sched.gather(handles)
-        finally:
-            sched.shutdown()
+        handles = [sched.submit(c) for c in MIX]
+        concurrent = sched.gather(handles)
         t_conc = time.perf_counter() - start
 
         # Exact per-query equality with the serial ground truth.
@@ -200,7 +198,7 @@ class TestSchedulerThroughput:
 
         # -- overhead, one query at a time ---------------------------------
         # Coalescing off on both paths: every query recomputes, so the
-        # comparison times the queue-and-handle machinery itself, not cache
+        # comparison times the handle machinery itself, not cache
         # hits.
         base_svc = _build_unshared(monkeypatch, ROWS)
 
@@ -211,18 +209,15 @@ class TestSchedulerThroughput:
         sched_svc = _build(ROWS)
         sched_svc.coalesce = False
         one = QueryScheduler(sched_svc)
-        try:
 
-            def run_scheduled():
-                for criterion in OVERHEAD_QUERIES:
-                    one.submit(criterion).result(timeout=300)
+        def run_scheduled():
+            for criterion in OVERHEAD_QUERIES:
+                one.submit(criterion).result()
 
-            run_serial()  # warm both paths before timing
-            run_scheduled()
-            t_plain = _best_of(run_serial)
-            t_sched = _best_of(run_scheduled)
-        finally:
-            one.shutdown()
+        run_serial()  # warm both paths before timing
+        run_scheduled()
+        t_plain = _best_of(run_serial)
+        t_sched = _best_of(run_scheduled)
         overhead = t_sched / t_plain - 1.0
         results["overhead_at_1"] = {
             "plain_ms": round(t_plain * 1e3, 1),

@@ -1,9 +1,9 @@
 """Fan-out: a burst of 256 audit queries over one shared deployment.
 
 The scheduler behind `service.submit` (`repro.sched.QueryScheduler`)
-admits the whole burst at once and runs the queries one at a time, in
-order, on its worker thread; equal queries are served the first one's
-result.  Every answer is verified against a serial `service.query`
+runs each query of the burst before `submit` returns, in the calling
+thread, and hands back a settled handle; equal queries at equal store
+epochs are served the first one's result.  Every answer is verified against a serial `service.query`
 ground truth.
 
 Run:  python examples/async_fanout.py
@@ -42,8 +42,8 @@ def main() -> None:
     # 2. Serial ground truth, one evaluation per distinct criterion.
     expected = {criterion: service.query(criterion).glsns for criterion in QUERIES}
 
-    # 3. The burst: 256 queries submitted at once.  Admission never
-    #    blocks; the scheduler's worker thread runs one query at a time.
+    # 3. The burst: 256 queries submitted back to back.  Each runs in
+    #    this thread inside its `submit`; `gather` only reads the handles.
     batch = (QUERIES * (BURST // len(QUERIES)))[:BURST]
     handles = [service.submit(criterion) for criterion in batch]
     print(f"submitted {len(handles)} queries "

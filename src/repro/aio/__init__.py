@@ -1,7 +1,7 @@
 """Second dotted names the end-to-end benchmark pins, and nothing else.
 
 Nothing runs on an event loop: protocol drivers are plain functions, the
-scheduler runs queries on one worker thread, and the socket transport is
+scheduler runs each query in its submitter's thread, and the socket transport is
 :mod:`repro.net.tcp` (``docs/concurrency.md``).  What is left here exists
 because ``benchmarks/e2e`` imports or traces it: this function and the
 two alias modules :mod:`repro.aio.simnet` and :mod:`repro.aio.scheduler`.

@@ -236,9 +236,6 @@ class ConfidentialAuditingService:
         self.integrity_ops = CryptoOpCounter()
         #: CostReport of the most recent query/audited_query (None before).
         self.last_query_cost: CostReport | None = None
-        # Concurrent-query scheduler, built lazily on first use (repro.sched).
-        self._scheduler = None
-        self._sched_lock = threading.Lock()
         node_count = len(plan.node_ids)
         self.threshold = threshold if threshold is not None else node_count // 2 + 1
         if not 1 <= self.threshold <= node_count:
@@ -304,9 +301,12 @@ class ConfidentialAuditingService:
         self.subplan_memo = LruCache("query.subplan")
         #: The whole-query memo: each scheduled query's result, keyed on its
         #: plan fingerprint and the store epochs.  While :attr:`coalesce` is
-        #: on, every :meth:`submit` reads and writes it; it outlives any
-        #: scheduler.
+        #: on, every :meth:`submit` reads and writes it; no sync call does.
         self.query_memo = LruCache("sched.query")
+        #: The :class:`~repro.sched.QueryScheduler` behind :meth:`submit`,
+        #: :meth:`gather` and :meth:`query_many`: it runs each query in the
+        #: caller's thread (standing epochs run on the ingesting one).
+        self.scheduler = QueryScheduler(self)
 
         # DLA-side identity: credential authority, membership, signatures.
         group = SchnorrGroup.generate(256, self.rng.spawn("group"))
@@ -421,13 +421,12 @@ class ConfidentialAuditingService:
         return self.standing.evaluate_epoch()
 
     def close(self) -> None:
-        """Tear down background machinery (scheduler, obs server, store).
+        """Tear down background machinery (obs server, store).
 
         Safe to call repeatedly; an in-memory service only stops its
-        scheduler and telemetry endpoint, a durable one additionally
-        quiesces compaction and fsyncs every write-ahead log.
+        telemetry endpoint, a durable one additionally quiesces
+        compaction and fsyncs every write-ahead log.
         """
-        self.shutdown_scheduler()
         self.stop_obs_server()
         store_close = getattr(self.store, "close", None)
         if store_close is not None:
@@ -607,31 +606,14 @@ class ConfidentialAuditingService:
 
     # -- scheduled auditing (repro.sched) -----------------------------------------
 
-    @property
-    def scheduler(self):
-        """The service's persistent query scheduler.
-
-        Built on first access and reused for every subsequent
-        :meth:`submit` / :meth:`query_many` call: a
-        :class:`~repro.sched.QueryScheduler` running one query at a time
-        on its worker thread (standing epochs run on the ingesting one).
-        One that was shut down is replaced by a new one here, so a
-        ``scheduler.shutdown()`` never leaves the service refusing
-        queries.  :meth:`shutdown_scheduler` tears it down.
-        """
-        with self._sched_lock:
-            if self._scheduler is None or self._scheduler._closed:
-                self._scheduler = QueryScheduler(self)
-            return self._scheduler
-
     def submit(self, criterion: str, timeout: float | None = None):
-        """Queue one query on the :attr:`scheduler`; returns its handle.
+        """Run one query on the :attr:`scheduler`, in this thread; returns
+        its settled handle.
 
-        The returned :class:`~repro.sched.QueryHandle` resolves to the
-        same :class:`QueryResult` a serial :meth:`query` call would
-        produce, plus per-query cost and leakage.  ``timeout`` starts
-        counting immediately — time spent in the admission queue is part
-        of the budget.
+        The returned :class:`~repro.sched.QueryHandle` holds the same
+        :class:`QueryResult` a serial :meth:`query` call would produce
+        (or its failure), plus per-query cost and leakage.  ``timeout``
+        starts counting at submit.
         """
         return self.scheduler.submit(criterion, timeout=timeout)
 
@@ -640,20 +622,13 @@ class ConfidentialAuditingService:
         return self.scheduler.gather(handles)
 
     def query_many(self, criteria, timeout: float | None = None) -> list[QueryResult]:
-        """Run many queries through the persistent :attr:`scheduler`;
-        results in input order.
+        """Run many queries through the :attr:`scheduler`; results in
+        input order.
 
         ``timeout`` applies per query, not to the batch.
         """
         sched = self.scheduler
         return sched.gather([sched.submit(c, timeout=timeout) for c in criteria])
-
-    def shutdown_scheduler(self) -> None:
-        """Stop the persistent scheduler (a later :meth:`submit` rebuilds it)."""
-        with self._sched_lock:
-            sched, self._scheduler = self._scheduler, None
-        if sched is not None:
-            sched.shutdown()
 
     def audited_query(
         self,

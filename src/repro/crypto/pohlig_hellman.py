@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from repro.crypto import primes
 from repro.crypto.modmath import int_to_bytes, jacobi, modinv
 from repro.crypto.rng import DeterministicRng, system_rng
-from repro.errors import ParameterError
+from repro.errors import ConfigurationError, ParameterError
 from repro.perf.engine import resolve_engine
 
 __all__ = [
@@ -187,11 +187,17 @@ class MessageEncoder:
       integers in ``[0, p//4)`` as the quadratic residue of ``±(v + 2)``;
       used when the plaintext must be recovered after full decryption
       (secure set union).
+
+    ``p`` must be ``3 (mod 4)`` (every safe prime above 7 is); any other
+    prime raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, p: int) -> None:
         if p < 17:
             raise ParameterError("modulus too small to encode messages")
+        if p % 4 != 3:
+            # -1 must be a non-residue, or encode_int cannot hide Jacobi symbols.
+            raise ConfigurationError(f"commutative-cipher prime must be 3 mod 4, got {p}")
         self.p = p
         self._hash_blocks = -(-(p.bit_length() + 64) // 256)  # SHA-256 digests
 

@@ -136,14 +136,6 @@ class PlanningError(AuditError):
     """No DLA node (or node set) can evaluate a subquery."""
 
 
-class SchedulerError(AuditError):
-    """Base class for concurrent query-scheduler failures."""
-
-
-class SchedulerShutdownError(SchedulerError):
-    """The scheduler is shut down and no longer admits queries."""
-
-
 class ClusterError(ReproError):
     """Base class for DLA cluster-membership failures."""
 

@@ -43,7 +43,7 @@ class NetworkStats:
     not just message counts.
 
     All mutators take one internal lock: the service-wide stats receive
-    merges from sync callers and from the scheduler's worker thread, and
+    merges from queries running on many threads at once, and
     increments from different threads must not lose updates (``x += 1``
     is not atomic in CPython).  Single-threaded use
     pays one uncontended lock acquire per record.

@@ -31,10 +31,10 @@ from repro.errors import ConfigurationError
 from repro.obs.export import escape_help_text, escape_label_value
 
 # One process-wide lock guards every Histogram: a histogram is also a
-# ledger type, observed from the scheduler's worker and from sync callers
-# on other threads, and a single coarse lock keeps it exact without per-instance
-# lock storage (__slots__).  A registry is built by one thread per
-# request, so its counters and gauges need no lock.
+# ledger type, observed from queries running on many threads at once, and
+# a single coarse lock keeps it exact without per-instance lock storage
+# (__slots__).  A registry is built by one thread per request, so its
+# counters and gauges need no lock.
 _LOCK = threading.Lock()
 
 __all__ = [
@@ -255,9 +255,6 @@ def collect(service) -> MetricsRegistry:
         for ledger in ledgers:
             family.merge(ledger)
 
-    sched = service._scheduler
-    if sched is not None and sched._closed:
-        sched = None
     net = service.net_stats
     traffic = net.snapshot()
     for kind, n in traffic["by_kind"].items():
@@ -279,8 +276,11 @@ def collect(service) -> MetricsRegistry:
     hist("repro_crypto_modexp_batch_size", BATCH_BUCKETS,
          "modexps recorded per bulk call", [ops.batch_sizes])
 
-    if sched is not None:
-        _scheduler(sched, count, gauge, hist)
+    sched = service.scheduler
+    count("repro_sched_submitted_total", "queries admitted", sched.submitted)
+    count("repro_sched_completed_total", "queries finished successfully",
+          sched.completed)
+    count("repro_sched_failed_total", "queries finished with an error", sched.failed)
     caches = [service.column_cache, service.subplan_memo, service.query_memo,
               service._signatures._kept]
     for stats in (cache.stats for cache in caches):
@@ -307,19 +307,6 @@ def collect(service) -> MetricsRegistry:
     if hasattr(service.store, "wals"):  # the durable backend
         _store(service.store, service.last_recovery, count, gauge, hist)
     return reg
-
-
-def _scheduler(sched, count, gauge, hist) -> None:
-    gauge("repro_sched_queue_depth", "queries queued and not yet started",
-          sched._waiting)
-    gauge("repro_sched_in_flight", "queries currently executing (0 or 1)",
-          sched.in_flight)
-    hist("repro_sched_admission_wait_seconds", _LAT,
-         "seconds between submit and the start of execution", [sched.admission_wait])
-    count("repro_sched_submitted_total", "queries admitted", sched.submitted)
-    count("repro_sched_completed_total", "queries finished successfully",
-          sched.completed)
-    count("repro_sched_failed_total", "queries finished with an error", sched.failed)
 
 
 def _observatory(observatory, count, gauge) -> None:

@@ -1,14 +1,14 @@
 """Audit-query scheduling (``repro.sched``).
 
 Every query, sync or scheduled, runs over a network of its own.  This
-package queues many queries over one deployment:
+package runs many queries over one deployment:
 
-* :class:`QueryScheduler` — non-blocking admission, one query at a time
-  on one worker thread, per-query isolation (context, ledger, cost),
-  cross-query coalescing of identical epoch-keyed work, deadline-aware
-  admission;
-* :class:`QueryHandle` — a submitted query's future (result, cost
-  report, private leakage group, latency);
+* :class:`QueryScheduler` — ``submit`` runs each query in the caller's
+  thread before it returns, with per-query isolation (context, ledger,
+  cost), cross-query coalescing of identical epoch-keyed work and a
+  deadline that starts at submit;
+* :class:`QueryHandle` — a submitted query's settled outcome (result or
+  failure, cost report, private leakage group, latency);
 * :class:`StandingQueryRegistry` — register a criterion once, receive
   per-ingest-epoch deltas (continuous auditing; see docs/storage.md).
 

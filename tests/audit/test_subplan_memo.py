@@ -28,6 +28,7 @@ from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng, Operation
 from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.obs.metrics import collect
+from repro.sched import QueryScheduler
 from tests.metrics_probe import metric_value
 
 SCHEMA = paper_table1_schema()
@@ -282,7 +283,7 @@ class TestInvalidation:
             assert service.query_memo.stats.entries == 0
             faults.recover("P0")
             handle = service.submit("C4 = C")
-            assert handle.result(timeout=60).glsns == healthy
+            assert handle.result().glsns == healthy
             assert not handle.coalesced
         finally:
             service.close()
@@ -333,7 +334,7 @@ class TestInvalidation:
         criterion = "C1 > C5 and C3 = 'bank'"
         doomed = service.submit(criterion, timeout=0.5)
         with pytest.raises(DeadlineExceededError):
-            doomed.result(timeout=60)
+            doomed.result()
         assert doomed.started_at is not None and doomed.cost.messages > 0
         assert service.subplan_memo.stats.entries == 0
         assert service.query_memo.stats.entries == 0
@@ -342,7 +343,7 @@ class TestInvalidation:
         twin, ticket = build()
         populate(twin, ticket)
         try:
-            assert retry.result(timeout=60).glsns == twin.query(criterion).glsns
+            assert retry.result().glsns == twin.query(criterion).glsns
         finally:
             twin.close()
         assert not retry.coalesced and reuses(service) == 0
@@ -353,10 +354,10 @@ class TestSyncBesideTheScheduler:
     def test_sync_query_while_a_burst_computes_the_same_predicate(
         self, service, monkeypatch
     ):
-        """The burst's compare round is held open on the scheduler's worker
-        thread while the main thread asks for the same predicate: nothing is
-        stored yet, so the sync query computes for itself instead of waiting
-        for the worker, and both store the same value."""
+        """The burst's compare round is held open on the thread that
+        submitted it while the main thread asks for the same predicate:
+        nothing is stored yet, so the sync query computes for itself instead
+        of waiting for the burst, and both store the same value."""
         main = threading.current_thread()
         started, release = threading.Event(), threading.Event()
         original = executor_module.secure_compare_batch
@@ -374,7 +375,12 @@ class TestSyncBesideTheScheduler:
         populate(twin, ticket)
         try:
             criteria = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 150"]
-            handles = [service.submit(c) for c in criteria]
+            handles = []
+            submitter = threading.Thread(
+                target=lambda: handles.extend(service.submit(c) for c in criteria),
+                name="submitter",
+            )
+            submitter.start()
             assert started.wait(timeout=60)
             try:
                 sync = service.query("C1 > C5 and C2 < 150").glsns
@@ -382,8 +388,9 @@ class TestSyncBesideTheScheduler:
                 assert service.subplan_memo.stats.entries == 1  # the sync run's entry
             finally:
                 release.set()
+                submitter.join(timeout=60)
             burst = service.gather(handles)
-            assert gated_on == ["repro-sched"]  # only the first query's round
+            assert gated_on == ["submitter"]  # only the first query's round
             assert sync == burst[1].glsns
             assert [r.glsns for r in burst] == [twin.query(c).glsns for c in criteria]
             # Afterwards the memo answers both callers.
@@ -506,7 +513,7 @@ class TestMetrics:
         assert self.hits(service) == 0
         service.query("C4 = C")
         assert self.hits(service) == 1
-        assert service._scheduler is None
+        assert service.scheduler.submitted == 0
 
     def test_the_counter_survives_a_scheduler_rebuild(self, service):
         service.query("C1 > C5 and C3 = 'tax'")
@@ -514,7 +521,7 @@ class TestMetrics:
         counted = self.hits(service)
         assert counted >= 1
         assert service.scheduler.coalesce_stats()["query.subplan"]["hits"] == counted
-        service.shutdown_scheduler()
+        rebuilt = QueryScheduler(service)
         assert self.hits(service) == counted
-        service.gather([service.submit("C1 > C5 and C2 < 60")])
+        rebuilt.gather([rebuilt.submit("C1 > C5 and C2 < 60")])
         assert self.hits(service) == counted + 1

@@ -68,7 +68,7 @@ def test_three_hundred_distinct_local_criteria_leave_every_cache_at_constant_siz
         assert set(before) == {"column_cache", "subplan_memo"}
         assert before["column_cache"] == 4
     finally:
-        service.shutdown_scheduler()
+        service.close()
 
 
 def test_a_new_epoch_replaces_the_columns_of_the_old_one():

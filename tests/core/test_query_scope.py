@@ -39,7 +39,7 @@ def service():
 
 def on_the_caller(original, hook):
     """``original`` with ``hook(self)`` run first on the calling thread only
-    (a scheduled query runs the same code on the worker thread)."""
+    (a query submitted from another thread runs the same code there)."""
     caller = threading.current_thread()
 
     def wrapped(self, *args, **kwargs):
@@ -50,15 +50,23 @@ def on_the_caller(original, hook):
     return wrapped
 
 
+def submit_on_another_thread(service, criterion, handles) -> None:
+    """Submit ``criterion`` from a thread of its own and wait until it ends."""
+    submitter = threading.Thread(target=lambda: handles.append(service.submit(criterion)))
+    submitter.start()
+    submitter.join()
+
+
 def test_a_local_query_pays_none_of_a_concurrent_querys_modexps(service, monkeypatch):
-    """A scheduled cross query completes inside a sync local query's run:
-    the local query's cost is still its own, zero modexps."""
+    """A cross query submitted on another thread completes inside a sync
+    local query's run: the local query's cost is still its own, zero
+    modexps."""
     handles = []
 
     def finish_a_scheduled_query(_executor):
         if not handles:
-            handles.append(service.submit("C4 = C"))
-            handles[0].result(timeout=60)
+            submit_on_another_thread(service, "C4 = C", handles)
+            handles[0].result()
 
     executor = executor_module.QueryExecutor
     monkeypatch.setattr(
@@ -134,7 +142,8 @@ def test_two_signed_reports_do_not_give_away_the_cluster_key(service):
 
 def test_a_query_failing_mid_ring_merges_its_events_as_one_group(service, monkeypatch):
     """The deadline runs out between two relay hops of a sync query's
-    ``∩ₛ`` ring, after a scheduled query finished in between: the failed
+    ``∩ₛ`` ring, after a query submitted on another thread finished in
+    between: the failed
     query's disclosures land on the service ledger together, not split
     around the other query's, and its predicate is not memoized."""
     timeout = 2.0
@@ -144,8 +153,8 @@ def test_a_query_failing_mid_ring_merges_its_events_as_one_group(service, monkey
     def finish_a_scheduled_query_then_run_out(_party):
         relays.append(1)
         if len(relays) == 2:
-            handles.append(service.submit(CROSS))
-            handles[0].result(timeout=60)
+            submit_on_another_thread(service, CROSS, handles)
+            handles[0].result()
             time.sleep(max(0.0, started + timeout - time.monotonic()) + 0.05)
 
     monkeypatch.setattr(

@@ -64,6 +64,16 @@ class TestDeployment:
                 rng=DeterministicRng(b"x"),
             )
 
+    def test_prime_one_mod_four_rejected(self):
+        """Over a prime ≡ 1 (mod 4), -1 is a residue and ``encode_int``
+        could not give every ∪ₛ plaintext Jacobi symbol 1."""
+        schema = paper_table1_schema()
+        with pytest.raises(ConfigurationError, match="3 mod 4"):
+            ConfidentialAuditingService(
+                schema, paper_fragment_plan(schema), prime=1000000009,
+                rng=DeterministicRng(b"x"),
+            )
+
     def test_describe(self, service):
         text = service.describe()
         assert "P0" in text and "3/4" in text

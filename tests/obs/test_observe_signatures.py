@@ -391,7 +391,7 @@ def test_concurrent_observers_and_writers_leave_every_signature_right():
             threading.Thread(target=write),
             threading.Thread(target=observe, args=(service.query,)),
             threading.Thread(
-                target=observe, args=(lambda c: service.submit(c).result(timeout=30),)
+                target=observe, args=(lambda c: service.submit(c).result(),)
             ),
         ]
         for thread in threads:

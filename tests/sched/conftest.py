@@ -6,8 +6,6 @@ one deployment is the ground truth for a scheduled run on its twin.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.core import ConfidentialAuditingService
@@ -69,13 +67,4 @@ def twin_services():
 def service():
     svc = build_service()
     yield svc
-    svc.shutdown_scheduler()
-
-
-@contextmanager
-def running(scheduler):
-    """``scheduler`` for the block, shut down (its queue drained) after it."""
-    try:
-        yield scheduler
-    finally:
-        scheduler.shutdown()
+    svc.close()

@@ -30,10 +30,10 @@ NEIGHBOR_QUERIES = [
 VICTIM = "P0"
 
 
-def _settle(handle, timeout: float = 120.0):
+def _settle(handle):
     """Resolve a handle: (result, exception) — typed errors only."""
     try:
-        return handle.result(timeout=timeout), None
+        return handle.result(), None
     except ReproError as exc:
         return None, exc
 
@@ -44,7 +44,7 @@ def chaos_service():
     faults.crash(VICTIM)
     service = build_service(resilience=RetryPolicy(), faults=faults)
     yield service
-    service.shutdown_scheduler()
+    service.close()
 
 
 def test_dead_node_failover_does_not_poison_neighbors(chaos_service):
@@ -66,7 +66,7 @@ def test_dead_node_failover_does_not_poison_neighbors(chaos_service):
 
     # Every neighbor completes with the exact fault-free answer.
     for handle, want in zip(neighbors, expected):
-        got = handle.result(timeout=120)
+        got = handle.result()
         assert handle.exception() is None
         assert got.glsns == want.glsns
         assert got.subquery_glsns == want.subquery_glsns
@@ -87,7 +87,7 @@ def test_scheduler_stays_usable_after_a_victim_query(chaos_service):
     # Same scheduler, new query on healthy anchors: full exact answer.
     later = chaos_service.submit(NEIGHBOR_QUERIES[0])
     want = build_service().query(NEIGHBOR_QUERIES[0])
-    assert later.result(timeout=120).glsns == want.glsns
+    assert later.result().glsns == want.glsns
 
 
 def test_victim_query_cost_still_attributed(chaos_service):
@@ -132,15 +132,15 @@ class TestHealthAndReliabilityLedger:
         service.query(VICTIM_QUERY)
         service.gather([service.submit(c) for c in [VICTIM_QUERY, *NEIGHBOR_QUERIES]])
         assert _degraded(service) == set()
-        service.shutdown_scheduler()
+        service.close()
 
     def test_scheduled_events_fold_when_the_query_ends(self, chaos_service):
         handle = chaos_service.submit(VICTIM_QUERY)
         chaos_service.gather([handle])
         sync = _chaos_twin()
         sync.query(VICTIM_QUERY)
-        # Before any shutdown: the scheduled query's ledger is already in.
-        assert not chaos_service.scheduler._closed
+        # The handle is settled, so the scheduled query's ledger is in.
+        assert handle.done
         assert chaos_service.resilience_stats == sync.resilience_stats
         assert chaos_service.resilience_stats["failovers"] == 2
         assert handle.cost.messages == sync.last_query_cost.messages

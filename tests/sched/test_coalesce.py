@@ -50,9 +50,9 @@ def count_executions(monkeypatch, fail_first: bool = False) -> list[int]:
 def test_serves_cached_value_without_recompute(service, monkeypatch):
     calls = count_executions(monkeypatch)
     first = service.submit(CRITERION)
-    first.result(timeout=60)
+    first.result()
     later = service.submit(CRITERION)
-    assert later.result(timeout=60).glsns == first.result().glsns
+    assert later.result().glsns == first.result().glsns
     assert calls[0] == 1
     assert later.coalesced and later.cost.messages == 0
 
@@ -74,8 +74,8 @@ def test_failed_holder_does_not_poison_joiners(service, monkeypatch):
     calls = count_executions(monkeypatch, fail_first=True)
     handles = [service.submit(CRITERION) for _ in range(3)]
     with pytest.raises(RuntimeError, match="holder dies"):
-        handles[0].result(timeout=60)
-    second, third = (h.result(timeout=60) for h in handles[1:])
+        handles[0].result()
+    second, third = (h.result() for h in handles[1:])
     assert second.glsns == third.glsns == build_service(rows=12).query(CRITERION).glsns
     assert calls[0] == 2
     assert [h.coalesced for h in handles] == [False, False, True]

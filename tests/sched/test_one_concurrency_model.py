@@ -1,12 +1,12 @@
-"""One concurrency model: one scheduler class, one worker, no query loop.
+"""One concurrency model: one scheduler class, no worker, no query loop.
 
 ``service.scheduler`` is the one :class:`~repro.sched.QueryScheduler` a
-service builds; ``query_many`` and standing queries go through it too.
-Its queries run one at a time on its ``repro-sched`` worker thread —
-never on an event loop, so the query path does not even import
-:mod:`asyncio` — and nothing runs on a worker pool or a per-connection
-reader thread: a TCP mesh is one ``selectors`` loop on one thread.
-Closing a service or a TCP cluster leaves no thread behind.
+service builds; ``query_many`` goes through it too, standing queries do
+not.  Its queries run in the thread that submits them — never on a
+thread of its own nor on an event loop, so the query path does not even
+import :mod:`asyncio` — and nothing runs on a worker pool or a
+per-connection reader thread: a TCP mesh is one ``selectors`` loop on one
+thread.  Closing a service or a TCP cluster leaves no thread behind.
 """
 
 from __future__ import annotations
@@ -97,11 +97,8 @@ def test_no_pool_or_reader_threads_and_close_leaves_no_loop_thread():
         cluster["B"].send(Message(src=ping.dst, dst=ping.src, kind="pong", payload=2))
         assert cluster["A"].receive(timeout=5.0).payload == 2
         assert thread_names(POOL_THREADS, before) == []
-        # One worker for the scheduler, one loop for the whole mesh.
-        assert sorted(thread_names(WORKER_THREADS, before)) == [
-            "repro-sched",
-            "tcp-io-mesh",
-        ]
+        # No thread for the scheduler, one loop for the whole mesh.
+        assert sorted(thread_names(WORKER_THREADS, before)) == ["tcp-io-mesh"]
     finally:
         service.close()
         cluster.close()

@@ -1,32 +1,31 @@
-"""What a queue drained on one worker thread adds to the scheduler's contract.
+"""What running each query in its submitter's thread adds to the contract.
 
 ``tests/sched/test_scheduler.py`` holds the behaviour suite of
 :class:`~repro.sched.QueryScheduler`; the cases here are the ones that
-exist because every query waits its turn on one worker: exact ledger and
-trace reconciliation, hundreds of queued queries, one query executing at
-a time, ``shutdown(wait=False)`` failing the queries not yet started,
-and a worker that starts on the first submit and ends with the service.
+exist because every query runs, start to finish, inside its ``submit``:
+exact ledger and trace reconciliation, hundreds of submitted queries, one
+query executing at a time in submission order, a deadline spent before
+the query starts, and no scheduler thread at all.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
-from repro.errors import DeadlineExceededError, SchedulerShutdownError
+from repro.errors import DeadlineExceededError
 from repro.sched import QueryScheduler
-from tests.sched.conftest import CRITERIA, build_service, running
+from tests.sched.conftest import CRITERIA, build_service
 
 
 class TestEquivalenceToSerial:
     def test_matches_serial_twin(self):
         serial, concurrent = build_service(), build_service()
         expected = [serial.query(c) for c in CRITERIA]
-        with running(QueryScheduler(concurrent)) as sched:
-            handles = [sched.submit(c) for c in CRITERIA]
-            results = sched.gather(handles)
+        sched = QueryScheduler(concurrent)
+        handles = [sched.submit(c) for c in CRITERIA]
+        results = sched.gather(handles)
         for got, want in zip(results, expected):
             assert got.glsns == want.glsns
             assert got.subquery_glsns == want.subquery_glsns
@@ -37,9 +36,9 @@ class TestEquivalenceToSerial:
         service = build_service()
         leakage_before = service.ctx.leakage.count()
         service.coalesce = False
-        with running(QueryScheduler(service)) as sched:
-            handles = [sched.submit(c) for c in CRITERIA]
-            sched.gather(handles)
+        sched = QueryScheduler(service)
+        handles = [sched.submit(c) for c in CRITERIA]
+        sched.gather(handles)
         # Every handle owns its private cost and leakage...
         assert all(h.cost is not None for h in handles)
         per_query_events = sum(len(h.leakage) for h in handles)
@@ -49,10 +48,10 @@ class TestEquivalenceToSerial:
 
     def test_coalesced_queries_fan_out_with_ledger_entry(self):
         service = build_service()
-        with running(QueryScheduler(service)) as sched:
-            handles = [sched.submit(CRITERIA[0]) for _ in range(4)]
-            results = sched.gather(handles)
-            stats = sched.coalesce_stats()
+        sched = QueryScheduler(service)
+        handles = [sched.submit(CRITERIA[0]) for _ in range(4)]
+        results = sched.gather(handles)
+        stats = sched.coalesce_stats()
         assert len({tuple(r.glsns) for r in results}) == 1
         coalesced = [h for h in handles if h.coalesced]
         assert coalesced, "identical queries of one burst must share one execution"
@@ -73,9 +72,9 @@ class TestTraceReconciliation:
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
         service.coalesce = False
-        with running(QueryScheduler(service)) as sched:
-            handles = [sched.submit(c) for c in CRITERIA]
-            results = sched.gather(handles)
+        sched = QueryScheduler(service)
+        handles = [sched.submit(c) for c in CRITERIA]
+        results = sched.gather(handles)
         assert all(r is not None for r in results)
 
         spans = tracer.finished_spans()
@@ -105,92 +104,70 @@ class TestTraceReconciliation:
 
 class TestInflightScale:
     def test_sustains_hundreds_in_flight(self):
-        """300 queries admitted at once, each a queued handle —
+        """300 queries submitted back to back, each a settled handle —
         all resolve, in submission order, to one consistent answer."""
         service = build_service(rows=12)
         service.coalesce = False
-        with running(QueryScheduler(service)) as sched:
-            handles = [sched.submit("C3 = 'bank'") for _ in range(300)]
-            assert len(handles) == 300  # admission never blocked
-            results = sched.gather(handles)
+        sched = QueryScheduler(service)
+        handles = [sched.submit("C3 = 'bank'") for _ in range(300)]
+        assert len(handles) == 300
+        results = sched.gather(handles)
         assert len({tuple(r.glsns) for r in results}) == 1
         assert [h.seq for h in handles] == list(range(1, 301))
         service.close()
 
     def test_one_query_executes_at_a_time(self, monkeypatch):
-        """Every query runs alone, in submission order: each starts after
-        its predecessor finished, and ``in_flight`` is 1 while it runs."""
+        """Every query runs alone, in submission order, in the thread that
+        submitted it: each starts after its predecessor finished."""
         service = build_service(rows=12)
         seen = []
         real_execute = QueryScheduler._execute
 
         def execute(self, handle, qplan):
-            seen.append(self.in_flight)
+            seen.append(threading.current_thread())
             return real_execute(self, handle, qplan)
 
         monkeypatch.setattr(QueryScheduler, "_execute", execute)
         service.coalesce = False
-        with running(QueryScheduler(service)) as sched:
-            handles = [sched.submit(c) for c in CRITERIA * 2]
-            sched.gather(handles)
-        assert seen == [1] * len(handles)
+        sched = QueryScheduler(service)
+        handles = [sched.submit(c) for c in CRITERIA * 2]
+        assert all(h.done for h in handles)
+        sched.gather(handles)
+        assert seen == [threading.current_thread()] * len(handles)
         for earlier, later in zip(handles, handles[1:]):
             assert earlier.finished_at <= later.started_at
-        assert (sched.in_flight, sched._waiting) == (0, 0)
         assert (sched.submitted, sched.completed, sched.failed) == (12, 12, 0)
         service.close()
 
 
 class TestLifecycle:
-    def test_submit_after_shutdown_raises(self):
-        service = build_service(rows=8)
-        sched = QueryScheduler(service)
-        sched.submit("C3 = 'bank'").result()
-        sched.shutdown()
-        with pytest.raises(SchedulerShutdownError):
-            sched.submit("C3 = 'bank'")
-        sched.shutdown()  # idempotent
-        service.close()
-
-    def test_shutdown_without_wait_settles_every_handle(self):
-        """``shutdown(wait=False)`` fails the queries still queued with the
-        typed error; none may stay pending forever."""
-        service = build_service(rows=12)
-        service.coalesce = False
-        sched = QueryScheduler(service)
-        handles = [sched.submit("C1 > 30 and C3 = 'bank'") for _ in range(40)]
-        sched.shutdown(wait=False)
-        deadline = time.monotonic() + 30.0
-        while not all(h.done for h in handles) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert [h.seq for h in handles if not h.done] == []
-        failed = [h for h in handles if h.exception() is not None]
-        assert failed, "a 40-query burst cannot finish before the shutdown"
-        for handle in failed:
-            with pytest.raises(SchedulerShutdownError):
-                handle.result(timeout=0)
-        service.close()
-
     def test_deadline_expires_in_admission(self):
         service = build_service(rows=8)
-        with running(QueryScheduler(service)) as sched:
-            handle = sched.submit("C1 > 30 and C3 = 'bank'", timeout=0.0)
-            with pytest.raises(DeadlineExceededError):
-                handle.result(timeout=10.0)
+        sched = QueryScheduler(service)
+        handle = sched.submit("C1 > 30 and C3 = 'bank'", timeout=0.0)
+        with pytest.raises(DeadlineExceededError):
+            handle.result()
+        assert handle.cost is None  # failed before any cluster work
         service.close()
 
 
 class TestServiceRouting:
-    def test_worker_thread_starts_lazily(self):
-        """The service's scheduler starts its ``repro-sched`` worker on the
-        first submit, and ``service.close()`` joins it."""
+    def test_no_scheduler_thread_is_ever_started(self):
+        """``submit``, ``query_many`` and ``gather`` run on the calling
+        thread: neither they nor ``close()`` leave a ``repro-sched``
+        thread behind, and the service keeps one scheduler throughout."""
+
+        def sched_threads() -> list[str]:
+            return [t.name for t in threading.enumerate() if t.name == "repro-sched"]
+
         service = build_service(rows=8)
-        assert type(service.scheduler) is QueryScheduler
-        assert service.scheduler._worker is None  # lazy until a submit
-        result = service.submit("C3 = 'bank'").result()
-        assert result is not None
-        worker = service.scheduler._worker
-        assert worker.name == "repro-sched" and worker.is_alive()
-        assert worker is not threading.current_thread()
+        sched = service.scheduler
+        assert type(sched) is QueryScheduler
+        handle = service.submit("C3 = 'bank'")
+        assert len(service.query_many(CRITERIA[:2])) == 2
+        assert len(service.gather([handle, service.submit(CRITERIA[0])])) == 2
+        assert sched_threads() == []
+        assert handle.done and handle.result() is not None
         service.close()
-        assert not worker.is_alive()
+        assert service.scheduler is sched
+        assert sched_threads() == []

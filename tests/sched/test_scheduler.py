@@ -1,22 +1,17 @@
-"""QueryScheduler: correctness vs serial, coalescing, admission, deadlines."""
+"""QueryScheduler: correctness vs serial, coalescing, ledgers, metrics."""
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
 
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    SchedulerShutdownError,
-)
+from repro.errors import ConfigurationError
 from repro.obs.metrics import collect
 from repro.sched import QueryScheduler
-from tests.metrics_probe import family_names, metric_value, metric_values
-from tests.sched.conftest import CRITERIA, build_service, running
+from tests.metrics_probe import family_names, metric_value
+from tests.sched.conftest import CRITERIA, build_service
 
 
 def assert_same_result(serial, concurrent):
@@ -42,14 +37,14 @@ class TestEquivalenceWithSerial:
         got = conc_svc.gather(handles)
         for s, c in zip(expected, got):
             assert_same_result(s, c)
-        conc_svc.shutdown_scheduler()
+        conc_svc.close()
 
     def test_coalescing_off_still_matches_serial(self, twin_services):
         serial_svc, conc_svc = twin_services
         expected = [serial_svc.query(c) for c in CRITERIA]
         conc_svc.coalesce = False
-        with running(QueryScheduler(conc_svc)) as sched:
-            got = sched.gather([sched.submit(c) for c in CRITERIA])
+        sched = QueryScheduler(conc_svc)
+        got = sched.gather([sched.submit(c) for c in CRITERIA])
         for s, c in zip(expected, got):
             assert_same_result(s, c)
         assert sched.coalesce_stats() == {}
@@ -58,7 +53,7 @@ class TestEquivalenceWithSerial:
 class TestHandles:
     def test_handle_carries_result_cost_and_leakage(self, service):
         handle = service.submit(CRITERIA[0])
-        result = handle.result(timeout=60)
+        result = handle.result()
         assert handle.done
         assert handle.exception() is None
         assert result.glsns == service.query(CRITERIA[0]).glsns
@@ -107,15 +102,15 @@ class TestCoalescing:
         try:
             # Distinct criteria sharing one expensive scmp cross predicate.
             pair = ["C1 > C5 and C3 = 'bank'", "C1 > C5 and C2 < 400"]
-            with running(QueryScheduler(service)) as sched:
-                results = sched.gather([sched.submit(c) for c in pair])
+            sched = QueryScheduler(service)
+            results = sched.gather([sched.submit(c) for c in pair])
             twin = build_service()
             for criterion, result in zip(pair, results):
                 assert twin.query(criterion).glsns == result.glsns
             # The second query reused the first's C1>C5 subplan.
             assert service.ctx.leakage.count("coalesced_result") >= 1
         finally:
-            service.shutdown_scheduler()
+            service.close()
 
     def test_concurrent_queries_share_one_subplan_run(self):
         """Two queries of one burst on the same cross predicate run its
@@ -147,7 +142,7 @@ class TestCoalescing:
             assert len(ran) == 1
             assert len(shared) == 1 and "subplan C1 > C5" in shared[0].detail
         finally:
-            service.shutdown_scheduler()
+            service.close()
 
     def test_columns_come_from_the_service_executors_cache(self, service):
         """One column cache per service: scheduled queries read the
@@ -157,8 +152,8 @@ class TestCoalescing:
         service.query("C3 = 'bank' or C3 = 'salary'")
         built = cache.stats.misses
         service.gather([service.submit("C3 = 'bank'")])
-        service.shutdown_scheduler()
-        service.gather([service.submit("C3 = 'shop'")])
+        rebuilt = QueryScheduler(service)
+        rebuilt.gather([rebuilt.submit("C3 = 'shop'")])
         level = service.scheduler.coalesce_stats()["query.projection"]
         assert (level["hits"], level["misses"]) == (cache.stats.hits, cache.stats.misses)
         assert cache.stats.misses == built
@@ -185,7 +180,7 @@ class TestCoalescing:
             "sched.query",
         }
         assert stats["sched.query"]["hits"] > 0
-        # One query executes at a time, so nothing ever joins one in flight.
+        # A query computes for itself, so nothing ever joins one in flight.
         assert {level["joins"] for level in stats.values()} == {0}
 
 
@@ -220,62 +215,8 @@ class TestLeakageGrouping:
                 if x.coalesced == y.coalesced:
                     assert x.leakage == y.leakage
         finally:
-            a.shutdown_scheduler()
-            b.shutdown_scheduler()
-
-
-class TestAdmissionControl:
-    def _slow_scheduler(self, service, delay: float, **kwargs) -> QueryScheduler:
-        sched = QueryScheduler(service, **kwargs)
-        original = sched._execute
-
-        def slow_execute(handle, qplan):
-            time.sleep(delay)
-            return original(handle, qplan)
-
-        sched._execute = slow_execute
-        return sched
-
-    def test_deadline_expires_in_admission_queue(self, service):
-        sched = self._slow_scheduler(service, delay=0.3)
-        try:
-            slow = sched.submit(CRITERIA[0])
-            time.sleep(0.05)
-            doomed = sched.submit(CRITERIA[1], timeout=0.01)
-            with pytest.raises(DeadlineExceededError):
-                doomed.result(timeout=60)
-            assert doomed.exception() is not None
-            # The neighbor is unaffected by the expiry.
-            assert slow.result(timeout=60).glsns is not None
-        finally:
-            sched.shutdown()
-
-    def test_shutdown_rejects_new_queries(self, service):
-        sched = service.scheduler
-        sched.gather([sched.submit(CRITERIA[0])])
-        sched.shutdown()
-        with pytest.raises(SchedulerShutdownError):
-            sched.submit(CRITERIA[0])
-        # The service rebuilds a fresh scheduler on demand.
-        service.shutdown_scheduler()
-        assert service.query_many([CRITERIA[0]])[0].glsns is not None
-
-    def test_the_service_replaces_a_shut_down_scheduler(self, service):
-        """Shutting down the scheduler the service hands out must not leave
-        the service refusing queries: submit, query_many and a standing
-        query's ingest epoch each run on a new one."""
-        old = service.scheduler
-        old.shutdown()
-        assert service.submit(CRITERIA[0]).result(timeout=60).glsns is not None
-        assert service.scheduler is not old
-        service.scheduler.shutdown()
-        assert len(service.query_many(CRITERIA[:2])) == 2
-        deltas = []
-        service.register_standing_query("C3 = 'bank'", on_delta=deltas.append)
-        service.scheduler.shutdown()
-        ticket = service.register_user("late-writer")
-        (receipt,) = service.append_stream([{"C3": "bank", "C5": 1}], ticket)
-        assert receipt.glsn in deltas[-1].added
+            a.close()
+            b.close()
 
 
 @pytest.fixture(scope="module")
@@ -289,22 +230,22 @@ class TestConfig:
         service = build_service(rows=2)
         try:
             assert service.coalesce is False
-            with running(QueryScheduler(service)) as sched:
-                assert sched.coalesce_stats() == {}
+            sched = QueryScheduler(service)
+            assert sched.coalesce_stats() == {}
             # ``service.coalesce`` decides for every scheduler built after it.
             service.coalesce = True
-            with running(QueryScheduler(service)) as sched:
-                assert "sched.query" in sched.coalesce_stats()
+            sched = QueryScheduler(service)
+            assert "sched.query" in sched.coalesce_stats()
         finally:
             service.close()
         # The variable is read once, by the service: a scheduler built after
         # it changed follows the service it runs on.
-        with running(QueryScheduler(config_service)) as sched:
-            assert "sched.query" in sched.coalesce_stats()
+        sched = QueryScheduler(config_service)
+        assert "sched.query" in sched.coalesce_stats()
 
     def test_env_defaults(self, config_service):
-        with running(QueryScheduler(config_service)) as sched:
-            assert "sched.query" in sched.coalesce_stats()
+        sched = QueryScheduler(config_service)
+        assert "sched.query" in sched.coalesce_stats()
 
     @pytest.mark.parametrize("value", ["of", "maybe", "offf"])
     def test_invalid_coalesce_env_raises(self, monkeypatch, value):
@@ -325,26 +266,29 @@ class TestConfig:
                 "repro_sched_submitted_total",
                 "repro_sched_completed_total",
                 "repro_sched_failed_total",
+            ):
+                assert name in families, name
+            # Nothing queues and nothing waits to start, so neither is measured.
+            for name in (
                 "repro_sched_queue_depth",
                 "repro_sched_in_flight",
                 "repro_sched_admission_wait_seconds",
             ):
-                assert name in families, name
+                assert name not in families, name
             # Nothing can join a query in flight, so there is no joins family.
             assert "repro_sched_coalesce_hits_total" not in families
             assert metric_value(registry, "repro_sched_submitted_total") == len(CRITERIA)
             assert metric_value(registry, "repro_sched_completed_total") == len(CRITERIA)
-            assert metric_value(registry, "repro_sched_in_flight") == 0
-            wait = metric_values(registry, "repro_sched_admission_wait_seconds")[""]
-            assert wait["count"] == len(CRITERIA)
+            assert metric_value(registry, "repro_sched_failed_total") == 0
         finally:
-            service.shutdown_scheduler()
+            service.close()
 
 
 class TestThreadSafeSubmission:
     def test_concurrent_submitters(self, twin_services):
-        """Many client threads submitting at once, with thread switches
-        forced often: all results correct and no counter update lost."""
+        """Many client threads submitting at once, their queries running
+        at once with thread switches forced often: all results correct
+        and no counter update lost."""
         serial_svc, conc_svc = twin_services
         expected = {c: serial_svc.query(c).glsns for c in set(CRITERIA)}
         results: dict[int, list[int]] = {}
@@ -354,7 +298,7 @@ class TestThreadSafeSubmission:
         def client(i: int, criterion: str) -> None:
             try:
                 handle = conc_svc.submit(criterion)
-                results[i] = handle.result(timeout=60).glsns
+                results[i] = handle.result().glsns
             except BaseException as exc:  # noqa: BLE001 - collected for assert
                 errors.append(exc)
 
@@ -377,5 +321,4 @@ class TestThreadSafeSubmission:
             assert results[i] == expected[criterion]
         sched = conc_svc.scheduler
         assert (sched.submitted, sched.completed, sched.failed) == (len(burst), len(burst), 0)
-        assert (sched._waiting, sched.in_flight) == (0, 0)
-        conc_svc.shutdown_scheduler()
+        conc_svc.close()

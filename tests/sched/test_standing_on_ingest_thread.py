@@ -1,9 +1,10 @@
-"""Standing epochs run on the ingesting thread; the scheduler only queues.
+"""Standing epochs run on the ingesting thread, not through the scheduler.
 
 An ingest evaluates its standing queries itself, in the service's one
-per-query scope, so it never waits behind a scheduled query, starts no
-``repro-sched`` worker and keeps each run's spans in the epoch's trace.
-The whole-query memo belongs to the service, so it outlives a scheduler.
+per-query scope, so it never waits behind a query another thread
+submitted, starts no ``repro-sched`` thread and keeps each run's spans in
+the epoch's trace.  The whole-query memo belongs to the service, so it
+outlives a scheduler.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.audit.executor import QueryExecutor
 from repro.obs import Tracer
+from repro.sched import QueryScheduler
 from tests.sched.conftest import build_service
 
 #: A cross predicate (``C4``@P0 = ``C``@P2): each run costs modexps.
@@ -41,26 +43,32 @@ def test_an_ingest_does_not_wait_behind_a_held_scheduled_query(monkeypatch):
     real_scan = QueryExecutor._local_scan
 
     def held_scan(self, *args, **kwargs):
-        if threading.current_thread().name == "repro-sched":
+        if threading.current_thread().name == "submitter":
             entered.set()
             gate.wait(GATE_SECONDS)
         return real_scan(self, *args, **kwargs)
 
     monkeypatch.setattr(QueryExecutor, "_local_scan", held_scan)
     service = build_service(rows=12)
+    handles = []
+    submitter = threading.Thread(
+        target=lambda: handles.append(service.submit("C2 < 500")), name="submitter"
+    )
     try:
         service.register_standing_query("C3 = 'bank'")
-        held = service.submit("C2 < 500")
+        submitter.start()
         assert entered.wait(GATE_SECONDS)
         started = time.monotonic()
         service.append_stream([{"C3": "bank", "C5": 1}], service.register_user("w"))
         waited = time.monotonic() - started
-        assert not held.done
+        assert submitter.is_alive() and not handles  # still held in its scan
         gate.set()
-        held.result(timeout=60)
+        submitter.join(GATE_SECONDS)
+        handles[0].result()
         assert waited < GATE_SECONDS / 5
     finally:
         gate.set()
+        submitter.join(GATE_SECONDS)
         service.close()
 
 
@@ -74,7 +82,7 @@ def test_an_ingest_only_service_starts_no_scheduler_thread():
         append_rows(service, 8)
         assert deltas
         assert set(sched_threads()) == before
-        assert service._scheduler is None
+        assert service.scheduler.submitted == 0
     finally:
         service.close()
 
@@ -103,11 +111,11 @@ def test_the_whole_query_memo_outlives_the_scheduler():
     try:
         first = service.submit(CROSS)
         service.gather([first])
-        service.shutdown_scheduler()
-        again = service.submit(CROSS)
-        assert service.gather([again])[0].glsns == first.result().glsns
+        rebuilt = QueryScheduler(service)
+        again = rebuilt.submit(CROSS)
+        assert rebuilt.gather([again])[0].glsns == first.result().glsns
         assert again.coalesced and not first.coalesced
-        stats = service.scheduler.coalesce_stats()["sched.query"]
+        stats = rebuilt.coalesce_stats()["sched.query"]
         assert (stats["hits"], stats["misses"]) == (1, 1)
     finally:
         service.close()

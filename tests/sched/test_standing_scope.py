@@ -20,7 +20,7 @@ import pytest
 from repro.audit import executor as executor_module
 from repro.core import ConfidentialAuditingService
 from repro.crypto import DeterministicRng, Operation
-from repro.errors import DeadlineExceededError, RingFailoverError, SchedulerShutdownError
+from repro.errors import DeadlineExceededError, RingFailoverError
 from repro.logstore import paper_fragment_plan, paper_table1_schema
 from repro.obs import Tracer
 from repro.workloads import paper_table1_rows
@@ -235,9 +235,8 @@ class TestFailedRuns:
         [
             DeadlineExceededError("budget spent", stage="test"),
             RingFailoverError("failover budget exhausted"),
-            SchedulerShutdownError("scheduler is shut down"),
         ],
-        ids=["deadline", "failover", "shutdown"],
+        ids=["deadline", "failover"],
     )
     def test_a_run_that_raises_does_not_advance_the_floor(self, error, monkeypatch):
         tracer = Tracer()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.obs import Tracer
 from repro.sched import QueryScheduler
-from tests.sched.conftest import build_service, running
+from tests.sched.conftest import build_service
 
 CRITERIA = [
     "C1 > 30 and C3 = 'bank'",
@@ -28,9 +28,9 @@ class TestConcurrentTraceReconciliation:
         tracer = Tracer()
         service = build_service(rows=24, tracer=tracer)
         service.coalesce = False
-        with running(QueryScheduler(service)) as sched:
-            handles = [sched.submit(c) for c in CRITERIA]
-            results = sched.gather(handles)
+        sched = QueryScheduler(service)
+        handles = [sched.submit(c) for c in CRITERIA]
+        results = sched.gather(handles)
         assert all(r is not None for r in results)
 
         # Map each query to its trace: the sched.query root span carries

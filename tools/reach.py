@@ -3,8 +3,8 @@
 
 Stdlib only.  Runs the system's entry points in child processes, each
 under a ``sys.setprofile`` / ``threading.setprofile`` hook installed by a
-temporary ``sitecustomize`` module on ``PYTHONPATH`` (so the scheduler's
-worker thread and every child a run starts are counted too):
+temporary ``sitecustomize`` module on ``PYTHONPATH`` (so threads such as
+a TCP mesh's I/O loop and every child a run starts are counted too):
 
 * the five end-to-end workloads, ``python -m benchmarks.e2e.run --smoke
   --traced`` (one untraced and one traced child per workload);

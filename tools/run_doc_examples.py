@@ -49,7 +49,7 @@ EXAMPLE_SCRIPTS: list[str] = [
     "quickstart.py",        # minimal service round-trip
     "integrity_audit.py",   # accumulator ring catches a tampered node
     "durable_restart.py",   # crash with a torn WAL tail -> clean recovery
-    "async_fanout.py",      # 256-query burst on the event-loop scheduler
+    "async_fanout.py",      # 256-query submit/gather burst
 ]
 
 _BLOCK = re.compile(r"^```python[^\n]*\n(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
