@@ -4,53 +4,83 @@ Cross-node *order* predicates (``C1 < C2``) need one private comparison
 per common glsn.  The naive transcription of §3.3 runs a 4-message TTP
 session per glsn; batching submits all blinded values in one message per
 party.  Same leakage per comparison, drastically fewer messages — the kind
-of engineering the paper leaves implicit.
+of engineering the paper leaves implicit.  The executor always batches;
+this bench holds a ``secure_compare`` loop against one
+``secure_compare_batch`` over the same value pairs: the fixed-point C1 and
+C2 of every glsn holding both.
 """
 
-import pytest
-
 from benchmarks.conftest import print_rows
-from repro.audit.executor import QueryExecutor
 from repro.crypto import DeterministicRng
+from repro.net.simnet import SimNetwork
 from repro.smc.base import SmcContext
+from repro.smc.comparison import secure_compare, secure_compare_batch
+
+VALUE_BOUND = 2**40  # the executor's public bound on compared values
 
 
-def build_executor(loaded_store, schema, prime64, batch: bool, seed: bytes):
+def value_pairs(loaded_store):
+    """``(left_node, right_node, [(C1, C2) per common glsn])``, scaled ×100."""
     store, _ = loaded_store
-    return QueryExecutor(
-        store,
-        SmcContext(prime64, DeterministicRng(seed)),
-        schema,
-        batch_compare=batch,
-    )
+    nodes = store.plan.home_of("C1"), store.plan.home_of("C2")
+    columns = [
+        {f.glsn: f.values[attr] for f in store.node_store(node).scan() if attr in f.values}
+        for node, attr in zip(nodes, ("C1", "C2"))
+    ]
+    common = sorted(columns[0].keys() & columns[1].keys())
+    pairs = [tuple(round(float(c[g]) * 100) for c in columns) for g in common]
+    return nodes[0], nodes[1], pairs
+
+
+def per_glsn(prime, seed, loaded_store, net):
+    left, right, pairs = value_pairs(loaded_store)
+    ctx = SmcContext(prime, DeterministicRng(seed))
+    return [
+        secure_compare(
+            ctx, (left, a), (right, b), value_bound=VALUE_BOUND, net=net,
+            session=f"q-{i}",
+        ).any_value
+        for i, (a, b) in enumerate(pairs)
+    ]
+
+
+def batched(prime, seed, loaded_store, net):
+    left, right, pairs = value_pairs(loaded_store)
+    ctx = SmcContext(prime, DeterministicRng(seed))
+    return secure_compare_batch(
+        ctx,
+        (left, [a for a, _ in pairs]),
+        (right, [b for _, b in pairs]),
+        value_bound=VALUE_BOUND,
+        net=net,
+        session="qb-1",
+    ).any_value
 
 
 class TestCompareBatching:
-    def test_bench_per_glsn(self, benchmark, loaded_store, schema, prime64):
-        executor = build_executor(loaded_store, schema, prime64, False, b"a2p")
-        result = benchmark(executor.execute, "C1 < C2")
-        assert result.glsns
+    def test_bench_per_glsn(self, benchmark, loaded_store, prime64):
+        verdicts = benchmark(per_glsn, prime64, b"a2p", loaded_store, SimNetwork())
+        assert verdicts
 
-    def test_bench_batched(self, benchmark, loaded_store, schema, prime64):
-        executor = build_executor(loaded_store, schema, prime64, True, b"a2b")
-        result = benchmark(executor.execute, "C1 < C2")
-        assert result.glsns
+    def test_bench_batched(self, benchmark, loaded_store, prime64):
+        verdicts = benchmark(batched, prime64, b"a2b", loaded_store, SimNetwork())
+        assert verdicts
 
-    def test_ablation_report(self, benchmark, loaded_store, schema, prime64):
+    def test_ablation_report(self, benchmark, loaded_store, prime64):
         def measure():
-            per_glsn = build_executor(loaded_store, schema, prime64, False, b"a2r1")
-            costly = per_glsn.execute("C1 < C2")
-            batched = build_executor(loaded_store, schema, prime64, True, b"a2r2")
-            cheap = batched.execute("C1 < C2")
-            assert cheap.glsns == costly.glsns
+            loop_net, batch_net = SimNetwork(), SimNetwork()
+            costly = per_glsn(prime64, b"a2r1", loaded_store, loop_net)
+            cheap = batched(prime64, b"a2r2", loaded_store, batch_net)
+            assert cheap == costly
             return [
-                ("per-glsn sessions", costly.messages, costly.bytes),
-                ("batched vectors", cheap.messages, cheap.bytes),
+                ("per-glsn sessions", loop_net.stats.messages, loop_net.stats.bytes),
+                ("batched vectors", batch_net.stats.messages, batch_net.stats.bytes),
             ]
 
         table = benchmark(measure)
+        common = len(value_pairs(loaded_store)[2])
         print_rows(
-            "A2: cross-order comparison batching (105 common glsns)",
+            f"A2: cross-order comparison batching ({common} common glsns)",
             ["mode", "messages", "bytes"],
             table,
         )

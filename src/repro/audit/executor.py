@@ -8,9 +8,9 @@ Evaluation strategy per plan element:
   elements ``glsn|value`` and run the commutative-cipher secure set
   intersection; the surviving glsns satisfy the join.  ``A != B`` is the
   common glsns minus the equality matches;
-* **cross order** ``A < B`` etc. — per common glsn, one blind-TTP secure
-  comparison (§3.3's two-party case), each owner having checked first that
-  its own column is numeric;
+* **cross order** ``A < B`` etc. — one batched blind-TTP secure
+  comparison (§3.3's two-party case) over the common glsns, each owner
+  having checked first that its own column is numeric;
 * **common glsns** of two attributes (:meth:`QueryExecutor._common_glsns`)
   — a secure intersection of the two presence sets or, when the owners'
   glsn indexes agree and the attributes are mostly present, the index
@@ -26,8 +26,12 @@ Evaluation strategy per plan element:
   both parties of a cross predicate hold its result, so a clause that
   shares a node with another is conjoined there and no ring is run for it).
 
-All SMC runs share one :class:`~repro.smc.base.SmcContext`, so cost and
-leakage accounting cover the entire query.
+A plan is bound before any ring (:meth:`QueryExecutor._bind`): every
+predicate becomes a step with its protocol, parties, store epochs, input
+columns and, for a cross predicate that aligns, its route; the final
+conjunction is fixed there too.  :meth:`QueryExecutor.execute` then walks
+the steps.  All SMC runs share one :class:`~repro.smc.base.SmcContext`, so
+cost and leakage accounting cover the entire query.
 """
 
 from __future__ import annotations
@@ -36,11 +40,12 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from operator import attrgetter
 
 from repro.audit.ast_nodes import AttributeRef, Constant, Predicate
 from repro.audit.planner import QueryPlan, plan_query
 from repro.cache import LruCache
-from repro.crypto.pohlig_hellman import SHORT_EXPONENT_BITS
+from repro.crypto.pohlig_hellman import decrypt_weight
 from repro.errors import AuditError, PlanningError
 from repro.logstore.fragmentation import FragmentPlan
 from repro.logstore.schema import GlobalSchema
@@ -48,11 +53,7 @@ from repro.logstore.store import DistributedLogStore
 from repro.net.simnet import SimNetwork
 from repro.resilience import Deadline
 from repro.smc.base import SmcContext, SmcResult, protocol_span
-from repro.smc.comparison import (
-    evaluate_operator,
-    secure_compare,
-    secure_compare_batch,
-)
+from repro.smc.comparison import evaluate_operator, secure_compare_batch
 from repro.smc.intersection import secure_set_intersection
 from repro.smc.ranking import secure_ranking
 from repro.smc.sum_ import secure_sum
@@ -272,6 +273,75 @@ def _unscaled(scaled: int, all_int: bool) -> object:
     return scaled / _NUMERIC_SCALE
 
 
+@dataclass(frozen=True)
+class _Alignment:
+    """How the two parties of a cross predicate find the glsns both hold
+    (:meth:`QueryExecutor._common_glsns`), fixed when the plan is bound."""
+
+    route: str  # "absent-union" or "present-intersection"
+    index_agree: bool
+    present: dict[str, set[int]]  # party -> glsns carrying its attribute
+    absent: dict[str, set[int]]  # party -> its glsn index minus ``present``
+    index: set[int]  # the left party's glsn index
+
+
+def _align(nodes, columns, indexes, weight: int) -> _Alignment:
+    """The alignment of a cross predicate's two parties, from their columns
+    (whose glsns are the presence sets) and their glsn ``indexes``.
+
+    The choice uses only what the parties exchange anyway: whether
+    their index digests match (in this one-process form, whether the two
+    ``FragmentStore.glsns`` lists are equal) and the four set sizes.
+    The union runs when its worst case is no dearer than the
+    intersection's ``n·Σ|P_i|`` encryptions: disjoint absent sets cost
+    ``n·Σ|A_i|`` encryptions and as many decryptions, and a decryption
+    costs ``weight`` encryptions
+    (:func:`~repro.crypto.pohlig_hellman.decrypt_weight`).
+    """
+    present = {node: set(column.raw) for node, column in zip(nodes, columns)}
+    index_agree = indexes[0] == indexes[1]
+    held = [set(glsns) for glsns in indexes]
+    absent = {node: glsns - present[node] for node, glsns in zip(nodes, held)}
+    by_complement = index_agree and (1 + weight) * sum(
+        map(len, absent.values())
+    ) <= sum(map(len, present.values()))
+    route = "absent-union" if by_complement else "present-intersection"
+    return _Alignment(route, index_agree, present, absent, held[0])
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One predicate of a bound plan: its protocol, parties and inputs."""
+
+    predicate: Predicate
+    primitive: str  # "scan" | "ssi" | "scmp"
+    nodes: tuple[str, ...]  # its parties; the first one holds the result
+    # The sub-plan memo key: predicate, primitive, each party's
+    # ``(node, epoch)`` (read before its column) and the plan's floor.
+    key: tuple
+    # The left attribute's column, then the right one's when it is an
+    # attribute (on the second party of a cross predicate).
+    columns: tuple[_Column, ...]
+    alignment: _Alignment | None = None  # ``!=`` and ordered cross predicates
+
+
+@dataclass(frozen=True)
+class _Clause:
+    """One clause (``SQ_i``) of a bound plan: the disjunction of its steps."""
+
+    label: str
+    anchor: str  # the node its glsn set is conjoined at
+    steps: tuple[_Step, ...]
+
+
+@dataclass(frozen=True)
+class _BoundPlan:
+    """A query plan with every protocol run fixed (:meth:`QueryExecutor._bind`)."""
+
+    clauses: tuple[_Clause, ...]  # in evaluation order
+    conjunction: str  # "local@<node>" or "ssi"
+
+
 @dataclass
 class QueryResult:
     """Outcome of one confidential auditing query."""
@@ -306,7 +376,6 @@ class QueryExecutor:
         store: DistributedLogStore,
         ctx: SmcContext,
         schema: GlobalSchema,
-        batch_compare: bool = True,
         projection_cache=None,
         subplan_cache=None,
     ) -> None:
@@ -314,14 +383,6 @@ class QueryExecutor:
         self.ctx = ctx
         self.schema = schema
         self.plan: FragmentPlan = store.plan
-        # Batched blind-TTP comparison sends all per-glsn value pairs in
-        # one round trip; per-glsn mode (batch_compare=False) exists for
-        # the A2 ablation and costs 4 messages per common glsn.
-        self.batch_compare = batch_compare
-        # Early exit evaluates local (SMC-free) clauses first and stops as
-        # soon as any clause yields no glsns — the conjunction is then
-        # empty and the remaining cross-predicate SMC runs are skipped.
-        self.early_exit = True
         self._session = 0
         # Home of the typed columns (:meth:`_projection`); with the cache
         # kill switch off they are rebuilt per use.  The service passes
@@ -349,10 +410,13 @@ class QueryExecutor:
     ) -> QueryResult:
         """Evaluate an auditing criterion; returns the glsn-keyed result.
 
-        ``deadline`` propagates into every SMC round the plan triggers:
-        each protocol launch (and, on a resilient net, each failover)
-        checks the remaining budget and raises a typed
-        :class:`~repro.errors.DeadlineExceededError` once spent.
+        The plan is bound first (:meth:`_bind`), then its steps run in
+        order.  As soon as a clause comes back empty the conjunction is
+        empty and no later step runs.  ``deadline`` propagates into every
+        SMC round the plan triggers: each protocol launch (and, on a
+        resilient net, each failover) checks the remaining budget and
+        raises a typed :class:`~repro.errors.DeadlineExceededError` once
+        spent.
         """
         tracer = self.ctx.tracer
         net = net or SimNetwork(tracer=tracer)
@@ -372,47 +436,34 @@ class QueryExecutor:
                     }
                 )
             start_msgs, start_bytes = net.stats.messages, net.stats.bytes
-
-            ordered_subqueries = list(qplan.subqueries)
-            if self.early_exit:
-                # Local clauses are free; evaluate them first so an empty one
-                # short-circuits before any cross-predicate SMC runs.
-                ordered_subqueries.sort(key=lambda sq: sq.is_cross)
-
-            anchors = qplan._anchors()  # where each clause is conjoined
+            bound = self._bind(qplan)
             clause_sets: dict[str, set[int]] = {}  # anchor node -> glsns
             subquery_glsns: dict[str, list[int]] = {}
-            for sq in ordered_subqueries:
-                per_node: dict[str, set[int]] = {}
-                for cp in sq.predicates:
-                    node, glsns = self._evaluate_predicate(
-                        cp.predicate, qplan, net, deadline
-                    )
-                    per_node.setdefault(node, set()).update(glsns)
+            glsns: list[int] = []
+            for clause in bound.clauses:
+                per_node: dict[str, set[int]] = {}  # holder -> glsns
+                for step in clause.steps:
+                    found = self._evaluate_predicate(step, net, deadline)
+                    holder = step.nodes[0]
+                    held = per_node.get(holder)
+                    per_node[holder] = found if held is None else held | found
                 clause_glsns = self._merge_union(per_node, net, deadline)
-                anchor = anchors[sq.index]
-                subquery_glsns[sq.label] = sorted(clause_glsns)
-                if anchor in clause_sets:
-                    # Same anchor already holds another clause: conjoin locally.
-                    clause_sets[anchor] &= clause_glsns
-                else:
-                    clause_sets[anchor] = set(clause_glsns)
-                if self.early_exit and not clause_glsns:
-                    # One empty clause empties the conjunction: stop here.
-                    span.set_attribute("matches", 0)
-                    return QueryResult(
-                        plan=qplan,
-                        glsns=[],
-                        subquery_glsns=subquery_glsns,
-                        messages=net.stats.messages - start_msgs,
-                        bytes=net.stats.bytes - start_bytes,
-                    )
-
-            final = self._merge_intersection(clause_sets, net, deadline, span)
-            span.set_attribute("matches", len(final))
+                subquery_glsns[clause.label] = sorted(clause_glsns)
+                if not clause_glsns:
+                    break  # one empty clause empties the conjunction
+                held = clause_sets.get(clause.anchor)
+                # An anchor already holding a clause conjoins locally.
+                clause_sets[clause.anchor] = (
+                    clause_glsns if held is None else held & clause_glsns
+                )
+            else:
+                glsns = self._merge_intersection(
+                    bound.conjunction, clause_sets, net, deadline, span
+                )
+            span.set_attribute("matches", len(glsns))
             return QueryResult(
                 plan=qplan,
-                glsns=sorted(final),
+                glsns=glsns,
                 subquery_glsns=subquery_glsns,
                 messages=net.stats.messages - start_msgs,
                 bytes=net.stats.bytes - start_bytes,
@@ -465,10 +516,7 @@ class QueryExecutor:
                 # Replicated owners would double-count shared glsns under a
                 # plain secure sum; the secure union of presence sets yields
                 # the distinct cardinality without revealing who holds what.
-                presence = {
-                    owner: sorted(self._present_glsns(owner, attribute, matching))
-                    for owner in owners
-                }
+                presence = {owner: sorted(rows[owner]) for owner in owners}
                 total = len(
                     secure_set_union(
                         self.ctx, presence, net=net, deadline=deadline
@@ -616,21 +664,78 @@ class QueryExecutor:
                 )
         return set(result.glsns)
 
+    # -- binding ----------------------------------------------------------------
+
+    def _bind(self, qplan: QueryPlan) -> _BoundPlan:
+        """Fix every protocol run of ``qplan`` before any ring.
+
+        Steps come in evaluation order: the local clauses first (they are
+        free, and an empty one ends the query before any cross ring), each
+        clause's predicates together.  Each step reads its parties' store
+        epochs, then their columns, so a column is never older than the
+        memo key it is stored under.  An alignment step is sized here:
+        which of its two routes runs depends only on the parties' indexes
+        and presence sets (:meth:`_common_glsns`).  Binding draws no
+        randomness, records no disclosure and sends nothing; every
+        disclosure and check happens when its step runs.
+        """
+        floor = qplan.floor
+
+        def column(node: str, attribute: str) -> _Column:
+            if floor is None:
+                return self._projection(node, attribute)
+            return _Column(self.store.node_store(node).fragments_from(floor), attribute)
+
+        def index(node: str) -> list[int]:
+            store = self.store.node_store(node)
+            return store.glsns if floor is None else store.glsns_from(floor)
+
+        anchors = qplan._anchors()
+        weight = None
+        clauses = []
+        for sq in sorted(qplan.subqueries, key=attrgetter("is_cross")):
+            steps = []
+            for cp in sq.predicates:
+                pred = cp.predicate
+                strategy = qplan.strategies[str(pred)]
+                nodes, primitive = strategy.nodes, strategy.primitive
+                if primitive not in ("scan", "ssi", "scmp"):
+                    raise PlanningError(f"unknown strategy {primitive!r}")
+                epochs = tuple(
+                    (node, self.store.node_store(node).epoch) for node in nodes
+                )
+                attributes = [pred.left.name]
+                if isinstance(pred.right, AttributeRef):
+                    attributes.append(pred.right.name)
+                # A local predicate's columns are all on its one node.
+                homes = nodes if primitive != "scan" else nodes * len(attributes)
+                columns = tuple(map(column, homes, attributes))
+                alignment = None
+                if primitive == "scmp" or (primitive == "ssi" and pred.op == "!="):
+                    if weight is None:
+                        weight = decrypt_weight(self.ctx.prime)
+                    alignment = _align(nodes, columns, list(map(index, nodes)), weight)
+                steps.append(
+                    _Step(
+                        pred, primitive, nodes,
+                        (str(pred), primitive, epochs, floor), columns, alignment,
+                    )
+                )
+            clauses.append(_Clause(sq.label, anchors[sq.index], tuple(steps)))
+        distinct = set(anchors.values())
+        conjunction = "ssi" if len(distinct) > 1 else f"local@{distinct.pop()}"
+        return _BoundPlan(tuple(clauses), conjunction)
+
     # -- predicate evaluation ---------------------------------------------------
 
     def _evaluate_predicate(
-        self,
-        pred: Predicate,
-        qplan: QueryPlan,
-        net: SimNetwork,
-        deadline: Deadline | None = None,
-    ) -> tuple[str, set[int]]:
-        """Returns ``(holder_node, satisfying glsns)``.
+        self, step: _Step, net: SimNetwork, deadline: Deadline | None = None
+    ) -> set[int]:
+        """The glsns satisfying ``step``'s predicate, held by its first node.
 
-        The holder is the strategy's first node.  A cross predicate's other
-        party holds the same result (the two-party ``∩ₛ`` and the blind-TTP
-        comparison deliver to both), which is what lets the plan anchor the
-        clause at either: :meth:`QueryPlan.describe`.
+        A cross predicate's other party holds the same result (the two-party
+        ``∩ₛ`` and the blind-TTP comparison deliver to both), which is what
+        lets the plan anchor the clause at either: :meth:`QueryPlan.describe`.
 
         With a sub-plan memo, whole cross-predicate SMC subplans (the
         expensive primitives: ``ssi``/``scmp``) are shared with later
@@ -639,184 +744,105 @@ class QueryExecutor:
         invalidates exactly the affected entries.  A shared result is a
         disclosure in its own right (the recipient query learns the
         outcome without running the rounds), so every reuse is recorded
-        on the ledger.
+        on the ledger.  The returned set may be the memo's own
+        ``frozenset``: callers never mutate it.
         """
-        strategy = qplan.strategies[str(pred)]
-        memo = self._subplan_cache
-        runs: list[SmcResult] = []
-        if memo is None or strategy.primitive not in ("ssi", "scmp"):
-            return self._evaluate_predicate_uncached(
-                pred, qplan, net, deadline, runs
-            )
-        key = (
-            str(pred),
-            strategy.primitive,
-            tuple(
-                (node, self.store.node_store(node).epoch)
-                for node in strategy.nodes
-            ),
-            # A floored result is not the epochs' whole answer.
-            qplan.floor,
-        )
-        # Get, compute, put.  Two racing computes (a sync call beside the
-        # scheduler's worker) store equal values — the result is a pure
+        memo = self._subplan_cache if step.primitive != "scan" else None
+        # Get, compute, put.  Two racing computes (a sync call beside a
+        # scheduled query) store equal values — the result is a pure
         # function of the epochs in the key.
-        value = memo.get(key)
-        if value is None:
-            node, glsns = self._evaluate_predicate_uncached(
-                pred, qplan, net, deadline, runs
+        glsns = None if memo is None else memo.get(step.key)
+        if glsns is not None:
+            self.ctx.leakage.record(
+                "scheduler",
+                step.nodes[0],
+                "coalesced_result",
+                f"subplan {step.predicate} served from an earlier query's "
+                f"SMC run at equal store epochs",
             )
-            # A run that failover completed without some party is not the
-            # epochs' answer: no later query may be served it.
-            if not any(run.degraded for run in runs):
-                memo.put(key, (node, frozenset(glsns)))
-            return node, glsns
-        node, glsns = value
-        self.ctx.leakage.record(
-            "scheduler",
-            node,
-            "coalesced_result",
-            f"subplan {pred} served from an earlier query's "
-            f"SMC run at equal store epochs",
-        )
-        return node, set(glsns)
-
-    def _evaluate_predicate_uncached(
-        self,
-        pred: Predicate,
-        qplan: QueryPlan,
-        net: SimNetwork,
-        deadline: Deadline | None,
-        runs: list[SmcResult],
-    ) -> tuple[str, set[int]]:
-        """One predicate's glsns at its anchor node; every SMC run it makes
-        is appended to ``runs``."""
-        strategy = qplan.strategies[str(pred)]
-        floor = qplan.floor
+            return glsns
+        runs: list[SmcResult] = []  # every SMC run the step makes
         with protocol_span(
             self.ctx,
             net,
             "query.predicate",
             {
-                "predicate": str(pred),
-                "primitive": strategy.primitive,
-                "nodes": list(strategy.nodes),
+                "predicate": str(step.predicate),
+                "primitive": step.primitive,
+                "nodes": list(step.nodes),
             },
         ) as span:
-            if strategy.primitive == "scan":
-                glsns = self._local_scan(strategy.nodes[0], pred, floor)
-            elif strategy.primitive == "ssi":
-                glsns = self._cross_equality(
-                    pred, strategy.nodes, net, deadline, span, runs, floor
-                )
-            elif strategy.primitive == "scmp":
-                glsns = self._cross_order(
-                    pred, strategy.nodes, net, deadline, span, runs, floor
-                )
+            if step.primitive == "scan":
+                glsns = self._local_scan(step)
+            elif step.primitive == "ssi":
+                glsns = self._cross_equality(step, net, deadline, span, runs)
             else:
-                raise PlanningError(f"unknown strategy {strategy.primitive!r}")
+                glsns = self._cross_order(step, net, deadline, span, runs)
             span.set_attribute("matches", len(glsns))
-            return strategy.nodes[0], glsns
+        # A run that failover completed without some party is not the
+        # epochs' answer: no later query may be served it.
+        if memo is not None and not any(run.degraded for run in runs):
+            memo.put(step.key, frozenset(glsns))
+        return glsns
 
-    def _projection(
-        self, node_id: str, attribute: str, floor: int | None = None
-    ) -> _Column:
-        """One attribute's column on its owner node, of the rows at or
-        above ``floor`` when one is given.
+    def _projection(self, node_id: str, attribute: str) -> _Column:
+        """One attribute's whole column on its owner node.
 
         A whole column is memoized per (node, attribute) at the store's
         epoch: any mutation of the owning store bumps its epoch, and the
         next query re-scans and replaces the column; stores untouched
         since the last query serve the cached column and skip the
-        fragment scan entirely.  A floored column reads only the rows at
-        or above the floor and is not kept.
+        fragment scan entirely.  (A floored column, of the rows at or
+        above a plan's floor, is built by :meth:`_bind` and not kept.)
         """
         store = self.store.node_store(node_id)
-        if floor is not None:
-            return _Column(store.fragments_from(floor), attribute)
         return self._projection_cache.get_or_compute(
             (node_id, attribute),
             lambda: _Column(store.scan(), attribute),
             version=store.epoch,
         )
 
-    def _local_scan(
-        self, node_id: str, pred: Predicate, floor: int | None = None
-    ) -> set[int]:
-        column = self._projection(node_id, pred.left.name, floor)
+    def _local_scan(self, step: _Step) -> set[int]:
+        pred, column = step.predicate, step.columns[0]
         if isinstance(pred.right, Constant):
             return column.match_constant(pred.op, pred.right.value)
-        return column.match_column(
-            pred.op, self._projection(node_id, pred.right.name, floor)
-        )
-
-    def _present_glsns(
-        self,
-        node_id: str,
-        attribute: str,
-        matching: set[int] | None = None,
-        floor: int | None = None,
-    ) -> set[int]:
-        out = set(self._projection(node_id, attribute, floor).raw)
-        if matching is not None:
-            out &= matching
-        return out
+        return column.match_column(pred.op, step.columns[1])
 
     def _cross_equality(
         self,
-        pred: Predicate,
-        nodes: tuple[str, ...],
+        step: _Step,
         net: SimNetwork,
         deadline: Deadline | None,
         span,
         runs: list[SmcResult],
-        floor: int | None = None,
     ) -> set[int]:
-        left_node, right_node = nodes[0], nodes[1]
-        right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        left_pairs = self._composite_set(left_node, pred.left.name, floor)
-        right_pairs = self._composite_set(right_node, right_attr.name, floor)
+        # ``glsn|value`` composites are the secure equality-join elements.
         result = secure_set_intersection(
             self.ctx,
-            {left_node: sorted(left_pairs), right_node: sorted(right_pairs)},
+            {
+                node: sorted(f"{glsn}|{value}" for glsn, value in column)
+                for node, column in zip(step.nodes, step.columns)
+            },
             net=net,
             deadline=deadline,
         )
         runs.append(result)
         eq_glsns = {int(composite.split("|", 1)[0]) for composite in result.any_value}
-        if pred.op == "=":
+        if step.predicate.op == "=":
             return eq_glsns
         # "!=": common presence minus equality matches.
-        common = self._common_glsns(
-            left_node, pred.left.name, right_node, right_attr.name,
-            net, deadline, span, runs, floor,
-        )
-        return common - eq_glsns
-
-    def _composite_set(
-        self, node_id: str, attribute: str, floor: int | None = None
-    ) -> set[str]:
-        """``glsn|value`` composites — the secure equality-join elements."""
-        return {
-            f"{glsn}|{value}"
-            for glsn, value in self._projection(node_id, attribute, floor)
-        }
+        return self._common_glsns(step, net, deadline, span, runs) - eq_glsns
 
     def _common_glsns(
         self,
-        left_node: str,
-        left_attr: str,
-        right_node: str,
-        right_attr: str,
+        step: _Step,
         net: SimNetwork,
         deadline: Deadline | None = None,
         span=None,
         runs: list[SmcResult] | None = None,
-        floor: int | None = None,
     ) -> set[int]:
-        """The glsns carrying ``left_attr`` at its owner and ``right_attr`` at its
-        (of those at or above ``floor`` when one is given: the presence
-        sets and the indexes are then read from the floor up).
+        """The glsns carrying both of ``step``'s attributes, each at its owner,
+        by the route :func:`_align` bound.
 
         Two representations of the same set.  The presence sets can be
         intersected (``∩ₛ``), or — when both owners index the same glsns —
@@ -827,67 +853,42 @@ class QueryExecutor:
         about glsns it lacks (``docs/threat-model.md`` "Alignment by
         complement"); the union's cost grows with sparsity, not with the
         log, and is zero modexps for two dense attributes.
-
-        The choice uses only what the parties exchange anyway: whether
-        their index digests match (in this one-process form, whether the two
-        ``FragmentStore.glsns`` lists are equal) and the four set sizes.
-        The union runs when its worst case is no dearer than the
-        intersection's ``n·Σ|P_i|`` encryptions: disjoint absent sets cost
-        ``n·Σ|A_i|`` encryptions and as many decryptions, and a decryption
-        exponent is as long as the modulus where an encryption exponent has
-        :data:`~repro.crypto.pohlig_hellman.SHORT_EXPONENT_BITS`.
         The SMC run is appended to ``runs`` when given.
         """
         runs = [] if runs is None else runs
-        present = {
-            left_node: self._present_glsns(left_node, left_attr, floor=floor),
-            right_node: self._present_glsns(right_node, right_attr, floor=floor),
-        }
-        indexes = {
-            node: (
-                self.store.node_store(node).glsns
-                if floor is None
-                else self.store.node_store(node).glsns_from(floor)
-            )
-            for node in present
-        }
-        index_agree = indexes[left_node] == indexes[right_node]
-        absent = {node: set(indexes[node]) - present[node] for node in present}
-        decrypt_weight = max(1, self.ctx.prime.bit_length() // SHORT_EXPONENT_BITS)
-        by_complement = index_agree and (1 + decrypt_weight) * sum(
-            map(len, absent.values())
-        ) <= sum(map(len, present.values()))
+        alignment = step.alignment
         if span is not None:
             span.set_attributes(
                 {
-                    "alignment": (
-                        "absent-union" if by_complement else "present-intersection"
-                    ),
-                    "index_agree": index_agree,
-                    "absent_sizes": {node: len(a) for node, a in absent.items()},
+                    "alignment": alignment.route,
+                    "index_agree": alignment.index_agree,
+                    "absent_sizes": {
+                        node: len(absent) for node, absent in alignment.absent.items()
+                    },
                 }
             )
-        if not index_agree:
-            for node in present:
+        if not alignment.index_agree:
+            left_node, right_node = step.nodes
+            for node in step.nodes:
                 self.ctx.leakage.record(
                     "query_alignment",
                     node,
                     "index_divergence",
                     f"the glsn indexes of {left_node} and {right_node} differ",
                 )
-        if by_complement:
+        if alignment.route == "absent-union":
             # Run even over two empty sets: the sizes are still exchanged.
             union = secure_set_union(
                 self.ctx,
-                {node: sorted(glsns) for node, glsns in absent.items()},
+                {node: sorted(glsns) for node, glsns in alignment.absent.items()},
                 net=net,
                 deadline=deadline,
             )
             runs.append(union)
-            return set(indexes[left_node]) - set(union.any_value)
+            return alignment.index.difference(union.any_value)
         result = secure_set_intersection(
             self.ctx,
-            {node: sorted(glsns) for node, glsns in present.items()},
+            {node: sorted(glsns) for node, glsns in alignment.present.items()},
             net=net,
             deadline=deadline,
         )
@@ -896,63 +897,39 @@ class QueryExecutor:
 
     def _cross_order(
         self,
-        pred: Predicate,
-        nodes: tuple[str, ...],
+        step: _Step,
         net: SimNetwork,
         deadline: Deadline | None,
         span,
         runs: list[SmcResult],
-        floor: int | None = None,
     ) -> set[int]:
-        left_node, right_node = nodes[0], nodes[1]
-        right_attr: AttributeRef = pred.right  # type: ignore[assignment]
-        left = self._projection(left_node, pred.left.name, floor)
-        right = self._projection(right_node, right_attr.name, floor)
+        (left_node, right_node), (left, right) = step.nodes, step.columns
         # Each owner checks its whole column before any round is run, so a
         # value the blind TTP could not order fails the query while nothing
         # has been sent or disclosed yet.
-        for node_id, column in ((left_node, left), (right_node, right)):
-            column.scaled(list(column.raw), node_id, f"ordered cross predicate {pred}")
-        ordered = sorted(
-            self._common_glsns(
-                left_node, pred.left.name, right_node, right_attr.name,
-                net, deadline, span, runs, floor,
+        for node_id, column in zip(step.nodes, step.columns):
+            column.scaled(
+                list(column.raw), node_id, f"ordered cross predicate {step.predicate}"
             )
-        )
+        ordered = sorted(self._common_glsns(step, net, deadline, span, runs))
         left_values, _ = left.scaled(ordered, left_node)
         right_values, _ = right.scaled(ordered, right_node)
-        out: set[int] = set()
-        if self.batch_compare:
-            self._session += 1
-            batch = secure_compare_batch(
-                self.ctx,
-                (left_node, left_values),
-                (right_node, right_values),
-                value_bound=_VALUE_BOUND,
-                net=net,
-                session=f"qb-{self._session}",
-                deadline=deadline,
-            )
-            runs.append(batch)
-            for glsn, verdict in zip(ordered, batch.any_value):
-                if evaluate_operator(pred.op, verdict):
-                    out.add(glsn)
-            return out
-        for glsn, left_value, right_value in zip(ordered, left_values, right_values):
-            self._session += 1
-            compared = secure_compare(
-                self.ctx,
-                (left_node, left_value),
-                (right_node, right_value),
-                value_bound=_VALUE_BOUND,
-                net=net,
-                session=f"q-{self._session}-{glsn}",
-                deadline=deadline,
-            )
-            runs.append(compared)
-            if evaluate_operator(pred.op, compared.any_value):
-                out.add(glsn)
-        return out
+        self._session += 1
+        batch = secure_compare_batch(
+            self.ctx,
+            (left_node, left_values),
+            (right_node, right_values),
+            value_bound=_VALUE_BOUND,
+            net=net,
+            session=f"qb-{self._session}",
+            deadline=deadline,
+        )
+        runs.append(batch)
+        return {
+            glsn
+            for glsn, verdict in zip(ordered, batch.any_value)
+            if evaluate_operator(step.predicate.op, verdict)
+        }
 
     # -- set merging ---------------------------------------------------------
 
@@ -963,10 +940,8 @@ class QueryExecutor:
         deadline: Deadline | None = None,
     ) -> set[int]:
         """Disjunction inside a clause: secure union across holder nodes."""
-        if not per_node:
-            return set()
         if len(per_node) == 1:
-            return set(next(iter(per_node.values())))
+            return next(iter(per_node.values()))
         with protocol_span(
             self.ctx, net, "query.merge_union", {"nodes": sorted(per_node)}
         ):
@@ -980,28 +955,26 @@ class QueryExecutor:
 
     def _merge_intersection(
         self,
+        conjunction: str,
         clause_sets: dict[str, set[int]],
         net: SimNetwork,
         deadline: Deadline | None,
         span,
-    ) -> set[int]:
-        """Final conjunction: secure set intersection keyed by glsn.
+    ) -> list[int]:
+        """Final conjunction, sorted: the one anchor's set, or (``"ssi"``) a
+        secure set intersection keyed by glsn between the distinct anchors;
+        ``span`` (``query.execute``) is told which it was.
 
-        ``clause_sets`` is already conjoined per anchor node, so the ring
-        runs only between distinct anchors; ``span`` (``query.execute``)
-        is told which it was.
+        ``clause_sets`` is already conjoined per anchor node.
         """
-        if not clause_sets:
-            return set()
-        if len(clause_sets) == 1:
-            ((anchor, glsns),) = clause_sets.items()
-            span.set_attribute("conjunction", f"local@{anchor}")
-            return set(glsns)
-        if any(not glsns for glsns in clause_sets.values()):
-            # An empty clause forces an empty conjunction; running the ring
+        if conjunction == "ssi" and not all(clause_sets.values()):
+            # Two clauses at one anchor conjoined to nothing; running the ring
             # with an empty set would only leak the other sets' sizes.
-            return set()
-        span.set_attribute("conjunction", "ssi")
+            return []
+        span.set_attribute("conjunction", conjunction)
+        if conjunction != "ssi":
+            (glsns,) = clause_sets.values()
+            return sorted(glsns)
         with protocol_span(
             self.ctx, net, "query.merge_intersection", {"nodes": sorted(clause_sets)}
         ):
@@ -1011,4 +984,4 @@ class QueryExecutor:
                 net=net,
                 deadline=deadline,
             )
-        return set(result.any_value)
+        return sorted(result.any_value)

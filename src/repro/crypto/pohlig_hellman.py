@@ -50,6 +50,7 @@ from repro.perf.engine import resolve_engine
 __all__ = [
     "SHORT_EXPONENT_BITS",
     "CommutativeKey",
+    "decrypt_weight",
     "PohligHellmanCipher",
     "MessageEncoder",
     "shared_prime",
@@ -77,6 +78,20 @@ def _half_is_prime(p: int) -> bool:
     return primes.is_probable_prime(
         (p - 1) // 2, rng=DeterministicRng(b"safe-prime-check")
     )
+
+
+def _short_exponents(p: int) -> bool:
+    """Whether keys over ``p`` get a short ``e``: ``(p - 1) / 2`` must be a
+    prime longer than ``e``, so that every odd ``e`` of that length is
+    coprime to ``p - 1`` and the squares have prime order."""
+    return p.bit_length() > SHORT_EXPONENT_BITS + 1 and _half_is_prime(p)
+
+
+def decrypt_weight(p: int) -> int:
+    """How many encryptions one decryption over ``p`` costs: ``pow`` is
+    linear in exponent bits, and ``d`` is as long as ``p`` where a short
+    ``e`` has :data:`SHORT_EXPONENT_BITS`; 1 when ``e`` is full-range too."""
+    return p.bit_length() // SHORT_EXPONENT_BITS if _short_exponents(p) else 1
 
 
 @dataclass(frozen=True)
@@ -127,9 +142,7 @@ class PohligHellmanCipher:
         """
         rng = rng or system_rng()
         order = p - 1
-        # A short e needs (p-1)/2 to be a prime longer than e: then every
-        # odd 256-bit e is coprime to p-1 and the squares have prime order.
-        short = p.bit_length() > SHORT_EXPONENT_BITS + 1 and _half_is_prime(p)
+        short = _short_exponents(p)
         while True:
             if short:
                 e = rng.getrandbits(SHORT_EXPONENT_BITS) | _SHORT_EXPONENT_TOP_BIT | 1

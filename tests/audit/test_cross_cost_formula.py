@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.audit.executor import QueryExecutor
+from repro.audit.planner import plan_query
 from repro.core import ConfidentialAuditingService
 from repro.crypto import (
     AccumulatorParams,
@@ -293,11 +294,18 @@ def _executor(rows: list[dict], tag: bytes = b"align"):
     return QueryExecutor(store, ctx, schema), glsns
 
 
+def _cross_step(executor: QueryExecutor):
+    """``C1 < C5``'s one step (C1@P3 / C5@P1), bound on the store as it is now."""
+    qplan = plan_query("C1 < C5", executor.schema, executor.plan)
+    (step,) = executor._bind(qplan).clauses[0].steps
+    return step
+
+
 def _align(executor: QueryExecutor):
     """Run ``_common_glsns`` for C1@P3 / C5@P1; returns (set, modexps, messages)."""
     net = SimNetwork()
     before = executor.ctx.crypto_ops.modexp
-    common = executor._common_glsns("P3", "C1", "P1", "C5", net)
+    common = executor._common_glsns(_cross_step(executor), net)
     return common, executor.ctx.crypto_ops.modexp - before, net.stats.messages
 
 
@@ -383,12 +391,10 @@ class TestIndexDivergence:
         by_intersection, modexps, _ = _align(executor)
         assert modexps == intersection_cost([9, 10])[0]
         assert by_intersection == by_union - {glsns[11]}
+        present = _cross_step(executor).alignment.present
         reference = secure_set_intersection(
             SmcContext(shared_prime(64), DeterministicRng(b"ref")),
-            {
-                "P3": sorted(executor._present_glsns("P3", "C1")),
-                "P1": sorted(executor._present_glsns("P1", "C5")),
-            },
+            {"P3": sorted(present["P3"]), "P1": sorted(present["P1"])},
         )
         assert by_intersection == set(reference.any_value)
 

@@ -20,6 +20,7 @@ from repro.crypto import (
     TicketAuthority,
     shared_prime,
 )
+from repro.crypto import primes
 from repro.crypto.schnorr import SchnorrGroup
 from repro.logstore import (
     DistributedLogStore,
@@ -31,9 +32,10 @@ from repro.workloads import paper_table1_rows
 
 # ``--hypothesis-profile=ci``: the codec, checkpoint, batched-WAL, WAL
 # put-template, recovery-codec, integrity-memo, sub-plan-memo,
-# standing-scope, cache-differential, column-scan and aggregate fuzz
-# modules again, with ten times the default examples (where a test does
-# not set its own) and no per-example deadline (shared runners stall).
+# standing-scope, cache-differential, column-scan, aggregate and
+# cross-alignment (``test_property_audit``) fuzz modules again, with ten
+# times the default examples (where a test does not set its own) and no
+# per-example deadline (shared runners stall).
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
@@ -75,6 +77,17 @@ def prime64():
 @pytest.fixture(scope="session")
 def prime128():
     return shared_prime(128)
+
+
+@pytest.fixture(scope="session")
+def unsafe_prime512():
+    """A 512-bit prime ``= 3 (mod 4)`` whose ``(p - 1) / 2`` is composite: the
+    message encoder takes it, and keys over it get a full-range ``e``."""
+    rng = DeterministicRng(b"unsafe-prime-512")
+    while True:
+        p = primes.random_prime(512, rng)
+        if p % 4 == 3 and not primes.is_probable_prime((p - 1) // 2, rng=rng):
+            return p
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from repro.crypto.pohlig_hellman import (
     CommutativeKey,
     MessageEncoder,
     PohligHellmanCipher,
+    decrypt_weight,
     shared_prime,
 )
 from repro.crypto.rng import DeterministicRng
@@ -112,6 +113,23 @@ class TestShortExponents:
         pohlig_hellman._half_is_prime.cache_clear()
         cold = PohligHellmanCipher.generate(p, DeterministicRng(b"stream")).key
         assert cold == warm
+
+
+class TestDecryptWeight:
+    """A decryption's price in encryptions follows the key exponents drawn."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+    def test_safe_primes_keep_the_bit_length_ratio(self, bits):
+        p = shared_prime(bits)
+        assert decrypt_weight(p) == max(1, bits // SHORT_EXPONENT_BITS)
+
+    def test_non_safe_prime_weighs_a_decryption_as_an_encryption(
+        self, unsafe_prime512
+    ):
+        assert MessageEncoder(unsafe_prime512).p == unsafe_prime512
+        key = PohligHellmanCipher.generate(unsafe_prime512, DeterministicRng(b"w")).key
+        assert key.e.bit_length() > SHORT_EXPONENT_BITS  # a full-range e
+        assert decrypt_weight(unsafe_prime512) == 1
 
 
 class TestCommutativity:

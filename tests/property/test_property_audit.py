@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.audit.normalize import to_conjunctive_form
 from repro.audit.parser import parse_criterion
+from repro.audit.planner import plan_query
 from repro.baseline.centralized import CentralizedAuditor
 from repro.crypto import AccumulatorParams, DeterministicRng, Operation, TicketAuthority
 from repro.crypto.pohlig_hellman import shared_prime
@@ -19,8 +20,10 @@ from repro.logstore.records import LogRecord
 from repro.logstore.schema import Attribute, AttributeKind, GlobalSchema
 from repro.logstore.store import DistributedLogStore
 from repro.net.simnet import SimNetwork
+from repro.obs.tracer import Tracer
 from repro.smc.base import SmcContext
 from repro.smc.intersection import secure_set_intersection
+from tests.plan_steps import bound_runs, traced_runs
 
 PRIME = shared_prime(64)
 
@@ -162,7 +165,8 @@ CROSS_OPS = {
 
 
 class TestCrossAlignmentAgainstOracle:
-    @settings(max_examples=40, deadline=None)
+    # Two fifths of the profile's examples: 40 by default, 400 under ``ci``.
+    @settings(max_examples=max(settings().max_examples * 2 // 5, 5), deadline=None)
     @given(
         rows=st.lists(dense_row, min_size=1, max_size=8)
         | st.lists(sparse_row, min_size=1, max_size=8),
@@ -174,13 +178,22 @@ class TestCrossAlignmentAgainstOracle:
     def test_query_equals_plaintext_oracle(self, rows, op, local, local_first, seed):
         store, _ = build_stores(rows, PAPER_PLAN)
         glsns = store.glsns  # allocated in append order
-        ctx = SmcContext(PRIME, DeterministicRng(seed))
+        ctx = SmcContext(PRIME, DeterministicRng(seed), tracer=Tracer())
         executor = QueryExecutor(store, ctx, PAPER_SCHEMA)
         clauses = [f"C1 {op} C5"] + ([local] if local else [])
         if local_first:
             clauses.reverse()
 
-        result = executor.execute(" and ".join(clauses))
+        qplan = plan_query(" and ".join(clauses), PAPER_SCHEMA, PAPER_PLAN)
+        bound = bound_runs(executor._bind(qplan))
+        result = executor.execute(qplan)
+        # With no clause empty the protocols run are the bound steps', in
+        # order; else the steps run are the bound ones up to the empty one.
+        ran = traced_runs(ctx.tracer.finished_spans())
+        if all(result.subquery_glsns.values()):
+            assert ran == bound
+        else:
+            assert [r[:3] for r in ran] == [b[:3] for b in bound[: len(ran)]]
 
         assert result.glsns == [
             glsn for glsn, row in zip(glsns, rows)
@@ -191,12 +204,12 @@ class TestCrossAlignmentAgainstOracle:
 
         # Whichever representation the executor chose, the aligned set is
         # what the presence intersection alone computes.
-        common = executor._common_glsns("P3", "C1", "P1", "C5", SimNetwork())
+        qplan = plan_query("C1 < C5", PAPER_SCHEMA, PAPER_PLAN)
+        (step,) = executor._bind(qplan).clauses[0].steps
+        common = executor._common_glsns(step, SimNetwork())
+        present = step.alignment.present
         presence = secure_set_intersection(
             SmcContext(PRIME, DeterministicRng(seed + 1)),
-            {
-                "P3": sorted(executor._present_glsns("P3", "C1")),
-                "P1": sorted(executor._present_glsns("P1", "C5")),
-            },
+            {"P3": sorted(present["P3"]), "P1": sorted(present["P1"])},
         )
         assert common == set(presence.any_value)

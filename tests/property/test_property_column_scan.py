@@ -1,7 +1,7 @@
 """Property test: typed-column matching ≡ the row-by-row scan it replaced.
 
-``QueryExecutor._local_scan`` answers a single-node predicate from the
-per-epoch typed columns.  The reference below is the loop the executor ran
+``QueryExecutor._local_scan`` answers a single-node predicate's bound step
+from the per-epoch typed columns.  The reference below is the loop the executor ran
 before (one ``_apply_op`` per fragment, both operands re-coerced each
 time), kept here verbatim so the comparison is against that rule and not
 against a second copy of the column code.  Whatever the float / str arrays
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.audit.ast_nodes import AttributeRef, Constant, Predicate
 from repro.audit.executor import QueryExecutor
+from repro.audit.planner import plan_query
 from repro.crypto import (
     AccumulatorParams,
     DeterministicRng,
@@ -98,6 +99,14 @@ def _executor(pairs) -> QueryExecutor:
     return QueryExecutor(store, ctx, SCHEMA)
 
 
+def _local_scan(executor: QueryExecutor, pred: Predicate, floor=None):
+    """``executor._local_scan`` of ``pred``'s one step, bound from ``floor`` up."""
+    qplan = plan_query(pred, SCHEMA, PLAN)
+    qplan.floor = floor
+    (step,) = executor._bind(qplan).clauses[0].steps
+    return executor._local_scan(step)
+
+
 def _outcome(compute):
     """The glsn set, or the type of the error the scan dies with."""
     try:
@@ -112,7 +121,7 @@ def test_attribute_vs_constant_matches_the_row_scan(pairs, op, constant):
     executor = _executor(pairs)
     right = Constant(constant)
     got = _outcome(
-        lambda: executor._local_scan(NODE, Predicate(AttributeRef(LEFT), op, right))
+        lambda: _local_scan(executor, Predicate(AttributeRef(LEFT), op, right))
     )
     want = _outcome(
         lambda: reference_scan(executor.store.node_store(NODE), op, LEFT, right)
@@ -126,7 +135,7 @@ def test_attribute_vs_attribute_on_one_node_matches_the_row_scan(pairs, op):
     executor = _executor(pairs)
     right = AttributeRef(RIGHT)
     got = _outcome(
-        lambda: executor._local_scan(NODE, Predicate(AttributeRef(LEFT), op, right))
+        lambda: _local_scan(executor, Predicate(AttributeRef(LEFT), op, right))
     )
     want = _outcome(
         lambda: reference_scan(executor.store.node_store(NODE), op, LEFT, right)
@@ -147,7 +156,7 @@ def test_every_kind_of_row_at_once(op):
     for right in (Constant(7), Constant("7"), Constant("tcp"), Constant(2.5),
                   Constant(None), AttributeRef(RIGHT)):
         pred = Predicate(AttributeRef(LEFT), op, right)
-        assert executor._local_scan(NODE, pred) == reference_scan(store, op, LEFT, right)
+        assert _local_scan(executor, pred) == reference_scan(store, op, LEFT, right)
 
 
 # Values at the edges of a bisection: equal runs, the two zeros, the two
@@ -183,5 +192,5 @@ def test_a_constant_from_the_column_itself_matches_the_row_scan(data, pool):
     for floor in (None, min(store.glsns, default=0)):
         for op in OPERATORS:
             pred = Predicate(AttributeRef(LEFT), op, right)
-            got = _outcome(lambda: executor._local_scan(NODE, pred, floor))
+            got = _outcome(lambda: _local_scan(executor, pred, floor))
             assert got == _outcome(lambda: reference_scan(store, op, LEFT, right))

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.audit.executor import QueryExecutor
+from repro.baseline.centralized import CentralizedAuditor
+from repro.crypto import DeterministicRng
 from repro.errors import ConfigurationError
+from repro.logstore.records import LogRecord
 from repro.net.simnet import SimNetwork
-from repro.smc.comparison import secure_compare, secure_compare_batch
+from repro.smc.base import SmcContext
+from repro.smc.comparison import evaluate_operator, secure_compare, secure_compare_batch
+from repro.workloads import paper_table1_rows
 
 
 class TestBatchCompare:
@@ -63,43 +69,51 @@ class TestBatchCompare:
         assert any("3 pairwise" in e.detail for e in events)
 
 
+def per_pair_compare(store, ctx, left: str, op: str, right: str, net):
+    """``left op right`` by one ``secure_compare`` per glsn holding both
+    attributes, on the executor's fixed-point values."""
+    homes = store.plan.home_of(left), store.plan.home_of(right)
+    columns = [
+        {frag.glsn: frag.values[attr] for frag in store.node_store(node).scan()
+         if attr in frag.values}
+        for node, attr in zip(homes, (left, right))
+    ]
+    out = []
+    for glsn in sorted(columns[0].keys() & columns[1].keys()):
+        left_value, right_value = (round(float(c[glsn]) * 100) for c in columns)
+        compared = secure_compare(
+            ctx, (homes[0], left_value), (homes[1], right_value),
+            value_bound=2**40, net=net, session=f"q-{glsn}",
+        )
+        if evaluate_operator(op, compared.any_value):
+            out.append(glsn)
+    return out
+
+
 class TestExecutorBatchMode:
-    def test_batch_and_per_glsn_agree(
-        self, populated_store, table1_schema, prime64
-    ):
-        from repro.audit.executor import QueryExecutor
-        from repro.crypto import DeterministicRng
-        from repro.smc.base import SmcContext
+    """The executor's one batched comparison against a per-pair loop."""
 
+    @pytest.fixture()
+    def executor(self, populated_store, table1_schema, prime64):
         store, _, _ = populated_store
-        batched = QueryExecutor(
-            store, SmcContext(prime64, DeterministicRng(b"b")), table1_schema,
-            batch_compare=True,
+        return QueryExecutor(
+            store, SmcContext(prime64, DeterministicRng(b"b")), table1_schema
         )
-        per_glsn = QueryExecutor(
-            store, SmcContext(prime64, DeterministicRng(b"p")), table1_schema,
-            batch_compare=False,
-        )
-        for criterion in ("C1 < C2", "C2 < C1", "C1 >= C1"):
-            assert (
-                batched.execute(criterion).glsns
-                == per_glsn.execute(criterion).glsns
-            ), criterion
 
-    def test_batch_mode_is_cheaper(self, populated_store, table1_schema, prime64):
-        from repro.audit.executor import QueryExecutor
-        from repro.crypto import DeterministicRng
-        from repro.smc.base import SmcContext
+    def test_batch_and_per_glsn_agree(self, executor, table1_schema):
+        oracle = CentralizedAuditor(table1_schema)
+        for glsn, row in zip(executor.store.glsns, paper_table1_rows()):
+            oracle.ingest(LogRecord(glsn, row))
+        ctx = SmcContext(executor.ctx.prime, DeterministicRng(b"p"))
+        for left, op, right in (("C1", "<", "C2"), ("C2", "<", "C1"), ("C1", ">=", "C2")):
+            criterion = f"{left} {op} {right}"
+            looped = per_pair_compare(executor.store, ctx, left, op, right, SimNetwork())
+            assert executor.execute(criterion).glsns == looped, criterion
+            assert looped == oracle.execute(criterion), criterion
 
-        store, _, _ = populated_store
-        batched = QueryExecutor(
-            store, SmcContext(prime64, DeterministicRng(b"b2")), table1_schema,
-            batch_compare=True,
-        )
-        per_glsn = QueryExecutor(
-            store, SmcContext(prime64, DeterministicRng(b"p2")), table1_schema,
-            batch_compare=False,
-        )
-        cheap = batched.execute("C1 < C2")
-        costly = per_glsn.execute("C1 < C2")
-        assert cheap.messages < costly.messages
+    def test_batch_mode_is_cheaper(self, executor):
+        """Alignment and batch together send fewer messages than the loop."""
+        net = SimNetwork()
+        ctx = SmcContext(executor.ctx.prime, DeterministicRng(b"p2"))
+        per_pair_compare(executor.store, ctx, "C1", "<", "C2", net)
+        assert executor.execute("C1 < C2").messages < net.stats.messages
