@@ -11,37 +11,24 @@ C2 of every glsn holding both.
 """
 
 from benchmarks.conftest import print_rows
+from repro.audit.executor import _VALUE_BOUND
 from repro.crypto import DeterministicRng
 from repro.net.simnet import SimNetwork
 from repro.smc.base import SmcContext
-from repro.smc.comparison import secure_compare, secure_compare_batch
-
-VALUE_BOUND = 2**40  # the executor's public bound on compared values
+from repro.smc.comparison import secure_compare_batch
+from tests.compare_loop import per_pair_verdicts, scaled_pairs
 
 
 def value_pairs(loaded_store):
-    """``(left_node, right_node, [(C1, C2) per common glsn])``, scaled ×100."""
+    """``(left_node, right_node, [(C1, C2) per common glsn])``, fixed-point."""
     store, _ = loaded_store
-    nodes = store.plan.home_of("C1"), store.plan.home_of("C2")
-    columns = [
-        {f.glsn: f.values[attr] for f in store.node_store(node).scan() if attr in f.values}
-        for node, attr in zip(nodes, ("C1", "C2"))
-    ]
-    common = sorted(columns[0].keys() & columns[1].keys())
-    pairs = [tuple(round(float(c[g]) * 100) for c in columns) for g in common]
-    return nodes[0], nodes[1], pairs
+    left, right, _, pairs = scaled_pairs(store, "C1", "C2")
+    return left, right, pairs
 
 
 def per_glsn(prime, seed, loaded_store, net):
     left, right, pairs = value_pairs(loaded_store)
-    ctx = SmcContext(prime, DeterministicRng(seed))
-    return [
-        secure_compare(
-            ctx, (left, a), (right, b), value_bound=VALUE_BOUND, net=net,
-            session=f"q-{i}",
-        ).any_value
-        for i, (a, b) in enumerate(pairs)
-    ]
+    return per_pair_verdicts(SmcContext(prime, DeterministicRng(seed)), left, right, pairs, net)
 
 
 def batched(prime, seed, loaded_store, net):
@@ -51,7 +38,7 @@ def batched(prime, seed, loaded_store, net):
         ctx,
         (left, [a for a, _ in pairs]),
         (right, [b for _, b in pairs]),
-        value_bound=VALUE_BOUND,
+        value_bound=_VALUE_BOUND,
         net=net,
         session="qb-1",
     ).any_value

@@ -276,13 +276,17 @@ def _unscaled(scaled: int, all_int: bool) -> object:
 @dataclass(frozen=True)
 class _Alignment:
     """How the two parties of a cross predicate find the glsns both hold
-    (:meth:`QueryExecutor._common_glsns`), fixed when the plan is bound."""
+    (:meth:`QueryExecutor._common_glsns`), fixed when the plan is bound.
+
+    Binding decides from set sizes alone; the sets the chosen ring runs on
+    are built from the step's columns and ``indexes`` when it runs, so a
+    step the memo serves, or one an early exit skips, builds none.
+    """
 
     route: str  # "absent-union" or "present-intersection"
     index_agree: bool
-    present: dict[str, set[int]]  # party -> glsns carrying its attribute
-    absent: dict[str, set[int]]  # party -> its glsn index minus ``present``
-    index: set[int]  # the left party's glsn index
+    absent_sizes: dict[str, int]  # party -> its index's glsns lacking its attribute
+    indexes: tuple[list[int], ...]  # each party's glsn index, in party order
 
 
 def _align(nodes, columns, indexes, weight: int) -> _Alignment:
@@ -291,22 +295,22 @@ def _align(nodes, columns, indexes, weight: int) -> _Alignment:
 
     The choice uses only what the parties exchange anyway: whether
     their index digests match (in this one-process form, whether the two
-    ``FragmentStore.glsns`` lists are equal) and the four set sizes.
-    The union runs when its worst case is no dearer than the
-    intersection's ``n·Σ|P_i|`` encryptions: disjoint absent sets cost
-    ``n·Σ|A_i|`` encryptions and as many decryptions, and a decryption
-    costs ``weight`` encryptions
+    ``FragmentStore.glsns`` lists are equal) and the four set sizes.  A
+    column's glsns are among its node's index, which
+    :meth:`QueryExecutor._bind` reads after the column (only a delete
+    racing the query takes a glsn out), so an absent set's size is the
+    index's minus the column's.  The union runs when its worst case is no
+    dearer than the intersection's ``n·Σ|P_i|`` encryptions: disjoint
+    absent sets cost ``n·Σ|A_i|`` encryptions and as many decryptions, and
+    a decryption costs ``weight`` encryptions
     (:func:`~repro.crypto.pohlig_hellman.decrypt_weight`).
     """
-    present = {node: set(column.raw) for node, column in zip(nodes, columns)}
+    present = [len(column.raw) for column in columns]
+    absent = [len(glsns) - size for glsns, size in zip(indexes, present)]
     index_agree = indexes[0] == indexes[1]
-    held = [set(glsns) for glsns in indexes]
-    absent = {node: glsns - present[node] for node, glsns in zip(nodes, held)}
-    by_complement = index_agree and (1 + weight) * sum(
-        map(len, absent.values())
-    ) <= sum(map(len, present.values()))
+    by_complement = index_agree and (1 + weight) * sum(absent) <= sum(present)
     route = "absent-union" if by_complement else "present-intersection"
-    return _Alignment(route, index_agree, present, absent, held[0])
+    return _Alignment(route, index_agree, dict(zip(nodes, absent)), tuple(indexes))
 
 
 @dataclass(frozen=True)
@@ -673,9 +677,9 @@ class QueryExecutor:
         free, and an empty one ends the query before any cross ring), each
         clause's predicates together.  Each step reads its parties' store
         epochs, then their columns, so a column is never older than the
-        memo key it is stored under.  An alignment step is sized here:
-        which of its two routes runs depends only on the parties' indexes
-        and presence sets (:meth:`_common_glsns`).  Binding draws no
+        memo key it is stored under.  An alignment step's route is chosen
+        here, from its parties' indexes and the sizes of their presence
+        sets (:func:`_align`).  Binding draws no
         randomness, records no disclosure and sends nothing; every
         disclosure and check happens when its step runs.
         """
@@ -862,9 +866,7 @@ class QueryExecutor:
                 {
                     "alignment": alignment.route,
                     "index_agree": alignment.index_agree,
-                    "absent_sizes": {
-                        node: len(absent) for node, absent in alignment.absent.items()
-                    },
+                    "absent_sizes": alignment.absent_sizes,
                 }
             )
         if not alignment.index_agree:
@@ -876,19 +878,23 @@ class QueryExecutor:
                     "index_divergence",
                     f"the glsn indexes of {left_node} and {right_node} differ",
                 )
+        parties = list(zip(step.nodes, step.columns, alignment.indexes))
         if alignment.route == "absent-union":
             # Run even over two empty sets: the sizes are still exchanged.
             union = secure_set_union(
                 self.ctx,
-                {node: sorted(glsns) for node, glsns in alignment.absent.items()},
+                {
+                    node: sorted(set(glsns).difference(column.raw))
+                    for node, column, glsns in parties
+                },
                 net=net,
                 deadline=deadline,
             )
             runs.append(union)
-            return alignment.index.difference(union.any_value)
+            return set(alignment.indexes[0]).difference(union.any_value)
         result = secure_set_intersection(
             self.ctx,
-            {node: sorted(glsns) for node, glsns in alignment.present.items()},
+            {node: sorted(column.raw) for node, column, _ in parties},
             net=net,
             deadline=deadline,
         )

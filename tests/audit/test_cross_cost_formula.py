@@ -391,7 +391,8 @@ class TestIndexDivergence:
         by_intersection, modexps, _ = _align(executor)
         assert modexps == intersection_cost([9, 10])[0]
         assert by_intersection == by_union - {glsns[11]}
-        present = _cross_step(executor).alignment.present
+        step = _cross_step(executor)
+        present = {node: set(column.raw) for node, column in zip(step.nodes, step.columns)}
         reference = secure_set_intersection(
             SmcContext(shared_prime(64), DeterministicRng(b"ref")),
             {"P3": sorted(present["P3"]), "P1": sorted(present["P1"])},

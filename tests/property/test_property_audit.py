@@ -207,7 +207,7 @@ class TestCrossAlignmentAgainstOracle:
         qplan = plan_query("C1 < C5", PAPER_SCHEMA, PAPER_PLAN)
         (step,) = executor._bind(qplan).clauses[0].steps
         common = executor._common_glsns(step, SimNetwork())
-        present = step.alignment.present
+        present = {node: set(column.raw) for node, column in zip(step.nodes, step.columns)}
         presence = secure_set_intersection(
             SmcContext(PRIME, DeterministicRng(seed + 1)),
             {"P3": sorted(present["P3"]), "P1": sorted(present["P1"])},

@@ -9,8 +9,9 @@ from repro.errors import ConfigurationError
 from repro.logstore.records import LogRecord
 from repro.net.simnet import SimNetwork
 from repro.smc.base import SmcContext
-from repro.smc.comparison import evaluate_operator, secure_compare, secure_compare_batch
+from repro.smc.comparison import secure_compare, secure_compare_batch
 from repro.workloads import paper_table1_rows
+from tests.compare_loop import per_pair_compare
 
 
 class TestBatchCompare:
@@ -69,27 +70,6 @@ class TestBatchCompare:
         assert any("3 pairwise" in e.detail for e in events)
 
 
-def per_pair_compare(store, ctx, left: str, op: str, right: str, net):
-    """``left op right`` by one ``secure_compare`` per glsn holding both
-    attributes, on the executor's fixed-point values."""
-    homes = store.plan.home_of(left), store.plan.home_of(right)
-    columns = [
-        {frag.glsn: frag.values[attr] for frag in store.node_store(node).scan()
-         if attr in frag.values}
-        for node, attr in zip(homes, (left, right))
-    ]
-    out = []
-    for glsn in sorted(columns[0].keys() & columns[1].keys()):
-        left_value, right_value = (round(float(c[glsn]) * 100) for c in columns)
-        compared = secure_compare(
-            ctx, (homes[0], left_value), (homes[1], right_value),
-            value_bound=2**40, net=net, session=f"q-{glsn}",
-        )
-        if evaluate_operator(op, compared.any_value):
-            out.append(glsn)
-    return out
-
-
 class TestExecutorBatchMode:
     """The executor's one batched comparison against a per-pair loop."""
 
@@ -110,6 +90,8 @@ class TestExecutorBatchMode:
             looped = per_pair_compare(executor.store, ctx, left, op, right, SimNetwork())
             assert executor.execute(criterion).glsns == looped, criterion
             assert looped == oracle.execute(criterion), criterion
+        # One column read twice is a local predicate: no pair to loop over.
+        assert executor.execute("C1 >= C1").glsns == oracle.execute("C1 >= C1")
 
     def test_batch_mode_is_cheaper(self, executor):
         """Alignment and batch together send fewer messages than the loop."""
